@@ -250,6 +250,9 @@ class _Analyzer:
             method, receiver = expr.func.attr, expr.func.value
             if method in ("read", "write") and _is_rwlock(receiver):
                 return ("db.rwlock", method)
+            if method == "read_view":
+                # Database.read_view may fall back to the shared side
+                return ("db.rwlock", "read")
             if method == "transaction":
                 return ("txn", "excl")
             return None

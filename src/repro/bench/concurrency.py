@@ -7,10 +7,10 @@ the same seeded, shuffled pool of read statements (plus a sprinkling of
 INSERTs — a read-mostly mix), so the trials are comparable: the work per
 statement is identical, only the concurrency changes.
 
-What the ratios measure is the serving stack, not the simulator: the
-reader-writer lock admits SELECTs in parallel, and the shared result
-cache (keyed on canonical SQL) amortizes each distinct statement's
-execution over every session that asks for it.  A 16-session trial
+What the ratios measure is the serving stack, not the simulator:
+snapshot reads run SELECTs in parallel, and the shared result cache
+(keyed on canonical SQL) amortizes each distinct statement's execution
+over every session that asks for it.  A 16-session trial
 therefore executes each distinct query roughly once and serves the rest
 from cache — which is exactly the production argument for the cache.
 
@@ -28,10 +28,8 @@ import time
 __all__ = [
     "CONCURRENCY_COLUMNS",
     "SESSION_COUNTS",
-    "MIXED_SESSIONS",
     "build_query_pool",
     "run_concurrency",
-    "run_mixed_concurrency",
 ]
 
 #: measured columns of each BENCH_concurrency.json row
@@ -179,129 +177,5 @@ def run_concurrency(system, session_counts=SESSION_COUNTS,
                 round(speedup, 2),
             ],
             "paper": [],  # the 1994 testbed served one user at a time
-        }
-    return rows
-
-
-# --------------------------------------------------------------------- #
-# mixed read/write workload: MVCC snapshots + group commit vs RWLock
-# --------------------------------------------------------------------- #
-
-#: the mixed trial's fixed shape: 16 sessions, one INSERT per 10
-#: statements (10% writes) — the traffic the read-mostly trials above
-#: deliberately avoid, and exactly where a reader-writer lock collapses
-MIXED_SESSIONS = 16
-MIXED_WRITE_EVERY = 10
-MIXED_LOOKUP_KEYS = 200
-
-#: simulated fsync cost per journal flush (seconds); large against the
-#: per-statement work, so writer commit latency dominates the baseline —
-#: the regime group commit exists for.  10 ms ~ a spinning disk's fsync,
-#: the device class the 1994 testbed actually ran on.
-MIXED_FLUSH_LATENCY = 0.010
-
-
-def _build_mixed_stack(mvcc: bool, flush_latency: float):
-    """A self-contained serving stack: device -> WAL -> LFM -> Database.
-
-    Both modes get byte-identical data; only the database's concurrency
-    protocol differs, so the throughput ratio isolates MVCC + group
-    commit against the reader-writer-lock baseline.
-    """
-    from repro.db.database import Database
-    from repro.storage.device import BlockDevice
-    from repro.storage.lfm import LongFieldManager
-    from repro.storage.wal import WriteAheadLog
-
-    data = BlockDevice(8 << 20)
-    journal = BlockDevice(8 << 20)
-    wal = WriteAheadLog(data, journal, recover=False,
-                        flush_latency=flush_latency)
-    lfm = LongFieldManager(wal)
-    db = Database(lfm=lfm, mvcc=mvcc)
-    db.execute("create table lookup (key integer, category text, value integer)")
-    db.execute("create table events (eventId integer, sessionId integer, "
-               "note text)")
-    db.executemany(
-        "insert into lookup values (?, ?, ?)",
-        [[k, f"c{k % 10}", (k * 37) % 1000] for k in range(MIXED_LOOKUP_KEYS)],
-    )
-    return db
-
-
-def _mixed_client(server, session_index: int, statements: int, tag: str,
-                  seed: int) -> None:
-    """One mixed-traffic session: 90% point SELECTs, 10% INSERTs."""
-    rng = random.Random(seed * 104729 + session_index)
-    with server.connect(name=f"{tag}-{session_index}") as session:
-        for j in range(statements):
-            if j % MIXED_WRITE_EVERY == MIXED_WRITE_EVERY - 1:
-                # unique eventId per (session, position): appends only
-                event_id = session_index * 1_000_000 + j
-                session.execute(
-                    f"insert into events values "
-                    f"({event_id}, {session_index}, 'e{event_id}')"
-                )
-            else:
-                key = rng.randrange(MIXED_LOOKUP_KEYS)
-                session.execute(
-                    f"select value, category from lookup where key = {key}"
-                )
-
-
-def run_mixed_concurrency(sessions: int = MIXED_SESSIONS,
-                          statements_per_session: int = 150,
-                          flush_latency: float = MIXED_FLUSH_LATENCY,
-                          seed: int = 1994) -> dict:
-    """The mixed-traffic A/B: RWLock baseline vs MVCC + group commit.
-
-    Two rows, same columns as the read-mostly trials.  ``mixed-rwlock``
-    runs with MVCC disabled — every INSERT's journal flush happens while
-    the exclusive lock is held, stalling all sixteen sessions.
-    ``mixed-mvcc`` runs the same statement streams with snapshot reads
-    (SELECTs take no lock) and group commit (the lock is released at
-    commit seal; concurrent writers share one flush).  Its
-    ``speedup_vs_1`` column is the throughput ratio against the baseline
-    row — the number CI gates on.
-    """
-    from repro.server import QueryServer
-
-    rows: dict[str, dict] = {}
-    base_throughput: float | None = None
-    for key, mvcc in (("mixed-rwlock", False), ("mixed-mvcc", True)):
-        db = _build_mixed_stack(mvcc=mvcc, flush_latency=flush_latency)
-        server = QueryServer(db, workers=sessions)
-        threads = [
-            threading.Thread(
-                target=_mixed_client,
-                args=(server, k, statements_per_session, key, seed),
-                name=f"{key}-client-{k}",
-            )
-            for k in range(sessions)
-        ]
-        t0 = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        wall = time.perf_counter() - t0
-        server.close()
-        total = sessions * statements_per_session
-        throughput = total / wall if wall > 0 else 0.0
-        if base_throughput is None:
-            base_throughput = throughput
-        speedup = throughput / base_throughput if base_throughput else 0.0
-        rows[key] = {
-            "label": ("16 sessions, 10% writes, RWLock baseline"
-                      if not mvcc else
-                      "16 sessions, 10% writes, MVCC + group commit"),
-            "measured": [
-                sessions,
-                total,
-                round(wall, 4),
-                round(throughput, 1),
-                round(speedup, 2),
-            ],
-            "paper": [],  # no concurrent-serving numbers in the paper
         }
     return rows

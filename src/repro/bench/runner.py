@@ -126,9 +126,7 @@ def run_benches(grid_side: int = 32, n_pet: int = 5, n_mri: int = 3,
     With ``concurrency`` the multi-session serving workload
     (:mod:`repro.bench.concurrency`) also runs, after the tables, and
     writes ``BENCH_concurrency.json`` with throughput at each session
-    count in ``session_counts`` plus the ``mixed-rwlock`` /
-    ``mixed-mvcc`` A/B rows (16 sessions, 10% writes) that gate the
-    MVCC + group-commit speedup.
+    count in ``session_counts``.
 
     With ``cluster`` the shard-scaling trials (:mod:`repro.bench.cluster`)
     run too, adding ``shards-N`` rows to the same document — same column
@@ -182,11 +180,7 @@ def run_benches(grid_side: int = 32, n_pet: int = 5, n_mri: int = 3,
                  ("BENCH_table4.json", table4_doc)]
 
     if concurrency or cluster:
-        from repro.bench.concurrency import (
-            CONCURRENCY_COLUMNS,
-            run_concurrency,
-            run_mixed_concurrency,
-        )
+        from repro.bench.concurrency import CONCURRENCY_COLUMNS, run_concurrency
 
         # The serving trials get their own metrics window so the
         # table3/table4 snapshots (already captured above) stay scoped
@@ -197,10 +191,6 @@ def run_benches(grid_side: int = 32, n_pet: int = 5, n_mri: int = 3,
             conc_rows = run_concurrency(
                 system, session_counts=session_counts, seed=seed,
             )
-            # The mixed A/B builds its own private stacks (one per mode),
-            # so it cannot perturb the shared demo system the rows above
-            # used.
-            conc_rows.update(run_mixed_concurrency(seed=seed))
         if cluster:
             from repro.bench.cluster import run_shard_scaling
 

@@ -153,37 +153,7 @@ class ReplicaLink:
 
     def _build_envelope(self, batch) -> ShipEnvelope:
         """One envelope from one committed batch (holding ``_lock``)."""
-        tables: dict = {}
-        spatial: tuple = ()
-        analyzed = False
-        pinned = self.db.pin_version()
-        if pinned is not None:
-            try:
-                for name, stamp in pinned.stamps.items():
-                    if self._stamps.get(name) == stamp:
-                        continue
-                    self._stamps[name] = stamp
-                    table = pinned.catalog.table(name)
-                    tables[table.name] = _export_table(table)
-            finally:
-                self.db.unpin_version(pinned)
-        else:
-            # MVCC off: export under the shared lock (no snapshot exists).
-            with self.db.rwlock.read():
-                for name in self.db.table_names():
-                    table = self.db.catalog.table(name)
-                    stamp = (table.uid, table.mutations)
-                    if self._stamps.get(name.lower()) == stamp:
-                        continue
-                    self._stamps[name.lower()] = stamp
-                    tables[table.name] = _export_table(table)
-        spatial = tuple(
-            tuple(defn) for defn in self.db.catalog.spatial_index_defs()
-        )
-        analyzed = any(
-            self.db.catalog.table(n).stats.spatial_enabled
-            for n in self.db.table_names()
-        )
+        tables, spatial, analyzed = self._catalog_state(changed_only=True)
         return ShipEnvelope(
             txn_id=batch.txn_id,
             pages=tuple((page_no, bytes(payload))
@@ -193,6 +163,33 @@ class ReplicaLink:
             spatial_indexes=spatial,
             analyzed=analyzed,
         )
+
+    def _catalog_state(self, changed_only: bool) -> tuple:
+        """Scalar-table exports + index defs as of *now* (hold ``_lock``).
+
+        ``changed_only`` is the incremental ship stream: only tables whose
+        ``(uid, mutations)`` stamp moved since the last ship are exported,
+        and ``_stamps`` advances.  An attach-time sync exports everything
+        and leaves ``_stamps`` alone.
+        """
+        tables: dict = {}
+        with self.db.read_view() as view:
+            for name in view.catalog.table_names():
+                table = view.catalog.table(name)
+                if changed_only:
+                    stamp = (table.uid, table.mutations)
+                    if self._stamps.get(name.lower()) == stamp:
+                        continue
+                    self._stamps[name.lower()] = stamp
+                tables[table.name] = _export_table(table)
+        spatial = tuple(
+            tuple(defn) for defn in self.db.catalog.spatial_index_defs()
+        )
+        analyzed = any(
+            self.db.catalog.table(n).stats.spatial_enabled
+            for n in self.db.table_names()
+        )
+        return tables, spatial, analyzed
 
     # ------------------------------------------------------------------ #
     # attach / resync
@@ -213,39 +210,9 @@ class ReplicaLink:
             # ship on their own; an attach is a full sync point, so the
             # primary's *current* scalar state rides along here and any
             # rows registered since the last sealed batch become visible.
-            replica.absorb(*self._current_catalog_state())
+            replica.absorb(*self._catalog_state(changed_only=False))
             self._replica = replica
             self._update_lag_locked()
-
-    def _current_catalog_state(self) -> tuple:
-        """Full scalar-table exports + index defs as of *now* (hold ``_lock``).
-
-        Unlike :meth:`_build_envelope` this does not consult or update
-        ``_stamps`` — it is a one-off full export for an attach-time
-        sync, not part of the incremental ship stream.
-        """
-        tables: dict = {}
-        pinned = self.db.pin_version()
-        if pinned is not None:
-            try:
-                for name in pinned.stamps:
-                    table = pinned.catalog.table(name)
-                    tables[table.name] = _export_table(table)
-            finally:
-                self.db.unpin_version(pinned)
-        else:
-            with self.db.rwlock.read():
-                for name in self.db.table_names():
-                    table = self.db.catalog.table(name)
-                    tables[table.name] = _export_table(table)
-        spatial = tuple(
-            tuple(defn) for defn in self.db.catalog.spatial_index_defs()
-        )
-        analyzed = any(
-            self.db.catalog.table(n).stats.spatial_enabled
-            for n in self.db.table_names()
-        )
-        return tables, spatial, analyzed
 
     def detach(self) -> "Replica | None":
         """Stop delivering to the current replica (it keeps its state)."""

@@ -202,6 +202,11 @@ class RWLock:
         """Is the *current thread* the write holder?"""
         return self._writer == threading.get_ident()
 
+    @property
+    def write_active(self) -> bool:
+        """Does *any* thread hold the write side right now?"""
+        return self._writer is not None
+
     def __repr__(self) -> str:
         return (
             f"RWLock(readers={self._readers}, writer={self._writer}, "

@@ -8,7 +8,8 @@ statistics — the raw material for the paper's Tables 3 and 4.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 from repro.concurrency import RWLock
@@ -23,7 +24,10 @@ from repro.db.functions import (
     builtin_signatures,
 )
 from repro.db.mvcc import DatabaseVersion, VersionManager
+from repro.db.planner import plan_select
+from repro.db.semantic import analyze as _analyze
 from repro.db.semantic import check
+from repro.db.sql.ast import Explain, Select
 from repro.db.sql.parser import parse
 from repro.errors import UnsupportedStatementError
 from repro.obs import metrics, recorder, trace
@@ -31,7 +35,7 @@ from repro.obs.explain import PlanProfile, render_analyzed_plan
 from repro.storage.device import IOStats, attribute_io
 from repro.storage.lfm import FieldTableView, LongFieldManager
 
-__all__ = ["Database", "QueryResult"]
+__all__ = ["Database", "QueryResult", "ReadView"]
 
 
 @dataclass
@@ -82,51 +86,75 @@ class QueryResult:
         return self.result.column(name)
 
 
+class ReadView:
+    """What one read runs against: a catalog, an LFM facade, a sequence.
+
+    Built only by :meth:`Database.read_view`, already holding its pin (or
+    the shared lock); leaving the ``with`` block releases it.  ``seq`` is
+    the pinned snapshot's sequence number, or ``None`` on the locked
+    fallback — whose rows belong to no published version, so the serving
+    layer does not cache them.
+    """
+
+    __slots__ = ("catalog", "lfm", "seq", "_db", "_pinned")
+
+    def __init__(self, db: "Database", catalog, lfm,
+                 pinned: DatabaseVersion | None):
+        self.catalog = catalog
+        self.lfm = lfm
+        self.seq = pinned.seq if pinned is not None else None
+        self._db = db
+        self._pinned = pinned
+
+    def __enter__(self) -> "ReadView":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pinned is not None:
+            self._db.unpin_version(self._pinned)
+        else:
+            self._db.rwlock.release_read()
+
+
 @dataclass
 class Database:
     """An extensible relational database with LONGFIELD support.
 
-    With ``mvcc`` enabled (the default), every committed write publishes
-    an immutable snapshot version of the catalog and LFM field table
-    (:mod:`repro.db.mvcc`); SELECT / EXPLAIN pin the latest version and
-    run against it with **no read lock**, so readers never stall behind
-    DML.  Disable it to get the classic reader-writer-lock protocol (the
-    concurrency bench's baseline).
+    Every committed write publishes an immutable snapshot version of the
+    catalog and LFM field table (:mod:`repro.db.mvcc`); reads run against
+    the latest one with **no read lock** (:meth:`read_view`), so readers
+    never stall behind DML.
     """
 
     lfm: LongFieldManager | None = None
     catalog: Catalog = field(default_factory=Catalog)
     functions: FunctionRegistry = field(default_factory=FunctionRegistry)
-    mvcc: bool = True
     #: default planner mode for every statement: "cost" (statistics-driven
-    #: join ordering, predicate reordering, spatial probes), "greedy" (the
-    #: legacy heuristic), or "naive" (FROM-order joins, conjuncts verbatim
-    #: — the differential-testing baseline).  Overridable per statement
-    #: via ``execute(..., planner=...)``.
+    #: join ordering, predicate reordering, spatial probes) or "naive"
+    #: (FROM-order joins, conjuncts verbatim — the differential-testing
+    #: baseline).  Overridable per statement via
+    #: ``execute(..., planner=...)``.
     planner: str = "cost"
 
     def __post_init__(self) -> None:
         self.functions.register_all(builtin_functions(), builtin_signatures())
-        self._executor = Executor(self.catalog, self.functions)
         self._rwlock = RWLock(name="db.rwlock")
         self._versions = VersionManager()
         self._txn_nesting = 0  # open transaction() scopes; guarded_by db.rwlock
-        if self.mvcc:
-            if self.lfm is not None:
-                # Extent frees wait for pinned readers streaming their bytes.
-                self.lfm.retire_extent = self._versions.defer_free
-            self.publish_snapshot()
+        if self.lfm is not None:
+            # Extent frees wait for pinned readers streaming their bytes.
+            self.lfm.retire_extent = self._versions.defer_free
+        self.publish_snapshot()
 
     @property
     def rwlock(self) -> RWLock:
         """The statement-level reader-writer lock (see ARCHITECTURE.md).
 
-        With MVCC on, SELECT / EXPLAIN normally bypass this lock entirely
-        (they run against a pinned snapshot); the shared side is only
-        taken on the fallback path.  Every mutating statement (and
-        :meth:`transaction`) takes the exclusive side.  The lock is
-        re-entrant for its holder, so code running inside an exclusive
-        transaction scope may keep issuing statements.
+        Every mutating statement (and :meth:`transaction`) takes the
+        exclusive side; reads take the shared side only on
+        :meth:`read_view`'s fallback.  The lock is re-entrant for its
+        holder, so code running inside an exclusive transaction scope may
+        keep issuing statements.
         """
         return self._rwlock
 
@@ -137,32 +165,46 @@ class Database:
 
     @property
     def version_seq(self) -> int:
-        """Sequence number of the latest published snapshot (0 when none)."""
+        """Sequence number of the latest published snapshot."""
         return self._versions.latest_seq
 
     # ------------------------------------------------------------------ #
     # MVCC snapshot protocol
     # ------------------------------------------------------------------ #
 
+    def read_view(self) -> ReadView:
+        """Open the state one read runs against; use as ``with`` target.
+
+        The one place that chooses between the two ways to read: the
+        latest published snapshot, pinned and lock-free, or — when
+        :meth:`pin_version` refuses one — the live catalog and LFM under
+        the shared side of :attr:`rwlock`.
+        """
+        pinned = self.pin_version()
+        if pinned is None:
+            self._rwlock.acquire_read()
+            return ReadView(self, self.catalog, self.lfm, None)
+        lfm = (FieldTableView(self.lfm, pinned.fields)
+               if self.lfm is not None else None)
+        return ReadView(self, pinned.catalog, lfm, pinned)
+
     def pin_version(self) -> DatabaseVersion | None:
         """Pin the latest snapshot for a lock-free read.
 
-        Returns ``None`` — caller falls back to the read-lock path — when
-        MVCC is off, when no version is published yet, when the snapshot
-        is stale (something mutated tables outside the publish protocol),
-        or when this thread holds the write lock (statements inside an
-        open transaction must see its uncommitted state, which only the
-        live path can show).  A non-``None`` result must be released with
-        :meth:`unpin_version`.
+        Returns ``None`` — :meth:`read_view` then reads the live state
+        under the shared lock — when this thread holds the write lock
+        (statements inside an open transaction must see its uncommitted
+        state, which only the live state can show) or when the snapshot
+        is stale (something mutated tables outside the publish protocol).
+        A non-``None`` result must be released with :meth:`unpin_version`.
         """
-        if not self.mvcc:
-            return None
         if self._rwlock.write_held:
             return None
         version = self._versions.pin_latest()
-        if version is None:
-            return None
-        if not self._version_fresh(version):
+        # While another thread holds the write side, live stamps differ
+        # from the snapshot merely because its transaction is open: the
+        # published version is still the newest committed state.
+        if not self._rwlock.write_active and not self._version_fresh(version):
             self._versions.unpin(version)
             return None
         return version
@@ -201,8 +243,6 @@ class Database:
         SQL layer) should call it once when done, so readers return to
         the lock-free snapshot path.
         """
-        if not self.mvcc:
-            return
         with self._rwlock.write():
             self._publish_version()
 
@@ -220,13 +260,11 @@ class Database:
     @staticmethod
     def statement_is_read(stmt) -> bool:
         """Does this parsed statement only read (SELECT / EXPLAIN)?"""
-        from repro.db.sql.ast import Explain, Select
-
         return isinstance(stmt, (Select, Explain))
 
     def execute(self, sql: str, params: list | None = None,
                 functions: FunctionRegistry | None = None,
-                version: DatabaseVersion | None = None,
+                view: ReadView | None = None,
                 planner: str | None = None) -> QueryResult:
         """Parse, analyze, and run one SQL statement.
 
@@ -243,22 +281,18 @@ class Database:
         the shared one, so session-local UDFs resolve without touching
         other sessions.
 
-        SELECT / EXPLAIN run lock-free against a pinned MVCC snapshot
-        when one is available; ``version`` lets a caller that already
-        pinned one (the result cache tags entries with its sequence
-        number) supply it — the caller then also owns the unpin.  When no
-        snapshot applies, reads take the shared side of :attr:`rwlock`;
-        mutating statements always take the exclusive side and publish a
-        fresh snapshot on commit.
+        SELECT / EXPLAIN run against a :meth:`read_view`; ``view`` lets a
+        caller that already opened one (the result cache tags entries
+        with its sequence number) supply it, and that caller still closes
+        it.  Mutating statements take
+        the exclusive side of :attr:`rwlock` and publish a fresh snapshot
+        on commit.
 
         ``planner`` overrides the database's default planner mode
         (:attr:`planner`) for this statement.
         """
-        import time
-
-        from repro.db.sql.ast import Explain
-
         stmt = parse(sql)
+        params = list(params or ())
         registry = functions if functions is not None else self.functions
         mode = planner if planner is not None else self.planner
         is_read = self.statement_is_read(stmt)
@@ -268,167 +302,89 @@ class Database:
         rec = recorder.statement(sql, trace_id=trace.current_trace_id(),
                                  kind="read" if is_read else "write")
         if is_read:
-            pinned = version if version is not None else self.pin_version()
-            if pinned is not None:
-                try:
-                    with rec:
-                        return self._execute_pinned(
-                            stmt, list(params or ()), sql, registry, rec,
-                            pinned, mode,
-                        )
-                finally:
-                    if version is None:
-                        self.unpin_version(pinned)
-        lock = self._rwlock.read() if is_read else self._rwlock.write()
-        with rec, lock:
-            check(stmt, self.catalog, registry)
-            if isinstance(stmt, Explain):
-                result = self._execute_explain(stmt, list(params or ()), sql,
-                                               registry, mode=mode)
-                rec.note(rows=len(result.rows), io=result.io, kind="explain",
-                         params=params if params else None)
-                return result
-            metrics.counter("db.statements").inc()
-            start = time.perf_counter()
-            ctx = ExecutionContext(lfm=self.lfm, analyzed=True,
-                                   planner_mode=mode)
-            # Thread-local attribution: the delta is exactly this
-            # statement's I/O even while other sessions run concurrently
-            # (a global before/after snapshot would absorb their pages).
-            if self.lfm is not None:
-                with attribute_io(self.lfm.stats) as io_delta:
-                    ctx.io_sink = io_delta
-                    result = self._run(stmt, list(params or ()), ctx, registry)
-            else:
-                io_delta = None
-                result = self._run(stmt, list(params or ()), ctx, registry)
-            wall = time.perf_counter() - start
-            metrics.histogram("db.query_seconds").observe(wall)
-            # SELECTs report returned rows; writes report rows affected.
-            rec.note(rows=len(result.rows) or result.rowcount, io=io_delta,
-                     params=params if params else None)
-            if not is_read and self.mvcc and self._txn_nesting == 0:
+            with rec, (self.read_view() if view is None
+                       else nullcontext(view)) as view:
+                return self._run(stmt, params, sql, registry, mode, rec,
+                                 view.catalog, view.lfm)
+        with rec, self._rwlock.write():
+            result = self._run(stmt, params, sql, registry, mode, rec,
+                               self.catalog, self.lfm)
+            if self._txn_nesting == 0:
                 # Auto-commit write: the statement is fully applied (any
                 # LFM mini-transactions have flushed), publish it.
                 self._publish_version()
-            return QueryResult(result=result, work=ctx.work, io=io_delta,
-                               sql=sql)
-
-    def _execute_pinned(self, stmt, params: list, sql: str,
-                        registry: FunctionRegistry, rec,
-                        pinned: DatabaseVersion,
-                        mode: str | None = None) -> QueryResult:
-        """Run SELECT / EXPLAIN against a pinned snapshot — no read lock.
-
-        The statement sees the snapshot's catalog tables and a read-only
-        view of its LFM field table; live-state mutations by concurrent
-        writers are invisible.  I/O attribution is unchanged: the view
-        delegates reads to the live LFM, whose stats feed the same
-        thread-local sink.
-        """
-        import time
-
-        from repro.db.sql.ast import Explain
-
-        catalog = pinned.catalog
-        check(stmt, catalog, registry)
-        lfm_view = (FieldTableView(self.lfm, pinned.fields)
-                    if self.lfm is not None else None)
-        if isinstance(stmt, Explain):
-            result = self._execute_explain(stmt, params, sql, registry,
-                                           catalog=catalog, lfm=lfm_view,
-                                           mode=mode)
-            rec.note(rows=len(result.rows), io=result.io, kind="explain",
-                     params=params if params else None)
             return result
+
+    def _run(self, stmt, params: list, sql: str, registry: FunctionRegistry,
+             mode: str, rec, catalog, lfm) -> QueryResult:
+        """The statement body: analyze, execute, account.
+
+        ``catalog`` / ``lfm`` are a :class:`ReadView`'s, or the live
+        structures under the write lock.  EXPLAIN ANALYZE is its SELECT
+        run with a :class:`PlanProfile` attached, answered with the
+        rendered plan instead of the rows.
+        """
+        check(stmt, catalog, registry)
+        explain = isinstance(stmt, Explain)
+        profile = None
+        if explain:
+            analyze, stmt = stmt.analyze, stmt.statement
+            if not isinstance(stmt, Select):
+                raise UnsupportedStatementError(
+                    "EXPLAIN supports SELECT statements only")
+            if not analyze:
+                plan = plan_select(stmt, catalog, mode=mode).describe()
+                rows = [(line,) for line in plan.splitlines()]
+                rec.note(rows=len(rows), io=None, kind="explain",
+                         params=params or None)
+                return QueryResult(ResultSet(["plan"], rows), WorkCounters(),
+                                   None, sql)
+            profile = PlanProfile()
         metrics.counter("db.statements").inc()
         start = time.perf_counter()
-        ctx = ExecutionContext(lfm=lfm_view, analyzed=True, planner_mode=mode)
-        if self.lfm is not None:
-            with attribute_io(self.lfm.stats) as io_delta:
-                ctx.io_sink = io_delta
-                result = self._run(stmt, params, ctx, registry,
-                                   catalog=catalog)
-        else:
-            io_delta = None
-            result = self._run(stmt, params, ctx, registry, catalog=catalog)
-        wall = time.perf_counter() - start
-        metrics.histogram("db.query_seconds").observe(wall)
-        rec.note(rows=len(result.rows) or result.rowcount, io=io_delta,
-                 params=params if params else None)
-        return QueryResult(result=result, work=ctx.work, io=io_delta,
-                           sql=sql)
-
-    def _run(self, stmt, params: list, ctx: ExecutionContext,
-             registry: FunctionRegistry, catalog=None) -> ResultSet:
-        """Dispatch to the shared executor (or a statement-scoped clone)."""
-        if catalog is None:
-            catalog = self.catalog
-        if registry is self.functions and catalog is self.catalog:
-            return self._executor.execute(stmt, params, ctx)
-        return Executor(catalog, registry).execute(stmt, params, ctx)
-
-    def _execute_explain(self, stmt, params: list, sql: str,
-                         registry: FunctionRegistry | None = None, *,
-                         catalog=None, lfm=None,
-                         mode: str | None = None) -> QueryResult:
-        """Run EXPLAIN / EXPLAIN ANALYZE; the plan comes back as rows.
-
-        ``catalog`` / ``lfm`` pin the statement to a snapshot version;
-        they default to the live structures (locked path).
-        """
-        from repro.db.planner import plan_select
-        from repro.db.sql.ast import Select
-
-        registry = registry if registry is not None else self.functions
-        mode = mode if mode is not None else self.planner
-        if catalog is None:
-            catalog = self.catalog
-            lfm = self.lfm
-        inner = stmt.statement
-        if not isinstance(inner, Select):
-            raise UnsupportedStatementError("EXPLAIN supports SELECT statements only")
-        if not stmt.analyze:
-            lines = plan_select(inner, catalog, mode=mode).describe().splitlines()
-            rows = [(line,) for line in lines]
-            return QueryResult(
-                result=ResultSet(["plan"], rows),
-                work=WorkCounters(), io=None, sql=sql,
-            )
-        metrics.counter("db.statements").inc()
-        profile = PlanProfile()
         ctx = ExecutionContext(lfm=lfm, analyzed=True, profile=profile,
                                planner_mode=mode)
-        # Per-operator and statement totals read the thread-local sink, so
-        # two EXPLAIN ANALYZEs in flight (the read lock is shared) cannot
-        # cross-attribute each other's page I/Os.
-        if lfm is not None:
-            with attribute_io(lfm.stats) as io_delta:
-                ctx.io_sink = io_delta
-                self._run(inner, params, ctx, registry, catalog=catalog)
+        # Thread-local attribution: the delta is exactly this statement's
+        # I/O even while other sessions run concurrently (a global
+        # before/after snapshot would absorb their pages).  A snapshot's
+        # LFM view shares the live manager's stats.
+        with (attribute_io(lfm.stats) if lfm is not None
+              else nullcontext()) as io_delta:
+            ctx.io_sink = io_delta
+            result = Executor(catalog, registry).execute(stmt, params, ctx)
+        if explain:
+            lines = render_analyzed_plan(profile, io=io_delta, work=ctx.work)
+            result = ResultSet(["plan"], [(line,) for line in lines])
+            rec.note(rows=len(lines), io=io_delta, kind="explain",
+                     params=params or None)
         else:
-            io_delta = None
-            self._run(inner, params, ctx, registry, catalog=catalog)
-        lines = render_analyzed_plan(profile, io=io_delta, work=ctx.work)
-        return QueryResult(
-            result=ResultSet(["plan"], [(line,) for line in lines]),
-            work=ctx.work, io=io_delta, sql=sql,
-        )
+            metrics.histogram("db.query_seconds").observe(
+                time.perf_counter() - start)
+            # SELECTs report returned rows; writes report rows affected.
+            rec.note(rows=len(result.rows) or result.rowcount, io=io_delta,
+                     params=params or None)
+        return QueryResult(result=result, work=ctx.work, io=io_delta, sql=sql)
 
     def executemany(self, sql: str, param_rows: list[list]) -> int:
         """Run one parameterized statement repeatedly; returns total rowcount."""
         stmt = parse(sql)
-        is_read = self.statement_is_read(stmt)
-        lock = self._rwlock.read() if is_read else self._rwlock.write()
-        with lock:
-            check(stmt, self.catalog, self.functions)
-            total = 0
-            for params in param_rows:
-                ctx = ExecutionContext(lfm=self.lfm, analyzed=True,
-                                       planner_mode=self.planner)
-                total += self._executor.execute(stmt, list(params), ctx).rowcount
-            if not is_read and self.mvcc and self._txn_nesting == 0:
+        if self.statement_is_read(stmt):
+            with self.read_view() as view:
+                return self._run_many(stmt, param_rows, view.catalog, view.lfm)
+        with self._rwlock.write():
+            total = self._run_many(stmt, param_rows, self.catalog, self.lfm)
+            if self._txn_nesting == 0:
                 self._publish_version()
+        return total
+
+    def _run_many(self, stmt, param_rows: list[list], catalog, lfm) -> int:
+        check(stmt, catalog, self.functions)
+        executor = Executor(catalog, self.functions)
+        total = 0
+        for params in param_rows:
+            ctx = ExecutionContext(lfm=lfm, analyzed=True,
+                                   planner_mode=self.planner)
+            total += executor.execute(stmt, list(params), ctx).rowcount
         return total
 
     def explain(self, sql: str) -> str:
@@ -437,24 +393,20 @@ class Database:
         The statement is analyzed first: EXPLAIN on a semantically invalid
         query reports the diagnostic rather than a plan.
         """
-        from repro.db.planner import plan_select
-        from repro.db.sql.ast import Explain, Select
-
         stmt = parse(sql)
         if isinstance(stmt, Explain):  # accept an explicit "EXPLAIN ..." too
             stmt = stmt.statement
         if not isinstance(stmt, Select):
             raise UnsupportedStatementError("EXPLAIN supports SELECT statements only")
-        with self._rwlock.read():
-            check(stmt, self.catalog, self.functions)
-            return plan_select(stmt, self.catalog, mode=self.planner).describe()
+        with self.read_view() as view:
+            check(stmt, view.catalog, self.functions)
+            return plan_select(stmt, view.catalog, mode=self.planner).describe()
 
     def analyze(self, sql: str) -> list:
         """Run only the static pass; returns the list of diagnostics."""
-        from repro.db.semantic import analyze as _analyze
-
-        with self._rwlock.read():
-            return _analyze(parse(sql), self.catalog, self.functions)
+        stmt = parse(sql)
+        with self.read_view() as view:
+            return _analyze(stmt, view.catalog, self.functions)
 
     def transaction(self, on_publish=None):
         """Scope several statements into one storage transaction.
@@ -501,10 +453,10 @@ class Database:
             done["finished"] = True
             self._txn_nesting -= 1
             published = None
-            if publish and self.mvcc and self._txn_nesting == 0:
+            if publish and self._txn_nesting == 0:
                 self._publish_version()
                 published = self._versions.latest_seq
-            elif not publish and self.mvcc:
+            elif not publish:
                 self._versions.discard_pending()
             self._rwlock.release_write()
             if published is not None and on_publish is not None:
@@ -518,7 +470,7 @@ class Database:
                 yield self
             else:
                 kwargs = {}
-                if (self.mvcc and self._txn_nesting == 1
+                if (self._txn_nesting == 1
                         and getattr(self.lfm.device, "supports_group_commit",
                                     False)):
                     kwargs["on_sealed"] = lambda: finish(publish=True)

@@ -143,8 +143,8 @@ class ExecutionContext:
     #: of the process-global counters, so concurrent statements never
     #: steal each other's I/O.
     io_sink: object | None = None
-    #: planner mode override for this statement ("cost", "greedy",
-    #: "naive"); None means the engine default (cost-based)
+    #: planner mode override for this statement ("cost" or "naive");
+    #: None means the engine default (cost-based)
     planner_mode: str | None = None
 
     def read_longfield(self, value) -> bytes:

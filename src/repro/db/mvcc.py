@@ -17,8 +17,9 @@ mutations)`` and the :class:`~repro.db.catalog.Catalog` counts DDL in
 ``version``.  Publish clones only the tables whose stamp moved since the
 previous version (copy-on-write at table granularity); pin compares the
 same stamps to detect state mutated *outside* the publish protocol (a
-loader poking tables directly) and reports "stale" so the caller can fall
-back to the classic read-lock path instead of serving a torn snapshot.
+loader poking tables directly) and reports "stale", so that
+``Database.read_view`` reads the live state under the shared lock instead
+of serving a snapshot that lacks those rows.
 
 Extents deleted by a transaction are not freed eagerly: a pinned reader
 may still be streaming their bytes.  ``defer_free`` parks the free on the

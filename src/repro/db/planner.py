@@ -21,13 +21,12 @@ medical queries cheap):
   full scan with the R-tree's bounding-box candidates; the exact predicate
   still runs on every candidate, so probes change I/O, never results.
 
-Three planner modes exist so plans can be compared differentially:
-``"cost"`` (the default, everything above), ``"greedy"`` (the pre-cost
-heuristic order, kept for comparison and as the fallback for joins too
-wide for the DP), and ``"naive"`` (FROM-order join, original conjunct
-order, no spatial probes — the baseline the plan-equivalence suite holds
-the optimizer against).  Every mode carries row estimates, so EXPLAIN
-always shows estimated rows per operator.
+Two planner modes exist so plans can be compared differentially:
+``"cost"`` (the default, everything above; joins too wide for the DP
+take a heuristic order instead) and ``"naive"`` (FROM-order join,
+original conjunct order, no spatial probes — the baseline the
+plan-equivalence suite holds the optimizer against).  Both carry row
+estimates, so EXPLAIN always shows estimated rows per operator.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ __all__ = [
 ]
 
 #: recognized planner modes (see the module docstring)
-PLANNER_MODES = ("cost", "greedy", "naive")
+PLANNER_MODES = ("cost", "naive")
 
 #: join widths above this fall back from the subset DP to the greedy order
 _DP_LIMIT = 10
@@ -552,7 +551,7 @@ def _plan_select(
     state = _PlannerState(select, catalog, outer_bindings)
     if mode == "naive":
         order = list(select.tables)
-    elif mode == "greedy" or len(select.tables) > _DP_LIMIT:
+    elif len(select.tables) > _DP_LIMIT:
         order = _greedy_order(select, state.needs)
     else:
         order = _cost_order(select, state)
@@ -569,8 +568,8 @@ def _plan_select(
                 assigned[i] = True
 
     # Cost mode runs cheap predicates first within a level so the scalar
-    # comparisons short-circuit the LFM-touching ones; naive/greedy keep
-    # the original conjunct order.
+    # comparisons short-circuit the LFM-touching ones; naive keeps the
+    # original conjunct order.
     if mode == "cost":
         for level, preds in enumerate(level_predicates):
             level_predicates[level] = [
@@ -631,9 +630,10 @@ def _output_estimate(select: Select, est_join: float) -> float:
 
 def _greedy_order(select: Select,
                   needs: list[tuple[Expr, frozenset[str]]]) -> list[TableRef]:
-    """The legacy heuristic order: start with the table carrying the most
-    single-table predicates (ties: FROM order), then repeatedly add a
-    table connected to the placed set, preferring more usable predicates."""
+    """The heuristic order for joins wider than ``_DP_LIMIT``: start with
+    the table carrying the most single-table predicates (ties: FROM
+    order), then repeatedly add a table connected to the placed set,
+    preferring more usable predicates."""
     remaining = list(select.tables)
     order: list[TableRef] = []
     placed: set[str] = set()

@@ -8,7 +8,6 @@ from repro.regions.approximate import (
     coarsen_octants,
     merge_gaps,
 )
-from repro.regions.index import RegionIndex
 from repro.regions.intervals import IntervalSet, concat_ranges
 from repro.regions.morphology import boundary_shell, dilate, erode, margin
 from repro.regions.octants import (
@@ -25,7 +24,6 @@ __all__ = [
     "IntervalSet",
     "concat_ranges",
     "Region",
-    "RegionIndex",
     "RegionRTree",
     "RTreeEntry",
     "hilbert_sort_key",

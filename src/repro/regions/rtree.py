@@ -1,12 +1,12 @@
 """A Hilbert-packed R-tree over REGION bounding boxes.
 
-:class:`~repro.regions.index.RegionIndex` is the flat candidates-then-
-refine structure; this module is its hierarchical sibling, built the way
-Kamel and Faloutsos pack R-trees: sort the entries along a Hilbert curve,
-chunk consecutive runs into fully packed leaves, and stack parent levels
-until one root remains.  Because entries that are close on the curve are
-close in space, the packed leaves have small, well-separated bounding
-boxes and searches touch few nodes.
+The one spatial index in the tree (it backs ``CREATE SPATIAL INDEX``): a
+candidates-then-refine structure built the way Kamel and Faloutsos pack
+R-trees: sort the entries along a Hilbert curve, chunk consecutive runs
+into fully packed leaves, and stack parent levels until one root
+remains.  Because entries that are close on the curve are close in
+space, the packed leaves have small, well-separated bounding boxes and
+searches touch few nodes.
 
 The stored REGIONs already *are* Hilbert run lists (``repro.curves.
 hilbert`` is the default linearization), so the packing key falls out of

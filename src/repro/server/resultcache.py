@@ -8,17 +8,13 @@ so formatting differences (`select  *` vs `SELECT *`) hit the same slot —
 plus the bound parameters.  Every entry remembers the tables the SELECT
 referenced; any write to one of those tables drops the entry.
 
-Thread safety: a single mutex guards the LRU map.  Under the classic
-reader-writer-lock protocol that is sound end to end — readers fill the
-cache while holding the database's shared lock, writers invalidate while
-holding the exclusive lock, so a stale fill can never be published after
-the write that outdated it.  MVCC snapshot reads hold no lock, which
-opens a window: a reader executing against version N can ``put`` *after*
-a writer committed N+1 and invalidated.  Entries therefore carry the
-snapshot sequence number they were computed from, and ``invalidate``
-records a per-table low-water mark under the same cache lock — a late
-``put`` whose sequence predates the mark is rejected instead of
-resurrecting stale rows (see ARCHITECTURE.md).
+Thread safety: a single mutex guards the LRU map.  Snapshot reads hold
+no database lock, which opens a window: a reader executing against
+version N can ``put`` *after* a writer committed N+1 and invalidated.
+Entries therefore carry the snapshot sequence number they were computed
+from, and ``invalidate`` records a per-table low-water mark under the
+same cache lock — a late ``put`` whose sequence predates the mark is
+rejected instead of resurrecting stale rows (see ARCHITECTURE.md).
 """
 
 from __future__ import annotations
@@ -118,15 +114,13 @@ class CachedResult:
     """One cached SELECT: the rows plus the tables they depend on.
 
     ``seq`` is the MVCC snapshot sequence number the rows were computed
-    from; ``None`` (the default) marks a fill made under the database's
-    shared lock, which the locking protocol already orders against
-    invalidation.
+    from.
     """
 
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
     tables: frozenset[str]
-    seq: int | None = None
+    seq: int
 
 
 class ResultCache:
@@ -169,8 +163,6 @@ class ResultCache:
     def _entry_stale_locked(self, entry: CachedResult) -> bool:
         """Was a write with a newer sequence already applied to a table
         this entry depends on?  (Lock held by caller.)"""
-        if entry.seq is None or not self._stale_below:
-            return False
         for table in entry.tables:
             mark = self._stale_below.get(table)
             if mark is not None and entry.seq < mark:
@@ -191,8 +183,7 @@ class ResultCache:
                 metrics.counter("server.result_cache.stale_puts").inc()
                 return
             existing = self._entries.get(key)
-            if (existing is not None and existing.seq is not None
-                    and entry.seq is not None and entry.seq < existing.seq):
+            if existing is not None and entry.seq < existing.seq:
                 self.stale_puts += 1
                 metrics.counter("server.result_cache.stale_puts").inc()
                 return
@@ -202,21 +193,20 @@ class ResultCache:
                 self._entries.popitem(last=False)
             metrics.gauge("server.result_cache.entries").set(len(self._entries))
 
-    def invalidate(self, tables, seq: int | None = None) -> int:
+    def invalidate(self, tables, seq: int) -> int:
         """Drop every entry that references any of ``tables``.
 
         ``seq`` — the snapshot sequence published by the invalidating
-        write — additionally records a low-water mark for each table, so
-        a concurrent lock-free reader that computed its rows against an
-        older version cannot re-insert them after this call returns.  The
-        drop and the marks are one atomic step under the cache lock.
+        write — also becomes each table's low-water mark, so a concurrent
+        lock-free reader that computed its rows against an older version
+        cannot re-insert them after this call returns.  The drop and the
+        marks are one atomic step under the cache lock.
         """
         written = {t.lower() for t in tables}
         with self._lock:
-            if seq is not None:
-                for table in written:
-                    if self._stale_below.get(table, 0) < seq:
-                        self._stale_below[table] = seq
+            for table in written:
+                if self._stale_below.get(table, 0) < seq:
+                    self._stale_below[table] = seq
             stale = [key for key, entry in self._entries.items()
                      if entry.tables & written]
             for key in stale:

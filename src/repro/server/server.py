@@ -5,19 +5,18 @@ Database` into a multi-client service, the ROADMAP's "serve heavy
 traffic" direction.  The moving parts, bottom-up (diagrammed in
 ARCHITECTURE.md):
 
-* MVCC snapshot reads (the database default) — SELECTs pin an immutable
-  published version and run with **no lock**; DML/DDL take the exclusive
-  side of the reader-writer lock, each write wrapped in a storage
-  transaction so the WAL keeps crash safety under concurrent writers
-  (with group commit, the lock is released at commit seal and the
-  journal flush is shared across concurrent committers).  Under
-  ``mvcc=False`` SELECTs fall back to the shared side of the lock;
+* MVCC snapshot reads — SELECTs pin an immutable published version and
+  run with **no lock**; DML/DDL take the exclusive side of the
+  reader-writer lock, each write wrapped in a storage transaction so the
+  WAL keeps crash safety under concurrent writers (with group commit,
+  the lock is released at commit seal and the journal flush is shared
+  across concurrent committers);
 * a bounded :class:`~repro.server.pool.WorkerPool` — the admission queue
   with a configurable depth and ``block``/``reject`` backpressure policy;
 * a shared :class:`~repro.server.resultcache.ResultCache` keyed on the
   canonical (unparsed) statement text, invalidated by any write to a
-  referenced table; lock-free MVCC fills are fenced by snapshot sequence
-  numbers so a late fill can never resurrect invalidated rows;
+  referenced table; fills are fenced by snapshot sequence numbers so a
+  late fill can never resurrect invalidated rows;
 * per-session state (:class:`~repro.server.session.Session`): local UDF
   registries and variables;
 * the :class:`~repro.net.rpc.RpcChannel` result payloads ship through,
@@ -280,80 +279,52 @@ class QueryServer:
             and not (local and (info.funcs & local))
         )
         if not cacheable:
-            # Database.execute pins an MVCC snapshot itself (or falls back
-            # to the shared lock); no serving-layer lock needed.
             return self.db.execute(sql, params, functions=registry)
         key = cache_key(info.canonical, params)
-        pinned = self.db.pin_version()
-        if pinned is not None:
-            # Lock-free path: the fill is tagged with the snapshot's
-            # sequence number; the cache rejects it if a write with a
-            # newer sequence invalidated these tables in the meantime.
-            try:
-                entry = self.cache.get(key)
-                if entry is not None:
-                    return self._hydrate(entry, sql)
-                result = self.db.execute(sql, params, functions=registry,
-                                         version=pinned)
+        entry = self.cache.get(key)
+        if entry is not None:
+            return self._hydrate(entry, sql)
+        with self.db.read_view() as view:
+            result = self.db.execute(sql, params, functions=registry,
+                                     view=view)
+            if view.seq is not None:
+                # The fill is tagged with the snapshot's sequence number;
+                # the cache rejects it if a write with a newer sequence
+                # invalidated these tables in the meantime.  Rows read
+                # from the live state belong to no version: not cached.
                 self.cache.put(key, CachedResult(
                     columns=tuple(result.columns),
                     rows=tuple(result.rows),
                     tables=info.tables,
-                    seq=pinned.seq,
+                    seq=view.seq,
                 ))
-                return result
-            finally:
-                self.db.unpin_version(pinned)
-        # Fill under the shared lock: a writer (exclusive) can never run
-        # between this execution and the put, so the cache never publishes
-        # a result staler than the newest committed write.
-        with self.db.rwlock.read():
-            entry = self.cache.get(key)
-            if entry is not None:
-                return self._hydrate(entry, sql)
-            result = self.db.execute(sql, params, functions=registry)
-            self.cache.put(key, CachedResult(
-                columns=tuple(result.columns),
-                rows=tuple(result.rows),
-                tables=info.tables,
-            ))
             return result
 
     def _execute_write(self, info: _StatementInfo, session: Session, sql: str,
                        params: list | None) -> QueryResult:
-        """Exclusive path: transaction-scoped write + cache invalidation."""
-        if self.db.mvcc:
-            # db.transaction() takes the exclusive lock itself and — under
-            # a group-commit WAL — releases it at commit *seal*, so the
-            # journal flush below happens outside the lock and concurrent
-            # writers' flushes coalesce.  Stale cache fills are fenced by
-            # the sequence-numbered invalidation, which the transaction
-            # fires at *publish* time: once at commit seal (so cached
-            # pre-write rows never outlive the version they belong to for
-            # the length of a flush) and again from the rollback
-            # re-publish if the group flush fails (so results cached
-            # against the aborted version are fenced even though the
-            # exception skips this method's tail).
-            def invalidate(seq: int) -> None:
-                if self.cache is not None:
-                    self.cache.invalidate(info.tables, seq=seq)
+        """Exclusive path: transaction-scoped write + cache invalidation.
 
-            with self.db.transaction(on_publish=invalidate):
-                # Re-entrant by construction: transaction() already holds
-                # the exclusive side on this thread, so the write lock
-                # execute() takes nests instead of inverting the order.
-                result = self.db.execute(sql, params,  # qblint: disable=QB401
-                                         functions=session.functions)
-            return result
-        with self.db.rwlock.write():
-            with self.db.transaction():
-                result = self.db.execute(sql, params,
-                                         functions=session.functions)
-            # Committed: drop every cached SELECT that referenced the
-            # written tables, while readers are still excluded.
+        db.transaction() takes the exclusive lock itself and — under a
+        group-commit WAL — releases it at commit *seal*, so the journal
+        flush happens outside the lock and concurrent writers' flushes
+        coalesce.  Stale cache fills are fenced by the sequence-numbered
+        invalidation, which the transaction fires at *publish* time: once
+        at commit seal (so cached pre-write rows never outlive the
+        version they belong to for the length of a flush) and again from
+        the rollback re-publish if the group flush fails (so results
+        cached against the aborted version are fenced even though the
+        exception skips this method's tail).
+        """
+        def invalidate(seq: int) -> None:
             if self.cache is not None:
-                self.cache.invalidate(info.tables)
-            return result
+                self.cache.invalidate(info.tables, seq)
+
+        with self.db.transaction(on_publish=invalidate):
+            # Re-entrant by construction: transaction() already holds the
+            # exclusive side on this thread, so the write lock execute()
+            # takes nests instead of inverting the order.
+            return self.db.execute(sql, params,  # qblint: disable=QB401
+                                   functions=session.functions)
 
     def _hydrate(self, entry: CachedResult, sql: str) -> QueryResult:
         """A fresh QueryResult from a cache entry (zero I/O, zero work)."""

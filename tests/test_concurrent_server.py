@@ -243,7 +243,7 @@ class TestResultCache:
         from repro.server import CachedResult
 
         for i in range(4):
-            cache.put(("q%d" % i, ()), CachedResult((), (), frozenset({"t"})))
+            cache.put(("q%d" % i, ()), CachedResult((), (), frozenset({"t"}), seq=1))
         assert len(cache) == 2
 
     def test_capacity_validated(self):

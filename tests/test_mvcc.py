@@ -20,6 +20,7 @@ Four layers of checks:
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 
 from repro.concurrency import lockdep
 from repro.db.database import Database
@@ -53,16 +54,13 @@ def plain_database() -> Database:
 class TestSnapshotIsolation:
     def test_pinned_reader_never_sees_later_commit(self):
         db = plain_database()
-        pinned = db.pin_version()
-        assert pinned is not None
-        try:
+        with db.read_view() as view:
+            assert view.seq == db.version_seq
             db.execute("insert into t values (99, 9801)")
-            stale = db.execute("select count(*) from t", version=pinned)
+            stale = db.execute("select count(*) from t", view=view)
             fresh = db.execute("select count(*) from t")
             assert stale.scalar() == 10
             assert fresh.scalar() == 11
-        finally:
-            db.unpin_version(pinned)
 
     def test_pinned_catalog_isolated_from_ddl(self):
         db = plain_database()
@@ -84,14 +82,11 @@ class TestSnapshotIsolation:
         db, _wal = wal_database()
         db.execute("create table t (k integer, v integer)")
         db.execute("insert into t values (1, 10)")
-        pinned = db.pin_version()
-        try:
+        with db.read_view() as view:
             db.execute("insert into t values (2, 20)")
             save_database(db, tmp_path)  # checkpoint: resets the journal
-            stale = db.execute("select v from t", version=pinned)
+            stale = db.execute("select v from t", view=view)
             assert stale.column("v") == [10]
-        finally:
-            db.unpin_version(pinned)
         assert db.execute("select count(*) from t").scalar() == 2
 
     def test_read_your_own_writes_inside_open_transaction(self):
@@ -107,13 +102,9 @@ class TestSnapshotIsolation:
             # The uncommitted row is not published yet.
             assert db.version_seq == before
         assert db.version_seq > before
-        pinned = db.pin_version()
-        try:
-            committed = db.execute("select v from t where k = 50",
-                                   version=pinned)
+        with db.read_view() as view:
+            committed = db.execute("select v from t where k = 50", view=view)
             assert committed.column("v") == [2500]
-        finally:
-            db.unpin_version(pinned)
 
 
 # --------------------------------------------------------------------- #
@@ -121,36 +112,112 @@ class TestSnapshotIsolation:
 # --------------------------------------------------------------------- #
 
 
+@contextmanager
+def rwlock_acquisitions():
+    """Yields a zero-arg callable: ``db.rwlock`` acquisitions so far in
+    the block, counted by the lockdep witness."""
+    was_enabled = lockdep.enabled()
+    lockdep.enable()
+    try:
+        before = lockdep.acquire_count("db.rwlock")
+        yield lambda: lockdep.acquire_count("db.rwlock") - before
+    finally:
+        if not was_enabled:
+            lockdep.disable()
+
+
+@contextmanager
+def parked_writer(db, sql):
+    """Another thread holds an open transaction that has run ``sql``."""
+    inside, leave = threading.Event(), threading.Event()
+
+    def writer():
+        with db.transaction():
+            db.execute(sql)
+            inside.set()
+            leave.wait(timeout=30)
+
+    thread = threading.Thread(target=writer)
+    thread.start()
+    try:
+        assert inside.wait(timeout=10)
+        yield
+    finally:
+        leave.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def run_with_timeout(fn, timeout=5.0):
+    """``fn()`` on a daemon thread; fails instead of hanging the suite."""
+    box = {}
+    thread = threading.Thread(target=lambda: box.update(value=fn()),
+                              daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "read blocked behind the open writer"
+    return box["value"]
+
+
 class TestLockFreeReads:
     def test_pinned_select_acquires_no_rwlock(self):
         db = plain_database()
-        was_enabled = lockdep.enabled()
-        lockdep.enable()
-        try:
-            before = lockdep.acquire_count("db.rwlock")
+        with rwlock_acquisitions() as acquired:
             for k in range(20):
                 result = db.execute(f"select v from t where k = {k % 10}")
                 assert result.column("v") == [(k % 10) ** 2]
-            assert lockdep.acquire_count("db.rwlock") == before
-        finally:
-            if not was_enabled:
-                lockdep.disable()
+            # ... and neither does any other read-only entry point
+            assert db.execute("explain select v from t").rows
+            assert db.execute("explain analyze select v from t").rows
+            assert db.explain("select v from t").startswith("scan t")
+            assert db.analyze("select v from t") == []
+            assert db.executemany("select v from t where k = ?",
+                                  [[1], [2]]) == 0
+            assert acquired() == 0
 
-    def test_non_mvcc_select_does_take_the_read_lock(self):
-        # The control for the test above: with MVCC off the same SELECTs
-        # go through the reader-writer lock, so the counter must move.
-        db = Database(mvcc=False)
-        db.execute("create table t (k integer)")
-        db.execute("insert into t values (1)")
-        was_enabled = lockdep.enabled()
-        lockdep.enable()
-        try:
-            before = lockdep.acquire_count("db.rwlock")
-            db.execute("select count(*) from t")
-            assert lockdep.acquire_count("db.rwlock") > before
-        finally:
-            if not was_enabled:
-                lockdep.disable()
+    def test_unpublished_direct_insert_takes_the_read_lock(self):
+        # The fallback that stays, case 1: a loader poked the live table
+        # and has not published.  Readers must see the row, which only
+        # the live state under the shared lock can show.
+        db = plain_database()
+        db.catalog.table("t").insert([99, 9801])
+        with rwlock_acquisitions() as acquired:
+            assert db.execute("select count(*) from t").scalar() == 11
+            assert acquired() == 1
+        db.publish_snapshot()
+        with rwlock_acquisitions() as acquired:
+            assert db.execute("select count(*) from t").scalar() == 11
+            assert acquired() == 0
+
+    def test_reads_do_not_stall_behind_an_open_writer(self):
+        # A transaction open on another thread moves the live stamps of
+        # `t`; the published version is still the newest committed state,
+        # so reads of `t` and of the untouched `u` stay on the snapshot.
+        db = plain_database()
+        db.execute("create table u (k integer)")
+        db.execute("insert into u values (1)")
+        with parked_writer(db, "insert into t values (99, 9801)"):
+            with rwlock_acquisitions() as acquired:
+                counts = run_with_timeout(lambda: [
+                    db.execute("select count(*) from t").scalar(),
+                    db.execute("select count(*) from u").scalar(),
+                ])
+                assert counts == [10, 1]
+                assert acquired() == 0
+        assert db.execute("select count(*) from t").scalar() == 11
+
+    def test_explain_analyze_executemany_ignore_an_idle_writer(self):
+        # An open transaction that has changed nothing must not block
+        # the read-only entry points either.
+        db = plain_database()
+        with parked_writer(db, "select count(*) from t"):
+            plan, diagnostics, rowcount = run_with_timeout(lambda: (
+                db.explain("select v from t"),
+                db.analyze("select v from t"),
+                db.executemany("select v from t where k = ?", [[1], [2]]),
+            ))
+        assert plan.startswith("scan t")
+        assert diagnostics == [] and rowcount == 0
 
 
 # --------------------------------------------------------------------- #

@@ -369,5 +369,26 @@ class TestNaivePlanShape:
     def test_unknown_planner_mode_rejected(self, system):
         from repro.errors import CatalogError
 
-        with pytest.raises(CatalogError):
-            system.db.execute("select p.name from patient p", planner="bogus")
+        for mode in ("bogus", "greedy"):
+            with pytest.raises(CatalogError):
+                system.db.execute("select p.name from patient p", planner=mode)
+
+    def test_join_wider_than_the_dp_limit_matches_naive(self, system):
+        # 11 tables: past _DP_LIMIT the cost planner orders joins with
+        # its private heuristic instead of the subset DP.
+        from repro.db.planner import _DP_LIMIT
+
+        names = [f"p{i}" for i in range(_DP_LIMIT + 1)]
+        sql = (
+            "select " + ", ".join(f"{n}.patientId" for n in names)
+            + " from " + ", ".join(f"patient {n}" for n in names)
+            + " where " + " and ".join(
+                f"{a}.patientId = {b}.patientId"
+                for a, b in zip(names, names[1:]))
+            + f" and {names[-1]}.age > 0"
+        )
+        cost = system.db.execute(sql)
+        naive = system.db.execute(sql, planner="naive")
+        assert cost.rows and sorted(cost.rows) == sorted(naive.rows)
+        # the heuristic starts from the one table with its own predicate
+        assert system.db.explain(sql).lstrip().startswith(f"scan patient {names[-1]}")

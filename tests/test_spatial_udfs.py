@@ -224,3 +224,22 @@ class TestWorkAccounting:
         first = db.execute("select voxelCount(region) from shapes where shapeId = 1")
         second = db.execute("select voxelCount(region) from shapes where shapeId = 1")
         assert first.io.pages_read == second.io.pages_read  # deltas, not cumulative
+
+
+class TestServerIntegration:
+    """``CREATE SPATIAL INDEX`` (the R-tree) behind the medical server."""
+
+    def test_indexed_and_naive_agree(self, demo_system):
+        box = ((10, 10, 8), (20, 20, 16))
+        names_indexed, r_indexed = demo_system.server.structures_intersecting_box(*box)
+        names_naive, r_naive = demo_system.server.structures_intersecting_box(
+            *box, use_index=False
+        )
+        assert names_indexed == names_naive
+        assert r_indexed.io.pages_read <= r_naive.io.pages_read
+
+    def test_miss_costs_almost_nothing(self, demo_system):
+        corner = ((0, 0, 0), (2, 2, 2))  # outside the brain envelope
+        names, result = demo_system.server.structures_intersecting_box(*corner)
+        assert names == []
+        assert result.io.pages_read <= 2
