@@ -11,8 +11,9 @@ read over to the shard's replica when the primary does not answer — and
 
 Pruning rules, cheapest first:
 
-1. *Replicated-only* statements (every referenced table is a reference
-   table) run on shard 0 alone — any shard holds the full answer.
+1. *Replicated-only* statements (every table the statement names,
+   subqueries included, is a reference table) run on shard 0 alone — any
+   shard holds the full answer.
 2. ``studyId = <value>`` conjuncts resolve through the
    :class:`~repro.cluster.placement.PlacementMap` to the owning shards.
 3. *Emptiness*: a shard storing zero rows of a referenced partitioned
@@ -29,7 +30,10 @@ aggregates re-aggregate (count/sum add, min/max fold); ORDER BY results
 merge-sort and re-apply LIMIT.  Plain multi-leg SELECTs concatenate in
 shard order — row order without ORDER BY is unspecified, exactly as in
 single-node SQL.  Cross-shard GROUP BY raises :class:`ClusterError`
-(route it with a ``studyId`` predicate instead).
+(route it with a ``studyId`` predicate instead), and so does a statement
+whose *subquery* reads a partitioned table when it would take more than
+one leg: each shard would evaluate the semi-/anti-join against its own
+slice, and partial answers of that cannot be merged.
 """
 
 from __future__ import annotations
@@ -38,9 +42,10 @@ import threading
 
 from repro.cluster.placement import PlacementMap
 from repro.concurrency import lockdep
-from repro.db.database import Database, QueryResult
+from repro.db.database import QueryResult
 from repro.db.executor import ResultSet
 from repro.db.functions import WorkCounters
+from repro.db.planner import conjuncts_of
 from repro.db.sql.ast import (
     BinOp,
     ColumnRef,
@@ -50,6 +55,7 @@ from repro.db.sql.ast import (
     Select,
 )
 from repro.db.sql.parser import parse
+from repro.db.sql.prepared import Prepared
 from repro.errors import ClusterError, ShardUnavailableError
 from repro.medical.server import MedicalServer
 from repro.net.rpc import RpcChannel
@@ -107,8 +113,8 @@ class ShardRouter:
             self.queries += 1
         metrics.counter("cluster.queries").inc()
         params = list(params) if params else []
-        stmt = parse(sql)
-        is_read = Database.statement_is_read(stmt)
+        prepared = Prepared(sql, parse(sql))
+        is_read = prepared.is_read
         # Routing work runs on the caller thread inside the router's
         # metrics scope; shard legs run on shard worker threads inside
         # their own node scopes, so federation attributes each side.
@@ -116,7 +122,7 @@ class ShardRouter:
                 trace.span("cluster.execute",
                            kind="read" if is_read else "write"):
             with trace.span("cluster.plan"):
-                targets = self._plan(stmt, params)
+                targets = self._plan(prepared, params)
             if len(targets) == len(self.shards) and len(self.shards) > 1:
                 metrics.counter("cluster.broadcasts").inc()
             metrics.counter("cluster.pruned_shards").inc(
@@ -124,7 +130,7 @@ class ShardRouter:
             )
             partials = self._scatter(targets, sql, params, is_read)
             with trace.span("cluster.merge", legs=len(partials)):
-                return self._merge(stmt, partials)
+                return self._merge(prepared, partials)
 
     def execute_spec(self, spec) -> "object":
         """Run one medical :class:`QuerySpec` on the shard owning its study.
@@ -199,21 +205,32 @@ class ShardRouter:
     # planning: which shards must run this statement?
     # ------------------------------------------------------------------ #
 
-    def _plan(self, stmt, params: list) -> list:
+    def _plan(self, prepared: Prepared, params: list) -> list:
         """The shard legs for one statement, in shard order."""
-        tables = _referenced_tables(stmt)
-        if tables and all(PlacementMap.is_replicated(t) for t in tables):
+        if _replicated_only(prepared):
             # Any shard holds the complete answer; reads take shard 0,
             # writes must broadcast to keep the replicas identical.
-            if isinstance(stmt, Select) or not _is_write(stmt):
-                return [self.shards[0]]
-            return list(self.shards)
+            return [self.shards[0]] if prepared.is_read else list(self.shards)
+        stmt = prepared.ast
         study_ids = _study_id_conjuncts(getattr(stmt, "where", None), params)
-        if study_ids is not None:
-            return [self.shards[i] for i in self.placement.shards_for(study_ids)]
-        candidates = list(self.shards)
-        partitioned = [t for t in tables if PlacementMap.is_partitioned(t)]
-        if partitioned and isinstance(stmt, Select):
+        candidates = (list(self.shards) if study_ids is None else
+                      [self.shards[i]
+                       for i in self.placement.shards_for(study_ids)])
+        if len(candidates) > 1 and any(
+                PlacementMap.is_partitioned(t)
+                for t in prepared.subquery_tables):
+            raise ClusterError(
+                "a subquery over a partitioned table cannot be evaluated "
+                "across shards; add a studyId predicate so the statement "
+                "resolves to one shard"
+            )
+        if study_ids is not None or not isinstance(stmt, Select):
+            return candidates
+        # Pruned on the SELECT's own FROM list only: a shard's empty slice
+        # of a *subquery* table proves nothing (think NOT EXISTS).
+        partitioned = [t.name for t in stmt.tables
+                       if PlacementMap.is_partitioned(t.name)]
+        if partitioned:
             candidates = [
                 s for s in candidates
                 if all(s.row_count(t) > 0 for t in partitioned)
@@ -284,19 +301,19 @@ class ShardRouter:
     # merge
     # ------------------------------------------------------------------ #
 
-    def _merge(self, stmt, partials: list[QueryResult]) -> QueryResult:
+    def _merge(self, prepared: Prepared,
+               partials: list[QueryResult]) -> QueryResult:
         """One result from many — see the module doc for the rules."""
         if len(partials) == 1:
             return partials[0]
+        stmt = prepared.ast
         work = sum((p.work for p in partials), WorkCounters())
         ios = [p.io for p in partials if p.io is not None]
         io = sum(ios[1:], ios[0]) if ios else None
         columns = partials[0].columns
         if not isinstance(stmt, Select):
             rowcount = sum(p.rowcount for p in partials)
-            if _is_write(stmt) and _referenced_tables(stmt) and all(
-                PlacementMap.is_replicated(t) for t in _referenced_tables(stmt)
-            ):
+            if not prepared.is_read and _replicated_only(prepared):
                 # N physical copies of the same logical change.
                 rowcount = partials[0].rowcount
             merged = ResultSet(columns, partials[0].rows, rowcount=rowcount)
@@ -454,26 +471,10 @@ class ShardRouter:
 # statement analysis helpers (pure functions over the AST)
 # ---------------------------------------------------------------------- #
 
-def _is_write(stmt) -> bool:
-    """Inverse of the Database read classification, for routing."""
-    return not Database.statement_is_read(stmt)
-
-
-def _referenced_tables(stmt) -> list[str]:
-    """Lowercased names of the tables a statement touches (top level)."""
-    if isinstance(stmt, Select):
-        return [t.name.lower() for t in stmt.tables]
-    table = getattr(stmt, "table", None)
-    return [table.lower()] if isinstance(table, str) else []
-
-
-def _and_conjuncts(expr):
-    """Flatten one WHERE expression into its top-level AND conjuncts."""
-    if isinstance(expr, BinOp) and expr.op == "and":
-        yield from _and_conjuncts(expr.left)
-        yield from _and_conjuncts(expr.right)
-    elif expr is not None:
-        yield expr
+def _replicated_only(prepared: Prepared) -> bool:
+    """Does the statement name tables, and only replicated ones?"""
+    tables = prepared.tables
+    return bool(tables) and all(PlacementMap.is_replicated(t) for t in tables)
 
 
 def _resolve_value(expr, params: list):
@@ -492,10 +493,8 @@ def _study_id_conjuncts(where, params: list) -> list[int] | None:
     a qualifier on the column ref is fine (every alias of a partitioned
     table carries the same studyId on the owning shard).
     """
-    if where is None:
-        return None
     ids: set[int] = set()
-    for conjunct in _and_conjuncts(where):
+    for conjunct in conjuncts_of(where):
         if not (isinstance(conjunct, BinOp) and conjunct.op == "="):
             continue
         for column, other in ((conjunct.left, conjunct.right),
@@ -520,7 +519,7 @@ def _probe_boxes(stmt: Select, params: list):
     """
     bindings = {t.binding.lower(): t.name.lower() for t in stmt.tables}
     single = stmt.tables[0].name.lower() if len(stmt.tables) == 1 else None
-    for conjunct in _and_conjuncts(stmt.where):
+    for conjunct in conjuncts_of(stmt.where):
         call = None
         if isinstance(conjunct, FuncCall) and \
                 conjunct.name.lower() == "contains":

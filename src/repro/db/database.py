@@ -29,6 +29,7 @@ from repro.db.semantic import analyze as _analyze
 from repro.db.semantic import check
 from repro.db.sql.ast import Explain, Select
 from repro.db.sql.parser import parse
+from repro.db.sql.prepared import Prepared
 from repro.errors import UnsupportedStatementError
 from repro.obs import metrics, recorder, trace
 from repro.obs.explain import PlanProfile, render_analyzed_plan
@@ -257,16 +258,15 @@ class Database:
         """
         self._versions.publish(self.catalog, self.lfm)
 
-    @staticmethod
-    def statement_is_read(stmt) -> bool:
-        """Does this parsed statement only read (SELECT / EXPLAIN)?"""
-        return isinstance(stmt, (Select, Explain))
-
-    def execute(self, sql: str, params: list | None = None,
+    def execute(self, sql: str | Prepared, params: list | None = None,
                 functions: FunctionRegistry | None = None,
                 view: ReadView | None = None,
                 planner: str | None = None) -> QueryResult:
         """Parse, analyze, and run one SQL statement.
+
+        ``sql`` is statement text, parsed here on every call, or a
+        :class:`~repro.db.sql.Prepared` some caller already parsed (the
+        serving layer's statement memo), run as is.
 
         The semantic analyzer runs unconditionally between parse and
         execution, so a malformed query fails with a ``QBxxx`` diagnostic
@@ -291,32 +291,39 @@ class Database:
         ``planner`` overrides the database's default planner mode
         (:attr:`planner`) for this statement.
         """
-        stmt = parse(sql)
+        prepared = None if isinstance(sql, str) else sql
+        text = sql if prepared is None else prepared.sql
         params = list(params or ())
         registry = functions if functions is not None else self.functions
         mode = planner if planner is not None else self.planner
-        is_read = self.statement_is_read(stmt)
-        # The flight recorder's statement scope: when the serving layer
+        # The flight recorder's statement scope opens before the parse, so
+        # a syntax error leaves a record too.  When the serving layer
         # already opened one on this thread (it owns session/pool-wait
         # attribution), the notes below land on that record instead.
-        rec = recorder.statement(sql, trace_id=trace.current_trace_id(),
-                                 kind="read" if is_read else "write")
-        if is_read:
-            with rec, (self.read_view() if view is None
-                       else nullcontext(view)) as view:
-                return self._run(stmt, params, sql, registry, mode, rec,
-                                 view.catalog, view.lfm)
-        with rec, self._rwlock.write():
-            result = self._run(stmt, params, sql, registry, mode, rec,
-                               self.catalog, self.lfm)
-            if self._txn_nesting == 0:
-                # Auto-commit write: the statement is fully applied (any
-                # LFM mini-transactions have flushed), publish it.
-                self._publish_version()
-            return result
+        with recorder.statement(text,
+                                trace_id=trace.current_trace_id()) as rec:
+            if prepared is None:
+                prepared = Prepared(text, parse(text))
+            if rec.active:
+                rec.note(kind=prepared.kind, shape=prepared.shape,
+                         digest=prepared.digest)
+            if prepared.is_read:
+                with (self.read_view() if view is None
+                      else nullcontext(view)) as view:
+                    return self._run(prepared, params, registry, mode, rec,
+                                     view.catalog, view.lfm)
+            with self._rwlock.write():
+                result = self._run(prepared, params, registry, mode, rec,
+                                   self.catalog, self.lfm)
+                if self._txn_nesting == 0:
+                    # Auto-commit write: the statement is fully applied (any
+                    # LFM mini-transactions have flushed), publish it.
+                    self._publish_version()
+                return result
 
-    def _run(self, stmt, params: list, sql: str, registry: FunctionRegistry,
-             mode: str, rec, catalog, lfm) -> QueryResult:
+    def _run(self, prepared: Prepared, params: list,
+             registry: FunctionRegistry, mode: str, rec, catalog,
+             lfm) -> QueryResult:
         """The statement body: analyze, execute, account.
 
         ``catalog`` / ``lfm`` are a :class:`ReadView`'s, or the live
@@ -324,8 +331,8 @@ class Database:
         run with a :class:`PlanProfile` attached, answered with the
         rendered plan instead of the rows.
         """
+        stmt, sql, explain = prepared.ast, prepared.sql, prepared.is_explain
         check(stmt, catalog, registry)
-        explain = isinstance(stmt, Explain)
         profile = None
         if explain:
             analyze, stmt = stmt.analyze, stmt.statement
@@ -335,8 +342,7 @@ class Database:
             if not analyze:
                 plan = plan_select(stmt, catalog, mode=mode).describe()
                 rows = [(line,) for line in plan.splitlines()]
-                rec.note(rows=len(rows), io=None, kind="explain",
-                         params=params or None)
+                rec.note(rows=len(rows), params=params or None)
                 return QueryResult(ResultSet(["plan"], rows), WorkCounters(),
                                    None, sql)
             profile = PlanProfile()
@@ -355,8 +361,7 @@ class Database:
         if explain:
             lines = render_analyzed_plan(profile, io=io_delta, work=ctx.work)
             result = ResultSet(["plan"], [(line,) for line in lines])
-            rec.note(rows=len(lines), io=io_delta, kind="explain",
-                     params=params or None)
+            rec.note(rows=len(lines), io=io_delta, params=params or None)
         else:
             metrics.histogram("db.query_seconds").observe(
                 time.perf_counter() - start)
@@ -368,7 +373,7 @@ class Database:
     def executemany(self, sql: str, param_rows: list[list]) -> int:
         """Run one parameterized statement repeatedly; returns total rowcount."""
         stmt = parse(sql)
-        if self.statement_is_read(stmt):
+        if Prepared(sql, stmt).is_read:
             with self.read_view() as view:
                 return self._run_many(stmt, param_rows, view.catalog, view.lfm)
         with self._rwlock.write():

@@ -1,4 +1,4 @@
-"""SQL front end: lexer, AST, parser."""
+"""SQL front end: lexer, AST, parser, unparser, and the prepared statement."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ from repro.db.sql import ast
 from repro.db.sql.ast import Span
 from repro.db.sql.lexer import Token, TokenType, tokenize
 from repro.db.sql.parser import parse, parse_expression
+from repro.db.sql.prepared import Prepared
 from repro.db.sql.unparse import unparse, unparse_expression
 
 __all__ = [
@@ -16,6 +17,7 @@ __all__ = [
     "TokenType",
     "parse",
     "parse_expression",
+    "Prepared",
     "unparse",
     "unparse_expression",
 ]

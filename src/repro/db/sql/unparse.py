@@ -63,10 +63,14 @@ def _literal(value) -> str:
     )
 
 
-def unparse_expression(expr: Expr) -> str:
-    """One expression as SQL text (the inverse of ``parse_expression``)."""
+def unparse_expression(expr: Expr, lit=_literal) -> str:
+    """One expression as SQL text (the inverse of ``parse_expression``).
+
+    ``lit`` renders a literal's value; :func:`unparse` swaps in one that
+    prints every constant as ``?``.
+    """
     if isinstance(expr, Literal):
-        return _literal(expr.value)
+        return lit(expr.value)
     if isinstance(expr, Param):
         return "?"
     if isinstance(expr, ColumnRef):
@@ -75,35 +79,36 @@ def unparse_expression(expr: Expr) -> str:
         return "*"
     if isinstance(expr, FuncCall):
         if expr.name == "__is_null" and len(expr.args) == 1:
-            return f"({unparse_expression(expr.args[0])} IS NULL)"
-        args = ", ".join(unparse_expression(a) for a in expr.args)
+            return f"({unparse_expression(expr.args[0], lit)} IS NULL)"
+        args = ", ".join(unparse_expression(a, lit) for a in expr.args)
         return f"{expr.name}({args})"
     if isinstance(expr, BinOp):
         op = expr.op.upper() if expr.op in ("and", "or") else expr.op
-        return f"({unparse_expression(expr.left)} {op} {unparse_expression(expr.right)})"
+        left, right = (unparse_expression(e, lit) for e in (expr.left, expr.right))
+        return f"({left} {op} {right})"
     if isinstance(expr, UnaryOp):
         op = "NOT" if expr.op == "not" else expr.op
-        return f"({op} {unparse_expression(expr.operand)})"
+        return f"({op} {unparse_expression(expr.operand, lit)})"
     if isinstance(expr, Subquery):
-        return f"({_select(expr.select)})"
+        return f"({_select(expr.select, lit)})"
     if isinstance(expr, InSubquery):
         negated = "NOT " if expr.negated else ""
         return (
-            f"({unparse_expression(expr.value)} {negated}IN "
-            f"({_select(expr.subquery)}))"
+            f"({unparse_expression(expr.value, lit)} {negated}IN "
+            f"({_select(expr.subquery, lit)}))"
         )
     if isinstance(expr, Exists):
         negated = "NOT " if expr.negated else ""
-        return f"{negated}EXISTS ({_select(expr.subquery)})"
+        return f"{negated}EXISTS ({_select(expr.subquery, lit)})"
     raise UnsupportedStatementError(
         f"cannot render an expression of type {type(expr).__name__}"
     )
 
 
-def _select_item(item: SelectItem) -> str:
+def _select_item(item: SelectItem, lit) -> str:
     if isinstance(item.expr, Star) and item.alias is None:
         return "*"
-    text = unparse_expression(item.expr)
+    text = unparse_expression(item.expr, lit)
     return f"{text} AS {item.alias}" if item.alias else text
 
 
@@ -111,39 +116,46 @@ def _table_ref(ref: TableRef) -> str:
     return f"{ref.name} AS {ref.alias}" if ref.alias else ref.name
 
 
-def _order_item(item: OrderItem) -> str:
+def _order_item(item: OrderItem, lit) -> str:
     direction = "ASC" if item.ascending else "DESC"
-    return f"{unparse_expression(item.expr)} {direction}"
+    return f"{unparse_expression(item.expr, lit)} {direction}"
 
 
-def _select(stmt: Select) -> str:
+def _select(stmt: Select, lit) -> str:
     parts = ["SELECT"]
     if stmt.distinct:
         parts.append("DISTINCT")
-    parts.append(", ".join(_select_item(i) for i in stmt.items))
+    parts.append(", ".join(_select_item(i, lit) for i in stmt.items))
     parts.append("FROM")
     parts.append(", ".join(_table_ref(t) for t in stmt.tables))
     if stmt.where is not None:
-        parts.append("WHERE " + unparse_expression(stmt.where))
+        parts.append("WHERE " + unparse_expression(stmt.where, lit))
     if stmt.group_by:
-        parts.append("GROUP BY " + ", ".join(unparse_expression(e) for e in stmt.group_by))
+        parts.append("GROUP BY " + ", ".join(
+            unparse_expression(e, lit) for e in stmt.group_by))
     if stmt.having is not None:
-        parts.append("HAVING " + unparse_expression(stmt.having))
+        parts.append("HAVING " + unparse_expression(stmt.having, lit))
     if stmt.order_by:
-        parts.append("ORDER BY " + ", ".join(_order_item(i) for i in stmt.order_by))
+        parts.append("ORDER BY " + ", ".join(_order_item(i, lit) for i in stmt.order_by))
     if stmt.limit is not None:
         parts.append(f"LIMIT {stmt.limit}")
     return " ".join(parts)
 
 
-def unparse(stmt: Statement) -> str:
-    """One statement as SQL text; ``parse(unparse(stmt)) == stmt``."""
+def unparse(stmt: Statement, literals: bool = True) -> str:
+    """One statement as SQL text; ``parse(unparse(stmt)) == stmt``.
+
+    With ``literals=False`` every constant prints as ``?``: the
+    statement's *shape*, shared by all statements differing only in
+    constants (LIMIT's count is syntax, not a literal, and stays).
+    """
+    lit = _literal if literals else (lambda value: "?")
     if isinstance(stmt, Select):
-        return _select(stmt)
+        return _select(stmt, lit)
     if isinstance(stmt, Insert):
         columns = f" ({', '.join(stmt.columns)})" if stmt.columns else ""
         rows = ", ".join(
-            "(" + ", ".join(unparse_expression(e) for e in row) + ")"
+            "(" + ", ".join(unparse_expression(e, lit) for e in row) + ")"
             for row in stmt.rows
         )
         return f"INSERT INTO {stmt.table}{columns} VALUES {rows}"
@@ -153,14 +165,16 @@ def unparse(stmt: Statement) -> str:
     if isinstance(stmt, DropTable):
         return f"DROP TABLE {stmt.table}"
     if isinstance(stmt, Delete):
-        where = f" WHERE {unparse_expression(stmt.where)}" if stmt.where is not None else ""
+        where = (f" WHERE {unparse_expression(stmt.where, lit)}"
+                 if stmt.where is not None else "")
         return f"DELETE FROM {stmt.table}{where}"
     if isinstance(stmt, Update):
         assignments = ", ".join(
-            f"{column} = {unparse_expression(value)}"
+            f"{column} = {unparse_expression(value, lit)}"
             for column, value in stmt.assignments
         )
-        where = f" WHERE {unparse_expression(stmt.where)}" if stmt.where is not None else ""
+        where = (f" WHERE {unparse_expression(stmt.where, lit)}"
+                 if stmt.where is not None else "")
         return f"UPDATE {stmt.table} SET {assignments}{where}"
     if isinstance(stmt, CreateIndex):
         return f"CREATE INDEX {stmt.name} ON {stmt.table} ({stmt.column})"
@@ -172,7 +186,7 @@ def unparse(stmt: Statement) -> str:
         return f"ANALYZE {stmt.table}" if stmt.table else "ANALYZE"
     if isinstance(stmt, Explain):
         analyze = "ANALYZE " if stmt.analyze else ""
-        return f"EXPLAIN {analyze}{unparse(stmt.statement)}"
+        return f"EXPLAIN {analyze}{unparse(stmt.statement, literals)}"
     raise UnsupportedStatementError(
         f"cannot render a statement of type {type(stmt).__name__}"
     )

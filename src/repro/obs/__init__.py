@@ -24,22 +24,22 @@ accounting:
 * :mod:`repro.obs.export` — completed span trees as Chrome
   ``trace_event`` JSON (one track per shard leg) and compact JSONL;
 * :mod:`repro.obs.digest` — pg_stat_statements-style statement digests
-  (normalized-statement fingerprints with per-class accounting);
+  (per-class accounting keyed by the fingerprint each record carries);
 * :mod:`repro.obs.slo` — declarative objectives with multi-window
   burn-rate alerting over any snapshot source.
 
 This package sits below every instrumented layer (storage imports it), so
 it must stay import-light: nothing here pulls in ``repro.storage`` or
-``repro.db`` at module level — which is why :mod:`repro.obs.digest` (it
-needs the SQL parser) is imported lazily, at first use, by the recorder.
+``repro.db`` at module level.
 """
 
 from __future__ import annotations
 
-from repro.obs import export, federation, metrics, promtext, qlog, recorder, slo, trace
+from repro.obs import digest, export, federation, metrics, promtext, qlog, recorder, slo, trace
 from repro.obs.explain import OperatorStats, PlanProfile, render_analyzed_plan
 
 __all__ = [
+    "digest",
     "export",
     "federation",
     "metrics",

@@ -3,41 +3,36 @@
 The flight recorder remembers *individual* statements; operating a fleet
 needs the orthogonal view — "which query **shape** is burning the page-I/O
 budget?".  Every completed :class:`~repro.obs.recorder.QueryRecord` is
-folded into a bounded :class:`DigestTable` keyed by a **fingerprint** of
-the statement with its constants normalized away: the SQL is parsed, every
-literal is replaced by a ``?`` placeholder, and the canonical unparse of
-that skeleton is hashed.  ``SELECT v FROM t WHERE s = 'pet1'`` and
-``... = 'pet2'`` therefore share one digest row carrying calls, errors,
-rows, page I/O, cache-hit rate, a latency histogram, and per-shard call
-counts (cluster legs tag their records with the serving shard).
+folded into a bounded :class:`DigestTable` keyed by the record's
+``digest``: the :func:`fingerprint` of its ``shape``, the statement with
+its constants printed as ``?``.  Both arrive on the record — whoever
+parsed the statement derived them from the tree it already held
+(:class:`repro.db.sql.Prepared`), so nothing here parses SQL.  ``SELECT v
+FROM t WHERE s = 'pet1'`` and ``... = 'pet2'`` therefore share one digest
+row carrying calls, errors, rows, page I/O, cache-hit rate, a latency
+histogram, and per-shard call counts (cluster legs tag their records with
+the serving shard).
 
 The table is process-wide and bounded (top-K by calls, cold rows evicted),
 exposed at the admin endpoint's ``/digests`` and embedded in flight-
-recorder incident reports.  Statements that fail to parse — including
-raw strings a failing statement never got past the lexer with — fall back
-to a whitespace-collapsed fingerprint so errors are attributed too.
-
-This module is imported lazily by the recorder: it pulls the SQL parser,
-which :mod:`repro.obs` must not load at package-import time.
+recorder incident reports.  A record without a shape — its text never
+parsed — is filed under its whitespace-collapsed text, so syntax errors
+are attributed too.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import re
 import threading
 import time
-from collections import OrderedDict
 
 from repro.concurrency import lockdep
-from repro.errors import ReproError
 from repro.obs import metrics
 
 __all__ = [
     "DigestEntry",
     "DigestTable",
-    "normalize",
     "fingerprint",
     "get_table",
     "observe",
@@ -50,48 +45,9 @@ __all__ = [
 _WS_RE = re.compile(r"\s+")
 
 
-def normalize(sql: str) -> str:
-    """The statement's shape: canonical unparse with literals -> ``?``.
-
-    Parses ``sql``, replaces every literal constant (and any already-bound
-    parameter) with an anonymous ``?`` placeholder, and unparses the
-    skeleton — so statements differing only in constants normalize to the
-    same text.  Unparseable input degrades to uppercase-keyword-free
-    whitespace collapsing (still stable, just less collapsing).
-    """
-    from repro.db.sql import ast as ast_mod
-    from repro.db.sql.parser import parse
-    from repro.db.sql.unparse import unparse
-
-    def strip(node):
-        if isinstance(node, (ast_mod.Literal, ast_mod.Param)):
-            return ast_mod.Param(0)
-        if dataclasses.is_dataclass(node) and not isinstance(node, type):
-            changes = {}
-            for f in dataclasses.fields(node):
-                if f.name == "span":
-                    continue
-                value = getattr(node, f.name)
-                stripped = strip(value)
-                if stripped is not value:
-                    changes[f.name] = stripped
-            return dataclasses.replace(node, **changes) if changes else node
-        if isinstance(node, tuple):
-            stripped = tuple(strip(item) for item in node)
-            return stripped if stripped != node else node
-        if isinstance(node, list):
-            return [strip(item) for item in node]
-        return node
-
-    try:
-        return unparse(strip(parse(sql)))
-    except ReproError:
-        return _WS_RE.sub(" ", sql).strip()
-
-
-def fingerprint(normalized: str) -> str:
-    """A short stable digest id for a normalized statement."""
-    return hashlib.sha256(normalized.encode("utf-8")).hexdigest()[:16]
+def fingerprint(shape: str) -> str:
+    """The short stable digest id of a statement shape."""
+    return hashlib.sha256(shape.encode("utf-8")).hexdigest()[:16]
 
 
 class DigestEntry:
@@ -141,35 +97,15 @@ class DigestTable:
 
     When full, observing a *new* shape evicts the coldest row (fewest
     calls, oldest on ties) — the hot statement classes an operator cares
-    about stay put.  A small LRU memo caches raw SQL -> (digest,
-    normalized) so the steady-state cost per statement is one dict hit
-    plus counter bumps.
+    about stay put.
     """
 
-    def __init__(self, capacity: int = 128, memo_capacity: int = 512):
+    def __init__(self, capacity: int = 128):
         self.capacity = capacity
         self.enabled = True
         self._entries: dict[str, DigestEntry] = {}
-        self._memo: OrderedDict[str, tuple[str, str]] = OrderedDict()
-        self._memo_capacity = memo_capacity
         # guarded_by: self._lock
         self._lock = lockdep.instrument(threading.Lock(), "obs.digest")
-
-    def _key(self, sql: str) -> tuple[str, str]:
-        """(digest, normalized) for raw SQL, via the LRU memo."""
-        with self._lock:
-            hit = self._memo.get(sql)
-            if hit is not None:
-                self._memo.move_to_end(sql)
-                return hit
-        normalized = normalize(sql)
-        key = (fingerprint(normalized), normalized)
-        with self._lock:
-            self._memo[sql] = key
-            self._memo.move_to_end(sql)
-            while len(self._memo) > self._memo_capacity:
-                self._memo.popitem(last=False)
-        return key
 
     def observe(self, record) -> str | None:
         """Fold one completed statement record into its digest row.
@@ -180,13 +116,18 @@ class DigestTable:
         """
         if not self.enabled:
             return None
-        digest, normalized = self._key(record.sql)
+        shape = getattr(record, "shape", None)
+        if shape is None:
+            shape = _WS_RE.sub(" ", record.sql).strip()
+            digest = fingerprint(shape)
+        else:
+            digest = record.digest
         with self._lock:
             entry = self._entries.get(digest)
             if entry is None:
                 if len(self._entries) >= self.capacity:
                     self._evict_locked()
-                entry = self._entries[digest] = DigestEntry(digest, normalized)
+                entry = self._entries[digest] = DigestEntry(digest, shape)
             entry.calls += 1
             if not record.ok:
                 entry.errors += 1
@@ -234,10 +175,9 @@ class DigestTable:
             return len(self._entries)
 
     def reset(self) -> None:
-        """Forget every row and memo entry (capacity/enabled untouched)."""
+        """Forget every row (capacity/enabled untouched)."""
         with self._lock:
             self._entries.clear()
-            self._memo.clear()
 
 
 _TABLE = DigestTable()

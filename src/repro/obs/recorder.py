@@ -36,6 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.obs import digest as digest_mod
 from repro.obs import metrics, qlog
 
 __all__ = [
@@ -88,6 +89,10 @@ class QueryRecord:
     started_unix: float = 0.0        #: wall-clock start (epoch seconds)
     params: tuple = ()               #: reprs of bound parameters, truncated
     shard: str | None = None         #: serving shard id (cluster legs only)
+    #: literal-free statement text and its fingerprint (``Prepared.shape``
+    #: / ``.digest``), noted by whoever parsed; None when nothing did
+    shape: str | None = None
+    digest: str | None = None
 
     def to_dict(self) -> dict:
         """The record as a JSON-ready dict (stable key set)."""
@@ -137,22 +142,23 @@ _ACTIVE = threading.local()
 class _StatementScope:
     """Context manager covering one statement; the outermost scope emits."""
 
-    __slots__ = ("_recorder", "_fields", "_root", "_start", "record")
+    __slots__ = ("_recorder", "_root", "_start", "record")
 
     active = True
 
-    def __init__(self, recorder: "FlightRecorder", sql: str, fields: dict):
+    def __init__(self, recorder: "FlightRecorder", sql: str,
+                 session: str | None, trace_id: str | None):
         self._recorder = recorder
-        self._fields = fields
         self._root = False
-        self.record = QueryRecord(sql=sql)
+        self.record = QueryRecord(sql=sql, session=session,
+                                  trace_id=trace_id)
 
     def note(self, *, rows: int | None = None, io=None,
              cache_hit: bool | None = None,
              pool_wait_seconds: float | None = None,
-             kind: str | None = None, sql: str | None = None,
-             session: str | None = None, trace_id: str | None = None,
-             params=None, shard: str | None = None) -> None:
+             kind: str | None = None, params=None,
+             shard: str | None = None, shape: str | None = None,
+             digest: str | None = None) -> None:
         """Annotate the owning record (outermost scope wins on conflicts).
 
         ``io`` is an :class:`~repro.storage.device.IOStats` delta; only
@@ -174,33 +180,21 @@ class _StatementScope:
             record.pool_wait_seconds = pool_wait_seconds
         if kind is not None:
             record.kind = kind
-        if sql is not None:
-            record.sql = sql
-        if session is not None:
-            record.session = session
-        if trace_id is not None:
-            record.trace_id = trace_id
         if params is not None:
             record.params = tuple(repr(p)[:80] for p in params)
         if shard is not None:
             record.shard = shard
+        if shape is not None:
+            record.shape, record.digest = shape, digest
 
     def __enter__(self) -> "_StatementScope":
-        outer = getattr(_ACTIVE, "scope", None)
-        if outer is None:
+        # Nested under the serving layer's scope, this one owns nothing:
+        # its notes land on the outer record.
+        if getattr(_ACTIVE, "scope", None) is None:
             self._root = True
             _ACTIVE.scope = self
-            record = self.record
-            for key, value in self._fields.items():
-                if value is not None:
-                    setattr(record, key, value)
-            record.started_unix = time.time()
+            self.record.started_unix = time.time()
             self._start = time.perf_counter()
-        else:
-            # Nested under the serving layer's scope: contribute what the
-            # inner layer knows (the statement kind) to the owning record.
-            self.note(**{k: v for k, v in self._fields.items()
-                         if v is not None})
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -240,7 +234,7 @@ class FlightRecorder:
     # ------------------------------------------------------------------ #
 
     def statement(self, sql: str, *, session: str | None = None,
-                  trace_id: str | None = None, kind: str | None = None):
+                  trace_id: str | None = None):
         """A scope covering one statement's execution.
 
         The outermost scope on a thread owns the resulting record; nested
@@ -249,10 +243,7 @@ class FlightRecorder:
         """
         if not self.enabled:
             return _NOOP_SCOPE
-        return _StatementScope(
-            self, sql,
-            {"session": session, "trace_id": trace_id, "kind": kind},
-        )
+        return _StatementScope(self, sql, session, trace_id)
 
     def _finish(self, record: QueryRecord) -> None:
         with self._lock:
@@ -261,11 +252,7 @@ class FlightRecorder:
         metrics.counter("recorder.records").inc()
         if not record.ok:
             metrics.counter("recorder.errors").inc()
-        # Statement-digest accounting rides the same chokepoint (lazy
-        # import: digest pulls the SQL parser, which obs must not load at
-        # import time).
-        from repro.obs import digest as digest_mod
-
+        # Statement-digest accounting rides the same chokepoint.
         digest_mod.observe(record)
         qlog.get_query_log().emit(record)
         if not record.ok:
@@ -292,8 +279,6 @@ class FlightRecorder:
         bundles the ring contents and a metrics snapshot, so it can be
         read (or shipped) without access to the live process.
         """
-        from repro.obs import digest as digest_mod
-
         report = {
             "incident": next(self._seq),
             "reason": reason,

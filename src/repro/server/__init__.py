@@ -17,7 +17,7 @@ HTTP surface: ``/metrics`` in Prometheus text, ``/healthz``,
 
 from repro.server.admin import AdminServer
 from repro.server.pool import REJECTION_POLICIES, WorkerPool
-from repro.server.resultcache import CachedResult, ResultCache, referenced_tables
+from repro.server.resultcache import CachedResult, ResultCache
 from repro.server.server import QueryServer
 from repro.server.session import Session, SessionFunctions
 
@@ -29,6 +29,5 @@ __all__ = [
     "WorkerPool",
     "ResultCache",
     "CachedResult",
-    "referenced_tables",
     "REJECTION_POLICIES",
 ]

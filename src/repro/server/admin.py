@@ -44,7 +44,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from repro.obs import export, metrics, promtext, recorder, slo, trace
+from repro.obs import digest, export, metrics, promtext, recorder, slo, trace
 
 __all__ = ["AdminServer"]
 
@@ -143,8 +143,6 @@ class _AdminHandler(BaseHTTPRequestHandler):
         self._reply_json([r.to_dict() for r in records])
 
     def _digests(self, url) -> None:
-        from repro.obs import digest  # lazy: pulls the SQL parser
-
         n = self._int_param(url, "n", 50)
         if n is None:
             return

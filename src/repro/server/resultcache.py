@@ -2,11 +2,12 @@
 
 The paper pushed result caching up into the DX front end ("DX caches the
 results of previous queries"); a serving layer can do better by sharing
-one cache across every session.  Entries are keyed on the *canonical*
-statement text — :func:`repro.db.sql.unparse.unparse` of the parsed tree,
-so formatting differences (`select  *` vs `SELECT *`) hit the same slot —
-plus the bound parameters.  Every entry remembers the tables the SELECT
-referenced; any write to one of those tables drops the entry.
+one cache across every session.  Entries are keyed on the statement's
+:attr:`Prepared.canonical <repro.db.sql.Prepared.canonical>` text — so
+formatting differences (`select  *` vs `SELECT *`) hit the same slot —
+plus the bound parameters.  Every entry remembers the SELECT's
+:attr:`Prepared.tables <repro.db.sql.Prepared.tables>`; any write to one
+of those tables drops the entry.
 
 Thread safety: a single mutex guards the LRU map.  Snapshot reads hold
 no database lock, which opens a window: a reader executing against
@@ -23,80 +24,10 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.db.sql.ast import (
-    Exists,
-    Explain,
-    Expr,
-    InSubquery,
-    Insert,
-    Select,
-    Subquery,
-)
 from repro.errors import ValidationError
 from repro.obs import metrics
 
-__all__ = ["CachedResult", "ResultCache", "referenced_tables", "cache_key"]
-
-
-def referenced_tables(stmt) -> frozenset[str]:
-    """Every table name a statement touches, lowercased.
-
-    Covers FROM lists, subqueries (scalar, ``IN``, ``EXISTS``), and the
-    target tables of DML/DDL — the set a cached SELECT must be dropped
-    for when any of them is written.
-    """
-    names: set[str] = set()
-    _collect_tables(stmt, names)
-    return frozenset(names)
-
-
-def _collect_tables(node, names: set[str]) -> None:
-    if node is None:
-        return
-    if isinstance(node, Explain):
-        _collect_tables(node.statement, names)
-        return
-    if isinstance(node, Select):
-        for ref in node.tables:
-            names.add(ref.name.lower())
-        for item in node.items:
-            _collect_expr(item.expr, names)
-        _collect_expr(node.where, names)
-        for expr in node.group_by:
-            _collect_expr(expr, names)
-        _collect_expr(node.having, names)
-        for item in node.order_by:
-            _collect_expr(item.expr, names)
-        return
-    table = getattr(node, "table", None)
-    if isinstance(table, str):
-        names.add(table.lower())
-    if isinstance(node, Insert):
-        for row in node.rows:
-            for expr in row:
-                _collect_expr(expr, names)
-    where = getattr(node, "where", None)
-    if where is not None:
-        _collect_expr(where, names)
-
-
-def _collect_expr(expr, names: set[str]) -> None:
-    if expr is None or not isinstance(expr, Expr):
-        return
-    if isinstance(expr, (Subquery,)):
-        _collect_tables(expr.select, names)
-        return
-    if isinstance(expr, (InSubquery, Exists)):
-        _collect_tables(expr.subquery, names)
-        if isinstance(expr, InSubquery):
-            _collect_expr(expr.value, names)
-        return
-    for child in vars(expr).values():
-        if isinstance(child, Expr):
-            _collect_expr(child, names)
-        elif isinstance(child, tuple):
-            for element in child:
-                _collect_expr(element, names)
+__all__ = ["CachedResult", "ResultCache", "cache_key"]
 
 
 def cache_key(canonical_sql: str, params) -> tuple:

@@ -13,10 +13,13 @@ ARCHITECTURE.md):
   across concurrent committers);
 * a bounded :class:`~repro.server.pool.WorkerPool` — the admission queue
   with a configurable depth and ``block``/``reject`` backpressure policy;
-* a shared :class:`~repro.server.resultcache.ResultCache` keyed on the
-  canonical (unparsed) statement text, invalidated by any write to a
-  referenced table; fills are fenced by snapshot sequence numbers so a
-  late fill can never resurrect invalidated rows;
+* a memo of :class:`~repro.db.sql.Prepared` statements per raw text —
+  the one parse a served statement costs, and the source of every
+  syntactic fact dispatch, caching and the flight recorder use;
+* a shared :class:`~repro.server.resultcache.ResultCache`, invalidated
+  by any write to a table the cached statement names; fills are fenced
+  by snapshot sequence numbers so a late fill can never resurrect
+  invalidated rows;
 * per-session state (:class:`~repro.server.session.Session`): local UDF
   registries and variables;
 * the :class:`~repro.net.rpc.RpcChannel` result payloads ship through,
@@ -32,62 +35,22 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 from repro.db.database import Database, QueryResult
 from repro.db.executor import ResultSet
 from repro.db.functions import WorkCounters
-from repro.db.sql.ast import Explain, FuncCall
 from repro.db.sql.parser import parse
-from repro.db.sql.unparse import unparse
+from repro.db.sql.prepared import Prepared
 from repro.concurrency import lockdep
 from repro.errors import ServerError
 from repro.net.rpc import RpcChannel
 from repro.obs import metrics, recorder, trace
 from repro.server.pool import WorkerPool, current_wait_seconds
-from repro.server.resultcache import (
-    CachedResult,
-    ResultCache,
-    cache_key,
-    referenced_tables,
-)
+from repro.server.resultcache import CachedResult, ResultCache, cache_key
 from repro.server.session import Session
 from repro.storage.device import IOStats
 
 __all__ = ["QueryServer"]
-
-
-def _called_functions(node, out: set[str] | None = None) -> frozenset[str]:
-    """Lower-cased names of every function the statement tree calls."""
-    if out is None:
-        out = set()
-    if isinstance(node, FuncCall):
-        out.add(node.name.lower())
-    children = vars(node).values() if hasattr(node, "__dict__") else ()
-    for child in children:
-        if isinstance(child, tuple):
-            for element in child:
-                if hasattr(element, "__dict__"):
-                    _called_functions(element, out)
-        elif hasattr(child, "__dict__"):
-            _called_functions(child, out)
-    return frozenset(out)
-
-
-@dataclass(frozen=True)
-class _StatementInfo:
-    """Everything the dispatch path needs to know about one SQL text.
-
-    Memoized per raw statement text so repeat traffic — the whole point
-    of a serving layer — skips parse and unparse entirely; a cache hit
-    is a couple of dict lookups.
-    """
-
-    is_read: bool
-    is_explain: bool
-    canonical: str
-    tables: frozenset
-    funcs: frozenset
 
 
 class QueryServer:
@@ -115,7 +78,7 @@ class QueryServer:
         self._lock = lockdep.instrument(threading.Lock(), "server.sessions")
         self._next_session_id = 1  # guarded_by: _lock
         self._closed = False  # guarded_by: _lock
-        self._stmt_info: OrderedDict[str, _StatementInfo] = OrderedDict()  # guarded_by: _stmt_lock
+        self._prepared: OrderedDict[str, Prepared] = OrderedDict()  # guarded_by: _stmt_lock
         self._stmt_lock = lockdep.instrument(threading.Lock(), "server.stmt_memo")
         self._stmt_capacity = max(cache_capacity, 64)
         self._admin = None  # guarded_by: _lock
@@ -195,10 +158,8 @@ class QueryServer:
                                      trace_id=ctx.trace_id)
             with rec:
                 wait = current_wait_seconds()
-                rec.note(pool_wait_seconds=wait,
-                         params=params if params else None)
-                if self.node_labels:
-                    rec.note(shard=self.node_labels.get("shard"))
+                rec.note(pool_wait_seconds=wait, params=params or None,
+                         shard=self.node_labels.get("shard"))
                 result = self._traced_execute(session, sql, params, wait)
                 rec.note(rows=len(result.rows) or result.rowcount)
                 # Ship the result payload through the RPC channel so
@@ -240,52 +201,50 @@ class QueryServer:
         leg.record.wall_seconds += wait
         return result
 
-    def _statement_info(self, sql: str) -> _StatementInfo:
-        """Memoized parse of one raw statement text (LRU-bounded)."""
+    def _prepare(self, sql: str) -> Prepared:
+        """The memoized :class:`Prepared` for one raw text (LRU-bounded).
+
+        Repeat traffic — the whole point of a serving layer — skips the
+        parser entirely, and every fact the dispatch path reads off the
+        result is computed at most once per memo entry.
+        """
         with self._stmt_lock:
-            info = self._stmt_info.get(sql)
-            if info is not None:
-                self._stmt_info.move_to_end(sql)
+            prepared = self._prepared.get(sql)
+            if prepared is not None:
+                self._prepared.move_to_end(sql)
                 metrics.counter("server.stmt_memo.hits").inc()
-                return info
+                return prepared
         metrics.counter("server.stmt_memo.misses").inc()
-        stmt = parse(sql)
-        info = _StatementInfo(
-            is_read=Database.statement_is_read(stmt),
-            is_explain=isinstance(stmt, Explain),
-            canonical=unparse(stmt),
-            tables=referenced_tables(stmt),
-            funcs=_called_functions(stmt),
-        )
+        prepared = Prepared(sql, parse(sql))
         with self._stmt_lock:
-            self._stmt_info[sql] = info
-            if len(self._stmt_info) > self._stmt_capacity:
-                self._stmt_info.popitem(last=False)
-        return info
+            self._prepared[sql] = prepared
+            if len(self._prepared) > self._stmt_capacity:
+                self._prepared.popitem(last=False)
+        return prepared
 
     def _execute(self, session: Session, sql: str,
                  params: list | None) -> QueryResult:
-        info = self._statement_info(sql)
+        prepared = self._prepare(sql)
         registry = session.functions
-        if not info.is_read:
-            return self._execute_write(info, session, sql, params)
+        if not prepared.is_read:
+            return self._execute_write(prepared, session, params)
         local = {n.lower() for n in registry.local_names}
         cacheable = (
             self.cache is not None
-            and not info.is_explain
+            and not prepared.is_explain
             # A statement calling a session-local UDF must not land in the
             # shared cache: another session may bind the same name to
             # different code.
-            and not (local and (info.funcs & local))
+            and not (local and (prepared.funcs & local))
         )
         if not cacheable:
-            return self.db.execute(sql, params, functions=registry)
-        key = cache_key(info.canonical, params)
+            return self.db.execute(prepared, params, functions=registry)
+        key = cache_key(prepared.canonical, params)
         entry = self.cache.get(key)
         if entry is not None:
-            return self._hydrate(entry, sql)
+            return self._hydrate(entry, prepared)
         with self.db.read_view() as view:
-            result = self.db.execute(sql, params, functions=registry,
+            result = self.db.execute(prepared, params, functions=registry,
                                      view=view)
             if view.seq is not None:
                 # The fill is tagged with the snapshot's sequence number;
@@ -295,12 +254,12 @@ class QueryServer:
                 self.cache.put(key, CachedResult(
                     columns=tuple(result.columns),
                     rows=tuple(result.rows),
-                    tables=info.tables,
+                    tables=prepared.tables,
                     seq=view.seq,
                 ))
             return result
 
-    def _execute_write(self, info: _StatementInfo, session: Session, sql: str,
+    def _execute_write(self, prepared: Prepared, session: Session,
                        params: list | None) -> QueryResult:
         """Exclusive path: transaction-scoped write + cache invalidation.
 
@@ -317,24 +276,26 @@ class QueryServer:
         """
         def invalidate(seq: int) -> None:
             if self.cache is not None:
-                self.cache.invalidate(info.tables, seq)
+                self.cache.invalidate(prepared.tables, seq)
 
         with self.db.transaction(on_publish=invalidate):
             # Re-entrant by construction: transaction() already holds the
             # exclusive side on this thread, so the write lock execute()
             # takes nests instead of inverting the order.
-            return self.db.execute(sql, params,  # qblint: disable=QB401
+            return self.db.execute(prepared, params,  # qblint: disable=QB401
                                    functions=session.functions)
 
-    def _hydrate(self, entry: CachedResult, sql: str) -> QueryResult:
+    def _hydrate(self, entry: CachedResult,
+                 prepared: Prepared) -> QueryResult:
         """A fresh QueryResult from a cache entry (zero I/O, zero work)."""
         # Database.execute never ran, so mark the statement's record here.
-        recorder.annotate(cache_hit=True, kind="read")
+        recorder.annotate(cache_hit=True, kind="read", shape=prepared.shape,
+                          digest=prepared.digest)
         return QueryResult(
             result=ResultSet(list(entry.columns), list(entry.rows)),
             work=WorkCounters(),
             io=IOStats() if self.db.lfm is not None else None,
-            sql=sql,
+            sql=prepared.sql,
         )
 
     def _payload_estimate(self, result: QueryResult) -> int:

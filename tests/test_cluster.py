@@ -24,7 +24,7 @@ from repro.cluster import (
     place_studies,
 )
 from repro.cluster.router import ShardRouter
-from repro.db.sql.parser import parse
+from repro.db.sql import Prepared, parse
 from repro.errors import ClusterError
 from repro.medical.server import QuerySpec
 from repro.obs import trace
@@ -227,10 +227,10 @@ class TestScatterGather:
 
 class TestPruning:
     def _targets(self, cluster, sql: str, params=None) -> list[int]:
-        stmt = parse(sql)
+        prepared = Prepared(sql, parse(sql))
         return [
             shard.shard_id
-            for shard in cluster.router._plan(stmt, list(params or []))
+            for shard in cluster.router._plan(prepared, list(params or []))
         ]
 
     def test_replicated_only_goes_to_shard_zero(self, cluster4):
@@ -271,6 +271,58 @@ class TestPruning:
             f"where v.studyId = {study_id} and s.structureId = 1",
         )
         assert targets == [owner]
+
+
+class TestSubqueryRouting:
+    """A partitioned table named only in a subquery still decides routing."""
+
+    # At the parent the router looked at top-level FROM tables only, saw
+    # "replicated-only", and answered these from shard 0's slice alone.
+    STATEMENTS = (
+        "select count(*) from patient where patientId in "
+        "(select patientId from rawVolume)",
+        "select count(*) from atlasStructure where exists "
+        "(select studyId from warpedVolume where studyId = 2)",
+    )
+
+    @staticmethod
+    def _statements_run(cluster) -> int:
+        return sum(entry["statements"]
+                   for entry in cluster.router.session_snapshot())
+
+    @pytest.mark.parametrize("sql", STATEMENTS)
+    def test_one_shard_answers_like_the_single_node(self, demo_system,
+                                                    cluster1, sql):
+        single = demo_system.db.execute(sql).rows
+        assert single[0][0] > 0
+        assert cluster1.execute(sql).rows == single
+
+    @pytest.mark.parametrize("nshards", [2, 4])
+    @pytest.mark.parametrize("sql", STATEMENTS)
+    def test_many_shards_refuse_before_any_leg_runs(self, cluster2, cluster4,
+                                                    nshards, sql):
+        cluster = {2: cluster2, 4: cluster4}[nshards]
+        before = self._statements_run(cluster)
+        with pytest.raises(ClusterError, match="subquery"):
+            cluster.execute(sql)
+        assert self._statements_run(cluster) == before
+
+    @pytest.mark.parametrize("nshards", [2, 4])
+    def test_study_id_predicate_still_resolves_to_one_shard(
+            self, demo_system, cluster2, cluster4, nshards):
+        cluster = {2: cluster2, 4: cluster4}[nshards]
+        sql = ("select count(*) from warpedVolume where studyId = ? and "
+               "studyId in (select studyId from rawVolume)")
+        for study_id in cluster.study_ids:
+            assert (cluster.execute(sql, [study_id]).rows
+                    == demo_system.db.execute(sql, [study_id]).rows
+                    == [(1,)])
+
+    def test_replicated_subquery_stays_on_shard_zero(self, demo_system,
+                                                     cluster4):
+        sql = ("select count(*) from patient where patientId in "
+               "(select patientId from patient)")
+        assert cluster4.execute(sql).rows == demo_system.db.execute(sql).rows
 
 
 class TestTracePropagation:

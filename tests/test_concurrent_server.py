@@ -18,11 +18,16 @@ Four layers of checks:
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro.db.database
+import repro.db.sql.parser
+import repro.server.server
 from repro.db.database import Database
 from repro.errors import (
     ResolutionError,
@@ -32,7 +37,7 @@ from repro.errors import (
     ValidationError,
     WalError,
 )
-from repro.obs import metrics
+from repro.obs import digest, metrics, recorder
 from repro.server import QueryServer, ResultCache, WorkerPool
 from repro.storage import (
     BlockDevice,
@@ -711,6 +716,78 @@ class TestServingSanity:
                 ]
                 values = [f.result(timeout=30).scalar() for f in futures]
             assert values == [k * k for k in range(10)]
+
+
+# --------------------------------------------------------------------- #
+# one parse per statement
+# --------------------------------------------------------------------- #
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Counts every call of the SQL parser, whichever module's binding of
+    ``parse`` it goes through (the obs plane included: anything that
+    parses behind the engine's back reaches ``repro.db.sql.parser``)."""
+    calls: list[str] = []
+    original = repro.db.sql.parser.parse
+
+    def counting(sql):
+        calls.append(sql)
+        return original(sql)
+
+    for module in (repro.db.database, repro.server.server,
+                   repro.db.sql.parser):
+        monkeypatch.setattr(module, "parse", counting)
+    assert recorder.get_recorder().enabled and digest.is_enabled()
+    return calls
+
+
+class TestOneParsePerStatement:
+    STATEMENTS = (
+        "select v from lookup where k = 3",
+        "select count(*) from lookup where k in "
+        "(select seq from events)",
+        "explain select v from lookup",
+        "insert into events values (1, 1)",
+    )
+
+    @pytest.mark.parametrize("result_cache", [True, False])
+    def test_served_statement_parses_once_then_never(self, parse_calls,
+                                                     result_cache):
+        db = fresh_db()
+        del parse_calls[:]
+        with QueryServer(db, workers=1, result_cache=result_cache) as server:
+            with server.connect() as session:
+                for sql in self.STATEMENTS:
+                    session.execute(sql)
+                    assert parse_calls == [sql], "fresh statement"
+                    session.execute(sql)
+                    assert parse_calls == [sql], "repeat"
+                    del parse_calls[:]
+
+    def test_direct_statement_parses_exactly_once_every_time(self,
+                                                             parse_calls):
+        db = fresh_db()
+        for sql in self.STATEMENTS:
+            for _ in range(3):
+                del parse_calls[:]
+                db.execute(sql)
+                assert parse_calls == [sql]
+
+    def test_digest_accounting_loads_no_database_module(self):
+        script = (
+            "import sys, types\n"
+            "import repro.obs.digest as digest\n"
+            "record = types.SimpleNamespace(\n"
+            "    sql='select 1 from t', ok=True, rows=1, pages_read=0,\n"
+            "    pages_written=0, cache_hit=False, wall_seconds=0.001)\n"
+            "assert digest.observe(record) is not None\n"
+            "print([m for m in sys.modules if m.startswith('repro.db')])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={"PYTHONPATH": ":".join(sys.path)}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 # --------------------------------------------------------------------- #

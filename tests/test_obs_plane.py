@@ -14,7 +14,8 @@ import pytest
 
 from repro.cluster import build_demo_cluster
 from repro.core.system import QbismSystem
-from repro.errors import ReproError, ValidationError
+from repro.db.sql import Prepared, parse
+from repro.errors import ReproError, SqlSyntaxError, ValidationError
 from repro.obs import (
     digest,
     export,
@@ -362,14 +363,66 @@ class TestTraceEndpoint:
 # statement digests
 # --------------------------------------------------------------------- #
 
+def _prepared(sql: str) -> Prepared:
+    return Prepared(sql, parse(sql))
+
+
+def _record(sql: str, **fields) -> QueryRecord:
+    """A record as the engine emits it: shape and digest already noted."""
+    prepared = _prepared(sql)
+    return QueryRecord(sql=sql, shape=prepared.shape, digest=prepared.digest,
+                       **fields)
+
+
 class TestDigests:
     def test_literals_normalize_to_one_shape(self):
-        first = digest.normalize(
-            "select count(*) from patient where patientId = 5")
-        second = digest.normalize(
-            "select count(*) from patient where patientId = 99")
+        first = _prepared(
+            "select count(*) from patient where patientId = 5").shape
+        second = _prepared(
+            "select count(*) from patient where patientId = 99").shape
         assert first == second
         assert "?" in first and "5" not in first
+
+    @pytest.mark.parametrize("sql, digest_id, shape_end", [
+        ("select v from t where s = 'pet1'", "d2b576dcf53e17bb",
+         "SELECT v FROM t WHERE (s = ?)"),
+        ("SELECT  voxelCount(region) FROM intensityBand WHERE studyId = 3 "
+         "AND low = 192 and encoding = 'hilbert-naive'", "bca9d9b69be83913",
+         "AND (encoding = ?))"),
+        ("insert into patient values (7, 'x', ?)", "14179baad3d4bc01",
+         "VALUES (?, ?, ?)"),
+        ("select count(*) from patient where patientId in (select patientId "
+         "from rawVolume where studyId between 1 and 4) order by 1 limit 5",
+         "9f76804de56cc16e", "ORDER BY ? ASC LIMIT 5"),
+    ])
+    def test_digest_ids_do_not_move(self, sql, digest_id, shape_end):
+        # Pinned at PR 12: /digests rows and the OPERATIONS.md examples
+        # name these ids, so the shape rendering may never drift.
+        prepared = _prepared(sql)
+        assert prepared.digest == digest_id
+        assert prepared.shape.endswith(shape_end)
+        assert prepared.digest == digest.fingerprint(prepared.shape)
+
+    def test_syntax_errors_are_recorded_direct_and_served(self, system):
+        bad = "selec 1   from t"
+        with pytest.raises(SqlSyntaxError):
+            system.db.execute(bad)
+        with QueryServer(system.db, workers=1) as server:
+            with server.connect(name="typo") as session:
+                with pytest.raises(SqlSyntaxError):
+                    session.execute(bad)
+        served, direct = recorder.get_recorder().recent(2)
+        assert (direct.session, served.session) == (None, "typo")
+        for record in (direct, served):
+            assert (record.sql, record.ok, record.shape) == (bad, False, None)
+        assert direct.error == served.error
+        assert direct.error.startswith("SqlSyntaxError")
+        assert [i["reason"] for i in recorder.get_recorder().incidents()] \
+            == ["query.error", "query.error"]
+        (row,) = digest.get_table().top(10)
+        assert row["digest"] == "5ab2737b51295799"
+        assert (row["statement"], row["calls"], row["errors"]) \
+            == ("selec 1 from t", 2, 2)
 
     def test_unparseable_sql_still_digests(self):
         table = digest.DigestTable()
@@ -382,14 +435,12 @@ class TestDigests:
     def test_rows_aggregate_calls_errors_and_shards(self):
         table = digest.DigestTable()
         sql = "select count(*) from patient where patientId = {}"
-        table.observe(QueryRecord(sql=sql.format(1), rows=1,
-                                  wall_seconds=0.01, pages_read=2,
-                                  cache_hit=True, shard="0"))
-        table.observe(QueryRecord(sql=sql.format(2), rows=1,
-                                  wall_seconds=0.03, pages_read=4,
-                                  shard="1"))
-        table.observe(QueryRecord(sql=sql.format(3), ok=False,
-                                  error="boom", shard="1"))
+        table.observe(_record(sql.format(1), rows=1, wall_seconds=0.01,
+                              pages_read=2, cache_hit=True, shard="0"))
+        table.observe(_record(sql.format(2), rows=1, wall_seconds=0.03,
+                              pages_read=4, shard="1"))
+        table.observe(_record(sql.format(3), ok=False, error="boom",
+                              shard="1"))
         (row,) = table.top(1)
         assert row["calls"] == 3
         assert row["errors"] == 1
