@@ -9,7 +9,7 @@ with stable ``QB4xx`` codes (suppressible like any other rule):
 
     db.rwlock (10) -> txn (20) -> db.version (25) -> cache.latch (30)
                    -> cache.lock (40) -> wal.stats (50)
-                   -> db.stats (55) -> db.index (56)
+                   -> db.stats (55)
                    -> leaf mutexes (1000)
 
 ``db.rwlock`` is the database's statement-level RWLock; ``txn`` is the
@@ -80,7 +80,6 @@ RANKS = {
     "cache.lock": 40,
     "wal.stats": 50,
     "db.stats": 55,
-    "db.index": 56,
     "obs.digest": 60,
     "obs.slo": 62,
 }
@@ -101,7 +100,6 @@ LOCK_ATTRS = {
     ("WriteAheadLog", "_txn_lock"): "txn",
     ("WriteAheadLog", "_stats_lock"): "wal.stats",
     ("TableStats", "_lock"): "db.stats",
-    ("SpatialIndex", "_lock"): "db.index",
     ("VersionManager", "_lock"): "db.version",
     ("DigestTable", "_lock"): "obs.digest",
     ("SloEngine", "_lock"): "obs.slo",
@@ -126,7 +124,7 @@ MUTATORS = {
 
 _HIERARCHY_DOC = ("cluster.router -> cluster.link -> cluster.replica -> "
                   "db.rwlock -> txn -> db.version -> cache.latch -> "
-                  "cache.lock -> wal.stats -> db.stats -> db.index -> "
+                  "cache.lock -> wal.stats -> db.stats -> "
                   "obs.digest -> obs.slo -> leaf mutexes")
 
 _GUARD_RE = re.compile(r"guarded_by:\s*([A-Za-z_]\w*)")

@@ -27,19 +27,18 @@ from repro.cluster.placement import PlacementMap, place_studies
 from repro.cluster.replica import Replica, ReplicaLink
 from repro.cluster.router import ShardRouter
 from repro.cluster.shard import Shard
-from repro.core.system import _estimate_capacity
-from repro.db.database import Database
-from repro.db.spatial import register_spatial_functions
+from repro.core.system import (
+    _estimate_capacity,
+    demo_inputs,
+    index_and_analyze,
+    node_stack,
+)
 from repro.errors import ValidationError
 from repro.medical.loader import MedicalLoader
-from repro.medical.schema import create_medical_schema
 from repro.medical.server import MedicalServer
 from repro.server.server import QueryServer
 from repro.storage.device import BlockDevice
 from repro.storage.latency import LatencyDevice
-from repro.storage.lfm import LongFieldManager
-from repro.synthdata.phantom import build_phantom
-from repro.synthdata.studies import generate_mri_studies, generate_pet_studies
 
 __all__ = ["Cluster", "build_demo_cluster"]
 
@@ -108,17 +107,10 @@ def build_demo_cluster(
     simulated disk head per shard, which is what makes declustered reads
     scale in the shard-scaling bench.
     """
-    if grid_side < 8 or grid_side & (grid_side - 1):
-        raise ValidationError(
-            f"grid_side must be a power of two >= 8, got {grid_side}"
-        )
     if replicate and not wal:
         raise ValidationError("replicas ship WAL batches; need wal=True")
 
-    # Identical synthetic inputs to the single node's build_demo.
-    phantom = build_phantom(grid_side=grid_side, seed=seed)
-    pet = generate_pet_studies(phantom, count=n_pet, seed=seed + 1)
-    mri = generate_mri_studies(phantom, count=n_mri, seed=seed + 2)
+    phantom, pet, mri = demo_inputs(seed, grid_side, n_pet, n_mri)
     studies = pet + mri
     capacity = _estimate_capacity(grid_side, pet, mri, band_encodings)
     assignment = place_studies(studies, grid_side, n_shards)
@@ -131,16 +123,8 @@ def build_demo_cluster(
         device = base if read_latency <= 0 else LatencyDevice(
             base, read_latency=read_latency
         )
+        device, lfm, db = node_stack(device, wal)
         link = None
-        if wal:
-            from repro.storage.wal import WriteAheadLog
-
-            journal = BlockDevice(min(capacity, 64 << 20))
-            device = WriteAheadLog(device, journal, recover=False)
-        lfm = LongFieldManager(device)
-        db = Database(lfm=lfm)
-        register_spatial_functions(db)
-        create_medical_schema(db)
         if replicate:
             # Registered before any load so the link retains the full
             # envelope history (a late replica resyncs from txn 1).
@@ -150,8 +134,7 @@ def build_demo_cluster(
         atlas = loader.load_atlas(phantom)
         stacks.append(
             {"device": device, "lfm": lfm, "db": db, "loader": loader,
-             "atlas": atlas, "link": link, "capacity": capacity,
-             "study_ids": []}
+             "atlas": atlas, "link": link, "study_ids": []}
         )
 
     # The single node's exact patient/study loop — one shared RNG stream,
@@ -185,9 +168,7 @@ def build_demo_cluster(
     shards: list[Shard] = []
     for shard_id, stack in enumerate(stacks):
         db = stack["db"]
-        db.execute("create spatial index sxAtlasRegion on atlasStructure (region)")
-        db.execute("create spatial index sxBandRegion on intensityBand (region)")
-        db.execute("analyze")
+        index_and_analyze(db)
         shard = Shard(
             shard_id=shard_id,
             device=stack["device"],
@@ -202,7 +183,7 @@ def build_demo_cluster(
             link=stack["link"],
         )
         if stack["link"] is not None:
-            replica = Replica(stack["capacity"], name=f"replica-{shard_id}")
+            replica = Replica(capacity, name=f"replica-{shard_id}")
             stack["link"].attach(replica)
             shard.replica = replica
         shards.append(shard)

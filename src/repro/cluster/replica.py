@@ -39,10 +39,8 @@ from dataclasses import dataclass, field
 
 from repro.concurrency import lockdep
 from repro.db.database import Database
-from repro.db.persist import _decode_cell, _encode_cell
-from repro.db.schema import Column, TableSchema
+from repro.db.persist import export_catalog, restore_catalog
 from repro.db.spatial import register_spatial_functions
-from repro.db.types import SqlType
 from repro.net.rpc import RpcChannel
 from repro.obs import metrics
 from repro.storage.device import PAGE_SIZE, BlockDevice
@@ -170,10 +168,11 @@ class ReplicaLink:
         ``changed_only`` is the incremental ship stream: only tables whose
         ``(uid, mutations)`` stamp moved since the last ship are exported,
         and ``_stamps`` advances.  An attach-time sync exports everything
-        and leaves ``_stamps`` alone.
+        and leaves ``_stamps`` alone.  The result is the catalog image
+        (:func:`repro.db.persist.export_catalog`) as envelope fields.
         """
-        tables: dict = {}
         with self.db.read_view() as view:
+            tables = []
             for name in view.catalog.table_names():
                 table = view.catalog.table(name)
                 if changed_only:
@@ -181,15 +180,16 @@ class ReplicaLink:
                     if self._stamps.get(name.lower()) == stamp:
                         continue
                     self._stamps[name.lower()] = stamp
-                tables[table.name] = _export_table(table)
-        spatial = tuple(
-            tuple(defn) for defn in self.db.catalog.spatial_index_defs()
+                tables.append(table)
+            image = export_catalog(self.db.catalog, tables)
+        return (
+            {spec.pop("name"): spec for spec in image["tables"]},
+            tuple(
+                (spec["name"], spec["table"], spec["column"])
+                for spec in image.get("spatial_indexes", ())
+            ),
+            image.get("analyzed", False),
         )
-        analyzed = any(
-            self.db.catalog.table(n).stats.spatial_enabled
-            for n in self.db.table_names()
-        )
-        return tables, spatial, analyzed
 
     # ------------------------------------------------------------------ #
     # attach / resync
@@ -245,21 +245,13 @@ class ReplicaLink:
         )
 
 
-def _export_table(table) -> dict:
-    """JSON-safe snapshot of one (immutable or locked) table."""
-    return {
-        "columns": [[c.name, c.sql_type.value] for c in table.schema.columns],
-        "rows": [[_encode_cell(v) for v in row] for row in table.scan()],
-    }
-
-
 class Replica:
     """The replica side: applies envelopes, serves snapshot reads.
 
     Pages land on the replica's own device; scalar tables accumulate
     from the shipped snapshots; the queryable :class:`Database` view is
-    rebuilt lazily (it is derived state — rebuilding it is exactly what
-    ``load_database`` does from ``catalog.json``).
+    rebuilt lazily (it is derived state — rebuilt by the same
+    ``restore_catalog`` that ``load_database`` runs over ``catalog.json``).
     """
 
     def __init__(self, capacity: int, page_size: int = PAGE_SIZE,
@@ -361,22 +353,16 @@ class Replica:
         lfm = LongFieldManager.restore(self.device, self._lfm_state)
         db = Database(lfm=lfm)
         register_spatial_functions(db)
-        for name, export in self._tables.items():
-            columns = [
-                Column(cname, SqlType(tname))
-                for cname, tname in export["columns"]
-            ]
-            table = db.catalog.create_table(TableSchema(name, columns))
-            for row in export["rows"]:
-                table.insert([_decode_cell(v) for v in row])
-        for index_name, table_name, column in self._spatial:
-            db.execute(
-                f"create spatial index {index_name} "
-                f"on {table_name} ({column})"
-            )
-        if self._analyzed:
-            db.execute("analyze")
-        db.publish_snapshot()
+        restore_catalog(db, {
+            "tables": [
+                {"name": name, **export} for name, export in self._tables.items()
+            ],
+            "spatial_indexes": [
+                {"name": name, "table": table, "column": column}
+                for name, table, column in self._spatial
+            ],
+            "analyzed": self._analyzed,
+        })
         return db
 
     def state_fingerprint(self) -> dict:

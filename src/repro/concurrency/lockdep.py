@@ -14,7 +14,7 @@ On top of cycle detection, keys may carry a **rank** mirroring the
 declared lock hierarchy of ARCHITECTURE.md (:data:`DEFAULT_RANKS`):
 
     db.rwlock  →  wal.txn  →  cache.latch  →  cache.lock  →  wal.stats
-               →  db.stats  →  db.index
+               →  db.stats
 
 Acquiring a lower-ranked (outer) key while holding a higher-ranked
 (inner) one is an ordering violation the moment it happens, before any
@@ -72,7 +72,6 @@ DEFAULT_RANKS = {
     "cache.lock": 40,
     "wal.stats": 50,
     "db.stats": 55,
-    "db.index": 56,
     "obs.digest": 60,
     "obs.slo": 62,
 }

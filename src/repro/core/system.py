@@ -100,27 +100,13 @@ class QbismSystem:
         crash-safe transactions; journal I/O is accounted separately and
         the Table 3/4 LFM page counts are unchanged.
         """
-        if grid_side < 8 or grid_side & (grid_side - 1):
-            raise ValidationError(
-                f"grid_side must be a power of two >= 8 (VOLUMEs are stored on "
-                f"power-of-two cubes), got {grid_side}"
-            )
-        phantom = build_phantom(grid_side=grid_side, seed=seed)
-        pet = generate_pet_studies(phantom, count=n_pet, seed=seed + 1)
-        mri = generate_mri_studies(phantom, count=n_mri, seed=seed + 2)
+        phantom, pet, mri = demo_inputs(seed, grid_side, n_pet, n_mri)
 
         if device_capacity is None:
             device_capacity = _estimate_capacity(grid_side, pet, mri, band_encodings)
-        device = BlockDevice(device_capacity, path=device_path)
-        if wal:
-            from repro.storage.wal import WriteAheadLog
-
-            journal = BlockDevice(min(device_capacity, 64 << 20))
-            device = WriteAheadLog(device, journal, recover=False)
-        lfm = LongFieldManager(device)
-        db = Database(lfm=lfm)
-        register_spatial_functions(db)
-        create_medical_schema(db)
+        device, lfm, db = node_stack(
+            BlockDevice(device_capacity, path=device_path), wal
+        )
 
         loader = MedicalLoader(db, lfm, encodings=band_encodings)
         atlas = loader.load_atlas(phantom)
@@ -148,12 +134,7 @@ class QbismSystem:
             )
             (pet_ids if study.modality == "PET" else mri_ids).append(study_id)
 
-        # §7 spatial indexing: Hilbert-packed R-trees over the stored
-        # REGION columns plus optimizer statistics, so the cost-based
-        # planner prunes with index probes instead of query shape.
-        db.execute("create spatial index sxAtlasRegion on atlasStructure (region)")
-        db.execute("create spatial index sxBandRegion on intensityBand (region)")
-        db.execute("analyze")
+        index_and_analyze(db)
 
         cost_model = CostModel1994()
         return cls(
@@ -355,6 +336,45 @@ class QbismSystem:
             f"QbismSystem(atlas={self.atlas.name!r}, grid={self.phantom.grid.shape}, "
             f"{len(self.pet_study_ids)} PET + {len(self.mri_study_ids)} MRI studies)"
         )
+
+
+def demo_inputs(seed: int, grid_side: int, n_pet: int, n_mri: int):
+    """The demo's synthetic ``(phantom, PET studies, MRI studies)``."""
+    if grid_side < 8 or grid_side & (grid_side - 1):
+        raise ValidationError(
+            f"grid_side must be a power of two >= 8 (VOLUMEs are stored on "
+            f"power-of-two cubes), got {grid_side}"
+        )
+    phantom = build_phantom(grid_side=grid_side, seed=seed)
+    pet = generate_pet_studies(phantom, count=n_pet, seed=seed + 1)
+    mri = generate_mri_studies(phantom, count=n_mri, seed=seed + 2)
+    return phantom, pet, mri
+
+
+def node_stack(device, wal: bool):
+    """One node's ``(device, lfm, db)`` over a base block device, medical
+    schema created; with ``wal`` the returned device is a write-ahead log
+    over ``device`` and an in-memory journal.  Shared by the demo system
+    and every cluster shard: one shard is the single node byte for byte."""
+    if wal:
+        from repro.storage.wal import WriteAheadLog
+
+        journal = BlockDevice(min(device.capacity, 64 << 20))
+        device = WriteAheadLog(device, journal, recover=False)
+    lfm = LongFieldManager(device)
+    db = Database(lfm=lfm)
+    register_spatial_functions(db)
+    create_medical_schema(db)
+    return device, lfm, db
+
+
+def index_and_analyze(db: Database) -> None:
+    """§7 spatial indexing: Hilbert-packed R-trees over the stored REGION
+    columns plus optimizer statistics, so the cost-based planner prunes
+    with index probes instead of query shape."""
+    db.execute("create spatial index sxAtlasRegion on atlasStructure (region)")
+    db.execute("create spatial index sxBandRegion on intensityBand (region)")
+    db.execute("analyze")
 
 
 def _estimate_capacity(grid_side: int, pet, mri, band_encodings) -> int:

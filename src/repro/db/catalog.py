@@ -55,8 +55,9 @@ class Catalog:
     def create_spatial_index(self, name: str, table_name: str, column: str) -> SpatialIndex:
         """Register a spatial index over one LONGFIELD column.
 
-        The index structure is created empty; the executor populates it
-        (payload reads need an execution context) and stamps it fresh.
+        The index is created unpacked; the executor recomputes the table's
+        statistics (payload reads need an execution context), which packs
+        the tree over the column's region-cell directory.
         """
         key = name.lower()
         if key in self._indexes or key in self._spatial:
@@ -66,8 +67,7 @@ class Catalog:
             raise CatalogError(
                 f"table {table.name!r} already has a spatial index on {column!r}"
             )
-        position = table.schema.position(column)
-        index = SpatialIndex(name, table.name, column, position)
+        index = SpatialIndex(name, table, column)
         self.version += 1
         self._spatial[key] = (table.name, column)
         table.mutations += 1  # force MVCC to republish this table
@@ -86,10 +86,6 @@ class Catalog:
     def index_names(self) -> list[str]:
         """All hash-index names, sorted."""
         return sorted(self._indexes)
-
-    def spatial_index_names(self) -> list[str]:
-        """All spatial-index names, sorted."""
-        return sorted(self._spatial)
 
     def spatial_index_defs(self) -> list[tuple[str, str, str]]:
         """``(name, table, column)`` of every spatial index, sorted by name."""

@@ -185,85 +185,51 @@ class Executor:
             return self._execute_update(stmt, params, ctx)
         if isinstance(stmt, CreateIndex):
             table = self.catalog.table(stmt.table)
-            holders = self._fresh_holders(table)
+            fresh = table.stats.fresh(table)
             self.catalog.create_index(stmt.name, stmt.table, stmt.column)
-            # index DDL changes no rows: repair the stamps it broke
-            self._restamp_holders(table, holders)
+            # index DDL changes no rows: repair the stamp it broke
+            if fresh:
+                table.stats.restamp(table)
             return ResultSet([], [], rowcount=0)
         if isinstance(stmt, DropIndex):
             table_name = self.catalog.index_table(stmt.name)
             table = (
                 self.catalog.table(table_name) if table_name is not None else None
             )
-            holders = self._fresh_holders(table) if table is not None else None
+            fresh = table is not None and table.stats.fresh(table)
             self.catalog.drop_index(stmt.name)
-            if table is not None:
-                self._restamp_holders(table, holders)
+            if fresh:
+                table.stats.restamp(table)
             return ResultSet([], [], rowcount=0)
         if isinstance(stmt, CreateSpatialIndex):
-            return self._execute_create_spatial_index(stmt, ctx)
+            self.catalog.create_spatial_index(stmt.name, stmt.table, stmt.column)
+            # Collects the column's region-cell directory (cells already
+            # parsed are not read again) and packs the tree over it.
+            table = self.catalog.table(stmt.table)
+            table.stats.recompute(table, ctx.read_longfield)
+            return ResultSet([], [], rowcount=0)
         if isinstance(stmt, Analyze):
             return self._execute_analyze(stmt, ctx)
         raise ExecutionError(f"unsupported statement {type(stmt).__name__}")
 
     # -------------------------------------------------------------- #
-    # statistics / spatial index maintenance
+    # statistics maintenance: a statement maintains only stats that were
+    # fresh before it, so state that went stale behind the executor's
+    # back stays visibly stale until the next ANALYZE
     # -------------------------------------------------------------- #
 
-    def _fresh_holders(self, table):
-        """Freshness of the table's stats and spatial indexes, pre-mutation."""
-        return (
-            table.stats.fresh(table),
-            {col: idx.fresh(table) for col, idx in table.spatial.items()},
-        )
-
-    def _restamp_holders(self, table, holders) -> None:
-        """Re-stamp holders that were fresh before a content-neutral DDL."""
-        stats_fresh, index_fresh = holders
-        if stats_fresh:
-            table.stats.restamp(table)
-        for col, idx in table.spatial.items():
-            if index_fresh.get(col):
-                idx.restamp(table)
-
-    def _maintain_inserts(self, table, holders, inserted, ctx) -> None:
-        """Fold inserted rows into every holder that was fresh beforehand."""
-        stats_fresh, index_fresh = holders
-        if stats_fresh:
-            table.stats.apply_inserts(inserted, ctx.read_longfield)
-            table.stats.restamp(table)
-        for col, idx in table.spatial.items():
-            if index_fresh.get(col):
-                idx.apply_inserts(inserted, ctx.read_longfield)
-                idx.restamp(table)
-
-    def _resync_after_mutation(self, table, holders, ctx) -> None:
-        """Resynchronize holders invalidated by a delete/update.
+    def _resynced(self, table, mutate, ctx: ExecutionContext) -> ResultSet:
+        """Run a delete/update and resynchronize the statistics behind it.
 
         Rewrites may store coerced values that differ from what the
         assignment expressions produced, so incremental accounting is not
         reliable there; a cached recompute (payloads already parsed) is.
         """
-        stats_fresh, index_fresh = holders
-        if stats_fresh and not table.stats.fresh(table):
+        fresh = table.stats.fresh(table)
+        count = mutate()
+        if fresh and not table.stats.fresh(table):
             table.stats.recompute(table, ctx.read_longfield)
-        for col, idx in table.spatial.items():
-            if index_fresh.get(col) and not idx.fresh(table):
-                idx.rebuild(table, ctx.read_longfield)
-
-    def _execute_create_spatial_index(self, stmt: CreateSpatialIndex,
-                                      ctx: ExecutionContext) -> ResultSet:
-        table = self.catalog.table(stmt.table)
-        stats_fresh = table.stats.fresh(table)
-        index_fresh = {
-            col: idx.fresh(table) for col, idx in table.spatial.items()
-        }
-        index = self.catalog.create_spatial_index(stmt.name, stmt.table, stmt.column)
-        index.rebuild(table, ctx.read_longfield)
-        # registration bumped the table's mutation stamp without changing
-        # any rows; restamp the holders that were fresh before
-        self._restamp_holders(table, (stats_fresh, index_fresh))
-        return ResultSet([], [], rowcount=0)
+        return ResultSet([], [], rowcount=count)
 
     def _execute_analyze(self, stmt: Analyze, ctx: ExecutionContext) -> ResultSet:
         names = [stmt.table] if stmt.table is not None else self.catalog.table_names()
@@ -272,12 +238,10 @@ class Executor:
             table = self.catalog.table(name)
             # Bump the stamp first: rows are unchanged, but MVCC publish
             # re-clones only changed-stamp tables, and snapshots must see
-            # the new statistics.  recompute/rebuild stamp to the bumped
-            # value, so the holders come out fresh.
+            # the new statistics.  recompute stamps to the bumped value,
+            # so the stats (and the indexes over them) come out fresh.
             table.mutations += 1
             table.stats.recompute(table, ctx.read_longfield, spatial=True)
-            for index in table.spatial.values():
-                index.rebuild(table, ctx.read_longfield)
             analyzed += table.row_count
         return ResultSet([], [], rowcount=analyzed)
 
@@ -287,7 +251,7 @@ class Executor:
 
     def _execute_insert(self, stmt: Insert, params: list, ctx: ExecutionContext) -> ResultSet:
         table = self.catalog.table(stmt.table)
-        holders = self._fresh_holders(table)
+        fresh = table.stats.fresh(table)
         before = table.row_count
         env = _Env()
         count = 0
@@ -299,9 +263,12 @@ class Executor:
                 # value/column arity was proven to match by the analyzer (QB206)
                 table.insert_named(**dict(zip(stmt.columns, values)))
             count += 1
-        # maintain stats/indexes with the *stored* (coerced) rows
-        inserted = list(itertools.islice(table.scan(), before, None))
-        self._maintain_inserts(table, holders, inserted, ctx)
+        if fresh:
+            # maintain the stats with the *stored* (coerced) rows
+            table.stats.apply_inserts(
+                table, itertools.islice(table.scan(), before, None),
+                ctx.read_longfield,
+            )
         return ResultSet([], [], rowcount=count)
 
     def _execute_create(self, stmt: CreateTable) -> ResultSet:
@@ -319,10 +286,7 @@ class Executor:
             env.bind(table.name, table.schema, row)
             return bool(self._eval(stmt.where, env, params, ctx))
 
-        holders = self._fresh_holders(table)
-        deleted = table.delete_where(matches)
-        self._resync_after_mutation(table, holders, ctx)
-        return ResultSet([], [], rowcount=deleted)
+        return self._resynced(table, lambda: table.delete_where(matches), ctx)
 
     def _execute_update(self, stmt: Update, params: list, ctx: ExecutionContext) -> ResultSet:
         table = self.catalog.table(stmt.table)
@@ -343,10 +307,9 @@ class Executor:
                 new_row[position] = self._eval(expr, env, params, ctx)
             return new_row
 
-        holders = self._fresh_holders(table)
-        updated = table.update_where(matches, apply)
-        self._resync_after_mutation(table, holders, ctx)
-        return ResultSet([], [], rowcount=updated)
+        return self._resynced(
+            table, lambda: table.update_where(matches, apply), ctx
+        )
 
     # -------------------------------------------------------------- #
     # SELECT

@@ -32,7 +32,7 @@ from repro.storage.device import BlockDevice
 from repro.storage.lfm import LongField, LongFieldManager
 from repro.storage.wal import WriteAheadLog
 
-__all__ = ["save_database", "load_database"]
+__all__ = ["save_database", "load_database", "export_catalog", "restore_catalog"]
 
 _FORMAT_VERSION = 1
 _JOURNAL_FILE = "wal.log"
@@ -69,6 +69,60 @@ def _decode_cell(value):
     return value
 
 
+def export_catalog(catalog, tables=None) -> dict:
+    """The catalog image: the one serialized form of a catalog, embedded
+    in ``catalog.json`` and carried by the replica ship stream.
+
+    ``tables`` are the tables whose rows to export (default: every live
+    one; the replica link passes a pinned snapshot's changed tables).
+    """
+    if tables is None:
+        tables = [catalog.table(name) for name in catalog.table_names()]
+    image: dict = {
+        "tables": [
+            {
+                "name": table.name,
+                "columns": [[c.name, c.sql_type.value] for c in table.schema.columns],
+                "rows": [[_encode_cell(v) for v in row] for row in table.scan()],
+            }
+            for table in tables
+        ]
+    }
+    spatial = catalog.spatial_index_defs()
+    if spatial:
+        image["spatial_indexes"] = [
+            {"name": name, "table": table, "column": column}
+            for name, table, column in spatial
+        ]
+    if any(catalog.table(n).stats.spatial_enabled for n in catalog.table_names()):
+        image["analyzed"] = True
+    return image
+
+
+def restore_catalog(db: Database, image: dict) -> None:
+    """Load a catalog image into an empty database and publish it.
+
+    Indexes and statistics are derived state: they are re-derived through
+    the SQL layer (the executor owns payload reads), not serialized.
+    """
+    for spec in image["tables"]:
+        columns = [Column(name, SqlType(type_name)) for name, type_name in spec["columns"]]
+        table = db.catalog.create_table(TableSchema(spec["name"], columns))
+        for row in spec["rows"]:
+            table.insert([_decode_cell(v) for v in row])
+    for spec in image.get("spatial_indexes", ()):
+        db.execute(
+            f"create spatial index {spec['name']} "
+            f"on {spec['table']} ({spec['column']})"
+        )
+    if image.get("analyzed"):
+        db.execute("analyze")
+    # The rows above were loaded outside the SQL layer; publish once so
+    # readers start on the lock-free snapshot path instead of falling
+    # back to the read lock forever.
+    db.publish_snapshot()
+
+
 def save_database(db: Database, path: str | Path) -> Path:
     """Persist a database (catalog + device) into a directory.
 
@@ -87,16 +141,6 @@ def save_database(db: Database, path: str | Path) -> Path:
     path.mkdir(parents=True, exist_ok=True)
     wal = _find_wal(db.lfm.device)
     db.lfm.device.dump(path / "device.img")
-    tables = []
-    for name in db.table_names():
-        table = db.catalog.table(name)
-        tables.append(
-            {
-                "name": table.name,
-                "columns": [[c.name, c.sql_type.value] for c in table.schema.columns],
-                "rows": [[_encode_cell(v) for v in row] for row in table.scan()],
-            }
-        )
     meta = {
         "version": _FORMAT_VERSION,
         "device": {
@@ -104,16 +148,8 @@ def save_database(db: Database, path: str | Path) -> Path:
             "page_size": db.lfm.device.page_size,
         },
         "lfm": db.lfm.export_state(),
-        "tables": tables,
+        **export_catalog(db.catalog),
     }
-    spatial = db.catalog.spatial_index_defs()
-    if spatial:
-        meta["spatial_indexes"] = [
-            {"name": name, "table": table, "column": column}
-            for name, table, column in spatial
-        ]
-    if any(db.catalog.table(n).stats.spatial_enabled for n in db.table_names()):
-        meta["analyzed"] = True
     if wal is not None:
         # Persist the txn-id floor: on reload, recovery rejects any journal
         # record older than this even if the journal's own checkpoint
@@ -201,23 +237,5 @@ def load_database(
         device = waldev
     lfm = LongFieldManager.restore(device, lfm_state)
     db = Database(lfm=lfm)
-    for spec in meta["tables"]:
-        columns = [Column(name, SqlType(type_name)) for name, type_name in spec["columns"]]
-        table = db.catalog.create_table(TableSchema(spec["name"], columns))
-        for row in spec["rows"]:
-            table.insert([_decode_cell(v) for v in row])
-    # Indexes and statistics are derived state: re-derive them through the
-    # SQL layer (the executor owns payload reads) instead of serializing
-    # the structures themselves.
-    for spec in meta.get("spatial_indexes", ()):
-        db.execute(
-            f"create spatial index {spec['name']} "
-            f"on {spec['table']} ({spec['column']})"
-        )
-    if meta.get("analyzed"):
-        db.execute("analyze")
-    # The rows above were loaded outside the SQL layer; publish once so
-    # readers start on the lock-free snapshot path instead of falling
-    # back to the read lock forever.
-    db.publish_snapshot()
+    restore_catalog(db, meta)
     return db

@@ -1,33 +1,34 @@
 """Catalog-resident statistics and spatial indexes (the optimizer's food).
 
-Two structures live here, both hanging off :class:`~repro.db.table.Table`
-and versioned with the MVCC snapshot they were captured under:
+Both hang off :class:`~repro.db.table.Table` and are versioned with the
+MVCC snapshot they were captured under:
 
 * :class:`TableStats` — per-column statistics.  Scalar columns keep exact
   value counters (the tables are small metadata relations; a counter *is*
-  the histogram).  LONGFIELD columns additionally keep per-distinct-region
-  spatial metadata — bounding box, run count, voxel count, payload size,
-  Hilbert packing key — once ``ANALYZE`` has paid the one-time cost of
-  reading each region payload.  DML maintains everything incrementally;
-  a from-scratch ``ANALYZE`` must always reproduce the incremental state
+  the histogram).  A LONGFIELD column that has a spatial index, or whose
+  table was ``ANALYZE``d, keeps a **region-cell directory**: per distinct
+  stored value its :class:`RegionCellStats` (bounding box, run count,
+  voxel count, payload size, Hilbert packing key) and the rows holding
+  it — the only place a stored REGION payload is read and parsed, once
+  per distinct value.  DML maintains everything incrementally; a
+  from-scratch ``ANALYZE`` must always reproduce the incremental state
   (tests/test_stats_properties.py holds the engine to that).
 
-* :class:`SpatialIndex` — a named index over one LONGFIELD column: rows
-  bucketed by distinct region value under a Hilbert-packed
-  :class:`~repro.regions.rtree.RegionRTree` over those values' bounding
-  boxes.  ``probe(lower, upper)`` returns candidate rows whose region MBR
-  overlaps the box; the caller re-checks the exact predicate, so false
-  positives cost time, never correctness.
+* :class:`SpatialIndex` — a named Hilbert-packed
+  :class:`~repro.regions.rtree.RegionRTree` over the bounding boxes of
+  one column's directory cells.  ``probe(lower, upper)`` returns the rows
+  of every cell whose MBR overlaps the box; the caller re-checks the
+  exact predicate, so false positives cost time, never correctness.
 
-Freshness is stamp-based: both structures record the owning table's
-``(uid, mutations)`` after maintenance.  Any mutation that bypassed
-maintenance (direct ``Table`` pokes, crash-recovery reload) leaves the
-stamp behind, the planner sees ``fresh() == False`` and falls back to
-default selectivities and plain scans, and the next ``ANALYZE`` repairs
-everything.  Mutable state is guarded by a per-structure lock ranked
-below every storage-layer lock — region payloads are always parsed
-*before* the lock is taken, so stats maintenance never holds its lock
-across LFM reads.
+Freshness is one stamp: the stats record the owning table's
+``(uid, mutations)`` after maintenance, and an index is fresh when they
+are.  Any mutation that bypassed maintenance (direct ``Table`` pokes,
+crash-recovery reload) leaves the stamp behind, the planner sees
+``fresh() == False`` and falls back to default selectivities and plain
+scans, and the next ``ANALYZE`` repairs everything.  Mutable state is
+guarded by the stats' lock, ranked below every storage-layer lock —
+region payloads are always parsed *before* it is taken, so maintenance
+never holds it across LFM reads.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from dataclasses import dataclass
 from repro.concurrency import lockdep
 from repro.db.schema import TableSchema
 from repro.db.types import SqlType
-from repro.errors import CatalogError, ValidationError
 from repro.regions.region import Region
 from repro.regions.rtree import RegionRTree, RTreeEntry, hilbert_sort_key
 
@@ -103,33 +103,50 @@ def region_cell_stats(data: bytes) -> RegionCellStats | None:
     )
 
 
+#: parse outcome of a payload that is not a region
+_FAILED = object()
+
+
+def _cells(column: "_SpatialColumn | None") -> dict:
+    """A directory's cells; a column never collected has none."""
+    return column.cells if column is not None else {}
+
+
 class _SpatialColumn:
-    """Mutable spatial accounting of one LONGFIELD column.
+    """The region-cell directory of one LONGFIELD column.
 
     ``cells`` maps each distinct stored cell value (a LongField handle or
     a bytes payload — both hashable) to its immutable
-    :class:`RegionCellStats`; ``counts`` is the per-cell row refcount.
+    :class:`RegionCellStats` (None for an empty region); ``rows`` holds,
+    per non-empty cell, the table rows storing it — what a probe returns.
     Aggregates (bounding box, run totals, histogram) are derived from the
     cells on demand: distinct-region populations are small, and deriving
     instead of tracking makes incremental == recomputed true by
     construction.
     """
 
-    __slots__ = ("cells", "counts", "empty_rows", "failed")
+    __slots__ = ("cells", "rows", "empty_rows", "failed")
 
     def __init__(self):
         self.cells: dict = {}
-        self.counts: Counter = Counter()
+        self.rows: dict = {}
         #: rows holding an empty region (no box; still counted rows)
         self.empty_rows = 0
-        #: payloads that failed to parse as regions; the column's spatial
-        #: stats are unusable until the next ANALYZE after they are gone
-        self.failed = 0
+        #: a stored payload is not a region: the column is neither read
+        #: nor usable until a recompute finds the offending rows gone
+        self.failed = False
+
+    @property
+    def counts(self) -> Counter:
+        """Per-cell row counts (non-empty cells only)."""
+        return Counter({value: len(rows) for value, rows in self.rows.items()})
 
     def copy(self) -> "_SpatialColumn":
+        """A clone for MVCC snapshots: inserts append to the row lists in
+        place, so those are copied; the cell metadata is immutable."""
         clone = _SpatialColumn()
         clone.cells = dict(self.cells)
-        clone.counts = Counter(self.counts)
+        clone.rows = {value: list(rows) for value, rows in self.rows.items()}
         clone.empty_rows = self.empty_rows
         clone.failed = self.failed
         return clone
@@ -138,10 +155,11 @@ class _SpatialColumn:
 class TableStats:
     """Per-column statistics of one table, incrementally maintained.
 
-    Scalar columns are tracked from table creation (pure CPU); spatial
-    (LONGFIELD) metadata starts with the first ``ANALYZE``, which pays
-    one region-payload read per distinct cell value.  All mutation goes
-    through ``apply_*``/``recompute`` under the internal lock; region
+    Scalar columns are tracked from table creation (pure CPU); a
+    LONGFIELD column's directory starts with the first ``CREATE SPATIAL
+    INDEX`` on it or ``ANALYZE`` of the table, at one region-payload read
+    per distinct cell value.  All mutation goes through
+    ``apply_inserts``/``recompute`` under the internal lock; region
     payload parsing always happens before the lock is taken.
     """
 
@@ -163,10 +181,11 @@ class TableStats:
         #: per-position NULL counts
         #: guarded_by: _lock
         self._nulls: list[int] = [0] * len(schema)
-        #: True once ANALYZE has collected region metadata
+        #: True once ANALYZE ran: every LONGFIELD column is collected and
+        #: the spatial estimators answer
         #: guarded_by: _lock
         self.spatial_enabled = False
-        #: per-position spatial accounting (LONGFIELD positions only)
+        #: per-position region-cell directory (collected positions only)
         #: guarded_by: _lock
         self._spatial: dict[int, _SpatialColumn] = {}
 
@@ -205,125 +224,132 @@ class TableStats:
     # maintenance
     # -------------------------------------------------------------- #
 
-    def _longfield_positions(self) -> list[int]:
+    def _collected(self, table, analyzed: bool) -> list[int]:
+        """The LONGFIELD positions whose directory is kept: all of them
+        once the table was ANALYZEd, else the spatially indexed ones."""
+        indexed = {index.position for index in table.spatial.values()}
         return [
             i for i, c in enumerate(self.schema.columns)
-            if c.sql_type is SqlType.LONGFIELD
+            if c.sql_type is SqlType.LONGFIELD and (analyzed or i in indexed)
         ]
 
-    def _prepare_cells(self, rows, reader) -> dict[tuple[int, object], object]:
-        """Parse the region metadata new rows need, without the lock.
+    @staticmethod
+    def _resolve_cells(rows, known, reader) -> dict[tuple[int, object], object]:
+        """Region metadata of every cell ``rows`` store, without the lock.
 
-        ``reader(value) -> bytes`` dereferences a LONGFIELD cell (the
+        ``known`` maps each position to read to the cells already parsed
+        for it; only never-seen values are dereferenced — this is the one
+        place a stored payload is read (``reader(value) -> bytes`` is the
         execution context's ``read_longfield``).  Returns a map from
         ``(position, cell value)`` to :class:`RegionCellStats`, None (an
-        empty region), or the string ``"failed"``.
+        empty region) or ``_FAILED``; a column is not read past its first
+        payload that is not a region.
         """
-        needed: dict[tuple[int, object], object] = {}
-        positions = self._longfield_positions()
-        if not positions:
-            return needed
-        with self._lock:
-            known = {pos: set(self._spatial[pos].cells) if pos in self._spatial
-                     else set() for pos in positions}
+        resolved: dict[tuple[int, object], object] = {}
+        for pos, cells in known.items():
+            for row in rows:
+                value = row[pos]
+                if value is None or (pos, value) in resolved:
+                    continue
+                if value in cells:
+                    resolved[(pos, value)] = cells[value]
+                    continue
+                try:
+                    resolved[(pos, value)] = region_cell_stats(reader(value))
+                except Exception:  # qblint: disable=no-broad-except
+                    resolved[(pos, value)] = _FAILED
+                    break
+        return resolved
+
+    def _fold_locked(self, rows, collected, resolved) -> set[int]:
+        """Account ``rows``; ``_lock`` must be held.  Returns the
+        positions whose directory gained a cell."""
+        grown: set[int] = set()
+        self.row_total += len(rows)
         for row in rows:
-            for pos in positions:
+            for pos, value in enumerate(row):
+                if value is None:
+                    self._nulls[pos] += 1
+                elif self._values[pos] is not None:
+                    self._values[pos][value] += 1
+            for pos in collected:
                 value = row[pos]
                 if value is None:
                     continue
-                key = (pos, value)
-                if key in needed or value in known[pos]:
+                column = self._spatial.setdefault(pos, _SpatialColumn())
+                if column.failed:
                     continue
-                try:
-                    needed[key] = region_cell_stats(reader(value))
-                except Exception:  # qblint: disable=no-broad-except
-                    needed[key] = "failed"
-        return needed
-
-    def apply_inserts(self, rows, reader) -> None:
-        """Fold newly inserted (already validated) rows into the stats."""
-        rows = [list(r) for r in rows]
-        parsed = self._prepare_cells(rows, reader) if self.spatial_enabled else {}
-        with self._lock:
-            self.row_total += len(rows)
-            for row in rows:
-                for pos, value in enumerate(row):
-                    if value is None:
-                        self._nulls[pos] += 1
+                if value not in column.cells:
+                    meta = resolved.get((pos, value), _FAILED)
+                    if meta is _FAILED:
+                        column.failed = True
                         continue
-                    counter = self._values[pos]
-                    if counter is not None:
-                        counter[value] += 1
-                if self.spatial_enabled:
-                    self._fold_spatial_row_locked(row, parsed)
+                    column.cells[value] = meta
+                    grown.add(pos)
+                if column.cells[value] is None:
+                    column.empty_rows += 1
+                else:
+                    column.rows.setdefault(value, []).append(row)
+        return grown
 
-    def _fold_spatial_row_locked(self, row, parsed) -> None:
-        """Account one row's LONGFIELD cells; ``_lock`` must be held."""
-        for pos in self._longfield_positions():
-            value = row[pos]
-            if value is None:
-                continue
-            column = self._spatial.setdefault(pos, _SpatialColumn())
-            if value not in column.cells:
-                meta = parsed.get((pos, value), "failed")
-                if meta == "failed":
-                    column.failed += 1
-                    continue
-                column.cells[value] = meta  # None for empty regions
-            meta = column.cells[value]
-            if meta is None:
-                column.empty_rows += 1
-            else:
-                column.counts[value] += 1
+    def _finish_locked(self, table, repack) -> None:
+        """Re-pack the trees over ``repack`` (the positions whose cell set
+        changed) and stamp the stats; ``_lock`` held.  Indexes that read
+        another ``TableStats`` — ``self`` is a scratch copy recomputed
+        beside the table's own — are left alone."""
+        for index in table.spatial.values():
+            if index._stats is self and (
+                    index.position in repack or index._tree is None):
+                index.pack(self._spatial.get(index.position))
+        self.stamp = (table.uid, table.mutations)
+
+    def apply_inserts(self, table, rows, reader) -> None:
+        """Fold newly inserted (stored, already coerced) rows into the
+        stats and stamp them to the table's state."""
+        rows = list(rows)
+        with self._lock:
+            collected = self._collected(table, self.spatial_enabled)
+            known = {}
+            for pos in collected:
+                column = self._spatial.get(pos)
+                if column is None or not column.failed:
+                    known[pos] = _cells(column)
+        resolved = self._resolve_cells(rows, known, reader)
+        with self._lock:
+            grown = self._fold_locked(rows, collected, resolved)
+            self._finish_locked(table, grown)
 
     def recompute(self, table, reader, spatial: bool | None = None) -> None:
         """Rebuild everything from the table's current rows (= ANALYZE).
 
-        ``spatial=True`` (the ANALYZE path) enables region metadata;
-        ``None`` keeps the current setting (the resync-after-DML path).
-        Previously parsed cells are reused as a cache, so a resync only
-        reads payloads for never-seen region values.
+        ``spatial=True`` (the ANALYZE path) collects every LONGFIELD
+        column; ``None`` keeps the current setting (the resync-after-DML
+        and CREATE SPATIAL INDEX paths).  Previously parsed cells are
+        reused as a cache, so only never-seen region values are read.
         """
-        rows = [list(r) for r in table.scan()]
+        rows = list(table.scan())
         with self._lock:
-            do_spatial = self.spatial_enabled if spatial is None else spatial
-            cache = {
-                pos: dict(col.cells) for pos, col in self._spatial.items()
-            }
-        parsed: dict[tuple[int, object], object] = {}
-        if do_spatial:
-            for pos, cells in cache.items():
-                for value, meta in cells.items():
-                    parsed[(pos, value)] = meta
-            for row in rows:
-                for pos in self._longfield_positions():
-                    value = row[pos]
-                    if value is None or (pos, value) in parsed:
-                        continue
-                    try:
-                        parsed[(pos, value)] = region_cell_stats(reader(value))
-                    except Exception:  # qblint: disable=no-broad-except
-                        parsed[(pos, value)] = "failed"
+            analyzed = self.spatial_enabled if spatial is None else spatial
+            old = self._spatial
+        collected = self._collected(table, analyzed)
+        resolved = self._resolve_cells(
+            rows, {pos: _cells(old.get(pos)) for pos in collected}, reader
+        )
         with self._lock:
-            self.row_total = len(rows)
+            self.row_total = 0
             self._values = [
                 None if c.sql_type is SqlType.LONGFIELD else Counter()
                 for c in self.schema.columns
             ]
             self._nulls = [0] * len(self.schema)
-            self.spatial_enabled = do_spatial
+            self.spatial_enabled = analyzed
             self._spatial = {}
-            for row in rows:
-                for pos, value in enumerate(row):
-                    if value is None:
-                        self._nulls[pos] += 1
-                        continue
-                    counter = self._values[pos]
-                    if counter is not None:
-                        counter[value] += 1
-                if do_spatial:
-                    self._fold_spatial_row_locked(row, parsed)
-            self.stamp = (table.uid, table.mutations)
+            self._fold_locked(rows, collected, resolved)
+            self._finish_locked(table, {
+                pos for pos in collected
+                if _cells(old.get(pos)).keys()
+                != _cells(self._spatial.get(pos)).keys()
+            })
 
     # -------------------------------------------------------------- #
     # estimator accessors (read-only; tolerate concurrent staleness)
@@ -385,14 +411,16 @@ class TableStats:
     def region_rows(self, position: int) -> int:
         """Rows with a non-empty region in one LONGFIELD column."""
         column = self.spatial_column(position)
-        return sum(column.counts.values()) if column is not None else 0
+        if column is None:
+            return 0
+        return sum(len(rows) for rows in column.rows.values())
 
     def bounding_box(self, position: int):
         """Union bounding box over one column's regions, or None."""
         column = self.spatial_column(position)
         if column is None:
             return None
-        boxes = [column.cells[v] for v, n in column.counts.items() if n]
+        boxes = [column.cells[v] for v in column.rows]
         if not boxes:
             return None
         ndim = len(boxes[0].lower)
@@ -405,7 +433,9 @@ class TableStats:
         column = self.spatial_column(position)
         if column is None:
             return 0
-        return sum(column.cells[v].runs * n for v, n in column.counts.items())
+        return sum(
+            column.cells[v].runs * len(rows) for v, rows in column.rows.items()
+        )
 
     def run_histogram(self, position: int) -> Counter:
         """log2 run-count histogram (bucket -> rows) for one column."""
@@ -413,9 +443,8 @@ class TableStats:
         column = self.spatial_column(position)
         if column is None:
             return histogram
-        for value, n in column.counts.items():
-            if n:
-                histogram[run_count_bucket(column.cells[value].runs)] += n
+        for value, rows in column.rows.items():
+            histogram[run_count_bucket(column.cells[value].runs)] += len(rows)
         if column.empty_rows:
             histogram[run_count_bucket(0)] += column.empty_rows
         return histogram
@@ -425,11 +454,11 @@ class TableStats:
         column = self.spatial_column(position)
         if column is None:
             return None
-        rows = sum(column.counts.values())
-        if not rows:
-            return None
-        pages = sum(column.cells[v].pages * n for v, n in column.counts.items())
-        return pages / rows
+        rows = pages = 0
+        for value, held in column.rows.items():
+            rows += len(held)
+            pages += column.cells[value].pages * len(held)
+        return pages / rows if rows else None
 
     def __repr__(self) -> str:
         return (f"TableStats({self.schema.table_name}, {self.row_total} rows, "
@@ -439,49 +468,53 @@ class TableStats:
 class SpatialIndex:
     """A Hilbert-packed R-tree index over one LONGFIELD column.
 
-    Rows are bucketed by distinct cell value; the tree indexes the
-    distinct values' bounding boxes.  A probe descends the tree and
-    concatenates the matching buckets — candidates only, the caller
-    re-evaluates the exact predicate.  The tree is rebuilt wholesale
-    whenever the set of distinct cells changes (cheap at QBISM scale);
-    bucket edits alone reuse it.
+    The index owns only the tree; the cells it packs and the rows a probe
+    returns are the column's directory in the table's :class:`TableStats`,
+    which re-packs the tree (under its lock) whenever the set of distinct
+    cells changes — cheap at QBISM scale; row edits alone reuse it.  A
+    probe descends the tree and concatenates the matching cells' rows —
+    candidates only, the caller re-evaluates the exact predicate.
     """
 
-    def __init__(self, name: str, table_name: str, column: str,
-                 position: int):
+    def __init__(self, name: str, table, column: str):
         self.name = name
-        self.table_name = table_name
+        self.table_name = table.name
         self.column = column
-        self.position = position
-        self._lock = lockdep.instrument(threading.Lock(), "db.index")
-        #: identity stamp of the table state the index reflects
-        #: guarded_by: _lock
-        self.stamp: tuple[int, int] | None = None
-        #: distinct cell value -> RegionCellStats
-        #: guarded_by: _lock
-        self._cells: dict = {}
-        #: distinct cell value -> rows holding it
-        #: guarded_by: _lock
-        self._buckets: dict = {}
-        #: packed tree over _cells (rebuilt when the cell set changes)
-        #: guarded_by: _lock
+        self.position = table.schema.position(column)
+        self._stats: TableStats = table.stats
+        #: packed tree over the directory's non-empty cells (immutable;
+        #: replaced wholesale by the stats' maintenance, None until then)
         self._tree: RegionRTree | None = None
-        #: True when a stored payload failed to parse; probes disabled
-        #: guarded_by: _lock
-        self.failed = False
-        #: rows whose cell is NULL — the planner refuses to probe then,
-        #: because a probe would skip rows the exact predicate would have
-        #: raised on, changing observable behavior
-        #: guarded_by: _lock
-        self.null_rows = 0
 
-    # -------------------------------------------------------------- #
-    # freshness / snapshots
-    # -------------------------------------------------------------- #
+    def snapshot(self, table) -> "SpatialIndex":
+        """This index over an MVCC snapshot of its table: the clone reads
+        the snapshot's directory and shares the immutable tree."""
+        clone = SpatialIndex(self.name, table, self.column)
+        clone._tree = self._tree
+        return clone
+
+    def pack(self, column: _SpatialColumn | None) -> None:
+        """Re-pack the tree over a directory's cells (stats lock held)."""
+        self._tree = RegionRTree(
+            meta.entry(value) for value, meta in _cells(column).items()
+            if meta is not None  # empty regions are not indexed
+        )
+
+    def _directory(self) -> _SpatialColumn | None:
+        return self._stats._spatial.get(self.position)
 
     def fresh(self, table) -> bool:
         """Does the index still reflect the live table state?"""
-        return not self.failed and self.stamp == (table.uid, table.mutations)
+        column = self._directory()
+        return (self._tree is not None and self._stats.fresh(table)
+                and not (column is not None and column.failed))
+
+    @property
+    def null_rows(self) -> int:
+        """Rows whose cell is NULL — the planner refuses to probe then,
+        because a probe would skip rows the exact predicate would have
+        raised on, changing observable behavior."""
+        return self._stats.null_count(self.position)
 
     def probe_safe(self, table) -> bool:
         """May the planner substitute a probe for a full scan?
@@ -491,131 +524,20 @@ class SpatialIndex:
         """
         return self.fresh(table) and self.null_rows == 0
 
-    def snapshot(self) -> "SpatialIndex":
-        """An independent clone for MVCC snapshots (same stamp).
-
-        Bucket lists are copied (inserts append in place); cell metadata
-        and the packed tree are immutable and shared.
-        """
-        clone = SpatialIndex.__new__(SpatialIndex)
-        clone.name = self.name
-        clone.table_name = self.table_name
-        clone.column = self.column
-        clone.position = self.position
-        clone._lock = lockdep.instrument(threading.Lock(), "db.index")
-        with self._lock:
-            clone.stamp = self.stamp
-            clone._cells = dict(self._cells)
-            clone._buckets = {k: list(v) for k, v in self._buckets.items()}
-            clone._tree = self._tree
-            clone.failed = self.failed
-            clone.null_rows = self.null_rows
-        return clone
-
-    # -------------------------------------------------------------- #
-    # maintenance
-    # -------------------------------------------------------------- #
-
-    def _parse_new_cells(self, rows, reader) -> dict:
-        """Region metadata for cells not yet indexed; no lock held."""
-        with self._lock:
-            known = set(self._cells)
-        parsed: dict = {}
-        for row in rows:
-            value = row[self.position]
-            if value is None or value in known or value in parsed:
-                continue
-            try:
-                parsed[value] = region_cell_stats(reader(value))
-            except Exception:  # qblint: disable=no-broad-except
-                parsed[value] = "failed"
-        return parsed
-
-    def rebuild(self, table, reader) -> None:
-        """Re-index the table's current rows from scratch (cells cached)."""
-        rows = [list(r) for r in table.scan()]
-        parsed = self._parse_new_cells(rows, reader)
-        with self._lock:
-            cells = dict(self._cells)
-            for value, meta in parsed.items():
-                if meta == "failed":
-                    self.failed = True
-                elif meta is not None:  # empty regions are not indexed
-                    cells[value] = meta
-            buckets: dict = {}
-            live_cells: dict = {}
-            self.null_rows = 0
-            for row in rows:
-                value = row[self.position]
-                if value is None:
-                    self.null_rows += 1
-                    continue
-                if parsed.get(value) == "failed":
-                    self.failed = True
-                    continue
-                meta = cells.get(value)
-                if meta is None:
-                    continue
-                live_cells[value] = meta
-                buckets.setdefault(value, []).append(row)
-            self._cells = live_cells
-            self._buckets = buckets
-            self._tree = RegionRTree(
-                meta.entry(value) for value, meta in live_cells.items()
-            )
-            self.stamp = (table.uid, table.mutations)
-
-    def apply_inserts(self, rows, reader) -> None:
-        """Fold newly inserted rows into the index (tree rebuilt only
-        when a never-seen region value appears)."""
-        rows = [list(r) for r in rows]
-        parsed = self._parse_new_cells(rows, reader)
-        with self._lock:
-            new_cells = False
-            for value, meta in parsed.items():
-                if meta == "failed":
-                    self.failed = True
-                elif meta is not None:
-                    self._cells[value] = meta
-                    new_cells = True
-            for row in rows:
-                value = row[self.position]
-                if value is None:
-                    self.null_rows += 1
-                    continue
-                if value not in self._cells:
-                    continue
-                self._buckets.setdefault(value, []).append(row)
-            if new_cells:
-                self._tree = RegionRTree(
-                    meta.entry(value) for value, meta in self._cells.items()
-                )
-
-    def restamp(self, table) -> None:
-        """Mark the index as reflecting the table's current state."""
-        with self._lock:
-            self.stamp = (table.uid, table.mutations)
-
-    # -------------------------------------------------------------- #
-    # probes
-    # -------------------------------------------------------------- #
-
     def probe(self, lower, upper) -> list:
         """Candidate rows whose region MBR overlaps the half-open box."""
-        with self._lock:
-            tree = self._tree
-            buckets = self._buckets
-        if tree is None:
+        tree, column = self._tree, self._directory()
+        if tree is None or column is None:
             return []
         hits: list = []
         for value in tree.search(lower, upper):
-            hits.extend(buckets.get(value, ()))
+            hits.extend(column.rows.get(value, ()))
         return hits
 
     def cell_count(self) -> int:
         """Number of distinct indexed region values."""
-        return len(self._cells)
+        return len(self._tree) if self._tree is not None else 0
 
     def __repr__(self) -> str:
         return (f"SpatialIndex({self.name} on "
-                f"{self.table_name}.{self.column}, {len(self._cells)} cells)")
+                f"{self.table_name}.{self.column}, {self.cell_count()} cells)")

@@ -59,8 +59,9 @@ class Table:
         self._rows: list[list] = []
         #: column position -> {value: [rows]}
         self._indexes: dict[int, dict] = {}
-        #: optimizer statistics; stale (stamp mismatch) until the executor
-        #: maintains them or ANALYZE recomputes them
+        #: optimizer statistics and the region-cell directories the spatial
+        #: indexes read; stale (stamp mismatch) until the executor maintains
+        #: them or ANALYZE recomputes them
         self.stats = TableStats(schema)
         self.stats.restamp(self)
         #: lower-cased column name -> SpatialIndex over that column
@@ -169,10 +170,6 @@ class Table:
             return [row for row in self._rows if row[position] == value]
         return buckets.get(key, [])
 
-    def indexed_columns(self) -> list[str]:
-        """Names of the indexed columns, in schema order."""
-        return [self.schema.columns[p].name for p in sorted(self._indexes)]
-
     def spatial_index_on(self, column: str) -> SpatialIndex | None:
         """The spatial index over ``column``, if one exists."""
         return self.spatial.get(column.lower())
@@ -202,7 +199,7 @@ class Table:
         }
         clone.stats = self.stats.copy()
         clone.spatial = {
-            column: index.snapshot() for column, index in self.spatial.items()
+            column: index.snapshot(clone) for column, index in self.spatial.items()
         }
         return clone
 

@@ -39,6 +39,7 @@ from repro.db.stats import (
 )
 from repro.regions.region import Region
 from repro.regions.rtree import RegionRTree, RTreeEntry
+from repro.storage import BlockDevice, LongFieldManager
 
 GRID_SIDE = 8
 GRID = GridSpec((GRID_SIDE,) * 3)
@@ -260,6 +261,145 @@ class TestSpatialIndexAgainstBruteForce:
         assert not index.probe_safe(table)
         db.execute("delete from blobs where id = ?", [100])
         assert index.probe_safe(table)
+
+
+WHOLE_GRID = ((0, 0, 0), (GRID_SIDE,) * 3)
+
+
+def _stored_db(indexed: bool = True):
+    """An LFM-backed ``blobs`` table (handles, not bytes, in ``region``)."""
+    lfm = LongFieldManager(BlockDevice(8 << 20))
+    db = Database(lfm=lfm)
+    db.execute("create table blobs (id integer, tag text, region longfield)")
+    if indexed:
+        db.execute("create spatial index sxBlobs on blobs (region)")
+    db.execute("analyze")
+    return db, lfm
+
+
+class TestOneRegionDirectory:
+    """The stats' directory is the only reader of stored REGION payloads:
+    the index, the estimators and MVCC snapshots all read it."""
+
+    def test_each_new_payload_is_dereferenced_exactly_once(self):
+        db, lfm = _stored_db()
+        rng = random.Random(14)
+        handles = [lfm.create(_box_region(rng)) for _ in range(12)]
+        for i, handle in enumerate(handles):
+            io = db.execute("insert into blobs values (?, 'x', ?)",
+                            [i, handle]).io
+            assert io.read_calls == 1
+        table = db.catalog.table("blobs")
+        index = table.spatial_index_on("region")
+        assert index.probe_safe(table)
+        assert index.cell_count() == len(set(handles)) == 12
+        assert table.stats.region_rows(2) == 12
+
+    def test_reinserting_a_known_cell_reads_nothing(self):
+        db, lfm = _stored_db()
+        handle = lfm.create(_box_region(random.Random(15)))
+        db.execute("insert into blobs values (0, 'x', ?)", [handle])
+        io = db.execute("insert into blobs values (1, 'x', ?)", [handle]).io
+        assert io.read_calls == 0 and io.pages_read == 0
+        table = db.catalog.table("blobs")
+        assert len(table.spatial_index_on("region").probe(*WHOLE_GRID)) == 2
+
+    def test_pinned_snapshot_probe_does_not_see_later_inserts(self):
+        db, lfm = _stored_db()
+        rng = random.Random(16)
+        known = lfm.create(_box_region(rng))
+        db.execute("insert into blobs values (0, 'x', ?)", [known])
+        live = db.catalog.table("blobs").spatial_index_on("region")
+        with db.read_view() as view:
+            assert view.seq is not None  # a pinned snapshot, not the lock
+            pinned = view.catalog.table("blobs").spatial_index_on("region")
+            # a known cell appends to the live rows only; the tree is shared
+            db.execute("insert into blobs values (1, 'x', ?)", [known])
+            assert pinned._tree is live._tree
+            # a new cell re-packs the live tree; the snapshot keeps its own
+            db.execute("insert into blobs values (2, 'x', ?)",
+                       [lfm.create(_box_region(rng))])
+            assert pinned._tree is not live._tree
+            assert [row[0] for row in pinned.probe(*WHOLE_GRID)] == [0]
+            assert pinned.cell_count() == 1
+        assert sorted(row[0] for row in live.probe(*WHOLE_GRID)) == [0, 1, 2]
+
+    def test_drop_and_recreate_index_on_analyzed_table_reads_nothing(self):
+        db, lfm = _stored_db()
+        rng = random.Random(17)
+        for i in range(6):
+            db.execute("insert into blobs values (?, 'x', ?)",
+                       [i, lfm.create(_box_region(rng))])
+        db.execute("drop index sxBlobs")
+        io = db.execute("create spatial index sxBlobs on blobs (region)").io
+        assert io.read_calls == 0
+        table = db.catalog.table("blobs")
+        index = table.spatial_index_on("region")
+        assert index.probe_safe(table) and index.cell_count() == 6
+        assert len(index.probe(*WHOLE_GRID)) == 6
+
+    def test_index_without_analyze_collects_but_estimators_stay_silent(self):
+        lfm = LongFieldManager(BlockDevice(8 << 20))
+        db = Database(lfm=lfm)
+        db.execute("create table blobs (id integer, tag text, region longfield)")
+        db.execute("create spatial index sxBlobs on blobs (region)")
+        db.execute("insert into blobs values (0, 'x', ?)",
+                   [lfm.create(_box_region(random.Random(18)))])
+        table = db.catalog.table("blobs")
+        assert table.spatial_index_on("region").probe_safe(table)
+        assert len(table.spatial_index_on("region").probe(*WHOLE_GRID)) == 1
+        assert table.stats.spatial_column(2) is None
+        assert table.stats.n_distinct(2) is None
+        assert table.stats.avg_region_pages(2) is None
+
+
+class TestNonRegionLongfieldColumn:
+    """A LONGFIELD column holding something other than regions (a raw
+    volume, a mesh) is marked failed by ANALYZE and never read again."""
+
+    PAYLOAD = b"not a region payload " * 1000  # ~5 pages
+
+    def test_insert_into_failed_column_reads_nothing(self):
+        db, lfm = _stored_db(indexed=False)
+        db.execute("insert into blobs values (0, 'raw', ?)",
+                   [lfm.create(self.PAYLOAD)])
+        db.execute("analyze blobs")
+        io = db.execute("insert into blobs values (1, 'raw', ?)",
+                        [lfm.create(self.PAYLOAD)]).io
+        assert io.pages_read == 0
+        table = db.catalog.table("blobs")
+        assert table.stats.fresh(table)
+        assert table.stats.spatial_column(2) is None
+        assert table.stats.row_total == 2
+
+    def test_analyze_reads_at_most_one_non_region_payload(self):
+        db, lfm = _stored_db(indexed=False)
+        table = db.catalog.table("blobs")
+        for i in range(5):  # behind the executor's back: nothing is parsed
+            table.insert([i, "raw", lfm.create(self.PAYLOAD)])
+        io = db.execute("analyze blobs").io
+        assert io.read_calls <= 1
+        assert table.stats.fresh(table)
+        assert table.stats.spatial_column(2) is None
+
+    def test_deleting_the_offending_rows_clears_the_failure(self):
+        db, lfm = _stored_db()
+        rng = random.Random(19)
+        db.execute("insert into blobs values (0, 'ok', ?)",
+                   [lfm.create(_box_region(rng))])
+        db.execute("insert into blobs values (1, 'raw', ?)",
+                   [lfm.create(self.PAYLOAD)])
+        table = db.catalog.table("blobs")
+        index = table.spatial_index_on("region")
+        assert table.stats.fresh(table) and not index.fresh(table)
+        db.execute("insert into blobs values (2, 'ok', ?)",
+                   [lfm.create(_box_region(rng))])
+        db.execute("delete from blobs where id = 1")
+        assert index.probe_safe(table)
+        assert sorted(r[0] for r in index.probe(*WHOLE_GRID)) == [0, 2]
+        reference = TableStats(table.schema)
+        reference.recompute(table, lfm.read, spatial=True)
+        _assert_stats_equal(table.stats, reference, table)
 
 
 class TestRegionRTreeProperties:
