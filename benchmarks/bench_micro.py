@@ -18,7 +18,7 @@ from repro.volumes import Volume
 
 
 @pytest.fixture(scope="module")
-def coords_128():
+def coords_64():
     side = 64
     axes = [np.arange(side, dtype=np.int64)] * 3
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -34,22 +34,30 @@ def big_sets():
     ]
 
 
-def test_hilbert_index_262k_points(benchmark, coords_128):
+def test_hilbert_index_262k_points(benchmark, coords_64):
     curve = HilbertCurve(3, 6)
-    result = benchmark(curve.index, coords_128)
-    assert result.size == coords_128.shape[0]
+    result = benchmark(curve.index, coords_64)
+    assert result.size == coords_64.shape[0]
 
 
-def test_hilbert_coords_262k_points(benchmark, coords_128):
+def test_hilbert_coords_262k_points(benchmark, coords_64):
     curve = HilbertCurve(3, 6)
     idx = np.arange(curve.length, dtype=np.int64)
     result = benchmark(curve.coords, idx)
     assert result.shape[0] == curve.length
 
 
-def test_morton_index_262k_points(benchmark, coords_128):
+def test_morton_index_262k_points(benchmark, coords_64):
     curve = MortonCurve(3, 6)
-    assert benchmark(curve.index, coords_128).size == coords_128.shape[0]
+    assert benchmark(curve.index, coords_64).size == coords_64.shape[0]
+
+
+def test_hilbert_table_build_64_cubed(benchmark):
+    """The kernel over the whole cube: what the first transform on a curve
+    pays once, so that the ``index``/``coords`` calls above are gathers."""
+    curve = HilbertCurve(3, 6)
+    idx = np.arange(curve.length, dtype=np.int64)
+    assert benchmark(curve._coords_kernel, idx).shape == (curve.length, 3)
 
 
 def test_five_way_intersection_1m_runs(benchmark, big_sets):

@@ -8,18 +8,31 @@ it to linearize VOLUMEs (store intensities in curve order) and REGIONs
 
 All conversions are vectorized: coordinates are ``(n, ndim)`` integer arrays
 and curve indices are ``(n,)`` ``int64`` arrays.
+
+A conversion is one gather through a per-curve table.  Each subclass
+supplies the two bit-loop *kernels*; the first transform on a
+``(class, ndim, bits)`` runs the ``coords`` kernel once over the whole cube
+and keeps the result as :class:`CurveTables` (timings in
+:mod:`repro.curves.hilbert`).  Curves longer than :data:`TABLE_MAX_LENGTH`
+run the kernel on every call.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import GridMismatchError, ValidationError
 
-__all__ = ["GridSpec", "SpaceFillingCurve"]
+__all__ = ["GridSpec", "SpaceFillingCurve", "CurveTables", "TABLE_MAX_LENGTH"]
+
+#: Longest curve answered from a table: the paper's 128^3 atlas (14 MB of
+#: tables).  A constant, not an option: the choice follows from the curve's
+#: own length, and a 256^3 pair would pin 112 MB for every curve touched.
+TABLE_MAX_LENGTH = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -71,9 +84,10 @@ class GridSpec:
 
         Space-filling curves are defined on ``2^bits`` cubes; a grid that is
         not a power-of-two cube is embedded in the smallest one that contains
-        it (positions outside the grid are simply never produced).
+        it (positions outside the grid are simply never produced).  Never
+        below 1: a single-voxel grid sits in the 2-cube.
         """
-        return max(int(s - 1).bit_length() for s in self.shape)
+        return max(1, *(int(s - 1).bit_length() for s in self.shape))
 
     @property
     def is_cube(self) -> bool:
@@ -105,13 +119,43 @@ class GridSpec:
         return coords * np.asarray(self.spacing) + np.asarray(self.origin)
 
 
+class CurveTables(NamedTuple):
+    """Both directions of one curve over its whole cube, read-only.
+
+    Stored in the narrowest unsigned dtypes that fit (1.8 MB at 64^3).
+    """
+
+    #: ``(length, ndim)``: the coordinates of each curve position
+    coords_of: np.ndarray
+    #: ``(length,)``: the curve position of each C-order cube offset
+    position_of: np.ndarray
+
+
+#: (curve class, ndim, bits) -> tables.  Entries are immutable and published
+#: with ``dict.setdefault``: threads racing the first use may each run the
+#: kernel, but every one of them keeps the pair that landed, so no lock.
+_TABLES: dict[tuple[type, int, int], CurveTables] = {}
+
+
+def _integer_array(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` as C-contiguous int64; non-integer input is an error, not truncated."""
+    try:
+        values = np.asarray(values)
+    except ValueError as exc:  # ragged nested sequences
+        raise ValidationError(f"{what} must form a regular integer array: {exc}") from None
+    if values.size and values.dtype.kind not in "iu":
+        raise ValidationError(f"{what} must be integers, got dtype {values.dtype}")
+    return np.ascontiguousarray(values, dtype=np.int64)
+
+
 class SpaceFillingCurve(ABC):
     """A bijection between grid coordinates and 1-D curve positions.
 
-    Subclasses implement the two directions for a whole batch of points at a
-    time.  A curve instance is bound to a dimensionality and a bit depth so
-    instances can be compared for compatibility (two REGIONs can only be
-    intersected when their runs live on the same curve).
+    Subclasses implement the two directions as kernels over a whole batch
+    of points; :meth:`index` and :meth:`coords` answer from the tables the
+    ``coords`` kernel builds.  A curve instance is bound to a dimensionality
+    and a bit depth so instances can be compared for compatibility (two
+    REGIONs can only be intersected when their runs live on the same curve).
     """
 
     #: short name used in reports and codec headers, e.g. ``"hilbert"``
@@ -140,23 +184,65 @@ class SpaceFillingCurve(ABC):
         return 1 << self.bits
 
     @abstractmethod
-    def index(self, coords: np.ndarray) -> np.ndarray:
-        """Map ``(n, ndim)`` integer coordinates to ``(n,)`` int64 curve positions."""
+    def _index_kernel(self, coords: np.ndarray) -> np.ndarray:
+        """:meth:`index` by bit manipulation, for validated ``(n, ndim)`` int64 input."""
 
     @abstractmethod
+    def _coords_kernel(self, index: np.ndarray) -> np.ndarray:
+        """:meth:`coords` by bit manipulation, for validated ``(n,)`` int64 input."""
+
+    def tables(self) -> CurveTables:
+        """The curve over its whole cube: one ``coords`` kernel pass.
+
+        Shared by every instance of this ``(class, ndim, bits)`` up to
+        :data:`TABLE_MAX_LENGTH`; a longer curve gets a fresh pair per call.
+        """
+        key = (type(self), self.ndim, self.bits)
+        tables = _TABLES.get(key)
+        if tables is None:
+            positions = np.arange(self.length, dtype=np.int64)
+            coords = self._coords_kernel(positions)
+            coords_of = coords.astype(np.min_scalar_type(self.side - 1))
+            position_of = np.empty(self.length, np.min_scalar_type(self.length - 1))
+            position_of[self._cube_offsets(coords)] = positions
+            coords_of.setflags(write=False)
+            position_of.setflags(write=False)
+            tables = CurveTables(coords_of, position_of)
+            if self.length <= TABLE_MAX_LENGTH:
+                tables = _TABLES.setdefault(key, tables)
+        return tables
+
+    def _cube_offsets(self, coords: np.ndarray) -> np.ndarray:
+        """C-order offsets in the ``side^ndim`` cube of ``(n, ndim)`` int64 coordinates."""
+        offsets = coords[:, 0]
+        for axis in range(1, self.ndim):
+            offsets = (offsets << self.bits) | coords[:, axis]
+        return offsets
+
+    def index(self, coords: np.ndarray) -> np.ndarray:
+        """Map ``(n, ndim)`` integer coordinates to ``(n,)`` int64 curve positions."""
+        coords = self._validate_coords(coords)
+        if self.length > TABLE_MAX_LENGTH:
+            return self._index_kernel(coords)
+        return np.take(self.tables().position_of, self._cube_offsets(coords)).astype(np.int64)
+
     def coords(self, index: np.ndarray) -> np.ndarray:
         """Map ``(n,)`` curve positions back to ``(n, ndim)`` int64 coordinates."""
+        index = self._validate_index(index)
+        if self.length > TABLE_MAX_LENGTH:
+            return self._coords_kernel(index)
+        return np.take(self.tables().coords_of, index, axis=0).astype(np.int64)
 
     def index_point(self, *coords: int) -> int:
         """Scalar convenience wrapper around :meth:`index`."""
-        return int(self.index(np.asarray([coords], dtype=np.int64))[0])
+        return int(self.index([coords])[0])
 
     def coords_point(self, index: int) -> tuple[int, ...]:
         """Scalar convenience wrapper around :meth:`coords`."""
-        return tuple(int(c) for c in self.coords(np.asarray([index], dtype=np.int64))[0])
+        return tuple(int(c) for c in self.coords([index])[0])
 
     def _validate_coords(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.ascontiguousarray(coords, dtype=np.int64)
+        coords = _integer_array(coords, "coordinates")
         if coords.ndim != 2 or coords.shape[1] != self.ndim:
             raise ValidationError(
                 f"expected (n, {self.ndim}) coordinate array, got shape {coords.shape}"
@@ -168,7 +254,7 @@ class SpaceFillingCurve(ABC):
         return coords
 
     def _validate_index(self, index: np.ndarray) -> np.ndarray:
-        index = np.ascontiguousarray(index, dtype=np.int64)
+        index = _integer_array(index, "curve positions")
         if index.ndim != 1:
             raise ValidationError(f"expected 1-D index array, got shape {index.shape}")
         if index.size and (index.min() < 0 or index.max() >= self.length):

@@ -46,22 +46,19 @@ class MortonCurve(SpaceFillingCurve):
 
     name = "morton"
 
-    def index(self, coords: np.ndarray) -> np.ndarray:
-        """Map ``(x, y, z)`` coordinates to a curve index."""
-        coords = self._validate_coords(coords)
-        if coords.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
+    # Bound in this class body, not merely inherited, so instrumentation
+    # (the ledger's traced run) can wrap one curve's transforms alone.
+    index = SpaceFillingCurve.index
+    coords = SpaceFillingCurve.coords
+
+    def _index_kernel(self, coords: np.ndarray) -> np.ndarray:
         index = np.zeros(coords.shape[0], dtype=np.int64)
         for i in range(self.ndim):
             spread = _spread_bits(coords[:, i], self.ndim, self.bits)
             index |= spread << (self.ndim - 1 - i)
         return index
 
-    def coords(self, index: np.ndarray) -> np.ndarray:
-        """Map a curve index back to ``(x, y, z)`` coordinates."""
-        index = self._validate_index(index)
-        if index.shape[0] == 0:
-            return np.empty((0, self.ndim), dtype=np.int64)
+    def _coords_kernel(self, index: np.ndarray) -> np.ndarray:
         coords = np.empty((index.shape[0], self.ndim), dtype=np.int64)
         for i in range(self.ndim):
             coords[:, i] = _compact_bits(index >> (self.ndim - 1 - i), self.ndim, self.bits)

@@ -24,21 +24,13 @@ class RowMajorCurve(SpaceFillingCurve):
 
     name = "rowmajor"
 
-    def index(self, coords: np.ndarray) -> np.ndarray:
-        """Map ``(x, y, z)`` coordinates to a curve index."""
-        coords = self._validate_coords(coords)
-        if coords.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
+    def _index_kernel(self, coords: np.ndarray) -> np.ndarray:
         index = np.zeros(coords.shape[0], dtype=np.int64)
         for i in range(self.ndim):
             index = (index << self.bits) | coords[:, i]
         return index
 
-    def coords(self, index: np.ndarray) -> np.ndarray:
-        """Map a curve index back to ``(x, y, z)`` coordinates."""
-        index = self._validate_index(index)
-        if index.shape[0] == 0:
-            return np.empty((0, self.ndim), dtype=np.int64)
+    def _coords_kernel(self, index: np.ndarray) -> np.ndarray:
         coords = np.empty((index.shape[0], self.ndim), dtype=np.int64)
         mask = self.side - 1
         for i in range(self.ndim - 1, -1, -1):

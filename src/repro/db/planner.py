@@ -274,6 +274,10 @@ class _PlannerState:
         # embedding a nested query block are held until everything is
         # bound (the block may sit under outer-column comparisons).
         self.needs: list[tuple[Expr, frozenset[str]]] = []
+        # Per conjunct (by identity; ``needs`` keeps them alive): cost
+        # bucket, cost of one evaluation, selectivity.  Pure in the
+        # conjunct, so computed here once instead of per DP subset.
+        self._facts: dict[int, tuple[int, float, float]] = {}
         all_bindings = frozenset(self.bindings)
         for conjunct in conjuncts_of(select.where):
             if contains_subquery(conjunct):
@@ -285,6 +289,11 @@ class _PlannerState:
                     if (binding := self.resolve(col)) != OUTER
                 )
             self.needs.append((conjunct, used))
+            bucket = self._cost_bucket(conjunct)
+            self._facts[id(conjunct)] = (
+                bucket, self._predicate_cost(conjunct, bucket),
+                self._selectivity(conjunct),
+            )
 
     def resolve(self, col: ColumnRef) -> str:
         """Shorthand for :func:`_binding_of` with this call's context."""
@@ -322,15 +331,17 @@ class _PlannerState:
 
     def cost_bucket(self, conjunct: Expr) -> int:
         """0 = scalar, 1 = LFM-touching, 2 = subquery-bearing."""
+        return self._facts[id(conjunct)][0]
+
+    def _cost_bucket(self, conjunct: Expr) -> int:
         if contains_subquery(conjunct):
             return 2
         if self.touches_longfield(conjunct):
             return 1
         return 0
 
-    def predicate_cost(self, conjunct: Expr, binding: str) -> float:
+    def _predicate_cost(self, conjunct: Expr, bucket: int) -> float:
         """Estimated cost of one evaluation of the conjunct."""
-        bucket = self.cost_bucket(conjunct)
         if bucket == 2:
             return _SUBQUERY_COST
         if bucket == 0:
@@ -371,7 +382,7 @@ class _PlannerState:
                 return max(1, nd)
         return max(1, min(_DEFAULT_ND, table.row_count))
 
-    def selectivity(self, conjunct: Expr) -> float:
+    def _selectivity(self, conjunct: Expr) -> float:
         """Estimated fraction of candidate rows the conjunct keeps."""
         if contains_subquery(conjunct):
             return _DEFAULT_OTHER_SEL
@@ -526,10 +537,8 @@ class _PlannerState:
         running = 1.0
         raw = est_in * table.row_count
         for _, _, conjunct in ordered:
-            cost += est_in * examined * running * self.predicate_cost(
-                conjunct, binding
-            )
-            sel = self.selectivity(conjunct)
+            _, predicate_cost, sel = self._facts[id(conjunct)]
+            cost += est_in * examined * running * predicate_cost
             running *= sel
             raw *= sel
         est_out = 0.0 if raw == 0 else max(1.0, raw)

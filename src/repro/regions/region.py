@@ -79,10 +79,10 @@ class Region:
                     curve: SpaceFillingCurve | str | None = None) -> "Region":
         """Build from an ``(n, ndim)`` array of voxel coordinates."""
         resolved = _resolve_curve(grid, curve)
-        coords = np.asarray(coords, dtype=np.int64)
-        if coords.size and not grid.contains(coords).all():
+        positions = resolved.index(coords)  # rejects non-integer input first
+        if not grid.contains(coords).all():
             raise ValidationError("coordinates fall outside the grid")
-        return cls(IntervalSet.from_indices(resolved.index(coords)), grid, resolved)
+        return cls(IntervalSet.from_indices(positions), grid, resolved)
 
     @classmethod
     def from_mask(cls, mask: np.ndarray, grid: GridSpec | None = None,
@@ -234,7 +234,7 @@ class Region:
 
     def contains_points(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized point-in-region test for ``(n, ndim)`` coordinates."""
-        coords = np.asarray(coords, dtype=np.int64)
+        coords = np.asarray(coords)
         inside_grid = self._grid.contains(coords)
         result = np.zeros(coords.shape[0], dtype=bool)
         if inside_grid.any():

@@ -14,7 +14,7 @@ import numpy as np
 from repro.curves import GridSpec, SpaceFillingCurve, curve_for_grid
 from repro.errors import CurveMismatchError, GridMismatchError, ValidationError
 from repro.regions import Region, concat_ranges
-from repro.volumes.volume import Volume, _all_coords
+from repro.volumes.volume import Volume
 
 __all__ = ["VectorField", "gradient_field"]
 
@@ -44,12 +44,12 @@ class VectorField:
         """Reorder an ``grid_shape + (m,)`` array into curve order."""
         array = np.asarray(array)
         grid = GridSpec(array.shape[:-1])
+        if not grid.is_cube:
+            raise GridMismatchError("vector fields require a cubic power-of-two grid")
         if isinstance(curve, str) or curve is None:
             curve = curve_for_grid(grid, curve or "hilbert")
-        coords = _all_coords(grid)
-        order = curve.index(coords)
         values = np.empty((grid.size, array.shape[-1]), dtype=array.dtype)
-        values[order] = array.reshape(-1, array.shape[-1])
+        values[curve.tables().position_of] = array.reshape(-1, array.shape[-1])
         return cls(values, grid, curve)
 
     @property

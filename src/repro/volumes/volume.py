@@ -109,10 +109,10 @@ class Volume:
             )
         if isinstance(curve, str) or curve is None:
             curve = curve_for_grid(grid, curve or "hilbert")
-        coords = _all_coords(grid)
-        order = curve.index(coords)
+        elif curve.ndim != grid.ndim or curve.bits != grid.bits:
+            raise CurveMismatchError(f"curve {curve!r} does not cover grid {grid.shape}")
         values = np.empty(grid.size, dtype=array.dtype)
-        values[order] = array.ravel()
+        values[curve.tables().position_of] = array.ravel()
         return cls(values, grid, curve)
 
     # ------------------------------------------------------------------ #
@@ -151,9 +151,7 @@ class Volume:
 
     def to_array(self) -> np.ndarray:
         """Reorder back into a conventional ndim-dimensional array."""
-        coords = _all_coords(self._grid)
-        order = self._curve.index(coords)
-        return self._values[order].reshape(self._grid.shape)
+        return self._values[self._curve.tables().position_of].reshape(self._grid.shape)
 
     # ------------------------------------------------------------------ #
     # probes and extraction (the paper's requirements on VOLUMEs, §4.1)
@@ -166,7 +164,7 @@ class Volume:
 
     def values_at(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized random probes for ``(n, ndim)`` coordinates."""
-        return self._values[self._curve.index(np.asarray(coords, dtype=np.int64))]
+        return self._values[self._curve.index(coords)]
 
     def extract(self, region: Region) -> DataRegion:
         """``EXTRACT_DATA(v, r)``: the intensities of ``v`` inside ``r``.
@@ -284,10 +282,3 @@ class Volume:
             f"Volume(grid={self._grid.shape}, curve={self._curve.name}, "
             f"dtype={self._values.dtype}, {self.nbytes} bytes)"
         )
-
-
-def _all_coords(grid: GridSpec) -> np.ndarray:
-    """All grid coordinates in row-major order, ``(size, ndim)``."""
-    axes = [np.arange(s, dtype=np.int64) for s in grid.shape]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,9 +14,10 @@ from repro.curves import (
     HilbertCurve,
     MortonCurve,
     RowMajorCurve,
+    base,
     curve_for_grid,
 )
-from repro.errors import GridMismatchError
+from repro.errors import GridMismatchError, ValidationError
 
 ALL_CURVES = [HilbertCurve, MortonCurve, RowMajorCurve]
 
@@ -35,6 +39,14 @@ class TestGridSpec:
     def test_bits_covers_non_power_of_two(self):
         assert GridSpec((100,)).bits == 7
         assert GridSpec((129, 4)).bits == 8
+
+    def test_single_voxel_grid_has_a_curve(self):
+        # bits used to be 0 here, and every curve constructor refuses that
+        for shape in [(1,), (1, 1, 1)]:
+            grid = GridSpec(shape)
+            assert grid.bits == 1
+            assert not grid.is_cube
+            assert curve_for_grid(grid).bits == 1
 
     def test_default_origin_and_spacing(self):
         grid = GridSpec((4, 4))
@@ -156,8 +168,143 @@ class TestBijection:
             curve.coords(np.zeros((2, 2), dtype=np.int64))
 
 
+#: every tabulated shape the suite checks cell by cell
+TABLE_SHAPES = [(n, b) for n in (1, 2, 3) for b in range(1, 6)] + [(3, 6)]
+
+
+class TestTables:
+    """``index``/``coords`` answer from per-curve tables; the kernel is the reference."""
+
+    @pytest.mark.parametrize("cls", ALL_CURVES)
+    @pytest.mark.parametrize("ndim,bits", TABLE_SHAPES)
+    def test_table_equals_kernel_over_whole_cube(self, cls, ndim, bits):
+        curve = cls(ndim, bits)
+        positions = np.arange(curve.length, dtype=np.int64)
+        coords = curve._coords_kernel(positions)
+        assert np.array_equal(curve.coords(positions), coords)
+        assert np.array_equal(curve.index(coords), curve._index_kernel(coords))
+        # the two tables are mutual inverses
+        tables = curve.tables()
+        assert np.array_equal(tables.coords_of, coords)
+        offsets = np.ravel_multi_index(tuple(coords.T), (curve.side,) * ndim)
+        assert np.array_equal(tables.position_of[offsets], positions)
+
+    @pytest.mark.parametrize("cls", ALL_CURVES)
+    def test_tables_are_narrow_shared_and_read_only(self, cls):
+        tables = cls(3, 6).tables()
+        assert tables is cls(3, 6).tables()
+        assert tables.coords_of.dtype == np.uint8
+        assert tables.position_of.dtype == np.uint32
+        assert tables.coords_of.nbytes + tables.position_of.nbytes == 7 * 64**3
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    @pytest.mark.parametrize("cls", ALL_CURVES)
+    def test_results_are_fresh_int64_arrays(self, cls):
+        curve = cls(3, 4)
+        positions = np.array([5, 77, 4000])
+        for call, arg in ((curve.coords, positions), (curve.index, curve.coords(positions))):
+            first = call(arg)
+            assert first.dtype == np.int64
+            assert first.flags.c_contiguous and first.flags.writeable
+            assert first.base is None
+            expected = first.copy()
+            first[...] = -1  # must not write through to a table
+            assert np.array_equal(call(arg), expected)
+
+    @pytest.mark.parametrize("cls", ALL_CURVES)
+    def test_curve_past_the_cap_runs_the_kernel(self, cls, rng):
+        curve = cls(3, 8)
+        assert curve.length > base.TABLE_MAX_LENGTH
+        coords = rng.integers(0, curve.side, (1000, 3))
+        positions = curve.index(coords)
+        assert positions.dtype == np.int64
+        assert np.array_equal(positions, curve._index_kernel(coords))
+        assert np.array_equal(curve.coords(positions), coords)
+        assert curve.index(np.empty((0, 3))).shape == (0,)
+        assert curve.coords(np.empty(0)).shape == (0, 3)
+        assert (cls, 3, 8) not in base._TABLES
+
+    @pytest.mark.parametrize("cls", ALL_CURVES)
+    def test_scalar_agrees_with_batch(self, cls, rng):
+        curve = cls(3, 5)
+        coords = rng.integers(0, curve.side, (20, 3))
+        positions = curve.index(coords)
+        for point, position in zip(coords.tolist(), positions.tolist()):
+            assert curve.index_point(*point) == position
+            assert curve.coords_point(position) == tuple(point)
+
+    def test_threads_racing_the_first_use_agree(self):
+        curve = HilbertCurve(3, 5)
+        key = (HilbertCurve, 3, 5)
+        positions = np.arange(curve.length)
+        reference = curve._coords_kernel(positions)
+        base._TABLES.pop(key, None)
+        barrier = threading.Barrier(6)
+        answers, seen = [], []
+
+        def first_use():
+            barrier.wait(timeout=30)
+            answers.append(curve.coords(positions))
+            seen.append(curve.tables())
+
+        threads = [threading.Thread(target=first_use) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(answers) == 6
+        assert all(np.array_equal(answer, reference) for answer in answers)
+        # whoever built a pair, everyone ended up holding the published one
+        assert all(tables is base._TABLES[key] for tables in seen)
+
+
+class TestIntegerInput:
+    """Non-integer input is refused, never truncated into a valid answer."""
+
+    @pytest.mark.parametrize("cls", ALL_CURVES)
+    @pytest.mark.parametrize("bad", [
+        [[0.9, 1.7, 2.2]], [[0.0, 1.0, 2.0]], [[np.nan, 0, 0]],
+        [["0", "1", "2"]], [[True, False, True]], [[0, 1, None]],
+    ])
+    def test_index_rejects_non_integers(self, cls, bad):
+        with pytest.raises(ValidationError):
+            cls(3, 3).index(bad)
+
+    @pytest.mark.parametrize("cls", ALL_CURVES)
+    @pytest.mark.parametrize("bad", [[1.5, 2.9], [np.nan], ["3"], [[1, 2], [3]]])
+    def test_coords_rejects_non_integers(self, cls, bad):
+        with pytest.raises(ValidationError):
+            cls(3, 3).coords(bad)
+
+    @pytest.mark.parametrize("cls", ALL_CURVES)
+    def test_scalar_helpers_reject_non_integers(self, cls):
+        with pytest.raises(ValidationError):
+            cls(3, 3).index_point(0.9, 1.7, 2.2)
+        with pytest.raises(ValidationError):
+            cls(3, 3).coords_point(1.5)
+
+    @pytest.mark.parametrize("cls", ALL_CURVES)
+    def test_integer_kinds_and_empty_arrays_stay_legal(self, cls):
+        curve = cls(3, 3)
+        expected = curve.index(np.array([[0, 1, 2]]))
+        assert np.array_equal(curve.index([[0, 1, 2]]), expected)
+        assert np.array_equal(curve.index(np.array([[0, 1, 2]], dtype=np.uint8)), expected)
+        assert np.array_equal(curve.coords(expected.astype(np.uint16)), [[0, 1, 2]])
+        assert curve.index(np.empty((0, 3))).shape == (0,)  # float64, but empty
+        assert curve.coords([]).shape == (0, 3)
+
+
 class TestHilbertProperties:
-    @pytest.mark.parametrize("ndim,bits", [(2, 5), (3, 4)])
+    @pytest.mark.parametrize("ndim,bits", [(2, 5), (3, 4), (3, 6)])
     def test_adjacency(self, ndim, bits):
         """Consecutive curve positions are neighboring voxels — the defining
         property the clustering results rest on."""
@@ -169,8 +316,11 @@ class TestHilbertProperties:
     def test_matches_paper_figure3_convention(self):
         """The 4x4 ordering of Figure 3: start (0,0), then (1,0), (1,1), (0,1)..."""
         curve = HilbertCurve(2, 2)
-        seq = [curve.coords_point(d) for d in range(6)]
-        assert seq == [(0, 0), (1, 0), (1, 1), (0, 1), (0, 2), (0, 3)]
+        seq = [curve.coords_point(d) for d in range(16)]
+        assert seq == [
+            (0, 0), (1, 0), (1, 1), (0, 1), (0, 2), (0, 3), (1, 3), (1, 2),
+            (2, 2), (2, 3), (3, 3), (3, 2), (3, 1), (2, 1), (2, 0), (3, 0),
+        ]
 
     def test_nested_prefix_property(self):
         """Each 2^n-aligned block of positions stays inside one subcube."""

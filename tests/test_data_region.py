@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.curves import GridSpec
 from repro.errors import CodecError
 from repro.regions import Region, rasterize
 from repro.volumes import DataRegion, Volume
@@ -96,6 +97,22 @@ class TestDense:
         assert (dense[~mask] == 0).all()
         coords = data_region.region.coords()
         assert np.array_equal(dense[coords[:, 0], coords[:, 1], coords[:, 2]], data_region.values)
+
+
+    def test_dense_forms_on_a_non_cube_grid(self, rng):
+        """A 5x6x7 grid sits inside the 8^3 curve cube: cube offsets are not
+        array offsets there, so the scatter has to go through coordinates."""
+        grid = GridSpec((5, 6, 7))
+        mask = rng.random(grid.shape) < 0.4
+        region = Region.from_mask(mask, grid)
+        values = rng.integers(1, 200, region.voxel_count).astype(np.uint8)
+        coords = region.curve.coords(region.intervals.indices())
+        expected = np.full(grid.shape, 255, dtype=np.uint8)
+        for (x, y, z), value in zip(coords.tolist(), values.tolist()):
+            expected[x, y, z] = value
+        assert np.array_equal(DataRegion(region, values).to_array(fill=255), expected)
+        assert np.array_equal(region.to_mask(), mask)
+        assert np.array_equal(region.to_mask(), expected != 255)
 
 
 class TestSerialization:

@@ -392,3 +392,28 @@ class TestNaivePlanShape:
         assert cost.rows and sorted(cost.rows) == sorted(naive.rows)
         # the heuristic starts from the one table with its own predicate
         assert system.db.explain(sql).lstrip().startswith(f"scan patient {names[-1]}")
+
+
+class TestConjunctFactsOnce:
+    def test_each_conjunct_is_estimated_once_per_planning_call(self, system, monkeypatch):
+        """Cost bucket, evaluation cost and selectivity are pure in the
+        conjunct: the DP prices 2^5 join subsets, the AST is walked once."""
+        from repro.db import planner
+
+        sql = (
+            "select wv.studyId from warpedVolume wv, atlasStructure s,"
+            " neuralStructure ns, patient p, rawVolume rv"
+            " where s.structureId = ns.structureId and wv.studyId = rv.studyId"
+            " and rv.patientId = p.patientId and p.age > 30"
+            " and ns.structureName = 'ntal1' and wv.atlasId = s.atlasId"
+        )
+        seen = []
+        original = planner._PlannerState._selectivity
+
+        def counting(self, conjunct):
+            seen.append(conjunct)
+            return original(self, conjunct)
+
+        monkeypatch.setattr(planner._PlannerState, "_selectivity", counting)
+        system.db.explain(sql)
+        assert len(seen) == 6

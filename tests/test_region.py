@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.curves import GridSpec, HilbertCurve, MortonCurve
-from repro.errors import CodecError, CurveMismatchError, GridMismatchError
+from repro.errors import CodecError, CurveMismatchError, GridMismatchError, ValidationError
 from repro.regions import IntervalSet, Region
 
 
@@ -24,6 +24,15 @@ class TestConstruction:
         full = Region.full(grid)
         assert full.voxel_count == 8 * 8 * 4
 
+    @pytest.mark.parametrize("shape", [(1,), (1, 1, 1)])
+    def test_full_single_voxel_grid(self, shape):
+        # GridSpec.bits was 0 here, so no curve could be built for a legal grid
+        full = Region.full(GridSpec(shape))
+        assert full.voxel_count == 1
+        assert full.run_count == 1
+        assert full.to_mask().shape == shape
+        assert full.to_mask().all()
+
     def test_from_coords(self, grid3):
         coords = np.array([[0, 0, 0], [1, 1, 1], [2, 2, 2]])
         region = Region.from_coords(coords, grid3)
@@ -33,6 +42,14 @@ class TestConstruction:
     def test_from_coords_out_of_grid(self, grid3):
         with pytest.raises(ValueError):
             Region.from_coords(np.array([[16, 0, 0]]), grid3)
+
+    def test_non_integer_coords_are_not_truncated(self, grid3):
+        # a pre-cast to int64 used to turn (0.9, 1.7, 2.2) into voxel (0, 1, 2)
+        with pytest.raises(ValidationError):
+            Region.from_coords(np.array([[0.9, 1.7, 2.2]]), grid3)
+        with pytest.raises(ValidationError):
+            Region.full(grid3).contains_points(np.array([[0.9, 1.7, 2.2]]))
+        assert Region.from_coords(np.empty((0, 3)), grid3).voxel_count == 0
 
     def test_from_mask_roundtrip(self, grid3, rng):
         mask = rng.random(grid3.shape) < 0.2

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.curves import GridSpec, HilbertCurve, MortonCurve
-from repro.errors import CodecError, CurveMismatchError, GridMismatchError
+from repro.errors import CodecError, CurveMismatchError, GridMismatchError, ValidationError
 from repro.regions import Region, rasterize
 from repro.volumes import Volume
 
@@ -29,6 +31,25 @@ class TestConstruction:
 
     def test_values_are_permutation(self, volume, volume_array):
         assert np.array_equal(np.sort(volume.values), np.sort(volume_array.ravel()))
+
+    @pytest.mark.parametrize("curve,digest", [
+        ("hilbert", "1e006f9cd1dc92fd08738682b7c8d00518bf086e9127fdd1b5e27d085e7d4027"),
+        ("morton", "8433d68847c0dc9985e1c9d0c975260811f0c2abe5cd640dca4eaa19b1f21fe0"),
+        ("rowmajor", "3b1d9e805314963bff352fc2006e4c6ea54dc62ea870253b856c99205b221f7c"),
+    ])
+    def test_stored_layout_is_pinned(self, curve, digest):
+        """The long-field byte order of a VOLUME, taken from the bit-loop
+        kernels before the curves were tabulated: it must never drift."""
+        array = np.arange(32**3, dtype=np.uint16).reshape(32, 32, 32)
+        volume = Volume.from_array(array, curve)
+        assert hashlib.sha256(volume.values.tobytes()).hexdigest() == digest
+        assert np.array_equal(volume.to_array(), array)
+
+    def test_from_array_rejects_a_curve_of_another_size(self, volume_array):
+        with pytest.raises(CurveMismatchError):
+            Volume.from_array(volume_array, HilbertCurve(3, 5))
+        with pytest.raises(CurveMismatchError):
+            Volume.from_array(volume_array, HilbertCurve(2, 4))
 
     def test_requires_cube_grid(self, rng):
         with pytest.raises(GridMismatchError):
@@ -62,6 +83,10 @@ class TestProbes:
         coords = rng.integers(0, 16, (50, 3))
         expected = volume_array[coords[:, 0], coords[:, 1], coords[:, 2]]
         assert np.array_equal(volume.values_at(coords), expected)
+
+    def test_values_at_rejects_non_integers(self, volume):
+        with pytest.raises(ValidationError):
+            volume.values_at(np.array([[0.9, 1.7, 2.2]]))
 
 
 class TestExtraction:
