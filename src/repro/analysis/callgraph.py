@@ -50,8 +50,10 @@ class FunctionInfo:
 
     @property
     def is_init(self) -> bool:
-        """Is this a constructor (exempt from guard checks)?"""
-        return self.cls is not None and self.name == "__init__"
+        """Is this a constructor (exempt from guard checks)?  A
+        dataclass's ``__post_init__`` is the tail of its ``__init__``."""
+        return self.cls is not None and self.name in (
+            "__init__", "__post_init__")
 
 
 @dataclass

@@ -134,5 +134,12 @@ class Catalog:
         """All table names, sorted."""
         return sorted(t.name for t in self._tables.values())
 
+    def stamp_of(self, names) -> list:
+        """Per lower-cased table name its :attr:`Table.stamp`, ``None``
+        for a name the catalog does not hold."""
+        tables = self._tables
+        return [None if (table := tables.get(name)) is None else table.stamp
+                for name in names]
+
     def __repr__(self) -> str:
         return f"Catalog({', '.join(self.table_names()) or 'empty'})"

@@ -8,11 +8,13 @@ statistics — the raw material for the paper's Tables 3 and 4.
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
-from repro.concurrency import RWLock
+from repro.concurrency import RWLock, lockdep
 from repro.db.catalog import Catalog
 from repro.db.executor import Executor, ResultSet
 from repro.db.functions import (
@@ -24,12 +26,11 @@ from repro.db.functions import (
     builtin_signatures,
 )
 from repro.db.mvcc import DatabaseVersion, VersionManager
-from repro.db.planner import plan_select
 from repro.db.semantic import analyze as _analyze
 from repro.db.semantic import check
 from repro.db.sql.ast import Explain, Select
 from repro.db.sql.parser import parse
-from repro.db.sql.prepared import Prepared
+from repro.db.sql.prepared import Bound, Prepared
 from repro.errors import UnsupportedStatementError
 from repro.obs import metrics, recorder, trace
 from repro.obs.explain import PlanProfile, render_analyzed_plan
@@ -37,6 +38,14 @@ from repro.storage.device import IOStats, attribute_io
 from repro.storage.lfm import FieldTableView, LongFieldManager
 
 __all__ = ["Database", "QueryResult", "ReadView"]
+
+#: distinct statement texts :meth:`Database.prepare` remembers (LRU)
+_STMT_MEMO_CAPACITY = 256
+
+
+def _compile(sql: str) -> Prepared:
+    """Statement text to a fresh, unbound :class:`Prepared` (the parse)."""
+    return Prepared(sql, parse(sql))
 
 
 @dataclass
@@ -142,6 +151,8 @@ class Database:
         self._rwlock = RWLock(name="db.rwlock")
         self._versions = VersionManager()
         self._txn_nesting = 0  # open transaction() scopes; guarded_by db.rwlock
+        self._prepared: OrderedDict[str, Prepared] = OrderedDict()  # guarded_by: _stmt_lock
+        self._stmt_lock = lockdep.instrument(threading.Lock(), "db.stmt_memo")
         if self.lfm is not None:
             # Extent frees wait for pinned readers streaming their bytes.
             self.lfm.retire_extent = self._versions.defer_free
@@ -258,19 +269,84 @@ class Database:
         """
         self._versions.publish(self.catalog, self.lfm)
 
+    def prepare(self, sql: str) -> tuple[Prepared, bool]:
+        """The memoized :class:`Prepared` of one statement text, and
+        whether the memo already held it (the serving layer counts its
+        hits and misses).
+
+        Clients send the same few parameterized texts over and over, so
+        the memo (LRU-bounded) is what makes a repeated statement cost no
+        parse — and, through :attr:`Prepared.bound`, no semantic check
+        and no planning either.
+        """
+        with self._stmt_lock:
+            prepared = self._prepared.get(sql)
+            if prepared is not None:
+                self._prepared.move_to_end(sql)
+                return prepared, True
+        prepared = _compile(sql)
+        with self._stmt_lock:
+            self._prepared[sql] = prepared
+            if len(self._prepared) > _STMT_MEMO_CAPACITY:
+                self._prepared.popitem(last=False)
+        return prepared, False
+
+    def _bind(self, prepared: Prepared, catalog, registry: FunctionRegistry,
+              ad_hoc: bool = False) -> tuple[Bound | None, dict]:
+        """Run the semantic check unless it already passed on this state.
+
+        The state is the stamp of :mod:`repro.db.sql.prepared`: identity,
+        mutation count and statistics stamp of each named table in
+        ``catalog``, and ``registry``'s own stamp.  Returns the
+        statement's :class:`Bound` for that stamp (fresh and empty after
+        a check; ``None`` when the registry forbids keeping one, or the
+        statement is ``ad_hoc`` and will not be seen again) and a private
+        copy of its plan table for the executor to fill —
+        :meth:`_keep_plans` publishes what it adds.
+        """
+        functions = None if ad_hoc else registry.stamp(prepared.funcs)
+        if functions is None:
+            check(prepared.ast, catalog, registry)
+            return None, {}
+        stamp = (functions, *catalog.stamp_of(prepared.tables))
+        bound = prepared.bound
+        if bound is None or bound.stamp != stamp:
+            check(prepared.ast, catalog, registry)
+            bound = prepared.bound = Bound(stamp, {})
+        return bound, dict(bound.plans)
+
+    @staticmethod
+    def _keep_plans(prepared: Prepared, bound: Bound | None,
+                    plans: dict) -> None:
+        """Replace the slot with one holding the plans an execution
+        added — unless it was re-bound meanwhile (they are planned again).
+
+        ``plans`` is keyed by ``id()`` of query blocks, so it must be the
+        table :meth:`_bind` handed out for this very ``prepared`` and
+        filled by executing ``prepared.ast``: the statement object keeps
+        its blocks alive for as long as the slot can name them.
+        """
+        if (bound is not None and len(plans) > len(bound.plans)
+                and prepared.bound is bound):
+            prepared.bound = Bound(bound.stamp, plans)
+
     def execute(self, sql: str | Prepared, params: list | None = None,
                 functions: FunctionRegistry | None = None,
                 view: ReadView | None = None,
                 planner: str | None = None) -> QueryResult:
         """Parse, analyze, and run one SQL statement.
 
-        ``sql`` is statement text, parsed here on every call, or a
-        :class:`~repro.db.sql.Prepared` some caller already parsed (the
-        serving layer's statement memo), run as is.
+        ``sql`` is statement text or the :class:`~repro.db.sql.Prepared`
+        a caller already got from :meth:`prepare`.  Text that comes with
+        ``params`` is a template the client will send again, and goes
+        through the statement memo; bare text is ad hoc — every literal
+        makes another one, so it is compiled for this call alone and
+        leaves the memo to the templates.
 
-        The semantic analyzer runs unconditionally between parse and
-        execution, so a malformed query fails with a ``QBxxx`` diagnostic
-        before any Long Field Manager I/O is issued or any UDF is called.
+        The semantic analyzer runs between parse and execution — or has
+        run, against this very catalog and registry state (:meth:`_bind`)
+        — so a malformed query fails with a ``QBxxx`` diagnostic before
+        any Long Field Manager I/O is issued or any UDF is called.
 
         ``params`` binds ``?`` placeholders positionally; this is how
         Python-side values (LongField handles, large strings) enter
@@ -293,6 +369,7 @@ class Database:
         """
         prepared = None if isinstance(sql, str) else sql
         text = sql if prepared is None else prepared.sql
+        ad_hoc = prepared is None and params is None
         params = list(params or ())
         registry = functions if functions is not None else self.functions
         mode = planner if planner is not None else self.planner
@@ -303,7 +380,7 @@ class Database:
         with recorder.statement(text,
                                 trace_id=trace.current_trace_id()) as rec:
             if prepared is None:
-                prepared = Prepared(text, parse(text))
+                prepared = _compile(text) if ad_hoc else self.prepare(text)[0]
             if rec.active:
                 rec.note(kind=prepared.kind, shape=prepared.shape,
                          digest=prepared.digest)
@@ -311,10 +388,10 @@ class Database:
                 with (self.read_view() if view is None
                       else nullcontext(view)) as view:
                     return self._run(prepared, params, registry, mode, rec,
-                                     view.catalog, view.lfm)
+                                     view.catalog, view.lfm, ad_hoc)
             with self._rwlock.write():
                 result = self._run(prepared, params, registry, mode, rec,
-                                   self.catalog, self.lfm)
+                                   self.catalog, self.lfm, ad_hoc)
                 if self._txn_nesting == 0:
                     # Auto-commit write: the statement is fully applied (any
                     # LFM mini-transactions have flushed), publish it.
@@ -323,7 +400,7 @@ class Database:
 
     def _run(self, prepared: Prepared, params: list,
              registry: FunctionRegistry, mode: str, rec, catalog,
-             lfm) -> QueryResult:
+             lfm, ad_hoc: bool) -> QueryResult:
         """The statement body: analyze, execute, account.
 
         ``catalog`` / ``lfm`` are a :class:`ReadView`'s, or the live
@@ -332,24 +409,24 @@ class Database:
         rendered plan instead of the rows.
         """
         stmt, sql, explain = prepared.ast, prepared.sql, prepared.is_explain
-        check(stmt, catalog, registry)
-        profile = None
+        bound, plans = self._bind(prepared, catalog, registry, ad_hoc)
+        ctx = ExecutionContext(lfm=lfm, analyzed=True, planner_mode=mode,
+                               plans=plans)
         if explain:
             analyze, stmt = stmt.analyze, stmt.statement
             if not isinstance(stmt, Select):
                 raise UnsupportedStatementError(
                     "EXPLAIN supports SELECT statements only")
             if not analyze:
-                plan = plan_select(stmt, catalog, mode=mode).describe()
+                plan = Executor(catalog, registry).plan(stmt, ctx).describe()
+                self._keep_plans(prepared, bound, plans)
                 rows = [(line,) for line in plan.splitlines()]
                 rec.note(rows=len(rows), params=params or None)
                 return QueryResult(ResultSet(["plan"], rows), WorkCounters(),
                                    None, sql)
-            profile = PlanProfile()
+            profile = ctx.profile = PlanProfile()
         metrics.counter("db.statements").inc()
         start = time.perf_counter()
-        ctx = ExecutionContext(lfm=lfm, analyzed=True, profile=profile,
-                               planner_mode=mode)
         # Thread-local attribution: the delta is exactly this statement's
         # I/O even while other sessions run concurrently (a global
         # before/after snapshot would absorb their pages).  A snapshot's
@@ -358,6 +435,7 @@ class Database:
               else nullcontext()) as io_delta:
             ctx.io_sink = io_delta
             result = Executor(catalog, registry).execute(stmt, params, ctx)
+        self._keep_plans(prepared, bound, plans)
         if explain:
             lines = render_analyzed_plan(profile, io=io_delta, work=ctx.work)
             result = ResultSet(["plan"], [(line,) for line in lines])
@@ -372,24 +450,30 @@ class Database:
 
     def executemany(self, sql: str, param_rows: list[list]) -> int:
         """Run one parameterized statement repeatedly; returns total rowcount."""
-        stmt = parse(sql)
-        if Prepared(sql, stmt).is_read:
+        prepared, _ = self.prepare(sql)
+        if prepared.is_read:
             with self.read_view() as view:
-                return self._run_many(stmt, param_rows, view.catalog, view.lfm)
+                return self._run_many(prepared, param_rows, view.catalog,
+                                      view.lfm)
         with self._rwlock.write():
-            total = self._run_many(stmt, param_rows, self.catalog, self.lfm)
+            total = self._run_many(prepared, param_rows, self.catalog,
+                                   self.lfm)
             if self._txn_nesting == 0:
                 self._publish_version()
         return total
 
-    def _run_many(self, stmt, param_rows: list[list], catalog, lfm) -> int:
-        check(stmt, catalog, self.functions)
+    def _run_many(self, prepared: Prepared, param_rows: list[list], catalog,
+                  lfm) -> int:
+        # One check and one plan table for the batch: its own writes move
+        # the stamp, but a plan stays correct (only its estimates age).
+        bound, plans = self._bind(prepared, catalog, self.functions)
         executor = Executor(catalog, self.functions)
         total = 0
         for params in param_rows:
             ctx = ExecutionContext(lfm=lfm, analyzed=True,
-                                   planner_mode=self.planner)
-            total += executor.execute(stmt, list(params), ctx).rowcount
+                                   planner_mode=self.planner, plans=plans)
+            total += executor.execute(prepared.ast, list(params), ctx).rowcount
+        self._keep_plans(prepared, bound, plans)
         return total
 
     def explain(self, sql: str) -> str:
@@ -398,18 +482,22 @@ class Database:
         The statement is analyzed first: EXPLAIN on a semantically invalid
         query reports the diagnostic rather than a plan.
         """
-        stmt = parse(sql)
+        prepared, _ = self.prepare(sql)
+        stmt = prepared.ast
         if isinstance(stmt, Explain):  # accept an explicit "EXPLAIN ..." too
             stmt = stmt.statement
         if not isinstance(stmt, Select):
             raise UnsupportedStatementError("EXPLAIN supports SELECT statements only")
         with self.read_view() as view:
-            check(stmt, view.catalog, self.functions)
-            return plan_select(stmt, view.catalog, mode=self.planner).describe()
+            bound, plans = self._bind(prepared, view.catalog, self.functions)
+            ctx = ExecutionContext(planner_mode=self.planner, plans=plans)
+            plan = Executor(view.catalog, self.functions).plan(stmt, ctx)
+            self._keep_plans(prepared, bound, plans)
+            return plan.describe()
 
     def analyze(self, sql: str) -> list:
         """Run only the static pass; returns the list of diagnostics."""
-        stmt = parse(sql)
+        stmt = self.prepare(sql)[0].ast
         with self.read_view() as view:
             return _analyze(stmt, view.catalog, self.functions)
 

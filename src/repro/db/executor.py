@@ -50,6 +50,9 @@ __all__ = ["ResultSet", "Executor"]
 
 _AGGREGATES = {"count", "sum", "avg", "min", "max"}
 
+#: plan-table entry of a nested block that cannot be planned standalone
+_CORRELATED = "correlated"
+
 
 @dataclass
 class ResultSet:
@@ -332,9 +335,7 @@ class Executor:
 
     def _execute_select(self, select: Select, params: list, ctx: ExecutionContext,
                         outer_env: _Env | None, profile) -> ResultSet:
-        outer_bindings = _visible_bindings(outer_env)
-        mode = ctx.planner_mode or "cost"
-        plan = plan_select(select, self.catalog, outer_bindings, mode=mode)
+        plan = self.plan(select, ctx, _visible_bindings(outer_env))
         if profile is not None:
             profile.attach(plan)
             stmt_start = time.perf_counter()
@@ -470,7 +471,13 @@ class Executor:
                     yield from recurse(level + 1, env)
             env.frames.pop(ref.binding, None)
 
-        yield from recurse(0, _Env(outer=outer_env))
+        try:
+            yield from recurse(0, _Env(outer=outer_env))
+        finally:
+            # ``recurse`` names itself, a cycle through its own closure
+            # cell: emptied here, ctx (LFM view, params, plan table) dies
+            # with the statement instead of waiting for the collector
+            recurse = None
 
     def _spatial_candidates(self, table, spatial, env, params, ctx):
         """Rows an R-tree probe narrows a level to, or None for a scan.
@@ -704,22 +711,37 @@ class Executor:
         A block that plans cleanly against its own FROM tables alone is
         uncorrelated: its result cannot depend on the outer row, so one
         execution serves every outer row.  Otherwise it re-runs per row
-        with the outer environment in scope.
+        with the outer environment in scope.  Either verdict is recorded
+        in the statement's plan table — the standalone plan itself, or
+        :data:`_CORRELATED` in its place — so it is reached once, not
+        once per outer row.
         """
         cached = ctx.subquery_cache.get(select)
         if cached is not None:
             return cached
         try:
-            # naive mode: this is only a resolution probe, skip the DP
-            plan_select(select, self.catalog, mode="naive")
-            correlated = False
+            correlated = self.plan(select, ctx) is _CORRELATED
         except CatalogError:
             correlated = True
+            ctx.plans[id(select), None, ctx.planner_mode] = _CORRELATED
         if correlated:
             return self.execute_select(select, params, ctx, outer_env=env)
         result = self.execute_select(select, params, ctx)
         ctx.subquery_cache[select] = result
         return result
+
+    def plan(self, select: Select, ctx: ExecutionContext,
+             outer_bindings: dict[str, TableSchema] | None = None):
+        """The block's plan from the statement's plan table
+        (``ctx.plans``), planned and kept there on first use."""
+        key = (id(select),
+               None if outer_bindings is None else tuple(outer_bindings),
+               ctx.planner_mode)
+        plan = ctx.plans.get(key)
+        if plan is None:
+            plan = ctx.plans[key] = plan_select(
+                select, self.catalog, outer_bindings, mode=ctx.planner_mode)
+        return plan
 
     def _eval_binop(self, expr: BinOp, env: _Env, params: list, ctx: ExecutionContext):
         op = expr.op

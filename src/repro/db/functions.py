@@ -143,9 +143,12 @@ class ExecutionContext:
     #: of the process-global counters, so concurrent statements never
     #: steal each other's I/O.
     io_sink: object | None = None
-    #: planner mode override for this statement ("cost" or "naive");
-    #: None means the engine default (cost-based)
-    planner_mode: str | None = None
+    #: planner mode for this statement ("cost" or "naive")
+    planner_mode: str = "cost"
+    #: this execution's plan table (keys as in
+    #: :class:`~repro.db.sql.prepared.Bound`, which seeds it and keeps
+    #: what the executor adds); the query blocks must outlive it
+    plans: dict = field(default_factory=dict)
 
     def read_longfield(self, value) -> bytes:
         """Dereference a LONGFIELD cell: handles are read via the LFM,
@@ -174,6 +177,7 @@ class FunctionRegistry:
     def __init__(self) -> None:
         self._functions: dict[str, tuple[callable, bool]] = {}
         self._signatures: dict[str, FunctionSignature] = {}
+        self._registrations = 0
 
     def register(self, name: str, fn: callable,
                  signature: FunctionSignature | None = None,
@@ -202,6 +206,7 @@ class FunctionRegistry:
             signature = signature_from_callable(name, fn, wants_ctx)
         self._functions[key] = (fn, wants_ctx)
         self._signatures[key] = signature
+        self._registrations += 1
 
     def register_all(self, functions: dict[str, callable],
                      signatures: dict[str, FunctionSignature] | None = None) -> None:
@@ -216,6 +221,13 @@ class FunctionRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name.lower() in self._functions
+
+    def stamp(self, funcs: frozenset[str]):
+        """What a remembered semantic check of a statement calling
+        ``funcs`` (lowercased names) stays valid for: this registry at
+        its current registration count.  ``None`` means such a check
+        must not be remembered at all."""
+        return self, self._registrations
 
     def call(self, name: str, args: list, ctx: ExecutionContext):
         """Invoke a registered function, wrapping unexpected failures."""

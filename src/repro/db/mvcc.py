@@ -80,6 +80,13 @@ class CatalogSnapshot:
         """All index names in the snapshot, sorted."""
         return sorted(self._indexes)
 
+    def stamp_of(self, names) -> list:
+        """Per lower-cased table name its :attr:`Table.stamp`, ``None``
+        for a name the snapshot does not hold."""
+        tables = self._tables
+        return [None if (table := tables.get(name)) is None else table.stamp
+                for name in names]
+
     def __repr__(self) -> str:
         return f"CatalogSnapshot({', '.join(self.table_names()) or 'empty'})"
 

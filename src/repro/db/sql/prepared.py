@@ -6,16 +6,26 @@ does it name, what is its canonical text, what is its literal-free shape
 — and every answer is a pure function of the AST.  :class:`Prepared`
 computes each once, on first use, and is the only place that does.
 
-Nothing here may depend on a catalog, a function registry or statistics:
-those change under a statement text that stays the same, so a fact that
-needs them (column types, chosen plan, whether a called name is a
-session-local UDF) cannot be memoized by text and belongs to the layer
-that holds that state.
+No syntactic fact may depend on a catalog, a function registry or
+statistics: those change under a statement text that stays the same.
+What does depend on them — that the semantic check passed, and the plan
+of every query block — lives in the one :attr:`Prepared.bound` slot, and
+is safe to keep there because it carries the *stamp* it was computed
+against: the identity, mutation count and statistics stamp of every
+table the statement names, in the catalog (live or snapshot) it ran on,
+plus the function registry's registration count.  Whoever runs the
+statement (:class:`~repro.db.database.Database`) recomputes the stamp —
+a few dict lookups — and uses the slot only on an exact match, so DDL,
+DML, ``ANALYZE``, a replaced function or a reader pinned to another
+version all simply miss and re-bind.  The slot is replaced wholesale,
+never edited in place: a reader holding an older :class:`Bound` keeps a
+consistent one, and plans of two stamps never mix.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 from repro.db.sql.ast import (
     Exists,
@@ -31,7 +41,22 @@ from repro.db.sql.ast import (
 from repro.db.sql.unparse import unparse
 from repro.obs.digest import fingerprint
 
-__all__ = ["Prepared"]
+__all__ = ["Bound", "Prepared"]
+
+
+class Bound(NamedTuple):
+    """What one passed semantic check and its planning produced."""
+
+    #: the catalog + registry state the check and every plan are valid for
+    stamp: tuple
+    #: ``(id of the query block, outer binding names, planner mode)`` ->
+    #: its :class:`~repro.db.planner.Plan`, for the outer SELECT and every
+    #: nested block (a block's standalone key holds the executor's
+    #: "correlated" marker when it cannot be planned on its own)
+    plans: dict
+
+
+_LEAVES = frozenset({str, int, float, bool, type(None), Span})
 
 
 def _collect(node, tables: set[str], funcs: set[str],
@@ -45,7 +70,10 @@ def _collect(node, tables: set[str], funcs: set[str],
         for child in node:
             _collect(child, tables, funcs, nested)
         return
-    fields = getattr(node, "__dict__", None)
+    # Field names come from the class: reading an instance's ``__dict__``
+    # would materialize it on every node, and the executor's attribute
+    # reads on those nodes would then take the slow path for good.
+    fields = getattr(type(node), "__dataclass_fields__", None)
     if fields is None or isinstance(node, Span):  # a leaf: str, int, None
         return
     if isinstance(node, TableRef):
@@ -54,10 +82,12 @@ def _collect(node, tables: set[str], funcs: set[str],
         funcs.add(node.name.lower())
     elif isinstance(node, (Subquery, InSubquery, Exists)):
         tables = nested
-    elif isinstance(fields.get("table"), str):  # a DML / DDL target
-        tables.add(fields["table"].lower())
-    for child in fields.values():
-        _collect(child, tables, funcs, nested)
+    elif "table" in fields and isinstance(node.table, str):  # a DML / DDL target
+        tables.add(node.table.lower())
+    for name in fields:
+        child = getattr(node, name)
+        if child.__class__ not in _LEAVES:  # most fields; spare the call
+            _collect(child, tables, funcs, nested)
 
 
 class Prepared:
@@ -72,6 +102,8 @@ class Prepared:
         #: the flight recorder's statement kinds
         self.kind = ("explain" if self.is_explain
                      else "read" if self.is_read else "write")
+        #: the catalog-dependent half (module docstring); None until bound
+        self.bound: Bound | None = None
 
     @cached_property
     def canonical(self) -> str:

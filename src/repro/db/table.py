@@ -68,6 +68,15 @@ class Table:
         self.spatial: dict[str, SpatialIndex] = {}
 
     @property
+    def stamp(self) -> tuple:
+        """What a memoized semantic check or plan of this table stays
+        valid for: its identity, its mutation count and the state its
+        statistics describe.  ``stats.stamp`` is read without the stats
+        lock — one read of an immutable tuple; a racing ANALYZE only makes
+        the reader miss and re-bind once."""
+        return self.uid, self.mutations, self.stats.stamp
+
+    @property
     def name(self) -> str:
         """The table's name."""
         return self.schema.table_name

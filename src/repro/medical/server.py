@@ -109,7 +109,8 @@ class MedicalServer:
         metadata = dict(zip(meta_result.columns, row))
         atlas_id = metadata["atlasId"]
 
-        data_sql, params, needs_post_filter = self._build_data_query(spec, atlas_id)
+        data_sql, params, needs_post_filter = self._build_data_query(
+            spec, atlas_id, metadata["n"])
         with trace.span("server.data_query"):
             data_result = self.db.execute(data_sql, params)
         sqls.append(data_sql)
@@ -139,8 +140,13 @@ class MedicalServer:
             post_filtered=post_filtered,
         )
 
-    def _build_data_query(self, spec: QuerySpec, atlas_id: int) -> tuple[str, list, bool]:
-        """Generate the data query: FROM/WHERE joins plus nested operators."""
+    def _build_data_query(self, spec: QuerySpec, atlas_id: int,
+                          atlas_side: int) -> tuple[str, list, bool]:
+        """Generate the data query: FROM/WHERE joins plus nested operators.
+
+        ``atlas_side`` is the atlas grid's side (``atlas.n``, which the
+        metadata query already fetched), for rasterizing a box probe.
+        """
         tables = ["warpedVolume wv"]
         where = ["wv.studyId = ?", "wv.atlasId = ?"]
         params: list = [spec.study_id, atlas_id]
@@ -199,7 +205,7 @@ class MedicalServer:
         if spec.box is not None:
             # The box placeholder sits in the select list, which is lexically
             # first, so its value must be the first positional parameter.
-            params.insert(0, self._box_payload(spec, atlas_id))
+            params.insert(0, self._box_payload(spec, atlas_side))
         return sql, params, needs_post_filter
 
     def _covering_bands(self, intensity_range: tuple[int, int]) -> tuple[list[tuple[int, int]], bool]:
@@ -225,12 +231,8 @@ class MedicalServer:
         aligned = bands[0][0] == lo and bands[-1][1] == hi
         return bands, not aligned
 
-    def _box_payload(self, spec: QuerySpec, atlas_id: int) -> bytes:
+    def _box_payload(self, spec: QuerySpec, side: int) -> bytes:
         """Rasterize the probe box in the atlas grid and serialize it."""
-        result = self.db.execute(
-            "select n from atlas where atlasId = ?", [atlas_id]
-        )
-        side = result.scalar()
         from repro.curves import GridSpec
 
         grid = GridSpec((side,) * 3)

@@ -13,8 +13,9 @@ ARCHITECTURE.md):
   across concurrent committers);
 * a bounded :class:`~repro.server.pool.WorkerPool` — the admission queue
   with a configurable depth and ``block``/``reject`` backpressure policy;
-* a memo of :class:`~repro.db.sql.Prepared` statements per raw text —
-  the one parse a served statement costs, and the source of every
+* the database's memo of :class:`~repro.db.sql.Prepared` statements per
+  raw text (:meth:`Database.prepare <repro.db.database.Database.prepare>`)
+  — the one parse a served statement costs, and the source of every
   syntactic fact dispatch, caching and the flight recorder use;
 * a shared :class:`~repro.server.resultcache.ResultCache`, invalidated
   by any write to a table the cached statement names; fills are fenced
@@ -33,13 +34,15 @@ active sessions, result-cache hit rate) and per-statement
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from contextlib import nullcontext
 
 from repro.db.database import Database, QueryResult
 from repro.db.executor import ResultSet
 from repro.db.functions import WorkCounters
-from repro.db.sql.parser import parse
+# Database.prepare does the parsing now; the name stays bound here because
+# the frozen ledger self-test (benchmarks/ledger/test_ledger.py) uses this
+# module as its example of one importing ``parse`` by value mid-trace.
+from repro.db.sql.parser import parse  # noqa: F401
 from repro.db.sql.prepared import Prepared
 from repro.concurrency import lockdep
 from repro.errors import ServerError
@@ -78,9 +81,6 @@ class QueryServer:
         self._lock = lockdep.instrument(threading.Lock(), "server.sessions")
         self._next_session_id = 1  # guarded_by: _lock
         self._closed = False  # guarded_by: _lock
-        self._prepared: OrderedDict[str, Prepared] = OrderedDict()  # guarded_by: _stmt_lock
-        self._stmt_lock = lockdep.instrument(threading.Lock(), "server.stmt_memo")
-        self._stmt_capacity = max(cache_capacity, 64)
         self._admin = None  # guarded_by: _lock
 
     # ------------------------------------------------------------------ #
@@ -201,41 +201,21 @@ class QueryServer:
         leg.record.wall_seconds += wait
         return result
 
-    def _prepare(self, sql: str) -> Prepared:
-        """The memoized :class:`Prepared` for one raw text (LRU-bounded).
-
-        Repeat traffic — the whole point of a serving layer — skips the
-        parser entirely, and every fact the dispatch path reads off the
-        result is computed at most once per memo entry.
-        """
-        with self._stmt_lock:
-            prepared = self._prepared.get(sql)
-            if prepared is not None:
-                self._prepared.move_to_end(sql)
-                metrics.counter("server.stmt_memo.hits").inc()
-                return prepared
-        metrics.counter("server.stmt_memo.misses").inc()
-        prepared = Prepared(sql, parse(sql))
-        with self._stmt_lock:
-            self._prepared[sql] = prepared
-            if len(self._prepared) > self._stmt_capacity:
-                self._prepared.popitem(last=False)
-        return prepared
-
     def _execute(self, session: Session, sql: str,
                  params: list | None) -> QueryResult:
-        prepared = self._prepare(sql)
+        prepared, hit = self.db.prepare(sql)
+        metrics.counter("server.stmt_memo.hits" if hit
+                        else "server.stmt_memo.misses").inc()
         registry = session.functions
         if not prepared.is_read:
             return self._execute_write(prepared, session, params)
-        local = {n.lower() for n in registry.local_names}
         cacheable = (
             self.cache is not None
             and not prepared.is_explain
             # A statement calling a session-local UDF must not land in the
             # shared cache: another session may bind the same name to
             # different code.
-            and not (local and (prepared.funcs & local))
+            and registry.stamp(prepared.funcs) is not None
         )
         if not cacheable:
             return self.db.execute(prepared, params, functions=registry)

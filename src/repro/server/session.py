@@ -64,6 +64,13 @@ class SessionFunctions(FunctionRegistry):
     def __contains__(self, name: str) -> bool:
         return super().__contains__(name) or name in self._base
 
+    def stamp(self, funcs: frozenset[str]):
+        """The shared registry's stamp — unless the statement calls a
+        session-local function, whose meaning no other session shares."""
+        if funcs & self._functions.keys():
+            return None
+        return self._base.stamp(funcs)
+
     def call(self, name: str, args: list, ctx):
         """Invoke, resolving session-local functions before shared ones."""
         if name.lower() in self._functions:

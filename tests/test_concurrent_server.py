@@ -734,8 +734,7 @@ def parse_calls(monkeypatch):
         calls.append(sql)
         return original(sql)
 
-    for module in (repro.db.database, repro.server.server,
-                   repro.db.sql.parser):
+    for module in (repro.db.database, repro.db.sql.parser):
         monkeypatch.setattr(module, "parse", counting)
     assert recorder.get_recorder().enabled and digest.is_enabled()
     return calls
@@ -766,12 +765,31 @@ class TestOneParsePerStatement:
 
     def test_direct_statement_parses_exactly_once_every_time(self,
                                                              parse_calls):
+        # bare text is ad hoc: compiled for the one call, never memoized
         db = fresh_db()
         for sql in self.STATEMENTS:
             for _ in range(3):
                 del parse_calls[:]
                 db.execute(sql)
                 assert parse_calls == [sql]
+
+    def test_direct_template_parses_once_then_never(self, parse_calls):
+        # text that comes with params goes through Database.prepare, and
+        # so does every other entry point that takes text
+        db = fresh_db()
+        select = "select v from lookup where k = ?"
+        insert = "insert into events values (?, ?)"
+        del parse_calls[:]
+        for k in range(3):
+            assert db.execute(select, [k]).rows == db.execute(
+                "select v from lookup where k = %d" % k).rows
+            db.execute(insert, [1, k])
+        db.executemany(insert, [[2, 2], [2, 3]])
+        assert db.explain(select) and db.analyze(select) == []
+        with QueryServer(db, workers=1, result_cache=False) as server:
+            with server.connect() as session:
+                session.execute(select, [1])
+        assert [sql for sql in parse_calls if "?" in sql] == [select, insert]
 
     def test_digest_accounting_loads_no_database_module(self):
         script = (
@@ -788,6 +806,87 @@ class TestOneParsePerStatement:
             env={"PYTHONPATH": ":".join(sys.path)}, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+
+# --------------------------------------------------------------------- #
+# warm statements (memoized check + plans) racing committed DML
+# --------------------------------------------------------------------- #
+
+
+class TestWarmStatementsUnderWrites:
+    """One reader repeats a parameterized join — directly and through a
+    session — while a writer commits rows to a joined table, so the
+    statement's bound slot is re-stamped under the reader's feet."""
+
+    JOIN = ("select count(*), max(e.seq) from events e, lookup l"
+            " where e.session = l.k and l.k >= ?")
+    ROUNDS = 60  # reader rounds the writer keeps committing through
+
+    def test_every_answer_matches_the_naive_oracle_on_its_snapshot(self):
+        from repro.db.sql import Prepared, parse
+
+        db = fresh_db()
+        db.execute("create index ixLookup on lookup (k)")
+        db.execute("insert into events values (0, 0)")
+        oracle = Prepared(self.JOIN, parse(self.JOIN))  # never memoized
+        failures: list = []
+        rounds: list[int] = []  # the version each reader round started at
+        written: list[int] = []
+        done = threading.Event()
+
+        def writer():
+            # seq n lands with session n % 20: after n commits the join
+            # sees rows 0..n, so count(*) = max(seq) + 1 on any snapshot
+            deadline = time.monotonic() + 60
+            try:
+                while len(rounds) < self.ROUNDS and time.monotonic() < deadline:
+                    n = len(written) + 1
+                    db.execute("insert into events values (?, ?)", [n % 20, n])
+                    written.append(n)
+                    time.sleep(0.001)  # let the reader in between commits
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+            finally:
+                done.set()
+
+        def reader(session):
+            try:
+                while not done.is_set():
+                    rounds.append(db.version_seq)
+                    with db.read_view() as view:
+                        warm = db.execute(self.JOIN, [0], view=view).rows
+                        naive = db.execute(oracle, [0], view=view,
+                                           planner="naive").rows
+                    if warm != naive:
+                        failures.append(("direct", warm, naive))
+                    count, top = session.execute(self.JOIN, [0]).first()
+                    if count != top + 1 or count < warm[0][0]:
+                        failures.append(("served", count, top, warm))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with QueryServer(db, workers=2, result_cache=False) as server:
+                with server.connect() as session:
+                    threads = [
+                        threading.Thread(target=writer),
+                        threading.Thread(target=reader, args=(session,)),
+                    ]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=120)
+                    assert not any(thread.is_alive() for thread in threads)
+                    assert failures == []
+                    final = session.execute(self.JOIN, [0]).first()
+        finally:
+            sys.setswitchinterval(interval)
+        assert final == (len(written) + 1, len(written))
+        # the reader did run against many versions, not before or after
+        assert len(rounds) >= self.ROUNDS and len(set(rounds)) > 10
+        assert db.prepare(self.JOIN)[0].bound is not None
 
 
 # --------------------------------------------------------------------- #

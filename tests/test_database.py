@@ -297,6 +297,27 @@ class TestFunctions:
         assert result.work.runs_processed == 5
         assert result.work.udf_calls == 1
 
+    def test_execution_context_dies_with_the_statement(self, db):
+        """No reference cycle outlives a SELECT: its context — LFM view,
+        parameters, plan table — is freed by reference counting alone,
+        so a dropped database does not wait for a full collection."""
+        import gc
+        import weakref
+
+        seen = []
+        db.register_function(
+            "peek", lambda ctx, x: seen.append(weakref.ref(ctx)) or x)
+        gc.collect()
+        gc.disable()
+        try:
+            rows = db.execute(
+                "select peek(s.studyId) from patient p, study s"
+                " where s.patientId = p.patientId and p.age >= ? limit 2", [50])
+            assert len(rows.rows) == 1 and seen
+            assert all(ref() is None for ref in seen)
+        finally:
+            gc.enable()
+
     def test_repeated_call_memoized_within_row(self, db):
         """A function in both WHERE and the select list runs once per row."""
         calls = []

@@ -537,7 +537,9 @@ class TestAdminEndpoint:
 
 class TestStatementMemoMetrics:
     def test_memo_hits_and_misses_counted(self, system):
-        sql = "select count(*) from patient"
+        # the memo is the database's, not this server's: a text no earlier
+        # session of the shared fixture was sent
+        sql = "select count(*) from patient where 'served' = 'served'"
         with QueryServer(system.db, workers=1, result_cache=False) as server:
             with server.connect() as session:
                 session.execute(sql)

@@ -224,9 +224,10 @@ class TestEstimates:
             "Q6": QuerySpec(study_id=sid, structures=("ntal1",),
                             intensity_range=(224, 255)),
         }
-        atlas_id = system.db.execute("select atlasId from atlas").scalar()
+        atlas_id, side = system.db.execute(
+            "select atlasId, n from atlas").first()
         return {
-            qid: system.server._build_data_query(spec, atlas_id)[:2]
+            qid: system.server._build_data_query(spec, atlas_id, side)[:2]
             for qid, spec in specs.items()
         }
 

@@ -417,3 +417,179 @@ class TestConjunctFactsOnce:
         monkeypatch.setattr(planner._PlannerState, "_selectivity", counting)
         system.db.explain(sql)
         assert len(seen) == 6
+
+
+# --------------------------------------------------------------------- #
+# warm statements: the memoized check and plans under every kind of change
+# --------------------------------------------------------------------- #
+
+
+def _cold(sql):
+    """A statement object no memo has seen: it is checked and planned."""
+    from repro.db.sql import Prepared, parse
+
+    return Prepared(sql, parse(sql))
+
+
+def _outcome(run):
+    """Rows (order-free), or the diagnostic code the statement dies with."""
+    from repro.errors import ReproError
+
+    try:
+        return "rows", sorted(run().rows, key=repr)
+    except ReproError as exc:
+        return "error", getattr(exc, "code", type(exc).__name__)
+
+
+def _plan_text(db, statement, params, planner):
+    from repro.errors import ReproError
+
+    try:
+        return [row[0] for row in db.execute(statement, params, planner=planner).rows]
+    except ReproError as exc:
+        return getattr(exc, "code", type(exc).__name__)
+
+
+#: applied one after another; after each, every statement is re-examined
+_CHANGES = [
+    ("nothing", []),
+    ("INSERT", ["insert into patient values (900, 'warm', '1950-01-01', 'F', 44)",
+                "insert into notes values (3, 'c')"]),
+    ("UPDATE", ["update patient set age = age + 30 where patientId = 900"]),
+    ("CREATE INDEX", ["create index ixWarm on rawVolume (patientId)",
+                      "create index ixNotes on notes (k)"]),
+    ("DROP INDEX", ["drop index ixWarm"]),
+    ("DROP INDEX (spatial)", ["drop index sxAtlasRegion"]),
+    ("CREATE SPATIAL INDEX",
+     ["create spatial index sxAtlasRegion on atlasStructure (region)"]),
+    ("DELETE", ["delete from patient where patientId = 900"]),
+    ("ANALYZE", ["analyze"]),
+    ("DROP TABLE + CREATE TABLE, other schema",
+     ["drop table notes", "create table notes (k integer, w text)",
+      "insert into notes values (1, 'z')"]),
+    ("register_function(replace=True)", None),
+]
+
+_HANDWRITTEN = [
+    ("select v from notes where k = ?", [1]),
+    ("select k from notes where k >= ? order by k", [0]),
+    ("select warmfn(age) from patient where patientId = ?", [1]),
+    # a correlated and an uncorrelated nested block
+    ("select p.name from patient p where exists (select 1 from rawVolume r"
+     " where r.patientId = p.patientId and r.modality = ?)", ["PET"]),
+    ("select count(*) from rawVolume where patientId in"
+     " (select patientId from patient where age >= ?)", [40]),
+]
+
+
+class TestWarmStatements:
+    @pytest.fixture()
+    def db(self):
+        db = QbismSystem.build_demo(
+            grid_side=GRID_SIDE, n_pet=2, n_mri=1, seed=7).db
+        db.execute("create table notes (k integer, v text)")
+        db.executemany("insert into notes values (?, ?)", [[1, "a"], [2, "b"]])
+        db.register_function("warmfn", lambda age: age + 1)
+        return db
+
+    @pytest.fixture()
+    def front_end_calls(self, monkeypatch):
+        """Names of the front-end passes run, in order."""
+        import repro.db.database
+        import repro.db.executor
+
+        calls: list[str] = []
+        for module, name in ((repro.db.database, "parse"),
+                             (repro.db.database, "check"),
+                             (repro.db.executor, "plan_select")):
+            def counting(*args, _orig=getattr(module, name), _name=name, **kw):
+                calls.append(_name)
+                return _orig(*args, **kw)
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_invalidation_matrix(self, db, catalog_values, front_end_calls):
+        rng = random.Random(19940_016)
+        statements = [generate_query(rng, catalog_values) for _ in range(12)]
+        statements += _HANDWRITTEN
+        for label, change in _CHANGES:
+            if change is None:
+                db.register_function("warmfn", lambda age, extra: age,
+                                     replace=True)
+            for ddl in change or ():
+                db.execute(ddl)
+            for sql, params in statements:
+                note = f"after {label}: {sql}"
+                for planner in ("cost", "naive"):
+                    # byte-identical EXPLAIN, or the same diagnostic
+                    assert _plan_text(db, "explain " + sql, params, planner) \
+                        == _plan_text(db, _cold("explain " + sql), params,
+                                      planner), note
+                oracle = _outcome(lambda: db.execute(
+                    _cold(sql), params, planner="naive"))
+                for _ in range(2):  # re-bound, then warm
+                    assert _outcome(lambda: db.execute(sql, params)) \
+                        == oracle, note
+            # with nothing changed in between, a second pass over the very
+            # same texts runs no parser, no analyzer and no planner
+            del front_end_calls[:]
+            for sql, params in statements:
+                for text in (sql, "explain " + sql):
+                    _outcome(lambda: db.execute(text, params))
+            valid = [sql for sql, params in statements
+                     if _outcome(lambda: db.execute(sql, params))[0] == "rows"]
+            assert set(front_end_calls) <= {"check"}, label
+            # (an invalid statement is never bound: it is re-checked, and
+            # re-raises, on each of its three calls above)
+            assert len(front_end_calls) == 3 * (len(statements) - len(valid))
+        # the matrix did invalidate: both late changes broke a statement
+        assert len(valid) == len(statements) - 2
+
+    def test_planner_modes_never_share_a_plan(self, db):
+        sql = ("select ns.structureName from neuralStructure ns,"
+               " atlasStructure s where s.structureId = ns.structureId"
+               " and voxelCount(intersection(s.region, ?)) > 0")
+        params = [_box_payload((2, 2, 2), (9, 9, 9))]
+        cost = db.execute(sql, params)
+        naive = db.execute(sql, params, planner="naive")
+        assert sorted(cost.rows) == sorted(naive.rows)
+        plans = db.prepare(sql)[0].bound.plans
+        assert sorted(mode for _, _, mode in plans) == ["cost", "naive"]
+        assert all(plan.mode == mode for (_, _, mode), plan in plans.items())
+        by_mode = {mode: plan for (_, _, mode), plan in plans.items()}
+        assert any(by_mode["cost"].spatial_probes)
+        assert not any(by_mode["naive"].spatial_probes)
+        # and warm EXPLAIN answers per mode from the same table
+        assert "via spatial(region)" in _explain(db, sql, params)
+        assert "via spatial(" not in "\n".join(_plan_text(
+            db, "explain " + sql, params, "naive"))
+
+    def test_correlated_block_is_planned_once_not_per_outer_row(
+            self, db, monkeypatch):
+        import repro.db.executor
+
+        sql = ("select s.structureId from atlasStructure s where exists"
+               " (select 1 from neuralStructure ns"
+               " where ns.structureId = s.structureId and ns.structureName <> ?)")
+        outer_rows = db.execute("select count(*) from atlasStructure").scalar()
+        assert outer_rows > 2
+        oracle = db.execute(_cold(sql), ["x"], planner="naive").rows
+        planned = []
+        original = repro.db.executor.plan_select
+
+        def counting(select, *args, **kwargs):
+            planned.append(select)
+            return original(select, *args, **kwargs)
+
+        monkeypatch.setattr(repro.db.executor, "plan_select", counting)
+        block = db.prepare(sql)[0].ast.where.subquery
+        cold = db.execute(sql, ["x"])
+        # the block's failed standalone probe and its real plan — not one
+        # of each per outer row — plus the outer block's own plan
+        assert sum(select is block for select in planned) == 2
+        assert len(planned) == 3
+        del planned[:]
+        warm = db.execute(sql, ["x"])
+        assert planned == []
+        assert sorted(cold.rows) == sorted(warm.rows) == sorted(oracle)
+        assert len(cold.rows) == outer_rows

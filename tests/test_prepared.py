@@ -148,3 +148,99 @@ def test_formatting_differences_share_canonical_shape_and_digest():
     assert one.canonical != two.canonical
     assert one.shape == two.shape == "SELECT v FROM T WHERE ((s = ?) AND (n = ?))"
     assert one.digest == two.digest
+
+
+# --------------------------------------------------------------------- #
+# the bound half: Database.prepare's memo and the stamp on Prepared.bound
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture()
+def kv_db():
+    from repro.db.database import Database
+
+    db = Database()
+    db.execute("create table kv (k integer, v integer)")
+    db.executemany("insert into kv values (?, ?)", [[k, k * k] for k in range(6)])
+    return db
+
+
+SUM_SQL = "select sum(v) from kv where k >= ?"
+
+
+def test_stamp_hit_keeps_the_bound_slot_and_a_write_replaces_it(kv_db):
+    stmt, hit = kv_db.prepare(SUM_SQL)
+    assert not hit and kv_db.prepare(SUM_SQL) == (stmt, True)
+    assert stmt.bound is None
+    assert kv_db.execute(SUM_SQL, [4]).scalar() == 41
+    bound = stmt.bound
+    assert len(bound.plans) == 1
+    assert kv_db.execute(SUM_SQL, [5]).scalar() == 25
+    assert kv_db.explain(SUM_SQL)
+    assert stmt.bound is bound, "same stamp: nothing re-bound or re-planned"
+    kv_db.execute("insert into kv values (6, 36)")
+    assert kv_db.execute(SUM_SQL, [5]).scalar() == 61
+    assert stmt.bound is not bound and stmt.bound.stamp != bound.stamp
+    # what an older reader holds is untouched: never edited in place
+    assert len(bound.plans) == 1
+
+
+def test_reader_pinned_to_an_older_version_rebinds_to_its_own_stamp(kv_db):
+    stmt, _ = kv_db.prepare(SUM_SQL)
+    with kv_db.read_view() as old:
+        kv_db.execute("insert into kv values (6, 36)")
+        assert kv_db.execute(SUM_SQL, [0]).scalar() == 91
+        latest = stmt.bound
+        assert kv_db.execute(SUM_SQL, [0], view=old).scalar() == 55
+        assert stmt.bound.stamp != latest.stamp
+    assert kv_db.execute(SUM_SQL, [0]).scalar() == 91
+    assert stmt.bound.stamp == latest.stamp
+
+
+def test_bare_text_is_ad_hoc_and_leaves_the_memo_alone(kv_db):
+    kv_db.execute(SUM_SQL, [0])
+    held = list(kv_db._prepared)
+    for k in range(3):
+        assert kv_db.execute(f"select v from kv where k = {k}").scalar() == k * k
+    assert kv_db.execute(SUM_SQL.replace("?", "4")).scalar() == 41
+    assert list(kv_db._prepared) == held
+    # an empty parameter list still says "template"
+    kv_db.execute("select count(*) from kv", [])
+    assert list(kv_db._prepared) == held + ["select count(*) from kv"]
+
+
+def test_memo_evicts_least_recently_used_at_capacity(kv_db):
+    from repro.db.database import _STMT_MEMO_CAPACITY
+
+    def text(i):
+        return f"select v from kv where k = {i}"
+
+    held = len(kv_db._prepared)  # the fixture's insert template
+    (first, _), (second, _) = kv_db.prepare(text(0)), kv_db.prepare(text(1))
+    for i in range(2, _STMT_MEMO_CAPACITY - held):
+        kv_db.execute(text(i), [])
+    assert kv_db.prepare(text(0)) == (first, True)  # full, nothing evicted yet
+    assert len(kv_db._prepared) == _STMT_MEMO_CAPACITY
+    kv_db.prepare(text(_STMT_MEMO_CAPACITY))    # one over: evicts the LRU,
+    kv_db.prepare(text(_STMT_MEMO_CAPACITY + 1))  # the insert, then text(1)
+    assert kv_db.prepare(text(0)) == (first, True)
+    stale, hit = kv_db.prepare(text(1))
+    assert not hit and stale is not second
+    assert len(kv_db._prepared) == _STMT_MEMO_CAPACITY
+
+
+def test_statement_calling_a_session_local_udf_is_never_bound(kv_db):
+    from repro.server import QueryServer
+
+    sql = "select mine(v) from kv where k = 3"
+    with QueryServer(kv_db, workers=1, result_cache=False) as server:
+        with server.connect() as one, server.connect() as two:
+            one.register_function("mine", lambda v: v + 1)
+            two.register_function("mine", lambda v, w=0: -v)
+            for _ in range(2):
+                assert one.execute(sql).scalar() == 10
+                assert two.execute(sql).scalar() == -9
+            assert kv_db.prepare(sql)[0].bound is None
+            # a shared-registry statement from the same sessions is bound
+            one.execute(SUM_SQL, [0])
+            assert kv_db.prepare(SUM_SQL)[0].bound is not None
