@@ -38,7 +38,6 @@ from repro.medical.loader import MedicalLoader
 from repro.medical.server import MedicalServer
 from repro.server.server import QueryServer
 from repro.storage.device import BlockDevice
-from repro.storage.latency import LatencyDevice
 
 __all__ = ["Cluster", "build_demo_cluster"]
 
@@ -94,18 +93,12 @@ def build_demo_cluster(
     band_encodings: tuple[str, ...] = ("hilbert-naive",),
     wal: bool = True,
     replicate: bool = False,
-    read_latency: float = 0.0,
     timeout: float | None = None,
-    workers: int = 4,
-    result_cache: bool = True,
 ) -> Cluster:
     """Build and populate an ``n_shards``-way cluster from synthetic data.
 
     ``replicate=True`` attaches a WAL-shipped read replica to every shard
-    (requires ``wal=True``); ``read_latency`` > 0 wraps each shard's
-    device in a :class:`~repro.storage.latency.LatencyDevice` — one
-    simulated disk head per shard, which is what makes declustered reads
-    scale in the shard-scaling bench.
+    (requires ``wal=True``).
     """
     if replicate and not wal:
         raise ValidationError("replicas ship WAL batches; need wal=True")
@@ -119,11 +112,7 @@ def build_demo_cluster(
     # One complete single-node stack per shard.
     stacks = []
     for shard_id in range(n_shards):
-        base = BlockDevice(capacity)
-        device = base if read_latency <= 0 else LatencyDevice(
-            base, read_latency=read_latency
-        )
-        device, lfm, db = node_stack(device, wal)
+        device, lfm, db = node_stack(BlockDevice(capacity), wal)
         link = None
         if replicate:
             # Registered before any load so the link retains the full
@@ -175,8 +164,7 @@ def build_demo_cluster(
             lfm=stack["lfm"],
             db=db,
             server=QueryServer(
-                db, workers=workers, result_cache=result_cache,
-                node_labels={"shard": str(shard_id), "role": "primary"},
+                db, node_labels={"shard": str(shard_id), "role": "primary"},
             ),
             medical=MedicalServer(db),
             study_ids=stack["study_ids"],

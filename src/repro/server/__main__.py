@@ -22,12 +22,58 @@ import threading
 import time
 from urllib.request import urlopen
 
-from repro.bench.concurrency import build_query_pool
 from repro.core.system import QbismSystem
 from repro.obs import promtext
 from repro.server import QueryServer
 
 __all__ = ["main"]
+
+
+def _query_pool(db) -> list[str]:
+    """Distinct read statements over the demo schema, LFM-heavy."""
+    pool: list[str] = []
+    structure_ids = db.execute(
+        "select structureId from atlasStructure"
+    ).column("structureId")
+    for sid in structure_ids:
+        pool.append(
+            f"select voxelCount(region) from atlasStructure "
+            f"where structureId = {sid}"
+        )
+        pool.append(
+            f"select runCount(region) from atlasStructure "
+            f"where structureId = {sid}"
+        )
+    for study_id, low, encoding in db.execute(
+        "select studyId, low, encoding from intensityBand"
+    ).rows:
+        pool.append(
+            f"select voxelCount(region) from intensityBand "
+            f"where studyId = {study_id} and low = {low} "
+            f"and encoding = '{encoding}'"
+        )
+    # §6's early-filtering workhorse: read exactly one structure's voxels
+    # out of a warped study and reduce them.
+    study_ids = db.execute(
+        "select studyId from warpedVolume"
+    ).column("studyId")
+    for study_id in study_ids:
+        for sid in structure_ids[:3]:
+            pool.append(
+                f"select dataMean(extractVoxels(v.data, s.region)) "
+                f"from warpedVolume v, atlasStructure s "
+                f"where v.studyId = {study_id} and s.structureId = {sid}"
+            )
+    for left, right in zip(structure_ids, structure_ids[1:]):
+        pool.append(
+            f"select voxelCount(intersection(a.region, b.region)) "
+            f"from atlasStructure a, atlasStructure b "
+            f"where a.structureId = {left} and b.structureId = {right}"
+        )
+    pool.append("select count(*) from rawVolume where modality = 'PET'")
+    pool.append("select count(*) from rawVolume where modality = 'MRI'")
+    pool.append("select count(*) from neuralStructure")
+    return pool
 
 
 def _workload(server: QueryServer, pool: list[str], sessions: int) -> int:
@@ -71,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"building demo database (grid {args.grid})...", flush=True)
     system = QbismSystem.build_demo(grid_side=args.grid, n_pet=2, n_mri=1)
-    pool = build_query_pool(system.db)
+    pool = _query_pool(system.db)
     with QueryServer(system.db, workers=4) as server:
         admin = server.start_admin(port=args.port)
         print(f"admin endpoint: {admin.url}", flush=True)

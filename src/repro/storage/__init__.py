@@ -7,7 +7,6 @@ from repro.storage.buddy import BuddyAllocator
 from repro.storage.cache import PageCache
 from repro.storage.device import PAGE_SIZE, BlockDevice, IOStats
 from repro.storage.faults import FaultSchedule, FaultyDevice
-from repro.storage.latency import LatencyDevice
 from repro.storage.lfm import LongField, LongFieldManager
 from repro.storage.wal import RecoveryReport, WriteAheadLog, recover_journal
 
@@ -21,7 +20,6 @@ __all__ = [
     "LongFieldManager",
     "FaultSchedule",
     "FaultyDevice",
-    "LatencyDevice",
     "WriteAheadLog",
     "RecoveryReport",
     "recover_journal",

@@ -535,6 +535,15 @@ class TestAdminEndpoint:
             _get(url + "/healthz")
 
 
+    def test_smoke_entry_point_exits_zero(self, capsys):
+        from repro.server.__main__ import main
+
+        assert main(["--grid", "16", "--sessions", "2", "--port", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "healthz: ok" in out
+        assert "Prometheus text valid" in out
+
+
 class TestStatementMemoMetrics:
     def test_memo_hits_and_misses_counted(self, system):
         # the memo is the database's, not this server's: a text no earlier
