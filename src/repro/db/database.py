@@ -506,8 +506,10 @@ class Database:
 
         Delegates to the device stack: under a write-ahead log every page
         dirtied inside the scope commits atomically with the LFM's field
-        table; on a raw device the scope is a no-op.  Databases without an
-        LFM have no storage to protect, so the scope is trivially empty.
+        table, and if the scope rolls back the rows its INSERTs stored go
+        with the long fields they point at (UPDATE and DELETE are not
+        undone); on a raw device the scope is a no-op.  Databases without
+        an LFM have no storage to protect, so the scope is trivially empty.
 
         The scope holds the exclusive side of :attr:`rwlock` from entry
         through commit *seal*: concurrent readers never observe a

@@ -266,12 +266,19 @@ class Executor:
                 # value/column arity was proven to match by the analyzer (QB206)
                 table.insert_named(**dict(zip(stmt.columns, values)))
             count += 1
+        stored = list(itertools.islice(table.scan(), before, None))
         if fresh:
             # maintain the stats with the *stored* (coerced) rows
-            table.stats.apply_inserts(
-                table, itertools.islice(table.scan(), before, None),
-                ctx.read_longfield,
-            )
+            table.stats.apply_inserts(table, stored, ctx.read_longfield)
+        if ctx.lfm is not None:
+            def undo() -> None:
+                gone = {id(row) for row in stored}
+                self._resynced(table, lambda: table.delete_where(
+                    lambda row: id(row) in gone), ctx)
+
+            # The rows hold handles of long fields the enclosing storage
+            # transaction wrote: if it rolls back, they go with them.
+            ctx.lfm.on_rollback(undo)
         return ResultSet([], [], rowcount=count)
 
     def _execute_create(self, stmt: CreateTable) -> ResultSet:

@@ -99,12 +99,15 @@ def region_cell_stats(data: bytes) -> RegionCellStats | None:
         runs=region.run_count,
         voxels=region.voxel_count,
         nbytes=len(data),
-        hilbert=hilbert_sort_key(region),
+        hilbert=hilbert_sort_key(region, (lower, upper)),
     )
 
 
 #: parse outcome of a payload that is not a region
 _FAILED = object()
+
+#: a :class:`SpatialIndex` tree awaiting its (re-)pack: built, not current
+_STALE = object()
 
 
 def _cells(column: "_SpatialColumn | None") -> dict:
@@ -292,21 +295,19 @@ class TableStats:
                     column.rows.setdefault(value, []).append(row)
         return grown
 
-    def _finish_locked(self, table, repack) -> None:
-        """Re-pack the trees over ``repack`` (the positions whose cell set
-        changed) and stamp the stats; ``_lock`` held.  Indexes that read
-        another ``TableStats`` — ``self`` is a scratch copy recomputed
-        beside the table's own — are left alone."""
+    def _finish_locked(self, table, changed) -> None:
+        """Mark the trees over ``changed`` (the positions whose cell set
+        may have changed) stale and stamp the stats; ``_lock`` held.
+        Indexes that read another ``TableStats`` — ``self`` is a scratch
+        copy recomputed beside the table's own — are left alone."""
         for index in table.spatial.values():
-            if index._stats is self and (
-                    index.position in repack or index._tree is None):
-                index.pack(self._spatial.get(index.position))
+            if index._stats is self and index.position in changed:
+                index._tree = _STALE
         self.stamp = (table.uid, table.mutations)
 
-    def apply_inserts(self, table, rows, reader) -> None:
+    def apply_inserts(self, table, rows: list, reader) -> None:
         """Fold newly inserted (stored, already coerced) rows into the
         stats and stamp them to the table's state."""
-        rows = list(rows)
         with self._lock:
             collected = self._collected(table, self.spatial_enabled)
             known = {}
@@ -345,11 +346,7 @@ class TableStats:
             self.spatial_enabled = analyzed
             self._spatial = {}
             self._fold_locked(rows, collected, resolved)
-            self._finish_locked(table, {
-                pos for pos in collected
-                if _cells(old.get(pos)).keys()
-                != _cells(self._spatial.get(pos)).keys()
-            })
+            self._finish_locked(table, collected)
 
     # -------------------------------------------------------------- #
     # estimator accessors (read-only; tolerate concurrent staleness)
@@ -470,8 +467,10 @@ class SpatialIndex:
 
     The index owns only the tree; the cells it packs and the rows a probe
     returns are the column's directory in the table's :class:`TableStats`,
-    which re-packs the tree (under its lock) whenever the set of distinct
-    cells changes — cheap at QBISM scale; row edits alone reuse it.  A
+    whose maintenance marks the tree stale when an INSERT adds a cell or a
+    recompute rebuilds the directory.  The tree is packed when it is next
+    needed — by the snapshot a commit publishes, or by a probe of the live
+    index — so a transaction packs once; INSERTs of known cells reuse it.  A
     probe descends the tree and concatenates the matching cells' rows —
     candidates only, the caller re-evaluates the exact predicate.
     """
@@ -482,23 +481,32 @@ class SpatialIndex:
         self.column = column
         self.position = table.schema.position(column)
         self._stats: TableStats = table.stats
-        #: packed tree over the directory's non-empty cells (immutable;
-        #: replaced wholesale by the stats' maintenance, None until then)
+        self._lock = table.stats._lock  # orders packing against maintenance
+        #: packed tree over the directory's non-empty cells (immutable,
+        #: replaced wholesale); None until the stats' first maintenance,
+        #: ``_STALE`` from a cell-set change until the next use
+        #: guarded_by: _lock
         self._tree: RegionRTree | None = None
 
     def snapshot(self, table) -> "SpatialIndex":
         """This index over an MVCC snapshot of its table: the clone reads
         the snapshot's directory and shares the immutable tree."""
         clone = SpatialIndex(self.name, table, self.column)
-        clone._tree = self._tree
+        clone._tree = self._packed()
         return clone
 
-    def pack(self, column: _SpatialColumn | None) -> None:
-        """Re-pack the tree over a directory's cells (stats lock held)."""
-        self._tree = RegionRTree(
-            meta.entry(value) for value, meta in _cells(column).items()
-            if meta is not None  # empty regions are not indexed
-        )
+    def _packed(self) -> RegionRTree | None:
+        """The tree over the directory's current cells — packed here, the
+        one pack site, if maintenance marked it stale since the last use."""
+        if self._tree is _STALE:
+            with self._lock:
+                if self._tree is _STALE:
+                    self._tree = RegionRTree(
+                        meta.entry(value)
+                        for value, meta in _cells(self._directory()).items()
+                        if meta is not None  # empty regions are not indexed
+                    )
+        return self._tree
 
     def _directory(self) -> _SpatialColumn | None:
         return self._stats._spatial.get(self.position)
@@ -526,7 +534,7 @@ class SpatialIndex:
 
     def probe(self, lower, upper) -> list:
         """Candidate rows whose region MBR overlaps the half-open box."""
-        tree, column = self._tree, self._directory()
+        tree, column = self._packed(), self._directory()
         if tree is None or column is None:
             return []
         hits: list = []
@@ -536,7 +544,8 @@ class SpatialIndex:
 
     def cell_count(self) -> int:
         """Number of distinct indexed region values."""
-        return len(self._tree) if self._tree is not None else 0
+        tree = self._packed()
+        return len(tree) if tree is not None else 0
 
     def __repr__(self) -> str:
         return (f"SpatialIndex({self.name} on "

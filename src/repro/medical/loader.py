@@ -15,6 +15,7 @@ of it:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,23 @@ class MedicalLoader:
         """
         self._next_ids[kind] = int(next_id)
 
+    @contextmanager
+    def _unit(self):
+        """One load is one ``Database.transaction``: one journal commit and
+        one published snapshot.  Under a write-ahead log it is atomic — a
+        load that fails, or whose commit never reaches the journal, leaves
+        nothing behind and gives back the ids it took.  A raw device cannot
+        roll back: there a failed load keeps what it had stored (rows,
+        fields, ids)."""
+        with self.db.transaction():
+            ids = dict(self._next_ids)
+
+            def restore_ids() -> None:
+                self._next_ids = ids
+
+            self.lfm.on_rollback(restore_ids)
+            yield
+
     # ------------------------------------------------------------------ #
     # reference data
     # ------------------------------------------------------------------ #
@@ -85,46 +103,47 @@ class MedicalLoader:
         systems: dict[str, tuple[str, ...]] | None = None,
     ) -> Atlas:
         """Store an atlas: coordinate frame, structures (REGION + mesh), systems."""
-        atlas_id = self._allocate_id("atlas")
-        side = phantom.grid.shape[0]
-        self.db.execute(
-            "insert into atlas values (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            [atlas_id, name, demographic_group, side, 0.0, 0.0, 0.0, *voxel_size_mm],
-        )
-        structure_ids: dict[str, int] = {}
-        for structure_name, region in phantom.structures.items():
-            structure_id = self._allocate_id("structure")
-            structure_ids[structure_name] = structure_id
+        with self._unit():
+            atlas_id = self._allocate_id("atlas")
+            side = phantom.grid.shape[0]
             self.db.execute(
-                "insert into neuralStructure values (?, ?)",
-                [structure_id, structure_name],
+                "insert into atlas values (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                [atlas_id, name, demographic_group, side, 0.0, 0.0, 0.0, *voxel_size_mm],
             )
-            region_lf = self.lfm.create(region.to_bytes("naive"))
-            mesh_lf = self.lfm.create(extract_surface_mesh(region).to_bytes())
-            if region.voxel_count:
-                lower, upper = region.bounding_box()
-            else:
-                lower = upper = (None, None, None)
-            self.db.execute(
-                "insert into atlasStructure values (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                [atlas_id, structure_id, region_lf, mesh_lf, *lower, *upper],
-            )
-        if systems is None:
-            systems = _default_systems(set(structure_ids))
-        for system_name, members in systems.items():
-            system_id = self._allocate_id("system")
-            self.db.execute(
-                "insert into neuralSystem values (?, ?)", [system_id, system_name]
-            )
-            for member in members:
-                if member not in structure_ids:
-                    raise MedicalError(
-                        f"system {system_name!r} references unknown structure {member!r}"
-                    )
+            structure_ids: dict[str, int] = {}
+            for structure_name, region in phantom.structures.items():
+                structure_id = self._allocate_id("structure")
+                structure_ids[structure_name] = structure_id
                 self.db.execute(
-                    "insert into systemStructure values (?, ?)",
-                    [system_id, structure_ids[member]],
+                    "insert into neuralStructure values (?, ?)",
+                    [structure_id, structure_name],
                 )
+                region_lf = self.lfm.create(region.to_bytes("naive"))
+                mesh_lf = self.lfm.create(extract_surface_mesh(region).to_bytes())
+                if region.voxel_count:
+                    lower, upper = region.bounding_box()
+                else:
+                    lower = upper = (None, None, None)
+                self.db.execute(
+                    "insert into atlasStructure values (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    [atlas_id, structure_id, region_lf, mesh_lf, *lower, *upper],
+                )
+            if systems is None:
+                systems = _default_systems(set(structure_ids))
+            for system_name, members in systems.items():
+                system_id = self._allocate_id("system")
+                self.db.execute(
+                    "insert into neuralSystem values (?, ?)", [system_id, system_name]
+                )
+                for member in members:
+                    if member not in structure_ids:
+                        raise MedicalError(
+                            f"system {system_name!r} references unknown structure {member!r}"
+                        )
+                    self.db.execute(
+                        "insert into systemStructure values (?, ?)",
+                        [system_id, structure_ids[member]],
+                    )
         return Atlas(
             atlas_id=atlas_id,
             name=name,
@@ -184,15 +203,16 @@ class MedicalLoader:
         """
         if data.ndim != 3:
             raise MedicalError("raw studies must be 3-D scanline arrays")
-        study_id = self._allocate_id("study")
         slice_major = np.ascontiguousarray(
             np.moveaxis(np.asarray(data, dtype=np.uint8), 2, 0)
         )
-        raw_lf = self.lfm.create(slice_major.tobytes())
-        self.db.execute(
-            "insert into rawVolume values (?, ?, ?, ?, ?, ?, ?, ?)",
-            [study_id, patient_id, modality, date, *data.shape, raw_lf],
-        )
+        with self._unit():
+            study_id = self._allocate_id("study")
+            raw_lf = self.lfm.create(slice_major.tobytes())
+            self.db.execute(
+                "insert into rawVolume values (?, ?, ?, ?, ?, ?, ?, ?)",
+                [study_id, patient_id, modality, date, *data.shape, raw_lf],
+            )
         return study_id
 
     def read_raw_study(self, study_id: int) -> np.ndarray:
@@ -224,7 +244,14 @@ class MedicalLoader:
         atlas-space intensity template) drives moment-based registration.
         Returns the warp that was stored.
         """
-        data = self.read_raw_study(study_id)
+        with self._unit():
+            return self._warp(study_id, self.read_raw_study(study_id), atlas,
+                              atlas_grid, warp, registration_reference)
+
+    def _warp(self, study_id, data, atlas, atlas_grid, warp,
+              registration_reference) -> AffineTransform:
+        """:meth:`warp_study` inside an open unit, on the study's voxels
+        ``data`` — read back, or still in hand from storing them."""
         existing = self.db.execute(
             "select count(*) from warpedVolume where studyId = ? and atlasId = ?",
             [study_id, atlas.atlas_id],
@@ -267,11 +294,11 @@ class MedicalLoader:
         registration_reference: np.ndarray | None = None,
     ) -> int:
         """The full load pipeline: store raw, warp, band; returns the study id."""
-        study_id = self.load_raw_study(data, modality, patient_id, date)
-        self.warp_study(
-            study_id, atlas, atlas_grid,
-            warp=warp, registration_reference=registration_reference,
-        )
+        stored = np.asarray(data, dtype=np.uint8)  # what a read-back gives
+        with self._unit():
+            study_id = self.load_raw_study(stored, modality, patient_id, date)
+            self._warp(study_id, stored, atlas, atlas_grid, warp,
+                       registration_reference)
         return study_id
 
     def _store_bands(self, study_id: int, atlas_id: int, volume: Volume) -> None:

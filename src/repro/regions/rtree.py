@@ -16,10 +16,11 @@ Regions linearized along another curve get a key by mapping their bounding
 populations (the Table 4 ablations store z- and naive-order bands) in one
 tree.
 
-Trees are immutable once packed — the DBMS layer rebuilds them wholesale
-when the population of *distinct* region values changes, which for the
-QBISM workload (tens of structures, dozens of bands) is cheaper and
-simpler than R*-style incremental maintenance.
+Trees are immutable once packed — the DBMS layer rebuilds one wholesale
+the first time it is needed after the population of *distinct* region
+values changed (at most once per commit), which for the QBISM workload
+(tens of structures, dozens of bands) is cheaper and simpler than
+R*-style incremental maintenance.
 """
 
 from __future__ import annotations
@@ -38,22 +39,23 @@ __all__ = ["RTreeEntry", "RegionRTree", "hilbert_sort_key"]
 DEFAULT_CAPACITY = 8
 
 
-def hilbert_sort_key(region: Region) -> int:
+def hilbert_sort_key(region: Region, box=None) -> int:
     """The Hilbert packing key of one region.
 
     For regions already linearized along the Hilbert curve this is the
     midpoint of the curve-id interval (no geometry needed).  Other
     linearizations map their bounding-box center through the grid's
-    Hilbert curve; grids with no Hilbert curve (non-cube shapes) fall
-    back to the native curve's interval midpoint, which still clusters
-    spatially for any space-filling order.
+    Hilbert curve (``box`` is the region's ``bounding_box()``, for a
+    caller that already has it); grids with no Hilbert curve (non-cube
+    shapes) fall back to the native curve's interval midpoint, which
+    still clusters spatially for any space-filling order.
     """
     intervals = region.intervals
     if not intervals.run_count:
         return 0
     if region.curve.name == "hilbert":
         return (int(intervals.min_index) + int(intervals.max_index)) // 2
-    lower, upper = region.bounding_box()
+    lower, upper = box if box is not None else region.bounding_box()
     center = [(lo + up - 1) // 2 for lo, up in zip(lower, upper)]
     try:
         curve = curve_for_grid(region.grid, "hilbert")
@@ -75,7 +77,7 @@ class RTreeEntry:
     def for_region(cls, key: object, region: Region) -> "RTreeEntry":
         """Build the entry for one non-empty region."""
         lower, upper = region.bounding_box()
-        return cls(key, lower, upper, hilbert_sort_key(region))
+        return cls(key, lower, upper, hilbert_sort_key(region, (lower, upper)))
 
 
 class _Node:

@@ -30,7 +30,7 @@ import numpy as np
 from repro.concurrency import lockdep
 from repro.errors import StorageError
 from repro.obs import metrics, trace
-from repro.storage.device import BlockDevice, IOStats
+from repro.storage.device import BlockDevice, IOStats, _page_span, _scatter_span
 
 __all__ = ["PageCache"]
 
@@ -105,19 +105,12 @@ class PageCache:
                 self._latches.pop(number, None)
             return page
 
-    def _account_logical(self, starts: np.ndarray, stops: np.ndarray) -> None:
-        from repro.storage.device import _page_intervals
-
-        pages = _page_intervals(starts, stops)
-        nbytes = int(np.maximum(stops - starts, 0).sum())
-        with self._lock:
-            self.stats.add_read(pages.count, pages.run_count, nbytes)
-
     def read(self, offset: int, length: int) -> bytes:
         """Read a byte range through the cache (page-granular fills)."""
         if offset < 0 or length < 0 or offset + length > self.capacity:
             raise StorageError("read outside device bounds")
-        self._account_logical(np.asarray([offset]), np.asarray([offset + length]))
+        with self._lock:
+            self.stats.add_read(*_page_span(offset, length), length)
         if not length:
             # Zero-length reads touch no pages (matches BlockDevice.read,
             # including at offset == capacity).
@@ -145,7 +138,8 @@ class PageCache:
                 )
             if int(starts.min()) < 0 or int(stops.max()) > self.capacity:
                 raise StorageError("scattered read outside device bounds")
-        self._account_logical(starts, stops)
+        with self._lock:
+            self.stats.add_read(*_scatter_span(starts, stops))
         out = bytearray()
         with trace.span("cache.read_ranges", io=self.device.stats,
                         ranges=int(starts.size)):
@@ -164,13 +158,8 @@ class PageCache:
         invalidated (re-read on next access) so no stale data survives."""
         with trace.span("cache.write", io=self.device.stats, bytes=len(data)):
             self.device.write(offset, data)
-        from repro.storage.device import _page_intervals
-
-        pages = _page_intervals(
-            np.asarray([offset]), np.asarray([offset + len(data)])
-        )
         with self._lock:
-            self.stats.add_write(pages.count, pages.run_count, len(data))
+            self.stats.add_write(*_page_span(offset, len(data)), len(data))
             if not data:
                 return
             first = offset // self.page_size

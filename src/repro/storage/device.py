@@ -136,15 +136,22 @@ class IOStats:
         )
 
 
-def _page_intervals(starts: np.ndarray, stops: np.ndarray) -> IntervalSet:
-    """The set of page numbers touched by the byte ranges ``[start, stop)``."""
-    starts = np.asarray(starts, dtype=np.int64)
-    stops = np.asarray(stops, dtype=np.int64)
+def _page_span(offset: int, length: int) -> tuple[int, int]:
+    """``(pages, extents)`` one contiguous access ``[offset, offset +
+    length)`` touches: its pages are one run, or none at all."""
+    if length <= 0:
+        return 0, 0
+    return (offset + length - 1) // PAGE_SIZE - offset // PAGE_SIZE + 1, 1
+
+
+def _scatter_span(starts: np.ndarray, stops: np.ndarray) -> tuple[int, int, int]:
+    """``(pages, extents, nbytes)`` of the int64 byte ranges ``[start,
+    stop)``: distinct pages (several ranges on one page cost one I/O) and
+    the contiguous page runs they form."""
     nonempty = stops > starts
     starts, stops = starts[nonempty], stops[nonempty]
-    first_page = starts // PAGE_SIZE
-    last_page = (stops - 1) // PAGE_SIZE + 1
-    return IntervalSet(first_page, last_page)
+    pages = IntervalSet(starts // PAGE_SIZE, (stops - 1) // PAGE_SIZE + 1)
+    return pages.count, pages.run_count, int((stops - starts).sum())
 
 
 @dataclass
@@ -235,16 +242,16 @@ class BlockDevice:
     def read(self, offset: int, length: int) -> bytes:
         """Read one contiguous byte range."""
         self._check_range(offset, length)
-        self._account_read(np.asarray([offset]), np.asarray([offset + length]))
+        with self._lock:
+            self.stats.add_read(*_page_span(offset, length), length)
         return bytes(self._backing.buf[offset:offset + length])
 
     def write(self, offset: int, data: bytes) -> None:
         """Write one contiguous byte range."""
         self._check_range(offset, len(data))
-        pages = _page_intervals(np.asarray([offset]), np.asarray([offset + len(data)]))
         with self._lock:
             self._backing.buf[offset:offset + len(data)] = data
-            self.stats.add_write(pages.count, pages.run_count, len(data))
+            self.stats.add_write(*_page_span(offset, len(data)), len(data))
 
     def read_ranges(self, starts: np.ndarray, stops: np.ndarray) -> bytes:
         """Gather many byte ranges in one logical operation.
@@ -256,7 +263,7 @@ class BlockDevice:
         starts = np.asarray(starts, dtype=np.int64)
         stops = np.asarray(stops, dtype=np.int64)
         if starts.size:
-            # Validate everything before _account_read: a rejected call must
+            # Validate everything before accounting: a rejected call must
             # leave the Table 3/4 counters untouched.
             if np.any(stops < starts):
                 bad = int(np.argmax(stops < starts))
@@ -266,18 +273,13 @@ class BlockDevice:
                 )
             self._check_range(int(starts.min()), 0)
             self._check_range(0, int(stops.max()))
-        self._account_read(starts, stops)
+        with self._lock:
+            self.stats.add_read(*_scatter_span(starts, stops))
         from repro.regions.intervals import concat_ranges
 
         view = np.frombuffer(memoryview(self._backing.buf), dtype=np.uint8)
         idx = concat_ranges(starts, stops)
         return view[idx].tobytes()
-
-    def _account_read(self, starts: np.ndarray, stops: np.ndarray) -> None:
-        pages = _page_intervals(starts, stops)
-        nbytes = int(np.maximum(stops - starts, 0).sum())
-        with self._lock:
-            self.stats.add_read(pages.count, pages.run_count, nbytes)
 
     # ------------------------------------------------------------------ #
     # lifecycle

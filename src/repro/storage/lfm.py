@@ -55,17 +55,20 @@ class LongFieldManager:
     # lifecycle
     # ------------------------------------------------------------------ #
 
-    def _register_undo(self, undo) -> bool:
-        """Hand ``undo`` to a transactional device, if there is one.
+    def on_rollback(self, undo) -> bool:
+        """Run ``undo`` if the open storage transaction rolls back.
 
         Under a write-ahead log the device runs it when the *outermost*
         transaction rolls back — which may be an enclosing
-        ``Database.transaction()`` scope that aborts long after this
-        mutation's own method returned.  Returns whether the device took
-        ownership; on a raw device the caller must unwind by hand.
+        ``Database.transaction()`` scope that aborts long after the
+        registering call returned — so in-memory state (the field table,
+        the rows an INSERT stored, a loader's id counters) unwinds with
+        the long fields.  Returns False, registering nothing, on a raw
+        device (it cannot roll back) and outside any transaction.
         """
-        if getattr(self.device, "supports_rollback", False):
-            self.device.on_rollback(undo)
+        device = self.device
+        if getattr(device, "supports_rollback", False) and device.in_transaction:
+            device.on_rollback(undo)
             return True
         return False
 
@@ -92,7 +95,7 @@ class LongFieldManager:
         deferred = False
         try:
             with self.device.transaction(meta_provider=self.export_state):
-                deferred = self._register_undo(undo)
+                deferred = self.on_rollback(undo)
                 # Register the field before commit so the metadata snapshot
                 # journaled with the commit record already includes it.
                 self._next_id = field_id + 1
@@ -141,7 +144,7 @@ class LongFieldManager:
         deferred = False
         try:
             with self.device.transaction(meta_provider=self.export_state):
-                deferred = self._register_undo(undo)
+                deferred = self.on_rollback(undo)
                 del self._fields[field.field_id]
                 if retire is None:
                     self._allocator.free(offset)

@@ -86,7 +86,7 @@ import numpy as np
 from repro.concurrency import guarded_by, lockdep
 from repro.errors import StorageError, WalError
 from repro.obs import metrics, recorder, trace
-from repro.storage.device import IOStats, _page_intervals
+from repro.storage.device import IOStats, _page_span, _scatter_span
 
 __all__ = ["WriteAheadLog", "RecoveryReport", "recover_journal", "WAL_VERSION"]
 
@@ -934,9 +934,8 @@ class WriteAheadLog:
     @guarded_by("txn")
     def _buffer_write(self, offset: int, data: bytes) -> None:
         """Stage one write in the open transaction's dirty-page buffer."""
-        pages = _page_intervals(np.asarray([offset]), np.asarray([offset + len(data)]))
         with self._stats_lock:
-            self.stats.add_write(pages.count, pages.run_count, len(data))
+            self.stats.add_write(*_page_span(offset, len(data)), len(data))
         if not data:
             return
         first = offset // self.page_size
@@ -991,22 +990,8 @@ class WriteAheadLog:
 
     def _overlay_pending(self, blob: bytearray, start: int) -> bytearray:
         """Patch a byte range with committed-but-not-yet-applied pages."""
-        stop = start + len(blob)
-        first = start // self.page_size
-        last = (stop - 1) // self.page_size if stop > start else first
-        with self._pending_lock:
-            if not self._pending:
-                return blob
-            for number in range(first, last + 1):
-                entry = self._pending.get(number)
-                if entry is None:
-                    continue
-                page = entry[1]
-                page_start = number * self.page_size
-                lo = max(start, page_start)
-                hi = min(stop, page_start + self.page_size)
-                blob[lo - start:hi - start] = page[lo - page_start:hi - page_start]
-        return blob
+        snap = self._snapshot_pending()
+        return blob if snap is None else self._overlay_from(blob, start, snap)
 
     def _sees_own_writes(self) -> bool:
         """Is the calling thread the owner of the open transaction?
@@ -1031,7 +1016,8 @@ class WriteAheadLog:
         """
         snap = self._snapshot_pending() if length else None
         data = self.device.read(offset, length)
-        self._account_read(np.asarray([offset]), np.asarray([offset + length]))
+        with self._stats_lock:
+            self.stats.add_read(*_page_span(offset, length), length)
         if not length:
             return data
         blob = None
@@ -1047,12 +1033,6 @@ class WriteAheadLog:
             blob = self._overlay(blob if blob is not None else bytearray(data), offset)
         return bytes(blob) if blob is not None else data
 
-    def _account_read(self, starts: np.ndarray, stops: np.ndarray) -> None:
-        pages = _page_intervals(starts, stops)
-        nbytes = int(np.maximum(stops - starts, 0).sum())
-        with self._stats_lock:
-            self.stats.add_read(pages.count, pages.run_count, nbytes)
-
     def read_ranges(self, starts, stops) -> bytes:
         """Scattered read with overlays (page-deduplicated).
 
@@ -1064,7 +1044,8 @@ class WriteAheadLog:
         stops = np.asarray(stops, dtype=np.int64)
         snap = self._snapshot_pending()
         data = self.device.read_ranges(starts, stops)  # validates + accounts
-        self._account_read(starts, stops)
+        with self._stats_lock:
+            self.stats.add_read(*_scatter_span(starts, stops))
         pending = bool(self._pending)
         own = self._sees_own_writes()
         if snap is None and not pending and not own:

@@ -975,8 +975,9 @@ class TestPublishTimeInvalidation:
                     s.execute("insert into events values (1, 2)")
                 assert len(server.cache) == 0
                 assert server.cache._stale_below["events"] == db.version_seq
-                # The refreshed cache agrees with the live snapshot.
+                # The refreshed cache agrees with the live snapshot — from
+                # which the row of the rolled-back INSERT is gone again.
                 refreshed = s.execute("select count(*) from events").scalar()
                 assert refreshed == db.execute(
                     "select count(*) from events"
-                ).scalar()
+                ).scalar() == 1

@@ -437,6 +437,49 @@ class TestOuterScopeRollback:
         assert lfm.read(a) == PAYLOAD_A
 
 
+    def test_outer_abort_rolls_back_inserted_rows(self):
+        # Rows holding handles of rolled-back long fields must not survive
+        # them: an INSERT registers its inverse with the open transaction.
+        wal, _, _ = build_stack(recover=False)
+        lfm = LongFieldManager(wal)
+        db = Database(lfm=lfm)
+        db.execute("create table blobs (id integer, payload longfield)")
+        db.execute("create index ix_id on blobs (id)")
+        db.execute("insert into blobs values (?, ?)", [0, lfm.create(PAYLOAD_A)])
+        table = db.catalog.table("blobs")
+        before, seq = state_key(lfm), db.version_seq
+
+        class Boom(Exception):
+            pass
+
+        with pytest.raises(Boom):
+            with db.transaction():
+                for key, payload in ((1, PAYLOAD_B), (2, PAYLOAD_C)):
+                    db.execute("insert into blobs values (?, ?)",
+                               [key, lfm.create(payload)])
+                assert db.execute("select count(*) from blobs").scalar() == 3
+                raise Boom("abort after the inserts returned")
+        assert state_key(lfm) == before
+        assert [row[0] for row in table.scan()] == [0]
+        assert table.probe("id", 1) == [] and len(table.probe("id", 0)) == 1
+        assert table.stats.fresh(table) and table.stats.row_total == 1
+        assert db.version_seq == seq
+        assert db.execute("select count(*) from blobs").scalar() == 1
+
+    def test_outer_abort_on_raw_device_keeps_rows_and_fields(self):
+        lfm = LongFieldManager(BlockDevice(CAPACITY))
+        db = Database(lfm=lfm)
+        db.execute("create table blobs (id integer, payload longfield)")
+        with pytest.raises(ZeroDivisionError):
+            with db.transaction():
+                db.execute("insert into blobs values (?, ?)",
+                           [1, lfm.create(PAYLOAD_A)])
+                raise ZeroDivisionError
+        # A raw device cannot roll back: the row and its field both stay.
+        (handle,) = db.execute("select payload from blobs").column("payload")
+        assert lfm.read(handle) == PAYLOAD_A
+
+
 class TestUndoRegistration:
     """``on_rollback`` joins the open transaction — from any thread."""
 

@@ -10,6 +10,10 @@ Two invariants hold the incremental machinery to the ground truth:
   totals the non-NULL rows, the per-cell bounding boxes are contained in
   the column's union box, and the stamp matches the live table.
 
+  The same holds for the spatial index's tree, which is packed lazily:
+  whenever it is looked at — by the live index or through a snapshot —
+  it holds exactly what a fresh pack over recomputed stats would.
+
 * **R-tree == brute force** — for any population of regions and any probe
   box, :class:`~repro.regions.rtree.RegionRTree` (and the table-level
   :class:`~repro.db.stats.SpatialIndex` built on it) returns exactly the
@@ -24,12 +28,15 @@ stability.
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.curves import GridSpec
+from repro.db import stats as stats_module
 from repro.db.database import Database
 from repro.db.stats import (
     PAGE_SIZE,
@@ -117,6 +124,31 @@ def _assert_stats_equal(incremental: TableStats, reference: TableStats,
     assert incremental.total_runs(pos) == reference.total_runs(pos)
     assert incremental.run_histogram(pos) == reference.run_histogram(pos)
     assert incremental.avg_region_pages(pos) == reference.avg_region_pages(pos)
+    # the tree the index hands out is a fresh pack over the recomputed cells
+    index = table.spatial_index_on("region")
+    if index is not None and index._stats is incremental:
+        assert _leaf_entries(index._packed()) == _leaf_entries(
+            _packed_from(reference, pos))
+
+
+def _packed_from(stats: TableStats, pos: int) -> RegionRTree:
+    """A tree packed from scratch over one column's directory cells."""
+    cells = stats_module._cells(stats._spatial.get(pos))
+    return RegionRTree(meta.entry(value) for value, meta in cells.items()
+                       if meta is not None)
+
+
+def _leaf_entries(tree: RegionRTree) -> list[RTreeEntry]:
+    """Every entry of a packed tree, in packed (left-to-right) order."""
+    entries, stack = [], [tree._root] if tree._root is not None else []
+    while stack:
+        node = stack.pop()
+        if node.entries is not None:
+            entries.extend(node.entries)
+        else:
+            stack.extend(reversed(node.children))
+    assert len(entries) == len(tree)
+    return entries
 
 
 def _assert_internal_invariants(stats: TableStats, table) -> None:
@@ -147,6 +179,7 @@ class TestIncrementalEqualsRecomputed:
     @pytest.mark.parametrize("seed", [1, 7, 1994, 20260_808])
     def test_any_dml_interleaving(self, seed):
         db = _fresh_db()
+        db.execute("create spatial index sxBlobs on blobs (region)")
         db.execute("analyze")  # enable spatial stats before the DML storm
         rng = random.Random(seed)
         _apply_random_dml(db, rng, ops=60)
@@ -264,6 +297,127 @@ class TestSpatialIndexAgainstBruteForce:
 
 
 WHOLE_GRID = ((0, 0, 0), (GRID_SIDE,) * 3)
+
+
+class TestStaleTree:
+    """INSERTs only mark the tree stale; whoever needs it next packs it —
+    once — and sees exactly the cells of the state they are looking at."""
+
+    def _indexed(self, seed, rows=12):
+        db = _fresh_db()
+        db.execute("create spatial index sxBlobs on blobs (region)")
+        db.execute("analyze")
+        rng = random.Random(seed)
+        for i in range(rows):
+            db.execute("insert into blobs values (?, 'x', ?)",
+                       [i, _box_region(rng)])
+        return db, rng
+
+    @staticmethod
+    def _boxes(rng, n=20):
+        for _ in range(n):
+            lower = tuple(rng.randrange(0, GRID_SIDE) for _ in range(3))
+            yield lower, tuple(lo + rng.randrange(1, GRID_SIDE - lo + 1)
+                               for lo in lower)
+
+    def _assert_probes_as_recomputed(self, table, rng):
+        """``table``'s index answers as a from-scratch directory + tree."""
+        reference = TableStats(table.schema)
+        reference.recompute(table, _read_cell, spatial=True)
+        index = table.spatial_index_on("region")
+        tree = _packed_from(reference, index.position)
+        assert _leaf_entries(index._packed()) == _leaf_entries(tree)
+        assert index.cell_count() == len(tree)
+        rows = reference._spatial[index.position].rows
+        for lower, upper in self._boxes(rng):
+            expected = [row for value in tree.search(lower, upper)
+                        for row in rows[value]]
+            assert index.probe(lower, upper) == expected
+
+    @pytest.mark.parametrize("seed", [4, 21])
+    def test_live_later_and_earlier_snapshots_each_see_their_state(self, seed):
+        db, rng = self._indexed(seed)
+        live = db.catalog.table("blobs")
+        index = live.spatial_index_on("region")
+        with db.read_view() as earlier:
+            assert earlier.seq is not None
+            with db.transaction():
+                for i in range(100, 108):
+                    db.execute("insert into blobs values (?, 'y', ?)",
+                               [i, _box_region(rng)])
+                # nothing has looked at the tree since: stale, yet "built"
+                assert index._tree is stats_module._STALE
+                assert index.probe_safe(live)
+                self._assert_probes_as_recomputed(live, rng)       # (a)
+            with db.read_view() as later:
+                assert later.seq == earlier.seq + 1
+                table = later.catalog.table("blobs")
+                assert table.row_count == 20
+                self._assert_probes_as_recomputed(table, rng)      # (b)
+            table = earlier.catalog.table("blobs")
+            assert table.row_count == 12
+            self._assert_probes_as_recomputed(table, rng)          # (c)
+
+    def test_one_transaction_of_inserts_packs_once_at_publish(self, monkeypatch):
+        db, rng = self._indexed(6)
+        packs = []
+        monkeypatch.setattr(
+            stats_module, "RegionRTree",
+            lambda entries: packs.append(1) or RegionRTree(entries))
+        with db.transaction():
+            for i in range(100, 110):
+                db.execute("insert into blobs values (?, 'y', ?)",
+                           [i, _box_region(rng)])
+            assert not packs
+        assert len(packs) == 1
+        live = db.catalog.table("blobs").spatial_index_on("region")
+        with db.read_view() as view:
+            pinned = view.catalog.table("blobs").spatial_index_on("region")
+            assert pinned._tree is live._tree  # shared, not packed again
+        assert len(packs) == 1
+
+    def test_threads_probing_a_stale_live_index_pack_once_and_agree(
+            self, monkeypatch):
+        db, rng = self._indexed(9)
+        index = db.catalog.table("blobs").spatial_index_on("region")
+        packs = []
+        monkeypatch.setattr(
+            stats_module, "RegionRTree",
+            lambda entries: packs.append(1) or RegionRTree(entries))
+        answers, errors = [], []
+        start = threading.Barrier(6)
+
+        def prober():
+            try:
+                start.wait(timeout=10)
+                answers.append(
+                    [sorted(r[0] for r in index.probe(*WHOLE_GRID)),
+                     index.cell_count(), id(index._packed())])
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with db.transaction():
+                for i in range(100, 106):
+                    db.execute("insert into blobs values (?, 'y', ?)",
+                               [i, _box_region(rng)])
+                assert index._tree is stats_module._STALE
+                threads = [threading.Thread(target=prober) for _ in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert len(packs) == 1
+        assert len(answers) == 6 and all(a == answers[0] for a in answers)
+        table = db.catalog.table("blobs")
+        assert answers[0][:2] == [list(range(12)) + list(range(100, 106)),
+                                  len({row[2] for row in table.scan()})]
 
 
 def _stored_db(indexed: bool = True):
