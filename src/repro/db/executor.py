@@ -1,4 +1,8 @@
-"""Statement execution: expression evaluation and nested-loop joins.
+"""Statement execution: compiled expressions and nested-loop joins.
+
+Nothing walks a syntax tree per row: when a query block is planned its
+expressions are compiled to closures over resolved row slots
+(:class:`_Compiler`), kept with the plan, and the loops only call them.
 
 WHERE uses simplified two-valued logic: any comparison involving NULL is
 false (the QBISM workload never relies on three-valued subtleties).
@@ -9,8 +13,9 @@ multi-study statistical queries (§6.4) want them.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.db.catalog import Catalog
 from repro.db.functions import ExecutionContext, FunctionRegistry
@@ -95,53 +100,349 @@ class ResultSet:
         return [row[idx] for row in self.rows]
 
 
-class _Env:
-    """Run-time bindings: binding name -> (schema, row).
+# ------------------------------------------------------------------ #
+# compiled expressions
+#
+# Every expression of a query block becomes a closure ``fn(frame, run)``
+# once, when the block is planned.  ``frame`` is the list of rows bound so
+# far — the enclosing blocks' rows first, then one slot per join level of
+# this block, then the block's call memo — and a column reference is
+# resolved at compile time to ``frame[index][slot]``.  ``run`` is the
+# execution (:class:`_Run`): closures capture no table, catalog,
+# parameter, context or registry, so a kept plan runs unchanged against
+# another snapshot, other parameters, another registry.
+# ------------------------------------------------------------------ #
 
-    ``call_cache`` memoizes function-call results within one row binding, so
-    a UDF appearing in both the WHERE clause and the select list (e.g. the
-    ``dataMean(extractVoxels(...))`` of a cohort query) runs once.  Binding
-    any frame invalidates the cache — conservative but always correct.
+_COMPARE = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
-    ``outer`` chains to the enclosing query block's environment: correlated
-    subqueries resolve their own tables first, then fall back outward, the
-    standard SQL scoping rule.
+
+def _divide(left, right):
+    if right == 0:
+        raise ExecutionError("division by zero")
+    result = left / right
+    if isinstance(left, int) and isinstance(right, int) and result == int(result):
+        return int(result)
+    return result
+
+
+def _concat(left, right):
+    return str(left) + str(right)
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": _divide, "||": _concat}
+
+
+class _Run:
+    """One execution of a statement: what compiled closures read at run
+    time instead of capturing."""
+
+    __slots__ = ("executor", "params", "ctx", "call")
+
+    def __init__(self, executor: "Executor", params: list, ctx: ExecutionContext):
+        self.executor = executor
+        self.params = params
+        self.ctx = ctx
+        # looked up per execution, so a registry swapped or patched
+        # between two runs of a kept plan is the one that gets called
+        self.call = executor.functions.call
+
+
+def _column(index: int, slot: int):
+    return lambda frame, run: frame[index][slot]
+
+
+def _param(index: int):
+    def param(frame, run):
+        try:
+            return run.params[index]
+        except IndexError:
+            raise ExecutionError(
+                f"statement references parameter {index + 1} but only "
+                f"{len(run.params)} were supplied"
+            ) from None
+    return param
+
+
+def _compare(op: str, left, right):
+    test = _COMPARE[op]
+
+    def compare(frame, run):
+        a, b = left(frame, run), right(frame, run)
+        if a is None or b is None:
+            return False  # simplified two-valued logic
+        try:
+            return test(a, b)
+        except TypeError:
+            raise SqlTypeError(
+                f"cannot compare {type(a).__name__} with {type(b).__name__}"
+            ) from None
+    return compare
+
+
+def _arithmetic(op: str, left, right):
+    apply = _ARITHMETIC[op]
+
+    def arithmetic(frame, run):
+        a, b = left(frame, run), right(frame, run)
+        if a is None or b is None:
+            return None
+        try:
+            return apply(a, b)
+        except TypeError:
+            raise SqlTypeError(
+                f"operator {op!r} not defined for "
+                f"{type(a).__name__} and {type(b).__name__}"
+            ) from None
+    return arithmetic
+
+
+def _call(name: str, args: tuple, cell: int | None):
+    """A scalar function call.  Identical calls of one block share memo
+    cell ``cell`` of the frame's memo — a fresh dict per row binding — so
+    a UDF in both WHERE and the select list runs once per row; grouped
+    calls (``cell`` None) take aggregates, not rows, and are not memoized.
+    """
+    def call(frame, run):
+        return run.call(name, [arg(frame, run) for arg in args], run.ctx)
+
+    def memoized(frame, run):
+        memo = frame[-1]
+        if cell not in memo:
+            memo[cell] = call(frame, run)
+        return memo[cell]
+    return call if cell is None else memoized
+
+
+def _fold(name: str, arg):
+    """An aggregate over a group ``(representative frame, frames)``."""
+    def fold(group, run):
+        if arg is None:  # count(*)
+            return len(group[1])
+        samples = [v for frame in group[1]
+                   if (v := arg(frame, run)) is not None]
+        if name == "count":
+            return len(samples)
+        if not samples:
+            return None
+        try:
+            if name == "min":
+                return min(samples)
+            if name == "max":
+                return max(samples)
+            total = sum(samples)
+            return total if name == "sum" else total / len(samples)
+        except TypeError:
+            raise SqlTypeError(
+                f"aggregate {name}() not defined over "
+                f"{sorted({type(v).__name__ for v in samples})}"
+            ) from None
+    return fold
+
+
+class _Compiler:
+    """Compiles the expressions of one query block (or DML statement).
+
+    ``scopes`` is the chain of visible query blocks, outermost first, each
+    a tuple of ``(binding, schema)`` in frame order; a column resolves in
+    the innermost block that knows it, the standard SQL scoping rule.
     """
 
-    __slots__ = ("frames", "call_cache", "outer")
+    def __init__(self, scopes: tuple, group_by: tuple = ()):
+        self.scopes = scopes
+        self.group_by = group_by
+        #: distinct scalar calls of the block -> their memo cell
+        self.cells: dict[FuncCall, int] = {}
 
-    def __init__(self, outer: "_Env | None" = None) -> None:
-        self.frames: dict[str, tuple[TableSchema, list]] = {}
-        self.call_cache: dict = {}
-        self.outer = outer
-
-    def bind(self, binding: str, schema: TableSchema, row: list) -> None:
-        """(Re)bind one table row; invalidates the call cache."""
-        self.frames[binding] = (schema, row)
-        self.call_cache.clear()
-
-    def lookup(self, ref: ColumnRef):
-        """Resolve a column reference against the bound frames (then outward)."""
+    def slot(self, ref: ColumnRef) -> tuple[int, int]:
+        """The ``(frame index, row slot)`` a column reference reads."""
+        offset = sum(len(scope) for scope in self.scopes)
+        for scope in reversed(self.scopes):
+            offset -= len(scope)
+            if ref.qualifier is not None:
+                key = ref.qualifier.lower()
+                owners = [i for i, (binding, _) in enumerate(scope)
+                          if binding.lower() == key][:1]
+            else:
+                owners = [i for i, (_, schema) in enumerate(scope)
+                          if ref.name in schema]
+            if len(owners) > 1:
+                raise CatalogError(f"column {ref.name!r} is ambiguous")
+            if owners:
+                return offset + owners[0], scope[owners[0]][1].position(ref.name)
         if ref.qualifier is not None:
-            for binding, (schema, row) in self.frames.items():
-                if binding.lower() == ref.qualifier.lower():
-                    return row[schema.position(ref.name)]
-            if self.outer is not None:
-                return self.outer.lookup(ref)
             raise CatalogError(f"unknown table or alias {ref.qualifier!r}")
-        owners = [
-            (schema, row)
-            for schema, row in self.frames.values()
-            if ref.name in schema
-        ]
-        if not owners:
-            if self.outer is not None:
-                return self.outer.lookup(ref)
-            raise CatalogError(f"no bound table has a column {ref.name!r}")
-        if len(owners) > 1:
-            raise CatalogError(f"column {ref.name!r} is ambiguous")
-        schema, row = owners[0]
-        return row[schema.position(ref.name)]
+        raise CatalogError(f"no bound table has a column {ref.name!r}")
+
+    def expr(self, node: Expr, grouped: bool = False):
+        """The closure for ``node``: over a frame, or — ``grouped`` — over
+        a group, where aggregates fold, grouping expressions and nested
+        blocks read the representative row, and a bare column is an error.
+        """
+        if grouped:
+            if isinstance(node, FuncCall) and node.name.lower() in _AGGREGATES:
+                # arity and nesting were proven by the analyzer (QB112/115)
+                star = isinstance(node.args[0], Star)
+                return _fold(node.name.lower(),
+                             None if star else self.expr(node.args[0]))
+            if node in self.group_by or isinstance(
+                    node, (Subquery, InSubquery, Exists)):
+                row = self.expr(node)
+                return lambda group, run: row(group[0], run)
+            if isinstance(node, ColumnRef):
+                raise ExecutionError(
+                    f"column {node} must appear in GROUP BY or inside an aggregate"
+                )
+        if isinstance(node, Literal):
+            value = node.value
+            return lambda frame, run: value
+        if isinstance(node, Param):
+            return _param(node.index)
+        if isinstance(node, ColumnRef):
+            return _column(*self.slot(node))
+        if isinstance(node, UnaryOp):
+            operand = self.expr(node.operand, grouped)
+            if node.op == "-":
+                return lambda frame, run: (
+                    None if (v := operand(frame, run)) is None else -v)
+            if node.op == "not":
+                return lambda frame, run: (
+                    None if (v := operand(frame, run)) is None else not bool(v))
+            raise ExecutionError(f"unknown unary operator {node.op!r}")
+        if isinstance(node, BinOp):
+            left = self.expr(node.left, grouped)
+            right = self.expr(node.right, grouped)
+            if node.op == "and":
+                return lambda frame, run: (
+                    bool(right(frame, run)) if left(frame, run) else False)
+            if node.op == "or":
+                return lambda frame, run: (
+                    True if left(frame, run) else bool(right(frame, run)))
+            if node.op in _COMPARE:
+                return _compare(node.op, left, right)
+            if node.op in _ARITHMETIC:
+                return _arithmetic(node.op, left, right)
+            raise ExecutionError(f"unknown operator {node.op!r}")
+        if isinstance(node, FuncCall):
+            args = tuple(self.expr(arg, grouped) for arg in node.args)
+            if node.name == "__is_null":
+                return lambda frame, run: args[0](frame, run) is None
+            # aggregates outside grouped queries were rejected by the
+            # analyzer (QB110); any FuncCall reaching here is a scalar call
+            cell = None if grouped else self.cells.setdefault(node, len(self.cells))
+            return _call(node.name, args, cell)
+        if isinstance(node, (Subquery, InSubquery, Exists)):
+            return self._nested(node)
+        if isinstance(node, Star):
+            raise ExecutionError("'*' is only allowed in a select list or count(*)")
+        raise ExecutionError(f"cannot evaluate {type(node).__name__}")
+
+    def _nested(self, node):
+        """A nested query block: run (per row when correlated) with this
+        block's frame as the enclosing rows."""
+        scopes = self.scopes
+        if isinstance(node, Exists):
+            select, negated = node.subquery, node.negated
+            return lambda frame, run: bool(run.executor._run_subquery(
+                select, scopes, frame, run).rows) != negated
+        if isinstance(node, Subquery):
+            select = node.select
+
+            def scalar(frame, run):
+                rows = run.executor._subquery_rows(
+                    select, scopes, frame, run, "scalar subquery")
+                if len(rows) > 1:
+                    raise ExecutionError("scalar subquery returned more than one row")
+                return rows[0][0] if rows else None
+            return scalar
+        select, negated, value = node.subquery, node.negated, self.expr(node.value)
+
+        def contains(frame, run):
+            wanted = value(frame, run)
+            if wanted is None:
+                return False  # simplified two-valued logic
+            rows = run.executor._subquery_rows(
+                select, scopes, frame, run, "IN subquery")
+            return any(row[0] == wanted for row in rows) != negated
+        return contains
+
+
+@dataclass
+class _Program:
+    """What one planned SELECT block compiles to (``Plan.program``)."""
+
+    #: the block's scope chain, its own tables (in join order) last
+    scopes: tuple
+    #: frame slots the enclosing blocks' rows occupy
+    base: int
+    #: the block calls functions: every row binding starts a fresh memo
+    memo: bool
+    #: per join level: table name, "hash" / "spatial" / None, the probed
+    #: column, the probe-value closure, the level's predicates in order
+    levels: tuple
+    columns: list[str]
+    #: one closure per output column — over a frame, or over a group
+    items: tuple
+    grouped: bool
+    group_keys: tuple
+    having: object | None
+    #: per ORDER BY key: output column it names (or None), closure, ascending
+    order: tuple
+
+    def frame(self, outer: list | None, rows: list) -> list:
+        """A frame of this block: enclosing rows, own rows, call memo."""
+        return (outer[:-1] if outer else []) + rows + [{} if self.memo else None]
+
+
+def _compile_select(plan: Plan, catalog: Catalog, outer: tuple) -> _Program:
+    select = plan.select
+    schemas = [catalog.table(ref.name).schema for ref in plan.table_order]
+    scopes = outer + (tuple(
+        (ref.binding, schema) for ref, schema in zip(plan.table_order, schemas)),)
+    compiler = _Compiler(scopes, select.group_by)
+    base = sum(len(scope) for scope in outer)
+    levels = []
+    for level, ref in enumerate(plan.table_order):
+        probe = plan.index_probes[level]
+        access = "hash" if probe else None
+        if probe is None and plan.spatial_probes[level] is not None:
+            access, probe = "spatial", plan.spatial_probes[level]
+        levels.append((
+            ref.name, access, probe[0] if probe else None,
+            compiler.expr(probe[1]) if probe else None,
+            tuple(compiler.expr(p) for p in plan.level_predicates[level]),
+        ))
+    grouped = bool(select.group_by) or any(
+        _contains_aggregate(item.expr) for item in select.items)
+    columns: list[str] = []
+    items: list = []
+    for item in select.items:
+        if isinstance(item.expr, Star) and not grouped:
+            for index, schema in enumerate(schemas, start=base):
+                columns.extend(schema.column_names())
+                items.extend(_column(index, slot) for slot in range(len(schema)))
+        else:
+            columns.append(item.alias or _derive_name(item))
+            items.append(compiler.expr(item.expr, grouped))
+    # ORDER BY may name a select-list alias (standard SQL); such keys sort
+    # on the already projected value.
+    names = [name.lower() for name in columns]
+    order = []
+    for key in select.order_by:
+        expr, index = key.expr, None
+        if (isinstance(expr, ColumnRef) and expr.qualifier is None
+                and names.count(expr.name.lower()) == 1):
+            index = names.index(expr.name.lower())
+        order.append((index,
+                      None if index is not None else compiler.expr(expr, grouped),
+                      key.ascending))
+    group_keys = tuple(compiler.expr(g) for g in select.group_by)
+    # HAVING without grouping was rejected by the analyzer (QB111)
+    having = (compiler.expr(select.having, True)
+              if select.having is not None else None)
+    return _Program(scopes, base, bool(compiler.cells), tuple(levels), columns,
+                    tuple(items), grouped, group_keys, having, tuple(order))
 
 
 class Executor:
@@ -174,7 +475,7 @@ class Executor:
 
     def _dispatch(self, stmt: Statement, params: list, ctx: ExecutionContext) -> ResultSet:
         if isinstance(stmt, Select):
-            return self.execute_select(stmt, params, ctx)
+            return self.execute_select(stmt, _Run(self, params, ctx))
         if isinstance(stmt, Insert):
             return self._execute_insert(stmt, params, ctx)
         if isinstance(stmt, CreateTable):
@@ -256,10 +557,15 @@ class Executor:
         table = self.catalog.table(stmt.table)
         fresh = table.stats.fresh(table)
         before = table.row_count
-        env = _Env()
+
+        def build():
+            compiler = _Compiler(((),))
+            return [[compiler.expr(e) for e in row] for row in stmt.rows]
+
+        run, frame = _Run(self, params, ctx), [{}]
         count = 0
-        for value_row in stmt.rows:
-            values = [self._eval(expr, env, params, ctx) for expr in value_row]
+        for value_row in self._kept(stmt, ctx, None, build):
+            values = [value(frame, run) for value in value_row]
             if stmt.columns is None:
                 table.insert(values)
             else:
@@ -286,35 +592,39 @@ class Executor:
         self.catalog.create_table(TableSchema(stmt.table, columns))
         return ResultSet([], [], rowcount=0)
 
+    def _row_program(self, stmt: Delete | Update, table, ctx: ExecutionContext,
+                     assignments: tuple = ()):
+        """A DELETE/UPDATE compiled over its one table: the WHERE closure
+        (None: every row) and the assignments' ``(slot, closure)`` pairs."""
+        def build():
+            compiler = _Compiler((((table.name, table.schema),),))
+            where = compiler.expr(stmt.where) if stmt.where is not None else None
+            return where, [(table.schema.position(column), compiler.expr(expr))
+                           for column, expr in assignments]
+        return self._kept(stmt, ctx, None, build)
+
     def _execute_delete(self, stmt: Delete, params: list, ctx: ExecutionContext) -> ResultSet:
         table = self.catalog.table(stmt.table)
+        where, _ = self._row_program(stmt, table, ctx)
+        run = _Run(self, params, ctx)
 
         def matches(row: list) -> bool:
-            if stmt.where is None:
-                return True
-            env = _Env()
-            env.bind(table.name, table.schema, row)
-            return bool(self._eval(stmt.where, env, params, ctx))
+            return where is None or bool(where([row, {}], run))
 
         return self._resynced(table, lambda: table.delete_where(matches), ctx)
 
     def _execute_update(self, stmt: Update, params: list, ctx: ExecutionContext) -> ResultSet:
         table = self.catalog.table(stmt.table)
-        positions = [table.schema.position(col) for col, _ in stmt.assignments]
+        where, assignments = self._row_program(stmt, table, ctx, stmt.assignments)
+        run = _Run(self, params, ctx)
 
         def matches(row: list) -> bool:
-            if stmt.where is None:
-                return True
-            env = _Env()
-            env.bind(table.name, table.schema, row)
-            return bool(self._eval(stmt.where, env, params, ctx))
+            return where is None or bool(where([row, {}], run))
 
         def apply(row: list) -> list:
-            env = _Env()
-            env.bind(table.name, table.schema, row)
-            new_row = list(row)
-            for position, (_, expr) in zip(positions, stmt.assignments):
-                new_row[position] = self._eval(expr, env, params, ctx)
+            frame, new_row = [row, {}], list(row)
+            for slot, value in assignments:
+                new_row[slot] = value(frame, run)
             return new_row
 
         return self._resynced(
@@ -325,71 +635,55 @@ class Executor:
     # SELECT
     # -------------------------------------------------------------- #
 
-    def execute_select(self, select: Select, params: list, ctx: ExecutionContext,
-                       outer_env: _Env | None = None) -> ResultSet:
+    def execute_select(self, select: Select, run: _Run, scopes: tuple = (),
+                       outer: list | None = None) -> ResultSet:
         """Run a SELECT: join, filter, group, project, order, limit.
 
-        ``outer_env`` supplies the enclosing block's bindings when this
-        SELECT executes as a correlated subquery.
+        ``scopes`` and ``outer`` are the enclosing blocks' scope chain and
+        frame when this SELECT executes as a correlated subquery.
         """
         # EXPLAIN ANALYZE profiles the outermost SELECT only: take the
         # profile off the context so subqueries run unprofiled.
+        ctx = run.ctx
         profile = ctx.profile
         if profile is not None:
             ctx.profile = None
         with trace.span("executor.select", tables=len(select.tables)):
-            return self._execute_select(select, params, ctx, outer_env, profile)
+            return self._execute_select(select, run, scopes, outer, profile)
 
-    def _execute_select(self, select: Select, params: list, ctx: ExecutionContext,
-                        outer_env: _Env | None, profile) -> ResultSet:
-        plan = self.plan(select, ctx, _visible_bindings(outer_env))
+    def _execute_select(self, select: Select, run: _Run, scopes: tuple,
+                        outer: list | None, profile) -> ResultSet:
+        ctx = run.ctx
+        plan = self.plan(select, ctx, scopes)
+        program: _Program = plan.program
         if profile is not None:
             profile.attach(plan)
             stmt_start = time.perf_counter()
             stmt_pages = _lfm_pages(ctx)
-        raw_rows = list(self._nested_loops(plan, params, ctx, outer_env, profile))
+        frames: list[list] = []
+        tables = [self.catalog.table(level[0]) for level in program.levels]
+        self._join(0, program, tables, program.frame(outer, [None] * len(tables)),
+                   frames, run, profile)
         if profile is not None:
             out_start = time.perf_counter()
             out_pages = _lfm_pages(ctx)
-        if select.group_by or self._has_aggregate_items(select):
-            columns, rows, groups = self._grouped(select, raw_rows, params, ctx)
-            sort_units: list = groups
-            sort_eval = lambda expr, unit: self._eval_grouped(  # noqa: E731
-                expr, select, unit, params, ctx
-            )
-        else:
-            # HAVING without grouping was rejected by the analyzer (QB111)
-            columns = self._output_columns(select, plan)
-            rows = [
-                tuple(self._project(select, plan, env, params, ctx))
-                for env in raw_rows
-            ]
-            sort_units = raw_rows
-            sort_eval = lambda expr, env: self._eval(expr, env, params, ctx)  # noqa: E731
-        if select.order_by and len(rows) == len(sort_units):
-            # ORDER BY may reference a select-list alias (standard SQL); such
-            # items sort on the already projected value.
-            alias_index = {}
-            for i, name in enumerate(columns):
-                alias_index[name.lower()] = None if name.lower() in alias_index else i
-
-            def sort_key(item, pair):
-                row, unit = pair
-                expr = item.expr
-                if isinstance(expr, ColumnRef) and expr.qualifier is None:
-                    idx = alias_index.get(expr.name.lower())
-                    if idx is not None:
-                        return row[idx]
-                return sort_eval(expr, unit)
-
-            order_pairs = list(zip(rows, sort_units))
-            # Python's sort is stable; apply keys right-to-left for mixed asc/desc.
-            for item in reversed(select.order_by):
-                order_pairs.sort(
-                    key=lambda pair, it=item: sort_key(it, pair),
-                    reverse=not item.ascending,
-                )
-            rows = [row for row, _ in order_pairs]
+        units = frames
+        if program.grouped:
+            units = self._groups(program, frames, outer, run)
+        rows = [tuple(item(unit, run) for item in program.items) for unit in units]
+        if program.order:
+            pairs = list(zip(rows, units))
+            # Python's sort is stable; apply keys right-to-left for mixed
+            # asc/desc.  NULLs sort high: last ascending, first descending.
+            for index, key, ascending in reversed(program.order):
+                def null_high(pair):
+                    value = pair[0][index] if key is None else key(pair[1], run)
+                    return value is None, value
+                try:
+                    pairs.sort(key=null_high, reverse=not ascending)
+                except TypeError as exc:
+                    raise SqlTypeError(f"cannot order rows: {exc}") from None
+            rows = [row for row, _ in pairs]
         if select.distinct:
             seen = set()
             unique = []
@@ -406,18 +700,19 @@ class Executor:
         if profile is not None:
             now = time.perf_counter()
             pages = _lfm_pages(ctx)
-            profile.output.rows_in = len(raw_rows)
+            profile.output.rows_in = len(frames)
             profile.output.rows_out = len(rows)
             profile.output.wall_seconds = now - out_start
             profile.output.page_ios = pages - out_pages
             profile.rowcount = len(rows)
             profile.wall_seconds = now - stmt_start
             profile.page_ios = pages - stmt_pages
-        return ResultSet(columns, rows)
+        return ResultSet(list(program.columns), rows)
 
-    def _nested_loops(self, plan: Plan, params: list, ctx: ExecutionContext,
-                      outer_env: _Env | None = None, profile=None):
-        """Yield fully bound environments passing all predicates.
+    def _join(self, level: int, program: _Program, tables: list, frame: list,
+              out: list, run: _Run, profile) -> None:
+        """Nested loops from ``level`` down: append to ``out`` a copy of
+        ``frame`` for every row combination passing all predicates.
 
         Levels with an index probe read only the matching hash bucket;
         probing with NULL matches nothing (SQL equality semantics).
@@ -427,66 +722,48 @@ class Executor:
         examined and matched plus the time and page I/Os of its own
         scan-bind-filter work (child levels account for themselves).
         """
-        tables = [self.catalog.table(ref.name) for ref in plan.table_order]
-
-        def rows_for(level: int, env: _Env):
-            probe = plan.index_probes[level] if level < len(plan.index_probes) else None
-            if probe is not None:
-                column, value_expr = probe
-                value = self._eval(value_expr, env, params, ctx)
-                if value is None:
-                    return ()
-                return tables[level].probe(column, value)
-            spatial = (
-                plan.spatial_probes[level]
-                if level < len(plan.spatial_probes) else None
-            )
-            if spatial is not None:
-                candidates = self._spatial_candidates(
-                    tables[level], spatial, env, params, ctx
-                )
-                if candidates is not None:
-                    return candidates
-            return tables[level].scan()
-
-        def recurse(level: int, env: _Env):
-            if level == len(tables):
-                yield _snapshot(env)
-                return
-            ref = plan.table_order[level]
-            table = tables[level]
-            predicates = plan.level_predicates[level]
-            stats = profile.levels[level] if profile is not None else None
-            for row in rows_for(level, env):
-                ctx.work.rows_scanned += 1
-                if stats is None:
-                    env.bind(ref.binding, table.schema, row)
-                    if all(bool(self._eval(p, env, params, ctx)) for p in predicates):
-                        yield from recurse(level + 1, env)
-                    continue
+        if level == len(tables):
+            out.append(frame[:])
+            return
+        ctx, table = run.ctx, tables[level]
+        _, access, column, probe, predicates = program.levels[level]
+        rows = None
+        if access == "hash":
+            value = probe(frame, run)
+            rows = () if value is None else table.probe(column, value)
+        elif access == "spatial":
+            rows = self._spatial_candidates(table, column, probe, frame, run)
+        if rows is None:
+            rows = table.scan()
+        slot, memo = program.base + level, program.memo
+        stats = profile.levels[level] if profile is not None else None
+        scanned = 0
+        for row in rows:
+            scanned += 1
+            if stats is not None:
                 start = time.perf_counter()
                 pages = _lfm_pages(ctx)
-                env.bind(ref.binding, table.schema, row)
-                matched = all(
-                    bool(self._eval(p, env, params, ctx)) for p in predicates
-                )
-                stats.rows_in += 1
+            frame[slot] = row
+            if memo:
+                frame[-1] = {}
+            for predicate in predicates:
+                if not predicate(frame, run):
+                    matched = False
+                    break
+            else:
+                matched = True
+            if stats is not None:
                 stats.wall_seconds += time.perf_counter() - start
                 stats.page_ios += _lfm_pages(ctx) - pages
-                if matched:
-                    stats.rows_out += 1
-                    yield from recurse(level + 1, env)
-            env.frames.pop(ref.binding, None)
+                stats.rows_out += matched
+            if matched:
+                self._join(level + 1, program, tables, frame, out, run, profile)
+        ctx.work.rows_scanned += scanned
+        if stats is not None:
+            stats.rows_in += scanned
 
-        try:
-            yield from recurse(0, _Env(outer=outer_env))
-        finally:
-            # ``recurse`` names itself, a cycle through its own closure
-            # cell: emptied here, ctx (LFM view, params, plan table) dies
-            # with the statement instead of waiting for the collector
-            recurse = None
-
-    def _spatial_candidates(self, table, spatial, env, params, ctx):
+    def _spatial_candidates(self, table, column: str, probe, frame: list,
+                            run: _Run):
         """Rows an R-tree probe narrows a level to, or None for a scan.
 
         Returns None whenever the probe value is irregular (NULL handle,
@@ -494,15 +771,14 @@ class Executor:
         predicate against every row and the statement filters — or
         raises — exactly as the unoptimized plan would.
         """
-        column, probe_expr = spatial
         index = table.spatial_index_on(column)
         if index is None:
             return None
-        value = self._eval(probe_expr, env, params, ctx)
+        value = probe(frame, run)
         if value is None:
             return None
         try:
-            region = Region.from_bytes(ctx.read_longfield(value))
+            region = Region.from_bytes(run.ctx.read_longfield(value))
         except Exception:  # qblint: disable=no-broad-except
             return None  # any read/decode failure: defer to the plain scan
         if not region.voxel_count:
@@ -512,217 +788,50 @@ class Executor:
         lower, upper = region.bounding_box()
         return index.probe(lower, upper)
 
-    def _output_columns(self, select: Select, plan: Plan) -> list[str]:
-        columns: list[str] = []
-        for item in select.items:
-            if isinstance(item.expr, Star):
-                for ref in plan.table_order:
-                    schema = self.catalog.table(ref.name).schema
-                    columns.extend(schema.column_names())
-            else:
-                columns.append(item.alias or _derive_name(item))
-        return columns
-
-    def _project(self, select: Select, plan: Plan, env: _Env, params: list, ctx: ExecutionContext):
-        for item in select.items:
-            if isinstance(item.expr, Star):
-                for ref in plan.table_order:
-                    _, row = env.frames[ref.binding]
-                    yield from row
-            else:
-                yield self._eval(item.expr, env, params, ctx)
-
-    # -------------------------------------------------------------- #
-    # aggregates
-    # -------------------------------------------------------------- #
-
-    def _has_aggregate_items(self, select: Select) -> bool:
-        return any(_contains_aggregate(item.expr) for item in select.items)
-
-    def _grouped(self, select: Select, envs: list[_Env], params: list,
-                 ctx: ExecutionContext) -> tuple[list[str], list[tuple], list[list[_Env]]]:
-        """GROUP BY execution (an empty GROUP BY forms one global group)."""
-        columns = [item.alias or _derive_name(item) for item in select.items]
-        if select.group_by:
-            grouped: dict[tuple, list[_Env]] = {}
-            for env in envs:
-                key = tuple(
-                    _hashable(self._eval(g, env, params, ctx)) for g in select.group_by
-                )
-                grouped.setdefault(key, []).append(env)
-            groups = list(grouped.values())
+    def _groups(self, program: _Program, frames: list[list],
+                outer: list | None, run: _Run) -> list[tuple]:
+        """GROUP BY and HAVING: ``(representative frame, frames)`` per
+        surviving group.  An empty GROUP BY forms one global group, whose
+        representative over no rows is a frame of NULL rows."""
+        if program.group_keys:
+            grouped: dict[tuple, list] = {}
+            for frame in frames:
+                key = tuple(_hashable(k(frame, run)) for k in program.group_keys)
+                grouped.setdefault(key, []).append(frame)
+            groups = [(members[0], members) for members in grouped.values()]
+        elif frames:
+            groups = [(frames[0], frames)]
         else:
-            groups = [envs]  # a single (possibly empty) global group
-        if select.having is not None:
-            groups = [
-                g for g in groups
-                if bool(self._eval_grouped(select.having, select, g, params, ctx))
-            ]
-        rows = [
-            tuple(
-                self._eval_grouped(item.expr, select, group, params, ctx)
-                for item in select.items
-            )
-            for group in groups
-        ]
-        return columns, rows, groups
-
-    def _eval_grouped(self, expr: Expr, select: Select, group: list[_Env],
-                      params: list, ctx: ExecutionContext):
-        """Evaluate an expression in a per-group context.
-
-        Aggregate calls fold over the group's rows; grouping expressions
-        evaluate on any row of the group (they are constant within it);
-        other column references are rejected, as SQL requires.
-        """
-        if isinstance(expr, Literal):
-            return expr.value
-        if isinstance(expr, Param):
-            return self._eval(expr, _Env(), params, ctx)
-        if isinstance(expr, FuncCall) and expr.name.lower() in _AGGREGATES:
-            return self._fold_aggregate(expr, group, params, ctx)
-        for group_expr in select.group_by:
-            if expr == group_expr:
-                if not group:
-                    return None
-                return self._eval(expr, group[0], params, ctx)
-        if isinstance(expr, ColumnRef):
-            raise ExecutionError(
-                f"column {expr} must appear in GROUP BY or inside an aggregate"
-            )
-        if isinstance(expr, UnaryOp):
-            value = self._eval_grouped(expr.operand, select, group, params, ctx)
-            if expr.op == "-":
-                return None if value is None else -value
-            return None if value is None else not bool(value)
-        if isinstance(expr, BinOp):
-            # Rebuild the operator over grouped operand values via literals.
-            left = self._eval_grouped(expr.left, select, group, params, ctx)
-            right = self._eval_grouped(expr.right, select, group, params, ctx)
-            return self._eval_binop(
-                BinOp(expr.op, Literal(left), Literal(right)), _Env(), params, ctx
-            )
-        if isinstance(expr, FuncCall):
-            args = [
-                self._eval_grouped(arg, select, group, params, ctx)
-                for arg in expr.args
-            ]
-            if expr.name == "__is_null":
-                return args[0] is None
-            return self.functions.call(expr.name, args, ctx)
-        if isinstance(expr, (Subquery, InSubquery, Exists)):
-            # Nested blocks in HAVING / grouped select lists: evaluate with a
-            # representative row of the group in scope (grouping columns are
-            # constant within the group, so any row works for correlation).
-            env = group[0] if group else _Env()
-            return self._eval(expr, env, params, ctx)
-        raise ExecutionError(f"cannot evaluate {type(expr).__name__} in GROUP BY context")
-
-    def _fold_aggregate(self, call: FuncCall, group: list[_Env], params: list,
-                        ctx: ExecutionContext):
-        name = call.name.lower()
-        if name == "count" and len(call.args) == 1 and isinstance(call.args[0], Star):
-            return len(group)
-        if len(call.args) != 1:
-            raise ExecutionError(f"aggregate {name}() takes exactly one argument")
-        if _contains_aggregate(call.args[0]):
-            raise ExecutionError("aggregates cannot be nested")
-        samples = [
-            v
-            for env in group
-            if (v := self._eval(call.args[0], env, params, ctx)) is not None
-        ]
-        if name == "count":
-            return len(samples)
-        if not samples:
-            return None
-        if name == "sum":
-            return sum(samples)
-        if name == "avg":
-            return sum(samples) / len(samples)
-        if name == "min":
-            return min(samples)
-        return max(samples)
+            nulls = [[None] * len(schema) for _, schema in program.scopes[-1]]
+            groups = [(program.frame(outer, nulls), frames)]
+        if program.having is not None:
+            groups = [g for g in groups if program.having(g, run)]
+        return groups
 
     # -------------------------------------------------------------- #
-    # expression evaluation
+    # nested query blocks and the plan table
     # -------------------------------------------------------------- #
 
-    def _eval(self, expr: Expr, env: _Env, params: list, ctx: ExecutionContext):
-        if isinstance(expr, Literal):
-            return expr.value
-        if isinstance(expr, Param):
-            try:
-                return params[expr.index]
-            except IndexError:
-                raise ExecutionError(
-                    f"statement references parameter {expr.index + 1} but only "
-                    f"{len(params)} were supplied"
-                ) from None
-        if isinstance(expr, ColumnRef):
-            return env.lookup(expr)
-        if isinstance(expr, UnaryOp):
-            value = self._eval(expr.operand, env, params, ctx)
-            if expr.op == "-":
-                return None if value is None else -value
-            if expr.op == "not":
-                return None if value is None else not bool(value)
-            raise ExecutionError(f"unknown unary operator {expr.op!r}")
-        if isinstance(expr, BinOp):
-            return self._eval_binop(expr, env, params, ctx)
-        if isinstance(expr, FuncCall):
-            if expr.name == "__is_null":
-                return self._eval(expr.args[0], env, params, ctx) is None
-            # aggregates outside grouped queries were rejected by the
-            # analyzer (QB110); any FuncCall reaching here is a scalar call
-            if expr in env.call_cache:
-                return env.call_cache[expr]
-            args = [self._eval(arg, env, params, ctx) for arg in expr.args]
-            result = self.functions.call(expr.name, args, ctx)
-            env.call_cache[expr] = result
-            return result
-        if isinstance(expr, Subquery):
-            rows = self._subquery_rows(
-                expr.select, env, params, ctx, what="scalar subquery"
-            )
-            if not rows:
-                return None
-            if len(rows) > 1:
-                raise ExecutionError("scalar subquery returned more than one row")
-            return rows[0][0]
-        if isinstance(expr, InSubquery):
-            value = self._eval(expr.value, env, params, ctx)
-            if value is None:
-                return False  # simplified two-valued logic
-            rows = self._subquery_rows(expr.subquery, env, params, ctx, what="IN subquery")
-            found = any(row[0] == value for row in rows)
-            return (not found) if expr.negated else found
-        if isinstance(expr, Exists):
-            result = self._run_subquery(expr.subquery, env, params, ctx)
-            return bool(result.rows) != expr.negated
-        if isinstance(expr, Star):
-            raise ExecutionError("'*' is only allowed in a select list or count(*)")
-        raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
-
-    def _subquery_rows(self, select: Select, env: _Env, params: list,
-                       ctx: ExecutionContext, what: str) -> list[tuple]:
-        result = self._run_subquery(select, env, params, ctx)
+    def _subquery_rows(self, select: Select, scopes: tuple, frame: list,
+                       run: _Run, what: str) -> list[tuple]:
+        result = self._run_subquery(select, scopes, frame, run)
         if len(result.columns) != 1:
             raise ExecutionError(f"{what} must produce exactly one column")
         return result.rows
 
-    def _run_subquery(self, select: Select, env: _Env, params: list,
-                      ctx: ExecutionContext) -> ResultSet:
+    def _run_subquery(self, select: Select, scopes: tuple, frame: list,
+                      run: _Run) -> ResultSet:
         """Run a nested query block, caching per statement when uncorrelated.
 
-        A block that plans cleanly against its own FROM tables alone is
-        uncorrelated: its result cannot depend on the outer row, so one
+        A block that plans and compiles against its own FROM tables alone
+        is uncorrelated: its result cannot depend on the outer row, so one
         execution serves every outer row.  Otherwise it re-runs per row
-        with the outer environment in scope.  Either verdict is recorded
+        with the enclosing frame in scope.  Either verdict is recorded
         in the statement's plan table — the standalone plan itself, or
         :data:`_CORRELATED` in its place — so it is reached once, not
         once per outer row.
         """
+        ctx = run.ctx
         cached = ctx.subquery_cache.get(select)
         if cached is not None:
             return cached
@@ -732,83 +841,36 @@ class Executor:
             correlated = True
             ctx.plans[id(select), None, ctx.planner_mode] = _CORRELATED
         if correlated:
-            return self.execute_select(select, params, ctx, outer_env=env)
-        result = self.execute_select(select, params, ctx)
+            return self.execute_select(select, run, scopes, frame)
+        result = self.execute_select(select, run)
         ctx.subquery_cache[select] = result
         return result
 
-    def plan(self, select: Select, ctx: ExecutionContext,
-             outer_bindings: dict[str, TableSchema] | None = None):
-        """The block's plan from the statement's plan table
-        (``ctx.plans``), planned and kept there on first use."""
-        key = (id(select),
-               None if outer_bindings is None else tuple(outer_bindings),
-               ctx.planner_mode)
-        plan = ctx.plans.get(key)
-        if plan is None:
-            plan = ctx.plans[key] = plan_select(
-                select, self.catalog, outer_bindings, mode=ctx.planner_mode)
-        return plan
+    def _kept(self, node, ctx: ExecutionContext, outer, build):
+        """``node``'s entry in the statement's plan table (``ctx.plans``),
+        built and kept there on first use."""
+        key = (id(node), outer, ctx.planner_mode)
+        found = ctx.plans.get(key)
+        if found is None:
+            found = ctx.plans[key] = build()
+        return found
 
-    def _eval_binop(self, expr: BinOp, env: _Env, params: list, ctx: ExecutionContext):
-        op = expr.op
-        if op == "and":
-            left = self._eval(expr.left, env, params, ctx)
-            if not left:
-                return False
-            return bool(self._eval(expr.right, env, params, ctx))
-        if op == "or":
-            left = self._eval(expr.left, env, params, ctx)
-            if left:
-                return True
-            return bool(self._eval(expr.right, env, params, ctx))
-        left = self._eval(expr.left, env, params, ctx)
-        right = self._eval(expr.right, env, params, ctx)
-        if op == "||":
-            if left is None or right is None:
-                return None
-            return str(left) + str(right)
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            if left is None or right is None:
-                return False  # simplified two-valued logic
-            try:
-                if op == "=":
-                    return left == right
-                if op == "<>":
-                    return left != right
-                if op == "<":
-                    return left < right
-                if op == "<=":
-                    return left <= right
-                if op == ">":
-                    return left > right
-                return left >= right
-            except TypeError:
-                raise SqlTypeError(
-                    f"cannot compare {type(left).__name__} with {type(right).__name__}"
-                ) from None
-        if left is None or right is None:
-            return None
-        try:
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                if right == 0:
-                    raise ExecutionError("division by zero")
-                result = left / right
-                if isinstance(left, int) and isinstance(right, int) and result == int(result):
-                    return int(result)
-                return result
-        except TypeError:
-            raise SqlTypeError(
-                f"operator {op!r} not defined for "
-                f"{type(left).__name__} and {type(right).__name__}"
-            ) from None
-        raise ExecutionError(f"unknown operator {op!r}")
+    def plan(self, select: Select, ctx: ExecutionContext, scopes: tuple = ()):
+        """The block's plan, compiled (``plan.program``), from the plan
+        table.  ``scopes`` is the enclosing blocks' scope chain."""
+        def build() -> Plan:
+            outer = None
+            if scopes:
+                outer = {}
+                for scope in reversed(scopes):  # inner scope wins
+                    for binding, schema in scope:
+                        outer.setdefault(binding, schema)
+            plan = plan_select(select, self.catalog, outer, mode=ctx.planner_mode)
+            plan.program = _compile_select(plan, self.catalog, scopes)
+            return plan
+
+        names = tuple(tuple(b for b, _ in scope) for scope in scopes) or None
+        return self._kept(select, ctx, names, build)
 
 
 def _lfm_pages(ctx: ExecutionContext) -> int:
@@ -842,26 +904,6 @@ def _derive_name(item: SelectItem) -> str:
     if isinstance(expr, FuncCall):
         return expr.name
     return "expr"
-
-
-def _snapshot(env: _Env) -> _Env:
-    clone = _Env(outer=env.outer)
-    clone.frames = dict(env.frames)
-    clone.call_cache = dict(env.call_cache)
-    return clone
-
-
-def _visible_bindings(env: _Env | None) -> dict[str, TableSchema] | None:
-    """Every binding visible through an environment chain, innermost first."""
-    if env is None:
-        return None
-    visible: dict[str, TableSchema] = {}
-    current: _Env | None = env
-    while current is not None:
-        for binding, (schema, _) in current.frames.items():
-            visible.setdefault(binding, schema)
-        current = current.outer
-    return visible
 
 
 def _hashable(value):

@@ -19,14 +19,19 @@ medical queries cheap):
   spatial-index probes (:class:`~repro.db.stats.SpatialIndex`) for
   ``voxelCount(intersection(col, probe)) > 0`` predicates, which replace a
   full scan with the R-tree's bounding-box candidates; the exact predicate
-  still runs on every candidate, so probes change I/O, never results.
+  still runs on every candidate, so probes change I/O, never results;
+* **equality closure** — ``col = col`` conjuncts are joined into classes,
+  and every member of a class one of whose columns is compared to a
+  constant (literal, ``?``, outer column) gains that comparison too:
+  ``b.id = w.id and w.id = ?`` also filters — and can probe — ``b`` by
+  ``b.id = ?`` instead of rescanning it per ``w`` row.
 
 Two planner modes exist so plans can be compared differentially:
 ``"cost"`` (the default, everything above; joins too wide for the DP
 take a heuristic order instead) and ``"naive"`` (FROM-order join,
-original conjunct order, no spatial probes — the baseline the
-plan-equivalence suite holds the optimizer against).  Both carry row
-estimates, so EXPLAIN always shows estimated rows per operator.
+original conjunct order, no spatial probes, no derived conjunct — the
+baseline the plan-equivalence suite holds the optimizer against).  Both
+carry row estimates, so EXPLAIN always shows estimated rows per operator.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from repro.db.sql.ast import (
     FuncCall,
     InSubquery,
     Literal,
+    Param,
     Select,
     Subquery,
     TableRef,
@@ -51,6 +57,7 @@ from repro.db.types import SqlType
 from repro.errors import CatalogError
 from repro.net.costmodel import CostModel1994
 from repro.obs import trace
+from repro.obs.explain import level_label
 
 __all__ = [
     "Plan",
@@ -136,10 +143,9 @@ class Plan:
 
     select: Select
     table_order: list[TableRef]
-    #: conjuncts to evaluate after the i-th table is bound (by order index)
+    #: conjuncts to evaluate after the i-th table is bound (by order
+    #: index), in evaluation order; cost plans include the derived ones
     level_predicates: list[list[Expr]] = field(default_factory=list)
-    #: binding name -> table name, for column resolution
-    bindings: dict[str, str] = field(default_factory=dict)
     #: per level: (indexed column, probe-value expression) or None for a scan
     index_probes: list[tuple[str, Expr] | None] = field(default_factory=list)
     #: per level: (region column, probe-region expression) or None; used
@@ -152,30 +158,15 @@ class Plan:
     est_out: float = 0.0
     #: the planner mode that produced this plan
     mode: str = "cost"
+    #: what the executor compiled the plan to, kept wherever the plan is
+    program: object | None = field(default=None, repr=False, compare=False)
 
     def describe(self) -> str:
         """Human-readable plan, the engine's EXPLAIN output."""
-        lines = []
-        for i, ref in enumerate(self.table_order):
-            preds = self.level_predicates[i]
-            label = f"{ref.name}" + (f" {ref.alias}" if ref.alias else "")
-            probe = self.index_probes[i] if i < len(self.index_probes) else None
-            spatial = (
-                self.spatial_probes[i] if i < len(self.spatial_probes) else None
-            )
-            if probe:
-                access = f"probe {label} via index({probe[0]})"
-            elif spatial:
-                access = f"probe {label} via spatial({spatial[0]})"
-            else:
-                access = f"scan {label}"
-            suffix = f" [{len(preds)} predicate(s)]" if preds else ""
-            est = (
-                f" (est rows={_fmt_est(self.est_rows[i])})"
-                if i < len(self.est_rows) else ""
-            )
-            lines.append(f"{'  ' * i}{access}{suffix}{est}")
-        return "\n".join(lines)
+        return "\n".join(
+            f"{'  ' * i}{level_label(self, i)} (est rows={_fmt_est(est)})"
+            for i, est in enumerate(self.est_rows)
+        )
 
 
 def _fmt_est(value: float) -> str:
@@ -187,46 +178,6 @@ def _fmt_est(value: float) -> str:
 #: sentinel binding for columns resolved in an enclosing query block:
 #: from this block's perspective they are constants, bound before level 0.
 OUTER = "<outer>"
-
-
-def _binding_of(
-    ref: ColumnRef,
-    bindings: dict[str, str],
-    catalog: Catalog,
-    outer_bindings: dict[str, object] | None = None,
-) -> str:
-    """Resolve a column reference to the binding (alias) it belongs to.
-
-    Inner scope wins; with ``outer_bindings`` (binding name -> schema-like
-    supporting ``in``), unresolved references fall out to the enclosing
-    block and map to the :data:`OUTER` sentinel.
-    """
-    if ref.qualifier is not None:
-        key = ref.qualifier.lower()
-        for binding in bindings:
-            if binding.lower() == key:
-                return binding
-        if outer_bindings is not None:
-            for binding in outer_bindings:
-                if binding.lower() == key:
-                    return OUTER
-        raise CatalogError(f"unknown table or alias {ref.qualifier!r}")
-    owners = [
-        binding
-        for binding, table_name in bindings.items()
-        if ref.name in catalog.table(table_name).schema
-    ]
-    if not owners:
-        if outer_bindings is not None and any(
-            ref.name in schema for schema in outer_bindings.values()
-        ):
-            return OUTER
-        raise CatalogError(f"no table in FROM has a column {ref.name!r}")
-    if len(owners) > 1:
-        raise CatalogError(
-            f"column {ref.name!r} is ambiguous across tables {sorted(owners)}"
-        )
-    return owners[0]
 
 
 def plan_select(
@@ -250,8 +201,6 @@ class _PlannerState:
 
     def __init__(self, select: Select, catalog: Catalog,
                  outer_bindings: dict[str, object] | None):
-        self.select = select
-        self.catalog = catalog
         self.outer_bindings = outer_bindings
         self.bindings: dict[str, str] = {}
         for ref in select.tables:
@@ -275,29 +224,108 @@ class _PlannerState:
         # bound (the block may sit under outer-column comparisons).
         self.needs: list[tuple[Expr, frozenset[str]]] = []
         # Per conjunct (by identity; ``needs`` keeps them alive): cost
-        # bucket, cost of one evaluation, selectivity.  Pure in the
-        # conjunct, so computed here once instead of per DP subset.
-        self._facts: dict[int, tuple[int, float, float]] = {}
-        all_bindings = frozenset(self.bindings)
+        # bucket, cost of one evaluation, selectivity, spans-tables flag.
+        # Pure in the conjunct, so computed here once, not per DP subset.
+        self._facts: dict[int, tuple[int, float, float, bool]] = {}
         for conjunct in conjuncts_of(select.where):
-            if contains_subquery(conjunct):
-                used = all_bindings
-            else:
-                used = frozenset(
-                    binding
-                    for col in columns_in(conjunct)
-                    if (binding := self.resolve(col)) != OUTER
-                )
-            self.needs.append((conjunct, used))
-            bucket = self._cost_bucket(conjunct)
-            self._facts[id(conjunct)] = (
-                bucket, self._predicate_cost(conjunct, bucket),
-                self._selectivity(conjunct),
-            )
+            self._add(conjunct)
 
-    def resolve(self, col: ColumnRef) -> str:
-        """Shorthand for :func:`_binding_of` with this call's context."""
-        return _binding_of(col, self.bindings, self.catalog, self.outer_bindings)
+    def _add(self, conjunct: Expr) -> None:
+        """Record a conjunct: the bindings it needs and its facts.  Cost
+        buckets: 0 = scalar, 1 = LFM-touching, 2 = subquery-bearing."""
+        if contains_subquery(conjunct):
+            used, bucket, cost = frozenset(self.bindings), 2, _SUBQUERY_COST
+        else:
+            used = frozenset(
+                binding
+                for col in columns_in(conjunct)
+                if (binding := self.resolve(col)) != OUTER
+            )
+            pages = [self._region_pages(*field)
+                     for field in self._longfields(conjunct)]
+            bucket, cost = int(bool(pages)), _CPU_TUPLE + sum(pages) * _PAGE_COST
+        self.needs.append((conjunct, used))
+        self._facts[id(conjunct)] = (
+            bucket, cost, self._selectivity(conjunct), len(used) > 1)
+
+    def close_equalities(self) -> None:
+        """Derive ``col = const`` for every column a chain of ``col = col``
+        conjuncts ties to one that is compared with a constant.
+
+        Sound under SQL NULLs: the chain already rejects a row whose
+        member is NULL or differs, so the derived conjunct removes no
+        row — it lets the member's own level filter (and probe) by the
+        constant.  A join conjunct inside such a class then filters
+        nothing its two sides' constant filters have not: its
+        selectivity becomes 1, or the estimate would count it twice.
+        """
+        parent: dict[tuple[str, str], tuple[str, str]] = {}
+
+        def find(key):
+            while parent.setdefault(key, key) != key:
+                key = parent[key]
+            return key
+
+        refs: dict[tuple[str, str], ColumnRef] = {}
+        pinned: list[tuple[tuple[str, str], Expr]] = []
+        joins: list[tuple[tuple[str, str], Expr]] = []
+        for conjunct, _ in self.needs:
+            if not (isinstance(conjunct, BinOp) and conjunct.op == "="):
+                continue
+            sides = []
+            for side in (conjunct.left, conjunct.right):
+                local = self._column_side(side)
+                if local is not None:
+                    local = (local[0], local[1].lower())
+                    refs.setdefault(local, side)
+                sides.append(local)
+            left, right = sides
+            if left and right:
+                parent[find(left)] = find(right)
+                joins.append((left, conjunct))
+            elif left or right:
+                const = conjunct.right if left else conjunct.left
+                if isinstance(const, (Literal, Param, ColumnRef)):
+                    pinned.append((left or right, const))
+        have = set(pinned)
+        for pinned_key, const in pinned:
+            for key, ref in refs.items():
+                if find(key) == find(pinned_key) and (key, const) not in have:
+                    have.add((key, const))
+                    self._add(BinOp("=", ref, const))
+        pinned_classes = {find(key) for key, _ in pinned}
+        for key, conjunct in joins:
+            if find(key) in pinned_classes:
+                bucket, cost, _, spans = self._facts[id(conjunct)]
+                self._facts[id(conjunct)] = (bucket, cost, 1.0, spans)
+
+    def resolve(self, ref: ColumnRef) -> str:
+        """The binding (alias) a column reference belongs to.
+
+        Inner scope wins; references this block cannot resolve fall out
+        to the enclosing block's bindings (binding name -> schema-like
+        supporting ``in``) and map to the :data:`OUTER` sentinel.
+        """
+        outer = self.outer_bindings or {}
+        if ref.qualifier is not None:
+            key = ref.qualifier.lower()
+            for binding in self.bindings:
+                if binding.lower() == key:
+                    return binding
+            if any(binding.lower() == key for binding in outer):
+                return OUTER
+            raise CatalogError(f"unknown table or alias {ref.qualifier!r}")
+        owners = [binding for binding, table in self.tables.items()
+                  if ref.name in table.schema]
+        if not owners:
+            if any(ref.name in schema for schema in outer.values()):
+                return OUTER
+            raise CatalogError(f"no table in FROM has a column {ref.name!r}")
+        if len(owners) > 1:
+            raise CatalogError(
+                f"column {ref.name!r} is ambiguous across tables {sorted(owners)}"
+            )
+        return owners[0]
 
     # ---------------------------------------------------------------- #
     # predicate classification
@@ -313,61 +341,34 @@ class _PlannerState:
             if used <= bound and (not placed or not used <= placed)
         ]
 
-    def touches_longfield(self, expr: Expr) -> bool:
-        """Does the expression read any LONGFIELD column of this block?"""
+    def _longfields(self, expr: Expr) -> dict[tuple[str, int], None]:
+        """``(binding, position)`` of each LONGFIELD column of this block
+        the expression reads, in first-use order."""
+        found = {}
         for col in columns_in(expr):
-            try:
-                owner = self.resolve(col)
-            except CatalogError:
-                continue
-            if owner == OUTER:
-                continue
-            schema = self.tables[owner].schema
-            if col.name in schema and (
-                schema.column(col.name).sql_type is SqlType.LONGFIELD
-            ):
-                return True
-        return False
+            owner = self.resolve(col)
+            if owner != OUTER:
+                schema = self.tables[owner].schema
+                position = schema.position(col.name)
+                if schema.columns[position].sql_type is SqlType.LONGFIELD:
+                    found[owner, position] = None
+        return found
 
-    def cost_bucket(self, conjunct: Expr) -> int:
-        """0 = scalar, 1 = LFM-touching, 2 = subquery-bearing."""
-        return self._facts[id(conjunct)][0]
+    def _region_pages(self, owner: str, position: int) -> float:
+        """Pages one read of that LONGFIELD column is expected to cost."""
+        stats = self.stats[owner]
+        avg = stats.avg_region_pages(position) if stats else None
+        return avg if avg is not None else _DEFAULT_REGION_PAGES
 
-    def _cost_bucket(self, conjunct: Expr) -> int:
-        if contains_subquery(conjunct):
-            return 2
-        if self.touches_longfield(conjunct):
-            return 1
-        return 0
-
-    def _predicate_cost(self, conjunct: Expr, bucket: int) -> float:
-        """Estimated cost of one evaluation of the conjunct."""
-        if bucket == 2:
-            return _SUBQUERY_COST
-        if bucket == 0:
-            return _CPU_TUPLE
-        pages = 0.0
-        seen: set[tuple[str, int]] = set()
-        for col in columns_in(conjunct):
-            try:
-                owner = self.resolve(col)
-            except CatalogError:
-                continue
-            if owner == OUTER:
-                continue
-            schema = self.tables[owner].schema
-            if col.name not in schema:
-                continue
-            position = schema.position(col.name)
-            if schema.columns[position].sql_type is not SqlType.LONGFIELD:
-                continue
-            if (owner, position) in seen:
-                continue
-            seen.add((owner, position))
-            stats = self.stats[owner]
-            avg = stats.avg_region_pages(position) if stats else None
-            pages += avg if avg is not None else _DEFAULT_REGION_PAGES
-        return _CPU_TUPLE + pages * _PAGE_COST
+    def run_order(self, conjuncts: list[Expr]) -> list[Expr]:
+        """One level's conjuncts in the order a cost plan evaluates them:
+        scalar before LFM-touching before subquery-bearing, and within
+        each, single-table filters before join filters — so every cheap
+        test gates the dearer ones behind it."""
+        return sorted(
+            conjuncts,
+            key=lambda c: (self._facts[id(c)][0], self._facts[id(c)][3]),
+        )
 
     # ---------------------------------------------------------------- #
     # selectivity estimation
@@ -471,17 +472,29 @@ class _PlannerState:
     # access paths
     # ---------------------------------------------------------------- #
 
+    def _probe_sides(self, a: Expr, b: Expr, binding: str,
+                     earlier: set[str]) -> tuple[str, Expr] | None:
+        """``(column, other side)`` when one of the two expressions is a
+        column of ``binding`` and the other reads only ``earlier`` ones."""
+        for col_side, value_side in ((a, b), (b, a)):
+            if (isinstance(col_side, ColumnRef)
+                    and self.resolve(col_side) == binding
+                    and {self.resolve(c) for c in columns_in(value_side)} <= earlier):
+                return col_side.name, value_side
+        return None
+
     def hash_probe(self, conjuncts: list[Expr], binding: str,
                    earlier: set[str]) -> tuple[str, Expr] | None:
-        """First usable (indexed column, probe expression) of the level."""
+        """First usable (indexed column, probe expression) of the level:
+        ``col = value`` over an indexed column of ``binding``."""
         table = self.tables[binding]
         for conjunct in conjuncts:
-            probe = _probe_candidate(
-                conjunct, binding, earlier, self.bindings, self.catalog,
-                self.outer_bindings,
-            )
-            if probe and table.has_index(probe[0]):
-                return probe
+            if (isinstance(conjunct, BinOp) and conjunct.op == "="
+                    and not contains_subquery(conjunct)):
+                probe = self._probe_sides(
+                    conjunct.left, conjunct.right, binding, earlier)
+                if probe and table.has_index(probe[0]):
+                    return probe
         return None
 
     def spatial_probe(self, conjuncts: list[Expr], binding: str,
@@ -489,15 +502,12 @@ class _PlannerState:
         """First usable (region column, probe expression) of the level."""
         table = self.tables[binding]
         for conjunct in conjuncts:
-            probe = _spatial_probe_candidate(
-                conjunct, binding, earlier, self.bindings, self.catalog,
-                self.outer_bindings,
-            )
-            if probe is None:
-                continue
-            index = table.spatial_index_on(probe[0])
-            if index is not None and index.probe_safe(table):
-                return probe
+            inner = _intersection_filter(conjunct)
+            probe = inner and self._probe_sides(*inner.args, binding, earlier)
+            if probe:
+                index = table.spatial_index_on(probe[0])
+                if index is not None and index.probe_safe(table):
+                    return probe
         return None
 
     # ---------------------------------------------------------------- #
@@ -516,11 +526,8 @@ class _PlannerState:
         """
         table = self.tables[binding]
         conjuncts = self.level_conjuncts(placed, binding)
-        ordered = sorted(
-            [(self.cost_bucket(c), i, c) for i, (c, _) in enumerate(conjuncts)]
-        )
-        earlier = set(placed) | {OUTER}
         exprs = [c for c, _ in conjuncts]
+        earlier = set(placed) | {OUTER}
         examined = float(table.row_count)
         probe = self.hash_probe(exprs, binding, earlier)
         if probe is not None:
@@ -536,8 +543,8 @@ class _PlannerState:
         cost = est_in * examined * _CPU_TUPLE
         running = 1.0
         raw = est_in * table.row_count
-        for _, _, conjunct in ordered:
-            _, predicate_cost, sel = self._facts[id(conjunct)]
+        for conjunct in self.run_order(exprs):
+            _, predicate_cost, sel, _ = self._facts[id(conjunct)]
             cost += est_in * examined * running * predicate_cost
             running *= sel
             raw *= sel
@@ -560,10 +567,12 @@ def _plan_select(
     state = _PlannerState(select, catalog, outer_bindings)
     if mode == "naive":
         order = list(select.tables)
-    elif len(select.tables) > _DP_LIMIT:
-        order = _greedy_order(select, state.needs)
     else:
-        order = _cost_order(select, state)
+        state.close_equalities()
+        if len(select.tables) > _DP_LIMIT:
+            order = _greedy_order(select, state.needs)
+        else:
+            order = _cost_order(select, state)
 
     # Assign each conjunct to the earliest level where it is fully bound.
     level_predicates: list[list[Expr]] = [[] for _ in order]
@@ -576,16 +585,10 @@ def _plan_select(
                 level_predicates[level].append(conjunct)
                 assigned[i] = True
 
-    # Cost mode runs cheap predicates first within a level so the scalar
-    # comparisons short-circuit the LFM-touching ones; naive keeps the
-    # original conjunct order.
+    # Cost mode runs cheap predicates first within a level; naive keeps
+    # the original conjunct order.
     if mode == "cost":
-        for level, preds in enumerate(level_predicates):
-            level_predicates[level] = [
-                c for _, _, c in sorted(
-                    (state.cost_bucket(c), i, c) for i, c in enumerate(preds)
-                )
-            ]
+        level_predicates = [state.run_order(p) for p in level_predicates]
 
     # Pick access paths per level: a hash probe on an equality against
     # earlier-bound values, else (cost mode) a spatial probe for a
@@ -614,7 +617,7 @@ def _plan_select(
     est_out = _output_estimate(select, est)
 
     return Plan(
-        select, order, level_predicates, state.bindings, index_probes,
+        select, order, level_predicates, index_probes,
         spatial_probes, est_rows, est_out, mode,
     )
 
@@ -707,49 +710,9 @@ def _cost_order(select: Select, state: _PlannerState) -> list[TableRef]:
     return [tables[i] for i in final_order]
 
 
-def _probe_candidate(
-    conjunct: Expr,
-    binding: str,
-    earlier: set[str],
-    bindings: dict[str, str],
-    catalog: Catalog,
-    outer_bindings: dict[str, object] | None,
-) -> tuple[str, Expr] | None:
-    """``col = value`` where col belongs to ``binding`` and value only to
-    earlier bindings (or constants): returns ``(column, value_expr)``."""
-    if not isinstance(conjunct, BinOp) or conjunct.op != "=":
-        return None
-    if contains_subquery(conjunct):
-        return None
-    for col_side, val_side in ((conjunct.left, conjunct.right), (conjunct.right, conjunct.left)):
-        if not isinstance(col_side, ColumnRef):
-            continue
-        try:
-            owner = _binding_of(col_side, bindings, catalog, outer_bindings)
-        except CatalogError:
-            return None
-        if owner != binding:
-            continue
-        value_owners = {
-            _binding_of(col, bindings, catalog, outer_bindings)
-            for col in columns_in(val_side)
-        }
-        if value_owners <= earlier:
-            return col_side.name, val_side
-    return None
-
-
-def _spatial_probe_candidate(
-    conjunct: Expr,
-    binding: str,
-    earlier: set[str],
-    bindings: dict[str, str],
-    catalog: Catalog,
-    outer_bindings: dict[str, object] | None,
-) -> tuple[str, Expr] | None:
-    """``voxelCount(intersection(col, probe)) > 0`` (or its mirror image)
-    where ``col`` belongs to ``binding`` and the probe expression only to
-    earlier bindings: returns ``(region column, probe expression)``.
+def _intersection_filter(conjunct: Expr) -> FuncCall | None:
+    """The ``intersection(a, b)`` call of a conjunct shaped
+    ``voxelCount(intersection(a, b)) > 0`` (or its mirror image).
 
     The shape is exactly the paper's region-intersection filter; the
     executor turns it into an R-tree candidate lookup and still runs the
@@ -769,28 +732,7 @@ def _spatial_probe_candidate(
             and len(call.args) == 1):
         return None
     inner = call.args[0]
-    if not (isinstance(inner, FuncCall)
-            and inner.name.lower() == "intersection"
-            and len(inner.args) == 2):
-        return None
-    if contains_subquery(inner):
-        return None
-    for col_side, probe_side in (
-        (inner.args[0], inner.args[1]),
-        (inner.args[1], inner.args[0]),
-    ):
-        if not isinstance(col_side, ColumnRef):
-            continue
-        try:
-            owner = _binding_of(col_side, bindings, catalog, outer_bindings)
-        except CatalogError:
-            return None
-        if owner != binding:
-            continue
-        probe_owners = {
-            _binding_of(col, bindings, catalog, outer_bindings)
-            for col in columns_in(probe_side)
-        }
-        if probe_owners <= earlier:
-            return col_side.name, probe_side
+    if (isinstance(inner, FuncCall) and inner.name.lower() == "intersection"
+            and len(inner.args) == 2 and not contains_subquery(inner)):
+        return inner
     return None

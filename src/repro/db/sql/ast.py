@@ -1,8 +1,9 @@
 """Abstract syntax tree for the SQL subset.
 
-Expressions and statements are plain frozen dataclasses; the executor walks
-them directly (the engine compiles no bytecode — queries here are small and
-the heavy lifting happens inside the spatial functions, as in the paper).
+Expressions and statements are plain frozen dataclasses; the executor
+compiles each query block's expressions to closures once, when it is
+planned, and never walks the tree per row (queries here are small and the
+heavy lifting happens inside the spatial functions, as in the paper).
 
 Every node carries an optional :class:`Span` — the source position of the
 token that introduced it, threaded through from the lexer — so the semantic

@@ -50,9 +50,11 @@ class Bound(NamedTuple):
     #: the catalog + registry state the check and every plan are valid for
     stamp: tuple
     #: ``(id of the query block, outer binding names, planner mode)`` ->
-    #: its :class:`~repro.db.planner.Plan`, for the outer SELECT and every
-    #: nested block (a block's standalone key holds the executor's
-    #: "correlated" marker when it cannot be planned on its own)
+    #: its :class:`~repro.db.planner.Plan` with the compiled program on
+    #: it, for the outer SELECT and every nested block (a block's
+    #: standalone key holds the executor's "correlated" marker when it
+    #: cannot be planned on its own); an INSERT, DELETE or UPDATE keeps
+    #: its compiled expressions under its own id the same way
     plans: dict
 
 

@@ -9,8 +9,8 @@ per-stage breakdown Tables 3 and 4 are built from, but per operator.
 
 This module is deliberately free of ``repro.db`` imports: the executor
 hands it a duck-typed plan (``table_order`` / ``level_predicates`` /
-``index_probes``), so the dependency points from the engine to the
-observability layer, never back.
+``index_probes`` / ``spatial_probes``), so the dependency points from the
+engine to the observability layer, never back.
 """
 
 from __future__ import annotations
@@ -77,22 +77,19 @@ class PlanProfile:
         self.output.est_rows = getattr(plan, "est_out", None)
 
 
-def _level_label(plan, level: int) -> str:
-    """The access-path label for one level (mirrors ``Plan.describe``)."""
+def level_label(plan, level: int) -> str:
+    """One level's access path and predicate count (``Plan.describe``
+    prints the same label)."""
     ref = plan.table_order[level]
     preds = plan.level_predicates[level]
     label = f"{ref.name}" + (f" {ref.alias}" if ref.alias else "")
-    probe = plan.index_probes[level] if level < len(plan.index_probes) else None
-    spatial_probes = getattr(plan, "spatial_probes", None) or []
-    spatial = spatial_probes[level] if level < len(spatial_probes) else None
-    if probe:
-        access = f"probe {label} via index({probe[0]})"
-    elif spatial:
-        access = f"probe {label} via spatial({spatial[0]})"
+    if plan.index_probes[level]:
+        access = f"probe {label} via index({plan.index_probes[level][0]})"
+    elif plan.spatial_probes[level]:
+        access = f"probe {label} via spatial({plan.spatial_probes[level][0]})"
     else:
         access = f"scan {label}"
-    suffix = f" [{len(preds)} predicate(s)]" if preds else ""
-    return access + suffix
+    return access + (f" [{len(preds)} predicate(s)]" if preds else "")
 
 
 def render_analyzed_plan(profile: PlanProfile, io=None, work=None) -> list[str]:
@@ -106,7 +103,7 @@ def render_analyzed_plan(profile: PlanProfile, io=None, work=None) -> list[str]:
     plan = profile.plan
     lines: list[str] = []
     for level, stats in enumerate(profile.levels):
-        lines.append("  " * level + f"{_level_label(plan, level)}  {stats.annotate()}")
+        lines.append("  " * level + f"{level_label(plan, level)}  {stats.annotate()}")
     out = profile.output
     out_est = (
         f"est rows={int(round(out.est_rows))}, "

@@ -156,7 +156,7 @@ def _scatter_span(starts: np.ndarray, stops: np.ndarray) -> tuple[int, int, int]
 
 @dataclass
 class _Backing:
-    buf: bytearray | mmap.mmap
+    buf: mmap.mmap
     file: object = None
 
 
@@ -177,7 +177,10 @@ class BlockDevice:
         # counter update is atomic so `stats` stays exact under threads.
         self._lock = threading.Lock()
         if path is None:
-            self._backing = _Backing(bytearray(self.capacity))
+            # anonymous map, not bytearray(capacity): that zero-fills —
+            # commits — every page up front, and may carve them out of
+            # recycled heap; a map costs only the pages ever written
+            self._backing = _Backing(mmap.mmap(-1, self.capacity))
         else:
             path = Path(path)
             if preserve_contents:
@@ -287,7 +290,7 @@ class BlockDevice:
 
     def close(self) -> None:
         """Flush and release the backing store (no-op for memory)."""
-        if isinstance(self._backing.buf, mmap.mmap):
+        if self._backing.file is not None:
             self._backing.buf.flush()
             self._backing.buf.close()
             self._backing.file.close()
@@ -299,5 +302,5 @@ class BlockDevice:
         self.close()
 
     def __repr__(self) -> str:
-        kind = "file" if isinstance(self._backing.buf, mmap.mmap) else "memory"
+        kind = "file" if self._backing.file is not None else "memory"
         return f"BlockDevice({self.capacity} bytes, {kind}-backed)"

@@ -272,6 +272,78 @@ class TestAggregates:
             db.execute("select name from patient where count(*) > 1")
 
 
+class TestNullOrdering:
+    """NULLs sort high — last ascending, first descending (the
+    DB2/Starburst convention) — and never escape as a bare TypeError."""
+
+    @pytest.fixture
+    def t(self):
+        db = Database()
+        db.execute("create table t (a integer, b text)")
+        db.executemany("insert into t values (?, ?)",
+                       [[2, "x"], [None, "y"], [1, None], [2, None]])
+        return db
+
+    def test_ascending_puts_null_last(self, t):
+        assert t.execute("select a from t order by a").column("a") == [1, 2, 2, None]
+
+    def test_descending_puts_null_first(self, t):
+        assert t.execute("select a from t order by a desc").column("a") == [None, 2, 2, 1]
+
+    def test_multi_key(self, t):
+        rows = t.execute("select a, b from t order by a desc, b").rows
+        assert rows == [(None, "y"), (2, "x"), (2, None), (1, None)]
+
+    def test_grouped(self, t):
+        rows = t.execute("select b, count(*) from t group by b order by b").rows
+        assert rows == [("x", 1), ("y", 1), (None, 2)]
+        rows = t.execute(
+            "select b, max(a) m from t group by b order by m desc, b").rows
+        assert rows == [("y", None), ("x", 2), (None, 2)]
+
+    def test_incomparable_keys_raise_a_typed_error(self, t):
+        with pytest.raises(SqlTypeError, match="order"):
+            t.execute("select coalesce(b, a) k from t order by k")
+        with pytest.raises(SqlTypeError, match="order"):
+            t.execute("select a from t order by coalesce(b, a) desc")
+
+
+class TestAggregateTypeErrors:
+    @pytest.mark.parametrize("call", ["avg(?)", "sum(?)"])
+    def test_fold_over_text_is_a_type_error(self, db, call):
+        with pytest.raises(SqlTypeError, match="aggregate"):
+            db.execute(f"select {call} from patient", ["x"])
+
+    @pytest.mark.parametrize("name", ["min", "max"])
+    def test_min_max_over_mixed_types(self, db, name):
+        db.register_function("mixed", lambda i: i if i % 2 else str(i))
+        with pytest.raises(SqlTypeError, match="aggregate"):
+            db.execute(f"select {name}(mixed(patientId)) from patient")
+
+
+class TestGroupedShortCircuit:
+    """HAVING and grouped select items run the evaluator WHERE runs: the
+    right operand of AND / OR is not evaluated once the left decides."""
+
+    @pytest.mark.parametrize("where, having", [
+        ("patientId > 100 and 1 / 0 > 1", "count(*) > 100 and 1 / 0 > 1"),
+        ("patientId > 0 or 1 / 0 > 1", "count(*) > 0 or 1 / 0 > 1"),
+    ])
+    def test_where_and_having_agree(self, db, where, having):
+        in_where = db.execute(f"select count(*) from patient where {where}")
+        in_having = db.execute(f"select count(*) from patient having {having}")
+        in_items = db.execute(f"select {having} from patient")
+        assert in_where.scalar() in (0, 3)
+        assert len(in_having.rows) == (in_where.scalar() > 0)
+        assert in_items.scalar() is (in_where.scalar() > 0)
+
+    @pytest.mark.parametrize("clause", ["where patientId > 0 and 1 / 0 > 1",
+                                        "having count(*) > 0 and 1 / 0 > 1"])
+    def test_the_decisive_side_still_raises(self, db, clause):
+        with pytest.raises(ExecutionError, match="division by zero"):
+            db.execute(f"select count(*) from patient {clause}")
+
+
 class TestFunctions:
     def test_builtin_functions(self, db):
         assert db.execute("select upper(name) from patient where patientId = 1").scalar() == "ALICE"

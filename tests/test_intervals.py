@@ -61,6 +61,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             IntervalSet.from_indices(np.array([-1, 3]))
 
+    def test_from_indices_runs_are_those_of_the_deduplicated_sort(self):
+        """Unsorted, duplicated, empty: bit-identical to going through
+        ``np.unique`` and the mask constructor (the negative check above)."""
+        rng = np.random.default_rng(64)
+        cases = [np.empty(0, dtype=np.int64), np.array([7]), np.array([3, 3, 3]),
+                 np.array([9, 0, 9, 1, 0, 5, 4, 4, 6])]
+        cases += [rng.integers(0, 400, size) for size in (50, 300, 2000)]
+        for indices in cases:
+            got = IntervalSet.from_indices(indices)
+            mask = np.zeros(401, dtype=bool)
+            mask[indices] = True
+            want = IntervalSet.from_mask(mask)
+            assert got == want
+            assert got.starts.dtype == want.starts.dtype == np.int64
+            assert got.count == np.unique(indices).size
+            assert np.array_equal(got.starts, want.starts)
+            assert np.array_equal(got.stops, want.stops)
+
     def test_from_runs_canonicalizes_overlaps(self):
         s = iset((0, 5), (3, 8), (10, 12))
         assert list(s.runs_inclusive()) == [(0, 8), (10, 12)]

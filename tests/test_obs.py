@@ -255,42 +255,25 @@ class TestEstimates:
     def test_table3_estimates_match_actuals(self, system):
         """On the fully ANALYZEd demo the Table 3 plans are estimated
         exactly: the statement output estimate equals the actual row count
-        for all six queries, and every operator of Q1-Q4 is exact too.
+        for all six queries, and so does every operator's.
 
-        Q5/Q6 carry one known, deterministic deviation: ``b.low = x AND
-        b.high = y`` are perfectly correlated band bounds, so the
-        independence assumption under-estimates the band level (clamped
-        to 1) while three studies store that band.  That deviation is
-        pinned below so an estimator change can't drift unnoticed.
+        Q5/Q6 used to carry one pinned deviation — the band level matched
+        three rows (one per study storing that band) against an estimate
+        clamped to 1, because ``b0.studyId = wv.studyId`` only filtered
+        one level later.  The planner's equality closure now derives
+        ``b0.studyId = ?`` from ``wv.studyId = ?``: the band level
+        matches the one row it was estimated to.
         """
-        exact_per_operator = {"Q1", "Q2", "Q3", "Q4"}
         for qid, (sql, params) in self._table3_data_queries(system).items():
             res = system.db.execute("EXPLAIN ANALYZE " + sql, params)
             lines = [row[0] for row in res.rows]
-            annotated = []
             for line in lines[:-2]:
                 est = _EST_RE.search(line)
                 matched = _MATCHED_RE.search(line)
                 assert est and matched, f"{qid}: unannotated operator {line}"
-                annotated.append(
-                    (line, float(est.group(1)), float(matched.group(1)))
+                assert float(est.group(1)) == float(matched.group(1)), (
+                    f"{qid}: est != actual on operator: {line}"
                 )
-            if qid in exact_per_operator:
-                for line, est, matched in annotated:
-                    assert est == matched, (
-                        f"{qid}: est != actual on operator: {line}"
-                    )
-            else:
-                # the correlated band level: est clamps to 1, 3 studies match
-                (band,) = [t for t in annotated if "intensityBand" in t[0]]
-                assert (band[1], band[2]) == (1.0, 3.0), (
-                    f"{qid}: band-level estimate drifted: {band[0]}"
-                )
-                for line, est, matched in annotated:
-                    if "intensityBand" not in line:
-                        assert est == matched, (
-                            f"{qid}: est != actual on operator: {line}"
-                        )
             output = lines[-2]
             est = _EST_RE.search(output)
             actual = re.match(r"output: (\d+) row\(s\)", output)

@@ -47,9 +47,22 @@ _BATCH_SEEDS = [19940_000 + b for b in range(BATCHES)]
 GRID_SIDE = 16
 
 
+def _demo():
+    """The demo plus ``studyNote``: join keys that are NULL in some rows."""
+    system = QbismSystem.build_demo(grid_side=GRID_SIDE, n_pet=2, n_mri=1, seed=7)
+    studies = system.pet_study_ids + system.mri_study_ids
+    system.db.execute(
+        "create table studyNote (studyId integer, patientId integer, note text)")
+    system.db.executemany(
+        "insert into studyNote values (?, ?, ?)",
+        [[studies[0], 1, "a"], [studies[0], None, "b"], [None, 1, "c"],
+         [studies[1], 2, "d"], [None, None, "e"], [studies[-1], 2, None]])
+    return system
+
+
 @pytest.fixture(scope="module")
 def system():
-    return QbismSystem.build_demo(grid_side=GRID_SIDE, n_pet=2, n_mri=1, seed=7)
+    return _demo()
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +125,9 @@ def generate_query(rng: random.Random, vals: dict):
     Values are sometimes nudged outside the stored domain so empty
     result sets are exercised too.
     """
-    shape = rng.randrange(6)
+    shape = rng.randrange(10)
+    if shape >= 6:
+        return _closure_query(rng, vals, shape)
     if shape == 0:
         # Q1/Q3-shaped: patient metadata joined to acquired studies.
         conjuncts = [
@@ -206,6 +221,67 @@ def generate_query(rng: random.Random, vals: dict):
         ["warpedVolume wv", "atlasStructure s", "neuralStructure ns"],
         conjuncts,
     )
+
+
+def _constant(rng, value):
+    """A constant as the planner may meet it: a ``?`` or a literal."""
+    if rng.random() < 0.5 or value is None:
+        return "?", [value]
+    return (f"'{value}'" if isinstance(value, str) else str(value)), []
+
+
+def _closure_query(rng, vals, shape):
+    """Transitive-equality shapes: a chain of ``col = col`` conjuncts with
+    one end compared to a constant — a ``?`` (sometimes NULL), a literal
+    or an outer column — which the cost planner closes and naive does not.
+    """
+    study, study_params = _constant(
+        rng, rng.choice(vals["study_ids"] + [10_000, None]))
+    if shape == 6:
+        # the Q5/Q6 form: bands (and structures) tied to one warped study
+        conjuncts = [
+            ("b.studyId = wv.studyId", []), ("b.atlasId = wv.atlasId", []),
+            (f"wv.studyId = {study}", study_params),
+            ("wv.atlasId = ?", [vals["atlas_id"]]),
+            ("b.encoding = ?", [rng.choice(vals["encodings"])]),
+        ]
+        tables = ["warpedVolume wv", "intensityBand b"]
+        if rng.random() < 0.5:
+            tables += ["atlasStructure s", "neuralStructure ns"]
+            conjuncts += [
+                ("s.atlasId = wv.atlasId", []),
+                ("s.structureId = ns.structureId", []),
+                ("ns.structureName = ?", [rng.choice(vals["structures"])]),
+            ]
+        return _assemble(rng, ["wv.studyId", "b.low", "b.high"], tables, conjuncts)
+    if shape == 7:
+        # NULL join keys on a three-table chain
+        conjuncts = [
+            ("n.studyId = r.studyId", []), ("r.studyId = wv.studyId", []),
+            (rng.choice([f"n.studyId = {study}", f"{study} = wv.studyId"]),
+             study_params),
+        ]
+        if rng.random() < 0.5:
+            conjuncts.append(("n.patientId = r.patientId", []))
+        return _assemble(
+            rng, ["n.note", "r.modality", "wv.studyId"],
+            ["studyNote n", "rawVolume r", "warpedVolume wv"], conjuncts)
+    if shape == 8:
+        # GROUP BY + HAVING over a closed join
+        sql, params = _assemble(
+            rng, ["r.modality", "count(*)", "min(b.low)"],
+            ["rawVolume r", "intensityBand b"],
+            [("b.studyId = r.studyId", []), (f"r.studyId = {study}", study_params)])
+        return (sql + " group by r.modality having count(*) >= ?",
+                params + [rng.choice([0, 1, 1000])])
+    # a correlated block: the constant is the outer row's column
+    inner, params = _assemble(
+        rng, ["1"], ["rawVolume r", "studyNote n"],
+        [("r.patientId = p.patientId", []), ("n.patientId = r.patientId", []),
+         ("r.modality = ?", [rng.choice(vals["modalities"])])])
+    negated = rng.choice(["", "not "])
+    return (f"select p.name, p.patientId from patient p"
+            f" where {negated}exists ({inner})", params)
 
 
 def _explain(db, sql, params):
@@ -485,8 +561,7 @@ _HANDWRITTEN = [
 class TestWarmStatements:
     @pytest.fixture()
     def db(self):
-        db = QbismSystem.build_demo(
-            grid_side=GRID_SIDE, n_pet=2, n_mri=1, seed=7).db
+        db = _demo().db
         db.execute("create table notes (k integer, v text)")
         db.executemany("insert into notes values (?, ?)", [[1, "a"], [2, "b"]])
         db.register_function("warmfn", lambda age: age + 1)
@@ -593,3 +668,181 @@ class TestWarmStatements:
         assert planned == []
         assert sorted(cold.rows) == sorted(warm.rows) == sorted(oracle)
         assert len(cold.rows) == outer_rows
+
+
+# --------------------------------------------------------------------- #
+# compiled plans: built once, run against other data, parameters, registries
+# --------------------------------------------------------------------- #
+
+
+class TestCompiledPlans:
+    @pytest.fixture()
+    def db(self):
+        return _demo().db
+
+    @pytest.fixture()
+    def compilations(self, monkeypatch):
+        """Every expression compiler built (one per block or DML statement)."""
+        import repro.db.executor
+
+        built = []
+        original = repro.db.executor._Compiler.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(repro.db.executor._Compiler, "__init__", counting)
+        return built
+
+    def test_warm_statement_compiles_nothing_and_ad_hoc_text_does(
+            self, db, catalog_values, compilations):
+        rng = random.Random(19940_019)
+        statements = [generate_query(rng, catalog_values) for _ in range(24)]
+        # DML is kept like a SELECT, for as long as its table's stamp holds
+        # (this UPDATE touches no row; an INSERT or DELETE moves the stamp)
+        statements.append(
+            ("update studyNote set note = note where studyId = ?", [-1]))
+        for sql, params in statements:
+            db.execute(sql, params)
+        assert len(compilations) >= len(statements)
+        del compilations[:]
+        for sql, params in statements:
+            db.execute(sql, params)
+            db.execute(sql, params, planner="cost")
+        assert compilations == []
+        db.execute(statements[0][0].replace("?", "null"))  # bare text: ad hoc
+        assert len(compilations) >= 1
+        del compilations[:]
+        db.executemany("insert into studyNote values (?, ?, upper(?))",
+                       [[None, 7, f"n{i}"] for i in range(5)])
+        assert len(compilations) == 1, "one compile for the whole batch"
+        assert db.execute("select count(*) from studyNote where note = ?",
+                          ["N4"]).scalar() == 1
+
+    def test_dml_between_two_executions_of_one_prepared(
+            self, db, catalog_values):
+        """The kept plan is dropped with its stamp: rows stay the naive
+        plan's, on the new data, and page I/O never exceeds it."""
+        rng = random.Random(19940_119)
+        changes = [
+            ("insert into studyNote values (?, ?, ?)",
+             [catalog_values["study_ids"][1], 1, "late"]),
+            ("update studyNote set studyId = ? where note = ?",
+             [catalog_values["study_ids"][0], "e"]),
+            ("delete from studyNote where patientId = ?", [2]),
+            ("update rawVolume set modality = ? where studyId = ?",
+             ["CT", catalog_values["study_ids"][0]]),
+        ]
+        for ordinal in range(60):
+            sql, params = generate_query(rng, catalog_values)
+            prepared = db.prepare(sql)[0]
+            before = assert_plans_equivalent(db, prepared, params, f"#{ordinal}")
+            change = changes[ordinal % len(changes)]
+            db.execute(*change)
+            after = assert_plans_equivalent(
+                db, prepared, params, f"#{ordinal} after {change[0]}")
+            assert before.columns == after.columns
+
+    def test_plan_kept_before_a_registry_patch_calls_the_patched_method(
+            self, db, monkeypatch):
+        """What the ledger's tracer does: it replaces
+        ``FunctionRegistry.call`` in the class dict after statements ran."""
+        from repro.db.functions import FunctionRegistry
+
+        sql = ("select upper(p.name) from patient p"
+               " where length(p.name) > ? order by p.patientId")
+        first = db.execute(sql, [0])
+        seen = []
+        original = FunctionRegistry.call
+
+        def traced(self, name, args, ctx):
+            seen.append(name)
+            return original(self, name, args, ctx)
+
+        monkeypatch.setattr(FunctionRegistry, "call", traced)
+        again = db.execute(sql, [0])
+        assert again.rows == first.rows and len(first.rows) > 1
+        assert seen.count("upper") == seen.count("length") == len(first.rows)
+        assert again.work.udf_calls == len(seen)
+
+    def test_kept_plan_runs_against_the_registry_it_is_given(self, db):
+        from repro.db.functions import FunctionRegistry
+
+        sql = "select shout(p.name) from patient p where p.patientId = ?"
+        db.register_function("shout", lambda s: s.upper())
+        name = db.execute("select name from patient where patientId = 1").scalar()
+        assert db.execute(sql, [1]).scalar() == name.upper()
+
+        class Chained(FunctionRegistry):
+            """A session-style registry: same stamp, its own ``shout``."""
+
+            def __init__(self, parent):
+                super().__init__()
+                self.parent = parent
+                self.calls = []
+
+            def signature(self, key):
+                return self.parent.signature(key)
+
+            def __contains__(self, key):
+                return key in self.parent
+
+            def stamp(self, funcs):
+                return self.parent.stamp(funcs)
+
+            def call(self, key, args, ctx):
+                self.calls.append(key)
+                return "other:" + args[0]
+
+        other = Chained(db.functions)
+        bound = db.prepare(sql)[0].bound
+        assert db.execute(sql, [1], functions=other).scalar() == "other:" + name
+        assert other.calls == ["shout"]
+        assert db.prepare(sql)[0].bound is bound, "ran on the kept plan"
+        assert db.execute(sql, [1]).scalar() == name.upper()
+
+    def test_kept_closures_capture_no_run_time_state(self, db, catalog_values):
+        """A kept program is run against other snapshots, parameters and
+        registries: nothing reachable from it may be one of them."""
+        import types
+
+        from repro.db.catalog import Catalog
+        from repro.db.database import Database
+        from repro.db.executor import Executor
+        from repro.db.functions import ExecutionContext, FunctionRegistry
+        from repro.db.table import Table
+
+        rng = random.Random(19940_219)
+        statements = [generate_query(rng, catalog_values) for _ in range(30)]
+        statements += _HANDWRITTEN[3:]
+        statements.append(("select r.modality, count(*) from rawVolume r"
+                           " group by r.modality having count(*) > ?"
+                           " order by r.modality", [0]))
+        forbidden = (Table, Catalog, Database, Executor, ExecutionContext,
+                     FunctionRegistry)
+        functions = 0
+        for sql, params in statements:
+            db.execute(sql, params)
+            marker = params and params[0]
+            stack = [plan.program for plan in db.prepare(sql)[0].bound.plans.values()
+                     if not isinstance(plan, str)]
+            seen = set()
+            while stack:
+                node = stack.pop()
+                if id(node) in seen:
+                    continue
+                seen.add(id(node))
+                assert not isinstance(node, forbidden), (sql, node)
+                assert node is not params and (
+                    not isinstance(marker, bytes) or node is not marker), sql
+                if isinstance(node, types.FunctionType):
+                    functions += 1
+                    stack.extend(cell.cell_contents
+                                 for cell in node.__closure__ or ())
+                    stack.extend(node.__defaults__ or ())
+                elif isinstance(node, (tuple, list)):
+                    stack.extend(node)
+                elif hasattr(node, "__dataclass_fields__"):
+                    stack.extend(vars(node).values())
+        assert functions > 300

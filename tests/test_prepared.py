@@ -9,6 +9,7 @@ walkers need not survive as oracles.
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -90,7 +91,7 @@ def test_facts_of_handwritten_statements(sql, tables, funcs, nested,
     assert stmt.canonical == canonical
 
 
-#: what the plan-equivalence generator's six query shapes name
+#: what the plan-equivalence generator's ten query shapes name
 GENERATED_FACTS = {
     (frozenset({"patient", "rawvolume"}), frozenset()),
     (frozenset({"intensityband", "rawvolume"}), frozenset()),
@@ -101,6 +102,13 @@ GENERATED_FACTS = {
     (frozenset({"intensityband", "rawvolume"}), frozenset({"count"})),
     (frozenset({"warpedvolume", "atlasstructure", "neuralstructure"}),
      frozenset()),
+    # the transitive-equality shapes
+    (frozenset({"warpedvolume", "intensityband"}), frozenset()),
+    (frozenset({"warpedvolume", "intensityband", "atlasstructure",
+                "neuralstructure"}), frozenset()),
+    (frozenset({"studynote", "rawvolume", "warpedvolume"}), frozenset()),
+    (frozenset({"rawvolume", "intensityband"}), frozenset({"count", "min"})),
+    (frozenset({"patient", "rawvolume", "studynote"}), frozenset()),
 }
 
 #: stand-in for the generator's catalog-derived values: only the literals
@@ -119,11 +127,13 @@ def test_facts_of_generated_statements():
         sql, _params = generate_query(rng, _VALUES)
         stmt = prepared(sql)
         seen.add((stmt.tables, stmt.funcs))
-        assert not stmt.subquery_tables
+        assert stmt.subquery_tables == (
+            {"rawvolume", "studynote"} if "exists" in sql else set())
         # canonical is a fixed point of parse . unparse
         assert parse(stmt.canonical) == stmt.ast
         assert prepared(stmt.canonical).canonical == stmt.canonical
-        assert stmt.shape == stmt.canonical.replace("> 0)", "> ?)")
+        assert stmt.shape == re.sub(
+            r"(?<![\w.])\d+(?![\w.])", "?", stmt.canonical)
     assert seen == GENERATED_FACTS
 
 

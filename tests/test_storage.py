@@ -94,6 +94,19 @@ class TestBlockDevice:
             assert dev.read(1234, 10) == b"persist me"
         assert path.stat().st_size == 64 * 1024
 
+    def test_memory_backed_reads_zeros_and_survives_close(self, tmp_path):
+        """An in-memory device is an anonymous map: unwritten pages read
+        as zeros, ``close`` is a no-op, and ``dump`` images all of it."""
+        with BlockDevice(16 * PAGE_SIZE) as dev:
+            assert dev.read(5 * PAGE_SIZE, PAGE_SIZE) == bytes(PAGE_SIZE)
+            dev.write(3 * PAGE_SIZE + 7, b"kept")
+        assert "memory-backed" in repr(dev)
+        assert dev.read(3 * PAGE_SIZE + 7, 4) == b"kept"
+        starts = np.array([3 * PAGE_SIZE + 7, 0])
+        assert dev.read_ranges(starts, starts + 4) == b"kept" + bytes(4)
+        image = dev.dump(tmp_path / "image").read_bytes()
+        assert len(image) == 16 * PAGE_SIZE and image[3 * PAGE_SIZE + 7:][:4] == b"kept"
+
 
 class TestBuddyAllocator:
     def test_basic_alloc_free(self):
