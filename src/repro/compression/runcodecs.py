@@ -89,8 +89,8 @@ class NaiveRunCodec(RegionCodec):
         """Decode runs from ``data``."""
         if len(data) % 8:
             raise CodecError("naive run payload must be a multiple of 8 bytes")
-        pairs = np.frombuffer(data, dtype="<u4").reshape(-1, 2).astype(np.int64)
-        return IntervalSet(pairs[:, 0], pairs[:, 1] + 1)
+        pairs = np.frombuffer(data, dtype="<u4").reshape(-1, 2)
+        return IntervalSet(pairs[:, 0], pairs[:, 1] + np.int64(1))  # inclusive ends -> stops
 
     def encoded_size(self, intervals: IntervalSet, ndim: int = 3) -> int:
         """Size in bytes of the encoding of ``runs``, without encoding."""
@@ -108,20 +108,22 @@ class EliasRunCodec(RegionCodec):
 
     name = "elias"
 
+    @staticmethod
+    def _deltas(intervals: IntervalSet) -> np.ndarray:
+        """``start_0 + 1, len_0, gap_1, len_1, ...``: the differences of the run boundaries."""
+        boundaries = np.empty(2 * intervals.run_count, dtype=np.int64)
+        boundaries[0::2] = intervals.starts
+        boundaries[1::2] = intervals.stops
+        return np.diff(boundaries, prepend=-1)
+
     def encode(self, intervals: IntervalSet, ndim: int = 3) -> bytes:
         """Encode ``runs`` into bytes."""
         del ndim
-        n = intervals.run_count
-        header = _COUNT.pack(n)
-        if n == 0:
+        header = _COUNT.pack(intervals.run_count)
+        if not intervals.run_count:
             return header
         writer = BitWriter()
-        seq = np.empty(2 * n, dtype=np.int64)
-        seq[0] = intervals.starts[0] + 1
-        seq[1::2] = intervals.run_lengths
-        if n > 1:
-            seq[2::2] = intervals.gap_lengths
-        gamma_encode_array(seq, writer)
+        gamma_encode_array(self._deltas(intervals), writer)
         return header + writer.getvalue()
 
     def decode(self, data: bytes) -> IntervalSet:
@@ -132,30 +134,16 @@ class EliasRunCodec(RegionCodec):
         if n == 0:
             return IntervalSet.empty()
         reader = BitReader(data[_COUNT.size:])
-        seq = gamma_decode_array(reader, 2 * n)
-        starts = np.empty(n, dtype=np.int64)
-        stops = np.empty(n, dtype=np.int64)
-        # Reconstruct positions by alternating gap/run cumulative sums.
-        boundaries = np.cumsum(seq)
-        starts[0] = seq[0] - 1
-        stops[0] = boundaries[1] - 1
-        if n > 1:
-            starts[1:] = boundaries[2::2] - 1
-            stops[1:] = boundaries[3::2] - 1
-        return IntervalSet(starts, stops)
+        # The run boundaries are the cumulative sums of the deltas.
+        boundaries = np.cumsum(gamma_decode_array(reader, 2 * n)) - 1
+        return IntervalSet(boundaries[0::2], boundaries[1::2])
 
     def encoded_size(self, intervals: IntervalSet, ndim: int = 3) -> int:
         """Size in bytes of the encoding of ``runs``, without encoding."""
         del ndim
         from repro.compression.elias import gamma_code_length
 
-        n = intervals.run_count
-        if n == 0:
-            return _COUNT.size
-        bits = int(gamma_code_length(np.asarray([intervals.starts[0] + 1])).sum())
-        bits += int(gamma_code_length(intervals.run_lengths).sum())
-        if n > 1:
-            bits += int(gamma_code_length(intervals.gap_lengths).sum())
+        bits = int(gamma_code_length(self._deltas(intervals)).sum())
         return _COUNT.size + (bits + 7) // 8
 
 

@@ -252,8 +252,8 @@ class QbismSystem:
         model = self.cost_model
         timing = TimingBreakdown(
             label=label or spec.label(),
-            runs=result.data.region.run_count,
-            voxels=result.data.voxel_count,
+            runs=obj.data.region.run_count,
+            voxels=obj.data.voxel_count,
             lfm_page_ios=result.io.pages_read if result.io else 0,
             starburst_cpu=model.starburst_cpu_seconds(result.work, result.io),
             starburst_real=model.starburst_real_seconds(result.work, result.io),

@@ -29,9 +29,9 @@ from repro.errors import GridMismatchError, ValidationError
 
 __all__ = ["GridSpec", "SpaceFillingCurve", "CurveTables", "TABLE_MAX_LENGTH"]
 
-#: Longest curve answered from a table: the paper's 128^3 atlas (14 MB of
+#: Longest curve answered from a table: the paper's 128^3 atlas (22 MB of
 #: tables).  A constant, not an option: the choice follows from the curve's
-#: own length, and a 256^3 pair would pin 112 MB for every curve touched.
+#: own length, and a 256^3 set would pin 176 MB for every curve touched.
 TABLE_MAX_LENGTH = 1 << 21
 
 
@@ -120,15 +120,17 @@ class GridSpec:
 
 
 class CurveTables(NamedTuple):
-    """Both directions of one curve over its whole cube, read-only.
+    """One curve over its whole cube, read-only.
 
-    Stored in the narrowest unsigned dtypes that fit (1.8 MB at 64^3).
+    Stored in the narrowest unsigned dtypes that fit (2.8 MB at 64^3).
     """
 
     #: ``(length, ndim)``: the coordinates of each curve position
     coords_of: np.ndarray
     #: ``(length,)``: the curve position of each C-order cube offset
     position_of: np.ndarray
+    #: ``(length,)``: the C-order cube offset of each curve position
+    offset_of: np.ndarray
 
 
 #: (curve class, ndim, bits) -> tables.  Entries are immutable and published
@@ -195,7 +197,7 @@ class SpaceFillingCurve(ABC):
         """The curve over its whole cube: one ``coords`` kernel pass.
 
         Shared by every instance of this ``(class, ndim, bits)`` up to
-        :data:`TABLE_MAX_LENGTH`; a longer curve gets a fresh pair per call.
+        :data:`TABLE_MAX_LENGTH`; a longer curve gets a fresh set per call.
         """
         key = (type(self), self.ndim, self.bits)
         tables = _TABLES.get(key)
@@ -203,11 +205,12 @@ class SpaceFillingCurve(ABC):
             positions = np.arange(self.length, dtype=np.int64)
             coords = self._coords_kernel(positions)
             coords_of = coords.astype(np.min_scalar_type(self.side - 1))
-            position_of = np.empty(self.length, np.min_scalar_type(self.length - 1))
-            position_of[self._cube_offsets(coords)] = positions
-            coords_of.setflags(write=False)
-            position_of.setflags(write=False)
-            tables = CurveTables(coords_of, position_of)
+            offset_of = self._cube_offsets(coords).astype(np.min_scalar_type(self.length - 1))
+            position_of = np.empty_like(offset_of)
+            position_of[offset_of] = positions
+            tables = CurveTables(coords_of, position_of, offset_of)
+            for table in tables:
+                table.setflags(write=False)
             if self.length <= TABLE_MAX_LENGTH:
                 tables = _TABLES.setdefault(key, tables)
         return tables
@@ -232,6 +235,26 @@ class SpaceFillingCurve(ABC):
         if self.length > TABLE_MAX_LENGTH:
             return self._coords_kernel(index)
         return np.take(self.tables().coords_of, index, axis=0).astype(np.int64)
+
+    def grid_offsets(self, index: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        """C-order offsets into an array of ``shape`` of the voxels at positions ``index``.
+
+        What a scatter into a dense array needs; on the curve's own cube it
+        is one gather.  A position whose voxel lies outside ``shape`` is an error.
+        """
+        if self.length > TABLE_MAX_LENGTH:
+            axes = self._coords_kernel(np.asarray(index, dtype=np.int64)).T
+        else:
+            offsets = np.take(self.tables().offset_of, index)
+            if tuple(shape) == (self.side,) * self.ndim:
+                return offsets
+            # A grid embedded in the cube has its own strides: re-ravel.
+            shifts = range(self.bits * (self.ndim - 1), -1, -self.bits)
+            axes = [(offsets >> shift) & (self.side - 1) for shift in shifts]
+        try:
+            return np.ravel_multi_index(tuple(axes), shape)
+        except ValueError:
+            raise ValidationError(f"curve positions fall outside a grid of shape {shape}") from None
 
     def index_point(self, *coords: int) -> int:
         """Scalar convenience wrapper around :meth:`index`."""

@@ -57,12 +57,19 @@ class MedicalQueryResult:
 
     spec: QuerySpec
     metadata: dict
-    data: DataRegion
     payload: bytes  #: serialized DATA_REGION, the bytes shipped to DX
     sql: list[str]  #: the generated statements, in execution order
     io: IOStats
     work: WorkCounters
     post_filtered: bool = False  #: true when a non-band-aligned range was refined client-side
+    _data: DataRegion | None = field(default=None, repr=False)
+
+    @property
+    def data(self) -> DataRegion:
+        """The payload decoded: on first use, unless the post-filter built it."""
+        if self._data is None:
+            self._data = DataRegion.from_bytes(self.payload)
+        return self._data
 
 
 _METADATA_SQL = """
@@ -118,13 +125,11 @@ class MedicalServer:
         if data_row is None:
             raise MedicalError(f"data query returned no rows for {spec.label()}")
         payload = data_row[0]
-        data = DataRegion.from_bytes(payload)
-        post_filtered = False
+        data = None
         if needs_post_filter:
             lo, hi = spec.intensity_range
-            data = data.band(lo, hi)
+            data = DataRegion.from_bytes(payload).band(lo, hi)
             payload = data.to_bytes()
-            post_filtered = True
         io = data_result.io
         if io is not None and meta_result.io is not None:
             io = io + meta_result.io
@@ -132,12 +137,12 @@ class MedicalServer:
         return MedicalQueryResult(
             spec=spec,
             metadata=metadata,
-            data=data,
             payload=payload,
             sql=sqls,
             io=io,
             work=work,
-            post_filtered=post_filtered,
+            post_filtered=needs_post_filter,
+            _data=data,
         )
 
     def _build_data_query(self, spec: QuerySpec, atlas_id: int,

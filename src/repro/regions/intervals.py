@@ -71,10 +71,8 @@ def _canonicalize(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np
     new_run[0] = True
     new_run[1:] = starts[1:] > running_stop[:-1]
     merged_starts = starts[new_run]
-    # The stop of each merged run is the chain maximum just before the next break.
-    group = np.cumsum(new_run) - 1
+    # The stop of each merged run is the maximum over its chain.
     merged_stops = np.maximum.reduceat(stops, np.flatnonzero(new_run))
-    del group
     return merged_starts, merged_stops
 
 
@@ -89,11 +87,17 @@ class IntervalSet:
     __slots__ = ("_starts", "_stops")
 
     def __init__(self, starts: np.ndarray, stops: np.ndarray, *, _trusted: bool = False):
-        if _trusted:
-            self._starts = starts
-            self._stops = stops
-        else:
-            self._starts, self._stops = _canonicalize(starts, stops)
+        if not _trusted:
+            # Private copies: the set must not alias memory the caller can write.
+            starts = np.array(starts, dtype=np.int64)
+            stops = np.array(stops, dtype=np.int64)
+            # Run lists are written canonical, so verify (two comparisons)
+            # and adopt; only input that fails pays for the sort-and-merge.
+            if not (starts.ndim == 1 and starts.shape == stops.shape
+                    and (stops > starts).all() and (starts[1:] > stops[:-1]).all()):
+                starts, stops = _canonicalize(starts, stops)
+        self._starts = starts
+        self._stops = stops
         if self._starts.size and self._starts[0] < 0:
             raise ValidationError("interval sets hold non-negative integers only")
         self._starts.setflags(write=False)
@@ -123,8 +127,6 @@ class IntervalSet:
         indices = np.sort(np.asarray(indices, dtype=np.int64))
         if indices.size == 0:
             return cls.empty()
-        if indices[0] < 0:
-            raise ValidationError("interval sets hold non-negative integers only")
         # A run breaks wherever consecutive sorted indices differ by > 1.
         breaks = np.flatnonzero(np.diff(indices) > 1)
         starts = indices[np.concatenate(([0], breaks + 1))]
@@ -149,16 +151,10 @@ class IntervalSet:
         curve order becomes its band REGION without any sorting.
         """
         mask = np.asarray(mask, dtype=bool).ravel()
-        if mask.size == 0 or not mask.any():
-            return cls.empty()
-        edges = np.diff(mask.astype(np.int8))
-        starts = np.flatnonzero(edges == 1) + 1
-        stops = np.flatnonzero(edges == -1) + 1
-        if mask[0]:
-            starts = np.concatenate(([0], starts))
-        if mask[-1]:
-            stops = np.concatenate((stops, [mask.size]))
-        return cls(starts.astype(np.int64), stops.astype(np.int64), _trusted=True)
+        # Between False sentinels the mask changes value at every run
+        # boundary: a start, then a stop, alternately.
+        edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+        return cls(edges[0::2].copy(), edges[1::2].copy(), _trusted=True)
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -227,13 +223,12 @@ class IntervalSet:
         """Render as a boolean mask of the given length."""
         if self.run_count and self.max_index >= length:
             raise ValidationError(f"set extends past mask length {length}")
-        mask = np.zeros(length, dtype=bool)
         # Difference trick: +1 at starts, -1 at stops, cumulative sum > 0.
-        delta = np.zeros(length + 1, dtype=np.int32)
-        np.add.at(delta, self._starts, 1)
-        np.add.at(delta, self._stops, -1)
-        mask[:] = np.cumsum(delta[:-1]) > 0
-        return mask
+        # Starts and stops are each strictly increasing, so no index repeats.
+        delta = np.zeros(length + 1, dtype=np.int8)
+        delta[self._starts] = 1
+        delta[self._stops] = -1
+        return np.cumsum(delta[:-1], dtype=np.int8) > 0
 
     # ------------------------------------------------------------------ #
     # membership
@@ -244,12 +239,10 @@ class IntervalSet:
         indices = np.asarray(indices, dtype=np.int64)
         if self.run_count == 0:
             return np.zeros(indices.shape, dtype=bool)
-        # Position of the run that could contain each index.
+        # Position of the run that could contain each index; -1 (before the
+        # first run) reads the last stop, and is refused by the first test.
         slot = np.searchsorted(self._starts, indices, side="right") - 1
-        valid = slot >= 0
-        result = np.zeros(indices.shape, dtype=bool)
-        result[valid] = indices[valid] < self._stops[slot[valid]]
-        return result
+        return (slot >= 0) & (indices < self._stops[slot])
 
     def __contains__(self, index: int) -> bool:
         return bool(self.contains_indices(np.asarray([index]))[0])
@@ -268,41 +261,31 @@ class IntervalSet:
         """
         if min_depth < 1:
             raise ValidationError("min_depth must be >= 1")
-        sets = [s for s in sets]
+        sets = list(sets)
         if min_depth > len(sets):
             return IntervalSet.empty()
-        positions = np.concatenate(
-            [s._starts for s in sets] + [s._stops for s in sets]
-        )
-        deltas = np.concatenate(
-            [np.ones(sum(s.run_count for s in sets), dtype=np.int64),
-             -np.ones(sum(s.run_count for s in sets), dtype=np.int64)]
-        )
+        positions = np.concatenate([s._starts for s in sets] + [s._stops for s in sets])
+        deltas = np.repeat(np.asarray([1, -1], dtype=np.int64), positions.size // 2)
         return IntervalSet._sweep_events(positions, deltas, min_depth)
 
     @staticmethod
     def _sweep_events(positions: np.ndarray, deltas: np.ndarray, min_depth: int) -> "IntervalSet":
         if positions.size == 0:
             return IntervalSet.empty()
-        unique_pos, inverse = np.unique(positions, return_inverse=True)
-        net = np.zeros(unique_pos.size, dtype=np.int64)
-        np.add.at(net, inverse, deltas)
-        depth = np.cumsum(net)  # coverage on [unique_pos[i], unique_pos[i+1])
-        covered = depth >= min_depth
-        if not covered.any():
-            return IntervalSet.empty()
-        edges = np.diff(covered.astype(np.int8))
-        first = np.flatnonzero(edges == 1) + 1
-        last = np.flatnonzero(edges == -1) + 1
-        if covered[0]:
-            first = np.concatenate(([0], first))
-        if covered[-1]:
-            # The final event always closes all runs (net depth returns to 0),
-            # so a covered last segment can only occur with min_depth <= 0.
-            last = np.concatenate((last, [unique_pos.size - 1]))
-        starts = unique_pos[first]
-        stops = unique_pos[last]
-        return IntervalSet(starts, stops, _trusted=True)
+        # One sort: the events arrive as a few sorted lists, which a stable
+        # (merging) sort orders in near-linear time.
+        order = np.argsort(positions, kind="stable")
+        positions = positions[order]
+        # The running depth is settled at the last event of each position.
+        settled = np.flatnonzero(positions[1:] != positions[:-1])
+        settled = np.concatenate((settled, [positions.size - 1]))
+        unique_pos = positions[settled]
+        depth = np.cumsum(deltas[order])[settled]  # coverage on [unique_pos[i], unique_pos[i+1])
+        # Runs of covered segments, in segment numbers.  The final event
+        # closes every run (net depth returns to 0), so the last segment is
+        # never covered and every stop below names a position.
+        covered = IntervalSet.from_mask(depth >= min_depth)
+        return IntervalSet(unique_pos[covered._starts], unique_pos[covered._stops], _trusted=True)
 
     def intersection(self, *others: "IntervalSet") -> "IntervalSet":
         """Members common to this set and all ``others``."""
@@ -317,16 +300,11 @@ class IntervalSet:
         """Members of ``self`` that are not in ``other``."""
         if self.run_count == 0 or other.run_count == 0:
             return self
-        positions = np.concatenate(
-            [self._starts, self._stops, other._starts, other._stops]
-        )
+        positions = np.concatenate([self._starts, self._stops, other._starts, other._stops])
         n, m = self.run_count, other.run_count
         # self contributes +1/-1; other contributes a weight of -2 so any
         # overlap drags the depth to <= 0 and only uncovered parts stay at 1.
-        deltas = np.concatenate(
-            [np.ones(n, dtype=np.int64), -np.ones(n, dtype=np.int64),
-             np.full(m, -2, dtype=np.int64), np.full(m, 2, dtype=np.int64)]
-        )
+        deltas = np.repeat(np.asarray([1, -1, -2, 2], dtype=np.int64), [n, n, m, m])
         return IntervalSet._sweep_events(positions, deltas, 1)
 
     def symmetric_difference(self, other: "IntervalSet") -> "IntervalSet":

@@ -31,6 +31,13 @@ __all__ = ["Region", "REGION_MAGIC"]
 
 REGION_MAGIC = b"RGN1"
 _HEADER = struct.Struct("<4s8s8sBB2x")  # magic, curve, codec, ndim, bits
+_NDIM_AT = 20  # offset of the ndim byte, which sizes the shape that follows
+
+#: header bytes (through the shape) -> (grid, curve, codec), each header
+#: validated once.  Published with ``dict.setdefault`` like the curve tables
+#: (``repro.curves.base._TABLES``); a full table starts over.
+_RESOLVED: dict[bytes, tuple] = {}
+_RESOLVED_MAX = 256
 
 
 def _resolve_curve(grid: GridSpec, curve: SpaceFillingCurve | str | None) -> SpaceFillingCurve:
@@ -152,12 +159,15 @@ class Region:
         """All member voxel coordinates, ``(n, ndim)``, in curve order."""
         return self._curve.coords(self._intervals.indices())
 
+    def offsets(self) -> np.ndarray:
+        """C-order offsets into a grid-shaped array of all member voxels, in curve order."""
+        return self._curve.grid_offsets(self._intervals.indices(), self._grid.shape)
+
     def to_mask(self) -> np.ndarray:
         """Render as an ndim-dimensional boolean occupancy array."""
         mask = np.zeros(self._grid.shape, dtype=bool)
         if self.voxel_count:
-            coords = self.coords()
-            mask[tuple(coords.T)] = True
+            mask.reshape(-1)[self.offsets()] = True
         return mask
 
     def bounding_box(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -306,25 +316,33 @@ class Region:
     @classmethod
     def from_bytes(cls, data: bytes) -> "Region":
         """Deserialize a payload produced by :meth:`to_bytes`."""
+        if len(data) < _HEADER.size or data[:4] != REGION_MAGIC:
+            raise CodecError("not a serialized REGION (bad magic)")
+        end = _HEADER.size + 4 * data[_NDIM_AT]
+        header = bytes(data[:end])
+        if len(header) < end:
+            raise CodecError("serialized REGION is cut short inside its header")
+        grid, curve, codec = _RESOLVED.get(header) or cls._resolve_header(header)
+        return cls(codec.decode(data[end:]), grid, curve)
+
+    @staticmethod
+    def _resolve_header(header: bytes) -> tuple:
+        """Validate one complete header and publish its ``(grid, curve, codec)``."""
         from repro.compression.runcodecs import get_codec
         from repro.curves import CURVE_CLASSES
 
-        if len(data) < _HEADER.size or data[:4] != REGION_MAGIC:
-            raise CodecError("not a serialized REGION (bad magic)")
-        magic, curve_name, codec_name, ndim, bits = _HEADER.unpack_from(data)
-        del magic
-        curve_name = curve_name.rstrip(b"\0").decode("ascii")
-        codec_name = codec_name.rstrip(b"\0").decode("ascii")
-        offset = _HEADER.size
-        shape = struct.unpack_from(f"<{ndim}I", data, offset)
-        offset += 4 * ndim
-        grid = GridSpec(shape)
+        _, curve_name, codec_name, ndim, bits = _HEADER.unpack_from(header)
+        grid = GridSpec(struct.unpack_from(f"<{ndim}I", header, _HEADER.size))
         try:
-            curve = CURVE_CLASSES[curve_name](ndim, bits)
-        except KeyError:
-            raise CodecError(f"serialized REGION uses unknown curve {curve_name!r}") from None
-        intervals = get_codec(codec_name).decode(data[offset:])
-        return cls(intervals, grid, curve)
+            curve = CURVE_CLASSES[curve_name.rstrip(b"\0").decode("ascii")](ndim, bits)
+            codec = get_codec(codec_name.rstrip(b"\0").decode("ascii"))
+        except (KeyError, UnicodeDecodeError):
+            raise CodecError(f"unknown REGION curve or codec: {curve_name!r}, {codec_name!r}") from None
+        if bits < grid.bits:
+            raise CodecError(f"serialized REGION has {bits}-bit axes, too few for {grid.shape}")
+        if len(_RESOLVED) >= _RESOLVED_MAX:
+            _RESOLVED.clear()
+        return _RESOLVED.setdefault(header, (grid, curve, codec))
 
     def __repr__(self) -> str:
         return (

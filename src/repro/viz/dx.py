@@ -67,18 +67,10 @@ class DataExplorer:
             return self._cache[cache_key]
         with trace.span("dx.import", bytes=len(payload)) as sp:
             data = DataRegion.from_bytes(payload)
-            cpu = self.cost_model.import_cpu_seconds(
-                data.voxel_count, data.region.run_count
-            )
-            real = self.cost_model.import_real_seconds(
-                data.voxel_count, data.region.run_count
-            )
-            sp.set_sim_seconds(real)
-            obj = DXObject(
-                data=data,
-                import_cpu_seconds=cpu,
-                import_real_seconds=real,
-            )
+            size = (data.voxel_count, data.region.run_count)
+            obj = DXObject(data, self.cost_model.import_cpu_seconds(*size),
+                           self.cost_model.import_real_seconds(*size))
+            sp.set_sim_seconds(obj.import_real_seconds)
         self.imports += 1
         metrics.counter("dx.imports").inc()
         if cache_key is not None:

@@ -45,10 +45,6 @@ def _normalize(image: np.ndarray) -> np.ndarray:
     return (image - low) / (high - low)
 
 
-def _dense(data: DataRegion) -> np.ndarray:
-    return data.to_array(fill=0).astype(np.float64)
-
-
 def _check_axis(axis: int, ndim: int) -> None:
     if not 0 <= axis < ndim:
         raise ValidationError(f"axis {axis} out of range for {ndim}-D data")
@@ -57,7 +53,10 @@ def _check_axis(axis: int, ndim: int) -> None:
 def render_mip(data: DataRegion, axis: int = 2) -> np.ndarray:
     """Maximum-intensity projection along one axis (the classic PET view)."""
     _check_axis(axis, data.region.grid.ndim)
-    return _normalize(_dense(data).max(axis=axis))
+    # Projected in the stored dtype: the conversion in _normalize is exact
+    # and monotone, so the maximum of the converted voxels is the converted
+    # maximum, and only the image is converted.
+    return _normalize(data.to_array(fill=0).max(axis=axis))
 
 
 def render_rotated_mip(data: DataRegion, angle_deg: float, axis: int = 2) -> np.ndarray:
@@ -71,9 +70,9 @@ def render_rotated_mip(data: DataRegion, angle_deg: float, axis: int = 2) -> np.
     from scipy import ndimage
 
     _check_axis(axis, data.region.grid.ndim)
-    dense = _dense(data)
     if data.region.grid.ndim != 3:
         raise ValidationError("rotated MIP is defined for 3-D data")
+    dense = data.to_array(fill=0).astype(np.float64)  # interpolated, so float
     plane_axes = tuple(i for i in range(3) if i != axis)
     rotated = ndimage.rotate(
         dense, angle_deg, axes=plane_axes, reshape=False, order=1, mode="constant"
@@ -99,7 +98,7 @@ def render_slice(data: DataRegion, axis: int = 2, index: int | None = None) -> n
         index = grid.shape[axis] // 2
     if not 0 <= index < grid.shape[axis]:
         raise ValidationError(f"slice index {index} out of range")
-    return _normalize(np.take(_dense(data), index, axis=axis))
+    return _normalize(np.take(data.to_array(fill=0), index, axis=axis))
 
 
 def render_surface(region: Region, axis: int = 2) -> np.ndarray:
@@ -130,12 +129,11 @@ def render_textured_surface(region: Region, data: DataRegion, axis: int = 2) -> 
     grid = region.grid
     _check_axis(axis, grid.ndim)
     mask = region.to_mask()
-    dense = data.to_array(fill=0).astype(np.float64)
     hit = mask.any(axis=axis)
     first = mask.argmax(axis=axis)
     texture = np.take_along_axis(
-        dense, np.expand_dims(first, axis=axis), axis=axis
-    ).squeeze(axis=axis)
+        data.to_array(fill=0), np.expand_dims(first, axis=axis), axis=axis
+    ).squeeze(axis=axis).astype(np.float64)
     depth_shade = 0.5 + 0.5 * (1.0 - first / max(grid.shape[axis], 1))
     image = np.zeros(hit.shape, dtype=np.float64)
     image[hit] = texture[hit] * depth_shade[hit]

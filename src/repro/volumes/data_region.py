@@ -20,7 +20,26 @@ __all__ = ["DataRegion", "DATA_REGION_MAGIC"]
 
 DATA_REGION_MAGIC = b"DRG1"
 _HEADER = struct.Struct("<4s2sQ")  # magic, dtype code, region byte length
-_DTYPE_CODES = {"u1": np.uint8, "u2": np.uint16, "f4": np.float32, "f8": np.float64}
+#: header code -> value dtype, for DATA_REGION and VOLUME payloads alike
+_DTYPE_CODES = {code: np.dtype(dt) for code, dt in (
+    (b"u1", np.uint8), (b"u2", np.uint16), (b"f4", np.float32), (b"f8", np.float64))}
+
+
+def dtype_code(dtype: np.dtype, what: str) -> bytes:
+    """The header code of a value dtype; ``what`` names the payload in the error."""
+    for code, known in _DTYPE_CODES.items():
+        if known == dtype:
+            return code
+    supported = b", ".join(_DTYPE_CODES).decode("ascii")
+    raise CodecError(f"unsupported {what} dtype {dtype}; supported: {supported}")
+
+
+def dtype_of(code: bytes, what: str) -> np.dtype:
+    """Inverse of :func:`dtype_code` for a code read from a payload."""
+    try:
+        return _DTYPE_CODES[code]
+    except KeyError:
+        raise CodecError(f"serialized {what} uses unknown dtype code {code!r}") from None
 
 
 class DataRegion:
@@ -125,8 +144,7 @@ class DataRegion:
         """Scatter into a dense ndim-dimensional array, ``fill`` elsewhere."""
         out = np.full(self._region.grid.shape, fill, dtype=self._values.dtype)
         if self.voxel_count:
-            coords = self._region.coords()
-            out[tuple(coords.T)] = self._values
+            out.reshape(-1)[self._region.offsets()] = self._values
         return out
 
     # ------------------------------------------------------------------ #
@@ -135,12 +153,10 @@ class DataRegion:
 
     def to_bytes(self, codec: str = "naive") -> bytes:
         """Serialize region (with the given run codec) + values."""
+        code = dtype_code(self._values.dtype, "DATA_REGION")
         region_bytes = self._region.to_bytes(codec)
-        for code, dt in _DTYPE_CODES.items():
-            if np.dtype(dt) == self._values.dtype:
-                header = _HEADER.pack(DATA_REGION_MAGIC, code.encode("ascii"), len(region_bytes))
-                return header + region_bytes + self._values.tobytes()
-        raise CodecError(f"unsupported DATA_REGION dtype {self._values.dtype}")
+        header = _HEADER.pack(DATA_REGION_MAGIC, code, len(region_bytes))
+        return header + region_bytes + self._values.tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "DataRegion":
@@ -148,12 +164,14 @@ class DataRegion:
         if len(data) < _HEADER.size or data[:4] != DATA_REGION_MAGIC:
             raise CodecError("not a serialized DATA_REGION (bad magic)")
         _, code, region_len = _HEADER.unpack_from(data)
-        try:
-            dtype = np.dtype(_DTYPE_CODES[code.decode("ascii")])
-        except KeyError:
-            raise CodecError(f"unknown DATA_REGION dtype code {code!r}") from None
+        dtype = dtype_of(code, "DATA_REGION")
         offset = _HEADER.size
         region = Region.from_bytes(data[offset:offset + region_len])
+        tail = len(data) - offset - region_len
+        if tail < 0 or tail % dtype.itemsize:
+            raise CodecError(
+                f"DATA_REGION values are {tail} bytes, not a whole number of {dtype} items"
+            )
         values = np.frombuffer(data, dtype=dtype, offset=offset + region_len)
         return cls(region, values)
 

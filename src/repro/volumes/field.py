@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.curves import GridSpec, SpaceFillingCurve, curve_for_grid
-from repro.errors import CurveMismatchError, GridMismatchError, ValidationError
+from repro.curves import GridSpec, SpaceFillingCurve
+from repro.errors import CurveMismatchError, ValidationError
 from repro.regions import Region, concat_ranges
-from repro.volumes.volume import Volume
+from repro.volumes.volume import Volume, cube_curve
 
 __all__ = ["VectorField", "gradient_field"]
 
@@ -25,10 +25,7 @@ class VectorField:
     __slots__ = ("_grid", "_curve", "_values")
 
     def __init__(self, values: np.ndarray, grid: GridSpec, curve: SpaceFillingCurve | str | None = None):
-        if not grid.is_cube:
-            raise GridMismatchError("vector fields require a cubic power-of-two grid")
-        if isinstance(curve, str) or curve is None:
-            curve = curve_for_grid(grid, curve or "hilbert")
+        curve = cube_curve(grid, curve)
         values = np.ascontiguousarray(values)
         if values.ndim != 2 or values.shape[0] != grid.size:
             raise ValidationError(
@@ -44,10 +41,7 @@ class VectorField:
         """Reorder an ``grid_shape + (m,)`` array into curve order."""
         array = np.asarray(array)
         grid = GridSpec(array.shape[:-1])
-        if not grid.is_cube:
-            raise GridMismatchError("vector fields require a cubic power-of-two grid")
-        if isinstance(curve, str) or curve is None:
-            curve = curve_for_grid(grid, curve or "hilbert")
+        curve = cube_curve(grid, curve)
         values = np.empty((grid.size, array.shape[-1]), dtype=array.dtype)
         values[curve.tables().position_of] = array.reshape(-1, array.shape[-1])
         return cls(values, grid, curve)

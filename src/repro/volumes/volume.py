@@ -21,14 +21,13 @@ from repro.curves import GridSpec, SpaceFillingCurve, curve_for_grid
 from repro.errors import CodecError, CurveMismatchError, GridMismatchError, ValidationError
 from repro.regions import Region, concat_ranges
 from repro.regions.intervals import IntervalSet
-from repro.volumes.data_region import DataRegion
+from repro.volumes.data_region import DataRegion, dtype_code, dtype_of
 
 __all__ = ["Volume", "VolumeHeader", "VOLUME_MAGIC"]
 
 VOLUME_MAGIC = b"VOL1"
 # magic, curve, ndim, bits, dtype code, byte offset of the value array
 _HEADER = struct.Struct("<4s8sBB2sI")
-_DTYPE_CODES = {"u1": np.uint8, "u2": np.uint16, "f4": np.float32, "f8": np.float64}
 
 
 @dataclass(frozen=True)
@@ -56,12 +55,18 @@ class VolumeHeader:
         return starts, stops
 
 
-def _dtype_code(dtype: np.dtype) -> str:
-    for code, dt in _DTYPE_CODES.items():
-        if np.dtype(dt) == dtype:
-            return code
-    supported = ", ".join(_DTYPE_CODES)
-    raise CodecError(f"unsupported volume dtype {dtype}; supported: {supported}")
+def cube_curve(grid: GridSpec, curve: SpaceFillingCurve | str | None) -> SpaceFillingCurve:
+    """The curve a field on ``grid`` is stored along; the grid must be its whole cube."""
+    if not grid.is_cube:
+        raise GridMismatchError(
+            f"VOLUMEs and vector fields require a cubic power-of-two grid, got {grid.shape}; "
+            "keep raw studies in scanline arrays and warp them first"
+        )
+    if isinstance(curve, str) or curve is None:
+        return curve_for_grid(grid, curve or "hilbert")
+    if curve.ndim != grid.ndim or curve.bits != grid.bits:
+        raise CurveMismatchError(f"curve {curve!r} does not cover grid {grid.shape}")
+    return curve
 
 
 class Volume:
@@ -70,15 +75,7 @@ class Volume:
     __slots__ = ("_grid", "_curve", "_values")
 
     def __init__(self, values: np.ndarray, grid: GridSpec, curve: SpaceFillingCurve | str | None = None):
-        if not grid.is_cube:
-            raise GridMismatchError(
-                f"VOLUMEs require a cubic power-of-two grid, got {grid.shape}; "
-                "keep raw studies in scanline arrays and warp them first"
-            )
-        if isinstance(curve, str) or curve is None:
-            curve = curve_for_grid(grid, curve or "hilbert")
-        if curve.ndim != grid.ndim or curve.bits != grid.bits:
-            raise CurveMismatchError(f"curve {curve!r} does not cover grid {grid.shape}")
+        curve = cube_curve(grid, curve)
         values = np.ascontiguousarray(values)
         if values.ndim != 1 or values.shape[0] != grid.size:
             raise ValidationError(
@@ -102,15 +99,7 @@ class Volume:
             grid = GridSpec(array.shape)
         elif array.shape != grid.shape:
             raise GridMismatchError(f"array shape {array.shape} != grid {grid.shape}")
-        if not grid.is_cube:
-            raise GridMismatchError(
-                f"VOLUMEs require a cubic power-of-two grid, got {grid.shape}; "
-                "keep raw studies in scanline arrays and warp them first"
-            )
-        if isinstance(curve, str) or curve is None:
-            curve = curve_for_grid(grid, curve or "hilbert")
-        elif curve.ndim != grid.ndim or curve.bits != grid.bits:
-            raise CurveMismatchError(f"curve {curve!r} does not cover grid {grid.shape}")
+        curve = cube_curve(grid, curve)
         values = np.empty(grid.size, dtype=array.dtype)
         values[curve.tables().position_of] = array.ravel()
         return cls(values, grid, curve)
@@ -210,7 +199,7 @@ class Volume:
         page-aligned so a whole-study read costs exactly
         ``size / page_size`` I/Os, as in the paper's Table 3.
         """
-        code = _dtype_code(self._values.dtype)
+        code = dtype_code(self._values.dtype, "VOLUME")
         data_offset = _HEADER.size
         if align is not None:
             if align <= 0:
@@ -221,7 +210,7 @@ class Volume:
             self._curve.name.encode("ascii").ljust(8, b"\0"),
             self._grid.ndim,
             self._curve.bits,
-            code.encode("ascii"),
+            code,
             data_offset,
         )
         padding = b"\0" * (data_offset - _HEADER.size)
@@ -236,10 +225,7 @@ class Volume:
             raise CodecError("not a serialized VOLUME (bad magic)")
         _, curve_name, ndim, bits, code, data_offset = _HEADER.unpack_from(data)
         curve_name = curve_name.rstrip(b"\0").decode("ascii")
-        try:
-            dtype = np.dtype(_DTYPE_CODES[code.decode("ascii")])
-        except KeyError:
-            raise CodecError(f"serialized VOLUME uses unknown dtype code {code!r}") from None
+        dtype = dtype_of(code, "VOLUME")
         try:
             curve = CURVE_CLASSES[curve_name](ndim, bits)
         except KeyError:
