@@ -11,7 +11,7 @@ the cost model so counts stay exact and deterministic.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ValidationError
 from repro.obs import metrics, trace
@@ -19,8 +19,7 @@ from repro.obs import metrics, trace
 __all__ = ["RpcChannel", "TransferRecord"]
 
 
-@dataclass(frozen=True)
-class TransferRecord:
+class TransferRecord(NamedTuple):
     """Accounting for one payload shipped over the channel."""
 
     payload_bytes: int
@@ -57,31 +56,24 @@ class RpcChannel:
 
         The transfer is stamped with ``trace_id`` — defaulting to the
         sending thread's active trace — so the envelope carries the trace
-        context across the process boundary the way the worker pool
-        carries it across threads.
+        context across the process boundary.
         """
         nbytes = payload if isinstance(payload, int) else len(payload)
         if nbytes < 0:
             raise ValidationError("payload size must be non-negative")
-        data_messages = -(-nbytes // self.chunk_size) if nbytes else 0
         record = TransferRecord(
-            payload_bytes=nbytes,
-            data_messages=data_messages,
-            control_messages=self.control_messages_per_call,
-            trace_id=(trace_id if trace_id is not None
-                      else trace.current_trace_id()),
-        )
+            nbytes, -(-nbytes // self.chunk_size), self.control_messages_per_call,
+            trace_id if trace_id is not None else trace.current_trace_id())
+        messages = record.messages
         with self._lock:
             self.total_bytes += nbytes
-            self.total_messages += record.messages
+            self.total_messages += messages
             self.total_calls += 1
         metrics.counter("rpc.calls").inc()
-        metrics.counter("rpc.messages").inc(record.messages)
+        metrics.counter("rpc.messages").inc(messages)
         metrics.counter("rpc.bytes").inc(nbytes)
-        sp = trace.span("rpc.send")
-        if sp.active:
-            with sp:
-                sp.note(messages=record.messages, bytes=nbytes)
+        if trace.is_enabled():
+            with trace.span("rpc.send", messages=messages, bytes=nbytes) as sp:
                 sp.set_sim_seconds(
                     trace.get_tracer().cost_model.network_seconds(record)
                 )

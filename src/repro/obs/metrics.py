@@ -36,19 +36,18 @@ __all__ = [
 ]
 
 
-#: per-thread stack of scoped registries (see :func:`scoped`); a plain
-#: ``threading.local`` so unscoped threads pay one getattr per update
-_SCOPES = threading.local()
+class _Scope(threading.local):
+    """This thread's innermost scoped registry (see :func:`scoped`); the
+    class default means unscoped threads pay one attribute read per update."""
+
+    target: "MetricsRegistry | None" = None
 
 
-def _scope_target() -> "MetricsRegistry | None":
-    """The innermost scoped registry on this thread, or None."""
-    stack = getattr(_SCOPES, "stack", None)
-    return stack[-1] if stack else None
+_SCOPE = _Scope()
 
 
 @contextmanager
-def scoped(target: "MetricsRegistry"):
+def scoped(target: "MetricsRegistry | None"):
     """Tee this thread's process-registry updates into ``target`` too.
 
     While the block is active, every update applied to a metric of the
@@ -58,18 +57,17 @@ def scoped(target: "MetricsRegistry"):
     each node wraps its own work in ``scoped(node_registry)`` so a
     per-node scrape sees only that node's share.  Scopes nest; only the
     innermost target receives the tee (a replica apply running inside a
-    router scope attributes to the replica, not to both).  Standalone
-    metric objects and scoped registries themselves never tee, so there
-    is no recursion or double counting.
+    router scope attributes to the replica, not to both), and a ``None``
+    target suspends the tee for the block.  Standalone metric objects and
+    scoped registries themselves never tee, so there is no recursion or
+    double counting.
     """
-    stack = getattr(_SCOPES, "stack", None)
-    if stack is None:
-        stack = _SCOPES.stack = []
-    stack.append(target)
+    outer = _SCOPE.target
+    _SCOPE.target = target
     try:
         yield target
     finally:
-        stack.pop()
+        _SCOPE.target = outer
 
 
 class Counter:
@@ -91,7 +89,7 @@ class Counter:
         with self._lock:
             self.value += amount
         if self._owner is _REGISTRY:
-            target = _scope_target()
+            target = _SCOPE.target
             if target is not None:
                 teed = target.counter(self.name)
                 with teed._lock:
@@ -117,7 +115,7 @@ class Gauge:
         """Replace the current value (a single atomic store)."""
         self.value = value
         if self._owner is _REGISTRY:
-            target = _scope_target()
+            target = _SCOPE.target
             if target is not None:
                 target.gauge(self.name).value = value
 
@@ -152,7 +150,7 @@ class Histogram:
         """Record one observation (thread-safe)."""
         self._observe_local(value)
         if self._owner is _REGISTRY:
-            target = _scope_target()
+            target = _SCOPE.target
             if target is not None:
                 target.histogram(self.name)._observe_local(value)
 
@@ -265,17 +263,24 @@ class MetricsRegistry:
                 )
             return metric
 
+    # A registered name is the common case and takes no lock: a dict read
+    # is atomic, and a registered metric is only ever removed, not replaced.
+
     def counter(self, name: str) -> Counter:
         """Get or create the counter named ``name``."""
-        return self._get(name, Counter)
+        metric = self._metrics.get(name)
+        return metric if type(metric) is Counter else self._get(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
         """Get or create the gauge named ``name``."""
-        return self._get(name, Gauge)
+        metric = self._metrics.get(name)
+        return metric if type(metric) is Gauge else self._get(name, Gauge)
 
     def histogram(self, name: str) -> Histogram:
         """Get or create the histogram named ``name``."""
-        return self._get(name, Histogram)
+        metric = self._metrics.get(name)
+        return (metric if type(metric) is Histogram
+                else self._get(name, Histogram))
 
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
@@ -331,19 +336,10 @@ def registry() -> MetricsRegistry:
     return _REGISTRY
 
 
-def counter(name: str) -> Counter:
-    """Get or create a counter in the process-wide registry."""
-    return _REGISTRY.counter(name)
-
-
-def gauge(name: str) -> Gauge:
-    """Get or create a gauge in the process-wide registry."""
-    return _REGISTRY.gauge(name)
-
-
-def histogram(name: str) -> Histogram:
-    """Get or create a histogram in the process-wide registry."""
-    return _REGISTRY.histogram(name)
+#: get-or-create accessors of the process-wide registry
+counter = _REGISTRY.counter
+gauge = _REGISTRY.gauge
+histogram = _REGISTRY.histogram
 
 
 def snapshot() -> dict:

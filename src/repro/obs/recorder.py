@@ -18,8 +18,8 @@ counters (it only copies deltas handed to it), so the Table 3/4 page
 accounting is bit-identical with the recorder on or off.
 
 Nesting contract: the *outermost* scope on a thread owns the record.  The
-serving layer opens a scope on the worker thread (tagging session, pool
-wait, cache hits) and :meth:`Database.execute <repro.db.database.
+serving layer opens a scope on the thread running the statement (tagging
+session, pool wait, cache hits) and :meth:`Database.execute <repro.db.database.
 Database.execute>` opens one unconditionally — when it finds a scope
 already active on the thread it annotates that record instead of emitting
 a second one, so served and standalone statements both yield exactly one
@@ -142,14 +142,14 @@ _ACTIVE = threading.local()
 class _StatementScope:
     """Context manager covering one statement; the outermost scope emits."""
 
-    __slots__ = ("_recorder", "_root", "_start", "record")
+    __slots__ = ("_recorder", "_root", "_outer", "_start", "record")
 
     active = True
 
     def __init__(self, recorder: "FlightRecorder", sql: str,
-                 session: str | None, trace_id: str | None):
+                 session: str | None, trace_id: str | None, own: bool):
         self._recorder = recorder
-        self._root = False
+        self._root = own
         self.record = QueryRecord(sql=sql, session=session,
                                   trace_id=trace_id)
 
@@ -190,7 +190,8 @@ class _StatementScope:
     def __enter__(self) -> "_StatementScope":
         # Nested under the serving layer's scope, this one owns nothing:
         # its notes land on the outer record.
-        if getattr(_ACTIVE, "scope", None) is None:
+        self._outer = getattr(_ACTIVE, "scope", None)
+        if self._root or self._outer is None:
             self._root = True
             _ACTIVE.scope = self
             self.record.started_unix = time.time()
@@ -200,7 +201,7 @@ class _StatementScope:
     def __exit__(self, exc_type, exc, tb) -> bool:
         if not self._root:
             return False
-        _ACTIVE.scope = None
+        _ACTIVE.scope = self._outer
         record = self.record
         record.wall_seconds = time.perf_counter() - self._start
         record.sim_seconds_1994 = _sim_seconds(
@@ -234,16 +235,19 @@ class FlightRecorder:
     # ------------------------------------------------------------------ #
 
     def statement(self, sql: str, *, session: str | None = None,
-                  trace_id: str | None = None):
+                  trace_id: str | None = None, own: bool = False):
         """A scope covering one statement's execution.
 
         The outermost scope on a thread owns the resulting record; nested
         scopes (``Database.execute`` under the serving layer) annotate it
-        via :meth:`_StatementScope.note` instead of emitting their own.
+        via :meth:`_StatementScope.note` instead of emitting their own —
+        unless opened with ``own`` (a served statement is one statement
+        whoever's thread runs it), which emits its own record and puts
+        the enclosing scope back on exit.
         """
         if not self.enabled:
             return _NOOP_SCOPE
-        return _StatementScope(self, sql, session, trace_id)
+        return _StatementScope(self, sql, session, trace_id, own)
 
     def _finish(self, record: QueryRecord) -> None:
         with self._lock:
@@ -343,9 +347,8 @@ def get_recorder() -> FlightRecorder:
     return _RECORDER
 
 
-def statement(sql: str, **kwargs):
-    """Open a statement scope on the process-wide recorder."""
-    return _RECORDER.statement(sql, **kwargs)
+#: open a statement scope on the process-wide recorder
+statement = _RECORDER.statement
 
 
 def annotate(**fields) -> None:

@@ -42,6 +42,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = [
     "SpanRecord",
@@ -76,8 +77,7 @@ def new_trace_id() -> str:
     return f"trace-{next(_TRACE_IDS):08d}"
 
 
-@dataclass(frozen=True)
-class TraceContext:
+class TraceContext(NamedTuple):
     """A portable snapshot of "where am I in the trace forest".
 
     Carried across thread hops (worker pool) and message envelopes (RPC):
@@ -180,7 +180,7 @@ class _Span:
 
     def __enter__(self) -> "_Span":
         tracer = self._tracer
-        local = tracer._local_state()
+        local = tracer._local
         record = self.record
         ctx = local.ctx
         record.span_id = next(_SPAN_IDS)
@@ -217,7 +217,7 @@ class _Span:
             record.sim_seconds = self._sim
         elif record.io is not None:
             record.sim_seconds = self._tracer.simulated_io_seconds(record.io)
-        local = self._tracer._local_state()
+        local = self._tracer._local
         local.depth -= 1
         if local.stack and local.stack[-1] == record.span_id:
             local.stack.pop()
@@ -247,9 +247,6 @@ class Tracer:
         self._lock = threading.Lock()
         self._local = _ThreadState()
         self._cost_model = None
-
-    def _local_state(self) -> _ThreadState:
-        return self._local
 
     @property
     def cost_model(self):
@@ -337,7 +334,7 @@ class Tracer:
     def attach(self, ctx: TraceContext | None):
         """Adopt ``ctx`` as this thread's trace position for the block.
 
-        The worker-pool side of cross-thread propagation: spans opened
+        The receiving side of cross-thread propagation: spans opened
         inside the block parent under ``ctx.span_id`` in ``ctx.trace_id``.
         Attaching ``None`` is a no-op, so call sites need no branching.
         Cheap enough to run unconditionally (no clocks, no allocation
@@ -345,25 +342,16 @@ class Tracer:
         even while span recording is off.
         """
         local = self._local
-        previous = local.ctx
-        prev_stack, prev_depth, prev_trace = (
-            local.stack, local.depth, local.trace_id
-        )
+        saved = (local.ctx, local.stack, local.depth, local.trace_id)
         if ctx is not None:
-            local.ctx = ctx
             # a fresh frame: spans opened here must not parent under
-            # whatever this (pooled, reused) thread was doing before
-            local.stack = []
-            local.depth = 0
-            local.trace_id = None
+            # whatever this (possibly pooled, reused) thread was doing
+            local.ctx, local.stack, local.depth, local.trace_id = (
+                ctx, [], 0, None)
         try:
             yield ctx
         finally:
-            if ctx is not None:
-                local.ctx = previous
-                local.stack, local.depth, local.trace_id = (
-                    prev_stack, prev_depth, prev_trace
-                )
+            local.ctx, local.stack, local.depth, local.trace_id = saved
 
     def reset(self) -> None:
         """Drop every recorded span (the enabled flag is untouched)."""
@@ -422,9 +410,8 @@ def records() -> list[SpanRecord]:
         return list(_TRACER.records)
 
 
-def current_context(session: str | None = None) -> TraceContext | None:
-    """This thread's trace position on the process-wide tracer."""
-    return _TRACER.current_context(session=session)
+#: this thread's trace position on the process-wide tracer
+current_context = _TRACER.current_context
 
 
 def current_trace_id() -> str | None:
@@ -435,9 +422,8 @@ def current_trace_id() -> str | None:
     return local.ctx.trace_id if local.ctx is not None else None
 
 
-def attach(ctx: TraceContext | None):
-    """Adopt a propagated context on this thread (see :meth:`Tracer.attach`)."""
-    return _TRACER.attach(ctx)
+#: adopt a propagated context on this thread (see :meth:`Tracer.attach`)
+attach = _TRACER.attach
 
 
 @contextmanager

@@ -1,30 +1,30 @@
-"""A bounded worker pool with backpressure for the serving layer.
+"""Admission control for the serving layer, and its async executor.
 
-Statements admitted by :class:`~repro.server.server.QueryServer` land on a
-bounded queue; a fixed set of worker threads drains it.  The queue depth
-is the server's *admission control*: when it is full, the configured
-:class:`RejectionPolicy` decides whether the submitting client blocks
-(``"block"``, the default — natural backpressure for cooperating clients)
-or fails fast with :class:`~repro.errors.ServerBusyError` (``"reject"``,
-the load-shedding posture a front end wants under overload).
+The pool is ``workers`` execution *slots*: at most that many statements
+run at once, however they arrived.  A caller that only waits for its
+result (:meth:`WorkerPool.run`, behind ``Session.execute``) takes a free
+slot and runs the statement on its own thread — a second thread would
+only add two hand-offs to a client that sleeps through them.  A caller
+that wants a future (:meth:`WorkerPool.submit`, behind
+``Session.execute_async``), or that finds no slot free or work already
+queued, lands on a bounded FIFO queue the worker threads drain, each
+taking a slot per task.  One counter under one condition variable bounds
+both kinds: the least machinery that keeps the ``workers`` cap.
 
-Admission and shutdown share one condition variable, so a submitter
-blocked on a full queue is *woken* by :meth:`WorkerPool.shutdown` and
-fails with :class:`ServerBusyError` instead of sleeping forever on a
-queue no worker will ever drain again.  (The earlier stdlib-queue
-implementation had exactly that hang: ``Queue.put`` knows nothing about
-pool shutdown.)
+The queue depth is the *admission control*: when it is full the policy
+decides whether the submitting client blocks (``"block"``, the default —
+natural backpressure for cooperating clients) or fails fast with
+:class:`~repro.errors.ServerBusyError` (``"reject"``, load shedding).  A
+blocked submitter is *woken* by :meth:`WorkerPool.shutdown` and fails
+with :class:`ServerBusyError` instead of sleeping on a queue no worker
+will drain again.
 
-Queueing behavior is measured: ``server.queue_depth`` (gauge),
-``server.wait_seconds`` (histogram of enqueue → dequeue latency),
-``server.tasks`` / ``server.rejected`` (counters).
-
-The pool is also a trace hop: each task snapshots the submitting
-thread's :class:`~repro.obs.trace.TraceContext` and the worker adopts it
-for the duration, so spans opened inside pooled work parent under the
-submitter's open span.  The admission wait of the task a worker is
-currently running is exposed through :func:`current_wait_seconds` for
-per-statement attribution (the flight recorder's ``pool_wait_ms``).
+Measured: ``server.queue_depth`` (gauge: admitted, not yet running),
+``server.wait_seconds`` (histogram of the wait for a slot — 0 when one
+was free), ``server.tasks`` / ``server.rejected`` (counters).  The wait
+of the statement a thread is running is :func:`current_wait_seconds`
+(the flight recorder's ``pool_wait_ms``).  Trace context is the
+submitter's business: the pool runs thunks and carries nothing across.
 """
 
 from __future__ import annotations
@@ -35,38 +35,24 @@ from collections import deque
 from concurrent.futures import Future
 
 from repro.errors import ServerBusyError, ValidationError
-from repro.obs import metrics, trace
+from repro.obs import metrics
 
 __all__ = ["WorkerPool", "REJECTION_POLICIES", "current_wait_seconds"]
 
 #: admission behaviors when the queue is full
 REJECTION_POLICIES = ("block", "reject")
 
-#: per-worker-thread admission wait of the task currently running
+#: per-thread: how long the statement it is running waited for its slot
 _WAIT = threading.local()
 
 
 def current_wait_seconds() -> float:
-    """Admission-queue wait of the task this thread is running (else 0.0)."""
+    """Slot wait of the statement this thread is running (else 0.0)."""
     return getattr(_WAIT, "seconds", 0.0)
 
 
-class _Task:
-    """One queued unit of work: a thunk plus its future and enqueue time."""
-
-    __slots__ = ("fn", "args", "future", "enqueued", "ctx")
-
-    def __init__(self, fn, args):
-        self.fn = fn
-        self.args = args
-        self.future: Future = Future()
-        self.enqueued = time.perf_counter()
-        # Snapshot the submitter's trace position; the worker adopts it.
-        self.ctx = trace.current_context()
-
-
 class WorkerPool:
-    """Fixed worker threads over a bounded queue with a rejection policy."""
+    """``workers`` execution slots, a bounded queue and a rejection policy."""
 
     def __init__(self, workers: int = 4, queue_depth: int = 64,
                  policy: str = "block", name: str = "repro-server"):
@@ -82,16 +68,18 @@ class WorkerPool:
         self.workers = workers
         self.queue_depth = queue_depth
         self.policy = policy
-        # One condition variable covers the queue, the shutdown flag, and
-        # the blocked-submitter count: workers wait on it for tasks,
-        # block-policy submitters wait on it for a slot, and shutdown
-        # wakes everyone.  Deliberately not lockdep-instrumented — the
-        # witness cannot model a condition wait's release-and-reacquire,
-        # and nothing else is ever taken while it is held (a leaf).
+        # One condition variable covers the queue, the slot count, the
+        # shutdown flag and the blocked-submitter count: workers wait on it
+        # for a task *and* a slot, block-policy submitters for queue room,
+        # and shutdown wakes everyone.  Deliberately not lockdep-
+        # instrumented — the witness cannot model a condition wait's
+        # release-and-reacquire, and nothing else is taken under it (a leaf).
         self._cond = threading.Condition()
-        self._tasks: deque[_Task] = deque()  # guarded_by: _cond
+        #: (fn, args, future, enqueued at) in admission order
+        self._tasks: deque[tuple] = deque()  # guarded_by: _cond
+        self._running = 0  # slots held, inline or by a worker; guarded_by: _cond
         self._shutdown = False  # guarded_by: _cond
-        self._blocked = 0  # submitters waiting for a slot; guarded_by: _cond
+        self._blocked = 0  # submitters waiting for queue room; guarded_by: _cond
         self._threads = [
             threading.Thread(target=self._worker, name=f"{name}-{i}", daemon=True)
             for i in range(workers)
@@ -100,6 +88,21 @@ class WorkerPool:
             thread.start()
 
     # ------------------------------------------------------------------ #
+
+    def run(self, fn, *args):
+        """``fn(*args)`` for a caller that waits: on its own thread when a
+        slot is free and nothing is queued, else :meth:`submit` plus the
+        future's result — so queue order, the rejection policy and
+        shutdown stay that one implementation."""
+        with self._cond:
+            inline = (self._running < self.workers and not self._tasks
+                      and not self._shutdown)
+            if inline:
+                self._running += 1
+        if not inline:
+            return self.submit(fn, *args).result()
+        metrics.counter("server.tasks").inc()
+        return self._run_in_slot(fn, args, 0.0)
 
     def submit(self, fn, *args) -> Future:
         """Enqueue ``fn(*args)``; returns a future for its result.
@@ -110,7 +113,7 @@ class WorkerPool:
         woken by :meth:`shutdown` and also fails with
         :class:`ServerBusyError` — its statement was never admitted.
         """
-        task = _Task(fn, args)
+        future, enqueued = Future(), time.perf_counter()
         with self._cond:
             if self._shutdown:
                 raise ServerBusyError("worker pool is shut down")
@@ -134,59 +137,75 @@ class WorkerPool:
                         "worker pool shut down while waiting for an "
                         "admission slot"
                     )
-            self._tasks.append(task)
+            self._tasks.append((fn, args, future, enqueued))
             depth = len(self._tasks)
             self._cond.notify_all()
         metrics.counter("server.tasks").inc()
         metrics.gauge("server.queue_depth").set(depth)
-        return task.future
+        return future
+
+    def _run_in_slot(self, fn, args, wait: float):
+        """Run ``fn(*args)`` in the slot this thread holds, then free it."""
+        outer = current_wait_seconds()  # an inline caller may be in a slot
+        _WAIT.seconds = wait
+        try:
+            metrics.histogram("server.wait_seconds").observe(wait)
+            return fn(*args)
+        finally:
+            _WAIT.seconds = outer
+            self._release()
+
+    def _release(self) -> None:
+        with self._cond:
+            self._running -= 1
+            # Only a worker with a task to take, or shutdown's drain, can
+            # be waiting for a slot; idle workers are left asleep.
+            if self._tasks or self._shutdown:
+                self._cond.notify_all()
 
     def _worker(self) -> None:
         while True:
             with self._cond:
-                while not self._tasks and not self._shutdown:
+                while not (self._tasks and self._running < self.workers):
+                    if self._shutdown and not self._tasks:
+                        return  # drained
                     self._cond.wait()
-                if self._tasks:
-                    task = self._tasks.popleft()
-                    depth = len(self._tasks)
-                    # A slot freed: wake one blocked submitter (and any
-                    # sibling worker racing for remaining tasks).
-                    self._cond.notify_all()
-                else:  # shutdown with an empty queue: drained, exit
-                    return
+                fn, args, future, enqueued = self._tasks.popleft()
+                self._running += 1
+                depth = len(self._tasks)
+                # Queue room freed: wake a blocked submitter (and any
+                # sibling worker racing for remaining tasks).
+                self._cond.notify_all()
             metrics.gauge("server.queue_depth").set(depth)
-            wait = time.perf_counter() - task.enqueued
-            metrics.histogram("server.wait_seconds").observe(wait)
-            if not task.future.set_running_or_notify_cancel():
+            wait = time.perf_counter() - enqueued
+            if not future.set_running_or_notify_cancel():
+                self._release()
                 continue
-            _WAIT.seconds = wait
             try:
-                with trace.attach(task.ctx):
-                    task.future.set_result(task.fn(*task.args))
+                future.set_result(self._run_in_slot(fn, args, wait))
             # The pool boundary: a worker must survive any task failure
             # and hand the exception to the waiting client instead.
             except BaseException as exc:  # qblint: disable=no-broad-except
-                task.future.set_exception(exc)
-            finally:
-                _WAIT.seconds = 0.0
+                future.set_exception(exc)
 
     # ------------------------------------------------------------------ #
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop accepting work; workers exit after draining the queue.
 
-        Already-admitted statements still run to completion; submitters
-        blocked on a full queue are woken and fail with
-        :class:`ServerBusyError`.
+        Admitted statements still run to completion — with ``wait`` this
+        returns only once no slot is held, inline callers included;
+        blocked submitters are woken and fail with :class:`ServerBusyError`.
         """
         with self._cond:
-            if self._shutdown:
-                return
             self._shutdown = True
             self._cond.notify_all()
         if wait:
             for thread in self._threads:
                 thread.join()
+            with self._cond:
+                while self._running:
+                    self._cond.wait()
 
     @property
     def pending(self) -> int:

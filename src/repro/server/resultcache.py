@@ -78,18 +78,15 @@ class ResultCache:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
-                metrics.counter("server.result_cache.misses").inc()
-                metrics.gauge("server.result_cache.hit_rate").set(
-                    self._hit_rate_locked()
-                )
-                return None
-            self.hits += 1
-            metrics.counter("server.result_cache.hits").inc()
-            metrics.gauge("server.result_cache.hit_rate").set(
-                self._hit_rate_locked()
-            )
-            self._entries.move_to_end(key)
-            return entry
+            else:
+                self.hits += 1
+                self._entries.move_to_end(key)
+            rate = self.hits / (self.hits + self.misses)
+        # The registry has locks of its own: fed outside the cache's.
+        metrics.counter("server.result_cache.misses" if entry is None
+                        else "server.result_cache.hits").inc()
+        metrics.gauge("server.result_cache.hit_rate").set(rate)
+        return entry
 
     def _entry_stale_locked(self, entry: CachedResult) -> bool:
         """Was a write with a newer sequence already applied to a table
@@ -109,12 +106,9 @@ class ResultCache:
         run under the cache lock, atomically with the insert they guard.
         """
         with self._lock:
-            if self._entry_stale_locked(entry):
-                self.stale_puts += 1
-                metrics.counter("server.result_cache.stale_puts").inc()
-                return
             existing = self._entries.get(key)
-            if existing is not None and entry.seq < existing.seq:
+            if self._entry_stale_locked(entry) or (
+                    existing is not None and entry.seq < existing.seq):
                 self.stale_puts += 1
                 metrics.counter("server.result_cache.stale_puts").inc()
                 return
@@ -154,15 +148,12 @@ class ResultCache:
             self._entries.clear()
             metrics.gauge("server.result_cache.entries").set(0)
 
-    def _hit_rate_locked(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     @property
     def hit_rate(self) -> float:
         """Fraction of lookups served from the cache."""
         with self._lock:
-            return self._hit_rate_locked()
+            total = self.hits + self.misses
+            return self.hits / total if total else 0.0
 
     def __len__(self) -> int:
         with self._lock:

@@ -11,8 +11,9 @@ ARCHITECTURE.md):
   WAL keeps crash safety under concurrent writers (with group commit,
   the lock is released at commit seal and the journal flush is shared
   across concurrent committers);
-* a bounded :class:`~repro.server.pool.WorkerPool` — the admission queue
-  with a configurable depth and ``block``/``reject`` backpressure policy;
+* a :class:`~repro.server.pool.WorkerPool` — ``workers`` execution slots
+  a blocking client occupies on its own thread, plus the bounded queue
+  (``block``/``reject`` policy) and threads behind ``execute_async``;
 * the database's memo of :class:`~repro.db.sql.Prepared` statements per
   raw text (:meth:`Database.prepare <repro.db.database.Database.prepare>`)
   — the one parse a served statement costs, and the source of every
@@ -26,7 +27,7 @@ ARCHITECTURE.md):
 * the :class:`~repro.net.rpc.RpcChannel` result payloads ship through,
   so served traffic shows up in the paper's message accounting.
 
-Everything is observable: ``server.*`` metrics (queue depth, wait time,
+Everything is observable: ``server.*`` metrics (queue depth, slot wait,
 active sessions, result-cache hit rate) and per-statement
 ``server.execute`` trace spans tagged with the session name.
 """
@@ -34,7 +35,6 @@ active sessions, result-cache hit rate) and per-statement
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
 
 from repro.db.database import Database, QueryResult
 from repro.db.executor import ResultSet
@@ -125,47 +125,48 @@ class QueryServer:
     # statement dispatch
     # ------------------------------------------------------------------ #
 
-    def submit(self, session: Session, sql: str, params: list | None):
-        """Admit one statement to the worker pool (sessions call this).
+    def admit(self, session: Session, sql: str, params: list | None,
+              wait: bool):
+        """Hand one statement to the pool (sessions call this): with
+        ``wait`` its result, run on the caller's own thread when a slot is
+        free; else its future, queued for the worker threads.
 
-        Every statement gets its own trace id here, on the client side of
-        the pool hop, so the spans it produces on the worker — and the
-        flight-recorder record — belong to exactly one trace no matter
-        which pooled thread runs it.  When the submitting thread already
-        has a trace position (a shard router fanning one statement out),
-        the statement *joins* that trace instead: the shard-side spans
-        hang under the router's span and one query yields one span tree
-        across the whole cluster.
+        The trace position is captured here, once, on the client side: a
+        fresh trace id, so the statement's spans and flight-recorder
+        record belong to one trace whichever thread runs it — unless the
+        caller already has a position (a shard router fanning a statement
+        out): then it *joins* that trace and one query yields one span
+        tree across the whole cluster.
         """
         ctx = trace.current_context(session=session.name)
         if ctx is None:
             ctx = trace.TraceContext(trace_id=trace.new_trace_id(),
                                      session=session.name)
-        return self.pool.submit(self._run_statement, ctx, session, sql,
-                                params)
+        return (self.pool.run if wait else self.pool.submit)(
+            self._run_statement, ctx, session, sql, params)
 
     def _run_statement(self, ctx: trace.TraceContext, session: Session,
                        sql: str, params: list | None) -> QueryResult:
-        """Worker-side execution of one admitted statement."""
+        """Execution of one admitted statement, in the slot it holds."""
         metrics.counter("server.statements").inc()
-        scope = (metrics.scoped(self.node_registry)
-                 if self.node_registry is not None else nullcontext())
-        with trace.attach(ctx), scope:
-            # The serving layer owns the statement's flight-recorder
-            # record: the nested scope Database.execute opens on this
-            # thread annotates this one instead of emitting its own.
-            rec = recorder.statement(sql, session=session.name,
-                                     trace_id=ctx.trace_id)
-            with rec:
-                wait = current_wait_seconds()
-                rec.note(pool_wait_seconds=wait, params=params or None,
-                         shard=self.node_labels.get("shard"))
-                result = self._traced_execute(session, sql, params, wait)
-                rec.note(rows=len(result.rows) or result.rowcount)
-                # Ship the result payload through the RPC channel so
-                # served traffic lands in the paper's message accounting
-                # (a counts model: width * rows, chunked).
-                self.rpc.send(self._payload_estimate(result))
+        session._admitted()
+        wait = current_wait_seconds()
+        # Whoever's thread this is: its own trace frame, this node's metrics
+        # scope (none for a plain server) and its own flight-recorder record
+        # — the scope Database.execute opens inside annotates that one.
+        with trace.attach(ctx), metrics.scoped(self.node_registry), \
+                recorder.statement(sql, session=session.name,
+                                   trace_id=ctx.trace_id, own=True) as rec:
+            rec.note(pool_wait_seconds=wait, params=params or None,
+                     shard=self.node_labels.get("shard"))
+            result = self._traced_execute(session, sql, params, wait)
+            rows = len(result.rows)
+            rec.note(rows=rows or result.rowcount)
+            # Ship the result payload through the RPC channel so served
+            # traffic lands in the paper's message accounting (a counts
+            # model: 8 bytes a value, chunked).
+            self.rpc.send(rows * max(1, len(result.columns)) * 8,
+                          ctx.trace_id)
         return result
 
     def _traced_execute(self, session: Session, sql: str,
@@ -174,20 +175,18 @@ class QueryServer:
 
         A plain server opens the classic ``server.execute`` span.  A
         cluster node (``node_labels`` set) wraps it in a ``cluster.leg``
-        span tagged with the node identity, containing an explicit
-        ``leg.queue`` child for the admission wait that preceded this
-        thread picking the statement up — the leg's extent is backdated
-        over that wait, so a trace-export waterfall shows queue/execute
-        phases nested within each shard's leg.
+        span tagged with the node identity, with an explicit ``leg.queue``
+        child for the wait for a slot — the leg's extent is backdated over
+        that wait, so a trace-export waterfall shows queue/execute phases
+        nested within each shard's leg.
         """
-        if not self.node_labels or not trace.is_enabled():
-            sp = trace.span("server.execute", session=session.name)
-            if sp.active:
-                with sp:
-                    result = self._execute(session, sql, params)
-                    sp.note(rows=len(result.rows))
-                return result
+        if not trace.is_enabled():
             return self._execute(session, sql, params)
+        if not self.node_labels:
+            with trace.span("server.execute", session=session.name) as sp:
+                result = self._execute(session, sql, params)
+                sp.note(rows=len(result.rows))
+            return result
         leg = trace.span("cluster.leg", session=session.name,
                          **self.node_labels)
         with leg:
@@ -222,7 +221,16 @@ class QueryServer:
         key = cache_key(prepared.canonical, params)
         entry = self.cache.get(key)
         if entry is not None:
-            return self._hydrate(entry, prepared)
+            # Zero I/O, zero work — and Database.execute never ran, so the
+            # statement's record is marked here.
+            recorder.annotate(cache_hit=True, kind="read",
+                              shape=prepared.shape, digest=prepared.digest)
+            return QueryResult(
+                result=ResultSet(list(entry.columns), list(entry.rows)),
+                work=WorkCounters(),
+                io=IOStats() if self.db.lfm is not None else None,
+                sql=prepared.sql,
+            )
         with self.db.read_view() as view:
             result = self.db.execute(prepared, params, functions=registry,
                                      view=view)
@@ -264,23 +272,6 @@ class QueryServer:
             # takes nests instead of inverting the order.
             return self.db.execute(prepared, params,  # qblint: disable=QB401
                                    functions=session.functions)
-
-    def _hydrate(self, entry: CachedResult,
-                 prepared: Prepared) -> QueryResult:
-        """A fresh QueryResult from a cache entry (zero I/O, zero work)."""
-        # Database.execute never ran, so mark the statement's record here.
-        recorder.annotate(cache_hit=True, kind="read", shape=prepared.shape,
-                          digest=prepared.digest)
-        return QueryResult(
-            result=ResultSet(list(entry.columns), list(entry.rows)),
-            work=WorkCounters(),
-            io=IOStats() if self.db.lfm is not None else None,
-            sql=prepared.sql,
-        )
-
-    def _payload_estimate(self, result: QueryResult) -> int:
-        """Approximate result bytes for the RPC traffic model."""
-        return len(result.rows) * max(1, len(result.columns)) * 8
 
     # ------------------------------------------------------------------ #
     # lifecycle

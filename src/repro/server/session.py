@@ -12,9 +12,10 @@ layer's analogue of a DBMS connection.  Each session carries:
 * its own **statement counter and trace identity** — every statement runs
   under a ``server.execute`` span tagged with the session name.
 
-Statements go through the server's admission queue and worker pool;
-:meth:`execute` blocks for the result, :meth:`execute_async` returns the
-future for pipelined clients.
+Statements go through the server's admission control: :meth:`execute`
+blocks for the result and — when a pool slot is free — runs it on the
+calling thread; :meth:`execute_async` queues it for the worker threads
+and returns the future, for pipelined clients.
 """
 
 from __future__ import annotations
@@ -106,18 +107,24 @@ class Session:
 
     def execute(self, sql: str, params: list | None = None):
         """Run one statement through the server; blocks for the result."""
-        return self.execute_async(sql, params).result()
+        return self._admit(sql, params, wait=True)
 
     def execute_async(self, sql: str, params: list | None = None):
         """Submit one statement; returns a future with the QueryResult."""
+        return self._admit(sql, params, wait=False)
+
+    def _admit(self, sql: str, params: list | None, wait: bool):
         with self._state_lock:
             if self.closed:
                 raise SessionClosedError(f"{self.name} is closed")
-            # Counted under the lock: concurrent submitters on a shared
-            # session no longer lose increments, and the admin thread's
-            # session_snapshot always reads a consistent value.
+        return self._server.admit(self, sql, params, wait)
+
+    def _admitted(self) -> None:
+        """Count one statement as it starts (a refused one never does)."""
+        # Under the lock: concurrent submitters on a shared session lose
+        # no increments, and ``session_snapshot`` reads a consistent value.
+        with self._state_lock:
             self.statements += 1
-        return self._server.submit(self, sql, params)
 
     def register_function(self, name: str, fn,
                           signature: FunctionSignature | None = None,

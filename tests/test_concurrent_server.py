@@ -37,7 +37,7 @@ from repro.errors import (
     ValidationError,
     WalError,
 )
-from repro.obs import digest, metrics, recorder
+from repro.obs import digest, metrics, recorder, trace
 from repro.server import QueryServer, ResultCache, WorkerPool
 from repro.storage import (
     BlockDevice,
@@ -179,6 +179,269 @@ class TestWorkerPool:
         pool.shutdown(wait=True)
         # The already-admitted statement still ran to completion.
         assert queued.result(timeout=10) == "queued"
+
+
+# --------------------------------------------------------------------- #
+# admission slots: blocking callers run on their own thread
+# --------------------------------------------------------------------- #
+
+
+def _occupy(pool: WorkerPool) -> threading.Event:
+    """Park one queued task in a slot; set the returned event to free it."""
+    release, started = threading.Event(), threading.Event()
+
+    def blocker():
+        started.set()
+        release.wait(timeout=10)
+
+    pool.submit(blocker)
+    assert started.wait(timeout=10)
+    return release
+
+
+def _register_slow(db: Database):
+    """Register ``slow()``: a UDF that parks its statement until released.
+
+    Returns ``(release, started)`` events."""
+    release, started = threading.Event(), threading.Event()
+
+    def slow():
+        started.set()
+        release.wait(timeout=10)
+        return 1
+
+    db.functions.register("slow", slow)
+    return release, started
+
+
+def _in_thread(fn):
+    """Run ``fn`` on a new thread; returns (thread, outcome list)."""
+    outcome = []
+
+    def body():
+        try:
+            outcome.append(fn())
+        except ServerBusyError as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=body)
+    thread.start()
+    return thread, outcome
+
+
+class TestAdmissionSlots:
+    def test_free_slot_runs_on_the_caller_busy_slot_queues(self):
+        pool = WorkerPool(workers=1)
+        me = threading.get_ident()
+        assert pool.run(threading.get_ident) == me
+        release = _occupy(pool)
+        thread, outcome = _in_thread(lambda: pool.run(threading.get_ident))
+        while pool.pending == 0 and thread.is_alive():
+            time.sleep(0.005)
+        release.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert outcome[0] not in (me, thread.ident)  # a worker ran it
+        pool.shutdown()
+
+    def test_blocking_caller_never_overtakes_a_queued_task(self):
+        pool = WorkerPool(workers=1)
+        order = []
+        release = _occupy(pool)
+        queued = pool.submit(order.append, "queued first")
+        thread, _ = _in_thread(lambda: pool.run(order.append, "blocking"))
+        while pool.pending < 2 and thread.is_alive():
+            time.sleep(0.005)
+        assert pool.pending == 2  # behind the queued task, not inline
+        release.set()
+        thread.join(timeout=10)
+        queued.result(timeout=10)
+        assert order == ["queued first", "blocking"]
+        pool.shutdown()
+
+    def test_reject_policy_refuses_a_blocking_caller(self):
+        pool = WorkerPool(workers=1, queue_depth=1, policy="reject")
+        release = _occupy(pool)
+        queued = pool.submit(lambda: "queued")  # fills the queue
+        with pytest.raises(ServerBusyError, match="admission queue full"):
+            pool.run(lambda: "rejected")
+        release.set()
+        assert queued.result(timeout=10) == "queued"
+        pool.shutdown()
+        with pytest.raises(ServerBusyError, match="worker pool is shut down"):
+            pool.run(lambda: "too late")
+
+    def test_block_policy_parks_a_blocking_caller_and_shutdown_wakes_it(self):
+        pool = WorkerPool(workers=1, queue_depth=1, policy="block")
+        release = _occupy(pool)
+        queued = pool.submit(lambda: "queued")
+        thread, outcome = _in_thread(lambda: pool.run(lambda: "never admitted"))
+        deadline = time.time() + 10
+        while pool.blocked_submitters == 0 and time.time() < deadline:
+            time.sleep(0.005)
+        assert pool.blocked_submitters == 1
+        pool.shutdown(wait=False)
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "blocking caller slept through shutdown"
+        assert "shut down while waiting" in str(outcome[0])
+        release.set()
+        pool.shutdown(wait=True)
+        assert queued.result(timeout=10) == "queued"
+
+    def test_shutdown_waits_for_an_inline_statement(self):
+        db = fresh_db()
+        release, started = _register_slow(db)
+        server = QueryServer(db, workers=2, result_cache=False)
+        s = server.connect()
+        client, outcome = _in_thread(
+            lambda: s.execute("select slow() from lookup where k = 0").rows)
+        assert started.wait(timeout=10)
+        closer = threading.Thread(target=server.close)
+        closer.start()
+        closer.join(timeout=0.2)
+        assert closer.is_alive()  # the inline statement still holds a slot
+        release.set()
+        closer.join(timeout=10)
+        client.join(timeout=10)
+        assert not closer.is_alive() and not client.is_alive()
+        assert outcome == [[(1,)]]
+
+    def test_never_more_than_workers_statements_at_once(self):
+        """6 blocking sessions plus interleaved async submissions on 2
+        slots; the switch interval is shortened so a lost update to the
+        slot count would show."""
+        db = fresh_db()
+        lock = threading.Lock()
+        inside = peak = 0
+
+        def probe():
+            nonlocal inside, peak
+            with lock:
+                inside += 1
+                peak = max(peak, inside)
+            time.sleep(0.001)
+            with lock:
+                inside -= 1
+            return 1
+
+        db.functions.register("probe", probe)
+        sql = "select probe() from lookup where k = 0"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryServer(db, workers=2, result_cache=False) as server:
+                sessions = [server.connect() for _ in range(6)]
+                start = threading.Barrier(len(sessions))
+
+                def client(session):
+                    start.wait(timeout=10)
+                    for step in range(12):
+                        if step % 3 == 2:
+                            session.execute_async(sql).result(timeout=10)
+                        else:
+                            session.execute(sql)
+
+                threads = [threading.Thread(target=client, args=(s,))
+                           for s in sessions]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert sum(s.statements for s in sessions) == 6 * 12
+        finally:
+            sys.setswitchinterval(interval)
+        assert peak == 2
+
+    def test_inline_exception_is_its_own_type_and_frees_the_slot(self):
+        db = fresh_db()
+        with QueryServer(db, workers=1) as server:
+            s = server.connect()
+            with pytest.raises(ResolutionError) as inline:
+                s.execute("select nope from lookup")
+            with pytest.raises(ResolutionError) as pooled:
+                s.execute_async("select nope from lookup").result(timeout=10)
+            assert type(inline.value) is type(pooled.value)
+            # the only slot was freed: the next statement runs
+            assert s.execute("select count(*) from lookup").scalar() == 20
+
+    def test_refused_statement_is_not_counted_as_run(self):
+        db = fresh_db()
+        release, started = _register_slow(db)
+        sql = "select slow() from lookup where k = 0"
+        with QueryServer(db, workers=1, queue_depth=1, policy="reject",
+                         result_cache=False) as server:
+            s = server.connect()
+            running = s.execute_async(sql)
+            assert started.wait(timeout=10)
+            queued = s.execute_async(sql)
+            for refused in (s.execute_async, s.execute):
+                with pytest.raises(ServerBusyError):
+                    refused(sql)
+            release.set()
+            running.result(timeout=10), queued.result(timeout=10)
+            assert s.statements == 2
+
+    def test_inline_and_pooled_statements_account_alike(self):
+        db = fresh_db()
+        recorder.enable()
+        recorder.reset()
+        counts = {name: metrics.counter(name).value
+                  for name in ("server.tasks", "server.statements")}
+        waits = metrics.histogram("server.wait_seconds").count
+        with QueryServer(db, workers=2) as server:
+            s = server.connect(name="accounted")
+            s.execute("select v from lookup where k = 1")
+            s.execute_async("select v from lookup where k = 2").result(timeout=10)
+            assert s.statements == 2
+        for name, before in counts.items():
+            assert metrics.counter(name).value == before + 2
+        assert metrics.histogram("server.wait_seconds").count == waits + 2
+        pooled, inline = recorder.get_recorder().recent(2)
+        assert inline.pool_wait_seconds == 0.0 <= pooled.pool_wait_seconds
+        assert inline.session == pooled.session == "accounted"
+        assert inline.trace_id and pooled.trace_id
+        assert inline.trace_id != pooled.trace_id
+
+    def test_inline_statement_under_an_open_scope_keeps_its_own_record(self):
+        """A served statement issued from inside another statement (a UDF
+        here) used to hop to a worker and get its own record; inline it
+        must still — and must leave the outer statement's scope, trace
+        frame and wait as it found them."""
+        db = fresh_db()
+        recorder.enable()
+        recorder.reset()
+        with QueryServer(db, workers=2, result_cache=False) as server:
+            inner = server.connect(name="inner")
+            db.functions.register("nested", lambda: inner.execute(
+                "select v from lookup where k = 3").scalar())
+            outer = server.connect(name="outer")
+            assert outer.execute(
+                "select nested() from lookup where k = 0").rows == [(9,)]
+        records = recorder.get_recorder().recent(2)
+        assert [r.session for r in records] == ["outer", "inner"]
+        assert [r.rows for r in records] == [1, 1]
+        assert records[0].kind == "read"  # Database.execute's notes landed
+        # issued under the outer statement's trace position, so it joins it
+        assert records[0].trace_id == records[1].trace_id
+
+    def test_blocking_statement_inside_a_router_span_joins_its_trace(self):
+        db = fresh_db()
+        recorder.enable()
+        recorder.reset()
+        with QueryServer(db, workers=2) as server, trace.capture() as spans:
+            s = server.connect(name="leg")
+            with trace.span("cluster.scatter"):
+                s.execute("select v from lookup where k = 4")
+                with trace.span("after"):
+                    pass
+        by_name = {span.name: span for span in spans}
+        scatter = by_name["cluster.scatter"]
+        assert by_name["server.execute"].trace_id == scatter.trace_id
+        assert by_name["server.execute"].parent_id == scatter.span_id
+        assert by_name["after"].parent_id == scatter.span_id  # frame restored
+        assert recorder.get_recorder().recent(1)[0].trace_id == scatter.trace_id
+        trace.reset()
 
 
 # --------------------------------------------------------------------- #
