@@ -106,7 +106,6 @@ LOCK_ATTRS = {
     ("SloEngine", "_lock"): "obs.slo",
     # Condition variables (leaf rank; named so `with self._cond:` scopes
     # register as holding the guard for the state they protect)
-    ("WriteAheadLog", "_commit_cond"): "WriteAheadLog._commit_cond",
     ("WorkerPool", "_cond"): "WorkerPool._cond",
 }
 

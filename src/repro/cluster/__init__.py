@@ -12,7 +12,7 @@ catalog + :class:`~repro.server.QueryServer`) become **shards** behind a
   conjuncts or per-shard statistics bound the touched shards, broadcast
   otherwise — and merges partials (aggregate re-aggregation, ORDER BY /
   LIMIT merge, interval-algebra region merges),
-* ships sealed WAL group-commit batches to read replicas
+* ships committed WAL transactions to read replicas
   (:mod:`repro.cluster.replica`) and fails reads over to a replica when
   a shard times out.
 

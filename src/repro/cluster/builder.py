@@ -101,7 +101,7 @@ def build_demo_cluster(
     (requires ``wal=True``).
     """
     if replicate and not wal:
-        raise ValidationError("replicas ship WAL batches; need wal=True")
+        raise ValidationError("replicas ship WAL transactions; need wal=True")
 
     phantom, pet, mri = demo_inputs(seed, grid_side, n_pet, n_mri)
     studies = pet + mri

@@ -1,15 +1,16 @@
-"""Read replicas: WAL group-commit batches shipped over RPC and replayed.
+"""Read replicas: committed WAL transactions shipped over RPC and replayed.
 
 The primary's :class:`~repro.storage.wal.WriteAheadLog` already produces
-exactly the stream a replica needs: sealed commit batches, in txn-id
+exactly the stream a replica needs: committed transactions, in txn-id
 order, each carrying the dirty page images and the LFM field table that
 matches them.  :class:`ReplicaLink` registers as a WAL **ship hook**
-(called by the flush leader after each batch's commit record is
-durable), wraps the batch in a :class:`ShipEnvelope`, ships it through
-the cluster's :class:`~repro.net.rpc.RpcChannel`, and replays it on the
-attached :class:`Replica`.
+(called by the committer once the transaction is durable, its version
+published, and every lock of the commit path released), wraps the
+transaction in a :class:`ShipEnvelope`, ships it through the cluster's
+:class:`~repro.net.rpc.RpcChannel`, and replays it on the attached
+:class:`Replica`.
 
-**What a page batch cannot carry:** scalar catalog rows live in memory
+**What page images cannot carry:** scalar catalog rows live in memory
 (``catalog.json`` at rest), not on the block device, so the envelope
 also carries full-table snapshots of every scalar table whose MVCC
 ``(uid, mutations)`` stamp changed since the last ship — captured from a
@@ -53,12 +54,12 @@ _EMPTY_LFM_STATE = {"next_id": 1, "fields": {}}
 
 @dataclass(frozen=True)
 class ShipEnvelope:
-    """One committed WAL batch, packaged for the wire."""
+    """One committed WAL transaction, packaged for the wire."""
 
     txn_id: int
     #: committed page images, ``(page_no, payload)``
     pages: tuple = ()
-    #: the LFM field table matching the pages (the batch's WAL meta)
+    #: the LFM field table matching the pages (the transaction's WAL meta)
     lfm_state: dict | None = None
     #: full snapshots of scalar tables whose stamps changed since the
     #: last ship: ``{name: {"columns": [[name, type]], "rows": [...]}}``
@@ -125,10 +126,10 @@ class ReplicaLink:
     # the WAL ship hook
     # ------------------------------------------------------------------ #
 
-    def ship(self, batch) -> None:
-        """Package one committed batch and deliver it (the WAL hook)."""
+    def ship(self, txn) -> None:
+        """Package one committed transaction and deliver it (the WAL hook)."""
         with self._lock:
-            envelope = self._build_envelope(batch)
+            envelope = self._build_envelope(txn)
             self._envelopes.append(envelope)
             self.last_shipped_txn = envelope.txn_id
             metrics.counter("cluster.replica.shipped").inc()
@@ -149,14 +150,14 @@ class ReplicaLink:
                     metrics.counter("cluster.replica.detached").inc()
             self._update_lag_locked()
 
-    def _build_envelope(self, batch) -> ShipEnvelope:
-        """One envelope from one committed batch (holding ``_lock``)."""
+    def _build_envelope(self, txn) -> ShipEnvelope:
+        """One envelope from one ``CommittedTxn`` (holding ``_lock``)."""
         tables, spatial, analyzed = self._catalog_state(changed_only=True)
         return ShipEnvelope(
-            txn_id=batch.txn_id,
+            txn_id=txn.txn_id,
             pages=tuple((page_no, bytes(payload))
-                        for page_no, payload in batch.pages),
-            lfm_state=batch.meta,
+                        for page_no, payload in txn.pages),
+            lfm_state=txn.meta,
             tables=tables,
             spatial_indexes=spatial,
             analyzed=analyzed,
@@ -206,10 +207,11 @@ class ReplicaLink:
             for envelope in self._envelopes:
                 if envelope.txn_id > replica.last_applied_txn:
                     replica.apply(envelope)
-            # Scalar-only commits (no device pages, hence no batch) never
-            # ship on their own; an attach is a full sync point, so the
-            # primary's *current* scalar state rides along here and any
-            # rows registered since the last sealed batch become visible.
+            # Scalar-only commits (no device pages, hence no WAL
+            # transaction) never ship on their own; an attach is a full
+            # sync point, so the primary's *current* scalar state rides
+            # along here and any rows registered since the last shipped
+            # transaction become visible.
             replica.absorb(*self._catalog_state(changed_only=False))
             self._replica = replica
             self._update_lag_locked()
@@ -313,7 +315,7 @@ class Replica:
         """Take a scalar catch-up from the primary (no txn advances).
 
         Used at attach time for state that exists outside the shipped
-        batch stream: table snapshots replace the accumulated exports,
+        transaction stream: table snapshots replace the accumulated exports,
         but ``last_applied_txn`` is untouched — the paged state is still
         exactly as of the last applied envelope.
         """

@@ -261,11 +261,11 @@ class Database:
     def _publish_version(self) -> None:
         """Publish under the already-held write lock.
 
-        Callers hold the exclusive side of :attr:`rwlock` — sometimes via
-        an explicit ``acquire_write`` whose release lives in a commit
-        callback, which is why this contract is prose rather than a
-        statically checked ``@guarded_by``; the runtime lockdep witness
-        still sees every acquisition order.
+        Callers hold the exclusive side of :attr:`rwlock` — one of them
+        (:meth:`transaction`) via a bare ``acquire_write``, which is why
+        this contract is prose rather than a statically checked
+        ``@guarded_by``; the runtime lockdep witness still sees every
+        acquisition order.
         """
         self._versions.publish(self.catalog, self.lfm)
 
@@ -512,83 +512,51 @@ class Database:
         an LFM have no storage to protect, so the scope is trivially empty.
 
         The scope holds the exclusive side of :attr:`rwlock` from entry
-        through commit *seal*: concurrent readers never observe a
-        half-applied transaction, and two writers' storage transactions
-        cannot interleave.  Under a group-commit WAL the lock is released
-        as soon as the commit is sealed and the snapshot published — the
-        journal flush happens *outside* the lock, so other writers seal
-        behind this one and share a single flush.  Statements issued
-        inside the scope re-enter the lock without blocking.
+        until the commit is durable and its snapshot published: write
+        lock, storage scope (whose exit is the commit), publish, unlock.
+        Concurrent readers never observe a half-applied transaction, two
+        writers' storage transactions cannot interleave, and a version is
+        visible only once its commit record is on the journal — a failed
+        commit publishes nothing.  Statements issued inside the scope
+        re-enter the lock without blocking.
 
         ``on_publish`` — a callable receiving the published snapshot's
-        sequence number — fires immediately after each version this
-        transaction publishes becomes visible: at commit seal (before the
-        journal flush this committer then waits on), and again from the
-        rollback re-publish when a group flush fails.  The serving layer
-        hangs its result-cache invalidation here, so cached pre-write
-        rows never coexist with fresh snapshot reads for the length of a
-        flush, and a version rolled back by a flush failure is fenced
-        even though the failure exception skips the caller's happy path.
+        sequence number — fires once, when the version becomes visible
+        (right after the unlock).  The serving layer hangs its
+        result-cache invalidation here.  If the storage scope raises
+        after its commit record was journaled (a data-device failure
+        during the apply) the transaction is committed but not
+        published: reads take the locked path over the live state until
+        the next write publishes it.
         """
         return self._locked_transaction(on_publish)
 
     @contextmanager
     def _locked_transaction(self, on_publish=None):
-        self._rwlock.acquire_write()
-        self._txn_nesting += 1
-        done = {"finished": False}
-
-        def finish(publish: bool) -> None:
-            # Exactly-once epilogue: runs either from the WAL's on-sealed
-            # callback (early — before the journal flush, so the write
-            # lock is free while this transaction waits on the "disk") or
-            # from the scope exit below.
-            if done["finished"]:
-                return
-            done["finished"] = True
-            self._txn_nesting -= 1
+        device = self.lfm.device if self.lfm is not None else None
+        # Replication ships after the unlock: its link lock ranks outside
+        # this one, and its envelope reads the version published below.
+        with getattr(device, "shipping_deferred", nullcontext)():
+            self._rwlock.acquire_write()
+            self._txn_nesting += 1
             published = None
-            if publish and self._txn_nesting == 0:
-                self._publish_version()
-                published = self._versions.latest_seq
-            elif not publish:
-                self._versions.discard_pending()
-            self._rwlock.release_write()
-            if published is not None and on_publish is not None:
-                # After the lock release (a callback failure must not
-                # leak the write lock) but still at publish time — well
-                # before the journal flush the committer waits on.
-                on_publish(published)
-
-        try:
-            if self.lfm is None:
-                yield self
-            else:
-                kwargs = {}
-                if (self._txn_nesting == 1
-                        and getattr(self.lfm.device, "supports_group_commit",
-                                    False)):
-                    kwargs["on_sealed"] = lambda: finish(publish=True)
-                with self.lfm.device.transaction(
-                    meta_provider=self.lfm.export_state, **kwargs
-                ):
+            try:
+                with (device.transaction(meta_provider=self.lfm.export_state)
+                      if device is not None else nullcontext()):
                     yield self
-            finish(publish=True)
-        # The scope boundary: rollback/unlock must run for KeyboardInterrupt
-        # and SystemExit too, or the write lock leaks.
-        except BaseException:  # qblint: disable=no-broad-except
-            if not done["finished"]:
-                finish(publish=False)
-            else:
-                # Sealed, published, and unlocked — but the flush failed
-                # afterwards.  Publish again from the live state (the WAL
-                # rolled it back, or — when the commit record was already
-                # durable — kept it) so readers stop pinning a version
-                # that no longer matches it, and fence the cache again.
-                self.publish_snapshot()
-                if on_publish is not None:
-                    on_publish(self._versions.latest_seq)
-            raise
+                if self._txn_nesting == 1:
+                    self._publish_version()
+                    published = self._versions.latest_seq
+            # The scope boundary: rollback and unlock must run for
+            # KeyboardInterrupt and SystemExit too.
+            except BaseException:  # qblint: disable=no-broad-except
+                self._versions.discard_pending()
+                raise
+            finally:
+                self._txn_nesting -= 1
+                self._rwlock.release_write()
+            if published is not None and on_publish is not None:
+                on_publish(published)
 
     def register_function(self, name: str, fn,
                           signature: FunctionSignature | None = None,

@@ -8,9 +8,8 @@ ARCHITECTURE.md):
 * MVCC snapshot reads — SELECTs pin an immutable published version and
   run with **no lock**; DML/DDL take the exclusive side of the
   reader-writer lock, each write wrapped in a storage transaction so the
-  WAL keeps crash safety under concurrent writers (with group commit,
-  the lock is released at commit seal and the journal flush is shared
-  across concurrent committers);
+  WAL keeps crash safety under concurrent writers (the lock is held
+  until the commit is durable and its version published);
 * a :class:`~repro.server.pool.WorkerPool` — ``workers`` execution slots
   a blocking client occupies on its own thread, plus the bounded queue
   (``block``/``reject`` policy) and threads behind ``execute_async``;
@@ -251,16 +250,12 @@ class QueryServer:
                        params: list | None) -> QueryResult:
         """Exclusive path: transaction-scoped write + cache invalidation.
 
-        db.transaction() takes the exclusive lock itself and — under a
-        group-commit WAL — releases it at commit *seal*, so the journal
-        flush happens outside the lock and concurrent writers' flushes
-        coalesce.  Stale cache fills are fenced by the sequence-numbered
-        invalidation, which the transaction fires at *publish* time: once
-        at commit seal (so cached pre-write rows never outlive the
-        version they belong to for the length of a flush) and again from
-        the rollback re-publish if the group flush fails (so results
-        cached against the aborted version are fenced even though the
-        exception skips this method's tail).
+        db.transaction() takes the exclusive lock itself and holds it
+        until the commit is durable and published.  Stale cache fills are
+        fenced by the sequence-numbered invalidation, which the
+        transaction fires once, when the version becomes visible; a write
+        whose commit fails publishes nothing, so nothing it touched was
+        ever cacheable and nothing needs fencing.
         """
         def invalidate(seq: int) -> None:
             if self.cache is not None:

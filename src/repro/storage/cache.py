@@ -172,21 +172,16 @@ class PageCache:
     # ------------------------------------------------------------------ #
 
     @contextmanager
-    def transaction(self, meta_provider=None, on_sealed=None):
+    def transaction(self, meta_provider=None):
         """Delegate transaction scoping to the wrapped device.
 
         An aborted transaction drops every cached page: reads inside the
         scope may have filled the cache with uncommitted data (the WAL's
         read-your-writes overlay), which must not survive the rollback.
-        ``on_sealed`` passes through to a group-commit-capable device
-        (and is only accepted when one is underneath).
         """
-        kwargs = {}
-        if on_sealed is not None:
-            kwargs["on_sealed"] = on_sealed
         completed = False
         try:
-            with self.device.transaction(meta_provider=meta_provider, **kwargs):
+            with self.device.transaction(meta_provider=meta_provider):
                 yield self
                 completed = True
         finally:
@@ -203,11 +198,6 @@ class PageCache:
     def supports_rollback(self) -> bool:
         """Can the underlying device roll back a transaction?"""
         return getattr(self.device, "supports_rollback", False)
-
-    @property
-    def supports_group_commit(self) -> bool:
-        """Does the device underneath accept ``on_sealed``?"""
-        return getattr(self.device, "supports_group_commit", False)
 
     def on_rollback(self, undo) -> None:
         """Forward an undo action to the transactional device below."""

@@ -256,6 +256,15 @@ class BlockDevice:
             self._backing.buf[offset:offset + len(data)] = data
             self.stats.add_write(*_page_span(offset, len(data)), len(data))
 
+    def sync(self, offset: int, length: int) -> None:
+        """Force one byte range to stable storage (``msync`` of its pages).
+
+        Nothing to do for an anonymous map; not a write, so no accounting.
+        """
+        if self._backing.file is not None and length:
+            first = offset - offset % mmap.ALLOCATIONGRANULARITY
+            self._backing.buf.flush(first, offset + length - first)
+
     def read_ranges(self, starts: np.ndarray, stops: np.ndarray) -> bytes:
         """Gather many byte ranges in one logical operation.
 

@@ -165,6 +165,11 @@ class FaultyDevice:
             )
         self.inner.write(offset, data)
 
+    def sync(self, offset: int, length: int) -> None:
+        """Forward to the wrapped device; not a write, so not counted."""
+        self._check_up()
+        self.inner.sync(offset, length)
+
     # ------------------------------------------------------------------ #
     # lifecycle / duck interface
     # ------------------------------------------------------------------ #

@@ -2,7 +2,8 @@
 
 The replication contract under test:
 
-* every sealed group-commit batch ships as one :class:`ShipEnvelope`;
+* every committed WAL transaction ships as one :class:`ShipEnvelope`,
+  in txn-id order even under concurrent writers;
   applying the stream leaves the replica's rows equal to the primary's;
 * a replica that crashes mid-apply (seeded FaultSchedule) is detached
   without failing the primary's commit, and a fresh replica attached to
@@ -15,11 +16,13 @@ The replication contract under test:
 from __future__ import annotations
 
 import concurrent.futures
+import threading
 
 import pytest
 
 from repro.cluster import build_demo_cluster
 from repro.cluster.replica import Replica, ShipEnvelope
+from repro.concurrency import lockdep
 from repro.errors import ShardUnavailableError, SimulatedCrash
 from repro.medical.server import MedicalServer, QuerySpec
 from repro.obs import metrics
@@ -117,6 +120,66 @@ class TestConvergence:
         assert shard.replica.execute(
             "select name from patient where patientId = 700"
         ).rows == [("repl-subj",)]
+
+
+class TestConcurrentWriters:
+    def test_envelopes_arrive_in_txn_order_and_replica_converges(
+            self, small_cluster):
+        """Four writers commit through ``Database.transaction``; every
+        commit ships exactly once, in strictly increasing txn-id order,
+        with no lock of the commit path held (lockdep: ``cluster.link``
+        is never acquired under ``db.rwlock`` or ``wal.txn``)."""
+        shard = small_cluster.shards[0]
+        link, db = shard.link, shard.db
+        shipped_before = link.last_shipped_txn
+        delivered: list[int] = []
+        real_apply = shard.replica.apply
+
+        def recording_apply(envelope):
+            delivered.append(envelope.txn_id)
+            return real_apply(envelope)
+
+        shard.replica.apply = recording_apply
+        violations_before = len(lockdep.violations())
+        errors: list[BaseException] = []
+
+        def writer(index: int):
+            try:
+                for step in range(5):
+                    with db.transaction():
+                        db.lfm.create(bytes([index, step]) * 300)
+                        db.execute(
+                            "insert into patient values (?, ?, "
+                            "'1970-01-01', 'F', 40)",
+                            [900 + index * 10 + step, f"w{index}-{step}"])
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(i,))
+                   for i in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            del shard.replica.apply
+        assert errors == []
+        assert len(lockdep.violations()) == violations_before
+        assert delivered == list(range(shipped_before + 1,
+                                       shipped_before + 21))
+        assert link.last_shipped_txn == link.wal.next_txn_id - 1
+        assert shard.replica.last_applied_txn == link.last_shipped_txn
+        query = "select patientId, name from patient order by patientId"
+        assert shard.replica.execute(query).rows == db.execute(query).rows
+        assert shard.replica.execute(
+            "select count(*) from patient where patientId >= 900"
+        ).scalar() == 20
+        fresh = Replica(shard.replica.device.capacity, name="fresh")
+        link.attach(fresh)
+        assert fresh.state_fingerprint() == shard.replica.state_fingerprint()
+        link.attach(shard.replica)
+        fresh.close()
 
 
 class TestCrashMidShip:

@@ -1153,20 +1153,24 @@ class TestWarmStatementsUnderWrites:
 
 
 # --------------------------------------------------------------------- #
-# publish-time cache invalidation (group-commit WAL behind the server)
+# publish-time cache invalidation (WAL behind the server)
 # --------------------------------------------------------------------- #
 
 
 class _ArmedJournal:
-    """Journal whose next write fails once ``armed`` is set (one-shot)."""
+    """Journal whose next commit-record write fails once ``armed`` is set
+    (one-shot); ``before_failing`` runs first, on the committer's thread."""
 
     def __init__(self, inner):
         self._inner = inner
         self.armed = False
+        self.before_failing = None
 
     def write(self, offset, data):
-        if self.armed:
+        if self.armed and bytes(data[:4]) == b"QCMT":
             self.armed = False
+            if self.before_failing is not None:
+                self.before_failing()
             raise WalError("injected journal failure")
         return self._inner.write(offset, data)
 
@@ -1192,7 +1196,7 @@ class _ProbeJournal:
 
 
 def wal_backed_db(journal_wrapper):
-    """An MVCC database over a group-commit WAL with a wrapped journal."""
+    """An MVCC database over a WAL with a wrapped journal."""
     data = BlockDevice(CAPACITY)
     journal = journal_wrapper(BlockDevice(CAPACITY))
     wal = WriteAheadLog(data, journal, recover=False)
@@ -1203,44 +1207,66 @@ def wal_backed_db(journal_wrapper):
 
 class TestPublishTimeInvalidation:
     def test_cache_invalidated_at_publish_not_after_flush(self):
-        # The version is visible to fresh snapshot reads at commit seal;
-        # the cache drop must land then too, not a journal-flush later.
-        # Every journal write of the INSERT's flush happens after the
-        # seal, so sampling the cache size there catches any flush-wide
-        # window where stale pre-write rows were still being served.
+        # Visible implies durable: while the INSERT's journal writes are
+        # in flight no new version exists, so the cache may still —
+        # correctly — hold pre-write rows.  The version is published only
+        # after the commit, and once the statement returns the cache is
+        # fenced at exactly that sequence.
         db, journal = wal_backed_db(_ProbeJournal)
         with QueryServer(db, workers=2) as server:
             with server.connect() as s:
                 assert s.execute("select count(*) from events").scalar() == 0
                 assert len(server.cache) == 1
-                journal.probe = lambda: len(server.cache)
+                seq_before = db.version_seq
+                journal.probe = lambda: (db.version_seq, len(server.cache))
                 s.execute("insert into events values (1, 1)")
                 journal.probe = None
-        assert journal.samples, "the INSERT must have journaled"
-        assert all(n == 0 for n in journal.samples), (
-            f"cache still held entries during the flush: {journal.samples}"
-        )
-
-    def test_failed_flush_fences_cache_against_aborted_version(self):
-        # A flush failure raises out of db.transaction(), skipping the
-        # write path's tail — the invalidation must have fired anyway
-        # (once at seal, again from the rollback re-publish), so no
-        # result computed against the aborted version survives and the
-        # low-water mark fences late fills from readers still pinned to it.
-        db, journal = wal_backed_db(_ArmedJournal)
-        with QueryServer(db, workers=2) as server:
-            with server.connect() as s:
-                s.execute("insert into events values (1, 1)")
-                assert s.execute("select count(*) from events").scalar() == 1
-                assert len(server.cache) == 1
-                journal.armed = True
-                with pytest.raises(WalError, match="injected"):
-                    s.execute("insert into events values (1, 2)")
+                assert journal.samples, "the INSERT must have journaled"
+                assert set(journal.samples) == {(seq_before, 1)}
+                assert db.version_seq == seq_before + 1
                 assert len(server.cache) == 0
                 assert server.cache._stale_below["events"] == db.version_seq
-                # The refreshed cache agrees with the live snapshot — from
-                # which the row of the rolled-back INSERT is gone again.
-                refreshed = s.execute("select count(*) from events").scalar()
-                assert refreshed == db.execute(
-                    "select count(*) from events"
-                ).scalar() == 1
+
+    def test_failed_flush_fences_cache_against_aborted_version(self):
+        # The commit-record write fails: the INSERT rolls back and its
+        # version was never published — so there is nothing to fence.
+        # Sampled at the very moment of the failure, from other threads:
+        # neither a snapshot reader, nor a served (cacheable) read, nor
+        # on_publish ever observes the rolled-back row.
+        db, journal = wal_backed_db(_ArmedJournal)
+        count = "select count(*) from events"
+        with QueryServer(db, workers=2) as server:
+            with server.connect() as s, server.connect() as other:
+                s.execute("insert into events values (1, 1)")
+                assert s.execute(count).scalar() == 1
+                assert len(server.cache) == 1
+                seq_before = db.version_seq
+                observed: list[tuple] = []
+
+                def sample_from_another_thread():
+                    def sample():
+                        observed.append((db.execute(count).scalar(),
+                                         other.execute(count).scalar(),
+                                         db.version_seq))
+                    thread = threading.Thread(target=sample)
+                    thread.start()
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+
+                journal.before_failing = sample_from_another_thread
+                published: list[int] = []
+                journal.armed = True
+                with pytest.raises(WalError, match="injected"):
+                    with db.transaction(on_publish=published.append):
+                        db.execute("insert into events values (1, 2)")
+                journal.armed = True
+                with pytest.raises(WalError, match="injected"):
+                    s.execute("insert into events values (1, 3)")
+
+                assert observed == [(1, 1, seq_before)] * 2
+                assert published == []
+                assert db.version_seq == seq_before
+                # The cached pre-write result is still right, and still there.
+                assert len(server.cache) == 1
+                assert s.execute(count).scalar() == 1
+                assert db.execute(count).scalar() == 1

@@ -17,6 +17,7 @@ the Table 3/4 bit-identity guarantee with the WAL disabled and enabled.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -167,6 +168,80 @@ class TestCrashPointEnumeration:
         assert TOTAL_WRITES >= 16, (
             f"expected a rich crash surface, got {TOTAL_WRITES} writes"
         )
+
+
+class TestCommitBytesPinned:
+    """The enumeration workload's journal image, write count and write-call
+    order, recorded at rev ce8338a (the last build with group commit):
+    a commit issues the same ``write`` calls with the same bytes."""
+
+    WRITES_SEEN = 22
+    JOURNAL_SHA256 = \
+        "fe511c6ca234c8409d262a294faaa774a1972117d632da1d1206469eb1b44614"
+    DATA_SHA256 = \
+        "98174cb92433e2326122f6a1d1cb0108a79fa7697308e91e9a43c37d64357a16"
+    WRITE_CALLS_SHA256 = \
+        "d2d5d8c27438792451671bc365b646dfcffc83a7c06230b5afbaf2d236a3295a"
+
+    def test_journal_image_and_write_calls_match_the_pins(self):
+        calls: list[tuple[str, int, int]] = []
+
+        class Recording(FaultyDevice):
+            def write(self, offset, data):
+                calls.append((self.name, offset, len(data)))
+                super().write(offset, data)
+
+        schedule = FaultSchedule(seed=0, crash_after_writes=None)
+        fdata = Recording(BlockDevice(CAPACITY), schedule, name="data")
+        fjournal = Recording(BlockDevice(JOURNAL_CAPACITY), schedule,
+                             name="journal")
+        run_workload(LongFieldManager(
+            WriteAheadLog(fdata, fjournal, recover=False)))
+        assert schedule.writes_seen == TOTAL_WRITES == self.WRITES_SEEN
+        assert hashlib.sha256(fjournal.snapshot()).hexdigest() == \
+            self.JOURNAL_SHA256
+        assert hashlib.sha256(fdata.snapshot()).hexdigest() == self.DATA_SHA256
+        assert hashlib.sha256(repr(calls).encode()).hexdigest() == \
+            self.WRITE_CALLS_SHA256
+
+
+class TestWriteAheadRule:
+    def test_journal_synced_after_commit_record_before_apply(self):
+        """One ``sync`` per commit, over exactly the transaction's journal
+        range, after its commit record and before the first data write —
+        forwarded by ``FaultyDevice`` without counting as a write."""
+        events: list[tuple] = []
+
+        class Recording(BlockDevice):
+            def __init__(self, capacity, tag):
+                super().__init__(capacity)
+                self.tag = tag
+
+            def write(self, offset, data):
+                events.append((self.tag, "write", offset, len(data)))
+                super().write(offset, data)
+
+            def sync(self, offset, length):
+                events.append((self.tag, "sync", offset, length))
+                super().sync(offset, length)
+
+        schedule = FaultSchedule(seed=0, crash_after_writes=None)
+        wal = WriteAheadLog(
+            FaultyDevice(Recording(CAPACITY, "data"), schedule),
+            FaultyDevice(Recording(JOURNAL_CAPACITY, "journal"), schedule),
+            recover=False)
+        wal.write(0, b"first")
+        wal.write(4096, b"second")
+        one = 28 + 4108 + 16  # header, page record, commit record
+        assert events == [
+            ("journal", "write", 0, 28), ("journal", "write", 28, 4108),
+            ("journal", "write", 4136, 16), ("journal", "sync", 0, one),
+            ("data", "write", 0, 4096),
+            ("journal", "write", one, 28), ("journal", "write", one + 28, 4108),
+            ("journal", "write", one + 4136, 16), ("journal", "sync", one, one),
+            ("data", "write", 4096, 4096),
+        ]
+        assert schedule.writes_seen == 8
 
 
 class TestChecksums:
@@ -691,9 +766,8 @@ class _FlakyJournal:
     """Counts write calls; fails chosen indices (1-based) or while offline.
 
     Unlike a :class:`FaultSchedule` crash — which takes the device down
-    for good — the failure is transient, modelling a journal write error
-    the store must survive: exactly the regime where per-batch commit
-    points and skip-record hole repair matter.
+    for good — the failure is transient, modelling a device error the
+    store must survive and keep running after.
     """
 
     def __init__(self, inner, fail_at=()):
@@ -712,94 +786,98 @@ class _FlakyJournal:
         return getattr(self._inner, name)
 
 
-class TestGroupFlushFailure:
-    """A failed group flush must fail *only* the uncommitted batches."""
+def reboot(data: BlockDevice, journal: BlockDevice) -> WriteAheadLog:
+    """Crash + reopen over the surviving images; runs recovery."""
+    wal, _, _ = build_stack(
+        data_image=data.read(0, data.capacity),
+        journal_image=journal.read(0, journal.capacity),
+    )
+    return wal
 
-    def _seal(self, wal, offset: int, payload: bytes, undone: list, tag):
-        """Seal one single-page transaction without awaiting its flush."""
-        state: dict = {}
-        with wal._txn_lock:
-            with wal._transaction_scope(state=state):
-                wal._buffer_write(offset, payload)
-                wal.on_rollback(lambda: undone.append(tag))
-        return state["batch"]
+
+class TestGroupFlushFailure:
+    """A failed commit rolls back alone; a journaled one stays committed.
+
+    (Named for the group flush whose failure modes these were; the same
+    guarantees now hold of the one-step commit.)
+    """
+
+    def _commit(self, wal, offset: int, payload: bytes, undone: list, tag):
+        with wal.transaction():
+            wal.write(offset, payload)
+            wal.on_rollback(lambda: undone.append(tag))
 
     def test_durable_batch_survives_later_batch_failure(self):
-        # Group of two: txn 1 journals cleanly (writes 1-3: header, page,
-        # commit), txn 2's header (write 4) fails.  Only txn 2 may roll
-        # back; recovery must still reach commits journaled *after* the
-        # stamped hole.
-        from repro.obs import metrics
-
+        # txn 1 journals cleanly (writes 1-3: header, page, commit), txn
+        # 2's header (write 4) fails.  Only txn 2 rolls back, txn 3 lands
+        # on the append point txn 2 never moved, and recovery reaches it.
         data = BlockDevice(CAPACITY)
         journal = BlockDevice(JOURNAL_CAPACITY)
-        flaky = _FlakyJournal(journal, fail_at={4})
-        wal = WriteAheadLog(data, flaky, recover=False)
+        wal = WriteAheadLog(data, _FlakyJournal(journal, fail_at={4}),
+                            recover=False)
         undone: list[int] = []
-        batch1 = self._seal(wal, 0, b"one", undone, 1)
-        batch2 = self._seal(wal, 8192, b"two", undone, 2)
-        repaired_before = metrics.counter("wal.holes_repaired").value
-
-        wal._await_flush(batch1)  # leads the group flush; must not raise
-        assert undone == []
+        self._commit(wal, 0, b"one", undone, 1)
         with pytest.raises(WalError, match="injected"):
-            wal._await_flush(batch2)
+            self._commit(wal, 8192, b"two", undone, 2)
+        assert undone == [2]
+        self._commit(wal, 16384, b"three", undone, 3)
         assert undone == [2]
 
-        # txn 1 stayed committed in memory; txn 2 left no trace.
+        # txn 1 and 3 are committed in memory; txn 2 left no trace.
         assert wal.read(0, 3) == b"one"
         assert wal.read(8192, 3) == b"\x00" * 3
-        # The hole was stamped immediately (the journal healed): write 5.
-        assert metrics.counter("wal.holes_repaired").value == repaired_before + 1
-
-        # The store keeps accepting commits past the stamped hole.
-        wal.write(16384, b"three")
         assert wal.read(16384, 5) == b"three"
 
-        # Crash + reboot: the scan must skip the hole and reach txn 3.
-        wal2, _, _ = build_stack(
-            data_image=data.read(0, data.capacity),
-            journal_image=journal.read(0, journal.capacity),
-        )
+        wal2 = reboot(data, journal)
         assert wal2.recovery.replayed_txn_ids == [1, 3]
+        assert wal2.recovery.discarded == 0
         assert wal2.read(0, 3) == b"one"
         assert wal2.read(8192, 3) == b"\x00" * 3
         assert wal2.read(16384, 5) == b"three"
 
-    def test_unstamped_hole_refuses_commits_until_repaired(self):
-        # While the journal stays down, no later commit may be
-        # acknowledged: its records would sit beyond a hole the recovery
-        # scan cannot cross.  Once the journal heals, the next leader
-        # stamps the (merged) hole and commits flow again.
+    def test_commit_record_failure_never_replays(self):
+        # Header and page are on the journal when the commit record
+        # (write 3) fails; the header is voided, so a crash right after —
+        # before any later commit overwrites it — replays nothing and
+        # counts nothing as torn.
+        data = BlockDevice(CAPACITY)
+        journal = BlockDevice(JOURNAL_CAPACITY)
+        wal = WriteAheadLog(data, _FlakyJournal(journal, fail_at={3}),
+                            recover=False)
+        with pytest.raises(WalError, match="injected"):
+            wal.write(0, b"lost")
+        assert wal.read(0, 4) == b"\x00" * 4
+        wal2 = reboot(data, journal)
+        assert wal2.recovery.replayed_txn_ids == []
+        assert wal2.recovery.discarded == 0
+
+    def test_offline_journal_fails_commits_until_it_heals(self):
         data = BlockDevice(CAPACITY)
         journal = BlockDevice(JOURNAL_CAPACITY)
         flaky = _FlakyJournal(journal)
         wal = WriteAheadLog(data, flaky, recover=False)
 
         flaky.offline = True
-        with pytest.raises(WalError, match="injected"):
-            wal.write(0, b"first")          # header write fails, stamp fails
-        with pytest.raises(WalError, match="journal hole"):
-            wal.write(4096, b"second")      # refused: hole unreachable
-        assert wal.read(0, 5) == b"\x00" * 5
-        assert wal.read(4096, 6) == b"\x00" * 6
+        for offset, payload in ((0, b"first"), (4096, b"second")):
+            with pytest.raises(WalError, match="injected"):
+                wal.write(offset, payload)
+            assert wal.read(offset, len(payload)) == b"\x00" * len(payload)
 
         flaky.offline = False
-        wal.write(8192, b"third")           # stamps the merged hole, commits
+        wal.write(8192, b"third")
         assert wal.read(8192, 5) == b"third"
 
-        wal2, _, _ = build_stack(
-            data_image=data.read(0, data.capacity),
-            journal_image=journal.read(0, journal.capacity),
-        )
-        assert wal2.recovery.replayed_txn_ids == [3]
+        wal2 = reboot(data, journal)
+        assert len(wal2.recovery.replayed_txn_ids) == 1
+        assert wal2.read(0, 5) == b"\x00" * 5
+        assert wal2.read(4096, 6) == b"\x00" * 6
         assert wal2.read(8192, 5) == b"third"
 
     def test_apply_failure_after_commit_record_stays_committed(self):
         # The data device fails during the apply — after the commit
         # record hit the journal.  Recovery would replay the transaction,
         # so the in-memory state must keep it: no rollback, reads serve
-        # the committed bytes from the pending overlay.
+        # the committed bytes from the held page images.
         data = BlockDevice(CAPACITY)
         flaky = _FlakyJournal(data, fail_at={1})  # first apply write
         journal = BlockDevice(JOURNAL_CAPACITY)
@@ -810,82 +888,57 @@ class TestGroupFlushFailure:
                 wal.write(0, b"durable")
                 wal.on_rollback(lambda: ran.append("undone"))
         assert ran == []                        # committed: undo must NOT run
-        assert wal.read(0, 7) == b"durable"     # overlay serves the commit
+        assert wal.read(0, 7) == b"durable"     # held image serves the commit
+        assert wal.read_ranges([2], [7]) == b"rable"
 
-        # The store continues: a later transaction applies cleanly and
-        # the un-applied page keeps serving from the overlay.
+        # The store continues: a later transaction applies cleanly, the
+        # un-applied page keeps serving, and a read-modify-write of it
+        # starts from the committed image, not the stale device bytes.
         wal.write(4096, b"later")
         assert wal.read(0, 7) == b"durable"
         assert wal.read(4096, 5) == b"later"
+        wal.write(7, b"!")
+        assert wal.read(0, 8) == b"durable!"
+        assert data.read(0, 8) == b"durable!"   # applied: nothing held now
 
-        wal2, _, _ = build_stack(
-            data_image=data.read(0, data.capacity),
-            journal_image=journal.read(0, journal.capacity),
-        )
-        assert wal2.recovery.replayed_txn_ids == [1, 2]
-        assert wal2.read(0, 7) == b"durable"
+        wal2 = reboot(data, journal)
+        assert wal2.recovery.replayed_txn_ids == [1, 2, 3]
+        assert wal2.read(0, 8) == b"durable!"
         assert wal2.read(4096, 5) == b"later"
 
 
-class _ApplyRacingDevice:
-    """Data device that runs a one-shot hook *after* capturing read bytes.
+class TestCheckpointAfterApplyFailure:
+    """A checkpoint never drops the only durable copy of a commit."""
 
-    Models the worst interleaving for snapshot readers: the device read
-    returns pre-apply bytes while a concurrent group flush applies the
-    page and clears its pending-overlay entry before the reader gets to
-    overlay.
-    """
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.on_read = None
-
-    def _fire(self):
-        hook, self.on_read = self.on_read, None
-        if hook is not None:
-            hook()
-
-    def read(self, offset, length):
-        data = self._inner.read(offset, length)
-        self._fire()
-        return data
-
-    def read_ranges(self, starts, stops):
-        data = self._inner.read_ranges(starts, stops)
-        self._fire()
-        return data
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-class TestReadApplyRace:
-    """Reads racing a grouped apply must still see committed bytes."""
-
-    def _seal(self, wal, offset: int, payload: bytes):
-        state: dict = {}
-        with wal._txn_lock:
-            with wal._transaction_scope(state=state):
-                wal._buffer_write(offset, payload)
-        return state["batch"]
-
-    def test_read_overlays_pages_applied_mid_read(self):
+    def _database_with_held_commit(self, tmp_path):
         data = BlockDevice(CAPACITY)
-        racing = _ApplyRacingDevice(data)
+        flaky = _FlakyJournal(data)
         journal = BlockDevice(JOURNAL_CAPACITY)
-        wal = WriteAheadLog(racing, journal, recover=False)
-        batch = self._seal(wal, 0, b"new")
-        # The flush lands between the device read and the overlay check.
-        racing.on_read = lambda: wal._await_flush(batch)
-        assert wal.read(0, 3) == b"new"
-        assert not wal._pending
+        db = Database(lfm=LongFieldManager(
+            WriteAheadLog(flaky, journal, recover=False)))
+        save_database(db, tmp_path)  # the old image: no fields
+        flaky.fail_at = {flaky.writes + 1}  # the first apply write
+        with pytest.raises(WalError, match="injected"):
+            db.lfm.create(PAYLOAD_A)
+        assert db.lfm.read(db.lfm.handle(1)) == PAYLOAD_A  # committed
+        return db, flaky, journal
 
-    def test_read_ranges_overlays_pages_applied_mid_read(self):
-        data = BlockDevice(CAPACITY)
-        racing = _ApplyRacingDevice(data)
-        journal = BlockDevice(JOURNAL_CAPACITY)
-        wal = WriteAheadLog(racing, journal, recover=False)
-        batch = self._seal(wal, 4096, b"rr")
-        racing.on_read = lambda: wal._await_flush(batch)
-        assert wal.read_ranges([4096], [4098]) == b"rr"
-        assert not wal._pending
+    def test_healed_device_checkpoints_the_commit(self, tmp_path):
+        db, _, _ = self._database_with_held_commit(tmp_path)
+        save_database(db, tmp_path)  # retries the apply, then dumps
+        reopened = load_database(tmp_path, in_memory=True, wal=True)
+        assert reopened.lfm.device.recovery.replayed_txn_ids == []
+        assert reopened.lfm.read(reopened.lfm.handle(1)) == PAYLOAD_A
+
+    def test_failing_device_keeps_the_journal(self, tmp_path):
+        db, flaky, journal = self._database_with_held_commit(tmp_path)
+        flaky.offline = True
+        with pytest.raises(WalError, match="cannot reach the data device"):
+            save_database(db, tmp_path)
+        with pytest.raises(WalError, match="cannot reach the data device"):
+            db.lfm.device.reset_journal()
+        # Crash: the old image is untouched and the journal survives.
+        journal.dump(tmp_path / "wal.log")
+        reopened = load_database(tmp_path, in_memory=True, wal=True)
+        assert reopened.lfm.device.recovery.replayed_txn_ids == [1]
+        assert reopened.lfm.read(reopened.lfm.handle(1)) == PAYLOAD_A

