@@ -81,7 +81,6 @@ RANKS = {
     "wal.stats": 50,
     "db.stats": 55,
     "obs.digest": 60,
-    "obs.slo": 62,
 }
 
 #: every unranked (leaf) mutex sits below the whole hierarchy
@@ -103,7 +102,6 @@ LOCK_ATTRS = {
     ("SpatialIndex", "_lock"): "db.stats",  # its table's TableStats._lock
     ("VersionManager", "_lock"): "db.version",
     ("DigestTable", "_lock"): "obs.digest",
-    ("SloEngine", "_lock"): "obs.slo",
     # Condition variables (leaf rank; named so `with self._cond:` scopes
     # register as holding the guard for the state they protect)
     ("WorkerPool", "_cond"): "WorkerPool._cond",
@@ -125,7 +123,7 @@ MUTATORS = {
 _HIERARCHY_DOC = ("cluster.router -> cluster.link -> cluster.replica -> "
                   "db.rwlock -> txn -> db.version -> cache.latch -> "
                   "cache.lock -> wal.stats -> db.stats -> "
-                  "obs.digest -> obs.slo -> leaf mutexes")
+                  "obs.digest -> leaf mutexes")
 
 _GUARD_RE = re.compile(r"guarded_by:\s*([A-Za-z_]\w*)")
 
@@ -248,6 +246,9 @@ class _Analyzer:
             method, receiver = expr.func.attr, expr.func.value
             if method in ("read", "write") and _is_rwlock(receiver):
                 return ("db.rwlock", method)
+            if method == "_write_locked":
+                # Database._write_locked: the write side, its wait timed
+                return ("db.rwlock", "write")
             if method == "read_view":
                 # Database.read_view may fall back to the shared side
                 return ("db.rwlock", "read")

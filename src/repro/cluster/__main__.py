@@ -6,11 +6,10 @@ workload through the :class:`~repro.cluster.router.ShardRouter`, starts
 an admin endpoint on the router *and* on every shard, scrapes and
 validates each ``/metrics`` page with :func:`repro.obs.promtext.parse`,
 prints a summary, and exits 0 — exactly what the CI cluster smoke job
-runs.  The router scrape also exercises the PR 10 observability plane:
-the federated ``/metrics`` page (counter sums re-checked against the
-per-node registries), ``/cluster/healthz``, ``/digests``, and
-``/alerts``.  ``--serve`` keeps the endpoints up for interactive
-poking; see OPERATIONS.md for the runbook.
+runs.  The router scrape also exercises the fleet views: the federated
+``/metrics`` page (counter sums re-checked against each node registry's
+own page), ``/cluster/healthz`` and ``/digests``.  ``--serve`` keeps the
+endpoints up for interactive poking; see OPERATIONS.md for the runbook.
 """
 
 from __future__ import annotations
@@ -61,14 +60,14 @@ def _check_observability_plane(cluster, router_admin, replicas: bool) -> None:
 
     Raises :class:`SystemExit` on any mismatch so the CI smoke job fails
     loudly: the federated counter totals must equal the re-summed
-    per-node scrapes, ``/cluster/healthz`` must report every shard up
-    (replica attached when shipping), ``/digests`` must account the
-    routed statements, and ``/alerts`` must serve the SLO engine state.
+    per-node pages, ``/cluster/healthz`` must report every shard up
+    (replica attached when shipping), and ``/digests`` must account the
+    routed statements.
     """
     fed_families = promtext.parse(_scrape(router_admin.url + "/metrics"))
     per_node = [
-        promtext.parse(target.scrape())
-        for target in cluster.router.scrape_targets()
+        promtext.parse(promtext.render(registry))
+        for _, registry in cluster.router.node_registries()
     ]
 
     def _counter_total(families, family: str) -> float:
@@ -106,14 +105,6 @@ def _check_observability_plane(cluster, router_admin, replicas: bool) -> None:
     print(f"digests: {len(digests)} classes, busiest "
           f"{busiest['statement'][:48]!r} x{busiest['calls']}", flush=True)
 
-    alerts = _scrape(router_admin.url + "/alerts")
-    for key in ("active", "history", "objectives", "ticks"):
-        if key not in alerts:
-            raise SystemExit(f"/alerts lacks {key!r}: {alerts!r}")
-    print(f"alerts: {len(alerts['active'])} active, "
-          f"{len(alerts['objectives'])} objectives, "
-          f"ticks={alerts['ticks']}", flush=True)
-
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
@@ -145,7 +136,6 @@ def main(argv: list[str] | None = None) -> int:
         replicate=bool(args.replicas),
     )
     try:
-        cluster.router.enable_slo()  # /alerts evaluates the federated fleet
         router_admin = cluster.router.start_admin(port=args.port)
         print(f"router admin: {router_admin.url}", flush=True)
         shard_admins = []

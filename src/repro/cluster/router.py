@@ -59,7 +59,7 @@ from repro.db.sql.prepared import Prepared
 from repro.errors import ClusterError, ShardUnavailableError
 from repro.medical.server import MedicalServer
 from repro.net.rpc import RpcChannel
-from repro.obs import metrics, trace
+from repro.obs import metrics, promtext, trace
 from repro.regions.region import Region
 from repro.storage.lfm import LongField
 
@@ -92,9 +92,6 @@ class ShardRouter:
         #: the router's own node registry for metrics federation; routing
         #: work (plan/gather/merge on the caller thread) tees here
         self.registry = metrics.MetricsRegistry()
-        #: the cluster's SLO engine, once :meth:`enable_slo` installs one
-        #: (the admin endpoint's /alerts prefers it over the process one)
-        self.slo = None
         # Router state lock: outermost in the declared hierarchy, and
         # NEVER held across a shard call (legs run lock-free).
         self._lock = lockdep.instrument(threading.Lock(), "cluster.router")
@@ -348,35 +345,21 @@ class ShardRouter:
                 snapshot.append({**entry, "shard": shard.shard_id})
         return snapshot
 
-    def scrape_targets(self) -> list:
-        """Every federated node: the router, each primary, each replica.
-
-        In-process targets today; each is just labels plus a scrape
-        callable, so HTTP-backed targets slot in when shards move out of
-        process.
-        """
-        from repro.obs import federation
-
-        targets = [federation.in_process_target(
-            "router", self.registry, role="router")]
+    def node_registries(self) -> list[tuple[dict, "metrics.MetricsRegistry"]]:
+        """``(identity labels, registry)`` of every node: the router, each
+        shard primary, each attached replica."""
+        nodes = [({"role": "router"}, self.registry)]
         for shard in self.shards:
-            registry = getattr(shard.server, "node_registry", None)
-            if registry is not None:
-                targets.append(federation.in_process_target(
-                    f"shard-{shard.shard_id}", registry,
-                    shard=str(shard.shard_id), role="primary"))
-            replica = shard.replica
-            if replica is not None:
-                targets.append(federation.in_process_target(
-                    f"shard-{shard.shard_id}-replica", replica.registry,
-                    shard=str(shard.shard_id), role="replica"))
-        return targets
+            if shard.node_registry is not None:
+                nodes.append((shard.node_labels, shard.node_registry))
+            if shard.replica is not None:
+                nodes.append(({"shard": str(shard.shard_id),
+                               "role": "replica"}, shard.replica.registry))
+        return nodes
 
     def federated_metrics(self) -> str:
         """The fleet as one Prometheus page (served at the router /metrics)."""
-        from repro.obs import federation
-
-        return federation.federate(self.scrape_targets())
+        return promtext.render_merged(self.node_registries())
 
     def cluster_health(self) -> dict:
         """The machine-readable fleet rollup served at /cluster/healthz.
@@ -425,27 +408,6 @@ class ShardRouter:
             "shard_errors": counters.get("cluster.shard_errors", 0),
             "broadcasts": counters.get("cluster.broadcasts", 0),
         }
-
-    def enable_slo(self, objectives=None, clock=None):
-        """Install an SLO engine evaluating over the federated registry.
-
-        The engine's snapshot source is :func:`repro.obs.federation.
-        federated_snapshot` over this router's scrape targets; the admin
-        endpoint's ``/alerts`` ticks and serves it.  ``objectives``
-        defaults to the stock fleet set; ``clock`` is injectable for
-        fake-clock tests.  Returns the engine.
-        """
-        from repro.obs import federation, slo
-
-        engine = slo.SloEngine(
-            objectives if objectives is not None
-            else slo.default_objectives(),
-            source=lambda: federation.federated_snapshot(
-                self.scrape_targets()),
-            clock=clock,
-        )
-        self.slo = engine
-        return engine
 
     def start_admin(self, host: str = "127.0.0.1", port: int = 0):
         """Start the router's own admin endpoint (cluster-wide views)."""

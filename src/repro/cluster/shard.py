@@ -63,8 +63,8 @@ class Shard:
         """The shard primary's per-node metrics registry (may be None).
 
         Populated by the scoped-registry tee while the shard's server
-        executes legs; the router's federation scrapes it as the
-        ``shard=<id>,role="primary"`` target.
+        executes legs; the router's fleet page merges it in as the
+        ``shard=<id>,role="primary"`` node.
         """
         return self.server.node_registry
 

@@ -73,7 +73,6 @@ DEFAULT_RANKS = {
     "wal.stats": 50,
     "db.stats": 55,
     "obs.digest": 60,
-    "obs.slo": 62,
 }
 
 _ENABLED = os.environ.get("REPRO_LOCKDEP", "") not in ("", "0")

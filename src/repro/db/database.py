@@ -45,7 +45,20 @@ _STMT_MEMO_CAPACITY = 256
 
 def _compile(sql: str) -> Prepared:
     """Statement text to a fresh, unbound :class:`Prepared` (the parse)."""
-    return Prepared(sql, parse(sql))
+    was = recorder.enter("db.sql")
+    try:
+        return Prepared(sql, parse(sql))
+    finally:
+        recorder.leave(was)
+
+
+def _check(prepared: Prepared, catalog, registry: FunctionRegistry) -> None:
+    """The semantic check of one statement (its ``db.semantic`` time)."""
+    was = recorder.enter("db.semantic")
+    try:
+        check(prepared.ast, catalog, registry)
+    finally:
+        recorder.leave(was)
 
 
 @dataclass
@@ -267,7 +280,28 @@ class Database:
         ``@guarded_by``; the runtime lockdep witness still sees every
         acquisition order.
         """
-        self._versions.publish(self.catalog, self.lfm)
+        was = recorder.enter("db.mvcc")
+        try:
+            self._versions.publish(self.catalog, self.lfm)
+        finally:
+            recorder.leave(was)
+
+    @contextmanager
+    def _write_locked(self):
+        """Hold the exclusive side of :attr:`rwlock`; the wait for it is
+        the running statement's ``lock_wait``."""
+        self._acquire_write()
+        try:
+            yield
+        finally:
+            self._rwlock.release_write()
+
+    def _acquire_write(self) -> None:
+        was = recorder.enter("lock_wait")
+        try:
+            self._rwlock.acquire_write()
+        finally:
+            recorder.leave(was)
 
     def prepare(self, sql: str) -> tuple[Prepared, bool]:
         """The memoized :class:`Prepared` of one statement text, and
@@ -306,12 +340,12 @@ class Database:
         """
         functions = None if ad_hoc else registry.stamp(prepared.funcs)
         if functions is None:
-            check(prepared.ast, catalog, registry)
+            _check(prepared, catalog, registry)
             return None, {}
         stamp = (functions, *catalog.stamp_of(prepared.tables))
         bound = prepared.bound
         if bound is None or bound.stamp != stamp:
-            check(prepared.ast, catalog, registry)
+            _check(prepared, catalog, registry)
             bound = prepared.bound = Bound(stamp, {})
         return bound, dict(bound.plans)
 
@@ -389,7 +423,7 @@ class Database:
                       else nullcontext(view)) as view:
                     return self._run(prepared, params, registry, mode, rec,
                                      view.catalog, view.lfm, ad_hoc)
-            with self._rwlock.write():
+            with self._write_locked():
                 result = self._run(prepared, params, registry, mode, rec,
                                    self.catalog, self.lfm, ad_hoc)
                 if self._txn_nesting == 0:
@@ -450,16 +484,23 @@ class Database:
 
     def executemany(self, sql: str, param_rows: list[list]) -> int:
         """Run one parameterized statement repeatedly; returns total rowcount."""
-        prepared, _ = self.prepare(sql)
-        if prepared.is_read:
-            with self.read_view() as view:
-                return self._run_many(prepared, param_rows, view.catalog,
-                                      view.lfm)
-        with self._rwlock.write():
-            total = self._run_many(prepared, param_rows, self.catalog,
-                                   self.lfm)
-            if self._txn_nesting == 0:
-                self._publish_version()
+        with recorder.statement(sql,
+                                trace_id=trace.current_trace_id()) as rec:
+            prepared, _ = self.prepare(sql)
+            if rec.active:
+                rec.note(kind=prepared.kind, shape=prepared.shape,
+                         digest=prepared.digest)
+            if prepared.is_read:
+                with self.read_view() as view:
+                    total = self._run_many(prepared, param_rows,
+                                           view.catalog, view.lfm)
+            else:
+                with self._write_locked():
+                    total = self._run_many(prepared, param_rows,
+                                           self.catalog, self.lfm)
+                    if self._txn_nesting == 0:
+                        self._publish_version()
+            rec.note(rows=total)
         return total
 
     def _run_many(self, prepared: Prepared, param_rows: list[list], catalog,
@@ -537,7 +578,7 @@ class Database:
         # Replication ships after the unlock: its link lock ranks outside
         # this one, and its envelope reads the version published below.
         with getattr(device, "shipping_deferred", nullcontext)():
-            self._rwlock.acquire_write()
+            self._acquire_write()
             self._txn_nesting += 1
             published = None
             try:

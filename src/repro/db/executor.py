@@ -48,7 +48,7 @@ from repro.db.sql.ast import (
 )
 from repro.db.types import SqlType
 from repro.errors import CatalogError, ExecutionError, SqlTypeError
-from repro.obs import metrics, trace
+from repro.obs import metrics, recorder, trace
 from repro.regions.region import Region
 
 __all__ = ["ResultSet", "Executor"]
@@ -470,8 +470,12 @@ class Executor:
             check(stmt, self.catalog, self.functions)
             ctx.analyzed = True
         metrics.counter("executor.statements").inc()
-        with trace.span("executor.statement", statement=type(stmt).__name__):
-            return self._dispatch(stmt, params, ctx)
+        was = recorder.enter("db.executor")
+        try:
+            with trace.span("executor.statement", statement=type(stmt).__name__):
+                return self._dispatch(stmt, params, ctx)
+        finally:
+            recorder.leave(was)
 
     def _dispatch(self, stmt: Statement, params: list, ctx: ExecutionContext) -> ResultSet:
         if isinstance(stmt, Select):
@@ -865,7 +869,12 @@ class Executor:
                 for scope in reversed(scopes):  # inner scope wins
                     for binding, schema in scope:
                         outer.setdefault(binding, schema)
-            plan = plan_select(select, self.catalog, outer, mode=ctx.planner_mode)
+            was = recorder.enter("db.planner")
+            try:
+                plan = plan_select(select, self.catalog, outer,
+                                   mode=ctx.planner_mode)
+            finally:
+                recorder.leave(was)
             plan.program = _compile_select(plan, self.catalog, scopes)
             return plan
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.db.types import SqlType
 from repro.errors import CatalogError, ExecutionError
+from repro.obs import recorder
 from repro.storage.lfm import LongField, LongFieldManager
 
 __all__ = [
@@ -236,6 +237,7 @@ class FunctionRegistry:
         except KeyError:
             raise CatalogError(f"no such function {name!r}") from None
         ctx.work.udf_calls += 1
+        was = recorder.enter("db.functions")
         try:
             if wants_ctx:
                 return fn(ctx, *args)
@@ -246,6 +248,8 @@ class FunctionRegistry:
         # ways, and every failure must surface as one ExecutionError.
         except Exception as exc:  # qblint: disable=no-broad-except
             raise ExecutionError(f"function {name}() failed: {exc}") from exc
+        finally:
+            recorder.leave(was)
 
     def names(self) -> list[str]:
         """All registered function names, sorted."""

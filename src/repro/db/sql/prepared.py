@@ -39,6 +39,7 @@ from repro.db.sql.ast import (
     TableRef,
 )
 from repro.db.sql.unparse import unparse
+from repro.obs import recorder
 from repro.obs.digest import fingerprint
 
 __all__ = ["Bound", "Prepared"]
@@ -110,12 +111,19 @@ class Prepared:
     @cached_property
     def canonical(self) -> str:
         """The unparsed tree: one text per AST, whatever the formatting."""
-        return unparse(self.ast)
+        return self._unparsed(True)
 
     @cached_property
     def shape(self) -> str:
         """The canonical text with every constant printed as ``?``."""
-        return unparse(self.ast, literals=False)
+        return self._unparsed(False)
+
+    def _unparsed(self, literals: bool) -> str:
+        was = recorder.enter("db.sql")
+        try:
+            return unparse(self.ast, literals=literals)
+        finally:
+            recorder.leave(was)
 
     @cached_property
     def digest(self) -> str:

@@ -14,7 +14,7 @@ import threading
 from typing import NamedTuple
 
 from repro.errors import ValidationError
-from repro.obs import metrics, trace
+from repro.obs import metrics, recorder, trace
 
 __all__ = ["RpcChannel", "TransferRecord"]
 
@@ -61,23 +61,27 @@ class RpcChannel:
         nbytes = payload if isinstance(payload, int) else len(payload)
         if nbytes < 0:
             raise ValidationError("payload size must be non-negative")
-        record = TransferRecord(
-            nbytes, -(-nbytes // self.chunk_size), self.control_messages_per_call,
-            trace_id if trace_id is not None else trace.current_trace_id())
-        messages = record.messages
-        with self._lock:
-            self.total_bytes += nbytes
-            self.total_messages += messages
-            self.total_calls += 1
-        metrics.counter("rpc.calls").inc()
-        metrics.counter("rpc.messages").inc(messages)
-        metrics.counter("rpc.bytes").inc(nbytes)
-        if trace.is_enabled():
-            with trace.span("rpc.send", messages=messages, bytes=nbytes) as sp:
-                sp.set_sim_seconds(
-                    trace.get_tracer().cost_model.network_seconds(record)
-                )
-        return record
+        was = recorder.enter("net")
+        try:
+            record = TransferRecord(
+                nbytes, -(-nbytes // self.chunk_size), self.control_messages_per_call,
+                trace_id if trace_id is not None else trace.current_trace_id())
+            messages = record.messages
+            with self._lock:
+                self.total_bytes += nbytes
+                self.total_messages += messages
+                self.total_calls += 1
+            metrics.counter("rpc.calls").inc()
+            metrics.counter("rpc.messages").inc(messages)
+            metrics.counter("rpc.bytes").inc(nbytes)
+            if trace.is_enabled():
+                with trace.span("rpc.send", messages=messages, bytes=nbytes) as sp:
+                    sp.set_sim_seconds(
+                        trace.get_tracer().cost_model.network_seconds(record)
+                    )
+            return record
+        finally:
+            recorder.leave(was)
 
     def reset(self) -> None:
         """Zero the cumulative traffic counters."""

@@ -10,14 +10,16 @@ parsed the statement derived them from the tree it already held
 (:class:`repro.db.sql.Prepared`), so nothing here parses SQL.  ``SELECT v
 FROM t WHERE s = 'pet1'`` and ``... = 'pet2'`` therefore share one digest
 row carrying calls, errors, rows, page I/O, cache-hit rate, a latency
-histogram, and per-shard call counts (cluster legs tag their records with
-the serving shard).
+histogram, the class's mean time per phase (the record's split of its wall
+time, :data:`repro.obs.recorder.PHASES`), and per-shard call counts
+(cluster legs tag their records with the serving shard).
 
 The table is process-wide and bounded (top-K by calls, cold rows evicted),
 exposed at the admin endpoint's ``/digests`` and embedded in flight-
 recorder incident reports.  A record without a shape — its text never
 parsed — is filed under its whitespace-collapsed text, so syntax errors
-are attributed too.
+are attributed too (and the record is given that row's digest id, so it
+joins like any other).
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class DigestEntry:
 
     __slots__ = ("digest", "statement", "calls", "errors", "rows",
                  "pages_read", "pages_written", "cache_hits", "latency",
-                 "shards", "last_seen_unix")
+                 "phases", "shards", "last_seen_unix")
 
     def __init__(self, digest: str, statement: str):
         self.digest = digest
@@ -67,6 +69,7 @@ class DigestEntry:
         self.pages_written = 0   # qblint: disable=no-direct-iostats-mutation
         self.cache_hits = 0
         self.latency = metrics.Histogram(f"digest.{digest}")
+        self.phases: dict[str, float] = {}  #: total seconds per phase
         self.shards: dict[str, int] = {}
         self.last_seen_unix = 0.0
 
@@ -87,6 +90,8 @@ class DigestEntry:
             "p95_ms": round(latency["p95"] * 1e3, 3),
             "p99_ms": round(latency["p99"] * 1e3, 3),
             "total_seconds": round(latency["sum"], 6),
+            "phase_mean_ms": {name: round(seconds / self.calls * 1e3, 3)
+                              for name, seconds in self.phases.items()},
             "shards": dict(sorted(self.shards.items())),
             "last_seen_unix": self.last_seen_unix,
         }
@@ -119,7 +124,7 @@ class DigestTable:
         shape = getattr(record, "shape", None)
         if shape is None:
             shape = _WS_RE.sub(" ", record.sql).strip()
-            digest = fingerprint(shape)
+            digest = record.digest = fingerprint(shape)
         else:
             digest = record.digest
         with self._lock:
@@ -138,6 +143,8 @@ class DigestTable:
             entry.pages_written += record.pages_written # qblint: disable=no-direct-iostats-mutation
             if record.cache_hit:
                 entry.cache_hits += 1
+            for name, seconds in record.phases.items():
+                entry.phases[name] = entry.phases.get(name, 0.0) + seconds
             shard = getattr(record, "shard", None)
             if shard is not None:
                 entry.shards[shard] = entry.shards.get(shard, 0) + 1
@@ -163,12 +170,6 @@ class DigestTable:
             entries = list(self._entries.values())
         entries.sort(key=lambda e: (-e.calls, -e.latency.total, e.digest))
         return [e.to_dict() for e in entries[:max(0, n)]]
-
-    def get(self, digest: str) -> dict | None:
-        """One row by digest id, or None."""
-        with self._lock:
-            entry = self._entries.get(digest)
-        return entry.to_dict() if entry is not None else None
 
     def __len__(self) -> int:
         with self._lock:

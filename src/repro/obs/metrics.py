@@ -9,13 +9,12 @@ Metrics are plain Python attribute updates on the side of the real
 counters — they never touch :class:`~repro.storage.device.IOStats`, so the
 paper-facing I/O accounting is unaffected by their presence (qblint's
 ``no-direct-iostats-mutation`` rule enforces the direction of that data
-flow).  Exporters: :meth:`MetricsRegistry.render_text` (one ``name value``
-line per metric) and :meth:`MetricsRegistry.render_json`.
+flow).  Exporters: :meth:`MetricsRegistry.snapshot` (a JSON-ready dict) and
+:func:`repro.obs.promtext.render` (Prometheus text).
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from contextlib import contextmanager
 
@@ -303,24 +302,6 @@ class MetricsRegistry:
             if metric is not None:
                 out[metric.kind + "s"][name] = metric.export()
         return out
-
-    def render_text(self) -> str:
-        """One ``name value`` line per metric (histograms one line per stat)."""
-        lines: list[str] = []
-        for name in self.names():
-            metric = self._metrics[name]
-            if isinstance(metric, Histogram):
-                exported = metric.export()
-                for stat in ("count", "sum", "mean", "min", "max",
-                             "p50", "p95", "p99"):
-                    lines.append(f"{name}.{stat} {exported[stat]}")
-            else:
-                lines.append(f"{name} {metric.export()}")
-        return "\n".join(lines)
-
-    def render_json(self, indent: int | None = None) -> str:
-        """The snapshot as a JSON document."""
-        return json.dumps(self.snapshot(), indent=indent)
 
     def reset(self) -> None:
         """Forget every metric (registrations included)."""

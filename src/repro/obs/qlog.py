@@ -8,9 +8,11 @@ one self-describing event per line, the format every log shipper speaks.
 Two modes:
 
 * **full** — every statement is logged (`slow_only=False`);
-* **slow-query log** — only statements at or above ``slow_threshold``
-  wall seconds are written, the classic production posture where the log
-  stays quiet until something is worth looking at.
+* **slow-query log** — only statements the flight recorder found slow
+  (its ``slow_threshold_seconds``, the same line that raises a
+  ``query.slow`` incident) or that raised are written, the classic
+  production posture where the log stays quiet until something is worth
+  looking at.
 
 The log is off by default and costs one flag check per statement while
 closed.  Writes are serialized by a mutex and flushed per line so an
@@ -23,9 +25,7 @@ import json
 import threading
 from pathlib import Path
 
-from repro.errors import ValidationError
-
-__all__ = ["QueryLog", "get_query_log", "enable", "disable", "is_enabled"]
+__all__ = ["QueryLog", "get_query_log", "enable", "disable"]
 
 
 class QueryLog:
@@ -36,7 +36,6 @@ class QueryLog:
         self._lock = threading.Lock()
         self.path: Path | None = None
         self.slow_only = False
-        self.slow_threshold = 1.0
         self.events_written = 0
 
     @property
@@ -44,15 +43,12 @@ class QueryLog:
         """Is a log file currently open?"""
         return self._fh is not None
 
-    def open(self, path, slow_only: bool = False,
-             slow_threshold: float = 1.0) -> Path:
+    def open(self, path, slow_only: bool = False) -> Path:
         """Start logging to ``path`` (parent directories are created).
 
         ``slow_only`` turns this into a slow-query log: only statements
-        whose wall time is >= ``slow_threshold`` seconds are written.
+        the recorder flags slow, or that raised, are written.
         """
-        if slow_threshold < 0:
-            raise ValidationError("slow-query threshold cannot be negative")
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         with self._lock:
@@ -61,25 +57,22 @@ class QueryLog:
             self._fh = open(path, "a", encoding="utf-8")
             self.path = path
             self.slow_only = slow_only
-            self.slow_threshold = slow_threshold
             self.events_written = 0  # counts events on the current file
         return path
 
-    def emit(self, record) -> bool:
+    def emit(self, record, slow: bool) -> bool:
         """Write one completed-statement event; returns True if written.
 
-        ``record`` is any object with ``to_dict()`` and ``wall_seconds``
-        (a :class:`~repro.obs.recorder.QueryRecord`).  Never raises on a
-        closed log — the serving path must not fail because logging is
-        off.
+        ``record`` is a :class:`~repro.obs.recorder.QueryRecord` and
+        ``slow`` the recorder's verdict on it.  Never raises on a closed
+        log — the serving path must not fail because logging is off.
         """
         fh = self._fh
         if fh is None:
             return False
-        slow = record.wall_seconds >= self.slow_threshold
         # Errors are always interesting: even a slow-only log records a
         # statement that raised, however fast it failed.
-        if self.slow_only and not slow and getattr(record, "ok", True):
+        if self.slow_only and not slow and record.ok:
             return False
         event = {"event": "query", "slow": slow}
         event.update(record.to_dict())
@@ -113,16 +106,11 @@ def get_query_log() -> QueryLog:
     return _QLOG
 
 
-def enable(path, slow_only: bool = False, slow_threshold: float = 1.0) -> Path:
+def enable(path, slow_only: bool = False) -> Path:
     """Open the process-wide query log at ``path``."""
-    return _QLOG.open(path, slow_only=slow_only, slow_threshold=slow_threshold)
+    return _QLOG.open(path, slow_only=slow_only)
 
 
 def disable() -> None:
     """Close the process-wide query log."""
     _QLOG.close()
-
-
-def is_enabled() -> bool:
-    """Is the process-wide query log open?"""
-    return _QLOG.enabled

@@ -1,21 +1,26 @@
 """Flight recorder: an always-on ring of recent statements plus incidents.
 
-The paper argues from *measured* I/O; a production service needs the same
-evidence available after the fact.  The :class:`FlightRecorder` keeps a
-bounded, lock-cheap ring buffer of completed-statement summaries
-(:class:`QueryRecord`: canonical SQL, session, rows, page I/Os, result
-cache hit, pool wait, wall time and the simulated 1994 time for the same
-I/O) and *dumps on trigger*: a statement slower than the configured
-threshold, a statement that raised, or a write-ahead-log recovery each
-produce a self-contained JSON **incident report** — the trigger, the ring
-contents at that moment, and a full metrics snapshot — which is what a
-human needs to debug a service they were not watching.
+The paper accounts for every second of a query (Table 3); a production
+service owes itself the same, after the fact.  The :class:`FlightRecorder`
+keeps a bounded ring of completed statements (:class:`QueryRecord`: SQL,
+digest, session, rows, page I/Os, cache hit, pool wait, wall time and
+where that wall time went) and *dumps on trigger*: a slow statement, one
+that raised, or a WAL recovery each produce a self-contained JSON
+**incident report** — the trigger, the ring and a metrics snapshot.
 
-Recording is on by default and deliberately cheap: one thread-local
-lookup to find the statement scope, one deque append under a mutex to
-retire it.  It never touches :class:`~repro.storage.device.IOStats`
-counters (it only copies deltas handed to it), so the Table 3/4 page
-accounting is bit-identical with the recorder on or off.
+Where the time went is a **phase cursor** on the statement scope: the
+scope is always in exactly one of :data:`PHASES` (the benchmark ledger's
+layer names plus ``lock_wait``), and every transition (:func:`enter` /
+:func:`leave`, around the calls the ledger brackets from outside) charges
+the time since the previous one to the phase being left — so the phases
+are exclusive and sum to the wall time by construction.  Time outside
+every bracket is the owner's: ``server`` for a served statement,
+``db.database`` for a direct one.
+
+Recording is on by default and cheap: one thread-local read finds the
+scope, one deque append retires it.  It never touches
+:class:`~repro.storage.device.IOStats` counters (it copies deltas handed
+to it), so the Table 3/4 page accounting is identical on or off.
 
 Nesting contract: the *outermost* scope on a thread owns the record.  The
 serving layer opens a scope on the thread running the statement (tagging
@@ -33,39 +38,40 @@ import json
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs import digest as digest_mod
 from repro.obs import metrics, qlog
 
 __all__ = [
+    "PHASES",
     "QueryRecord",
     "FlightRecorder",
     "get_recorder",
     "statement",
+    "enter",
+    "leave",
     "annotate",
     "incident",
-    "configure",
     "enable",
     "disable",
     "reset",
 ]
 
-_SECONDS_PER_PAGE_IO: float | None = None
+#: where a statement's wall time can go: the ledger's layer names
+#: (``benchmarks/ledger/tracing.py::LAYERS``) plus the write-lock wait
+PHASES = ("server", "db.database", "db.sql", "db.semantic", "db.planner",
+          "db.executor", "db.functions", "storage.lfm", "db.mvcc",
+          "storage.wal", "net", "lock_wait")
 
-#: sentinel for :meth:`FlightRecorder.configure` knobs left unchanged
-_KEEP = object()
 
-
-def _sim_seconds(pages: int) -> float:
-    """Simulated 1994 elapsed seconds for ``pages`` 4 KiB I/Os (lazy model)."""
-    global _SECONDS_PER_PAGE_IO
-    if _SECONDS_PER_PAGE_IO is None:
-        from repro.net.costmodel import CostModel1994
-
-        _SECONDS_PER_PAGE_IO = CostModel1994().seconds_per_page_io
-    return _SECONDS_PER_PAGE_IO * pages
+def _short_repr(value) -> str:
+    """At most 80 characters of ``repr(value)``, without building the
+    repr of a multi-megabyte string or blob first."""
+    if isinstance(value, (str, bytes, bytearray)):
+        value = value[:80]
+    return repr(value)[:80]
 
 
 @dataclass
@@ -85,7 +91,8 @@ class QueryRecord:
     cache_hit: bool = False          #: served from the result cache
     pool_wait_seconds: float = 0.0   #: admission-queue time (served only)
     wall_seconds: float = 0.0
-    sim_seconds_1994: float = 0.0
+    #: exclusive seconds per :data:`PHASES` name; sums to ``wall_seconds``
+    phases: dict = field(default_factory=dict)
     started_unix: float = 0.0        #: wall-clock start (epoch seconds)
     params: tuple = ()               #: reprs of bound parameters, truncated
     shard: str | None = None         #: serving shard id (cluster legs only)
@@ -98,6 +105,7 @@ class QueryRecord:
         """The record as a JSON-ready dict (stable key set)."""
         return {
             "sql": self.sql,
+            "digest": self.digest,
             "trace_id": self.trace_id,
             "session": self.session,
             "shard": self.shard,
@@ -111,7 +119,8 @@ class QueryRecord:
             "cache_hit": self.cache_hit,
             "pool_wait_ms": round(self.pool_wait_seconds * 1e3, 3),
             "wall_ms": round(self.wall_seconds * 1e3, 3),
-            "sim_seconds_1994": round(self.sim_seconds_1994, 4),
+            "phases_ms": {name: round(seconds * 1e3, 3)
+                          for name, seconds in self.phases.items() if seconds},
             "started_unix": self.started_unix,
             "params": list(self.params),
         }
@@ -135,14 +144,36 @@ class _NoopScope:
 
 _NOOP_SCOPE = _NoopScope()
 
-#: per-thread active statement scope (the outermost owns the record)
-_ACTIVE = threading.local()
+
+class _Active(threading.local):
+    """This thread's innermost owning statement scope; the class default
+    makes "no statement open" one attribute read."""
+
+    scope: "_StatementScope | None" = None
+
+
+_ACTIVE = _Active()
+
+
+def enter(name: str) -> str | None:
+    """Move this thread's open statement into phase ``name`` (one of
+    :data:`PHASES`); returns the phase it was in, for :func:`leave` —
+    ``None``, and nothing done, when no statement is open."""
+    scope = _ACTIVE.scope
+    return None if scope is None else scope.switch(name)
+
+
+def leave(was: str | None) -> None:
+    """Move the statement back to the phase :func:`enter` returned."""
+    if was is not None:
+        _ACTIVE.scope.switch(was)
 
 
 class _StatementScope:
     """Context manager covering one statement; the outermost scope emits."""
 
-    __slots__ = ("_recorder", "_root", "_outer", "_start", "record")
+    __slots__ = ("_recorder", "_root", "_outer", "_start", "_phase", "_mark",
+                 "record")
 
     active = True
 
@@ -150,8 +181,20 @@ class _StatementScope:
                  session: str | None, trace_id: str | None, own: bool):
         self._recorder = recorder
         self._root = own
+        # What no bracket claims is the owner's: the serving layer opens
+        # its scopes with ``own``, Database.execute does not.
+        self._phase = "server" if own else "db.database"
         self.record = QueryRecord(sql=sql, session=session,
                                   trace_id=trace_id)
+
+    def switch(self, name: str) -> str:
+        """Charge the time since the last transition to the phase being
+        left and make ``name`` current; returns the phase left."""
+        now = time.perf_counter()
+        was, phases = self._phase, self.record.phases
+        phases[was] = phases.get(was, 0.0) + now - self._mark
+        self._phase, self._mark = name, now
+        return was
 
     def note(self, *, rows: int | None = None, io=None,
              cache_hit: bool | None = None,
@@ -164,7 +207,7 @@ class _StatementScope:
         ``io`` is an :class:`~repro.storage.device.IOStats` delta; only
         its counters are copied, the object is never mutated.
         """
-        target = getattr(_ACTIVE, "scope", None)
+        target = _ACTIVE.scope
         record = target.record if target is not None else self.record
         if rows is not None:
             record.rows = rows
@@ -181,32 +224,34 @@ class _StatementScope:
         if kind is not None:
             record.kind = kind
         if params is not None:
-            record.params = tuple(repr(p)[:80] for p in params)
+            record.params = tuple(_short_repr(p) for p in params)
         if shard is not None:
             record.shard = shard
         if shape is not None:
             record.shape, record.digest = shape, digest
 
     def __enter__(self) -> "_StatementScope":
-        # Nested under the serving layer's scope, this one owns nothing:
-        # its notes land on the outer record.
-        self._outer = getattr(_ACTIVE, "scope", None)
+        self._outer = _ACTIVE.scope
         if self._root or self._outer is None:
             self._root = True
             _ACTIVE.scope = self
             self.record.started_unix = time.time()
-            self._start = time.perf_counter()
+            self._start = self._mark = time.perf_counter()
+        else:
+            # Nested under the serving layer's scope, this one owns
+            # nothing: its notes and its time land on the outer record,
+            # and ``_phase`` keeps the outer phase to go back to.
+            self._phase = self._outer.switch(self._phase)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         if not self._root:
+            self._outer.switch(self._phase)
             return False
         _ACTIVE.scope = self._outer
         record = self.record
-        record.wall_seconds = time.perf_counter() - self._start
-        record.sim_seconds_1994 = _sim_seconds(
-            record.pages_read + record.pages_written
-        )
+        self.switch(self._phase)  # the tail, and the clock reading it ends on
+        record.wall_seconds = self._mark - self._start
         if exc is not None:
             record.ok = False
             record.error = f"{type(exc).__name__}: {exc}"
@@ -224,7 +269,8 @@ class FlightRecorder:
         self._incidents: deque[dict] = deque(maxlen=incident_capacity)
         self._lock = threading.Lock()
         self._seq = itertools.count(1)
-        #: wall-seconds threshold for the slow-query trigger (None = off)
+        #: wall seconds at which a statement is slow — a ``query.slow``
+        #: incident and a line in a slow-only query log (None = never)
         self.slow_threshold_seconds: float | None = None
         #: when set, every incident is also written here as a JSON file
         self.incident_dir: Path | None = None
@@ -256,13 +302,14 @@ class FlightRecorder:
         metrics.counter("recorder.records").inc()
         if not record.ok:
             metrics.counter("recorder.errors").inc()
-        # Statement-digest accounting rides the same chokepoint.
+        # Digest table and query log are sinks of the same record.
         digest_mod.observe(record)
-        qlog.get_query_log().emit(record)
+        threshold = self.slow_threshold_seconds
+        slow = threshold is not None and record.wall_seconds >= threshold
+        qlog.get_query_log().emit(record, slow)
         if not record.ok:
             self.incident("query.error", trigger=record.to_dict())
-        elif (self.slow_threshold_seconds is not None
-              and record.wall_seconds >= self.slow_threshold_seconds):
+        elif slow:
             self.incident("query.slow", trigger=record.to_dict())
 
     def recent(self, n: int = 50) -> list[QueryRecord]:
@@ -312,20 +359,14 @@ class FlightRecorder:
     # lifecycle
     # ------------------------------------------------------------------ #
 
-    def configure(self, *, slow_threshold_seconds=_KEEP, incident_dir=_KEEP,
-                  capacity: int | None = None) -> None:
-        """Adjust triggers and sizing (omitted knobs keep their value)."""
-        if slow_threshold_seconds is not _KEEP:
-            self.slow_threshold_seconds = slow_threshold_seconds
-        if incident_dir is not _KEEP:
-            self.incident_dir = Path(incident_dir) if incident_dir else None
-        if capacity is not None and capacity != self.capacity:
-            with self._lock:
-                self.capacity = capacity
-                self._ring = deque(self._ring, maxlen=capacity)
+    def resize(self, capacity: int) -> None:
+        """Change how many records the ring keeps (the newest survive)."""
+        with self._lock:
+            self.capacity = capacity
+            self._ring = deque(self._ring, maxlen=capacity)
 
     def reset(self) -> None:
-        """Drop records and incidents (configuration is untouched)."""
+        """Drop records and incidents (thresholds and sizing are untouched)."""
         with self._lock:
             self._ring.clear()
             self._incidents.clear()
@@ -357,7 +398,7 @@ def annotate(**fields) -> None:
     Lets layers without a scope handle (the result cache's hit path, the
     RPC channel) contribute fields; a no-op when no statement is open.
     """
-    scope = getattr(_ACTIVE, "scope", None)
+    scope = _ACTIVE.scope
     if scope is not None:
         scope.note(**fields)
 
@@ -365,11 +406,6 @@ def annotate(**fields) -> None:
 def incident(reason: str, trigger: dict | None = None) -> dict:
     """Emit an incident report on the process-wide recorder."""
     return _RECORDER.incident(reason, trigger=trigger)
-
-
-def configure(**kwargs) -> None:
-    """Configure the process-wide recorder (see :meth:`FlightRecorder.configure`)."""
-    _RECORDER.configure(**kwargs)
 
 
 def enable() -> FlightRecorder:

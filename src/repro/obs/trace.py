@@ -51,7 +51,6 @@ __all__ = [
     "Tracer",
     "get_tracer",
     "span",
-    "synthetic",
     "enable",
     "disable",
     "is_enabled",
@@ -106,8 +105,8 @@ class SpanRecord:
     name: str
     depth: int
     wall_seconds: float = 0.0
-    #: ``time.perf_counter()`` at span open — timeline position for trace
-    #: export; only deltas between spans of one capture are meaningful
+    #: ``time.perf_counter()`` at span open — timeline position; only
+    #: deltas between spans of one capture are meaningful
     start_perf: float = 0.0
     #: CostModel1994 elapsed time for the work this span covered
     sim_seconds: float = 0.0
@@ -132,6 +131,22 @@ class SpanRecord:
             )
         parts.extend(f"{k}={v}" for k, v in self.meta.items())
         return "  ".join(parts)
+
+    def to_dict(self, origin: float = 0.0) -> dict:
+        """The span as a JSON-ready dict; ``start_us`` counts from
+        ``origin`` (a ``start_perf`` reading, e.g. the trace's first)."""
+        return {
+            "trace_id": self.trace_id,
+            "span_id": self.span_id,
+            "parent_id": self.parent_id,
+            "name": self.name,
+            "start_us": round((self.start_perf - origin) * 1e6, 3),
+            "wall_us": round(self.wall_seconds * 1e6, 3),
+            "pages_read": self.io.pages_read if self.io is not None else None,
+            "pages_written": (self.io.pages_written
+                              if self.io is not None else None),
+            "meta": {str(k): v for k, v in self.meta.items()},
+        }
 
 
 class _NoopSpan:
@@ -275,40 +290,6 @@ class Tracer:
             return _NOOP
         return _Span(self, name, io, meta)
 
-    def synthetic(self, name: str, *, start_perf: float,
-                  wall_seconds: float, **meta) -> SpanRecord | None:
-        """Record an already-completed span at this thread's position.
-
-        For phases whose extent is only known after the fact — e.g. the
-        worker-pool queue wait that *preceded* the thread picking the
-        statement up.  The record parents exactly like a span opened here
-        (enclosing span, else adopted context, else a fresh root) but is
-        appended closed, with the caller-supplied timing.  Returns the
-        record, or ``None`` while tracing is disabled.
-        """
-        if not self.enabled:
-            return None
-        local = self._local
-        ctx = local.ctx
-        record = SpanRecord(name=name, depth=0, meta=meta,
-                            wall_seconds=float(wall_seconds),
-                            start_perf=float(start_perf))
-        record.span_id = next(_SPAN_IDS)
-        if local.stack:
-            record.parent_id = local.stack[-1]
-            record.trace_id = local.trace_id
-        elif ctx is not None:
-            record.parent_id = ctx.span_id
-            record.trace_id = ctx.trace_id
-        else:
-            record.trace_id = new_trace_id()
-        record.depth = local.depth + (ctx.depth if ctx is not None else 0)
-        if ctx is not None and ctx.session is not None:
-            record.meta.setdefault("session", ctx.session)
-        with self._lock:
-            self.records.append(record)
-        return record
-
     def current_context(self, session: str | None = None) -> TraceContext | None:
         """This thread's position, as a portable :class:`TraceContext`.
 
@@ -374,13 +355,6 @@ def get_tracer() -> Tracer:
 def span(name: str, io=None, **meta):
     """Open a span on the process-wide tracer (no-op while disabled)."""
     return _TRACER.span(name, io=io, **meta)
-
-
-def synthetic(name: str, *, start_perf: float, wall_seconds: float,
-              **meta) -> SpanRecord | None:
-    """Record a completed span on the process-wide tracer (None if off)."""
-    return _TRACER.synthetic(name, start_perf=start_perf,
-                             wall_seconds=wall_seconds, **meta)
 
 
 def enable() -> Tracer:

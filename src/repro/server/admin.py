@@ -10,21 +10,22 @@ whole observability stack over plain HTTP GETs:
   (:mod:`repro.obs.promtext`), histogram buckets and p50/p95/p99
   included — the line a real scrape job would hit;
 * ``/sessions`` — every open session (name, id, statements issued);
-* ``/queries/recent?n=50`` — the flight recorder's newest records;
+* ``/queries/recent?n=50`` — the flight recorder's newest records, each
+  with its ``digest`` and its wall time split by phase (``phases_ms``);
 * ``/incidents`` — the retained incident reports;
 * ``/digests?n=50`` — the statement-digest table's busiest rows
-  (pg_stat_statements-style per-query-class accounting);
-* ``/alerts`` — the SLO engine's active/recent burn-rate alerts (each
-  scrape also ticks the engine, so a scrape loop doubles as evaluation);
-* ``/trace/<trace_id>`` — a retained trace as Chrome ``trace_event``
-  JSON (``?format=jsonl`` for the line-oriented span form);
+  (pg_stat_statements-style per-query-class accounting, mean phase split
+  included);
+* ``/trace/<trace_id>`` — a retained trace's spans as a JSON list (ids,
+  parent, start offset, wall, page I/O, tags), when span tracing is on;
 * ``/cluster/healthz`` — served when the backing server is a shard
   router: the machine-readable fleet rollup (per-shard up/down, replica
   lag, failover counts).
 
 When the backing server federates (a :class:`~repro.cluster.router.
 ShardRouter` exposing ``federated_metrics()``), ``/metrics`` serves the
-merged fleet page instead of the process registry.
+merged fleet page instead of the process registry.  Alerting belongs to
+the scraper that reads ``/metrics`` (OPERATIONS.md names the series).
 
 Query parameters are validated: a non-integer or negative ``n`` is a 400
 with a JSON error body, and unknown paths are a JSON 404 listing the
@@ -44,12 +45,12 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from repro.obs import digest, export, metrics, promtext, recorder, slo, trace
+from repro.obs import digest, metrics, promtext, recorder, trace
 
 __all__ = ["AdminServer"]
 
 _BASE_ROUTES = ["/healthz", "/metrics", "/sessions", "/queries/recent",
-                "/incidents", "/digests", "/alerts", "/trace/<trace_id>"]
+                "/incidents", "/digests", "/trace/<trace_id>"]
 
 
 class _AdminHandler(BaseHTTPRequestHandler):
@@ -91,12 +92,10 @@ class _AdminHandler(BaseHTTPRequestHandler):
             self._reply_json(recorder.get_recorder().incidents())
         elif route == "/digests":
             self._digests(url)
-        elif route == "/alerts":
-            self._alerts()
         elif route == "/cluster/healthz":
             self._cluster_healthz(route)
         elif route.startswith("/trace/"):
-            self._trace(route[len("/trace/"):], url)
+            self._trace(route[len("/trace/"):])
         else:
             self._not_found(route)
 
@@ -148,13 +147,6 @@ class _AdminHandler(BaseHTTPRequestHandler):
             return
         self._reply_json(digest.get_table().top(n))
 
-    def _alerts(self) -> None:
-        engine = getattr(self.admin.query_server, "slo", None)
-        if engine is None:
-            engine = slo.get_engine()
-        engine.tick()
-        self._reply_json(engine.alerts())
-
     def _cluster_healthz(self, route: str) -> None:
         health = getattr(self.admin.query_server, "cluster_health", None)
         if health is None:
@@ -164,8 +156,8 @@ class _AdminHandler(BaseHTTPRequestHandler):
         status = 200 if rollup.get("status") == "ok" else 503
         self._reply_json(rollup, status=status)
 
-    def _trace(self, trace_id: str, url) -> None:
-        spans = export.trace_spans(trace_id)
+    def _trace(self, trace_id: str) -> None:
+        spans = [s for s in trace.records() if s.trace_id == trace_id]
         if not spans:
             hint = ("tracing is disabled — enable it to retain spans"
                     if not trace.is_enabled()
@@ -173,16 +165,8 @@ class _AdminHandler(BaseHTTPRequestHandler):
             self._reply_json({"error": f"no spans for trace {trace_id!r}",
                               "hint": hint}, status=404)
             return
-        fmt = parse_qs(url.query).get("format", ["chrome"])[0]
-        if fmt == "jsonl":
-            self._reply(200, export.spans_jsonl(spans),
-                        "application/x-ndjson; charset=utf-8")
-        elif fmt == "chrome":
-            self._reply_json(export.chrome_trace(spans))
-        else:
-            self._reply_json(
-                {"error": f"unknown format {fmt!r}",
-                 "formats": ["chrome", "jsonl"]}, status=400)
+        origin = min(s.start_perf for s in spans)
+        self._reply_json([s.to_dict(origin) for s in spans])
 
 
 class AdminServer:

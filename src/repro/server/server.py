@@ -27,13 +27,16 @@ ARCHITECTURE.md):
   so served traffic shows up in the paper's message accounting.
 
 Everything is observable: ``server.*`` metrics (queue depth, slot wait,
-active sessions, result-cache hit rate) and per-statement
-``server.execute`` trace spans tagged with the session name.
+active sessions, result-cache hit rate), one flight-recorder record per
+statement (opened here, so whatever time no layer below claims is
+recorded as ``server``), and — with span tracing on — per-statement
+``server.execute`` spans tagged with the session name.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 
 from repro.db.database import Database, QueryResult
 from repro.db.executor import ResultSet
@@ -174,29 +177,17 @@ class QueryServer:
 
         A plain server opens the classic ``server.execute`` span.  A
         cluster node (``node_labels`` set) wraps it in a ``cluster.leg``
-        span tagged with the node identity, with an explicit ``leg.queue``
-        child for the wait for a slot — the leg's extent is backdated over
-        that wait, so a trace-export waterfall shows queue/execute phases
-        nested within each shard's leg.
+        span tagged with the node identity and with ``queue_ms``, the
+        wait for a slot that preceded it.
         """
         if not trace.is_enabled():
             return self._execute(session, sql, params)
-        if not self.node_labels:
-            with trace.span("server.execute", session=session.name) as sp:
-                result = self._execute(session, sql, params)
-                sp.note(rows=len(result.rows))
-            return result
-        leg = trace.span("cluster.leg", session=session.name,
-                         **self.node_labels)
-        with leg:
-            trace.synthetic("leg.queue",
-                            start_perf=leg.record.start_perf - wait,
-                            wall_seconds=wait)
-            with trace.span("server.execute", session=session.name) as sp:
-                result = self._execute(session, sql, params)
-                sp.note(rows=len(result.rows))
-        leg.record.start_perf -= wait
-        leg.record.wall_seconds += wait
+        leg = (trace.span("cluster.leg", session=session.name,
+                          queue_ms=round(wait * 1e3, 3), **self.node_labels)
+               if self.node_labels else nullcontext())
+        with leg, trace.span("server.execute", session=session.name) as sp:
+            result = self._execute(session, sql, params)
+            sp.note(rows=len(result.rows))
         return result
 
     def _execute(self, session: Session, sql: str,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import LongFieldError
-from repro.obs import metrics, trace
+from repro.obs import metrics, recorder, trace
 from repro.storage.buddy import BuddyAllocator
 from repro.storage.device import BlockDevice, IOStats
 
@@ -187,9 +187,13 @@ class LongFieldManager:
                 f"read [{offset}, {offset + length}) outside long field of "
                 f"{total} bytes"
             )
-        with trace.span("lfm.read", io=self.device.stats, bytes=length):
-            before = self.device.stats.pages_read
-            data = self.device.read(base + offset, length)
+        was = recorder.enter("storage.lfm")
+        try:
+            with trace.span("lfm.read", io=self.device.stats, bytes=length):
+                before = self.device.stats.pages_read
+                data = self.device.read(base + offset, length)
+        finally:
+            recorder.leave(was)
         metrics.counter("lfm.reads").inc()
         metrics.counter("lfm.pages_read").inc(self.device.stats.pages_read - before)
         metrics.counter("lfm.bytes_read").inc(len(data))
@@ -220,9 +224,13 @@ class LongFieldManager:
                 )
             if starts.min() < 0 or stops.max() > total:
                 raise LongFieldError("scattered read outside long field bounds")
-        with trace.span("lfm.read_ranges", io=self.device.stats, ranges=starts.size):
-            before = self.device.stats.pages_read
-            data = self.device.read_ranges(base + starts, base + stops)
+        was = recorder.enter("storage.lfm")
+        try:
+            with trace.span("lfm.read_ranges", io=self.device.stats, ranges=starts.size):
+                before = self.device.stats.pages_read
+                data = self.device.read_ranges(base + starts, base + stops)
+        finally:
+            recorder.leave(was)
         metrics.counter("lfm.reads").inc()
         metrics.counter("lfm.pages_read").inc(self.device.stats.pages_read - before)
         metrics.counter("lfm.bytes_read").inc(len(data))

@@ -402,7 +402,11 @@ class WriteAheadLog:
                 if outermost:
                     self._owner = None
                     if completed:
-                        self._commit()
+                        was = recorder.enter("storage.wal")
+                        try:
+                            self._commit()
+                        finally:
+                            recorder.leave(was)
                     else:
                         self._rollback()
         if outermost:

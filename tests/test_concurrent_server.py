@@ -1060,7 +1060,8 @@ class TestOneParsePerStatement:
             "import repro.obs.digest as digest\n"
             "record = types.SimpleNamespace(\n"
             "    sql='select 1 from t', ok=True, rows=1, pages_read=0,\n"
-            "    pages_written=0, cache_hit=False, wall_seconds=0.001)\n"
+            "    pages_written=0, cache_hit=False, wall_seconds=0.001,\n"
+            "    phases={})\n"
             "assert digest.observe(record) is not None\n"
             "print([m for m in sys.modules if m.startswith('repro.db')])\n"
         )

@@ -5,18 +5,23 @@ HTTP endpoint."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import re
 import threading
+import tracemalloc
 import urllib.error
+from pathlib import Path
 from urllib.request import urlopen
 
 import pytest
 
+from repro.bench.workloads import run_table3, run_table4
+from repro.cluster import build_demo_cluster
 from repro.core.system import QbismSystem
-from repro.errors import ValidationError
+from repro.errors import ReproError, SqlSyntaxError, ValidationError
 from repro.net.rpc import RpcChannel
-from repro.obs import metrics, promtext, qlog, recorder, trace
+from repro.obs import digest, metrics, promtext, qlog, recorder, trace
 from repro.server import QueryServer
 from repro.storage.device import PAGE_SIZE, BlockDevice, IOStats, attribute_io
 from repro.storage.lfm import LongFieldManager
@@ -31,7 +36,8 @@ def clean_monitoring():
         metrics.reset()
         recorder.enable()
         recorder.reset()
-        recorder.configure(slow_threshold_seconds=None, incident_dir=None)
+        recorder.get_recorder().slow_threshold_seconds = None
+        recorder.get_recorder().incident_dir = None
         qlog.disable()
 
     scrub()
@@ -232,12 +238,6 @@ class TestFlightRecorder:
         assert record.rows == 1
         assert record.wall_seconds > 0
         assert record.pool_wait_seconds >= 0
-        from repro.net.costmodel import CostModel1994
-
-        per_page = CostModel1994().seconds_per_page_io
-        assert record.sim_seconds_1994 == pytest.approx(
-            per_page * (record.pages_read + record.pages_written)
-        )
         assert record.to_dict()["pool_wait_ms"] >= 0
 
     def test_direct_execute_also_yields_one_record(self, system):
@@ -269,8 +269,8 @@ class TestFlightRecorder:
         assert incident["trigger"]["sql"] == "select nope(1) from patient"
 
     def test_slow_threshold_triggers_incident_file(self, system, tmp_path):
-        recorder.configure(slow_threshold_seconds=0.0,
-                           incident_dir=tmp_path / "incidents")
+        recorder.get_recorder().slow_threshold_seconds = 0.0
+        recorder.get_recorder().incident_dir = tmp_path / "incidents"
         system.db.execute("select count(*) from patient")
         (incident,) = recorder.get_recorder().incidents()
         assert incident["reason"] == "query.slow"
@@ -281,30 +281,223 @@ class TestFlightRecorder:
         assert "counters" in report["metrics"]
 
     def test_ring_is_bounded(self, system):
-        recorder.configure(capacity=4)
+        recorder.get_recorder().resize(4)
         try:
             for _ in range(6):
                 system.db.execute("select count(*) from patient")
             assert recorder.get_recorder().recorded == 6
             assert len(recorder.get_recorder().recent(100)) == 4
         finally:
-            recorder.configure(capacity=512)
+            recorder.get_recorder().resize(512)
 
     def test_disabled_recorder_records_nothing(self, system):
         recorder.disable()
         system.db.execute("select count(*) from patient")
         assert recorder.get_recorder().recorded == 0
 
-    def test_recorder_does_not_change_io_accounting(self):
+    def test_recorder_does_not_change_io_accounting(self, demo_system):
         def run(lfm):
             handle = lfm.create(b"z" * 6000)
             lfm.read(handle)
             return lfm
 
+        def paper_tables():
+            """Grid-32 Table 3/4: LFM page I/Os and the payloads."""
+            table3 = run_table3(demo_system)
+            table4 = run_table4(demo_system)
+            return ({q: o.timing.lfm_page_ios for q, o in table3.items()},
+                    {e: row.lfm_page_ios for e, (_, row) in table4.items()},
+                    [o.result.payload for o in table3.values()]
+                    + [region.to_bytes() for region, _ in table4.values()])
+
         recorded = run(LongFieldManager(BlockDevice(16 * PAGE_SIZE)))
+        pins3, pins4, payloads = paper_tables()
+        assert recorder.get_recorder().recorded > 0  # the scopes were live
         recorder.disable()
         plain = run(LongFieldManager(BlockDevice(16 * PAGE_SIZE)))
         assert vars(plain.stats) == vars(recorded.stats)
+        assert paper_tables() == (pins3, pins4, payloads)
+        assert pins3 == {"Q1": 9, "Q2": 9, "Q3": 10, "Q4": 6, "Q5": 6, "Q6": 5}
+
+    def test_huge_parameter_is_truncated_before_its_repr(self, system):
+        """Recording a statement must not build the repr of a whole 4 MiB
+        parameter to keep 80 characters of it (work, not time: the parent
+        allocated ~16 MiB here)."""
+        blob, text = bytes(4 << 20), "\0" * (4 << 20)
+        sql = "select count(*) from patient where name = ?"
+        system.db.execute(sql, ["warm"])
+        tracemalloc.start()
+        try:
+            system.db.execute(sql, [blob])
+            system.db.execute(sql, [text])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        for record in recorder.get_recorder().recent(2):
+            assert all(len(text) <= 80 for text in record.params)
+            assert record.params[0].startswith(("b'\\x00", "'\\x00"))
+
+    def test_record_joins_its_digest_row(self, system):
+        """A /queries/recent row, query-log line or incident entry names
+        the /digests row that counted it — direct, served, or cache hit."""
+        digest.reset()
+        system.db.execute("select count(*) from patient where patientId = 3")
+        with QueryServer(system.db, workers=1) as server:
+            with server.connect() as session:
+                for _ in range(2):  # a cache fill, then a cache hit
+                    session.execute(
+                        "select count(*) from neuralStructure", [])
+        hit, served, direct = recorder.get_recorder().recent(3)
+        assert (hit.cache_hit, served.cache_hit, direct.session) \
+            == (True, False, None)
+        rows = {row["digest"]: row for row in digest.get_table().top(10)}
+        assert direct.to_dict()["digest"] in rows
+        assert rows[direct.to_dict()["digest"]]["calls"] == 1
+        assert hit.to_dict()["digest"] == served.to_dict()["digest"]
+        assert rows[served.to_dict()["digest"]]["calls"] == 2
+        assert "shape" not in direct.to_dict()
+
+
+# --------------------------------------------------------------------- #
+# the statement record's invariants
+# --------------------------------------------------------------------- #
+
+def _ledger_layers() -> tuple:
+    spec = importlib.util.spec_from_file_location(
+        "ledger_tracing", Path(__file__).resolve().parents[1]
+        / "benchmarks" / "ledger" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYERS
+
+
+@pytest.fixture(scope="module")
+def wal_system():
+    return QbismSystem.build_demo(grid_side=16, n_pet=2, n_mri=1, seed=7,
+                                  wal=True)
+
+
+_LFM_READ = "select voxelCount(region) from atlasStructure where structureId = ?"
+_INSERT = "insert into patient values (?, ?, ?, ?, ?)"
+
+
+def _direct_ad_hoc(db):
+    db.execute("select count(*) from patient where patientId = 3")
+    return 1
+
+
+def _direct_memoized(db):
+    db.execute(_LFM_READ, [1])  # the measured statement is the warm one
+    recorder.reset()
+    db.execute(_LFM_READ, [1])
+    return 1
+
+
+def _executemany(db):
+    db.executemany(_INSERT, [[900 + k, "m", "1970", "f", 50] for k in range(3)])
+    return 1
+
+
+def _served(db, sql, params, repeat=1, **server_kw):
+    with QueryServer(db, workers=1, **server_kw) as server:
+        with server.connect(name="phase") as session:
+            for _ in range(repeat - 1):
+                session.execute(sql, params)
+            recorder.reset()
+            session.execute(sql, params)
+    return 1
+
+
+def _served_uncached(db):
+    return _served(db, _LFM_READ, [1], result_cache=False)
+
+
+def _served_cache_hit(db):
+    return _served(db, _LFM_READ, [1], repeat=2)
+
+
+def _served_wal_write(db):
+    return _served(db, _INSERT, [910, "w", "1970", "f", 50])
+
+
+def _in_transaction(db):
+    with db.transaction():
+        db.execute(_INSERT, [920, "t", "1970", "f", 50])
+        db.execute("select count(*) from patient")
+    return 2
+
+
+def _syntax_error(db):
+    with pytest.raises(SqlSyntaxError):
+        db.execute("selec 1 from patient")
+    return 1
+
+
+def _semantic_error(db):
+    with pytest.raises(ReproError):
+        db.execute("select noSuchColumn from patient")
+    return 1
+
+
+def _routed_two_shards(db):
+    with build_demo_cluster(n_shards=2, grid_side=16, n_pet=2, n_mri=1,
+                            seed=1994) as cluster:
+        recorder.reset()
+        cluster.execute("select count(*) from warpedVolume")
+    return 2  # one record per leg
+
+
+_STATEMENT_KINDS = {
+    "direct ad hoc": _direct_ad_hoc,
+    "direct memoized": _direct_memoized,
+    "executemany": _executemany,
+    "served uncached": _served_uncached,
+    "served cache hit": _served_cache_hit,
+    "served write under WAL": _served_wal_write,
+    "inside Database.transaction()": _in_transaction,
+    "syntax error": _syntax_error,
+    "semantic error": _semantic_error,
+    "routed two-shard SELECT": _routed_two_shards,
+}
+#: phases a statement of that kind must not / must have spent time in
+_ZERO = {
+    "served cache hit": {"db.executor", "storage.lfm"},
+    "direct memoized": {"db.sql", "db.semantic", "db.planner"},
+}
+_NONZERO = {
+    "direct ad hoc": {"db.sql", "db.semantic", "db.planner", "db.executor"},
+    "direct memoized": {"db.executor", "db.functions", "storage.lfm"},
+    "served uncached": {"server", "db.database", "net"},
+    "served write under WAL": {"storage.wal", "db.mvcc", "lock_wait"},
+    "syntax error": {"db.sql"},
+    "semantic error": {"db.semantic"},
+}
+
+
+class TestStatementRecordInvariants:
+    @pytest.mark.parametrize("kind", list(_STATEMENT_KINDS))
+    def test_one_record_whose_phases_sum_to_its_wall(self, wal_system, kind):
+        expected = _STATEMENT_KINDS[kind](wal_system.db)
+        records = recorder.get_recorder().recent(100)
+        assert len(records) == expected
+        vocabulary = set(_ledger_layers()) | {"lock_wait"}
+        assert set(recorder.PHASES) <= vocabulary
+        for record in records:
+            phases = record.phases
+            assert set(phases) <= set(recorder.PHASES)
+            assert all(seconds >= 0 for seconds in phases.values())
+            gap = abs(sum(phases.values()) - record.wall_seconds)
+            assert gap <= max(0.05 * record.wall_seconds, 20e-6)
+            assert not {p for p in _ZERO.get(kind, ()) if phases.get(p)}
+            assert not {p for p in _NONZERO.get(kind, ())
+                        if not phases.get(p)}
+            shown = record.to_dict()["phases_ms"]
+            assert set(shown) <= set(phases) and 0 not in shown.values()
+        if kind == "routed two-shard SELECT":
+            assert {r.shard for r in records} == {"0", "1"}
+        if kind == "served cache hit":
+            assert records[0].cache_hit
 
 
 class TestWalRecoveryIncident:
@@ -347,21 +540,22 @@ class TestQueryLog:
 
     def test_slow_only_mode_stays_quiet_for_fast_queries(self, system,
                                                          tmp_path):
-        path = qlog.enable(tmp_path / "slow.jsonl", slow_only=True,
-                           slow_threshold=60.0)
+        # One threshold: what the recorder calls slow (and raises a
+        # query.slow incident for) is what the slow-only log writes.
+        recorder.get_recorder().slow_threshold_seconds = 60.0
+        path = qlog.enable(tmp_path / "slow.jsonl", slow_only=True)
         system.db.execute("select count(*) from patient")
         assert qlog.get_query_log().events_written == 0
-        qlog.enable(path, slow_only=True, slow_threshold=0.0)
+        assert recorder.get_recorder().incidents() == []
+        recorder.get_recorder().slow_threshold_seconds = 0.0
         system.db.execute("select count(*) from patient")
         qlog.disable()
         events = [json.loads(line) for line in
                   path.read_text().strip().splitlines()]
         assert len(events) == 1
         assert events[0]["slow"] is True
-
-    def test_negative_threshold_rejected(self, tmp_path):
-        with pytest.raises(ValidationError):
-            qlog.enable(tmp_path / "x.jsonl", slow_threshold=-1.0)
+        assert [i["reason"] for i in recorder.get_recorder().incidents()] \
+            == ["query.slow"]
 
 
 class TestPercentiles:
@@ -396,10 +590,7 @@ class TestPercentiles:
         metrics.histogram("t.lat").observe(0.005)
         exported = metrics.histogram("t.lat").export()
         assert {"p50", "p95", "p99"} <= set(exported)
-        text = metrics.registry().render_text()
-        assert "t.lat.p95" in text
-        snap = json.loads(metrics.registry().render_json())
-        assert "p99" in snap["histograms"]["t.lat"]
+        assert "p99" in metrics.snapshot()["histograms"]["t.lat"]
 
 
 class TestPromtext:
@@ -488,7 +679,7 @@ def _get(url: str):
 
 class TestAdminEndpoint:
     def test_routes_end_to_end(self, system):
-        recorder.configure(slow_threshold_seconds=0.0)  # force an incident
+        recorder.get_recorder().slow_threshold_seconds = 0.0  # an incident
         with QueryServer(system.db, workers=2) as server:
             admin = server.start_admin()
             with server.connect(name="admin-client") as session:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.system import QbismSystem
 from repro.errors import UnsupportedStatementError, ValidationError
-from repro.obs import metrics, trace
+from repro.obs import metrics, promtext, trace
 from repro.storage.device import PAGE_SIZE, BlockDevice
 from repro.storage.lfm import LongFieldManager
 
@@ -129,10 +129,10 @@ class TestMetrics:
     def test_text_and_json_exporters(self):
         metrics.counter("a.calls").inc(3)
         metrics.histogram("a.seconds").observe(0.5)
-        text = metrics.registry().render_text()
-        assert "a.calls 3" in text
-        assert "a.seconds.count 1" in text
-        doc = json.loads(metrics.registry().render_json())
+        text = promtext.render()
+        assert "a_calls 3" in text
+        assert "a_seconds_count 1" in text
+        doc = json.loads(json.dumps(metrics.snapshot()))
         assert doc["counters"]["a.calls"] == 3
 
     def test_storage_feeds_registry(self):

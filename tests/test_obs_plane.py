@@ -1,13 +1,12 @@
-"""Tests for the cluster observability plane (PR 10): the scoped-registry
-tee, metrics federation, the cluster health rollup, per-leg trace spans and
-Chrome trace export, statement digests, the SLO burn-rate engine, and the
+"""Tests for the cluster observability plane: the scoped-registry tee, the
+fleet page merged from node registries, the cluster health rollup, per-leg
+trace spans and the ``/trace`` span list, statement digests, and the
 hardened admin endpoints that serve all of it."""
 
 from __future__ import annotations
 
 import json
 import urllib.error
-from collections import defaultdict
 from urllib.request import urlopen
 
 import pytest
@@ -15,18 +14,8 @@ import pytest
 from repro.cluster import build_demo_cluster
 from repro.core.system import QbismSystem
 from repro.db.sql import Prepared, parse
-from repro.errors import ReproError, SqlSyntaxError, ValidationError
-from repro.obs import (
-    digest,
-    export,
-    federation,
-    metrics,
-    promtext,
-    qlog,
-    recorder,
-    slo,
-    trace,
-)
+from repro.errors import ReproError, SqlSyntaxError
+from repro.obs import digest, metrics, promtext, qlog, recorder, trace
 from repro.obs.recorder import QueryRecord
 from repro.server import QueryServer
 
@@ -41,11 +30,11 @@ def clean_obs():
         metrics.reset()
         recorder.enable()
         recorder.reset()
-        recorder.configure(slow_threshold_seconds=None, incident_dir=None)
+        recorder.get_recorder().slow_threshold_seconds = None
+        recorder.get_recorder().incident_dir = None
         qlog.disable()
         digest.enable()
         digest.reset()
-        slo.set_engine(None)
 
     scrub()
     yield
@@ -132,77 +121,82 @@ class TestScopedTee:
 # federation
 # --------------------------------------------------------------------- #
 
-def _two_node_targets():
+def _two_nodes():
     a, b = metrics.MetricsRegistry(), metrics.MetricsRegistry()
     a.counter("x.calls").inc(2)
     b.counter("x.calls").inc(3)
+    a.counter("x.only_a").inc(7)
     a.gauge("x.depth").set(1.0)
     b.gauge("x.depth").set(5.0)
     for v in (0.001, 0.2):
         a.histogram("x.lat").observe(v)
     b.histogram("x.lat").observe(3.0)
-    return [
-        federation.in_process_target("n0", a, shard="0", role="primary"),
-        federation.in_process_target("n1", b, shard="1", role="primary"),
-    ], a, b
+    return [({"shard": "0", "role": "primary"}, a),
+            ({"shard": "1", "role": "replica"}, b)]
+
+
+#: what rev bda52cc's ``federation.federate`` (render each registry to
+#: text, re-parse, merge, re-render) served for ``_two_nodes()``, minus its
+#: ``federation_up`` family — the direct merge must not move a byte of it
+_PINNED_FLEET_PAGE = """\
+# TYPE x_calls counter
+x_calls 5
+# TYPE x_depth gauge
+x_depth{role="primary",shard="0"} 1.0
+x_depth{role="replica",shard="1"} 5.0
+# TYPE x_lat histogram
+x_lat_bucket{le="0.0001"} 0
+x_lat_bucket{le="0.001"} 1
+x_lat_bucket{le="0.01"} 1
+x_lat_bucket{le="0.1"} 1
+x_lat_bucket{le="1.0"} 2
+x_lat_bucket{le="10.0"} 3
+x_lat_bucket{le="+Inf"} 3
+x_lat_sum 3.201
+x_lat_count 3
+# TYPE x_lat_p50 gauge
+x_lat_p50{role="primary",shard="0"} 0.001
+x_lat_p50{role="replica",shard="1"} 3.0
+# TYPE x_lat_p95 gauge
+x_lat_p95{role="primary",shard="0"} 0.19
+x_lat_p95{role="replica",shard="1"} 3.0
+# TYPE x_lat_p99 gauge
+x_lat_p99{role="primary",shard="0"} 0.198
+x_lat_p99{role="replica",shard="1"} 3.0
+# TYPE x_only_a counter
+x_only_a 7
+"""
 
 
 class TestFederation:
+    def test_merged_page_matches_the_text_round_trip_it_replaced(self):
+        assert promtext.render_merged(_two_nodes()) == _PINNED_FLEET_PAGE
+
     def test_counters_sum_and_page_reparses(self):
-        targets, a, b = _two_node_targets()
-        families = promtext.parse(federation.federate(targets))
+        families = promtext.parse(promtext.render_merged(_two_nodes()))
         assert _counter_total(families, "x_calls") == 5.0
 
     def test_gauges_labeled_per_node(self):
-        targets, _, _ = _two_node_targets()
-        families = promtext.parse(federation.federate(targets))
+        families = promtext.parse(promtext.render_merged(_two_nodes()))
         samples = families["x_depth"]["samples"]
         assert len(samples) == 2
         assert sorted(value for _, _, value in samples) == [1.0, 5.0]
         assert any(labels.get("shard") == "0" for _, labels, _ in samples)
 
     def test_histograms_bucket_merge(self):
-        targets, _, _ = _two_node_targets()
-        families = promtext.parse(federation.federate(targets))
+        families = promtext.parse(promtext.render_merged(_two_nodes()))
         samples = families["x_lat"]["samples"]
         count = [v for n, _, v in samples if n == "x_lat_count"]
         total = [v for n, _, v in samples if n == "x_lat_sum"]
         assert count == [3.0]
         assert total[0] == pytest.approx(3.201)
 
-    def test_up_series_and_scrape_failure(self):
-        targets, _, _ = _two_node_targets()
-
-        def explode():
-            raise RuntimeError("node is gone")
-
-        targets.append(federation.ScrapeTarget(
-            name="n2", labels={"shard": "2", "role": "primary"},
-            scrape=explode,
-        ))
-        before = metrics.snapshot()["counters"].get(
-            "federation.scrape_errors", 0)
-        families = promtext.parse(federation.federate(targets))
-        ups = sorted(value for _, _, value
-                     in families["federation_up"]["samples"])
-        assert ups == [0.0, 1.0, 1.0]
-        after = metrics.snapshot()["counters"]["federation.scrape_errors"]
-        assert after == before + 1
-
-    def test_federated_snapshot_shape(self):
-        targets, _, _ = _two_node_targets()
-        snap = federation.federated_snapshot(targets)
-        assert snap["counters"]["x_calls"] == 5.0
-        assert snap["gauges"]["x_depth"] == 5.0       # max across nodes
-        hist = snap["histograms"]["x_lat"]
-        assert hist["count"] == 3.0
-        assert sum(hist["buckets"].values()) == 3.0
-
     def test_router_counter_sums_match_per_shard_scrapes(self, cluster2):
         cluster2.execute("select count(*) from warpedVolume")
         families = promtext.parse(cluster2.router.federated_metrics())
-        per_node = [promtext.parse(t.scrape())
-                    for t in cluster2.router.scrape_targets()]
+        per_node = [promtext.parse(promtext.render(registry))
+                    for _, registry in cluster2.router.node_registries()]
+        assert len(per_node) == 5      # router, two primaries, two replicas
         for family in ("db_statements", "executor_statements"):
             node_sum = sum(_counter_total(f, family) for f in per_node)
             assert node_sum > 0
@@ -258,9 +252,10 @@ class TestLegSpans:
         }
         assert all(s.meta["role"] == "primary" for s in legs)
         for leg in legs:
+            assert leg.meta["queue_ms"] >= 0.0
             child_names = {s.name for s in spans
                            if s.parent_id == leg.span_id}
-            assert {"leg.queue", "server.execute"} <= child_names
+            assert child_names == {"server.execute"}
 
     def test_router_phases_present(self, cluster2):
         with trace.capture() as spans:
@@ -270,71 +265,10 @@ class TestLegSpans:
                 "cluster.gather", "cluster.merge"} <= names
 
 
-def _check_track_nesting(events):
-    """Events on each track must nest: no partial overlaps."""
-    by_tid = defaultdict(list)
-    for event in events:
-        if event["ph"] == "X":
-            assert event["ts"] >= 0 and event["dur"] >= 0
-            by_tid[event["tid"]].append(event)
-    for tid, track in by_tid.items():
-        track.sort(key=lambda e: (e["ts"], -e["dur"]))
-        stack: list[dict] = []
-        for event in track:
-            while stack and event["ts"] >= (stack[-1]["ts"]
-                                            + stack[-1]["dur"] - 1e-9):
-                stack.pop()
-            if stack:
-                parent_end = stack[-1]["ts"] + stack[-1]["dur"]
-                assert event["ts"] + event["dur"] <= parent_end + 1e-6, (
-                    f"track {tid}: {event['name']} overlaps "
-                    f"{stack[-1]['name']}"
-                )
-            stack.append(event)
-
-
-class TestChromeExport:
-    def test_round_trips_json_with_nested_tracks(self, cluster2):
-        with trace.capture() as spans:
-            cluster2.execute("select count(*) from warpedVolume")
-        doc = json.loads(json.dumps(export.chrome_trace(spans)))
-        assert doc["displayTimeUnit"] == "ms"
-        tracks = sorted(e["args"]["name"] for e in doc["traceEvents"]
-                        if e["ph"] == "M")
-        assert tracks == ["router", "shard-0", "shard-1"]
-        _check_track_nesting(doc["traceEvents"])
-        legs = [e for e in doc["traceEvents"]
-                if e["ph"] == "X" and e["name"] == "cluster.leg"]
-        assert {e["args"]["shard"] for e in legs} == {"0", "1"}
-
-    def test_jsonl_lines_parse_and_link(self, cluster2):
-        with trace.capture() as spans:
-            cluster2.execute("select count(*) from warpedVolume")
-        lines = export.spans_jsonl(spans).strip().splitlines()
-        events = [json.loads(line) for line in lines]
-        assert len(events) == len(spans)
-        ids = {e["span_id"] for e in events}
-        roots = [e for e in events if e["parent_id"] is None]
-        assert len(roots) == 1
-        for event in events:
-            assert event["dur_us"] >= 0
-            if event["parent_id"] is not None:
-                assert event["parent_id"] in ids
-
-    def test_trace_spans_selects_one_trace(self, cluster2):
-        with trace.capture() as spans:
-            cluster2.execute("select count(*) from warpedVolume")
-            cluster2.execute("select count(*) from patient")
-        ids = {s.trace_id for s in spans}
-        assert len(ids) == 2
-        for trace_id in ids:
-            subset = export.trace_spans(trace_id, spans)
-            assert subset
-            assert {s.trace_id for s in subset} == {trace_id}
-
-
 class TestTraceEndpoint:
     def test_serves_chrome_and_jsonl(self, cluster2):
+        """The name predates the Chrome/JSONL exporters' removal:
+        ``/trace/<id>`` now serves the span records as one JSON list."""
         trace.enable()
         cluster2.execute("select count(*) from warpedVolume")
         trace_id = trace.records()[-1].trace_id
@@ -342,16 +276,18 @@ class TestTraceEndpoint:
         try:
             status, body = _get(f"{admin.url}/trace/{trace_id}")
             assert status == 200
-            doc = json.loads(body)
-            names = {e["args"]["name"] for e in doc["traceEvents"]
-                     if e["ph"] == "M"}
-            assert {"router", "shard-0", "shard-1"} <= names
-            status, body = _get(f"{admin.url}/trace/{trace_id}?format=jsonl")
-            assert status == 200
-            assert all(json.loads(line) for line in body.strip().splitlines())
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _get(f"{admin.url}/trace/{trace_id}?format=bogus")
-            assert excinfo.value.code == 400
+            spans = json.loads(body)
+            assert {s["trace_id"] for s in spans} == {trace_id}
+            ids = {s["span_id"] for s in spans}
+            (root,) = [s for s in spans if s["parent_id"] is None]
+            assert (root["name"], root["start_us"]) == ("cluster.execute", 0.0)
+            for span in spans:
+                assert span["start_us"] >= 0 and span["wall_us"] >= 0
+                assert span["parent_id"] is None or span["parent_id"] in ids
+            legs = [s for s in spans if s["name"] == "cluster.leg"]
+            assert {s["meta"]["shard"] for s in legs} == {"0", "1"}
+            assert all(s["meta"]["role"] == "primary" and
+                       s["meta"]["queue_ms"] >= 0 for s in legs)
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(f"{admin.url}/trace/no-such-trace")
             assert excinfo.value.code == 404
@@ -489,125 +425,6 @@ class TestDigests:
 
 
 # --------------------------------------------------------------------- #
-# SLO engine
-# --------------------------------------------------------------------- #
-
-def _fake_clock():
-    t = [0.0]
-
-    def clock():
-        return t[0]
-
-    return t, clock
-
-
-class TestSloEngine:
-    def test_error_burn_fires_then_resolves(self):
-        t, clock = _fake_clock()
-        snap = {"counters": {"errs": 0.0, "total": 0.0},
-                "gauges": {}, "histograms": {}}
-        objective = slo.Objective("errs", "error_rate", "errs",
-                                  total_metric="total", budget=0.01)
-        engine = slo.SloEngine([objective], source=lambda: snap, clock=clock)
-        assert engine.tick() == []              # baseline sample
-        t[0] = 60.0
-        snap["counters"]["total"] += 10
-        snap["counters"]["errs"] += 10          # 100% errors: burn 100x
-        (alert,) = engine.tick()
-        assert alert["objective"] == "errs"
-        assert alert["detail"]["burn_rate_short"] >= 14.4
-        assert engine.alerts()["active"]
-        # A clean stretch longer than every short window resolves it.
-        for step in range(1, 40):
-            t[0] = 60.0 + step * 60.0
-            snap["counters"]["total"] += 10
-            engine.tick()
-        assert engine.alerts()["active"] == []
-        history = engine.alerts()["history"]
-        assert any("resolved_unix" in entry for entry in history)
-        counters = metrics.snapshot()["counters"]
-        assert counters["slo.alerts_fired"] == 1
-        assert counters["slo.alerts_resolved"] == 1
-
-    def test_breach_dumps_flight_recorder_incident(self):
-        t, clock = _fake_clock()
-        snap = {"counters": {"errs": 0.0, "total": 0.0},
-                "gauges": {}, "histograms": {}}
-        objective = slo.Objective("errs", "error_rate", "errs",
-                                  total_metric="total", budget=0.01)
-        engine = slo.SloEngine([objective], source=lambda: snap, clock=clock)
-        engine.tick()
-        t[0] = 60.0
-        snap["counters"].update(errs=5.0, total=5.0)
-        assert engine.tick()
-        reports = recorder.get_recorder().incidents()
-        assert any(r["reason"] == "slo.breach" for r in reports)
-
-    def test_gauge_ceiling_needs_sustained_breach(self):
-        t, clock = _fake_clock()
-        snap = {"counters": {}, "gauges": {"lag": 100.0}, "histograms": {}}
-        objective = slo.Objective("lag", "gauge_ceiling", "lag",
-                                  threshold=64.0)
-        engine = slo.SloEngine([objective], source=lambda: snap, clock=clock)
-        assert engine.tick() == []              # breaching, not sustained
-        t[0] = 150.0
-        assert engine.tick() == []
-        t[0] = 300.0
-        (alert,) = engine.tick()                # sustained the short window
-        assert alert["detail"]["value"] == 100.0
-        t[0] = 700.0
-        snap["gauges"]["lag"] = 0.0
-        engine.tick()
-        t[0] = 1100.0
-        engine.tick()
-        assert engine.alerts()["active"] == []
-
-    def test_latency_objective_counts_slow_fraction(self):
-        t, clock = _fake_clock()
-        hist = {"count": 0, "sum": 0.0, "buckets": {"0.1": 0, "inf": 0}}
-        snap = {"counters": {}, "gauges": {}, "histograms": {"lat": hist}}
-        objective = slo.Objective("p99", "latency", "lat",
-                                  threshold=0.1, budget=0.01)
-        engine = slo.SloEngine([objective], source=lambda: snap, clock=clock)
-        engine.tick()
-        t[0] = 60.0
-        hist["count"] = 100
-        hist["buckets"]["0.1"] = 10
-        hist["buckets"]["inf"] = 90             # 90% slow vs 1% budget
-        (alert,) = engine.tick()
-        assert alert["detail"]["kind"] == "latency"
-
-    def test_objective_validation(self):
-        with pytest.raises(ValidationError):
-            slo.Objective("x", "nonsense", "m")
-        with pytest.raises(ValidationError):
-            slo.Objective("x", "error_rate", "m")      # no total_metric
-        with pytest.raises(ValidationError):
-            slo.Objective("x", "latency", "m", budget=0.0)
-        engine = slo.SloEngine([slo.Objective(
-            "dup", "gauge_ceiling", "m", threshold=1.0)])
-        with pytest.raises(ValidationError):
-            engine.add(slo.Objective("dup", "gauge_ceiling", "m",
-                                     threshold=1.0))
-
-    def test_default_objectives_cover_the_fleet(self):
-        names = {o.name for o in slo.default_objectives()}
-        assert names == {"statement-p99-latency", "statement-errors",
-                         "replica-lag"}
-
-    def test_alerts_endpoint_ticks_the_engine(self, system):
-        t, clock = _fake_clock()
-        slo.set_engine(slo.SloEngine(slo.default_objectives(), clock=clock))
-        with QueryServer(system.db, workers=1) as server:
-            admin = server.start_admin()
-            status, body = _get(admin.url + "/alerts")
-            assert status == 200
-            payload = json.loads(body)
-            assert payload["ticks"] == 1
-            assert len(payload["objectives"]) == 3
-
-
-# --------------------------------------------------------------------- #
 # admin hardening + qlog regression (satellites)
 # --------------------------------------------------------------------- #
 
@@ -629,12 +446,13 @@ class TestAdminHardening:
                 _get(admin.url + "/nope")
             assert excinfo.value.code == 404
             routes = json.loads(excinfo.value.read())["routes"]
-            for route in ("/digests", "/alerts", "/trace/<trace_id>"):
+            for route in ("/digests", "/trace/<trace_id>"):
                 assert route in routes
             assert "/cluster/healthz" not in routes
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _get(admin.url + "/cluster/healthz")
-            assert excinfo.value.code == 404
+            for gone in ("/cluster/healthz", "/alerts"):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    _get(admin.url + gone)
+                assert excinfo.value.code == 404
 
     def test_router_404_lists_cluster_healthz(self, cluster2):
         admin = cluster2.router.start_admin()
@@ -653,8 +471,8 @@ class TestAdminHardening:
 class TestQlogSlowOnlyErrors:
     def test_errored_statement_logged_despite_slow_only(self, system,
                                                         tmp_path):
-        path = qlog.enable(tmp_path / "slow.jsonl", slow_only=True,
-                           slow_threshold=60.0)
+        recorder.get_recorder().slow_threshold_seconds = 60.0
+        path = qlog.enable(tmp_path / "slow.jsonl", slow_only=True)
         with pytest.raises(ReproError):
             system.db.execute("select noSuchColumn from patient")
         system.db.execute("select count(*) from patient")  # fast + ok
@@ -672,69 +490,57 @@ class TestQlogSlowOnlyErrors:
 
 class TestFourShardAcceptance:
     def test_federation_digests_trace_and_slo(self, cluster4):
+        """The name predates the SLO engine's removal: federated metrics,
+        digests and the trace span list over a four-shard cluster."""
         trace.enable()
-        t, clock = _fake_clock()
-        engine = cluster4.router.enable_slo(
-            objectives=[slo.Objective(
-                "leg-errors", "error_rate", "recorder.errors",
-                total_metric="recorder.records", budget=0.01,
-            )],
-            clock=clock,
-        )
         admin = cluster4.router.start_admin()
         try:
-            engine.tick()                        # baseline at t=0
             cluster4.execute("select count(*) from warpedVolume")
             trace_id = trace.records()[-1].trace_id
             with pytest.raises(ReproError):
                 cluster4.execute("select noSuchColumn from patient")
 
-            # Federated /metrics: summed counters match per-shard scrapes.
+            # Federated /metrics: summed counters match the per-node pages.
             status, body = _get(admin.url + "/metrics")
             assert status == 200
             families = promtext.parse(body)
-            per_node = [promtext.parse(target.scrape())
-                        for target in cluster4.router.scrape_targets()]
+            per_node = [promtext.parse(promtext.render(registry))
+                        for _, registry in cluster4.router.node_registries()]
             node_sum = sum(_counter_total(f, "db_statements")
                            for f in per_node)
             assert node_sum > 0
             assert _counter_total(families, "db_statements") == node_sum
 
-            # /digests attributes the broadcast to every shard's leg.
+            # /digests attributes the broadcast to every shard's leg, and
+            # each leg's record in /queries/recent joins its row by digest.
             status, body = _get(admin.url + "/digests?n=50")
             rows = json.loads(body)
             (row,) = [r for r in rows if "warpedVolume" in r["statement"]]
             assert row["calls"] >= 4
             assert set(row["shards"]) == {"0", "1", "2", "3"}
+            status, body = _get(admin.url + "/queries/recent?n=50")
+            legs = [r for r in json.loads(body)
+                    if r["digest"] == row["digest"]]
+            assert {r["shard"] for r in legs} == {"0", "1", "2", "3"}
 
-            # /trace/<id>: one track per leg with queue/execute phases,
-            # merge on the router track.
+            # /trace/<id>: one leg per shard, each with its queue wait as
+            # a tag and its execution as a child; merge under the root.
             status, body = _get(f"{admin.url}/trace/{trace_id}")
-            doc = json.loads(body)
-            tracks = {e["tid"]: e["args"]["name"]
-                      for e in doc["traceEvents"] if e["ph"] == "M"}
-            assert set(tracks.values()) == {
-                "router", "shard-0", "shard-1", "shard-2", "shard-3"}
-            names_by_track = defaultdict(set)
-            for event in doc["traceEvents"]:
-                if event["ph"] == "X":
-                    names_by_track[tracks[event["tid"]]].add(event["name"])
-            for shard_track in ("shard-0", "shard-1", "shard-2", "shard-3"):
-                assert {"cluster.leg", "leg.queue", "server.execute"} <= (
-                    names_by_track[shard_track])
-            assert "cluster.merge" in names_by_track["router"]
-            _check_track_nesting(doc["traceEvents"])
+            spans = json.loads(body)
+            legs = {s["meta"]["shard"]: s for s in spans
+                    if s["name"] == "cluster.leg"}
+            assert set(legs) == {"0", "1", "2", "3"}
+            for leg in legs.values():
+                assert leg["meta"]["queue_ms"] >= 0
+                assert [s["name"] for s in spans
+                        if s["parent_id"] == leg["span_id"]] == ["server.execute"]
+            (root,) = [s for s in spans if s["parent_id"] is None]
+            assert "cluster.merge" in {s["name"] for s in spans
+                                       if s["parent_id"] == root["span_id"]}
 
-            # Synthetic SLO breach (fake clock) fires at /alerts and dumps
-            # a flight-recorder incident.
-            t[0] = 60.0
-            status, body = _get(admin.url + "/alerts")
-            payload = json.loads(body)
-            fired = payload["active"] + payload["history"]
-            assert any(a["objective"] == "leg-errors" for a in fired)
+            # The errored legs left query.error incidents.
             status, body = _get(admin.url + "/incidents")
-            assert any(r["reason"] == "slo.breach"
+            assert any(r["reason"] == "query.error"
                        for r in json.loads(body))
         finally:
             admin.close()
-            cluster4.router.slo = None
