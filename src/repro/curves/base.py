@@ -242,19 +242,40 @@ class SpaceFillingCurve(ABC):
         What a scatter into a dense array needs; on the curve's own cube it
         is one gather.  A position whose voxel lies outside ``shape`` is an error.
         """
-        if self.length > TABLE_MAX_LENGTH:
-            axes = self._coords_kernel(np.asarray(index, dtype=np.int64)).T
-        else:
-            offsets = np.take(self.tables().offset_of, index)
-            if tuple(shape) == (self.side,) * self.ndim:
-                return offsets
-            # A grid embedded in the cube has its own strides: re-ravel.
-            shifts = range(self.bits * (self.ndim - 1), -1, -self.bits)
-            axes = [(offsets >> shift) & (self.side - 1) for shift in shifts]
+        if (self.length <= TABLE_MAX_LENGTH
+                and tuple(shape) == (self.side,) * self.ndim):
+            return np.take(self.tables().offset_of, index)
+        # A grid embedded in the cube has its own strides: re-ravel.
         try:
-            return np.ravel_multi_index(tuple(axes), shape)
+            return np.ravel_multi_index(tuple(self._axes(index)), shape)
         except ValueError:
             raise ValidationError(f"curve positions fall outside a grid of shape {shape}") from None
+
+    def _axes(self, index: np.ndarray):
+        """Per axis, the coordinates of the voxels at the (valid) positions
+        ``index``, split from the cube offsets in their narrow dtype."""
+        if self.length > TABLE_MAX_LENGTH:
+            return self._coords_kernel(np.asarray(index, dtype=np.int64)).T
+        offsets = np.take(self.tables().offset_of, index)
+        shifts = range(self.bits * (self.ndim - 1), -1, -self.bits)
+        return [(offsets >> shift) & (self.side - 1) for shift in shifts]
+
+    def bounding_box(self, index: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Tight half-open box ``(lower, upper)`` around the voxels at the
+        (valid, at least one) positions ``index``."""
+        axes = self._axes(index)
+        return (tuple(int(axis.min()) for axis in axes),
+                tuple(int(axis.max()) + 1 for axis in axes))
+
+    def reindex(self, index: np.ndarray, target: "SpaceFillingCurve") -> np.ndarray:
+        """The positions along ``target`` of the voxels at the (valid)
+        positions ``index`` along this curve.  Curves over one cube meet at
+        the cube offset: two gathers, no coordinates, nothing re-validated."""
+        if (self.length > TABLE_MAX_LENGTH
+                or (target.ndim, target.bits) != (self.ndim, self.bits)):
+            return target.index(self.coords(index))
+        return np.take(target.tables().position_of,
+                       np.take(self.tables().offset_of, index))
 
     def index_point(self, *coords: int) -> int:
         """Scalar convenience wrapper around :meth:`index`."""

@@ -164,6 +164,11 @@ class Database:
         self._rwlock = RWLock(name="db.rwlock")
         self._versions = VersionManager()
         self._txn_nesting = 0  # open transaction() scopes; guarded_by db.rwlock
+        #: handle -> directory cell of the REGIONs the open transaction()
+        #: stored (``spatial.store_region``), for its INSERTs.  Emptied at
+        #: commit *and* rollback: a rolled-back field id is issued again.
+        #: guarded_by: db.rwlock
+        self._stored_cells: dict = {}
         self._prepared: OrderedDict[str, Prepared] = OrderedDict()  # guarded_by: _stmt_lock
         self._stmt_lock = lockdep.instrument(threading.Lock(), "db.stmt_memo")
         if self.lfm is not None:
@@ -182,6 +187,13 @@ class Database:
         keep issuing statements.
         """
         return self._rwlock
+
+    @property
+    def stored_cells(self) -> dict | None:
+        """The cells of the REGIONs the calling thread's open
+        :meth:`transaction` stored; None outside one (nothing would empty it)."""
+        inside = self._rwlock.write_held and self._txn_nesting
+        return self._stored_cells if inside else None
 
     @property
     def versions(self) -> VersionManager:
@@ -331,7 +343,8 @@ class Database:
 
         The state is the stamp of :mod:`repro.db.sql.prepared`: identity,
         mutation count and statistics stamp of each named table in
-        ``catalog``, and ``registry``'s own stamp.  Returns the
+        ``catalog`` (identity only for an INSERT that reads no table), and
+        ``registry``'s own stamp.  Returns the
         statement's :class:`Bound` for that stamp (fresh and empty after
         a check; ``None`` when the registry forbids keeping one, or the
         statement is ``ad_hoc`` and will not be seen again) and a private
@@ -342,7 +355,11 @@ class Database:
         if functions is None:
             _check(prepared, catalog, registry)
             return None, {}
-        stamp = (functions, *catalog.stamp_of(prepared.tables))
+        tables = catalog.stamp_of(prepared.tables)
+        if prepared.is_values_insert:
+            # bound to the target's schema (fixed per uid), not its rows
+            tables = [stamp and stamp[0] for stamp in tables]
+        stamp = (functions, *tables)
         bound = prepared.bound
         if bound is None or bound.stamp != stamp:
             _check(prepared, catalog, registry)
@@ -445,7 +462,7 @@ class Database:
         stmt, sql, explain = prepared.ast, prepared.sql, prepared.is_explain
         bound, plans = self._bind(prepared, catalog, registry, ad_hoc)
         ctx = ExecutionContext(lfm=lfm, analyzed=True, planner_mode=mode,
-                               plans=plans)
+                               plans=plans, stored_cells=self._stored_cells)
         if explain:
             analyze, stmt = stmt.analyze, stmt.statement
             if not isinstance(stmt, Select):
@@ -512,7 +529,8 @@ class Database:
         total = 0
         for params in param_rows:
             ctx = ExecutionContext(lfm=lfm, analyzed=True,
-                                   planner_mode=self.planner, plans=plans)
+                                   planner_mode=self.planner, plans=plans,
+                                   stored_cells=self._stored_cells)
             total += executor.execute(prepared.ast, list(params), ctx).rowcount
         self._keep_plans(prepared, bound, plans)
         return total
@@ -595,6 +613,8 @@ class Database:
                 raise
             finally:
                 self._txn_nesting -= 1
+                if not self._txn_nesting:
+                    self._stored_cells.clear()
                 self._rwlock.release_write()
             if published is not None and on_publish is not None:
                 on_publish(published)

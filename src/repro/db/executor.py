@@ -12,7 +12,6 @@ multi-study statistical queries (§6.4) want them.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import time
 from dataclasses import dataclass
@@ -560,26 +559,25 @@ class Executor:
     def _execute_insert(self, stmt: Insert, params: list, ctx: ExecutionContext) -> ResultSet:
         table = self.catalog.table(stmt.table)
         fresh = table.stats.fresh(table)
-        before = table.row_count
 
         def build():
             compiler = _Compiler(((),))
             return [[compiler.expr(e) for e in row] for row in stmt.rows]
 
         run, frame = _Run(self, params, ctx), [{}]
-        count = 0
+        stored = []
         for value_row in self._kept(stmt, ctx, None, build):
             values = [value(frame, run) for value in value_row]
             if stmt.columns is None:
-                table.insert(values)
+                stored.append(table.insert(values))
             else:
                 # value/column arity was proven to match by the analyzer (QB206)
-                table.insert_named(**dict(zip(stmt.columns, values)))
-            count += 1
-        stored = list(itertools.islice(table.scan(), before, None))
+                stored.append(
+                    table.insert_named(**dict(zip(stmt.columns, values))))
         if fresh:
             # maintain the stats with the *stored* (coerced) rows
-            table.stats.apply_inserts(table, stored, ctx.read_longfield)
+            table.stats.apply_inserts(table, stored, ctx.read_longfield,
+                                      ctx.stored_cells)
         if ctx.lfm is not None:
             def undo() -> None:
                 gone = {id(row) for row in stored}
@@ -589,7 +587,7 @@ class Executor:
             # The rows hold handles of long fields the enclosing storage
             # transaction wrote: if it rolls back, they go with them.
             ctx.lfm.on_rollback(undo)
-        return ResultSet([], [], rowcount=count)
+        return ResultSet([], [], rowcount=len(stored))
 
     def _execute_create(self, stmt: CreateTable) -> ResultSet:
         columns = [Column(name, SqlType.from_name(type_name)) for name, type_name in stmt.columns]

@@ -150,6 +150,9 @@ class ExecutionContext:
     #: :class:`~repro.db.sql.prepared.Bound`, which seeds it and keeps
     #: what the executor adds); the query blocks must outlive it
     plans: dict = field(default_factory=dict)
+    #: ``Database.stored_cells``: cells of the REGIONs the enclosing
+    #: transaction stored, which an INSERT takes before reading a payload
+    stored_cells: dict = field(default_factory=dict)
 
     def read_longfield(self, value) -> bytes:
         """Dereference a LONGFIELD cell: handles are read via the LFM,

@@ -11,6 +11,9 @@ These are the operators the paper implemented as Starburst SQL functions:
 * plus small helpers (``voxelCount``, ``runCount``, ``reencode``) the
   benchmarks and examples use
 
+The type's constructor lives here too: :func:`store_region` stores a REGION
+and tells the database what it stored while it still holds the object.
+
 All arguments and REGION results are LONGFIELD values (handles into the LFM
 or transient byte payloads).  ``extractVoxels`` is the early-filtering
 workhorse: it reads *only* the byte ranges of the requested runs from the
@@ -24,6 +27,7 @@ import numpy as np
 
 from repro.db.database import Database
 from repro.db.functions import NUMBER, ExecutionContext, FunctionSignature
+from repro.db.stats import region_cell
 from repro.db.types import SqlType
 from repro.errors import ExecutionError
 from repro.regions import Region
@@ -33,29 +37,22 @@ from repro.volumes import DataRegion, Volume
 __all__ = [
     "register_spatial_functions",
     "spatial_signatures",
+    "store_region",
     "SPATIAL_FUNCTION_NAMES",
 ]
 
-SPATIAL_FUNCTION_NAMES = (
-    "intersection",
-    "regionUnion",
-    "regionDifference",
-    "contains",
-    "extractVoxels",
-    "extractAll",
-    "voxelCount",
-    "runCount",
-    "reencode",
-    "dataMean",
-    "dataMin",
-    "dataMax",
-    "dataVoxels",
-    "dataBand",
-    "readPiece",
-    "regionDilate",
-    "regionErode",
-    "regionMargin",
-)
+
+def store_region(db: Database, region: Region, codec: str = "naive") -> LongField:
+    """Store ``region`` as a new long field; returns the handle to INSERT.
+
+    Inside ``db.transaction()`` its directory cell, built here from the
+    object, waits in :attr:`Database.stored_cells` for that INSERT, which
+    then reads nothing back.  Outside one, nothing is kept."""
+    handle = db.lfm.create(region.to_bytes(codec))
+    cells = db.stored_cells
+    if cells is not None:
+        cells[handle] = region_cell(region, handle.length)
+    return handle
 
 
 def _load_region(ctx: ExecutionContext, value) -> Region:
@@ -69,28 +66,13 @@ def _region_result(region: Region, codec: str = "naive") -> bytes:
     return region.to_bytes(codec)
 
 
-def _sql_intersection(ctx: ExecutionContext, r1, r2) -> bytes:
-    a = _load_region(ctx, r1)
-    b = _load_region(ctx, r2)
-    result = a.intersection(b)
-    ctx.work.runs_processed += result.run_count
-    return _region_result(result)
-
-
-def _sql_union(ctx: ExecutionContext, r1, r2) -> bytes:
-    a = _load_region(ctx, r1)
-    b = _load_region(ctx, r2)
-    result = a.union(b)
-    ctx.work.runs_processed += result.run_count
-    return _region_result(result)
-
-
-def _sql_difference(ctx: ExecutionContext, r1, r2) -> bytes:
-    a = _load_region(ctx, r1)
-    b = _load_region(ctx, r2)
-    result = a.difference(b)
-    ctx.work.runs_processed += result.run_count
-    return _region_result(result)
+def _set_operator(combine):
+    """The SQL form of one two-REGION set operation of :class:`Region`."""
+    def operator(ctx: ExecutionContext, r1, r2) -> bytes:
+        result = combine(_load_region(ctx, r1), _load_region(ctx, r2))
+        ctx.work.runs_processed += result.run_count
+        return _region_result(result)
+    return operator
 
 
 def _sql_contains(ctx: ExecutionContext, r1, r2) -> bool:
@@ -158,16 +140,12 @@ def _sql_data_mean(ctx: ExecutionContext, dr) -> float | None:
     return None if not data.voxel_count else float(data.mean())
 
 
-def _sql_data_min(ctx: ExecutionContext, dr):
-    data = _load_data_region(ctx, dr)
-    value = data.min()
-    return None if value is None else float(value)
-
-
-def _sql_data_max(ctx: ExecutionContext, dr):
-    data = _load_data_region(ctx, dr)
-    value = data.max()
-    return None if value is None else float(value)
+def _extreme(pick):
+    """The SQL form of ``DataRegion.min`` / ``max`` (NULL when empty)."""
+    def operator(ctx: ExecutionContext, dr):
+        value = pick(_load_data_region(ctx, dr))
+        return None if value is None else float(value)
+    return operator
 
 
 def _sql_data_voxels(ctx: ExecutionContext, dr) -> int:
@@ -180,23 +158,15 @@ def _sql_data_band(ctx: ExecutionContext, dr, low, high) -> bytes:
     return _load_data_region(ctx, dr).band(low, high).to_bytes()
 
 
-def _sql_dilate(ctx: ExecutionContext, r, radius: int) -> bytes:
-    """Grow a REGION by a voxel radius (treatment-margin construction)."""
-    from repro.regions.morphology import dilate
+def _morphology(name: str):
+    """The SQL form of ``repro.regions.morphology.<name>`` (``dilate``
+    grows a REGION by a voxel radius: treatment-margin construction)."""
+    def operator(ctx: ExecutionContext, r, radius: int) -> bytes:
+        from repro.regions import morphology
 
-    return _region_result(dilate(_load_region(ctx, r), radius))
-
-
-def _sql_erode(ctx: ExecutionContext, r, radius: int) -> bytes:
-    from repro.regions.morphology import erode
-
-    return _region_result(erode(_load_region(ctx, r), radius))
-
-
-def _sql_margin(ctx: ExecutionContext, r, radius: int) -> bytes:
-    from repro.regions.morphology import margin
-
-    return _region_result(margin(_load_region(ctx, r), radius))
+        return _region_result(
+            getattr(morphology, name)(_load_region(ctx, r), radius))
+    return operator
 
 
 def _sql_read_piece(ctx: ExecutionContext, value, offset: int, length: int) -> bytes:
@@ -224,6 +194,30 @@ _LF = frozenset({SqlType.LONGFIELD})
 _INT = frozenset({SqlType.INTEGER})
 _TEXT = frozenset({SqlType.TEXT})
 
+#: the §3.2 operators: name -> (implementation, argument types, result type)
+_OPERATORS = {
+    "intersection": (_set_operator(Region.intersection), (_LF, _LF), SqlType.LONGFIELD),
+    "regionUnion": (_set_operator(Region.union), (_LF, _LF), SqlType.LONGFIELD),
+    "regionDifference": (_set_operator(Region.difference), (_LF, _LF), SqlType.LONGFIELD),
+    "contains": (_sql_contains, (_LF, _LF), SqlType.BOOLEAN),
+    "extractVoxels": (_sql_extract_voxels, (_LF, _LF), SqlType.LONGFIELD),
+    "extractAll": (_sql_extract_all, (_LF,), SqlType.LONGFIELD),
+    "voxelCount": (_sql_voxel_count, (_LF,), SqlType.INTEGER),
+    "runCount": (_sql_run_count, (_LF,), SqlType.INTEGER),
+    "reencode": (_sql_reencode, (_LF, _TEXT), SqlType.LONGFIELD),
+    "dataMean": (_sql_data_mean, (_LF,), SqlType.REAL),
+    "dataMin": (_extreme(DataRegion.min), (_LF,), SqlType.REAL),
+    "dataMax": (_extreme(DataRegion.max), (_LF,), SqlType.REAL),
+    "dataVoxels": (_sql_data_voxels, (_LF,), SqlType.INTEGER),
+    "dataBand": (_sql_data_band, (_LF, NUMBER, NUMBER), SqlType.LONGFIELD),
+    "readPiece": (_sql_read_piece, (_LF, _INT, _INT), SqlType.LONGFIELD),
+    "regionDilate": (_morphology("dilate"), (_LF, _INT), SqlType.LONGFIELD),
+    "regionErode": (_morphology("erode"), (_LF, _INT), SqlType.LONGFIELD),
+    "regionMargin": (_morphology("margin"), (_LF, _INT), SqlType.LONGFIELD),
+}
+
+SPATIAL_FUNCTION_NAMES = tuple(_OPERATORS)
+
 
 def spatial_signatures() -> dict[str, FunctionSignature]:
     """Declared signatures of the §3.2 operators, for the semantic analyzer.
@@ -232,56 +226,14 @@ def spatial_signatures() -> dict[str, FunctionSignature]:
     calls ``extractVoxels`` with one argument is rejected before any long
     field is opened.
     """
-
-    def sig(name, *params, returns=None):
-        return FunctionSignature(name, len(params), len(params), params, returns)
-
     return {
-        "intersection": sig("intersection", _LF, _LF, returns=SqlType.LONGFIELD),
-        "regionUnion": sig("regionUnion", _LF, _LF, returns=SqlType.LONGFIELD),
-        "regionDifference": sig(
-            "regionDifference", _LF, _LF, returns=SqlType.LONGFIELD
-        ),
-        "contains": sig("contains", _LF, _LF, returns=SqlType.BOOLEAN),
-        "extractVoxels": sig("extractVoxels", _LF, _LF, returns=SqlType.LONGFIELD),
-        "extractAll": sig("extractAll", _LF, returns=SqlType.LONGFIELD),
-        "voxelCount": sig("voxelCount", _LF, returns=SqlType.INTEGER),
-        "runCount": sig("runCount", _LF, returns=SqlType.INTEGER),
-        "reencode": sig("reencode", _LF, _TEXT, returns=SqlType.LONGFIELD),
-        "dataMean": sig("dataMean", _LF, returns=SqlType.REAL),
-        "dataMin": sig("dataMin", _LF, returns=SqlType.REAL),
-        "dataMax": sig("dataMax", _LF, returns=SqlType.REAL),
-        "dataVoxels": sig("dataVoxels", _LF, returns=SqlType.INTEGER),
-        "dataBand": sig("dataBand", _LF, NUMBER, NUMBER, returns=SqlType.LONGFIELD),
-        "readPiece": sig("readPiece", _LF, _INT, _INT, returns=SqlType.LONGFIELD),
-        "regionDilate": sig("regionDilate", _LF, _INT, returns=SqlType.LONGFIELD),
-        "regionErode": sig("regionErode", _LF, _INT, returns=SqlType.LONGFIELD),
-        "regionMargin": sig("regionMargin", _LF, _INT, returns=SqlType.LONGFIELD),
+        name: FunctionSignature(name, len(params), len(params), params, returns)
+        for name, (_, params, returns) in _OPERATORS.items()
     }
 
 
 def register_spatial_functions(db: Database) -> None:
     """Install the §3.2 operators (with declared signatures) into a database."""
     signatures = spatial_signatures()
-    implementations = {
-        "intersection": _sql_intersection,
-        "regionUnion": _sql_union,
-        "regionDifference": _sql_difference,
-        "contains": _sql_contains,
-        "extractVoxels": _sql_extract_voxels,
-        "extractAll": _sql_extract_all,
-        "voxelCount": _sql_voxel_count,
-        "runCount": _sql_run_count,
-        "reencode": _sql_reencode,
-        "dataMean": _sql_data_mean,
-        "dataMin": _sql_data_min,
-        "dataMax": _sql_data_max,
-        "dataVoxels": _sql_data_voxels,
-        "dataBand": _sql_data_band,
-        "readPiece": _sql_read_piece,
-        "regionDilate": _sql_dilate,
-        "regionErode": _sql_erode,
-        "regionMargin": _sql_margin,
-    }
-    for name in SPATIAL_FUNCTION_NAMES:
-        db.register_function(name, implementations[name], signature=signatures[name])
+    for name, (implementation, _, _) in _OPERATORS.items():
+        db.register_function(name, implementation, signature=signatures[name])

@@ -12,8 +12,9 @@ What does depend on them — that the semantic check passed, and the plan
 of every query block — lives in the one :attr:`Prepared.bound` slot, and
 is safe to keep there because it carries the *stamp* it was computed
 against: the identity, mutation count and statistics stamp of every
-table the statement names, in the catalog (live or snapshot) it ran on,
-plus the function registry's registration count.  Whoever runs the
+table the statement names (identity alone for :attr:`is_values_insert`),
+in the catalog (live or snapshot) it ran on, plus the function
+registry's registration count.  Whoever runs the
 statement (:class:`~repro.db.database.Database`) recomputes the stamp —
 a few dict lookups — and uses the slot only on an exact match, so DDL,
 DML, ``ANALYZE``, a replaced function or a reader pinned to another
@@ -32,6 +33,7 @@ from repro.db.sql.ast import (
     Explain,
     FuncCall,
     InSubquery,
+    Insert,
     Select,
     Span,
     Statement,
@@ -153,3 +155,9 @@ class Prepared:
     def subquery_tables(self) -> frozenset[str]:
         """The tables read inside a subquery (a subset of :attr:`tables`)."""
         return self._names[2]
+
+    @cached_property
+    def is_values_insert(self) -> bool:
+        """An INSERT whose values read no table: only its target's
+        schema binds it, not the rows it appends."""
+        return isinstance(self.ast, Insert) and not self.subquery_tables

@@ -9,10 +9,13 @@ MVCC snapshot they were captured under:
   table was ``ANALYZE``d, keeps a **region-cell directory**: per distinct
   stored value its :class:`RegionCellStats` (bounding box, run count,
   voxel count, payload size, Hilbert packing key) and the rows holding
-  it — the only place a stored REGION payload is read and parsed, once
-  per distinct value.  DML maintains everything incrementally; a
-  from-scratch ``ANALYZE`` must always reproduce the incremental state
-  (tests/test_stats_properties.py holds the engine to that).
+  it.  One function builds a cell (:func:`region_cell`); a stored
+  payload is read and parsed for it — here and nowhere else, once per
+  distinct value — only when the database did not watch the region
+  being stored (``repro.db.spatial.store_region``).  DML maintains
+  everything incrementally; a from-scratch ``ANALYZE`` must always
+  reproduce the incremental state (tests/test_stats_properties.py and
+  tests/test_load_unit.py hold the engine to that).
 
 * :class:`SpatialIndex` — a named Hilbert-packed
   :class:`~repro.regions.rtree.RegionRTree` over the bounding boxes of
@@ -34,7 +37,7 @@ never holds it across LFM reads.
 from __future__ import annotations
 
 import threading
-from collections import Counter
+from collections import ChainMap, Counter
 from dataclasses import dataclass
 
 from repro.concurrency import lockdep
@@ -47,6 +50,7 @@ __all__ = [
     "RegionCellStats",
     "TableStats",
     "SpatialIndex",
+    "region_cell",
     "region_cell_stats",
     "run_count_bucket",
     "PAGE_SIZE",
@@ -82,25 +86,23 @@ class RegionCellStats:
         return RTreeEntry(key, self.lower, self.upper, self.hilbert)
 
 
-def region_cell_stats(data: bytes) -> RegionCellStats | None:
-    """Parse one serialized region payload into its cell statistics.
-
-    Returns None for empty regions (no bounding box, nothing to index).
-    Raises whatever :meth:`Region.from_bytes` raises for non-region
-    payloads — callers decide whether that disables stats for the column.
-    """
-    region = Region.from_bytes(data)
+def region_cell(region: Region, nbytes: int) -> RegionCellStats | None:
+    """The directory cell of a region whose payload is ``nbytes`` long — the
+    one function that builds a cell, of a region just decoded or still in
+    hand.  None for an empty region (no bounding box, nothing to index)."""
     if not region.voxel_count:
         return None
     lower, upper = region.bounding_box()
-    return RegionCellStats(
-        lower=lower,
-        upper=upper,
-        runs=region.run_count,
-        voxels=region.voxel_count,
-        nbytes=len(data),
-        hilbert=hilbert_sort_key(region, (lower, upper)),
-    )
+    return RegionCellStats(lower, upper, region.run_count, region.voxel_count,
+                           nbytes, hilbert_sort_key(region))
+
+
+def region_cell_stats(data: bytes) -> RegionCellStats | None:
+    """:func:`region_cell` of one serialized payload, decoded first — the
+    path of every payload the database did not watch being made.  Raises
+    whatever :meth:`Region.from_bytes` raises for non-region payloads —
+    callers decide whether that disables stats for the column."""
+    return region_cell(Region.from_bytes(data), len(data))
 
 
 #: parse outcome of a payload that is not a region
@@ -240,10 +242,12 @@ class TableStats:
     def _resolve_cells(rows, known, reader) -> dict[tuple[int, object], object]:
         """Region metadata of every cell ``rows`` store, without the lock.
 
-        ``known`` maps each position to read to the cells already parsed
-        for it; only never-seen values are dereferenced — this is the one
+        ``known`` maps each position to read to the cells already on hand
+        for it — parsed before, or built by ``store_region`` from the
+        object; only never-seen values are dereferenced — this is the one
         place a stored payload is read (``reader(value) -> bytes`` is the
-        execution context's ``read_longfield``).  Returns a map from
+        execution context's ``read_longfield``), and only for a region the
+        database did not watch being stored.  Returns a map from
         ``(position, cell value)`` to :class:`RegionCellStats`, None (an
         empty region) or ``_FAILED``; a column is not read past its first
         payload that is not a region.
@@ -305,16 +309,17 @@ class TableStats:
                 index._tree = _STALE
         self.stamp = (table.uid, table.mutations)
 
-    def apply_inserts(self, table, rows: list, reader) -> None:
+    def apply_inserts(self, table, rows: list, reader, watched) -> None:
         """Fold newly inserted (stored, already coerced) rows into the
-        stats and stamp them to the table's state."""
+        stats and stamp them to the table's state; ``watched`` is the
+        execution context's ``stored_cells``, consulted before ``reader``."""
         with self._lock:
             collected = self._collected(table, self.spatial_enabled)
             known = {}
             for pos in collected:
                 column = self._spatial.get(pos)
                 if column is None or not column.failed:
-                    known[pos] = _cells(column)
+                    known[pos] = ChainMap(_cells(column), watched)
         resolved = self._resolve_cells(rows, known, reader)
         with self._lock:
             grown = self._fold_locked(rows, collected, resolved)

@@ -90,20 +90,21 @@ class Table:
     # row maintenance
     # ------------------------------------------------------------------ #
 
-    def insert(self, values: list) -> None:
-        """Append one row, coercing values against the schema."""
+    def insert(self, values: list) -> list:
+        """Append one row, coercing values against the schema; returns it."""
         row = self.schema.validate_row(list(values))
         self.mutations += 1
         self._rows.append(row)
         for position, buckets in self._indexes.items():
             buckets.setdefault(_index_key(row[position]), []).append(row)
+        return row
 
-    def insert_named(self, **values) -> None:
+    def insert_named(self, **values) -> list:
         """Append one row given by column name; missing columns become NULL."""
         row = [None] * len(self.schema)
         for name, value in values.items():
             row[self.schema.position(name)] = value
-        self.insert(row)
+        return self.insert(row)
 
     def scan(self) -> Iterator[list]:
         """Iterate rows (each a list aligned with the schema's columns)."""

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.db.database import Database
+from repro.db.spatial import store_region
 from repro.errors import MedicalError
 from repro.medical.entities import Atlas, Patient
 from repro.medical.warp import AffineTransform, register_moments, resample_to_grid
@@ -118,7 +119,7 @@ class MedicalLoader:
                     "insert into neuralStructure values (?, ?)",
                     [structure_id, structure_name],
                 )
-                region_lf = self.lfm.create(region.to_bytes("naive"))
+                region_lf = store_region(self.db, region, "naive")
                 mesh_lf = self.lfm.create(extract_surface_mesh(region).to_bytes())
                 if region.voxel_count:
                     lower, upper = region.bounding_box()
@@ -303,6 +304,7 @@ class MedicalLoader:
 
     def _store_bands(self, study_id: int, atlas_id: int, volume: Volume) -> None:
         for band in uniform_bands(volume, width=self.band_width):
+            along = {}  # curve name -> the band along it: one reorder per curve
             for encoding in self.encodings:
                 try:
                     curve_name, codec = ENCODING_SPECS[encoding]
@@ -311,8 +313,9 @@ class MedicalLoader:
                     raise MedicalError(
                         f"unknown band encoding {encoding!r}; known: {known}"
                     ) from None
-                region = band.region.reorder(curve_name)
-                region_lf = self.lfm.create(region.to_bytes(codec))
+                if curve_name not in along:
+                    along[curve_name] = band.region.reorder(curve_name)
+                region_lf = store_region(self.db, along[curve_name], codec)
                 self.db.execute(
                     "insert into intensityBand values (?, ?, ?, ?, ?, ?)",
                     [study_id, atlas_id, band.low, band.high, encoding, region_lf],

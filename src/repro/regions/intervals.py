@@ -123,8 +123,9 @@ class IntervalSet:
     def from_indices(cls, indices: np.ndarray) -> "IntervalSet":
         """Build from an arbitrary (unsorted, possibly duplicated) index array."""
         # sorted, not np.unique'd (hash-based and ~30x slower on a probe
-        # box): a repeated index differs from its neighbour by 0
-        indices = np.sort(np.asarray(indices, dtype=np.int64))
+        # box): a repeated index differs from its neighbour by 0.  In the dtype
+        # they arrive in: a curve table's uint16 sort in a third of int64's time.
+        indices = np.sort(np.asarray(indices)).astype(np.int64)
         if indices.size == 0:
             return cls.empty()
         # A run breaks wherever consecutive sorted indices differ by > 1.

@@ -42,13 +42,12 @@ def _decompose(intervals: IntervalSet, rank_multiple: int, max_rank: int) -> tup
     stops = intervals.stops.astype(np.int64)
     ids_parts: list[np.ndarray] = []
     ranks_parts: list[np.ndarray] = []
-    order_parts: list[np.ndarray] = []
     active = np.flatnonzero(heads < stops)
     while active.size:
         h = heads[active]
         remaining = stops[active] - h
-        # Largest rank allowed by alignment: number of trailing zero bits.
-        alignment = np.where(h == 0, max_rank, _trailing_zeros(h, max_rank))
+        # Largest rank allowed by alignment: trailing zero bits (at 0, the cap).
+        alignment = _trailing_zeros(h, max_rank)
         # Largest rank allowed by the remaining run length.
         fit = _floor_log2(remaining)
         rank = np.minimum(alignment, fit)
@@ -56,7 +55,6 @@ def _decompose(intervals: IntervalSet, rank_multiple: int, max_rank: int) -> tup
             rank -= rank % rank_multiple
         ids_parts.append(h)
         ranks_parts.append(rank)
-        order_parts.append(active)
         heads[active] = h + (np.int64(1) << rank)
         active = active[heads[active] < stops[active]]
     if not ids_parts:
@@ -70,33 +68,20 @@ def _decompose(intervals: IntervalSet, rank_multiple: int, max_rank: int) -> tup
 
 
 def _trailing_zeros(values: np.ndarray, cap: int) -> np.ndarray:
-    """Number of trailing zero bits of each positive value, capped at ``cap``."""
-    result = np.zeros(values.shape, dtype=np.int64)
-    v = values.copy()
-    for _ in range(cap):
-        even = (v & 1) == 0
-        if not even.any():
-            break
-        result[even] += 1
-        v = np.where(even, v >> 1, v)
-        if np.all(~even):
-            break
-    return np.minimum(result, cap)
+    """Trailing zero bits of each non-negative value, capped at ``cap``."""
+    # ``(v & -v) - 1`` masks exactly the trailing zeros.  Counted as uint64:
+    # np.bitwise_count counts |x| for signed input, and zero's mask is -1.
+    below = ((values & -values) - 1).astype(np.uint64)
+    return np.minimum(np.bitwise_count(below), cap).astype(np.int64)
 
 
 def _floor_log2(values: np.ndarray) -> np.ndarray:
-    """floor(log2(v)) for positive int64 values."""
-    # int64 values below 2^53 convert to float64 exactly enough for log2 via
-    # bit tricks; use a bit-length loop to stay exact for all inputs.
-    result = np.zeros(values.shape, dtype=np.int64)
-    v = values.copy()
-    shift = 32
-    while shift:
-        big = v >= (np.int64(1) << shift)
-        result[big] += shift
-        v = np.where(big, v >> shift, v)
-        shift >>= 1
-    return result
+    """floor(log2(v)) for positive int64 values, exact for all of them."""
+    # Smear the top bit over every bit below it; the bit count is the length.
+    v = values.astype(np.uint64)
+    for shift in (1, 2, 4, 8, 16, 32):
+        v |= v >> np.uint64(shift)
+    return np.bitwise_count(v).astype(np.int64) - 1
 
 
 def decompose_octants(intervals: IntervalSet, ndim: int, max_rank: int = 62) -> tuple[np.ndarray, np.ndarray]:

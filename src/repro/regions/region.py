@@ -55,7 +55,7 @@ def _resolve_curve(grid: GridSpec, curve: SpaceFillingCurve | str | None) -> Spa
 class Region:
     """A set of voxels on a grid, stored as maximal runs along a curve."""
 
-    __slots__ = ("_intervals", "_grid", "_curve")
+    __slots__ = ("_intervals", "_grid", "_curve", "_box")
 
     def __init__(self, intervals: IntervalSet, grid: GridSpec, curve: SpaceFillingCurve | str | None = None):
         self._grid = grid
@@ -63,6 +63,7 @@ class Region:
         if intervals.run_count and intervals.max_index >= self._curve.length:
             raise ValidationError("runs extend past the end of the curve")
         self._intervals = intervals
+        self._box = None  #: :meth:`bounding_box`, once computed
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -171,11 +172,16 @@ class Region:
         return mask
 
     def bounding_box(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Tight axis-aligned bounding box as ``(lower, upper)`` (half-open)."""
-        if not self.voxel_count:
-            raise ValidationError("empty region has no bounding box")
-        coords = self.coords()
-        return tuple(coords.min(axis=0).tolist()), tuple((coords.max(axis=0) + 1).tolist())
+        """Tight axis-aligned bounding box as ``(lower, upper)`` (half-open).
+
+        Computed once per voxel set — memoized, and :meth:`reorder` hands it
+        on: a region's encodings, cells and R-tree entries read one box.
+        """
+        if self._box is None:
+            if not self.voxel_count:
+                raise ValidationError("empty region has no bounding box")
+            self._box = self._curve.bounding_box(self._intervals.indices())
+        return self._box
 
     def centroid(self) -> tuple[float, ...]:
         """Mean voxel coordinate."""
@@ -284,15 +290,21 @@ class Region:
         """Re-linearize along a different curve (same voxels, new run list).
 
         This is how the benchmarks compare h-runs against z-runs for the
-        same REGION.
+        same REGION.  The positions are expanded here anyway, so the
+        bounding box — the same along any curve — is taken once, for both.
         """
         target = _resolve_curve(self._grid, curve)
         if target == self._curve:
             return self
         if not self.voxel_count:
             return Region.empty(self._grid, target)
-        coords = self.coords()
-        return Region(IntervalSet.from_indices(target.index(coords)), self._grid, target)
+        positions = self._intervals.indices()
+        if self._box is None:
+            self._box = self._curve.bounding_box(positions)
+        moved = IntervalSet.from_indices(self._curve.reindex(positions, target))
+        region = Region(moved, self._grid, target)
+        region._box = self._box
+        return region
 
     # ------------------------------------------------------------------ #
     # serialization (the long-field representation)

@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
-import numpy as np
-
 from repro.curves import curve_for_grid
 from repro.regions.region import Region
 
@@ -39,29 +37,22 @@ __all__ = ["RTreeEntry", "RegionRTree", "hilbert_sort_key"]
 DEFAULT_CAPACITY = 8
 
 
-def hilbert_sort_key(region: Region, box=None) -> int:
+def hilbert_sort_key(region: Region) -> int:
     """The Hilbert packing key of one region.
 
     For regions already linearized along the Hilbert curve this is the
     midpoint of the curve-id interval (no geometry needed).  Other
-    linearizations map their bounding-box center through the grid's
-    Hilbert curve (``box`` is the region's ``bounding_box()``, for a
-    caller that already has it); grids with no Hilbert curve (non-cube
-    shapes) fall back to the native curve's interval midpoint, which
-    still clusters spatially for any space-filling order.
+    linearizations map their (memoized) bounding-box center through the
+    grid's Hilbert curve — every grid a region's own curve covers has one.
     """
     intervals = region.intervals
     if not intervals.run_count:
         return 0
     if region.curve.name == "hilbert":
         return (int(intervals.min_index) + int(intervals.max_index)) // 2
-    lower, upper = box if box is not None else region.bounding_box()
+    lower, upper = region.bounding_box()
     center = [(lo + up - 1) // 2 for lo, up in zip(lower, upper)]
-    try:
-        curve = curve_for_grid(region.grid, "hilbert")
-    except Exception:  # qblint: disable=no-broad-except — non-cube grid
-        return (int(intervals.min_index) + int(intervals.max_index)) // 2
-    return int(curve.index(np.asarray([center], dtype=np.int64))[0])
+    return curve_for_grid(region.grid, "hilbert").index_point(*center)
 
 
 @dataclass(frozen=True)
@@ -77,7 +68,7 @@ class RTreeEntry:
     def for_region(cls, key: object, region: Region) -> "RTreeEntry":
         """Build the entry for one non-empty region."""
         lower, upper = region.bounding_box()
-        return cls(key, lower, upper, hilbert_sort_key(region, (lower, upper)))
+        return cls(key, lower, upper, hilbert_sort_key(region))
 
 
 class _Node:

@@ -125,3 +125,48 @@ class TestResultSet:
         result = db.execute("select id from t order by id")
         assert len(result) == 3
         assert [row[0] for row in result] == [1, 2, 3]
+
+
+class TestInsertTouchesOnlyItsRows:
+    """An INSERT learns the rows it stored from ``Table.insert``, not by
+    walking its target to the rows past the old count — work, not time:
+    with ``Table.scan`` forbidden the statement still maintains the
+    statistics and still knows which rows a rollback must take back."""
+
+    def test_insert_neither_scans_nor_loses_track_of_its_rows(self, monkeypatch):
+        from repro.db.table import Table
+        from repro.storage import BlockDevice, LongFieldManager, WriteAheadLog
+
+        lfm = LongFieldManager(WriteAheadLog(
+            BlockDevice(1 << 20), BlockDevice(1 << 20), recover=False))
+        db = Database(lfm=lfm)
+        db.execute("create table t (id integer, name text)")
+        db.executemany("insert into t values (?, ?)",
+                       [[k, "old"] for k in range(50)])
+        table = db.catalog.table("t")
+
+        def no_scan(self):
+            raise AssertionError("INSERT walked its target")
+
+        with pytest.raises(RuntimeError, match="abort"):
+            with db.transaction():
+                with monkeypatch.context() as patched:
+                    patched.setattr(Table, "scan", no_scan)
+                    assert db.execute(
+                        "insert into t values (?, 'one')", [100]).rowcount == 1
+                    assert db.execute(
+                        "insert into t (name, id) values ('three', 101), "
+                        "('three', 102), ('three', 103)").rowcount == 3
+                    # the stored rows were folded into the stats
+                    stats = table.fresh_stats()
+                    assert stats is not None and stats.row_total == 54
+                    assert stats.eq_fraction(0, 102) == 1 / 54
+                    assert stats.eq_fraction(1, "three") == 3 / 54
+                    assert stats.eq_fraction(1, "one") == 1 / 54
+                assert [row[0] for row in table.scan()][50:] == [100, 101, 102, 103]
+                raise RuntimeError("abort")
+        # exactly the four rows went with the transaction
+        assert [row[0] for row in table.scan()] == list(range(50))
+        stats = table.fresh_stats()
+        assert stats is not None and stats.row_total == 50
+        assert stats.eq_fraction(1, "three") == 0

@@ -21,7 +21,8 @@ from repro.db import stats as stats_module
 from repro.db.database import Database
 from repro.db.mvcc import VersionManager
 from repro.db.persist import export_catalog, restore_catalog
-from repro.db.spatial import register_spatial_functions
+from repro.db.spatial import register_spatial_functions, store_region
+from repro.db.stats import TableStats
 from repro.errors import MedicalError, SimulatedCrash
 from repro.medical.loader import MedicalLoader
 from repro.medical.schema import create_medical_schema
@@ -36,8 +37,10 @@ from repro.storage import (
     LongFieldManager,
     WriteAheadLog,
 )
+from repro.regions import Region
 from repro.synthdata import build_phantom, generate_mri_studies, generate_pet_studies
 from repro.viz.dx import DataExplorer
+from tests.test_stats_properties import _assert_stats_equal
 
 GRID = 16
 CAPACITY = 4 << 20
@@ -75,6 +78,47 @@ def payload_hashes(system, table: str, column: str) -> list[str]:
     """SHA-256 of every long field one column stores, in row order."""
     handles = system.db.execute(f"select {column} from {table}").column(column)
     return [hashlib.sha256(system.lfm.read(h)).hexdigest() for h in handles]
+
+
+LONGFIELD_COLUMNS = (("atlasStructure", "region"), ("atlasStructure", "surfaceMesh"),
+                     ("rawVolume", "data"), ("warpedVolume", "data"),
+                     ("intensityBand", "region"))
+
+
+def indexed_empty():
+    """``(lfm, db, loader)`` over a WAL node whose spatial indexes and
+    statistics exist before anything is loaded — so the atlas, too, is
+    stored into live directories."""
+    _, lfm, db = node_stack(BlockDevice(CAPACITY), wal=True)
+    index_and_analyze(db)
+    return lfm, db, MedicalLoader(db, lfm, encodings=ENCODINGS)
+
+
+def directory(db, table: str, column: str):
+    """One column's region-cell directory: ``(failed, handle -> cell)``."""
+    table = db.catalog.table(table)
+    held = table.stats._spatial[table.schema.position(column)]
+    return held.failed, held.cells
+
+
+def assert_directories_equal_a_recompute(db, lfm) -> None:
+    """The live statistics of every medical table against a from-scratch
+    ``recompute`` that reads and decodes every stored payload."""
+    for name, column in LONGFIELD_COLUMNS:
+        table = db.catalog.table(name)
+        reference = TableStats(table.schema)
+        reference.recompute(table, lfm.read, spatial=True)
+        pos = table.schema.position(column)
+        live, scratch = table.stats._spatial.get(pos), reference._spatial.get(pos)
+        if not table.row_count:
+            assert live is None and scratch is None  # nothing stored yet
+            continue
+        assert live.failed == scratch.failed == (column != "region")
+        assert live.cells == scratch.cells
+        assert live.counts == scratch.counts
+        assert live.empty_rows == scratch.empty_rows
+        if column == "region":  # rows, aggregates, and the R-tree entry for entry
+            _assert_stats_equal(table.stats, reference, table)
 
 
 class _Calls:
@@ -153,6 +197,7 @@ class TestFailedLoadLeavesNothingBehind:
         assert lfm.allocated_bytes == allocated
         assert db.version_seq == seq  # nothing was published
         assert bad._next_ids["study"] == 2
+        assert db._stored_cells == {}  # the rolled-back bands' cells went too
         for name in STUDY_TABLES:
             table = db.catalog.table(name)
             assert table.stats.fresh(table)
@@ -168,6 +213,34 @@ class TestFailedLoadLeavesNothingBehind:
             assert (payload_hashes(system, table, column)
                     == payload_hashes(reference, table, column))
         assert lfm.allocated_bytes == reference.lfm.allocated_bytes
+        # ... the directories too: no cell of the rolled-back load answers
+        # for a field id the retry was issued again.
+        assert (directory(db, "intensityBand", "region")
+                == directory(reference.db, "intensityBand", "region"))
+        assert_directories_equal_a_recompute(db, lfm)
+
+    def test_a_rolled_back_cell_never_answers_for_a_reissued_field(self):
+        lfm, db, _ = indexed_empty()
+        grid = PHANTOM.grid
+        first = Region.from_box(grid, (0, 0, 0), (2, 2, 2))
+        second = Region.from_box(grid, (8, 8, 8), (10, 10, 10))
+        assert first.run_count == second.run_count  # so: equal payload lengths
+        with pytest.raises(RuntimeError, match="abort"):
+            with db.transaction():
+                gone = store_region(db, first)
+                assert db.stored_cells == {gone: stats_module.region_cell(
+                    first, gone.length)}
+                raise RuntimeError("abort")
+        assert db._stored_cells == {} and db.stored_cells is None
+        with db.transaction():
+            again = lfm.create(second.to_bytes("naive"))  # not watched
+            assert again == gone  # same id, same length: the same handle
+            db.execute("insert into intensityBand values (1, 1, 0, 31, 'x', ?)",
+                       [again])
+        assert db._stored_cells == {}  # emptied on commit as on rollback
+        _, cells = directory(db, "intensityBand", "region")
+        assert cells[again].lower == (8, 8, 8)
+        assert_directories_equal_a_recompute(db, lfm)
 
     def test_raw_device_keeps_what_was_stored(self):
         # No journal, no rollback: the half-loaded study stays visible and
@@ -200,6 +273,81 @@ class TestNoReadBack:
                               ("intensityBand", "region")):
             hashes = payload_hashes(whole, table, column)
             assert hashes and hashes == payload_hashes(parts, table, column)
+
+
+    def test_the_fast_path_builds_the_directory_the_slow_path_reads(
+            self, monkeypatch):
+        """Stored through ``store_region`` or with a plain ``lfm.create``
+        + INSERT (which reads every band back): same bytes in the same
+        places, same directory — and only the second reads anything."""
+        def build():
+            lfm, db, loader = indexed_empty()
+            reads = [lfm.stats.read_calls]
+            atlas = loader.load_atlas(PHANTOM)
+            reads.append(lfm.stats.read_calls)
+            patient = loader.register_patient("unit", "1960-01-01", "F", 34)
+            for study in (PET[0], MRI[0]):
+                loader.load_study(study.data, study.modality,
+                                  patient.patient_id, atlas, PHANTOM.grid,
+                                  warp=study.patient_to_atlas)
+                reads.append(lfm.stats.read_calls)
+            return lfm, db, [b - a for a, b in zip(reads, reads[1:])]
+
+        lfm, db, reads = build()
+        # The atlas reads its first mesh, the first study its raw and its
+        # warped volume — each once, to learn that the ANALYZEd column
+        # holds no REGION.  No region is read back, and the second study
+        # reads nothing at all.
+        assert reads == [1, 2, 0]
+        assert db._stored_cells == {}
+        assert_directories_equal_a_recompute(db, lfm)
+
+        from repro.medical import loader as loader_module
+        monkeypatch.setattr(
+            loader_module, "store_region",
+            lambda db, region, codec: db.lfm.create(region.to_bytes(codec)))
+        slow_lfm, slow_db, slow_reads = build()
+        structures, bands = len(PHANTOM.structures), 8 * len(ENCODINGS)
+        assert slow_reads == [1 + structures, 2 + bands, bands]
+        for table, column in LONGFIELD_COLUMNS:
+            handles = [db_.execute(f"select {column} from {table}").column(column)
+                       for db_ in (db, slow_db)]
+            assert handles[0] and handles[0] == handles[1]  # ids and lengths
+            assert ([hashlib.sha256(lfm.read(h)).hexdigest() for h in handles[0]]
+                    == [hashlib.sha256(slow_lfm.read(h)).hexdigest()
+                        for h in handles[1]])
+            assert directory(db, table, column) == directory(slow_db, table, column)
+        assert lfm.allocated_bytes == slow_lfm.allocated_bytes
+        assert lfm.export_state() == slow_lfm.export_state()
+
+    def test_atlas_boxes_are_the_directory_boxes(self):
+        _, db, loader = indexed_empty()
+        loader.load_atlas(PHANTOM)
+        _, cells = directory(db, "atlasStructure", "region")
+        rows = db.execute(
+            "select region, bbMinX, bbMinY, bbMinZ, bbMaxX, bbMaxY, bbMaxZ "
+            "from atlasStructure").rows
+        assert len(rows) == len(PHANTOM.structures) == len(cells)
+        for handle, *box in rows:
+            assert (*cells[handle].lower, *cells[handle].upper) == tuple(box)
+
+    def test_an_empty_band_is_the_none_cell_on_both_paths(self):
+        lfm, db, _ = indexed_empty()
+        empty = Region.empty(PHANTOM.grid)
+        with db.transaction():
+            watched = store_region(db, empty)
+            assert db.stored_cells == {watched: None}
+            db.execute("insert into intensityBand values (1, 1, 0, 31, 'x', ?)",
+                       [watched])
+        unwatched = store_region(db, empty)  # no transaction: nothing kept
+        assert db.stored_cells is None and db._stored_cells == {}
+        before = lfm.stats.read_calls
+        db.execute("insert into intensityBand values (1, 1, 32, 63, 'x', ?)",
+                   [unwatched])
+        assert lfm.stats.read_calls == before + 1  # the fallback read it
+        failed, cells = directory(db, "intensityBand", "region")
+        assert not failed and cells == {watched: None, unwatched: None}
+        assert_directories_equal_a_recompute(db, lfm)
 
 
 # --------------------------------------------------------------------- #

@@ -121,3 +121,70 @@ class TestAlignment:
                 raise AssertionError(
                     f"blocks <{i},{r}> and <{buddy_id},{r}> should have merged"
                 )
+
+
+class TestBitKernels:
+    """The two bit counts against ``int.bit_length``, and the decomposition
+    they feed against the arrays the bit *loops* they replaced produced."""
+
+    @staticmethod
+    def _values() -> np.ndarray:
+        rng = np.random.default_rng(1994)
+        # every magnitude, not just the top bits a uniform draw would give
+        random = rng.integers(1, 1 << 62, 10_000) >> rng.integers(0, 62, 10_000)
+        edges = [v for k in range(63) for v in ((1 << k) - 1, 1 << k, (1 << k) + 1)]
+        return np.asarray([v for v in random.tolist() + edges if v > 0],
+                          dtype=np.int64)
+
+    @pytest.mark.parametrize("cap", [15, 18, 31, 62])
+    def test_trailing_zeros_is_the_low_bit_length(self, cap):
+        from repro.regions.octants import _trailing_zeros
+
+        values = self._values()
+        expected = [min(cap, (v & -v).bit_length() - 1) for v in values.tolist()]
+        got = _trailing_zeros(values, cap)
+        assert got.dtype == np.int64 and got.tolist() == expected
+        # position 0 is aligned to every rank: the cap
+        assert _trailing_zeros(np.zeros(3, dtype=np.int64), cap).tolist() == [cap] * 3
+
+    def test_floor_log2_is_the_bit_length(self):
+        from repro.regions.octants import _floor_log2
+
+        values = self._values()
+        got = _floor_log2(values)
+        assert got.dtype == np.int64
+        assert got.tolist() == [v.bit_length() - 1 for v in values.tolist()]
+
+    #: SHA-256 over (ids, ranks) of every set below, pinned at rev d0636ed
+    #: (the 31-pass / 6-pass ``np.where`` loops)
+    PINNED = {
+        (16, "octant"): "b0766eca8a4a25b6a480555e8e33c43e9e179d3cc64d4412e6dbac1412851c63",
+        (16, "oblong"): "eb8ec1a374337e9ba87518deb6498ecf040f80e1b7e9355746ef7d3a453527ba",
+        (32, "octant"): "ecda3b557ada02e015be57a563fecbc30779a7364417aefe98df9e0de4ba985e",
+        (32, "oblong"): "69550c1f9e8ebb6fcae1c8c5bc864bb766caf7dabcc90cd87831f39362e21442",
+    }
+
+    @pytest.mark.parametrize("side", [16, 32])
+    def test_phantom_decompositions_are_the_parents(self, side):
+        """The phantom's structures and the 8 bands of its anatomy, in z-order."""
+        import hashlib
+
+        from repro.regions import Region
+        from repro.synthdata.phantom import build_phantom
+        from repro.volumes import Volume, uniform_bands
+
+        phantom = build_phantom(side, 1994)
+        sets = [Region.from_mask(r.to_mask(), phantom.grid, "morton").intervals
+                for r in phantom.structures.values()]
+        volume = Volume.from_array((phantom.anatomy * 255).astype(np.uint8),
+                                   curve="morton")
+        sets += [band.region.intervals for band in uniform_bands(volume)]
+        assert len(sets) == 20
+        for kind, decompose in (("octant", lambda s: decompose_octants(s, 3)),
+                                ("oblong", decompose_oblong_octants)):
+            digest = hashlib.sha256()
+            for intervals in sets:
+                ids, ranks = decompose(intervals)
+                assert ids.dtype == ranks.dtype == np.int64
+                digest.update(ids.tobytes() + ranks.tobytes())
+            assert digest.hexdigest() == self.PINNED[side, kind]

@@ -254,3 +254,67 @@ def test_statement_calling_a_session_local_udf_is_never_bound(kv_db):
             # a shared-registry statement from the same sessions is bound
             one.execute(SUM_SQL, [0])
             assert kv_db.prepare(SUM_SQL)[0].bound is not None
+
+
+INSERT_SQL = "insert into kv values (?, abs(?))"
+
+
+def _counted(monkeypatch, module, name: str) -> list:
+    """Patch ``module.name`` with a wrapper that logs every call."""
+    calls, inner = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_values_insert_is_checked_and_compiled_once(kv_db, monkeypatch):
+    """The rows an INSERT appends move its target's stamp; they must not
+    unbind the INSERT itself, whose check and value program depend on the
+    target's schema alone.  Counts, not timings."""
+    from repro.db import database, executor
+    from repro.db.sql.ast import Insert
+
+    checks = _counted(monkeypatch, database, "check")
+    compiles = _counted(monkeypatch, executor, "_Compiler")
+
+    def work() -> tuple[int, int]:
+        # an INSERT's values compile over the empty scope chain
+        return (sum(isinstance(args[0], Insert) for args in checks),
+                sum(args == (((),),) for args in compiles))
+
+    for k in range(25):
+        kv_db.execute(INSERT_SQL, [100 + k, -k])
+    assert work() == (1, 1)
+    stmt, _ = kv_db.prepare(INSERT_SQL)
+    assert stmt.is_values_insert
+    # ANALYZE and index DDL change what a *plan* is worth, not this statement
+    kv_db.execute("analyze kv")
+    kv_db.execute("create index kv_k on kv (k)")
+    kv_db.execute(INSERT_SQL, [200, 1])
+    assert work() == (1, 1)
+    assert kv_db.execute("select sum(v) from kv where k >= 100", []).scalar() == 301
+    # a new table under the old name is a new schema: checked again
+    kv_db.execute("drop table kv")
+    kv_db.execute("create table kv (k integer, v integer)")
+    kv_db.execute(INSERT_SQL, [1, -1])
+    assert work() == (2, 2)
+    # so is a re-registered function the statement calls
+    kv_db.register_function("abs", lambda x: 7, replace=True)
+    kv_db.execute(INSERT_SQL, [2, -2])
+    assert work() == (3, 3)
+    assert kv_db.execute("select v from kv order by k").column("v") == [1, 7]
+
+
+def test_an_insert_that_reads_a_table_keeps_the_full_stamp(kv_db, monkeypatch):
+    from repro.db import database
+
+    sql = "insert into kv values (?, (select max(v) from kv))"
+    assert not kv_db.prepare(sql)[0].is_values_insert
+    checks = _counted(monkeypatch, database, "check")
+    for k in range(3):
+        kv_db.execute(sql, [50 + k])
+    assert len(checks) == 3  # each run moved the table the subquery reads

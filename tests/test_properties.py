@@ -249,6 +249,65 @@ def test_reorder_preserves_geometry(mask):
     assert np.array_equal(region.reorder("morton").to_mask(), mask)
 
 
+grids = st.sampled_from([(8, 8, 8), (5, 8, 3), (7, 2, 6), (16, 16), (9, 13)])
+
+
+@st.composite
+def grid_masks(draw):
+    shape = draw(grids)
+    bits = draw(st.lists(st.booleans(), min_size=int(np.prod(shape)),
+                         max_size=int(np.prod(shape))))
+    return np.asarray(bits, dtype=bool).reshape(shape)
+
+
+@given(mask=grid_masks(), source=st.sampled_from(["hilbert", "morton"]))
+@settings(max_examples=60, deadline=None)
+def test_reorder_laws_and_the_shared_bounding_box(mask, source):
+    target = "morton" if source == "hilbert" else "hilbert"
+    region = Region.from_mask(mask, curve=source)
+    moved = region.reorder(target)
+    assert moved.curve.name == target
+    assert np.array_equal(moved.to_mask(), mask)
+    assert moved.reorder(source) == region
+    assert moved == Region.from_mask(mask, curve=target)
+    if not mask.any():
+        return
+    # one box per voxel set: taken in reorder, handed on, and what a box
+    # computed from the coordinates would be
+    coords = np.argwhere(mask)
+    box = tuple(coords.min(axis=0).tolist()), tuple((coords.max(axis=0) + 1).tolist())
+    assert region._box == moved._box == box
+    assert moved.bounding_box() is region.bounding_box()
+    for fresh in (Region.from_mask(mask, curve=source), moved.reorder(source)):
+        expanded = fresh.coords()
+        assert fresh.bounding_box() == box == (
+            tuple(expanded.min(axis=0).tolist()),
+            tuple((expanded.max(axis=0) + 1).tolist()))
+
+
+@given(mask=masks_8, source=st.sampled_from(["hilbert", "morton", "rowmajor"]))
+@settings(max_examples=20, deadline=None)
+def test_reorder_kernel_path_agrees_with_the_table_path(mask, source):
+    """The same voxels on a 256^3 grid — a curve longer than
+    ``TABLE_MAX_LENGTH``, answered by the bit kernels — and on the 8^3
+    grid the tables answer."""
+    from repro.curves.base import TABLE_MAX_LENGTH
+
+    target = "morton" if source != "morton" else "hilbert"
+    coords = np.argwhere(mask)
+    small, large = GridSpec((8, 8, 8)), GridSpec((256, 256, 256))
+    table = Region.from_coords(coords, small, source)
+    kernel = Region.from_coords(coords, large, source)
+    assert kernel.curve.length > TABLE_MAX_LENGTH >= table.curve.length
+    moved = kernel.reorder(target)
+    assert moved == Region.from_coords(coords, large, target)
+    assert np.array_equal(moved.to_mask()[:8, :8, :8], mask)
+    assert moved.voxel_count == table.voxel_count
+    if coords.size:
+        assert (moved.bounding_box() == kernel.bounding_box()
+                == table.reorder(target).bounding_box())
+
+
 @given(mask=masks_8, mingap=st.integers(1, 64))
 @settings(max_examples=30, deadline=None)
 def test_merge_gaps_always_superset(mask, mingap):
