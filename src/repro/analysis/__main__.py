@@ -52,7 +52,6 @@ def main(argv: list[str] | None = None) -> int:
         print("-- concurrency pass (--concurrency) --")
         descriptions = {
             "QB401": "lock acquired against the declared hierarchy order",
-            "QB402": "read->write upgrade of the database RWLock",
             "QB411": "guarded attribute mutated without its lock",
             "QB412": "@guarded_by function called without its lock",
             "QB421": "transaction-scoped state touched outside a WAL txn",

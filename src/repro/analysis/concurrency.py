@@ -23,10 +23,7 @@ ranked may be acquired under it.  Violations:
 
 * ``QB401`` — a lock acquired (directly, or transitively through a
   resolved call) while a lock ranked *below* it is held, or a
-  non-reentrant lock re-acquired by its holder;
-* ``QB402`` — the write side of ``db.rwlock`` acquired while its read
-  side is held (the RWLock refuses upgrades at runtime; the static pass
-  catches the attempt before a stress run does).
+  non-reentrant lock re-acquired by its holder.
 
 **Guarded state** — ``# guarded_by: <lock-attr>`` comments on attribute
 assignments declare which lock protects a shared mutable, and
@@ -110,7 +107,7 @@ LOCK_ATTRS = {
 #: bare with-target names with a known key (the per-page fill latch)
 NAME_KEYS = {"latch": "cache.latch"}
 
-#: receiver names that mark ``.read()`` / ``.write()`` as RWLock sides
+#: receiver names that mark ``.write()`` as the database write lock
 RWLOCK_NAMES = {"rwlock", "_rwlock"}
 
 #: method calls that mutate their receiver (for guarded-attr checks)
@@ -141,7 +138,6 @@ def _rank(key: str) -> int:
 class _Acquire:
     fn: str
     key: str
-    mode: str           #: "read" | "write" | "excl" | "dynamic"
     line: int
     lex_held: dict[str, str]
 
@@ -244,14 +240,9 @@ class _Analyzer:
         """(key, mode) a with-item acquires, or ``None`` for non-locks."""
         if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute):
             method, receiver = expr.func.attr, expr.func.value
-            if method in ("read", "write") and _is_rwlock(receiver):
-                return ("db.rwlock", method)
-            if method == "_write_locked":
-                # Database._write_locked: the write side, its wait timed
+            if method == "write" and _is_rwlock(receiver) \
+                    or method == "_write_locked":  # its wait timed
                 return ("db.rwlock", "write")
-            if method == "read_view":
-                # Database.read_view may fall back to the shared side
-                return ("db.rwlock", "read")
             if method == "transaction":
                 return ("txn", "excl")
             return None
@@ -319,7 +310,7 @@ class _Analyzer:
                     if lock is not None:
                         key, mode = lock
                         self.acquires.append(_Acquire(
-                            fn.qualname, key, mode, item.context_expr.lineno,
+                            fn.qualname, key, item.context_expr.lineno,
                             dict(inner)))
                         if key not in inner:
                             inner[key] = mode
@@ -470,13 +461,7 @@ class _Analyzer:
         for acq in self.acquires:
             held = _merge_held(self.entry.get(acq.fn, {}), acq.lex_held)
             if acq.key in held:
-                if acq.key == "db.rwlock" and acq.mode == "write" \
-                        and held[acq.key] == "read":
-                    emit(acq.fn, acq.line, "QB402",
-                         "read->write upgrade: the write side of 'db.rwlock' "
-                         "is acquired while this thread holds the read side "
-                         "(RWLock refuses upgrades at runtime)")
-                elif acq.key not in REENTRANT:
+                if acq.key not in REENTRANT:
                     emit(acq.fn, acq.line, "QB401",
                          f"non-reentrant lock '{acq.key}' is re-acquired "
                          f"while already held by this thread")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.db.database import Database
-from repro.errors import ClusterError
+from repro.errors import CatalogError, ClusterError
 from repro.medical.server import MedicalServer
 from repro.server.server import QueryServer
 
@@ -74,28 +74,28 @@ class Shard:
         return dict(self.server.node_labels)
 
     def region_bbox(self, table: str, column: str = "region"):
-        """Union bounding box of a stored REGION column, from ANALYZE stats.
+        """Union bounding box of a stored REGION column, from the ANALYZE
+        stats of the committed state.
 
         Returns ``(lower, upper)`` (half-open), or ``None`` when the
         table has no analyzed spatial statistics (the router then cannot
         prune this shard on geometry and must include it).
         """
-        try:
-            stats = self.db.catalog.table(table).stats
-            position = self.db.catalog.table(table).schema.position(column)
-        except Exception:  # qblint: disable=no-broad-except — unknown table/column
-            return None
-        try:
-            return stats.bounding_box(position)
-        except Exception:  # qblint: disable=no-broad-except — no spatial stats
-            return None
+        with self.db.read_view() as view:
+            try:
+                stored = view.catalog.table(table)
+                position = stored.schema.position(column)
+            except CatalogError:  # unknown table or column
+                return None
+            return stored.stats.bounding_box(position)
 
     def row_count(self, table: str) -> int:
-        """Rows this shard stores in ``table`` (0 prunes the shard)."""
-        try:
-            return self.db.catalog.table(table).row_count
-        except Exception:  # qblint: disable=no-broad-except — unknown table
-            return 0
+        """Committed rows this shard stores in ``table`` (0 prunes the shard)."""
+        with self.db.read_view() as view:
+            try:
+                return view.catalog.table(table).row_count
+            except CatalogError:  # unknown table
+                return 0
 
     # ------------------------------------------------------------------ #
     # lifecycle

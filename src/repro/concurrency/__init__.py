@@ -1,8 +1,8 @@
 """Concurrency primitives shared by the storage, db, and server layers.
 
-The query-serving protocol (ARCHITECTURE.md) is built on one primitive: a
-reader-writer lock with writer preference.  Many concurrent SELECTs share
-the read side; DDL and DML take the exclusive write side.  The package
+The query-serving protocol (ARCHITECTURE.md) is built on one primitive:
+the statement-level write lock DDL and DML take (SELECTs take nothing —
+they read a published snapshot version).  The package
 lives at the leaf of the import graph so :mod:`repro.db` and
 :mod:`repro.storage` can use it without importing the server layer above
 them.
@@ -46,22 +46,13 @@ def guarded_by(*lock_names: str):
 
 
 class RWLock:
-    """A writer-preferring reader-writer lock with re-entrant holders.
+    """The database's statement-level write lock, re-entrant for its holder.
 
-    Semantics, chosen for the statement-execution protocol:
-
-    * any number of threads may hold the **read** side concurrently;
-    * the **write** side is exclusive against readers and other writers;
-    * a waiting writer blocks *new* readers (writer preference), so a
-      stream of SELECTs cannot starve DDL — but a thread already holding
-      a read lock may re-enter the read side (no self-deadlock);
-    * the write holder may re-acquire both sides freely: statements
-      executed inside an exclusive transaction scope nest naturally;
-    * upgrading read → write is refused with :class:`ConcurrencyError`
-      (two upgrading readers would deadlock each other).
-
-    Acquisitions must nest LIFO per thread, which the ``read()`` /
-    ``write()`` context managers guarantee.
+    Only writers take it: every read runs on a published MVCC version
+    (:mod:`repro.db.mvcc`), so there is no shared side.  The holder may
+    re-acquire it freely — statements executed inside an exclusive
+    transaction scope nest naturally.  Acquisitions must nest LIFO per
+    thread, which the ``write()`` context manager guarantees.
 
     ``name`` is the lock's :mod:`~repro.concurrency.lockdep` class key
     (``"db.rwlock"`` for the database statement lock); when the witness
@@ -72,71 +63,8 @@ class RWLock:
     def __init__(self, name: str = "rwlock") -> None:
         self.name = name
         self._cond = threading.Condition()
-        self._readers = 0              # active read holds (non-writer threads)
         self._writer: int | None = None  # ident of the write-holding thread
         self._writer_depth = 0
-        self._waiting_writers = 0
-        self._local = threading.local()  # per-thread read re-entrancy depth
-
-    def _read_depth(self) -> int:
-        return getattr(self._local, "depth", 0)
-
-    def _note_acquired(self, undo) -> None:
-        """Feed one successful acquisition to lockdep.
-
-        If the witness flags it (rank inversion or a cycle-closing edge),
-        ``undo`` rolls the acquisition back before the error propagates,
-        so the lock state stays consistent with what the caller observes.
-        """
-        if not lockdep.enabled():
-            return
-        try:
-            lockdep.note_acquire(self.name, reentrant=True)
-        except ConcurrencyError:
-            undo()
-            raise
-
-    # ------------------------------------------------------------------ #
-    # read side
-    # ------------------------------------------------------------------ #
-
-    def acquire_read(self) -> None:
-        """Take a shared hold; blocks while a writer is active or waiting."""
-        me = threading.get_ident()
-        with self._cond:
-            if self._writer == me or self._read_depth() > 0:
-                # Re-entrant: the writer reads freely; an existing reader
-                # may deepen its hold even past waiting writers.
-                if self._writer != me:
-                    self._readers += 1
-                self._local.depth = self._read_depth() + 1
-                return  # lockdep already saw this thread's hold
-            while self._writer is not None or self._waiting_writers:
-                self._cond.wait()
-            self._readers += 1
-            self._local.depth = 1
-        self._note_acquired(self.release_read)
-
-    def release_read(self) -> None:
-        """Drop one shared hold."""
-        me = threading.get_ident()
-        with self._cond:
-            depth = self._read_depth()
-            if depth <= 0:
-                raise ConcurrencyError("release_read without a matching acquire")
-            self._local.depth = depth - 1
-            if self._writer == me:
-                return  # the writer's read holds never touched _readers
-            self._readers -= 1
-            if not self._readers:
-                self._cond.notify_all()
-        if depth == 1:
-            # The thread's last shared hold: pop its lockdep entry.
-            lockdep.note_release(self.name)
-
-    # ------------------------------------------------------------------ #
-    # write side
-    # ------------------------------------------------------------------ #
 
     def acquire_write(self) -> None:
         """Take the exclusive hold; re-entrant for the current writer."""
@@ -145,20 +73,18 @@ class RWLock:
             if self._writer == me:
                 self._writer_depth += 1
                 return  # lockdep already saw this thread's hold
-            if self._read_depth() > 0:
-                raise ConcurrencyError(
-                    "cannot upgrade a read lock to a write lock; release "
-                    "the read hold first"
-                )
-            self._waiting_writers += 1
-            try:
-                while self._writer is not None or self._readers:
-                    self._cond.wait()
-            finally:
-                self._waiting_writers -= 1
+            while self._writer is not None:
+                self._cond.wait()
             self._writer = me
             self._writer_depth = 1
-        self._note_acquired(self.release_write)
+        if lockdep.enabled():
+            try:
+                lockdep.note_acquire(self.name, reentrant=True)
+            except ConcurrencyError:
+                # The witness flagged the acquisition (rank inversion or a
+                # cycle-closing edge): roll it back before it propagates.
+                self.release_write()
+                raise
 
     def release_write(self) -> None:
         """Drop one exclusive hold; wakes waiters when fully released."""
@@ -173,19 +99,6 @@ class RWLock:
         if fully_released:
             lockdep.note_release(self.name)
 
-    # ------------------------------------------------------------------ #
-    # context managers
-    # ------------------------------------------------------------------ #
-
-    @contextmanager
-    def read(self):
-        """Scope a shared hold."""
-        self.acquire_read()
-        try:
-            yield self
-        finally:
-            self.release_read()
-
     @contextmanager
     def write(self):
         """Scope an exclusive hold."""
@@ -195,20 +108,10 @@ class RWLock:
         finally:
             self.release_write()
 
-    # ------------------------------------------------------------------ #
-
     @property
     def write_held(self) -> bool:
         """Is the *current thread* the write holder?"""
         return self._writer == threading.get_ident()
 
-    @property
-    def write_active(self) -> bool:
-        """Does *any* thread hold the write side right now?"""
-        return self._writer is not None
-
     def __repr__(self) -> str:
-        return (
-            f"RWLock(readers={self._readers}, writer={self._writer}, "
-            f"waiting_writers={self._waiting_writers})"
-        )
+        return f"RWLock(writer={self._writer}, depth={self._writer_depth})"

@@ -11,16 +11,9 @@ __all__ = ["Catalog"]
 
 
 class Catalog:
-    """Holds all tables (and named indexes) of one database.
-
-    ``version`` counts DDL mutations (table/index create and drop).  The
-    MVCC layer combines it with per-table ``(uid, mutations)`` stamps to
-    decide whether a published snapshot still matches the live catalog
-    without iterating the live table dict from reader threads.
-    """
+    """Holds all tables (and named indexes) of one database."""
 
     def __init__(self) -> None:
-        self.version = 0
         self._tables: dict[str, Table] = {}
         self._indexes: dict[str, tuple[str, str]] = {}  # index name -> (table, column)
         self._spatial: dict[str, tuple[str, str]] = {}  # spatial index name -> (table, column)
@@ -32,7 +25,6 @@ class Catalog:
             raise CatalogError(f"index {name!r} already exists")
         table = self.table(table_name)
         table.create_index(column)
-        self.version += 1
         self._indexes[key] = (table.name, column)
 
     def drop_index(self, name: str) -> None:
@@ -40,7 +32,6 @@ class Catalog:
         key = name.lower()
         if key in self._spatial:
             table_name, column = self._spatial.pop(key)
-            self.version += 1
             table = self.table(table_name)
             table.mutations += 1  # force MVCC to republish this table
             table.spatial.pop(column.lower(), None)
@@ -49,7 +40,6 @@ class Catalog:
             table_name, column = self._indexes.pop(key)
         except KeyError:
             raise CatalogError(f"no such index {name!r}") from None
-        self.version += 1
         self.table(table_name).drop_index(column)
 
     def create_spatial_index(self, name: str, table_name: str, column: str) -> SpatialIndex:
@@ -68,7 +58,6 @@ class Catalog:
                 f"table {table.name!r} already has a spatial index on {column!r}"
             )
         index = SpatialIndex(name, table, column)
-        self.version += 1
         self._spatial[key] = (table.name, column)
         table.mutations += 1  # force MVCC to republish this table
         table.spatial[column.lower()] = index
@@ -100,7 +89,6 @@ class Catalog:
         if key in self._tables:
             raise CatalogError(f"table {schema.table_name!r} already exists")
         table = Table(schema)
-        self.version += 1
         self._tables[key] = table
         return table
 
@@ -110,7 +98,6 @@ class Catalog:
             del self._tables[name.lower()]
         except KeyError:
             raise CatalogError(f"no such table {name!r}") from None
-        self.version += 1
         self._indexes = {
             idx: (t, c) for idx, (t, c) in self._indexes.items()
             if t.lower() != name.lower()

@@ -112,11 +112,11 @@ class QueryResult:
 class ReadView:
     """What one read runs against: a catalog, an LFM facade, a sequence.
 
-    Built only by :meth:`Database.read_view`, already holding its pin (or
-    the shared lock); leaving the ``with`` block releases it.  ``seq`` is
-    the pinned snapshot's sequence number, or ``None`` on the locked
-    fallback — whose rows belong to no published version, so the serving
-    layer does not cache them.
+    Built only by :meth:`Database.read_view`, already holding its pin;
+    leaving the ``with`` block releases it.  ``seq`` is the pinned
+    version's sequence number, or ``None`` when the write holder reads its
+    own open transaction — rows that belong to no published version, so
+    the serving layer does not cache them.
     """
 
     __slots__ = ("catalog", "lfm", "seq", "_db", "_pinned")
@@ -135,8 +135,6 @@ class ReadView:
     def __exit__(self, *exc) -> None:
         if self._pinned is not None:
             self._db.unpin_version(self._pinned)
-        else:
-            self._db.rwlock.release_read()
 
 
 @dataclass
@@ -144,9 +142,10 @@ class Database:
     """An extensible relational database with LONGFIELD support.
 
     Every committed write publishes an immutable snapshot version of the
-    catalog and LFM field table (:mod:`repro.db.mvcc`); reads run against
-    the latest one with **no read lock** (:meth:`read_view`), so readers
-    never stall behind DML.
+    catalog and LFM field table (:mod:`repro.db.mvcc`); the latest one is
+    the committed state.  Reads run against it with **no lock**
+    (:meth:`read_view`), so readers never stall behind DML, and a write
+    scope that fails reinstates it.
     """
 
     lfm: LongFieldManager | None = None
@@ -178,13 +177,11 @@ class Database:
 
     @property
     def rwlock(self) -> RWLock:
-        """The statement-level reader-writer lock (see ARCHITECTURE.md).
+        """The statement-level write lock (see ARCHITECTURE.md).
 
-        Every mutating statement (and :meth:`transaction`) takes the
-        exclusive side; reads take the shared side only on
-        :meth:`read_view`'s fallback.  The lock is re-entrant for its
-        holder, so code running inside an exclusive transaction scope may
-        keep issuing statements.
+        Every mutating statement (and :meth:`transaction`) takes it; reads
+        never do.  The lock is re-entrant for its holder, so code running
+        inside an exclusive transaction scope may keep issuing statements.
         """
         return self._rwlock
 
@@ -212,73 +209,41 @@ class Database:
     def read_view(self) -> ReadView:
         """Open the state one read runs against; use as ``with`` target.
 
-        The one place that chooses between the two ways to read: the
-        latest published snapshot, pinned and lock-free, or — when
-        :meth:`pin_version` refuses one — the live catalog and LFM under
-        the shared side of :attr:`rwlock`.
+        The latest published version, pinned — the committed state, read
+        with no lock — except for the write holder, whose statements see
+        its own open transaction in the live catalog and LFM.
         """
         pinned = self.pin_version()
         if pinned is None:
-            self._rwlock.acquire_read()
             return ReadView(self, self.catalog, self.lfm, None)
         lfm = (FieldTableView(self.lfm, pinned.fields)
                if self.lfm is not None else None)
         return ReadView(self, pinned.catalog, lfm, pinned)
 
     def pin_version(self) -> DatabaseVersion | None:
-        """Pin the latest snapshot for a lock-free read.
+        """Pin the latest published version for a lock-free read.
 
         Returns ``None`` — :meth:`read_view` then reads the live state
-        under the shared lock — when this thread holds the write lock
-        (statements inside an open transaction must see its uncommitted
-        state, which only the live state can show) or when the snapshot
-        is stale (something mutated tables outside the publish protocol).
-        A non-``None`` result must be released with :meth:`unpin_version`.
+        under the lock this thread already holds — only to the write
+        holder: statements inside its open transaction must see that
+        transaction's uncommitted state.  A non-``None`` result must be
+        released with :meth:`unpin_version`.
         """
         if self._rwlock.write_held:
             return None
-        version = self._versions.pin_latest()
-        # While another thread holds the write side, live stamps differ
-        # from the snapshot merely because its transaction is open: the
-        # published version is still the newest committed state.
-        if not self._rwlock.write_active and not self._version_fresh(version):
-            self._versions.unpin(version)
-            return None
-        return version
+        return self._versions.pin_latest()
 
     def unpin_version(self, version: DatabaseVersion) -> None:
         """Release a pin taken with :meth:`pin_version`."""
         self._versions.unpin(version)
-
-    def _version_fresh(self, version: DatabaseVersion) -> bool:
-        """Does the snapshot still match the live committed state?
-
-        Compares the catalog's DDL counter and each snapshot table's
-        ``(uid, mutations)`` stamp against the live table of the same
-        name.  A loader that pokes tables directly (bypassing SQL and
-        publish) moves the stamps, so its changes force readers back to
-        the locked path instead of being invisibly absent — until it
-        calls :meth:`publish_snapshot`.
-        """
-        if self.lfm is not None and version.fields is None:
-            return False
-        catalog = self.catalog
-        if version.catalog_version != catalog.version:
-            return False
-        live_tables = catalog._tables
-        for key, stamp in version.stamps.items():
-            live = live_tables.get(key)
-            if live is None or (live.uid, live.mutations) != stamp:
-                return False
-        return True
 
     def publish_snapshot(self) -> None:
         """Publish the live committed state as a fresh snapshot version.
 
         Runs automatically after every committed write statement and
         transaction.  Loaders that mutate tables directly (bypassing the
-        SQL layer) should call it once when done, so readers return to
-        the lock-free snapshot path.
+        SQL layer) must call it once when done: until then readers do not
+        see their changes, and a failed write scope discards them.
         """
         with self._rwlock.write():
             self._publish_version()
@@ -300,12 +265,23 @@ class Database:
 
     @contextmanager
     def _write_locked(self):
-        """Hold the exclusive side of :attr:`rwlock`; the wait for it is
-        the running statement's ``lock_wait``."""
+        """Hold :attr:`rwlock` over one write statement or ``executemany``
+        batch; the wait for it is the running statement's ``lock_wait``.
+
+        Outside :meth:`transaction` the statement is a write scope of its
+        own: fully applied (any LFM mini-transactions have flushed), it is
+        published; failed, the published version is reinstated.
+        """
         self._acquire_write()
+        settled = bool(self._txn_nesting)  # else the transaction decides
         try:
             yield
+            if not settled:
+                self._publish_version()
+                settled = True
         finally:
+            if not settled:
+                self._versions.reinstate(self.catalog)
             self._rwlock.release_write()
 
     def _acquire_write(self) -> None:
@@ -411,9 +387,9 @@ class Database:
         SELECT / EXPLAIN run against a :meth:`read_view`; ``view`` lets a
         caller that already opened one (the result cache tags entries
         with its sequence number) supply it, and that caller still closes
-        it.  Mutating statements take
-        the exclusive side of :attr:`rwlock` and publish a fresh snapshot
-        on commit.
+        it.  Mutating statements take :attr:`rwlock`; outside
+        :meth:`transaction` each publishes a fresh snapshot when it has
+        run, or reinstates the published one when it fails.
 
         ``planner`` overrides the database's default planner mode
         (:attr:`planner`) for this statement.
@@ -441,13 +417,8 @@ class Database:
                     return self._run(prepared, params, registry, mode, rec,
                                      view.catalog, view.lfm, ad_hoc)
             with self._write_locked():
-                result = self._run(prepared, params, registry, mode, rec,
-                                   self.catalog, self.lfm, ad_hoc)
-                if self._txn_nesting == 0:
-                    # Auto-commit write: the statement is fully applied (any
-                    # LFM mini-transactions have flushed), publish it.
-                    self._publish_version()
-                return result
+                return self._run(prepared, params, registry, mode, rec,
+                                 self.catalog, self.lfm, ad_hoc)
 
     def _run(self, prepared: Prepared, params: list,
              registry: FunctionRegistry, mode: str, rec, catalog,
@@ -515,8 +486,6 @@ class Database:
                 with self._write_locked():
                     total = self._run_many(prepared, param_rows,
                                            self.catalog, self.lfm)
-                    if self._txn_nesting == 0:
-                        self._publish_version()
             rec.note(rows=total)
         return total
 
@@ -561,32 +530,34 @@ class Database:
             return _analyze(stmt, view.catalog, self.functions)
 
     def transaction(self, on_publish=None):
-        """Scope several statements into one storage transaction.
+        """Scope several statements into one write scope and one storage
+        transaction.
 
-        Delegates to the device stack: under a write-ahead log every page
-        dirtied inside the scope commits atomically with the LFM's field
-        table, and if the scope rolls back the rows its INSERTs stored go
-        with the long fields they point at (UPDATE and DELETE are not
-        undone); on a raw device the scope is a no-op.  Databases without
-        an LFM have no storage to protect, so the scope is trivially empty.
+        The outermost scope commits or fails as a whole: committed, it is
+        published as one version; failed — an exception leaves it, or its
+        commit record never reaches the journal — the published version
+        is reinstated, so nothing its INSERTs, UPDATEs, DELETEs or DDL did
+        survives.  Under a write-ahead log every page dirtied inside the
+        scope commits atomically with the LFM's field table, which a
+        rollback unwinds too; on a raw device the storage scope is a
+        no-op, so the long fields a failed scope stored stay allocated and
+        unreferenced.  Databases without an LFM have no storage to protect.
 
-        The scope holds the exclusive side of :attr:`rwlock` from entry
-        until the commit is durable and its snapshot published: write
-        lock, storage scope (whose exit is the commit), publish, unlock.
-        Concurrent readers never observe a half-applied transaction, two
-        writers' storage transactions cannot interleave, and a version is
-        visible only once its commit record is on the journal — a failed
-        commit publishes nothing.  Statements issued inside the scope
-        re-enter the lock without blocking.
+        The scope holds :attr:`rwlock` from entry until the commit is
+        durable and its snapshot published: write lock, storage scope
+        (whose exit is the commit), publish, unlock.  Concurrent readers
+        never observe a half-applied transaction, two writers' storage
+        transactions cannot interleave, and a version is visible only once
+        its commit record is on the journal.  Statements issued inside the
+        scope re-enter the lock without blocking.
 
         ``on_publish`` — a callable receiving the published snapshot's
         sequence number — fires once, when the version becomes visible
         (right after the unlock).  The serving layer hangs its
-        result-cache invalidation here.  If the storage scope raises
-        after its commit record was journaled (a data-device failure
-        during the apply) the transaction is committed but not
-        published: reads take the locked path over the live state until
-        the next write publishes it.
+        result-cache invalidation here.  If the storage scope raises after
+        its commit record was journaled (a data-device failure during the
+        apply) the transaction is committed: it is published, and
+        ``on_publish`` fires, before the error propagates.
         """
         return self._locked_transaction(on_publish)
 
@@ -598,26 +569,42 @@ class Database:
         with getattr(device, "shipping_deferred", nullcontext)():
             self._acquire_write()
             self._txn_nesting += 1
-            published = None
+            outermost = self._txn_nesting == 1
+            published, watched, rolled_back = None, False, []
+
+            def reinstate() -> None:
+                rolled_back.append(True)
+                self._versions.reinstate(self.catalog)
+
             try:
                 with (device.transaction(meta_provider=self.lfm.export_state)
                       if device is not None else nullcontext()):
+                    # A storage transaction that can roll back reinstates
+                    # with its own undo — so not once its record is journaled.
+                    watched = (outermost and device is not None
+                               and self.lfm.on_rollback(reinstate))
                     yield self
-                if self._txn_nesting == 1:
+                if outermost:
                     self._publish_version()
                     published = self._versions.latest_seq
             # The scope boundary: rollback and unlock must run for
             # KeyboardInterrupt and SystemExit too.
             except BaseException:  # qblint: disable=no-broad-except
                 self._versions.discard_pending()
+                if outermost and not watched:
+                    reinstate()
+                elif outermost and not rolled_back:
+                    # journaled, only its apply failed: it is committed
+                    self._publish_version()
+                    published = self._versions.latest_seq
                 raise
             finally:
                 self._txn_nesting -= 1
                 if not self._txn_nesting:
                     self._stored_cells.clear()
                 self._rwlock.release_write()
-            if published is not None and on_publish is not None:
-                on_publish(published)
+                if published is not None and on_publish is not None:
+                    on_publish(published)
 
     def register_function(self, name: str, fn,
                           signature: FunctionSignature | None = None,

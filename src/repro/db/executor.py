@@ -578,15 +578,6 @@ class Executor:
             # maintain the stats with the *stored* (coerced) rows
             table.stats.apply_inserts(table, stored, ctx.read_longfield,
                                       ctx.stored_cells)
-        if ctx.lfm is not None:
-            def undo() -> None:
-                gone = {id(row) for row in stored}
-                self._resynced(table, lambda: table.delete_where(
-                    lambda row: id(row) in gone), ctx)
-
-            # The rows hold handles of long fields the enclosing storage
-            # transaction wrote: if it rolls back, they go with them.
-            ctx.lfm.on_rollback(undo)
         return ResultSet([], [], rowcount=len(stored))
 
     def _execute_create(self, stmt: CreateTable) -> ResultSet:

@@ -1,25 +1,19 @@
 """MVCC snapshot versions of the catalog + LFM field table.
 
-The writer-preferring ``RWLock`` makes one DML statement stall every
-reader — the main throughput ceiling under mixed traffic.  This module
-removes the stall with copy-on-write versioning: at each DML/DDL commit
-(the same points where the result cache invalidates) the writer publishes
-an immutable :class:`DatabaseVersion` — a snapshot of the catalog's
-tables plus the long-field table.  A SELECT pins the latest published
-version, runs entirely against it with **no read lock**, and unpins when
-done.  Readers never block on writers and never observe a partial
+The published version is the database's one committed state.  At each
+DML/DDL commit (the same points where the result cache invalidates) the
+writer publishes an immutable :class:`DatabaseVersion` — a snapshot of
+the catalog's tables plus the long-field table.  A SELECT pins the latest
+published version, runs entirely against it with **no lock**, and unpins
+when done.  Readers never block on writers and never observe a partial
 transaction, because a version only ever exists for fully committed
-state.
+state.  A write scope that fails puts the latest version back as the
+live state (:meth:`VersionManager.reinstate`): nothing it did survives.
 
-Cheap publishing rests on two stamp counters maintained by the live
-structures: every :class:`~repro.db.table.Table` carries ``(uid,
-mutations)`` and the :class:`~repro.db.catalog.Catalog` counts DDL in
-``version``.  Publish clones only the tables whose stamp moved since the
-previous version (copy-on-write at table granularity); pin compares the
-same stamps to detect state mutated *outside* the publish protocol (a
-loader poking tables directly) and reports "stale", so that
-``Database.read_view`` reads the live state under the shared lock instead
-of serving a snapshot that lacks those rows.
+Both directions rest on the stamp every :class:`~repro.db.table.Table`
+carries, ``(uid, mutations)``.  Publish clones only the tables whose stamp
+moved since the previous version (copy-on-write at table granularity);
+reinstate replaces only those.
 
 Extents deleted by a transaction are not freed eagerly: a pinned reader
 may still be streaming their bytes.  ``defer_free`` parks the free on the
@@ -56,11 +50,12 @@ class CatalogSnapshot:
     a programming error and fails fast with ``AttributeError``.
     """
 
-    __slots__ = ("_tables", "_indexes")
+    __slots__ = ("_tables", "_indexes", "_spatial")
 
-    def __init__(self, tables: dict, indexes: dict):
+    def __init__(self, tables: dict, indexes: dict, spatial: dict):
         self._tables = tables      # lowercased name -> snapshot Table
         self._indexes = indexes    # index name -> (table, column)
+        self._spatial = spatial    # spatial index name -> (table, column)
 
     def table(self, name: str):
         """Look up a snapshot table by case-insensitive name."""
@@ -118,18 +113,16 @@ class RetireToken:
 class DatabaseVersion:
     """One immutable published version of the database's read state."""
 
-    __slots__ = ("seq", "catalog", "fields", "stamps", "catalog_version",
-                 "pins", "frees")
+    __slots__ = ("seq", "catalog", "fields", "stamps", "pins", "frees")
 
     def __init__(self, seq: int, catalog: CatalogSnapshot,
-                 fields: dict | None, stamps: dict, catalog_version: int):
+                 fields: dict | None, stamps: dict):
         self.seq = seq
         self.catalog = catalog
         #: frozen LFM field table (id -> (offset, length)), or None
         self.fields = fields
         #: lowercased table name -> (uid, mutations) at publish time
         self.stamps = stamps
-        self.catalog_version = catalog_version
         self.pins = 0                   # guarded_by: db.version
         self.frees: list[RetireToken] = []  # guarded_by: db.version
 
@@ -191,12 +184,11 @@ class VersionManager:
                     tables[key] = prev.catalog._tables[key]
                 else:
                     tables[key] = live.snapshot()
-            snapshot = CatalogSnapshot(tables, dict(catalog._indexes))
+            snapshot = CatalogSnapshot(tables, dict(catalog._indexes),
+                                       dict(catalog._spatial))
             fields = dict(lfm._fields) if lfm is not None else None
             self._seq += 1
-            version = DatabaseVersion(
-                self._seq, snapshot, fields, stamps, catalog.version
-            )
+            version = DatabaseVersion(self._seq, snapshot, fields, stamps)
             if prev is not None:
                 prev.frees.extend(self._pending)
             else:
@@ -208,6 +200,28 @@ class VersionManager:
             self._gc_locked()
             metrics.gauge("db.versions").set(len(self._chain))
         return version
+
+    def reinstate(self, catalog) -> None:
+        """Make the latest version the live catalog's state again.
+
+        Called under the database write lock when a write scope fails.
+        Each live table whose ``(uid, mutations)`` stamp moved since the
+        version is replaced by :meth:`~repro.db.table.Table.reinstated`
+        of the version's table; tables the scope created are dropped,
+        tables it dropped come back, and so do the index definitions.
+        The long-field table is the storage layer's to unwind.
+        """
+        with self._lock:
+            version = self._chain[-1]
+        live, tables = catalog._tables, {}
+        for key, table in version.catalog._tables.items():
+            current = live.get(key)
+            unchanged = (current is not None and
+                         (current.uid, current.mutations) == version.stamps[key])
+            tables[key] = current if unchanged else table.reinstated(current)
+        catalog._tables = tables
+        catalog._indexes = dict(version.catalog._indexes)
+        catalog._spatial = dict(version.catalog._spatial)
 
     def discard_pending(self) -> None:
         """Drop deferred frees of a rolled-back transaction.

@@ -117,9 +117,8 @@ def restore_catalog(db: Database, image: dict) -> None:
         )
     if image.get("analyzed"):
         db.execute("analyze")
-    # The rows above were loaded outside the SQL layer; publish once so
-    # readers start on the lock-free snapshot path instead of falling
-    # back to the read lock forever.
+    # The rows above were loaded outside the SQL layer: they are committed
+    # (visible to readers) once published.
     db.publish_snapshot()
 
 

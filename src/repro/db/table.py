@@ -124,10 +124,14 @@ class Table:
         touched = 0
         for i, row in enumerate(self._rows):
             if predicate(row):
-                self._rows[i] = self.schema.validate_row(apply(row))
+                new_row = self.schema.validate_row(apply(row))
+                if not touched:
+                    # before the first rewrite: one that fails part-way
+                    # leaves the stamp moved with the rows
+                    self.mutations += 1
+                self._rows[i] = new_row
                 touched += 1
         if touched:
-            self.mutations += 1
             self._rebuild_indexes()
         return touched
 
@@ -212,6 +216,25 @@ class Table:
             column: index.snapshot(clone) for column, index in self.spatial.items()
         }
         return clone
+
+    def reinstated(self, live: "Table | None") -> "Table":
+        """A :meth:`snapshot` of this published table to replace ``live``,
+        the table a failed write scope left under its name (None: dropped).
+
+        Plans are memoized on :attr:`stamp`, so the copy takes one no
+        state ever had: a mutation count past ``live``'s, or a fresh uid
+        when ``live`` is another table (the scope dropped this one, and
+        its count with it).  Fresh statistics stay fresh.
+        """
+        table = self.snapshot()
+        fresh = table.stats.fresh(table)
+        if live is not None and live.uid == self.uid:
+            table.mutations = live.mutations + 1
+        else:
+            table.uid = next(_TABLE_UIDS)
+        if fresh:
+            table.stats.restamp(table)
+        return table
 
     def _rebuild_indexes(self) -> None:
         for position in list(self._indexes):

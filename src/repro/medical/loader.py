@@ -77,11 +77,11 @@ class MedicalLoader:
     @contextmanager
     def _unit(self):
         """One load is one ``Database.transaction``: one journal commit and
-        one published snapshot.  Under a write-ahead log it is atomic — a
-        load that fails, or whose commit never reaches the journal, leaves
-        nothing behind and gives back the ids it took.  A raw device cannot
-        roll back: there a failed load keeps what it had stored (rows,
-        fields, ids)."""
+        one published snapshot.  A load that fails, or whose commit never
+        reaches the journal, leaves no row behind on any device.  Under a
+        write-ahead log it is atomic — its long fields go too, and it gives
+        back the ids it took; a raw device cannot roll back, so there the
+        fields stay allocated, unreferenced, and the ids stay taken."""
         with self.db.transaction():
             ids = dict(self._next_ids)
 

@@ -227,8 +227,9 @@ class QueryServer:
             if view.seq is not None:
                 # The fill is tagged with the snapshot's sequence number;
                 # the cache rejects it if a write with a newer sequence
-                # invalidated these tables in the meantime.  Rows read
-                # from the live state belong to no version: not cached.
+                # invalidated these tables in the meantime.  Rows a
+                # write holder read from its own open transaction belong
+                # to no version: not cached.
                 self.cache.put(key, CachedResult(
                     columns=tuple(result.columns),
                     rows=tuple(result.rows),
@@ -245,8 +246,9 @@ class QueryServer:
         until the commit is durable and published.  Stale cache fills are
         fenced by the sequence-numbered invalidation, which the
         transaction fires once, when the version becomes visible; a write
-        whose commit fails publishes nothing, so nothing it touched was
-        ever cacheable and nothing needs fencing.
+        that fails before its commit record is journaled publishes
+        nothing, so nothing it touched was ever cacheable and nothing
+        needs fencing.
         """
         def invalidate(seq: int) -> None:
             if self.cache is not None:

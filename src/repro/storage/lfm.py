@@ -62,9 +62,10 @@ class LongFieldManager:
         transaction rolls back — which may be an enclosing
         ``Database.transaction()`` scope that aborts long after the
         registering call returned — so in-memory state (the field table,
-        the rows an INSERT stored, a loader's id counters) unwinds with
-        the long fields.  Returns False, registering nothing, on a raw
-        device (it cannot roll back) and outside any transaction.
+        a loader's id counters, the database's reinstatement of its
+        published version) unwinds with the long fields.  Returns False,
+        registering nothing, on a raw device (it cannot roll back) and
+        outside any transaction.
         """
         device = self.device
         if getattr(device, "supports_rollback", False) and device.in_transaction:

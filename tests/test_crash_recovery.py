@@ -514,14 +514,13 @@ class TestOuterScopeRollback:
 
     def test_outer_abort_rolls_back_inserted_rows(self):
         # Rows holding handles of rolled-back long fields must not survive
-        # them: an INSERT registers its inverse with the open transaction.
+        # them: the rollback reinstates the published version.
         wal, _, _ = build_stack(recover=False)
         lfm = LongFieldManager(wal)
         db = Database(lfm=lfm)
         db.execute("create table blobs (id integer, payload longfield)")
         db.execute("create index ix_id on blobs (id)")
         db.execute("insert into blobs values (?, ?)", [0, lfm.create(PAYLOAD_A)])
-        table = db.catalog.table("blobs")
         before, seq = state_key(lfm), db.version_seq
 
         class Boom(Exception):
@@ -535,6 +534,7 @@ class TestOuterScopeRollback:
                 assert db.execute("select count(*) from blobs").scalar() == 3
                 raise Boom("abort after the inserts returned")
         assert state_key(lfm) == before
+        table = db.catalog.table("blobs")
         assert [row[0] for row in table.scan()] == [0]
         assert table.probe("id", 1) == [] and len(table.probe("id", 0)) == 1
         assert table.stats.fresh(table) and table.stats.row_total == 1
@@ -547,11 +547,13 @@ class TestOuterScopeRollback:
         db.execute("create table blobs (id integer, payload longfield)")
         with pytest.raises(ZeroDivisionError):
             with db.transaction():
-                db.execute("insert into blobs values (?, ?)",
-                           [1, lfm.create(PAYLOAD_A)])
+                handle = lfm.create(PAYLOAD_A)
+                db.execute("insert into blobs values (?, ?)", [1, handle])
                 raise ZeroDivisionError
-        # A raw device cannot roll back: the row and its field both stay.
-        (handle,) = db.execute("select payload from blobs").column("payload")
+        # The row goes, as on every device; a raw device cannot roll back,
+        # so its field stays allocated, referenced by nothing.
+        assert db.execute("select count(*) from blobs").scalar() == 0
+        assert db.catalog.table("blobs").row_count == 0
         assert lfm.read(handle) == PAYLOAD_A
 
 
@@ -905,6 +907,42 @@ class TestGroupFlushFailure:
         assert wal2.recovery.replayed_txn_ids == [1, 2, 3]
         assert wal2.read(0, 8) == b"durable!"
         assert wal2.read(4096, 5) == b"later"
+
+
+class TestApplyFailureIsPublished:
+    """A commit whose apply failed is committed, so it is published."""
+
+    def test_served_write_is_published_and_invalidates_the_cache(self):
+        from repro.server.server import QueryServer
+        from tests.test_mvcc import rwlock_acquisitions
+
+        flaky = _FlakyJournal(BlockDevice(CAPACITY))
+        lfm = LongFieldManager(WriteAheadLog(
+            flaky, BlockDevice(JOURNAL_CAPACITY), recover=False))
+        db = Database(lfm=lfm)
+
+        def stash(k):
+            # a long field in the served statement's own transaction, so
+            # its commit has a page to apply
+            lfm.create(PAYLOAD_A)
+            return k
+
+        db.register_function("stash", stash)
+        db.execute("create table t (k integer)")
+        count = "select count(*) from t"
+        with QueryServer(db, workers=1) as server, server.connect() as session:
+            assert session.execute(count).scalar() == 0
+            assert len(server.cache) == 1
+            flaky.fail_at = {flaky.writes + 1}  # the first apply write
+            with pytest.raises(WalError, match="injected"):
+                session.execute("insert into t values (stash(1))")
+            assert len(server.cache) == 0  # invalidated on publish
+            with rwlock_acquisitions() as acquired:
+                with db.read_view() as view:
+                    assert view.seq == db.version_seq
+                    assert db.execute(count, view=view).scalar() == 1
+                assert session.execute(count).scalar() == 1
+                assert acquired() == 0
 
 
 class TestCheckpointAfterApplyFailure:

@@ -131,7 +131,7 @@ class TestInsertTouchesOnlyItsRows:
     """An INSERT learns the rows it stored from ``Table.insert``, not by
     walking its target to the rows past the old count — work, not time:
     with ``Table.scan`` forbidden the statement still maintains the
-    statistics and still knows which rows a rollback must take back."""
+    statistics, and a rollback takes back exactly its rows."""
 
     def test_insert_neither_scans_nor_loses_track_of_its_rows(self, monkeypatch):
         from repro.db.table import Table
@@ -165,7 +165,9 @@ class TestInsertTouchesOnlyItsRows:
                     assert stats.eq_fraction(1, "one") == 1 / 54
                 assert [row[0] for row in table.scan()][50:] == [100, 101, 102, 103]
                 raise RuntimeError("abort")
-        # exactly the four rows went with the transaction
+        # exactly the four rows went with the transaction (the rollback
+        # reinstated the published table in place of the live one)
+        table = db.catalog.table("t")
         assert [row[0] for row in table.scan()] == list(range(50))
         stats = table.fresh_stats()
         assert stats is not None and stats.row_total == 50

@@ -4,8 +4,8 @@ Counts, not timings: on a write-ahead-logged grid-16 system one
 ``MedicalLoader.load_study`` is one journal commit, one flush, one
 published snapshot and at most one R-tree pack per spatial index whose
 cell set changed — and the 10th load packs no more than the 1st.  A load
-that fails leaves nothing behind (rows, long fields, allocator bytes, id
-counters), and a crash at any journal or apply write of a load recovers
+that fails leaves no row behind on any device, and under a write-ahead log
+nothing else either (long fields, allocator bytes, id counters); a crash at any journal or apply write of a load recovers
 to the study entirely present or entirely absent.
 """
 
@@ -243,13 +243,18 @@ class TestFailedLoadLeavesNothingBehind:
         assert_directories_equal_a_recompute(db, lfm)
 
     def test_raw_device_keeps_what_was_stored(self):
-        # No journal, no rollback: the half-loaded study stays visible and
-        # its id stays taken (see MedicalLoader._unit).
+        # No journal, no rollback: the half-loaded study's long fields stay
+        # allocated, referenced by nothing, and its id stays taken — but
+        # its rows go, as on every device (see MedicalLoader._unit).
         system, _, patient = atlas_only(wal=False)
-        bad = MedicalLoader(system.db, system.lfm, encodings=("nope",))
+        db, lfm = system.db, system.lfm
+        bad = MedicalLoader(db, lfm, encodings=("nope",))
+        rows, fields = row_counts(db), lfm.field_count
         with pytest.raises(MedicalError):
             load(system, bad, patient, PET[0])
-        assert system.db.catalog.table("rawVolume").row_count == 1
+        assert row_counts(db) == rows
+        assert db.execute("select count(*) from rawVolume").scalar() == 0
+        assert lfm.field_count > fields
         assert bad._next_ids["study"] == 2
 
 

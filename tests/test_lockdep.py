@@ -4,8 +4,7 @@ The runtime half of the concurrency-safety work: the lock-order graph
 (:mod:`repro.concurrency.lockdep`) must catch rank inversions the moment
 they happen and ABBA cycles on the second leg — deterministically, from
 *sequential* thread schedules that never actually deadlock — while the
-RWLock's re-entrancy and upgrade-refusal semantics stay exactly as the
-serving protocol assumes.
+RWLock's re-entrancy stays exactly as the serving protocol assumes.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ import threading
 import pytest
 
 from repro.concurrency import RWLock, lockdep
+from repro.db.database import Database
 from repro.errors import (
     ConcurrencyError,
     LockOrderError,
@@ -172,72 +172,24 @@ class TestLockdepCore:
 
 
 # --------------------------------------------------------------------- #
-# RWLock semantics
+# RWLock semantics: the write side (reads take no lock)
 # --------------------------------------------------------------------- #
 
 
 class TestRWLockEdgeCases:
-    def test_reentrant_read_depth(self):
-        lock = RWLock()
-        with lock.read():
-            with lock.read():
-                with lock.read():
-                    assert lock._read_depth() == 3
-            assert lock._read_depth() == 1
-        assert lock._read_depth() == 0
-        assert lock._readers == 0
-
     def test_reentrant_write_depth_and_read_under_write(self):
-        lock = RWLock()
+        # The holder re-enters freely, and reads its own open transaction
+        # under that hold: the read takes no lock of its own.
+        db = Database()
+        lock = db.rwlock
         with lock.write():
             with lock.write():
-                assert lock.write_held
-                with lock.read():  # the writer reads freely
-                    assert lock._readers == 0  # never counted as a reader
+                assert lock.write_held and lock._writer_depth == 2
+                with db.read_view() as view:
+                    assert view.seq is None and view.catalog is db.catalog
+                assert lock._writer_depth == 2
             assert lock.write_held
         assert not lock.write_held
-
-    def test_upgrade_refused_immediately(self):
-        lock = RWLock()
-        with lock.read():
-            with pytest.raises(ConcurrencyError, match="upgrade"):
-                lock.acquire_write()
-        # The refusal left no debris: a plain write acquisition works.
-        with lock.write():
-            assert lock.write_held
-
-    def test_upgrade_refused_under_contention(self):
-        """A reader must be refused the write side even while a writer waits.
-
-        Two upgrading readers would deadlock each other; refusing the
-        upgrade while a *third* writer is already queued is the nasty
-        variant — the reader might otherwise block behind the writer that
-        is blocked behind it.
-        """
-        lock = RWLock()
-        writer_started = threading.Event()
-        writer_done = threading.Event()
-        lock.acquire_read()
-        try:
-            def contender() -> None:
-                writer_started.set()
-                with lock.write():
-                    pass
-                writer_done.set()
-
-            thread = threading.Thread(target=contender)
-            thread.start()
-            writer_started.wait(5)
-            # Wait until the contender is really parked in acquire_write.
-            for _ in range(1000):
-                with lock._cond:
-                    if lock._waiting_writers:
-                        break
-            with pytest.raises(ConcurrencyError, match="upgrade"):
-                lock.acquire_write()
-        finally:
-            lock.release_read()
-        assert writer_done.wait(5)
 
     def test_release_on_exception(self):
         lock = RWLock()
@@ -245,17 +197,11 @@ class TestRWLockEdgeCases:
             with lock.write():
                 raise ValueError("boom")
         assert not lock.write_held
-        with pytest.raises(ValueError):
-            with lock.read():
-                raise ValueError("boom")
-        assert lock._readers == 0
-        # Both sides are fully free for another thread.
+        # The lock is fully free for another thread.
         run_thread(lambda: lock.acquire_write() or lock.release_write())
 
     def test_unbalanced_releases_refused(self):
         lock = RWLock()
-        with pytest.raises(ConcurrencyError, match="release_read"):
-            lock.release_read()
         with pytest.raises(ConcurrencyError, match="non-writer"):
             lock.release_write()
 
@@ -263,15 +209,11 @@ class TestRWLockEdgeCases:
 class TestRWLockWithLockdep:
     def test_transition_only_noting_stays_balanced(self, witness):
         lock = RWLock(name="db.rwlock")
-        with lock.read():
-            with lock.read():
+        with lock.write():
+            with lock.write():
                 # One logical hold per thread, however deep the re-entry.
                 assert lockdep.held_keys() == ("db.rwlock",)
             assert lockdep.held_keys() == ("db.rwlock",)
-        assert lockdep.held_keys() == ()
-        with lock.write():
-            with lock.write():
-                assert lockdep.held_keys() == ("db.rwlock",)
         assert lockdep.held_keys() == ()
 
     def test_rank_inversion_rolls_the_rwlock_back(self, witness):
@@ -280,13 +222,7 @@ class TestRWLockWithLockdep:
         with leaf:
             with pytest.raises(LockOrderError):
                 lock.acquire_write()
-        # _note_acquired unwound the write hold before raising.
+        # The acquisition was unwound before the error propagated.
         assert not lock.write_held
         with lock.write():
             assert lock.write_held
-        with leaf:
-            with pytest.raises(LockOrderError):
-                lock.acquire_read()
-        assert lock._readers == 0
-        with lock.read():
-            assert lock._readers == 1

@@ -174,15 +174,14 @@ class TestLockFreeReads:
                                   [[1], [2]]) == 0
             assert acquired() == 0
 
-    def test_unpublished_direct_insert_takes_the_read_lock(self):
-        # The fallback that stays, case 1: a loader poked the live table
-        # and has not published.  Readers must see the row, which only
-        # the live state under the shared lock can show.
+    def test_unpublished_direct_insert_is_invisible_until_published(self):
+        # A loader that pokes the live table has committed nothing until
+        # it publishes: readers keep the published version, lock-free.
         db = plain_database()
         db.catalog.table("t").insert([99, 9801])
         with rwlock_acquisitions() as acquired:
-            assert db.execute("select count(*) from t").scalar() == 11
-            assert acquired() == 1
+            assert db.execute("select count(*) from t").scalar() == 10
+            assert acquired() == 0
         db.publish_snapshot()
         with rwlock_acquisitions() as acquired:
             assert db.execute("select count(*) from t").scalar() == 11
