@@ -68,8 +68,6 @@ __all__ = ["analyze_paths", "RANKS", "LEAF_RANK", "CONCURRENCY_CODES"]
 #: declared ranks of the named hierarchy locks (lower = acquired first)
 RANKS = {
     "cluster.router": 5,
-    "cluster.link": 8,
-    "cluster.replica": 9,
     "db.rwlock": 10,
     "txn": 20,
     "db.version": 25,
@@ -90,8 +88,6 @@ REENTRANT = {"db.rwlock", "txn"}
 #: is ambiguous (every other ``*lock``/``*latch`` attr becomes a leaf)
 LOCK_ATTRS = {
     ("ShardRouter", "_lock"): "cluster.router",
-    ("ReplicaLink", "_lock"): "cluster.link",
-    ("Replica", "_lock"): "cluster.replica",
     ("PageCache", "_lock"): "cache.lock",
     ("WriteAheadLog", "_txn_lock"): "txn",
     ("WriteAheadLog", "_stats_lock"): "wal.stats",
@@ -117,9 +113,8 @@ MUTATORS = {
     "add_read", "add_write",
 }
 
-_HIERARCHY_DOC = ("cluster.router -> cluster.link -> cluster.replica -> "
-                  "db.rwlock -> txn -> db.version -> cache.latch -> "
-                  "cache.lock -> wal.stats -> db.stats -> "
+_HIERARCHY_DOC = ("cluster.router -> db.rwlock -> txn -> db.version -> "
+                  "cache.latch -> cache.lock -> wal.stats -> db.stats -> "
                   "obs.digest -> leaf mutexes")
 
 _GUARD_RE = re.compile(r"guarded_by:\s*([A-Za-z_]\w*)")

@@ -1,4 +1,4 @@
-"""Sharded scatter-gather serving: Hilbert declustering + read replicas.
+"""Sharded scatter-gather serving over Hilbert declustering.
 
 The paper's future-work section names Hilbert-curve declustering across
 storage nodes as the path to parallel I/O on REGION data; this package
@@ -10,11 +10,13 @@ catalog + :class:`~repro.server.QueryServer`) become **shards** behind a
   centroids in atlas space (:mod:`repro.cluster.placement`),
 * plans scatter-gather SELECTs — pruned fan-out when ``studyId``
   conjuncts or per-shard statistics bound the touched shards, broadcast
-  otherwise — and merges partials (aggregate re-aggregation, ORDER BY /
-  LIMIT merge, interval-algebra region merges),
-* ships committed WAL transactions to read replicas
-  (:mod:`repro.cluster.replica`) and fails reads over to a replica when
-  a shard times out.
+  otherwise — runs each leg on the caller's thread, and merges partials
+  (aggregate re-aggregation, ORDER BY / LIMIT merge, interval-algebra
+  region merges).
+
+Every shard lives in this one process, so nothing fails independently
+of anything else: a closed shard refuses the statement before any leg
+runs, and there is no replica to fail over to.
 
 ``python -m repro.cluster --shards N`` starts a demo cluster; see
 OPERATIONS.md for the runbook and ARCHITECTURE.md ("Distributed
@@ -25,18 +27,14 @@ from __future__ import annotations
 
 from repro.cluster.builder import Cluster, build_demo_cluster
 from repro.cluster.placement import PlacementMap, place_studies, study_hilbert_key
-from repro.cluster.replica import Replica, ReplicaLink, ShipEnvelope
 from repro.cluster.router import ShardRouter
 from repro.cluster.shard import Shard
 
 __all__ = [
     "Cluster",
     "PlacementMap",
-    "Replica",
-    "ReplicaLink",
     "Shard",
     "ShardRouter",
-    "ShipEnvelope",
     "build_demo_cluster",
     "place_studies",
     "study_hilbert_key",

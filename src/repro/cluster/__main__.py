@@ -1,9 +1,9 @@
 """Run a demo cluster: ``python -m repro.cluster --shards N``.
 
-Builds an N-shard Hilbert-declustered cluster (optionally with a
-WAL-shipped read replica per shard), routes a seeded scatter-gather
-workload through the :class:`~repro.cluster.router.ShardRouter`, starts
-an admin endpoint on the router *and* on every shard, scrapes and
+Builds an N-shard Hilbert-declustered cluster, routes a seeded
+scatter-gather workload through the
+:class:`~repro.cluster.router.ShardRouter`, starts an admin endpoint on
+the router *and* on every shard, scrapes and
 validates each ``/metrics`` page with :func:`repro.obs.promtext.parse`,
 prints a summary, and exits 0 — exactly what the CI cluster smoke job
 runs.  The router scrape also exercises the fleet views: the federated
@@ -55,14 +55,13 @@ def _workload(cluster) -> int:
     return statements
 
 
-def _check_observability_plane(cluster, router_admin, replicas: bool) -> None:
+def _check_observability_plane(cluster, router_admin) -> None:
     """Scrape and validate the router's federated fleet views.
 
     Raises :class:`SystemExit` on any mismatch so the CI smoke job fails
     loudly: the federated counter totals must equal the re-summed
-    per-node pages, ``/cluster/healthz`` must report every shard up
-    (replica attached when shipping), and ``/digests`` must account the
-    routed statements.
+    per-node pages, ``/cluster/healthz`` must report every shard up, and
+    ``/digests`` must account the routed statements.
     """
     fed_families = promtext.parse(_scrape(router_admin.url + "/metrics"))
     per_node = [
@@ -92,8 +91,6 @@ def _check_observability_plane(cluster, router_admin, replicas: bool) -> None:
     for shard in rollup["shards"]:
         if not shard["up"]:
             raise SystemExit(f"shard {shard['shard']} reported down")
-        if replicas and not (shard["replica"] or {}).get("attached"):
-            raise SystemExit(f"shard {shard['shard']} replica not attached")
     print(f"cluster healthz: {rollup['status']}, "
           f"{len(rollup['shards'])} shards up", flush=True)
 
@@ -114,8 +111,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--shards", type=int, default=2,
                         help="number of shards (default 2)")
-    parser.add_argument("--replicas", type=int, default=1, choices=(0, 1),
-                        help="attach one read replica per shard (default 1)")
     parser.add_argument("--grid", type=int, default=32,
                         help="phantom grid side (default 32)")
     parser.add_argument("--pet", type=int, default=2,
@@ -128,12 +123,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="stay up after the workload (Ctrl-C to stop)")
     args = parser.parse_args(argv)
 
-    print(f"building {args.shards}-shard cluster (grid {args.grid}, "
-          f"replicas={'on' if args.replicas else 'off'})...", flush=True)
+    print(f"building {args.shards}-shard cluster (grid {args.grid})...",
+          flush=True)
     cluster = build_demo_cluster(
         n_shards=args.shards, grid_side=args.grid,
         n_pet=args.pet, n_mri=args.mri,
-        replicate=bool(args.replicas),
     )
     try:
         router_admin = cluster.router.start_admin(port=args.port)
@@ -161,18 +155,12 @@ def main(argv: list[str] | None = None) -> int:
                   f"{len(families)} metric families, "
                   f"{len(sessions)} sessions")
 
-        _check_observability_plane(cluster, router_admin, bool(args.replicas))
+        _check_observability_plane(cluster, router_admin)
 
         counters = metrics.snapshot()["counters"]
         print(f"cluster.queries={counters.get('cluster.queries', 0)} "
               f"broadcasts={counters.get('cluster.broadcasts', 0)} "
               f"pruned_shards={counters.get('cluster.pruned_shards', 0)}")
-        if args.replicas:
-            lags = [
-                max(0, (s.link.wal.next_txn_id - 1) - s.replica.last_applied_txn)
-                for s in cluster.shards if s.replica is not None
-            ]
-            print(f"replica lag per shard: {lags} (txns)")
 
         if args.serve:
             print("serving until interrupted...", flush=True)

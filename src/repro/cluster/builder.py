@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.placement import PlacementMap, place_studies
-from repro.cluster.replica import Replica, ReplicaLink
 from repro.cluster.router import ShardRouter
 from repro.cluster.shard import Shard
 from repro.core.system import (
@@ -33,7 +32,6 @@ from repro.core.system import (
     index_and_analyze,
     node_stack,
 )
-from repro.errors import ValidationError
 from repro.medical.loader import MedicalLoader
 from repro.medical.server import MedicalServer
 from repro.server.server import QueryServer
@@ -67,9 +65,6 @@ class Cluster:
     def close(self) -> None:
         """Shut the cluster down (router closes every shard)."""
         self.router.close()
-        for shard in self.shards:
-            if shard.replica is not None:
-                shard.replica.close()
 
     def __enter__(self) -> "Cluster":
         return self
@@ -92,17 +87,8 @@ def build_demo_cluster(
     n_mri: int = 3,
     band_encodings: tuple[str, ...] = ("hilbert-naive",),
     wal: bool = True,
-    replicate: bool = False,
-    timeout: float | None = None,
 ) -> Cluster:
-    """Build and populate an ``n_shards``-way cluster from synthetic data.
-
-    ``replicate=True`` attaches a WAL-shipped read replica to every shard
-    (requires ``wal=True``).
-    """
-    if replicate and not wal:
-        raise ValidationError("replicas ship WAL transactions; need wal=True")
-
+    """Build and populate an ``n_shards``-way cluster from synthetic data."""
     phantom, pet, mri = demo_inputs(seed, grid_side, n_pet, n_mri)
     studies = pet + mri
     capacity = _estimate_capacity(grid_side, pet, mri, band_encodings)
@@ -113,17 +99,11 @@ def build_demo_cluster(
     stacks = []
     for shard_id in range(n_shards):
         device, lfm, db = node_stack(BlockDevice(capacity), wal)
-        link = None
-        if replicate:
-            # Registered before any load so the link retains the full
-            # envelope history (a late replica resyncs from txn 1).
-            link = ReplicaLink(db, device, name=f"link-{shard_id}")
-            device.add_ship_hook(link.ship)
         loader = MedicalLoader(db, lfm, encodings=band_encodings)
         atlas = loader.load_atlas(phantom)
         stacks.append(
             {"device": device, "lfm": lfm, "db": db, "loader": loader,
-             "atlas": atlas, "link": link, "study_ids": []}
+             "atlas": atlas, "study_ids": []}
         )
 
     # The single node's exact patient/study loop — one shared RNG stream,
@@ -158,7 +138,7 @@ def build_demo_cluster(
     for shard_id, stack in enumerate(stacks):
         db = stack["db"]
         index_and_analyze(db)
-        shard = Shard(
+        shards.append(Shard(
             shard_id=shard_id,
             device=stack["device"],
             lfm=stack["lfm"],
@@ -168,15 +148,9 @@ def build_demo_cluster(
             ),
             medical=MedicalServer(db),
             study_ids=stack["study_ids"],
-            link=stack["link"],
-        )
-        if stack["link"] is not None:
-            replica = Replica(capacity, name=f"replica-{shard_id}")
-            stack["link"].attach(replica)
-            shard.replica = replica
-        shards.append(shard)
+        ))
 
-    router = ShardRouter(shards, placement, timeout=timeout)
+    router = ShardRouter(shards, placement)
     return Cluster(
         router=router,
         shards=shards,

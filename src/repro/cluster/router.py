@@ -2,18 +2,21 @@
 
 The router is the cluster's client-facing query surface.  For every
 statement it decides **where** (prune the shard fan-out when the
-statement lets it, broadcast when it does not), **scatters** the legs
-through each shard's long-lived router session (so shard-side admission,
-tracing, and the flight recorder all see ordinary session traffic),
-**gathers** the partial results with a per-shard timeout — failing a
-read over to the shard's replica when the primary does not answer — and
-**merges** the partials into one result.
+statement lets it, broadcast when it does not), refuses the statement
+outright if any target shard is down, **scatters** the legs through each
+shard's long-lived router session — one after another, on the caller's
+thread, inside the shard's admission slots, so shard-side admission,
+tracing, and the flight recorder all see ordinary session traffic — and
+**merges** the partial results into one.
+
+Every shard shares this process and its GIL, so a leg handed to a worker
+thread could add no CPU, only a hand-off (DESIGN.md, "Cluster legs").
 
 Pruning rules, cheapest first:
 
-1. *Replicated-only* statements (every table the statement names,
-   subqueries included, is a reference table) run on shard 0 alone — any
-   shard holds the full answer.
+1. *Reference-only* statements (every table the statement names,
+   subqueries included, is a replicated reference table) run on shard 0
+   alone — any shard holds the full answer.
 2. ``studyId = <value>`` conjuncts resolve through the
    :class:`~repro.cluster.placement.PlacementMap` to the owning shards.
 3. *Emptiness*: a shard storing zero rows of a referenced partitioned
@@ -57,8 +60,6 @@ from repro.db.sql.ast import (
 from repro.db.sql.parser import parse
 from repro.db.sql.prepared import Prepared
 from repro.errors import ClusterError, ShardUnavailableError
-from repro.medical.server import MedicalServer
-from repro.net.rpc import RpcChannel
 from repro.obs import metrics, promtext, trace
 from repro.regions.region import Region
 from repro.storage.lfm import LongField
@@ -72,25 +73,20 @@ _PROBE_FUNCS = {"contains", "intersection"}
 
 
 class ShardRouter:
-    """The cluster's front door: plan, scatter, gather, merge.
+    """The cluster's front door: plan, scatter, merge.
 
     Duck-compatible with the admin endpoint's server protocol
     (``_closed`` + ``session_snapshot()``), so a cluster gets a router
     ``/metrics`` page with the same machinery as a single node.
     """
 
-    def __init__(self, shards, placement: PlacementMap,
-                 timeout: float | None = None,
-                 rpc: RpcChannel | None = None):
+    def __init__(self, shards, placement: PlacementMap):
         if not shards:
             raise ClusterError("a router needs at least one shard")
         self.shards = list(shards)
         self.placement = placement
-        #: per-leg gather timeout in seconds (None = wait forever)
-        self.timeout = timeout
-        self.rpc = rpc if rpc is not None else RpcChannel()
         #: the router's own node registry for metrics federation; routing
-        #: work (plan/gather/merge on the caller thread) tees here
+        #: work (plan and merge) tees here, each leg into its shard's
         self.registry = metrics.MetricsRegistry()
         # Router state lock: outermost in the declared hierarchy, and
         # NEVER held across a shard call (legs run lock-free).
@@ -111,21 +107,28 @@ class ShardRouter:
         metrics.counter("cluster.queries").inc()
         params = list(params) if params else []
         prepared = Prepared(sql, parse(sql))
-        is_read = prepared.is_read
-        # Routing work runs on the caller thread inside the router's
-        # metrics scope; shard legs run on shard worker threads inside
-        # their own node scopes, so federation attributes each side.
+        # Routing work runs inside the router's metrics scope; each leg
+        # opens its shard's node scope inside it on the same thread, and
+        # the innermost scope takes the tee, so federation attributes
+        # each side.
         with metrics.scoped(self.registry), \
                 trace.span("cluster.execute",
-                           kind="read" if is_read else "write"):
+                           kind="read" if prepared.is_read else "write"):
             with trace.span("cluster.plan"):
                 targets = self._plan(prepared, params)
+            down = [s.shard_id for s in targets if s.server._closed]
+            if down:
+                metrics.counter("cluster.shard_errors").inc()
+                raise ShardUnavailableError(
+                    f"shard(s) {down} are down; the statement was refused "
+                    "before any leg ran"
+                )
             if len(targets) == len(self.shards) and len(self.shards) > 1:
                 metrics.counter("cluster.broadcasts").inc()
             metrics.counter("cluster.pruned_shards").inc(
                 len(self.shards) - len(targets)
             )
-            partials = self._scatter(targets, sql, params, is_read)
+            partials = self._scatter(targets, sql, params)
             with trace.span("cluster.merge", legs=len(partials)):
                 return self._merge(prepared, partials)
 
@@ -133,25 +136,15 @@ class ShardRouter:
         """Run one medical :class:`QuerySpec` on the shard owning its study.
 
         The study-id in the spec resolves the owner directly — the
-        medical query surface is single-study, so it never fans out.
-        Falls back to a replica-backed :class:`MedicalServer` when the
-        owner's serving stack is closed.
+        medical query surface is single-study, so it never fans out.  A
+        closed owner refuses it with :class:`ShardUnavailableError`.
         """
         shard = self.shards[self.placement.shard_for(spec.study_id)]
+        if shard.server._closed:
+            metrics.counter("cluster.shard_errors").inc()
+            raise ShardUnavailableError(f"shard {shard.shard_id} is down")
         with trace.span("cluster.execute_spec", shard=shard.shard_id):
-            if not shard.server._closed:
-                return shard.medical.execute(spec)
-            replica = shard.replica
-            if replica is None:
-                raise ShardUnavailableError(
-                    f"shard {shard.shard_id} is down and has no replica"
-                )
-            metrics.counter("cluster.failovers").inc()
-            return MedicalServer(
-                replica.database,
-                band_width=shard.medical.band_width,
-                encoding=shard.medical.encoding,
-            ).execute(spec)
+            return shard.medical.execute(spec)
 
     def band_consistency_region(self, study_ids, low: int, high: int,
                                 encoding: str | None = None):
@@ -206,7 +199,7 @@ class ShardRouter:
         """The shard legs for one statement, in shard order."""
         if _replicated_only(prepared):
             # Any shard holds the complete answer; reads take shard 0,
-            # writes must broadcast to keep the replicas identical.
+            # writes must broadcast to keep every shard's copy identical.
             return [self.shards[0]] if prepared.is_read else list(self.shards)
         stmt = prepared.ast
         study_ids = _study_id_conjuncts(getattr(stmt, "where", None), params)
@@ -240,59 +233,19 @@ class ShardRouter:
         return candidates
 
     # ------------------------------------------------------------------ #
-    # scatter / gather
+    # scatter
     # ------------------------------------------------------------------ #
 
-    def _scatter(self, targets, sql: str, params: list,
-                 is_read: bool) -> list[QueryResult]:
-        """Run one statement on every target shard; gather in shard order.
+    def _scatter(self, targets, sql: str, params: list) -> list[QueryResult]:
+        """Run one statement on every target shard, in shard order.
 
-        Legs are submitted first (each shard's worker pool runs them
-        concurrently), then gathered with the per-leg timeout.  A leg
-        that times out or whose shard is closed fails over to the
-        shard's replica — reads only; an unreachable shard fails a
-        write with :class:`ShardUnavailableError`.
+        Each leg runs on the caller's thread through the shard's router
+        session, so it holds one of that shard's admission slots (or
+        queues for one) like any served statement, and joins this
+        statement's trace.
         """
-        legs: list[tuple] = []
         with trace.span("cluster.scatter", legs=len(targets)):
-            for shard in targets:
-                try:
-                    legs.append((shard, shard.submit(sql, params)))
-                except Exception:  # qblint: disable=no-broad-except — shard down
-                    metrics.counter("cluster.shard_errors").inc()
-                    legs.append((shard, None))
-        partials: list[QueryResult] = []
-        for shard, future in legs:
-            # ``leg=`` (not ``shard=``): gather is router-side waiting, so
-            # its span must stay on the router's export track while the
-            # shard's own ``cluster.leg`` span carries the shard tag.
-            with trace.span("cluster.gather", leg=str(shard.shard_id)):
-                if future is None:
-                    partials.append(
-                        self._failover(shard, sql, params, is_read))
-                    continue
-                try:
-                    partials.append(future.result(timeout=self.timeout))
-                except TimeoutError:
-                    metrics.counter("cluster.shard_errors").inc()
-                    partials.append(
-                        self._failover(shard, sql, params, is_read))
-        return partials
-
-    def _failover(self, shard, sql: str, params: list,
-                  is_read: bool) -> QueryResult:
-        """Serve one leg from the shard's replica, or give up loudly."""
-        replica = shard.replica
-        if not is_read or replica is None:
-            raise ShardUnavailableError(
-                f"shard {shard.shard_id} did not answer"
-                + ("" if is_read else " (writes cannot fail over)")
-                + ("" if replica is not None else " and has no replica")
-            )
-        metrics.counter("cluster.failovers").inc()
-        with trace.span("cluster.replica_read", shard=str(shard.shard_id),
-                        role="replica"):
-            return replica.execute(sql, params)
+            return [shard.execute(sql, params) for shard in targets]
 
     # ------------------------------------------------------------------ #
     # merge
@@ -346,15 +299,12 @@ class ShardRouter:
         return snapshot
 
     def node_registries(self) -> list[tuple[dict, "metrics.MetricsRegistry"]]:
-        """``(identity labels, registry)`` of every node: the router, each
-        shard primary, each attached replica."""
+        """``(identity labels, registry)`` of every node: the router and
+        each shard."""
         nodes = [({"role": "router"}, self.registry)]
         for shard in self.shards:
             if shard.node_registry is not None:
                 nodes.append((shard.node_labels, shard.node_registry))
-            if shard.replica is not None:
-                nodes.append(({"shard": str(shard.shard_id),
-                               "role": "replica"}, shard.replica.registry))
         return nodes
 
     def federated_metrics(self) -> str:
@@ -364,47 +314,23 @@ class ShardRouter:
     def cluster_health(self) -> dict:
         """The machine-readable fleet rollup served at /cluster/healthz.
 
-        Per-shard up/down and session counts, replica attachment and lag
-        in transactions, plus the cluster-level failure counters — the
-        PR 9 failure matrix as one JSON document.
+        Per-shard up/down and session counts plus the cluster-level
+        counters — the failure matrix as one JSON document.
         """
-        shards = []
-        degraded = False
-        for shard in self.shards:
-            up = not shard.server._closed
-            degraded = degraded or not up
-            entry = {
-                "shard": shard.shard_id,
-                "up": up,
-                "studies": len(shard.study_ids),
-                "sessions": len(shard.server.session_snapshot()),
-            }
-            link = shard.link
-            if link is not None:
-                replica = link.replica
-                attached = replica is not None
-                degraded = degraded or not attached
-                entry["replica"] = {
-                    "attached": attached,
-                    "lag_txns": (
-                        max(0, (link.wal.next_txn_id - 1)
-                            - replica.last_applied_txn)
-                        if attached else None
-                    ),
-                    "applied_txn": (replica.last_applied_txn
-                                    if attached else None),
-                }
-            else:
-                entry["replica"] = None
-            shards.append(entry)
+        shards = [
+            {"shard": shard.shard_id,
+             "up": not shard.server._closed,
+             "studies": len(shard.study_ids),
+             "sessions": len(shard.server.session_snapshot())}
+            for shard in self.shards
+        ]
         with self._lock:
             queries = self.queries
         counters = metrics.snapshot()["counters"]
         return {
-            "status": "degraded" if degraded else "ok",
+            "status": "ok" if all(e["up"] for e in shards) else "degraded",
             "shards": shards,
             "queries": queries,
-            "failovers": counters.get("cluster.failovers", 0),
             "shard_errors": counters.get("cluster.shard_errors", 0),
             "broadcasts": counters.get("cluster.broadcasts", 0),
         }
@@ -434,7 +360,7 @@ class ShardRouter:
 # ---------------------------------------------------------------------- #
 
 def _replicated_only(prepared: Prepared) -> bool:
-    """Does the statement name tables, and only replicated ones?"""
+    """Does the statement name tables, and only reference (replicated) ones?"""
     tables = prepared.tables
     return bool(tables) and all(PlacementMap.is_replicated(t) for t in tables)
 

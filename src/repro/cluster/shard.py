@@ -33,15 +33,11 @@ class Shard:
     medical: MedicalServer
     #: global study ids this shard owns (load order preserved)
     study_ids: list[int] = field(default_factory=list)
-    #: the shard's read replica, if one is attached (set by the builder)
-    replica: object | None = None
-    #: the primary-side ship link feeding :attr:`replica`
-    link: object | None = None
     #: admin endpoint, if started
     admin: object | None = None
 
     def __post_init__(self) -> None:
-        # One long-lived router session per shard: the router submits
+        # One long-lived router session per shard: the router runs
         # scatter legs through it, so shard-side admission, tracing, and
         # metrics all see cluster traffic as ordinary session traffic.
         self._session = self.server.connect(name=f"router-shard-{self.shard_id}")
@@ -50,12 +46,9 @@ class Shard:
     # query surface the router uses
     # ------------------------------------------------------------------ #
 
-    def submit(self, sql: str, params: list | None = None):
-        """Admit one statement to this shard's pool; returns a Future."""
-        return self._session.execute_async(sql, params)
-
     def execute(self, sql: str, params: list | None = None):
-        """Run one statement on this shard synchronously."""
+        """Run one statement on this shard, on the caller's thread inside
+        one of the shard's admission slots (queued when none is free)."""
         return self._session.execute(sql, params)
 
     @property
@@ -115,7 +108,4 @@ class Shard:
         self.server.close()
 
     def __repr__(self) -> str:
-        return (
-            f"Shard({self.shard_id}, {len(self.study_ids)} studies, "
-            f"replica={'yes' if self.replica is not None else 'no'})"
-        )
+        return f"Shard({self.shard_id}, {len(self.study_ids)} studies)"

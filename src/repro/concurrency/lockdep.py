@@ -63,8 +63,6 @@ __all__ = [
 #: the declared lock hierarchy (lower rank = acquired first / outermost)
 DEFAULT_RANKS = {
     "cluster.router": 5,
-    "cluster.link": 8,
-    "cluster.replica": 9,
     "db.rwlock": 10,
     "wal.txn": 20,
     "db.version": 25,

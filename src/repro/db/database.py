@@ -564,47 +564,44 @@ class Database:
     @contextmanager
     def _locked_transaction(self, on_publish=None):
         device = self.lfm.device if self.lfm is not None else None
-        # Replication ships after the unlock: its link lock ranks outside
-        # this one, and its envelope reads the version published below.
-        with getattr(device, "shipping_deferred", nullcontext)():
-            self._acquire_write()
-            self._txn_nesting += 1
-            outermost = self._txn_nesting == 1
-            published, watched, rolled_back = None, False, []
+        self._acquire_write()
+        self._txn_nesting += 1
+        outermost = self._txn_nesting == 1
+        published, watched, rolled_back = None, False, []
 
-            def reinstate() -> None:
-                rolled_back.append(True)
-                self._versions.reinstate(self.catalog)
+        def reinstate() -> None:
+            rolled_back.append(True)
+            self._versions.reinstate(self.catalog)
 
-            try:
-                with (device.transaction(meta_provider=self.lfm.export_state)
-                      if device is not None else nullcontext()):
-                    # A storage transaction that can roll back reinstates
-                    # with its own undo — so not once its record is journaled.
-                    watched = (outermost and device is not None
-                               and self.lfm.on_rollback(reinstate))
-                    yield self
-                if outermost:
-                    self._publish_version()
-                    published = self._versions.latest_seq
-            # The scope boundary: rollback and unlock must run for
-            # KeyboardInterrupt and SystemExit too.
-            except BaseException:  # qblint: disable=no-broad-except
-                self._versions.discard_pending()
-                if outermost and not watched:
-                    reinstate()
-                elif outermost and not rolled_back:
-                    # journaled, only its apply failed: it is committed
-                    self._publish_version()
-                    published = self._versions.latest_seq
-                raise
-            finally:
-                self._txn_nesting -= 1
-                if not self._txn_nesting:
-                    self._stored_cells.clear()
-                self._rwlock.release_write()
-                if published is not None and on_publish is not None:
-                    on_publish(published)
+        try:
+            with (device.transaction(meta_provider=self.lfm.export_state)
+                  if device is not None else nullcontext()):
+                # A storage transaction that can roll back reinstates
+                # with its own undo — so not once its record is journaled.
+                watched = (outermost and device is not None
+                           and self.lfm.on_rollback(reinstate))
+                yield self
+            if outermost:
+                self._publish_version()
+                published = self._versions.latest_seq
+        # The scope boundary: rollback and unlock must run for
+        # KeyboardInterrupt and SystemExit too.
+        except BaseException:  # qblint: disable=no-broad-except
+            self._versions.discard_pending()
+            if outermost and not watched:
+                reinstate()
+            elif outermost and not rolled_back:
+                # journaled, only its apply failed: it is committed
+                self._publish_version()
+                published = self._versions.latest_seq
+            raise
+        finally:
+            self._txn_nesting -= 1
+            if not self._txn_nesting:
+                self._stored_cells.clear()
+            self._rwlock.release_write()
+            if published is not None and on_publish is not None:
+                on_publish(published)
 
     def register_function(self, name: str, fn,
                           signature: FunctionSignature | None = None,

@@ -69,15 +69,10 @@ def _decode_cell(value):
     return value
 
 
-def export_catalog(catalog, tables=None) -> dict:
+def export_catalog(catalog) -> dict:
     """The catalog image: the one serialized form of a catalog, embedded
-    in ``catalog.json`` and carried by the replica ship stream.
-
-    ``tables`` are the tables whose rows to export (default: every live
-    one; the replica link passes a pinned snapshot's changed tables).
-    """
-    if tables is None:
-        tables = [catalog.table(name) for name in catalog.table_names()]
+    in ``catalog.json``."""
+    tables = [catalog.table(name) for name in catalog.table_names()]
     image: dict = {
         "tables": [
             {

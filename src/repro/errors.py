@@ -221,9 +221,9 @@ class RegistrationError(MedicalError, RuntimeError):
 
 
 class ClusterError(ServerError):
-    """Base class for sharded-cluster failures (routing, merging, shipping)."""
+    """Base class for sharded-cluster failures (routing, merging)."""
 
 
 class ShardUnavailableError(ClusterError):
-    """A shard did not answer within the router's timeout (and no replica
-    could serve the read either)."""
+    """A target shard is down: the statement was refused before any leg
+    ran."""

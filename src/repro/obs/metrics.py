@@ -55,8 +55,8 @@ def scoped(target: "MetricsRegistry | None"):
     federation: in-process cluster nodes share one global registry, and
     each node wraps its own work in ``scoped(node_registry)`` so a
     per-node scrape sees only that node's share.  Scopes nest; only the
-    innermost target receives the tee (a replica apply running inside a
-    router scope attributes to the replica, not to both), and a ``None``
+    innermost target receives the tee (a shard leg running inside a
+    router scope attributes to the shard, not to both), and a ``None``
     target suspends the tee for the block.  Standalone metric objects and
     scoped registries themselves never tee, so there is no recursion or
     double counting.

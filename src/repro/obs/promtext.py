@@ -19,7 +19,7 @@ underscores), so ``server.wait_seconds`` scrapes as
 registries merged into one exposition — **counters** summed into a single
 sample, **gauges** (the histogram percentile families included) kept per
 node under the node's identity labels (``shard="0",role="primary"`` — a
-replica-lag gauge averaged across nodes would be meaningless), and
+queue-depth gauge averaged across nodes would be meaningless), and
 **histograms** bucket-merged, so fleet-wide quantile estimates come from
 the merged distribution.
 

@@ -19,8 +19,8 @@ whole observability stack over plain HTTP GETs:
 * ``/trace/<trace_id>`` — a retained trace's spans as a JSON list (ids,
   parent, start offset, wall, page I/O, tags), when span tracing is on;
 * ``/cluster/healthz`` — served when the backing server is a shard
-  router: the machine-readable fleet rollup (per-shard up/down, replica
-  lag, failover counts).
+  router: the machine-readable fleet rollup (per-shard up/down and
+  sessions, shard-error and broadcast counts).
 
 When the backing server federates (a :class:`~repro.cluster.router.
 ShardRouter` exposing ``federated_metrics()``), ``/metrics`` serves the

@@ -1,15 +1,15 @@
-"""Admission control for the serving layer, and its async executor.
+"""Admission control for the serving layer.
 
 The pool is ``workers`` execution *slots*: at most that many statements
-run at once, however they arrived.  A caller that only waits for its
-result (:meth:`WorkerPool.run`, behind ``Session.execute``) takes a free
-slot and runs the statement on its own thread — a second thread would
-only add two hand-offs to a client that sleeps through them.  A caller
-that wants a future (:meth:`WorkerPool.submit`, behind
-``Session.execute_async``), or that finds no slot free or work already
-queued, lands on a bounded FIFO queue the worker threads drain, each
-taking a slot per task.  One counter under one condition variable bounds
-both kinds: the least machinery that keeps the ``workers`` cap.
+run at once, however they arrived.  A caller that waits for its result
+(:meth:`WorkerPool.run`, behind ``Session.execute``) takes a free slot
+and runs the statement on its own thread — a second thread would only
+add two hand-offs to a client that sleeps through them.  A caller that
+finds no slot free or work already queued — or that wants a future
+(:meth:`WorkerPool.submit`) — lands on a bounded FIFO queue the worker
+threads drain, each taking a slot per task.  One counter under one
+condition variable bounds both kinds: the least machinery that keeps
+the ``workers`` cap.
 
 The queue depth is the *admission control*: when it is full the policy
 decides whether the submitting client blocks (``"block"``, the default —

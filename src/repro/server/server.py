@@ -11,8 +11,9 @@ ARCHITECTURE.md):
   WAL keeps crash safety under concurrent writers (the lock is held
   until the commit is durable and its version published);
 * a :class:`~repro.server.pool.WorkerPool` — ``workers`` execution slots
-  a blocking client occupies on its own thread, plus the bounded queue
-  (``block``/``reject`` policy) and threads behind ``execute_async``;
+  a client occupies on its own thread, plus the bounded queue
+  (``block``/``reject`` policy) and the worker threads that drain it when
+  every slot is taken;
 * the database's memo of :class:`~repro.db.sql.Prepared` statements per
   raw text (:meth:`Database.prepare <repro.db.database.Database.prepare>`)
   — the one parse a served statement costs, and the source of every
@@ -127,25 +128,23 @@ class QueryServer:
     # statement dispatch
     # ------------------------------------------------------------------ #
 
-    def admit(self, session: Session, sql: str, params: list | None,
-              wait: bool):
-        """Hand one statement to the pool (sessions call this): with
-        ``wait`` its result, run on the caller's own thread when a slot is
-        free; else its future, queued for the worker threads.
+    def admit(self, session: Session, sql: str, params: list | None):
+        """Run one statement through the pool (sessions call this): on the
+        caller's own thread when a slot is free, else queued for the
+        worker threads; returns its result either way.
 
         The trace position is captured here, once, on the client side: a
         fresh trace id, so the statement's spans and flight-recorder
         record belong to one trace whichever thread runs it — unless the
-        caller already has a position (a shard router fanning a statement
-        out): then it *joins* that trace and one query yields one span
-        tree across the whole cluster.
+        caller already has a position (a shard router running a leg):
+        then it *joins* that trace and one query yields one span tree
+        across the whole cluster.
         """
         ctx = trace.current_context(session=session.name)
         if ctx is None:
             ctx = trace.TraceContext(trace_id=trace.new_trace_id(),
                                      session=session.name)
-        return (self.pool.run if wait else self.pool.submit)(
-            self._run_statement, ctx, session, sql, params)
+        return self.pool.run(self._run_statement, ctx, session, sql, params)
 
     def _run_statement(self, ctx: trace.TraceContext, session: Session,
                        sql: str, params: list | None) -> QueryResult:

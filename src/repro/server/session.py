@@ -14,8 +14,7 @@ layer's analogue of a DBMS connection.  Each session carries:
 
 Statements go through the server's admission control: :meth:`execute`
 blocks for the result and — when a pool slot is free — runs it on the
-calling thread; :meth:`execute_async` queues it for the worker threads
-and returns the future, for pipelined clients.
+calling thread; otherwise it queues for the worker threads and waits.
 """
 
 from __future__ import annotations
@@ -93,7 +92,7 @@ class Session:
         self.functions = SessionFunctions(server.db.functions)
         #: guards the session's mutable state: variables, the statement
         #: counter, and the closed flag — all read by other threads
-        #: (``session_snapshot`` on the admin thread, concurrent submits)
+        #: (``session_snapshot`` on the admin thread, concurrent callers)
         self._state_lock = lockdep.instrument(
             threading.Lock(), "session.state"
         )
@@ -107,17 +106,10 @@ class Session:
 
     def execute(self, sql: str, params: list | None = None):
         """Run one statement through the server; blocks for the result."""
-        return self._admit(sql, params, wait=True)
-
-    def execute_async(self, sql: str, params: list | None = None):
-        """Submit one statement; returns a future with the QueryResult."""
-        return self._admit(sql, params, wait=False)
-
-    def _admit(self, sql: str, params: list | None, wait: bool):
         with self._state_lock:
             if self.closed:
                 raise SessionClosedError(f"{self.name} is closed")
-        return self._server.admit(self, sql, params, wait)
+        return self._server.admit(self, sql, params)
 
     def _admitted(self) -> None:
         """Count one statement as it starts (a refused one never does)."""

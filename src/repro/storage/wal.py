@@ -71,10 +71,8 @@ import json
 import struct
 import threading
 import zlib
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -240,14 +238,6 @@ def recover_journal(device, journal, next_txn_id: int = 1) -> RecoveryReport:
     return report
 
 
-class CommittedTxn(NamedTuple):
-    """One committed transaction, as a ship hook receives it."""
-
-    txn_id: int
-    pages: list             #: ``[(page_no, payload)]``, sorted by page number
-    meta: dict | None       #: the metadata journaled with the commit record
-
-
 class WriteAheadLog:
     """A crash-safe, transaction-scoped wrapper around a data device.
 
@@ -293,12 +283,6 @@ class WriteAheadLog:
         #: under the transaction lock, never mutated, so a reader's
         #: reference taken before its device read stays whole.
         self._unapplied: dict[int, bytearray] = {}
-        # Replication: committed transactions queue here under the
-        # transaction lock and reach the hooks from ship_committed().
-        self._ship_hooks: list = []
-        self._unshipped: deque[CommittedTxn] = deque()
-        self._ship_lock = threading.Lock()  # serializes the drain
-        self._ship_deferred = threading.local()  # .depth, per thread
         self.last_committed_meta: dict | None = None
         self.recovery: RecoveryReport | None = None
         if recover:
@@ -409,8 +393,6 @@ class WriteAheadLog:
                             recorder.leave(was)
                     else:
                         self._rollback()
-        if outermost:
-            self.ship_committed()
 
     def on_rollback(self, undo) -> None:
         """Register a callable run if the enclosing transaction rolls back.
@@ -450,7 +432,7 @@ class WriteAheadLog:
             self._undo = []  # nothing happened: nothing to journal
             return
         try:
-            txn = self._journal_txn()
+            txn_id, pages, meta = self._journal_txn()
         # Cleanup-and-reraise: the commit record is not on the journal, so
         # the caller must see the old in-memory state too — whatever is
         # unwinding the stack.
@@ -462,27 +444,26 @@ class WriteAheadLog:
         self._dirty = {}
         self._undo = []
         self._meta_provider = None
-        if txn.meta is not None:
-            self.last_committed_meta = txn.meta
-        if self._ship_hooks:
-            self._unshipped.append(txn)
+        if meta is not None:
+            self.last_committed_meta = meta
         try:
-            with trace.span("wal.apply", io=self.device.stats, txn=txn.txn_id):
-                for page_no, payload in txn.pages:
+            with trace.span("wal.apply", io=self.device.stats, txn=txn_id):
+                for page_no, payload in pages:
                     self.device.write(page_no * self.page_size, bytes(payload))
         # Not a rollback: hold the images the device refused, re-raise.
         except BaseException:  # qblint: disable=no-broad-except
-            self._unapplied = {**self._unapplied, **dict(txn.pages)}
+            self._unapplied = {**self._unapplied, **dict(pages)}
             raise
         if self._unapplied:
             # Held pages this commit rewrote are current on the device now.
-            applied = {page_no for page_no, _ in txn.pages}
+            applied = {page_no for page_no, _ in pages}
             self._unapplied = {n: p for n, p in self._unapplied.items()
                                if n not in applied}
 
     @guarded_by("txn")
-    def _journal_txn(self) -> CommittedTxn:
-        """Write the buffered transaction's records and sync them.
+    def _journal_txn(self) -> tuple[int, list, dict | None]:
+        """Write the buffered transaction's records and sync them; returns
+        ``(txn_id, [(page_no, payload)] by page number, meta)``.
 
         Evaluates the metadata provider and checks journal capacity
         before anything moves.  The append point and the journal gauge
@@ -547,7 +528,7 @@ class WriteAheadLog:
         metrics.counter("wal.pages_journaled").inc(len(pages))
         metrics.counter("wal.bytes_journaled").inc(total)
         metrics.gauge("wal.journal_bytes").set(self._journal_head)
-        return CommittedTxn(txn_id, pages, meta)
+        return txn_id, pages, meta
 
     @guarded_by("txn")
     def _apply_held_pages(self) -> None:
@@ -569,57 +550,6 @@ class WriteAheadLog:
                 f"device; the journal keeps them — not checkpointing"
             ) from exc
         self._unapplied = {}
-
-    # ------------------------------------------------------------------ #
-    # replication shipping
-    # ------------------------------------------------------------------ #
-
-    def add_ship_hook(self, hook) -> None:
-        """Register a replication hook: ``hook(txn)`` per :class:`CommittedTxn`.
-
-        Hooks run once per committed transaction, in txn-id order, on a
-        committer's thread after it left its outermost scope — with the
-        transaction lock released, so shipping can never delay or fail a
-        commit.  Hook exceptions are swallowed (counted as
-        ``wal.ship_errors``): a broken replica link must not take down
-        the primary's write path; the replica resyncs when it reattaches.
-        Register before concurrent traffic starts (replica attach).
-        """
-        self._ship_hooks.append(hook)
-
-    def ship_committed(self) -> None:
-        """Offer every committed, not yet shipped transaction to the hooks."""
-        if not self._ship_hooks or getattr(self._ship_deferred, "depth", 0):
-            return
-        with self._ship_lock:
-            while self._unshipped:
-                txn = self._unshipped.popleft()
-                for hook in list(self._ship_hooks):
-                    try:
-                        hook(txn)
-                    # Replication is strictly best-effort on the commit
-                    # path; any failure is the *replica's* problem
-                    # (resync) — see add_ship_hook's contract.
-                    except BaseException:  # qblint: disable=no-broad-except
-                        metrics.counter("wal.ship_errors").inc()
-
-    @contextmanager
-    def shipping_deferred(self):
-        """Hold this thread's shipping back until the scope exits.
-
-        For a caller that commits while holding a lock of its own that
-        hooks rank outside: :meth:`Database.transaction
-        <repro.db.database.Database.transaction>` wraps its write-lock
-        region in one, so hooks run after the version is published and
-        the lock released.
-        """
-        local = self._ship_deferred
-        local.depth = getattr(local, "depth", 0) + 1
-        try:
-            yield
-        finally:
-            local.depth -= 1
-            self.ship_committed()
 
     def reset_journal(self) -> None:
         """Invalidate the journal (after the catalog checkpointed elsewhere).

@@ -25,7 +25,7 @@ from repro.cluster import (
 )
 from repro.cluster.router import ShardRouter
 from repro.db.sql import Prepared, parse
-from repro.errors import ClusterError
+from repro.errors import ClusterError, ShardUnavailableError
 from repro.medical.server import QuerySpec
 from repro.obs import trace
 from repro.bench.workloads import scaled_box
@@ -357,6 +357,34 @@ class TestRouterSurface:
                 "select name from patient where patientId = 901"
             ).rows
             assert rows == [("cluster-test",)]
+
+    def test_down_shard_refuses_before_any_leg_runs(self):
+        """At the parent a routed write committed on the open shards and
+        then raised, so the replicated ``patient`` table diverged."""
+        with build_demo_cluster(n_shards=2, grid_side=16,
+                                n_pet=1, n_mri=1) as cluster:
+            up, down = cluster.shards
+
+            def patients() -> list[int]:
+                return [shard.db.execute("select count(*) from patient")
+                        .scalar() for shard in cluster.shards]
+
+            before = patients()
+            down.server.close()
+            for sql in ("insert into patient values (902, 'down-test', "
+                        "'1980-01-01', 'F', 44)",
+                        "select count(*) from warpedVolume"):
+                with pytest.raises(ShardUnavailableError):
+                    cluster.execute(sql)
+            assert patients() == before
+            (owned,) = down.study_ids
+            with pytest.raises(ShardUnavailableError):
+                cluster.router.execute_spec(QuerySpec(study_id=owned))
+            # Statements that do not touch the down shard still run.
+            (kept,) = up.study_ids
+            assert cluster.execute(
+                "select count(*) from rawVolume where studyId = ?", [kept]
+            ).rows == [(1,)]
 
     def test_closed_router_refuses(self):
         with build_demo_cluster(n_shards=1, grid_side=16,

@@ -307,9 +307,9 @@ class TestAdmissionSlots:
         assert outcome == [[(1,)]]
 
     def test_never_more_than_workers_statements_at_once(self):
-        """6 blocking sessions plus interleaved async submissions on 2
-        slots; the switch interval is shortened so a lost update to the
-        slot count would show."""
+        """6 sessions on 2 slots, so statements run both inline and from
+        the queue; the switch interval is shortened so a lost update to
+        the slot count would show."""
         db = fresh_db()
         lock = threading.Lock()
         inside = peak = 0
@@ -335,11 +335,8 @@ class TestAdmissionSlots:
 
                 def client(session):
                     start.wait(timeout=10)
-                    for step in range(12):
-                        if step % 3 == 2:
-                            session.execute_async(sql).result(timeout=10)
-                        else:
-                            session.execute(sql)
+                    for _ in range(12):
+                        session.execute(sql)
 
                 threads = [threading.Thread(target=client, args=(s,))
                            for s in sessions]
@@ -349,6 +346,7 @@ class TestAdmissionSlots:
                     t.join(timeout=30)
                 assert not any(t.is_alive() for t in threads)
                 assert sum(s.statements for s in sessions) == 6 * 12
+                assert server.pool.pending == 0
         finally:
             sys.setswitchinterval(interval)
         assert peak == 2
@@ -359,9 +357,24 @@ class TestAdmissionSlots:
             s = server.connect()
             with pytest.raises(ResolutionError) as inline:
                 s.execute("select nope from lookup")
-            with pytest.raises(ResolutionError) as pooled:
-                s.execute_async("select nope from lookup").result(timeout=10)
-            assert type(inline.value) is type(pooled.value)
+            # The only slot taken: the same statement queues for a worker,
+            # and the worker's exception reaches the waiting caller.
+            release = _occupy(server.pool)
+            pooled = []
+
+            def queued():
+                try:
+                    s.execute("select nope from lookup")
+                except ResolutionError as exc:
+                    pooled.append(exc)
+
+            thread = threading.Thread(target=queued)
+            thread.start()
+            while server.pool.pending == 0 and thread.is_alive():
+                time.sleep(0.005)
+            release.set()
+            thread.join(timeout=10)
+            assert type(inline.value) is type(pooled[0])
             # the only slot was freed: the next statement runs
             assert s.execute("select count(*) from lookup").scalar() == 20
 
@@ -372,14 +385,16 @@ class TestAdmissionSlots:
         with QueryServer(db, workers=1, queue_depth=1, policy="reject",
                          result_cache=False) as server:
             s = server.connect()
-            running = s.execute_async(sql)
+            running, _ = _in_thread(lambda: s.execute(sql))
             assert started.wait(timeout=10)
-            queued = s.execute_async(sql)
-            for refused in (s.execute_async, s.execute):
-                with pytest.raises(ServerBusyError):
-                    refused(sql)
+            queued, _ = _in_thread(lambda: s.execute(sql))
+            while server.pool.pending == 0 and queued.is_alive():
+                time.sleep(0.005)
+            with pytest.raises(ServerBusyError):
+                s.execute(sql)
             release.set()
-            running.result(timeout=10), queued.result(timeout=10)
+            for thread in (running, queued):
+                thread.join(timeout=10)
             assert s.statements == 2
 
     def test_inline_and_pooled_statements_account_alike(self):
@@ -389,14 +404,22 @@ class TestAdmissionSlots:
         counts = {name: metrics.counter(name).value
                   for name in ("server.tasks", "server.statements")}
         waits = metrics.histogram("server.wait_seconds").count
-        with QueryServer(db, workers=2) as server:
+        with QueryServer(db, workers=1) as server:
             s = server.connect(name="accounted")
             s.execute("select v from lookup where k = 1")
-            s.execute_async("select v from lookup where k = 2").result(timeout=10)
+            release = _occupy(server.pool)  # one more task, not a statement
+            thread, _ = _in_thread(
+                lambda: s.execute("select v from lookup where k = 2"))
+            while server.pool.pending == 0 and thread.is_alive():
+                time.sleep(0.005)
+            release.set()
+            thread.join(timeout=10)
             assert s.statements == 2
-        for name, before in counts.items():
-            assert metrics.counter(name).value == before + 2
-        assert metrics.histogram("server.wait_seconds").count == waits + 2
+        assert metrics.counter("server.statements").value \
+            == counts["server.statements"] + 2
+        assert metrics.counter("server.tasks").value \
+            == counts["server.tasks"] + 3
+        assert metrics.histogram("server.wait_seconds").count == waits + 3
         pooled, inline = recorder.get_recorder().recent(2)
         assert inline.pool_wait_seconds == 0.0 <= pooled.pool_wait_seconds
         assert inline.session == pooled.session == "accounted"
@@ -646,12 +669,8 @@ class TestSessions:
 
             def hammer() -> None:
                 start.wait()
-                futures = [
-                    s.execute_async("select v from lookup where k = ?", [k % 20])
-                    for k in range(per_thread)
-                ]
-                for future in futures:
-                    future.result(timeout=10)
+                for k in range(per_thread):
+                    s.execute("select v from lookup where k = ?", [k % 20])
 
             workers = [threading.Thread(target=hammer) for _ in range(threads)]
             for t in workers:
@@ -970,14 +989,23 @@ class TestServingSanity:
             assert server.cache.hit_rate > 0.5
 
     def test_async_pipelining(self):
+        """Ten statements in flight on one session at once — more than the
+        slots, so some queue — each get their own answer."""
         db = fresh_db()
         with QueryServer(db, workers=4) as server:
             with server.connect() as s:
-                futures = [
-                    s.execute_async("select v from lookup where k = ?", [k])
-                    for k in range(10)
-                ]
-                values = [f.result(timeout=30).scalar() for f in futures]
+                values = [None] * 10
+
+                def ask(k: int) -> None:
+                    values[k] = s.execute(
+                        "select v from lookup where k = ?", [k]).scalar()
+
+                threads = [threading.Thread(target=ask, args=(k,))
+                           for k in range(10)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
             assert values == [k * k for k in range(10)]
 
 

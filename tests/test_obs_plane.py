@@ -54,7 +54,7 @@ def cluster1():
 
 @pytest.fixture(scope="module")
 def cluster2():
-    with build_demo_cluster(n_shards=2, replicate=True, **OBS_KW) as cluster:
+    with build_demo_cluster(n_shards=2, **OBS_KW) as cluster:
         yield cluster
 
 
@@ -196,11 +196,28 @@ class TestFederation:
         families = promtext.parse(cluster2.router.federated_metrics())
         per_node = [promtext.parse(promtext.render(registry))
                     for _, registry in cluster2.router.node_registries()]
-        assert len(per_node) == 5      # router, two primaries, two replicas
+        assert len(per_node) == 3      # the router and two shards
         for family in ("db_statements", "executor_statements"):
             node_sum = sum(_counter_total(f, family) for f in per_node)
             assert node_sum > 0
             assert _counter_total(families, family) == node_sum
+
+    def test_same_thread_scopes_attribute_each_leg_to_its_shard(self,
+                                                                cluster4):
+        """Router and shard scopes nest on one thread: the innermost (the
+        shard's) takes every leg's metrics, the router's takes none."""
+        def statements(registry) -> int:
+            return registry.snapshot()["counters"].get("db.statements", 0)
+
+        shards = [shard.node_registry for shard in cluster4.shards]
+        before = [statements(registry) for registry in shards]
+        cluster4.execute("select count(*) from warpedVolume")
+        legs = [statements(r) - b for r, b in zip(shards, before)]
+        assert legs == [1, 1, 1, 1]
+        assert statements(cluster4.router.registry) == 0
+        families = promtext.parse(cluster4.router.federated_metrics())
+        assert _counter_total(families, "db_statements") == sum(
+            statements(registry) for registry in shards)
 
 
 # --------------------------------------------------------------------- #
@@ -208,14 +225,13 @@ class TestFederation:
 # --------------------------------------------------------------------- #
 
 class TestClusterHealth:
-    def test_rollup_reports_every_shard_and_replica(self, cluster2):
+    def test_rollup_reports_every_shard(self, cluster2):
         rollup = cluster2.router.cluster_health()
         assert rollup["status"] == "ok"
-        assert len(rollup["shards"]) == 2
+        assert [entry["shard"] for entry in rollup["shards"]] == [0, 1]
         for entry in rollup["shards"]:
             assert entry["up"] is True
-            assert entry["replica"]["attached"] is True
-            assert entry["replica"]["lag_txns"] >= 0
+            assert entry["studies"] >= 1
 
     def test_down_shard_degrades(self):
         cluster = build_demo_cluster(n_shards=2, grid_side=16,
@@ -251,18 +267,19 @@ class TestLegSpans:
             str(shard.shard_id) for shard in cluster.shards
         }
         assert all(s.meta["role"] == "primary" for s in legs)
+        (scatter,) = [s for s in spans if s.name == "cluster.scatter"]
         for leg in legs:
             assert leg.meta["queue_ms"] >= 0.0
-            child_names = {s.name for s in spans
-                           if s.parent_id == leg.span_id}
-            assert child_names == {"server.execute"}
+            assert leg.parent_id == scatter.span_id
+            children = [s.name for s in spans if s.parent_id == leg.span_id]
+            assert children == ["server.execute"]
 
     def test_router_phases_present(self, cluster2):
         with trace.capture() as spans:
             cluster2.execute("select count(*) from warpedVolume")
         names = {s.name for s in spans}
-        assert {"cluster.plan", "cluster.scatter",
-                "cluster.gather", "cluster.merge"} <= names
+        assert {"cluster.plan", "cluster.scatter", "cluster.merge"} <= names
+        assert "cluster.gather" not in names
 
 
 class TestTraceEndpoint:
