@@ -235,8 +235,7 @@ class _Analyzer:
         """(key, mode) a with-item acquires, or ``None`` for non-locks."""
         if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute):
             method, receiver = expr.func.attr, expr.func.value
-            if method == "write" and _is_rwlock(receiver) \
-                    or method == "_write_locked":  # its wait timed
+            if method == "write" and _is_rwlock(receiver):
                 return ("db.rwlock", "write")
             if method == "transaction":
                 return ("txn", "excl")

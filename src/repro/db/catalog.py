@@ -7,16 +7,70 @@ from repro.db.stats import SpatialIndex
 from repro.db.table import Table
 from repro.errors import CatalogError
 
-__all__ = ["Catalog"]
+__all__ = ["Catalog", "CatalogView"]
 
 
-class Catalog:
+class CatalogView:
+    """The read surface of a catalog — tables by case-insensitive name,
+    index definitions — and all a published MVCC version's catalog is;
+    the live :class:`Catalog` adds the DDL."""
+
+    def __init__(self, tables: dict, indexes: dict, spatial: dict):
+        self._tables: dict[str, Table] = tables  # lowercased name -> Table
+        self._indexes: dict[str, tuple[str, str]] = indexes  # index name -> (table, column)
+        self._spatial: dict[str, tuple[str, str]] = spatial  # spatial index name -> (table, column)
+
+    def index_table(self, name: str) -> str | None:
+        """The table a named index (hash or spatial) is defined on, or None."""
+        key = name.lower()
+        if key in self._indexes:
+            return self._indexes[key][0]
+        if key in self._spatial:
+            return self._spatial[key][0]
+        return None
+
+    def index_names(self) -> list[str]:
+        """All hash-index names, sorted."""
+        return sorted(self._indexes)
+
+    def index_defs(self) -> list[tuple[str, str, str]]:
+        """``(name, table, column)`` of every hash index, sorted by name."""
+        return [(name, *target) for name, target in sorted(self._indexes.items())]
+
+    def spatial_index_defs(self) -> list[tuple[str, str, str]]:
+        """``(name, table, column)`` of every spatial index, sorted by name."""
+        return [(name, *target) for name, target in sorted(self._spatial.items())]
+
+    def table(self, name: str) -> Table:
+        """Look up a table by case-insensitive name."""
+        try:
+            return self._tables[name.lower()]
+        except KeyError:
+            raise CatalogError(f"no such table {name!r}") from None
+
+    def __contains__(self, name: str) -> bool:
+        return name.lower() in self._tables
+
+    def table_names(self) -> list[str]:
+        """All table names, sorted."""
+        return sorted(t.name for t in self._tables.values())
+
+    def stamp_of(self, names) -> list:
+        """Per lower-cased table name its :attr:`Table.stamp`, ``None``
+        for a name the catalog does not hold."""
+        tables = self._tables
+        return [None if (table := tables.get(name)) is None else table.stamp
+                for name in names]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(self.table_names()) or 'empty'})"
+
+
+class Catalog(CatalogView):
     """Holds all tables (and named indexes) of one database."""
 
     def __init__(self) -> None:
-        self._tables: dict[str, Table] = {}
-        self._indexes: dict[str, tuple[str, str]] = {}  # index name -> (table, column)
-        self._spatial: dict[str, tuple[str, str]] = {}  # spatial index name -> (table, column)
+        super().__init__({}, {}, {})
 
     def create_index(self, name: str, table_name: str, column: str) -> None:
         """Create a named single-column hash index."""
@@ -63,26 +117,6 @@ class Catalog:
         table.spatial[column.lower()] = index
         return index
 
-    def index_table(self, name: str) -> str | None:
-        """The table a named index (hash or spatial) is defined on, or None."""
-        key = name.lower()
-        if key in self._indexes:
-            return self._indexes[key][0]
-        if key in self._spatial:
-            return self._spatial[key][0]
-        return None
-
-    def index_names(self) -> list[str]:
-        """All hash-index names, sorted."""
-        return sorted(self._indexes)
-
-    def spatial_index_defs(self) -> list[tuple[str, str, str]]:
-        """``(name, table, column)`` of every spatial index, sorted by name."""
-        return [
-            (name, table, column)
-            for name, (table, column) in sorted(self._spatial.items())
-        ]
-
     def create_table(self, schema: TableSchema) -> Table:
         """Create an empty table for the schema; rejects duplicates."""
         key = schema.table_name.lower()
@@ -106,27 +140,3 @@ class Catalog:
             idx: (t, c) for idx, (t, c) in self._spatial.items()
             if t.lower() != name.lower()
         }
-
-    def table(self, name: str) -> Table:
-        """Look up a table by case-insensitive name."""
-        try:
-            return self._tables[name.lower()]
-        except KeyError:
-            raise CatalogError(f"no such table {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name.lower() in self._tables
-
-    def table_names(self) -> list[str]:
-        """All table names, sorted."""
-        return sorted(t.name for t in self._tables.values())
-
-    def stamp_of(self, names) -> list:
-        """Per lower-cased table name its :attr:`Table.stamp`, ``None``
-        for a name the catalog does not hold."""
-        tables = self._tables
-        return [None if (table := tables.get(name)) is None else table.stamp
-                for name in names]
-
-    def __repr__(self) -> str:
-        return f"Catalog({', '.join(self.table_names()) or 'empty'})"

@@ -26,6 +26,7 @@ from repro.db.functions import (
     builtin_signatures,
 )
 from repro.db.mvcc import DatabaseVersion, VersionManager
+from repro.db.persist import commit_record
 from repro.db.semantic import analyze as _analyze
 from repro.db.semantic import check
 from repro.db.sql.ast import Explain, Select
@@ -176,16 +177,6 @@ class Database:
         self.publish_snapshot()
 
     @property
-    def rwlock(self) -> RWLock:
-        """The statement-level write lock (see ARCHITECTURE.md).
-
-        Every mutating statement (and :meth:`transaction`) takes it; reads
-        never do.  The lock is re-entrant for its holder, so code running
-        inside an exclusive transaction scope may keep issuing statements.
-        """
-        return self._rwlock
-
-    @property
     def stored_cells(self) -> dict | None:
         """The cells of the REGIONs the calling thread's open
         :meth:`transaction` stored; None outside one (nothing would empty it)."""
@@ -251,7 +242,7 @@ class Database:
     def _publish_version(self) -> None:
         """Publish under the already-held write lock.
 
-        Callers hold the exclusive side of :attr:`rwlock` — one of them
+        Callers hold the exclusive side of ``db.rwlock`` — one of them
         (:meth:`transaction`) via a bare ``acquire_write``, which is why
         this contract is prose rather than a statically checked
         ``@guarded_by``; the runtime lockdep witness still sees every
@@ -260,34 +251,6 @@ class Database:
         was = recorder.enter("db.mvcc")
         try:
             self._versions.publish(self.catalog, self.lfm)
-        finally:
-            recorder.leave(was)
-
-    @contextmanager
-    def _write_locked(self):
-        """Hold :attr:`rwlock` over one write statement or ``executemany``
-        batch; the wait for it is the running statement's ``lock_wait``.
-
-        Outside :meth:`transaction` the statement is a write scope of its
-        own: fully applied (any LFM mini-transactions have flushed), it is
-        published; failed, the published version is reinstated.
-        """
-        self._acquire_write()
-        settled = bool(self._txn_nesting)  # else the transaction decides
-        try:
-            yield
-            if not settled:
-                self._publish_version()
-                settled = True
-        finally:
-            if not settled:
-                self._versions.reinstate(self.catalog)
-            self._rwlock.release_write()
-
-    def _acquire_write(self) -> None:
-        was = recorder.enter("lock_wait")
-        try:
-            self._rwlock.acquire_write()
         finally:
             recorder.leave(was)
 
@@ -387,9 +350,9 @@ class Database:
         SELECT / EXPLAIN run against a :meth:`read_view`; ``view`` lets a
         caller that already opened one (the result cache tags entries
         with its sequence number) supply it, and that caller still closes
-        it.  Mutating statements take :attr:`rwlock`; outside
-        :meth:`transaction` each publishes a fresh snapshot when it has
-        run, or reinstates the published one when it fails.
+        it.  A mutating statement runs in a :meth:`transaction` — the
+        caller's, or one of its own that publishes a fresh snapshot when
+        it has run and reinstates the published one when it fails.
 
         ``planner`` overrides the database's default planner mode
         (:attr:`planner`) for this statement.
@@ -416,7 +379,7 @@ class Database:
                       else nullcontext(view)) as view:
                     return self._run(prepared, params, registry, mode, rec,
                                      view.catalog, view.lfm, ad_hoc)
-            with self._write_locked():
+            with self.transaction():
                 return self._run(prepared, params, registry, mode, rec,
                                  self.catalog, self.lfm, ad_hoc)
 
@@ -483,7 +446,7 @@ class Database:
                     total = self._run_many(prepared, param_rows,
                                            view.catalog, view.lfm)
             else:
-                with self._write_locked():
+                with self.transaction():
                     total = self._run_many(prepared, param_rows,
                                            self.catalog, self.lfm)
             rec.note(rows=total)
@@ -529,21 +492,25 @@ class Database:
         with self.read_view() as view:
             return _analyze(stmt, view.catalog, self.functions)
 
+    @contextmanager
     def transaction(self, on_publish=None):
         """Scope several statements into one write scope and one storage
         transaction.
 
-        The outermost scope commits or fails as a whole: committed, it is
-        published as one version; failed — an exception leaves it, or its
-        commit record never reaches the journal — the published version
-        is reinstated, so nothing its INSERTs, UPDATEs, DELETEs or DDL did
-        survives.  Under a write-ahead log every page dirtied inside the
-        scope commits atomically with the LFM's field table, which a
-        rollback unwinds too; on a raw device the storage scope is a
+        Every write is one (an auto-commit statement or ``executemany``
+        batch opens its own).  The outermost scope commits or fails as a
+        whole: committed, it is published as one version; failed — an
+        exception leaves it, or its commit record never reaches the
+        journal — the published version is reinstated, so nothing its
+        INSERTs, UPDATEs, DELETEs or DDL did survives.  Under a write-ahead
+        log every page dirtied inside the scope commits atomically with
+        its :func:`~repro.db.persist.commit_record` (its catalog edits and,
+        if it moved, the LFM's field table, which a rollback unwinds
+        too); on a raw device the storage scope is a
         no-op, so the long fields a failed scope stored stay allocated and
         unreferenced.  Databases without an LFM have no storage to protect.
 
-        The scope holds :attr:`rwlock` from entry until the commit is
+        The scope holds ``db.rwlock`` from entry until the commit is
         durable and its snapshot published: write lock, storage scope
         (whose exit is the commit), publish, unlock.  Concurrent readers
         never observe a half-applied transaction, two writers' storage
@@ -559,12 +526,12 @@ class Database:
         apply) the transaction is committed: it is published, and
         ``on_publish`` fires, before the error propagates.
         """
-        return self._locked_transaction(on_publish)
-
-    @contextmanager
-    def _locked_transaction(self, on_publish=None):
         device = self.lfm.device if self.lfm is not None else None
-        self._acquire_write()
+        was = recorder.enter("lock_wait")
+        try:
+            self._rwlock.acquire_write()
+        finally:
+            recorder.leave(was)
         self._txn_nesting += 1
         outermost = self._txn_nesting == 1
         published, watched, rolled_back = None, False, []
@@ -574,7 +541,8 @@ class Database:
             self._versions.reinstate(self.catalog)
 
         try:
-            with (device.transaction(meta_provider=self.lfm.export_state)
+            with (device.transaction(meta_provider=lambda: commit_record(
+                    self._versions, self.catalog, self.lfm))
                   if device is not None else nullcontext()):
                 # A storage transaction that can roll back reinstates
                 # with its own undo — so not once its record is journaled.

@@ -3,17 +3,20 @@
 The published version is the database's one committed state.  At each
 DML/DDL commit (the same points where the result cache invalidates) the
 writer publishes an immutable :class:`DatabaseVersion` — a snapshot of
-the catalog's tables plus the long-field table.  A SELECT pins the latest
+the catalog's tables (a bare :class:`~repro.db.catalog.CatalogView`: DDL
+on it fails fast with ``AttributeError``) plus the long-field table.  A SELECT pins the latest
 published version, runs entirely against it with **no lock**, and unpins
 when done.  Readers never block on writers and never observe a partial
 transaction, because a version only ever exists for fully committed
 state.  A write scope that fails puts the latest version back as the
 live state (:meth:`VersionManager.reinstate`): nothing it did survives.
 
-Both directions rest on the stamp every :class:`~repro.db.table.Table`
-carries, ``(uid, mutations)``.  Publish clones only the tables whose stamp
-moved since the previous version (copy-on-write at table granularity);
-reinstate replaces only those.
+All three directions rest on the stamp every
+:class:`~repro.db.table.Table` carries, ``(uid, mutations)``.  Publish
+clones only the tables whose stamp moved since the previous version
+(copy-on-write at table granularity); reinstate replaces only those; and
+:meth:`VersionManager.changes` names them for a write scope's commit
+record.
 
 Extents deleted by a transaction are not freed eagerly: a pinned reader
 may still be streaming their bytes.  ``defer_free`` parks the free on the
@@ -30,60 +33,20 @@ tracked lock except leaf mutexes.
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections import deque
 
 from repro.concurrency import lockdep
-from repro.errors import CatalogError
+from repro.db.catalog import CatalogView
 from repro.obs import metrics
 
-__all__ = ["CatalogSnapshot", "DatabaseVersion", "RetireToken", "VersionManager"]
+__all__ = ["DatabaseVersion", "RetireToken", "VersionManager"]
 
 
-class CatalogSnapshot:
-    """A frozen, read-only view over one version's tables.
-
-    Mirrors the read surface of :class:`~repro.db.catalog.Catalog`
-    (``table``, ``in``, ``table_names``, ``index_names``) so the semantic
-    checker, planner, and executor run against it unchanged.  There are
-    deliberately no ``create_*``/``drop_*`` methods: DDL on a snapshot is
-    a programming error and fails fast with ``AttributeError``.
-    """
-
-    __slots__ = ("_tables", "_indexes", "_spatial")
-
-    def __init__(self, tables: dict, indexes: dict, spatial: dict):
-        self._tables = tables      # lowercased name -> snapshot Table
-        self._indexes = indexes    # index name -> (table, column)
-        self._spatial = spatial    # spatial index name -> (table, column)
-
-    def table(self, name: str):
-        """Look up a snapshot table by case-insensitive name."""
-        try:
-            return self._tables[name.lower()]
-        except KeyError:
-            raise CatalogError(f"no such table {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name.lower() in self._tables
-
-    def table_names(self) -> list[str]:
-        """All table names in the snapshot, sorted."""
-        return sorted(t.name for t in self._tables.values())
-
-    def index_names(self) -> list[str]:
-        """All index names in the snapshot, sorted."""
-        return sorted(self._indexes)
-
-    def stamp_of(self, names) -> list:
-        """Per lower-cased table name its :attr:`Table.stamp`, ``None``
-        for a name the snapshot does not hold."""
-        tables = self._tables
-        return [None if (table := tables.get(name)) is None else table.stamp
-                for name in names]
-
-    def __repr__(self) -> str:
-        return f"CatalogSnapshot({', '.join(self.table_names()) or 'empty'})"
+def _stamp(table) -> tuple | None:
+    """A table's ``(uid, mutations)``; ``None`` for no table."""
+    return None if table is None else (table.uid, table.mutations)
 
 
 class RetireToken:
@@ -113,16 +76,15 @@ class RetireToken:
 class DatabaseVersion:
     """One immutable published version of the database's read state."""
 
-    __slots__ = ("seq", "catalog", "fields", "stamps", "pins", "frees")
+    __slots__ = ("seq", "catalog", "fields", "pins", "frees")
 
-    def __init__(self, seq: int, catalog: CatalogSnapshot,
-                 fields: dict | None, stamps: dict):
+    def __init__(self, seq: int, catalog: CatalogView,
+                 fields: dict | None):
         self.seq = seq
+        #: read-only; each table keeps its ``(uid, mutations)`` stamp
         self.catalog = catalog
         #: frozen LFM field table (id -> (offset, length)), or None
         self.fields = fields
-        #: lowercased table name -> (uid, mutations) at publish time
-        self.stamps = stamps
         self.pins = 0                   # guarded_by: db.version
         self.frees: list[RetireToken] = []  # guarded_by: db.version
 
@@ -175,20 +137,17 @@ class VersionManager:
         """
         with self._lock:
             prev = self._chain[-1] if self._chain else None
+            old = prev.catalog._tables if prev is not None else {}
             tables: dict = {}
-            stamps: dict = {}
             for key, live in catalog._tables.items():
-                stamp = (live.uid, live.mutations)
-                stamps[key] = stamp
-                if prev is not None and prev.stamps.get(key) == stamp:
-                    tables[key] = prev.catalog._tables[key]
-                else:
-                    tables[key] = live.snapshot()
-            snapshot = CatalogSnapshot(tables, dict(catalog._indexes),
-                                       dict(catalog._spatial))
+                table = old.get(key)
+                tables[key] = (table if _stamp(table) == _stamp(live)
+                               else live.snapshot())
+            snapshot = CatalogView(tables, dict(catalog._indexes),
+                                   dict(catalog._spatial))
             fields = dict(lfm._fields) if lfm is not None else None
             self._seq += 1
-            version = DatabaseVersion(self._seq, snapshot, fields, stamps)
+            version = DatabaseVersion(self._seq, snapshot, fields)
             if prev is not None:
                 prev.frees.extend(self._pending)
             else:
@@ -211,17 +170,33 @@ class VersionManager:
         tables it dropped come back, and so do the index definitions.
         The long-field table is the storage layer's to unwind.
         """
-        with self._lock:
-            version = self._chain[-1]
+        version = self.latest
         live, tables = catalog._tables, {}
         for key, table in version.catalog._tables.items():
             current = live.get(key)
-            unchanged = (current is not None and
-                         (current.uid, current.mutations) == version.stamps[key])
-            tables[key] = current if unchanged else table.reinstated(current)
+            tables[key] = (current if _stamp(current) == _stamp(table)
+                           else table.reinstated(current))
         catalog._tables = tables
         catalog._indexes = dict(version.catalog._indexes)
         catalog._spatial = dict(version.catalog._spatial)
+
+    def changes(self, catalog, lfm) -> tuple[list, list, bool]:
+        """What the live state changed since the latest version, by the
+        stamps :meth:`publish` compares: per moved table ``(live, rows it
+        appended to the published ones, or None if it does not start with
+        them)``, the dropped tables' names, and whether the field table
+        moved.  Called at a write scope's commit, under its lock."""
+        version = self.latest
+        old, moved = version.catalog._tables, []
+        for key, live in catalog._tables.items():
+            table, rows = old.get(key), live._rows
+            if _stamp(table) != _stamp(live):
+                prefix = (table is not None and table.uid == live.uid
+                          and len(table._rows) <= len(rows)
+                          and all(map(operator.is_, table._rows, rows)))
+                moved.append((live, rows[len(table._rows):] if prefix else None))
+        dropped = [t.name for key, t in old.items() if key not in catalog._tables]
+        return moved, dropped, lfm._fields != version.fields
 
     def discard_pending(self) -> None:
         """Drop deferred frees of a rolled-back transaction.
@@ -260,6 +235,12 @@ class VersionManager:
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
+
+    @property
+    def latest(self) -> DatabaseVersion:
+        """The most recently published version."""
+        with self._lock:
+            return self._chain[-1]
 
     @property
     def latest_seq(self) -> int:

@@ -3,13 +3,18 @@
 A saved database is a directory holding two files:
 
 * ``device.img`` — the raw block-device contents (every long field);
-* ``catalog.json`` — schemas, rows, registered long-field extents, and the
-  device geometry.
+* ``catalog.json`` — the checkpoint: schemas, rows, index definitions,
+  registered long-field extents, and the device geometry.
 
-LONGFIELD cells are stored as ``{"$lf": [id, length]}`` references into the
-device image; transient byte payloads (rare in stored tables) round-trip as
-base64.  ``load_database`` rebuilds the buddy allocator by carving the
-recorded extents back out of the arena, so the reopened database can keep
+Over a write-ahead log, ``wal.log`` is the checkpoint's redo log: every
+write scope journals one :func:`commit_record`, and reopening with
+``wal=True`` folds those since the checkpoint onto it (:func:`fold_records`).
+
+This module owns the image format.  LONGFIELD cells are stored as
+``{"$lf": [id, length]}`` references into the device image; transient
+byte payloads (rare in stored tables) round-trip as base64.
+``load_database`` rebuilds the buddy allocator by carving the recorded
+extents back out of the arena, so the reopened database can keep
 allocating.
 
 User-defined functions are code, not data: the caller re-registers them
@@ -24,7 +29,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.db.database import Database
+from repro.db import database
 from repro.db.schema import Column, TableSchema
 from repro.db.types import SqlType
 from repro.errors import DatabaseError
@@ -32,7 +37,8 @@ from repro.storage.device import BlockDevice
 from repro.storage.lfm import LongField, LongFieldManager
 from repro.storage.wal import WriteAheadLog
 
-__all__ = ["save_database", "load_database", "export_catalog", "restore_catalog"]
+__all__ = ["save_database", "load_database", "export_catalog", "restore_catalog",
+           "commit_record", "fold_records"]
 
 _FORMAT_VERSION = 1
 _JOURNAL_FILE = "wal.log"
@@ -69,63 +75,107 @@ def _decode_cell(value):
     return value
 
 
+def _table_image(table) -> dict:
+    return {
+        "name": table.name,
+        "columns": [[c.name, c.sql_type.value] for c in table.schema.columns],
+        "rows": [[_encode_cell(v) for v in row] for row in table.scan()],
+    }
+
+
+#: the catalog-wide keys of an image: index definitions, statistics gathered
+_ENTRIES = ("indexes", "spatial_indexes", "analyzed")
+
+
+def _catalog_entries(catalog) -> dict:
+    entries = {key: [{"name": n, "table": t, "column": c} for n, t, c in defs]
+               for key, defs in (("indexes", catalog.index_defs()),
+                                 ("spatial_indexes", catalog.spatial_index_defs()))
+               if defs}
+    if any(catalog.table(n).stats.spatial_enabled for n in catalog.table_names()):
+        entries["analyzed"] = True
+    return entries
+
+
 def export_catalog(catalog) -> dict:
     """The catalog image: the one serialized form of a catalog, embedded
-    in ``catalog.json``."""
+    in ``catalog.json``; ``catalog`` is live or a published version's."""
     tables = [catalog.table(name) for name in catalog.table_names()]
-    image: dict = {
-        "tables": [
-            {
-                "name": table.name,
-                "columns": [[c.name, c.sql_type.value] for c in table.schema.columns],
-                "rows": [[_encode_cell(v) for v in row] for row in table.scan()],
-            }
-            for table in tables
-        ]
-    }
-    spatial = catalog.spatial_index_defs()
-    if spatial:
-        image["spatial_indexes"] = [
-            {"name": name, "table": table, "column": column}
-            for name, table, column in spatial
-        ]
-    if any(catalog.table(n).stats.spatial_enabled for n in catalog.table_names()):
-        image["analyzed"] = True
-    return image
+    return {"tables": [_table_image(t) for t in tables],
+            **_catalog_entries(catalog)}
 
 
-def restore_catalog(db: Database, image: dict) -> None:
+def commit_record(versions, catalog, lfm) -> dict:
+    """One write scope's commit record, its storage commit's metadata: its
+    edits to the image of the published version (whole images of tables it
+    created, re-created or rewrote, rows it appended to others, tables it
+    dropped, the catalog-wide entries if they moved) and, only if it
+    changed it, the field table."""
+    moved, dropped, fields = versions.changes(catalog, lfm)
+    edits = {key: value for key, value in (
+        ("tables", [_table_image(t) for t, rows in moved if rows is None]),
+        ("rows", {t.name: [[_encode_cell(v) for v in row] for row in rows]
+                  for t, rows in moved if rows}),
+        ("dropped", dropped)) if value}
+    entries = _catalog_entries(catalog)
+    if entries != _catalog_entries(versions.latest.catalog):
+        edits["entries"] = entries
+    return {"catalog": edits, **(lfm.export_state() if fields else {})}
+
+
+def fold_records(image: dict, metas) -> dict:
+    """``image`` (``catalog.json``'s contents) with the commit records
+    ``metas`` redone on it, oldest first: their catalog edits, and the
+    newest field table one carries as ``image["lfm"]``."""
+    out = dict(image)
+    tables = {spec["name"].lower(): spec for spec in image["tables"]}
+    for meta in metas:
+        if "fields" in meta:
+            out["lfm"] = {"next_id": meta["next_id"], "fields": meta["fields"]}
+        edits = meta.get("catalog", {})
+        for name in edits.get("dropped", ()):
+            del tables[name.lower()]
+        tables.update((spec["name"].lower(), spec) for spec in edits.get("tables", ()))
+        for name, rows in edits.get("rows", {}).items():
+            spec = tables[name.lower()]
+            tables[name.lower()] = {**spec, "rows": spec["rows"] + rows}
+        if "entries" in edits:
+            out = {k: v for k, v in out.items() if k not in _ENTRIES} | edits["entries"]
+    out["tables"] = sorted(tables.values(), key=lambda spec: spec["name"])
+    return out
+
+
+def restore_catalog(db: database.Database, image: dict) -> None:
     """Load a catalog image into an empty database and publish it.
 
     Indexes and statistics are derived state: they are re-derived through
-    the SQL layer (the executor owns payload reads), not serialized.
+    the SQL layer (the executor owns payload reads), not serialized.  The
+    rows are published first, so under a write-ahead log that DDL journals
+    only index and ANALYZE edits, which change nothing when folded again.
     """
     for spec in image["tables"]:
         columns = [Column(name, SqlType(type_name)) for name, type_name in spec["columns"]]
         table = db.catalog.create_table(TableSchema(spec["name"], columns))
         for row in spec["rows"]:
             table.insert([_decode_cell(v) for v in row])
-    for spec in image.get("spatial_indexes", ()):
-        db.execute(
-            f"create spatial index {spec['name']} "
-            f"on {spec['table']} ({spec['column']})"
-        )
+    db.publish_snapshot()
+    for kind, key in (("", "indexes"), ("spatial ", "spatial_indexes")):
+        for spec in image.get(key, ()):
+            db.execute(f"create {kind}index {spec['name']} "
+                       f"on {spec['table']} ({spec['column']})")
     if image.get("analyzed"):
         db.execute("analyze")
-    # The rows above were loaded outside the SQL layer: they are committed
-    # (visible to readers) once published.
-    db.publish_snapshot()
 
 
-def save_database(db: Database, path: str | Path) -> Path:
+def save_database(db: database.Database, path: str | Path) -> Path:
     """Persist a database (catalog + device) into a directory.
 
     Both files land atomically (temp file + rename), image first and
     ``catalog.json`` last — the catalog rename is the commit point.  A
     crash between the two leaves a new image beside an old catalog; that
-    window is covered when the store is opened with ``wal=True``, because
-    the journal's committed metadata (which matches the image) overrides
-    the catalog's field table.
+    window is covered when the store is opened with ``wal=True``: the
+    journal still holds every commit since the old catalog, and they are
+    folded onto it.
     """
     if db.lfm is None:
         raise DatabaseError("only databases with a Long Field Manager can be saved")
@@ -163,7 +213,7 @@ def load_database(
     in_memory: bool = False,
     wal: bool = False,
     journal_capacity: int = DEFAULT_JOURNAL_CAPACITY,
-) -> Database:
+) -> database.Database:
     """Reopen a saved database.
 
     With ``in_memory`` the device image is copied into memory (the original
@@ -174,8 +224,7 @@ def load_database(
     :class:`~repro.storage.wal.WriteAheadLog` over a ``wal.log`` journal in
     the same directory.  Opening runs recovery: committed transactions the
     last process journaled but never checkpointed are replayed, and their
-    metadata — which matches the replayed pages — takes precedence over
-    the (possibly older) catalog's field table.
+    commit records are folded onto the catalog (:func:`fold_records`).
     """
     path = Path(path)
     try:
@@ -196,7 +245,6 @@ def load_database(
             capacity, path=path / "device.img", page_size=page_size,
             preserve_contents=True,
         )
-    lfm_state = meta["lfm"]
     if wal:
         journal_path = path / _JOURNAL_FILE
         if in_memory:
@@ -222,14 +270,11 @@ def load_database(
             journal = BlockDevice(
                 journal_capacity, path=journal_path, page_size=page_size,
             )
-        waldev = WriteAheadLog(
+        device = WriteAheadLog(
             device, journal, recover=True,
             next_txn_id=int(meta.get("wal", {}).get("next_txn_id", 1)),
         )
-        if waldev.last_committed_meta is not None:
-            lfm_state = waldev.last_committed_meta
-        device = waldev
-    lfm = LongFieldManager.restore(device, lfm_state)
-    db = Database(lfm=lfm)
+        meta = fold_records(meta, device.recovery.metas)
+    db = database.Database(lfm=LongFieldManager.restore(device, meta["lfm"]))
     restore_catalog(db, meta)
     return db

@@ -12,7 +12,7 @@ either at the old state or the new state, never between:
 * crash after the commit record → recovery replays the journaled pages
   (idempotently) and the data device holds the new state.
 
-**Journal format** (byte-addressed on the journal device; transactions
+**Journal format v2** (byte-addressed on the journal device; transactions
 append until a checkpoint — ``reset_journal()``, called after the catalog
 is durably saved — rewinds the head to 0, so every acknowledged commit
 stays recoverable until its metadata is checkpointed elsewhere):
@@ -20,24 +20,23 @@ stays recoverable until its metadata is checkpointed elsewhere):
 .. code-block:: text
 
     checkpoint   "QCKP" | last_txn_id u64 | ckpt_crc u32
-    skip         "QSKP" | skip_len u64 | skip_crc u32   (jump skip_len bytes;
-                 recognised, never written)
     TXN header   "QWAL" | version u16 | reserved u16 | txn_id u64 |
                  n_pages u32 | meta_len u32 | header_crc u32 | meta bytes
     page record  page_no u64 | payload_crc u32 | page_size payload bytes
     commit       "QCMT" | txn_id u64 | commit_crc u32   (crc of all above)
 
-``meta`` is an optional JSON blob captured at commit time (the LFM
-journals its field table there), so recovery can hand back the metadata
-matching the replayed pages.  Recovery scans from offset 0, accepting
-transactions only while every checksum verifies and txn ids strictly
-increase; the first torn or corrupt record stops the scan and discards
-the tail.
-
-A skip record is only ever *read*: builds with group commit stamped one
-over the torn region a failed flush left behind, and a journal they wrote
-must still scan.  Nothing writes one now — a failed commit does not
-advance the append point, so the next header overwrites its remains.
+``meta`` is an optional JSON blob captured at commit time: a database
+write scope's commit record (:func:`repro.db.persist.commit_record`: its
+catalog edits, plus the LFM's ``next_id``/``fields`` if it changed them)
+or a bare LFM commit's ``next_id``/``fields``.  Recovery hands back every
+replayed meta in id order (:attr:`RecoveryReport.metas`), the saved
+catalog's redo log.  It scans from offset 0, accepting transactions only
+while every checksum verifies and txn ids strictly increase; the first
+torn or corrupt record stops the scan and discards the tail.  An intact
+v1 header above the id floor raises :class:`WalError`: v1 meta never
+held rows (reopen with the build that wrote it, then save).  No skip
+records exist: a failed commit does not advance the append point, so
+the next header overwrites its remains.
 
 The checkpoint record is what ``reset_journal()`` writes at offset 0: it
 carries the newest txn id ever committed, so the epoch survives a
@@ -83,7 +82,7 @@ from repro.storage.device import IOStats, _page_span, _scatter_span
 
 __all__ = ["WriteAheadLog", "RecoveryReport", "recover_journal", "WAL_VERSION"]
 
-WAL_VERSION = 1
+WAL_VERSION = 2
 
 _TXN_MAGIC = b"QWAL"
 _COMMIT_MAGIC = b"QCMT"
@@ -93,8 +92,6 @@ _CRC = struct.Struct("<I")
 _PAGE = struct.Struct("<QI")          # page_no, payload_crc
 _COMMIT = struct.Struct("<4sQI")      # magic, txn_id, commit_crc
 _CKPT = struct.Struct("<4sQI")        # magic, last_txn_id, ckpt_crc
-_SKIP_MAGIC = b"QSKP"
-_SKIP = struct.Struct("<4sQI")        # magic, skip_len, skip_crc
 
 
 @dataclass
@@ -104,7 +101,8 @@ class RecoveryReport:
     replayed_txn_ids: list[int] = field(default_factory=list)
     pages_replayed: int = 0
     discarded: int = 0             #: torn/corrupt transactions dropped
-    meta: dict | None = None       #: metadata of the newest committed txn
+    #: metadata of every replayed transaction that carried any, by txn id
+    metas: list[dict] = field(default_factory=list)
     end_offset: int = 0            #: journal byte just past the last valid record
     last_txn_id: int = 0           #: newest id seen (checkpoint or replayed txn)
 
@@ -148,23 +146,12 @@ def _scan_journal(journal, last_id: int = 0) -> tuple[list, int, int, int]:
             last_id = ckpt_id
             pos += _CKPT.size
             continue
-        if probe[:4] == _SKIP_MAGIC:
-            _, skip_len, skip_crc = _SKIP.unpack(probe)
-            if skip_crc != zlib.crc32(probe[:_SKIP.size - _CRC.size]):
-                return txns, 0, pos, last_id
-            if skip_len < _SKIP.size or pos + skip_len > capacity:
-                return txns, 0, pos, last_id
-            # A hole an earlier build stamped over a failed group flush:
-            # the transactions inside were reported rolled back, so jump
-            # to the first record beyond it (not counted as discarded).
-            pos += skip_len
-            continue
         head_len = _HEADER.size + _CRC.size
         if pos + head_len > capacity:
             return txns, 0, pos, last_id
         blob = journal.read(pos, head_len)
         magic, version, _, txn_id, n_pages, meta_len = _HEADER.unpack(blob[:_HEADER.size])
-        if magic != _TXN_MAGIC or version != WAL_VERSION:
+        if magic != _TXN_MAGIC or version not in (1, WAL_VERSION):
             return txns, 0, pos, last_id
         (header_crc,) = _CRC.unpack(blob[_HEADER.size:])
         if pos + head_len + meta_len > capacity:
@@ -175,6 +162,11 @@ def _scan_journal(journal, last_id: int = 0) -> tuple[list, int, int, int]:
         if txn_id <= last_id:
             # A stale record from an earlier, already-checkpointed epoch.
             return txns, 0, pos, last_id
+        if version != WAL_VERSION:
+            raise WalError(
+                f"journal transaction {txn_id} is format v{version}, whose "
+                f"records cannot restore rows: reopen the database with the "
+                f"build that wrote it and save it, then reopen it here")
         running = zlib.crc32(blob + meta_bytes)
         cursor = pos + head_len + meta_len
         pages: list[tuple[int, bytes]] = []
@@ -230,7 +222,7 @@ def recover_journal(device, journal, next_txn_id: int = 1) -> RecoveryReport:
                 report.pages_replayed += 1
             report.replayed_txn_ids.append(txn_id)
             if meta is not None:
-                report.meta = meta
+                report.metas.append(meta)
     metrics.counter("wal.recoveries").inc()
     metrics.counter("wal.txns_replayed").inc(report.replayed)
     metrics.counter("wal.txns_discarded").inc(report.discarded)
@@ -244,8 +236,9 @@ class WriteAheadLog:
     ``device`` holds the data pages; ``journal`` is a second (typically
     much smaller) device holding the redo log.  Construction runs
     recovery by default, replaying whatever committed transactions the
-    journal holds — the report lands on :attr:`recovery` and the newest
-    committed metadata on :attr:`last_committed_meta`.
+    journal holds — the report lands on :attr:`recovery`, and on
+    :attr:`last_committed_meta` the newest committed metadata that carries
+    a field table.
 
     Writes outside an explicit :meth:`transaction` scope auto-commit as a
     single-write transaction, so *every* write is journaled.
@@ -297,7 +290,9 @@ class WriteAheadLog:
             )
             # Append after the valid records (a torn tail gets overwritten).
             self._journal_head = self.recovery.end_offset
-            self.last_committed_meta = self.recovery.meta
+            self.last_committed_meta = next(
+                (m for m in reversed(self.recovery.metas) if "fields" in m),
+                None)
             if self.recovery.replayed or self.recovery.discarded:
                 # A crash happened before this open: leave an incident
                 # report behind (a clean reopen replays nothing and stays
@@ -347,8 +342,10 @@ class WriteAheadLog:
         """Scope a transaction; nested scopes join the outermost one.
 
         ``meta_provider`` — a zero-argument callable evaluated at commit
-        time — supplies the JSON-serializable metadata journaled with the
-        commit record (the LFM passes its ``export_state``).  On an
+        time — supplies the JSON-serializable metadata journaled in the
+        transaction's header (a database write scope's commit record, the
+        LFM's ``export_state``); a nested scope's counts only when the
+        outermost scope brought none.  On an
         exception the buffered pages are discarded: the data device never
         saw them, so the store stays at the old state.
 
@@ -444,7 +441,7 @@ class WriteAheadLog:
         self._dirty = {}
         self._undo = []
         self._meta_provider = None
-        if meta is not None:
+        if meta is not None and "fields" in meta:
             self.last_committed_meta = meta
         try:
             with trace.span("wal.apply", io=self.device.stats, txn=txn_id):

@@ -173,11 +173,13 @@ class TestCrashPointEnumeration:
 class TestCommitBytesPinned:
     """The enumeration workload's journal image, write count and write-call
     order, recorded at rev ce8338a (the last build with group commit):
-    a commit issues the same ``write`` calls with the same bytes."""
+    a commit issues the same ``write`` calls with the same bytes.  The
+    journal image was re-recorded for format v2: only the header version
+    fields and the CRCs over them differ from the v1 image."""
 
     WRITES_SEEN = 22
     JOURNAL_SHA256 = \
-        "fe511c6ca234c8409d262a294faaa774a1972117d632da1d1206469eb1b44614"
+        "370bb7319f5aa7467aefdb2d75b39d11fb60e72daf0c87f6374594e5213f60bf"
     DATA_SHA256 = \
         "98174cb92433e2326122f6a1d1cb0108a79fa7697308e91e9a43c37d64357a16"
     WRITE_CALLS_SHA256 = \

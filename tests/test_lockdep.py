@@ -181,7 +181,7 @@ class TestRWLockEdgeCases:
         # The holder re-enters freely, and reads its own open transaction
         # under that hold: the read takes no lock of its own.
         db = Database()
-        lock = db.rwlock
+        lock = db._rwlock
         with lock.write():
             with lock.write():
                 assert lock.write_held and lock._writer_depth == 2

@@ -8,7 +8,8 @@ and on a raw one alike.  Checked here: the three failures that motivated
 the rule, by name, and one property — a seeded DML/DDL sequence that fails
 anywhere leaves rows, index probes, statistics and the published version
 as they were, never gives a table stamp to two different states, and
-never has a reader take the database lock.
+never has a reader take the database lock.  The same stream, reopened
+from the data and journal images alone, gives back the committed state.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.curves import GridSpec
 from repro.db.database import Database
+from repro.db.persist import fold_records, restore_catalog
 from repro.db.stats import TableStats
 from repro.errors import ReproError
 from repro.regions.region import Region
@@ -283,3 +285,50 @@ class TestAbortAnywhere:
                 pass
             stamps.observe(db)
         assert_stats_as_recomputed(db)
+
+
+# --------------------------------------------------------------------- #
+# reopened from the journal
+# --------------------------------------------------------------------- #
+
+
+def reopened(db) -> Database:
+    """A database rebuilt from ``db``'s data and journal images alone:
+    recovery, then every commit record folded onto an empty catalog."""
+    data, journal = BlockDevice(CAPACITY), BlockDevice(CAPACITY)
+    data.write(0, db.lfm.device.device.read(0, CAPACITY))
+    journal.write(0, db.lfm.device.journal.read(0, CAPACITY))
+    wal = WriteAheadLog(data, journal, recover=True)
+    empty = {"tables": [], "lfm": {"next_id": 1, "fields": {}}}
+    image = fold_records(empty, wal.recovery.metas)
+    out = Database(lfm=LongFieldManager.restore(wal, image["lfm"]))
+    restore_catalog(out, image)
+    return out
+
+
+def committed(db) -> tuple:
+    """The published rows, the index definitions and the field table."""
+    catalog = db.versions.latest.catalog
+    return (published(db), catalog.index_defs(), catalog.spatial_index_defs(),
+            db.lfm.export_state())
+
+
+class TestReopenedFromTheJournal:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_the_committed_state_comes_back(self, seed):
+        rng, stamps = random.Random(seed), Stamps()
+        db = started("wal", rng, stamps)
+        for statement in sequence(rng, 12):
+            try:
+                run(db, statement, rng)
+            except ReproError:
+                pass
+        statements = sequence(rng, 6)
+        cut = rng.randrange(len(statements) + 1)
+        with pytest.raises((ReproError, Abort)):
+            with db.transaction():
+                for statement in statements[:cut]:
+                    run(db, statement, rng)
+                raise Abort
+        assert committed(reopened(db)) == committed(db)
