@@ -1,18 +1,13 @@
-"""Cluster legs: pooled vs caller-thread vs one node.
+"""Cluster legs: caller-thread router vs one node.
 
 Every shard of a ``repro.cluster`` cluster lives in one process under one
-GIL.  This script measures what handing a router leg to the shard's
-worker pool costs against running it on the caller's thread, with one
+GIL.  This script measures what routing a statement costs against one
 node (a session straight on a single-node server, no router) as the
 floor.  It is outside the frozen ledger on purpose: no ledger workload
 routes through a cluster.
 
 Setups, all on this tree:
 
-* ``pooled``  — every leg queued on its shard's worker pool, then
-  gathered in shard order (``PooledRouter`` below: the scatter the router
-  had before legs moved to the caller's thread, minus its timeout and
-  failover branches, which never fire on a healthy cluster);
 * ``caller``  — the shipped :class:`~repro.cluster.router.ShardRouter`:
   each leg runs on the caller's thread inside a shard admission slot;
 * ``node``    — the same statements on a one-node server session.
@@ -27,8 +22,8 @@ Workloads (a round is replayed for ``--seconds`` per trial):
 
 Result caches are off.  Each cell gets ``--pairs`` trials per setup in
 alternating order.  Reported per trial: ops/s (statements), p50/p95
-statement latency, process CPU ms per statement (worker threads
-included) and LFM pages read per statement.
+statement latency, process CPU ms per statement and LFM pages read per
+statement.
 
 Run::
 
@@ -44,29 +39,11 @@ import time
 from types import SimpleNamespace
 
 from repro.bench.workloads import scaled_box
-from repro.cluster import ShardRouter, build_demo_cluster
+from repro.cluster import build_demo_cluster
 from repro.cluster.__main__ import _workload
 from repro.medical.server import MedicalServer, QuerySpec
-from repro.obs import trace
 
-SETUPS = ("pooled", "caller", "node")
-
-
-class PooledRouter(ShardRouter):
-    """A router whose legs are queued on the shards' worker pools."""
-
-    def _scatter(self, targets, sql, params):
-        with trace.span("cluster.scatter", legs=len(targets)):
-            futures = [_submit(shard, sql, params) for shard in targets]
-        return [future.result() for future in futures]
-
-
-def _submit(shard, sql, params):
-    """Queue one leg on ``shard``'s pool, joining the caller's trace."""
-    server, session = shard.server, shard._session
-    ctx = trace.current_context(session=session.name) or trace.TraceContext(
-        trace_id=trace.new_trace_id(), session=session.name)
-    return server.pool.submit(server._run_statement, ctx, session, sql, params)
+SETUPS = ("caller", "node")
 
 
 class _Recording:
@@ -161,10 +138,8 @@ def main(argv=None) -> int:
     try:
         for n in args.shards:
             with _no_cache(build_demo_cluster(n_shards=n, **kw)) as cluster:
-                pooled = PooledRouter(cluster.shards, cluster.placement)
                 lfms = [shard.lfm for shard in cluster.shards]
                 runners = {
-                    "pooled": (pooled.execute, lfms),
                     "caller": (cluster.router.execute, lfms),
                     "node": (node.execute, [node.lfm]),
                 }
@@ -175,8 +150,7 @@ def main(argv=None) -> int:
                                 for sql, params in statements]
                         for setup, (execute, _) in runners.items()
                     }
-                    assert answers["pooled"] == answers["caller"] \
-                        == answers["node"], (name, n)
+                    assert answers["caller"] == answers["node"], (name, n)
                     for pair in range(args.pairs):
                         order = SETUPS if pair % 2 == 0 else SETUPS[::-1]
                         for setup in order:
@@ -202,7 +176,7 @@ def main(argv=None) -> int:
 
 
 def _summary(rows) -> None:
-    """Median (min–max) per cell, and the pooled-vs-caller verdict."""
+    """Median (min–max) per cell."""
     print("\n| workload | shards | setup | ops/s | p50 ms | p95 ms "
           "| CPU ms/op | pages/op |")
     print("|---|---|---|---|---|---|---|---|")
@@ -218,18 +192,6 @@ def _summary(rows) -> None:
         print(f"| {workload} | {shards} | {setup} | {cell('ops_per_s', 0)} "
               f"| {cell('op_ms_p50', 3)} | {cell('op_ms_p95', 3)} "
               f"| {cell('cpu_ms_per_op', 3)} | {cell('lfm_pages_per_op')} |")
-    print()
-    for (workload, shards, setup), runs in cells.items():
-        if setup != "pooled":
-            continue
-        pooled = [r["ops_per_s"] for r in runs]
-        caller = [r["ops_per_s"]
-                  for r in cells[(workload, shards, "caller")]]
-        gain = statistics.median(pooled) - statistics.median(caller)
-        spread = max(max(pooled) - min(pooled), max(caller) - min(caller))
-        verdict = "pooled wins" if gain > spread else "pooled does not win"
-        print(f"{workload} x{shards}: pooled - caller = {gain:+.0f} ops/s, "
-              f"spread {spread:.0f} -> {verdict}")
 
 
 if __name__ == "__main__":

@@ -61,22 +61,15 @@ from typing import Iterable
 
 from repro.analysis.callgraph import CodeIndex, FunctionInfo, build_index
 from repro.analysis.engine import CONCURRENCY_CODES, Suppressions, Violation
+from repro.concurrency.lockdep import DEFAULT_RANKS
 from repro.errors import ValidationError
 
 __all__ = ["analyze_paths", "RANKS", "LEAF_RANK", "CONCURRENCY_CODES"]
 
-#: declared ranks of the named hierarchy locks (lower = acquired first)
-RANKS = {
-    "cluster.router": 5,
-    "db.rwlock": 10,
-    "txn": 20,
-    "db.version": 25,
-    "cache.latch": 30,
-    "cache.lock": 40,
-    "wal.stats": 50,
-    "db.stats": 55,
-    "obs.digest": 60,
-}
+#: declared ranks of the named hierarchy locks (lower = acquired first):
+#: the runtime witness's table, the WAL scope keyed ``txn`` (see above)
+RANKS = {("txn" if key == "wal.txn" else key): rank
+         for key, rank in DEFAULT_RANKS.items()}
 
 #: every unranked (leaf) mutex sits below the whole hierarchy
 LEAF_RANK = 1000
@@ -113,9 +106,7 @@ MUTATORS = {
     "add_read", "add_write",
 }
 
-_HIERARCHY_DOC = ("cluster.router -> db.rwlock -> txn -> db.version -> "
-                  "cache.latch -> cache.lock -> wal.stats -> db.stats -> "
-                  "obs.digest -> leaf mutexes")
+_HIERARCHY_DOC = " -> ".join([*sorted(RANKS, key=RANKS.get), "leaf mutexes"])
 
 _GUARD_RE = re.compile(r"guarded_by:\s*([A-Za-z_]\w*)")
 

@@ -18,18 +18,18 @@ the Table 3/4 page counts are bit-identical with the layer on or off (the
 recorder only ever *reads* counters; qblint's ``no-direct-iostats-mutation``
 rule keeps it that way).
 
-Spans form **trees across threads**.  Every span carries a ``trace_id``
-(the statement it belongs to), a process-unique ``span_id``, and its
-``parent_id``.  Within one thread, parentage follows nesting; across a
-thread hop (the serving layer's worker pool, an RPC boundary) the caller
-snapshots its position with :func:`current_context` and the receiving
-thread adopts it with :func:`attach` — so one served statement yields one
-coherent tree no matter how many threads touched it.  Context propagation
-works even while span recording is disabled (it is a couple of
-thread-local attribute writes), which is what gives the flight recorder
-its always-on ``trace_id``.
+Spans form **trees**.  Every span carries a ``trace_id`` (the statement
+it belongs to), a process-unique ``span_id``, and its ``parent_id``;
+parentage follows nesting on the thread that opened them, which for a
+served statement is the caller's own — the serving layer runs every
+statement there.  A statement binds its trace id (and session) to the
+thread with :func:`attach`: a root span opened inside takes that trace,
+and a statement issued under an open span joins the open span's trace,
+so one query yields one tree.  Binding works even while span recording
+is disabled (a thread-local attribute write), which is what gives the
+flight recorder its always-on ``trace_id``.
 
-The per-thread state (open-span stack, depth, adopted context) lives in a
+The per-thread state (open-span stack, bound context) lives in a
 ``threading.local``; the shared record list is appended under a mutex, so
 concurrent sessions can trace simultaneously without corrupting each
 other's trees — :func:`span_trees` reassembles them by parentage.
@@ -77,25 +77,11 @@ def new_trace_id() -> str:
 
 
 class TraceContext(NamedTuple):
-    """A portable snapshot of "where am I in the trace forest".
-
-    Carried across thread hops (worker pool) and message envelopes (RPC):
-    the receiving side :func:`attach`\\ es it, and every span it opens
-    lands under ``span_id`` in trace ``trace_id``.
-    """
+    """The statement a thread is running, as :func:`attach` binds it."""
 
     trace_id: str
-    #: the span on the originating side that new spans should hang under
-    span_id: int | None = None
-    #: nesting depth already accumulated on the originating side
-    depth: int = 0
     #: session name, stamped onto every span opened under this context
     session: str | None = None
-
-    def child(self, session: str | None = None) -> "TraceContext":
-        """The same position with a (possibly) different session tag."""
-        return TraceContext(self.trace_id, self.span_id, self.depth,
-                            session if session is not None else self.session)
 
 
 @dataclass
@@ -202,21 +188,15 @@ class _Span:
         if local.stack:
             record.parent_id = local.stack[-1]
             record.trace_id = local.trace_id
-        elif ctx is not None:
-            # First span on this thread under an adopted context: hang it
-            # under the originating side's open span.
-            record.parent_id = ctx.span_id
-            record.trace_id = ctx.trace_id
-        else:
-            record.trace_id = new_trace_id()  # a standalone root
-        record.depth = local.depth + (ctx.depth if ctx is not None else 0)
+        else:  # a root: of the bound statement's trace, else standalone
+            record.trace_id = (ctx.trace_id if ctx is not None
+                               else new_trace_id())
+            local.trace_id = record.trace_id
+        record.depth = len(local.stack)
         if ctx is not None and ctx.session is not None:
             record.meta.setdefault("session", ctx.session)
-        if not local.stack:
-            local.trace_id = record.trace_id
         with tracer._lock:
             tracer.records.append(record)  # start order = forest pre-order
-        local.depth += 1
         local.stack.append(record.span_id)
         if self._io_source is not None:
             self._io_before = self._io_source.copy()
@@ -233,7 +213,6 @@ class _Span:
         elif record.io is not None:
             record.sim_seconds = self._tracer.simulated_io_seconds(record.io)
         local = self._tracer._local
-        local.depth -= 1
         if local.stack and local.stack[-1] == record.span_id:
             local.stack.pop()
         elif record.span_id in local.stack:  # tolerate out-of-order exits
@@ -244,12 +223,11 @@ class _Span:
 
 
 class _ThreadState(threading.local):
-    """Per-thread trace position: adopted context, open spans, depth."""
+    """Per-thread trace position: bound context, open spans."""
 
     def __init__(self) -> None:  # called once per thread by threading.local
         self.ctx: TraceContext | None = None
         self.stack: list[int] = []
-        self.depth = 0
         self.trace_id: str | None = None
 
 
@@ -290,49 +268,26 @@ class Tracer:
             return _NOOP
         return _Span(self, name, io, meta)
 
-    def current_context(self, session: str | None = None) -> TraceContext | None:
-        """This thread's position, as a portable :class:`TraceContext`.
-
-        Returns the adopted context when no span is open here; ``None``
-        when the thread has no trace position at all (the receiver will
-        then start a fresh trace).
-        """
-        local = self._local
-        if local.stack:
-            return TraceContext(
-                trace_id=local.trace_id,
-                span_id=local.stack[-1],
-                depth=local.depth + (local.ctx.depth if local.ctx else 0),
-                session=session if session is not None else (
-                    local.ctx.session if local.ctx else None
-                ),
-            )
-        if local.ctx is not None:
-            return local.ctx.child(session)
-        return None
+    def current_context(self) -> TraceContext | None:
+        """The context :meth:`attach` bound on this thread, if any."""
+        return self._local.ctx
 
     @contextmanager
-    def attach(self, ctx: TraceContext | None):
-        """Adopt ``ctx`` as this thread's trace position for the block.
+    def attach(self, ctx: TraceContext):
+        """Bind ``ctx`` to this thread for the block.
 
-        The receiving side of cross-thread propagation: spans opened
-        inside the block parent under ``ctx.span_id`` in ``ctx.trace_id``.
-        Attaching ``None`` is a no-op, so call sites need no branching.
-        Cheap enough to run unconditionally (no clocks, no allocation
-        beyond the restore slot), so the flight recorder gets trace ids
-        even while span recording is off.
+        A root span opened inside joins trace ``ctx.trace_id``; spans
+        nest under whatever is already open here, as always.  Cheap
+        enough to run unconditionally (no clocks, no allocation beyond
+        the restore slot), so the flight recorder gets trace ids even
+        while span recording is off.
         """
         local = self._local
-        saved = (local.ctx, local.stack, local.depth, local.trace_id)
-        if ctx is not None:
-            # a fresh frame: spans opened here must not parent under
-            # whatever this (possibly pooled, reused) thread was doing
-            local.ctx, local.stack, local.depth, local.trace_id = (
-                ctx, [], 0, None)
+        saved, local.ctx = local.ctx, ctx
         try:
             yield ctx
         finally:
-            local.ctx, local.stack, local.depth, local.trace_id = saved
+            local.ctx = saved
 
     def reset(self) -> None:
         """Drop every recorded span (the enabled flag is untouched)."""
@@ -340,7 +295,6 @@ class Tracer:
             self.records.clear()
         local = self._local
         local.stack = []
-        local.depth = 0
         local.trace_id = None
 
 
@@ -384,7 +338,7 @@ def records() -> list[SpanRecord]:
         return list(_TRACER.records)
 
 
-#: this thread's trace position on the process-wide tracer
+#: the context bound on this thread (see :meth:`Tracer.current_context`)
 current_context = _TRACER.current_context
 
 
@@ -396,7 +350,7 @@ def current_trace_id() -> str | None:
     return local.ctx.trace_id if local.ctx is not None else None
 
 
-#: adopt a propagated context on this thread (see :meth:`Tracer.attach`)
+#: bind a statement's context to this thread (see :meth:`Tracer.attach`)
 attach = _TRACER.attach
 
 
@@ -436,9 +390,8 @@ class SpanTree:
 def span_trees(spans: list[SpanRecord] | None = None) -> list[SpanTree]:
     """Reassemble span records into parentage trees (one per root).
 
-    Spans recorded from worker threads land under the statement span that
-    propagated their context, so a served statement comes back as exactly
-    one tree.  A span whose parent is missing from ``spans`` becomes a
+    A served statement's spans nest on the one thread that ran it, so it
+    comes back as exactly one tree.  A span whose parent is missing from ``spans`` becomes a
     root (the capture window clipped its ancestors).
     """
     spans = records() if spans is None else spans

@@ -1,12 +1,13 @@
-"""Concurrent query serving: sessions, worker pool, result cache.
+"""Concurrent query serving: sessions, admission slots, result cache.
 
 The 1994 prototype served one user at a time; this package is the
 serving layer the ROADMAP's "heavy traffic" goal needs.  A
 :class:`QueryServer` wraps one :class:`~repro.db.database.Database` and
-hands out :class:`Session` objects; statements flow through a bounded
-admission queue into a worker pool and run under the database's
-reader-writer lock — many concurrent SELECTs, exclusive writes — with a
-shared, write-invalidated result cache in front.  See ARCHITECTURE.md
+hands out :class:`Session` objects; a statement takes one of the
+:class:`WorkerPool`'s slots (or waits its turn in a bounded FIFO) and
+runs on its caller's thread — SELECTs on a pinned MVCC version with no
+lock, writes under the database's write lock — with a shared,
+write-invalidated result cache in front.  See ARCHITECTURE.md
 for the full data flow.
 
 :class:`AdminServer` (started via :meth:`QueryServer.start_admin

@@ -1,30 +1,28 @@
 """Admission control for the serving layer.
 
-The pool is ``workers`` execution *slots*: at most that many statements
-run at once, however they arrived.  A caller that waits for its result
-(:meth:`WorkerPool.run`, behind ``Session.execute``) takes a free slot
-and runs the statement on its own thread — a second thread would only
-add two hand-offs to a client that sleeps through them.  A caller that
-finds no slot free or work already queued — or that wants a future
-(:meth:`WorkerPool.submit`) — lands on a bounded FIFO queue the worker
-threads drain, each taking a slot per task.  One counter under one
-condition variable bounds both kinds: the least machinery that keeps
-the ``workers`` cap.
+The pool is ``workers`` execution *slots* plus a FIFO of waiting
+callers: at most that many statements run at once, and every statement
+runs on the thread that asked for it (:meth:`WorkerPool.run`, behind
+``Session.execute``).  A caller that finds a slot free and nobody
+waiting takes it at once; otherwise it joins the FIFO and sleeps until
+it is first in line and a slot is free.  The pool starts no thread: a
+second thread would only add two hand-offs to a client that sleeps
+through them, and every thread shares one process and one GIL.  One
+condition variable covers the slot count, the FIFO and the shutdown
+flag — the least machinery that keeps the ``workers`` cap.
 
-The queue depth is the *admission control*: when it is full the policy
-decides whether the submitting client blocks (``"block"``, the default —
-natural backpressure for cooperating clients) or fails fast with
+The FIFO's depth is the *admission control*: when it is full the policy
+decides whether the caller blocks (``"block"``, the default — natural
+backpressure for cooperating clients) or fails fast with
 :class:`~repro.errors.ServerBusyError` (``"reject"``, load shedding).  A
-blocked submitter is *woken* by :meth:`WorkerPool.shutdown` and fails
-with :class:`ServerBusyError` instead of sleeping on a queue no worker
-will drain again.
+blocked caller is *woken* by :meth:`WorkerPool.shutdown` and fails with
+:class:`ServerBusyError`; callers already admitted still run.
 
 Measured: ``server.queue_depth`` (gauge: admitted, not yet running),
 ``server.wait_seconds`` (histogram of the wait for a slot — 0 when one
 was free), ``server.tasks`` / ``server.rejected`` (counters).  The wait
 of the statement a thread is running is :func:`current_wait_seconds`
-(the flight recorder's ``pool_wait_ms``).  Trace context is the
-submitter's business: the pool runs thunks and carries nothing across.
+(the flight recorder's ``pool_wait_ms``).
 """
 
 from __future__ import annotations
@@ -52,10 +50,10 @@ def current_wait_seconds() -> float:
 
 
 class WorkerPool:
-    """``workers`` execution slots, a bounded queue and a rejection policy."""
+    """``workers`` execution slots, a bounded FIFO and a rejection policy."""
 
     def __init__(self, workers: int = 4, queue_depth: int = 64,
-                 policy: str = "block", name: str = "repro-server"):
+                 policy: str = "block"):
         if workers < 1:
             raise ValidationError("worker pool needs at least one worker")
         if queue_depth < 1:
@@ -68,154 +66,152 @@ class WorkerPool:
         self.workers = workers
         self.queue_depth = queue_depth
         self.policy = policy
-        # One condition variable covers the queue, the slot count, the
-        # shutdown flag and the blocked-submitter count: workers wait on it
-        # for a task *and* a slot, block-policy submitters for queue room,
-        # and shutdown wakes everyone.  Deliberately not lockdep-
-        # instrumented — the witness cannot model a condition wait's
-        # release-and-reacquire, and nothing else is taken under it (a leaf).
+        # One condition variable covers the FIFO, the slot count, the
+        # shutdown flag and the blocked-caller count: waiters sleep on it
+        # for their turn, block-policy callers for FIFO room, and shutdown
+        # wakes everyone.  Deliberately not lockdep-instrumented — the
+        # witness cannot model a condition wait's release-and-reacquire,
+        # and nothing else is taken under it (a leaf).
         self._cond = threading.Condition()
-        #: (fn, args, future, enqueued at) in admission order
-        self._tasks: deque[tuple] = deque()  # guarded_by: _cond
-        self._running = 0  # slots held, inline or by a worker; guarded_by: _cond
+        #: one token per admitted caller waiting for a slot, in arrival order
+        self._waiting: deque[object] = deque()  # guarded_by: _cond
+        self._running = 0  # slots held; guarded_by: _cond
         self._shutdown = False  # guarded_by: _cond
-        self._blocked = 0  # submitters waiting for queue room; guarded_by: _cond
-        self._threads = [
-            threading.Thread(target=self._worker, name=f"{name}-{i}", daemon=True)
-            for i in range(workers)
-        ]
-        for thread in self._threads:
-            thread.start()
+        self._blocked = 0  # callers waiting for FIFO room; guarded_by: _cond
 
     # ------------------------------------------------------------------ #
 
     def run(self, fn, *args):
-        """``fn(*args)`` for a caller that waits: on its own thread when a
-        slot is free and nothing is queued, else :meth:`submit` plus the
-        future's result — so queue order, the rejection policy and
-        shutdown stay that one implementation."""
-        with self._cond:
-            inline = (self._running < self.workers and not self._tasks
-                      and not self._shutdown)
-            if inline:
-                self._running += 1
-        if not inline:
-            return self.submit(fn, *args).result()
-        metrics.counter("server.tasks").inc()
-        return self._run_in_slot(fn, args, 0.0)
+        """``fn(*args)`` on this thread, inside a slot; returns its result.
+
+        With the ``reject`` policy a full FIFO raises
+        :class:`ServerBusyError` at once; with ``block`` the caller waits
+        for room.  A blocked caller is woken by :meth:`shutdown` and also
+        fails with :class:`ServerBusyError` — its statement was never
+        admitted.  An admitted caller waits for its turn, then runs.
+        """
+        return self._run_admitted(self._admit(), fn, args)
 
     def submit(self, fn, *args) -> Future:
-        """Enqueue ``fn(*args)``; returns a future for its result.
+        """:meth:`run` for a caller that wants a future: admitted here,
+        exactly as :meth:`run` admits, then waited for and run on a thread
+        of its own."""
+        ticket = self._admit()
+        future = Future()
 
-        With the ``reject`` policy a full queue raises
-        :class:`ServerBusyError` immediately and nothing is enqueued;
-        with ``block`` the caller waits for a slot.  A blocked caller is
-        woken by :meth:`shutdown` and also fails with
-        :class:`ServerBusyError` — its statement was never admitted.
-        """
-        future, enqueued = Future(), time.perf_counter()
+        def task() -> None:
+            if not future.set_running_or_notify_cancel():
+                self._run_admitted(ticket, lambda: None, ())  # its turn, unused
+                return
+            try:
+                future.set_result(self._run_admitted(ticket, fn, args))
+            # The future is the boundary: the exception is the waiter's.
+            except BaseException as exc:  # qblint: disable=no-broad-except
+                future.set_exception(exc)
+
+        threading.Thread(target=task, daemon=True).start()
+        return future
+
+    def _admit(self):
+        """Admit one caller: ``(token, enqueued at)``, the token ``None``
+        when it took a free slot outright."""
+        enqueued = time.perf_counter()
         with self._cond:
             if self._shutdown:
                 raise ServerBusyError("worker pool is shut down")
-            if len(self._tasks) >= self.queue_depth:
-                if self.policy == "reject":
-                    metrics.counter("server.rejected").inc()
-                    raise ServerBusyError(
-                        f"admission queue full ({self.queue_depth} statements "
-                        f"pending); retry later"
-                    )
-                self._blocked += 1
+            if self._running < self.workers and not self._waiting:
+                self._running += 1
+                token = None
+            else:
+                self._wait_for_room()
+                token = object()
+                self._waiting.append(token)
+                depth = len(self._waiting)
+        metrics.counter("server.tasks").inc()
+        if token is not None:
+            metrics.gauge("server.queue_depth").set(depth)
+        return token, enqueued
+
+    def _wait_for_room(self) -> None:
+        """Return once the FIFO has room (``_cond`` held), or refuse."""
+        if len(self._waiting) < self.queue_depth:
+            return
+        if self.policy == "reject":
+            metrics.counter("server.rejected").inc()
+            raise ServerBusyError(
+                f"admission queue full ({self.queue_depth} statements "
+                f"pending); retry later"
+            )
+        self._blocked += 1
+        try:
+            while len(self._waiting) >= self.queue_depth and not self._shutdown:
+                self._cond.wait()
+        finally:
+            self._blocked -= 1
+        if self._shutdown:
+            metrics.counter("server.rejected").inc()
+            raise ServerBusyError(
+                "worker pool shut down while waiting for an admission slot"
+            )
+
+    def _run_admitted(self, ticket, fn, args):
+        """Wait for the admitted caller's turn, run ``fn(*args)`` in its
+        slot, then free the slot."""
+        token, enqueued = ticket
+        wait = 0.0
+        if token is not None:
+            with self._cond:
                 try:
-                    while (len(self._tasks) >= self.queue_depth
-                           and not self._shutdown):
+                    while not (self._waiting[0] is token
+                               and self._running < self.workers):
                         self._cond.wait()
                 finally:
-                    self._blocked -= 1
-                if self._shutdown:
-                    metrics.counter("server.rejected").inc()
-                    raise ServerBusyError(
-                        "worker pool shut down while waiting for an "
-                        "admission slot"
-                    )
-            self._tasks.append((fn, args, future, enqueued))
-            depth = len(self._tasks)
-            self._cond.notify_all()
-        metrics.counter("server.tasks").inc()
-        metrics.gauge("server.queue_depth").set(depth)
-        return future
-
-    def _run_in_slot(self, fn, args, wait: float):
-        """Run ``fn(*args)`` in the slot this thread holds, then free it."""
-        outer = current_wait_seconds()  # an inline caller may be in a slot
+                    # The head leaves (an interrupted waiter from anywhere):
+                    # FIFO room freed and maybe a new head, so wake a blocked
+                    # caller and the next waiter, which may find a slot free.
+                    self._waiting.remove(token)
+                    self._cond.notify_all()
+                self._running += 1
+                depth = len(self._waiting)
+            metrics.gauge("server.queue_depth").set(depth)
+            wait = time.perf_counter() - enqueued
+        outer = current_wait_seconds()  # a nested statement's caller's
         _WAIT.seconds = wait
         try:
             metrics.histogram("server.wait_seconds").observe(wait)
             return fn(*args)
         finally:
             _WAIT.seconds = outer
-            self._release()
-
-    def _release(self) -> None:
-        with self._cond:
-            self._running -= 1
-            # Only a worker with a task to take, or shutdown's drain, can
-            # be waiting for a slot; idle workers are left asleep.
-            if self._tasks or self._shutdown:
-                self._cond.notify_all()
-
-    def _worker(self) -> None:
-        while True:
             with self._cond:
-                while not (self._tasks and self._running < self.workers):
-                    if self._shutdown and not self._tasks:
-                        return  # drained
-                    self._cond.wait()
-                fn, args, future, enqueued = self._tasks.popleft()
-                self._running += 1
-                depth = len(self._tasks)
-                # Queue room freed: wake a blocked submitter (and any
-                # sibling worker racing for remaining tasks).
-                self._cond.notify_all()
-            metrics.gauge("server.queue_depth").set(depth)
-            wait = time.perf_counter() - enqueued
-            if not future.set_running_or_notify_cancel():
-                self._release()
-                continue
-            try:
-                future.set_result(self._run_in_slot(fn, args, wait))
-            # The pool boundary: a worker must survive any task failure
-            # and hand the exception to the waiting client instead.
-            except BaseException as exc:  # qblint: disable=no-broad-except
-                future.set_exception(exc)
+                self._running -= 1
+                # Only a waiter, or shutdown's drain, can want the slot.
+                if self._waiting or self._shutdown:
+                    self._cond.notify_all()
 
     # ------------------------------------------------------------------ #
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting work; workers exit after draining the queue.
+        """Stop admitting; callers already admitted still run.
 
-        Admitted statements still run to completion — with ``wait`` this
-        returns only once no slot is held, inline callers included;
-        blocked submitters are woken and fail with :class:`ServerBusyError`.
+        With ``wait`` this returns only once no slot is held and nobody
+        admitted is still waiting for one; blocked callers are woken and
+        fail with :class:`ServerBusyError`.
         """
         with self._cond:
             self._shutdown = True
             self._cond.notify_all()
-        if wait:
-            for thread in self._threads:
-                thread.join()
-            with self._cond:
-                while self._running:
-                    self._cond.wait()
+            while wait and (self._running or self._waiting):
+                self._cond.wait()
 
     @property
     def pending(self) -> int:
-        """Statements admitted but not yet picked up by a worker."""
+        """Callers admitted but still waiting for a slot."""
         with self._cond:
-            return len(self._tasks)
+            return len(self._waiting)
 
     @property
     def blocked_submitters(self) -> int:
-        """Callers currently waiting for an admission slot (block policy)."""
+        """Callers currently waiting for FIFO room (block policy)."""
         with self._cond:
             return self._blocked
 

@@ -11,9 +11,9 @@ ARCHITECTURE.md):
   WAL keeps crash safety under concurrent writers (the lock is held
   until the commit is durable and its version published);
 * a :class:`~repro.server.pool.WorkerPool` — ``workers`` execution slots
-  a client occupies on its own thread, plus the bounded queue
-  (``block``/``reject`` policy) and the worker threads that drain it when
-  every slot is taken;
+  a client occupies on its own thread, plus the bounded FIFO
+  (``block``/``reject`` policy) where callers wait their turn when every
+  slot is taken;
 * the database's memo of :class:`~repro.db.sql.Prepared` statements per
   raw text (:meth:`Database.prepare <repro.db.database.Database.prepare>`)
   — the one parse a served statement costs, and the source of every
@@ -129,32 +129,23 @@ class QueryServer:
     # ------------------------------------------------------------------ #
 
     def admit(self, session: Session, sql: str, params: list | None):
-        """Run one statement through the pool (sessions call this): on the
-        caller's own thread when a slot is free, else queued for the
-        worker threads; returns its result either way.
+        """Run one statement in one of the pool's slots, on the caller's
+        thread (sessions call this); returns its result."""
+        return self.pool.run(self._run_statement, session, sql, params)
 
-        The trace position is captured here, once, on the client side: a
-        fresh trace id, so the statement's spans and flight-recorder
-        record belong to one trace whichever thread runs it — unless the
-        caller already has a position (a shard router running a leg):
-        then it *joins* that trace and one query yields one span tree
-        across the whole cluster.
-        """
-        ctx = trace.current_context(session=session.name)
-        if ctx is None:
-            ctx = trace.TraceContext(trace_id=trace.new_trace_id(),
-                                     session=session.name)
-        return self.pool.run(self._run_statement, ctx, session, sql, params)
-
-    def _run_statement(self, ctx: trace.TraceContext, session: Session,
-                       sql: str, params: list | None) -> QueryResult:
+    def _run_statement(self, session: Session, sql: str,
+                       params: list | None) -> QueryResult:
         """Execution of one admitted statement, in the slot it holds."""
         metrics.counter("server.statements").inc()
         session._admitted()
         wait = current_wait_seconds()
-        # Whoever's thread this is: its own trace frame, this node's metrics
-        # scope (none for a plain server) and its own flight-recorder record
-        # — the scope Database.execute opens inside annotates that one.
+        # A fresh trace id — unless this thread already has one (a router
+        # span, or a statement whose UDF issued this one): then the
+        # statement joins that trace, and one query yields one span tree.
+        # Then this node's metrics scope (none for a plain server) and its
+        # own flight-recorder record, which Database.execute annotates.
+        ctx = trace.TraceContext(
+            trace.current_trace_id() or trace.new_trace_id(), session.name)
         with trace.attach(ctx), metrics.scoped(self.node_registry), \
                 recorder.statement(sql, session=session.name,
                                    trace_id=ctx.trace_id, own=True) as rec:
@@ -279,7 +270,8 @@ class QueryServer:
         return admin
 
     def close(self) -> None:
-        """Close every session and stop the worker pool (drains first)."""
+        """Close every session and stop admitting (admitted statements
+        finish first)."""
         with self._lock:
             if self._closed:
                 return

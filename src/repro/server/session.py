@@ -13,8 +13,8 @@ layer's analogue of a DBMS connection.  Each session carries:
   under a ``server.execute`` span tagged with the session name.
 
 Statements go through the server's admission control: :meth:`execute`
-blocks for the result and — when a pool slot is free — runs it on the
-calling thread; otherwise it queues for the worker threads and waits.
+takes a pool slot — waiting its turn when none is free — and runs the
+statement on the calling thread.
 """
 
 from __future__ import annotations

@@ -81,7 +81,7 @@ class TestWorkerPool:
         future = pool.submit(boom)
         with pytest.raises(ValueError, match="task failure"):
             future.result(timeout=10)
-        # the worker survived the failure
+        # the pool survived the failure: its slot was freed
         assert pool.submit(lambda: 7).result(timeout=10) == 7
         pool.shutdown()
 
@@ -96,7 +96,7 @@ class TestWorkerPool:
             return "done"
 
         running = pool.submit(blocker)
-        assert started.wait(timeout=10)  # worker busy
+        assert started.wait(timeout=10)  # the only slot busy
         queued = pool.submit(lambda: "queued")  # fills the only slot
         with pytest.raises(ServerBusyError):
             pool.submit(lambda: "rejected")
@@ -143,7 +143,7 @@ class TestWorkerPool:
         # Regression: a block-policy submitter parked on a full queue
         # used to sleep forever when the pool shut down underneath it
         # (the stdlib queue's put knew nothing about pool shutdown).
-        # The deterministic schedule: occupy the worker, fill the queue,
+        # The deterministic schedule: occupy the slot, fill the queue,
         # park a submitter, then shut down — the submitter must wake and
         # fail instead of hanging.
         pool = WorkerPool(workers=1, queue_depth=1, policy="block")
@@ -155,7 +155,7 @@ class TestWorkerPool:
             release.wait(timeout=10)
 
         pool.submit(blocker)
-        assert started.wait(timeout=10)  # worker busy
+        assert started.wait(timeout=10)  # the only slot busy
         queued = pool.submit(lambda: "queued")  # fills the only slot
         outcome = []
 
@@ -187,7 +187,8 @@ class TestWorkerPool:
 
 
 def _occupy(pool: WorkerPool) -> threading.Event:
-    """Park one queued task in a slot; set the returned event to free it."""
+    """Hold one slot with a submitted task; set the returned event to
+    free it."""
     release, started = threading.Event(), threading.Event()
 
     def blocker():
@@ -241,8 +242,50 @@ class TestAdmissionSlots:
         release.set()
         thread.join(timeout=10)
         assert not thread.is_alive()
-        assert outcome[0] not in (me, thread.ident)  # a worker ran it
+        assert outcome[0] == thread.ident  # the waiting caller ran it
         pool.shutdown()
+
+    def test_serving_starts_no_thread_and_runs_on_the_caller(self):
+        """5 sessions on 2 slots: 2 statements hold the slots, 3 wait in
+        the FIFO; the server starts no thread, and every statement runs
+        on the thread that called ``Session.execute``."""
+        db = fresh_db()
+        release, started = threading.Event(), threading.Semaphore(0)
+
+        def ident(hold):
+            if hold:
+                started.release()
+                release.wait(timeout=10)
+            return threading.get_ident()
+
+        db.functions.register("ident", ident)
+        before = set(threading.enumerate())
+        with QueryServer(db, workers=2, result_cache=False) as server:
+            assert set(threading.enumerate()) == before
+            sessions = [server.connect() for _ in range(5)]
+            ran = {}
+
+            def client(k):
+                ran[threading.get_ident()] = sessions[k].execute(
+                    "select ident(?) from lookup where k = 0",
+                    [int(k < 2)]).scalar()
+
+            threads = [threading.Thread(target=client, args=(k,))
+                       for k in range(5)]
+            for t in threads[:2]:
+                t.start()
+                assert started.acquire(timeout=10)
+            for t in threads[2:]:
+                t.start()
+            deadline = time.time() + 10
+            while server.pool.pending < 3 and time.time() < deadline:
+                time.sleep(0.005)
+            assert server.pool.pending == 3
+            assert set(threading.enumerate()) - before == set(threads)
+            release.set()
+            for t in threads:
+                t.join(timeout=10)
+        assert ran == {t.ident: t.ident for t in threads}
 
     def test_blocking_caller_never_overtakes_a_queued_task(self):
         pool = WorkerPool(workers=1)
@@ -307,8 +350,8 @@ class TestAdmissionSlots:
         assert outcome == [[(1,)]]
 
     def test_never_more_than_workers_statements_at_once(self):
-        """6 sessions on 2 slots, so statements run both inline and from
-        the queue; the switch interval is shortened so a lost update to
+        """6 sessions on 2 slots, so statements run both at once and after
+        waiting in the FIFO; the switch interval is shortened so a lost update to
         the slot count would show."""
         db = fresh_db()
         lock = threading.Lock()
@@ -357,8 +400,8 @@ class TestAdmissionSlots:
             s = server.connect()
             with pytest.raises(ResolutionError) as inline:
                 s.execute("select nope from lookup")
-            # The only slot taken: the same statement queues for a worker,
-            # and the worker's exception reaches the waiting caller.
+            # The only slot taken: the same statement waits for it in the
+            # FIFO, and its exception reaches the caller all the same.
             release = _occupy(server.pool)
             pooled = []
 
@@ -428,9 +471,8 @@ class TestAdmissionSlots:
 
     def test_inline_statement_under_an_open_scope_keeps_its_own_record(self):
         """A served statement issued from inside another statement (a UDF
-        here) used to hop to a worker and get its own record; inline it
-        must still — and must leave the outer statement's scope, trace
-        frame and wait as it found them."""
+        here) gets its own record, and must leave the outer statement's
+        scope, trace frame and wait as it found them."""
         db = fresh_db()
         recorder.enable()
         recorder.reset()
