@@ -37,6 +37,7 @@ carry row estimates, so EXPLAIN always shows estimated rows per operator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.db.catalog import Catalog
 from repro.db.sql.ast import (
@@ -196,57 +197,79 @@ def plan_select(
         return _plan_select(select, catalog, outer_bindings, mode)
 
 
+class _Facts(NamedTuple):
+    """What planning needs of one conjunct, derived once per planning call:
+    its cost bucket (0 = scalar, 1 = LFM-touching, 2 = subquery-bearing),
+    the cost of one evaluation, its selectivity, whether it reads more than
+    one table of the block, and the keys (:meth:`_PlannerState._probe_keys`)
+    a ``col = value`` conjunct offers a hash probe and an ``intersection``
+    filter a spatial probe."""
+
+    bucket: int
+    cost: float
+    selectivity: float
+    spans: bool
+    hash_keys: tuple
+    spatial_keys: tuple
+
+
 class _PlannerState:
     """Shared resolution/estimation state for one planning call."""
 
     def __init__(self, select: Select, catalog: Catalog,
                  outer_bindings: dict[str, object] | None):
         self.outer_bindings = outer_bindings
-        self.bindings: dict[str, str] = {}
+        #: binding (alias) -> its table
+        self.tables = {}
         for ref in select.tables:
-            if ref.binding in self.bindings:
-                raise CatalogError(
-                    f"duplicate table binding {ref.binding!r} in FROM"
-                )
-            catalog.table(ref.name)  # existence check
-            self.bindings[ref.binding] = ref.name
-        self.tables = {
-            binding: catalog.table(name)
-            for binding, name in self.bindings.items()
-        }
+            if ref.binding in self.tables:
+                raise CatalogError(f"duplicate table binding {ref.binding!r} in FROM")
+            self.tables[ref.binding] = catalog.table(ref.name)
         #: binding -> fresh TableStats or None
-        self.stats = {
-            binding: table.fresh_stats()
-            for binding, table in self.tables.items()
-        }
+        self.stats = {binding: table.fresh_stats() for binding, table in self.tables.items()}
+        #: ``(qualifier, name)`` -> the binding it resolved to
+        self._resolved: dict[tuple[str | None, str], str] = {}
         # For each conjunct, the set of bindings it needs.  Conjuncts
         # embedding a nested query block are held until everything is
         # bound (the block may sit under outer-column comparisons).
         self.needs: list[tuple[Expr, frozenset[str]]] = []
-        # Per conjunct (by identity; ``needs`` keeps them alive): cost
-        # bucket, cost of one evaluation, selectivity, spans-tables flag.
-        # Pure in the conjunct, so computed here once, not per DP subset.
-        self._facts: dict[int, tuple[int, float, float, bool]] = {}
+        # Per conjunct (by identity; ``needs`` keeps them alive).  Pure in
+        # the conjunct, so computed here once, not per DP subset.
+        self._facts: dict[int, _Facts] = {}
         for conjunct in conjuncts_of(select.where):
             self._add(conjunct)
 
     def _add(self, conjunct: Expr) -> None:
-        """Record a conjunct: the bindings it needs and its facts.  Cost
-        buckets: 0 = scalar, 1 = LFM-touching, 2 = subquery-bearing."""
+        """Record a conjunct: the bindings it needs and its facts."""
         if contains_subquery(conjunct):
-            used, bucket, cost = frozenset(self.bindings), 2, _SUBQUERY_COST
+            used = frozenset(self.tables)
+            facts = _Facts(2, _SUBQUERY_COST, _DEFAULT_OTHER_SEL, len(used) > 1, (), ())
         else:
+            columns = columns_in(conjunct)
             used = frozenset(
-                binding
-                for col in columns_in(conjunct)
-                if (binding := self.resolve(col)) != OUTER
-            )
-            pages = [self._region_pages(*field)
-                     for field in self._longfields(conjunct)]
-            bucket, cost = int(bool(pages)), _CPU_TUPLE + sum(pages) * _PAGE_COST
+                binding for col in columns if (binding := self.resolve(col)) != OUTER)
+            pages = [self._region_pages(*field) for field in self._longfields(columns)]
+            hash_keys = ()
+            if isinstance(conjunct, BinOp) and conjunct.op == "=":
+                hash_keys = self._probe_keys(conjunct.left, conjunct.right)
+            inner = _intersection_filter(conjunct)
+            facts = _Facts(
+                int(bool(pages)), _CPU_TUPLE + sum(pages) * _PAGE_COST,
+                self._selectivity(conjunct), len(used) > 1, hash_keys,
+                self._probe_keys(*inner.args) if inner else ())
         self.needs.append((conjunct, used))
-        self._facts[id(conjunct)] = (
-            bucket, cost, self._selectivity(conjunct), len(used) > 1)
+        self._facts[id(conjunct)] = facts
+
+    def _probe_keys(self, a: Expr, b: Expr) -> tuple:
+        """``(binding, column, other side, bindings the other side reads)``
+        for each way round (``a`` first) that one of the two expressions is
+        a column reference."""
+        return tuple(
+            (self.resolve(col), col.name, value,
+             frozenset(self.resolve(c) for c in columns_in(value)))
+            for col, value in ((a, b), (b, a))
+            if isinstance(col, ColumnRef)
+        )
 
     def close_equalities(self) -> None:
         """Derive ``col = const`` for every column a chain of ``col = col``
@@ -296,20 +319,26 @@ class _PlannerState:
         pinned_classes = {find(key) for key, _ in pinned}
         for key, conjunct in joins:
             if find(key) in pinned_classes:
-                bucket, cost, _, spans = self._facts[id(conjunct)]
-                self._facts[id(conjunct)] = (bucket, cost, 1.0, spans)
+                facts = self._facts[id(conjunct)]
+                self._facts[id(conjunct)] = facts._replace(selectivity=1.0)
 
     def resolve(self, ref: ColumnRef) -> str:
-        """The binding (alias) a column reference belongs to.
+        """The binding (alias) a column reference belongs to, looked up
+        once per planning call (a failure is not kept: it raises again)."""
+        key = (ref.qualifier, ref.name)
+        binding = self._resolved.get(key)
+        if binding is None:
+            binding = self._resolved[key] = self._lookup(ref)
+        return binding
 
-        Inner scope wins; references this block cannot resolve fall out
+    def _lookup(self, ref: ColumnRef) -> str:
+        """Inner scope wins; references this block cannot resolve fall out
         to the enclosing block's bindings (binding name -> schema-like
-        supporting ``in``) and map to the :data:`OUTER` sentinel.
-        """
+        supporting ``in``) and map to the :data:`OUTER` sentinel."""
         outer = self.outer_bindings or {}
         if ref.qualifier is not None:
             key = ref.qualifier.lower()
-            for binding in self.bindings:
+            for binding in self.tables:
                 if binding.lower() == key:
                     return binding
             if any(binding.lower() == key for binding in outer):
@@ -331,21 +360,17 @@ class _PlannerState:
     # predicate classification
     # ---------------------------------------------------------------- #
 
-    def level_conjuncts(self, placed: frozenset[str],
-                        binding: str) -> list[tuple[Expr, frozenset[str]]]:
+    def level_conjuncts(self, placed: frozenset[str], binding: str) -> list[Expr]:
         """Conjuncts first evaluable once ``binding`` joins ``placed``."""
         bound = placed | {binding}
-        return [
-            (conjunct, used)
-            for conjunct, used in self.needs
-            if used <= bound and (not placed or not used <= placed)
-        ]
+        return [conjunct for conjunct, used in self.needs
+                if used <= bound and (not placed or not used <= placed)]
 
-    def _longfields(self, expr: Expr) -> dict[tuple[str, int], None]:
+    def _longfields(self, columns: list[ColumnRef]) -> dict[tuple[str, int], None]:
         """``(binding, position)`` of each LONGFIELD column of this block
-        the expression reads, in first-use order."""
+        among ``columns``, in first-use order."""
         found = {}
-        for col in columns_in(expr):
+        for col in columns:
             owner = self.resolve(col)
             if owner != OUTER:
                 schema = self.tables[owner].schema
@@ -365,10 +390,9 @@ class _PlannerState:
         scalar before LFM-touching before subquery-bearing, and within
         each, single-table filters before join filters — so every cheap
         test gates the dearer ones behind it."""
+        facts = self._facts
         return sorted(
-            conjuncts,
-            key=lambda c: (self._facts[id(c)][0], self._facts[id(c)][3]),
-        )
+            conjuncts, key=lambda c: (facts[id(c)].bucket, facts[id(c)].spans))
 
     # ---------------------------------------------------------------- #
     # selectivity estimation
@@ -384,9 +408,8 @@ class _PlannerState:
         return max(1, min(_DEFAULT_ND, table.row_count))
 
     def _selectivity(self, conjunct: Expr) -> float:
-        """Estimated fraction of candidate rows the conjunct keeps."""
-        if contains_subquery(conjunct):
-            return _DEFAULT_OTHER_SEL
+        """Estimated fraction of candidate rows the conjunct keeps (one
+        with no nested query block)."""
         if isinstance(conjunct, FuncCall) and conjunct.name == "__is_null":
             arg = conjunct.args[0]
             if isinstance(arg, ColumnRef):
@@ -472,15 +495,15 @@ class _PlannerState:
     # access paths
     # ---------------------------------------------------------------- #
 
-    def _probe_sides(self, a: Expr, b: Expr, binding: str,
+    @staticmethod
+    def _probe_sides(keys: tuple, binding: str,
                      earlier: set[str]) -> tuple[str, Expr] | None:
-        """``(column, other side)`` when one of the two expressions is a
-        column of ``binding`` and the other reads only ``earlier`` ones."""
-        for col_side, value_side in ((a, b), (b, a)):
-            if (isinstance(col_side, ColumnRef)
-                    and self.resolve(col_side) == binding
-                    and {self.resolve(c) for c in columns_in(value_side)} <= earlier):
-                return col_side.name, value_side
+        """``(column, other side)`` of the first of a conjunct's probe keys
+        whose column is of ``binding`` and whose other side reads only
+        ``earlier`` ones."""
+        for owner, column, value, reads in keys:
+            if owner == binding and reads <= earlier:
+                return column, value
         return None
 
     def hash_probe(self, conjuncts: list[Expr], binding: str,
@@ -489,12 +512,9 @@ class _PlannerState:
         ``col = value`` over an indexed column of ``binding``."""
         table = self.tables[binding]
         for conjunct in conjuncts:
-            if (isinstance(conjunct, BinOp) and conjunct.op == "="
-                    and not contains_subquery(conjunct)):
-                probe = self._probe_sides(
-                    conjunct.left, conjunct.right, binding, earlier)
-                if probe and table.has_index(probe[0]):
-                    return probe
+            probe = self._probe_sides(self._facts[id(conjunct)].hash_keys, binding, earlier)
+            if probe and table.has_index(probe[0]):
+                return probe
         return None
 
     def spatial_probe(self, conjuncts: list[Expr], binding: str,
@@ -502,8 +522,8 @@ class _PlannerState:
         """First usable (region column, probe expression) of the level."""
         table = self.tables[binding]
         for conjunct in conjuncts:
-            inner = _intersection_filter(conjunct)
-            probe = inner and self._probe_sides(*inner.args, binding, earlier)
+            probe = self._probe_sides(
+                self._facts[id(conjunct)].spatial_keys, binding, earlier)
             if probe:
                 index = table.spatial_index_on(probe[0])
                 if index is not None and index.probe_safe(table):
@@ -525,8 +545,7 @@ class _PlannerState:
         the predicates before it.
         """
         table = self.tables[binding]
-        conjuncts = self.level_conjuncts(placed, binding)
-        exprs = [c for c, _ in conjuncts]
+        exprs = self.level_conjuncts(placed, binding)
         earlier = set(placed) | {OUTER}
         examined = float(table.row_count)
         probe = self.hash_probe(exprs, binding, earlier)
@@ -544,10 +563,10 @@ class _PlannerState:
         running = 1.0
         raw = est_in * table.row_count
         for conjunct in self.run_order(exprs):
-            _, predicate_cost, sel, _ = self._facts[id(conjunct)]
-            cost += est_in * examined * running * predicate_cost
-            running *= sel
-            raw *= sel
+            facts = self._facts[id(conjunct)]
+            cost += est_in * examined * running * facts.cost
+            running *= facts.selectivity
+            raw *= facts.selectivity
         est_out = 0.0 if raw == 0 else max(1.0, raw)
         return cost, est_out
 
@@ -574,44 +593,30 @@ def _plan_select(
         else:
             order = _cost_order(select, state)
 
-    # Assign each conjunct to the earliest level where it is fully bound.
-    level_predicates: list[list[Expr]] = [[] for _ in order]
-    bound: set[str] = set()
-    assigned = [False] * len(state.needs)
-    for level, ref in enumerate(order):
-        bound.add(ref.binding)
-        for i, (conjunct, used) in enumerate(state.needs):
-            if not assigned[i] and used <= bound:
-                level_predicates[level].append(conjunct)
-                assigned[i] = True
-
-    # Cost mode runs cheap predicates first within a level; naive keeps
-    # the original conjunct order.
-    if mode == "cost":
-        level_predicates = [state.run_order(p) for p in level_predicates]
-
-    # Pick access paths per level: a hash probe on an equality against
-    # earlier-bound values, else (cost mode) a spatial probe for a
-    # region-intersection predicate over an indexed LONGFIELD column.
+    # Per level: the conjuncts first fully bound there (cost mode runs the
+    # cheap ones first, naive keeps the original order); a hash probe on an
+    # equality against earlier-bound values, else (cost mode) a spatial
+    # probe for a region-intersection predicate over an indexed LONGFIELD
+    # column; and the row estimate (every mode: EXPLAIN always shows it).
+    level_predicates: list[list[Expr]] = []
     index_probes: list[tuple[str, Expr] | None] = []
     spatial_probes: list[tuple[str, Expr] | None] = []
-    earlier: set[str] = {OUTER}
-    for level, ref in enumerate(order):
-        preds = level_predicates[level]
-        chosen = state.hash_probe(preds, ref.binding, earlier)
-        index_probes.append(chosen)
-        spatial = None
-        if mode == "cost" and chosen is None:
-            spatial = state.spatial_probe(preds, ref.binding, earlier)
-        spatial_probes.append(spatial)
-        earlier.add(ref.binding)
-
-    # Row estimates (every mode: EXPLAIN always shows them).
     est_rows: list[float] = []
     placed: frozenset[str] = frozenset()
     est = 1.0
     for ref in order:
+        preds = state.level_conjuncts(placed, ref.binding)
+        if mode == "cost":
+            preds = state.run_order(preds)
+        earlier = placed | {OUTER}
+        chosen = state.hash_probe(preds, ref.binding, earlier)
+        spatial = None
+        if mode == "cost" and chosen is None:
+            spatial = state.spatial_probe(preds, ref.binding, earlier)
         _, est = state.level_model(placed, ref.binding, est, mode == "cost")
+        level_predicates.append(preds)
+        index_probes.append(chosen)
+        spatial_probes.append(spatial)
         est_rows.append(est)
         placed = placed | {ref.binding}
     est_out = _output_estimate(select, est)

@@ -1,14 +1,19 @@
 """SQL tokenizer.
 
 Produces a flat token stream with line/column positions so the parser can
-report useful syntax errors.  Keywords are not reserved at the lexer level;
-the parser matches identifier tokens case-insensitively.
+report useful syntax errors.  One compiled pattern does the scanning:
+each match names the kind of token it found (``lastgroup``), and line and
+column come from a running count of newlines.  Keywords are not reserved
+at the lexer level: every identifier token carries its lower-cased text
+as :attr:`Token.keyword`, which is what the parser compares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum, auto
+from functools import cache
+from typing import NamedTuple
 
 from repro.errors import SqlSyntaxError
 
@@ -25,14 +30,15 @@ class TokenType(Enum):
     EOF = auto()
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token: its kind, text, and source position."""
     type: TokenType
     text: str
     value: object
     line: int
     column: int
+    #: the lower-cased text of an IDENT token, ``None`` for any other kind
+    keyword: str | None = None
 
     def matches_keyword(self, keyword: str) -> bool:
         """Case-insensitive keyword test for identifier tokens."""
@@ -42,102 +48,86 @@ class Token:
         return f"Token({self.type.name}, {self.text!r})"
 
 
-_TWO_CHAR_OPS = ("<=", ">=", "<>", "!=", "||")
-_ONE_CHAR_OPS = "+-*/()=<>,.;"
+# Each match is one token after any run of blanks and ``--`` comments: an
+# identifier starts with a letter (``str.isalpha``) or ``_`` and goes on
+# with ``\w`` (= ``str.isalnum`` or ``_``); a number is digits
+# (``str.isdigit``) with at most one ``.`` and then at most one exponent; a
+# string's closing quote is never followed by another quote (which stops
+# the pattern from backtracking to a shorter string).  A character no
+# token starts with is an ``error``; blanks at the end match ``end``.
+_SPEC = r"""
+    (?:[ \t\r\n]+|--[^\n]*)*
+    (?:
+        (?P<ident>{alpha}\w*)
+      | (?P<number>(?:{digit}+(?:\.{digit}*)?|\.{digit}+)(?:[eE][+-]?{digit}*)?)
+      | (?P<operator><=|>=|<>|!=|\|\||[-+*/()=<>,.;])
+      | (?P<string>'[^']*(?:''[^']*)*'(?!'))
+      | (?P<param>\?)
+      | (?P<end>\Z)
+      | (?P<error>.)
+    )
+"""
+
+
+@cache
+def _scanner(ascii_only: bool) -> re.Pattern:
+    """The token pattern.  On ASCII text ``[^\\W\\d]`` is ``isalpha`` plus
+    ``_`` and ``\\d`` is ``isdigit``; beyond it they differ by the digits
+    that are not decimal (``'²'``) and the numerals that are not letters
+    (``'½'``), which are listed once, when non-ASCII text first comes."""
+    alpha, digit = r"[^\W\d]", r"\d"
+    if not ascii_only:
+        numerals = list(filter(str.isnumeric, map(chr, range(0x80, 0x110000))))
+        digits = re.escape("".join(c for c in numerals if c.isdigit() and not c.isdecimal()))
+        odd = re.escape("".join(c for c in numerals if not c.isalpha() and not c.isdecimal()))
+        alpha, digit = rf"(?![{odd}]){alpha}", rf"[\d{digits}]"
+    return re.compile(_SPEC.format(alpha=alpha, digit=digit), re.VERBOSE | re.DOTALL)
+
+
+#: builds a :class:`Token` without the keyword-argument handling of its
+#: ``__new__``: the tokenizer always passes every field
+_new_token = tuple.__new__
+
+_IDENT, _NUMBER, _STRING, _OPERATOR, _PARAM = (
+    TokenType.IDENT, TokenType.NUMBER, TokenType.STRING, TokenType.OPERATOR,
+    TokenType.PARAM)
 
 
 def tokenize(sql: str) -> list[Token]:
     """Tokenize SQL text; raises :class:`SqlSyntaxError` on bad input."""
     tokens: list[Token] = []
-    i = 0
-    line, col = 1, 1
-    n = len(sql)
-
-    def advance(text: str) -> None:
-        nonlocal i, line, col
-        for ch in text:
-            i += 1
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-
-    while i < n:
-        ch = sql[i]
-        if ch in " \t\r\n":
-            advance(ch)
-            continue
-        if sql.startswith("--", i):  # line comment
-            end = sql.find("\n", i)
-            advance(sql[i:end] if end != -1 else sql[i:])
-            continue
-        start_line, start_col = line, col
-        if ch == "?":
-            tokens.append(Token(TokenType.PARAM, "?", None, start_line, start_col))
-            advance("?")
-            continue
-        if ch == "'":
-            j = i + 1
-            chunks: list[str] = []
-            while True:
-                if j >= n:
-                    raise SqlSyntaxError("unterminated string literal", start_line, start_col)
-                if sql[j] == "'":
-                    if j + 1 < n and sql[j + 1] == "'":  # escaped quote
-                        chunks.append("'")
-                        j += 2
-                        continue
-                    break
-                chunks.append(sql[j])
-                j += 1
-            text = sql[i:j + 1]
-            tokens.append(Token(TokenType.STRING, text, "".join(chunks), start_line, start_col))
-            advance(text)
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            seen_exp = False
-            while j < n:
-                c = sql[j]
-                if c.isdigit():
-                    j += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif c in "eE" and not seen_exp and j > i:
-                    seen_exp = True
-                    j += 1
-                    if j < n and sql[j] in "+-":
-                        j += 1
-                else:
-                    break
-            text = sql[i:j]
+    append = tokens.append
+    # ``line`` starts at ``line_start``; ``newline`` is the next line break,
+    # or the end of the text when there is none
+    line, line_start, wrap = 1, 0, len(sql) + 1
+    newline = sql.find("\n") % wrap
+    for match in _scanner(sql.isascii()).finditer(sql):
+        kind = match.lastgroup
+        start = match.start(kind)
+        while start > newline:
+            line, line_start = line + 1, newline + 1
+            newline = sql.find("\n", line_start) % wrap
+        text = match.group(kind)
+        column = start - line_start + 1
+        if kind == "ident":
+            append(_new_token(Token, (_IDENT, text, text, line, column, text.lower())))
+        elif kind == "operator":
+            append(_new_token(Token, (_OPERATOR, text, text, line, column, None)))
+        elif kind == "number":
             try:
-                value: object = float(text) if (seen_dot or seen_exp) else int(text)
+                value = float(text) if "." in text or "e" in text or "E" in text else int(text)
             except ValueError:
-                raise SqlSyntaxError(f"bad numeric literal {text!r}", start_line, start_col) from None
-            tokens.append(Token(TokenType.NUMBER, text, value, start_line, start_col))
-            advance(text)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (sql[j].isalnum() or sql[j] == "_"):
-                j += 1
-            text = sql[i:j]
-            tokens.append(Token(TokenType.IDENT, text, text, start_line, start_col))
-            advance(text)
-            continue
-        two = sql[i:i + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(Token(TokenType.OPERATOR, two, two, start_line, start_col))
-            advance(two)
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token(TokenType.OPERATOR, ch, ch, start_line, start_col))
-            advance(ch)
-            continue
-        raise SqlSyntaxError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(Token(TokenType.EOF, "", None, line, col))
-    return tokens
+                raise SqlSyntaxError(f"bad numeric literal {text!r}", line, column) from None
+            append(_new_token(Token, (_NUMBER, text, value, line, column, None)))
+        elif kind == "string":
+            value = text[1:-1].replace("''", "'")
+            append(_new_token(Token, (_STRING, text, value, line, column, None)))
+        elif kind == "param":
+            append(_new_token(Token, (_PARAM, text, None, line, column, None)))
+        elif kind == "end":  # the pattern's last match, always
+            append(Token(TokenType.EOF, "", None, line, column))
+            return tokens
+        elif text == "'":
+            raise SqlSyntaxError("unterminated string literal", line, column)
+        else:
+            raise SqlSyntaxError(f"unexpected character {text!r}", line, column)

@@ -61,7 +61,22 @@ _KEYWORDS = {
     "and", "or", "not", "as", "is", "null", "true", "false", "between", "in",
 }
 
-_COMPARISONS = {"=", "<>", "!=", "<", "<=", ">", ">="}
+#: what an alias cannot be: a keyword, or not an identifier (keyword None)
+_NOT_ALIASES = _KEYWORDS | {None}
+
+_COMPARISONS = ("=", "<>", "!=", "<", "<=", ">", ">=")
+
+#: how tightly each binary operator binds (see ``parse_expr`` and
+#: ``parse_additive``)
+_LOGICAL = {"or": 1, "and": 2}
+_ARITHMETIC = {"+": 1, "-": 1, "||": 1, "*": 2, "/": 2}
+
+#: the keywords that are literal values
+_LITERALS = {"null": None, "true": True, "false": False}
+
+_IDENT, _NUMBER, _STRING, _OPERATOR, _PARAM, _EOF = (
+    TokenType.IDENT, TokenType.NUMBER, TokenType.STRING, TokenType.OPERATOR,
+    TokenType.PARAM, TokenType.EOF)
 
 
 class _Parser:
@@ -79,57 +94,71 @@ class _Parser:
 
     def advance(self) -> Token:
         token = self.tokens[self.pos]
-        if token.type is not TokenType.EOF:
+        if token.type is not _EOF:
             self.pos += 1
         return token
 
     def error(self, message: str) -> SqlSyntaxError:
-        token = self.peek()
+        token = self.tokens[self.pos]
         found = token.text or "end of input"
         return SqlSyntaxError(f"{message} (found {found!r})", token.line, token.column)
 
     def span_here(self) -> Span:
         """The span of the token about to be consumed."""
-        token = self.peek()
+        token = self.tokens[self.pos]
         return Span(token.line, token.column)
 
-    @staticmethod
-    def span_of(token: Token) -> Span:
-        return Span(token.line, token.column)
+    # Keywords are compared lower-case against ``Token.keyword``, which is
+    # None for anything but an identifier; an operator's text is never the
+    # text of another kind of token, so operators are compared by text.
+    # Neither can match the EOF token, so a match may always step past it.
 
     def at_keyword(self, *keywords: str) -> bool:
-        return any(self.peek().matches_keyword(k) for k in keywords)
+        return self.tokens[self.pos].keyword in keywords
 
     def expect_keyword(self, keyword: str) -> Token:
-        if not self.at_keyword(keyword):
+        token = self.tokens[self.pos]
+        if token.keyword != keyword:
             raise self.error(f"expected {keyword.upper()}")
-        return self.advance()
+        self.pos += 1
+        return token
 
     def accept_keyword(self, keyword: str) -> bool:
-        if self.at_keyword(keyword):
-            self.advance()
+        if self.tokens[self.pos].keyword == keyword:
+            self.pos += 1
             return True
         return False
 
+    def accept_alias(self) -> str | None:
+        """An identifier that is not a keyword, consumed: an alias."""
+        token = self.tokens[self.pos]
+        if token.keyword in _NOT_ALIASES:
+            return None
+        self.pos += 1
+        return token.text
+
     def at_operator(self, *ops: str) -> bool:
-        token = self.peek()
-        return token.type is TokenType.OPERATOR and token.text in ops
+        return self.tokens[self.pos].text in ops
 
     def expect_operator(self, op: str) -> Token:
-        if not self.at_operator(op):
+        token = self.tokens[self.pos]
+        if token.text != op:
             raise self.error(f"expected {op!r}")
-        return self.advance()
+        self.pos += 1
+        return token
 
     def accept_operator(self, *ops: str) -> Token | None:
-        if self.at_operator(*ops):
-            return self.advance()
+        token = self.tokens[self.pos]
+        if token.text in ops:
+            self.pos += 1
+            return token
         return None
 
     def expect_ident(self, what: str) -> str:
-        token = self.peek()
-        if token.type is not TokenType.IDENT:
+        token = self.tokens[self.pos]
+        if token.type is not _IDENT:
             raise self.error(f"expected {what}")
-        self.advance()
+        self.pos += 1
         return token.text
 
     # -------------------------------------------------------------- #
@@ -145,28 +174,15 @@ class _Parser:
         else:
             stmt = self.parse_bare_statement()
         self.accept_operator(";")
-        if self.peek().type is not TokenType.EOF:
+        if self.peek().type is not _EOF:
             raise self.error("unexpected trailing input")
         return stmt
 
     def parse_bare_statement(self) -> Statement:
-        if self.at_keyword("select"):
-            stmt = self.parse_select()
-        elif self.at_keyword("insert"):
-            stmt = self.parse_insert()
-        elif self.at_keyword("create"):
-            stmt = self.parse_create()
-        elif self.at_keyword("drop"):
-            stmt = self.parse_drop()
-        elif self.at_keyword("delete"):
-            stmt = self.parse_delete()
-        elif self.at_keyword("update"):
-            stmt = self.parse_update()
-        elif self.at_keyword("analyze"):
-            stmt = self.parse_analyze()
-        else:
+        parse_statement = _STATEMENTS.get(self.tokens[self.pos].keyword)
+        if parse_statement is None:
             raise self.error("expected a SQL statement")
-        return stmt
+        return parse_statement(self)
 
     def parse_select(self) -> Select:
         span = self.span_here()
@@ -206,7 +222,7 @@ class _Parser:
         limit = None
         if self.accept_keyword("limit"):
             token = self.peek()
-            if token.type is not TokenType.NUMBER or not isinstance(token.value, int):
+            if token.type is not _NUMBER or not isinstance(token.value, int):
                 raise self.error("LIMIT expects an integer")
             self.advance()
             limit = token.value
@@ -220,19 +236,14 @@ class _Parser:
         items = []
         while True:
             item_span = self.span_here()
-            if self.at_operator("*"):
-                self.advance()
+            if self.accept_operator("*"):
                 items.append(SelectItem(Star(span=item_span), span=item_span))
             else:
                 expr = self.parse_expr()
-                alias = None
                 if self.accept_keyword("as"):
                     alias = self.expect_ident("an alias name")
-                elif (
-                    self.peek().type is TokenType.IDENT
-                    and self.peek().text.lower() not in _KEYWORDS
-                ):
-                    alias = self.advance().text
+                else:
+                    alias = self.accept_alias()
                 items.append(SelectItem(expr, alias, span=item_span))
             if not self.accept_operator(","):
                 return items
@@ -240,10 +251,8 @@ class _Parser:
     def parse_table_ref(self) -> TableRef:
         span = self.span_here()
         name = self.expect_ident("a table name")
-        alias = None
-        if self.peek().type is TokenType.IDENT and self.peek().text.lower() not in _KEYWORDS:
-            alias = self.advance().text
-        elif self.accept_keyword("as"):
+        alias = self.accept_alias()
+        if alias is None and self.accept_keyword("as"):
             alias = self.expect_ident("a table alias")
         return TableRef(name, alias, span=span)
 
@@ -253,8 +262,7 @@ class _Parser:
         self.expect_keyword("into")
         table = self.expect_ident("a table name")
         columns = None
-        if self.at_operator("("):
-            self.advance()
+        if self.accept_operator("("):
             columns = [self.expect_ident("a column name")]
             while self.accept_operator(","):
                 columns.append(self.expect_ident("a column name"))
@@ -294,34 +302,23 @@ class _Parser:
     def parse_analyze(self) -> Analyze:
         span = self.span_here()
         self.expect_keyword("analyze")
-        table = None
-        if (
-            self.peek().type is TokenType.IDENT
-            and self.peek().text.lower() not in _KEYWORDS
-        ):
-            table = self.advance().text
-        return Analyze(table, span=span)
+        return Analyze(self.accept_alias(), span=span)
 
     def parse_create(self) -> CreateTable | CreateIndex | CreateSpatialIndex:
         span = self.span_here()
         self.expect_keyword("create")
-        if self.accept_keyword("spatial"):
+        spatial = self.accept_keyword("spatial")
+        if spatial:
             self.expect_keyword("index")
+        if spatial or self.accept_keyword("index"):
             name = self.expect_ident("an index name")
             self.expect_keyword("on")
             table = self.expect_ident("a table name")
             self.expect_operator("(")
             column = self.expect_ident("a column name")
             self.expect_operator(")")
-            return CreateSpatialIndex(name, table, column, span=span)
-        if self.accept_keyword("index"):
-            name = self.expect_ident("an index name")
-            self.expect_keyword("on")
-            table = self.expect_ident("a table name")
-            self.expect_operator("(")
-            column = self.expect_ident("a column name")
-            self.expect_operator(")")
-            return CreateIndex(name, table, column, span=span)
+            index = CreateSpatialIndex if spatial else CreateIndex
+            return index(name, table, column, span=span)
         self.expect_keyword("table")
         table = self.expect_ident("a table name")
         self.expect_operator("(")
@@ -335,11 +332,10 @@ class _Parser:
         name = self.expect_ident("a column name")
         type_name = self.expect_ident("a type name")
         # Swallow optional length like VARCHAR(40).
-        if self.at_operator("("):
-            self.advance()
-            while not self.at_operator(")"):
-                self.advance()
-            self.expect_operator(")")
+        if self.accept_operator("("):
+            while not self.accept_operator(")"):
+                if self.advance().type is _EOF:
+                    raise self.error("expected ')'")
         return name, type_name
 
     def parse_drop(self) -> DropTable | DropIndex:
@@ -361,42 +357,47 @@ class _Parser:
         return Delete(table, where, span=span)
 
     # -------------------------------------------------------------- #
-    # expressions, by descending precedence
+    # expressions: OR, AND, NOT, comparisons, + - ||, * /, signs
     # -------------------------------------------------------------- #
 
-    def parse_expr(self) -> Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.at_keyword("or"):
-            op = self.advance()
-            left = BinOp("or", left, self.parse_and(), span=self.span_of(op))
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_not()
-        while self.at_keyword("and"):
-            op = self.advance()
-            left = BinOp("and", left, self.parse_not(), span=self.span_of(op))
-        return left
-
-    def parse_not(self) -> Expr:
-        if self.at_keyword("not"):
-            op = self.advance()
-            return UnaryOp("not", self.parse_not(), span=self.span_of(op))
-        return self.parse_comparison()
+    def parse_expr(self, level: int = 1) -> Expr:
+        """An expression whose top operator binds at ``level`` or tighter:
+        1 = OR, 2 = AND, 3 = NOT or a comparison."""
+        token = self.tokens[self.pos]
+        if token.keyword == "not":
+            self.pos += 1
+            left = UnaryOp("not", self.parse_expr(3), span=Span(token.line, token.column))
+        else:
+            left = self.parse_comparison()
+        while True:
+            token = self.tokens[self.pos]
+            binds = _LOGICAL.get(token.keyword)
+            if binds is None or binds < level:
+                return left
+            self.pos += 1
+            left = BinOp(token.keyword, left, self.parse_expr(binds + 1),
+                         span=Span(token.line, token.column))
 
     def parse_comparison(self) -> Expr:
         left = self.parse_additive()
-        if self.at_keyword("is"):
-            is_span = self.span_of(self.advance())
+        token = self.tokens[self.pos]
+        keyword = token.keyword
+        if keyword is None:
+            if token.text not in _COMPARISONS:
+                return left
+            self.pos += 1
+            op = "<>" if token.text == "!=" else token.text
+            return BinOp(op, left, self.parse_additive(), span=Span(token.line, token.column))
+        if keyword == "is":
+            is_span = Span(token.line, token.column)
+            self.pos += 1
             negated = self.accept_keyword("not")
             self.expect_keyword("null")
             test = FuncCall("__is_null", (left,), span=is_span)
             return UnaryOp("not", test, span=is_span) if negated else test
-        if self.at_keyword("between"):
-            between_span = self.span_of(self.advance())
+        if keyword == "between":
+            between_span = Span(token.line, token.column)
+            self.pos += 1
             lo = self.parse_additive()
             self.expect_keyword("and")
             hi = self.parse_additive()
@@ -406,14 +407,14 @@ class _Parser:
                 BinOp("<=", left, hi, span=between_span),
                 span=between_span,
             )
-        negated = False
-        if self.at_keyword("not"):
+        negated = keyword == "not"
+        if negated:
             self.advance()
             if not self.at_keyword("in"):
                 raise self.error("expected IN after NOT")
-            negated = True
         if self.at_keyword("in"):
-            in_span = self.span_of(self.advance())
+            in_span = self.span_here()
+            self.pos += 1
             self.expect_operator("(")
             if self.at_keyword("select"):
                 subquery = self.parse_select()
@@ -427,85 +428,66 @@ class _Parser:
             for option in options[1:]:
                 test = BinOp("or", test, BinOp("=", left, option, span=in_span), span=in_span)
             return UnaryOp("not", test, span=in_span) if negated else test
-        op_token = self.accept_operator(*_COMPARISONS)
-        if op_token:
-            op = "<>" if op_token.text == "!=" else op_token.text
-            return BinOp(op, left, self.parse_additive(), span=self.span_of(op_token))
         return left
 
-    def parse_additive(self) -> Expr:
-        left = self.parse_multiplicative()
-        while True:
-            op_token = self.accept_operator("+", "-", "||")
-            if not op_token:
-                return left
-            left = BinOp(op_token.text, left, self.parse_multiplicative(),
-                         span=self.span_of(op_token))
-
-    def parse_multiplicative(self) -> Expr:
+    def parse_additive(self, level: int = 1) -> Expr:
+        """Arithmetic whose top operator binds at ``level`` or tighter:
+        1 = ``+ - ||``, 2 = ``* /``."""
         left = self.parse_unary()
         while True:
-            op_token = self.accept_operator("*", "/")
-            if not op_token:
+            token = self.tokens[self.pos]
+            binds = _ARITHMETIC.get(token.text)
+            if binds is None or binds < level:
                 return left
-            left = BinOp(op_token.text, left, self.parse_unary(), span=self.span_of(op_token))
+            self.pos += 1
+            left = BinOp(token.text, left, self.parse_additive(binds + 1),
+                         span=Span(token.line, token.column))
 
     def parse_unary(self) -> Expr:
-        if self.at_operator("-"):
-            op = self.advance()
-            return UnaryOp("-", self.parse_unary(), span=self.span_of(op))
-        if self.at_operator("+"):
-            self.advance()
-            return self.parse_unary()
-        return self.parse_primary()
-
-    def parse_primary(self) -> Expr:
-        token = self.peek()
-        span = self.span_of(token)
-        if token.type is TokenType.NUMBER:
-            self.advance()
+        """A primary expression after any ``-`` / ``+`` signs."""
+        token = self.tokens[self.pos]
+        span = Span(token.line, token.column)
+        kind = token.type
+        if kind is _OPERATOR:
+            if token.text == "-":
+                self.pos += 1
+                return UnaryOp("-", self.parse_unary(), span=span)
+            if token.text == "+":
+                self.pos += 1
+                return self.parse_unary()
+            if token.text == "(":
+                self.pos += 1
+                if self.at_keyword("select"):
+                    subquery = self.parse_select()
+                    self.expect_operator(")")
+                    return Subquery(subquery, span=span)
+                expr = self.parse_expr()
+                self.expect_operator(")")
+                return expr
+        elif kind is _NUMBER or kind is _STRING:
+            self.pos += 1
             return Literal(token.value, span=span)
-        if token.type is TokenType.STRING:
-            self.advance()
-            return Literal(token.value, span=span)
-        if token.type is TokenType.PARAM:
-            self.advance()
+        elif kind is _PARAM:
+            self.pos += 1
             param = Param(self.param_count, span=span)
             self.param_count += 1
             return param
-        if self.at_operator("("):
-            self.advance()
-            if self.at_keyword("select"):
-                subquery = self.parse_select()
-                self.expect_operator(")")
-                return Subquery(subquery, span=span)
-            expr = self.parse_expr()
-            self.expect_operator(")")
-            return expr
-        if token.type is TokenType.IDENT:
-            lowered = token.text.lower()
-            if lowered == "exists":
-                self.advance()
+        elif kind is _IDENT:
+            self.pos += 1
+            keyword = token.keyword
+            if keyword in _LITERALS:
+                return Literal(_LITERALS[keyword], span=span)
+            if keyword == "exists":
                 self.expect_operator("(")
                 subquery = self.parse_select()
                 self.expect_operator(")")
                 return Exists(subquery, span=span)
-            if lowered == "null":
-                self.advance()
-                return Literal(None, span=span)
-            if lowered == "true":
-                self.advance()
-                return Literal(True, span=span)
-            if lowered == "false":
-                self.advance()
-                return Literal(False, span=span)
-            name = self.advance().text
-            if self.at_operator("("):  # function call
-                self.advance()
+            name = token.text
+            if self.accept_operator("("):  # function call
                 args: list[Expr] = []
                 if self.at_operator("*"):
                     star_span = self.span_here()
-                    self.advance()
+                    self.pos += 1
                     args.append(Star(span=star_span))
                 elif not self.at_operator(")"):
                     args.append(self.parse_expr())
@@ -513,23 +495,38 @@ class _Parser:
                         args.append(self.parse_expr())
                 self.expect_operator(")")
                 return FuncCall(name, tuple(args), span=span)
-            if self.at_operator("."):
-                self.advance()
+            if self.accept_operator("."):
                 column = self.expect_ident("a column name")
                 return ColumnRef(name, column, span=span)
             return ColumnRef(None, name, span=span)
         raise self.error("expected an expression")
 
 
+#: the keyword a statement starts with -> the method that parses it
+_STATEMENTS = {
+    "select": _Parser.parse_select, "insert": _Parser.parse_insert,
+    "create": _Parser.parse_create, "drop": _Parser.parse_drop,
+    "delete": _Parser.parse_delete, "update": _Parser.parse_update,
+    "analyze": _Parser.parse_analyze,
+}
+
+
 def parse(sql: str) -> Statement:
     """Parse one SQL statement."""
-    return _Parser(sql).parse_statement()
+    parser = _Parser(sql)
+    try:
+        return parser.parse_statement()
+    except RecursionError:
+        raise parser.error("statement nests too deeply") from None
 
 
 def parse_expression(sql: str) -> Expr:
     """Parse a standalone expression (used by tests and the REPL helper)."""
     parser = _Parser(sql)
-    expr = parser.parse_expr()
-    if parser.peek().type is not TokenType.EOF:
+    try:
+        expr = parser.parse_expr()
+    except RecursionError:
+        raise parser.error("expression nests too deeply") from None
+    if parser.peek().type is not _EOF:
         raise parser.error("unexpected trailing input after expression")
     return expr

@@ -29,6 +29,7 @@ hypothesis suite is derandomized for the same reason.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -284,9 +285,10 @@ def _closure_query(rng, vals, shape):
             f" where {negated}exists ({inner})", params)
 
 
-def _explain(db, sql, params):
+def _explain(db, sql, params, planner=None):
     """The full EXPLAIN plan text (one output row per plan line)."""
-    return "\n".join(row[0] for row in db.execute("explain " + sql, params).rows)
+    rows = db.execute("explain " + sql, params, planner=planner).rows
+    return "\n".join(row[0] for row in rows)
 
 
 def assert_plans_equivalent(db, sql, params, note=""):
@@ -493,6 +495,59 @@ class TestConjunctFactsOnce:
         monkeypatch.setattr(planner._PlannerState, "_selectivity", counting)
         system.db.explain(sql)
         assert len(seen) == 6
+
+    def test_each_column_reference_is_resolved_once_per_planning_call(
+            self, system, monkeypatch):
+        """The DP, the probes and the equality closure ask for the same
+        columns again and again; each distinct one is looked up once."""
+        from repro.db import planner
+
+        sql = (
+            "select wv.studyId from warpedVolume wv, atlasStructure s,"
+            " neuralStructure ns, patient p, rawVolume rv"
+            " where s.structureId = ns.structureId and wv.studyId = rv.studyId"
+            " and rv.patientId = p.patientId and p.age > 30 and age < 90"
+            " and ns.structureName = 'ntal1' and wv.atlasId = s.atlasId"
+            " and rv.studyId = 6"
+        )
+        looked_up = []
+        original = planner._PlannerState._lookup
+
+        def counting(self, ref):
+            looked_up.append((ref.qualifier, ref.name))
+            return original(self, ref)
+
+        monkeypatch.setattr(planner._PlannerState, "_lookup", counting)
+        system.db.explain(sql)
+        assert len(set(looked_up)) == len(looked_up)
+        assert len(looked_up) == 11
+
+
+class TestPlansAndDigestsPinned:
+    """What the front end makes of the seeded generator's statements,
+    pinned: the EXPLAIN text of every statement under both planner modes
+    (estimated rows included), and every statement's shape and digest.  A
+    change to the lexer, the parser or the planner that moves any plan,
+    estimate or statement class fails here."""
+
+    EXPLAIN_SHA256 = "46621d35f6016353256821e7883d8dc353875ab28349a3021bf755332226b247"
+    SHAPE_SHA256 = "87e3d1da91c27b5f1bd53357e17e72e9216abd364c5527d29d7dae0f9e8d0df1"
+
+    def test_plans_and_digests_are_unchanged(self, system, catalog_values):
+        from repro.db.planner import PLANNER_MODES
+        from repro.db.sql import Prepared, parse
+
+        plans, shapes = hashlib.sha256(), hashlib.sha256()
+        for batch_seed in _BATCH_SEEDS:
+            rng = random.Random(batch_seed)
+            for _ in range(QUERIES_PER_BATCH):
+                sql, params = generate_query(rng, catalog_values)
+                for mode in PLANNER_MODES:
+                    plans.update(f"{mode}\n{_explain(system.db, sql, params, mode)}\n".encode())
+                prepared = Prepared(sql, parse(sql))
+                shapes.update(f"{prepared.shape}\n{prepared.digest}\n".encode())
+        assert (plans.hexdigest(), shapes.hexdigest()) == (
+            self.EXPLAIN_SHA256, self.SHAPE_SHA256)
 
 
 # --------------------------------------------------------------------- #

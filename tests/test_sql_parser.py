@@ -256,3 +256,23 @@ class TestSyntaxErrors:
     def test_trailing_input_after_expression(self):
         with pytest.raises(SqlSyntaxError):
             parse_expression("1 + 2 extra")
+
+
+class TestEndsInASyntaxError:
+    """Input the parser once answered with a hang or a bare RecursionError."""
+
+    def test_type_length_cut_off_by_the_end_of_input(self):
+        with pytest.raises(SqlSyntaxError, match=r"expected '\)' \(found 'end of input'\)"):
+            parse("create table t (a varchar(40")
+
+    @pytest.mark.parametrize("sql", [
+        "select " + "(" * 3000 + "1" + ")" * 3000 + " from t",
+        "select " + "not " * 3000 + "1 from t",
+    ])
+    def test_statement_nested_too_deeply(self, sql):
+        with pytest.raises(SqlSyntaxError, match="nests too deeply"):
+            parse(sql)
+
+    def test_expression_nested_too_deeply(self):
+        with pytest.raises(SqlSyntaxError, match="nests too deeply"):
+            parse_expression("- " * 3000 + "1")
