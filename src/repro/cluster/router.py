@@ -57,7 +57,6 @@ from repro.db.sql.ast import (
     Param,
     Select,
 )
-from repro.db.sql.parser import parse
 from repro.db.sql.prepared import Prepared
 from repro.errors import ClusterError, ShardUnavailableError
 from repro.obs import metrics, promtext, trace
@@ -106,7 +105,7 @@ class ShardRouter:
             self.queries += 1
         metrics.counter("cluster.queries").inc()
         params = list(params) if params else []
-        prepared = Prepared(sql, parse(sql))
+        prepared = self.shards[0].db.prepare(sql)[0]
         # Routing work runs inside the router's metrics scope; each leg
         # opens its shard's node scope inside it on the same thread, and
         # the innermost scope takes the tee, so federation attributes

@@ -72,12 +72,20 @@ class Catalog(CatalogView):
     def __init__(self) -> None:
         super().__init__({}, {}, {})
 
+    def writable(self, name: str) -> Table:
+        """The table a write scope may write: a published table is never
+        written, so at its first write a copy takes its place here."""
+        table = self.table(name)
+        if table.published:
+            table = self._tables[name.lower()] = table.copy()
+        return table
+
     def create_index(self, name: str, table_name: str, column: str) -> None:
         """Create a named single-column hash index."""
         key = name.lower()
         if key in self._indexes:
             raise CatalogError(f"index {name!r} already exists")
-        table = self.table(table_name)
+        table = self.writable(table_name)
         table.create_index(column)
         self._indexes[key] = (table.name, column)
 
@@ -86,15 +94,15 @@ class Catalog(CatalogView):
         key = name.lower()
         if key in self._spatial:
             table_name, column = self._spatial.pop(key)
-            table = self.table(table_name)
-            table.mutations += 1  # force MVCC to republish this table
+            table = self.writable(table_name)
+            table.touch()
             table.spatial.pop(column.lower(), None)
             return
         try:
             table_name, column = self._indexes.pop(key)
         except KeyError:
             raise CatalogError(f"no such index {name!r}") from None
-        self.table(table_name).drop_index(column)
+        self.writable(table_name).drop_index(column)
 
     def create_spatial_index(self, name: str, table_name: str, column: str) -> SpatialIndex:
         """Register a spatial index over one LONGFIELD column.
@@ -106,14 +114,14 @@ class Catalog(CatalogView):
         key = name.lower()
         if key in self._indexes or key in self._spatial:
             raise CatalogError(f"index {name!r} already exists")
-        table = self.table(table_name)
+        table = self.writable(table_name)
         if table.spatial_index_on(column) is not None:
             raise CatalogError(
                 f"table {table.name!r} already has a spatial index on {column!r}"
             )
         index = SpatialIndex(name, table, column)
         self._spatial[key] = (table.name, column)
-        table.mutations += 1  # force MVCC to republish this table
+        table.touch()
         table.spatial[column.lower()] = index
         return index
 

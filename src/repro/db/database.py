@@ -232,9 +232,10 @@ class Database:
         """Publish the live committed state as a fresh snapshot version.
 
         Runs automatically after every committed write statement and
-        transaction.  Loaders that mutate tables directly (bypassing the
-        SQL layer) must call it once when done: until then readers do not
-        see their changes, and a failed write scope discards them.
+        transaction.  Loaders that mutate tables directly (through
+        ``catalog.writable``, bypassing the SQL layer) must call it once
+        when done: until then readers do not see their changes, and a
+        failed write scope discards them.
         """
         with self._rwlock.write():
             self._publish_version()

@@ -491,7 +491,7 @@ class Executor:
         if isinstance(stmt, Update):
             return self._execute_update(stmt, params, ctx)
         if isinstance(stmt, CreateIndex):
-            table = self.catalog.table(stmt.table)
+            table = self.catalog.writable(stmt.table)
             fresh = table.stats.fresh(table)
             self.catalog.create_index(stmt.name, stmt.table, stmt.column)
             # index DDL changes no rows: repair the stamp it broke
@@ -501,7 +501,7 @@ class Executor:
         if isinstance(stmt, DropIndex):
             table_name = self.catalog.index_table(stmt.name)
             table = (
-                self.catalog.table(table_name) if table_name is not None else None
+                self.catalog.writable(table_name) if table_name is not None else None
             )
             fresh = table is not None and table.stats.fresh(table)
             self.catalog.drop_index(stmt.name)
@@ -512,7 +512,7 @@ class Executor:
             self.catalog.create_spatial_index(stmt.name, stmt.table, stmt.column)
             # Collects the column's region-cell directory (cells already
             # parsed are not read again) and packs the tree over it.
-            table = self.catalog.table(stmt.table)
+            table = self.catalog.writable(stmt.table)
             table.stats.recompute(table, ctx.read_longfield)
             return ResultSet([], [], rowcount=0)
         if isinstance(stmt, Analyze):
@@ -542,12 +542,11 @@ class Executor:
         names = [stmt.table] if stmt.table is not None else self.catalog.table_names()
         analyzed = 0
         for name in names:
-            table = self.catalog.table(name)
-            # Bump the stamp first: rows are unchanged, but MVCC publish
-            # re-clones only changed-stamp tables, and snapshots must see
-            # the new statistics.  recompute stamps to the bumped value,
-            # so the stats (and the indexes over them) come out fresh.
-            table.mutations += 1
+            table = self.catalog.writable(name)
+            # Rows are unchanged, but the stats are not: a plan memoized
+            # on the old ones must not match.  recompute stamps to the
+            # moved stamp, so the stats (and indexes over them) are fresh.
+            table.touch()
             table.stats.recompute(table, ctx.read_longfield, spatial=True)
             analyzed += table.row_count
         return ResultSet([], [], rowcount=analyzed)
@@ -557,7 +556,7 @@ class Executor:
     # -------------------------------------------------------------- #
 
     def _execute_insert(self, stmt: Insert, params: list, ctx: ExecutionContext) -> ResultSet:
-        table = self.catalog.table(stmt.table)
+        table = self.catalog.writable(stmt.table)
         fresh = table.stats.fresh(table)
 
         def build():
@@ -597,7 +596,7 @@ class Executor:
         return self._kept(stmt, ctx, None, build)
 
     def _execute_delete(self, stmt: Delete, params: list, ctx: ExecutionContext) -> ResultSet:
-        table = self.catalog.table(stmt.table)
+        table = self.catalog.writable(stmt.table)
         where, _ = self._row_program(stmt, table, ctx)
         run = _Run(self, params, ctx)
 
@@ -607,7 +606,7 @@ class Executor:
         return self._resynced(table, lambda: table.delete_where(matches), ctx)
 
     def _execute_update(self, stmt: Update, params: list, ctx: ExecutionContext) -> ResultSet:
-        table = self.catalog.table(stmt.table)
+        table = self.catalog.writable(stmt.table)
         where, assignments = self._row_program(stmt, table, ctx, stmt.assignments)
         run = _Run(self, params, ctx)
 

@@ -2,21 +2,23 @@
 
 The published version is the database's one committed state.  At each
 DML/DDL commit (the same points where the result cache invalidates) the
-writer publishes an immutable :class:`DatabaseVersion` — a snapshot of
-the catalog's tables (a bare :class:`~repro.db.catalog.CatalogView`: DDL
-on it fails fast with ``AttributeError``) plus the long-field table.  A SELECT pins the latest
-published version, runs entirely against it with **no lock**, and unpins
-when done.  Readers never block on writers and never observe a partial
-transaction, because a version only ever exists for fully committed
-state.  A write scope that fails puts the latest version back as the
-live state (:meth:`VersionManager.reinstate`): nothing it did survives.
+writer publishes an immutable :class:`DatabaseVersion` — the catalog's
+tables (a bare :class:`~repro.db.catalog.CatalogView`: DDL on it fails
+fast with ``AttributeError``) plus the long-field table.  A SELECT pins
+the latest published version, runs entirely against it with **no lock**,
+and unpins when done.  Readers never block on writers and never observe
+a partial transaction, because a version only ever exists for fully
+committed state.
 
-All three directions rest on the stamp every
-:class:`~repro.db.table.Table` carries, ``(uid, mutations)``.  Publish
-clones only the tables whose stamp moved since the previous version
-(copy-on-write at table granularity); reinstate replaces only those; and
-:meth:`VersionManager.changes` names them for a write scope's commit
-record.
+A published table is never written again (:meth:`Table.freeze
+<repro.db.table.Table.freeze>`): a write scope's first write to one puts
+a copy in its place in the live catalog
+(:meth:`~repro.db.catalog.Catalog.writable`) and writes that.  So
+publishing copies no table — the version takes the live table dict as it
+is — and neither does a failed scope, which puts the latest version's
+tables back (:meth:`VersionManager.reinstate`): nothing it did survives.
+:meth:`VersionManager.changes` names the tables a scope replaced, by
+identity, for its commit record.
 
 Extents deleted by a transaction are not freed eagerly: a pinned reader
 may still be streaming their bytes.  ``defer_free`` parks the free on the
@@ -42,11 +44,6 @@ from repro.db.catalog import CatalogView
 from repro.obs import metrics
 
 __all__ = ["DatabaseVersion", "RetireToken", "VersionManager"]
-
-
-def _stamp(table) -> tuple | None:
-    """A table's ``(uid, mutations)``; ``None`` for no table."""
-    return None if table is None else (table.uid, table.mutations)
 
 
 class RetireToken:
@@ -81,7 +78,7 @@ class DatabaseVersion:
     def __init__(self, seq: int, catalog: CatalogView,
                  fields: dict | None):
         self.seq = seq
-        #: read-only; each table keeps its ``(uid, mutations)`` stamp
+        #: read-only; every table in it is published (frozen)
         self.catalog = catalog
         #: frozen LFM field table (id -> (offset, length)), or None
         self.fields = fields
@@ -127,22 +124,19 @@ class VersionManager:
         return token
 
     def publish(self, catalog, lfm) -> DatabaseVersion:
-        """Snapshot the live state as the next version; GC old versions.
+        """Publish the live state as the next version; GC old versions.
 
         Must be called with the database write lock held: the live
-        catalog and field table cannot move underneath the clone.  Only
-        tables whose ``(uid, mutations)`` stamp changed since the
-        previous version are cloned; unchanged snapshot tables are
-        shared between versions.
+        catalog and field table cannot move underneath it.  The version
+        holds the live tables themselves; those not yet published are
+        frozen here, so no write reaches them again.
         """
+        tables = dict(catalog._tables)
+        for table in tables.values():
+            if not table.published:
+                table.freeze()
         with self._lock:
             prev = self._chain[-1] if self._chain else None
-            old = prev.catalog._tables if prev is not None else {}
-            tables: dict = {}
-            for key, live in catalog._tables.items():
-                table = old.get(key)
-                tables[key] = (table if _stamp(table) == _stamp(live)
-                               else live.snapshot())
             snapshot = CatalogView(tables, dict(catalog._indexes),
                                    dict(catalog._spatial))
             fields = dict(lfm._fields) if lfm is not None else None
@@ -161,36 +155,28 @@ class VersionManager:
         return version
 
     def reinstate(self, catalog) -> None:
-        """Make the latest version the live catalog's state again.
-
-        Called under the database write lock when a write scope fails.
-        Each live table whose ``(uid, mutations)`` stamp moved since the
-        version is replaced by :meth:`~repro.db.table.Table.reinstated`
-        of the version's table; tables the scope created are dropped,
-        tables it dropped come back, and so do the index definitions.
-        The long-field table is the storage layer's to unwind.
+        """Make the latest version the live catalog's state again: its
+        tables and index definitions.  Called under the database write
+        lock when a write scope fails; the tables are the published ones,
+        which no write reached.  The long-field table is the storage
+        layer's to unwind.
         """
-        version = self.latest
-        live, tables = catalog._tables, {}
-        for key, table in version.catalog._tables.items():
-            current = live.get(key)
-            tables[key] = (current if _stamp(current) == _stamp(table)
-                           else table.reinstated(current))
-        catalog._tables = tables
-        catalog._indexes = dict(version.catalog._indexes)
-        catalog._spatial = dict(version.catalog._spatial)
+        version = self.latest.catalog
+        catalog._tables = dict(version._tables)
+        catalog._indexes = dict(version._indexes)
+        catalog._spatial = dict(version._spatial)
 
     def changes(self, catalog, lfm) -> tuple[list, list, bool]:
-        """What the live state changed since the latest version, by the
-        stamps :meth:`publish` compares: per moved table ``(live, rows it
-        appended to the published ones, or None if it does not start with
-        them)``, the dropped tables' names, and whether the field table
-        moved.  Called at a write scope's commit, under its lock."""
+        """What the live state changed since the latest version: per table
+        not the published one ``(live, rows it appended to the published
+        ones, or None if it does not start with them)``, the dropped
+        tables' names, and whether the field table moved.  Called at a
+        write scope's commit, under its lock."""
         version = self.latest
         old, moved = version.catalog._tables, []
         for key, live in catalog._tables.items():
             table, rows = old.get(key), live._rows
-            if _stamp(table) != _stamp(live):
+            if live is not table:
                 prefix = (table is not None and table.uid == live.uid
                           and len(table._rows) <= len(rows)
                           and all(map(operator.is_, table._rows, rows)))

@@ -1,7 +1,7 @@
 """Catalog-resident statistics and spatial indexes (the optimizer's food).
 
-Both hang off :class:`~repro.db.table.Table` and are versioned with the
-MVCC snapshot they were captured under:
+Both hang off :class:`~repro.db.table.Table`, and a write scope writes
+them on its own copy of the table, never on a published one:
 
 * :class:`TableStats` — per-column statistics.  Scalar columns keep exact
   value counters (the tables are small metadata relations; a counter *is*
@@ -147,8 +147,8 @@ class _SpatialColumn:
         return Counter({value: len(rows) for value, rows in self.rows.items()})
 
     def copy(self) -> "_SpatialColumn":
-        """A clone for MVCC snapshots: inserts append to the row lists in
-        place, so those are copied; the cell metadata is immutable."""
+        """A clone for a table's writable copy: inserts append to the row
+        lists in place, so those are copied; the cell metadata is immutable."""
         clone = _SpatialColumn()
         clone.cells = dict(self.cells)
         clone.rows = {value: list(rows) for value, rows in self.rows.items()}
@@ -208,7 +208,7 @@ class TableStats:
             self.stamp = (table.uid, table.mutations)
 
     def copy(self) -> "TableStats":
-        """An independent clone for MVCC snapshots (same stamp)."""
+        """An independent clone for a table's writable copy (same stamp)."""
         clone = TableStats.__new__(TableStats)
         clone.schema = self.schema
         clone._lock = lockdep.instrument(threading.Lock(), "db.stats")
@@ -474,8 +474,9 @@ class SpatialIndex:
     returns are the column's directory in the table's :class:`TableStats`,
     whose maintenance marks the tree stale when an INSERT adds a cell or a
     recompute rebuilds the directory.  The tree is packed when it is next
-    needed — by the snapshot a commit publishes, or by a probe of the live
-    index — so a transaction packs once; INSERTs of known cells reuse it.  A
+    needed — by the publish that freezes its table, or by a probe of the
+    live index — so a transaction packs once; INSERTs of known cells reuse
+    it, and no reader of a published version ever packs one.  A
     probe descends the tree and concatenates the matching cells' rows —
     candidates only, the caller re-evaluates the exact predicate.
     """
@@ -494,10 +495,11 @@ class SpatialIndex:
         self._tree: RegionRTree | None = None
 
     def snapshot(self, table) -> "SpatialIndex":
-        """This index over an MVCC snapshot of its table: the clone reads
-        the snapshot's directory and shares the immutable tree."""
+        """This index over ``table``, a copy of its own: the clone reads
+        the copy's directory and shares the immutable tree, which the
+        publish of the source packed."""
         clone = SpatialIndex(self.name, table, self.column)
-        clone._tree = self._packed()
+        clone._tree = self._tree
         return clone
 
     def _packed(self) -> RegionRTree | None:

@@ -20,7 +20,7 @@ from collections.abc import Iterator
 
 from repro.db.schema import TableSchema
 from repro.db.stats import SpatialIndex, TableStats
-from repro.errors import CatalogError
+from repro.errors import CatalogError, DatabaseError
 
 __all__ = ["Table"]
 
@@ -40,22 +40,28 @@ def _index_key(value):
 #: process-wide table identity source; ``itertools.count`` is GIL-atomic
 _TABLE_UIDS = itertools.count(1)
 
+#: process-wide source of :attr:`Table.mutations` values
+_MUTATIONS = itertools.count(1)
+
 
 class Table:
     """A heap of typed rows with optional single-column hash indexes.
 
-    Every table carries an identity stamp (``uid``, unique per Table
-    object ever constructed) and a ``mutations`` counter bumped by every
-    row or index mutation.  Together they let the MVCC layer decide with
-    two integer compares whether a published snapshot still matches the
-    live table — including the drop-then-recreate-same-name case, which
-    the uid catches.
+    Every table carries a stamp: ``uid``, shared by a table and its
+    :meth:`copy`, and ``mutations``, which :meth:`touch` — the one place
+    it moves — takes from a process-wide counter before every row or
+    index mutation.  So a stamp never names two states, and plans and
+    statistics can be held to it.  A table a version has published
+    (:meth:`freeze`) is never written again: a write scope writes a copy
+    it puts in its place (:meth:`~repro.db.catalog.Catalog.writable`).
     """
 
     def __init__(self, schema: TableSchema):
         self.schema = schema
         self.uid = next(_TABLE_UIDS)
         self.mutations = 0
+        #: set once, by the publish that makes this table a version's
+        self.published = False
         self._rows: list[list] = []
         #: column position -> {value: [rows]}
         self._indexes: dict[int, dict] = {}
@@ -71,9 +77,7 @@ class Table:
     def stamp(self) -> tuple:
         """What a memoized semantic check or plan of this table stays
         valid for: its identity, its mutation count and the state its
-        statistics describe.  ``stats.stamp`` is read without the stats
-        lock — one read of an immutable tuple; a racing ANALYZE only makes
-        the reader miss and re-bind once."""
+        statistics describe."""
         return self.uid, self.mutations, self.stats.stamp
 
     @property
@@ -90,10 +94,18 @@ class Table:
     # row maintenance
     # ------------------------------------------------------------------ #
 
+    def touch(self) -> None:
+        """Move the stamp before a mutation; refuses a published table."""
+        if self.published:
+            raise DatabaseError(
+                f"table {self.name!r} is published: write its catalog.writable() copy"
+            )
+        self.mutations = next(_MUTATIONS)
+
     def insert(self, values: list) -> list:
         """Append one row, coercing values against the schema; returns it."""
         row = self.schema.validate_row(list(values))
-        self.mutations += 1
+        self.touch()
         self._rows.append(row)
         for position, buckets in self._indexes.items():
             buckets.setdefault(_index_key(row[position]), []).append(row)
@@ -113,7 +125,7 @@ class Table:
     def delete_where(self, predicate) -> int:
         """Delete rows for which ``predicate(row)`` is true; returns the count."""
         before = len(self._rows)
-        self.mutations += 1
+        self.touch()
         self._rows = [row for row in self._rows if not predicate(row)]
         self._rebuild_indexes()
         return before - len(self._rows)
@@ -128,7 +140,7 @@ class Table:
                 if not touched:
                     # before the first rewrite: one that fails part-way
                     # leaves the stamp moved with the rows
-                    self.mutations += 1
+                    self.touch()
                 self._rows[i] = new_row
                 touched += 1
         if touched:
@@ -137,7 +149,7 @@ class Table:
 
     def truncate(self) -> None:
         """Delete every row (indexes are rebuilt empty)."""
-        self.mutations += 1
+        self.touch()
         self._rows.clear()
         self._rebuild_indexes()
 
@@ -155,17 +167,16 @@ class Table:
         buckets: dict = {}
         for row in self._rows:
             buckets.setdefault(_index_key(row[position]), []).append(row)
-        self.mutations += 1
+        self.touch()
         self._indexes[position] = buckets
 
     def drop_index(self, column: str) -> None:
         """Remove the hash index on one column."""
         position = self.schema.position(column)
-        try:
-            del self._indexes[position]
-        except KeyError:
-            raise CatalogError(f"table {self.name!r} has no index on {column!r}") from None
-        self.mutations += 1
+        if position not in self._indexes:
+            raise CatalogError(f"table {self.name!r} has no index on {column!r}")
+        self.touch()
+        del self._indexes[position]
 
     def has_index(self, column: str) -> bool:
         """True when an equality probe on ``column`` can use an index."""
@@ -192,20 +203,19 @@ class Table:
         """The table's statistics, but only while they match its state."""
         return self.stats if self.stats.fresh(self) else None
 
-    def snapshot(self) -> "Table":
-        """An immutable-by-convention copy for MVCC snapshot reads.
+    def copy(self) -> "Table":
+        """A writable copy of this table, with its stamp.
 
         Rows are shared by reference: mutators replace row lists wholesale
         (``update_where`` builds a fresh validated list; ``insert`` appends
         a new one), so sharing is safe.  Index buckets *are* appended to in
-        place by ``insert``, so each bucket list is copied.  The clone
-        keeps the source's ``uid``/``mutations`` stamp, identifying the
-        exact state it captured.
+        place by ``insert``, so each bucket list is copied.
         """
         clone = Table.__new__(Table)
         clone.schema = self.schema
         clone.uid = self.uid
         clone.mutations = self.mutations
+        clone.published = False
         clone._rows = list(self._rows)
         clone._indexes = {
             position: {key: list(rows) for key, rows in buckets.items()}
@@ -217,24 +227,12 @@ class Table:
         }
         return clone
 
-    def reinstated(self, live: "Table | None") -> "Table":
-        """A :meth:`snapshot` of this published table to replace ``live``,
-        the table a failed write scope left under its name (None: dropped).
-
-        Plans are memoized on :attr:`stamp`, so the copy takes one no
-        state ever had: a mutation count past ``live``'s, or a fresh uid
-        when ``live`` is another table (the scope dropped this one, and
-        its count with it).  Fresh statistics stay fresh.
-        """
-        table = self.snapshot()
-        fresh = table.stats.fresh(table)
-        if live is not None and live.uid == self.uid:
-            table.mutations = live.mutations + 1
-        else:
-            table.uid = next(_TABLE_UIDS)
-        if fresh:
-            table.stats.restamp(table)
-        return table
+    def freeze(self) -> None:
+        """Make this table a published version's: pack any stale spatial
+        tree, so no reader ever packs one, and refuse every later write."""
+        for index in self.spatial.values():
+            index._packed()
+        self.published = True
 
     def _rebuild_indexes(self) -> None:
         for position in list(self._indexes):

@@ -143,7 +143,6 @@ class TestInsertTouchesOnlyItsRows:
         db.execute("create table t (id integer, name text)")
         db.executemany("insert into t values (?, ?)",
                        [[k, "old"] for k in range(50)])
-        table = db.catalog.table("t")
 
         def no_scan(self):
             raise AssertionError("INSERT walked its target")
@@ -154,6 +153,7 @@ class TestInsertTouchesOnlyItsRows:
                     patched.setattr(Table, "scan", no_scan)
                     assert db.execute(
                         "insert into t values (?, 'one')", [100]).rowcount == 1
+                    table = db.catalog.table("t")
                     assert db.execute(
                         "insert into t (name, id) values ('three', 101), "
                         "('three', 102), ('three', 103)").rowcount == 3

@@ -1,6 +1,6 @@
 """MVCC snapshot-isolation and concurrent-commit suite.
 
-Four layers of checks:
+Five layers of checks:
 
 * **snapshot isolation** — a reader pinned to version N never sees
   version N+1's rows, across plain DML, DDL, and even a full
@@ -12,6 +12,9 @@ Four layers of checks:
 * **version GC** — the version chain and the deferred-free backlog stay
   bounded under a multi-threaded write hammer, and retired versions are
   collected as soon as their pins drop;
+* **published state is never written** — a write to a published table
+  is refused, a write scope copies each table it writes once, and
+  publish and reinstate copy none;
 * **concurrent commits** — after 8 hammering writers the journal still
   recovers the committed state from a simulated crash, one flush per
   commit.
@@ -19,12 +22,17 @@ Four layers of checks:
 
 from __future__ import annotations
 
+import random
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+
+import pytest
 
 from repro.concurrency import lockdep
 from repro.db.database import Database
 from repro.db.persist import load_database, save_database
+from repro.db.table import Table
+from repro.errors import DatabaseError, ReproError
 from repro.storage import BlockDevice, LongFieldManager, WriteAheadLog
 
 CAPACITY = 1 << 20
@@ -178,7 +186,7 @@ class TestLockFreeReads:
         # A loader that pokes the live table has committed nothing until
         # it publishes: readers keep the published version, lock-free.
         db = plain_database()
-        db.catalog.table("t").insert([99, 9801])
+        db.catalog.writable("t").insert([99, 9801])
         with rwlock_acquisitions() as acquired:
             assert db.execute("select count(*) from t").scalar() == 10
             assert acquired() == 0
@@ -256,6 +264,102 @@ class TestVersionGC:
         # GC runs at publish time: the next write sweeps the unpinned one.
         db.execute("insert into t values (78, 0)")
         assert db.versions.chain_length == 1
+
+
+# --------------------------------------------------------------------- #
+# published state is never written
+# --------------------------------------------------------------------- #
+
+
+def table_image(table) -> tuple:
+    """Everything a reader of ``table`` can see, and its tree objects."""
+    return ([tuple(row) for row in table.scan()],
+            {position: {key: [tuple(row) for row in rows]
+                        for key, rows in buckets.items()}
+             for position, buckets in table._indexes.items()},
+            table.stamp, table.stats.stamp, table.stats.row_total,
+            {column: index._tree for column, index in table.spatial.items()})
+
+
+class TestPublishedIsNeverWritten:
+    def test_a_write_to_a_published_table_is_refused(self):
+        db = plain_database()
+        db.execute("create index ix on t (k)")
+        table = db.catalog.table("t")
+        before = table_image(table)
+        for write in (lambda: table.insert([99, 0]),
+                      lambda: table.insert_named(k=99),
+                      lambda: table.update_where(lambda row: True,
+                                                 lambda row: [row[0], 0]),
+                      lambda: table.delete_where(lambda row: True),
+                      table.truncate,
+                      lambda: table.create_index("v"),
+                      lambda: table.drop_index("k")):
+            with pytest.raises(DatabaseError, match="published"):
+                write()
+        assert table_image(table) == before
+        assert db.execute("select count(*) from t").scalar() == 10
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_a_scope_copies_each_table_it_writes_once(self, monkeypatch,
+                                                      fails):
+        db = plain_database()
+        for name in ("u", "w"):
+            db.execute(f"create table {name} (k integer)")
+        copies, real = [], Table.copy
+        monkeypatch.setattr(Table, "copy",
+                            lambda self: copies.append(self.name) or real(self))
+        with pytest.raises(RuntimeError) if fails else nullcontext():
+            with db.transaction():
+                db.execute("insert into t values (99, 0)")
+                db.execute("update t set v = 1 where k = 99")
+                db.execute("delete from t where k = 1")
+                db.execute("create index ix on u (k)")
+                db.execute("insert into u values (1), (2)")
+                assert copies == ["t", "u"]
+                if fails:
+                    raise RuntimeError("abort")
+        db.publish_snapshot()
+        assert copies == ["t", "u"]  # neither publish nor reinstate copied
+        assert db.execute("select count(*) from t").scalar() == 10
+        assert db.execute("select count(*) from u").scalar() == (
+            0 if fails else 2)
+
+    @pytest.mark.parametrize("seed", [3, 17, 1994])
+    def test_a_pinned_version_outlives_committed_and_failed_scopes(self,
+                                                                   seed):
+        # imported here: tests.test_reinstate imports this module
+        from tests.test_reinstate import Abort, database, run, sequence
+
+        rng = random.Random(seed)
+        db = database("wal")
+        db.execute("create table t (k integer, v integer, region longfield)")
+        for statement in sequence(rng, 6) + [
+                ("execute", "create index ix on t (k)", []),
+                ("execute", "create spatial index sx on t (region)", [])]:
+            try:
+                run(db, statement, rng)
+            except ReproError:
+                pass
+        pinned = db.pin_version()
+        try:
+            before = {name: table_image(pinned.catalog.table(name))
+                      for name in pinned.catalog.table_names()}
+            assert before["t"][5]["region"] is not None
+            for statement in sequence(rng, 30):
+                try:
+                    if rng.random() < 0.3:
+                        with db.transaction():
+                            run(db, statement, rng)
+                            raise Abort
+                    run(db, statement, rng)
+                except (ReproError, Abort):
+                    pass
+            assert db.version_seq > pinned.seq
+            assert {name: table_image(pinned.catalog.table(name))
+                    for name in pinned.catalog.table_names()} == before
+        finally:
+            db.unpin_version(pinned)
 
 
 # --------------------------------------------------------------------- #

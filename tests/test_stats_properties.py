@@ -223,7 +223,7 @@ class TestIncrementalEqualsRecomputed:
         db.execute("analyze")
         db.execute("insert into blobs values (0, 'pet', ?)",
                    [Region.full(GRID, "hilbert").to_bytes("naive")])
-        table = db.catalog.table("blobs")
+        table = db.catalog.writable("blobs")
         assert table.stats.fresh(table)
         # bypass the SQL layer: the executor's maintenance never runs
         table.insert([1, "rogue", None])
@@ -286,13 +286,15 @@ class TestSpatialIndexAgainstBruteForce:
 
     def test_null_cells_disable_probing_but_not_freshness(self):
         db, _ = self._populated(8, rows=5)
-        table = db.catalog.table("blobs")
         db.execute("insert into blobs values (100, 'null-cell', ?)", [None])
+        table = db.catalog.table("blobs")
         index = table.spatial_index_on("region")
         assert index.fresh(table)
         assert index.null_rows == 1
         assert not index.probe_safe(table)
         db.execute("delete from blobs where id = ?", [100])
+        table = db.catalog.table("blobs")
+        index = table.spatial_index_on("region")
         assert index.probe_safe(table)
 
 
@@ -337,14 +339,14 @@ class TestStaleTree:
     @pytest.mark.parametrize("seed", [4, 21])
     def test_live_later_and_earlier_snapshots_each_see_their_state(self, seed):
         db, rng = self._indexed(seed)
-        live = db.catalog.table("blobs")
-        index = live.spatial_index_on("region")
         with db.read_view() as earlier:
             assert earlier.seq is not None
             with db.transaction():
                 for i in range(100, 108):
                     db.execute("insert into blobs values (?, 'y', ?)",
                                [i, _box_region(rng)])
+                live = db.catalog.table("blobs")
+                index = live.spatial_index_on("region")
                 # nothing has looked at the tree since: stale, yet "built"
                 assert index._tree is stats_module._STALE
                 assert index.probe_safe(live)
@@ -379,7 +381,6 @@ class TestStaleTree:
     def test_threads_probing_a_stale_live_index_pack_once_and_agree(
             self, monkeypatch):
         db, rng = self._indexed(9)
-        index = db.catalog.table("blobs").spatial_index_on("region")
         packs = []
         monkeypatch.setattr(
             stats_module, "RegionRTree",
@@ -403,6 +404,7 @@ class TestStaleTree:
                 for i in range(100, 106):
                     db.execute("insert into blobs values (?, 'y', ?)",
                                [i, _box_region(rng)])
+                index = db.catalog.table("blobs").spatial_index_on("region")
                 assert index._tree is stats_module._STALE
                 threads = [threading.Thread(target=prober) for _ in range(6)]
                 for t in threads:
@@ -463,16 +465,17 @@ class TestOneRegionDirectory:
         rng = random.Random(16)
         known = lfm.create(_box_region(rng))
         db.execute("insert into blobs values (0, 'x', ?)", [known])
-        live = db.catalog.table("blobs").spatial_index_on("region")
         with db.read_view() as view:
             assert view.seq is not None  # a pinned snapshot, not the lock
             pinned = view.catalog.table("blobs").spatial_index_on("region")
             # a known cell appends to the live rows only; the tree is shared
             db.execute("insert into blobs values (1, 'x', ?)", [known])
+            live = db.catalog.table("blobs").spatial_index_on("region")
             assert pinned._tree is live._tree
             # a new cell re-packs the live tree; the snapshot keeps its own
             db.execute("insert into blobs values (2, 'x', ?)",
                        [lfm.create(_box_region(rng))])
+            live = db.catalog.table("blobs").spatial_index_on("region")
             assert pinned._tree is not live._tree
             assert [row[0] for row in pinned.probe(*WHOLE_GRID)] == [0]
             assert pinned.cell_count() == 1
@@ -528,7 +531,7 @@ class TestNonRegionLongfieldColumn:
 
     def test_analyze_reads_at_most_one_non_region_payload(self):
         db, lfm = _stored_db(indexed=False)
-        table = db.catalog.table("blobs")
+        table = db.catalog.writable("blobs")
         for i in range(5):  # behind the executor's back: nothing is parsed
             table.insert([i, "raw", lfm.create(self.PAYLOAD)])
         io = db.execute("analyze blobs").io
@@ -549,6 +552,8 @@ class TestNonRegionLongfieldColumn:
         db.execute("insert into blobs values (2, 'ok', ?)",
                    [lfm.create(_box_region(rng))])
         db.execute("delete from blobs where id = 1")
+        table = db.catalog.table("blobs")
+        index = table.spatial_index_on("region")
         assert index.probe_safe(table)
         assert sorted(r[0] for r in index.probe(*WHOLE_GRID)) == [0, 2]
         reference = TableStats(table.schema)
