@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.errors import GridMismatchError, ValidationError
 
-__all__ = ["GridSpec", "SpaceFillingCurve", "CurveTables", "TABLE_MAX_LENGTH"]
+__all__ = ["GridSpec", "SpaceFillingCurve", "CurveTables", "TABLE_MAX_LENGTH", "integer_array"]
 
 #: Longest curve answered from a table: the paper's 128^3 atlas (22 MB of
 #: tables).  A constant, not an option: the choice follows from the curve's
@@ -139,7 +139,7 @@ class CurveTables(NamedTuple):
 _TABLES: dict[tuple[type, int, int], CurveTables] = {}
 
 
-def _integer_array(values: np.ndarray, what: str) -> np.ndarray:
+def integer_array(values: np.ndarray, what: str) -> np.ndarray:
     """``values`` as C-contiguous int64; non-integer input is an error, not truncated."""
     try:
         values = np.asarray(values)
@@ -229,6 +229,16 @@ class SpaceFillingCurve(ABC):
             return self._index_kernel(coords)
         return np.take(self.tables().position_of, self._cube_offsets(coords)).astype(np.int64)
 
+    def box_positions(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """The positions of the voxels of the half-open box ``[lower,
+        upper)``, corners in range: a slice of the position table, or the
+        ``index`` kernel over the box's voxels past :data:`TABLE_MAX_LENGTH`."""
+        if self.length <= TABLE_MAX_LENGTH:
+            cube = self.tables().position_of.reshape((self.side,) * self.ndim)
+            return cube[tuple(map(slice, lower, upper))].ravel()
+        mesh = np.meshgrid(*map(np.arange, lower, upper), indexing="ij")
+        return self._index_kernel(np.stack([axis.ravel() for axis in mesh], axis=1))
+
     def coords(self, index: np.ndarray) -> np.ndarray:
         """Map ``(n,)`` curve positions back to ``(n, ndim)`` int64 coordinates."""
         index = self._validate_index(index)
@@ -286,7 +296,7 @@ class SpaceFillingCurve(ABC):
         return tuple(int(c) for c in self.coords([index])[0])
 
     def _validate_coords(self, coords: np.ndarray) -> np.ndarray:
-        coords = _integer_array(coords, "coordinates")
+        coords = integer_array(coords, "coordinates")
         if coords.ndim != 2 or coords.shape[1] != self.ndim:
             raise ValidationError(
                 f"expected (n, {self.ndim}) coordinate array, got shape {coords.shape}"
@@ -298,7 +308,7 @@ class SpaceFillingCurve(ABC):
         return coords
 
     def _validate_index(self, index: np.ndarray) -> np.ndarray:
-        index = _integer_array(index, "curve positions")
+        index = integer_array(index, "curve positions")
         if index.ndim != 1:
             raise ValidationError(f"expected 1-D index array, got shape {index.shape}")
         if index.size and (index.min() < 0 or index.max() >= self.length):

@@ -377,8 +377,8 @@ class _Program:
     base: int
     #: the block calls functions: every row binding starts a fresh memo
     memo: bool
-    #: per join level: table name, "hash" / "spatial" / None, the probed
-    #: column, the probe-value closure, the level's predicates in order
+    #: per join level: table name, "hash" / "spatial" / "bucket" / None, the
+    #: probed column(s), the probe-value closure(s), the level's predicates
     levels: tuple
     columns: list[str]
     #: one closure per output column — over a frame, or over a group
@@ -407,11 +407,13 @@ def _compile_select(plan: Plan, catalog: Catalog, outer: tuple) -> _Program:
         access = "hash" if probe else None
         if probe is None and plan.spatial_probes[level] is not None:
             access, probe = "spatial", plan.spatial_probes[level]
-        levels.append((
-            ref.name, access, probe[0] if probe else None,
-            compiler.expr(probe[1]) if probe else None,
-            tuple(compiler.expr(p) for p in plan.level_predicates[level]),
-        ))
+        column = probe[0] if probe else None
+        value = compiler.expr(probe[1]) if probe else None
+        if probe is None and (keys := plan.equal_keys[level]):
+            access, column = "bucket", tuple(schemas[level].position(c) for c, _ in keys)
+            value = tuple(compiler.expr(constant) for _, constant in keys)
+        levels.append((ref.name, access, column, value,
+                       tuple(compiler.expr(p) for p in plan.level_predicates[level])))
     grouped = bool(select.group_by) or any(
         _contains_aggregate(item.expr) for item in select.items)
     columns: list[str] = []
@@ -706,8 +708,9 @@ class Executor:
         """Nested loops from ``level`` down: append to ``out`` a copy of
         ``frame`` for every row combination passing all predicates.
 
-        Levels with an index probe read only the matching hash bucket;
-        probing with NULL matches nothing (SQL equality semantics).
+        Levels with an index probe read only the matching hash bucket, a
+        scan of a published table the bucket its constants key; probing
+        with NULL matches nothing (SQL equality semantics).
 
         With a ``profile`` (EXPLAIN ANALYZE), each level's
         :class:`~repro.obs.explain.OperatorStats` accumulates the rows it
@@ -725,6 +728,8 @@ class Executor:
             rows = () if value is None else table.probe(column, value)
         elif access == "spatial":
             rows = self._spatial_candidates(table, column, probe, frame, run)
+        elif access == "bucket" and table.published:
+            rows = _bucket_rows(table, column, probe, frame, run)
         if rows is None:
             rows = table.scan()
         slot, memo = program.base + level, program.memo
@@ -868,6 +873,18 @@ class Executor:
 
         names = tuple(tuple(b for b, _ in scope) for scope in scopes) or None
         return self._kept(select, ctx, names, build)
+
+
+def _bucket_rows(table, positions: tuple, values: tuple, frame: list, run: _Run):
+    """The rows of ``table.equal_buckets(positions)`` keyed by the values,
+    or None for a scan: on a missing parameter (a scan raises it only if a
+    row reaches it) or an unhashable value (as :meth:`Table.probe`)."""
+    try:
+        key = tuple(value(frame, run) for value in values)
+        return () if any(v is None for v in key) else (
+            table.equal_buckets(positions).get(key, ()))
+    except (ExecutionError, TypeError):
+        return None
 
 
 def _lfm_pages(ctx: ExecutionContext) -> int:

@@ -152,6 +152,9 @@ class Plan:
     #: per level: (region column, probe-region expression) or None; used
     #: only when the level has no hash probe
     spatial_probes: list[tuple[str, Expr] | None] = field(default_factory=list)
+    #: per level with neither probe (cost plans): (column, constant) of each
+    #: ``column = constant``, the key of a published table's bucket
+    equal_keys: list[tuple[tuple[str, Expr], ...]] = field(default_factory=list)
     #: estimated rows surviving each level (cumulative, clamped to >= 1
     #: unless provably empty)
     est_rows: list[float] = field(default_factory=list)
@@ -517,6 +520,15 @@ class _PlannerState:
                 return probe
         return None
 
+    def equal_keys(self, conjuncts: list[Expr],
+                   binding: str) -> tuple[tuple[str, Expr], ...]:
+        """(column, constant) of each ``col = constant`` conjunct over a
+        column of ``binding``, where a constant is a literal, a parameter
+        or an outer column: evaluated once per entry to the level."""
+        probes = (self._probe_sides(self._facts[id(c)].hash_keys, binding, {OUTER})
+                  for c in conjuncts)
+        return tuple(p for p in probes if p and isinstance(p[1], (Literal, Param, ColumnRef)))
+
     def spatial_probe(self, conjuncts: list[Expr], binding: str,
                       earlier: set[str]) -> tuple[str, Expr] | None:
         """First usable (region column, probe expression) of the level."""
@@ -601,6 +613,7 @@ def _plan_select(
     level_predicates: list[list[Expr]] = []
     index_probes: list[tuple[str, Expr] | None] = []
     spatial_probes: list[tuple[str, Expr] | None] = []
+    equal_keys: list[tuple[tuple[str, Expr], ...]] = []
     est_rows: list[float] = []
     placed: frozenset[str] = frozenset()
     est = 1.0
@@ -610,20 +623,23 @@ def _plan_select(
             preds = state.run_order(preds)
         earlier = placed | {OUTER}
         chosen = state.hash_probe(preds, ref.binding, earlier)
-        spatial = None
+        spatial, keys = None, ()
         if mode == "cost" and chosen is None:
             spatial = state.spatial_probe(preds, ref.binding, earlier)
+            if spatial is None:
+                keys = state.equal_keys(preds, ref.binding)
         _, est = state.level_model(placed, ref.binding, est, mode == "cost")
         level_predicates.append(preds)
         index_probes.append(chosen)
         spatial_probes.append(spatial)
+        equal_keys.append(keys)
         est_rows.append(est)
         placed = placed | {ref.binding}
     est_out = _output_estimate(select, est)
 
     return Plan(
         select, order, level_predicates, index_probes,
-        spatial_probes, est_rows, est_out, mode,
+        spatial_probes, equal_keys, est_rows, est_out, mode,
     )
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
+from operator import itemgetter
 
 from repro.db.schema import TableSchema
 from repro.db.stats import SpatialIndex, TableStats
@@ -35,6 +36,15 @@ def _index_key(value):
         return value
     except TypeError:
         return _UNHASHABLE
+
+
+def _buckets(rows: list[list], key) -> dict:
+    """``{key(row): [rows]}``, each bucket in row order; a key that cannot
+    hash buckets its rows under ``_UNHASHABLE``."""
+    buckets: dict = {}
+    for row in rows:
+        buckets.setdefault(_index_key(key(row)), []).append(row)
+    return buckets
 
 
 #: process-wide table identity source; ``itertools.count`` is GIL-atomic
@@ -65,6 +75,8 @@ class Table:
         self._rows: list[list] = []
         #: column position -> {value: [rows]}
         self._indexes: dict[int, dict] = {}
+        #: published only: positions -> {values: [rows]} (:meth:`equal_buckets`)
+        self._equal: dict[tuple, dict] = {}
         #: optimizer statistics and the region-cell directories the spatial
         #: indexes read; stale (stamp mismatch) until the executor maintains
         #: them or ANALYZE recomputes them
@@ -164,9 +176,7 @@ class Table:
             raise CatalogError(
                 f"table {self.name!r} already has an index on {column!r}"
             )
-        buckets: dict = {}
-        for row in self._rows:
-            buckets.setdefault(_index_key(row[position]), []).append(row)
+        buckets = _buckets(self._rows, itemgetter(position))
         self.touch()
         self._indexes[position] = buckets
 
@@ -195,6 +205,18 @@ class Table:
             return [row for row in self._rows if row[position] == value]
         return buckets.get(key, [])
 
+    def equal_buckets(self, positions: tuple[int, ...]) -> dict:
+        """``{values at positions: rows}`` of a published table, built on
+        first use and kept: the version never changes, so neither does the
+        map (racing first uses each build one; all read the one that landed)."""
+        if not self.published:
+            raise DatabaseError(f"table {self.name!r} is not published: scan it")
+        found = self._equal.get(positions)
+        if found is None:
+            found = self._equal.setdefault(positions, _buckets(
+                self._rows, lambda row: tuple(row[p] for p in positions)))
+        return found
+
     def spatial_index_on(self, column: str) -> SpatialIndex | None:
         """The spatial index over ``column``, if one exists."""
         return self.spatial.get(column.lower())
@@ -216,6 +238,7 @@ class Table:
         clone.uid = self.uid
         clone.mutations = self.mutations
         clone.published = False
+        clone._equal = {}
         clone._rows = list(self._rows)
         clone._indexes = {
             position: {key: list(rows) for key, rows in buckets.items()}
@@ -236,10 +259,7 @@ class Table:
 
     def _rebuild_indexes(self) -> None:
         for position in list(self._indexes):
-            buckets: dict = {}
-            for row in self._rows:
-                buckets.setdefault(_index_key(row[position]), []).append(row)
-            self._indexes[position] = buckets
+            self._indexes[position] = _buckets(self._rows, itemgetter(position))
 
     def __repr__(self) -> str:
         return f"Table({self.name}, {self.row_count} rows)"

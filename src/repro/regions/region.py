@@ -20,6 +20,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.curves import GridSpec, SpaceFillingCurve, curve_for_grid
+from repro.curves.base import integer_array
 from repro.errors import CodecError, CurveMismatchError, ValidationError
 from repro.regions.intervals import IntervalSet
 from repro.regions.octants import (
@@ -113,19 +114,18 @@ class Region:
     @classmethod
     def from_box(cls, grid: GridSpec, lower: tuple[int, ...], upper: tuple[int, ...],
                  curve: SpaceFillingCurve | str | None = None) -> "Region":
-        """The half-open axis-aligned box ``[lower, upper)``."""
-        lower = tuple(int(v) for v in lower)
-        upper = tuple(int(v) for v in upper)
-        if len(lower) != grid.ndim or len(upper) != grid.ndim:
+        """The half-open axis-aligned box ``[lower, upper)``, clipped to
+        the grid; non-integer corners are an error, not truncated."""
+        lower, upper = (integer_array(corner, "box corners") for corner in (lower, upper))
+        if lower.shape != (grid.ndim,) or upper.shape != (grid.ndim,):
             raise ValidationError("box corners must match the grid dimensionality")
-        clipped_lower = tuple(max(0, lo) for lo in lower)
-        clipped_upper = tuple(min(int(s), up) for s, up in zip(grid.shape, upper))
-        if any(lo >= up for lo, up in zip(clipped_lower, clipped_upper)):
+        lower = np.maximum(lower, 0)
+        upper = np.minimum(upper, grid.shape)
+        if (lower >= upper).any():
             return cls.empty(grid, curve)
-        axes = [np.arange(lo, up, dtype=np.int64) for lo, up in zip(clipped_lower, clipped_upper)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        coords = np.stack([m.ravel() for m in mesh], axis=1)
-        return cls.from_coords(coords, grid, curve)
+        resolved = _resolve_curve(grid, curve)
+        positions = resolved.box_positions(lower, upper)
+        return cls(IntervalSet.from_indices(positions), grid, resolved)
 
     # ------------------------------------------------------------------ #
     # accessors

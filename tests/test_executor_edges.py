@@ -172,3 +172,121 @@ class TestInsertTouchesOnlyItsRows:
         stats = table.fresh_stats()
         assert stats is not None and stats.row_total == 50
         assert stats.eq_fraction(1, "three") == 0
+
+
+class TestConstantEqualityBuckets:
+    """A scan level of a published table reads the bucket its ``column =
+    constant`` conjuncts key (``Table.equal_buckets``), built on first use
+    and kept with that version; every predicate still runs on the rows
+    read, and ``planner="naive"`` keeps the full scan as the oracle."""
+
+    @pytest.fixture
+    def db(self):
+        db = Database()
+        db.execute("create table g (id integer, grp integer, name text)")
+        db.executemany("insert into g values (?, ?, ?)",
+                       [[k, k % 3, f"n{k % 2}"] for k in range(30)])
+        return db
+
+    @staticmethod
+    def outcome(db, sql, params, planner):
+        from repro.errors import ReproError
+
+        try:
+            return db.execute(sql, params, planner=planner).column("id")
+        except ReproError as exc:
+            return getattr(exc, "code", type(exc).__name__)
+
+    def test_a_constant_equality_scans_only_its_bucket(self, db):
+        for sql, params, bucket in (
+                ("select id from g where grp = ?", [1], 10),
+                ("select id from g where ? = grp and name = ?", [1, "n1"], 5),
+                ("select id from g where grp = 2 and id > 20", [], 10)):
+            cost = db.execute(sql, params)
+            naive = db.execute(sql, params, planner="naive")
+            assert cost.rows == naive.rows
+            assert cost.work.rows_scanned == bucket
+            assert naive.work.rows_scanned == 30
+        # EXPLAIN does not show the bucket: the level is still a scan
+        assert db.explain("select id from g where grp = 1") == "scan g [1 predicate(s)] (est rows=10)"
+
+    def test_unpublished_tables_scan_and_see_their_own_rows(self, db):
+        from repro.errors import DatabaseError
+
+        published = db.catalog.table("g")
+        assert published.equal_buckets((1,))[(1,)][0][0] == 1
+        with db.transaction():
+            db.execute("insert into g values (100, 1, 'new')")
+            live = db.catalog.table("g")
+            assert live is not published and not live.published
+            with pytest.raises(DatabaseError):
+                live.equal_buckets((1,))
+            result = db.execute("select id from g where grp = ?", [1])
+            assert 100 in result.column("id")
+            assert result.work.rows_scanned == 31
+        result = db.execute("select id from g where grp = ?", [1])
+        assert 100 in result.column("id") and result.work.rows_scanned == 11
+        assert db.catalog.table("g")._equal.keys() == {(1,)}
+        # a copy starts without the map
+        assert not db.catalog.table("g").copy()._equal
+
+    def test_a_pinned_version_answers_from_its_own_rows(self, db):
+        sql = "select id from g where grp = ?"
+        with db.read_view() as view:
+            before = db.execute(sql, [1], view=view).column("id")
+            db.execute("insert into g values (100, 1, 'new')")
+            assert db.execute(sql, [1], view=view).column("id") == before
+            assert db.execute(sql, [1]).column("id") == before + [100]
+            assert db.execute(sql, [1], view=view).column("id") == before
+
+    @pytest.mark.parametrize("sql, params", [
+        ("select id from g where grp = ?", [None]),
+        ("select id from g where grp = ? and name = ?", [1, None]),
+        ("select id from g where grp = 1.0", []),
+        ("select id from g where grp = ?", [1.0]),
+        ("select id from g where grp = '1'", []),
+        ("select id from g where grp = ?", ["1"]),
+        ("select id from g where grp = ?", [[1]]),
+        ("select id from g where name = 'none' and grp = ?", []),
+        ("select id from g where id = 5 and grp = ?", []),
+    ])
+    def test_edge_values_match_the_naive_scan(self, db, sql, params):
+        cost = self.outcome(db, sql, params, "cost")
+        assert cost == self.outcome(db, sql, params, "naive")
+
+    def test_racing_first_uses_agree(self, db):
+        import sys
+        import threading
+
+        sql = "select id from g where grp = ? and name = ?"
+        keys = [(grp, name) for grp in range(3) for name in ("n0", "n1")]
+        db.execute("insert into g values (100, 1, 'n1')")  # a fresh version
+        expected = {key: db.execute(sql, list(key), planner="naive").rows for key in keys}
+        table = db.catalog.table("g")
+        assert not table._equal
+        barrier, answers, maps = threading.Barrier(2 * len(keys), timeout=30), [], []
+
+        def sql_reader(key):
+            barrier.wait()
+            answers.append((key, db.execute(sql, list(key)).rows))
+
+        def map_reader():
+            barrier.wait()
+            maps.append(table.equal_buckets((1, 2)))
+
+        threads = [threading.Thread(target=sql_reader, args=(key,)) for key in keys]
+        threads += [threading.Thread(target=map_reader) for _ in keys]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(answers) == sorted(expected.items())
+        # every racer reads the one map that landed
+        assert len(maps) == len(keys) and all(m is table._equal[1, 2] for m in maps)
+        assert list(table._equal) == [(1, 2)]

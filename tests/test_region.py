@@ -82,6 +82,15 @@ class TestConstruction:
     def test_from_box_empty(self, grid3):
         assert Region.from_box(grid3, (5, 5, 5), (5, 9, 9)).voxel_count == 0
 
+    @pytest.mark.parametrize("corner", [(1.5, 0, 0), ("1", 0, 0), (1.0, 0, 0), (0, 0)])
+    def test_from_box_rejects_what_from_coords_rejects(self, grid3, corner):
+        with pytest.raises(ValidationError):
+            Region.from_coords([corner], grid3)
+        with pytest.raises(ValidationError):
+            Region.from_box(grid3, corner, (4, 4, 4))
+        with pytest.raises(ValidationError):
+            Region.from_box(grid3, (0, 0, 0), corner)
+
     def test_from_runs(self, grid2):
         region = Region.from_runs([(3, 9)], grid2, "hilbert")
         assert region.voxel_count == 7
@@ -94,6 +103,48 @@ class TestConstruction:
         grid = GridSpec((16, 16))
         with pytest.raises(CurveMismatchError):
             Region(IntervalSet.empty(), grid, HilbertCurve(2, 2))
+
+
+def _meshgrid_box(grid, lower, upper, curve):
+    """The oracle ``from_box`` is held to: every voxel of the clipped box
+    meshgridded and encoded one by one."""
+    lower = np.maximum(lower, 0)
+    upper = np.minimum(upper, grid.shape)
+    if (lower >= upper).any():
+        return Region.empty(grid, curve)
+    mesh = np.meshgrid(*map(np.arange, lower, upper), indexing="ij")
+    return Region.from_coords(np.stack([axis.ravel() for axis in mesh], axis=1), grid, curve)
+
+
+class TestFromBoxAgainstMeshgrid:
+    """``from_box`` slices the curve's position table, or runs the index
+    kernel on a curve past ``TABLE_MAX_LENGTH`` (the last grid)."""
+
+    @pytest.mark.parametrize("curve", ["hilbert", "morton", "rowmajor"])
+    @pytest.mark.parametrize("shape", [
+        (16, 16, 16), (12, 5, 9), (37,), (20, 7), (129, 3, 2)])
+    def test_random_boxes(self, rng, shape, curve):
+        from repro.curves.base import TABLE_MAX_LENGTH
+
+        grid = GridSpec(shape)
+        if shape == (129, 3, 2):
+            assert Region.empty(grid, curve).curve.length > TABLE_MAX_LENGTH
+        shape = np.asarray(shape)
+        corner = rng.integers(0, shape)
+        boxes = [
+            ((0,) * grid.ndim, tuple(shape)),                   # full
+            (tuple(corner), tuple(corner + 1)),                  # one voxel
+            (tuple(corner), tuple(corner)),                      # empty
+            (tuple(-shape), tuple(2 * shape)),                   # clipped to full
+            ((-3,) * grid.ndim, tuple(corner + 2)),              # clipped below
+            (tuple(shape), tuple(shape + 4)),                    # clipped away
+        ]
+        for _ in range(25):
+            a, b = rng.integers(-2, shape + 3, size=(2, grid.ndim))
+            boxes.append((tuple(np.minimum(a, b)), tuple(np.maximum(a, b) + 1)))
+        for lower, upper in boxes:
+            expected = _meshgrid_box(grid, np.asarray(lower), np.asarray(upper), curve)
+            assert Region.from_box(grid, lower, upper, curve) == expected, (lower, upper)
 
 
 class TestGeometryAccessors:
