@@ -1,8 +1,8 @@
 """Ablation A6: the §7 spatial-indexing extension, quantified.
 
 "Which structures does this probe intersect?" over the atlas population,
-answered two ways: the cost-based planner probing the Hilbert-packed
-R-tree over ``atlasStructure.region`` (only candidate REGION payloads are
+answered two ways: the cost-based planner probing the spatial index's
+box column over ``atlasStructure.region`` (only candidate REGION payloads are
 read for the exact test), versus the naive plan reading and exactly
 testing *every* structure REGION (the prototype's behaviour).  The paper
 proposed spatial indexing as future work; here we measure what it buys
@@ -94,7 +94,7 @@ def test_spatial_index_prefilter(paper_system, results_dir, benchmark):
                 "paper": [],
             },
             "indexed": {
-                "label": "R-tree probe (candidates only)",
+                "label": "spatial-index probe (candidates only)",
                 "measured": [total["indexed"], exact_tests["indexed"]],
                 "paper": [],
             },

@@ -85,7 +85,6 @@ LOCK_ATTRS = {
     ("WriteAheadLog", "_txn_lock"): "txn",
     ("WriteAheadLog", "_stats_lock"): "wal.stats",
     ("TableStats", "_lock"): "db.stats",
-    ("SpatialIndex", "_lock"): "db.stats",  # its table's TableStats._lock
     ("VersionManager", "_lock"): "db.version",
     ("DigestTable", "_lock"): "obs.digest",
     # Condition variables (leaf rank; named so `with self._cond:` scopes

@@ -369,8 +369,8 @@ def node_stack(device, wal: bool):
 
 
 def index_and_analyze(db: Database) -> None:
-    """§7 spatial indexing: Hilbert-packed R-trees over the stored REGION
-    columns plus optimizer statistics, so the cost-based planner prunes
+    """§7 spatial indexing: Hilbert-ordered box columns over the stored
+    REGION columns plus optimizer statistics, so the cost-based planner prunes
     with index probes instead of query shape."""
     db.execute("create spatial index sxAtlasRegion on atlasStructure (region)")
     db.execute("create spatial index sxBandRegion on intensityBand (region)")

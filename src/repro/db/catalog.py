@@ -107,9 +107,10 @@ class Catalog(CatalogView):
     def create_spatial_index(self, name: str, table_name: str, column: str) -> SpatialIndex:
         """Register a spatial index over one LONGFIELD column.
 
-        The index is created unpacked; the executor recomputes the table's
-        statistics (payload reads need an execution context), which packs
-        the tree over the column's region-cell directory.
+        The index is created stale (the table's stamp moves); the executor
+        recomputes the table's statistics (payload reads need an execution
+        context), which collects the column's region-cell directory and
+        its box column.
         """
         key = name.lower()
         if key in self._indexes or key in self._spatial:

@@ -513,7 +513,7 @@ class Executor:
         if isinstance(stmt, CreateSpatialIndex):
             self.catalog.create_spatial_index(stmt.name, stmt.table, stmt.column)
             # Collects the column's region-cell directory (cells already
-            # parsed are not read again) and packs the tree over it.
+            # parsed are not read again) and its box column.
             table = self.catalog.writable(stmt.table)
             table.stats.recompute(table, ctx.read_longfield)
             return ResultSet([], [], rowcount=0)
@@ -761,7 +761,7 @@ class Executor:
 
     def _spatial_candidates(self, table, column: str, probe, frame: list,
                             run: _Run):
-        """Rows an R-tree probe narrows a level to, or None for a scan.
+        """Rows a spatial-index probe narrows a level to, or None for a scan.
 
         Returns None whenever the probe value is irregular (NULL handle,
         unparseable payload) so the plain scan evaluates the exact

@@ -18,7 +18,7 @@ medical queries cheap):
 * **access paths** — hash-index probes for equality predicates, and
   spatial-index probes (:class:`~repro.db.stats.SpatialIndex`) for
   ``voxelCount(intersection(col, probe)) > 0`` predicates, which replace a
-  full scan with the R-tree's bounding-box candidates; the exact predicate
+  full scan with the index's bounding-box candidates; the exact predicate
   still runs on every candidate, so probes change I/O, never results;
 * **equality closure** — ``col = col`` conjuncts are joined into classes,
   and every member of a class one of whose columns is compared to a
@@ -90,7 +90,7 @@ _DEFAULT_RANGE_SEL = 1.0 / 3.0
 _DEFAULT_OTHER_SEL = 1.0 / 3.0
 _DEFAULT_ND = 10
 _DEFAULT_REGION_PAGES = 8.0
-#: assumed fraction of a table an R-tree probe leaves as candidates
+#: assumed fraction of a table a spatial probe leaves as candidates
 _SPATIAL_CANDIDATE_FRACTION = 0.25
 
 
@@ -736,7 +736,7 @@ def _intersection_filter(conjunct: Expr) -> FuncCall | None:
     ``voxelCount(intersection(a, b)) > 0`` (or its mirror image).
 
     The shape is exactly the paper's region-intersection filter; the
-    executor turns it into an R-tree candidate lookup and still runs the
+    executor turns it into a spatial-index candidate lookup and still runs the
     original predicate on every candidate, so rewriting is result-safe.
     """
     if not isinstance(conjunct, BinOp):

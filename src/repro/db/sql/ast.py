@@ -231,7 +231,7 @@ class DropIndex:
 
 @dataclass(frozen=True)
 class CreateSpatialIndex:
-    """A CREATE SPATIAL INDEX statement (R-tree over a LONGFIELD column)."""
+    """A CREATE SPATIAL INDEX statement (box column over a LONGFIELD column)."""
 
     name: str
     table: str

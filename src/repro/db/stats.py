@@ -17,11 +17,12 @@ them on its own copy of the table, never on a published one:
   reproduce the incremental state (tests/test_stats_properties.py and
   tests/test_load_unit.py hold the engine to that).
 
-* :class:`SpatialIndex` — a named Hilbert-packed
-  :class:`~repro.regions.rtree.RegionRTree` over the bounding boxes of
-  one column's directory cells.  ``probe(lower, upper)`` returns the rows
-  of every cell whose MBR overlaps the box; the caller re-checks the
-  exact predicate, so false positives cost time, never correctness.
+* :class:`SpatialIndex` — a named index over one column's directory,
+  which keeps its non-empty cells' bounding boxes as one immutable column
+  in Hilbert order.  ``probe(lower, upper)`` is one vectorised overlap
+  test over it and returns the rows of every cell whose MBR overlaps the
+  box; the caller re-checks the exact predicate, so false positives cost
+  time, never correctness.
 
 Freshness is one stamp: the stats record the owning table's
 ``(uid, mutations)`` after maintenance, and an index is fresh when they
@@ -37,14 +38,18 @@ never holds it across LFM reads.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from collections import ChainMap, Counter
 from dataclasses import dataclass
+from operator import attrgetter
+
+import numpy as np
 
 from repro.concurrency import lockdep
+from repro.curves import curve_for_grid
 from repro.db.schema import TableSchema
 from repro.db.types import SqlType
 from repro.regions.region import Region
-from repro.regions.rtree import RegionRTree, RTreeEntry, hilbert_sort_key
 
 __all__ = [
     "RegionCellStats",
@@ -74,16 +79,30 @@ class RegionCellStats:
     runs: int                   #: run-list length
     voxels: int                 #: member voxel count
     nbytes: int                 #: serialized payload length
-    hilbert: int                #: Hilbert packing key (see regions.rtree)
+    hilbert: int                #: Hilbert key: the directory's box order
 
     @property
     def pages(self) -> int:
         """Page I/Os one read of this payload costs (at least one)."""
         return max(1, -(-self.nbytes // PAGE_SIZE))
 
-    def entry(self, key: object) -> RTreeEntry:
-        """This cell as an R-tree entry under ``key``."""
-        return RTreeEntry(key, self.lower, self.upper, self.hilbert)
+
+def hilbert_sort_key(region: Region) -> int:
+    """The Hilbert key of one region, which orders a directory's boxes.
+
+    For regions already linearized along the Hilbert curve this is the
+    midpoint of the curve-id interval (no geometry needed).  Other
+    linearizations map their (memoized) bounding-box center through the
+    grid's Hilbert curve — every grid a region's own curve covers has one.
+    """
+    intervals = region.intervals
+    if not intervals.run_count:
+        return 0
+    if region.curve.name == "hilbert":
+        return (int(intervals.min_index) + int(intervals.max_index)) // 2
+    lower, upper = region.bounding_box()
+    center = [(lo + up - 1) // 2 for lo, up in zip(lower, upper)]
+    return curve_for_grid(region.grid, "hilbert").index_point(*center)
 
 
 def region_cell(region: Region, nbytes: int) -> RegionCellStats | None:
@@ -108,8 +127,11 @@ def region_cell_stats(data: bytes) -> RegionCellStats | None:
 #: parse outcome of a payload that is not a region
 _FAILED = object()
 
-#: a :class:`SpatialIndex` tree awaiting its (re-)pack: built, not current
-_STALE = object()
+#: the sort key of a directory's box column (ties keep insertion order)
+_box_key = attrgetter("hilbert", "lower", "upper")
+
+#: the box column of a directory without a non-empty cell
+_NO_BOXES = ((), np.empty((0, 3), np.int64), np.empty((0, 3), np.int64))
 
 
 def _cells(column: "_SpatialColumn | None") -> dict:
@@ -127,10 +149,14 @@ class _SpatialColumn:
     Aggregates (bounding box, run totals, histogram) are derived from the
     cells on demand: distinct-region populations are small, and deriving
     instead of tracking makes incremental == recomputed true by
-    construction.
+    construction.  ``boxes`` is what a :class:`SpatialIndex` probe tests:
+    ``(values, lower, upper)``, the non-empty cells' values in
+    ``(hilbert, lower, upper)`` order and their corners as two aligned
+    ``(n, 3)`` int64 arrays.  It is never mutated — maintenance builds a
+    new one — so a copy shares it and a probe reads it without a lock.
     """
 
-    __slots__ = ("cells", "rows", "empty_rows", "failed")
+    __slots__ = ("cells", "rows", "empty_rows", "failed", "boxes")
 
     def __init__(self):
         self.cells: dict = {}
@@ -140,6 +166,7 @@ class _SpatialColumn:
         #: a stored payload is not a region: the column is neither read
         #: nor usable until a recompute finds the offending rows gone
         self.failed = False
+        self.boxes = _NO_BOXES
 
     @property
     def counts(self) -> Counter:
@@ -148,13 +175,40 @@ class _SpatialColumn:
 
     def copy(self) -> "_SpatialColumn":
         """A clone for a table's writable copy: inserts append to the row
-        lists in place, so those are copied; the cell metadata is immutable."""
+        lists in place, so those are copied; the cell metadata and the box
+        column are immutable, so those are shared."""
         clone = _SpatialColumn()
         clone.cells = dict(self.cells)
         clone.rows = {value: list(rows) for value, rows in self.rows.items()}
         clone.empty_rows = self.empty_rows
         clone.failed = self.failed
+        clone.boxes = self.boxes
         return clone
+
+    def add_box(self, value) -> None:
+        """A new box column with the new non-empty cell ``value`` bisected
+        in after its equals, so a tie keeps insertion order."""
+        cells, meta = self.cells, self.cells[value]
+        values, lower, upper = self.boxes
+        at = bisect_right(values, _box_key(meta),
+                          key=lambda v: _box_key(cells[v]))
+        if values:
+            lower = np.concatenate((lower[:at], [meta.lower], lower[at:]))
+            upper = np.concatenate((upper[:at], [meta.upper], upper[at:]))
+        else:  # the first cell sets the corners' dimension
+            lower = np.array([meta.lower], np.int64)
+            upper = np.array([meta.upper], np.int64)
+        self.boxes = (values[:at] + (value,) + values[at:], lower, upper)
+
+    def rebox(self) -> None:
+        """The box column of every non-empty cell, built at once."""
+        cells = self.cells
+        values = sorted((v for v, meta in cells.items() if meta is not None),
+                        key=lambda v: _box_key(cells[v]))
+        self.boxes = (tuple(values),
+                      np.array([cells[v].lower for v in values], np.int64),
+                      np.array([cells[v].upper for v in values], np.int64),
+                      ) if values else _NO_BOXES
 
 
 class TableStats:
@@ -268,10 +322,10 @@ class TableStats:
                     break
         return resolved
 
-    def _fold_locked(self, rows, collected, resolved) -> set[int]:
-        """Account ``rows``; ``_lock`` must be held.  Returns the
-        positions whose directory gained a cell."""
-        grown: set[int] = set()
+    def _fold_locked(self, rows, collected, resolved) -> list:
+        """Account ``rows``; ``_lock`` must be held.  Returns
+        ``(directory, value)`` of every non-empty cell it added."""
+        added: list = []
         self.row_total += len(rows)
         for row in rows:
             for pos, value in enumerate(row):
@@ -292,22 +346,13 @@ class TableStats:
                         column.failed = True
                         continue
                     column.cells[value] = meta
-                    grown.add(pos)
+                    if meta is not None:
+                        added.append((column, value))
                 if column.cells[value] is None:
                     column.empty_rows += 1
                 else:
                     column.rows.setdefault(value, []).append(row)
-        return grown
-
-    def _finish_locked(self, table, changed) -> None:
-        """Mark the trees over ``changed`` (the positions whose cell set
-        may have changed) stale and stamp the stats; ``_lock`` held.
-        Indexes that read another ``TableStats`` — ``self`` is a scratch
-        copy recomputed beside the table's own — are left alone."""
-        for index in table.spatial.values():
-            if index._stats is self and index.position in changed:
-                index._tree = _STALE
-        self.stamp = (table.uid, table.mutations)
+        return added
 
     def apply_inserts(self, table, rows: list, reader, watched) -> None:
         """Fold newly inserted (stored, already coerced) rows into the
@@ -322,8 +367,9 @@ class TableStats:
                     known[pos] = ChainMap(_cells(column), watched)
         resolved = self._resolve_cells(rows, known, reader)
         with self._lock:
-            grown = self._fold_locked(rows, collected, resolved)
-            self._finish_locked(table, grown)
+            for column, value in self._fold_locked(rows, collected, resolved):
+                column.add_box(value)
+            self.stamp = (table.uid, table.mutations)
 
     def recompute(self, table, reader, spatial: bool | None = None) -> None:
         """Rebuild everything from the table's current rows (= ANALYZE).
@@ -351,7 +397,9 @@ class TableStats:
             self.spatial_enabled = analyzed
             self._spatial = {}
             self._fold_locked(rows, collected, resolved)
-            self._finish_locked(table, collected)
+            for column in self._spatial.values():
+                column.rebox()
+            self.stamp = (table.uid, table.mutations)
 
     # -------------------------------------------------------------- #
     # estimator accessors (read-only; tolerate concurrent staleness)
@@ -468,17 +516,14 @@ class TableStats:
 
 
 class SpatialIndex:
-    """A Hilbert-packed R-tree index over one LONGFIELD column.
+    """A named spatial index over one LONGFIELD column.
 
-    The index owns only the tree; the cells it packs and the rows a probe
+    The index owns no structure: the boxes a probe tests and the rows it
     returns are the column's directory in the table's :class:`TableStats`,
-    whose maintenance marks the tree stale when an INSERT adds a cell or a
-    recompute rebuilds the directory.  The tree is packed when it is next
-    needed — by the publish that freezes its table, or by a probe of the
-    live index — so a transaction packs once; INSERTs of known cells reuse
-    it, and no reader of a published version ever packs one.  A
-    probe descends the tree and concatenates the matching cells' rows —
-    candidates only, the caller re-evaluates the exact predicate.
+    whose maintenance keeps the directory's box column in Hilbert order.
+    A probe reads that immutable column without a lock, runs one
+    vectorised overlap test over it and concatenates the matching cells'
+    rows — candidates only, the caller re-evaluates the exact predicate.
     """
 
     def __init__(self, name: str, table, column: str):
@@ -487,41 +532,19 @@ class SpatialIndex:
         self.column = column
         self.position = table.schema.position(column)
         self._stats: TableStats = table.stats
-        self._lock = table.stats._lock  # orders packing against maintenance
-        #: packed tree over the directory's non-empty cells (immutable,
-        #: replaced wholesale); None until the stats' first maintenance,
-        #: ``_STALE`` from a cell-set change until the next use
-        #: guarded_by: _lock
-        self._tree: RegionRTree | None = None
-
-    def snapshot(self, table) -> "SpatialIndex":
-        """This index over ``table``, a copy of its own: the clone reads
-        the copy's directory and shares the immutable tree, which the
-        publish of the source packed."""
-        clone = SpatialIndex(self.name, table, self.column)
-        clone._tree = self._tree
-        return clone
-
-    def _packed(self) -> RegionRTree | None:
-        """The tree over the directory's current cells — packed here, the
-        one pack site, if maintenance marked it stale since the last use."""
-        if self._tree is _STALE:
-            with self._lock:
-                if self._tree is _STALE:
-                    self._tree = RegionRTree(
-                        meta.entry(value)
-                        for value, meta in _cells(self._directory()).items()
-                        if meta is not None  # empty regions are not indexed
-                    )
-        return self._tree
 
     def _directory(self) -> _SpatialColumn | None:
         return self._stats._spatial.get(self.position)
 
+    def _boxes(self) -> tuple:
+        """The directory's ``(values, lower, upper)`` box column."""
+        column = self._directory()
+        return column.boxes if column is not None else _NO_BOXES
+
     def fresh(self, table) -> bool:
         """Does the index still reflect the live table state?"""
         column = self._directory()
-        return (self._tree is not None and self._stats.fresh(table)
+        return (self._stats.fresh(table)
                 and not (column is not None and column.failed))
 
     @property
@@ -540,19 +563,19 @@ class SpatialIndex:
         return self.fresh(table) and self.null_rows == 0
 
     def probe(self, lower, upper) -> list:
-        """Candidate rows whose region MBR overlaps the half-open box."""
-        tree, column = self._packed(), self._directory()
-        if tree is None or column is None:
+        """Candidate rows whose region MBR overlaps the half-open box, in
+        the box column's (Hilbert) order."""
+        column = self._directory()
+        values, low, up = column.boxes if column is not None else _NO_BOXES
+        if not values:
             return []
-        hits: list = []
-        for value in tree.search(lower, upper):
-            hits.extend(column.rows.get(value, ()))
-        return hits
+        overlap = ((low < np.asarray(upper)) & (up > np.asarray(lower))).all(axis=1)
+        return [row for i in np.flatnonzero(overlap)
+                for row in column.rows.get(values[i], ())]
 
     def cell_count(self) -> int:
         """Number of distinct indexed region values."""
-        tree = self._packed()
-        return len(tree) if tree is not None else 0
+        return len(self._boxes()[0])
 
     def __repr__(self) -> str:
         return (f"SpatialIndex({self.name} on "

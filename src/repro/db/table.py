@@ -246,15 +246,13 @@ class Table:
         }
         clone.stats = self.stats.copy()
         clone.spatial = {
-            column: index.snapshot(clone) for column, index in self.spatial.items()
+            column: SpatialIndex(index.name, clone, index.column)
+            for column, index in self.spatial.items()
         }
         return clone
 
     def freeze(self) -> None:
-        """Make this table a published version's: pack any stale spatial
-        tree, so no reader ever packs one, and refuse every later write."""
-        for index in self.spatial.values():
-            index._packed()
+        """Make this table a published version's: refuse every later write."""
         self.published = True
 
     def _rebuild_indexes(self) -> None:

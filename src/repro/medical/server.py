@@ -316,7 +316,7 @@ class MedicalServer:
         """Structures a probe box intersects — targeting a beam, §2.1.
 
         With ``use_index`` (the §7 spatial-indexing extension) the
-        cost-based planner probes the R-tree over ``atlasStructure.region``
+        cost-based planner probes the spatial index over ``atlasStructure.region``
         so only candidate REGION long fields are read for the exact test;
         without it, the statement runs on the naive plan and every
         structure's region is fetched and tested.  Returns the structure
@@ -340,7 +340,7 @@ class MedicalServer:
         probe = Region.from_box(grid, lower, upper, curve="hilbert")
         # Exact refinement happens in the same SQL: the intersection of the
         # probe payload with each candidate must be non-empty.  With the
-        # index on, the R-tree narrows the scan to regions whose bounding
+        # index on, a box probe narrows the scan to regions whose bounding
         # box overlaps the probe's before any payload is read.
         where.append("voxelCount(intersection(s.region, ?)) > 0")
         sql = (

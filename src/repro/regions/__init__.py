@@ -17,16 +17,12 @@ from repro.regions.octants import (
     octants_to_intervals,
 )
 from repro.regions.region import Region
-from repro.regions.rtree import RegionRTree, RTreeEntry, hilbert_sort_key
 from repro.regions import rasterize
 
 __all__ = [
     "IntervalSet",
     "concat_ranges",
     "Region",
-    "RegionRTree",
-    "RTreeEntry",
-    "hilbert_sort_key",
     "rasterize",
     "decompose_octants",
     "decompose_oblong_octants",

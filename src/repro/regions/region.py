@@ -175,7 +175,7 @@ class Region:
         """Tight axis-aligned bounding box as ``(lower, upper)`` (half-open).
 
         Computed once per voxel set — memoized, and :meth:`reorder` hands it
-        on: a region's encodings, cells and R-tree entries read one box.
+        on: a region's encodings and directory cells read one box.
         """
         if self._box is None:
             if not self.voxel_count:

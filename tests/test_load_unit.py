@@ -1,9 +1,10 @@
 """A study load is one unit of work: counted, atomic, and not read back.
 
 Counts, not timings: on a write-ahead-logged grid-16 system one
-``MedicalLoader.load_study`` is one journal commit, one flush, one
-published snapshot and at most one R-tree pack per spatial index whose
-cell set changed — and the 10th load packs no more than the 1st.  A load
+``MedicalLoader.load_study`` is one journal commit, one flush and one
+published snapshot; it adds exactly its new band cells to the band
+index's box column and leaves the atlas index's column the very object
+the prior version held — the 10th load as the 1st.  A load
 that fails leaves no row behind on any device, and under a write-ahead log
 nothing else either (long fields, allocator bytes, id counters); a crash at any journal or apply write of a load recovers
 to the study entirely present or entirely absent — its rows included,
@@ -118,7 +119,7 @@ def assert_directories_equal_a_recompute(db, lfm) -> None:
         assert live.cells == scratch.cells
         assert live.counts == scratch.counts
         assert live.empty_rows == scratch.empty_rows
-        if column == "region":  # rows, aggregates, and the R-tree entry for entry
+        if column == "region":  # rows, aggregates, and the box column
             _assert_stats_equal(table.stats, reference, table)
 
 
@@ -136,31 +137,50 @@ class _Calls:
         monkeypatch.setattr(owner, name, counted)
 
 
+def box_column(db, table: str) -> tuple:
+    """The box column the spatial index over ``table.region`` probes."""
+    return db.catalog.table(table).spatial_index_on("region")._boxes()
+
+
+def load_and_check_boxes(system, loader, patient, study) -> None:
+    """Load ``study``: the band index's box column must be the prior one
+    plus exactly the cells the load's new rows added, and the atlas
+    index's column must be the very object the prior version held."""
+    db = system.db
+    old_rows = {id(row) for row in db.catalog.table("intensityBand").scan()}
+    bands_before = set(box_column(db, "intensityBand")[0])
+    atlas_before = box_column(db, "atlasStructure")
+    load(system, loader, patient, study)
+    bands = db.catalog.table("intensityBand")
+    pos = bands.schema.position("region")
+    cells = bands.stats._spatial[pos].cells
+    new_cells = {row[pos] for row in bands.scan() if id(row) not in old_rows
+                 and cells.get(row[pos]) is not None}
+    boxed = box_column(db, "intensityBand")[0]
+    assert new_cells and not new_cells & bands_before
+    assert set(boxed) == bands_before | new_cells
+    assert len(boxed) == len(bands_before) + len(new_cells)
+    assert box_column(db, "atlasStructure") is atlas_before
+
+
 class TestOneLoadOneUnit:
-    def test_one_commit_one_flush_one_publish_one_pack(self, monkeypatch):
+    def test_one_commit_one_flush_one_publish_new_band_cells_boxed(
+            self, monkeypatch):
         system, loader, patient = atlas_only()
         publishes = _Calls(monkeypatch, VersionManager, "publish")
-        packs = _Calls(monkeypatch, stats_module, "RegionRTree")
         commits = metrics.counter("wal.commits").value
         flushes = metrics.counter("wal.flushes").value
-        load(system, loader, patient, PET[0])
+        load_and_check_boxes(system, loader, patient, PET[0])
         assert metrics.counter("wal.commits").value - commits == 1
         assert metrics.counter("wal.flushes").value - flushes == 1
         assert publishes.count == 1
-        # Only intensityBand.region gained cells; atlasStructure did not.
-        assert packs.count == 1
         bands = system.db.catalog.table("intensityBand")
         assert bands.spatial_index_on("region").probe_safe(bands)
 
-    def test_tenth_load_packs_no_more_than_the_first(self, monkeypatch):
+    def test_every_load_boxes_its_new_band_cells_only(self):
         system, loader, patient = atlas_only()
-        packs = _Calls(monkeypatch, stats_module, "RegionRTree")
-        per_load = []
         for study in PET[:10]:
-            before = packs.count
-            load(system, loader, patient, study)
-            per_load.append(packs.count - before)
-        assert per_load[9] <= per_load[0] == 1
+            load_and_check_boxes(system, loader, patient, study)
 
     def test_atlas_and_lone_warp_are_units_too(self):
         _, lfm, db = node_stack(BlockDevice(CAPACITY), wal=True)

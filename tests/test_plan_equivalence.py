@@ -2,7 +2,7 @@
 
 Every generated query runs twice against the same demo database — once
 through the default cost-based planner (Selinger DP join order, predicate
-reordering, hash + R-tree spatial probes) and once with
+reordering, hash + spatial-index probes) and once with
 ``planner="naive"`` (FROM-order joins, original conjunct order, no
 spatial probes).  The harness asserts two invariants:
 
@@ -15,7 +15,7 @@ Queries are shaped like the paper's Q1-Q6 workload: metadata joins over
 patient/rawVolume/warpedVolume, intensity-band lookups, and
 ``voxelCount(intersection(region, ?)) > 0`` box probes with transient
 REGION payload parameters.  Probe regions arriving as transient ``?``
-payloads cost zero I/O to inspect, so an R-tree probe can only prune;
+payloads cost zero I/O to inspect, so a spatial-index probe can only prune;
 probes whose probe *expression* reads a stored LONGFIELD of an earlier
 join level pay a payload read per outer row and are therefore covered by
 the result-equality tests only (see TestJoinDependentProbes).
@@ -158,7 +158,7 @@ def generate_query(rng: random.Random, vals: dict):
             ["intensityBand b", "rawVolume r"], conjuncts,
         )
     if shape == 2:
-        # Q2-shaped: which structures intersect a probe box (R-tree path).
+        # Q2-shaped: which structures intersect a probe box (spatial-index path).
         lower, upper = _random_box(rng)
         conjuncts = [
             ("voxelCount(intersection(s.region, ?)) > 0",
@@ -185,7 +185,7 @@ def generate_query(rng: random.Random, vals: dict):
             rng, select, ["atlasStructure s", "neuralStructure ns"], conjuncts,
         )
     if shape == 3:
-        # Q5/Q6-shaped: bands clipped by a probe box (R-tree path).
+        # Q5/Q6-shaped: bands clipped by a probe box (spatial-index path).
         lower, upper = _random_box(rng)
         conjuncts = [
             ("b.encoding = ?", [rng.choice(vals["encodings"])]),
@@ -389,7 +389,7 @@ class TestJoinDependentProbes:
 
     Reading the probe payload itself costs a page I/O per outer row, so
     the I/O-monotonicity invariant is *not* claimed here — only result
-    equivalence (the R-tree returns candidates; the exact predicate still
+    equivalence (the spatial index returns candidates; the exact predicate still
     runs on every one).
     """
 

@@ -227,7 +227,7 @@ class TestWorkAccounting:
 
 
 class TestServerIntegration:
-    """``CREATE SPATIAL INDEX`` (the R-tree) behind the medical server."""
+    """``CREATE SPATIAL INDEX`` (the box column) behind the medical server."""
 
     def test_indexed_and_naive_agree(self, demo_system):
         box = ((10, 10, 8), (20, 20, 16))

@@ -10,19 +10,17 @@ Two invariants hold the incremental machinery to the ground truth:
   totals the non-NULL rows, the per-cell bounding boxes are contained in
   the column's union box, and the stamp matches the live table.
 
-  The same holds for the spatial index's tree, which is packed lazily:
-  whenever it is looked at — by the live index or through a snapshot —
-  it holds exactly what a fresh pack over recomputed stats would.
+  The same holds for the directory's box column, which INSERTs keep in
+  Hilbert order one bisected cell at a time: seen by the live index or
+  through a snapshot, it is exactly the column a recompute builds.
 
-* **R-tree == brute force** — for any population of regions and any probe
-  box, :class:`~repro.regions.rtree.RegionRTree` (and the table-level
-  :class:`~repro.db.stats.SpatialIndex` built on it) returns exactly the
-  entries whose bounding boxes overlap the box, in a deterministic order.
+* **probe == brute force** — for any population of regions and any probe
+  box, :class:`~repro.db.stats.SpatialIndex` returns exactly the rows
+  whose bounding boxes overlap the box, in the recomputed cells'
+  ``(hilbert, lower, upper)`` order.
 
 DML interleavings are generated from per-test seeded RNGs (the conftest
-pins the module-level ``random`` per node id, so failures replay); the
-geometric R-tree properties run under hypothesis, derandomized for CI
-stability.
+pins the module-level ``random`` per node id, so failures replay).
 """
 
 from __future__ import annotations
@@ -31,9 +29,8 @@ import random
 import sys
 import threading
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.curves import GridSpec
 from repro.db import stats as stats_module
@@ -45,7 +42,6 @@ from repro.db.stats import (
     run_count_bucket,
 )
 from repro.regions.region import Region
-from repro.regions.rtree import RegionRTree, RTreeEntry
 from repro.storage import BlockDevice, LongFieldManager
 
 GRID_SIDE = 8
@@ -124,31 +120,36 @@ def _assert_stats_equal(incremental: TableStats, reference: TableStats,
     assert incremental.total_runs(pos) == reference.total_runs(pos)
     assert incremental.run_histogram(pos) == reference.run_histogram(pos)
     assert incremental.avg_region_pages(pos) == reference.avg_region_pages(pos)
-    # the tree the index hands out is a fresh pack over the recomputed cells
+    # the box column the index probes is the one a recompute builds
     index = table.spatial_index_on("region")
     if index is not None and index._stats is incremental:
-        assert _leaf_entries(index._packed()) == _leaf_entries(
-            _packed_from(reference, pos))
+        _assert_boxes_equal(index._boxes(), _recomputed_boxes(reference, pos))
 
 
-def _packed_from(stats: TableStats, pos: int) -> RegionRTree:
-    """A tree packed from scratch over one column's directory cells."""
-    cells = stats_module._cells(stats._spatial.get(pos))
-    return RegionRTree(meta.entry(value) for value, meta in cells.items()
-                       if meta is not None)
+def _recomputed_boxes(stats: TableStats, pos: int) -> tuple:
+    """One column's box column as ``stats`` (a recompute) holds it."""
+    column = stats._spatial.get(pos)
+    return column.boxes if column is not None else stats_module._NO_BOXES
 
 
-def _leaf_entries(tree: RegionRTree) -> list[RTreeEntry]:
-    """Every entry of a packed tree, in packed (left-to-right) order."""
-    entries, stack = [], [tree._root] if tree._root is not None else []
-    while stack:
-        node = stack.pop()
-        if node.entries is not None:
-            entries.extend(node.entries)
-        else:
-            stack.extend(reversed(node.children))
-    assert len(entries) == len(tree)
-    return entries
+def _assert_boxes_equal(boxes: tuple, reference: tuple) -> None:
+    """Two box columns hold the same cells, corners and order."""
+    assert boxes[0] == reference[0]
+    assert np.array_equal(boxes[1], reference[1])
+    assert np.array_equal(boxes[2], reference[2])
+
+
+def _overlaps(cell, lower, upper) -> bool:
+    return all(cell.lower[d] < upper[d] and cell.upper[d] > lower[d]
+               for d in range(3))
+
+
+def _hilbert_ordered(column) -> list:
+    """A directory's non-empty cell values, stably sorted by
+    ``(hilbert, lower, upper)``: the order a probe answers in."""
+    return sorted((v for v, meta in column.cells.items() if meta is not None),
+                  key=lambda v: (column.cells[v].hilbert, column.cells[v].lower,
+                                 column.cells[v].upper))
 
 
 def _assert_internal_invariants(stats: TableStats, table) -> None:
@@ -272,10 +273,15 @@ class TestSpatialIndexAgainstBruteForce:
 
     def test_probe_stays_correct_through_dml(self):
         db, rng = self._populated(5, rows=20)
-        table = db.catalog.table("blobs")
         _apply_random_dml(db, rng, ops=30)
+        # every write went to a copy: fetch the table the DML published
+        table = db.catalog.table("blobs")
         index = table.spatial_index_on("region")
         assert index.fresh(table)
+        reference = TableStats(table.schema)
+        reference.recompute(table, _read_cell, spatial=True)
+        column = reference._spatial[index.position]
+        ordered = _hilbert_ordered(column)
         for _ in range(10):
             lower = tuple(rng.randrange(0, GRID_SIDE) for _ in range(3))
             upper = tuple(lo + rng.randrange(1, GRID_SIDE - lo + 1)
@@ -283,6 +289,11 @@ class TestSpatialIndexAgainstBruteForce:
             probed = index.probe(lower, upper)
             expected = self._brute_force(table, lower, upper)
             assert sorted(probed, key=repr) == sorted(expected, key=repr)
+            assert probed == [
+                row for value in ordered
+                if _overlaps(column.cells[value], lower, upper)
+                for row in column.rows[value]
+            ]
 
     def test_null_cells_disable_probing_but_not_freshness(self):
         db, _ = self._populated(8, rows=5)
@@ -301,9 +312,10 @@ class TestSpatialIndexAgainstBruteForce:
 WHOLE_GRID = ((0, 0, 0), (GRID_SIDE,) * 3)
 
 
-class TestStaleTree:
-    """INSERTs only mark the tree stale; whoever needs it next packs it —
-    once — and sees exactly the cells of the state they are looking at."""
+class TestBoxColumn:
+    """INSERTs bisect each new cell into the directory's box column; every
+    version reads its own immutable column, publish builds none, and a
+    probe of any of them answers as a from-scratch recompute."""
 
     def _indexed(self, seed, rows=12):
         db = _fresh_db()
@@ -323,17 +335,18 @@ class TestStaleTree:
                                for lo in lower)
 
     def _assert_probes_as_recomputed(self, table, rng):
-        """``table``'s index answers as a from-scratch directory + tree."""
+        """``table``'s index answers as a from-scratch directory."""
         reference = TableStats(table.schema)
         reference.recompute(table, _read_cell, spatial=True)
         index = table.spatial_index_on("region")
-        tree = _packed_from(reference, index.position)
-        assert _leaf_entries(index._packed()) == _leaf_entries(tree)
-        assert index.cell_count() == len(tree)
-        rows = reference._spatial[index.position].rows
+        column = reference._spatial[index.position]
+        _assert_boxes_equal(index._boxes(), column.boxes)
+        ordered = _hilbert_ordered(column)
+        assert index.cell_count() == len(ordered)
         for lower, upper in self._boxes(rng):
-            expected = [row for value in tree.search(lower, upper)
-                        for row in rows[value]]
+            expected = [row for value in ordered
+                        if _overlaps(column.cells[value], lower, upper)
+                        for row in column.rows[value]]
             assert index.probe(lower, upper) == expected
 
     @pytest.mark.parametrize("seed", [4, 21])
@@ -346,10 +359,7 @@ class TestStaleTree:
                     db.execute("insert into blobs values (?, 'y', ?)",
                                [i, _box_region(rng)])
                 live = db.catalog.table("blobs")
-                index = live.spatial_index_on("region")
-                # nothing has looked at the tree since: stale, yet "built"
-                assert index._tree is stats_module._STALE
-                assert index.probe_safe(live)
+                assert live.spatial_index_on("region").probe_safe(live)
                 self._assert_probes_as_recomputed(live, rng)       # (a)
             with db.read_view() as later:
                 assert later.seq == earlier.seq + 1
@@ -360,31 +370,23 @@ class TestStaleTree:
             assert table.row_count == 12
             self._assert_probes_as_recomputed(table, rng)          # (c)
 
-    def test_one_transaction_of_inserts_packs_once_at_publish(self, monkeypatch):
+    def test_publish_does_no_spatial_work(self):
         db, rng = self._indexed(6)
-        packs = []
-        monkeypatch.setattr(
-            stats_module, "RegionRTree",
-            lambda entries: packs.append(1) or RegionRTree(entries))
         with db.transaction():
             for i in range(100, 110):
                 db.execute("insert into blobs values (?, 'y', ?)",
                            [i, _box_region(rng)])
-            assert not packs
-        assert len(packs) == 1
-        live = db.catalog.table("blobs").spatial_index_on("region")
+            boxes = db.catalog.table("blobs").spatial_index_on("region")._boxes()
+        published = db.catalog.table("blobs")
+        assert published.published
+        assert published.spatial_index_on("region")._boxes() is boxes
+        assert len(boxes[0]) == len({row[2] for row in published.scan()})
         with db.read_view() as view:
             pinned = view.catalog.table("blobs").spatial_index_on("region")
-            assert pinned._tree is live._tree  # shared, not packed again
-        assert len(packs) == 1
+            assert pinned._boxes() is boxes
 
-    def test_threads_probing_a_stale_live_index_pack_once_and_agree(
-            self, monkeypatch):
+    def test_threads_probing_a_live_index_agree(self):
         db, rng = self._indexed(9)
-        packs = []
-        monkeypatch.setattr(
-            stats_module, "RegionRTree",
-            lambda entries: packs.append(1) or RegionRTree(entries))
         answers, errors = [], []
         start = threading.Barrier(6)
 
@@ -393,7 +395,7 @@ class TestStaleTree:
                 start.wait(timeout=10)
                 answers.append(
                     [sorted(r[0] for r in index.probe(*WHOLE_GRID)),
-                     index.cell_count(), id(index._packed())])
+                     index.cell_count(), id(index._boxes())])
             except BaseException as exc:  # surfaced below
                 errors.append(exc)
 
@@ -404,18 +406,18 @@ class TestStaleTree:
                 for i in range(100, 106):
                     db.execute("insert into blobs values (?, 'y', ?)",
                                [i, _box_region(rng)])
-                index = db.catalog.table("blobs").spatial_index_on("region")
-                assert index._tree is stats_module._STALE
+                live = db.catalog.table("blobs")
+                index = live.spatial_index_on("region")
                 threads = [threading.Thread(target=prober) for _ in range(6)]
                 for t in threads:
                     t.start()
                 for t in threads:
                     t.join(timeout=30)
                 assert not any(t.is_alive() for t in threads)
+                self._assert_probes_as_recomputed(live, rng)
         finally:
             sys.setswitchinterval(interval)
         assert not errors, errors
-        assert len(packs) == 1
         assert len(answers) == 6 and all(a == answers[0] for a in answers)
         table = db.catalog.table("blobs")
         assert answers[0][:2] == [list(range(12)) + list(range(100, 106)),
@@ -468,15 +470,16 @@ class TestOneRegionDirectory:
         with db.read_view() as view:
             assert view.seq is not None  # a pinned snapshot, not the lock
             pinned = view.catalog.table("blobs").spatial_index_on("region")
-            # a known cell appends to the live rows only; the tree is shared
+            # a known cell appends to the live rows only; the boxes are shared
             db.execute("insert into blobs values (1, 'x', ?)", [known])
             live = db.catalog.table("blobs").spatial_index_on("region")
-            assert pinned._tree is live._tree
-            # a new cell re-packs the live tree; the snapshot keeps its own
+            assert pinned._boxes() is live._boxes()
+            # a new cell gives the live version a new box column; the
+            # snapshot keeps its own
             db.execute("insert into blobs values (2, 'x', ?)",
                        [lfm.create(_box_region(rng))])
             live = db.catalog.table("blobs").spatial_index_on("region")
-            assert pinned._tree is not live._tree
+            assert pinned._boxes() is not live._boxes()
             assert [row[0] for row in pinned.probe(*WHOLE_GRID)] == [0]
             assert pinned.cell_count() == 1
         assert sorted(row[0] for row in live.probe(*WHOLE_GRID)) == [0, 1, 2]
@@ -559,79 +562,6 @@ class TestNonRegionLongfieldColumn:
         reference = TableStats(table.schema)
         reference.recompute(table, lfm.read, spatial=True)
         _assert_stats_equal(table.stats, reference, table)
-
-
-class TestRegionRTreeProperties:
-    @staticmethod
-    def _entries(boxes):
-        entries = []
-        for i, (lower, upper) in enumerate(boxes):
-            region = Region.from_box(GRID, lower, upper, curve="hilbert")
-            entries.append(RTreeEntry.for_region(i, region))
-        return entries
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        boxes=st.lists(
-            st.tuples(
-                st.tuples(*[st.integers(0, GRID_SIDE - 2)] * 3),
-                st.tuples(*[st.integers(1, GRID_SIDE - 1)] * 3),
-            ).map(
-                lambda pair: (
-                    pair[0],
-                    tuple(max(l + 1, u) for l, u in zip(pair[0], pair[1])),
-                )
-            ),
-            min_size=0, max_size=30,
-        ),
-        probe=st.tuples(
-            st.tuples(*[st.integers(0, GRID_SIDE - 1)] * 3),
-            st.tuples(*[st.integers(1, GRID_SIDE)] * 3),
-        ).map(
-            lambda pair: (
-                pair[0],
-                tuple(max(l + 1, u) for l, u in zip(pair[0], pair[1])),
-            )
-        ),
-        capacity=st.integers(2, 9),
-    )
-    def test_search_equals_brute_force(self, boxes, probe, capacity):
-        entries = self._entries(boxes)
-        tree = RegionRTree(entries, capacity=capacity)
-        lower, upper = probe
-        expected = {
-            e.key for e in entries
-            if all(e.lower[d] < upper[d] and e.upper[d] > lower[d]
-                   for d in range(3))
-        }
-        assert set(tree.search(lower, upper)) == expected
-        assert len(tree) == len(entries)
-
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(capacity=st.integers(2, 9), seed=st.integers(0, 10_000))
-    def test_search_order_is_deterministic(self, capacity, seed):
-        rng = random.Random(seed)
-        boxes = set()
-        for _ in range(20):
-            lower = tuple(rng.randrange(0, GRID_SIDE - 1) for _ in range(3))
-            upper = tuple(lo + rng.randrange(1, GRID_SIDE - lo)
-                          for lo in lower)
-            # distinct boxes only: entries with identical (hilbert, box)
-            # sort keys keep their build order, which is the one freedom
-            # the packing has
-            boxes.add((lower, upper))
-        entries = self._entries(sorted(boxes))
-        first = RegionRTree(entries, capacity=capacity)
-        second = RegionRTree(list(reversed(entries)), capacity=capacity)
-        probe = ((0, 0, 0), (GRID_SIDE,) * 3)
-        assert first.search(*probe) == second.search(*probe)
-
-    def test_empty_tree(self):
-        tree = RegionRTree([])
-        assert len(tree) == 0
-        assert tree.height == 0
-        assert tree.bounding_box() is None
-        assert tree.search((0, 0, 0), (8, 8, 8)) == []
 
 
 class TestCellStats:
