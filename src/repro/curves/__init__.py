@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.errors import ValidationError
 
-from repro.curves.base import GridSpec, SpaceFillingCurve
+from repro.curves.base import GridSpec, SpaceFillingCurve, stack_shape
 from repro.curves.hilbert import HilbertCurve
 from repro.curves.morton import MortonCurve
 from repro.curves.rowmajor import RowMajorCurve
@@ -17,6 +17,7 @@ __all__ = [
     "RowMajorCurve",
     "curve_for_grid",
     "CURVE_CLASSES",
+    "stack_shape",
 ]
 
 #: registry of curve implementations by short name

@@ -27,7 +27,8 @@ import numpy as np
 
 from repro.errors import GridMismatchError, ValidationError
 
-__all__ = ["GridSpec", "SpaceFillingCurve", "CurveTables", "TABLE_MAX_LENGTH", "integer_array"]
+__all__ = ["GridSpec", "SpaceFillingCurve", "CurveTables", "TABLE_MAX_LENGTH", "integer_array",
+           "stack_shape"]
 
 #: Longest curve answered from a table: the paper's 128^3 atlas (22 MB of
 #: tables).  A constant, not an option: the choice follows from the curve's
@@ -138,6 +139,19 @@ class CurveTables(NamedTuple):
 #: kernel, but every one of them keeps the pair that landed, so no lock.
 _TABLES: dict[tuple[type, int, int], CurveTables] = {}
 
+#: (curve class, ndim, bits, first axis > 0) -> the offset of each curve
+#: position's voxel in a stack of the cube, in ``offset_of``'s dtype.
+#: Built on first use and published like :data:`_TABLES`.
+_STACKS: dict[tuple[type, int, int, int], np.ndarray] = {}
+
+
+def stack_shape(shape: tuple[int, ...], first_axis: int) -> tuple[int, ...]:
+    """``shape`` with axis ``first_axis`` moved to the front: the shape of a
+    *stack*, a dense array laid out for a projection along that axis."""
+    if not 0 <= first_axis < len(shape):
+        raise ValidationError(f"axis {first_axis} out of range for {len(shape)}-D data")
+    return (shape[first_axis], *shape[:first_axis], *shape[first_axis + 1:])
+
 
 def integer_array(values: np.ndarray, what: str) -> np.ndarray:
     """``values`` as C-contiguous int64; non-integer input is an error, not truncated."""
@@ -246,20 +260,41 @@ class SpaceFillingCurve(ABC):
             return self._coords_kernel(index)
         return np.take(self.tables().coords_of, index, axis=0).astype(np.int64)
 
-    def grid_offsets(self, index: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-        """C-order offsets into an array of ``shape`` of the voxels at positions ``index``.
+    def grid_offsets(self, index: np.ndarray, shape: tuple[int, ...],
+                     first_axis: int = 0) -> np.ndarray:
+        """C-order offsets of the voxels at positions ``index`` into the
+        stack of an array of ``shape`` whose axis ``first_axis`` comes
+        first (:func:`stack_shape`; axis 0 is the array itself).
 
         What a scatter into a dense array needs; on the curve's own cube it
         is one gather.  A position whose voxel lies outside ``shape`` is an error.
         """
-        if (self.length <= TABLE_MAX_LENGTH
-                and tuple(shape) == (self.side,) * self.ndim):
-            return np.take(self.tables().offset_of, index)
+        stacked = stack_shape(tuple(shape), first_axis)
+        if self.length <= TABLE_MAX_LENGTH and stacked == (self.side,) * self.ndim:
+            return np.take(self._stack_offsets(first_axis), index)
         # A grid embedded in the cube has its own strides: re-ravel.
+        axes = list(self._axes(index))
+        axes.insert(0, axes.pop(first_axis))
         try:
-            return np.ravel_multi_index(tuple(self._axes(index)), shape)
+            return np.ravel_multi_index(tuple(axes), stacked)
         except ValueError:
             raise ValidationError(f"curve positions fall outside a grid of shape {shape}") from None
+
+    def _stack_offsets(self, first_axis: int) -> np.ndarray:
+        """``offset_of`` with the bit field of axis ``first_axis`` moved to the top."""
+        offset_of = self.tables().offset_of
+        if first_axis == 0:
+            return offset_of
+        key = (type(self), self.ndim, self.bits, first_axis)
+        stack = _STACKS.get(key)
+        if stack is None:
+            below = self.bits * (self.ndim - 1 - first_axis)  # the later axes' bits
+            axis = (offset_of >> below) & (self.side - 1)
+            stack = ((axis << (self.bits * (self.ndim - 1))) | (offset_of & ((1 << below) - 1))
+                     | (offset_of >> (below + self.bits) << below))
+            stack.setflags(write=False)
+            stack = _STACKS.setdefault(key, stack)
+        return stack
 
     def _axes(self, index: np.ndarray):
         """Per axis, the coordinates of the voxels at the (valid) positions

@@ -14,10 +14,13 @@ rendered, so each stage is a base cost plus per-unit rates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.db.functions import WorkCounters
 from repro.net.rpc import TransferRecord
 from repro.storage.device import IOStats
+
+if TYPE_CHECKING:  # annotations only: repro.db imports this module
+    from repro.db.functions import WorkCounters
 
 __all__ = ["CostModel1994"]
 

@@ -160,9 +160,11 @@ class Region:
         """All member voxel coordinates, ``(n, ndim)``, in curve order."""
         return self._curve.coords(self._intervals.indices())
 
-    def offsets(self) -> np.ndarray:
-        """C-order offsets into a grid-shaped array of all member voxels, in curve order."""
-        return self._curve.grid_offsets(self._intervals.indices(), self._grid.shape)
+    def offsets(self, first_axis: int = 0) -> np.ndarray:
+        """C-order offsets of all member voxels, in curve order, into a
+        grid-shaped array stacked along ``first_axis`` (see
+        :meth:`~repro.curves.SpaceFillingCurve.grid_offsets`)."""
+        return self._curve.grid_offsets(self._intervals.indices(), self._grid.shape, first_axis)
 
     def to_mask(self) -> np.ndarray:
         """Render as an ndim-dimensional boolean occupancy array."""

@@ -52,11 +52,11 @@ def _check_axis(axis: int, ndim: int) -> None:
 
 def render_mip(data: DataRegion, axis: int = 2) -> np.ndarray:
     """Maximum-intensity projection along one axis (the classic PET view)."""
-    _check_axis(axis, data.region.grid.ndim)
     # Projected in the stored dtype: the conversion in _normalize is exact
     # and monotone, so the maximum of the converted voxels is the converted
-    # maximum, and only the image is converted.
-    return _normalize(data.to_array(fill=0).max(axis=axis))
+    # maximum, and only the image is converted.  The rays run along the
+    # leading axis of a stack, which reduces far faster than a trailing one.
+    return _normalize(data.to_array(fill=0, first_axis=axis).max(axis=0))
 
 
 def render_rotated_mip(data: DataRegion, angle_deg: float, axis: int = 2) -> np.ndarray:

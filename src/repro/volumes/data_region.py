@@ -13,6 +13,7 @@ import struct
 
 import numpy as np
 
+from repro.curves import stack_shape
 from repro.errors import CodecError, CurveMismatchError, ValidationError
 from repro.regions import Region
 
@@ -140,11 +141,14 @@ class DataRegion:
     # dense rendering support
     # ------------------------------------------------------------------ #
 
-    def to_array(self, fill=0) -> np.ndarray:
-        """Scatter into a dense ndim-dimensional array, ``fill`` elsewhere."""
-        out = np.full(self._region.grid.shape, fill, dtype=self._values.dtype)
+    def to_array(self, fill=0, first_axis: int = 0) -> np.ndarray:
+        """Scatter into a dense ndim-dimensional array, ``fill`` elsewhere, laid
+        out with grid axis ``first_axis`` first: ``np.ascontiguousarray(
+        np.moveaxis(to_array(), first_axis, 0))``, for a projection along it."""
+        out = np.full(stack_shape(self._region.grid.shape, first_axis), fill,
+                      dtype=self._values.dtype)
         if self.voxel_count:
-            out.reshape(-1)[self._region.offsets()] = self._values
+            out.reshape(-1)[self._region.offsets(first_axis)] = self._values
         return out
 
     # ------------------------------------------------------------------ #

@@ -267,6 +267,72 @@ class TestTables:
         assert all(tables is base._TABLES[key] for tables in seen)
 
 
+class TestStackTables:
+    """``grid_offsets(..., first_axis=a)`` on the curve's cube reads one
+    lazily built table per ``(class, ndim, bits, a)``."""
+
+    @pytest.mark.parametrize("cls", ALL_CURVES)
+    @pytest.mark.parametrize("ndim,bits", [(2, 3), (3, 4), (4, 2)])
+    def test_stack_table_is_the_moved_cube(self, cls, ndim, bits):
+        curve = cls(ndim, bits)
+        positions = np.arange(curve.length, dtype=np.int64)
+        cube = (curve.side,) * ndim
+        coords = curve._coords_kernel(positions)
+        offset_of = curve.tables().offset_of
+        assert curve._stack_offsets(0) is offset_of
+        for axis in range(ndim):
+            moved = [coords[:, axis]] + [coords[:, a] for a in range(ndim) if a != axis]
+            expected = np.ravel_multi_index(tuple(moved), cube)
+            table = curve._stack_offsets(axis)
+            assert table.dtype == offset_of.dtype and not table.flags.writeable
+            assert table is curve._stack_offsets(axis)
+            assert np.array_equal(table, expected)
+            assert np.array_equal(curve.grid_offsets(positions[::3], cube, axis), expected[::3])
+
+    @pytest.mark.parametrize("cls", ALL_CURVES)
+    def test_curve_past_the_cap_builds_no_stack_table(self, cls, rng):
+        curve = cls(3, 8)
+        coords = rng.integers(0, curve.side, (500, 3))
+        positions = curve._index_kernel(coords)
+        offsets = curve.grid_offsets(positions, (curve.side,) * 3, 2)
+        moved = (coords[:, 2], coords[:, 0], coords[:, 1])
+        assert np.array_equal(offsets, np.ravel_multi_index(moved, (curve.side,) * 3))
+        assert not any(key[:3] == (cls, 3, 8) for key in base._STACKS)
+
+    def test_threads_racing_the_first_use_share_one_table(self):
+        curve = MortonCurve(3, 5)
+        key = (MortonCurve, 3, 5, 2)
+        positions = np.arange(curve.length)
+        cube = (curve.side,) * 3
+        coords = curve._coords_kernel(positions)
+        reference = np.ravel_multi_index((coords[:, 2], coords[:, 0], coords[:, 1]), cube)
+        base._STACKS.pop(key, None)
+        barrier = threading.Barrier(6)
+        answers, seen = [], []
+
+        def first_use():
+            barrier.wait(timeout=30)
+            answers.append(curve.grid_offsets(positions, cube, 2))
+            seen.append(curve._stack_offsets(2))
+
+        threads = [threading.Thread(target=first_use) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(answers) == 6
+        assert all(np.array_equal(answer, reference) for answer in answers)
+        # whoever built a table, everyone ended up holding the published one
+        assert all(table is base._STACKS[key] for table in seen)
+        assert not base._STACKS[key].flags.writeable
+
+
 class TestIntegerInput:
     """Non-integer input is refused, never truncated into a valid answer."""
 

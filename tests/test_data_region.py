@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.curves import GridSpec
-from repro.errors import CodecError
+from repro.errors import CodecError, ValidationError
 from repro.regions import Region, rasterize
 from repro.volumes import DataRegion, Volume
 
@@ -113,6 +113,40 @@ class TestDense:
         assert np.array_equal(DataRegion(region, values).to_array(fill=255), expected)
         assert np.array_equal(region.to_mask(), mask)
         assert np.array_equal(region.to_mask(), expected != 255)
+
+
+class TestStackLayout:
+    """``to_array(first_axis=a)`` is the dense array with axis ``a`` moved to
+    the front, C-contiguous: on the curve's cube (stack tables) and on an
+    embedded grid (re-raveled coordinates) alike."""
+
+    @pytest.mark.parametrize("shape", [(16, 16, 16), (5, 7, 3), (8, 8), (4, 2, 4, 4)])
+    @pytest.mark.parametrize("curve", ["hilbert", "morton", "rowmajor"])
+    def test_stack_is_the_moved_array(self, shape, curve, rng):
+        grid = GridSpec(shape)
+        region = Region.from_mask(rng.random(shape) < 0.5, grid, curve)
+        data = DataRegion(region, rng.integers(1, 256, region.voxel_count).astype(np.uint8))
+        dense = data.to_array(fill=0)
+        for axis in range(grid.ndim):
+            stack = data.to_array(fill=0, first_axis=axis)
+            assert stack.flags.c_contiguous
+            assert np.array_equal(stack, np.ascontiguousarray(np.moveaxis(dense, axis, 0)))
+            mask = np.zeros(stack.shape, dtype=bool)
+            mask.reshape(-1)[region.offsets(axis)] = True
+            assert np.array_equal(mask, np.moveaxis(region.to_mask(), axis, 0))
+
+    @pytest.mark.parametrize("shape", [(16, 16, 16), (5, 7, 3)])
+    @pytest.mark.parametrize("axis", [-1, 3, 7])
+    def test_out_of_range_first_axis_is_a_validation_error(self, shape, axis, rng):
+        grid = GridSpec(shape)
+        region = Region.full(grid)
+        data = DataRegion(region, rng.integers(0, 256, region.voxel_count).astype(np.uint8))
+        empty = DataRegion(Region.empty(grid), np.empty(0, dtype=np.uint8))
+        for call in (lambda: data.to_array(first_axis=axis),
+                     lambda: empty.to_array(first_axis=axis),
+                     lambda: region.offsets(axis)):
+            with pytest.raises(ValidationError):
+                call()
 
 
 class TestSerialization:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import ValidationError
 from repro.regions import IntervalSet, concat_ranges
 
 
@@ -26,12 +27,30 @@ class TestConcatRanges:
         assert out.tolist() == [4, 5, 6, 9]
 
     def test_rejects_negative_lengths(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             concat_ranges(np.array([5]), np.array([3]))
+        with pytest.raises(ValidationError):
+            concat_ranges(np.array([0, 9, 4]), np.array([2, 8, 6]))
 
     def test_single_long_range(self):
         out = concat_ranges(np.array([10]), np.array([15]))
         assert out.tolist() == [10, 11, 12, 13, 14]
+
+    @pytest.mark.parametrize("starts,stops", [
+        ([], []),
+        ([3, 3, 8, 9, 20], [3, 6, 8, 12, 21]),  # zero-length ranges mixed in
+        ([7], [7]),
+        ([40], [4136]),
+        ([0, 5, 9], [5, 9, 12]),  # touching
+        ([50, 2, 30, 2], [53, 6, 31, 4]),  # out of order, overlapping
+    ])
+    def test_equals_concatenated_aranges(self, starts, stops):
+        starts, stops = np.array(starts, dtype=np.int32), np.array(stops, dtype=np.int32)
+        out = concat_ranges(starts, stops)
+        expected = np.concatenate(
+            [np.arange(a, b) for a, b in zip(starts.tolist(), stops.tolist())] + [[]])
+        assert out.dtype == np.int64
+        assert out.tolist() == expected.tolist()
 
 
 class TestConstruction:

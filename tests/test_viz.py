@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.curves import GridSpec
 from repro.errors import CodecError
 from repro.regions import Region, rasterize
 from repro.viz import (
@@ -17,7 +18,8 @@ from repro.viz import (
     render_textured_surface,
     to_pgm,
 )
-from repro.volumes import Volume
+from repro.viz.render import _normalize
+from repro.volumes import DataRegion, Volume
 
 
 @pytest.fixture
@@ -28,6 +30,50 @@ def volume(rng):
 @pytest.fixture
 def data_region(volume):
     return volume.extract(rasterize.sphere(volume.grid, (8, 8, 8), 5.0))
+
+
+def _region_of_kind(kind: str, grid: GridSpec, curve: str) -> Region:
+    side = min(grid.shape)
+    if kind == "empty":
+        return Region.empty(grid, curve)
+    if kind == "single":
+        return Region.from_coords([[side // 3] * grid.ndim], grid, curve)
+    if kind == "full":
+        return Region.full(grid, curve)
+    lower = Region.from_box(grid, (1,) * grid.ndim, (side // 2,) * grid.ndim, curve)
+    upper = Region.from_box(grid, (side // 3,) * grid.ndim, (side - 1,) * grid.ndim, curve)
+    return lower | upper | Region.from_coords([[side - 1] + [0] * (grid.ndim - 1)], grid, curve)
+
+
+def _values_of_kind(kind: str, count: int, rng) -> np.ndarray:
+    if kind == "u1":
+        return rng.integers(0, 256, count).astype(np.uint8)
+    if kind == "u2":
+        return rng.integers(0, 1 << 16, count).astype(np.uint16)
+    values = rng.standard_normal(count).astype(np.float32)
+    return -np.abs(values) - np.float32(0.5) if kind == "f4-negative" else values
+
+
+class TestMipOracle:
+    """``render_mip`` against the projection of a dense array scattered
+    voxel by voxel from the region's coordinates, not through any offset
+    table: the images must agree bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(16, 16, 16), (64, 64, 64), (16, 16), (5, 7, 3)])
+    @pytest.mark.parametrize("curve", ["hilbert", "morton"])
+    @pytest.mark.parametrize("values", ["u1", "u2", "f4", "f4-negative"])
+    @pytest.mark.parametrize("kind", ["empty", "single", "full", "boxes"])
+    def test_mip_equals_the_dense_projection(self, shape, curve, values, kind, rng):
+        grid = GridSpec(shape)
+        region = _region_of_kind(kind, grid, curve)
+        data = DataRegion(region, _values_of_kind(values, region.voxel_count, rng))
+        dense = np.zeros(shape, dtype=data.dtype)
+        dense[tuple(region.coords().T)] = data.values
+        for axis in range(grid.ndim):
+            image = render_mip(data, axis=axis)
+            expected = _normalize(dense.max(axis=axis))
+            assert image.dtype == expected.dtype
+            assert image.tobytes() == expected.tobytes(), (axis, kind)
 
 
 class TestRendering:
