@@ -260,18 +260,23 @@ class SpaceFillingCurve(ABC):
             return self._coords_kernel(index)
         return np.take(self.tables().coords_of, index, axis=0).astype(np.int64)
 
-    def grid_offsets(self, index: np.ndarray, shape: tuple[int, ...],
+    def grid_offsets(self, index: np.ndarray | slice, shape: tuple[int, ...],
                      first_axis: int = 0) -> np.ndarray:
-        """C-order offsets of the voxels at positions ``index`` into the
-        stack of an array of ``shape`` whose axis ``first_axis`` comes
-        first (:func:`stack_shape`; axis 0 is the array itself).
+        """C-order offsets of the voxels at positions ``index`` (an array,
+        or a ``slice`` for one run) into the stack of an array of ``shape``
+        whose axis ``first_axis`` comes first (:func:`stack_shape`; axis 0
+        is the array itself).
 
-        What a scatter into a dense array needs; on the curve's own cube it
-        is one gather.  A position whose voxel lies outside ``shape`` is an error.
+        What a scatter into a dense array needs, as ``np.intp``: numpy casts
+        any other index dtype chunk by chunk.  On the curve's own cube it is
+        one gather, or a slice.  A position whose voxel lies outside
+        ``shape`` is an error.
         """
         stacked = stack_shape(tuple(shape), first_axis)
         if self.length <= TABLE_MAX_LENGTH and stacked == (self.side,) * self.ndim:
-            return np.take(self._stack_offsets(first_axis), index)
+            return self._stack_offsets(first_axis)[index].astype(np.intp)
+        if isinstance(index, slice):
+            index = np.arange(index.start, index.stop)
         # A grid embedded in the cube has its own strides: re-ravel.
         axes = list(self._axes(index))
         axes.insert(0, axes.pop(first_axis))

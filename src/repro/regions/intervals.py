@@ -6,12 +6,14 @@ implements the 1-D side of that design: :class:`IntervalSet` is a set of
 non-negative integers kept as sorted, maximal, half-open runs
 ``[start, stop)``, with vectorized set algebra.
 
-All set operations are implemented with a single *event sweep* (the n-way
-generalization of the merge-based "spatial join" of Orenstein & Manola that
-the paper cites): run boundaries become +1/-1 events, a cumulative sum gives
-the coverage depth over each elementary segment, and thresholding the depth
-yields intersection (depth = k), union (depth >= 1), or any
-"at least m of k sets" combination in one pass.
+Intersection and difference are a *merge* of two sorted run lists (the
+merge-based "spatial join" of Orenstein & Manola that the paper cites):
+binary searches pair the overlapping runs, and nothing is sorted; a k-way
+intersection folds it.  Union and "at least m of k sets" are one *event
+sweep*: run boundaries become +1/-1 events, one sort orders them, a
+cumulative sum gives the coverage depth over each elementary segment, and
+thresholding the depth answers.  ARCHITECTURE.md ("Merge, or one sort per
+sweep") has the measurements.
 """
 
 from __future__ import annotations
@@ -249,25 +251,27 @@ class IntervalSet:
 
     @staticmethod
     def sweep(sets: Sequence["IntervalSet"], min_depth: int) -> "IntervalSet":
-        """Event-sweep combination: positions covered by >= ``min_depth`` of ``sets``.
+        """Positions covered by >= ``min_depth`` of ``sets``.
 
         ``min_depth = len(sets)`` is the n-way intersection (the multi-study
-        queries of Table 4); ``min_depth = 1`` is the union; intermediate
-        values answer "in at least m of the k studies".
+        queries of Table 4), a fold of the two-set merge; ``min_depth = 1``
+        is the union; intermediate values answer "in at least m of the k
+        studies".  Those two are one event sweep.
         """
         if min_depth < 1:
             raise ValidationError("min_depth must be >= 1")
         sets = list(sets)
         if min_depth > len(sets):
             return IntervalSet.empty()
+        if min_depth == len(sets):
+            result = sets[0]
+            for other in sets[1:]:
+                result = result._merge(other)
+            return result
         positions = np.concatenate([s._starts for s in sets] + [s._stops for s in sets])
-        deltas = np.repeat(np.asarray([1, -1], dtype=np.int64), positions.size // 2)
-        return IntervalSet._sweep_events(positions, deltas, min_depth)
-
-    @staticmethod
-    def _sweep_events(positions: np.ndarray, deltas: np.ndarray, min_depth: int) -> "IntervalSet":
         if positions.size == 0:
             return IntervalSet.empty()
+        deltas = np.repeat(np.asarray([1, -1], dtype=np.int64), positions.size // 2)
         # One sort: the events arrive as a few sorted lists, which a stable
         # (merging) sort orders in near-linear time.
         order = np.argsort(positions, kind="stable")
@@ -283,6 +287,26 @@ class IntervalSet:
         covered = IntervalSet.from_mask(depth >= min_depth)
         return IntervalSet(unique_pos[covered._starts], unique_pos[covered._stops], _trusted=True)
 
+    def _merge(self, other: "IntervalSet") -> "IntervalSet":
+        """The intersection of two sets, by merging their sorted runs.
+
+        Two binary searches find, for each run of the set with fewer runs,
+        the span of the other's runs that it overlaps; one ``repeat``
+        expands the pairs, and each pair's overlap is its later start to
+        its earlier stop.  The pairs come out in curve order, and two of
+        them are separated by a gap of one input or the other, so the
+        result is canonical as built: no sort.
+        """
+        a, b = (self, other) if self.run_count <= other.run_count else (other, self)
+        lo = np.searchsorted(b._stops, a._starts, side="right")  # first b run ending past a's start
+        hi = np.searchsorted(b._starts, a._stops, side="left")  # first b run starting at a's stop
+        counts = hi - lo
+        i = np.repeat(np.arange(counts.size), counts)
+        # Pair p of run i is b run lo[i] + (p - first pair of i).
+        j = np.arange(i.size) + (lo - (np.cumsum(counts) - counts))[i]
+        return IntervalSet(np.maximum(a._starts[i], b._starts[j]),
+                           np.minimum(a._stops[i], b._stops[j]), _trusted=True)
+
     def intersection(self, *others: "IntervalSet") -> "IntervalSet":
         """Members common to this set and all ``others``."""
         sets = [self, *others]
@@ -293,15 +317,14 @@ class IntervalSet:
         return IntervalSet.sweep([self, *others], 1)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
-        """Members of ``self`` that are not in ``other``."""
+        """Members of ``self`` that are not in ``other``: ``self`` merged
+        with ``other``'s gaps, which are canonical runs as they stand."""
         if self.run_count == 0 or other.run_count == 0:
             return self
-        positions = np.concatenate([self._starts, self._stops, other._starts, other._stops])
-        n, m = self.run_count, other.run_count
-        # self contributes +1/-1; other contributes a weight of -2 so any
-        # overlap drags the depth to <= 0 and only uncovered parts stay at 1.
-        deltas = np.repeat(np.asarray([1, -1, -2, 2], dtype=np.int64), [n, n, m, m])
-        return IntervalSet._sweep_events(positions, deltas, 1)
+        gap_starts = np.concatenate(([0], other._stops))
+        gap_stops = np.concatenate((other._starts, [np.iinfo(np.int64).max]))
+        first = int(other._starts[0] == 0)  # no gap before a run at 0
+        return self._merge(IntervalSet(gap_starts[first:], gap_stops[first:], _trusted=True))
 
     def symmetric_difference(self, other: "IntervalSet") -> "IntervalSet":
         """Members of exactly one of the two sets."""

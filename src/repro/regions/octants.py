@@ -100,11 +100,20 @@ def octants_to_intervals(ids: np.ndarray, ranks: np.ndarray) -> IntervalSet:
     """Rebuild the interval set covered by ``<id, rank>`` blocks."""
     ids = np.asarray(ids, dtype=np.int64)
     ranks = np.asarray(ranks, dtype=np.int64)
-    if ids.shape != ranks.shape:
-        raise ValidationError("ids and ranks must have the same shape")
-    if np.any(ids & ((np.int64(1) << ranks) - 1)):
+    if ids.ndim != 1 or ids.shape != ranks.shape:
+        raise ValidationError("ids and ranks must be 1-D arrays of the same shape")
+    sizes = np.int64(1) << ranks
+    if np.any(ids & (sizes - 1)):
         raise ValidationError("octant ids must be aligned to their rank")
-    return IntervalSet(ids, ids + (np.int64(1) << ranks))
+    if ids.size == 0:
+        return IntervalSet.empty()
+    # Blocks are encoded in id order, so a run breaks only where a block does
+    # not start at the previous one's stop; blocks out of order fail the
+    # constructor's canonical check and are sorted there.
+    stops = ids + sizes
+    breaks = np.flatnonzero(ids[1:] != stops[:-1])
+    return IntervalSet(ids[np.concatenate(([0], breaks + 1))],
+                       stops[np.concatenate((breaks, [ids.size - 1]))])
 
 
 def count_octants(intervals: IntervalSet, ndim: int) -> tuple[int, int]:

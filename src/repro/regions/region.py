@@ -163,8 +163,12 @@ class Region:
     def offsets(self, first_axis: int = 0) -> np.ndarray:
         """C-order offsets of all member voxels, in curve order, into a
         grid-shaped array stacked along ``first_axis`` (see
-        :meth:`~repro.curves.SpaceFillingCurve.grid_offsets`)."""
-        return self._curve.grid_offsets(self._intervals.indices(), self._grid.shape, first_axis)
+        :meth:`~repro.curves.SpaceFillingCurve.grid_offsets`).  One run
+        goes as a slice, which on the curve's cube slices a table."""
+        runs = self._intervals
+        index = (slice(int(runs.starts[0]), int(runs.stops[0])) if runs.run_count == 1
+                 else runs.indices())
+        return self._curve.grid_offsets(index, self._grid.shape, first_axis)
 
     def to_mask(self) -> np.ndarray:
         """Render as an ndim-dimensional boolean occupancy array."""

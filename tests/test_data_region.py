@@ -7,7 +7,7 @@ import pytest
 
 from repro.curves import GridSpec
 from repro.errors import CodecError, ValidationError
-from repro.regions import Region, rasterize
+from repro.regions import IntervalSet, Region, rasterize
 from repro.volumes import DataRegion, Volume
 
 
@@ -147,6 +147,54 @@ class TestStackLayout:
                      lambda: region.offsets(axis)):
             with pytest.raises(ValidationError):
                 call()
+
+
+class TestOneRunScatter:
+    """A one-run region hands ``grid_offsets`` a slice, not its positions:
+    the dense forms must still equal a scatter through ``coords()``, on the
+    curve's cube (a slice of a table) and on an embedded grid alike."""
+
+    @staticmethod
+    def _one_run(grid, curve):
+        """A one-run region inside ``grid`` that does not start at 0: the
+        longest run of the full grid, less its first voxel."""
+        runs = Region.full(grid, curve).intervals
+        longest = int(np.argmax(runs.run_lengths))
+        start, stop = int(runs.starts[longest]) + 1, int(runs.stops[longest])
+        assert start > 0 and stop - start > 1
+        return Region(IntervalSet([start], [stop]), grid, curve)
+
+    @pytest.mark.parametrize("shape", [(16, 16, 16), (40, 40, 40), (64, 64, 64)])
+    @pytest.mark.parametrize("curve", ["hilbert", "morton", "rowmajor"])
+    def test_dense_forms_equal_the_coords_scatter(self, shape, curve, rng):
+        grid = GridSpec(shape)
+        region = self._one_run(grid, curve)
+        assert region.run_count == 1 and region.intervals.starts[0] > 0
+        values = rng.integers(1, 1 << 16, region.voxel_count).astype(np.uint16)
+        expected = np.zeros(shape, dtype=np.uint16)
+        expected[tuple(region.coords().T)] = values
+        data = DataRegion(region, values)
+        for axis in range(3):
+            assert region.offsets(axis).dtype == np.intp
+            stack = data.to_array(fill=0, first_axis=axis)
+            assert stack.flags.c_contiguous
+            assert np.array_equal(stack, np.ascontiguousarray(np.moveaxis(expected, axis, 0)))
+        assert np.array_equal(region.to_mask(), expected != 0)
+
+    @pytest.mark.parametrize("first_axis", [0, 1, 2])
+    def test_a_run_leaving_an_embedded_grid_is_a_validation_error(self, first_axis):
+        # 40^3 in the 64-side cube: the whole curve runs through voxels outside it
+        region = Region(IntervalSet([1], [64 ** 3]), GridSpec((40, 40, 40)), "hilbert")
+        with pytest.raises(ValidationError):
+            region.offsets(first_axis)
+
+    @pytest.mark.parametrize("shape", [(16, 16, 16), (5, 7, 3)])
+    def test_offsets_are_intp_for_every_region(self, shape, rng):
+        grid = GridSpec(shape)
+        for region in (Region.from_mask(rng.random(shape) < 0.4, grid), Region.full(grid),
+                       Region.empty(grid)):
+            for axis in range(3):
+                assert region.offsets(axis).dtype == np.intp
 
 
 class TestSerialization:

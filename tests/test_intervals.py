@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.regions import IntervalSet, concat_ranges
+from repro.regions import intervals as intervals_module
 
 
 def iset(*runs):
@@ -275,6 +278,78 @@ class TestSetAlgebra:
         """Unions that touch must merge into maximal runs."""
         result = iset((0, 4)).union(iset((5, 9)))
         assert result.run_count == 1
+
+
+_SPAN = 40
+
+
+@st.composite
+def set_families(draw):
+    """1-5 sets over ``[0, _SPAN)`` and their masks.  Besides random sets,
+    a member may be empty, a single run, the previous set itself, or the
+    previous set's gaps, whose every run touches one of its runs."""
+    sets, masks = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["random", "empty", "single", "same", "touching"]))
+        if kind == "empty":
+            mask = np.zeros(_SPAN, dtype=bool)
+        elif kind == "single":
+            lo = draw(st.integers(0, _SPAN - 1))
+            mask = np.zeros(_SPAN, dtype=bool)
+            mask[lo:draw(st.integers(lo + 1, _SPAN))] = True
+        elif kind == "same" and sets:
+            sets.append(sets[-1])
+            masks.append(masks[-1])
+            continue
+        elif kind == "touching" and sets:
+            mask = ~masks[-1]
+        else:
+            mask = np.asarray(draw(st.lists(st.booleans(), min_size=_SPAN, max_size=_SPAN)))
+        sets.append(IntervalSet.from_mask(mask))
+        masks.append(mask)
+    return sets, masks
+
+
+def _assert_canonical_and_equal(result, expected_mask):
+    assert (result.stops > result.starts).all()
+    assert (result.starts[1:] > result.stops[:-1]).all()
+    assert np.array_equal(result.to_mask(_SPAN), expected_mask)
+
+
+class TestMergeAgainstTheMaskOracle:
+    """Intersection of 1-5 sets and difference are a merge of sorted runs;
+    both must equal the boolean-mask answer, canonical as built."""
+
+    @given(set_families())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_intersection_and_difference(self, family):
+        sets, masks = family
+        expected = np.logical_and.reduce(masks)
+        _assert_canonical_and_equal(IntervalSet.sweep(sets, len(sets)), expected)
+        _assert_canonical_and_equal(sets[0].intersection(*sets[1:]), expected)
+        for a, mask_a in zip(sets, masks):
+            for b, mask_b in zip(sets, masks):
+                _assert_canonical_and_equal(a.difference(b), mask_a & ~mask_b)
+                assert a.issuperset(b) == (not (mask_b & ~mask_a).any())
+
+    def test_touching_runs_neither_intersect_nor_subtract(self):
+        a, b = iset((0, 4), (10, 14)), iset((5, 9), (15, 20))
+        assert a.intersection(b) == IntervalSet.empty()
+        assert a.difference(b) == a and b.difference(a) == b
+
+    def test_difference_of_a_set_starting_at_zero(self):
+        assert iset((0, 9)).difference(iset((0, 2), (5, 5))) == iset((3, 4), (6, 9))
+        assert IntervalSet.full(6).difference(iset((0, 5))) == IntervalSet.empty()
+
+    def test_intersection_and_difference_do_not_sort(self, monkeypatch):
+        def no_sort(*args, **kwargs):
+            raise AssertionError("sorted")
+
+        monkeypatch.setattr(np, "argsort", no_sort)
+        monkeypatch.setattr(intervals_module, "_canonicalize", no_sort)
+        a, b = iset((0, 5), (9, 20), (30, 31)), iset((3, 10), (12, 12), (25, 40))
+        assert IntervalSet.sweep([a, b, a], 3) == iset((3, 5), (9, 10), (12, 12), (30, 31))
+        assert a.difference(b) == iset((0, 2), (11, 11), (13, 20))
 
 
 class TestShiftClip:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compression import get_codec
+from repro.errors import ValidationError
 from repro.regions import (
     IntervalSet,
     count_octants,
@@ -12,6 +14,7 @@ from repro.regions import (
     decompose_octants,
     octants_to_intervals,
 )
+from repro.regions import intervals as intervals_module
 
 
 def iset(*runs):
@@ -91,6 +94,59 @@ class TestRoundTrip:
     def test_rebuild_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             octants_to_intervals(np.array([0, 4]), np.array([2]))
+
+
+class TestDecode:
+    """``octants_to_intervals`` merges blocks that arrive in id order in one
+    pass; blocks in any other order still decode to the canonical set."""
+
+    @staticmethod
+    def _random_set(seed):
+        rng = np.random.default_rng(seed)
+        return IntervalSet.from_indices(rng.integers(0, 1 << 12, 900))
+
+    @pytest.mark.parametrize("decompose", [lambda s: decompose_octants(s, 3),
+                                           decompose_oblong_octants])
+    def test_shuffled_blocks_decode_to_the_canonical_set(self, decompose):
+        s = self._random_set(11)
+        ids, ranks = decompose(s)
+        order = np.random.default_rng(12).permutation(ids.size)
+        assert octants_to_intervals(ids[order], ranks[order]) == s
+        assert octants_to_intervals(ids[::-1], ranks[::-1]) == s
+
+    def test_overlapping_and_adjacent_blocks(self):
+        # [0, 8) twice over, [8, 12) adjacent to it, [16, 17) and [17, 18) adjacent
+        ids, ranks = np.array([0, 4, 0, 8, 17, 16]), np.array([3, 2, 2, 2, 0, 0])
+        assert octants_to_intervals(ids, ranks) == iset((0, 11), (16, 17))
+        assert octants_to_intervals(np.array([4, 0]), np.array([2, 2])) == iset((0, 7))
+
+    def test_empty(self):
+        assert octants_to_intervals(np.array([], dtype=np.int64),
+                                    np.array([], dtype=np.int64)) == IntervalSet.empty()
+
+    @pytest.mark.parametrize("ids,ranks", [([0, 8, 13], [3, 2, 2]), ([3], [2]),
+                                           ([16, 6], [4, 2])])
+    def test_unaligned_block_is_a_validation_error(self, ids, ranks):
+        with pytest.raises(ValidationError, match="aligned"):
+            octants_to_intervals(np.array(ids), np.array(ranks))
+
+    def test_rejects_two_dimensional_input(self):
+        with pytest.raises(ValidationError):
+            octants_to_intervals(np.zeros((2, 2), dtype=np.int64), np.zeros((2, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("codec", ["octant", "oblong"])
+    @pytest.mark.parametrize("seed", [13, 14, 15])
+    def test_encoded_payloads_round_trip_without_a_sort(self, codec, seed, monkeypatch):
+        s = self._random_set(seed)
+        payload = get_codec(codec).encode(s, ndim=3)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("an encoded payload needed the sort-and-merge")
+
+        monkeypatch.setattr(intervals_module, "_canonicalize", no_sort)
+        decoded = get_codec(codec).decode(payload)
+        assert decoded == s
+        assert get_codec(codec).encode(decoded, ndim=3) == payload
 
 
 class TestAlignment:
