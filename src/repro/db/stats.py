@@ -185,20 +185,28 @@ class _SpatialColumn:
         clone.boxes = self.boxes
         return clone
 
-    def add_box(self, value) -> None:
-        """A new box column with the new non-empty cell ``value`` bisected
-        in after its equals, so a tie keeps insertion order."""
-        cells, meta = self.cells, self.cells[value]
+    def add_boxes(self, added: list) -> None:
+        """A new box column with the new non-empty cells ``added`` merged
+        in at once, each after its equals: a tie keeps insertion order."""
+        cells = self.cells
+
+        def key(value):
+            return _box_key(cells[value])
+
+        added = sorted(added, key=key)  # stable: equal new keys keep order
         values, lower, upper = self.boxes
-        at = bisect_right(values, _box_key(meta),
-                          key=lambda v: _box_key(cells[v]))
+        at = [bisect_right(values, key(value), key=key) for value in added]
+        new_lower = np.array([cells[v].lower for v in added], np.int64)
+        new_upper = np.array([cells[v].upper for v in added], np.int64)
         if values:
-            lower = np.concatenate((lower[:at], [meta.lower], lower[at:]))
-            upper = np.concatenate((upper[:at], [meta.upper], upper[at:]))
-        else:  # the first cell sets the corners' dimension
-            lower = np.array([meta.lower], np.int64)
-            upper = np.array([meta.upper], np.int64)
-        self.boxes = (values[:at] + (value,) + values[at:], lower, upper)
+            lower = np.insert(lower, at, new_lower, axis=0)
+            upper = np.insert(upper, at, new_upper, axis=0)
+        else:  # the first cells set the corners' dimension
+            lower, upper = new_lower, new_upper
+        merged = list(values)
+        for shift, (i, value) in enumerate(zip(at, added)):
+            merged.insert(i + shift, value)
+        self.boxes = (tuple(merged), lower, upper)
 
     def rebox(self) -> None:
         """The box column of every non-empty cell, built at once."""
@@ -322,10 +330,10 @@ class TableStats:
                     break
         return resolved
 
-    def _fold_locked(self, rows, collected, resolved) -> list:
-        """Account ``rows``; ``_lock`` must be held.  Returns
-        ``(directory, value)`` of every non-empty cell it added."""
-        added: list = []
+    def _fold_locked(self, rows, collected, resolved) -> dict:
+        """Account ``rows``; ``_lock`` must be held.  Returns each
+        directory's non-empty cells it added, in insertion order."""
+        added: dict = {}
         self.row_total += len(rows)
         for row in rows:
             for pos, value in enumerate(row):
@@ -347,7 +355,7 @@ class TableStats:
                         continue
                     column.cells[value] = meta
                     if meta is not None:
-                        added.append((column, value))
+                        added.setdefault(column, []).append(value)
                 if column.cells[value] is None:
                     column.empty_rows += 1
                 else:
@@ -367,8 +375,8 @@ class TableStats:
                     known[pos] = ChainMap(_cells(column), watched)
         resolved = self._resolve_cells(rows, known, reader)
         with self._lock:
-            for column, value in self._fold_locked(rows, collected, resolved):
-                column.add_box(value)
+            for column, values in self._fold_locked(rows, collected, resolved).items():
+                column.add_boxes(values)
             self.stamp = (table.uid, table.mutations)
 
     def recompute(self, table, reader, spatial: bool | None = None) -> None:

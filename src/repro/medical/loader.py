@@ -9,8 +9,8 @@ of it:
 1. store the raw scanline volume (*Raw Volume*),
 2. register patient space to the atlas (given warp, or moment-based),
 3. resample, Hilbert-order, and store the warped VOLUME page-aligned,
-4. compute the uniform intensity bands and store each REGION, under one or
-   more encodings.
+4. compute the uniform intensity bands, store each REGION under one or
+   more encodings, and insert every band's row in one statement.
 """
 
 from __future__ import annotations
@@ -303,6 +303,7 @@ class MedicalLoader:
         return study_id
 
     def _store_bands(self, study_id: int, atlas_id: int, volume: Volume) -> None:
+        rows = []
         for band in uniform_bands(volume, width=self.band_width):
             along = {}  # curve name -> the band along it: one reorder per curve
             for encoding in self.encodings:
@@ -316,10 +317,13 @@ class MedicalLoader:
                 if curve_name not in along:
                     along[curve_name] = band.region.reorder(curve_name)
                 region_lf = store_region(self.db, along[curve_name], codec)
-                self.db.execute(
-                    "insert into intensityBand values (?, ?, ?, ?, ?, ?)",
-                    [study_id, atlas_id, band.low, band.high, encoding, region_lf],
-                )
+                rows.append((study_id, atlas_id, band.low, band.high, encoding, region_lf))
+        if rows:  # every band's row in one statement, in the order stored
+            self.db.execute(
+                "insert into intensityBand values "
+                + ", ".join(["(?, ?, ?, ?, ?, ?)"] * len(rows)),
+                [value for row in rows for value in row],
+            )
 
 
 def _default_systems(structures: set[str]) -> dict[str, tuple[str, ...]]:

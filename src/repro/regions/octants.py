@@ -7,11 +7,12 @@ range ``[k * 2^r, (k+1) * 2^r)``.  A regular *octant* additionally requires
 produced by the recursive octree decomposition of space.
 
 Because a maximal aligned block inside a region always lies within one
-maximal run, decomposing each run greedily from the left reproduces the
-canonical octree decomposition exactly — this is how Tables 1 and 2 of the
-paper are generated.  Each element is reported as a ``<id, rank>`` pair
-using the smallest curve id of the block, matching the paper's z-value
-notation.
+maximal run, the canonical octree decomposition is per run: a block is in
+it iff it lies whole inside its run and its parent (one allowed rank up)
+does not.  Every rank's whole-block range is computed for all runs at
+once, which yields Tables 1 and 2 of the paper.  Each element is reported
+as a ``<id, rank>`` pair using the smallest curve id of the block,
+matching the paper's z-value notation.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.errors import ValidationError
 
 import numpy as np
 
-from repro.regions.intervals import IntervalSet
+from repro.regions.intervals import IntervalSet, concat_ranges
 
 __all__ = [
     "decompose_octants",
@@ -31,57 +32,36 @@ __all__ = [
 
 
 def _decompose(intervals: IntervalSet, rank_multiple: int, max_rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy aligned-block decomposition of every run, fully vectorized.
+    """Every run's maximal aligned blocks, from one pass over all levels.
 
-    Returns ``(ids, ranks)`` in curve order.  Each loop iteration peels one
-    block off the head of every still-active run, so the iteration count is
-    bounded by the largest number of blocks in a single run (<= 2 * bits),
-    not by the number of runs.
+    Level ``j`` holds the blocks of rank ``r = j * rank_multiple`` (the top
+    capped by ``max_rank`` and by the longest run); a run ``[a, b)`` holds
+    whole the level's blocks ``[ceil(a / 2^r), floor(b / 2^r))``.  A block is
+    emitted iff its parent one level up is not whole inside the run: per
+    run, a left part below the parents' range, a right part above it, and
+    every whole block of the run's top level.  Laid out run by run as the
+    left parts by rising rank, then the right parts by falling rank (the
+    top level is a left part whose right part is empty), the segments are
+    already in curve order, so one ``concat_ranges`` and one ``repeat``
+    give ``(ids, ranks)`` — no loop over blocks and no sort.
     """
-    heads = intervals.starts.astype(np.int64).copy()
-    stops = intervals.stops.astype(np.int64)
-    ids_parts: list[np.ndarray] = []
-    ranks_parts: list[np.ndarray] = []
-    active = np.flatnonzero(heads < stops)
-    while active.size:
-        h = heads[active]
-        remaining = stops[active] - h
-        # Largest rank allowed by alignment: trailing zero bits (at 0, the cap).
-        alignment = _trailing_zeros(h, max_rank)
-        # Largest rank allowed by the remaining run length.
-        fit = _floor_log2(remaining)
-        rank = np.minimum(alignment, fit)
-        if rank_multiple > 1:
-            rank -= rank % rank_multiple
-        ids_parts.append(h)
-        ranks_parts.append(rank)
-        heads[active] = h + (np.int64(1) << rank)
-        active = active[heads[active] < stops[active]]
-    if not ids_parts:
+    starts, stops = intervals.starts, intervals.stops
+    if not starts.size:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
-    ids = np.concatenate(ids_parts)
-    ranks = np.concatenate(ranks_parts)
-    # Blocks were emitted round-robin across runs; curve order is by id.
-    order = np.argsort(ids, kind="stable")
-    return ids[order], ranks[order]
-
-
-def _trailing_zeros(values: np.ndarray, cap: int) -> np.ndarray:
-    """Trailing zero bits of each non-negative value, capped at ``cap``."""
-    # ``(v & -v) - 1`` masks exactly the trailing zeros.  Counted as uint64:
-    # np.bitwise_count counts |x| for signed input, and zero's mask is -1.
-    below = ((values & -values) - 1).astype(np.uint64)
-    return np.minimum(np.bitwise_count(below), cap).astype(np.int64)
-
-
-def _floor_log2(values: np.ndarray) -> np.ndarray:
-    """floor(log2(v)) for positive int64 values, exact for all of them."""
-    # Smear the top bit over every bit below it; the bit count is the length.
-    v = values.astype(np.uint64)
-    for shift in (1, 2, 4, 8, 16, 32):
-        v |= v >> np.uint64(shift)
-    return np.bitwise_count(v).astype(np.int64) - 1
+    top = min(max_rank, int((stops - starts).max()).bit_length() - 1)
+    shifts = np.arange(0, top - top % rank_multiple + 1, rank_multiple)[:, None]
+    lo = -(-starts >> shifts)  # (levels, runs): ceil(a / 2^r)
+    hi = np.maximum(stops >> shifts, lo)  # floor(b / 2^r), never below lo
+    parent_whole = hi[1:] > lo[1:]
+    left_stop = np.vstack((np.where(parent_whole, lo[1:] << rank_multiple, hi[:-1]), hi[-1:]))
+    right_start = np.vstack((np.where(parent_whole, hi[1:] << rank_multiple, hi[:-1]), hi[-1:]))
+    # (runs, 2 * levels): left parts by rising rank, right parts by falling
+    seg_starts = np.hstack((lo.T, right_start[::-1].T)).ravel()
+    seg_stops = np.hstack((left_stop.T, hi[::-1].T)).ravel()
+    ranks = np.repeat(np.tile(np.concatenate((shifts[:, 0], shifts[::-1, 0])), starts.size),
+                      seg_stops - seg_starts)
+    return concat_ranges(seg_starts, seg_stops) << ranks, ranks
 
 
 def decompose_octants(intervals: IntervalSet, ndim: int, max_rank: int = 62) -> tuple[np.ndarray, np.ndarray]:

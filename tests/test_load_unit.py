@@ -1,10 +1,10 @@
 """A study load is one unit of work: counted, atomic, and not read back.
 
 Counts, not timings: on a write-ahead-logged grid-16 system one
-``MedicalLoader.load_study`` is one journal commit, one flush and one
-published snapshot; it adds exactly its new band cells to the band
-index's box column and leaves the atlas index's column the very object
-the prior version held — the 10th load as the 1st.  A load
+``MedicalLoader.load_study`` is one journal commit, one flush, one
+published snapshot and one band INSERT; it adds exactly its new band
+cells to the band index's box column and leaves the atlas index's column
+the very object the prior version held — the 10th load as the 1st.  A load
 that fails leaves no row behind on any device, and under a write-ahead log
 nothing else either (long fields, allocator bytes, id counters); a crash at any journal or apply write of a load recovers
 to the study entirely present or entirely absent — its rows included,
@@ -26,7 +26,7 @@ from repro.db.persist import export_catalog, fold_records, restore_catalog
 from repro.db.spatial import register_spatial_functions, store_region
 from repro.db.stats import TableStats
 from repro.errors import MedicalError, SimulatedCrash
-from repro.medical.loader import MedicalLoader
+from repro.medical.loader import ENCODING_SPECS, MedicalLoader
 from repro.medical.schema import create_medical_schema
 from repro.medical.server import MedicalServer
 from repro.net.costmodel import CostModel1994
@@ -42,6 +42,7 @@ from repro.storage import (
 from repro.regions import Region
 from repro.synthdata import build_phantom, generate_mri_studies, generate_pet_studies
 from repro.viz.dx import DataExplorer
+from repro.volumes import uniform_bands
 from tests.test_stats_properties import _assert_stats_equal
 
 GRID = 16
@@ -199,6 +200,63 @@ class TestOneLoadOneUnit:
                           warp=study.patient_to_atlas)
         assert metrics.counter("wal.commits").value - commits == 1
         assert db.version_seq == seq + 1
+
+
+def one_insert_per_band(loader, study_id: int, atlas_id: int, volume) -> None:
+    """The reference ``_store_bands``: the same fields stored in the same
+    order, each band row inserted by a statement of its own."""
+    for band in uniform_bands(volume, width=loader.band_width):
+        along = {}
+        for encoding in loader.encodings:
+            curve_name, codec = ENCODING_SPECS[encoding]
+            if curve_name not in along:
+                along[curve_name] = band.region.reorder(curve_name)
+            region_lf = store_region(loader.db, along[curve_name], codec)
+            loader.db.execute(
+                "insert into intensityBand values (?, ?, ?, ?, ?, ?)",
+                [study_id, atlas_id, band.low, band.high, encoding, region_lf])
+
+
+class TestOneBandInsert:
+    def test_one_statement_stores_what_one_insert_per_band_stores(
+            self, monkeypatch):
+        """A load's band rows are one INSERT; rows, field ids, payloads,
+        directory and every journal and data byte are those of a load
+        that inserts each band row alone."""
+        def two_loads():
+            schedule = FaultSchedule(seed=0, crash_after_writes=None)
+            system, loader, patient, fdata, fjournal = faulty_stack(schedule)
+            statements.clear()
+            load(system, loader, patient, PET[1])
+            return system, fdata.snapshot(), fjournal.snapshot()
+
+        statements: list[str] = []
+        with monkeypatch.context() as patched:
+            patched.setattr(MedicalLoader, "_store_bands", one_insert_per_band)
+            reference, ref_data, ref_journal = two_loads()
+        execute = Database.execute
+
+        def recorded(db, sql, *args, **kwargs):
+            statements.append(sql)
+            return execute(db, sql, *args, **kwargs)
+
+        monkeypatch.setattr(Database, "execute", recorded)
+        system, data, journal = two_loads()
+        inserts = [sql for sql in statements
+                   if sql.startswith("insert into intensityBand")]
+        assert len(inserts) == 1
+        assert inserts[0].count("(?, ?, ?, ?, ?, ?)") == 8 * len(ENCODINGS)
+        monkeypatch.undo()
+        select = "select * from intensityBand"
+        assert (system.db.execute(select).rows
+                == reference.db.execute(select).rows)  # field ids included
+        assert (payload_hashes(system, "intensityBand", "region")
+                == payload_hashes(reference, "intensityBand", "region"))
+        assert (directory(system.db, "intensityBand", "region")
+                == directory(reference.db, "intensityBand", "region"))
+        assert (box_column(system.db, "intensityBand")[0]
+                == box_column(reference.db, "intensityBand")[0])
+        assert journal == ref_journal and data == ref_data
 
 
 class TestFailedLoadLeavesNothingBehind:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compression import get_codec
 from repro.errors import ValidationError
@@ -180,36 +182,8 @@ class TestAlignment:
 
 
 class TestBitKernels:
-    """The two bit counts against ``int.bit_length``, and the decomposition
-    they feed against the arrays the bit *loops* they replaced produced."""
-
-    @staticmethod
-    def _values() -> np.ndarray:
-        rng = np.random.default_rng(1994)
-        # every magnitude, not just the top bits a uniform draw would give
-        random = rng.integers(1, 1 << 62, 10_000) >> rng.integers(0, 62, 10_000)
-        edges = [v for k in range(63) for v in ((1 << k) - 1, 1 << k, (1 << k) + 1)]
-        return np.asarray([v for v in random.tolist() + edges if v > 0],
-                          dtype=np.int64)
-
-    @pytest.mark.parametrize("cap", [15, 18, 31, 62])
-    def test_trailing_zeros_is_the_low_bit_length(self, cap):
-        from repro.regions.octants import _trailing_zeros
-
-        values = self._values()
-        expected = [min(cap, (v & -v).bit_length() - 1) for v in values.tolist()]
-        got = _trailing_zeros(values, cap)
-        assert got.dtype == np.int64 and got.tolist() == expected
-        # position 0 is aligned to every rank: the cap
-        assert _trailing_zeros(np.zeros(3, dtype=np.int64), cap).tolist() == [cap] * 3
-
-    def test_floor_log2_is_the_bit_length(self):
-        from repro.regions.octants import _floor_log2
-
-        values = self._values()
-        got = _floor_log2(values)
-        assert got.dtype == np.int64
-        assert got.tolist() == [v.bit_length() - 1 for v in values.tolist()]
+    """The decomposition against the arrays the bit *loops* it replaced
+    produced."""
 
     #: SHA-256 over (ids, ranks) of every set below, pinned at rev d0636ed
     #: (the 31-pass / 6-pass ``np.where`` loops)
@@ -244,3 +218,71 @@ class TestBitKernels:
                 assert ids.dtype == ranks.dtype == np.int64
                 digest.update(ids.tobytes() + ranks.tobytes())
             assert digest.hexdigest() == self.PINNED[side, kind]
+
+
+def _peeled(intervals, rank_multiple, max_rank):
+    """The oracle: peel the largest aligned block that fits off the head
+    of each run, one block at a time, in plain Python."""
+    ids, ranks = [], []
+    top = max_rank - max_rank % rank_multiple
+    for head, stop in zip(intervals.starts.tolist(), intervals.stops.tolist()):
+        while head < stop:
+            rank = top
+            while head % (1 << rank) or head + (1 << rank) > stop:
+                rank -= rank_multiple
+            ids.append(head)
+            ranks.append(rank)
+            head += 1 << rank
+    return ids, ranks
+
+
+@st.composite
+def _run_sets(draw):
+    """Run lists on a ``2^bits`` curve: one-voxel runs and runs touching 0
+    and ``2^bits`` are drawn often."""
+    bits = draw(st.integers(1, 14))
+    side = 1 << bits
+    cuts = set(draw(st.lists(st.integers(0, side), max_size=16)))
+    cuts |= set(draw(st.sampled_from([(), (0,), (side,), (0, side)])))
+    starts = sorted(cuts)[::2]
+    stops = sorted(cuts)[1::2]
+    singles = draw(st.lists(st.integers(0, side - 1), max_size=6))
+    return IntervalSet(np.array(starts[:len(stops)] + singles, dtype=np.int64),
+                       np.array(stops + [v + 1 for v in singles], dtype=np.int64)), bits
+
+
+class TestDecomposeMatchesGreedyPeeling:
+    """``_decompose`` (every level at once) yields exactly the blocks the
+    greedy left-to-right peeling yields, in the same order."""
+
+    @staticmethod
+    def _check(intervals, rank_multiple, max_rank):
+        from repro.regions.octants import _decompose
+
+        ids, ranks = _decompose(intervals, rank_multiple, max_rank)
+        assert ids.dtype == ranks.dtype == np.int64
+        assert (ids.tolist(), ranks.tolist()) == _peeled(
+            intervals, rank_multiple, max_rank)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(sets=_run_sets(), rank_multiple=st.sampled_from([1, 2, 3]),
+           cap=st.integers(0, 62), below=st.booleans())
+    def test_random_sets(self, sets, rank_multiple, cap, below):
+        intervals, bits = sets
+        if below:  # a cap below the longest run
+            cap = min(cap, bits - 1)
+        self._check(intervals, rank_multiple, cap)
+
+    @pytest.mark.parametrize("rank_multiple", [1, 2, 3])
+    @pytest.mark.parametrize("cap", [0, 1, 4, 62])
+    @pytest.mark.parametrize("runs", [
+        [],                                      # the empty set
+        [(0, 1), (5, 6), (63, 64)],              # one-voxel runs
+        [(0, 64)],                               # the whole 2^6 curve
+        [(0, 37), (41, 64)],                     # touching 0 and 2^6
+        [(3, 60)],                               # both ends unaligned
+    ])
+    def test_edge_cases(self, runs, rank_multiple, cap):
+        intervals = IntervalSet(np.array([a for a, _ in runs], dtype=np.int64),
+                                np.array([b for _, b in runs], dtype=np.int64))
+        self._check(intervals, rank_multiple, cap)

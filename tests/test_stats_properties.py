@@ -10,8 +10,8 @@ Two invariants hold the incremental machinery to the ground truth:
   totals the non-NULL rows, the per-cell bounding boxes are contained in
   the column's union box, and the stamp matches the live table.
 
-  The same holds for the directory's box column, which INSERTs keep in
-  Hilbert order one bisected cell at a time: seen by the live index or
+  The same holds for the directory's box column, which each INSERT keeps
+  in Hilbert order by merging its new cells in at once: seen by the live index or
   through a snapshot, it is exactly the column a recompute builds.
 
 * **probe == brute force** — for any population of regions and any probe
@@ -313,7 +313,7 @@ WHOLE_GRID = ((0, 0, 0), (GRID_SIDE,) * 3)
 
 
 class TestBoxColumn:
-    """INSERTs bisect each new cell into the directory's box column; every
+    """An INSERT merges its new cells into the directory's box column; every
     version reads its own immutable column, publish builds none, and a
     probe of any of them answers as a from-scratch recompute."""
 
@@ -369,6 +369,33 @@ class TestBoxColumn:
             table = earlier.catalog.table("blobs")
             assert table.row_count == 12
             self._assert_probes_as_recomputed(table, rng)          # (c)
+
+    @pytest.mark.parametrize("seed", [5, 23])
+    def test_a_multi_row_insert_merges_its_cells_as_a_recompute_orders_them(
+            self, seed):
+        """One INSERT of many rows merges its new cells in at once: among
+        themselves and with the cells already held, equal keys (one region
+        under two codecs) keep insertion order, as ``rebox()`` orders them."""
+        db, rng = self._indexed(seed)
+        table = db.catalog.table("blobs")
+        pos = table.schema.position("region")
+        held = [Region.from_bytes(row[pos]) for row in table.scan()]
+        payloads = []
+        for region in held[:3] + [Region.from_bytes(_box_region(rng))
+                                  for _ in range(5)]:
+            payloads += [region.to_bytes("elias"), region.to_bytes("naive")]
+        rng.shuffle(payloads)
+        db.execute("insert into blobs values "
+                   + ", ".join(["(?, 'm', ?)"] * len(payloads)),
+                   [v for i, p in enumerate(payloads) for v in (100 + i, p)])
+        table = db.catalog.table("blobs")
+        column = table.stats._spatial[pos]
+        keys = [stats_module._box_key(column.cells[v]) for v in column.boxes[0]]
+        assert len(set(keys)) < len(keys)  # the ties are there
+        reference = TableStats(table.schema)
+        reference.recompute(table, _read_cell, spatial=True)
+        _assert_boxes_equal(column.boxes, reference._spatial[pos].boxes)
+        self._assert_probes_as_recomputed(table, rng)
 
     def test_publish_does_no_spatial_work(self):
         db, rng = self._indexed(6)
