@@ -80,7 +80,6 @@ REENTRANT = {"db.rwlock", "txn"}
 #: (class, attribute) -> hierarchy key, for locks whose attr name alone
 #: is ambiguous (every other ``*lock``/``*latch`` attr becomes a leaf)
 LOCK_ATTRS = {
-    ("ShardRouter", "_lock"): "cluster.router",
     ("PageCache", "_lock"): "cache.lock",
     ("WriteAheadLog", "_txn_lock"): "txn",
     ("WriteAheadLog", "_stats_lock"): "wal.stats",

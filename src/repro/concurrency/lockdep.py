@@ -62,7 +62,6 @@ __all__ = [
 
 #: the declared lock hierarchy (lower rank = acquired first / outermost)
 DEFAULT_RANKS = {
-    "cluster.router": 5,
     "db.rwlock": 10,
     "wal.txn": 20,
     "db.version": 25,

@@ -354,8 +354,7 @@ def demo_inputs(seed: int, grid_side: int, n_pet: int, n_mri: int):
 def node_stack(device, wal: bool):
     """One node's ``(device, lfm, db)`` over a base block device, medical
     schema created; with ``wal`` the returned device is a write-ahead log
-    over ``device`` and an in-memory journal.  Shared by the demo system
-    and every cluster shard: one shard is the single node byte for byte."""
+    over ``device`` and an in-memory journal."""
     if wal:
         from repro.storage.wal import WriteAheadLog
 

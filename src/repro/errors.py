@@ -40,8 +40,6 @@ __all__ = [
     "ServerError",
     "ServerBusyError",
     "SessionClosedError",
-    "ClusterError",
-    "ShardUnavailableError",
 ]
 
 
@@ -218,12 +216,3 @@ class MedicalError(ReproError):
 
 class RegistrationError(MedicalError, RuntimeError):
     """Affine registration between patient and atlas space failed."""
-
-
-class ClusterError(ServerError):
-    """Base class for sharded-cluster failures (routing, merging)."""
-
-
-class ShardUnavailableError(ClusterError):
-    """A target shard is down: the statement was refused before any leg
-    ran."""

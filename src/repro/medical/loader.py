@@ -64,14 +64,8 @@ class MedicalLoader:
         return next_id
 
     def seed_ids(self, kind: str, next_id: int) -> None:
-        """Pin the next id of one kind (``"study"``, ``"patient"``, ...).
-
-        A sharded cluster loads each study on exactly one shard but needs
-        ids that are *globally* unique and identical to a single node's
-        allocation order — the shard's loader is seeded with the global
-        counter before each load so its local allocation lands on the
-        global id.
-        """
+        """Pin the next id of one kind (``"study"``, ``"patient"``, ...),
+        so the next allocation of that kind lands on ``next_id``."""
         self._next_ids[kind] = int(next_id)
 
     @contextmanager

@@ -1,4 +1,4 @@
-"""Observability layer: one record per statement, one registry per node.
+"""Observability layer: one record per statement, one metrics registry.
 
 Every view is a sink of those two; all of it is read-only with respect to
 the paper-facing I/O accounting:
@@ -12,9 +12,9 @@ the paper-facing I/O accounting:
   latency, mean phase split) keyed by the digest each record carries;
 * :mod:`repro.obs.qlog` — the opt-in JSON-lines query log of the records;
 * :mod:`repro.obs.metrics` — the process-wide registry of counters, gauges
-  and histograms, and the scoped tee that feeds each cluster node's own;
-* :mod:`repro.obs.promtext` — Prometheus text exposition of one registry
-  or of several merged into a fleet page, and a validating parser for it;
+  and histograms;
+* :mod:`repro.obs.promtext` — Prometheus text exposition of a registry,
+  and a validating parser for it;
 * :mod:`repro.obs.trace` — hierarchical spans with cross-thread context
   propagation, off by default and free while disabled;
 * :mod:`repro.obs.explain` — the per-operator profile EXPLAIN ANALYZE

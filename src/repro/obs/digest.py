@@ -1,6 +1,6 @@
 """Statement digests: pg_stat_statements-style per-query-class accounting.
 
-The flight recorder remembers *individual* statements; operating a fleet
+The flight recorder remembers *individual* statements; operating a server
 needs the orthogonal view — "which query **shape** is burning the page-I/O
 budget?".  Every completed :class:`~repro.obs.recorder.QueryRecord` is
 folded into a bounded :class:`DigestTable` keyed by the record's
@@ -11,8 +11,7 @@ parsed the statement derived them from the tree it already held
 FROM t WHERE s = 'pet1'`` and ``... = 'pet2'`` therefore share one digest
 row carrying calls, errors, rows, page I/O, cache-hit rate, a latency
 histogram, the class's mean time per phase (the record's split of its wall
-time, :data:`repro.obs.recorder.PHASES`), and per-shard call counts
-(cluster legs tag their records with the serving shard).
+time, :data:`repro.obs.recorder.PHASES`).
 
 The table is process-wide and bounded (top-K by calls, cold rows evicted),
 exposed at the admin endpoint's ``/digests`` and embedded in flight-
@@ -57,7 +56,7 @@ class DigestEntry:
 
     __slots__ = ("digest", "statement", "calls", "errors", "rows",
                  "pages_read", "pages_written", "cache_hits", "latency",
-                 "phases", "shards", "last_seen_unix")
+                 "phases", "last_seen_unix")
 
     def __init__(self, digest: str, statement: str):
         self.digest = digest
@@ -70,7 +69,6 @@ class DigestEntry:
         self.cache_hits = 0
         self.latency = metrics.Histogram(f"digest.{digest}")
         self.phases: dict[str, float] = {}  #: total seconds per phase
-        self.shards: dict[str, int] = {}
         self.last_seen_unix = 0.0
 
     def to_dict(self) -> dict:
@@ -92,7 +90,6 @@ class DigestEntry:
             "total_seconds": round(latency["sum"], 6),
             "phase_mean_ms": {name: round(seconds / self.calls * 1e3, 3)
                               for name, seconds in self.phases.items()},
-            "shards": dict(sorted(self.shards.items())),
             "last_seen_unix": self.last_seen_unix,
         }
 
@@ -145,12 +142,9 @@ class DigestTable:
                 entry.cache_hits += 1
             for name, seconds in record.phases.items():
                 entry.phases[name] = entry.phases.get(name, 0.0) + seconds
-            shard = getattr(record, "shard", None)
-            if shard is not None:
-                entry.shards[shard] = entry.shards.get(shard, 0) + 1
             entry.last_seen_unix = time.time()
-        # The latency histogram is a standalone metric object (it never
-        # tees into scoped registries); observed outside the table lock.
+        # The latency histogram is a standalone metric object, observed
+        # outside the table lock.
         entry.latency.observe(record.wall_seconds)
         metrics.counter("digest.observations").inc()
         return digest

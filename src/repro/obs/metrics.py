@@ -16,7 +16,6 @@ flow).  Exporters: :meth:`MetricsRegistry.snapshot` (a JSON-ready dict) and
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 
 from repro.errors import ValidationError
 
@@ -31,55 +30,19 @@ __all__ = [
     "histogram",
     "snapshot",
     "reset",
-    "scoped",
 ]
-
-
-class _Scope(threading.local):
-    """This thread's innermost scoped registry (see :func:`scoped`); the
-    class default means unscoped threads pay one attribute read per update."""
-
-    target: "MetricsRegistry | None" = None
-
-
-_SCOPE = _Scope()
-
-
-@contextmanager
-def scoped(target: "MetricsRegistry | None"):
-    """Tee this thread's process-registry updates into ``target`` too.
-
-    While the block is active, every update applied to a metric of the
-    *process-wide* registry from this thread is mirrored into ``target``
-    under the same name — the node-attribution mechanism behind metrics
-    federation: in-process cluster nodes share one global registry, and
-    each node wraps its own work in ``scoped(node_registry)`` so a
-    per-node scrape sees only that node's share.  Scopes nest; only the
-    innermost target receives the tee (a shard leg running inside a
-    router scope attributes to the shard, not to both), and a ``None``
-    target suspends the tee for the block.  Standalone metric objects and
-    scoped registries themselves never tee, so there is no recursion or
-    double counting.
-    """
-    outer = _SCOPE.target
-    _SCOPE.target = target
-    try:
-        yield target
-    finally:
-        _SCOPE.target = outer
 
 
 class Counter:
     """A monotonically increasing count (updates are thread-safe)."""
 
-    __slots__ = ("name", "value", "_lock", "_owner")
+    __slots__ = ("name", "value", "_lock")
     kind = "counter"
 
     def __init__(self, name: str):
         self.name = name
         self.value = 0
         self._lock = threading.Lock()
-        self._owner: MetricsRegistry | None = None
 
     def inc(self, amount: int | float = 1) -> None:
         """Add ``amount`` (non-negative) to the count."""
@@ -87,12 +50,6 @@ class Counter:
             raise ValidationError(f"counter {self.name!r} cannot decrease")
         with self._lock:
             self.value += amount
-        if self._owner is _REGISTRY:
-            target = _SCOPE.target
-            if target is not None:
-                teed = target.counter(self.name)
-                with teed._lock:
-                    teed.value += amount
 
     def export(self):
         """The current count."""
@@ -102,21 +59,16 @@ class Counter:
 class Gauge:
     """A point-in-time value that may move in either direction."""
 
-    __slots__ = ("name", "value", "_owner")
+    __slots__ = ("name", "value")
     kind = "gauge"
 
     def __init__(self, name: str):
         self.name = name
         self.value = 0.0
-        self._owner: MetricsRegistry | None = None
 
     def set(self, value: float) -> None:
         """Replace the current value (a single atomic store)."""
         self.value = value
-        if self._owner is _REGISTRY:
-            target = _SCOPE.target
-            if target is not None:
-                target.gauge(self.name).value = value
 
     def export(self):
         """The current value."""
@@ -131,8 +83,7 @@ _BUCKET_BOUNDS = (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
 class Histogram:
     """Distribution summary: count/sum/min/max plus coarse log buckets."""
 
-    __slots__ = ("name", "count", "total", "min", "max", "buckets", "_lock",
-                 "_owner")
+    __slots__ = ("name", "count", "total", "min", "max", "buckets", "_lock")
     kind = "histogram"
 
     def __init__(self, name: str):
@@ -143,18 +94,9 @@ class Histogram:
         self.max: float | None = None
         self.buckets = [0] * (len(_BUCKET_BOUNDS) + 1)
         self._lock = threading.Lock()
-        self._owner: MetricsRegistry | None = None
 
     def observe(self, value: float) -> None:
         """Record one observation (thread-safe)."""
-        self._observe_local(value)
-        if self._owner is _REGISTRY:
-            target = _SCOPE.target
-            if target is not None:
-                target.histogram(self.name)._observe_local(value)
-
-    def _observe_local(self, value: float) -> None:
-        """Apply one observation to this histogram only (no scope tee)."""
         with self._lock:
             self.count += 1
             self.total += value
@@ -255,7 +197,6 @@ class MetricsRegistry:
             metric = self._metrics.get(name)
             if metric is None:
                 metric = self._metrics[name] = cls(name)
-                metric._owner = self
             elif not isinstance(metric, cls):
                 raise ValidationError(
                     f"metric {name!r} is a {metric.kind}, not a {cls.kind}"

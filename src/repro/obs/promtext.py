@@ -15,14 +15,6 @@ Metric names are sanitized to the Prometheus charset (dots become
 underscores), so ``server.wait_seconds`` scrapes as
 ``server_wait_seconds``.
 
-:func:`render_merged` is the cluster's fleet page: several nodes'
-registries merged into one exposition — **counters** summed into a single
-sample, **gauges** (the histogram percentile families included) kept per
-node under the node's identity labels (``shard="0",role="primary"`` — a
-queue-depth gauge averaged across nodes would be meaningless), and
-**histograms** bucket-merged, so fleet-wide quantile estimates come from
-the merged distribution.
-
 :func:`parse` is the tiny validating parser the CI smoke job (and the
 tests) run against a scraped body: it checks name/label/value syntax,
 ``# TYPE`` declarations, bucket monotonicity, and the
@@ -40,7 +32,7 @@ from repro.errors import ValidationError
 from repro.obs import metrics as metrics_mod
 from repro.obs.metrics import _BUCKET_BOUNDS, Histogram
 
-__all__ = ["render", "render_merged", "parse", "sanitize_name"]
+__all__ = ["render", "parse", "sanitize_name"]
 
 _NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _SAMPLE_RE = re.compile(
@@ -68,92 +60,32 @@ def _format_value(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def _label_str(labels: dict[str, str]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(
-        '%s="%s"' % (key, str(value).replace("\\", "\\\\").replace('"', '\\"'))
-        for key, value in sorted(labels.items()))
-    return "{" + inner + "}"
-
-
-def _histogram_lines(name: str, exported: dict, lines: list[str]) -> None:
-    # ``exported`` is one export() snapshot: mixing it with the live
-    # bucket list let a concurrent observe() push a finite bucket's
-    # cumulative count past _count, which parse() (and any real scraper's
-    # sanity check) rejects as a non-cumulative histogram.
-    bucket_counts = exported["buckets"]
-    lines.append(f"# TYPE {name} histogram")
-    cumulative = 0
-    for bound in _BUCKET_BOUNDS:
-        cumulative += bucket_counts[str(bound)]
-        lines.append(f'{name}_bucket{{le="{bound}"}} {cumulative}')
-    lines.append(f'{name}_bucket{{le="+Inf"}} {exported["count"]}')
-    lines.append(f"{name}_sum {_format_value(exported['sum'])}")
-    lines.append(f"{name}_count {exported['count']}")
-
-
 def render(registry: "metrics_mod.MetricsRegistry | None" = None) -> str:
     """The registry as Prometheus text exposition (trailing newline included)."""
     registry = registry if registry is not None else metrics_mod.registry()
     lines: list[str] = []
     for name, metric in registry.items():
         exposed = sanitize_name(name)
-        if isinstance(metric, Histogram):
-            exported = metric.export()
-            _histogram_lines(exposed, exported, lines)
-            for stat in _PERCENTILES:
-                lines.append(f"# TYPE {exposed}_{stat} gauge")
-                lines.append(f"{exposed}_{stat} {_format_value(exported[stat])}")
-        else:
+        if not isinstance(metric, Histogram):
             lines.append(f"# TYPE {exposed} {metric.kind}")
             lines.append(f"{exposed} {_format_value(metric.export())}")
-    return "\n".join(lines) + "\n"
-
-
-def render_merged(nodes) -> str:
-    """Several nodes' registries as one page (see the module docstring).
-
-    ``nodes`` is ``[(labels, registry)]``: a node's identity labels go on
-    each of its gauge samples.  A name whose kind differs between nodes
-    keeps the first node's kind; the others' samples are left out.
-    """
-    merged: dict[str, tuple[str, list]] = {}
-
-    def add(family: str, kind: str, labels: str, value) -> None:
-        slot = merged.setdefault(family, (kind, []))
-        if slot[0] == kind:
-            slot[1].append((labels, value))
-
-    for labels, registry in nodes:
-        label_str = _label_str(labels)
-        for name, metric in registry.items():
-            family, exported = sanitize_name(name), metric.export()
-            add(family, metric.kind, label_str, exported)
-            if metric.kind == "histogram":
-                for stat in _PERCENTILES:
-                    add(f"{family}_{stat}", "gauge", label_str, exported[stat])
-    lines: list[str] = []
-    for family in sorted(merged):
-        kind, samples = merged[family]
-        if kind == "histogram":
-            exports = [exported for _, exported in samples]
-            _histogram_lines(family, {
-                "buckets": {key: sum(e["buckets"][key] for e in exports)
-                            for key in exports[0]["buckets"]},
-                "sum": sum(e["sum"] for e in exports),
-                "count": sum(e["count"] for e in exports),
-            }, lines)
             continue
-        lines.append(f"# TYPE {family} {kind}")
-        if kind == "counter":
-            total = sum(value for _, value in samples)
-            if float(total).is_integer():
-                total = int(total)
-            lines.append(f"{family} {total}")
-        else:
-            lines.extend(f"{family}{labels} {_format_value(value)}"
-                         for labels, value in samples)
+        # One export() snapshot: mixing it with the live bucket list let a
+        # concurrent observe() push a finite bucket's cumulative count
+        # past _count, which parse() (and any real scraper's sanity check)
+        # rejects as a non-cumulative histogram.
+        exported = metric.export()
+        lines.append(f"# TYPE {exposed} histogram")
+        cumulative = 0
+        for bound in _BUCKET_BOUNDS:
+            cumulative += exported["buckets"][str(bound)]
+            lines.append(f'{exposed}_bucket{{le="{bound}"}} {cumulative}')
+        lines.append(f'{exposed}_bucket{{le="+Inf"}} {exported["count"]}')
+        lines.append(f"{exposed}_sum {_format_value(exported['sum'])}")
+        lines.append(f"{exposed}_count {exported['count']}")
+        for stat in _PERCENTILES:
+            lines.append(f"# TYPE {exposed}_{stat} gauge")
+            lines.append(f"{exposed}_{stat} {_format_value(exported[stat])}")
     return "\n".join(lines) + "\n"
 
 

@@ -95,7 +95,6 @@ class QueryRecord:
     phases: dict = field(default_factory=dict)
     started_unix: float = 0.0        #: wall-clock start (epoch seconds)
     params: tuple = ()               #: reprs of bound parameters, truncated
-    shard: str | None = None         #: serving shard id (cluster legs only)
     #: literal-free statement text and its fingerprint (``Prepared.shape``
     #: / ``.digest``), noted by whoever parsed; None when nothing did
     shape: str | None = None
@@ -108,7 +107,6 @@ class QueryRecord:
             "digest": self.digest,
             "trace_id": self.trace_id,
             "session": self.session,
-            "shard": self.shard,
             "kind": self.kind,
             "ok": self.ok,
             "error": self.error,
@@ -200,7 +198,7 @@ class _StatementScope:
              cache_hit: bool | None = None,
              pool_wait_seconds: float | None = None,
              kind: str | None = None, params=None,
-             shard: str | None = None, shape: str | None = None,
+             shape: str | None = None,
              digest: str | None = None) -> None:
         """Annotate the owning record (outermost scope wins on conflicts).
 
@@ -225,8 +223,6 @@ class _StatementScope:
             record.kind = kind
         if params is not None:
             record.params = tuple(_short_repr(p) for p in params)
-        if shard is not None:
-            record.shard = shard
         if shape is not None:
             record.shape, record.digest = shape, digest
 

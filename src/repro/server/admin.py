@@ -17,15 +17,10 @@ whole observability stack over plain HTTP GETs:
   (pg_stat_statements-style per-query-class accounting, mean phase split
   included);
 * ``/trace/<trace_id>`` — a retained trace's spans as a JSON list (ids,
-  parent, start offset, wall, page I/O, tags), when span tracing is on;
-* ``/cluster/healthz`` — served when the backing server is a shard
-  router: the machine-readable fleet rollup (per-shard up/down and
-  sessions, shard-error and broadcast counts).
+  parent, start offset, wall, page I/O, tags), when span tracing is on.
 
-When the backing server federates (a :class:`~repro.cluster.router.
-ShardRouter` exposing ``federated_metrics()``), ``/metrics`` serves the
-merged fleet page instead of the process registry.  Alerting belongs to
-the scraper that reads ``/metrics`` (OPERATIONS.md names the series).
+Alerting belongs to the scraper that reads ``/metrics`` (OPERATIONS.md
+names the series).
 
 Query parameters are validated: a non-integer or negative ``n`` is a 400
 with a JSON error body, and unknown paths are a JSON 404 listing the
@@ -49,7 +44,7 @@ from repro.obs import digest, metrics, promtext, recorder, trace
 
 __all__ = ["AdminServer"]
 
-_BASE_ROUTES = ["/healthz", "/metrics", "/sessions", "/queries/recent",
+_ROUTES = ["/healthz", "/metrics", "/sessions", "/queries/recent",
                 "/incidents", "/digests", "/trace/<trace_id>"]
 
 
@@ -92,19 +87,11 @@ class _AdminHandler(BaseHTTPRequestHandler):
             self._reply_json(recorder.get_recorder().incidents())
         elif route == "/digests":
             self._digests(url)
-        elif route == "/cluster/healthz":
-            self._cluster_healthz(route)
         elif route.startswith("/trace/"):
             self._trace(route[len("/trace/"):])
         else:
-            self._not_found(route)
-
-    def _not_found(self, route: str) -> None:
-        routes = list(_BASE_ROUTES)
-        if hasattr(self.admin.query_server, "cluster_health"):
-            routes.append("/cluster/healthz")
-        self._reply_json({"error": f"no route {route!r}", "routes": routes},
-                         status=404)
+            self._reply_json({"error": f"no route {route!r}",
+                              "routes": _ROUTES}, status=404)
 
     def _int_param(self, url, name: str, default: int) -> int | None:
         """A validated non-negative integer query param (None -> 400 sent)."""
@@ -129,10 +116,8 @@ class _AdminHandler(BaseHTTPRequestHandler):
             self._reply_json({"status": "ok"})
 
     def _metrics(self) -> None:
-        federated = getattr(self.admin.query_server, "federated_metrics",
-                            None)
-        body = federated() if federated is not None else promtext.render()
-        self._reply(200, body, "text/plain; version=0.0.4; charset=utf-8")
+        self._reply(200, promtext.render(),
+                    "text/plain; version=0.0.4; charset=utf-8")
 
     def _recent(self, url) -> None:
         n = self._int_param(url, "n", 50)
@@ -146,15 +131,6 @@ class _AdminHandler(BaseHTTPRequestHandler):
         if n is None:
             return
         self._reply_json(digest.get_table().top(n))
-
-    def _cluster_healthz(self, route: str) -> None:
-        health = getattr(self.admin.query_server, "cluster_health", None)
-        if health is None:
-            self._not_found(route)
-            return
-        rollup = health()
-        status = 200 if rollup.get("status") == "ok" else 503
-        self._reply_json(rollup, status=status)
 
     def _trace(self, trace_id: str) -> None:
         spans = [s for s in trace.records() if s.trace_id == trace_id]

@@ -37,7 +37,6 @@ recorded as ``server``), and — with span tracing on — per-statement
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
 
 from repro.db.database import Database, QueryResult
 from repro.db.executor import ResultSet
@@ -64,16 +63,8 @@ class QueryServer:
 
     def __init__(self, db: Database, workers: int = 4, queue_depth: int = 64,
                  policy: str = "block", result_cache: bool = True,
-                 cache_capacity: int = 256, rpc: RpcChannel | None = None,
-                 node_labels: dict | None = None):
+                 cache_capacity: int = 256, rpc: RpcChannel | None = None):
         self.db = db
-        #: cluster-node identity (``{"shard": "0", "role": "primary"}``);
-        #: when set, this server owns a per-node metrics registry fed by
-        #: the scoped tee and wraps execution in a ``cluster.leg`` span
-        self.node_labels = ({str(k): str(v) for k, v in node_labels.items()}
-                            if node_labels else {})
-        self.node_registry = (metrics.MetricsRegistry() if node_labels
-                              else None)
         self.pool = WorkerPool(workers=workers, queue_depth=queue_depth,
                                policy=policy)
         self.cache: ResultCache | None = (
@@ -139,19 +130,18 @@ class QueryServer:
         metrics.counter("server.statements").inc()
         session._admitted()
         wait = current_wait_seconds()
-        # A fresh trace id — unless this thread already has one (a router
-        # span, or a statement whose UDF issued this one): then the
-        # statement joins that trace, and one query yields one span tree.
-        # Then this node's metrics scope (none for a plain server) and its
-        # own flight-recorder record, which Database.execute annotates.
+        # A fresh trace id — unless this thread already has one (an
+        # enclosing span, or a statement whose UDF issued this one): then
+        # the statement joins that trace, and one query yields one span
+        # tree.  Then its own flight-recorder record, which
+        # Database.execute annotates.
         ctx = trace.TraceContext(
             trace.current_trace_id() or trace.new_trace_id(), session.name)
-        with trace.attach(ctx), metrics.scoped(self.node_registry), \
+        with trace.attach(ctx), \
                 recorder.statement(sql, session=session.name,
                                    trace_id=ctx.trace_id, own=True) as rec:
-            rec.note(pool_wait_seconds=wait, params=params or None,
-                     shard=self.node_labels.get("shard"))
-            result = self._traced_execute(session, sql, params, wait)
+            rec.note(pool_wait_seconds=wait, params=params or None)
+            result = self._traced_execute(session, sql, params)
             rows = len(result.rows)
             rec.note(rows=rows or result.rowcount)
             # Ship the result payload through the RPC channel so served
@@ -162,20 +152,11 @@ class QueryServer:
         return result
 
     def _traced_execute(self, session: Session, sql: str,
-                        params: list | None, wait: float) -> QueryResult:
-        """Execute under the span structure this server's role calls for.
-
-        A plain server opens the classic ``server.execute`` span.  A
-        cluster node (``node_labels`` set) wraps it in a ``cluster.leg``
-        span tagged with the node identity and with ``queue_ms``, the
-        wait for a slot that preceded it.
-        """
+                        params: list | None) -> QueryResult:
+        """Execute inside a ``server.execute`` span while tracing is on."""
         if not trace.is_enabled():
             return self._execute(session, sql, params)
-        leg = (trace.span("cluster.leg", session=session.name,
-                          queue_ms=round(wait * 1e3, 3), **self.node_labels)
-               if self.node_labels else nullcontext())
-        with leg, trace.span("server.execute", session=session.name) as sp:
+        with trace.span("server.execute", session=session.name) as sp:
             result = self._execute(session, sql, params)
             sp.note(rows=len(result.rows))
         return result

@@ -17,7 +17,6 @@ from urllib.request import urlopen
 import pytest
 
 from repro.bench.workloads import run_table3, run_table4
-from repro.cluster import build_demo_cluster
 from repro.core.system import QbismSystem
 from repro.errors import ReproError, SqlSyntaxError, ValidationError
 from repro.net.rpc import RpcChannel
@@ -440,14 +439,6 @@ def _semantic_error(db):
     return 1
 
 
-def _routed_two_shards(db):
-    with build_demo_cluster(n_shards=2, grid_side=16, n_pet=2, n_mri=1,
-                            seed=1994) as cluster:
-        recorder.reset()
-        cluster.execute("select count(*) from warpedVolume")
-    return 2  # one record per leg
-
-
 _STATEMENT_KINDS = {
     "direct ad hoc": _direct_ad_hoc,
     "direct memoized": _direct_memoized,
@@ -458,7 +449,6 @@ _STATEMENT_KINDS = {
     "inside Database.transaction()": _in_transaction,
     "syntax error": _syntax_error,
     "semantic error": _semantic_error,
-    "routed two-shard SELECT": _routed_two_shards,
 }
 #: phases a statement of that kind must not / must have spent time in
 _ZERO = {
@@ -494,8 +484,6 @@ class TestStatementRecordInvariants:
                         if not phases.get(p)}
             shown = record.to_dict()["phases_ms"]
             assert set(shown) <= set(phases) and 0 not in shown.values()
-        if kind == "routed two-shard SELECT":
-            assert {r.shard for r in records} == {"0", "1"}
         if kind == "served cache hit":
             assert records[0].cache_hit
 
