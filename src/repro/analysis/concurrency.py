@@ -37,7 +37,7 @@ discipline).
 
 **Transaction scope** — the guard pseudo-key ``"txn"`` ties state to the
 WAL transaction: mutating txn-guarded state (the LFM field table, the
-WAL's dirty-page buffer) outside a transaction scope is ``QB421``, and a
+WAL's list of new extents) outside a transaction scope is ``QB421``, and a
 potentially *blocking* call (pool submit, queue put/get, thread join,
 ``Future.result``, ``time.sleep``) while ``txn`` or the write side of
 ``db.rwlock`` is held is ``QB422`` — a writer stalled on the admission

@@ -501,15 +501,17 @@ class Database:
         Every write is one (an auto-commit statement or ``executemany``
         batch opens its own).  The outermost scope commits or fails as a
         whole: committed, it is published as one version; failed — an
-        exception leaves it, or its commit record never reaches the
-        journal — the published version is reinstated, so nothing its
-        INSERTs, UPDATEs, DELETEs or DDL did survives.  Under a write-ahead
-        log every page dirtied inside the scope commits atomically with
-        its :func:`~repro.db.persist.commit_record` (its catalog edits and,
-        if it moved, the LFM's field table, which a rollback unwinds
-        too); on a raw device the storage scope is a
-        no-op, so the long fields a failed scope stored stay allocated and
-        unreferenced.  Databases without an LFM have no storage to protect.
+        exception leaves it, or its commit raises — the published version
+        is reinstated, so nothing its INSERTs, UPDATEs, DELETEs or DDL did
+        survives.  Under a write-ahead log the commit syncs the long
+        fields the scope stored, then journals its
+        :func:`~repro.db.persist.commit_record` (its catalog edits and, if
+        it moved, the LFM's field table, which a rollback unwinds too).
+        A data or journal device error comes before the record is intact,
+        so it is an ordinary rollback.  On a raw device the storage scope
+        is a no-op, so the long fields a failed scope stored stay
+        allocated and unreferenced.  Databases without an LFM have no
+        storage to protect.
 
         The scope holds ``db.rwlock`` from entry until the commit is
         durable and its snapshot published: write lock, storage scope
@@ -522,10 +524,7 @@ class Database:
         ``on_publish`` — a callable receiving the published snapshot's
         sequence number — fires once, when the version becomes visible
         (right after the unlock).  The serving layer hangs its
-        result-cache invalidation here.  If the storage scope raises after
-        its commit record was journaled (a data-device failure during the
-        apply) the transaction is committed: it is published, and
-        ``on_publish`` fires, before the error propagates.
+        result-cache invalidation here.
         """
         device = self.lfm.device if self.lfm is not None else None
         was = recorder.enter("lock_wait")
@@ -535,10 +534,9 @@ class Database:
             recorder.leave(was)
         self._txn_nesting += 1
         outermost = self._txn_nesting == 1
-        published, watched, rolled_back = None, False, []
+        published, watched = None, False
 
         def reinstate() -> None:
-            rolled_back.append(True)
             self._versions.reinstate(self.catalog)
 
         try:
@@ -546,7 +544,7 @@ class Database:
                     self._versions, self.catalog, self.lfm))
                   if device is not None else nullcontext()):
                 # A storage transaction that can roll back reinstates
-                # with its own undo — so not once its record is journaled.
+                # with its own undo.
                 watched = (outermost and device is not None
                            and self.lfm.on_rollback(reinstate))
                 yield self
@@ -559,10 +557,6 @@ class Database:
             self._versions.discard_pending()
             if outermost and not watched:
                 reinstate()
-            elif outermost and not rolled_back:
-                # journaled, only its apply failed: it is committed
-                self._publish_version()
-                published = self._versions.latest_seq
             raise
         finally:
             self._txn_nesting -= 1

@@ -170,7 +170,8 @@ def restore_catalog(db: database.Database, image: dict) -> None:
 def save_database(db: database.Database, path: str | Path) -> Path:
     """Persist a database (catalog + device) into a directory.
 
-    Both files land atomically (temp file + rename), image first and
+    Both files land atomically (temp file + rename; a device saved onto
+    the image it maps flushes it in place), image first and
     ``catalog.json`` last — the catalog rename is the commit point.  A
     crash between the two leaves a new image beside an old catalog; that
     window is covered when the store is opened with ``wal=True``: the

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -171,23 +170,10 @@ class PageCache:
     # transactions
     # ------------------------------------------------------------------ #
 
-    @contextmanager
     def transaction(self, meta_provider=None):
-        """Delegate transaction scoping to the wrapped device.
-
-        An aborted transaction drops every cached page: reads inside the
-        scope may have filled the cache with uncommitted data (the WAL's
-        read-your-writes overlay), which must not survive the rollback.
-        """
-        completed = False
-        try:
-            with self.device.transaction(meta_provider=meta_provider):
-                yield self
-                completed = True
-        finally:
-            if not completed:
-                with self._lock:
-                    self._pages.clear()
+        """Delegate transaction scoping to the wrapped device.  Nothing to
+        drop on a rollback: every cached page is the device's bytes."""
+        return self.device.transaction(meta_provider=meta_provider)
 
     @property
     def in_transaction(self) -> bool:
@@ -202,6 +188,10 @@ class PageCache:
     def on_rollback(self, undo) -> None:
         """Forward an undo action to the transactional device below."""
         self.device.on_rollback(undo)
+
+    def on_commit(self, action) -> None:
+        """Forward a commit action to the transactional device below."""
+        self.device.on_commit(action)
 
     # ------------------------------------------------------------------ #
 

@@ -202,9 +202,16 @@ class BlockDevice:
 
         The image lands atomically — written to a sibling temp file and
         renamed into place — so a crash mid-dump never leaves a truncated
-        image where a good one used to be.
+        image where a good one used to be.  A device that maps ``path``
+        itself flushes its map in place instead: a rename would leave the
+        map, and every later write, on the replaced file.
         """
         path = Path(path)
+        f = self._backing.file
+        if f is not None and path.exists() and os.path.samestat(
+                os.fstat(f.fileno()), os.stat(path)):
+            self._backing.buf.flush()
+            return path
         tmp = path.with_name(path.name + ".tmp")
         tmp.write_bytes(bytes(self._backing.buf))
         os.replace(tmp, path)

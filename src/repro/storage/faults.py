@@ -192,6 +192,10 @@ class FaultyDevice:
         """Forward an undo action to the transactional device below."""
         self.inner.on_rollback(undo)
 
+    def on_commit(self, action) -> None:
+        """Forward a commit action to the transactional device below."""
+        self.inner.on_commit(action)
+
     def dump(self, path):
         """Write the device image to a file — refused once crashed."""
         self._check_up()

@@ -76,12 +76,14 @@ class LongFieldManager:
     def create(self, data: bytes) -> LongField:
         """Store ``data`` as a new long field in one contiguous extent.
 
-        The extent write and the field-table update are one transaction on
-        the device: under a write-ahead log either both are durable or
-        neither is, and a rollback (of this scope or an enclosing one)
-        also unwinds the in-memory field table and allocation.  On a raw
-        device the scope is a no-op and behaviour (including Table 3/4 I/O
-        accounting) is unchanged.
+        The extent is written once, straight to the device, into space no
+        committed field table claims; the field-table update is the
+        transaction's metadata.  Under a write-ahead log the commit syncs
+        the extent before it journals the table, so either both are
+        durable or the table never names the extent, and a rollback (of
+        this scope or an enclosing one) unwinds the in-memory field table
+        and allocation.  On a raw device the scope is a no-op and
+        behaviour (including Table 3/4 I/O accounting) is unchanged.
         """
         if not data:
             raise LongFieldError("long fields must be non-empty")
@@ -118,28 +120,31 @@ class LongFieldManager:
         return LongField(field_id, len(data))
 
     def delete(self, field: LongField) -> None:
-        """Free a long field's extent; the handle becomes invalid.
+        """Drop a long field; the handle becomes invalid.
 
         A metadata-only transaction: under a WAL the new field table is
         journaled with the commit record so the deletion is durable, and a
         rollback of the enclosing scope restores the field.
 
-        With an MVCC ``retire_extent`` hook installed, the extent is not
-        freed here: pinned snapshot versions may still reference its
-        bytes, so the free is deferred until every version published
-        before this delete has been released.  Rollback cancels the
-        deferred free and restores the field entry — the extent was never
-        deallocated, so no re-carve is needed.
+        The extent is freed only once the deletion is committed — before
+        that, the old state still references its bytes, and a create in
+        the same transaction must not write over them.  With an MVCC
+        ``retire_extent`` hook installed the free waits further, until
+        every version published before this delete has been released;
+        otherwise it runs at the storage transaction's commit (at once on
+        a raw device, which has no commit to wait for).  Rollback cancels
+        the pending free and restores the field entry.
         """
         offset, length = self._entry(field)
         retire = self.retire_extent
         token = None
 
+        def free() -> None:
+            self._allocator.free(offset)
+
         def undo() -> None:
             if token is not None:
                 token.cancel()
-            elif retire is None:
-                self._allocator.carve(offset, length)
             self._fields[field.field_id] = (offset, length)
 
         deferred = False
@@ -147,16 +152,18 @@ class LongFieldManager:
             with self.device.transaction(meta_provider=self.export_state):
                 deferred = self.on_rollback(undo)
                 del self._fields[field.field_id]
-                if retire is None:
-                    self._allocator.free(offset)
-                else:
-                    token = retire(lambda: self._allocator.free(offset))
+                if retire is not None:
+                    token = retire(free)
+                elif deferred:
+                    self.device.on_commit(free)
         # Cleanup-and-reraise: even SimulatedCrash must unwind the
         # in-memory state.
         except BaseException:  # qblint: disable=no-broad-except
             if not deferred:
                 undo()
             raise
+        if retire is None and not deferred:
+            free()
 
     def _entry(self, field: LongField) -> tuple[int, int]:
         try:

@@ -965,8 +965,12 @@ class TestCrashUnderLoad:
         db, _, fdata, fjournal = build_wal_server_stack(schedule)
         with QueryServer(db, workers=4) as server:
             errors = run_blob_load(server, n_sessions=4, blobs_per_session=3)
-        # the machine went down mid-run: at least one statement crashed
-        assert any(isinstance(e, SimulatedCrash) for e in errors), errors
+        # the machine went down mid-run: at least one statement crashed —
+        # in its commit, or in storeBlob()'s extent write, which surfaces
+        # as the UDF's ExecutionError caused by the crash
+        assert any(isinstance(e, SimulatedCrash)
+                   or isinstance(e.__cause__, SimulatedCrash)
+                   for e in errors), errors
 
         # harvest the wreck and reboot into recovery
         rdata = BlockDevice(CAPACITY)
@@ -1238,7 +1242,7 @@ class _ArmedJournal:
         self.before_failing = None
 
     def write(self, offset, data):
-        if self.armed and bytes(data[:4]) == b"QCMT":
+        if self.armed and bytes(data[:4]) == b"QWAL":
             self.armed = False
             if self.before_failing is not None:
                 self.before_failing()

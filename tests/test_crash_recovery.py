@@ -1,18 +1,22 @@
 """Crash-consistency suite: enumerate every crash point, recover, verify.
 
-The headline harness runs a fixed LFM workload — create A, create B,
-delete A, create C, each its own transaction — over a data device and a
-WAL journal that share one :class:`FaultSchedule`.  A fault-free dry run
-counts the workload's total write calls; the suite then replays the
-workload once per write index, crashing there, harvesting the surviving
-device images, rebooting into recovery, and asserting the recovered store
-equals one of the canonical between-transaction states — *old or new,
-never in between* — with every surviving field's bytes exact.
+The headline harness runs a fixed LFM workload of eight transactions —
+create A, create B, delete A, create C, store D and E in one, delete B
+and create a B-sized F in one, delete C and D in one, store G, H and I in
+one — over a data device and a WAL journal that share one
+:class:`FaultSchedule`.  A fault-free dry run counts the workload's total
+write calls; the suite then replays the workload once per write index,
+crashing there, harvesting the surviving device images, rebooting into
+recovery, and asserting the recovered store equals one of the canonical
+between-transaction states — *old or new, never in between* — with every
+surviving field's bytes exact.
 
-Also covered: checksum detection of silent bit flips, idempotent recovery
-(a crash *during* recovery heals on the next attempt), journal exhaustion
-failing cleanly, atomic save/load with the journal-meta-wins rule, and
-the Table 3/4 bit-identity guarantee with the WAL disabled and enabled.
+Also covered: a transaction that deletes a field and stores a same-size
+one never writes over the deleted one before its commit, checksum
+detection of silent bit flips, recovery that writes nothing, journal
+exhaustion failing cleanly, a failing data device rolling a served write
+back, atomic save/load with the journal-meta-wins rule, and the Table 3/4
+bit-identity guarantee with the WAL disabled and enabled.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from repro.bench.workloads import run_table3, run_table4
 from repro.core import QbismSystem
 from repro.db.database import Database
 from repro.db.persist import load_database, save_database
-from repro.errors import DatabaseError, SimulatedCrash, WalError
+from repro.errors import DatabaseError, SimulatedCrash, StorageError, WalError
 from repro.storage import (
     BlockDevice,
     FaultSchedule,
@@ -42,6 +46,9 @@ JOURNAL_CAPACITY = 1 << 20
 PAYLOAD_A = bytes(range(256)) * 20          # 5120 bytes, 2 pages
 PAYLOAD_B = b"\xa5\x5a" * 4500              # 9000 bytes, 3 pages
 PAYLOAD_C = b"qbism1994" * 600              # 5400 bytes, 2 pages
+PAYLOAD_D = b"D" * 700
+PAYLOAD_E = b"long field E" * 900
+PAYLOAD_F = b"\x0f" * 9000                  # B's size: B's extent would fit
 
 
 def build_stack(schedule: FaultSchedule | None = None,
@@ -63,13 +70,50 @@ def build_stack(schedule: FaultSchedule | None = None,
     return wal, fdata, fjournal
 
 
+def _two_fields(lfm, h):
+    with lfm.device.transaction():
+        h["D"] = lfm.create(PAYLOAD_D)
+        h["E"] = lfm.create(PAYLOAD_E)
+
+
+def _replace_b(lfm, h):
+    with lfm.device.transaction():
+        lfm.delete(h["B"])
+        h["F"] = lfm.create(PAYLOAD_F)
+
+
+def _delete_c_and_d(lfm, h):
+    with lfm.device.transaction():
+        lfm.delete(h["C"])
+        lfm.delete(h["D"])
+
+
+def _three_fields(lfm, h):
+    with lfm.device.transaction():
+        for name, payload in (("G", PAYLOAD_A), ("H", PAYLOAD_C), ("I", PAYLOAD_B)):
+            h[name] = lfm.create(payload)
+
+
+#: the canonical workload, one transaction per step; each step takes the
+#: LFM and the handles stored so far
+STEPS = (
+    lambda lfm, h: h.update(A=lfm.create(PAYLOAD_A)),
+    lambda lfm, h: h.update(B=lfm.create(PAYLOAD_B)),
+    lambda lfm, h: lfm.delete(h["A"]),
+    lambda lfm, h: h.update(C=lfm.create(PAYLOAD_C)),
+    _two_fields,
+    _replace_b,
+    _delete_c_and_d,
+    _three_fields,
+)
+
+
 def run_workload(lfm: LongFieldManager) -> int:
-    """The canonical four-transaction workload; returns steps completed."""
-    a = lfm.create(PAYLOAD_A)
-    lfm.create(PAYLOAD_B)
-    lfm.delete(a)
-    lfm.create(PAYLOAD_C)
-    return 4
+    """The canonical workload; returns steps completed."""
+    handles: dict = {}
+    for step in STEPS:
+        step(lfm, handles)
+    return len(STEPS)
 
 
 def state_key(lfm: LongFieldManager) -> str:
@@ -83,19 +127,15 @@ def state_key(lfm: LongFieldManager) -> str:
 
 
 def canonical_states() -> list[str]:
-    """Fingerprints S0..S4 of the store between the workload's transactions."""
+    """Fingerprints S0..S8 of the store between the workload's transactions."""
     wal, _, _ = build_stack(recover=False)
     lfm = LongFieldManager(wal)
+    handles: dict = {}
     states = [state_key(lfm)]
-    a = lfm.create(PAYLOAD_A)
-    states.append(state_key(lfm))
-    lfm.create(PAYLOAD_B)
-    states.append(state_key(lfm))
-    lfm.delete(a)
-    states.append(state_key(lfm))
-    lfm.create(PAYLOAD_C)
-    states.append(state_key(lfm))
-    assert len(set(states)) == 5, "workload states must be distinguishable"
+    for step in STEPS:
+        step(lfm, handles)
+        states.append(state_key(lfm))
+    assert len(set(states)) == len(states), "workload states must be distinguishable"
     return states
 
 
@@ -133,19 +173,15 @@ class TestCrashPointEnumeration:
         )
         wal, fdata, fjournal = build_stack(schedule, recover=False)
         lfm = LongFieldManager(wal)
+        handles: dict = {}
         completed = 0
         try:
-            lfm_a = lfm.create(PAYLOAD_A)
-            completed = 1
-            lfm.create(PAYLOAD_B)
-            completed = 2
-            lfm.delete(lfm_a)
-            completed = 3
-            lfm.create(PAYLOAD_C)
-            completed = 4
+            for step in STEPS:
+                step(lfm, handles)
+                completed += 1
         except SimulatedCrash:
             pass
-        assert completed < 4, "the schedule must actually crash the workload"
+        assert completed < len(STEPS), "the schedule must actually crash the workload"
         _, recovered = recover_from_wreck(fdata, fjournal)
         key = state_key(recovered)
         allowed = {STATES[completed], STATES[completed + 1]}
@@ -158,32 +194,33 @@ class TestCrashPointEnumeration:
     def test_workload_without_faults_reaches_final_state(self):
         wal, _, _ = build_stack(recover=False)
         lfm = LongFieldManager(wal)
-        assert run_workload(lfm) == 4
-        assert state_key(lfm) == STATES[4]
+        assert run_workload(lfm) == len(STEPS)
+        assert state_key(lfm) == STATES[-1]
 
     def test_crash_point_enumeration_is_exhaustive(self):
         # The dry run's write count covers journal AND data writes: the
-        # parametrized sweep above therefore hits every journaling point
-        # and every apply point of all four transactions.
+        # parametrized sweep above therefore hits every extent write and
+        # every commit record of all eight transactions.
         assert TOTAL_WRITES >= 16, (
             f"expected a rich crash surface, got {TOTAL_WRITES} writes"
         )
 
 
 class TestCommitBytesPinned:
-    """The enumeration workload's journal image, write count and write-call
-    order, recorded at rev ce8338a (the last build with group commit):
-    a commit issues the same ``write`` calls with the same bytes.  The
-    journal image was re-recorded for format v2: only the header version
-    fields and the CRCs over them differ from the v1 image."""
+    """The enumeration workload's journal and data images, write count and
+    write-call order: a commit issues the same ``write`` calls with the
+    same bytes.  Re-recorded for format v3, whose commit writes each new
+    extent once to the data device and then one metadata-only record to
+    the journal (v2 journaled every page image, then applied it), over
+    the eight-transaction workload."""
 
-    WRITES_SEEN = 22
+    WRITES_SEEN = 17
     JOURNAL_SHA256 = \
-        "370bb7319f5aa7467aefdb2d75b39d11fb60e72daf0c87f6374594e5213f60bf"
+        "51791c91b99155035ae72cbec9475391cb74a637572b43c05ca18d9e047b9719"
     DATA_SHA256 = \
-        "98174cb92433e2326122f6a1d1cb0108a79fa7697308e91e9a43c37d64357a16"
+        "039f8d4219a41ebbe98c27e11701eb6620fe63fafc98e93fb4019a7c715741a1"
     WRITE_CALLS_SHA256 = \
-        "d2d5d8c27438792451671bc365b646dfcffc83a7c06230b5afbaf2d236a3295a"
+        "0e48e4cafe7934f84ce40ff4717575f7c07b34c9c5c7782ac599c675c4e87624"
 
     def test_journal_image_and_write_calls_match_the_pins(self):
         calls: list[tuple[str, int, int]] = []
@@ -207,11 +244,84 @@ class TestCommitBytesPinned:
             self.WRITE_CALLS_SHA256
 
 
+class TestFreeAtCommit:
+    """One transaction deletes A and stores a same-size C: C must not land
+    on A's extent, whose bytes the old state references until the commit
+    record is durable.  Once it is, the extent is free again, and the next
+    same-size field (D) takes it."""
+
+    SAME = bytes(reversed(PAYLOAD_A))  # A's size, other bytes
+
+    def _workload(self, lfm, handles: dict, states: list | None = None) -> None:
+        """Store A and B; then, a step each, the transaction and D."""
+
+        def done(steps: int) -> None:
+            handles["done"] = steps
+            if states is not None:
+                states.append(state_key(lfm))
+
+        handles["A"] = lfm.create(PAYLOAD_A)
+        handles["B"] = lfm.create(PAYLOAD_B)
+        handles["at"] = lfm._entry(handles["A"])[0]
+        done(0)
+        with lfm.device.transaction():
+            lfm.delete(handles["A"])
+            handles["C"] = lfm.create(self.SAME)
+        done(1)
+        handles["D"] = lfm.create(self.SAME)
+        done(2)
+
+    def _reference(self) -> tuple[int, list[str], dict, LongFieldManager]:
+        """The fault-free run: its write count, states, handles and LFM."""
+        schedule = FaultSchedule(seed=0, crash_after_writes=None)
+        wal, _, _ = build_stack(schedule, recover=False)
+        lfm = LongFieldManager(wal)
+        handles: dict = {}
+        states: list[str] = []
+        self._workload(lfm, handles, states)
+        return schedule.writes_seen, states, handles, lfm
+
+    def test_c_lands_beside_a_and_d_on_a_after_the_commit(self):
+        # Freed at once, as on a raw device, A's extent is exactly where
+        # the same-size C would go: the deferred free is what saves A.
+        raw = LongFieldManager(BlockDevice(CAPACITY))
+        a = raw.create(PAYLOAD_A)
+        raw.create(PAYLOAD_B)
+        at = raw._entry(a)[0]
+        raw.delete(a)
+        assert raw._entry(raw.create(self.SAME))[0] == at
+        writes, states, handles, lfm = self._reference()
+        # A and B, the transaction, D: an extent write and a record each
+        assert len(set(states)) == 3 and writes == 8
+        assert lfm._entry(handles["C"])[0] != handles["at"]
+        assert lfm._entry(handles["D"])[0] == handles["at"]
+
+    @pytest.mark.parametrize("torn", ["prefix", "pages", "none"])
+    @pytest.mark.parametrize("crash_at", range(5, 9))  # past A and B
+    def test_crash_point_recovers_to_old_or_new_state(self, crash_at, torn,
+                                                      test_seed):
+        _, states, _, _ = self._reference()
+        schedule = FaultSchedule(seed=test_seed, crash_after_writes=crash_at,
+                                 torn=torn)
+        wal, fdata, fjournal = build_stack(schedule, recover=False)
+        handles: dict = {"done": 0}
+        with pytest.raises(SimulatedCrash):
+            self._workload(LongFieldManager(wal), handles)
+        done = handles["done"]
+        _, recovered = recover_from_wreck(fdata, fjournal)
+        # The fingerprints hold every field's bytes: recovered to the old
+        # state, A reads back exact.
+        assert state_key(recovered) in states[done:done + 2], (
+            f"crash at write {crash_at} (torn={torn}) left neither state; "
+            f"replay with {schedule.describe()}")
+
+
 class TestWriteAheadRule:
-    def test_journal_synced_after_commit_record_before_apply(self):
-        """One ``sync`` per commit, over exactly the transaction's journal
-        range, after its commit record and before the first data write —
-        forwarded by ``FaultyDevice`` without counting as a write."""
+    def test_extents_synced_then_record_written_and_synced(self):
+        """A commit syncs the extents its transaction wrote — one sync
+        over their span — then writes its one record and syncs that;
+        ``FaultyDevice`` forwards each ``sync`` without counting it as a
+        write."""
         events: list[tuple] = []
 
         class Recording(BlockDevice):
@@ -232,74 +342,100 @@ class TestWriteAheadRule:
             FaultyDevice(Recording(CAPACITY, "data"), schedule),
             FaultyDevice(Recording(JOURNAL_CAPACITY, "journal"), schedule),
             recover=False)
-        wal.write(0, b"first")
-        wal.write(4096, b"second")
-        one = 28 + 4108 + 16  # header, page record, commit record
+        lfm = LongFieldManager(wal)
+        first = lfm.create(b"first")
+        one = 24 + len(json.dumps(lfm.export_state()))  # header, CRC, meta
+        with wal.transaction():
+            second = lfm.create(b"second")
+            third = lfm.create(b"third!")
+        two = 24 + len(json.dumps(lfm.export_state()))
+        at = [lfm._entry(field)[0] for field in (first, second, third)]
         assert events == [
-            ("journal", "write", 0, 28), ("journal", "write", 28, 4108),
-            ("journal", "write", 4136, 16), ("journal", "sync", 0, one),
-            ("data", "write", 0, 4096),
-            ("journal", "write", one, 28), ("journal", "write", one + 28, 4108),
-            ("journal", "write", one + 4136, 16), ("journal", "sync", one, one),
-            ("data", "write", 4096, 4096),
+            ("data", "write", at[0], 5), ("data", "sync", at[0], 5),
+            ("journal", "write", 0, one), ("journal", "sync", 0, one),
+            ("data", "write", at[1], 6), ("data", "write", at[2], 6),
+            ("data", "sync", at[1], at[2] + 6 - at[1]),
+            ("journal", "write", one, two), ("journal", "sync", one, two),
         ]
-        assert schedule.writes_seen == 8
+        assert schedule.writes_seen == 5
 
 
 class TestChecksums:
     def test_bit_flip_in_journal_is_detected_on_recovery(self, test_seed):
-        # Corrupt the first page record (write #2), crash during apply
-        # (write #5, after the commit record is durable).  Recovery must
-        # reject the corrupt transaction and fall back to the old state,
-        # not replay garbled bytes.
+        # Corrupt the first commit record (write #2) silently, then crash
+        # in the next transaction's extent write (write #3).  Recovery must
+        # reject the corrupt record and fall back to the old state, not
+        # hand back garbled metadata.
         schedule = FaultSchedule(
-            seed=test_seed, crash_after_writes=5, torn="none",
+            seed=test_seed, crash_after_writes=3, torn="none",
             bitflip_writes=(2,),
         )
         wal, fdata, fjournal = build_stack(schedule, recover=False)
         lfm = LongFieldManager(wal)
+        lfm.create(PAYLOAD_A)
         with pytest.raises(SimulatedCrash):
-            lfm.create(PAYLOAD_A)
+            lfm.create(PAYLOAD_B)
         recovered_wal, recovered = recover_from_wreck(fdata, fjournal)
         assert recovered_wal.last_committed_meta is None
-        assert recovered_wal.recovery.discarded == 1
+        assert recovered_wal.recovery.replayed == 0
         assert state_key(recovered) == STATES[0]
+
+    def test_record_failing_only_its_crc_is_counted_discarded(self):
+        # Flip one bit in the middle of the first record's metadata: its
+        # magic, version and length still parse, so only the CRC can
+        # reject it — and the scan counts it as one discarded record.
+        wal, _, _ = build_stack(recover=False)
+        lfm = LongFieldManager(wal)
+        lfm.create(PAYLOAD_A)
+        meta_len = len(json.dumps(lfm.export_state()))
+        journal = bytearray(wal.journal.read(0, JOURNAL_CAPACITY))
+        journal[24 + meta_len // 2] ^= 0x10     # past the 24-byte head
+        recovered_wal, _, _ = build_stack(
+            data_image=wal.device.read(0, CAPACITY), journal_image=bytes(journal))
+        assert recovered_wal.recovery.discarded == 1
+        assert recovered_wal.recovery.replayed == 0
+        assert recovered_wal.last_committed_meta is None
 
     def test_clean_journal_replays_after_commit_record(self, test_seed):
         # Same crash point, no bit flip: the commit record is durable, so
-        # recovery must replay to the NEW state (durability).
-        schedule = FaultSchedule(seed=test_seed, crash_after_writes=5, torn="none")
+        # recovery must come back in the NEW state (durability).
+        schedule = FaultSchedule(seed=test_seed, crash_after_writes=3, torn="none")
         wal, fdata, fjournal = build_stack(schedule, recover=False)
         lfm = LongFieldManager(wal)
+        lfm.create(PAYLOAD_A)
         with pytest.raises(SimulatedCrash):
-            lfm.create(PAYLOAD_A)
+            lfm.create(PAYLOAD_B)
         _, recovered = recover_from_wreck(fdata, fjournal)
         assert state_key(recovered) == STATES[1]
 
 
 class TestRecoveryIdempotence:
     def test_crash_during_recovery_heals_on_retry(self, test_seed):
-        # Commit txn 1 fully into the journal, crash before apply finishes.
-        schedule = FaultSchedule(seed=test_seed, crash_after_writes=5, torn="pages")
+        # Commit txn 1, crash in txn 2's extent write.
+        schedule = FaultSchedule(seed=test_seed, crash_after_writes=3, torn="pages")
         wal, fdata, fjournal = build_stack(schedule, recover=False)
+        lfm = LongFieldManager(wal)
+        lfm.create(PAYLOAD_A)
         with pytest.raises(SimulatedCrash):
-            LongFieldManager(wal).create(PAYLOAD_A)
+            lfm.create(PAYLOAD_B)
         data_image, journal_image = fdata.snapshot(), fjournal.snapshot()
 
-        # First recovery attempt crashes mid-replay.
-        retry = FaultSchedule(seed=test_seed + 1, crash_after_writes=1, torn="prefix")
-        data = BlockDevice(CAPACITY)
-        data.write(0, data_image)
+        # The first recovery attempt loses power as it reads the journal.
         journal = BlockDevice(JOURNAL_CAPACITY)
         journal.write(0, journal_image)
-        fdata2 = FaultyDevice(data, retry, name="data")
+        dead = FaultSchedule(seed=test_seed + 1)
+        dead.crashed = True
         with pytest.raises(SimulatedCrash):
-            WriteAheadLog(fdata2, journal, recover=True)
+            WriteAheadLog(BlockDevice(CAPACITY),
+                          FaultyDevice(journal, dead, name="journal"))
 
-        # Second attempt over the twice-wrecked image must still land on S1.
+        # Recovery writes nothing, so the retry sees the same images and
+        # must land on S1.
+        watch = FaultSchedule(seed=0)
         wal2, _, _ = build_stack(
-            data_image=fdata2.snapshot(), journal_image=journal_image
+            watch, data_image=data_image, journal_image=journal_image
         )
+        assert watch.writes_seen == 0
         recovered = LongFieldManager.restore(wal2, wal2.last_committed_meta)
         assert state_key(recovered) == STATES[1]
         assert wal2.recovery.replayed == 1
@@ -311,14 +447,17 @@ class TestRecoveryIdempotence:
             run_workload(LongFieldManager(wal))
         wreck = (fdata.snapshot(), fjournal.snapshot())
 
-        # First recovery — run behind a benign FaultyDevice so the healed
-        # images can be harvested for the second pass.
+        # First recovery — run behind a benign FaultyDevice so the images
+        # can be harvested for the second pass.
         benign = FaultSchedule(seed=0)
         wal1, fd1, fj1 = build_stack(
             benign, data_image=wreck[0], journal_image=wreck[1]
         )
         meta1 = wal1.last_committed_meta or {"next_id": 1, "fields": {}}
         first = state_key(LongFieldManager.restore(wal1, meta1))
+        # Recovery wrote no data page and no journal byte.
+        assert benign.writes_seen == 0
+        assert (fd1.snapshot(), fj1.snapshot()) == wreck
 
         # Second recovery over the already-recovered images: idempotent.
         wal2, _, _ = build_stack(
@@ -332,17 +471,23 @@ class TestRecoveryIdempotence:
 class TestJournalLimits:
     def test_oversized_transaction_fails_cleanly(self):
         data = BlockDevice(CAPACITY)
-        journal = BlockDevice(8192)  # room for roughly one page record
+        journal = BlockDevice(4096)
         wal = WriteAheadLog(data, journal, recover=False)
         lfm = LongFieldManager(wal)
         before = state_key(lfm)
-        with pytest.raises(WalError):
-            lfm.create(b"\x01" * 40000)  # 10 pages never fit in 8 KiB
+        with pytest.raises(WalError, match="journal bytes"):
+            # metadata of 5 KB never fits a 4 KiB journal
+            with wal.transaction(meta_provider=lambda: {
+                    "pad": "x" * 5000, **lfm.export_state()}):
+                lfm.create(b"\x01" * 40000)
         assert state_key(lfm) == before
-        assert wal.data_stats.pages_written == 0
+        assert lfm.allocated_bytes == 0           # its extent is free again
+        assert wal.journal_stats.write_calls == 0  # nothing was journaled
+        assert wal.next_txn_id == 1
         # The store keeps working: a transaction that fits still commits.
         small = lfm.create(b"tiny payload")
         assert lfm.read(small) == b"tiny payload"
+        assert recover_journal(journal).metas == [lfm.export_state()]
 
     def test_page_size_mismatch_rejected(self):
         data = BlockDevice(CAPACITY)
@@ -354,35 +499,38 @@ class TestJournalLimits:
 class TestTransactions:
     def test_read_your_writes_inside_transaction(self):
         wal, _, _ = build_stack(recover=False)
-        with wal.transaction():
+        with wal.transaction(meta_provider=lambda: {"k": 1}):
             wal.write(100, b"uncommitted")
             assert wal.read(100, 11) == b"uncommitted"
-            assert wal.data_stats.pages_written == 0  # nothing applied yet
+            assert wal.data_stats.pages_written == 1   # straight to the device
+            assert wal.journal_stats.write_calls == 0  # nothing journaled yet
         assert wal.read(100, 11) == b"uncommitted"
-        assert wal.data_stats.pages_written == 1
+        assert wal.journal_stats.write_calls == 1
 
-    def test_rollback_discards_buffered_pages(self):
+    def test_rollback_journals_nothing(self):
         wal, _, _ = build_stack(recover=False)
 
         class Boom(WalError):
             pass
 
         with pytest.raises(Boom):
-            with wal.transaction():
+            with wal.transaction(meta_provider=lambda: {"k": 1}):
                 wal.write(0, b"doomed")
                 raise Boom("abort")
-        assert wal.read(0, 6) == b"\x00" * 6
-        assert wal.data_stats.pages_written == 0
+        assert wal.journal_stats.write_calls == 0
+        assert wal.next_txn_id == 1
+        assert recover_journal(wal.journal).replayed == 0
 
     def test_nested_transactions_commit_once(self):
         wal, _, _ = build_stack(recover=False)
-        with wal.transaction():
+        with wal.transaction(meta_provider=lambda: {"k": 1}):
             wal.write(0, b"outer")
             with wal.transaction():
                 wal.write(4096, b"inner")
             # Inner exit must not commit: still one open transaction.
             assert wal.in_transaction
-            assert wal.data_stats.pages_written == 0
+            assert wal.journal_stats.write_calls == 0
+        assert recover_journal(wal.journal).replayed_txn_ids == [1]
         assert wal.read(0, 5) == b"outer"
         assert wal.read(4096, 5) == b"inner"
 
@@ -398,6 +546,12 @@ class TestTransactions:
         assert lfm.export_state() == {"next_id": 1, "fields": {}}
 
 
+def commit_meta(wal, tag: str) -> None:
+    """One metadata-only transaction whose record carries ``tag``."""
+    with wal.transaction(meta_provider=lambda: {"tag": tag}):
+        pass
+
+
 class TestCheckpointEpochs:
     """reset_journal() must not let stale epochs masquerade as fresh ones."""
 
@@ -405,9 +559,8 @@ class TestCheckpointEpochs:
         data = BlockDevice(CAPACITY)
         journal = BlockDevice(JOURNAL_CAPACITY)
         wal = WriteAheadLog(data, journal, recover=False)
-        for page in range(3):
-            with wal.transaction():
-                wal.write(page * 4096, bytes([page + 1]) * 4096)
+        for tag in "abc":
+            commit_meta(wal, tag)
         assert wal.next_txn_id == 4
         wal.reset_journal()
         # "Restart": a fresh process over the same devices knows nothing
@@ -417,34 +570,26 @@ class TestCheckpointEpochs:
         assert wal2.next_txn_id == 4  # continues — does not restart at 1
 
     def test_stale_epoch_records_never_replayed_after_restart(self):
-        # The dangerous shape: same-length commits, so a post-restart
-        # epoch's records can end exactly on a stale record boundary.  A
-        # scan walking onto the intact stale record must reject it by the
-        # txn-id floor, not replay pre-checkpoint pages over newer data.
+        # The dangerous shape: the new epoch's records are 8 bytes shorter
+        # than the stale ones, so after the 16-byte checkpoint record the
+        # second of them ends exactly where stale txn 3 begins.  A scan
+        # walking onto that intact stale record must reject it by the
+        # txn-id floor, not hand back pre-checkpoint metadata.
         data = BlockDevice(CAPACITY)
         journal = BlockDevice(JOURNAL_CAPACITY)
         wal = WriteAheadLog(data, journal, recover=False)
-        with wal.transaction():
-            wal.write(0, b"A" * 4096)          # txn 1
-        with wal.transaction():
-            wal.write(4096, b"B" * 4096)       # txn 2
-        with wal.transaction():
-            wal.write(8192, b"X" * 4096)       # txn 3
-        with wal.transaction():
-            wal.write(8192, b"Y" * 4096)       # txn 4: page 2 now holds "Y"
+        for tag in ("A" * 12, "B" * 12, "X" * 12, "Y" * 12):  # txns 1-4
+            commit_meta(wal, tag)
+        stale = wal._journal_head // 4
         wal.reset_journal()
         wal2 = WriteAheadLog(data, journal, recover=True)
-        with wal2.transaction():
-            wal2.write(0, b"C" * 4096)         # same byte shape as stale txn 1
-        with wal2.transaction():
-            wal2.write(4096, b"D" * 4096)      # same byte shape as stale txn 2
-        # Crash + reboot: recovery must replay only the new epoch; the
-        # intact stale txn-3 record ("X" onto page 2) must stay dead.
+        commit_meta(wal2, "C" * 4)
+        commit_meta(wal2, "D" * 4)
+        assert wal2._journal_head == 2 * stale  # on stale txn 3's boundary
+        # Crash + reboot: recovery must hand back only the new epoch.
         wal3 = WriteAheadLog(data, journal, recover=True)
         assert wal3.recovery.replayed_txn_ids == [5, 6]
-        assert wal3.read(0, 4096) == b"C" * 4096
-        assert wal3.read(4096, 4096) == b"D" * 4096
-        assert wal3.read(8192, 4096) == b"Y" * 4096  # not clobbered by "X"
+        assert wal3.recovery.metas == [{"tag": "C" * 4}, {"tag": "D" * 4}]
 
 
 class TestOuterScopeRollback:
@@ -504,9 +649,8 @@ class TestOuterScopeRollback:
 
         with pytest.raises(Boom):
             with db.transaction():
-                # Delete frees A's extent; the create may reuse it.  Undo
-                # actions run in reverse order, so the free precedes the
-                # re-carve and the allocator never sees an overlap.
+                # A's free waits for the commit, so the create cannot
+                # land on its bytes; the rollback cancels the free.
                 lfm.delete(a)
                 lfm.create(PAYLOAD_B)
                 raise Boom("abort")
@@ -589,6 +733,23 @@ class TestUndoRegistration:
             wal.on_rollback(lambda: ran.append("undone"))
         assert ran == []
 
+    def test_commit_actions_run_after_the_record_never_on_abort(self):
+        wal, _, _ = build_stack(recover=False)
+        ran: list = []
+        with wal.transaction(meta_provider=lambda: {"k": 1}):
+            wal.on_commit(lambda: ran.append(wal.journal_stats.write_calls))
+            assert ran == []
+        assert ran == [1]  # the record was on the journal first
+
+        class Boom(Exception):
+            pass
+
+        with pytest.raises(Boom):
+            with wal.transaction(meta_provider=lambda: {"k": 2}):
+                wal.on_commit(lambda: ran.append("aborted"))
+                raise Boom("abort")
+        assert ran == [1]
+
     def test_non_owner_registration_serializes_against_commit(self):
         """Regression: a stray ``on_rollback`` from a thread that does not
         own the transaction used to append to the undo list unlocked,
@@ -660,7 +821,7 @@ class TestPersistence:
         # The catalog checkpointed the journal: the head rewound to just
         # past a checkpoint record, and a fresh scan replays nothing but
         # still learns the txn-id epoch.
-        report = recover_journal(BlockDevice(CAPACITY), wal.journal)
+        report = recover_journal(wal.journal)
         assert report.replayed == 0
         assert report.last_txn_id == wal.next_txn_id - 1
         assert wal._journal_head == report.end_offset
@@ -692,8 +853,8 @@ class TestPersistence:
         # durable state, not overflow to drop.
         db, wal = self._database_with_wal()
         save_database(db, tmp_path)
-        fields = [db.lfm.create(bytes([i]) * 5000) for i in range(1, 9)]
-        small = 16 * 4096
+        fields = [db.lfm.create(bytes([i]) * 5000) for i in range(1, 41)]
+        small = 4096
         assert wal._journal_head > small, "workload must outgrow the capacity"
         wal.dump(tmp_path / "device.img")
         wal.journal.dump(tmp_path / "wal.log")
@@ -766,8 +927,9 @@ class TestBitIdentity:
         assert counts == {"hilbert-naive": 5, "z-naive": 5, "octant": 5}
 
 
-class _FlakyJournal:
-    """Counts write calls; fails chosen indices (1-based) or while offline.
+class _FlakyDevice:
+    """Counts write calls; fails chosen indices (1-based), every ``sync``
+    while ``fail_sync``, or everything while offline.
 
     Unlike a :class:`FaultSchedule` crash — which takes the device down
     for good — the failure is transient, modelling a device error the
@@ -777,14 +939,20 @@ class _FlakyJournal:
     def __init__(self, inner, fail_at=()):
         self._inner = inner
         self.fail_at = set(fail_at)
+        self.fail_sync = False
         self.offline = False
         self.writes = 0
 
     def write(self, offset, data):
         self.writes += 1
         if self.offline or self.writes in self.fail_at:
-            raise WalError("injected journal failure")
+            raise StorageError("injected device failure")
         return self._inner.write(offset, data)
+
+    def sync(self, offset, length):
+        if self.offline or self.fail_sync:
+            raise StorageError("injected device failure")
+        return self._inner.sync(offset, length)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -807,50 +975,45 @@ class TestGroupFlushFailure:
     """
 
     def _commit(self, wal, offset: int, payload: bytes, undone: list, tag):
-        with wal.transaction():
+        with wal.transaction(meta_provider=lambda: {"tag": tag}):
             wal.write(offset, payload)
             wal.on_rollback(lambda: undone.append(tag))
 
     def test_durable_batch_survives_later_batch_failure(self):
-        # txn 1 journals cleanly (writes 1-3: header, page, commit), txn
-        # 2's header (write 4) fails.  Only txn 2 rolls back, txn 3 lands
-        # on the append point txn 2 never moved, and recovery reaches it.
+        # txn 1's record (journal write 1) lands, txn 2's (write 2) fails.
+        # Only txn 2 rolls back, txn 3 lands on the append point txn 2
+        # never moved, and recovery reaches it.
         data = BlockDevice(CAPACITY)
         journal = BlockDevice(JOURNAL_CAPACITY)
-        wal = WriteAheadLog(data, _FlakyJournal(journal, fail_at={4}),
+        wal = WriteAheadLog(data, _FlakyDevice(journal, fail_at={2}),
                             recover=False)
         undone: list[int] = []
         self._commit(wal, 0, b"one", undone, 1)
-        with pytest.raises(WalError, match="injected"):
+        with pytest.raises(StorageError, match="injected"):
             self._commit(wal, 8192, b"two", undone, 2)
         assert undone == [2]
         self._commit(wal, 16384, b"three", undone, 3)
         assert undone == [2]
 
-        # txn 1 and 3 are committed in memory; txn 2 left no trace.
-        assert wal.read(0, 3) == b"one"
-        assert wal.read(8192, 3) == b"\x00" * 3
-        assert wal.read(16384, 5) == b"three"
-
         wal2 = reboot(data, journal)
         assert wal2.recovery.replayed_txn_ids == [1, 3]
+        assert wal2.recovery.metas == [{"tag": 1}, {"tag": 3}]
         assert wal2.recovery.discarded == 0
         assert wal2.read(0, 3) == b"one"
-        assert wal2.read(8192, 3) == b"\x00" * 3
         assert wal2.read(16384, 5) == b"three"
 
     def test_commit_record_failure_never_replays(self):
-        # Header and page are on the journal when the commit record
-        # (write 3) fails; the header is voided, so a crash right after —
-        # before any later commit overwrites it — replays nothing and
-        # counts nothing as torn.
+        # The record is on the journal when its sync fails; the header is
+        # voided, so a crash right after — before any later commit
+        # overwrites it — replays nothing and counts nothing as torn.
         data = BlockDevice(CAPACITY)
         journal = BlockDevice(JOURNAL_CAPACITY)
-        wal = WriteAheadLog(data, _FlakyJournal(journal, fail_at={3}),
-                            recover=False)
-        with pytest.raises(WalError, match="injected"):
-            wal.write(0, b"lost")
-        assert wal.read(0, 4) == b"\x00" * 4
+        flaky = _FlakyDevice(journal)
+        wal = WriteAheadLog(data, flaky, recover=False)
+        flaky.fail_sync = True
+        with pytest.raises(StorageError, match="injected"):
+            commit_meta(wal, "lost")
+        assert journal.read(0, 24) == bytes(24)
         wal2 = reboot(data, journal)
         assert wal2.recovery.replayed_txn_ids == []
         assert wal2.recovery.discarded == 0
@@ -858,127 +1021,68 @@ class TestGroupFlushFailure:
     def test_offline_journal_fails_commits_until_it_heals(self):
         data = BlockDevice(CAPACITY)
         journal = BlockDevice(JOURNAL_CAPACITY)
-        flaky = _FlakyJournal(journal)
+        flaky = _FlakyDevice(journal)
         wal = WriteAheadLog(data, flaky, recover=False)
 
         flaky.offline = True
-        for offset, payload in ((0, b"first"), (4096, b"second")):
-            with pytest.raises(WalError, match="injected"):
-                wal.write(offset, payload)
-            assert wal.read(offset, len(payload)) == b"\x00" * len(payload)
+        for tag in ("first", "second"):
+            with pytest.raises(StorageError, match="injected"):
+                commit_meta(wal, tag)
 
         flaky.offline = False
-        wal.write(8192, b"third")
-        assert wal.read(8192, 5) == b"third"
+        commit_meta(wal, "third")
 
         wal2 = reboot(data, journal)
-        assert len(wal2.recovery.replayed_txn_ids) == 1
-        assert wal2.read(0, 5) == b"\x00" * 5
-        assert wal2.read(4096, 6) == b"\x00" * 6
-        assert wal2.read(8192, 5) == b"third"
-
-    def test_apply_failure_after_commit_record_stays_committed(self):
-        # The data device fails during the apply — after the commit
-        # record hit the journal.  Recovery would replay the transaction,
-        # so the in-memory state must keep it: no rollback, reads serve
-        # the committed bytes from the held page images.
-        data = BlockDevice(CAPACITY)
-        flaky = _FlakyJournal(data, fail_at={1})  # first apply write
-        journal = BlockDevice(JOURNAL_CAPACITY)
-        wal = WriteAheadLog(flaky, journal, recover=False)
-        ran: list[str] = []
-        with pytest.raises(WalError, match="injected"):
-            with wal.transaction():
-                wal.write(0, b"durable")
-                wal.on_rollback(lambda: ran.append("undone"))
-        assert ran == []                        # committed: undo must NOT run
-        assert wal.read(0, 7) == b"durable"     # held image serves the commit
-        assert wal.read_ranges([2], [7]) == b"rable"
-
-        # The store continues: a later transaction applies cleanly, the
-        # un-applied page keeps serving, and a read-modify-write of it
-        # starts from the committed image, not the stale device bytes.
-        wal.write(4096, b"later")
-        assert wal.read(0, 7) == b"durable"
-        assert wal.read(4096, 5) == b"later"
-        wal.write(7, b"!")
-        assert wal.read(0, 8) == b"durable!"
-        assert data.read(0, 8) == b"durable!"   # applied: nothing held now
-
-        wal2 = reboot(data, journal)
-        assert wal2.recovery.replayed_txn_ids == [1, 2, 3]
-        assert wal2.read(0, 8) == b"durable!"
-        assert wal2.read(4096, 5) == b"later"
+        assert wal2.recovery.metas == [{"tag": "third"}]
 
 
-class TestApplyFailureIsPublished:
-    """A commit whose apply failed is committed, so it is published."""
+class TestDataDeviceFailureIsARollback:
+    """An extent write or sync that fails comes before the commit record,
+    so the write rolls back like any other failed statement."""
 
-    def test_served_write_is_published_and_invalidates_the_cache(self):
+    @pytest.mark.parametrize("fails", ["write", "sync"])
+    def test_served_insert_raises_and_publishes_nothing(self, fails, tmp_path):
+        from repro.errors import ReproError
         from repro.server.server import QueryServer
-        from tests.test_mvcc import rwlock_acquisitions
 
-        flaky = _FlakyJournal(BlockDevice(CAPACITY))
-        lfm = LongFieldManager(WriteAheadLog(
-            flaky, BlockDevice(JOURNAL_CAPACITY), recover=False))
+        flaky = _FlakyDevice(BlockDevice(CAPACITY))
+        journal = BlockDevice(JOURNAL_CAPACITY)
+        lfm = LongFieldManager(WriteAheadLog(flaky, journal, recover=False))
         db = Database(lfm=lfm)
 
         def stash(k):
-            # a long field in the served statement's own transaction, so
-            # its commit has a page to apply
+            # a long field in the served statement's own transaction
             lfm.create(PAYLOAD_A)
             return k
 
+        def reopened():
+            lfm.device.dump(tmp_path / "device.img")
+            journal.dump(tmp_path / "wal.log")
+            return load_database(tmp_path, in_memory=True, wal=True)
+
         db.register_function("stash", stash)
         db.execute("create table t (k integer)")
+        save_database(db, tmp_path)
         count = "select count(*) from t"
         with QueryServer(db, workers=1) as server, server.connect() as session:
             assert session.execute(count).scalar() == 0
-            assert len(server.cache) == 1
-            flaky.fail_at = {flaky.writes + 1}  # the first apply write
-            with pytest.raises(WalError, match="injected"):
+            seq, fields = db.version_seq, lfm.export_state()
+            if fails == "write":
+                flaky.fail_at = {flaky.writes + 1}
+            flaky.fail_sync = fails == "sync"
+            with pytest.raises(ReproError, match="injected"):
                 session.execute("insert into t values (stash(1))")
-            assert len(server.cache) == 0  # invalidated on publish
-            with rwlock_acquisitions() as acquired:
-                with db.read_view() as view:
-                    assert view.seq == db.version_seq
-                    assert db.execute(count, view=view).scalar() == 1
-                assert session.execute(count).scalar() == 1
-                assert acquired() == 0
+            assert db.version_seq == seq
+            assert len(server.cache) == 1  # nothing published to invalidate it
+            assert session.execute(count).scalar() == 0
+            assert lfm.export_state() == fields and lfm.allocated_bytes == 0
+            old = reopened()
+            assert old.execute(count).scalar() == 0 and old.lfm.field_count == 0
 
-
-class TestCheckpointAfterApplyFailure:
-    """A checkpoint never drops the only durable copy of a commit."""
-
-    def _database_with_held_commit(self, tmp_path):
-        data = BlockDevice(CAPACITY)
-        flaky = _FlakyJournal(data)
-        journal = BlockDevice(JOURNAL_CAPACITY)
-        db = Database(lfm=LongFieldManager(
-            WriteAheadLog(flaky, journal, recover=False)))
-        save_database(db, tmp_path)  # the old image: no fields
-        flaky.fail_at = {flaky.writes + 1}  # the first apply write
-        with pytest.raises(WalError, match="injected"):
-            db.lfm.create(PAYLOAD_A)
-        assert db.lfm.read(db.lfm.handle(1)) == PAYLOAD_A  # committed
-        return db, flaky, journal
-
-    def test_healed_device_checkpoints_the_commit(self, tmp_path):
-        db, _, _ = self._database_with_held_commit(tmp_path)
-        save_database(db, tmp_path)  # retries the apply, then dumps
-        reopened = load_database(tmp_path, in_memory=True, wal=True)
-        assert reopened.lfm.device.recovery.replayed_txn_ids == []
-        assert reopened.lfm.read(reopened.lfm.handle(1)) == PAYLOAD_A
-
-    def test_failing_device_keeps_the_journal(self, tmp_path):
-        db, flaky, journal = self._database_with_held_commit(tmp_path)
-        flaky.offline = True
-        with pytest.raises(WalError, match="cannot reach the data device"):
-            save_database(db, tmp_path)
-        with pytest.raises(WalError, match="cannot reach the data device"):
-            db.lfm.device.reset_journal()
-        # Crash: the old image is untouched and the journal survives.
-        journal.dump(tmp_path / "wal.log")
-        reopened = load_database(tmp_path, in_memory=True, wal=True)
-        assert reopened.lfm.device.recovery.replayed_txn_ids == [1]
-        assert reopened.lfm.read(reopened.lfm.handle(1)) == PAYLOAD_A
+            flaky.fail_sync = False
+            session.execute("insert into t values (stash(2))")
+            assert db.version_seq == seq + 1
+            assert session.execute(count).scalar() == 1
+        new = reopened()
+        assert new.execute("select k from t").rows == [(2,)]
+        assert new.lfm.read(new.lfm.handle(1)) == PAYLOAD_A

@@ -9,7 +9,8 @@ equals its live published version in rows, DDL, hash and spatial index
 definitions and the field table, across three reopens in a row and across
 a crash between the image dump and the catalog rename; a served-shape
 INSERT journals its row, not the field table; hash indexes survive a
-save; and a journal written in format v1 is refused with the way out.
+save; and a journal written in format v1 or v2 is refused with the way
+out.
 """
 
 from __future__ import annotations
@@ -122,6 +123,20 @@ class TestReopenFromTheJournal:
             later_writes(db, round_)
         assert published(load_database(tmp_path, wal=True)) == published(db)
 
+    def test_fields_stored_after_a_save_onto_the_mapped_image_come_back(
+            self, tmp_path):
+        # The device maps device.img, and the save checkpoints onto that
+        # same file; the fields stored after it are on the image alone
+        # (the journal holds only their metadata), so a reopen without a
+        # second save must find their bytes there.
+        db = saved_empty(tmp_path)
+        first_writes(db)
+        save_database(db, tmp_path)
+        later_writes(db, 0)
+        state = published(db)
+        db.lfm.device.close()
+        assert published(load_database(tmp_path, wal=True)) == state
+
     def test_crash_between_image_dump_and_catalog_rename(self, tmp_path,
                                                          monkeypatch):
         db = wal_database()
@@ -155,7 +170,7 @@ class TestOneCommitRecord:
         before = journal.stats.bytes_written
         with QueryServer(db, workers=1) as server, server.connect() as session:
             session.execute("insert into t values (20, null)")
-        metas = recover_journal(BlockDevice(CAPACITY), journal).metas
+        metas = recover_journal(journal).metas
         assert metas[-1] == {"catalog": {"rows": {"t": [[20, None]]}}}
         assert journal.stats.bytes_written - before < 200
 
@@ -165,7 +180,7 @@ class TestOneCommitRecord:
         with db.transaction():
             handle = db.lfm.create(b"y" * 100)
             db.execute("insert into t values (1, ?)", [handle])
-        record = recover_journal(BlockDevice(CAPACITY), db.lfm.device.journal).metas[-1]
+        record = recover_journal(db.lfm.device.journal).metas[-1]
         assert record == {"catalog": {"rows": {"t": [[1, {"$lf": [1, 100]}]]}},
                           **db.lfm.export_state()}
 
@@ -183,36 +198,50 @@ class TestHashIndexesSurviveASave:
             "probe t via index(a)")
 
 
-def _as_v1(journal, pos: int) -> None:
-    """Rewrite the transaction header at ``pos`` as format v1, CRC intact."""
-    head = struct.Struct("<4sHHQII")
-    magic, _, reserved, txn_id, n_pages, meta_len = head.unpack(
-        journal.read(pos, head.size))
+def _as_legacy(journal, pos: int, version: int) -> None:
+    """Rewrite the v3 record at ``pos`` as a format-``version`` one, CRCs
+    intact: the v1/v2 header (a page count before the meta length) and, for
+    v2, one page record and the commit record after the meta."""
+    magic, _, reserved, txn_id, meta_len = struct.unpack(
+        "<4sHHQI", journal.read(pos, 20))
     assert magic == b"QWAL"
-    meta = journal.read(pos + head.size + 4, meta_len)
-    header = head.pack(magic, 1, reserved, txn_id, n_pages, meta_len)
-    journal.write(pos, header + struct.pack("<I", zlib.crc32(header + meta)))
+    meta = journal.read(pos + 24, meta_len)
+    n_pages = 1 if version == 2 else 0
+    header = struct.pack("<4sHHQII", magic, version, reserved, txn_id,
+                         n_pages, meta_len)
+    record = header + struct.pack("<I", zlib.crc32(header + meta)) + meta
+    if version == 2:
+        page = bytes(range(256)) * 16
+        record += struct.pack("<QI", 0, zlib.crc32(page)) + page
+        record += struct.pack("<4sQI", b"QCMT", txn_id, zlib.crc32(record))
+    journal.write(pos, record)
 
 
 class TestFormatV1IsRefused:
-    def test_intact_v1_header_above_the_floor_raises(self, tmp_path):
-        db = saved_empty(tmp_path)
+    def _refused(self, path, version: int) -> None:
+        db = saved_empty(path)
         db.execute("create table t (a integer)")
-        image = (tmp_path / "wal.log").read_bytes()
+        image = (path / "wal.log").read_bytes()
         journal = BlockDevice(len(image))
         journal.write(0, image)
-        _as_v1(journal, 0)  # the first record since the save
-        with pytest.raises(WalError, match="v1.*build that wrote it"):
+        _as_legacy(journal, 0, version)  # the first record since the save
+        with pytest.raises(WalError, match=f"v{version}.*build that wrote it"):
             WriteAheadLog(BlockDevice(CAPACITY), journal, recover=True)
-        journal.dump(tmp_path / "wal.log")
+        journal.dump(path / "wal.log")
         with pytest.raises(WalError, match="save it"):
-            load_database(tmp_path, wal=True)
+            load_database(path, wal=True)
+
+    def test_intact_v1_header_above_the_floor_raises(self, tmp_path):
+        self._refused(tmp_path, 1)
+
+    def test_intact_v2_record_above_the_floor_raises(self, tmp_path):
+        self._refused(tmp_path, 2)
 
     def test_a_checkpointed_v1_record_is_not_an_error(self):
         journal = BlockDevice(CAPACITY)
         wal = WriteAheadLog(BlockDevice(CAPACITY), journal, recover=False)
-        wal.write(0, b"old")
-        _as_v1(journal, 0)
-        report = recover_journal(BlockDevice(CAPACITY), journal,
-                                 next_txn_id=wal.next_txn_id)
+        with wal.transaction(meta_provider=lambda: {"old": True}):
+            wal.write(0, b"old")
+        _as_legacy(journal, 0, 1)
+        report = recover_journal(journal, next_txn_id=wal.next_txn_id)
         assert report.replayed == 0 and report.discarded == 0

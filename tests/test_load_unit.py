@@ -6,9 +6,9 @@ published snapshot and one band INSERT; it adds exactly its new band
 cells to the band index's box column and leaves the atlas index's column
 the very object the prior version held — the 10th load as the 1st.  A load
 that fails leaves no row behind on any device, and under a write-ahead log
-nothing else either (long fields, allocator bytes, id counters); a crash at any journal or apply write of a load recovers
-to the study entirely present or entirely absent — its rows included,
-folded from the journal's commit records.
+nothing else either (long fields, allocator bytes, id counters); a crash at any extent or journal write of three loads in a
+row recovers every study entirely present or entirely absent — its rows
+included, folded from the journal's commit records.
 """
 
 from __future__ import annotations
@@ -435,7 +435,7 @@ class TestNoReadBack:
 
 
 # --------------------------------------------------------------------- #
-# crash atomicity: every journal / apply write of one load_study
+# crash atomicity: every extent / journal write of three load_study calls
 # --------------------------------------------------------------------- #
 
 
@@ -487,64 +487,74 @@ def study_answers(system, study_id: int) -> dict:
             for name, o in outcomes.items()}
 
 
-def _reference_run():
-    """Fault-free: the states before and after the load under test, the
-    write calls it issues, and the answers the loaded study gives."""
-    schedule = FaultSchedule(seed=0, crash_after_writes=None)
-    system, loader, patient, _, _ = faulty_stack(schedule)
-    before = {
+#: the loads a crash point may land in: a crash in one must leave the
+#: ones before it whole
+CRASH_LOADS = (PET[1], PET[2], MRI[0])
+
+
+def _state(system, loader, schedule, fjournal) -> dict:
+    return {
         "writes": schedule.writes_seen,
+        "journal_writes": fjournal.inner.stats.write_calls,
         "rows": row_counts(system.db),
         "fields": system.lfm.export_state(),
         "allocated": system.lfm.allocated_bytes,
         "catalog": export_catalog(system.db.catalog),
         "ids": dict(loader._next_ids),
     }
-    study_id = load(system, loader, patient, PET[1])
-    after = {
-        "writes": schedule.writes_seen,
-        "rows": row_counts(system.db),
-        "fields": system.lfm.export_state(),
-        "allocated": system.lfm.allocated_bytes,
-        "catalog": export_catalog(system.db.catalog),
-        "answers": study_answers(system, study_id),
-        "study_id": study_id,
-    }
-    return system, before, after
 
 
-REFERENCE, BEFORE, AFTER = _reference_run()
-LOAD_WRITES = AFTER["writes"] - BEFORE["writes"]
-#: one journal record — header, a record per dirty page, the commit
-#: record — then one apply write per page: the commit record is write
-#: pages + 2 of 2 * pages + 2
-COMMIT_WRITE = LOAD_WRITES // 2 + 1
+def _reference_run():
+    """Fault-free: the states before the loads under test and after each,
+    with the write calls they issue and the answers each loaded study
+    gives."""
+    schedule = FaultSchedule(seed=0, crash_after_writes=None)
+    system, loader, patient, _, fjournal = faulty_stack(schedule)
+    states = [_state(system, loader, schedule, fjournal)]
+    for study in CRASH_LOADS:
+        study_id = load(system, loader, patient, study)
+        states.append({**_state(system, loader, schedule, fjournal),
+                       "answers": study_answers(system, study_id),
+                       "study_id": study_id})
+    return system, states
+
+
+REFERENCE, STATES = _reference_run()
+#: every write of the loads: one per long field each stores, then its
+#: commit record, that load's last write
+LOAD_WRITES = STATES[-1]["writes"] - STATES[0]["writes"]
 
 
 class TestCrashDuringLoad:
     def test_the_load_is_one_journal_record(self):
-        assert LOAD_WRITES % 2 == 0 and LOAD_WRITES > 4
+        for before, after in zip(STATES, STATES[1:]):
+            assert after["journal_writes"] - before["journal_writes"] == 1
+            assert after["writes"] - before["writes"] > 4
 
     @pytest.mark.parametrize("torn", ["prefix", "pages", "none"])
     @pytest.mark.parametrize("crash_at", range(1, LOAD_WRITES + 1))
     def test_crash_point_leaves_the_study_whole_or_absent(
             self, crash_at, torn, test_seed):
+        first = STATES[0]["writes"]
         schedule = FaultSchedule(
-            seed=test_seed, torn=torn,
-            crash_after_writes=BEFORE["writes"] + crash_at)
+            seed=test_seed, torn=torn, crash_after_writes=first + crash_at)
         system, loader, patient, fdata, fjournal = faulty_stack(schedule)
-        assert schedule.writes_seen == BEFORE["writes"]
+        assert schedule.writes_seen == first
+        done = 0
         with pytest.raises(SimulatedCrash):
-            load(system, loader, patient, PET[1])
+            for study in CRASH_LOADS:
+                load(system, loader, patient, study)
+                done += 1
+        before, after = STATES[done], STATES[done + 1]
 
         # In the crashed process: memory agrees with what the journal holds.
-        if system.lfm.export_state() == BEFORE["fields"]:
-            assert row_counts(system.db) == BEFORE["rows"]
-            assert system.lfm.allocated_bytes == BEFORE["allocated"]
-            assert loader._next_ids == BEFORE["ids"]
+        if system.lfm.export_state() == before["fields"]:
+            assert row_counts(system.db) == before["rows"]
+            assert system.lfm.allocated_bytes == before["allocated"]
+            assert loader._next_ids == before["ids"]
         else:
-            assert system.lfm.export_state() == AFTER["fields"]
-            assert row_counts(system.db) == AFTER["rows"]
+            assert system.lfm.export_state() == after["fields"]
+            assert row_counts(system.db) == after["rows"]
 
         # Reboot: harvest the wreck, replay the journal.
         data, journal = BlockDevice(CAPACITY), BlockDevice(CAPACITY)
@@ -553,24 +563,25 @@ class TestCrashDuringLoad:
         wal = WriteAheadLog(data, journal, recover=True)
         lfm = LongFieldManager.restore(wal, wal.last_committed_meta)
         fields = lfm.export_state()
-        assert fields in (BEFORE["fields"], AFTER["fields"]), (
+        assert fields in (before["fields"], after["fields"]), (
             f"half a study survived ({schedule.describe()})")
-        present = fields == AFTER["fields"]
-        # The commit record is the line: before it absent, after it whole
-        # (a torn commit record itself may have landed entirely, or not).
-        if crash_at != COMMIT_WRITE:
-            assert present == (crash_at > COMMIT_WRITE)
-        state = AFTER if present else BEFORE
+        present = fields == after["fields"]
+        # The commit record, the load's last write, is the line: before it
+        # absent (a torn commit record itself may have landed entirely).
+        if first + crash_at < after["writes"]:
+            assert not present
+        state = after if present else before
         assert lfm.allocated_bytes == state["allocated"]
         # The rows come from the journal too: every write since the stack
         # was created is a recovered commit record, folded onto nothing.
         catalog = fold_records({"tables": []}, wal.recovery.metas)
         del catalog["lfm"]
-        assert catalog in (BEFORE["catalog"], AFTER["catalog"]), (
+        assert catalog in (before["catalog"], after["catalog"]), (
             f"half a study's rows survived ({schedule.describe()})")
         assert catalog == state["catalog"], (
             f"the rows disagree with the fields ({schedule.describe()})")
         recovered = _system_over(lfm, catalog)
         assert row_counts(recovered.db) == state["rows"]
-        if present:
-            assert study_answers(recovered, AFTER["study_id"]) == AFTER["answers"]
+        for done_state in STATES[1:done + 1] + [after] * present:
+            assert study_answers(recovered, done_state["study_id"]) == \
+                done_state["answers"]

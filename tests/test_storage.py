@@ -109,6 +109,19 @@ class TestBlockDevice:
             assert dev.read(1234, 10) == b"persist me"
         assert path.stat().st_size == 64 * 1024
 
+    def test_dump_onto_its_own_image_keeps_the_map_on_the_file(self, tmp_path):
+        """Dumping a file-backed device onto the file it maps flushes in
+        place: the file is not replaced, so later writes still reach it."""
+        path = tmp_path / "device.img"
+        with BlockDevice(64 * 1024, path=path) as dev:
+            dev.write(0, b"before")
+            inode = path.stat().st_ino
+            assert dev.dump(path) == path
+            assert path.stat().st_ino == inode
+            dev.write(4096, b"after")
+        image = path.read_bytes()
+        assert image[:6] == b"before" and image[4096:4101] == b"after"
+
     def test_memory_backed_reads_zeros_and_survives_close(self, tmp_path):
         """An in-memory device is an anonymous map: unwritten pages read
         as zeros, ``close`` is a no-op, and ``dump`` images all of it."""
