@@ -2,8 +2,8 @@
 
 The paper runs everything unbuffered (§6.1) and caches *results* in DX
 instead.  This ablation replays a realistic query mix against the same
-long fields through an LRU page cache and reports the physical-I/O savings
-per query pattern:
+long fields and feeds the pages each read touches through an LRU page
+buffer, reporting the physical-I/O savings per query pattern:
 
 * cold single-study queries (the Table 3 mix) — each touches fresh pages,
   so a buffer pool buys little;
@@ -14,30 +14,72 @@ per query pattern:
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 from conftest import bench_grid_side, emit
 
 from repro.regions import Region
-from repro.storage import BlockDevice, LongFieldManager, PAGE_SIZE, PageCache
+from repro.storage import BlockDevice, LongFieldManager, PAGE_SIZE
 from repro.volumes import Volume
 
 
-def _rebuild_with_cache(paper_system, capacity_pages):
-    """Copy one study's volume + structure regions onto a cached device."""
+class _TouchLog(BlockDevice):
+    """A device that logs the page numbers its reads touch, in the order a
+    page-granular buffer would be asked for them: each byte range of a
+    scattered read page by page, so ranges sharing a page touch it again."""
+
+    def __init__(self, capacity: int):
+        super().__init__(capacity)
+        self.touches: list[int] = []
+
+    def _touch(self, start: int, stop: int) -> None:
+        if stop > start:
+            self.touches.extend(range(start // PAGE_SIZE, (stop - 1) // PAGE_SIZE + 1))
+
+    def read(self, offset: int, length: int) -> bytes:
+        data = super().read(offset, length)
+        self._touch(offset, offset + length)
+        return data
+
+    def read_ranges(self, starts: np.ndarray, stops: np.ndarray) -> bytes:
+        data = super().read_ranges(starts, stops)
+        for start, stop in zip(np.asarray(starts).tolist(), np.asarray(stops).tolist()):
+            self._touch(start, stop)
+        return data
+
+
+def _replay(lru: OrderedDict, capacity_pages: int, touches: list[int]) -> tuple[int, int]:
+    """``(hits, misses)`` of the page touches through the LRU, which keeps
+    its contents for the next replay; each miss is one physical page read."""
+    hits = misses = 0
+    for page in touches:
+        if page in lru:
+            hits += 1
+            lru.move_to_end(page)
+        else:
+            misses += 1
+            lru[page] = None
+            if len(lru) > capacity_pages:
+                lru.popitem(last=False)
+    return hits, misses
+
+
+def _rebuild(paper_system):
+    """Copy one study's volume + structure regions onto a logging device."""
     handle = paper_system.db.execute(
         "select data from warpedVolume where studyId = ?",
         [paper_system.pet_study_ids[0]],
     ).scalar()
     volume_bytes = paper_system.lfm.read(handle)
-    device = BlockDevice(1 << 28)
-    cache = PageCache(device, capacity_pages=capacity_pages)
-    lfm = LongFieldManager(cache)
+    device = _TouchLog(1 << 28)
+    lfm = LongFieldManager(device)
     volume_lf = lfm.create(volume_bytes)
     region_lfs = {
         name: lfm.create(region.to_bytes("naive"))
         for name, region in paper_system.phantom.structures.items()
     }
-    return device, cache, lfm, volume_lf, region_lfs
+    return device, lfm, volume_lf, region_lfs
 
 
 def _extract(lfm, volume_lf, region_lf):
@@ -49,32 +91,24 @@ def _extract(lfm, volume_lf, region_lf):
 
 def test_buffer_pool_ablation(paper_system, results_dir, benchmark):
     capacity_pages = 1024  # a 4 MiB buffer pool
-    device, cache, lfm, volume_lf, region_lfs = _rebuild_with_cache(
-        paper_system, capacity_pages
-    )
+    device, lfm, volume_lf, region_lfs = _rebuild(paper_system)
     names = sorted(region_lfs)
     benchmark(_extract, lfm, volume_lf, region_lfs[names[0]])
+    lru: OrderedDict = OrderedDict()  # the buffer pool, cold
+
+    def phase(region_names) -> tuple[int, int, float]:
+        """(logical, physical, hit rate) of extracting each named region."""
+        device.stats.reset()
+        device.touches.clear()
+        for name in region_names:
+            _extract(lfm, volume_lf, region_lfs[name])
+        hits, misses = _replay(lru, capacity_pages, device.touches)
+        return device.stats.pages_read, misses, hits / (hits + misses)
 
     # Phase 1: a cold sweep over every structure (distinct pages).
-    cache.clear()
-    device.stats.reset()
-    cache.stats.reset()
-    cache.hits = cache.misses = 0
-    for name in names:
-        _extract(lfm, volume_lf, region_lfs[name])
-    cold_logical = cache.stats.pages_read
-    cold_physical = device.stats.pages_read
-    cold_hit_rate = cache.hit_rate
-
+    cold_logical, cold_physical, cold_hit_rate = phase(names)
     # Phase 2: the same query repeated (a user iterating on one view).
-    device.stats.reset()
-    cache.stats.reset()
-    cache.hits = cache.misses = 0
-    for _ in range(5):
-        _extract(lfm, volume_lf, region_lfs["ntal"])
-    hot_logical = cache.stats.pages_read
-    hot_physical = device.stats.pages_read
-    hot_hit_rate = cache.hit_rate
+    hot_logical, hot_physical, hot_hit_rate = phase(["ntal"] * 5)
 
     text = "\n".join(
         [

@@ -1,8 +1,9 @@
 """A static call graph over the repro source tree.
 
 The concurrency checker (:mod:`repro.analysis.concurrency`) is
-*interprocedural*: whether ``PageCache._record_hit`` may touch the LRU
-map depends on what its callers hold, not on anything in its own body.
+*interprocedural*: whether ``WorkerPool._wait_for_room`` may touch the
+FIFO's counters depends on what its callers hold, not on anything in its
+own body.
 This module supplies the structural half of that analysis:
 
 * :class:`CodeIndex` — every module, class, and function under the

@@ -7,8 +7,7 @@ with stable ``QB4xx`` codes (suppressible like any other rule):
 
 **Lock ordering** — the runtime hierarchy, outermost first::
 
-    db.rwlock (10) -> txn (20) -> db.version (25) -> cache.latch (30)
-                   -> cache.lock (40) -> wal.stats (50)
+    db.rwlock (10) -> txn (20) -> db.version (25) -> wal.stats (50)
                    -> db.stats (55)
                    -> leaf mutexes (1000)
 
@@ -80,7 +79,6 @@ REENTRANT = {"db.rwlock", "txn"}
 #: (class, attribute) -> hierarchy key, for locks whose attr name alone
 #: is ambiguous (every other ``*lock``/``*latch`` attr becomes a leaf)
 LOCK_ATTRS = {
-    ("PageCache", "_lock"): "cache.lock",
     ("WriteAheadLog", "_txn_lock"): "txn",
     ("WriteAheadLog", "_stats_lock"): "wal.stats",
     ("TableStats", "_lock"): "db.stats",
@@ -90,9 +88,6 @@ LOCK_ATTRS = {
     # register as holding the guard for the state they protect)
     ("WorkerPool", "_cond"): "WorkerPool._cond",
 }
-
-#: bare with-target names with a known key (the per-page fill latch)
-NAME_KEYS = {"latch": "cache.latch"}
 
 #: receiver names that mark ``.write()`` as the database write lock
 RWLOCK_NAMES = {"rwlock", "_rwlock"}
@@ -230,10 +225,7 @@ class _Analyzer:
                 return ("txn", "excl")
             return None
         if isinstance(expr, ast.Name):
-            if expr.id in locals_locks:
-                return locals_locks[expr.id]
-            key = NAME_KEYS.get(expr.id)
-            return (key, "excl") if key else None
+            return locals_locks.get(expr.id)
         if isinstance(expr, ast.Attribute) and \
                 isinstance(expr.value, ast.Name) and expr.value.id == "self":
             key = self._attr_lock_key(fn.cls, expr.attr)

@@ -64,7 +64,7 @@ class NoRawDeviceIO(Rule):
     name = "no-raw-device-io"
     description = (
         "no direct BlockDevice reads/writes outside repro/storage/ "
-        "(use the LongFieldManager / PageCache APIs)"
+        "(use the LongFieldManager APIs)"
     )
 
     _DEVICE_NAMES = {"device", "dev", "block_device"}

@@ -13,8 +13,7 @@ interleaving.
 On top of cycle detection, keys may carry a **rank** mirroring the
 declared lock hierarchy of ARCHITECTURE.md (:data:`DEFAULT_RANKS`):
 
-    db.rwlock  →  wal.txn  →  cache.latch  →  cache.lock  →  wal.stats
-               →  db.stats
+    db.rwlock  →  wal.txn  →  wal.stats  →  db.stats
 
 Acquiring a lower-ranked (outer) key while holding a higher-ranked
 (inner) one is an ordering violation the moment it happens, before any
@@ -65,8 +64,6 @@ DEFAULT_RANKS = {
     "db.rwlock": 10,
     "wal.txn": 20,
     "db.version": 25,
-    "cache.latch": 30,
-    "cache.lock": 40,
     "wal.stats": 50,
     "db.stats": 55,
     "obs.digest": 60,

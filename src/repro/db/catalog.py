@@ -30,11 +30,11 @@ class CatalogView:
         return None
 
     def index_names(self) -> list[str]:
-        """All hash-index names, sorted."""
+        """All equality-index names, sorted."""
         return sorted(self._indexes)
 
     def index_defs(self) -> list[tuple[str, str, str]]:
-        """``(name, table, column)`` of every hash index, sorted by name."""
+        """``(name, table, column)`` of every equality index, sorted by name."""
         return [(name, *target) for name, target in sorted(self._indexes.items())]
 
     def spatial_index_defs(self) -> list[tuple[str, str, str]]:
@@ -81,7 +81,7 @@ class Catalog(CatalogView):
         return table
 
     def create_index(self, name: str, table_name: str, column: str) -> None:
-        """Create a named single-column hash index."""
+        """Declare a named single-column equality index."""
         key = name.lower()
         if key in self._indexes:
             raise CatalogError(f"index {name!r} already exists")
@@ -90,7 +90,7 @@ class Catalog(CatalogView):
         self._indexes[key] = (table.name, column)
 
     def drop_index(self, name: str) -> None:
-        """Drop a named index — hash or spatial (the table keeps its rows)."""
+        """Drop a named index — equality or spatial (the table keeps its rows)."""
         key = name.lower()
         if key in self._spatial:
             table_name, column = self._spatial.pop(key)

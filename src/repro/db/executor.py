@@ -377,8 +377,8 @@ class _Program:
     base: int
     #: the block calls functions: every row binding starts a fresh memo
     memo: bool
-    #: per join level: table name, "hash" / "spatial" / "bucket" / None, the
-    #: probed column(s), the probe-value closure(s), the level's predicates
+    #: per join level: table name, "spatial" / "bucket" / None, the probed
+    #: column(s), the probe-value closure(s), the level's predicates
     levels: tuple
     columns: list[str]
     #: one closure per output column — over a frame, or over a group
@@ -403,13 +403,12 @@ def _compile_select(plan: Plan, catalog: Catalog, outer: tuple) -> _Program:
     base = sum(len(scope) for scope in outer)
     levels = []
     for level, ref in enumerate(plan.table_order):
-        probe = plan.index_probes[level]
-        access = "hash" if probe else None
-        if probe is None and plan.spatial_probes[level] is not None:
-            access, probe = "spatial", plan.spatial_probes[level]
-        column = probe[0] if probe else None
-        value = compiler.expr(probe[1]) if probe else None
-        if probe is None and (keys := plan.equal_keys[level]):
+        index = plan.index_probes[level]
+        keys = (index,) if index else plan.equal_keys[level]
+        access = column = value = None
+        if spatial := plan.spatial_probes[level]:
+            access, column, value = "spatial", spatial[0], compiler.expr(spatial[1])
+        elif keys:
             access, column = "bucket", tuple(schemas[level].position(c) for c, _ in keys)
             value = tuple(compiler.expr(constant) for _, constant in keys)
         levels.append((ref.name, access, column, value,
@@ -708,9 +707,11 @@ class Executor:
         """Nested loops from ``level`` down: append to ``out`` a copy of
         ``frame`` for every row combination passing all predicates.
 
-        Levels with an index probe read only the matching hash bucket, a
-        scan of a published table the bucket its constants key; probing
-        with NULL matches nothing (SQL equality semantics).
+        A level with an index probe or ``col = constant`` conjuncts reads,
+        of a published table, only the bucket their values key (an
+        unpublished copy in a write scope scans: the conjuncts stay among
+        the level's predicates); probing with NULL matches nothing (SQL
+        equality semantics).
 
         With a ``profile`` (EXPLAIN ANALYZE), each level's
         :class:`~repro.obs.explain.OperatorStats` accumulates the rows it
@@ -723,10 +724,7 @@ class Executor:
         ctx, table = run.ctx, tables[level]
         _, access, column, probe, predicates = program.levels[level]
         rows = None
-        if access == "hash":
-            value = probe(frame, run)
-            rows = () if value is None else table.probe(column, value)
-        elif access == "spatial":
+        if access == "spatial":
             rows = self._spatial_candidates(table, column, probe, frame, run)
         elif access == "bucket" and table.published:
             rows = _bucket_rows(table, column, probe, frame, run)
@@ -877,8 +875,8 @@ class Executor:
 
 def _bucket_rows(table, positions: tuple, values: tuple, frame: list, run: _Run):
     """The rows of ``table.equal_buckets(positions)`` keyed by the values,
-    or None for a scan: on a missing parameter (a scan raises it only if a
-    row reaches it) or an unhashable value (as :meth:`Table.probe`)."""
+    or None for a scan on a missing parameter or an unhashable value: the
+    level's predicates then filter, or raise, as without the bucket."""
     try:
         key = tuple(value(frame, run) for value in values)
         return () if any(v is None for v in key) else (

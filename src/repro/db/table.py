@@ -1,4 +1,4 @@
-"""Heap tables: row storage with type checking and optional hash indexes.
+"""Heap tables: row storage with type checking and declared indexes.
 
 Rows live in memory as plain lists; long-field payloads are *not* here —
 LONGFIELD cells hold handles into the Long Field Manager, so table scans
@@ -6,18 +6,18 @@ stay cheap and large objects are only read when a function dereferences
 them.  This mirrors the paper's division between relational data (an AIX
 file system in their setup) and long-field data (a raw logical volume).
 
-Hash indexes (``CREATE INDEX``) accelerate equality probes; the paper's
-experiments ran without relational indexes ("We did not create indexes on
-any of the relation columns"), but the system supports them, and the
-planner uses one whenever an equality predicate on an indexed column is
-available at a join level.
+``CREATE INDEX`` declares a column indexed; the paper's experiments ran
+without relational indexes ("We did not create indexes on any of the
+relation columns").  Nothing is maintained on a write: the planner probes
+a declared column whenever an equality predicate on it is available at a
+join level, and the probe reads the published version's
+:meth:`Table.equal_buckets`, built once per version on first use.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from operator import itemgetter
 
 from repro.db.schema import TableSchema
 from repro.db.stats import SpatialIndex, TableStats
@@ -26,24 +26,12 @@ from repro.errors import CatalogError, DatabaseError
 __all__ = ["Table"]
 
 
-#: bucket key for values that cannot hash (probed by linear fallback)
-_UNHASHABLE = object()
-
-
-def _index_key(value):
-    try:
-        hash(value)
-        return value
-    except TypeError:
-        return _UNHASHABLE
-
-
 def _buckets(rows: list[list], key) -> dict:
-    """``{key(row): [rows]}``, each bucket in row order; a key that cannot
-    hash buckets its rows under ``_UNHASHABLE``."""
+    """``{key(row): [rows]}``, each bucket in row order (every stored
+    value hashes: :func:`~repro.db.types.coerce_value` admits no other)."""
     buckets: dict = {}
     for row in rows:
-        buckets.setdefault(_index_key(key(row)), []).append(row)
+        buckets.setdefault(key(row), []).append(row)
     return buckets
 
 
@@ -55,7 +43,7 @@ _MUTATIONS = itertools.count(1)
 
 
 class Table:
-    """A heap of typed rows with optional single-column hash indexes.
+    """A heap of typed rows with declared single-column indexes.
 
     Every table carries a stamp: ``uid``, shared by a table and its
     :meth:`copy`, and ``mutations``, which :meth:`touch` — the one place
@@ -73,8 +61,8 @@ class Table:
         #: set once, by the publish that makes this table a version's
         self.published = False
         self._rows: list[list] = []
-        #: column position -> {value: [rows]}
-        self._indexes: dict[int, dict] = {}
+        #: positions of the columns CREATE INDEX declared
+        self._indexed: frozenset[int] = frozenset()
         #: published only: positions -> {values: [rows]} (:meth:`equal_buckets`)
         self._equal: dict[tuple, dict] = {}
         #: optimizer statistics and the region-cell directories the spatial
@@ -119,8 +107,6 @@ class Table:
         row = self.schema.validate_row(list(values))
         self.touch()
         self._rows.append(row)
-        for position, buckets in self._indexes.items():
-            buckets.setdefault(_index_key(row[position]), []).append(row)
         return row
 
     def insert_named(self, **values) -> list:
@@ -139,7 +125,6 @@ class Table:
         before = len(self._rows)
         self.touch()
         self._rows = [row for row in self._rows if not predicate(row)]
-        self._rebuild_indexes()
         return before - len(self._rows)
 
     def update_where(self, predicate, apply) -> int:
@@ -155,55 +140,41 @@ class Table:
                     self.touch()
                 self._rows[i] = new_row
                 touched += 1
-        if touched:
-            self._rebuild_indexes()
         return touched
 
     def truncate(self) -> None:
-        """Delete every row (indexes are rebuilt empty)."""
+        """Delete every row."""
         self.touch()
         self._rows.clear()
-        self._rebuild_indexes()
 
     # ------------------------------------------------------------------ #
     # indexes
     # ------------------------------------------------------------------ #
 
     def create_index(self, column: str) -> None:
-        """Build a hash index over one column."""
+        """Declare an index on one column."""
         position = self.schema.position(column)
-        if position in self._indexes:
+        if position in self._indexed:
             raise CatalogError(
                 f"table {self.name!r} already has an index on {column!r}"
             )
-        buckets = _buckets(self._rows, itemgetter(position))
         self.touch()
-        self._indexes[position] = buckets
+        self._indexed |= {position}
 
     def drop_index(self, column: str) -> None:
-        """Remove the hash index on one column."""
+        """Remove the index declared on one column."""
         position = self.schema.position(column)
-        if position not in self._indexes:
+        if position not in self._indexed:
             raise CatalogError(f"table {self.name!r} has no index on {column!r}")
         self.touch()
-        del self._indexes[position]
+        self._indexed -= {position}
 
     def has_index(self, column: str) -> bool:
         """True when an equality probe on ``column`` can use an index."""
         try:
-            return self.schema.position(column) in self._indexes
+            return self.schema.position(column) in self._indexed
         except CatalogError:
             return False
-
-    def probe(self, column: str, value) -> list[list]:
-        """Index lookup: the rows whose ``column`` equals ``value``."""
-        position = self.schema.position(column)
-        buckets = self._indexes[position]
-        key = _index_key(value)
-        if key is _UNHASHABLE:
-            # Unhashable probe value: fall back to the matching scan.
-            return [row for row in self._rows if row[position] == value]
-        return buckets.get(key, [])
 
     def equal_buckets(self, positions: tuple[int, ...]) -> dict:
         """``{values at positions: rows}`` of a published table, built on
@@ -230,8 +201,8 @@ class Table:
 
         Rows are shared by reference: mutators replace row lists wholesale
         (``update_where`` builds a fresh validated list; ``insert`` appends
-        a new one), so sharing is safe.  Index buckets *are* appended to in
-        place by ``insert``, so each bucket list is copied.
+        a new one), so sharing is safe.  The copy is unpublished, so it
+        has no :meth:`equal_buckets`: an equality probe of it scans.
         """
         clone = Table.__new__(Table)
         clone.schema = self.schema
@@ -240,10 +211,7 @@ class Table:
         clone.published = False
         clone._equal = {}
         clone._rows = list(self._rows)
-        clone._indexes = {
-            position: {key: list(rows) for key, rows in buckets.items()}
-            for position, buckets in self._indexes.items()
-        }
+        clone._indexed = self._indexed
         clone.stats = self.stats.copy()
         clone.spatial = {
             column: SpatialIndex(index.name, clone, index.column)
@@ -254,10 +222,6 @@ class Table:
     def freeze(self) -> None:
         """Make this table a published version's: refuse every later write."""
         self.published = True
-
-    def _rebuild_indexes(self) -> None:
-        for position in list(self._indexes):
-            self._indexes[position] = _buckets(self._rows, itemgetter(position))
 
     def __repr__(self) -> str:
         return f"Table({self.name}, {self.row_count} rows)"

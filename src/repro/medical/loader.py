@@ -158,7 +158,7 @@ class MedicalLoader:
         return Patient(patient_id, name, birth_date, sex, age)
 
     def create_standard_indexes(self) -> list[str]:
-        """Hash indexes on the join/lookup columns of the Figure 1 schema.
+        """Indexes on the join/lookup columns of the Figure 1 schema.
 
         The paper's experiments ran without relational indexes (§6.1); call
         this to measure their effect or to serve larger populations.

@@ -1,9 +1,9 @@
 """A process-wide metrics registry: counters, gauges, and histograms.
 
 Instrumented sites across the tree feed this registry (``lfm.pages_read``,
-``cache.hit_rate``, ``executor.rows_emitted``, ``rpc.messages``...); the
-bench runner snapshots it into every ``BENCH_*.json`` so each trajectory
-point carries the full resource picture, not just the headline columns.
+``executor.rows_emitted``, ``rpc.messages``...); the bench runner
+snapshots it into every ``BENCH_*.json`` so each trajectory point carries
+the full resource picture, not just the headline columns.
 
 Metrics are plain Python attribute updates on the side of the real
 counters — they never touch :class:`~repro.storage.device.IOStats`, so the

@@ -4,7 +4,6 @@ write-ahead log, and deterministic fault injection."""
 from __future__ import annotations
 
 from repro.storage.buddy import BuddyAllocator
-from repro.storage.cache import PageCache
 from repro.storage.device import PAGE_SIZE, BlockDevice, IOStats
 from repro.storage.faults import FaultSchedule, FaultyDevice
 from repro.storage.lfm import LongField, LongFieldManager
@@ -15,7 +14,6 @@ __all__ = [
     "BlockDevice",
     "IOStats",
     "BuddyAllocator",
-    "PageCache",
     "LongField",
     "LongFieldManager",
     "FaultSchedule",

@@ -254,6 +254,75 @@ class TestConstantEqualityBuckets:
         cost = self.outcome(db, sql, params, "cost")
         assert cost == self.outcome(db, sql, params, "naive")
 
+    @pytest.mark.parametrize("planner", ["cost", "naive"])
+    def test_an_index_does_not_change_a_statement_outcome(self, planner):
+        """A probe value is evaluated only when a row reaches it, with or
+        without an index: a missing parameter over an empty table is no
+        error."""
+        from repro.errors import ReproError
+
+        sql = "select u.k from u, t where t.k = ?"
+        outcomes = []
+        for indexed in (False, True):
+            db = Database()
+            db.execute("create table t (k integer, v text)")
+            db.execute("create table u (k integer)")
+            db.execute("insert into u values (1)")
+            if indexed:
+                db.execute("create index ik on t (k)")
+                assert "via index(k)" in db.explain(sql)
+            outcome = []
+            for _ in range(2):  # cold, then the memoized plan
+                try:
+                    outcome.append(db.execute(sql, [], planner=planner).rows)
+                except ReproError as exc:
+                    outcome.append(type(exc).__name__)
+            db.execute("insert into t values (1, 'x')")
+            with pytest.raises(ExecutionError, match="parameter 1"):
+                db.execute(sql, [], planner=planner)
+            outcomes.append(outcome)
+        assert outcomes == [[[], []], [[], []]]
+
+    def test_an_indexed_table_in_a_write_scope_scans(self):
+        """Inside a write scope an indexed table's copy answers an equality
+        by scanning, row for row as the same table without the index; after
+        the commit the published bucket agrees too."""
+        db = Database()
+        for name in ("a", "b"):
+            db.execute(f"create table {name} (id integer, grp integer)")
+            db.executemany(f"insert into {name} values (?, ?)",
+                           [[k, k % 3] for k in range(12)])
+        db.execute("create index ia on a (grp)")
+        sql = "select id, grp from {} where grp = ?"
+        assert "via index(grp)" in db.explain(sql.format("a"))
+
+        def agree(scanned: int | None) -> None:
+            for grp in range(3):
+                for planner in ("cost", "naive"):
+                    indexed = db.execute(sql.format("a"), [grp], planner=planner)
+                    plain = db.execute(sql.format("b"), [grp], planner=planner)
+                    assert indexed.rows == plain.rows
+                    if scanned is not None:
+                        assert indexed.work.rows_scanned == scanned
+
+        with db.transaction():
+            for write in ("insert into {} values (20, 1)",
+                          "update {} set grp = 2 where id < 4",
+                          "delete from {} where id = 5"):
+                for name in ("a", "b"):
+                    db.execute(write.format(name))
+                assert not db.catalog.table("a").published
+                agree(scanned=db.catalog.table("a").row_count)
+        table = db.catalog.table("a")
+        assert table.published
+        agree(scanned=None)
+        buckets = table.equal_buckets((1,))
+        for grp in range(3):
+            assert [tuple(row) for row in buckets.get((grp,), [])] == (
+                db.execute(sql.format("b"), [grp]).rows)
+            assert db.execute(sql.format("a"), [grp]).work.rows_scanned == len(
+                buckets.get((grp,), []))
+
     def test_racing_first_uses_agree(self, db):
         import sys
         import threading

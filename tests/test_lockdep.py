@@ -85,7 +85,7 @@ class TestLockdepCore:
         assert lockdep.violations() == []
 
     def test_rank_inversion_raises_and_releases(self, witness):
-        low = lockdep.instrument(threading.Lock(), "cache.lock")
+        low = lockdep.instrument(threading.Lock(), "wal.stats")
         high = lockdep.instrument(threading.Lock(), "db.rwlock")
         with low:
             with pytest.raises(LockOrderError, match="lock-order violation"):
@@ -217,7 +217,7 @@ class TestRWLockWithLockdep:
         assert lockdep.held_keys() == ()
 
     def test_rank_inversion_rolls_the_rwlock_back(self, witness):
-        leaf = lockdep.instrument(threading.Lock(), "cache.lock")
+        leaf = lockdep.instrument(threading.Lock(), "wal.stats")
         lock = RWLock(name="db.rwlock")
         with leaf:
             with pytest.raises(LockOrderError):

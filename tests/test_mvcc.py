@@ -276,8 +276,9 @@ def table_image(table) -> tuple:
     its spatial indexes probe."""
     return ([tuple(row) for row in table.scan()],
             {position: {key: [tuple(row) for row in rows]
-                        for key, rows in buckets.items()}
-             for position, buckets in table._indexes.items()},
+                        for key, rows in table.equal_buckets((position,)).items()}
+             for position, column in enumerate(table.schema.columns)
+             if table.has_index(column.name)},
             table.stamp, table.stats.stamp, table.stats.row_total,
             {column: id(index._boxes()) for column, index in table.spatial.items()})
 

@@ -166,9 +166,10 @@ def image(db) -> dict:
         for column in table.schema.columns:
             if table.has_index(column.name):
                 position = table.schema.position(column.name)
+                buckets = table.equal_buckets((position,))
                 for value in {row[position] for row in table.scan()} | {-1}:
                     probes[column.name, value] = Counter(
-                        map(tuple, table.probe(column.name, value)))
+                        map(tuple, buckets.get((value,), [])))
         spatial = {column: Counter(map(tuple, index.probe(*WHOLE)))
                    for column, index in table.spatial.items()
                    if index.probe_safe(table)}
@@ -219,7 +220,9 @@ class Stamps:
         for name in db.catalog.table_names():
             table = db.catalog.table(name)
             state = (frozenset(Counter(map(tuple, table.scan())).items()),
-                     frozenset(table._indexes), frozenset(table.spatial),
+                     frozenset(c.name for c in table.schema.columns
+                               if table.has_index(c.name)),
+                     frozenset(table.spatial),
                      table.stats.spatial_enabled)
             assert self.seen.setdefault(table.stamp, state) == state
 
