@@ -5,7 +5,7 @@ Demonstrates the features this reproduction adds around the paper's core:
 
 1. the §1 flagship cohort query ("PET studies of women aged 30-60 with
    high activity in the hippocampus") via `find_studies`,
-2. relational hash indexes and their effect on rows scanned,
+2. relational indexes and their effect on rows scanned,
 3. the §7 spatial index: locating structures a probe box intersects,
 4. saving the whole database to disk and reopening it.
 

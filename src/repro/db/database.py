@@ -53,11 +53,12 @@ def _compile(sql: str) -> Prepared:
         recorder.leave(was)
 
 
-def _check(prepared: Prepared, catalog, registry: FunctionRegistry) -> None:
-    """The semantic check of one statement (its ``db.semantic`` time)."""
+def _check(prepared: Prepared, catalog, registry: FunctionRegistry) -> dict:
+    """The semantic check of one statement (its ``db.semantic`` time):
+    the binder's record of it."""
     was = recorder.enter("db.semantic")
     try:
-        check(prepared.ast, catalog, registry)
+        return check(prepared.ast, catalog, registry)
     finally:
         recorder.leave(was)
 
@@ -278,23 +279,22 @@ class Database:
         return prepared, False
 
     def _bind(self, prepared: Prepared, catalog, registry: FunctionRegistry,
-              ad_hoc: bool = False) -> tuple[Bound | None, dict]:
+              ad_hoc: bool = False) -> tuple[Bound, dict]:
         """Run the semantic check unless it already passed on this state.
 
         The state is the stamp of :mod:`repro.db.sql.prepared`: identity,
         mutation count and statistics stamp of each named table in
         ``catalog`` (identity only for an INSERT that reads no table), and
         ``registry``'s own stamp.  Returns the
-        statement's :class:`Bound` for that stamp (fresh and empty after
-        a check; ``None`` when the registry forbids keeping one, or the
-        statement is ``ad_hoc`` and will not be seen again) and a private
-        copy of its plan table for the executor to fill —
-        :meth:`_keep_plans` publishes what it adds.
+        statement's :class:`Bound` for that stamp (fresh, with no plans,
+        after a check; one with no stamp, for this run only, when the
+        registry forbids keeping one or the statement is ``ad_hoc`` and
+        will not be seen again) and a private copy of its plan table for
+        the executor to fill — :meth:`_keep_plans` publishes what it adds.
         """
         functions = None if ad_hoc else registry.stamp(prepared.funcs)
         if functions is None:
-            _check(prepared, catalog, registry)
-            return None, {}
+            return Bound(None, _check(prepared, catalog, registry), {}), {}
         tables = catalog.stamp_of(prepared.tables)
         if prepared.is_values_insert:
             # bound to the target's schema (fixed per uid), not its rows
@@ -302,13 +302,12 @@ class Database:
         stamp = (functions, *tables)
         bound = prepared.bound
         if bound is None or bound.stamp != stamp:
-            _check(prepared, catalog, registry)
-            bound = prepared.bound = Bound(stamp, {})
+            bound = prepared.bound = Bound(
+                stamp, _check(prepared, catalog, registry), {})
         return bound, dict(bound.plans)
 
     @staticmethod
-    def _keep_plans(prepared: Prepared, bound: Bound | None,
-                    plans: dict) -> None:
+    def _keep_plans(prepared: Prepared, bound: Bound, plans: dict) -> None:
         """Replace the slot with one holding the plans an execution
         added — unless it was re-bound meanwhile (they are planned again).
 
@@ -317,9 +316,8 @@ class Database:
         filled by executing ``prepared.ast``: the statement object keeps
         its blocks alive for as long as the slot can name them.
         """
-        if (bound is not None and len(plans) > len(bound.plans)
-                and prepared.bound is bound):
-            prepared.bound = Bound(bound.stamp, plans)
+        if len(plans) > len(bound.plans) and prepared.bound is bound:
+            prepared.bound = bound._replace(plans=plans)
 
     def execute(self, sql: str | Prepared, params: list | None = None,
                 functions: FunctionRegistry | None = None,
@@ -396,7 +394,7 @@ class Database:
         """
         stmt, sql, explain = prepared.ast, prepared.sql, prepared.is_explain
         bound, plans = self._bind(prepared, catalog, registry, ad_hoc)
-        ctx = ExecutionContext(lfm=lfm, analyzed=True, planner_mode=mode,
+        ctx = ExecutionContext(lfm=lfm, blocks=bound.blocks, planner_mode=mode,
                                plans=plans, stored_cells=self._stored_cells)
         if explain:
             analyze, stmt = stmt.analyze, stmt.statement
@@ -461,7 +459,7 @@ class Database:
         executor = Executor(catalog, self.functions)
         total = 0
         for params in param_rows:
-            ctx = ExecutionContext(lfm=lfm, analyzed=True,
+            ctx = ExecutionContext(lfm=lfm, blocks=bound.blocks,
                                    planner_mode=self.planner, plans=plans,
                                    stored_cells=self._stored_cells)
             total += executor.execute(prepared.ast, list(params), ctx).rowcount
@@ -482,7 +480,8 @@ class Database:
             raise UnsupportedStatementError("EXPLAIN supports SELECT statements only")
         with self.read_view() as view:
             bound, plans = self._bind(prepared, view.catalog, self.functions)
-            ctx = ExecutionContext(planner_mode=self.planner, plans=plans)
+            ctx = ExecutionContext(blocks=bound.blocks, planner_mode=self.planner,
+                                   plans=plans)
             plan = Executor(view.catalog, self.functions).plan(stmt, ctx)
             self._keep_plans(prepared, bound, plans)
             return plan.describe()

@@ -20,6 +20,7 @@ from repro.db.catalog import Catalog
 from repro.db.functions import ExecutionContext, FunctionRegistry
 from repro.db.planner import Plan, plan_select
 from repro.db.schema import Column, TableSchema
+from repro.db.semantic import AGGREGATES, Block
 from repro.db.sql.ast import (
     Analyze,
     BinOp,
@@ -38,7 +39,6 @@ from repro.db.sql.ast import (
     Literal,
     Param,
     Select,
-    SelectItem,
     Star,
     Statement,
     Subquery,
@@ -46,16 +46,11 @@ from repro.db.sql.ast import (
     Update,
 )
 from repro.db.types import SqlType
-from repro.errors import CatalogError, ExecutionError, SqlTypeError
+from repro.errors import ExecutionError, SqlTypeError
 from repro.obs import metrics, recorder, trace
 from repro.regions.region import Region
 
 __all__ = ["ResultSet", "Executor"]
-
-_AGGREGATES = {"count", "sum", "avg", "min", "max"}
-
-#: plan-table entry of a nested block that cannot be planned standalone
-_CORRELATED = "correlated"
 
 
 @dataclass
@@ -244,43 +239,33 @@ class _Compiler:
     """Compiles the expressions of one query block (or DML statement).
 
     ``scopes`` is the chain of visible query blocks, outermost first, each
-    a tuple of ``(binding, schema)`` in frame order; a column resolves in
-    the innermost block that knows it, the standard SQL scoping rule.
+    a tuple of ``(binding, schema)`` in frame order; ``block`` is the
+    binder's record of this one, which says where each column lives.
     """
 
-    def __init__(self, scopes: tuple, group_by: tuple = ()):
+    def __init__(self, scopes: tuple, block: Block, group_by: tuple = ()):
         self.scopes = scopes
+        self.block = block
         self.group_by = group_by
         #: distinct scalar calls of the block -> their memo cell
         self.cells: dict[FuncCall, int] = {}
 
     def slot(self, ref: ColumnRef) -> tuple[int, int]:
         """The ``(frame index, row slot)`` a column reference reads."""
-        offset = sum(len(scope) for scope in self.scopes)
-        for scope in reversed(self.scopes):
-            offset -= len(scope)
-            if ref.qualifier is not None:
-                key = ref.qualifier.lower()
-                owners = [i for i, (binding, _) in enumerate(scope)
-                          if binding.lower() == key][:1]
-            else:
-                owners = [i for i, (_, schema) in enumerate(scope)
-                          if ref.name in schema]
-            if len(owners) > 1:
-                raise CatalogError(f"column {ref.name!r} is ambiguous")
-            if owners:
-                return offset + owners[0], scope[owners[0]][1].position(ref.name)
-        if ref.qualifier is not None:
-            raise CatalogError(f"unknown table or alias {ref.qualifier!r}")
-        raise CatalogError(f"no bound table has a column {ref.name!r}")
+        depth, binding, position = self.block.columns[ref.qualifier, ref.name]
+        outer = self.scopes[:len(self.scopes) - 1 - depth]
+        scope = self.scopes[-1 - depth]
+        index = next(i for i, (name, _) in enumerate(scope) if name == binding)
+        return sum(map(len, outer)) + index, position
 
     def expr(self, node: Expr, grouped: bool = False):
         """The closure for ``node``: over a frame, or — ``grouped`` — over
-        a group, where aggregates fold, grouping expressions and nested
-        blocks read the representative row, and a bare column is an error.
+        a group, where aggregates fold and grouping expressions and nested
+        blocks read the representative row (the analyzer rejected a bare
+        column, QB114).
         """
         if grouped:
-            if isinstance(node, FuncCall) and node.name.lower() in _AGGREGATES:
+            if isinstance(node, FuncCall) and node.name.lower() in AGGREGATES:
                 # arity and nesting were proven by the analyzer (QB112/115)
                 star = isinstance(node.args[0], Star)
                 return _fold(node.name.lower(),
@@ -289,10 +274,6 @@ class _Compiler:
                     node, (Subquery, InSubquery, Exists)):
                 row = self.expr(node)
                 return lambda group, run: row(group[0], run)
-            if isinstance(node, ColumnRef):
-                raise ExecutionError(
-                    f"column {node} must appear in GROUP BY or inside an aggregate"
-                )
         if isinstance(node, Literal):
             value = node.value
             return lambda frame, run: value
@@ -349,8 +330,7 @@ class _Compiler:
             select = node.select
 
             def scalar(frame, run):
-                rows = run.executor._subquery_rows(
-                    select, scopes, frame, run, "scalar subquery")
+                rows = run.executor._run_subquery(select, scopes, frame, run).rows
                 if len(rows) > 1:
                     raise ExecutionError("scalar subquery returned more than one row")
                 return rows[0][0] if rows else None
@@ -361,8 +341,8 @@ class _Compiler:
             wanted = value(frame, run)
             if wanted is None:
                 return False  # simplified two-valued logic
-            rows = run.executor._subquery_rows(
-                select, scopes, frame, run, "IN subquery")
+            # one column, proven by the analyzer (QB113)
+            rows = run.executor._run_subquery(select, scopes, frame, run).rows
             return any(row[0] == wanted for row in rows) != negated
         return contains
 
@@ -394,17 +374,17 @@ class _Program:
         return (outer[:-1] if outer else []) + rows + [{} if self.memo else None]
 
 
-def _compile_select(plan: Plan, catalog: Catalog, outer: tuple) -> _Program:
+def _compile_select(plan: Plan, catalog: Catalog, outer: tuple,
+                    block: Block) -> _Program:
     select = plan.select
     schemas = [catalog.table(ref.name).schema for ref in plan.table_order]
     scopes = outer + (tuple(
         (ref.binding, schema) for ref, schema in zip(plan.table_order, schemas)),)
-    compiler = _Compiler(scopes, select.group_by)
+    compiler = _Compiler(scopes, block, select.group_by)
     base = sum(len(scope) for scope in outer)
     levels = []
     for level, ref in enumerate(plan.table_order):
-        index = plan.index_probes[level]
-        keys = (index,) if index else plan.equal_keys[level]
+        keys = plan.equal_keys[level]
         access = column = value = None
         if spatial := plan.spatial_probes[level]:
             access, column, value = "spatial", spatial[0], compiler.expr(spatial[1])
@@ -413,36 +393,30 @@ def _compile_select(plan: Plan, catalog: Catalog, outer: tuple) -> _Program:
             value = tuple(compiler.expr(constant) for _, constant in keys)
         levels.append((ref.name, access, column, value,
                        tuple(compiler.expr(p) for p in plan.level_predicates[level])))
-    grouped = bool(select.group_by) or any(
-        _contains_aggregate(item.expr) for item in select.items)
+    grouped = block.grouped
     columns: list[str] = []
     items: list = []
-    for item in select.items:
-        if isinstance(item.expr, Star) and not grouped:
+    first: list[int] = []  # per select item, its first output column
+    for item, name in zip(select.items, block.names):
+        first.append(len(columns))
+        if name is None:  # a '*' (never grouped: QB114)
             for index, schema in enumerate(schemas, start=base):
                 columns.extend(schema.column_names())
                 items.extend(_column(index, slot) for slot in range(len(schema)))
         else:
-            columns.append(item.alias or _derive_name(item))
+            columns.append(name)
             items.append(compiler.expr(item.expr, grouped))
-    # ORDER BY may name a select-list alias (standard SQL); such keys sort
-    # on the already projected value.
-    names = [name.lower() for name in columns]
-    order = []
-    for key in select.order_by:
-        expr, index = key.expr, None
-        if (isinstance(expr, ColumnRef) and expr.qualifier is None
-                and names.count(expr.name.lower()) == 1):
-            index = names.index(expr.name.lower())
-        order.append((index,
-                      None if index is not None else compiler.expr(expr, grouped),
-                      key.ascending))
+    # An ORDER BY key naming a select item sorts on its projected value.
+    order = tuple(
+        (first[item], None, key.ascending) if item is not None
+        else (None, compiler.expr(key.expr, grouped), key.ascending)
+        for key, item in zip(select.order_by, block.order))
     group_keys = tuple(compiler.expr(g) for g in select.group_by)
     # HAVING without grouping was rejected by the analyzer (QB111)
     having = (compiler.expr(select.having, True)
               if select.having is not None else None)
     return _Program(scopes, base, bool(compiler.cells), tuple(levels), columns,
-                    tuple(items), grouped, group_keys, having, tuple(order))
+                    tuple(items), grouped, group_keys, having, order)
 
 
 class Executor:
@@ -459,16 +433,9 @@ class Executor:
     def execute(self, stmt: Statement, params: list, ctx: ExecutionContext) -> ResultSet:
         """Dispatch one parsed statement to its handler.
 
-        Statements must pass semantic analysis before they run; when the
-        caller has not already analyzed (``ctx.analyzed``), the analyzer
-        runs here so direct ``Executor`` users get the same guarantees as
-        the :class:`~repro.db.database.Database` facade.
+        The statement has passed semantic analysis: ``ctx.blocks`` is the
+        binder's record of it (:func:`repro.db.semantic.check`).
         """
-        if not ctx.analyzed:
-            from repro.db.semantic import check
-
-            check(stmt, self.catalog, self.functions)
-            ctx.analyzed = True
         metrics.counter("executor.statements").inc()
         was = recorder.enter("db.executor")
         try:
@@ -561,7 +528,7 @@ class Executor:
         fresh = table.stats.fresh(table)
 
         def build():
-            compiler = _Compiler(((),))
+            compiler = _Compiler(((),), ctx.blocks[id(stmt)])
             return [[compiler.expr(e) for e in row] for row in stmt.rows]
 
         run, frame = _Run(self, params, ctx), [{}]
@@ -590,7 +557,7 @@ class Executor:
         """A DELETE/UPDATE compiled over its one table: the WHERE closure
         (None: every row) and the assignments' ``(slot, closure)`` pairs."""
         def build():
-            compiler = _Compiler((((table.name, table.schema),),))
+            compiler = _Compiler((((stmt.table, table.schema),),), ctx.blocks[id(stmt)])
             where = compiler.expr(stmt.where) if stmt.where is not None else None
             return where, [(table.schema.position(column), compiler.expr(expr))
                            for column, expr in assignments]
@@ -807,35 +774,19 @@ class Executor:
     # nested query blocks and the plan table
     # -------------------------------------------------------------- #
 
-    def _subquery_rows(self, select: Select, scopes: tuple, frame: list,
-                       run: _Run, what: str) -> list[tuple]:
-        result = self._run_subquery(select, scopes, frame, run)
-        if len(result.columns) != 1:
-            raise ExecutionError(f"{what} must produce exactly one column")
-        return result.rows
-
     def _run_subquery(self, select: Select, scopes: tuple, frame: list,
                       run: _Run) -> ResultSet:
         """Run a nested query block, caching per statement when uncorrelated.
 
-        A block that plans and compiles against its own FROM tables alone
-        is uncorrelated: its result cannot depend on the outer row, so one
-        execution serves every outer row.  Otherwise it re-runs per row
-        with the enclosing frame in scope.  Either verdict is recorded
-        in the statement's plan table — the standalone plan itself, or
-        :data:`_CORRELATED` in its place — so it is reached once, not
-        once per outer row.
+        A block the binder found uncorrelated cannot depend on the outer
+        row, so one execution serves every outer row; a correlated one
+        re-runs per row with the enclosing frame in scope.
         """
         ctx = run.ctx
         cached = ctx.subquery_cache.get(select)
         if cached is not None:
             return cached
-        try:
-            correlated = self.plan(select, ctx) is _CORRELATED
-        except CatalogError:
-            correlated = True
-            ctx.plans[id(select), None, ctx.planner_mode] = _CORRELATED
-        if correlated:
+        if ctx.blocks[id(select)].correlated:
             return self.execute_select(select, run, scopes, frame)
         result = self.execute_select(select, run)
         ctx.subquery_cache[select] = result
@@ -854,19 +805,14 @@ class Executor:
         """The block's plan, compiled (``plan.program``), from the plan
         table.  ``scopes`` is the enclosing blocks' scope chain."""
         def build() -> Plan:
-            outer = None
-            if scopes:
-                outer = {}
-                for scope in reversed(scopes):  # inner scope wins
-                    for binding, schema in scope:
-                        outer.setdefault(binding, schema)
             was = recorder.enter("db.planner")
             try:
-                plan = plan_select(select, self.catalog, outer,
+                plan = plan_select(select, self.catalog, ctx.blocks,
                                    mode=ctx.planner_mode)
             finally:
                 recorder.leave(was)
-            plan.program = _compile_select(plan, self.catalog, scopes)
+            plan.program = _compile_select(plan, self.catalog, scopes,
+                                           ctx.blocks[id(select)])
             return plan
 
         names = tuple(tuple(b for b, _ in scope) for scope in scopes) or None
@@ -895,27 +841,6 @@ def _lfm_pages(ctx: ExecutionContext) -> int:
     if ctx.io_sink is not None:
         return ctx.io_sink.total_pages
     return ctx.lfm.stats.total_pages if ctx.lfm is not None else 0
-
-
-def _contains_aggregate(expr: Expr) -> bool:
-    if isinstance(expr, FuncCall):
-        if expr.name.lower() in _AGGREGATES:
-            return True
-        return any(_contains_aggregate(arg) for arg in expr.args)
-    if isinstance(expr, BinOp):
-        return _contains_aggregate(expr.left) or _contains_aggregate(expr.right)
-    if isinstance(expr, UnaryOp):
-        return _contains_aggregate(expr.operand)
-    return False
-
-
-def _derive_name(item: SelectItem) -> str:
-    expr = item.expr
-    if isinstance(expr, ColumnRef):
-        return expr.name
-    if isinstance(expr, FuncCall):
-        return expr.name
-    return "expr"
 
 
 def _hashable(value):

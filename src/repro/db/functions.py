@@ -132,9 +132,8 @@ class ExecutionContext:
     work: WorkCounters = field(default_factory=WorkCounters)
     #: memoized results of (uncorrelated) nested query blocks, per statement
     subquery_cache: dict = field(default_factory=dict)
-    #: True once the statement has passed semantic analysis; the executor
-    #: runs the analyzer itself when handed an unanalyzed statement.
-    analyzed: bool = False
+    #: the binder's record of the statement (:func:`repro.db.semantic.check`)
+    blocks: dict = field(default_factory=dict)
     #: a :class:`~repro.obs.explain.PlanProfile` to fill for EXPLAIN
     #: ANALYZE; the executor claims it for the outermost SELECT only.
     profile: object | None = None

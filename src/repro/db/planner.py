@@ -15,7 +15,7 @@ medical queries cheap):
   level where all of its columns are bound, and within a level cheap
   scalar comparisons run before LFM-touching spatial predicates before
   subqueries, so short-circuiting gates the expensive work;
-* **access paths** — hash-index probes for equality predicates, and
+* **access paths** — index probes for equality predicates, and
   spatial-index probes (:class:`~repro.db.stats.SpatialIndex`) for
   ``voxelCount(intersection(col, probe)) > 0`` predicates, which replace a
   full scan with the index's bounding-box candidates; the exact predicate
@@ -54,6 +54,7 @@ from repro.db.sql.ast import (
     TableRef,
     UnaryOp,
 )
+from repro.db.semantic import AGGREGATES, Block
 from repro.db.types import SqlType
 from repro.errors import CatalogError
 from repro.net.costmodel import CostModel1994
@@ -150,10 +151,11 @@ class Plan:
     #: per level: (indexed column, probe-value expression) or None for a scan
     index_probes: list[tuple[str, Expr] | None] = field(default_factory=list)
     #: per level: (region column, probe-region expression) or None; used
-    #: only when the level has no hash probe
+    #: only when the level has no index probe
     spatial_probes: list[tuple[str, Expr] | None] = field(default_factory=list)
-    #: per level with neither probe (cost plans): (column, constant) of each
-    #: ``column = constant``, the key of a published table's bucket
+    #: per level without a spatial probe: the key of a published table's
+    #: bucket, (column, value) of its index probe and (cost plans) of each
+    #: ``column = constant``
     equal_keys: list[tuple[tuple[str, Expr], ...]] = field(default_factory=list)
     #: estimated rows surviving each level (cumulative, clamped to >= 1
     #: unless provably empty)
@@ -187,17 +189,18 @@ OUTER = "<outer>"
 def plan_select(
     select: Select,
     catalog: Catalog,
-    outer_bindings: dict[str, object] | None = None,
+    blocks: dict[int, Block],
     mode: str = "cost",
 ) -> Plan:
     """Build the nested-loop plan for a SELECT statement.
 
-    ``outer_bindings`` carries the enclosing block's bindings when planning
-    a correlated subquery; columns resolved there behave as constants.
-    ``mode`` selects the join-ordering strategy (:data:`PLANNER_MODES`).
+    ``blocks`` is the binder's record of the statement
+    (:func:`repro.db.semantic.check`); a column it resolved in an
+    enclosing block behaves as a constant.  ``mode`` selects the
+    join-ordering strategy (:data:`PLANNER_MODES`).
     """
     with trace.span("planner.plan_select", tables=len(select.tables), mode=mode):
-        return _plan_select(select, catalog, outer_bindings, mode)
+        return _plan_select(select, catalog, blocks[id(select)], mode)
 
 
 class _Facts(NamedTuple):
@@ -205,33 +208,27 @@ class _Facts(NamedTuple):
     its cost bucket (0 = scalar, 1 = LFM-touching, 2 = subquery-bearing),
     the cost of one evaluation, its selectivity, whether it reads more than
     one table of the block, and the keys (:meth:`_PlannerState._probe_keys`)
-    a ``col = value`` conjunct offers a hash probe and an ``intersection``
-    filter a spatial probe."""
+    a ``col = value`` conjunct offers an index probe or a bucket and an
+    ``intersection`` filter a spatial probe."""
 
     bucket: int
     cost: float
     selectivity: float
     spans: bool
-    hash_keys: tuple
+    equality_keys: tuple
     spatial_keys: tuple
 
 
 class _PlannerState:
-    """Shared resolution/estimation state for one planning call."""
+    """Shared estimation state for one planning call."""
 
-    def __init__(self, select: Select, catalog: Catalog,
-                 outer_bindings: dict[str, object] | None):
-        self.outer_bindings = outer_bindings
+    def __init__(self, select: Select, catalog: Catalog, block: Block):
+        #: ``(qualifier, name)`` -> ``(depth, binding, position)``
+        self.columns = block.columns
         #: binding (alias) -> its table
-        self.tables = {}
-        for ref in select.tables:
-            if ref.binding in self.tables:
-                raise CatalogError(f"duplicate table binding {ref.binding!r} in FROM")
-            self.tables[ref.binding] = catalog.table(ref.name)
+        self.tables = {ref.binding: catalog.table(ref.name) for ref in select.tables}
         #: binding -> fresh TableStats or None
         self.stats = {binding: table.fresh_stats() for binding, table in self.tables.items()}
-        #: ``(qualifier, name)`` -> the binding it resolved to
-        self._resolved: dict[tuple[str | None, str], str] = {}
         # For each conjunct, the set of bindings it needs.  Conjuncts
         # embedding a nested query block are held until everything is
         # bound (the block may sit under outer-column comparisons).
@@ -252,13 +249,13 @@ class _PlannerState:
             used = frozenset(
                 binding for col in columns if (binding := self.resolve(col)) != OUTER)
             pages = [self._region_pages(*field) for field in self._longfields(columns)]
-            hash_keys = ()
+            equality_keys = ()
             if isinstance(conjunct, BinOp) and conjunct.op == "=":
-                hash_keys = self._probe_keys(conjunct.left, conjunct.right)
+                equality_keys = self._probe_keys(conjunct.left, conjunct.right)
             inner = _intersection_filter(conjunct)
             facts = _Facts(
                 int(bool(pages)), _CPU_TUPLE + sum(pages) * _PAGE_COST,
-                self._selectivity(conjunct), len(used) > 1, hash_keys,
+                self._selectivity(conjunct), len(used) > 1, equality_keys,
                 self._probe_keys(*inner.args) if inner else ())
         self.needs.append((conjunct, used))
         self._facts[id(conjunct)] = facts
@@ -292,9 +289,9 @@ class _PlannerState:
                 key = parent[key]
             return key
 
-        refs: dict[tuple[str, str], ColumnRef] = {}
-        pinned: list[tuple[tuple[str, str], Expr]] = []
-        joins: list[tuple[tuple[str, str], Expr]] = []
+        refs: dict[tuple[str, int], ColumnRef] = {}
+        pinned: list[tuple[tuple[str, int], Expr]] = []
+        joins: list[tuple[tuple[str, int], Expr]] = []
         for conjunct, _ in self.needs:
             if not (isinstance(conjunct, BinOp) and conjunct.op == "="):
                 continue
@@ -302,7 +299,6 @@ class _PlannerState:
             for side in (conjunct.left, conjunct.right):
                 local = self._column_side(side)
                 if local is not None:
-                    local = (local[0], local[1].lower())
                     refs.setdefault(local, side)
                 sides.append(local)
             left, right = sides
@@ -326,38 +322,10 @@ class _PlannerState:
                 self._facts[id(conjunct)] = facts._replace(selectivity=1.0)
 
     def resolve(self, ref: ColumnRef) -> str:
-        """The binding (alias) a column reference belongs to, looked up
-        once per planning call (a failure is not kept: it raises again)."""
-        key = (ref.qualifier, ref.name)
-        binding = self._resolved.get(key)
-        if binding is None:
-            binding = self._resolved[key] = self._lookup(ref)
-        return binding
-
-    def _lookup(self, ref: ColumnRef) -> str:
-        """Inner scope wins; references this block cannot resolve fall out
-        to the enclosing block's bindings (binding name -> schema-like
-        supporting ``in``) and map to the :data:`OUTER` sentinel."""
-        outer = self.outer_bindings or {}
-        if ref.qualifier is not None:
-            key = ref.qualifier.lower()
-            for binding in self.tables:
-                if binding.lower() == key:
-                    return binding
-            if any(binding.lower() == key for binding in outer):
-                return OUTER
-            raise CatalogError(f"unknown table or alias {ref.qualifier!r}")
-        owners = [binding for binding, table in self.tables.items()
-                  if ref.name in table.schema]
-        if not owners:
-            if any(ref.name in schema for schema in outer.values()):
-                return OUTER
-            raise CatalogError(f"no table in FROM has a column {ref.name!r}")
-        if len(owners) > 1:
-            raise CatalogError(
-                f"column {ref.name!r} is ambiguous across tables {sorted(owners)}"
-            )
-        return owners[0]
+        """The binding (alias) a column reference belongs to, or
+        :data:`OUTER` when the binder resolved it in an enclosing block."""
+        depth, binding, _ = self.columns[ref.qualifier, ref.name]
+        return OUTER if depth else binding
 
     # ---------------------------------------------------------------- #
     # predicate classification
@@ -374,12 +342,11 @@ class _PlannerState:
         among ``columns``, in first-use order."""
         found = {}
         for col in columns:
-            owner = self.resolve(col)
-            if owner != OUTER:
-                schema = self.tables[owner].schema
-                position = schema.position(col.name)
-                if schema.columns[position].sql_type is SqlType.LONGFIELD:
-                    found[owner, position] = None
+            side = self._column_side(col)
+            if side is not None:
+                binding, position = side
+                if self.tables[binding].schema.columns[position].sql_type is SqlType.LONGFIELD:
+                    found[side] = None
         return found
 
     def _region_pages(self, owner: str, position: int) -> float:
@@ -401,11 +368,11 @@ class _PlannerState:
     # selectivity estimation
     # ---------------------------------------------------------------- #
 
-    def _n_distinct(self, binding: str, column: str) -> float:
+    def _n_distinct(self, binding: str, position: int) -> float:
         table = self.tables[binding]
         stats = self.stats[binding]
         if stats is not None:
-            nd = stats.n_distinct(table.schema.position(column))
+            nd = stats.n_distinct(position)
             if nd is not None:
                 return max(1, nd)
         return max(1, min(_DEFAULT_ND, table.row_count))
@@ -415,15 +382,11 @@ class _PlannerState:
         with no nested query block)."""
         if isinstance(conjunct, FuncCall) and conjunct.name == "__is_null":
             arg = conjunct.args[0]
-            if isinstance(arg, ColumnRef):
-                try:
-                    owner = self.resolve(arg)
-                except CatalogError:
-                    return _DEFAULT_EQ_SEL
-                stats = self.stats.get(owner)
-                table = self.tables.get(owner)
-                if stats is not None and table is not None and table.row_count:
-                    position = table.schema.position(arg.name)
+            side = self._column_side(arg)
+            if side is not None:
+                binding, position = side
+                stats, table = self.stats[binding], self.tables[binding]
+                if stats is not None and table.row_count:
                     return stats.null_count(position) / table.row_count
             return _DEFAULT_EQ_SEL
         if not isinstance(conjunct, BinOp):
@@ -437,17 +400,13 @@ class _PlannerState:
             return 1.0 - self._eq_selectivity(conjunct)
         return _DEFAULT_OTHER_SEL
 
-    def _column_side(self, side: Expr) -> tuple[str, str] | None:
-        """``(binding, column)`` when the side is a local column ref."""
-        if not isinstance(side, ColumnRef):
-            return None
-        try:
-            owner = self.resolve(side)
-        except CatalogError:
-            return None
-        if owner == OUTER:
-            return None
-        return owner, side.name
+    def _column_side(self, side: Expr) -> tuple[str, int] | None:
+        """``(binding, position)`` when the side is a column of this block."""
+        if isinstance(side, ColumnRef):
+            depth, binding, position = self.columns[side.qualifier, side.name]
+            if not depth:
+                return binding, position
+        return None
 
     def _eq_selectivity(self, conjunct: BinOp) -> float:
         left = self._column_side(conjunct.left)
@@ -461,17 +420,15 @@ class _PlannerState:
         if side is None:
             return _DEFAULT_OTHER_SEL
         other = conjunct.right if side is left else conjunct.left
-        binding, column = side
+        binding, position = side
         table = self.tables[binding]
         stats = self.stats[binding]
         if isinstance(other, Literal) and stats is not None and table.row_count:
-            fraction = stats.eq_fraction(
-                table.schema.position(column), other.value
-            )
+            fraction = stats.eq_fraction(position, other.value)
             if fraction is not None:
                 return fraction
         if stats is not None:
-            return 1.0 / self._n_distinct(binding, column)
+            return 1.0 / self._n_distinct(binding, position)
         return _DEFAULT_EQ_SEL
 
     def _range_selectivity(self, conjunct: BinOp) -> float:
@@ -482,14 +439,11 @@ class _PlannerState:
             side = self._column_side(col_side)
             if side is None or not isinstance(value_side, Literal):
                 continue
-            binding, column = side
+            binding, position = side
             stats = self.stats[binding]
             if stats is None or not self.tables[binding].row_count:
                 break
-            fraction = stats.range_fraction(
-                self.tables[binding].schema.position(column), op,
-                value_side.value,
-            )
+            fraction = stats.range_fraction(position, op, value_side.value)
             if fraction is not None:
                 return fraction
         return _DEFAULT_RANGE_SEL
@@ -509,13 +463,14 @@ class _PlannerState:
                 return column, value
         return None
 
-    def hash_probe(self, conjuncts: list[Expr], binding: str,
-                   earlier: set[str]) -> tuple[str, Expr] | None:
+    def index_probe(self, conjuncts: list[Expr], binding: str,
+                    earlier: set[str]) -> tuple[str, Expr] | None:
         """First usable (indexed column, probe expression) of the level:
         ``col = value`` over an indexed column of ``binding``."""
         table = self.tables[binding]
         for conjunct in conjuncts:
-            probe = self._probe_sides(self._facts[id(conjunct)].hash_keys, binding, earlier)
+            probe = self._probe_sides(
+                self._facts[id(conjunct)].equality_keys, binding, earlier)
             if probe and table.has_index(probe[0]):
                 return probe
         return None
@@ -525,7 +480,7 @@ class _PlannerState:
         """(column, constant) of each ``col = constant`` conjunct over a
         column of ``binding``, where a constant is a literal, a parameter
         or an outer column: evaluated once per entry to the level."""
-        probes = (self._probe_sides(self._facts[id(c)].hash_keys, binding, {OUTER})
+        probes = (self._probe_sides(self._facts[id(c)].equality_keys, binding, {OUTER})
                   for c in conjuncts)
         return tuple(p for p in probes if p and isinstance(p[1], (Literal, Param, ColumnRef)))
 
@@ -560,12 +515,10 @@ class _PlannerState:
         exprs = self.level_conjuncts(placed, binding)
         earlier = set(placed) | {OUTER}
         examined = float(table.row_count)
-        probe = self.hash_probe(exprs, binding, earlier)
+        probe = self.index_probe(exprs, binding, earlier)
         if probe is not None:
-            examined = min(
-                examined,
-                max(1.0, table.row_count / self._n_distinct(binding, probe[0])),
-            )
+            nd = self._n_distinct(binding, table.schema.position(probe[0]))
+            examined = min(examined, max(1.0, table.row_count / nd))
         elif use_spatial and self.spatial_probe(exprs, binding, earlier):
             examined = min(
                 examined,
@@ -587,15 +540,10 @@ def _flip(op: str) -> str:
     return {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
 
 
-def _plan_select(
-    select: Select,
-    catalog: Catalog,
-    outer_bindings: dict[str, object] | None = None,
-    mode: str = "cost",
-) -> Plan:
+def _plan_select(select: Select, catalog: Catalog, block: Block, mode: str) -> Plan:
     if mode not in PLANNER_MODES:
         raise CatalogError(f"unknown planner mode {mode!r}")
-    state = _PlannerState(select, catalog, outer_bindings)
+    state = _PlannerState(select, catalog, block)
     if mode == "naive":
         order = list(select.tables)
     else:
@@ -606,10 +554,12 @@ def _plan_select(
             order = _cost_order(select, state)
 
     # Per level: the conjuncts first fully bound there (cost mode runs the
-    # cheap ones first, naive keeps the original order); a hash probe on an
-    # equality against earlier-bound values, else (cost mode) a spatial
+    # cheap ones first, naive keeps the original order); an index probe on
+    # an equality against earlier-bound values, else (cost mode) a spatial
     # probe for a region-intersection predicate over an indexed LONGFIELD
-    # column; and the row estimate (every mode: EXPLAIN always shows it).
+    # column; the bucket key — the index probe and (cost mode, no spatial
+    # probe) every ``col = constant``; and the row estimate (every mode:
+    # EXPLAIN always shows it).
     level_predicates: list[list[Expr]] = []
     index_probes: list[tuple[str, Expr] | None] = []
     spatial_probes: list[tuple[str, Expr] | None] = []
@@ -622,12 +572,15 @@ def _plan_select(
         if mode == "cost":
             preds = state.run_order(preds)
         earlier = placed | {OUTER}
-        chosen = state.hash_probe(preds, ref.binding, earlier)
+        chosen = state.index_probe(preds, ref.binding, earlier)
         spatial, keys = None, ()
-        if mode == "cost" and chosen is None:
-            spatial = state.spatial_probe(preds, ref.binding, earlier)
+        if mode == "cost":
+            if chosen is None:
+                spatial = state.spatial_probe(preds, ref.binding, earlier)
             if spatial is None:
                 keys = state.equal_keys(preds, ref.binding)
+        if chosen is not None and chosen not in keys:
+            keys = (chosen,) + keys
         _, est = state.level_model(placed, ref.binding, est, mode == "cost")
         level_predicates.append(preds)
         index_probes.append(chosen)
@@ -649,7 +602,7 @@ def _output_estimate(select: Select, est_join: float) -> float:
         return 1.0
     has_aggregate = any(
         isinstance(item.expr, FuncCall)
-        and item.expr.name.lower() in ("count", "sum", "avg", "min", "max")
+        and item.expr.name.lower() in AGGREGATES
         for item in select.items
     )
     if has_aggregate and not select.group_by:

@@ -1,12 +1,15 @@
 """Catalog-aware semantic analysis of parsed SQL, run between parse and plan.
 
-The analyzer makes one pass over a statement and checks everything that can
-be decided without touching a single row:
+The analyzer is the engine's one binder.  It makes one pass over a
+statement and decides everything that can be decided without touching a
+single row:
 
 * **Resolution** — every table, alias, column, and function name resolves;
-  unqualified columns are unambiguous across the FROM tables; correlated
-  subqueries resolve inner-scope-first then outward, mirroring the
-  executor's environment chain exactly.
+  unqualified columns are unambiguous across the FROM tables; a nested
+  query block resolves its names inner-scope-first, then outward.  What
+  each name resolved to is recorded per query block (:class:`Block`) and
+  returned by :func:`check`: the planner and the compiler read that record
+  and resolve nothing themselves.
 * **Typing** — expression types are inferred bottom-up from the catalog's
   column types (:class:`~repro.db.types.SqlType`); operators and UDF calls
   are checked against the declared signature table in
@@ -17,9 +20,8 @@ be decided without touching a single row:
 
 Findings are :class:`~repro.db.diagnostics.Diagnostic` records with stable
 ``QBxxx`` codes and source spans.  ``check`` raises the first error as the
-legacy exception type runtime callers already catch, so the static pass
-moves failures *earlier* (before any Long Field Manager I/O is issued)
-without changing what callers handle.  Inference is deliberately
+legacy exception type runtime callers already catch, so a statement fails
+before any Long Field Manager I/O is issued.  Inference is deliberately
 conservative: an unknown type (parameters, undeclared UDF results) never
 produces a diagnostic, so every query that would execute successfully still
 passes analysis.
@@ -62,9 +64,10 @@ from repro.db.sql.ast import (
 from repro.db.types import SqlType, coerce_value, type_of_value
 from repro.errors import SqlTypeError
 
-__all__ = ["SemanticAnalyzer", "analyze", "check"]
+__all__ = ["AGGREGATES", "Block", "SemanticAnalyzer", "analyze", "check"]
 
-_AGGREGATES = {"count", "sum", "avg", "min", "max"}
+#: the aggregate functions, by lowercased name
+AGGREGATES = frozenset({"count", "sum", "avg", "min", "max"})
 _NUMERIC = {SqlType.INTEGER, SqlType.REAL}
 #: types arithmetic accepts (booleans are ints to the runtime, as in Python)
 _ARITHMETIC = {SqlType.INTEGER, SqlType.REAL, SqlType.BOOLEAN}
@@ -80,15 +83,36 @@ def _comparable(a: SqlType, b: SqlType) -> bool:
 
 
 @dataclass
+class Block:
+    """What the binder decided for one query block: a SELECT, or the one
+    table scope of an INSERT, UPDATE or DELETE."""
+
+    #: ``(qualifier, name)`` of each column reference -> ``(depth, binding,
+    #: position)``: how many blocks out it resolved (0 = this one), the
+    #: FROM binding it resolved to there, and its column's position
+    columns: dict = field(default_factory=dict)
+    #: a reference here or in any block nested in this one resolves
+    #: outside it: its rows depend on the enclosing block's row
+    correlated: bool = False
+    #: per select item, its output column name (None for a ``*``)
+    names: tuple = ()
+    #: GROUP BY, or an aggregate in the select list
+    grouped: bool = False
+    #: per ORDER BY key, the select item it names, or None for an expression
+    order: tuple = ()
+
+
+@dataclass
 class _Scope:
-    """Static model of the executor's environment chain.
+    """One block's FROM bindings, chained to the enclosing block's.
 
     ``bindings`` maps a FROM binding name to its schema; a ``None`` schema
     marks a table that failed to resolve (already diagnosed), which then
     absorbs column lookups silently instead of cascading false errors.
     """
 
-    bindings: dict[str, TableSchema | None] = field(default_factory=dict)
+    bindings: dict[str, TableSchema | None]
+    block: Block
     outer: "_Scope | None" = None
 
 
@@ -97,7 +121,6 @@ class _SelectInfo:
     """What an analyzed SELECT exposes to its enclosing expression."""
 
     column_count: int | None  # None when a '*' hit an unresolved table
-    column_names: list[str]
     single_type: SqlType | None  # type of the only column, when known
 
 
@@ -108,6 +131,8 @@ class SemanticAnalyzer:
         self.catalog = catalog
         self.functions = functions
         self.diagnostics: list[Diagnostic] = []
+        #: the binder's record: ``id`` of each query block -> its Block
+        self.blocks: dict[int, Block] = {}
 
     # -------------------------------------------------------------- #
     # entry points
@@ -143,12 +168,17 @@ class SemanticAnalyzer:
     def _error(self, code: str, message: str, span: Span | None) -> None:
         self.diagnostics.append(Diagnostic(code, message, span))
 
+    def _scope(self, node, bindings: dict, outer: _Scope | None = None) -> _Scope:
+        """Open the scope of query block ``node`` and its :class:`Block`."""
+        block = self.blocks[id(node)] = Block()
+        return _Scope(bindings, block, outer)
+
     # -------------------------------------------------------------- #
     # statements
     # -------------------------------------------------------------- #
 
     def _select(self, select: Select, outer: _Scope | None) -> _SelectInfo:
-        scope = _Scope(outer=outer)
+        scope = self._scope(select, {}, outer)
         for ref in select.tables:
             if ref.binding in scope.bindings:
                 self._error(
@@ -178,40 +208,53 @@ class SemanticAnalyzer:
             else:
                 self._expr(select.having, scope, allow_aggregates=True)
 
-        # Select list: infer types, expand stars, derive output column names.
+        # Select list: infer types, expand stars, name the output columns
+        # (``outputs``: the select item of each, None inside a star).
         column_count: int | None = 0
-        column_names: list[str] = []
+        outputs: list[tuple[int | None, str]] = []
+        names: list[str | None] = []
         single_type: SqlType | None = None
-        for item in select.items:
+        for index, item in enumerate(select.items):
             if isinstance(item.expr, Star):
+                names.append(None)
                 for schema in scope.bindings.values():
                     if schema is None:
                         column_count = None
                     elif column_count is not None:
                         column_count += len(schema)
                     if schema is not None:
-                        column_names.extend(schema.column_names())
+                        outputs.extend((None, name) for name in schema.column_names())
                 continue
             item_type = self._expr(item.expr, scope, allow_aggregates=True)
             if column_count == 0:
                 single_type = item_type
             if column_count is not None:
                 column_count += 1
-            column_names.append(item.alias or _derive_name(item.expr))
+            names.append(item.alias or _derive_name(item.expr))
+            outputs.append((index, names[-1]))
         if column_count != 1:
             single_type = None
 
-        # ORDER BY: a bare column name may target a select-list alias; other
-        # expressions resolve against the FROM scope.
-        aliases = {name.lower() for name in column_names}
+        # ORDER BY: a bare name of exactly one output column sorts by that
+        # column (its select item; inside a star, the FROM column it is);
+        # any other key is an expression over the FROM scope, and a name
+        # of several output columns that no table has is ambiguous.
+        order: list[int | None] = []
         order_exprs: list[Expr] = []
         for order_item in select.order_by:
-            expr = order_item.expr
-            if (
-                isinstance(expr, ColumnRef)
-                and expr.qualifier is None
-                and expr.name.lower() in aliases
-            ):
+            expr, named = order_item.expr, []
+            if isinstance(expr, ColumnRef) and expr.qualifier is None:
+                wanted = expr.name.lower()
+                named = [index for index, name in outputs if name.lower() == wanted]
+            if len(named) == 1 and named[0] is not None:
+                order.append(named[0])
+                continue
+            order.append(None)
+            if len(named) > 1 and not _visible(expr.name, scope):
+                self._error(
+                    "QB103", f"ORDER BY {expr.name!r} names several output columns",
+                    expr.span,
+                )
                 continue
             self._expr(expr, scope, allow_aggregates=grouped)
             order_exprs.append(expr)
@@ -224,7 +267,9 @@ class SemanticAnalyzer:
             for expr in order_exprs:
                 self._check_grouped(expr, select)
 
-        return _SelectInfo(column_count, column_names, single_type)
+        block = scope.block
+        block.names, block.grouped, block.order = tuple(names), grouped, tuple(order)
+        return _SelectInfo(column_count, single_type)
 
     def _insert(self, stmt: Insert) -> None:
         schema = self._require_table(stmt.table, stmt.span)
@@ -245,7 +290,7 @@ class SemanticAnalyzer:
                             stmt.span,
                         )
                         targets.append(None)
-        scope = _Scope()  # INSERT values reference no tables
+        scope = self._scope(stmt, {})  # INSERT values reference no tables
         for row in stmt.rows:
             if targets is not None and len(row) != len(targets):
                 if stmt.columns is not None:
@@ -266,7 +311,7 @@ class SemanticAnalyzer:
 
     def _update(self, stmt: Update) -> None:
         schema = self._require_table(stmt.table, stmt.span)
-        scope = _Scope(bindings={stmt.table: schema} if schema is not None else {})
+        scope = self._scope(stmt, {stmt.table: schema} if schema is not None else {})
         for column, expr in stmt.assignments:
             value_type = self._expr(expr, scope, allow_aggregates=False)
             if schema is None:
@@ -283,7 +328,7 @@ class SemanticAnalyzer:
 
     def _delete(self, stmt: Delete) -> None:
         schema = self._require_table(stmt.table, stmt.span)
-        scope = _Scope(bindings={stmt.table: schema} if schema is not None else {})
+        scope = self._scope(stmt, {stmt.table: schema} if schema is not None else {})
         if stmt.where is not None:
             self._expr(stmt.where, scope, allow_aggregates=False)
 
@@ -514,7 +559,7 @@ class SemanticAnalyzer:
                 allow_aggregates=allow_aggregates, in_aggregate=in_aggregate,
             )
             return SqlType.BOOLEAN
-        if lowered in _AGGREGATES:
+        if lowered in AGGREGATES:
             return self._aggregate(
                 expr, scope, allow_aggregates=allow_aggregates, in_aggregate=in_aggregate
             )
@@ -606,9 +651,13 @@ class SemanticAnalyzer:
     # -------------------------------------------------------------- #
 
     def _resolve_column(self, ref: ColumnRef, scope: _Scope) -> SqlType | None:
-        """Resolve a column through the scope chain, inner-first (SQL rules)."""
+        """Resolve a column through the scope chain, inner-first (SQL
+        rules), into ``scope``'s :class:`Block`; each block the chain
+        passes on the way out is correlated."""
         current: _Scope | None = scope
+        depth = 0
         while current is not None:
+            owner = None
             if ref.qualifier is not None:
                 key = ref.qualifier.lower()
                 for binding, schema in current.bindings.items():
@@ -616,18 +665,19 @@ class SemanticAnalyzer:
                         continue
                     if schema is None:
                         return None  # table already diagnosed
-                    if ref.name in schema:
-                        return schema.column(ref.name).sql_type
-                    self._error(
-                        "QB102",
-                        f"table or alias {ref.qualifier!r} has no column {ref.name!r}",
-                        ref.span,
-                    )
-                    return None
+                    if ref.name not in schema:
+                        self._error(
+                            "QB102",
+                            f"table or alias {ref.qualifier!r} has no column {ref.name!r}",
+                            ref.span,
+                        )
+                        return None
+                    owner = binding
+                    break
             else:
                 owners = [
-                    schema
-                    for schema in current.bindings.values()
+                    binding
+                    for binding, schema in current.bindings.items()
                     if schema is not None and ref.name in schema
                 ]
                 has_unknown = any(s is None for s in current.bindings.values())
@@ -636,11 +686,19 @@ class SemanticAnalyzer:
                         "QB103", f"column {ref.name!r} is ambiguous", ref.span
                     )
                     return None
-                if owners:
-                    return owners[0].column(ref.name).sql_type
-                if has_unknown:
+                if not owners and has_unknown:
                     return None  # might live in the unresolved table
+                owner = owners[0] if owners else None
+            if owner is not None:
+                schema = current.bindings[owner]
+                position = schema.position(ref.name)
+                scope.block.columns[ref.qualifier, ref.name] = (depth, owner, position)
+                for _ in range(depth):
+                    scope.block.correlated = True
+                    scope = scope.outer
+                return schema.columns[position].sql_type
             current = current.outer
+            depth += 1
         if ref.qualifier is not None:
             self._error(
                 "QB107", f"unknown table or alias {ref.qualifier!r}", ref.span
@@ -666,7 +724,7 @@ class SemanticAnalyzer:
         if isinstance(expr, (Literal, Param, Subquery, InSubquery, Exists)):
             return
         if isinstance(expr, FuncCall):
-            if expr.name.lower() in _AGGREGATES:
+            if expr.name.lower() in AGGREGATES:
                 return
             for arg in expr.args:
                 self._check_grouped(arg, select)
@@ -734,13 +792,22 @@ def _fold_constant(expr: Expr):
 
 def _contains_aggregate(expr: Expr) -> bool:
     if isinstance(expr, FuncCall):
-        if expr.name.lower() in _AGGREGATES:
+        if expr.name.lower() in AGGREGATES:
             return True
         return any(_contains_aggregate(arg) for arg in expr.args)
     if isinstance(expr, BinOp):
         return _contains_aggregate(expr.left) or _contains_aggregate(expr.right)
     if isinstance(expr, UnaryOp):
         return _contains_aggregate(expr.operand)
+    return False
+
+
+def _visible(name: str, scope: _Scope | None) -> bool:
+    """Could an unqualified column ``name`` resolve somewhere in the chain?"""
+    while scope is not None:
+        if any(s is None or name in s for s in scope.bindings.values()):
+            return True
+        scope = scope.outer
     return False
 
 
@@ -759,6 +826,9 @@ def analyze(stmt: Statement, catalog: Catalog,
 
 
 def check(stmt: Statement, catalog: Catalog,
-          functions: FunctionRegistry | None = None) -> None:
-    """Analyze and raise on the first error diagnostic."""
-    raise_diagnostics(analyze(stmt, catalog, functions))
+          functions: FunctionRegistry | None = None) -> dict[int, Block]:
+    """Analyze, raise on the first error diagnostic, and return the
+    binder's record: the :class:`Block` of each query block, by ``id``."""
+    analyzer = SemanticAnalyzer(catalog, functions)
+    raise_diagnostics(analyzer.analyze(stmt))
+    return analyzer.blocks

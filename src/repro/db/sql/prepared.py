@@ -8,17 +8,17 @@ computes each once, on first use, and is the only place that does.
 
 No syntactic fact may depend on a catalog, a function registry or
 statistics: those change under a statement text that stays the same.
-What does depend on them — that the semantic check passed, and the plan
-of every query block — lives in the one :attr:`Prepared.bound` slot, and
-is safe to keep there because it carries the *stamp* it was computed
-against: the identity, mutation count and statistics stamp of every
-table the statement names (identity alone for :attr:`is_values_insert`),
-in the catalog (live or snapshot) it ran on, plus the function
-registry's registration count.  Whoever runs the
-statement (:class:`~repro.db.database.Database`) recomputes the stamp —
-a few dict lookups — and uses the slot only on an exact match, so DDL,
-DML, ``ANALYZE``, a replaced function or a reader pinned to another
-version all simply miss and re-bind.  The slot is replaced wholesale,
+What does depend on them — that the semantic check passed, what its
+names resolved to, and the plan of every query block — lives in the one
+:attr:`Prepared.bound` slot, and is safe to keep there because it
+carries the *stamp* it was computed against: the identity, mutation
+count and statistics stamp of every table the statement names (identity
+alone for :attr:`is_values_insert`), in the catalog (live or snapshot)
+it ran on, plus the function registry's registration count.  Whoever
+runs the statement (:class:`~repro.db.database.Database`) recomputes the
+stamp — a few dict lookups — and uses the slot only on an exact match,
+so DDL, DML, ``ANALYZE``, a replaced function or a reader pinned to
+another version all simply miss and re-bind.  The slot is replaced wholesale,
 never edited in place: a reader holding an older :class:`Bound` keeps a
 consistent one, and plans of two stamps never mix.
 """
@@ -51,13 +51,16 @@ class Bound(NamedTuple):
     """What one passed semantic check and its planning produced."""
 
     #: the catalog + registry state the check and every plan are valid for
-    stamp: tuple
+    #: (None: made for one run and never kept)
+    stamp: tuple | None
+    #: the binder's record (:func:`repro.db.semantic.check`): ``id`` of
+    #: each query block -> what its names resolved to
+    blocks: dict
     #: ``(id of the query block, outer binding names, planner mode)`` ->
     #: its :class:`~repro.db.planner.Plan` with the compiled program on
-    #: it, for the outer SELECT and every nested block (a block's
-    #: standalone key holds the executor's "correlated" marker when it
-    #: cannot be planned on its own); an INSERT, DELETE or UPDATE keeps
-    #: its compiled expressions under its own id the same way
+    #: it, for the outer SELECT and every nested block; an INSERT, DELETE
+    #: or UPDATE keeps its compiled expressions under its own id the same
+    #: way
     plans: dict
 
 

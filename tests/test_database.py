@@ -7,6 +7,7 @@ import pytest
 from repro.db import Database, SqlType
 from repro.db.sql import parse
 from repro.db.planner import columns_in, conjuncts_of, plan_select
+from repro.db.semantic import check
 from repro.errors import (
     CatalogError,
     ExecutionError,
@@ -447,7 +448,7 @@ class TestPlanner:
             "select * from patient p, study s "
             "where p.age = 40 and p.patientId = s.patientId"
         )
-        plan = plan_select(stmt, db.catalog)
+        plan = plan_select(stmt, db.catalog, check(stmt, db.catalog))
         # The single-table predicate lands at the patient level, join at level 2.
         assert len(plan.level_predicates[0]) >= 1
         assert sum(len(p) for p in plan.level_predicates) == 2

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.db import Database
-from repro.errors import ExecutionError, SqlTypeError
+from repro.db.semantic import check
+from repro.db.sql import parse
+from repro.errors import ExecutionError, ResolutionError, SqlTypeError
 
 
 @pytest.fixture
@@ -283,6 +287,17 @@ class TestConstantEqualityBuckets:
             outcomes.append(outcome)
         assert outcomes == [[[], []], [[], []]]
 
+    def test_an_index_probe_keys_the_other_constants_too(self, db):
+        """An index probe's bucket is keyed on the level's other ``col =
+        constant`` conjuncts too: the index changes no row and no count."""
+        sql = "select id from g where grp = ? and name = ?"
+        plain = db.execute(sql, [1, "n1"])
+        db.execute("create index ig on g (grp)")
+        assert "via index(grp)" in db.explain(sql)
+        indexed = db.execute(sql, [1, "n1"])
+        assert indexed.rows == plain.rows
+        assert indexed.work.rows_scanned == plain.work.rows_scanned == 5
+
     def test_an_indexed_table_in_a_write_scope_scans(self):
         """Inside a write scope an indexed table's copy answers an equality
         by scanning, row for row as the same table without the index; after
@@ -359,3 +374,63 @@ class TestConstantEqualityBuckets:
         # every racer reads the one map that landed
         assert len(maps) == len(keys) and all(m is table._equal[1, 2] for m in maps)
         assert list(table._equal) == [(1, 2)]
+
+
+class TestOneBinder:
+    """Every name is resolved once, by the analyzer: a block nested two
+    deep reads the outermost block's row, and ORDER BY's choice between an
+    output column and a FROM column is made there too.  ``sqlite3`` over
+    the same rows is the oracle."""
+
+    NESTED = [
+        "select a from t where exists (select 1 from u where exists"
+        " (select 1 from u u2 where u2.k = t.a))",
+        "select a from t where a in (select k from u where k in"
+        " (select k from u u2 where u2.v = t.b))",
+        "select (select count(*) from u where exists"
+        " (select 1 from u u2 where u2.k = t.a)) from t",
+    ]
+
+    @pytest.fixture
+    def pair(self):
+        db, lite = Database(), sqlite3.connect(":memory:")
+        rows = {"t": [(k % 7, k % 4) for k in range(30)],
+                "u": [(k % 5, k % 3) for k in range(12)]}
+        for name, columns in (("t", "a integer, b integer"),
+                              ("u", "k integer, v integer")):
+            for target in (db.execute, lite.execute):
+                target(f"create table {name} ({columns})")
+            db.executemany(f"insert into {name} values (?, ?)", rows[name])
+            lite.executemany(f"insert into {name} values (?, ?)", rows[name])
+        yield db, lite
+        lite.close()
+
+    @pytest.mark.parametrize("planner", ["cost", "naive"])
+    @pytest.mark.parametrize("sql", NESTED)
+    def test_a_block_two_deep_reads_the_outermost_row(self, pair, sql, planner):
+        db, lite = pair
+        expected = sorted(lite.execute(sql).fetchall())
+        assert len(expected) > 1 and expected != [expected[0]] * len(expected)
+        for params in (None, [], []):  # ad hoc, then bound, then warm
+            assert sorted(db.execute(sql, params, planner=planner).rows) == expected
+
+    def test_a_reference_two_blocks_out_correlates_both(self, pair):
+        db, _ = pair
+        stmt = parse(self.NESTED[0])
+        blocks = check(stmt, db.catalog, db.functions)
+        middle = stmt.where.subquery
+        inner = middle.where.subquery
+        assert [blocks[id(b)].correlated for b in (stmt, middle, inner)] == [
+            False, True, True]
+        assert blocks[id(inner)].columns == {
+            ("u2", "k"): (0, "u2", 0), ("t", "a"): (2, "t", 0)}
+
+    def test_order_by_a_name_of_two_output_columns(self, pair):
+        db, lite = pair
+        with pytest.raises(ResolutionError) as info:
+            db.execute("select a as x, b as x from t order by x")
+        assert info.value.code == "QB103"
+        # a name both output columns share and t has: t's column
+        sql = "select a, a from t order by a"
+        for planner in ("cost", "naive"):
+            assert db.execute(sql, planner=planner).rows == lite.execute(sql).fetchall()

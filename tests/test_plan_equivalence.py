@@ -434,10 +434,12 @@ class TestNaivePlanShape:
         )
         params = [_box_payload((0, 0, 0), (8, 8, 8))]
         from repro.db.planner import plan_select
+        from repro.db.semantic import check
         from repro.db.sql.parser import parse
 
         select = parse(sql)
-        naive = plan_select(select, system.db.catalog, mode="naive")
+        blocks = check(select, system.db.catalog, system.db.functions)
+        naive = plan_select(select, system.db.catalog, blocks, mode="naive")
         assert [ref.binding for ref in naive.table_order] == ["ns", "s"]
         assert all(probe is None for probe in naive.spatial_probes)
         assert naive.mode == "naive"
@@ -496,11 +498,12 @@ class TestConjunctFactsOnce:
         system.db.explain(sql)
         assert len(seen) == 6
 
-    def test_each_column_reference_is_resolved_once_per_planning_call(
+    def test_each_column_reference_is_resolved_once_per_statement(
             self, system, monkeypatch):
-        """The DP, the probes and the equality closure ask for the same
-        columns again and again; each distinct one is looked up once."""
-        from repro.db import planner
+        """The binder resolves every column reference once; the DP, the
+        probes and the equality closure read its record and resolve
+        nothing."""
+        from repro.db import semantic
 
         sql = (
             "select wv.studyId from warpedVolume wv, atlasStructure s,"
@@ -510,17 +513,16 @@ class TestConjunctFactsOnce:
             " and ns.structureName = 'ntal1' and wv.atlasId = s.atlasId"
             " and rv.studyId = 6"
         )
-        looked_up = []
-        original = planner._PlannerState._lookup
+        resolved = []
+        original = semantic.SemanticAnalyzer._resolve_column
 
-        def counting(self, ref):
-            looked_up.append((ref.qualifier, ref.name))
-            return original(self, ref)
+        def counting(self, ref, scope):
+            resolved.append(ref)
+            return original(self, ref, scope)
 
-        monkeypatch.setattr(planner._PlannerState, "_lookup", counting)
+        monkeypatch.setattr(semantic.SemanticAnalyzer, "_resolve_column", counting)
         system.db.explain(sql)
-        assert len(set(looked_up)) == len(looked_up)
-        assert len(looked_up) == 11
+        assert len(resolved) == 13  # the statement's column references
 
 
 class TestPlansAndDigestsPinned:
@@ -714,10 +716,10 @@ class TestWarmStatements:
         monkeypatch.setattr(repro.db.executor, "plan_select", counting)
         block = db.prepare(sql)[0].ast.where.subquery
         cold = db.execute(sql, ["x"])
-        # the block's failed standalone probe and its real plan — not one
-        # of each per outer row — plus the outer block's own plan
-        assert sum(select is block for select in planned) == 2
-        assert len(planned) == 3
+        # the block's plan — not one per outer row — plus the outer
+        # block's own plan
+        assert sum(select is block for select in planned) == 1
+        assert len(planned) == 2
         del planned[:]
         warm = db.execute(sql, ["x"])
         assert planned == []

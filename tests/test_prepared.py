@@ -284,7 +284,7 @@ def test_a_values_insert_is_checked_and_compiled_once(kv_db, monkeypatch):
     def work() -> tuple[int, int]:
         # an INSERT's values compile over the empty scope chain
         return (sum(isinstance(args[0], Insert) for args in checks),
-                sum(args == (((),),) for args in compiles))
+                sum(args[0] == ((),) for args in compiles))
 
     for k in range(25):
         kv_db.execute(INSERT_SQL, [100 + k, -k])
