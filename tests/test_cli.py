@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import main, space_rows
+from repro.core import QbismSystem
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +25,30 @@ class TestBuildInfo:
         assert "Talairach" in out
         assert "warpedVolume" in out
         assert "PET studies: [1, 2]" in out
+
+
+class TestSpace:
+    def test_rows_sum_to_the_managers_totals(self):
+        system = QbismSystem.build_demo(
+            grid_side=16, n_pet=1, n_mri=1,
+            band_encodings=("hilbert-naive", "z-naive", "octant"))
+        rows = space_rows(system.db)
+        labels = [label for label, *_ in rows]
+        for label in ("atlasStructure.region", "atlasStructure.surfaceMesh",
+                      "rawVolume.data", "warpedVolume.data",
+                      "intensityBand.region [hilbert-naive]",
+                      "intensityBand.region [z-naive]", "intensityBand.region [octant]"):
+            assert label in labels
+        lfm = system.lfm
+        assert sum(row[1] for row in rows) == lfm.field_count
+        assert sum(row[2] for row in rows) == lfm.stored_bytes
+        assert sum(row[3] for row in rows) == lfm.allocated_bytes
+
+    def test_info_prints_the_table(self, saved_db, capsys):
+        assert main(["info", "--db", str(saved_db), "--space"]) == 0
+        out = capsys.readouterr().out
+        assert "intensityBand.region [hilbert-naive]" in out
+        assert "(no row names it)" in out
 
 
 class TestQuery:
