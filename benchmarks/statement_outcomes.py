@@ -10,8 +10,9 @@ The statements come from this checkout's tests:
 * ``handwritten`` — that file's ``_HANDWRITTEN`` statements, against the
   same database with its ``notes`` table and ``warmfn`` function;
 * ``edge`` — nested correlation two blocks deep, ORDER BY over a name of
-  two output columns, and an index probe next to a second constant, over
-  small tables (for the last one, also the rows it examined);
+  two output columns, an index probe next to a second constant, and
+  ``select *`` over a join the cost planner reorders, over small tables
+  (also the rows each examined);
 * ``fuzz_seed`` — ``tests/test_sql_fuzz.py``'s well-formed seed
   statements, each against a fresh database with tables ``t`` and ``u``.
 
@@ -44,6 +45,7 @@ EDGE = [
     ("select a as x, b as x from t order by x", []),
     ("select a, a from t order by a", []),
     ("select a from t where a = ? and b = ?", [3, 1]),
+    ("select * from t, u where u.k = 1 and t.a = u.v", []),
 ]
 
 

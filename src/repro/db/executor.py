@@ -399,10 +399,11 @@ def _compile_select(plan: Plan, catalog: Catalog, outer: tuple,
     first: list[int] = []  # per select item, its first output column
     for item, name in zip(select.items, block.names):
         first.append(len(columns))
-        if name is None:  # a '*' (never grouped: QB114)
-            for index, schema in enumerate(schemas, start=base):
-                columns.extend(schema.column_names())
-                items.extend(_column(index, slot) for slot in range(len(schema)))
+        if name is None:  # a '*' (never grouped: QB114), in FROM order
+            for ref in select.tables:
+                level = plan.table_order.index(ref)
+                columns.extend(schemas[level].column_names())
+                items.extend(_column(base + level, slot) for slot in range(len(schemas[level])))
         else:
             columns.append(name)
             items.append(compiler.expr(item.expr, grouped))

@@ -5,8 +5,14 @@ disk device ... using a buddy allocation scheme to promote contiguity"
 (§5.1).  Contiguity is what lets the Hilbert curve's clustering reach the
 disk: consecutive curve positions are consecutive bytes in one extent.
 
-Classic power-of-two buddy system: blocks of size ``2^k * min_block``;
-allocation splits larger blocks, freeing merges buddies back together.
+Buddy blocks trimmed to the page: blocks are ``2^k * min_block`` bytes,
+and an allocation takes the smallest free block that fits, then gives
+every buddy past its last used ``min_block`` back to the free lists, as
+the Starburst LFM frees the unused end of a field's last segment.  An
+allocation of ``n`` pages is the binary split of ``n``: contiguous
+pieces, largest first, each aligned to its own size, at an offset aligned
+to the power-of-two ceiling of ``n``.  Freeing an allocation frees its
+pieces, merging buddies back together.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ __all__ = ["BuddyAllocator"]
 
 
 class BuddyAllocator:
-    """Allocates power-of-two blocks from a fixed arena."""
+    """Allocates page-rounded extents from a fixed arena of buddy blocks."""
 
     def __init__(self, capacity: int, min_block: int = 4096):
         if min_block <= 0 or min_block & (min_block - 1):
@@ -33,24 +39,40 @@ class BuddyAllocator:
             order: set() for order in range(self._min_order, self._max_order + 1)
         }
         self._free_lists[self._max_order].add(0)
-        self._allocated: dict[int, int] = {}  # offset -> order
+        self._allocated: dict[int, int] = {}  # offset -> page-rounded size
 
     # ------------------------------------------------------------------ #
 
-    def _order_for(self, size: int) -> int:
+    def _extent(self, size: int) -> tuple[int, int]:
+        """``size`` rounded up to whole pages, and its power-of-two ceiling's order."""
         if size <= 0:
             raise AllocationError("allocation size must be positive")
-        order = max(self._min_order, (size - 1).bit_length())
+        rounded = -(-size // self.min_block) * self.min_block
+        order = (rounded - 1).bit_length()
         if order > self._max_order:
             raise AllocationError(
                 f"request of {size} bytes exceeds arena capacity {self.capacity}"
             )
-        return order
+        return rounded, order
+
+    def _pieces(self, offset: int, size: int) -> list[tuple[int, int]]:
+        """The binary split of the extent: ``(offset, order)``, largest first."""
+        pieces = []
+        while size:
+            order = size.bit_length() - 1
+            pieces.append((offset, order))
+            offset += 1 << order
+            size -= 1 << order
+        return pieces
 
     def alloc(self, size: int) -> int:
-        """Allocate a block of at least ``size`` bytes; returns its offset."""
-        order = self._order_for(size)
-        # Find the smallest free block that fits.
+        """Allocate ``size`` bytes rounded up to whole pages; returns the offset.
+
+        Picks the smallest free block that fits and takes the extent's
+        pieces from its start: the buddies past the last used page stay
+        free.
+        """
+        rounded, order = self._extent(size)
         source = order
         while source <= self._max_order and not self._free_lists[source]:
             source += 1
@@ -59,102 +81,94 @@ class BuddyAllocator:
                 f"arena exhausted: no free block of {1 << order} bytes "
                 f"(capacity {self.capacity}, allocated {self.allocated_bytes})"
             )
-        offset = self._free_lists[source].pop()
-        # Split down to the requested order, freeing the upper halves.
-        while source > order:
-            source -= 1
-            buddy = offset + (1 << source)
-            self._free_lists[source].add(buddy)
-        self._allocated[offset] = order
+        offset = next(iter(self._free_lists[source]))
+        # Each piece after the first is the buddy its predecessor's split
+        # left free, so it is taken from a block of that piece's order.
+        for piece, order in self._pieces(offset, rounded):
+            self._take(piece, order, source)
+            source = order
+        self._allocated[offset] = rounded
         return offset
 
     def free(self, offset: int) -> None:
-        """Release a block, merging with free buddies as far as possible."""
+        """Release an allocation, merging each piece with free buddies."""
         try:
-            order = self._allocated.pop(offset)
+            size = self._allocated.pop(offset)
         except KeyError:
             raise AllocationError(f"offset {offset} is not an allocated block") from None
-        while order < self._max_order:
-            buddy = offset ^ (1 << order)
-            if buddy not in self._free_lists[order]:
-                break
-            self._free_lists[order].remove(buddy)
-            offset = min(offset, buddy)
-            order += 1
-        self._free_lists[order].add(offset)
+        for piece, order in self._pieces(offset, size):
+            while order < self._max_order:
+                buddy = piece ^ (1 << order)
+                if buddy not in self._free_lists[order]:
+                    break
+                self._free_lists[order].remove(buddy)
+                piece = min(piece, buddy)
+                order += 1
+            self._free_lists[order].add(piece)
+
+    def _take(self, piece: int, order: int, source: int) -> None:
+        """Split the free block of order ``source`` holding ``(piece, order)`` down to it."""
+        block = piece & ~((1 << source) - 1)
+        self._free_lists[source].remove(block)
+        while source > order:
+            source -= 1
+            half = block + (1 << source)
+            if piece >= half:
+                self._free_lists[source].add(block)
+                block = half
+            else:
+                self._free_lists[source].add(half)
+
+    def _covering(self, offset: int, order: int) -> int | None:
+        """Order of the free block that contains the block ``(offset, order)``."""
+        for source in range(order, self._max_order + 1):
+            if (offset & ~((1 << source) - 1)) in self._free_lists[source]:
+                return source
+        return None
 
     def carve(self, offset: int, size: int) -> None:
-        """Mark a specific block as allocated (crash/restart recovery).
+        """Mark the extent of ``size`` bytes at ``offset`` allocated.
 
-        Splits whichever free block contains ``offset`` down to the order
-        that fits ``size``.  Used when reloading a persisted database: the
-        saved field table records where every long field lives, and the
-        allocator is rebuilt by carving those extents back out.
+        Splits whichever free block contains each of the extent's pieces,
+        which leaves the free lists as :meth:`alloc` left them.  Used by
+        crash/restart recovery: the saved field table records where every
+        long field lives and how long it is, and the allocator is rebuilt
+        by carving those extents back out, so an extent saved with its
+        whole buddy block comes back with its tail free.
         """
-        order = self._order_for(size)
+        rounded, order = self._extent(size)
         if offset & ((1 << order) - 1):
             raise AllocationError(
                 f"offset {offset} is not aligned for a {1 << order}-byte block"
             )
         if offset in self._allocated:
             raise AllocationError(f"offset {offset} is already allocated")
-        for source in range(order, self._max_order + 1):
-            candidate = offset & ~((1 << source) - 1)
-            if candidate not in self._free_lists[source]:
-                continue
-            self._free_lists[source].remove(candidate)
-            current_offset, current_order = candidate, source
-            while current_order > order:
-                current_order -= 1
-                half = current_offset + (1 << current_order)
-                if offset >= half:
-                    self._free_lists[current_order].add(current_offset)
-                    current_offset = half
-                else:
-                    self._free_lists[current_order].add(half)
-            self._allocated[offset] = order
-            return
-        raise AllocationError(f"no free block covers offset {offset}")
-
-    def realloc(self, offset: int, new_size: int) -> int:
-        """Resize the block at ``offset``; returns the (possibly new) offset.
-
-        Same order: the block is untouched.  Shrinking splits in place —
-        the upper halves join the free lists, the offset is stable.
-        Growing allocates a fresh block *first* (so an exhausted arena
-        raises :class:`~repro.errors.AllocationError` leaving the original
-        allocation intact), then frees the old one; the caller must copy
-        the payload to the returned offset.
-        """
-        try:
-            order = self._allocated[offset]
-        except KeyError:
-            raise AllocationError(f"offset {offset} is not an allocated block") from None
-        new_order = self._order_for(new_size)
-        if new_order == order:
-            return offset
-        if new_order < order:
-            for k in range(order - 1, new_order - 1, -1):
-                self._free_lists[k].add(offset + (1 << k))
-            self._allocated[offset] = new_order
-            return offset
-        new_offset = self.alloc(new_size)
-        self.free(offset)
-        return new_offset
+        pieces = self._pieces(offset, rounded)
+        if any(self._covering(*piece) is None for piece in pieces):
+            raise AllocationError(f"no free block covers [{offset}, {offset + rounded})")
+        for piece, order in pieces:
+            self._take(piece, order, self._covering(piece, order))
+        self._allocated[offset] = rounded
 
     def validate(self) -> None:
         """Check every structural invariant; raises :class:`AllocationError`.
 
-        Verified: all blocks aligned to their order and inside the arena,
-        allocated blocks disjoint from each other and from free blocks,
-        free + allocated bytes sum to the arena capacity, and no two free
-        buddies left uncoalesced.  The torture tests call this after every
-        random operation.
+        Verified: every allocation page-rounded and aligned to its size's
+        power-of-two ceiling; all blocks (allocated pieces and free blocks)
+        aligned to their size and inside the arena, disjoint, and summing
+        to the arena capacity; and no two free buddies left uncoalesced.
+        The property tests call this after every random operation.
         """
         covered = 0
         seen: list[tuple[int, int, bool]] = []  # (offset, size, is_free)
-        for offset, order in self._allocated.items():
-            seen.append((offset, 1 << order, False))
+        for offset, size in self._allocated.items():
+            if size % self.min_block or offset & ((1 << (size - 1).bit_length()) - 1):
+                raise AllocationError(
+                    f"allocation of {size} bytes at {offset} is not page-rounded "
+                    "and aligned to its power-of-two ceiling"
+                )
+            seen.extend((piece, 1 << order, False)
+                        for piece, order in self._pieces(offset, size))
         for order, offsets in self._free_lists.items():
             for offset in offsets:
                 seen.append((offset, 1 << order, True))
@@ -188,13 +202,13 @@ class BuddyAllocator:
                     )
 
     def allocations(self) -> dict[int, int]:
-        """Snapshot of allocated blocks: offset -> block size in bytes."""
-        return {offset: 1 << order for offset, order in self._allocated.items()}
+        """Snapshot of allocations: offset -> page-rounded size in bytes."""
+        return dict(self._allocated)
 
     def block_size(self, offset: int) -> int:
-        """Size of the allocated block at ``offset``."""
+        """Page-rounded size of the allocation at ``offset``."""
         try:
-            return 1 << self._allocated[offset]
+            return self._allocated[offset]
         except KeyError:
             raise AllocationError(f"offset {offset} is not an allocated block") from None
 
@@ -204,18 +218,13 @@ class BuddyAllocator:
 
     @property
     def allocated_bytes(self) -> int:
-        """Bytes currently allocated."""
-        return sum(1 << order for order in self._allocated.values())
+        """Bytes currently allocated (page-rounded)."""
+        return sum(self._allocated.values())
 
     @property
     def free_bytes(self) -> int:
         """Bytes currently free."""
         return self.capacity - self.allocated_bytes
-
-    @property
-    def allocation_count(self) -> int:
-        """Number of live allocations."""
-        return len(self._allocated)
 
     def fragmentation(self) -> float:
         """1 - (largest free block / total free bytes); 0 when unfragmented."""
@@ -231,6 +240,6 @@ class BuddyAllocator:
 
     def __repr__(self) -> str:
         return (
-            f"BuddyAllocator({self.allocation_count} blocks, "
+            f"BuddyAllocator({len(self._allocated)} extents, "
             f"{self.allocated_bytes}/{self.capacity} bytes used)"
         )

@@ -425,6 +425,19 @@ class TestOneBinder:
         assert blocks[id(inner)].columns == {
             ("u2", "k"): (0, "u2", 0), ("t", "a"): (2, "t", 0)}
 
+    @pytest.mark.parametrize("planner", ["cost", "naive"])
+    def test_star_is_from_order_whatever_the_join_order(self, pair, planner):
+        db, lite = pair
+        db.execute("analyze")
+        sql = "select * from t, u where u.k = 1 and t.a = u.v"
+        cursor = lite.execute(sql)
+        expected = sorted(cursor.fetchall())
+        assert expected
+        for params in (None, [], []):  # ad hoc, then bound, then warm
+            result = db.execute(sql, params, planner=planner)
+            assert result.columns == [d[0] for d in cursor.description]
+            assert sorted(result.rows) == expected
+
     def test_order_by_a_name_of_two_output_columns(self, pair):
         db, lite = pair
         with pytest.raises(ResolutionError) as info:

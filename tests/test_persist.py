@@ -118,6 +118,22 @@ class TestAllocatorCarve:
         extra = rebuilt.alloc(4096)
         assert extra not in offsets
 
+    def test_a_parent_layout_field_table_restores_with_its_tail_free(self):
+        """A field saved when it held its whole 8-page buddy block (5 pages
+        used, at an 8-page-aligned offset) comes back holding 5 pages."""
+        page = 4096
+        payload = bytes(range(256)) * (5 * page // 256 - 1)  # 5 pages, last partial
+        device = BlockDevice(1 << 20)
+        device.write(8 * page, payload)
+        state = {"next_id": 2, "fields": {"1": [8 * page, len(payload)]}}
+        lfm = LongFieldManager.restore(device, state)
+        assert lfm.allocated_bytes == 5 * page
+        lfm._allocator.validate()
+        assert lfm.read(lfm.handle(1)) == payload
+        tail = lfm.create(b"t" * (2 * page))
+        assert lfm._fields[tail.field_id][0] == 14 * page
+        assert lfm.read(lfm.handle(1)) == payload
+
     def test_carve_rejects_conflicts(self):
         buddy = BuddyAllocator(1 << 14, min_block=4096)
         buddy.carve(0, 4096)

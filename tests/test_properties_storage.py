@@ -21,7 +21,7 @@ from repro.volumes import Volume
 
 # ---------------------------------------------------------------------- #
 # buddy allocator: random alloc/free traces never hand out overlapping
-# or misaligned blocks, and a fully freed arena coalesces completely
+# or misaligned extents, and a fully freed arena coalesces completely
 # ---------------------------------------------------------------------- #
 
 _ops = st.lists(
@@ -47,10 +47,12 @@ def test_buddy_allocator_invariants(ops):
             except AllocationError:
                 continue  # arena exhausted; valid outcome
             size = buddy.block_size(offset)
-            assert size >= value
-            assert offset % size == 0  # buddy blocks are size-aligned
+            # page-rounded, not a power of two ...
+            assert size == -(-value // 4096) * 4096
+            # ... at an offset aligned to its power-of-two ceiling
+            assert offset % (1 << (size - 1).bit_length()) == 0
             assert 0 <= offset and offset + size <= capacity
-            # No overlap with any live block.
+            # No overlap with any live extent.
             for other in live:
                 other_size = buddy.block_size(other)
                 assert offset + size <= other or other + other_size <= offset
@@ -65,16 +67,16 @@ def test_buddy_allocator_invariants(ops):
 
 
 # ---------------------------------------------------------------------- #
-# buddy allocator torture: random alloc/free/realloc traces, with the
-# structural validator (no overlap, alignment, conservation, coalescing)
-# run after every single operation
+# buddy allocator torture: random alloc/free traces, with the structural
+# validator (alignment, no overlap, conservation, coalescing) run after
+# every single operation, and a second allocator rebuilt by carving every
+# live extent agreeing with the first
 # ---------------------------------------------------------------------- #
 
 _torture_ops = st.lists(
     st.one_of(
-        st.tuples(st.just("alloc"), st.integers(1, 60_000), st.just(0)),
-        st.tuples(st.just("free"), st.integers(0, 40), st.just(0)),
-        st.tuples(st.just("realloc"), st.integers(0, 40), st.integers(1, 60_000)),
+        st.tuples(st.just("alloc"), st.integers(1, 60_000)),
+        st.tuples(st.just("free"), st.integers(0, 40)),
     ),
     min_size=1,
     max_size=80,
@@ -83,11 +85,11 @@ _torture_ops = st.lists(
 
 @given(ops=_torture_ops)
 @settings(max_examples=60, deadline=None)
-def test_buddy_allocator_torture_with_realloc(ops):
+def test_buddy_allocator_rebuilt_by_carving_the_live_extents(ops):
     capacity = 1 << 18
     buddy = BuddyAllocator(capacity, min_block=4096)
     live: dict[int, int] = {}  # offset -> requested size
-    for op, value, size in ops:
+    for op, value in ops:
         if op == "alloc":
             try:
                 offset = buddy.alloc(value)
@@ -95,25 +97,18 @@ def test_buddy_allocator_torture_with_realloc(ops):
                 buddy.validate()  # a refused alloc must not corrupt state
                 continue
             live[offset] = value
-        elif op == "free":
-            if live:
-                offset = sorted(live)[value % len(live)]
-                del live[offset]
-                buddy.free(offset)
         elif live:
             offset = sorted(live)[value % len(live)]
-            try:
-                moved = buddy.realloc(offset, size)
-            except AllocationError:
-                buddy.validate()  # failed grow leaves the block allocated
-                assert buddy.block_size(offset) >= 1
-                continue
             del live[offset]
-            live[moved] = size
-            assert buddy.block_size(moved) >= size
+            buddy.free(offset)
         buddy.validate()
         assert buddy.allocated_bytes + buddy.free_bytes == capacity
         assert set(buddy.allocations()) == set(live)
+    rebuilt = BuddyAllocator(capacity, min_block=4096)
+    for offset, size in live.items():
+        rebuilt.carve(offset, size)
+    assert rebuilt.allocations() == buddy.allocations()
+    rebuilt.validate()
     for offset in sorted(live):
         buddy.free(offset)
         buddy.validate()

@@ -268,3 +268,20 @@ class TestLongFieldManager:
         assert lfm.field_count == 2
         assert lfm.stored_bytes == 200
         assert lfm.allocated_bytes == 2 * PAGE_SIZE
+
+    def test_later_fields_land_in_a_freed_tail(self, lfm):
+        """A field keeps only its pages: the rest of its buddy block is free.
+
+        A 5-page field holds 5 pages of its 8-page block; a 2-page and a
+        1-page field then fill pages 6-7 and 5 of that block.  A 3-page
+        field needs a 4-page-aligned start, which a 5-page field's tail
+        lacks, so it lands in a 9-page field's tail (pages 12-14 of 16).
+        """
+        payloads = [bytes([n]) * (pages * PAGE_SIZE)
+                    for n, pages in enumerate((5, 2, 1, 9, 3), start=1)]
+        fields = [lfm.create(payload) for payload in payloads]
+        pages = [lfm._entry(field)[0] // PAGE_SIZE for field in fields]
+        assert pages == [0, 6, 5, 16, 16 + 12]
+        assert lfm.allocated_bytes == (5 + 2 + 1 + 9 + 3) * PAGE_SIZE
+        assert [lfm.read(field) for field in fields] == payloads
+        lfm._allocator.validate()
