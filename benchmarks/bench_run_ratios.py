@@ -18,7 +18,7 @@ from conftest import bench_grid_side, emit
 
 from repro.bench import PAPER_RUN_RATIOS, ratio_line
 from repro.curves import GridSpec
-from repro.regions import Region, rasterize
+from repro.regions import Region
 
 METHOD_NAMES = ("h-runs", "z-runs", "oblong", "octants")
 
@@ -86,7 +86,7 @@ def test_run_ratios_random_rectangles(results_dir, benchmark):
         lower = rng.integers(0, side - 2, 3)
         upper = lower + 1 + rng.integers(1, side // 2, 3)
         upper = np.minimum(upper, side)
-        region = rasterize.box(grid, tuple(lower), tuple(upper))
+        region = Region.from_box(grid, tuple(lower), tuple(upper))
         return region.run_count, region.reorder("morton").run_count
 
     benchmark(one_rectangle)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import QbismSystem, QuerySpec
-from repro.regions import rasterize
+from repro.regions import Region
 from repro.viz import render_surface, render_textured_surface, to_pgm
 
 
@@ -85,8 +85,12 @@ def main() -> None:
     # -- Step 5: beam targeting ----------------------------------------- #
     print("\n[5] Targeting a beam at the thalamus: which structures does it cross?")
     target = system.phantom.structures["thalamus"].centroid()
-    beam = rasterize.cylinder(grid, (0.0, 0.0, target[2]),
-                              (target[0], target[1], 0.0), radius=1.5)
+    # A cylinder of radius 1.5 voxels through (0, 0, target z), aimed in
+    # the target's axial plane: voxels whose distance to the axis is <= 1.5.
+    x, y, z = np.meshgrid(*(np.arange(side) for side in grid.shape), indexing="ij", sparse=True)
+    aim = np.array(target[:2], dtype=float) / np.hypot(target[0], target[1])
+    along = x * aim[0] + y * aim[1]
+    beam = Region.from_mask(x * x + y * y + (z - target[2]) ** 2 - along * along <= 1.5 ** 2, grid)
     hits = []
     for name, region in sorted(system.phantom.structures.items()):
         overlap = beam.intersection(region).voxel_count

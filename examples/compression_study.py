@@ -64,7 +64,7 @@ def main() -> None:
     totals: dict[str, float] = {}
     structure_sizes = analyze("structure ntal1", phantom.structures["ntal1"])
     band = next(b for b in uniform_bands(volume) if b.low == 96)
-    band_sizes = analyze(f"intensity band {band.label}", band.region)
+    band_sizes = analyze(f"intensity band {band.low}-{band.high}", band.region)
 
     for sizes in (structure_sizes, band_sizes):
         for method, size in sizes.items():

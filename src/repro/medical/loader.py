@@ -54,7 +54,6 @@ class MedicalLoader:
 
     db: Database
     lfm: LongFieldManager
-    band_width: int = 32
     encodings: tuple[str, ...] = DEFAULT_ENCODINGS
     _next_ids: dict[str, int] = field(default_factory=dict)
 
@@ -298,7 +297,7 @@ class MedicalLoader:
 
     def _store_bands(self, study_id: int, atlas_id: int, volume: Volume) -> None:
         rows = []
-        for band in uniform_bands(volume, width=self.band_width):
+        for band in uniform_bands(volume):
             along = {}  # curve name -> the band along it: one reorder per curve
             for encoding in self.encodings:
                 try:

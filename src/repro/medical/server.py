@@ -19,7 +19,7 @@ from repro.errors import MedicalError
 from repro.obs import metrics, trace
 from repro.regions import Region
 from repro.storage.device import IOStats
-from repro.volumes import DataRegion
+from repro.volumes import BAND_WIDTH, DataRegion
 
 __all__ = ["QuerySpec", "MedicalQueryResult", "MedicalServer"]
 
@@ -86,9 +86,8 @@ where a.atlasId = wv.atlasId and
 class MedicalServer:
     """Generates and runs the SQL for high-level medical queries."""
 
-    def __init__(self, db: Database, band_width: int = 32, encoding: str = "hilbert-naive"):
+    def __init__(self, db: Database, encoding: str = "hilbert-naive"):
         self.db = db
-        self.band_width = band_width
         self.encoding = encoding
 
     # ------------------------------------------------------------------ #
@@ -226,13 +225,8 @@ class MedicalServer:
             raise MedicalError(f"empty intensity range [{lo}, {hi}]")
         if lo < 0 or hi > 255:
             raise MedicalError("intensity range must lie within [0, 255]")
-        width = self.band_width
-        first = (lo // width) * width
-        bands = []
-        start = first
-        while start <= hi:
-            bands.append((start, min(start + width - 1, 255)))
-            start += width
+        bands = [(start, start + BAND_WIDTH - 1)
+                 for start in range(lo - lo % BAND_WIDTH, hi + 1, BAND_WIDTH)]
         aligned = bands[0][0] == lo and bands[-1][1] == hi
         return bands, not aligned
 

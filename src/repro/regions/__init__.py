@@ -1,4 +1,4 @@
-"""The REGION data type: run lists, octant decompositions, geometry, approximations."""
+"""The REGION data type: run lists, octant decompositions, morphology, approximations."""
 
 from __future__ import annotations
 
@@ -17,13 +17,11 @@ from repro.regions.octants import (
     octants_to_intervals,
 )
 from repro.regions.region import Region
-from repro.regions import rasterize
 
 __all__ = [
     "IntervalSet",
     "concat_ranges",
     "Region",
-    "rasterize",
     "decompose_octants",
     "decompose_oblong_octants",
     "octants_to_intervals",

@@ -221,23 +221,6 @@ class BuddyAllocator:
         """Bytes currently allocated (page-rounded)."""
         return sum(self._allocated.values())
 
-    @property
-    def free_bytes(self) -> int:
-        """Bytes currently free."""
-        return self.capacity - self.allocated_bytes
-
-    def fragmentation(self) -> float:
-        """1 - (largest free block / total free bytes); 0 when unfragmented."""
-        free = self.free_bytes
-        if free == 0:
-            return 0.0
-        largest = 0
-        for order in range(self._max_order, self._min_order - 1, -1):
-            if self._free_lists[order]:
-                largest = 1 << order
-                break
-        return 1.0 - largest / free
-
     def __repr__(self) -> str:
         return (
             f"BuddyAllocator({len(self._allocated)} extents, "

@@ -4,28 +4,20 @@ from __future__ import annotations
 
 from repro.viz.dx import DataExplorer, DXObject
 from repro.viz.mesh import TriangleMesh, extract_surface_mesh
-from repro.viz.program import ProgramState, Step, VisualProgram
 from repro.viz.render import (
     render_mip,
-    render_rotated_mip,
     render_slice,
     render_surface,
     render_textured_surface,
-    render_turntable,
     to_pgm,
 )
 
 __all__ = [
     "DataExplorer",
     "DXObject",
-    "VisualProgram",
-    "ProgramState",
-    "Step",
     "TriangleMesh",
     "extract_surface_mesh",
     "render_mip",
-    "render_rotated_mip",
-    "render_turntable",
     "render_slice",
     "render_surface",
     "render_textured_surface",

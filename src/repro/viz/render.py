@@ -28,8 +28,6 @@ from repro.volumes import DataRegion
 
 __all__ = [
     "render_mip",
-    "render_rotated_mip",
-    "render_turntable",
     "render_slice",
     "render_surface",
     "render_textured_surface",
@@ -57,37 +55,6 @@ def render_mip(data: DataRegion, axis: int = 2) -> np.ndarray:
     # maximum, and only the image is converted.  The rays run along the
     # leading axis of a stack, which reduces far faster than a trailing one.
     return _normalize(data.to_array(fill=0, first_axis=axis).max(axis=0))
-
-
-def render_rotated_mip(data: DataRegion, angle_deg: float, axis: int = 2) -> np.ndarray:
-    """MIP after rotating the scene about ``axis`` — the §5.2 "change the
-    viewpoint" interaction.
-
-    The dense field is rotated in the plane perpendicular to ``axis`` with
-    trilinear interpolation, then projected.  ``angle_deg = 0`` reduces to
-    :func:`render_mip` up to interpolation noise.
-    """
-    from scipy import ndimage
-
-    _check_axis(axis, data.region.grid.ndim)
-    if data.region.grid.ndim != 3:
-        raise ValidationError("rotated MIP is defined for 3-D data")
-    dense = data.to_array(fill=0).astype(np.float64)  # interpolated, so float
-    plane_axes = tuple(i for i in range(3) if i != axis)
-    rotated = ndimage.rotate(
-        dense, angle_deg, axes=plane_axes, reshape=False, order=1, mode="constant"
-    )
-    return _normalize(rotated.max(axis=axis))
-
-
-def render_turntable(data: DataRegion, frames: int = 8, axis: int = 2) -> list[np.ndarray]:
-    """An animation: MIP frames at evenly spaced viewpoints (§5.2
-    "generating an animation")."""
-    if frames < 1:
-        raise ValidationError("animation needs at least one frame")
-    return [
-        render_rotated_mip(data, 360.0 * i / frames, axis=axis) for i in range(frames)
-    ]
 
 
 def render_slice(data: DataRegion, axis: int = 2, index: int | None = None) -> np.ndarray:

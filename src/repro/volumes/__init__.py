@@ -1,27 +1,17 @@
-"""The VOLUME data type, DATA_REGION results, intensity banding, vector fields."""
+"""The VOLUME data type, DATA_REGION results, intensity banding."""
 
 from __future__ import annotations
 
-from repro.volumes.banding import (
-    IntensityBand,
-    band_region,
-    bands_covering,
-    uniform_bands,
-    union_of_bands,
-)
+from repro.volumes.banding import BAND_WIDTH, IntensityBand, band_region, uniform_bands
 from repro.volumes.data_region import DataRegion
-from repro.volumes.field import VectorField, gradient_field
 from repro.volumes.volume import Volume, VolumeHeader
 
 __all__ = [
     "Volume",
     "VolumeHeader",
     "DataRegion",
-    "VectorField",
-    "gradient_field",
+    "BAND_WIDTH",
     "IntensityBand",
     "band_region",
     "uniform_bands",
-    "bands_covering",
-    "union_of_bands",
 ]

@@ -17,13 +17,16 @@ from repro.errors import ValidationError
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.regions import Region
 from repro.regions.intervals import IntervalSet
 from repro.volumes.volume import Volume
 
-__all__ = ["IntensityBand", "band_region", "uniform_bands", "bands_covering", "union_of_bands"]
+__all__ = ["BAND_WIDTH", "IntensityBand", "band_region", "uniform_bands"]
+
+#: The width of every stored band: the prototype's 32 intensity units, so
+#: 0-255 splits into the 8 bands 0-31, 32-63, ..., 224-255.  The loader
+#: stores these bands and the medical server names them from this alone.
+BAND_WIDTH = 32
 
 
 @dataclass(frozen=True)
@@ -34,15 +37,6 @@ class IntensityBand:
     high: int
     region: Region
 
-    @property
-    def label(self) -> str:
-        """Human-readable band label."""
-        return f"{self.low}-{self.high}"
-
-    def covers(self, lo: float, hi: float) -> bool:
-        """Does the query interval ``[lo, hi]`` lie inside this band?"""
-        return self.low <= lo and hi <= self.high
-
 
 def band_region(volume: Volume, low: float, high: float) -> Region:
     """The REGION of voxels with intensity in the closed interval ``[low, high]``."""
@@ -52,48 +46,9 @@ def band_region(volume: Volume, low: float, high: float) -> Region:
     return Region(IntervalSet.from_mask(mask), volume.grid, volume.curve)
 
 
-def uniform_bands(volume: Volume, width: int = 32, value_range: tuple[int, int] = (0, 255)) -> list[IntensityBand]:
-    """The paper's load-time banding: uniformly spaced bands of fixed width.
-
-    The default (width 32 over 0-255) produces the 8 bands of the
-    prototype: 0-31, 32-63, ..., 224-255.
-    """
-    if width < 1:
-        raise ValidationError("band width must be >= 1")
-    lo, hi = value_range
-    if lo > hi:
-        raise ValidationError("invalid value range")
-    bands = []
-    for start in range(lo, hi + 1, width):
-        end = min(start + width - 1, hi)
-        bands.append(IntensityBand(start, end, band_region(volume, start, end)))
-    return bands
-
-
-def bands_covering(bands: list[IntensityBand], lo: float, hi: float) -> list[IntensityBand] | None:
-    """The minimal set of stored bands whose union covers ``[lo, hi]`` exactly.
-
-    Returns ``None`` when the query interval does not align with band
-    boundaries (the query must then fall back to scanning the volume and
-    post-filtering, as the paper notes for non-band-aligned ranges).
-    """
-    chosen = [b for b in bands if not (b.high < lo or b.low > hi)]
-    if not chosen:
-        return None
-    chosen.sort(key=lambda b: b.low)
-    exact = (
-        chosen[0].low == lo
-        and chosen[-1].high == hi
-        and all(a.high + 1 == b.low for a, b in zip(chosen, chosen[1:]))
-    )
-    return chosen if exact else None
-
-
-def union_of_bands(bands: list[IntensityBand]) -> Region:
-    """Union the REGIONs of several stored bands (contiguous or not)."""
-    if not bands:
-        raise ValidationError("no bands to union")
-    first = bands[0].region
-    if len(bands) == 1:
-        return first
-    return first.union(*[b.region for b in bands[1:]])
+def uniform_bands(volume: Volume) -> list[IntensityBand]:
+    """The paper's load-time banding: the :data:`BAND_WIDTH`-wide bands
+    over 0-255, in order."""
+    return [IntensityBand(start, start + BAND_WIDTH - 1,
+                          band_region(volume, start, start + BAND_WIDTH - 1))
+            for start in range(0, 256, BAND_WIDTH)]

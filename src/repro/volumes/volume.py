@@ -59,7 +59,7 @@ def cube_curve(grid: GridSpec, curve: SpaceFillingCurve | str | None) -> SpaceFi
     """The curve a field on ``grid`` is stored along; the grid must be its whole cube."""
     if not grid.is_cube:
         raise GridMismatchError(
-            f"VOLUMEs and vector fields require a cubic power-of-two grid, got {grid.shape}; "
+            f"VOLUMEs require a cubic power-of-two grid, got {grid.shape}; "
             "keep raw studies in scanline arrays and warp them first"
         )
     if isinstance(curve, str) or curve is None:

@@ -24,7 +24,14 @@ import pytest
 from repro.concurrency import lockdep
 from repro.core import QbismSystem
 from repro.curves import GridSpec
-from repro.regions import Region, rasterize
+from repro.regions import Region
+
+
+def ball(grid: GridSpec, center: tuple[float, ...], radius: float) -> Region:
+    """The voxels within ``radius`` of ``center`` (voxel units), as a REGION."""
+    mesh = np.meshgrid(*(np.arange(side) for side in grid.shape), indexing="ij", sparse=True)
+    squared = sum((axis - c) ** 2 for axis, c in zip(mesh, center))
+    return Region.from_mask(squared <= radius * radius, grid)
 
 
 def _seed_for(nodeid: str) -> int:
@@ -105,15 +112,15 @@ def grid2() -> GridSpec:
 
 @pytest.fixture
 def sphere_region(grid3) -> Region:
-    return rasterize.sphere(grid3, center=(8, 8, 8), radius=5.0)
+    return ball(grid3, (8, 8, 8), 5.0)
 
 
 @pytest.fixture
 def blob_region(grid3) -> Region:
     """An irregular region: union of two spheres minus a third."""
-    a = rasterize.sphere(grid3, (6, 6, 8), 4.0)
-    b = rasterize.sphere(grid3, (10, 10, 8), 4.0)
-    c = rasterize.sphere(grid3, (8, 8, 8), 2.0)
+    a = ball(grid3, (6, 6, 8), 4.0)
+    b = ball(grid3, (10, 10, 8), 4.0)
+    c = ball(grid3, (8, 8, 8), 2.0)
     return a.union(b).difference(c)
 
 

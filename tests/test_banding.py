@@ -5,13 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.volumes import (
-    Volume,
-    band_region,
-    bands_covering,
-    uniform_bands,
-    union_of_bands,
-)
+from repro.volumes import BAND_WIDTH, Volume, band_region, uniform_bands
 
 
 @pytest.fixture
@@ -46,10 +40,10 @@ class TestUniformBands:
     def test_paper_prototype_bands(self, volume):
         """Width 32 over 0-255 gives the paper's 8 bands."""
         bands = uniform_bands(volume)
-        assert len(bands) == 8
+        assert BAND_WIDTH == 32 and len(bands) == 8
         assert (bands[0].low, bands[0].high) == (0, 31)
+        assert (bands[3].low, bands[3].high) == (96, 127)
         assert (bands[-1].low, bands[-1].high) == (224, 255)
-        assert bands[3].label == "96-127"
 
     def test_bands_partition_volume(self, volume):
         bands = uniform_bands(volume)
@@ -57,53 +51,9 @@ class TestUniformBands:
         for a, b in zip(bands, bands[1:]):
             assert a.region.isdisjoint(b.region)
 
-    def test_custom_width(self, volume):
-        bands = uniform_bands(volume, width=64)
-        assert len(bands) == 4
-
-    def test_width_validation(self, volume):
-        with pytest.raises(ValueError):
-            uniform_bands(volume, width=0)
-
-    def test_covers_predicate(self, volume):
-        band = uniform_bands(volume)[7]
-        assert band.covers(224, 255)
-        assert band.covers(230, 240)
-        assert not band.covers(200, 255)
-
-
-class TestBandsCovering:
-    def test_exact_single_band(self, volume):
-        bands = uniform_bands(volume)
-        chosen = bands_covering(bands, 224, 255)
-        assert chosen is not None and len(chosen) == 1
-        assert chosen[0].low == 224
-
-    def test_exact_multi_band(self, volume):
-        bands = uniform_bands(volume)
-        chosen = bands_covering(bands, 128, 255)
-        assert chosen is not None and len(chosen) == 4
-
-    def test_misaligned_returns_none(self, volume):
-        bands = uniform_bands(volume)
-        assert bands_covering(bands, 100, 200) is None
-
-    def test_out_of_range_returns_none(self, volume):
-        bands = uniform_bands(volume)
-        assert bands_covering(bands, 300, 400) is None
-
 
 class TestUnionOfBands:
     def test_union_matches_wide_band(self, volume):
         bands = uniform_bands(volume)
-        union = union_of_bands(bands[4:])
-        wide = band_region(volume, 128, 255)
-        assert union == wide
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            union_of_bands([])
-
-    def test_single_band_passthrough(self, volume):
-        bands = uniform_bands(volume)
-        assert union_of_bands([bands[0]]) == bands[0].region
+        union = bands[4].region.union(*[b.region for b in bands[5:]])
+        assert union == band_region(volume, 128, 255)

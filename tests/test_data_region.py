@@ -7,8 +7,9 @@ import pytest
 
 from repro.curves import GridSpec
 from repro.errors import CodecError, ValidationError
-from repro.regions import IntervalSet, Region, rasterize
+from repro.regions import IntervalSet, Region
 from repro.volumes import DataRegion, Volume
+from tests.conftest import ball
 
 
 @pytest.fixture
@@ -18,13 +19,13 @@ def volume(rng):
 
 @pytest.fixture
 def data_region(volume):
-    region = rasterize.sphere(volume.grid, (8, 8, 8), 5.0)
+    region = ball(volume.grid, (8, 8, 8), 5.0)
     return volume.extract(region)
 
 
 class TestConstruction:
     def test_value_count_must_match(self, volume):
-        region = rasterize.sphere(volume.grid, (8, 8, 8), 3.0)
+        region = ball(volume.grid, (8, 8, 8), 3.0)
         with pytest.raises(ValueError):
             DataRegion(region, np.zeros(region.voxel_count + 1, dtype=np.uint8))
 
@@ -47,7 +48,7 @@ class TestProbes:
 
 class TestRestriction:
     def test_restrict_to_subregion(self, volume, data_region):
-        sub = rasterize.box(volume.grid, (6, 6, 6), (11, 11, 11))
+        sub = Region.from_box(volume.grid, (6, 6, 6), (11, 11, 11))
         restricted = data_region.restrict(sub)
         inter = data_region.region.intersection(sub)
         assert restricted.region == inter
@@ -56,7 +57,7 @@ class TestRestriction:
         assert np.array_equal(restricted.values, expected)
 
     def test_restrict_disjoint_is_empty(self, volume, data_region):
-        far = rasterize.box(volume.grid, (0, 0, 0), (1, 1, 1))
+        far = Region.from_box(volume.grid, (0, 0, 0), (1, 1, 1))
         assert data_region.restrict(far).voxel_count == 0
 
     def test_band_filter(self, data_region):
@@ -218,6 +219,6 @@ class TestSerialization:
         assert len(payload) >= len(region_bytes) + data_region.nbytes
 
     def test_float_values_roundtrip(self, volume):
-        region = rasterize.box(volume.grid, (0, 0, 0), (4, 4, 4))
+        region = Region.from_box(volume.grid, (0, 0, 0), (4, 4, 4))
         data = DataRegion(region, np.linspace(0, 1, region.voxel_count).astype(np.float64))
         assert DataRegion.from_bytes(data.to_bytes()) == data

@@ -205,7 +205,7 @@ class TestOneLoadOneUnit:
 def one_insert_per_band(loader, study_id: int, atlas_id: int, volume) -> None:
     """The reference ``_store_bands``: the same fields stored in the same
     order, each band row inserted by a statement of its own."""
-    for band in uniform_bands(volume, width=loader.band_width):
+    for band in uniform_bands(volume):
         along = {}
         for encoding in loader.encodings:
             curve_name, codec = ENCODING_SPECS[encoding]

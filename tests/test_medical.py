@@ -274,8 +274,9 @@ class TestServer:
 
     def test_invalid_intensity_range(self, loaded):
         server = MedicalServer(loaded[0])
-        with pytest.raises(MedicalError):
-            server.execute(QuerySpec(study_id=loaded[5][0], intensity_range=(200, 100)))
+        for bad in ((200, 100), (-1, 10), (200, 300)):
+            with pytest.raises(MedicalError):
+                server.execute(QuerySpec(study_id=loaded[5][0], intensity_range=bad))
 
     def test_band_consistency_region(self, loaded):
         db, lfm, _, _, _, study_ids = loaded

@@ -12,8 +12,8 @@ from repro.regions import (
     dilate,
     erode,
     margin,
-    rasterize,
 )
+from tests.conftest import ball
 
 
 class TestDilate:
@@ -31,7 +31,7 @@ class TestDilate:
         assert d2.voxel_count > d1.voxel_count
 
     def test_clipped_at_grid_boundary(self, grid3):
-        corner = rasterize.box(grid3, (0, 0, 0), (2, 2, 2))
+        corner = Region.from_box(grid3, (0, 0, 0), (2, 2, 2))
         grown = dilate(corner, 3)
         assert grown.voxel_count <= grid3.size
         lower, _ = grown.bounding_box()
@@ -47,15 +47,15 @@ class TestErode:
         assert blob_region.contains(erode(blob_region, 1))
 
     def test_sphere_radius_shrinks(self, grid3):
-        big = rasterize.sphere(grid3, (8, 8, 8), 6.0)
+        big = ball(grid3, (8, 8, 8), 6.0)
         small = erode(big, 2)
-        approx = rasterize.sphere(grid3, (8, 8, 8), 4.0)
+        approx = ball(grid3, (8, 8, 8), 4.0)
         # Erosion of a ball by a ball is close to the smaller ball.
         overlap = small.intersection(approx).voxel_count
         assert overlap > 0.8 * max(small.voxel_count, approx.voxel_count)
 
     def test_erosion_can_empty(self, grid3):
-        tiny = rasterize.box(grid3, (5, 5, 5), (6, 6, 6))
+        tiny = Region.from_box(grid3, (5, 5, 5), (6, 6, 6))
         assert erode(tiny, 1).voxel_count == 0
 
     def test_dilate_then_erode_is_closing_superset(self, blob_region):
@@ -82,8 +82,8 @@ class TestShellsAndMargins:
 
     def test_margin_finds_endangered_structures(self, grid3):
         """The treatment-planning workflow: what lies in the safety margin?"""
-        target = rasterize.sphere(grid3, (7, 8, 8), 3.0)
-        neighbor = rasterize.sphere(grid3, (13, 8, 8), 2.0)
+        target = ball(grid3, (7, 8, 8), 3.0)
+        neighbor = ball(grid3, (13, 8, 8), 2.0)
         assert target.isdisjoint(neighbor)
         endangered = margin(target, 3).intersection(neighbor)
         assert endangered.voxel_count > 0

@@ -28,9 +28,9 @@ from repro.errors import (
     TypeCheckError,
     UnsupportedStatementError,
 )
-from repro.regions import rasterize
 from repro.storage import BlockDevice, LongFieldManager
 from repro.volumes import Volume
+from tests.conftest import ball
 
 PROBE_CALLS = {"count": 0}
 
@@ -46,7 +46,7 @@ def db(rng):
         "create table study (id integer, patientId integer, data longfield)"
     )
     grid = __import__("repro").GridSpec((8, 8, 8))
-    region = rasterize.sphere(grid, (4, 4, 4), 3.0)
+    region = ball(grid, (4, 4, 4), 3.0)
     volume = Volume.from_array(rng.integers(0, 9, grid.shape).astype(np.uint8))
     database.execute("insert into patient values (1, 'ann')")
     database.execute(

@@ -7,9 +7,10 @@ import pytest
 
 from repro.db import Database, register_spatial_functions
 from repro.errors import ExecutionError
-from repro.regions import Region, rasterize
+from repro.regions import Region
 from repro.storage import BlockDevice, LongFieldManager
 from repro.volumes import DataRegion, Volume
+from tests.conftest import ball
 
 
 @pytest.fixture
@@ -21,8 +22,8 @@ def env(rng):
     db.execute("create table shapes (shapeId integer, region longfield)")
     db.execute("create table vols (volId integer, data longfield)")
     grid = __import__("repro").GridSpec((16, 16, 16))
-    sphere = rasterize.sphere(grid, (8, 8, 8), 5.0)
-    box = rasterize.box(grid, (6, 6, 6), (16, 16, 16))
+    sphere = ball(grid, (8, 8, 8), 5.0)
+    box = Region.from_box(grid, (6, 6, 6), (16, 16, 16))
     db.execute("insert into shapes values (?, ?)", [1, lfm.create(sphere.to_bytes("naive"))])
     db.execute("insert into shapes values (?, ?)", [2, lfm.create(box.to_bytes("elias"))])
     arr = rng.integers(0, 256, grid.shape).astype(np.uint8)
@@ -60,7 +61,7 @@ class TestRegionOperators:
     def test_contains_in_where_clause(self, env):
         db, lfm, grid, sphere, _, _ = env
         # A small ball near the sphere's edge: inside shape 1, outside shape 2.
-        inner = rasterize.sphere(grid, (5, 8, 8), 1.0)
+        inner = ball(grid, (5, 8, 8), 1.0)
         assert sphere.contains(inner)
         db.execute("insert into shapes values (?, ?)", [3, lfm.create(inner.to_bytes("naive"))])
         result = db.execute(
@@ -107,7 +108,7 @@ class TestExtractVoxels:
         arr = rng.integers(0, 256, big_grid.shape).astype(np.uint8)
         volume_lf = lfm.create(Volume.from_array(arr).to_bytes(align=4096))
         db.execute("insert into vols values (?, ?)", [2, volume_lf])
-        small = rasterize.box(big_grid, (0, 0, 0), (4, 4, 4))
+        small = Region.from_box(big_grid, (0, 0, 0), (4, 4, 4))
         full = db.execute("select extractAll(v.data) from vols v where v.volId = 2")
         partial = db.execute(
             "select extractVoxels(v.data, ?) from vols v where v.volId = 2",

@@ -195,16 +195,6 @@ class TestBuddyAllocator:
         with pytest.raises(AllocationError):
             BuddyAllocator(1 << 14).alloc(0)
 
-    def test_fragmentation_metric(self):
-        buddy = BuddyAllocator(1 << 14, min_block=4096)
-        assert buddy.fragmentation() == 0.0
-        a = buddy.alloc(4096)
-        b = buddy.alloc(4096)
-        buddy.free(a)
-        del b
-        # Free space: one 4K block + one 8K block; largest (8K) < total (12K).
-        assert buddy.fragmentation() > 0.0
-
     def test_reuse_after_free(self):
         buddy = BuddyAllocator(1 << 14, min_block=4096)
         a = buddy.alloc(8192)

@@ -12,7 +12,7 @@ from repro.medical import (
     resample_to_grid,
     AffineTransform,
 )
-from repro.regions import Region, rasterize
+from repro.regions import Region
 from repro.synthdata import build_phantom
 from repro.volumes import Volume
 
@@ -22,13 +22,13 @@ class TestDice:
         assert dice_coefficient(sphere_region, sphere_region) == 1.0
 
     def test_disjoint_regions(self, grid3):
-        a = rasterize.box(grid3, (0, 0, 0), (4, 4, 4))
-        b = rasterize.box(grid3, (8, 8, 8), (12, 12, 12))
+        a = Region.from_box(grid3, (0, 0, 0), (4, 4, 4))
+        b = Region.from_box(grid3, (8, 8, 8), (12, 12, 12))
         assert dice_coefficient(a, b) == 0.0
 
     def test_half_overlap(self, grid3):
-        a = rasterize.box(grid3, (0, 0, 0), (4, 4, 4))
-        b = rasterize.box(grid3, (2, 0, 0), (6, 4, 4))
+        a = Region.from_box(grid3, (0, 0, 0), (4, 4, 4))
+        b = Region.from_box(grid3, (2, 0, 0), (6, 4, 4))
         assert dice_coefficient(a, b) == pytest.approx(0.5)
 
     def test_both_empty(self, grid3):
@@ -46,8 +46,8 @@ class TestCentroidDistance:
         assert centroid_distance(sphere_region, sphere_region) == 0.0
 
     def test_known_shift(self, grid3):
-        a = rasterize.box(grid3, (0, 0, 0), (4, 4, 4))
-        b = rasterize.box(grid3, (3, 0, 0), (7, 4, 4))
+        a = Region.from_box(grid3, (0, 0, 0), (4, 4, 4))
+        b = Region.from_box(grid3, (3, 0, 0), (7, 4, 4))
         assert centroid_distance(a, b) == pytest.approx(3.0)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.curves import GridSpec
 from repro.errors import CodecError
-from repro.regions import Region, rasterize
+from repro.regions import Region
 from repro.viz import (
     DataExplorer,
     TriangleMesh,
@@ -20,6 +20,7 @@ from repro.viz import (
 )
 from repro.viz.render import _normalize
 from repro.volumes import DataRegion, Volume
+from tests.conftest import ball
 
 
 @pytest.fixture
@@ -29,7 +30,7 @@ def volume(rng):
 
 @pytest.fixture
 def data_region(volume):
-    return volume.extract(rasterize.sphere(volume.grid, (8, 8, 8), 5.0))
+    return volume.extract(ball(volume.grid, (8, 8, 8), 5.0))
 
 
 def _region_of_kind(kind: str, grid: GridSpec, curve: str) -> Region:
@@ -94,36 +95,6 @@ class TestRendering:
         with pytest.raises(ValueError):
             render_mip(data_region, axis=3)
 
-    def test_rotated_mip_zero_angle_close_to_plain(self, data_region):
-        from repro.viz import render_rotated_mip
-
-        plain = render_mip(data_region, axis=2)
-        rotated = render_rotated_mip(data_region, 0.0, axis=2)
-        assert np.abs(plain - rotated).mean() < 0.05
-
-    def test_rotated_mip_quarter_turn(self, grid3, volume):
-        from repro.viz import render_rotated_mip
-
-        # An off-center blob moves under rotation.
-        region = rasterize.sphere(grid3, (4, 8, 8), 2.0)
-        data = volume.extract(region)
-        at0 = render_rotated_mip(data, 0.0, axis=2)
-        at90 = render_rotated_mip(data, 90.0, axis=2)
-        assert np.argmax(at0.sum(axis=1)) != np.argmax(at90.sum(axis=1))
-
-    def test_turntable_frames(self, data_region):
-        from repro.viz import render_turntable
-
-        frames = render_turntable(data_region, frames=4)
-        assert len(frames) == 4
-        assert all(f.shape == (16, 16) for f in frames)
-
-    def test_turntable_validation(self, data_region):
-        from repro.viz import render_turntable
-
-        with pytest.raises(ValueError):
-            render_turntable(data_region, frames=0)
-
     def test_slice_default_is_middle(self, data_region, volume):
         image = render_slice(data_region, axis=2)
         dense = data_region.to_array()
@@ -137,14 +108,14 @@ class TestRendering:
             render_slice(data_region, axis=0, index=99)
 
     def test_surface_depth_shading(self, grid3):
-        region = rasterize.box(grid3, (4, 4, 2), (12, 12, 10))
+        region = Region.from_box(grid3, (4, 4, 2), (12, 12, 10))
         image = render_surface(region, axis=2)
         # Rays hitting the box get brightness 1 - 2/16; misses are 0.
         assert image[8, 8] == pytest.approx(1.0 - 2 / 16)
         assert image[0, 0] == 0.0
 
     def test_textured_surface_uses_data(self, volume, grid3):
-        region = rasterize.box(grid3, (4, 4, 2), (12, 12, 10))
+        region = Region.from_box(grid3, (4, 4, 2), (12, 12, 10))
         data = volume.extract(region)
         image = render_textured_surface(region, data, axis=2)
         assert image.shape == (16, 16)
@@ -164,14 +135,14 @@ class TestRendering:
 
 class TestMesh:
     def test_cube_mesh_counts(self, grid3):
-        region = rasterize.box(grid3, (4, 4, 4), (8, 8, 8))  # a 4^3 cube
+        region = Region.from_box(grid3, (4, 4, 4), (8, 8, 8))  # a 4^3 cube
         mesh = extract_surface_mesh(region)
         # 6 faces x 16 voxel faces x 2 triangles
         assert mesh.triangle_count == 6 * 16 * 2
         assert mesh.surface_area() == pytest.approx(6 * 16)
 
     def test_single_voxel(self, grid3):
-        region = rasterize.box(grid3, (3, 3, 3), (4, 4, 4))
+        region = Region.from_box(grid3, (3, 3, 3), (4, 4, 4))
         mesh = extract_surface_mesh(region)
         assert mesh.vertex_count == 8
         assert mesh.triangle_count == 12
@@ -181,12 +152,12 @@ class TestMesh:
         assert mesh.triangle_count == 0
 
     def test_interior_voxels_contribute_nothing(self, grid3):
-        solid = rasterize.box(grid3, (2, 2, 2), (10, 10, 10))
+        solid = Region.from_box(grid3, (2, 2, 2), (10, 10, 10))
         hollow_area = extract_surface_mesh(solid).surface_area()
         assert hollow_area == pytest.approx(6 * 8 * 8)
 
     def test_serialization_roundtrip(self, grid3):
-        mesh = extract_surface_mesh(rasterize.sphere(grid3, (8, 8, 8), 4.0))
+        mesh = extract_surface_mesh(ball(grid3, (8, 8, 8), 4.0))
         back = TriangleMesh.from_bytes(mesh.to_bytes())
         assert np.array_equal(back.vertices, mesh.vertices)
         assert np.array_equal(back.triangles, mesh.triangles)

@@ -9,8 +9,9 @@ import pytest
 
 from repro.curves import GridSpec, HilbertCurve, MortonCurve
 from repro.errors import CodecError, CurveMismatchError, GridMismatchError, ValidationError
-from repro.regions import Region, rasterize
+from repro.regions import Region
 from repro.volumes import Volume
+from tests.conftest import ball
 
 
 @pytest.fixture
@@ -91,7 +92,7 @@ class TestProbes:
 
 class TestExtraction:
     def test_extract_matches_mask(self, volume, volume_array):
-        region = rasterize.sphere(volume.grid, (8, 8, 8), 5.0)
+        region = ball(volume.grid, (8, 8, 8), 5.0)
         data = volume.extract(region)
         assert data.voxel_count == region.voxel_count
         coords = region.coords()
@@ -140,7 +141,7 @@ class TestSerialization:
 
     def test_value_byte_ranges(self, volume):
         header = Volume.parse_header(volume.to_bytes(align=64))
-        region = rasterize.box(volume.grid, (0, 0, 0), (2, 2, 2))
+        region = Region.from_box(volume.grid, (0, 0, 0), (2, 2, 2))
         starts, stops = header.value_byte_ranges(region.intervals)
         assert (starts >= 64).all()
         assert int((stops - starts).sum()) == region.voxel_count
