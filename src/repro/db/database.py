@@ -33,7 +33,7 @@ from repro.db.sql.ast import Explain, Select
 from repro.db.sql.parser import parse
 from repro.db.sql.prepared import Bound, Prepared
 from repro.errors import UnsupportedStatementError
-from repro.obs import metrics, recorder, trace
+from repro.obs import metrics, recorder
 from repro.obs.explain import PlanProfile, render_analyzed_plan
 from repro.storage.device import IOStats, attribute_io
 from repro.storage.lfm import FieldTableView, LongFieldManager
@@ -366,8 +366,7 @@ class Database:
         # a syntax error leaves a record too.  When the serving layer
         # already opened one on this thread (it owns session/pool-wait
         # attribution), the notes below land on that record instead.
-        with recorder.statement(text,
-                                trace_id=trace.current_trace_id()) as rec:
+        with recorder.statement(text) as rec:
             if prepared is None:
                 prepared = _compile(text) if ad_hoc else self.prepare(text)[0]
             if rec.active:
@@ -434,8 +433,7 @@ class Database:
 
     def executemany(self, sql: str, param_rows: list[list]) -> int:
         """Run one parameterized statement repeatedly; returns total rowcount."""
-        with recorder.statement(sql,
-                                trace_id=trace.current_trace_id()) as rec:
+        with recorder.statement(sql) as rec:
             prepared, _ = self.prepare(sql)
             if rec.active:
                 rec.note(kind=prepared.kind, shape=prepared.shape,

@@ -47,7 +47,7 @@ from repro.db.sql.ast import (
 )
 from repro.db.types import SqlType
 from repro.errors import ExecutionError, SqlTypeError
-from repro.obs import metrics, recorder, trace
+from repro.obs import metrics, recorder
 from repro.regions.region import Region
 
 __all__ = ["ResultSet", "Executor"]
@@ -440,53 +440,49 @@ class Executor:
         metrics.counter("executor.statements").inc()
         was = recorder.enter("db.executor")
         try:
-            with trace.span("executor.statement", statement=type(stmt).__name__):
-                return self._dispatch(stmt, params, ctx)
+            if isinstance(stmt, Select):
+                return self.execute_select(stmt, _Run(self, params, ctx))
+            if isinstance(stmt, Insert):
+                return self._execute_insert(stmt, params, ctx)
+            if isinstance(stmt, CreateTable):
+                return self._execute_create(stmt)
+            if isinstance(stmt, DropTable):
+                self.catalog.drop_table(stmt.table)
+                return ResultSet([], [], rowcount=0)
+            if isinstance(stmt, Delete):
+                return self._execute_delete(stmt, params, ctx)
+            if isinstance(stmt, Update):
+                return self._execute_update(stmt, params, ctx)
+            if isinstance(stmt, CreateIndex):
+                table = self.catalog.writable(stmt.table)
+                fresh = table.stats.fresh(table)
+                self.catalog.create_index(stmt.name, stmt.table, stmt.column)
+                # index DDL changes no rows: repair the stamp it broke
+                if fresh:
+                    table.stats.restamp(table)
+                return ResultSet([], [], rowcount=0)
+            if isinstance(stmt, DropIndex):
+                table_name = self.catalog.index_table(stmt.name)
+                table = (
+                    self.catalog.writable(table_name) if table_name is not None else None
+                )
+                fresh = table is not None and table.stats.fresh(table)
+                self.catalog.drop_index(stmt.name)
+                if fresh:
+                    table.stats.restamp(table)
+                return ResultSet([], [], rowcount=0)
+            if isinstance(stmt, CreateSpatialIndex):
+                self.catalog.create_spatial_index(stmt.name, stmt.table, stmt.column)
+                # Collects the column's region-cell directory (cells already
+                # parsed are not read again) and its box column.
+                table = self.catalog.writable(stmt.table)
+                table.stats.recompute(table, ctx.read_longfield)
+                return ResultSet([], [], rowcount=0)
+            if isinstance(stmt, Analyze):
+                return self._execute_analyze(stmt, ctx)
+            raise ExecutionError(f"unsupported statement {type(stmt).__name__}")
         finally:
             recorder.leave(was)
-
-    def _dispatch(self, stmt: Statement, params: list, ctx: ExecutionContext) -> ResultSet:
-        if isinstance(stmt, Select):
-            return self.execute_select(stmt, _Run(self, params, ctx))
-        if isinstance(stmt, Insert):
-            return self._execute_insert(stmt, params, ctx)
-        if isinstance(stmt, CreateTable):
-            return self._execute_create(stmt)
-        if isinstance(stmt, DropTable):
-            self.catalog.drop_table(stmt.table)
-            return ResultSet([], [], rowcount=0)
-        if isinstance(stmt, Delete):
-            return self._execute_delete(stmt, params, ctx)
-        if isinstance(stmt, Update):
-            return self._execute_update(stmt, params, ctx)
-        if isinstance(stmt, CreateIndex):
-            table = self.catalog.writable(stmt.table)
-            fresh = table.stats.fresh(table)
-            self.catalog.create_index(stmt.name, stmt.table, stmt.column)
-            # index DDL changes no rows: repair the stamp it broke
-            if fresh:
-                table.stats.restamp(table)
-            return ResultSet([], [], rowcount=0)
-        if isinstance(stmt, DropIndex):
-            table_name = self.catalog.index_table(stmt.name)
-            table = (
-                self.catalog.writable(table_name) if table_name is not None else None
-            )
-            fresh = table is not None and table.stats.fresh(table)
-            self.catalog.drop_index(stmt.name)
-            if fresh:
-                table.stats.restamp(table)
-            return ResultSet([], [], rowcount=0)
-        if isinstance(stmt, CreateSpatialIndex):
-            self.catalog.create_spatial_index(stmt.name, stmt.table, stmt.column)
-            # Collects the column's region-cell directory (cells already
-            # parsed are not read again) and its box column.
-            table = self.catalog.writable(stmt.table)
-            table.stats.recompute(table, ctx.read_longfield)
-            return ResultSet([], [], rowcount=0)
-        if isinstance(stmt, Analyze):
-            return self._execute_analyze(stmt, ctx)
-        raise ExecutionError(f"unsupported statement {type(stmt).__name__}")
 
     # -------------------------------------------------------------- #
     # statistics maintenance: a statement maintains only stats that were
@@ -609,12 +605,6 @@ class Executor:
         profile = ctx.profile
         if profile is not None:
             ctx.profile = None
-        with trace.span("executor.select", tables=len(select.tables)):
-            return self._execute_select(select, run, scopes, outer, profile)
-
-    def _execute_select(self, select: Select, run: _Run, scopes: tuple,
-                        outer: list | None, profile) -> ResultSet:
-        ctx = run.ctx
         plan = self.plan(select, ctx, scopes)
         program: _Program = plan.program
         if profile is not None:

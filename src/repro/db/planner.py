@@ -58,7 +58,6 @@ from repro.db.semantic import AGGREGATES, Block
 from repro.db.types import SqlType
 from repro.errors import CatalogError
 from repro.net.costmodel import CostModel1994
-from repro.obs import trace
 from repro.obs.explain import level_label
 
 __all__ = [
@@ -199,8 +198,59 @@ def plan_select(
     enclosing block behaves as a constant.  ``mode`` selects the
     join-ordering strategy (:data:`PLANNER_MODES`).
     """
-    with trace.span("planner.plan_select", tables=len(select.tables), mode=mode):
-        return _plan_select(select, catalog, blocks[id(select)], mode)
+    if mode not in PLANNER_MODES:
+        raise CatalogError(f"unknown planner mode {mode!r}")
+    state = _PlannerState(select, catalog, blocks[id(select)])
+    if mode == "naive":
+        order = list(select.tables)
+    else:
+        state.close_equalities()
+        if len(select.tables) > _DP_LIMIT:
+            order = _greedy_order(select, state.needs)
+        else:
+            order = _cost_order(select, state)
+
+    # Per level: the conjuncts first fully bound there (cost mode runs the
+    # cheap ones first, naive keeps the original order); an index probe on
+    # an equality against earlier-bound values, else (cost mode) a spatial
+    # probe for a region-intersection predicate over an indexed LONGFIELD
+    # column; the bucket key — the index probe and (cost mode, no spatial
+    # probe) every ``col = constant``; and the row estimate (every mode:
+    # EXPLAIN always shows it).
+    level_predicates: list[list[Expr]] = []
+    index_probes: list[tuple[str, Expr] | None] = []
+    spatial_probes: list[tuple[str, Expr] | None] = []
+    equal_keys: list[tuple[tuple[str, Expr], ...]] = []
+    est_rows: list[float] = []
+    placed: frozenset[str] = frozenset()
+    est = 1.0
+    for ref in order:
+        preds = state.level_conjuncts(placed, ref.binding)
+        if mode == "cost":
+            preds = state.run_order(preds)
+        earlier = placed | {OUTER}
+        chosen = state.index_probe(preds, ref.binding, earlier)
+        spatial, keys = None, ()
+        if mode == "cost":
+            if chosen is None:
+                spatial = state.spatial_probe(preds, ref.binding, earlier)
+            if spatial is None:
+                keys = state.equal_keys(preds, ref.binding)
+        if chosen is not None and chosen not in keys:
+            keys = (chosen,) + keys
+        _, est = state.level_model(placed, ref.binding, est, mode == "cost")
+        level_predicates.append(preds)
+        index_probes.append(chosen)
+        spatial_probes.append(spatial)
+        equal_keys.append(keys)
+        est_rows.append(est)
+        placed = placed | {ref.binding}
+    est_out = _output_estimate(select, est)
+
+    return Plan(
+        select, order, level_predicates, index_probes,
+        spatial_probes, equal_keys, est_rows, est_out, mode,
+    )
 
 
 class _Facts(NamedTuple):
@@ -538,62 +588,6 @@ class _PlannerState:
 
 def _flip(op: str) -> str:
     return {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-
-
-def _plan_select(select: Select, catalog: Catalog, block: Block, mode: str) -> Plan:
-    if mode not in PLANNER_MODES:
-        raise CatalogError(f"unknown planner mode {mode!r}")
-    state = _PlannerState(select, catalog, block)
-    if mode == "naive":
-        order = list(select.tables)
-    else:
-        state.close_equalities()
-        if len(select.tables) > _DP_LIMIT:
-            order = _greedy_order(select, state.needs)
-        else:
-            order = _cost_order(select, state)
-
-    # Per level: the conjuncts first fully bound there (cost mode runs the
-    # cheap ones first, naive keeps the original order); an index probe on
-    # an equality against earlier-bound values, else (cost mode) a spatial
-    # probe for a region-intersection predicate over an indexed LONGFIELD
-    # column; the bucket key — the index probe and (cost mode, no spatial
-    # probe) every ``col = constant``; and the row estimate (every mode:
-    # EXPLAIN always shows it).
-    level_predicates: list[list[Expr]] = []
-    index_probes: list[tuple[str, Expr] | None] = []
-    spatial_probes: list[tuple[str, Expr] | None] = []
-    equal_keys: list[tuple[tuple[str, Expr], ...]] = []
-    est_rows: list[float] = []
-    placed: frozenset[str] = frozenset()
-    est = 1.0
-    for ref in order:
-        preds = state.level_conjuncts(placed, ref.binding)
-        if mode == "cost":
-            preds = state.run_order(preds)
-        earlier = placed | {OUTER}
-        chosen = state.index_probe(preds, ref.binding, earlier)
-        spatial, keys = None, ()
-        if mode == "cost":
-            if chosen is None:
-                spatial = state.spatial_probe(preds, ref.binding, earlier)
-            if spatial is None:
-                keys = state.equal_keys(preds, ref.binding)
-        if chosen is not None and chosen not in keys:
-            keys = (chosen,) + keys
-        _, est = state.level_model(placed, ref.binding, est, mode == "cost")
-        level_predicates.append(preds)
-        index_probes.append(chosen)
-        spatial_probes.append(spatial)
-        equal_keys.append(keys)
-        est_rows.append(est)
-        placed = placed | {ref.binding}
-    est_out = _output_estimate(select, est)
-
-    return Plan(
-        select, order, level_predicates, index_probes,
-        spatial_probes, equal_keys, est_rows, est_out, mode,
-    )
 
 
 def _output_estimate(select: Select, est_join: float) -> float:

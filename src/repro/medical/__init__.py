@@ -14,12 +14,6 @@ from repro.medical.entities import (
 from repro.medical.loader import DEFAULT_ENCODINGS, ENCODING_SPECS, MedicalLoader
 from repro.medical.schema import MEDICAL_SCHEMA_DDL, MEDICAL_TABLES, create_medical_schema
 from repro.medical.server import MedicalQueryResult, MedicalServer, QuerySpec
-from repro.medical.validate import (
-    RegistrationReport,
-    centroid_distance,
-    dice_coefficient,
-    registration_report,
-)
 from repro.medical.warp import AffineTransform, register_moments, resample_to_grid
 
 __all__ = [
@@ -42,8 +36,4 @@ __all__ = [
     "AffineTransform",
     "register_moments",
     "resample_to_grid",
-    "dice_coefficient",
-    "centroid_distance",
-    "registration_report",
-    "RegistrationReport",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from repro.db.database import Database, QueryResult
 from repro.db.functions import WorkCounters
 from repro.errors import MedicalError
-from repro.obs import metrics, trace
+from repro.obs import metrics
 from repro.regions import Region
 from repro.storage.device import IOStats
 from repro.volumes import BAND_WIDTH, DataRegion
@@ -96,16 +96,11 @@ class MedicalServer:
 
     def execute(self, spec: QuerySpec) -> MedicalQueryResult:
         """Run the two-query pattern of §3.4 and package the result."""
-        with trace.span("server.query", query=spec.label()):
-            return self._execute(spec)
-
-    def _execute(self, spec: QuerySpec) -> MedicalQueryResult:
         metrics.counter("server.queries").inc()
         sqls: list[str] = []
-        with trace.span("server.metadata_query"):
-            meta_result = self.db.execute(
-                _METADATA_SQL, [spec.study_id, spec.atlas_name]
-            )
+        meta_result = self.db.execute(
+            _METADATA_SQL, [spec.study_id, spec.atlas_name]
+        )
         sqls.append(_METADATA_SQL)
         row = meta_result.first()
         if row is None:
@@ -117,8 +112,7 @@ class MedicalServer:
 
         data_sql, params, needs_post_filter = self._build_data_query(
             spec, atlas_id, metadata["n"])
-        with trace.span("server.data_query"):
-            data_result = self.db.execute(data_sql, params)
+        data_result = self.db.execute(data_sql, params)
         sqls.append(data_sql)
         data_row = data_result.first()
         if data_row is None:
@@ -265,8 +259,7 @@ class MedicalServer:
         for i in range(1, len(study_ids)):
             expr = f"intersection({expr}, b{i}.region)"
         sql = f"select {expr}\nfrom {', '.join(tables)}\nwhere " + " and\n      ".join(where)
-        with trace.span("server.multi_study", studies=len(study_ids)):
-            result = self.db.execute(sql, params)
+        result = self.db.execute(sql, params)
         row = result.first()
         if row is None:
             raise MedicalError("band consistency query matched no stored bands")

@@ -14,7 +14,7 @@ import threading
 from typing import NamedTuple
 
 from repro.errors import ValidationError
-from repro.obs import metrics, recorder, trace
+from repro.obs import metrics, recorder
 
 __all__ = ["RpcChannel", "TransferRecord"]
 
@@ -25,9 +25,6 @@ class TransferRecord(NamedTuple):
     payload_bytes: int
     data_messages: int
     control_messages: int
-    #: the trace this transfer belongs to — the message envelope's half of
-    #: cross-process context propagation (a receiver would attach() it)
-    trace_id: str | None = None
 
     @property
     def messages(self) -> int:
@@ -50,22 +47,15 @@ class RpcChannel:
         # counters stay exact under threads.
         self._lock = threading.Lock()
 
-    def send(self, payload: bytes | int,
-             trace_id: str | None = None) -> TransferRecord:
-        """Ship one result payload (bytes, or just its length) to the peer.
-
-        The transfer is stamped with ``trace_id`` — defaulting to the
-        sending thread's active trace — so the envelope carries the trace
-        context across the process boundary.
-        """
+    def send(self, payload: bytes | int) -> TransferRecord:
+        """Ship one result payload (bytes, or just its length) to the peer."""
         nbytes = payload if isinstance(payload, int) else len(payload)
         if nbytes < 0:
             raise ValidationError("payload size must be non-negative")
         was = recorder.enter("net")
         try:
             record = TransferRecord(
-                nbytes, -(-nbytes // self.chunk_size), self.control_messages_per_call,
-                trace_id if trace_id is not None else trace.current_trace_id())
+                nbytes, -(-nbytes // self.chunk_size), self.control_messages_per_call)
             messages = record.messages
             with self._lock:
                 self.total_bytes += nbytes
@@ -74,11 +64,6 @@ class RpcChannel:
             metrics.counter("rpc.calls").inc()
             metrics.counter("rpc.messages").inc(messages)
             metrics.counter("rpc.bytes").inc(nbytes)
-            if trace.is_enabled():
-                with trace.span("rpc.send", messages=messages, bytes=nbytes) as sp:
-                    sp.set_sim_seconds(
-                        trace.get_tracer().cost_model.network_seconds(record)
-                    )
             return record
         finally:
             recorder.leave(was)

@@ -15,8 +15,6 @@ the paper-facing I/O accounting:
   and histograms;
 * :mod:`repro.obs.promtext` — Prometheus text exposition of a registry,
   and a validating parser for it;
-* :mod:`repro.obs.trace` — hierarchical spans with cross-thread context
-  propagation, off by default and free while disabled;
 * :mod:`repro.obs.explain` — the per-operator profile EXPLAIN ANALYZE
   fills and the renderer that turns it into an annotated plan tree.
 
@@ -27,7 +25,7 @@ it must stay import-light: nothing here pulls in ``repro.storage`` or
 
 from __future__ import annotations
 
-from repro.obs import digest, metrics, promtext, qlog, recorder, trace
+from repro.obs import digest, metrics, promtext, qlog, recorder
 from repro.obs.explain import OperatorStats, PlanProfile, render_analyzed_plan
 
 __all__ = [
@@ -36,7 +34,6 @@ __all__ = [
     "promtext",
     "qlog",
     "recorder",
-    "trace",
     "OperatorStats",
     "PlanProfile",
     "render_analyzed_plan",

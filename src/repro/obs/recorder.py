@@ -167,6 +167,11 @@ def leave(was: str | None) -> None:
         _ACTIVE.scope.switch(was)
 
 
+#: process-wide trace id source (``next()`` is atomic in CPython; ids
+#: only need to be unique, not dense)
+_TRACE_IDS = itertools.count(1)
+
+
 class _StatementScope:
     """Context manager covering one statement; the outermost scope emits."""
 
@@ -176,14 +181,13 @@ class _StatementScope:
     active = True
 
     def __init__(self, recorder: "FlightRecorder", sql: str,
-                 session: str | None, trace_id: str | None, own: bool):
+                 session: str | None, own: bool):
         self._recorder = recorder
         self._root = own
         # What no bracket claims is the owner's: the serving layer opens
         # its scopes with ``own``, Database.execute does not.
         self._phase = "server" if own else "db.database"
-        self.record = QueryRecord(sql=sql, session=session,
-                                  trace_id=trace_id)
+        self.record = QueryRecord(sql=sql, session=session)
 
     def switch(self, name: str) -> str:
         """Charge the time since the last transition to the phase being
@@ -227,10 +231,15 @@ class _StatementScope:
             record.shape, record.digest = shape, digest
 
     def __enter__(self) -> "_StatementScope":
-        self._outer = _ACTIVE.scope
-        if self._root or self._outer is None:
+        outer = self._outer = _ACTIVE.scope
+        if self._root or outer is None:
             self._root = True
             _ACTIVE.scope = self
+            # A root statement starts a trace; a served statement issued
+            # under another (a UDF's) joins its caller's.
+            self.record.trace_id = (
+                f"trace-{next(_TRACE_IDS):08d}" if outer is None
+                else outer.record.trace_id)
             self.record.started_unix = time.time()
             self._start = self._mark = time.perf_counter()
         else:
@@ -277,7 +286,7 @@ class FlightRecorder:
     # ------------------------------------------------------------------ #
 
     def statement(self, sql: str, *, session: str | None = None,
-                  trace_id: str | None = None, own: bool = False):
+                  own: bool = False):
         """A scope covering one statement's execution.
 
         The outermost scope on a thread owns the resulting record; nested
@@ -289,7 +298,7 @@ class FlightRecorder:
         """
         if not self.enabled:
             return _NOOP_SCOPE
-        return _StatementScope(self, sql, session, trace_id, own)
+        return _StatementScope(self, sql, session, own)
 
     def _finish(self, record: QueryRecord) -> None:
         with self._lock:

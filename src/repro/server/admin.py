@@ -15,9 +15,7 @@ whole observability stack over plain HTTP GETs:
 * ``/incidents`` — the retained incident reports;
 * ``/digests?n=50`` — the statement-digest table's busiest rows
   (pg_stat_statements-style per-query-class accounting, mean phase split
-  included);
-* ``/trace/<trace_id>`` — a retained trace's spans as a JSON list (ids,
-  parent, start offset, wall, page I/O, tags), when span tracing is on.
+  included).
 
 Alerting belongs to the scraper that reads ``/metrics`` (OPERATIONS.md
 names the series).
@@ -40,12 +38,12 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from repro.obs import digest, metrics, promtext, recorder, trace
+from repro.obs import digest, metrics, promtext, recorder
 
 __all__ = ["AdminServer"]
 
 _ROUTES = ["/healthz", "/metrics", "/sessions", "/queries/recent",
-                "/incidents", "/digests", "/trace/<trace_id>"]
+           "/incidents", "/digests"]
 
 
 class _AdminHandler(BaseHTTPRequestHandler):
@@ -87,8 +85,6 @@ class _AdminHandler(BaseHTTPRequestHandler):
             self._reply_json(recorder.get_recorder().incidents())
         elif route == "/digests":
             self._digests(url)
-        elif route.startswith("/trace/"):
-            self._trace(route[len("/trace/"):])
         else:
             self._reply_json({"error": f"no route {route!r}",
                               "routes": _ROUTES}, status=404)
@@ -131,18 +127,6 @@ class _AdminHandler(BaseHTTPRequestHandler):
         if n is None:
             return
         self._reply_json(digest.get_table().top(n))
-
-    def _trace(self, trace_id: str) -> None:
-        spans = [s for s in trace.records() if s.trace_id == trace_id]
-        if not spans:
-            hint = ("tracing is disabled — enable it to retain spans"
-                    if not trace.is_enabled()
-                    else "trace id unknown or already evicted")
-            self._reply_json({"error": f"no spans for trace {trace_id!r}",
-                              "hint": hint}, status=404)
-            return
-        origin = min(s.start_perf for s in spans)
-        self._reply_json([s.to_dict(origin) for s in spans])
 
 
 class AdminServer:

@@ -30,8 +30,7 @@ ARCHITECTURE.md):
 Everything is observable: ``server.*`` metrics (queue depth, slot wait,
 active sessions, result-cache hit rate), one flight-recorder record per
 statement (opened here, so whatever time no layer below claims is
-recorded as ``server``), and — with span tracing on — per-statement
-``server.execute`` spans tagged with the session name.
+recorded as ``server``), tagged with the session name.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from repro.db.sql.prepared import Prepared
 from repro.concurrency import lockdep
 from repro.errors import ServerError
 from repro.net.rpc import RpcChannel
-from repro.obs import metrics, recorder, trace
+from repro.obs import metrics, recorder
 from repro.server.pool import WorkerPool, current_wait_seconds
 from repro.server.resultcache import CachedResult, ResultCache, cache_key
 from repro.server.session import Session
@@ -130,35 +129,18 @@ class QueryServer:
         metrics.counter("server.statements").inc()
         session._admitted()
         wait = current_wait_seconds()
-        # A fresh trace id — unless this thread already has one (an
-        # enclosing span, or a statement whose UDF issued this one): then
-        # the statement joins that trace, and one query yields one span
-        # tree.  Then its own flight-recorder record, which
-        # Database.execute annotates.
-        ctx = trace.TraceContext(
-            trace.current_trace_id() or trace.new_trace_id(), session.name)
-        with trace.attach(ctx), \
-                recorder.statement(sql, session=session.name,
-                                   trace_id=ctx.trace_id, own=True) as rec:
+        # The statement's own flight-recorder record (a fresh trace id,
+        # or its caller's when a UDF issued it), which Database.execute
+        # annotates.
+        with recorder.statement(sql, session=session.name, own=True) as rec:
             rec.note(pool_wait_seconds=wait, params=params or None)
-            result = self._traced_execute(session, sql, params)
+            result = self._execute(session, sql, params)
             rows = len(result.rows)
             rec.note(rows=rows or result.rowcount)
             # Ship the result payload through the RPC channel so served
             # traffic lands in the paper's message accounting (a counts
             # model: 8 bytes a value, chunked).
-            self.rpc.send(rows * max(1, len(result.columns)) * 8,
-                          ctx.trace_id)
-        return result
-
-    def _traced_execute(self, session: Session, sql: str,
-                        params: list | None) -> QueryResult:
-        """Execute inside a ``server.execute`` span while tracing is on."""
-        if not trace.is_enabled():
-            return self._execute(session, sql, params)
-        with trace.span("server.execute", session=session.name) as sp:
-            result = self._execute(session, sql, params)
-            sp.note(rows=len(result.rows))
+            self.rpc.send(rows * max(1, len(result.columns)) * 8)
         return result
 
     def _execute(self, session: Session, sql: str,

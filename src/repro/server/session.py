@@ -9,8 +9,8 @@ layer's analogue of a DBMS connection.  Each session carries:
   session's SQL resolves (the Starburst extension hook, scoped);
 * a **variable store** (:meth:`set_var` / :meth:`get_var`) for per-client
   temp state;
-* its own **statement counter and trace identity** — every statement runs
-  under a ``server.execute`` span tagged with the session name.
+* its own **statement counter** — every statement's flight-recorder
+  record is tagged with the session name.
 
 Statements go through the server's admission control: :meth:`execute`
 takes a pool slot — waiting its turn when none is free — and runs the

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import LongFieldError
-from repro.obs import metrics, recorder, trace
+from repro.obs import metrics, recorder
 from repro.storage.buddy import BuddyAllocator
 from repro.storage.device import BlockDevice, IOStats
 
@@ -103,9 +103,8 @@ class LongFieldManager:
                 # journaled with the commit record already includes it.
                 self._next_id = field_id + 1
                 self._fields[field_id] = (offset, len(data))
-                with trace.span("lfm.create", io=self.device.stats, bytes=len(data)):
-                    before = self.device.stats.pages_written
-                    self.device.write(offset, data)
+                before = self.device.stats.pages_written
+                self.device.write(offset, data)
         # Cleanup-and-reraise: even SimulatedCrash must unwind the
         # in-memory state.
         except BaseException:  # qblint: disable=no-broad-except
@@ -197,9 +196,8 @@ class LongFieldManager:
             )
         was = recorder.enter("storage.lfm")
         try:
-            with trace.span("lfm.read", io=self.device.stats, bytes=length):
-                before = self.device.stats.pages_read
-                data = self.device.read(base + offset, length)
+            before = self.device.stats.pages_read
+            data = self.device.read(base + offset, length)
         finally:
             recorder.leave(was)
         metrics.counter("lfm.reads").inc()
@@ -234,9 +232,8 @@ class LongFieldManager:
                 raise LongFieldError("scattered read outside long field bounds")
         was = recorder.enter("storage.lfm")
         try:
-            with trace.span("lfm.read_ranges", io=self.device.stats, ranges=starts.size):
-                before = self.device.stats.pages_read
-                data = self.device.read_ranges(base + starts, base + stops)
+            before = self.device.stats.pages_read
+            data = self.device.read_ranges(base + starts, base + stops)
         finally:
             recorder.leave(was)
         metrics.counter("lfm.reads").inc()

@@ -31,7 +31,7 @@ The wrapper is duck-compatible with :class:`BlockDevice`: ``stats`` holds
 the *logical* I/O the client asked for (what Table 3/4 instrumentation
 reads), ``data_stats`` the physical data-device I/O, and
 ``journal_stats`` the journal I/O.  Activity is surfaced through
-``wal.*`` metrics and ``wal.commit`` / ``wal.recover`` trace spans.
+``wal.*`` metrics.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.concurrency import guarded_by, lockdep
 from repro.errors import StorageError, WalError
-from repro.obs import metrics, recorder, trace
+from repro.obs import metrics, recorder
 from repro.storage.device import IOStats, _page_span, _scatter_span
 
 __all__ = ["WriteAheadLog", "RecoveryReport", "recover_journal", "WAL_VERSION"]
@@ -164,12 +164,11 @@ def recover_journal(journal, next_txn_id: int = 1) -> RecoveryReport:
     nothing, so recovering twice gives the same report.
     """
     report = RecoveryReport()
-    with trace.span("wal.recover", io=journal.stats):
-        txns, report.discarded, report.end_offset, report.last_txn_id = \
-            _scan_journal(journal, last_id=max(0, next_txn_id - 1))
-        for txn_id, meta in txns:
-            report.replayed_txn_ids.append(txn_id)
-            report.metas.append(meta)
+    txns, report.discarded, report.end_offset, report.last_txn_id = \
+        _scan_journal(journal, last_id=max(0, next_txn_id - 1))
+    for txn_id, meta in txns:
+        report.replayed_txn_ids.append(txn_id)
+        report.metas.append(meta)
     metrics.counter("wal.recoveries").inc()
     metrics.counter("wal.txns_replayed").inc(report.replayed)
     metrics.counter("wal.txns_discarded").inc(report.discarded)
@@ -417,12 +416,10 @@ class WriteAheadLog:
             )
         self._next_txn_id = txn_id + 1
         try:
-            with trace.span("wal.commit", io=self.journal.stats, txn=txn_id,
-                            extents=len(self._extents)):
-                self.journal.write(start, record)
-                # The write-ahead rule, for metadata: the record is on
-                # stable storage before the committer is told.
-                self.journal.sync(start, len(record))
+            self.journal.write(start, record)
+            # The write-ahead rule, for metadata: the record is on
+            # stable storage before the committer is told.
+            self.journal.sync(start, len(record))
         except BaseException:  # qblint: disable=no-broad-except
             # Reported rolled back, so it must never replay: void its
             # header.  Best effort — the journal may be the device that

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.net.costmodel import CostModel1994
-from repro.obs import metrics, trace
+from repro.obs import metrics
 from repro.viz import render
 from repro.volumes import DataRegion
 
@@ -65,12 +65,10 @@ class DataExplorer:
             self.cache_hits += 1
             metrics.counter("dx.cache_hits").inc()
             return self._cache[cache_key]
-        with trace.span("dx.import", bytes=len(payload)) as sp:
-            data = DataRegion.from_bytes(payload)
-            size = (data.voxel_count, data.region.run_count)
-            obj = DXObject(data, self.cost_model.import_cpu_seconds(*size),
-                           self.cost_model.import_real_seconds(*size))
-            sp.set_sim_seconds(obj.import_real_seconds)
+        data = DataRegion.from_bytes(payload)
+        size = (data.voxel_count, data.region.run_count)
+        obj = DXObject(data, self.cost_model.import_cpu_seconds(*size),
+                       self.cost_model.import_real_seconds(*size))
         self.imports += 1
         metrics.counter("dx.imports").inc()
         if cache_key is not None:
@@ -97,20 +95,18 @@ class DataExplorer:
         ``surface`` (structure only), ``textured`` (data mapped onto the
         structure surface — Figure 6c).
         """
-        with trace.span("dx.render", mode=mode) as sp:
-            if mode == "mip":
-                image = render.render_mip(obj.data, axis=axis)
-            elif mode == "slice":
-                image = render.render_slice(obj.data, axis=axis)
-            elif mode == "surface":
-                image = render.render_surface(obj.data.region, axis=axis)
-            elif mode == "textured":
-                image = render.render_textured_surface(
-                    obj.data.region, obj.data, axis=axis
-                )
-            else:
-                raise ValidationError(f"unknown render mode {mode!r}")
-            seconds = self.cost_model.render_seconds(obj.voxel_count)
-            sp.set_sim_seconds(seconds)
+        if mode == "mip":
+            image = render.render_mip(obj.data, axis=axis)
+        elif mode == "slice":
+            image = render.render_slice(obj.data, axis=axis)
+        elif mode == "surface":
+            image = render.render_surface(obj.data.region, axis=axis)
+        elif mode == "textured":
+            image = render.render_textured_surface(
+                obj.data.region, obj.data, axis=axis
+            )
+        else:
+            raise ValidationError(f"unknown render mode {mode!r}")
+        seconds = self.cost_model.render_seconds(obj.voxel_count)
         metrics.counter("dx.renders").inc()
         return image, seconds

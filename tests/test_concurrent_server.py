@@ -37,7 +37,7 @@ from repro.errors import (
     ValidationError,
     WalError,
 )
-from repro.obs import digest, metrics, recorder, trace
+from repro.obs import digest, metrics, recorder
 from repro.server import QueryServer, ResultCache, WorkerPool
 from repro.storage import (
     BlockDevice,
@@ -472,7 +472,7 @@ class TestAdmissionSlots:
     def test_inline_statement_under_an_open_scope_keeps_its_own_record(self):
         """A served statement issued from inside another statement (a UDF
         here) gets its own record, and must leave the outer statement's
-        scope, trace frame and wait as it found them."""
+        scope and wait as it found them."""
         db = fresh_db()
         recorder.enable()
         recorder.reset()
@@ -487,26 +487,8 @@ class TestAdmissionSlots:
         assert [r.session for r in records] == ["outer", "inner"]
         assert [r.rows for r in records] == [1, 1]
         assert records[0].kind == "read"  # Database.execute's notes landed
-        # issued under the outer statement's trace position, so it joins it
+        # issued under the outer statement's scope, so it joins its trace
         assert records[0].trace_id == records[1].trace_id
-
-    def test_blocking_statement_inside_a_router_span_joins_its_trace(self):
-        db = fresh_db()
-        recorder.enable()
-        recorder.reset()
-        with QueryServer(db, workers=2) as server, trace.capture() as spans:
-            s = server.connect(name="leg")
-            with trace.span("cluster.scatter"):
-                s.execute("select v from lookup where k = 4")
-                with trace.span("after"):
-                    pass
-        by_name = {span.name: span for span in spans}
-        scatter = by_name["cluster.scatter"]
-        assert by_name["server.execute"].trace_id == scatter.trace_id
-        assert by_name["server.execute"].parent_id == scatter.span_id
-        assert by_name["after"].parent_id == scatter.span_id  # frame restored
-        assert recorder.get_recorder().recent(1)[0].trace_id == scatter.trace_id
-        trace.reset()
 
 
 # --------------------------------------------------------------------- #

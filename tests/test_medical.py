@@ -176,6 +176,24 @@ class TestLoader:
         outside_mean = warped.extract(phantom.envelope.complement()).mean()
         assert brain_mean > 2 * outside_mean
 
+    def test_pipeline_output_overlaps_the_phantom_envelope(self, demo_system):
+        """Every study the demo loader warped lands on the atlas: its bright
+        voxels (above a tenth of its maximum) overlap the phantom envelope
+        with Dice > 0.7, and > 0.8 of its intensity mass lies inside it."""
+        envelope = demo_system.phantom.envelope.to_mask()
+        for study_id in demo_system.study_ids:
+            handle = demo_system.db.execute(
+                "select data from warpedVolume where studyId = ?", [study_id]
+            ).scalar()
+            warped = Volume.from_bytes(demo_system.lfm.read(handle))
+            values = warped.to_array().astype(np.float64)
+            bright = values > 0.1 * values.max()
+            dice = 2 * (bright & envelope).sum() / (bright.sum() + envelope.sum())
+            mass_inside = values[envelope].sum() / values.sum()
+            assert dice > 0.7, f"study {study_id}: envelope Dice {dice:.3f}"
+            assert mass_inside > 0.8, (
+                f"study {study_id}: mass inside envelope {mass_inside:.3f}")
+
 
 class TestServer:
     def test_metadata_query(self, loaded):

@@ -1,4 +1,4 @@
-"""Tests for serving-grade monitoring: trace propagation, per-statement I/O
+"""Tests for serving-grade monitoring: trace ids, per-statement I/O
 attribution, the flight recorder and its incident triggers, the structured
 query log, histogram percentiles, Prometheus exposition, and the admin
 HTTP endpoint."""
@@ -19,8 +19,7 @@ import pytest
 from repro.bench.workloads import run_table3, run_table4
 from repro.core.system import QbismSystem
 from repro.errors import ReproError, SqlSyntaxError, ValidationError
-from repro.net.rpc import RpcChannel
-from repro.obs import digest, metrics, promtext, qlog, recorder, trace
+from repro.obs import digest, metrics, promtext, qlog, recorder
 from repro.server import QueryServer
 from repro.storage.device import PAGE_SIZE, BlockDevice, IOStats, attribute_io
 from repro.storage.lfm import LongFieldManager
@@ -30,8 +29,6 @@ from repro.storage.wal import WriteAheadLog
 @pytest.fixture(autouse=True)
 def clean_monitoring():
     def scrub():
-        trace.disable()
-        trace.reset()
         metrics.reset()
         recorder.enable()
         recorder.reset()
@@ -54,6 +51,12 @@ def structure_ids(system):
     return system.db.execute(
         "select structureId from atlasStructure"
     ).column("structureId")
+
+
+def _phases_sum_to_wall(record) -> bool:
+    """A record's phases add up to its wall time (5 %, or 20 us)."""
+    gap = abs(sum(record.phases.values()) - record.wall_seconds)
+    return gap <= max(0.05 * record.wall_seconds, 20e-6)
 
 
 class TestAttributeIO:
@@ -137,10 +140,8 @@ class TestConcurrentExplainAnalyze:
 
 
 class TestTracePropagation:
-    def test_one_tree_per_statement_under_16_sessions(self, system,
-                                                      structure_ids):
-        trace.enable()
-        trace.reset()
+    def test_one_record_per_statement_under_16_sessions(self, system,
+                                                        structure_ids):
         n_sessions, per_session = 16, 2
         with QueryServer(system.db, workers=8, result_cache=False) as server:
             def client(k: int) -> None:
@@ -158,40 +159,16 @@ class TestTracePropagation:
                 thread.start()
             for thread in threads:
                 thread.join()
-        spans = trace.records()
-        trees = trace.span_trees(spans)
-        roots = [t for t in trees if t.record.name == "server.execute"]
-        assert len(roots) == n_sessions * per_session
-        # every span landed under exactly one tree...
-        assert sum(len(list(t.walk())) for t in trees) == len(spans)
-        # ...and each tree is one statement: a single trace id throughout,
-        # distinct across statements, tagged with the owning session
-        seen_traces = set()
-        for root in roots:
-            trace_id = root.record.trace_id
-            assert trace_id is not None and trace_id not in seen_traces
-            seen_traces.add(trace_id)
-            session = root.record.meta["session"]
-            assert session.startswith("trace-")
-            for node in root.walk():
-                assert node.record.trace_id == trace_id
-                assert node.record.meta.get("session") == session
-
-    def test_context_attach_restores_thread_state(self):
-        ctx = trace.TraceContext(trace_id=trace.new_trace_id(), session="s1")
-        assert trace.current_trace_id() is None
-        with trace.attach(ctx):
-            assert trace.current_trace_id() == ctx.trace_id
-            assert trace.current_context().session == "s1"
-        assert trace.current_trace_id() is None
-
-    def test_rpc_envelope_carries_the_trace_id(self):
-        channel = RpcChannel()
-        ctx = trace.TraceContext(trace_id=trace.new_trace_id())
-        with trace.attach(ctx):
-            record = channel.send(3000)
-        assert record.trace_id == ctx.trace_id
-        assert channel.send(100).trace_id is None  # no active trace here
+        records = recorder.get_recorder().recent(100)
+        assert len(records) == n_sessions * per_session
+        # each statement is its own trace, tagged with the session that
+        # issued it, its phases summing to its wall time
+        assert len({r.trace_id for r in records}) == len(records)
+        assert None not in {r.trace_id for r in records}
+        sessions = [r.session for r in records]
+        assert sorted(sessions) == sorted(
+            f"trace-{k}" for k in range(n_sessions) for _ in range(per_session))
+        assert all(_phases_sum_to_wall(r) for r in records)
 
     def test_per_session_io_sums_to_global_delta(self, system, structure_ids):
         db = system.db
@@ -477,8 +454,7 @@ class TestStatementRecordInvariants:
             phases = record.phases
             assert set(phases) <= set(recorder.PHASES)
             assert all(seconds >= 0 for seconds in phases.values())
-            gap = abs(sum(phases.values()) - record.wall_seconds)
-            assert gap <= max(0.05 * record.wall_seconds, 20e-6)
+            assert _phases_sum_to_wall(record)
             assert not {p for p in _ZERO.get(kind, ()) if phases.get(p)}
             assert not {p for p in _NONZERO.get(kind, ())
                         if not phases.get(p)}

@@ -1,5 +1,5 @@
-"""Tests for the observability layer: trace spans, metrics, EXPLAIN ANALYZE,
-and the bench runner's JSON output."""
+"""Tests for the observability layer: metrics, EXPLAIN ANALYZE, and the
+bench runner's JSON output."""
 
 from __future__ import annotations
 
@@ -10,97 +10,21 @@ import pytest
 
 from repro.core.system import QbismSystem
 from repro.errors import UnsupportedStatementError, ValidationError
-from repro.obs import metrics, promtext, trace
+from repro.obs import metrics, promtext
 from repro.storage.device import PAGE_SIZE, BlockDevice
 from repro.storage.lfm import LongFieldManager
 
 
 @pytest.fixture(autouse=True)
 def clean_observability():
-    trace.disable()
-    trace.reset()
     metrics.reset()
     yield
-    trace.disable()
-    trace.reset()
     metrics.reset()
 
 
 @pytest.fixture(scope="module")
 def system():
     return QbismSystem.build_demo(grid_side=16, n_pet=2, n_mri=1, seed=7)
-
-
-class TestTrace:
-    def test_disabled_spans_record_nothing(self):
-        with trace.span("lfm.read_ranges", pages=3) as sp:
-            assert not sp.active
-        assert trace.records() == []
-
-    def test_enabled_span_records_wall_time_and_meta(self):
-        trace.enable()
-        with trace.span("executor.select", tables=2) as sp:
-            assert sp.active
-            sp.note(rows=7)
-        (record,) = trace.records()
-        assert record.name == "executor.select"
-        assert record.wall_seconds > 0
-        assert record.meta == {"tables": 2, "rows": 7}
-
-    def test_nesting_depths_form_a_tree(self):
-        trace.enable()
-        with trace.span("outer"):
-            with trace.span("inner"):
-                with trace.span("leaf"):
-                    pass
-            with trace.span("sibling"):
-                pass
-        depths = [(r.name, r.depth) for r in trace.records()]
-        assert depths == [
-            ("outer", 0), ("inner", 1), ("leaf", 2), ("sibling", 1),
-        ]
-        text = trace.render_text()
-        assert "\n    leaf" in text  # two levels of indent
-
-    def test_io_delta_and_simulated_seconds(self):
-        device = BlockDevice(16 * PAGE_SIZE)
-        trace.enable()
-        with trace.span("lfm.read", io=device.stats):
-            device.read(0, 2 * PAGE_SIZE)
-        (record,) = trace.records()
-        assert record.io.pages_read == 2
-        assert record.io.read_calls == 1
-        expected = trace.get_tracer().cost_model.seconds_per_page_io * 2
-        assert record.sim_seconds == pytest.approx(expected)
-
-    def test_capture_restores_prior_state(self):
-        assert not trace.is_enabled()
-        with trace.capture() as spans:
-            with trace.span("inside"):
-                pass
-        assert not trace.is_enabled()
-        assert [s.name for s in spans] == ["inside"]
-
-    def test_lfm_emits_spans_when_enabled(self):
-        lfm = LongFieldManager(BlockDevice(16 * PAGE_SIZE))
-        handle = lfm.create(b"x" * 100)
-        with trace.capture() as spans:
-            lfm.read(handle)
-        names = [s.name for s in spans]
-        assert "lfm.read" in names
-
-    def test_tracing_does_not_change_io_accounting(self):
-        ops = lambda lfm, handle: (  # noqa: E731
-            lfm.read(handle), lfm.read(handle, 10, 50),
-        )
-        plain = LongFieldManager(BlockDevice(16 * PAGE_SIZE))
-        h1 = plain.create(b"y" * 5000)
-        ops(plain, h1)
-        traced = LongFieldManager(BlockDevice(16 * PAGE_SIZE))
-        trace.enable()
-        h2 = traced.create(b"y" * 5000)
-        ops(traced, h2)
-        assert vars(plain.stats) == vars(traced.stats)
 
 
 class TestMetrics:

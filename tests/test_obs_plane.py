@@ -1,6 +1,6 @@
-"""Tests for the observability plane: the ``/trace`` span list, statement
-digests, and the hardened admin endpoints that serve them, end to end
-over HTTP on a one-node server."""
+"""Tests for the observability plane: statement digests and the hardened
+admin endpoints that serve them, end to end over HTTP on a one-node
+server."""
 
 from __future__ import annotations
 
@@ -13,15 +13,13 @@ import pytest
 from repro.core.system import QbismSystem
 from repro.db.sql import Prepared, parse
 from repro.errors import ReproError, SqlSyntaxError
-from repro.obs import digest, metrics, promtext, qlog, recorder, trace
+from repro.obs import digest, metrics, promtext, qlog, recorder
 from repro.obs.recorder import QueryRecord
 from repro.server import QueryServer
 
 @pytest.fixture(autouse=True)
 def clean_obs():
     def scrub():
-        trace.disable()
-        trace.reset()
         metrics.reset()
         recorder.enable()
         recorder.reset()
@@ -51,41 +49,6 @@ def _counter_total(families: dict, family: str) -> float:
         return 0.0
     return sum(value for name, _, value in families[family]["samples"]
                if name == family)
-
-
-# --------------------------------------------------------------------- #
-# trace export
-# --------------------------------------------------------------------- #
-
-class TestTraceEndpoint:
-    def test_serves_chrome_and_jsonl(self, system):
-        """The name predates the Chrome/JSONL exporters' removal:
-        ``/trace/<id>`` now serves the span records as one JSON list."""
-        trace.enable()
-        with QueryServer(system.db, workers=1) as server:
-            admin = server.start_admin()
-            with server.connect(name="tracer") as session:
-                session.execute("select count(*) from warpedVolume")
-            trace_id = trace.records()[-1].trace_id
-            status, body = _get(f"{admin.url}/trace/{trace_id}")
-            assert status == 200
-            spans = json.loads(body)
-            assert {s["trace_id"] for s in spans} == {trace_id}
-            ids = {s["span_id"] for s in spans}
-            for span in spans:
-                assert span["start_us"] >= 0 and span["wall_us"] >= 0
-                assert span["parent_id"] is None or span["parent_id"] in ids
-                assert span["meta"]["session"] == "tracer"
-            # The statement's span tree, then the result shipped after it.
-            roots = [s for s in spans if s["parent_id"] is None]
-            assert [s["name"] for s in roots] == ["server.execute", "rpc.send"]
-            assert roots[0]["start_us"] == 0.0
-            assert [s["name"] for s in spans
-                    if s["parent_id"] == roots[0]["span_id"]] \
-                == ["executor.statement"]
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _get(f"{admin.url}/trace/no-such-trace")
-            assert excinfo.value.code == 404
 
 
 # --------------------------------------------------------------------- #
@@ -237,13 +200,14 @@ class TestAdminHardening:
                 _get(admin.url + "/nope")
             assert excinfo.value.code == 404
             routes = json.loads(excinfo.value.read())["routes"]
-            for route in ("/digests", "/trace/<trace_id>"):
-                assert route in routes
-            assert "/cluster/healthz" not in routes
-            for gone in ("/cluster/healthz", "/alerts"):
+            assert "/digests" in routes
+            assert not [r for r in routes
+                        if r.startswith(("/cluster", "/trace"))]
+            for gone in ("/cluster/healthz", "/alerts", "/trace/x"):
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
                     _get(admin.url + gone)
                 assert excinfo.value.code == 404
+                assert json.loads(excinfo.value.read())["routes"] == routes
 
 class TestQlogSlowOnlyErrors:
     def test_errored_statement_logged_despite_slow_only(self, system,
@@ -267,14 +231,13 @@ class TestQlogSlowOnlyErrors:
 
 class TestAdminAcceptance:
     def test_metrics_digests_trace_and_incidents(self, system):
-        """/metrics, /digests, /queries/recent, /trace and /incidents
-        over HTTP, and the digest row joined to its records by id."""
-        trace.enable()
+        """/metrics, /digests, /queries/recent and /incidents over HTTP,
+        and the digest row joined to its records by id."""
         with QueryServer(system.db, workers=1, result_cache=False) as server:
             admin = server.start_admin()
             with server.connect(name="acceptance") as session:
                 session.execute("select count(*) from warpedVolume")
-                trace_id = trace.records()[-1].trace_id
+                trace_id = recorder.get_recorder().recent(1)[0].trace_id
                 session.execute("select count(*) from warpedVolume")
                 with pytest.raises(ReproError):
                     session.execute("select noSuchColumn from patient")
@@ -299,14 +262,6 @@ class TestAdminAcceptance:
             assert len(records) == 2
             assert {r["session"] for r in records} == {"acceptance"}
             assert trace_id in {r["trace_id"] for r in records}
-
-            # /trace/<id>: the first run's span tree under server.execute.
-            status, body = _get(f"{admin.url}/trace/{trace_id}")
-            spans = json.loads(body)
-            (root,) = [s for s in spans if s["name"] == "server.execute"]
-            assert root["parent_id"] is None
-            assert "executor.statement" in {
-                s["name"] for s in spans if s["parent_id"] == root["span_id"]}
 
             # The errored statement left a query.error incident.
             status, body = _get(admin.url + "/incidents")
