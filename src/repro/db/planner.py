@@ -32,6 +32,18 @@ take a heuristic order instead) and ``"naive"`` (FROM-order join,
 original conjunct order, no spatial probes, no derived conjunct — the
 baseline the plan-equivalence suite holds the optimizer against).  Both
 carry row estimates, so EXPLAIN always shows estimated rows per operator.
+
+A planning call computes what its block's choices read, in one code path
+for both modes.  Each conjunct's facts come from one walk of it.  A join
+level — a table joined after a set of placed ones — is priced once
+(:meth:`_PlannerState.level_model`): its run-ordered conjuncts, index
+probe, spatial probe, bucket key and row estimate go into the call's
+level table, where the DP finds them and the plan reads the levels of the
+order it chose.  Only a DP reads costs, so only then are the conjuncts'
+evaluation costs (and the LONGFIELD page averages behind them) computed.
+A one-table block, like any block without a DP, prices each level of its
+FROM order once, at the plan: conjunct facts, one level, no costs, and —
+without a ``col = col`` conjunct — no equality closure.
 """
 
 from __future__ import annotations
@@ -65,7 +77,6 @@ __all__ = [
     "plan_select",
     "conjuncts_of",
     "columns_in",
-    "contains_subquery",
     "PLANNER_MODES",
 ]
 
@@ -106,36 +117,30 @@ def conjuncts_of(expr: Expr | None) -> list[Expr]:
 def columns_in(expr: Expr) -> list[ColumnRef]:
     """Column references in an expression (subquery internals excluded)."""
     found: list[ColumnRef] = []
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, ColumnRef):
-            found.append(node)
-        elif isinstance(node, BinOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, FuncCall):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, InSubquery):
-            walk(node.value)
-
-    walk(expr)
+    _walk(expr, found)
     return found
 
 
-def contains_subquery(expr: Expr) -> bool:
-    """Does the expression embed a nested query block?"""
-    if isinstance(expr, (Subquery, InSubquery, Exists)):
+def _walk(node: Expr, found: list[ColumnRef]) -> bool:
+    """Append the expression's column references, left to right and
+    subquery internals excluded, to ``found``; True when it embeds a
+    nested query block."""
+    if isinstance(node, ColumnRef):
+        found.append(node)
+        return False
+    if isinstance(node, BinOp):
+        return _walk(node.left, found) | _walk(node.right, found)
+    if isinstance(node, UnaryOp):
+        return _walk(node.operand, found)
+    if isinstance(node, FuncCall):
+        nested = False
+        for arg in node.args:
+            nested |= _walk(arg, found)
+        return nested
+    if isinstance(node, InSubquery):
+        _walk(node.value, found)
         return True
-    if isinstance(expr, BinOp):
-        return contains_subquery(expr.left) or contains_subquery(expr.right)
-    if isinstance(expr, UnaryOp):
-        return contains_subquery(expr.operand)
-    if isinstance(expr, FuncCall):
-        return any(contains_subquery(arg) for arg in expr.args)
-    return False
+    return isinstance(node, (Subquery, Exists))
 
 
 @dataclass
@@ -183,6 +188,8 @@ def _fmt_est(value: float) -> str:
 #: sentinel binding for columns resolved in an enclosing query block:
 #: from this block's perspective they are constants, bound before level 0.
 OUTER = "<outer>"
+#: what a constant reads: an outer column at most
+_CONSTANT = frozenset({OUTER})
 
 
 def plan_select(
@@ -200,65 +207,42 @@ def plan_select(
     """
     if mode not in PLANNER_MODES:
         raise CatalogError(f"unknown planner mode {mode!r}")
-    state = _PlannerState(select, catalog, blocks[id(select)])
-    if mode == "naive":
-        order = list(select.tables)
+    state = _PlannerState(select, catalog, blocks[id(select)], mode)
+    if state.priced:
+        order = _cost_order(select, state)
+    elif mode == "cost" and len(select.tables) > _DP_LIMIT:
+        order = _greedy_order(select, state.needs)
     else:
-        state.close_equalities()
-        if len(select.tables) > _DP_LIMIT:
-            order = _greedy_order(select, state.needs)
-        else:
-            order = _cost_order(select, state)
+        order = list(select.tables)
 
-    # Per level: the conjuncts first fully bound there (cost mode runs the
-    # cheap ones first, naive keeps the original order); an index probe on
-    # an equality against earlier-bound values, else (cost mode) a spatial
-    # probe for a region-intersection predicate over an indexed LONGFIELD
-    # column; the bucket key — the index probe and (cost mode, no spatial
-    # probe) every ``col = constant``; and the row estimate (every mode:
-    # EXPLAIN always shows it).
-    level_predicates: list[list[Expr]] = []
-    index_probes: list[tuple[str, Expr] | None] = []
-    spatial_probes: list[tuple[str, Expr] | None] = []
-    equal_keys: list[tuple[tuple[str, Expr], ...]] = []
-    est_rows: list[float] = []
+    # The DP priced every level of the order it chose at the estimate
+    # flowing into it; any other plan prices its levels here.
+    levels: list[_Level] = []
     placed: frozenset[str] = frozenset()
     est = 1.0
     for ref in order:
-        preds = state.level_conjuncts(placed, ref.binding)
-        if mode == "cost":
-            preds = state.run_order(preds)
-        earlier = placed | {OUTER}
-        chosen = state.index_probe(preds, ref.binding, earlier)
-        spatial, keys = None, ()
-        if mode == "cost":
-            if chosen is None:
-                spatial = state.spatial_probe(preds, ref.binding, earlier)
-            if spatial is None:
-                keys = state.equal_keys(preds, ref.binding)
-        if chosen is not None and chosen not in keys:
-            keys = (chosen,) + keys
-        _, est = state.level_model(placed, ref.binding, est, mode == "cost")
-        level_predicates.append(preds)
-        index_probes.append(chosen)
-        spatial_probes.append(spatial)
-        equal_keys.append(keys)
-        est_rows.append(est)
+        level = (state.levels.get((placed, ref.binding))
+                 or state.level_model(placed, ref.binding, est))
+        levels.append(level)
+        est = level.est
         placed = placed | {ref.binding}
-    est_out = _output_estimate(select, est)
 
     return Plan(
-        select, order, level_predicates, index_probes,
-        spatial_probes, equal_keys, est_rows, est_out, mode,
+        select, order, [level.preds for level in levels],
+        [level.index_probe for level in levels],
+        [level.spatial_probe for level in levels],
+        [level.equal_keys for level in levels],
+        [level.est for level in levels], _output_estimate(select, est), mode,
     )
 
 
 class _Facts(NamedTuple):
-    """What planning needs of one conjunct, derived once per planning call:
-    its cost bucket (0 = scalar, 1 = LFM-touching, 2 = subquery-bearing),
-    the cost of one evaluation, its selectivity, whether it reads more than
-    one table of the block, and the keys (:meth:`_PlannerState._probe_keys`)
-    a ``col = value`` conjunct offers an index probe or a bucket and an
+    """What planning needs of one conjunct, derived once per planning call
+    from one walk of it: its cost bucket (0 = scalar, 1 = LFM-touching,
+    2 = subquery-bearing), the cost of one evaluation (0 unless a DP will
+    read it), its selectivity, whether it reads more than one table of the
+    block, and the keys (:meth:`_PlannerState._probe_keys`) a
+    ``col = value`` conjunct offers an index probe or a bucket and an
     ``intersection`` filter a spatial probe."""
 
     bucket: int
@@ -269,16 +253,38 @@ class _Facts(NamedTuple):
     spatial_keys: tuple
 
 
+class _Level(NamedTuple):
+    """One join level, ``binding`` joined after a placed set: its
+    conjuncts in the order the plan runs them, its index probe, its
+    spatial probe (cost mode, no index probe), its bucket key (the index
+    probe and, cost mode without a spatial probe, every
+    ``col = constant``), its cost (a DP's only) and its row estimate."""
+
+    preds: list[Expr]
+    index_probe: tuple[str, Expr] | None
+    spatial_probe: tuple[str, Expr] | None
+    equal_keys: tuple[tuple[str, Expr], ...]
+    cost: float
+    est: float
+
+
 class _PlannerState:
     """Shared estimation state for one planning call."""
 
-    def __init__(self, select: Select, catalog: Catalog, block: Block):
+    def __init__(self, select: Select, catalog: Catalog, block: Block, mode: str):
         #: ``(qualifier, name)`` -> ``(depth, binding, position)``
         self.columns = block.columns
         #: binding (alias) -> its table
         self.tables = {ref.binding: catalog.table(ref.name) for ref in select.tables}
         #: binding -> fresh TableStats or None
         self.stats = {binding: table.fresh_stats() for binding, table in self.tables.items()}
+        self.mode = mode
+        #: a DP chooses the join order, so level costs are wanted
+        self.priced = mode == "cost" and 1 < len(self.tables) <= _DP_LIMIT
+        #: ``(placed, binding)`` -> its :class:`_Level`, priced once
+        self.levels: dict[tuple[frozenset[str], str], _Level] = {}
+        #: some conjunct equates two of the block's own columns
+        self.ties = False
         # For each conjunct, the set of bindings it needs.  Conjuncts
         # embedding a nested query block are held until everything is
         # bound (the block may sit under outer-column comparisons).
@@ -288,38 +294,51 @@ class _PlannerState:
         self._facts: dict[int, _Facts] = {}
         for conjunct in conjuncts_of(select.where):
             self._add(conjunct)
+        if mode == "cost":
+            self.close_equalities()
 
     def _add(self, conjunct: Expr) -> None:
         """Record a conjunct: the bindings it needs and its facts."""
-        if contains_subquery(conjunct):
+        columns: list[ColumnRef] = []
+        if _walk(conjunct, columns):
             used = frozenset(self.tables)
             facts = _Facts(2, _SUBQUERY_COST, _DEFAULT_OTHER_SEL, len(used) > 1, (), ())
         else:
-            columns = columns_in(conjunct)
-            used = frozenset(
-                binding for col in columns if (binding := self.resolve(col)) != OUTER)
-            pages = [self._region_pages(*field) for field in self._longfields(columns)]
-            equality_keys = ()
+            sides = [self.columns[col.qualifier, col.name] for col in columns]
+            owners = [OUTER if depth else binding for depth, binding, _ in sides]
+            used = frozenset(owners) - {OUTER}
+            # (binding, position) of each LONGFIELD column, in first-use order
+            fields = dict.fromkeys(
+                (binding, position) for depth, binding, position in sides
+                if not depth and self.tables[binding].schema.columns[position]
+                .sql_type is SqlType.LONGFIELD)
+            equality_keys = spatial_keys = ()
             if isinstance(conjunct, BinOp) and conjunct.op == "=":
-                equality_keys = self._probe_keys(conjunct.left, conjunct.right)
-            inner = _intersection_filter(conjunct)
-            facts = _Facts(
-                int(bool(pages)), _CPU_TUPLE + sum(pages) * _PAGE_COST,
-                self._selectivity(conjunct), len(used) > 1, equality_keys,
-                self._probe_keys(*inner.args) if inner else ())
+                equality_keys = self._probe_keys(conjunct.left, conjunct.right, owners)
+                self.ties |= len(equality_keys) == 2 and OUTER not in owners
+            elif (inner := _intersection_filter(conjunct)) is not None:
+                spatial_keys = self._probe_keys(*inner.args, owners)
+            cost = 0.0
+            if self.priced:
+                pages = [self._region_pages(*field) for field in fields]
+                cost = _CPU_TUPLE + sum(pages) * _PAGE_COST
+            facts = _Facts(int(bool(fields)), cost, self._selectivity(conjunct),
+                           len(used) > 1, equality_keys, spatial_keys)
         self.needs.append((conjunct, used))
         self._facts[id(conjunct)] = facts
 
-    def _probe_keys(self, a: Expr, b: Expr) -> tuple:
+    @staticmethod
+    def _probe_keys(a: Expr, b: Expr, owners: list[str]) -> tuple:
         """``(binding, column, other side, bindings the other side reads)``
         for each way round (``a`` first) that one of the two expressions is
-        a column reference."""
-        return tuple(
-            (self.resolve(col), col.name, value,
-             frozenset(self.resolve(c) for c in columns_in(value)))
-            for col, value in ((a, b), (b, a))
-            if isinstance(col, ColumnRef)
-        )
+        a column reference; ``owners`` are the bindings of the column
+        references of ``a`` and then ``b``."""
+        keys = []
+        if isinstance(a, ColumnRef):
+            keys.append((owners[0], a.name, b, frozenset(owners[1:])))
+        if isinstance(b, ColumnRef):
+            keys.append((owners[-1], b.name, a, frozenset(owners[:-1])))
+        return tuple(keys)
 
     def close_equalities(self) -> None:
         """Derive ``col = const`` for every column a chain of ``col = col``
@@ -331,7 +350,11 @@ class _PlannerState:
         constant.  A join conjunct inside such a class then filters
         nothing its two sides' constant filters have not: its
         selectivity becomes 1, or the estimate would count it twice.
+        Without a ``col = col`` conjunct every class is one column, so
+        there is nothing to derive and nothing to reprice.
         """
+        if not self.ties:
+            return
         parent: dict[tuple[str, str], tuple[str, str]] = {}
 
         def find(key):
@@ -371,48 +394,11 @@ class _PlannerState:
                 facts = self._facts[id(conjunct)]
                 self._facts[id(conjunct)] = facts._replace(selectivity=1.0)
 
-    def resolve(self, ref: ColumnRef) -> str:
-        """The binding (alias) a column reference belongs to, or
-        :data:`OUTER` when the binder resolved it in an enclosing block."""
-        depth, binding, _ = self.columns[ref.qualifier, ref.name]
-        return OUTER if depth else binding
-
-    # ---------------------------------------------------------------- #
-    # predicate classification
-    # ---------------------------------------------------------------- #
-
-    def level_conjuncts(self, placed: frozenset[str], binding: str) -> list[Expr]:
-        """Conjuncts first evaluable once ``binding`` joins ``placed``."""
-        bound = placed | {binding}
-        return [conjunct for conjunct, used in self.needs
-                if used <= bound and (not placed or not used <= placed)]
-
-    def _longfields(self, columns: list[ColumnRef]) -> dict[tuple[str, int], None]:
-        """``(binding, position)`` of each LONGFIELD column of this block
-        among ``columns``, in first-use order."""
-        found = {}
-        for col in columns:
-            side = self._column_side(col)
-            if side is not None:
-                binding, position = side
-                if self.tables[binding].schema.columns[position].sql_type is SqlType.LONGFIELD:
-                    found[side] = None
-        return found
-
     def _region_pages(self, owner: str, position: int) -> float:
         """Pages one read of that LONGFIELD column is expected to cost."""
         stats = self.stats[owner]
         avg = stats.avg_region_pages(position) if stats else None
         return avg if avg is not None else _DEFAULT_REGION_PAGES
-
-    def run_order(self, conjuncts: list[Expr]) -> list[Expr]:
-        """One level's conjuncts in the order a cost plan evaluates them:
-        scalar before LFM-touching before subquery-bearing, and within
-        each, single-table filters before join filters — so every cheap
-        test gates the dearer ones behind it."""
-        facts = self._facts
-        return sorted(
-            conjuncts, key=lambda c: (facts[id(c)].bucket, facts[id(c)].spans))
 
     # ---------------------------------------------------------------- #
     # selectivity estimation
@@ -499,91 +485,98 @@ class _PlannerState:
         return _DEFAULT_RANGE_SEL
 
     # ---------------------------------------------------------------- #
-    # access paths
-    # ---------------------------------------------------------------- #
-
-    @staticmethod
-    def _probe_sides(keys: tuple, binding: str,
-                     earlier: set[str]) -> tuple[str, Expr] | None:
-        """``(column, other side)`` of the first of a conjunct's probe keys
-        whose column is of ``binding`` and whose other side reads only
-        ``earlier`` ones."""
-        for owner, column, value, reads in keys:
-            if owner == binding and reads <= earlier:
-                return column, value
-        return None
-
-    def index_probe(self, conjuncts: list[Expr], binding: str,
-                    earlier: set[str]) -> tuple[str, Expr] | None:
-        """First usable (indexed column, probe expression) of the level:
-        ``col = value`` over an indexed column of ``binding``."""
-        table = self.tables[binding]
-        for conjunct in conjuncts:
-            probe = self._probe_sides(
-                self._facts[id(conjunct)].equality_keys, binding, earlier)
-            if probe and table.has_index(probe[0]):
-                return probe
-        return None
-
-    def equal_keys(self, conjuncts: list[Expr],
-                   binding: str) -> tuple[tuple[str, Expr], ...]:
-        """(column, constant) of each ``col = constant`` conjunct over a
-        column of ``binding``, where a constant is a literal, a parameter
-        or an outer column: evaluated once per entry to the level."""
-        probes = (self._probe_sides(self._facts[id(c)].equality_keys, binding, {OUTER})
-                  for c in conjuncts)
-        return tuple(p for p in probes if p and isinstance(p[1], (Literal, Param, ColumnRef)))
-
-    def spatial_probe(self, conjuncts: list[Expr], binding: str,
-                      earlier: set[str]) -> tuple[str, Expr] | None:
-        """First usable (region column, probe expression) of the level."""
-        table = self.tables[binding]
-        for conjunct in conjuncts:
-            probe = self._probe_sides(
-                self._facts[id(conjunct)].spatial_keys, binding, earlier)
-            if probe:
-                index = table.spatial_index_on(probe[0])
-                if index is not None and index.probe_safe(table):
-                    return probe
-        return None
-
-    # ---------------------------------------------------------------- #
-    # per-level cost/estimate
+    # per-level access path, cost and estimate
     # ---------------------------------------------------------------- #
 
     def level_model(self, placed: frozenset[str], binding: str,
-                    est_in: float, use_spatial: bool) -> tuple[float, float]:
-        """``(cost, est_out)`` of joining ``binding`` after ``placed``.
+                    est_in: float) -> _Level:
+        """Price joining ``binding`` after ``placed``, once: the level goes
+        into :attr:`levels`, where the plan reads it.
 
-        ``est_in`` is the (clamped) estimate of rows flowing in.  Cost is
-        iterations x (binding CPU + short-circuit-weighted predicate
-        cost); predicates are charged in the order the plan will run
-        them — cheap buckets first, each discounted by the selectivity of
-        the predicates before it.
+        The level's conjuncts are those first fully bound there.  A cost
+        plan runs them scalar before LFM-touching before subquery-bearing,
+        and within each, single-table filters before join filters — so
+        every cheap test gates the dearer ones behind it; a naive plan
+        keeps WHERE order.  In that order, the index probe is the first
+        ``col = value`` over an indexed column of ``binding`` whose value
+        reads only earlier bindings; a cost plan without one takes the
+        first such region-intersection filter over a probe-safe spatial
+        index; and a cost plan without a spatial probe keys its bucket on
+        each ``col = constant`` (a literal, a parameter or an outer
+        column: evaluated once per entry to the level).
+
+        ``est_in`` is the (clamped) estimate of rows flowing in; the
+        estimate applies the selectivities in cost-plan order in both
+        modes.  The cost, read only by the DP, is iterations x (binding
+        CPU + short-circuit-weighted predicate cost), each predicate
+        discounted by the selectivity of those before it.
         """
+        facts = self._facts
         table = self.tables[binding]
-        exprs = self.level_conjuncts(placed, binding)
-        earlier = set(placed) | {OUTER}
-        examined = float(table.row_count)
-        probe = self.index_probe(exprs, binding, earlier)
+        bound = placed | {binding}
+        exprs = [conjunct for conjunct, used in self.needs
+                 if used <= bound and (not placed or not used <= placed)]
+        ordered = sorted(
+            exprs, key=lambda c: (facts[id(c)].bucket, facts[id(c)].spans))
+        cost_mode = self.mode == "cost"
+        preds = ordered if cost_mode else exprs
+        earlier = placed | {OUTER}
+        probe = spatial = None
+        keys: list[tuple[str, Expr]] = []
+        for conjunct in preds:
+            found = facts[id(conjunct)]
+            side = _probe_side(found.equality_keys, binding, earlier)
+            if probe is None and side and table.has_index(side[0]):
+                probe = side
+            if not cost_mode:
+                continue
+            side = _probe_side(found.equality_keys, binding, _CONSTANT)
+            if side and isinstance(side[1], (Literal, Param, ColumnRef)):
+                keys.append(side)
+            side = _probe_side(found.spatial_keys, binding, earlier)
+            if spatial is None and side:
+                index = table.spatial_index_on(side[0])
+                if index is not None and index.probe_safe(table):
+                    spatial = side
         if probe is not None:
-            nd = self._n_distinct(binding, table.schema.position(probe[0]))
-            examined = min(examined, max(1.0, table.row_count / nd))
-        elif use_spatial and self.spatial_probe(exprs, binding, earlier):
-            examined = min(
-                examined,
-                max(1.0, table.row_count * _SPATIAL_CANDIDATE_FRACTION),
-            )
-        cost = est_in * examined * _CPU_TUPLE
-        running = 1.0
+            spatial = None
+        keys = () if spatial else tuple(keys)
+        if probe is not None and probe not in keys:
+            keys = (probe,) + keys
         raw = est_in * table.row_count
-        for conjunct in self.run_order(exprs):
-            facts = self._facts[id(conjunct)]
-            cost += est_in * examined * running * facts.cost
-            running *= facts.selectivity
-            raw *= facts.selectivity
-        est_out = 0.0 if raw == 0 else max(1.0, raw)
-        return cost, est_out
+        for conjunct in ordered:
+            raw *= facts[id(conjunct)].selectivity
+        cost = 0.0
+        if self.priced:
+            examined = float(table.row_count)
+            if probe is not None:
+                nd = self._n_distinct(binding, table.schema.position(probe[0]))
+                examined = min(examined, max(1.0, table.row_count / nd))
+            elif spatial is not None:
+                examined = min(
+                    examined,
+                    max(1.0, table.row_count * _SPATIAL_CANDIDATE_FRACTION),
+                )
+            cost = est_in * examined * _CPU_TUPLE
+            running = 1.0
+            for conjunct in ordered:
+                cost += est_in * examined * running * facts[id(conjunct)].cost
+                running *= facts[id(conjunct)].selectivity
+        level = _Level(preds, probe, spatial, keys, cost,
+                       0.0 if raw == 0 else max(1.0, raw))
+        self.levels[placed, binding] = level
+        return level
+
+
+def _probe_side(keys: tuple, binding: str,
+                earlier: frozenset[str]) -> tuple[str, Expr] | None:
+    """``(column, other side)`` of the first of a conjunct's probe keys
+    whose column is of ``binding`` and whose other side reads only
+    ``earlier`` ones."""
+    for owner, column, value, reads in keys:
+        if owner == binding and reads <= earlier:
+            return column, value
+    return None
 
 
 def _flip(op: str) -> str:
@@ -650,8 +643,6 @@ def _cost_order(select: Select, state: _PlannerState) -> list[TableRef]:
     """
     tables = list(select.tables)
     n = len(tables)
-    if n <= 1:
-        return tables
     # mask -> (cost, order_indices, est)
     best: dict[int, tuple[float, tuple[int, ...], float]] = {
         0: (0.0, (), 1.0)
@@ -665,10 +656,8 @@ def _cost_order(select: Select, state: _PlannerState) -> list[TableRef]:
             bit = 1 << i
             if mask & bit:
                 continue
-            step_cost, step_est = state.level_model(
-                placed, tables[i].binding, est, use_spatial=True
-            )
-            candidate = (cost + step_cost, order + (i,), step_est)
+            level = state.level_model(placed, tables[i].binding, est)
+            candidate = (cost + level.cost, order + (i,), level.est)
             incumbent = best.get(mask | bit)
             if incumbent is None or (candidate[0], candidate[1]) < (
                 incumbent[0], incumbent[1]
@@ -679,8 +668,9 @@ def _cost_order(select: Select, state: _PlannerState) -> list[TableRef]:
 
 
 def _intersection_filter(conjunct: Expr) -> FuncCall | None:
-    """The ``intersection(a, b)`` call of a conjunct shaped
-    ``voxelCount(intersection(a, b)) > 0`` (or its mirror image).
+    """The ``intersection(a, b)`` call of a conjunct (one with no nested
+    query block) shaped ``voxelCount(intersection(a, b)) > 0`` (or its
+    mirror image).
 
     The shape is exactly the paper's region-intersection filter; the
     executor turns it into a spatial-index candidate lookup and still runs the
@@ -701,6 +691,6 @@ def _intersection_filter(conjunct: Expr) -> FuncCall | None:
         return None
     inner = call.args[0]
     if (isinstance(inner, FuncCall) and inner.name.lower() == "intersection"
-            and len(inner.args) == 2 and not contains_subquery(inner)):
+            and len(inner.args) == 2):
         return inner
     return None

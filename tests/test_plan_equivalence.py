@@ -525,6 +525,120 @@ class TestConjunctFactsOnce:
         assert len(resolved) == 13  # the statement's column references
 
 
+class TestPlanInProportion:
+    """A planning call computes what its block's choices read: a join
+    level is priced once, by the DP when one runs, and the plan reads that
+    pricing; evaluation costs are the DP's alone; the equality closure
+    runs only over a ``col = col`` conjunct.  ``sqlite3`` over the same
+    rows is the oracle for the small tables."""
+
+    @pytest.fixture
+    def levels(self, monkeypatch):
+        """Every ``(placed, binding)`` the planner prices, with its level."""
+        from repro.db import planner
+
+        priced = []
+        original = planner._PlannerState.level_model
+
+        def counting(self, placed, binding, *args, **kwargs):
+            level = original(self, placed, binding, *args, **kwargs)
+            priced.append(((placed, binding), level))
+            return level
+
+        monkeypatch.setattr(planner._PlannerState, "level_model", counting)
+        return priced
+
+    @pytest.fixture
+    def pair(self):
+        """Makes a database and a ``sqlite3`` one holding the same rows."""
+        import sqlite3
+
+        from repro.db import Database
+
+        made = []
+
+        def make(tables, indexes=()):
+            db, lite = Database(), sqlite3.connect(":memory:")
+            made.append(lite)
+            for name, (columns, rows) in tables.items():
+                marks = ", ".join("?" * len(rows[0]))
+                for target in (db.execute, lite.execute):
+                    target(f"create table {name} ({columns})")
+                db.executemany(f"insert into {name} values ({marks})", rows)
+                lite.executemany(f"insert into {name} values ({marks})", rows)
+            for statement in indexes:
+                db.execute(statement)
+            db.execute("analyze")
+            return db, lite
+
+        yield make
+        for lite in made:
+            lite.close()
+
+    def test_one_table_prices_one_level_and_reads_no_region_pages(
+            self, system, levels, monkeypatch):
+        from repro.db import planner
+
+        pages = []
+        original = planner._PlannerState._region_pages
+        monkeypatch.setattr(planner._PlannerState, "_region_pages",
+                            lambda self, *field: pages.append(field) or original(self, *field))
+        sql = "select structureId from atlasStructure where voxelCount(region) > 10"
+        for mode in ("cost", "naive"):
+            levels.clear()
+            _explain(system.db, sql, None, mode)
+            assert len(levels) == 1 and pages == []
+
+    def test_each_join_level_is_priced_once_and_the_plan_adds_none(
+            self, system, levels):
+        sql = (
+            "select wv.studyId from warpedVolume wv, atlasStructure s,"
+            " neuralStructure ns, patient p, rawVolume rv"
+            " where s.structureId = ns.structureId and wv.studyId = rv.studyId"
+            " and rv.patientId = p.patientId and p.age > 30"
+            " and ns.structureName = 'ntal1' and wv.atlasId = s.atlasId"
+        )
+        _explain(system.db, sql, None)
+        keys = [key for key, _ in levels]
+        # the DP extends every subset of the five tables by each table
+        # outside it: 5 * 2^4 levels, none twice, and the plan prices none
+        assert len(keys) == len(set(keys)) == 5 * 2 ** 4
+
+    @pytest.mark.parametrize("planner", ["cost", "naive"])
+    def test_a_column_equality_still_derives_its_constant(self, pair, planner):
+        db, lite = pair(
+            {"t": ("a integer, b integer", [(k % 3, k % 2) for k in range(12)])})
+        sql = "select a, b from t where a = b and b = 1"
+        expected = sorted(lite.execute(sql).fetchall())
+        assert expected
+        assert sorted(db.execute(sql, planner=planner).rows) == expected
+        derived = {"cost": 3, "naive": 2}[planner]
+        assert f"[{derived} predicate(s)]" in _explain(db, sql, None, planner)
+
+    def test_the_dp_prices_the_probe_the_plan_takes(self, pair, levels):
+        """``t.b = u.k`` comes first in WHERE but runs after the
+        single-table ``t.a = 5``, so the run-ordered level probes ``a``:
+        the DP prices that probe (it once priced ``b`` and so placed ``t``
+        first), and EXPLAIN shows it."""
+        db, lite = pair(
+            {"u": ("k integer", [(k,) for k in range(3)]),
+             "t": ("a integer, b integer", [(k % 7, k % 5) for k in range(40)])},
+            ["create index ta on t (a)", "create index tb on t (b)"])
+        sql = "select t.a, t.b, u.k from u, t where t.b = u.k and t.a = 5"
+        expected = sorted(lite.execute(sql).fetchall())
+        assert expected
+        for planner in ("cost", "naive"):
+            assert sorted(db.execute(sql, planner=planner).rows) == expected
+        levels.clear()
+        assert _explain(db, sql, None).splitlines() == [
+            "scan u (est rows=3)",
+            "  probe t via index(a) [2 predicate(s)] (est rows=3)",
+        ]
+        priced = dict(levels)[frozenset({"u"}), "t"]
+        assert priced.index_probe[0] == "a"
+        assert "probe t via index(b)" in _explain(db, sql, None, "naive")
+
+
 class TestPlansAndDigestsPinned:
     """What the front end makes of the seeded generator's statements,
     pinned: the EXPLAIN text of every statement under both planner modes
