@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from repro.db.catalog import Catalog
-from repro.db.functions import ExecutionContext, FunctionRegistry
+from repro.db.functions import ExecutionContext, FunctionRegistry, decode_region
 from repro.db.planner import Plan, plan_select
 from repro.db.schema import Column, TableSchema
 from repro.db.semantic import AGGREGATES, Block
@@ -48,7 +48,6 @@ from repro.db.sql.ast import (
 from repro.db.types import SqlType
 from repro.errors import ExecutionError, SqlTypeError
 from repro.obs import metrics, recorder
-from repro.regions.region import Region
 
 __all__ = ["ResultSet", "Executor"]
 
@@ -731,7 +730,7 @@ class Executor:
         if value is None:
             return None
         try:
-            region = Region.from_bytes(run.ctx.read_longfield(value))
+            region = decode_region(run.ctx.read_longfield(value))
         except Exception:  # qblint: disable=no-broad-except
             return None  # any read/decode failure: defer to the plain scan
         if not region.voxel_count:

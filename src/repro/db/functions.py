@@ -11,11 +11,13 @@ paper's CPU-time columns.
 from __future__ import annotations
 
 import inspect
+import threading
 from dataclasses import dataclass, field
 
 from repro.db.types import SqlType
 from repro.errors import CatalogError, ExecutionError
-from repro.obs import recorder
+from repro.obs import metrics, recorder
+from repro.regions.region import Region
 from repro.storage.lfm import LongField, LongFieldManager
 
 __all__ = [
@@ -27,8 +29,43 @@ __all__ = [
     "WorkCounters",
     "builtin_functions",
     "builtin_signatures",
+    "decode_region",
     "signature_from_callable",
 ]
+
+#: query-time REGION decodes, payload bytes -> :class:`Region` (see
+#: :mod:`repro.db.spatial`); a full memo starts over, as ``Region``'s header
+#: table does, and hits read it without the lock.
+_DECODED: dict[bytes, Region] = {}
+_DECODED_MAX = 8 << 20
+_decoded_bytes = 0  # guarded_by: _DECODED_LOCK
+_DECODED_LOCK = threading.Lock()
+
+
+def decode_region(payload: bytes) -> Region:
+    """``Region.from_bytes(payload)``, decoded once per distinct payload.
+
+    Only a payload that decodes enters the memo: a corrupt one raises the
+    same error on every call."""
+    global _decoded_bytes
+    region = _DECODED.get(payload)
+    if region is not None:
+        metrics.counter("regions.decode_memo.hits").inc()
+        return region
+    region = Region.from_bytes(payload)
+    metrics.counter("regions.decode_memo.misses").inc()
+    size = len(payload) + 16 * region.run_count
+    if size > _DECODED_MAX:
+        return region
+    with _DECODED_LOCK:
+        if _decoded_bytes + size > _DECODED_MAX:
+            _DECODED.clear()
+            _decoded_bytes = 0
+        held = _DECODED.setdefault(payload, region)
+        if held is region:
+            _decoded_bytes += size
+    return held
+
 
 #: argument type spec: any SQL type is acceptable
 ANY = None

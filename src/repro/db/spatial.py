@@ -19,6 +19,16 @@ or transient byte payloads).  ``extractVoxels`` is the early-filtering
 workhorse: it reads *only* the byte ranges of the requested runs from the
 volume's long field, so its disk cost scales with the answer, not with the
 study (the central claim of §6).
+
+A REGION argument is decoded through ``functions.decode_region``.  Every
+long-field read still happens and is counted page for page (the device
+stays unbuffered, like the paper's LFM); only the decode of a payload
+already seen is skipped.  The memo maps payload bytes to the decoded
+``Region`` (decoded values, not pages), so no entry can go stale.  It holds
+at most 8 MiB, each entry its payload bytes plus 16 B per run, and starts
+over when full.  The counters ``regions.decode_memo.hits`` and
+``regions.decode_memo.misses`` count its lookups.  Loads, ANALYZE and
+set-up decode with ``Region.from_bytes`` and never fill it.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.db.database import Database
-from repro.db.functions import NUMBER, ExecutionContext, FunctionSignature
+from repro.db.functions import NUMBER, ExecutionContext, FunctionSignature, decode_region
 from repro.db.stats import region_cell
 from repro.db.types import SqlType
 from repro.errors import ExecutionError
@@ -56,7 +66,7 @@ def store_region(db: Database, region: Region, codec: str = "naive") -> LongFiel
 
 
 def _load_region(ctx: ExecutionContext, value) -> Region:
-    region = Region.from_bytes(ctx.read_longfield(value))
+    region = decode_region(ctx.read_longfield(value))
     ctx.work.runs_processed += region.run_count
     return region
 

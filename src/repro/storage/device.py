@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import StorageError
-from repro.regions.intervals import IntervalSet
+from repro.regions.intervals import IntervalSet, concat_ranges
 
 __all__ = ["BlockDevice", "IOStats", "PAGE_SIZE", "attribute_io"]
 
@@ -279,6 +279,11 @@ class BlockDevice:
         the same 4 KiB page cost a single I/O.  This models the LFM reading
         the pages that hold a REGION's voxels.
         """
+        return self.read_ranges_accounted(starts, stops)[0]
+
+    def read_ranges_accounted(self, starts: np.ndarray, stops: np.ndarray) -> tuple:
+        """:meth:`read_ranges` and the ``(pages, extents, nbytes)`` it
+        accounted, which a wrapping WAL accounts without deriving again."""
         starts = np.asarray(starts, dtype=np.int64)
         stops = np.asarray(stops, dtype=np.int64)
         if starts.size:
@@ -292,13 +297,12 @@ class BlockDevice:
                 )
             self._check_range(int(starts.min()), 0)
             self._check_range(0, int(stops.max()))
+        span = _scatter_span(starts, stops)
         with self._lock:
-            self.stats.add_read(*_scatter_span(starts, stops))
-        from repro.regions.intervals import concat_ranges
-
+            self.stats.add_read(*span)
         view = np.frombuffer(memoryview(self._backing.buf), dtype=np.uint8)
         idx = concat_ranges(starts, stops)
-        return view[idx].tobytes()
+        return view[idx].tobytes(), span
 
     # ------------------------------------------------------------------ #
     # lifecycle

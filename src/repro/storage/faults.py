@@ -90,8 +90,8 @@ class FaultSchedule:
 class FaultyDevice:
     """A block-device wrapper that injects faults from a :class:`FaultSchedule`.
 
-    Duck-compatible with :class:`~repro.storage.device.BlockDevice`; after
-    the schedule crashes, every operation raises
+    Duck-compatible with :class:`~repro.storage.device.BlockDevice` as the
+    WAL uses one; after the schedule crashes, every operation raises
     :class:`~repro.errors.SimulatedCrash` — the machine is off.  The
     surviving on-disk bytes are harvested with :meth:`snapshot`, which
     models pulling the platter out of the wreck.
@@ -137,10 +137,10 @@ class FaultyDevice:
         self._check_up()
         return self.inner.read(offset, length)
 
-    def read_ranges(self, starts, stops) -> bytes:
-        """Batched read through to the wrapped device."""
+    def read_ranges_accounted(self, starts, stops) -> tuple:
+        """Batched read through, with the span the wrapped device accounted."""
         self._check_up()
-        return self.inner.read_ranges(starts, stops)
+        return self.inner.read_ranges_accounted(starts, stops)
 
     def write(self, offset: int, data: bytes) -> None:
         """Write through the fault schedule; may crash, tear, or corrupt."""

@@ -43,12 +43,10 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.concurrency import guarded_by, lockdep
 from repro.errors import StorageError, WalError
 from repro.obs import metrics, recorder
-from repro.storage.device import IOStats, _page_span, _scatter_span
+from repro.storage.device import IOStats, _page_span
 
 __all__ = ["WriteAheadLog", "RecoveryReport", "recover_journal", "WAL_VERSION"]
 
@@ -497,11 +495,9 @@ class WriteAheadLog:
 
     def read_ranges(self, starts, stops) -> bytes:
         """Scattered read from the data device (page-deduplicated)."""
-        starts = np.asarray(starts, dtype=np.int64)
-        stops = np.asarray(stops, dtype=np.int64)
-        data = self.device.read_ranges(starts, stops)  # validates + accounts
+        data, span = self.device.read_ranges_accounted(starts, stops)
         with self._stats_lock:
-            self.stats.add_read(*_scatter_span(starts, stops))
+            self.stats.add_read(*span)
         return data
 
     # ------------------------------------------------------------------ #

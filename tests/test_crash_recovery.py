@@ -32,6 +32,7 @@ from repro.db.database import Database
 from repro.db.persist import load_database, save_database
 from repro.errors import DatabaseError, SimulatedCrash, StorageError, WalError
 from repro.storage import (
+    PAGE_SIZE,
     BlockDevice,
     FaultSchedule,
     FaultyDevice,
@@ -510,6 +511,27 @@ class TestTransactions:
             assert wal.journal_stats.write_calls == 0  # nothing journaled yet
         assert wal.read(100, 11) == b"uncommitted"
         assert wal.journal_stats.write_calls == 1
+
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_a_scattered_read_is_accounted_once_on_each_side(self, faulty):
+        """The WAL's logical stats and the data device's get the same
+        span, and a rejected read reaches neither."""
+        schedule = FaultSchedule(seed=0, crash_after_writes=None) if faulty else None
+        wal, _, _ = build_stack(schedule, recover=False)
+        wal.write(0, PAYLOAD_B)
+        logical, data = wal.stats.copy(), wal.data_stats.copy()
+        starts = [10, 100, PAGE_SIZE + 5, 2 * PAGE_SIZE + 1]
+        stops = [20, 120, PAGE_SIZE + 6, 2 * PAGE_SIZE + 9]
+        assert wal.read_ranges(starts, stops) == b"".join(
+            PAYLOAD_B[start:stop] for start, stop in zip(starts, stops))
+        for after, before in ((wal.stats, logical), (wal.data_stats, data)):
+            delta = after - before
+            assert (delta.pages_read, delta.read_extents, delta.bytes_read,
+                    delta.read_calls) == (3, 1, 39, 1)
+        logical, data = wal.stats.copy(), wal.data_stats.copy()
+        with pytest.raises(StorageError):
+            wal.read_ranges([0], [CAPACITY + 1])
+        assert vars(wal.stats) == vars(logical) and vars(wal.data_stats) == vars(data)
 
     def test_rollback_journals_nothing(self):
         wal, _, _ = build_stack(recover=False)
