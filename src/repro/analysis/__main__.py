@@ -1,12 +1,10 @@
 """``python -m repro.analysis`` — the qblint command-line interface.
 
-``--concurrency`` adds the interprocedural lock-discipline pass
-(:mod:`repro.analysis.concurrency`) to the line rules; ``--baseline`` /
-``--write-baseline`` tolerate pre-existing debt while a new rule family
-rolls out (:mod:`repro.analysis.baseline`).
+One command runs the line rules and the interprocedural lock-discipline
+pass (:mod:`repro.analysis.concurrency`, the QB4xx codes) together.
 
 Exit status: 0 when the tree is clean, 1 when violations were found,
-2 on usage errors (bad path, unknown rule name, unreadable baseline).
+2 on usage errors (bad path, unknown rule name).
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
+from repro.analysis.concurrency import CONCURRENCY_CODES, analyze_paths
 from repro.analysis.engine import lint_paths
 from repro.analysis.report import render_json, render_text
 from repro.analysis.rules import ALL_RULES
@@ -32,14 +30,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format")
     parser.add_argument("--rule", action="append", default=None, metavar="NAME",
-                        help="run only the named rule (repeatable)")
-    parser.add_argument("--concurrency", action="store_true",
-                        help="also run the interprocedural concurrency pass "
-                             "(QB4xx: lock order, guarded state, txn scope)")
-    parser.add_argument("--baseline", metavar="FILE", default=None,
-                        help="tolerate violations recorded in this baseline")
-    parser.add_argument("--write-baseline", metavar="FILE", default=None,
-                        help="snapshot current violations to FILE and exit 0")
+                        help="run only the named line rule (repeatable); "
+                             "the QB4xx pass always runs")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
     args = parser.parse_args(argv)
@@ -47,13 +39,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.list_rules:
         for rule in ALL_RULES:
             print(f"{rule.name}: {rule.description}")
-        from repro.analysis.concurrency import CONCURRENCY_CODES
-
-        print("-- concurrency pass (--concurrency) --")
+        print("-- concurrency pass --")
         descriptions = {
             "QB401": "lock acquired against the declared hierarchy order",
             "QB411": "guarded attribute mutated without its lock",
             "QB412": "@guarded_by function called without its lock",
+            "QB413": "guarded_by comment that binds to no attribute or lock",
             "QB421": "transaction-scoped state touched outside a WAL txn",
             "QB422": "blocking call while an exclusive lock is held",
         }
@@ -71,20 +62,10 @@ def main(argv: list[str] | None = None) -> int:
         rules = tuple(by_name[name] for name in args.rule)
 
     try:
-        violations = lint_paths(args.paths, rules)
-        if args.concurrency:
-            from repro.analysis.concurrency import analyze_paths
-
-            violations = sorted(
-                violations + analyze_paths(args.paths),
-                key=lambda v: (v.path, v.line, v.rule),
-            )
-        if args.write_baseline:
-            count = write_baseline(args.write_baseline, violations)
-            print(f"wrote {count} baseline entries to {args.write_baseline}")
-            return 0
-        if args.baseline:
-            violations = apply_baseline(violations, load_baseline(args.baseline))
+        violations = sorted(
+            lint_paths(args.paths, rules) + analyze_paths(args.paths),
+            key=lambda v: (v.path, v.line, v.rule),
+        )
     except ValidationError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -2,52 +2,49 @@
 
 qblint's line rules (:mod:`repro.analysis.rules`) look at one statement
 at a time; the checks here reason about *lock context* flowing through
-the call graph (:mod:`repro.analysis.callgraph`).  Three families, all
-with stable ``QB4xx`` codes (suppressible like any other rule):
+the call graph (:mod:`repro.analysis.callgraph`).  ``python -m
+repro.analysis`` runs both.  Four families, all with stable ``QB4xx``
+codes (suppressible like any other rule):
 
-**Lock ordering** — the runtime hierarchy, outermost first::
-
-    db.rwlock (10) -> txn (20) -> db.version (25) -> wal.stats (50)
-                   -> db.stats (55)
-                   -> leaf mutexes (1000)
-
-``db.rwlock`` is the database's statement-level RWLock; ``txn`` is the
-WAL transaction scope (the ``wal.txn`` RLock *and* every
-``X.transaction()`` context manager — statically they are one region);
-``db.version`` is the MVCC version-manager mutex (writers publish under
-``db.rwlock`` and ``txn``; readers pin/unpin with nothing held above
-it); every other private mutex (``*lock`` / ``*latch`` attributes) is a
-*leaf*: it may be taken while anything above it is held, but nothing
-ranked may be acquired under it.  Violations:
+**Lock ordering** — :data:`RANKS` is the lock hierarchy of
+ARCHITECTURE.md ("The lock hierarchy"), written down here and nowhere
+else.  ``txn`` is the WAL transaction scope: the ``wal.txn`` RLock *and*
+every ``X.transaction()`` context manager (statically they are one
+region).  Every other private mutex (``*lock`` / ``*latch`` attributes)
+is a *leaf*: it may be taken while anything above it is held, but
+nothing ranked may be acquired under it.  Violations:
 
 * ``QB401`` — a lock acquired (directly, or transitively through a
   resolved call) while a lock ranked *below* it is held, or a
   non-reentrant lock re-acquired by its holder.
 
-**Guarded state** — ``# guarded_by: <lock-attr>`` comments on attribute
-assignments declare which lock protects a shared mutable, and
-``@guarded_by("txn")`` declares a function's contract.  Mutations of a
-guarded attribute (assignment, ``+=``, ``del``, or a mutating method
-call like ``.append``/``.pop``/``.add_write``) outside the guard are
-``QB411``; calling a ``@guarded_by`` function without its guard held is
-``QB412``.  Constructors are exempt (the object is not shared yet), as
-are nested ``def``s (rollback callbacks run under the WAL's own
-discipline).
+**Guarded state** — a ``# guarded_by: <lock>`` comment on the first line
+of a ``self.<attr> = ...`` assignment declares which lock protects that
+attribute; ``<lock>`` is a lock attribute of the same class or a
+hierarchy key (``txn``, ``db.rwlock``).  ``@guarded_by("txn")`` declares
+a function's contract.  Mutations of a guarded attribute (assignment,
+``+=``, ``del``, or a mutating method call like ``.append``/``.pop``/
+``.add_write``) outside the guard are ``QB411``; calling a
+``@guarded_by`` function without its guard held is ``QB412``; a
+``guarded_by:`` comment that binds to no attribute, or names no lock,
+is ``QB413`` — an annotation the pass cannot check must be prose.
+Constructors are exempt (the object is not shared yet), as are nested
+``def``s (rollback callbacks run under the WAL's own discipline).
 
 **Transaction scope** — the guard pseudo-key ``"txn"`` ties state to the
 WAL transaction: mutating txn-guarded state (the LFM field table, the
 WAL's list of new extents) outside a transaction scope is ``QB421``, and a
 potentially *blocking* call (pool submit, queue put/get, thread join,
-``Future.result``, ``time.sleep``) while ``txn`` or the write side of
-``db.rwlock`` is held is ``QB422`` — a writer stalled on the admission
-queue would stall every reader behind it.
+``Future.result``, ``time.sleep``) while ``txn`` or ``db.rwlock`` is
+held is ``QB422`` — a blocked holder of either stalls every writer, and
+a blocked ``txn`` holder stalls ``reset_journal`` too.
 
 Held-context propagation is a least fixpoint: a function's *entry* set
 is the intersection of what every resolved call site guarantees, so a
 helper only "inherits" a lock all its callers hold.  Acquisition sets
 (``may_acquire``) propagate as unions.  Unresolvable calls are opaque —
-the runtime lockdep witness (:mod:`repro.concurrency.lockdep`) covers
-what static resolution cannot see.
+the runtime lockdep witness (:mod:`repro.concurrency.lockdep`) sees the
+cycles that static resolution cannot.
 """
 
 from __future__ import annotations
@@ -60,25 +57,31 @@ from typing import Iterable
 
 from repro.analysis.callgraph import CodeIndex, FunctionInfo, build_index
 from repro.analysis.engine import CONCURRENCY_CODES, Suppressions, Violation
-from repro.concurrency.lockdep import DEFAULT_RANKS
 from repro.errors import ValidationError
 
 __all__ = ["analyze_paths", "RANKS", "LEAF_RANK", "CONCURRENCY_CODES"]
 
-#: declared ranks of the named hierarchy locks (lower = acquired first):
-#: the runtime witness's table, the WAL scope keyed ``txn`` (see above)
-RANKS = {("txn" if key == "wal.txn" else key): rank
-         for key, rank in DEFAULT_RANKS.items()}
+#: the lock hierarchy: rank per hierarchy key, lower = acquired first
+RANKS = {
+    "db.rwlock": 10,
+    "txn": 20,
+    "db.version": 25,
+    "wal.stats": 50,
+    "db.stats": 55,
+    "obs.digest": 60,
+}
 
 #: every unranked (leaf) mutex sits below the whole hierarchy
 LEAF_RANK = 1000
 
-#: keys a holder may re-acquire (RWLock and the WAL's RLock re-enter)
-REENTRANT = {"db.rwlock", "txn"}
+#: the writers' locks (the database's and the WAL's RLocks): a holder may
+#: re-acquire either, and every other writer waits while either is held
+WRITER_KEYS = {"db.rwlock", "txn"}
 
 #: (class, attribute) -> hierarchy key, for locks whose attr name alone
 #: is ambiguous (every other ``*lock``/``*latch`` attr becomes a leaf)
 LOCK_ATTRS = {
+    ("Database", "_rwlock"): "db.rwlock",
     ("WriteAheadLog", "_txn_lock"): "txn",
     ("WriteAheadLog", "_stats_lock"): "wal.stats",
     ("TableStats", "_lock"): "db.stats",
@@ -89,9 +92,6 @@ LOCK_ATTRS = {
     ("WorkerPool", "_cond"): "WorkerPool._cond",
 }
 
-#: receiver names that mark ``.write()`` as the database write lock
-RWLOCK_NAMES = {"rwlock", "_rwlock"}
-
 #: method calls that mutate their receiver (for guarded-attr checks)
 MUTATORS = {
     "append", "extend", "insert", "remove", "pop", "popitem", "clear",
@@ -101,7 +101,7 @@ MUTATORS = {
 
 _HIERARCHY_DOC = " -> ".join([*sorted(RANKS, key=RANKS.get), "leaf mutexes"])
 
-_GUARD_RE = re.compile(r"guarded_by:\s*([A-Za-z_]\w*)")
+_GUARD_RE = re.compile(r"guarded_by:\s*([A-Za-z_]\w*(?:\.\w+)*)")
 
 
 def _rank(key: str) -> int:
@@ -118,7 +118,7 @@ class _Acquire:
     fn: str
     key: str
     line: int
-    lex_held: dict[str, str]
+    lex_held: frozenset[str]
 
 
 @dataclass
@@ -126,7 +126,7 @@ class _CallSite:
     fn: str
     callees: frozenset[str]
     line: int
-    lex_held: dict[str, str]
+    lex_held: frozenset[str]
     blocking: str | None = None   #: reason text for a blocking primitive
 
 
@@ -136,20 +136,7 @@ class _Mutation:
     attr: str
     guard: str
     line: int
-    lex_held: dict[str, str]
-
-
-def _merge_mode(a: str, b: str) -> str:
-    if a == b:
-        return a
-    return "dynamic"
-
-
-def _merge_held(entry: dict[str, str], lex: dict[str, str]) -> dict[str, str]:
-    """Entry context overlaid with the lexical with-stack (lexical wins)."""
-    held = dict(entry)
-    held.update(lex)
-    return held
+    lex_held: frozenset[str]
 
 
 class _Analyzer:
@@ -160,12 +147,14 @@ class _Analyzer:
         self.index: CodeIndex = build_index([(p, t) for p, _, t in files])
         #: (class, attr) -> guard key, from ``# guarded_by:`` comments
         self.guards: dict[tuple[str, str], str] = {}
+        #: ``guarded_by:`` comments that check nothing: (path, line, why)
+        self.unbound: list[tuple[str, int, str]] = []
         #: qualname -> declared guard keys, from ``@guarded_by(...)``
         self.declared: dict[str, set[str]] = {}
         self.acquires: list[_Acquire] = []
         self.calls: list[_CallSite] = []
         self.mutations: list[_Mutation] = []
-        self.entry: dict[str, dict[str, str]] = {}
+        self.entry: dict[str, frozenset[str]] = {}
         self.may_acquire: dict[str, set[str]] = {}
         self.blocks: set[str] = set()
 
@@ -175,21 +164,33 @@ class _Analyzer:
 
     def collect_guards(self) -> None:
         for path, source, tree in self.files:
-            comment_guards = _guard_comment_lines(source)
-            if not comment_guards:
+            comments = _guard_comment_lines(source)
+            if not comments:
                 continue
             for node in ast.walk(tree):
                 if not isinstance(node, ast.ClassDef):
                     continue
-                for stmt in ast.walk(node):
-                    target = _self_assign_target(stmt)
-                    if target is None:
-                        continue
-                    guard = comment_guards.get(stmt.lineno)
+                for stmt in ast.walk(node):  # a statement before its parts
+                    guard = comments.pop(getattr(stmt, "lineno", 0), None)
                     if guard is None:
                         continue
-                    self.guards[(node.name, target)] = \
-                        self._guard_key(node.name, guard)
+                    target = _self_assign_target(stmt)
+                    if target is None:
+                        self.unbound.append((str(path), stmt.lineno,
+                                             "binds to no self.<attr> assignment"))
+                    elif not self._names_a_lock(node.name, guard):
+                        self.unbound.append((str(path), stmt.lineno,
+                                             f"'{guard}' names no lock"))
+                    else:
+                        self.guards[(node.name, target)] = \
+                            self._guard_key(node.name, guard)
+            self.unbound.extend(
+                (str(path), line, "binds to no self.<attr> assignment")
+                for line in comments)
+
+    def _names_a_lock(self, cls: str, guard: str) -> bool:
+        return (guard == "txn" or guard in RANKS
+                or self._attr_lock_key(cls, guard) is not None)
 
     def _guard_key(self, cls: str, guard: str) -> str:
         """A guard name from an annotation to its hierarchy key."""
@@ -213,29 +214,16 @@ class _Analyzer:
     # lock-expression classification
     # ------------------------------------------------------------------ #
 
-    def _classify_lock(self, fn: FunctionInfo, expr: ast.expr,
-                       locals_locks: dict[str, tuple[str, str]]
-                       ) -> tuple[str, str] | None:
-        """(key, mode) a with-item acquires, or ``None`` for non-locks."""
+    def _classify_lock(self, fn: FunctionInfo, expr: ast.expr) -> str | None:
+        """The hierarchy key a with-item acquires, or ``None`` for non-locks."""
         if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute):
-            method, receiver = expr.func.attr, expr.func.value
-            if method == "write" and _is_rwlock(receiver):
-                return ("db.rwlock", "write")
-            if method == "transaction":
-                return ("txn", "excl")
-            return None
-        if isinstance(expr, ast.Name):
-            return locals_locks.get(expr.id)
+            return "txn" if expr.func.attr == "transaction" else None
         if isinstance(expr, ast.Attribute) and \
                 isinstance(expr.value, ast.Name) and expr.value.id == "self":
-            key = self._attr_lock_key(fn.cls, expr.attr)
-            return (key, "excl") if key else None
+            return self._attr_lock_key(fn.cls, expr.attr)
         if isinstance(expr, ast.IfExp):
-            body = self._classify_lock(fn, expr.body, locals_locks)
-            orelse = self._classify_lock(fn, expr.orelse, locals_locks)
-            if body and orelse and body[0] == orelse[0]:
-                return (body[0], _merge_mode(body[1], orelse[1]))
-            return body or orelse
+            return (self._classify_lock(fn, expr.body)
+                    or self._classify_lock(fn, expr.orelse))
         return None
 
     def _attr_lock_key(self, cls: str | None, attr: str) -> str | None:
@@ -248,17 +236,6 @@ class _Analyzer:
             return f"{cls}.{attr}"
         return None
 
-    def _prescan_locals(self, fn: FunctionInfo) -> dict[str, tuple[str, str]]:
-        """Locals assigned a lock expression (``lock = a.read() if ...``)."""
-        out: dict[str, tuple[str, str]] = {}
-        for stmt in ast.walk(fn.node):
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and \
-                    isinstance(stmt.targets[0], ast.Name):
-                lock = self._classify_lock(fn, stmt.value, out)
-                if lock is not None:
-                    out[stmt.targets[0].id] = lock
-        return out
-
     # ------------------------------------------------------------------ #
     # function body walk
     # ------------------------------------------------------------------ #
@@ -266,54 +243,44 @@ class _Analyzer:
     def walk_all(self) -> None:
         for fn in self.index.functions.values():
             self.declared[fn.qualname] = self._declared_guards(fn)
-            locals_locks = self._prescan_locals(fn)
-            self._walk_block(fn, fn.node.body, {}, locals_locks)
+            self._walk_block(fn, fn.node.body, frozenset())
 
     def _walk_block(self, fn: FunctionInfo, stmts: Iterable[ast.stmt],
-                    held: dict[str, str],
-                    locals_locks: dict[str, tuple[str, str]]) -> None:
+                    held: frozenset[str]) -> None:
         for stmt in stmts:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 continue  # nested scopes run under their own discipline
             if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                inner = dict(held)
+                inner = held
                 for item in stmt.items:
                     self._visit_exprs(fn, item.context_expr, inner)
-                    lock = self._classify_lock(fn, item.context_expr,
-                                               locals_locks)
-                    if lock is not None:
-                        key, mode = lock
+                    key = self._classify_lock(fn, item.context_expr)
+                    if key is not None:
                         self.acquires.append(_Acquire(
-                            fn.qualname, key, item.context_expr.lineno,
-                            dict(inner)))
-                        if key not in inner:
-                            inner[key] = mode
-                self._walk_block(fn, stmt.body, inner, locals_locks)
-            elif isinstance(stmt, ast.If):
+                            fn.qualname, key, item.context_expr.lineno, inner))
+                        inner = inner | {key}
+                self._walk_block(fn, stmt.body, inner)
+            elif isinstance(stmt, (ast.If, ast.While)):
                 self._visit_exprs(fn, stmt.test, held)
-                self._walk_block(fn, stmt.body, dict(held), locals_locks)
-                self._walk_block(fn, stmt.orelse, dict(held), locals_locks)
+                self._walk_block(fn, stmt.body, held)
+                self._walk_block(fn, stmt.orelse, held)
             elif isinstance(stmt, (ast.For, ast.AsyncFor)):
                 self._visit_exprs(fn, stmt.iter, held)
-                self._walk_block(fn, stmt.body, dict(held), locals_locks)
-                self._walk_block(fn, stmt.orelse, dict(held), locals_locks)
-            elif isinstance(stmt, ast.While):
-                self._visit_exprs(fn, stmt.test, held)
-                self._walk_block(fn, stmt.body, dict(held), locals_locks)
-                self._walk_block(fn, stmt.orelse, dict(held), locals_locks)
+                self._walk_block(fn, stmt.body, held)
+                self._walk_block(fn, stmt.orelse, held)
             elif isinstance(stmt, ast.Try) or stmt.__class__.__name__ == "TryStar":
-                self._walk_block(fn, stmt.body, dict(held), locals_locks)
+                self._walk_block(fn, stmt.body, held)
                 for handler in stmt.handlers:
-                    self._walk_block(fn, handler.body, dict(held), locals_locks)
-                self._walk_block(fn, stmt.orelse, dict(held), locals_locks)
-                self._walk_block(fn, stmt.finalbody, dict(held), locals_locks)
+                    self._walk_block(fn, handler.body, held)
+                self._walk_block(fn, stmt.orelse, held)
+                self._walk_block(fn, stmt.finalbody, held)
             else:
                 self._record_mutations(fn, stmt, held)
                 self._visit_exprs(fn, stmt, held)
 
     def _record_mutations(self, fn: FunctionInfo, stmt: ast.stmt,
-                          held: dict[str, str]) -> None:
+                          held: frozenset[str]) -> None:
         targets: list[ast.expr] = []
         if isinstance(stmt, ast.Assign):
             targets = list(stmt.targets)
@@ -326,16 +293,16 @@ class _Analyzer:
                 self._note_mutation(fn, attr, stmt.lineno, held)
 
     def _note_mutation(self, fn: FunctionInfo, attr: str, line: int,
-                       held: dict[str, str]) -> None:
+                       held: frozenset[str]) -> None:
         if fn.cls is None or fn.is_init:
             return
         guard = self.guards.get((fn.cls, attr))
         if guard is not None:
             self.mutations.append(_Mutation(fn.qualname, attr, guard, line,
-                                            dict(held)))
+                                            held))
 
     def _visit_exprs(self, fn: FunctionInfo, node: ast.AST,
-                     held: dict[str, str]) -> None:
+                     held: frozenset[str]) -> None:
         """Record calls (and mutator calls) in an expression tree."""
         stack: list[ast.AST] = [node]
         while stack:
@@ -357,12 +324,16 @@ class _Analyzer:
             blocking = _blocking_reason(current)
             if callees or blocking:
                 self.calls.append(_CallSite(fn.qualname, frozenset(callees),
-                                            current.lineno, dict(held),
-                                            blocking))
+                                            current.lineno, held, blocking))
 
     # ------------------------------------------------------------------ #
     # fixpoints
     # ------------------------------------------------------------------ #
+
+    def _held(self, fn: str, lex_held: frozenset[str]) -> frozenset[str]:
+        """What a site holds: its function's entry context plus its
+        lexical with-stack."""
+        return self.entry.get(fn, frozenset()) | lex_held
 
     def solve(self) -> None:
         callers: dict[str, list[_CallSite]] = {}
@@ -370,28 +341,17 @@ class _Analyzer:
             for callee in site.callees:
                 callers.setdefault(callee, []).append(site)
         names = list(self.index.functions)
-        self.entry = {name: {g: "excl" for g in self.declared.get(name, ())}
+        self.entry = {name: frozenset(self.declared.get(name, ()))
                       for name in names}
         # Entry contexts: least fixpoint of "intersection over call sites".
         for _ in range(20):
             changed = False
             for name in names:
+                new = frozenset(self.declared.get(name, ()))
                 sites = callers.get(name)
-                new = {g: "excl" for g in self.declared.get(name, ())}
                 if sites:
-                    merged = None
-                    for site in sites:
-                        held = _merge_held(self.entry.get(site.fn, {}),
-                                           site.lex_held)
-                        if merged is None:
-                            merged = dict(held)
-                        else:
-                            merged = {
-                                k: _merge_mode(merged[k], held[k])
-                                for k in merged.keys() & held.keys()
-                            }
-                    for key, mode in (merged or {}).items():
-                        new.setdefault(key, mode)
+                    new |= frozenset.intersection(
+                        *(self._held(site.fn, site.lex_held) for site in sites))
                 if new != self.entry[name]:
                     self.entry[name] = new
                     changed = True
@@ -427,81 +387,76 @@ class _Analyzer:
         out: list[Violation] = []
         seen: set[tuple] = set()
 
-        def emit(fn: str, line: int, code: str, message: str) -> None:
-            mark = (locate[fn], line, code)
+        def emit(path: str, line: int, code: str, message: str) -> None:
+            mark = (path, line, code)
             if mark not in seen:
                 seen.add(mark)
-                out.append(Violation(locate[fn], line, code, message))
+                out.append(Violation(path, line, code, message))
+
+        for path, line, why in self.unbound:
+            emit(path, line, "QB413", f"guarded_by comment {why}: "
+                 f"annotate the attribute's assignment or write it as prose")
 
         for acq in self.acquires:
-            held = _merge_held(self.entry.get(acq.fn, {}), acq.lex_held)
+            held = self._held(acq.fn, acq.lex_held)
             if acq.key in held:
-                if acq.key not in REENTRANT:
-                    emit(acq.fn, acq.line, "QB401",
+                if acq.key not in WRITER_KEYS:
+                    emit(locate[acq.fn], acq.line, "QB401",
                          f"non-reentrant lock '{acq.key}' is re-acquired "
                          f"while already held by this thread")
                 continue
-            for other in acq.lex_held.keys() | self.entry.get(acq.fn, {}).keys():
-                if other != acq.key and _rank(acq.key) < _rank(other):
-                    emit(acq.fn, acq.line, "QB401",
+            for other in held:
+                if _rank(acq.key) < _rank(other):
+                    emit(locate[acq.fn], acq.line, "QB401",
                          f"'{acq.key}' is acquired while '{other}' is held, "
                          f"against the declared order ({_HIERARCHY_DOC})")
 
         for site in self.calls:
-            held = _merge_held(self.entry.get(site.fn, {}), site.lex_held)
+            path = locate[site.fn]
+            held = self._held(site.fn, site.lex_held)
             for callee in sorted(site.callees):
                 for guard in sorted(self.declared.get(callee, ())):
                     if guard not in held:
                         code = "QB421" if guard == "txn" else "QB412"
                         need = ("an open WAL transaction scope"
                                 if guard == "txn" else f"'{guard}' held")
-                        emit(site.fn, site.line, code,
+                        emit(path, site.line, code,
                              f"{_short(callee)} is @guarded_by({guard!r}) "
                              f"but is called here without {need}")
-                for key in sorted(self.may_acquire.get(callee, ()) - held.keys()):
+                for key in sorted(self.may_acquire.get(callee, set()) - held):
                     for other in held:
                         if _rank(key) < _rank(other):
-                            emit(site.fn, site.line, "QB401",
+                            emit(path, site.line, "QB401",
                                  f"call to {_short(callee)} may acquire "
                                  f"'{key}' while '{other}' is held, against "
                                  f"the declared order ({_HIERARCHY_DOC})")
             blocking = site.blocking or next(
                 (f"call to {_short(c)}" for c in sorted(site.callees)
                  if c in self.blocks), None)
-            if blocking:
-                for key, mode in held.items():
-                    if key == "txn" or (key == "db.rwlock" and mode == "write"):
-                        emit(site.fn, site.line, "QB422",
-                             f"potentially blocking {blocking} while "
-                             f"exclusive '{key}' is held")
-                        break
+            writer = min(held & WRITER_KEYS, default=None)
+            if blocking and writer is not None:
+                emit(path, site.line, "QB422",
+                     f"potentially blocking {blocking} while "
+                     f"exclusive '{writer}' is held")
 
         for mut in self.mutations:
-            held = _merge_held(self.entry.get(mut.fn, {}), mut.lex_held)
-            if mut.guard not in held:
-                if mut.guard == "txn":
-                    emit(mut.fn, mut.line, "QB421",
-                         f"'{mut.attr}' is transaction-scoped state "
-                         f"(guarded_by: txn) but is mutated here outside any "
-                         f"WAL transaction scope")
-                else:
-                    emit(mut.fn, mut.line, "QB411",
-                         f"'{mut.attr}' is guarded by '{mut.guard}' but is "
-                         f"mutated here without it held")
+            if mut.guard in self._held(mut.fn, mut.lex_held):
+                continue
+            if mut.guard == "txn":
+                emit(locate[mut.fn], mut.line, "QB421",
+                     f"'{mut.attr}' is transaction-scoped state "
+                     f"(guarded_by: txn) but is mutated here outside any "
+                     f"WAL transaction scope")
+            else:
+                emit(locate[mut.fn], mut.line, "QB411",
+                     f"'{mut.attr}' is guarded by '{mut.guard}' but is "
+                     f"mutated here without it held")
         return out
 
 
 # --------------------------------------------------------------------- #
 # small syntactic helpers
 # --------------------------------------------------------------------- #
-
-
-def _is_rwlock(node: ast.expr) -> bool:
-    if isinstance(node, ast.Name):
-        return node.id in RWLOCK_NAMES
-    if isinstance(node, ast.Attribute):
-        return node.attr in RWLOCK_NAMES
-    return False
 
 
 def _deco_name(node: ast.expr) -> str | None:

@@ -31,7 +31,7 @@ __all__ = ["Violation", "Suppressions", "lint_file", "lint_paths",
 #: suppression validator below can accept them without importing the
 #: analyzer (which imports this module for Violation/Suppressions).
 CONCURRENCY_CODES = frozenset(
-    {"QB401", "QB411", "QB412", "QB421", "QB422"}
+    {"QB401", "QB411", "QB412", "QB413", "QB421", "QB422"}
 )
 
 _LINE_RE = re.compile(r"#\s*qblint:\s*disable=([\w,\s-]+)")

@@ -10,39 +10,31 @@ contended — is reported as a potential deadlock.  The classic ABBA bug is
 caught on the second leg, deterministically, without any unlucky
 interleaving.
 
-On top of cycle detection, keys may carry a **rank** mirroring the
-declared lock hierarchy of ARCHITECTURE.md (:data:`DEFAULT_RANKS`):
+The witness checks cycles and non-reentrant recursion only.  The declared
+lock hierarchy (ARCHITECTURE.md, "The lock hierarchy") is checked
+statically, by qblint's QB401; an inversion of it that runs closes a
+cycle here as well.
 
-    db.rwlock  →  wal.txn  →  wal.stats  →  db.stats
-
-Acquiring a lower-ranked (outer) key while holding a higher-ranked
-(inner) one is an ordering violation the moment it happens, before any
-opposite edge exists.
-
-The witness is **opt-in**: it does nothing unless ``REPRO_LOCKDEP=1`` is
-set in the environment at import time or :func:`enable` is called.  The
-stress CI job and the test suite run with it on; production paths pay a
-single module-global read per instrumented acquisition (and zero for
-locks wrapped by :func:`instrument` while disabled, which returns the
-lock unwrapped).
+The witness is off until :func:`enable` is called; the test suite's
+conftest turns it on before it builds anything.  Production, the
+benchmarks and the ledger never call it, so there :func:`instrument`
+returns the lock unwrapped and an acquisition costs nothing extra.
 
 Violations are recorded in a process-wide list (:func:`violations`) *and*
-raised — :class:`~repro.errors.LockOrderError` for rank inversions and
-recursive plain-lock acquisition, :class:`~repro.errors.
-PotentialDeadlockError` for cycles — so a violation inside a worker whose
-exceptions are shipped to a future still fails the run via the list.
+raised — :class:`~repro.errors.LockOrderError` for recursive plain-lock
+acquisition, :class:`~repro.errors.PotentialDeadlockError` for cycles —
+so a violation inside a worker whose exceptions are shipped to a future
+still fails the run via the list.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 
 from repro.errors import LockOrderError, PotentialDeadlockError
 
 __all__ = [
-    "DEFAULT_RANKS",
     "LockOrderViolation",
     "TrackedLock",
     "enable",
@@ -55,30 +47,17 @@ __all__ = [
     "acquire_count",
     "edges",
     "violations",
-    "reset",
-    "declare_rank",
 ]
 
-#: the declared lock hierarchy (lower rank = acquired first / outermost)
-DEFAULT_RANKS = {
-    "db.rwlock": 10,
-    "wal.txn": 20,
-    "db.version": 25,
-    "wal.stats": 50,
-    "db.stats": 55,
-    "obs.digest": 60,
-}
+_ENABLED = False
 
-_ENABLED = os.environ.get("REPRO_LOCKDEP", "") not in ("", "0")
-
-#: guards the edge graph, rank table, and violation list — a leaf mutex
-#: that is never held while acquiring any tracked lock
+#: guards the edge graph and violation list — a leaf mutex that is never
+#: held while acquiring any tracked lock
 _GRAPH_LOCK = threading.Lock()
-_RANKS: dict[str, int] = dict(DEFAULT_RANKS)
 _EDGES: dict[tuple[str, str], int] = {}
 _ADJACENCY: dict[str, set[str]] = {}
 _VIOLATIONS: list["LockOrderViolation"] = []
-_ACQUIRES: dict[str, int] = {}  # key -> total acquisitions since reset()
+_ACQUIRES: dict[str, int] = {}  # key -> total acquisitions
 
 _HELD = threading.local()  # per-thread list of keys, in acquisition order
 
@@ -87,7 +66,7 @@ _HELD = threading.local()  # per-thread list of keys, in acquisition order
 class LockOrderViolation:
     """One recorded ordering problem (also raised at the offending site)."""
 
-    kind: str                       #: ``"order"``, ``"cycle"``, or ``"recursion"``
+    kind: str                       #: ``"cycle"`` or ``"recursion"``
     key: str                        #: the key being acquired
     held: tuple[str, ...]           #: keys the thread already held
     thread: str                     #: name of the acquiring thread
@@ -105,7 +84,7 @@ def enable() -> None:
 
 
 def disable() -> None:
-    """Turn the witness off; recorded edges/violations stay until :func:`reset`."""
+    """Turn the witness off; recorded edges and violations stay."""
     global _ENABLED
     _ENABLED = False
 
@@ -113,12 +92,6 @@ def disable() -> None:
 def enabled() -> bool:
     """Is the witness currently recording acquisitions?"""
     return _ENABLED
-
-
-def declare_rank(key: str, rank: int) -> None:
-    """Assign a hierarchy rank to a lock key (tests declare ad-hoc levels)."""
-    with _GRAPH_LOCK:
-        _RANKS[key] = rank
 
 
 def _stack() -> list[str]:
@@ -160,11 +133,10 @@ def _record(violation: LockOrderViolation) -> None:
 def note_acquire(key: str, reentrant: bool = False) -> None:
     """Record that the calling thread acquired the lock class ``key``.
 
-    Call *after* the underlying acquisition succeeds.  Raises on a rank
-    inversion, a recursive non-reentrant acquisition, or an edge that
-    closes a cycle; callers that cannot tolerate an exception mid-
-    protocol must release the underlying lock before re-raising (see
-    :class:`TrackedLock`).
+    Call *after* the underlying acquisition succeeds.  Raises on a
+    recursive non-reentrant acquisition or an edge that closes a cycle;
+    callers that cannot tolerate an exception mid-protocol must release
+    the underlying lock before re-raising (see :class:`TrackedLock`).
     """
     if not _ENABLED:
         return
@@ -185,36 +157,17 @@ def note_acquire(key: str, reentrant: bool = False) -> None:
             raise LockOrderError(str(violation))
         stack.append(key)
         return
-    error: Exception | None = None
+    error: PotentialDeadlockError | None = None
     with _GRAPH_LOCK:
         for holder in dict.fromkeys(stack):  # unique, order-preserving
             edge = (holder, key)
             if edge in _EDGES:
                 _EDGES[edge] += 1
                 continue
-            bad_edge = False
-            rank_held = _RANKS.get(holder)
-            rank_new = _RANKS.get(key)
-            if (rank_held is not None and rank_new is not None
-                    and rank_held > rank_new):
-                bad_edge = True
-                violation = LockOrderViolation(
-                    kind="order", key=key, held=tuple(stack), thread=me,
-                    message=(
-                        f"lock-order violation on thread {me}: acquired "
-                        f"{key!r} (rank {rank_new}) while holding {holder!r} "
-                        f"(rank {rank_held}); the declared hierarchy is "
-                        + " -> ".join(sorted(_RANKS, key=_RANKS.get))
-                    ),
-                )
-                _record(violation)
-                if error is None:
-                    error = LockOrderError(str(violation))
             # A path key ~> holder plus this new edge holder -> key is a
             # cycle: both orders have now been observed.
-            path = () if bad_edge else _find_path(key, holder)
+            path = _find_path(key, holder)
             if path:
-                bad_edge = True
                 violation = LockOrderViolation(
                     kind="cycle", key=key, held=tuple(stack), thread=me,
                     cycle=path + (key,),
@@ -225,9 +178,8 @@ def note_acquire(key: str, reentrant: bool = False) -> None:
                     ),
                 )
                 _record(violation)
-                if not isinstance(error, PotentialDeadlockError):
-                    error = PotentialDeadlockError(str(violation))
-            if not bad_edge:
+                error = error or PotentialDeadlockError(str(violation))
+            else:
                 # Violating edges stay out of the graph: the caller rolls
                 # the acquisition back, so the order was never really
                 # established — and every later occurrence raises again
@@ -254,7 +206,7 @@ def note_release(key: str) -> None:
 
 
 def acquire_count(key: str) -> int:
-    """Total recorded acquisitions of ``key`` since the last :func:`reset`.
+    """Total recorded acquisitions of ``key`` in this process.
 
     Counts every :func:`note_acquire` call (re-entrant holds included),
     across all threads.  Tests use the delta around a critical section to
@@ -272,21 +224,9 @@ def edges() -> dict[tuple[str, str], int]:
 
 
 def violations() -> list[LockOrderViolation]:
-    """Every violation recorded since the last :func:`reset`."""
+    """Every violation recorded in this process."""
     with _GRAPH_LOCK:
         return list(_VIOLATIONS)
-
-
-def reset() -> None:
-    """Clear the edge graph, violations, ad-hoc ranks, and this thread's stack."""
-    with _GRAPH_LOCK:
-        _EDGES.clear()
-        _ADJACENCY.clear()
-        _VIOLATIONS.clear()
-        _ACQUIRES.clear()
-        _RANKS.clear()
-        _RANKS.update(DEFAULT_RANKS)
-    _HELD.stack = []
 
 
 class TrackedLock:

@@ -14,7 +14,7 @@ from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
-from repro.concurrency import RWLock, lockdep
+from repro.concurrency import guarded_by, lockdep
 from repro.db.catalog import Catalog
 from repro.db.executor import Executor, ResultSet
 from repro.db.functions import (
@@ -162,14 +162,17 @@ class Database:
 
     def __post_init__(self) -> None:
         self.functions.register_all(builtin_functions(), builtin_signatures())
-        self._rwlock = RWLock(name="db.rwlock")
+        # The statement write lock: re-entrant, so statements issued
+        # inside a transaction() scope take it again without blocking.
+        self._rwlock = lockdep.instrument(threading.RLock(), "db.rwlock",
+                                          reentrant=True)
         self._versions = VersionManager()
-        self._txn_nesting = 0  # open transaction() scopes; guarded_by db.rwlock
+        self._txn_nesting = 0  # open transaction() scopes; guarded_by: db.rwlock
+        self._writer = None  # thread ident inside transaction(); guarded_by: db.rwlock
         #: handle -> directory cell of the REGIONs the open transaction()
         #: stored (``spatial.store_region``), for its INSERTs.  Emptied at
         #: commit *and* rollback: a rolled-back field id is issued again.
-        #: guarded_by: db.rwlock
-        self._stored_cells: dict = {}
+        self._stored_cells: dict = {}  # guarded_by: db.rwlock
         self._prepared: OrderedDict[str, Prepared] = OrderedDict()  # guarded_by: _stmt_lock
         self._stmt_lock = lockdep.instrument(threading.Lock(), "db.stmt_memo")
         if self.lfm is not None:
@@ -181,7 +184,7 @@ class Database:
     def stored_cells(self) -> dict | None:
         """The cells of the REGIONs the calling thread's open
         :meth:`transaction` stored; None outside one (nothing would empty it)."""
-        inside = self._rwlock.write_held and self._txn_nesting
+        inside = self._writer == threading.get_ident()
         return self._stored_cells if inside else None
 
     @property
@@ -221,7 +224,7 @@ class Database:
         transaction's uncommitted state.  A non-``None`` result must be
         released with :meth:`unpin_version`.
         """
-        if self._rwlock.write_held:
+        if self._writer == threading.get_ident():
             return None
         return self._versions.pin_latest()
 
@@ -238,18 +241,12 @@ class Database:
         when done: until then readers do not see their changes, and a
         failed write scope discards them.
         """
-        with self._rwlock.write():
+        with self._rwlock:
             self._publish_version()
 
+    @guarded_by("db.rwlock")
     def _publish_version(self) -> None:
-        """Publish under the already-held write lock.
-
-        Callers hold the exclusive side of ``db.rwlock`` — one of them
-        (:meth:`transaction`) via a bare ``acquire_write``, which is why
-        this contract is prose rather than a statically checked
-        ``@guarded_by``; the runtime lockdep witness still sees every
-        acquisition order.
-        """
+        """Publish under the already-held write lock."""
         was = recorder.enter("db.mvcc")
         try:
             self._versions.publish(self.catalog, self.lfm)
@@ -525,43 +522,43 @@ class Database:
         """
         device = self.lfm.device if self.lfm is not None else None
         was = recorder.enter("lock_wait")
-        try:
-            self._rwlock.acquire_write()
-        finally:
+        with self._rwlock:
             recorder.leave(was)
-        self._txn_nesting += 1
-        outermost = self._txn_nesting == 1
-        published, watched = None, False
-
-        def reinstate() -> None:
-            self._versions.reinstate(self.catalog)
-
-        try:
-            with (device.transaction(meta_provider=lambda: commit_record(
-                    self._versions, self.catalog, self.lfm))
-                  if device is not None else nullcontext()):
-                # A storage transaction that can roll back reinstates
-                # with its own undo.
-                watched = (outermost and device is not None
-                           and self.lfm.on_rollback(reinstate))
-                yield self
+            self._txn_nesting += 1
+            outermost = self._txn_nesting == 1
             if outermost:
-                self._publish_version()
-                published = self._versions.latest_seq
-        # The scope boundary: rollback and unlock must run for
-        # KeyboardInterrupt and SystemExit too.
-        except BaseException:  # qblint: disable=no-broad-except
-            self._versions.discard_pending()
-            if outermost and not watched:
-                reinstate()
-            raise
-        finally:
-            self._txn_nesting -= 1
-            if not self._txn_nesting:
-                self._stored_cells.clear()
-            self._rwlock.release_write()
-            if published is not None and on_publish is not None:
-                on_publish(published)
+                self._writer = threading.get_ident()
+            published, watched = None, False
+
+            def reinstate() -> None:
+                self._versions.reinstate(self.catalog)
+
+            try:
+                with (device.transaction(meta_provider=lambda: commit_record(
+                        self._versions, self.catalog, self.lfm))
+                      if device is not None else nullcontext()):
+                    # A storage transaction that can roll back reinstates
+                    # with its own undo.
+                    watched = (outermost and device is not None
+                               and self.lfm.on_rollback(reinstate))
+                    yield self
+                if outermost:
+                    self._publish_version()
+                    published = self._versions.latest_seq
+            # The scope boundary: rollback and unlock must run for
+            # KeyboardInterrupt and SystemExit too.
+            except BaseException:  # qblint: disable=no-broad-except
+                self._versions.discard_pending()
+                if outermost and not watched:
+                    reinstate()
+                raise
+            finally:
+                self._txn_nesting -= 1
+                if not self._txn_nesting:
+                    self._stored_cells.clear()
+                    self._writer = None
+        if published is not None and on_publish is not None:
+            on_publish(published)
 
     def register_function(self, name: str, fn,
                           signature: FunctionSignature | None = None,

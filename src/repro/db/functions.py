@@ -38,7 +38,7 @@ __all__ = [
 #: table does, and hits read it without the lock.
 _DECODED: dict[bytes, Region] = {}
 _DECODED_MAX = 8 << 20
-_decoded_bytes = 0  # guarded_by: _DECODED_LOCK
+_decoded_bytes = 0  # updated under _DECODED_LOCK
 _DECODED_LOCK = threading.Lock()
 
 

@@ -27,10 +27,10 @@ delete has been released, the free runs — on the *writer* thread, at
 publish time, so the buddy allocator is only ever touched under the
 database write lock.
 
-Lock class: the manager's mutex is ``db.version`` (rank 25) — acquired
-under ``db.rwlock`` (10) and ``wal.txn`` (20) by writers, and bare by
-readers pinning/unpinning.  It is never held while acquiring any other
-tracked lock except leaf mutexes.
+Lock class: the manager's mutex is ``db.version`` (ARCHITECTURE.md, "The
+lock hierarchy") — acquired under ``db.rwlock`` and ``wal.txn`` by
+writers, and bare by readers pinning/unpinning.  It is never held while
+acquiring any other tracked lock except leaf mutexes.
 """
 
 from __future__ import annotations
@@ -82,8 +82,10 @@ class DatabaseVersion:
         self.catalog = catalog
         #: frozen LFM field table (id -> (offset, length)), or None
         self.fields = fields
-        self.pins = 0                   # guarded_by: db.version
-        self.frees: list[RetireToken] = []  # guarded_by: db.version
+        #: pin count and parked frees: VersionManager updates both under
+        #: its ``db.version`` lock
+        self.pins = 0
+        self.frees: list[RetireToken] = []
 
     def __repr__(self) -> str:
         return f"DatabaseVersion(seq={self.seq}, pins={self.pins})"

@@ -234,27 +234,21 @@ class TableStats:
         self.schema = schema
         self._lock = lockdep.instrument(threading.Lock(), "db.stats")
         #: identity stamp of the table state the stats describe
-        #: guarded_by: _lock
-        self.stamp: tuple[int, int] | None = None
+        self.stamp: tuple[int, int] | None = None  # guarded_by: _lock
         #: total rows accounted for
-        #: guarded_by: _lock
-        self.row_total = 0
+        self.row_total = 0  # guarded_by: _lock
         #: per-position non-null value counters (None for LONGFIELD)
-        #: guarded_by: _lock
-        self._values: list[Counter | None] = [
+        self._values: list[Counter | None] = [  # guarded_by: _lock
             None if c.sql_type is SqlType.LONGFIELD else Counter()
             for c in schema.columns
         ]
         #: per-position NULL counts
-        #: guarded_by: _lock
-        self._nulls: list[int] = [0] * len(schema)
+        self._nulls: list[int] = [0] * len(schema)  # guarded_by: _lock
         #: True once ANALYZE ran: every LONGFIELD column is collected and
         #: the spatial estimators answer
-        #: guarded_by: _lock
-        self.spatial_enabled = False
+        self.spatial_enabled = False  # guarded_by: _lock
         #: per-position region-cell directory (collected positions only)
-        #: guarded_by: _lock
-        self._spatial: dict[int, _SpatialColumn] = {}
+        self._spatial: dict[int, _SpatialColumn] = {}  # guarded_by: _lock
 
     # -------------------------------------------------------------- #
     # freshness

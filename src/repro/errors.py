@@ -177,11 +177,10 @@ class ConcurrencyError(ReproError, RuntimeError):
 
 
 class LockOrderError(ConcurrencyError):
-    """Lockdep saw an acquisition that inverts the declared lock hierarchy.
+    """Lockdep saw a thread re-acquire a non-reentrant lock it holds.
 
-    No deadlock happened *yet*: the edge merely contradicts the rank order
-    in :data:`repro.concurrency.lockdep.DEFAULT_RANKS`, which is enough to
-    make one possible under the wrong interleaving.
+    With a plain ``threading.Lock`` that acquisition would block forever;
+    the witness raises instead, before it happens.
     """
 
 

@@ -105,8 +105,7 @@ class DigestTable:
     def __init__(self, capacity: int = 128):
         self.capacity = capacity
         self.enabled = True
-        self._entries: dict[str, DigestEntry] = {}
-        # guarded_by: self._lock
+        self._entries: dict[str, DigestEntry] = {}  # guarded_by: _lock
         self._lock = lockdep.instrument(threading.Lock(), "obs.digest")
 
     def observe(self, record) -> str | None:

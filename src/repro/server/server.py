@@ -6,8 +6,8 @@ traffic" direction.  The moving parts, bottom-up (diagrammed in
 ARCHITECTURE.md):
 
 * MVCC snapshot reads — SELECTs pin an immutable published version and
-  run with **no lock**; DML/DDL take the exclusive side of the
-  reader-writer lock, each write wrapped in a storage transaction so the
+  run with **no lock**; DML/DDL take the database's re-entrant write
+  lock, each write wrapped in a storage transaction so the
   WAL keeps crash safety under concurrent writers (the lock is held
   until the commit is durable and its version published);
 * a :class:`~repro.server.pool.WorkerPool` — ``workers`` execution slots
@@ -209,8 +209,8 @@ class QueryServer:
 
         with self.db.transaction(on_publish=invalidate):
             # Re-entrant by construction: transaction() already holds the
-            # exclusive side on this thread, so the write lock execute()
-            # takes nests instead of inverting the order.
+            # write lock on this thread, so the one execute() takes nests
+            # instead of inverting the order.
             return self.db.execute(prepared, params,  # qblint: disable=QB401
                                    functions=session.functions)
 

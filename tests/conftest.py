@@ -11,6 +11,10 @@ reproducible and order-independent.  When a test fails, the report grows
 an ``rng`` section printing the seed needed to replay it; fault-injection
 tests additionally take the ``test_seed`` fixture to key their
 :class:`~repro.storage.faults.FaultSchedule`.
+
+The lockdep witness is on for the whole run: it is enabled below, before
+any ``repro`` object exists, so every instrumented lock (module-level
+ones included) is tracked, and one lock-order graph spans every test.
 """
 
 from __future__ import annotations
@@ -22,9 +26,12 @@ import numpy as np
 import pytest
 
 from repro.concurrency import lockdep
-from repro.core import QbismSystem
-from repro.curves import GridSpec
-from repro.regions import Region
+
+lockdep.enable()
+
+from repro.core import QbismSystem  # noqa: E402
+from repro.curves import GridSpec  # noqa: E402
+from repro.regions import Region  # noqa: E402
 
 
 def ball(grid: GridSpec, center: tuple[float, ...], radius: float) -> Region:
@@ -59,16 +66,13 @@ def test_seed(_deterministic_rng) -> int:
 def _lockdep_witness():
     """Fail any test whose locking leaves a new lockdep violation behind.
 
-    Inert unless the witness is on (``REPRO_LOCKDEP=1`` in the
-    environment, as the stress CI job sets, or an explicit ``enable()``).
-    Tests that deliberately provoke violations (``test_lockdep.py``)
-    reset the graph in their own fixture's teardown, so they pass this
-    check too: only *unexpected* violations — an ordering bug in the code
-    under test, observed by the instrumented locks — fail the run.
+    An edge one test records stays in the graph, so an ABBA whose two
+    legs run in different tests fails the test that runs the second.
+    Tests that deliberately provoke violations (``test_lockdep.py``) run
+    on a graph of their own, so they pass this check too: only
+    *unexpected* violations — an ordering bug in the code under test,
+    observed by the instrumented locks — fail the run.
     """
-    if not lockdep.enabled():
-        yield
-        return
     before = len(lockdep.violations())
     yield
     fresh = lockdep.violations()[before:]

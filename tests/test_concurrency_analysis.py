@@ -1,25 +1,23 @@
-"""The interprocedural concurrency analyzer and its rollout mechanics.
+"""The interprocedural concurrency analyzer.
 
 Each QB4xx diagnostic must fire on a seeded fixture (the analyzer's
 acceptance bar: a planted out-of-order acquisition is caught *statically*,
-before any thread runs), the real tree must be clean, and the rollout
-tooling — per-line/per-file suppressions and the JSON baseline — must
-behave so a new rule family can land without a flag-day cleanup.
+before any thread runs), every guard annotation in the real tree must
+check something, the tree must be clean, and per-line/per-file
+suppressions must work as for the line rules.
 """
 
 from __future__ import annotations
 
-import json
+import ast
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
-from repro.analysis.concurrency import analyze_paths
+from repro.analysis.concurrency import _Analyzer, analyze_paths
 from repro.analysis.engine import Violation, lint_file
 from repro.analysis.__main__ import main
-from repro.errors import ValidationError
 
 SRC_REPRO = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -51,7 +49,7 @@ class TestSeededViolations:
 
                 def bad(self):
                     with self._lock:
-                        with self.db.rwlock.write():
+                        with self.db.transaction():
                             pass
             """)
         found = analyze_paths([tmp_path])
@@ -72,11 +70,11 @@ class TestSeededViolations:
                         self.helper()
 
                 def helper(self):
-                    with self.db.rwlock.write():
+                    with self.db.transaction():
                         pass
             """)
         found = analyze_paths([tmp_path])
-        # Caught twice: at the call site (the callee may acquire db.rwlock
+        # Caught twice: at the call site (the callee may acquire txn
         # under the leaf) and inside the helper (its entry context — the
         # intersection of its call sites — holds the leaf).
         assert codes(found) == ["QB401", "QB401"]
@@ -120,6 +118,52 @@ class TestSeededViolations:
         found = analyze_paths([tmp_path])
         assert codes(found) == ["QB411", "QB411"]
         assert all("_pages" in v.message for v in found)
+
+    def test_qb411_a_documented_attribute_outside_its_lock(self, tmp_path):
+        # TableStats' shape: a doc comment above, the guard on the
+        # assignment, and a method that forgets the lock.
+        fixture(tmp_path, """
+            import threading
+
+            class TableStats:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    #: identity stamp of the table state the stats describe
+                    self.stamp = None  # guarded_by: _lock
+
+                def restamp(self, table):
+                    self.stamp = (table.uid, table.mutations)
+            """)
+        found = analyze_paths([tmp_path])
+        assert codes(found) == ["QB411"]
+        assert "'stamp' is guarded by 'db.stats'" in found[0].message
+
+    def test_qb413_an_annotation_that_checks_nothing(self, tmp_path):
+        fixture(tmp_path, """
+            import threading
+
+            _total = 0  # guarded_by: _TOTAL_LOCK
+
+            class Stats:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    #: guarded_by: _lock
+                    self.stamp = None
+                    self.rows = 0  # guarded_by: _rows
+                    self.pins = 0  # guarded_by: db.version
+
+                def restamp(self):
+                    self.stamp = 1
+                    self.pins += 1
+            """)
+        found = analyze_paths([tmp_path])
+        # The module global and the comment on the line above bind to no
+        # attribute, `_rows` is no lock; the dotted hierarchy key binds
+        # whole, so the unlocked `pins += 1` is caught.
+        assert [(v.rule, v.line) for v in found] == [
+            ("QB413", 4), ("QB413", 9), ("QB413", 11), ("QB411", 16)]
+        assert "'_rows' names no lock" in found[2].message
+        assert "'db.version'" in found[3].message
 
     def test_qb411_inherited_through_entry_context(self, tmp_path):
         """A helper is clean only if *every* call site holds the guard."""
@@ -197,15 +241,14 @@ class TestSeededViolations:
 
             class Engine:
                 def __init__(self, pool: Pool):
-                    self.rwlock = None
                     self.pool = pool
 
                 def bad(self):
-                    with self.rwlock.write():
+                    with self.transaction():
                         self.pool.submit(len)
 
                 def fine_after_the_lock(self):
-                    with self.rwlock.write():
+                    with self.transaction():
                         pass
                     self.pool.submit(len)
             """)
@@ -229,17 +272,20 @@ class TestSeededViolations:
         fixture(tmp_path, """
             import threading
 
-            class Engine:
+            class Database:
                 def __init__(self):
-                    self.rwlock = None
+                    self._rwlock = threading.RLock()
                     self._lock = threading.Lock()
                     self.count = 0  # guarded_by: _lock
+                    self.nesting = 0  # guarded_by: db.rwlock
 
                 def good(self):
-                    with self.rwlock.write():
-                        with self.transaction():
-                            with self._lock:
-                                self.count += 1
+                    with self._rwlock:
+                        self.nesting += 1
+                        with self._rwlock:
+                            with self.transaction():
+                                with self._lock:
+                                    self.count += 1
             """)
         assert codes(analyze_paths([tmp_path])) == []
 
@@ -252,6 +298,19 @@ class TestSeededViolations:
 class TestTreeSelfCheck:
     def test_src_repro_is_clean(self):
         assert analyze_paths([SRC_REPRO]) == []
+
+    def test_every_guard_comment_binds_to_a_lock_the_tree_takes(self):
+        files = [(path, path.read_text(encoding="utf-8"))
+                 for path in sorted(SRC_REPRO.rglob("*.py"))]
+        analyzer = _Analyzer([(p, s, ast.parse(s)) for p, s in files])
+        analyzer.collect_guards()
+        analyzer.walk_all()
+        taken = {acquire.key for acquire in analyzer.acquires}
+        comments = sum(s.count("guarded_by:") for p, s in files
+                       if p.parent.name != "analysis")
+        assert analyzer.unbound == []
+        assert len(analyzer.guards) == comments
+        assert set(analyzer.guards.values()) <= taken
 
 
 # --------------------------------------------------------------------- #
@@ -297,94 +356,23 @@ class TestSuppressions:
 
 
 # --------------------------------------------------------------------- #
-# baselines
-# --------------------------------------------------------------------- #
-
-
-class TestBaseline:
-    def test_round_trip_filters_known_debt(self, tmp_path):
-        fixture(tmp_path, bad_mutation())
-        found = analyze_paths([tmp_path])
-        assert codes(found) == ["QB411"]
-        baseline_file = tmp_path / "baseline.json"
-        assert write_baseline(baseline_file, found) == 1
-        tolerated = load_baseline(baseline_file)
-        assert apply_baseline(found, tolerated) == []
-
-    def test_new_debt_still_reported(self, tmp_path):
-        fixture(tmp_path, bad_mutation())
-        found = analyze_paths([tmp_path])
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, found)
-        fixture(tmp_path, """
-            import threading
-
-            class Cache:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._pages = {}  # guarded_by: _lock
-                    self.db = None
-
-                def bad(self):
-                    self._pages[1] = b"x"
-
-                def also_bad(self):
-                    with self._lock:
-                        with self.db.rwlock.write():
-                            pass
-            """)
-        now = analyze_paths([tmp_path])
-        fresh = apply_baseline(now, load_baseline(baseline_file))
-        # The old QB411 is tolerated (same path/rule/message survives the
-        # line shift); the new QB401 fails the run.
-        assert codes(fresh) == ["QB401"]
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text("not json", encoding="utf-8")
-        with pytest.raises(ValidationError, match="not valid JSON"):
-            load_baseline(bad)
-        bad.write_text(json.dumps({"version": 99, "entries": []}),
-                       encoding="utf-8")
-        with pytest.raises(ValidationError, match="unsupported format"):
-            load_baseline(bad)
-        with pytest.raises(ValidationError, match="not found"):
-            load_baseline(tmp_path / "missing.json")
-
-
-# --------------------------------------------------------------------- #
 # command line
 # --------------------------------------------------------------------- #
 
 
 class TestCli:
-    def test_concurrency_flag_fails_on_seeded_tree(self, tmp_path, capsys):
+    def test_one_command_runs_the_concurrency_pass(self, tmp_path, capsys):
         fixture(tmp_path, bad_mutation())
-        status = main([str(tmp_path), "--rule", "no-broad-except",
-                       "--concurrency"])
-        assert status == 1
+        assert main([str(tmp_path), "--rule", "no-broad-except"]) == 1
         assert "QB411" in capsys.readouterr().out
 
-    def test_without_flag_the_pass_is_off(self, tmp_path):
+    def test_removed_flags_are_usage_errors(self, tmp_path):
         fixture(tmp_path, bad_mutation())
-        assert main([str(tmp_path), "--rule", "no-broad-except"]) == 0
-
-    def test_baseline_workflow(self, tmp_path, capsys):
-        fixture(tmp_path, bad_mutation())
-        baseline_file = tmp_path / "baseline.json"
-        assert main([str(tmp_path), "--rule", "no-broad-except",
-                     "--concurrency", "--write-baseline",
-                     str(baseline_file)]) == 0
-        assert "1 baseline entr" in capsys.readouterr().out
-        assert main([str(tmp_path), "--rule", "no-broad-except",
-                     "--concurrency", "--baseline", str(baseline_file)]) == 0
-
-    def test_missing_baseline_is_a_usage_error(self, tmp_path):
-        fixture(tmp_path, bad_mutation())
-        assert main([str(tmp_path), "--rule", "no-broad-except",
-                     "--concurrency", "--baseline",
-                     str(tmp_path / "nope.json")]) == 2
+        for flag in ("--concurrency", "--baseline=x.json", "--write-baseline=x.json"):
+            with pytest.raises(SystemExit) as exc:
+                main([str(tmp_path), flag])
+            assert exc.value.code == 2
 
     def test_self_check_entry_point(self):
         """The CI self-check: the shipped tree passes its own analyzer."""
-        assert main([str(SRC_REPRO), "--concurrency"]) == 0
+        assert main([str(SRC_REPRO)]) == 0

@@ -7,7 +7,7 @@ Five layers of checks:
   save-database checkpoint; read-your-own-writes still holds inside an
   open transaction (where snapshot reads are bypassed by design);
 * **lock-freedom** — a pinned SELECT acquires the ``db.rwlock``
-  reader-writer lock exactly zero times (counted by the lockdep
+  write lock exactly zero times (counted by the lockdep
   witness's acquisition counters, not inferred from timing);
 * **version GC** — the version chain and the deferred-free backlog stay
   bounded under a multi-threaded write hammer, and retired versions are
@@ -123,14 +123,8 @@ class TestSnapshotIsolation:
 def rwlock_acquisitions():
     """Yields a zero-arg callable: ``db.rwlock`` acquisitions so far in
     the block, counted by the lockdep witness."""
-    was_enabled = lockdep.enabled()
-    lockdep.enable()
-    try:
-        before = lockdep.acquire_count("db.rwlock")
-        yield lambda: lockdep.acquire_count("db.rwlock") - before
-    finally:
-        if not was_enabled:
-            lockdep.disable()
+    before = lockdep.acquire_count("db.rwlock")
+    yield lambda: lockdep.acquire_count("db.rwlock") - before
 
 
 @contextmanager
