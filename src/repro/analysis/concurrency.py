@@ -10,9 +10,10 @@ codes (suppressible like any other rule):
 ARCHITECTURE.md ("The lock hierarchy"), written down here and nowhere
 else.  ``txn`` is the WAL transaction scope: the ``wal.txn`` RLock *and*
 every ``X.transaction()`` context manager (statically they are one
-region).  Every other private mutex (``*lock`` / ``*latch`` attributes)
-is a *leaf*: it may be taken while anything above it is held, but
-nothing ranked may be acquired under it.  Violations:
+region); a database's ``transaction()`` takes ``db.rwlock`` first
+(:data:`TRANSACTION_KEYS`).  Every other private mutex (``*lock`` /
+``*latch`` attributes) is a *leaf*: it may be taken while anything above
+it is held, but nothing ranked may be acquired under it.  Violations:
 
 * ``QB401`` — a lock acquired (directly, or transitively through a
   resolved call) while a lock ranked *below* it is held, or a
@@ -91,6 +92,10 @@ LOCK_ATTRS = {
     # register as holding the guard for the state they protect)
     ("WorkerPool", "_cond"): "WorkerPool._cond",
 }
+
+#: class -> hierarchy keys its ``transaction()`` takes, in order (any
+#: other ``X.transaction()`` is the WAL's scope: ``txn`` alone)
+TRANSACTION_KEYS = {"Database": ("db.rwlock", "txn")}
 
 #: method calls that mutate their receiver (for guarded-attr checks)
 MUTATORS = {
@@ -214,17 +219,26 @@ class _Analyzer:
     # lock-expression classification
     # ------------------------------------------------------------------ #
 
-    def _classify_lock(self, fn: FunctionInfo, expr: ast.expr) -> str | None:
-        """The hierarchy key a with-item acquires, or ``None`` for non-locks."""
+    def _classify_lock(self, fn: FunctionInfo,
+                       expr: ast.expr) -> tuple[str, ...]:
+        """The hierarchy keys a with-item acquires, in order (none for
+        non-locks)."""
         if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute):
-            return "txn" if expr.func.attr == "transaction" else None
+            if expr.func.attr != "transaction":
+                return ()
+            for callee in sorted(self.index.resolve_call(fn, expr)):
+                keys = TRANSACTION_KEYS.get(self.index.functions[callee].cls)
+                if keys is not None:
+                    return keys
+            return ("txn",)
         if isinstance(expr, ast.Attribute) and \
                 isinstance(expr.value, ast.Name) and expr.value.id == "self":
-            return self._attr_lock_key(fn.cls, expr.attr)
+            key = self._attr_lock_key(fn.cls, expr.attr)
+            return () if key is None else (key,)
         if isinstance(expr, ast.IfExp):
             return (self._classify_lock(fn, expr.body)
                     or self._classify_lock(fn, expr.orelse))
-        return None
+        return ()
 
     def _attr_lock_key(self, cls: str | None, attr: str) -> str | None:
         if cls is None:
@@ -255,8 +269,7 @@ class _Analyzer:
                 inner = held
                 for item in stmt.items:
                     self._visit_exprs(fn, item.context_expr, inner)
-                    key = self._classify_lock(fn, item.context_expr)
-                    if key is not None:
+                    for key in self._classify_lock(fn, item.context_expr):
                         self.acquires.append(_Acquire(
                             fn.qualname, key, item.context_expr.lineno, inner))
                         inner = inner | {key}

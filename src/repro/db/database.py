@@ -15,6 +15,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 from repro.concurrency import guarded_by, lockdep
+from repro.db.admission import FrequencyAdmission
 from repro.db.catalog import Catalog
 from repro.db.executor import Executor, ResultSet
 from repro.db.functions import (
@@ -40,15 +41,15 @@ from repro.storage.lfm import FieldTableView, LongFieldManager
 
 __all__ = ["Database", "QueryResult", "ReadView"]
 
-#: distinct statement texts :meth:`Database.prepare` remembers (LRU)
+#: distinct statement texts :meth:`Database.prepare` remembers
 _STMT_MEMO_CAPACITY = 256
 
 
-def _compile(sql: str) -> Prepared:
+def _compile(sql: str, ad_hoc: bool = False) -> Prepared:
     """Statement text to a fresh, unbound :class:`Prepared` (the parse)."""
     was = recorder.enter("db.sql")
     try:
-        return Prepared(sql, parse(sql))
+        return Prepared(sql, parse(sql), ad_hoc)
     finally:
         recorder.leave(was)
 
@@ -174,6 +175,7 @@ class Database:
         #: commit *and* rollback: a rolled-back field id is issued again.
         self._stored_cells: dict = {}  # guarded_by: db.rwlock
         self._prepared: OrderedDict[str, Prepared] = OrderedDict()  # guarded_by: _stmt_lock
+        self._stmt_admission = FrequencyAdmission(_STMT_MEMO_CAPACITY)  # guarded_by: _stmt_lock
         self._stmt_lock = lockdep.instrument(threading.Lock(), "db.stmt_memo")
         if self.lfm is not None:
             # Extent frees wait for pinned readers streaming their bytes.
@@ -259,24 +261,32 @@ class Database:
         hits and misses).
 
         Clients send the same few parameterized texts over and over, so
-        the memo (LRU-bounded) is what makes a repeated statement cost no
-        parse — and, through :attr:`Prepared.bound`, no semantic check
-        and no planning either.
+        the memo is what makes a repeated statement cost no parse — and,
+        through :attr:`Prepared.bound`, no semantic check and no planning
+        either.  It memoizes what repeats: it evicts in LRU order, but
+        once full it admits a new text only if that text has been
+        prepared more often than the LRU entry
+        (:class:`~repro.db.admission.FrequencyAdmission`).  A text it
+        turns away comes back :attr:`Prepared.ad_hoc`, and runs like bare
+        ``execute(text)``: checked and planned for its one call, with
+        nothing kept.
         """
         with self._stmt_lock:
+            self._stmt_admission.touch(sql)
             prepared = self._prepared.get(sql)
             if prepared is not None:
                 self._prepared.move_to_end(sql)
                 return prepared, True
         prepared = _compile(sql)
         with self._stmt_lock:
-            self._prepared[sql] = prepared
-            if len(self._prepared) > _STMT_MEMO_CAPACITY:
-                self._prepared.popitem(last=False)
+            if self._stmt_admission.admit(self._prepared, sql):
+                self._prepared[sql] = prepared
+            else:
+                prepared.ad_hoc = True
         return prepared, False
 
-    def _bind(self, prepared: Prepared, catalog, registry: FunctionRegistry,
-              ad_hoc: bool = False) -> tuple[Bound, dict]:
+    def _bind(self, prepared: Prepared, catalog,
+              registry: FunctionRegistry) -> tuple[Bound, dict]:
         """Run the semantic check unless it already passed on this state.
 
         The state is the stamp of :mod:`repro.db.sql.prepared`: identity,
@@ -285,11 +295,12 @@ class Database:
         ``registry``'s own stamp.  Returns the
         statement's :class:`Bound` for that stamp (fresh, with no plans,
         after a check; one with no stamp, for this run only, when the
-        registry forbids keeping one or the statement is ``ad_hoc`` and
-        will not be seen again) and a private copy of its plan table for
+        registry forbids keeping one or the statement is
+        :attr:`~Prepared.ad_hoc`) and a private copy of its plan table for
         the executor to fill — :meth:`_keep_plans` publishes what it adds.
         """
-        functions = None if ad_hoc else registry.stamp(prepared.funcs)
+        functions = (None if prepared.ad_hoc
+                     else registry.stamp(prepared.funcs))
         if functions is None:
             return Bound(None, _check(prepared, catalog, registry), {}), {}
         tables = catalog.stamp_of(prepared.tables)
@@ -327,7 +338,8 @@ class Database:
         ``params`` is a template the client will send again, and goes
         through the statement memo; bare text is ad hoc — every literal
         makes another one, so it is compiled for this call alone and
-        leaves the memo to the templates.
+        leaves the memo to the templates.  So is a template the memo
+        turns away (:meth:`prepare`).
 
         The semantic analyzer runs between parse and execution — or has
         run, against this very catalog and registry state (:meth:`_bind`)
@@ -355,7 +367,7 @@ class Database:
         """
         prepared = None if isinstance(sql, str) else sql
         text = sql if prepared is None else prepared.sql
-        ad_hoc = prepared is None and params is None
+        ad_hoc = params is None
         params = list(params or ())
         registry = functions if functions is not None else self.functions
         mode = planner if planner is not None else self.planner
@@ -365,7 +377,8 @@ class Database:
         # attribution), the notes below land on that record instead.
         with recorder.statement(text) as rec:
             if prepared is None:
-                prepared = _compile(text) if ad_hoc else self.prepare(text)[0]
+                prepared = (_compile(text, True) if ad_hoc
+                            else self.prepare(text)[0])
             if rec.active:
                 rec.note(kind=prepared.kind, shape=prepared.shape,
                          digest=prepared.digest)
@@ -373,14 +386,14 @@ class Database:
                 with (self.read_view() if view is None
                       else nullcontext(view)) as view:
                     return self._run(prepared, params, registry, mode, rec,
-                                     view.catalog, view.lfm, ad_hoc)
+                                     view.catalog, view.lfm)
             with self.transaction():
                 return self._run(prepared, params, registry, mode, rec,
-                                 self.catalog, self.lfm, ad_hoc)
+                                 self.catalog, self.lfm)
 
     def _run(self, prepared: Prepared, params: list,
              registry: FunctionRegistry, mode: str, rec, catalog,
-             lfm, ad_hoc: bool) -> QueryResult:
+             lfm) -> QueryResult:
         """The statement body: analyze, execute, account.
 
         ``catalog`` / ``lfm`` are a :class:`ReadView`'s, or the live
@@ -389,7 +402,7 @@ class Database:
         rendered plan instead of the rows.
         """
         stmt, sql, explain = prepared.ast, prepared.sql, prepared.is_explain
-        bound, plans = self._bind(prepared, catalog, registry, ad_hoc)
+        bound, plans = self._bind(prepared, catalog, registry)
         ctx = ExecutionContext(lfm=lfm, blocks=bound.blocks, planner_mode=mode,
                                plans=plans, stored_cells=self._stored_cells)
         if explain:

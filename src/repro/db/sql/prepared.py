@@ -101,7 +101,7 @@ def _collect(node, tables: set[str], funcs: set[str],
 class Prepared:
     """One statement: its text, its AST, and the facts derived from them."""
 
-    def __init__(self, sql: str, ast: Statement):
+    def __init__(self, sql: str, ast: Statement, ad_hoc: bool = False):
         self.sql = sql
         self.ast = ast
         self.is_explain = isinstance(ast, Explain)
@@ -112,6 +112,9 @@ class Prepared:
                      else "read" if self.is_read else "write")
         #: the catalog-dependent half (module docstring); None until bound
         self.bound: Bound | None = None
+        #: compiled for one run (bare text, or a text the statement memo
+        #: turned away): checked and planned afresh, never bound
+        self.ad_hoc = ad_hoc
 
     @cached_property
     def canonical(self) -> str:

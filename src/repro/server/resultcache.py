@@ -9,13 +9,22 @@ plus the bound parameters.  Every entry remembers the SELECT's
 :attr:`Prepared.tables <repro.db.sql.Prepared.tables>`; any write to one
 of those tables drops the entry.
 
-Thread safety: a single mutex guards the LRU map.  Snapshot reads hold
-no database lock, which opens a window: a reader executing against
-version N can ``put`` *after* a writer committed N+1 and invalidated.
-Entries therefore carry the snapshot sequence number they were computed
-from, and ``invalidate`` records a per-table low-water mark under the
-same cache lock — a late ``put`` whose sequence predates the mark is
-rejected instead of resurrecting stale rows (see ARCHITECTURE.md).
+The map evicts in LRU order and admits by frequency
+(:class:`~repro.db.admission.FrequencyAdmission`): every ``get`` counts
+its key, and at full capacity a ``put`` of a new key stores its rows only
+when the key has been asked for more often than the LRU entry it would
+evict.  A refused ``put`` stores nothing (``server.result_cache.rejected``),
+so a stream of distinct keys wider than the map cannot flush what
+repeats.
+
+Thread safety: a single mutex guards the LRU map and its counts.
+Snapshot reads hold no database lock, which opens a window: a reader
+executing against version N can ``put`` *after* a writer committed N+1
+and invalidated.  Entries therefore carry the snapshot sequence number
+they were computed from, and ``invalidate`` records a per-table
+low-water mark under the same cache lock — a late ``put`` whose sequence
+predates the mark is rejected instead of resurrecting stale rows (see
+ARCHITECTURE.md).
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.db.admission import FrequencyAdmission
 from repro.errors import ValidationError
 from repro.obs import metrics
 
@@ -55,7 +65,8 @@ class CachedResult:
 
 
 class ResultCache:
-    """LRU map of canonical SQL -> result rows, invalidated by writes."""
+    """Canonical SQL -> result rows: LRU eviction, frequency admission,
+    invalidated by writes."""
 
     def __init__(self, capacity: int = 256):
         if capacity < 1:
@@ -66,15 +77,19 @@ class ResultCache:
         #: sequence *below* the mark are stale (a write invalidated them
         #: before they arrived).  Bounded by the schema's table count.
         self._stale_below: dict[str, int] = {}
+        self._admission = FrequencyAdmission(capacity)
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
         self.stale_puts = 0
+        self.rejected = 0
 
     def get(self, key: tuple) -> CachedResult | None:
-        """The cached entry for ``key``, refreshing its LRU position."""
+        """The cached entry for ``key``, refreshing its LRU position; hit
+        or miss, the lookup counts toward ``key``'s admission."""
         with self._lock:
+            self._admission.touch(key)
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
@@ -98,12 +113,15 @@ class ResultCache:
         return False
 
     def put(self, key: tuple, entry: CachedResult) -> None:
-        """Insert (or refresh) one entry, evicting the LRU tail.
+        """Insert (or refresh) one entry.
 
         A late fill loses: when the entry's snapshot sequence predates an
         invalidation mark on any of its tables, or a fresher result for
         the same key is already cached, the put is dropped — both checks
         run under the cache lock, atomically with the insert they guard.
+        A new key at full capacity is stored only if it is more frequent
+        than the LRU entry, which it then evicts; otherwise the put is
+        refused and the map is left as it was.
         """
         with self._lock:
             existing = self._entries.get(key)
@@ -112,10 +130,12 @@ class ResultCache:
                 self.stale_puts += 1
                 metrics.counter("server.result_cache.stale_puts").inc()
                 return
+            if existing is None and not self._admission.admit(self._entries, key):
+                self.rejected += 1
+                metrics.counter("server.result_cache.rejected").inc()
+                return
             self._entries[key] = entry
             self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
             metrics.gauge("server.result_cache.entries").set(len(self._entries))
 
     def invalidate(self, tables, seq: int) -> int:

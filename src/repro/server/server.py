@@ -148,6 +148,8 @@ class QueryServer:
         prepared, hit = self.db.prepare(sql)
         metrics.counter("server.stmt_memo.hits" if hit
                         else "server.stmt_memo.misses").inc()
+        if prepared.ad_hoc:
+            metrics.counter("server.stmt_memo.rejected").inc()
         registry = session.functions
         if not prepared.is_read:
             return self._execute_write(prepared, session, params)
@@ -211,7 +213,7 @@ class QueryServer:
             # Re-entrant by construction: transaction() already holds the
             # write lock on this thread, so the one execute() takes nests
             # instead of inverting the order.
-            return self.db.execute(prepared, params,  # qblint: disable=QB401
+            return self.db.execute(prepared, params,
                                    functions=session.functions)
 
     # ------------------------------------------------------------------ #

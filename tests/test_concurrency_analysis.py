@@ -79,6 +79,63 @@ class TestSeededViolations:
         # intersection of its call sites — holds the leaf).
         assert codes(found) == ["QB401", "QB401"]
 
+    #: a database whose transaction() takes its write lock, then the WAL's
+    DATABASE = """
+        import threading
+
+        class WriteAheadLog:
+            def __init__(self):
+                self._txn_lock = threading.RLock()
+
+            def transaction(self):
+                return self._txn_lock
+
+        class Database:
+            def __init__(self):
+                self._rwlock = threading.RLock()
+                self.wal = WriteAheadLog()
+
+            def transaction(self):
+                with self._rwlock:
+                    with self.wal.transaction():
+                        pass
+
+            def execute(self, sql):
+                with self._rwlock:
+                    pass
+        """
+
+    def test_a_statement_inside_a_database_transaction_is_clean(self, tmp_path):
+        # QueryServer._execute_write's shape: execute() re-enters the
+        # db.rwlock that the database's transaction() took before txn.
+        fixture(tmp_path, self.DATABASE + """
+        class Server:
+            def __init__(self):
+                self.db = Database()
+
+            def write(self, sql):
+                with self.db.transaction():
+                    return self.db.execute(sql)
+        """)
+        assert codes(analyze_paths([tmp_path])) == []
+
+    def test_qb401_db_rwlock_first_taken_under_a_wal_transaction(self, tmp_path):
+        fixture(tmp_path, self.DATABASE + """
+        class Store:
+            def __init__(self):
+                self.db = Database()
+                self.wal = WriteAheadLog()
+
+            def bad(self, sql):
+                with self.wal.transaction():
+                    return self.db.execute(sql)
+        """)
+        found = analyze_paths([tmp_path])
+        # At the call site, and inside execute(), whose one caller holds txn.
+        assert codes(found) == ["QB401", "QB401"]
+        assert all("'db.rwlock'" in v.message and "'txn' is held" in v.message
+                   for v in found)
+
     def test_qb401_nonreentrant_recursion(self, tmp_path):
         fixture(tmp_path, """
             import threading

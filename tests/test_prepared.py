@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import random
 import re
+from collections import OrderedDict
 
 import pytest
 
+from repro.db.database import _STMT_MEMO_CAPACITY as CAPACITY
 from repro.db.sql import Prepared, parse
 from tests.test_plan_equivalence import generate_query
 
@@ -219,24 +221,112 @@ def test_bare_text_is_ad_hoc_and_leaves_the_memo_alone(kv_db):
     assert list(kv_db._prepared) == held + ["select count(*) from kv"]
 
 
-def test_memo_evicts_least_recently_used_at_capacity(kv_db):
-    from repro.db.database import _STMT_MEMO_CAPACITY
+def _text(i: int) -> str:
+    return f"select v from kv where k = {i}"
 
-    def text(i):
-        return f"select v from kv where k = {i}"
 
-    held = len(kv_db._prepared)  # the fixture's insert template
-    (first, _), (second, _) = kv_db.prepare(text(0)), kv_db.prepare(text(1))
-    for i in range(2, _STMT_MEMO_CAPACITY - held):
-        kv_db.execute(text(i), [])
-    assert kv_db.prepare(text(0)) == (first, True)  # full, nothing evicted yet
-    assert len(kv_db._prepared) == _STMT_MEMO_CAPACITY
-    kv_db.prepare(text(_STMT_MEMO_CAPACITY))    # one over: evicts the LRU,
-    kv_db.prepare(text(_STMT_MEMO_CAPACITY + 1))  # the insert, then text(1)
-    assert kv_db.prepare(text(0)) == (first, True)
-    stale, hit = kv_db.prepare(text(1))
+def test_memo_admits_what_repeats_and_evicts_least_recently_used(kv_db):
+    held = len(kv_db._prepared)  # the fixture's insert template, seen once
+    (first, _), (second, _) = kv_db.prepare(_text(0)), kv_db.prepare(_text(1))
+    for i in range(2, CAPACITY - held):
+        kv_db.execute(_text(i), [])
+    assert kv_db.prepare(_text(0)) == (first, True)  # full, nothing evicted yet
+    assert len(kv_db._prepared) == CAPACITY
+    # Seen once, like the LRU entry: a tie, so it is turned away ...
+    once, hit = kv_db.prepare(_text(CAPACITY))
+    assert not hit and once.ad_hoc and _text(CAPACITY) not in kv_db._prepared
+    # ... and admitted the second time, evicting the LRU: the insert,
+    kept, hit = kv_db.prepare(_text(CAPACITY))
+    assert not hit and not kept.ad_hoc and kept is not once
+    assert "insert into kv values (?, ?)" not in kv_db._prepared
+    kv_db.prepare(_text(CAPACITY + 1))  # then text(1)
+    kv_db.prepare(_text(CAPACITY + 1))
+    assert kv_db.prepare(_text(0)) == (first, True)
+    assert kv_db.prepare(_text(CAPACITY)) == (kept, True)
+    stale, hit = kv_db.prepare(_text(1))
     assert not hit and stale is not second
-    assert len(kv_db._prepared) == _STMT_MEMO_CAPACITY
+    assert len(kv_db._prepared) == CAPACITY
+
+
+def _lru_hits(keys, capacity: int) -> int:
+    """Hits of a plain LRU map (admit every miss) on ``keys``."""
+    held, hits = OrderedDict(), 0
+    for key in keys:
+        if key in held:
+            held.move_to_end(key)
+            hits += 1
+        else:
+            held[key] = None
+            if len(held) > capacity:
+                held.popitem(last=False)
+    return hits
+
+
+def _zipf_stream(n: int, draws: int, seed: int) -> list[int]:
+    """Seeded Zipf(1) draws over ``n`` ranks."""
+    weights = [1 / (rank + 1) for rank in range(n)]
+    return random.Random(seed).choices(range(n), weights=weights, k=draws)
+
+
+def _fill_memo(db, times: int) -> None:
+    """Fill ``db``'s memo with texts each prepared ``times`` times: a new
+    text is turned away until it has been prepared more often than that."""
+    for _ in range(times):
+        for i in range(CAPACITY):
+            db.prepare(f"select v from kv where k = {10_000 + i}")
+
+
+class TestMemoAdmission:
+    """The memo's admission rule on key streams: counts, nothing timed."""
+
+    def test_a_cyclic_scan_keeps_a_stable_resident_set(self, kv_db):
+        n = CAPACITY * 5 // 2
+        texts = [_text(i) for i in range(n)]
+        assert _lru_hits(texts * 6, CAPACITY) == 0  # LRU: every text evicted
+        residents, hits = [], 0
+        for _ in range(6):
+            hits = sum(kv_db.prepare(text)[1] for text in texts)
+            residents.append(set(kv_db._prepared))
+        assert residents[1] == residents[-1]
+        assert hits / n >= 0.5 * CAPACITY / n
+
+    def test_a_zipf_stream_hits_no_less_than_lru(self, kv_db):
+        stream = [_text(i) for i in _zipf_stream(CAPACITY * 5 // 2, 12_000, 1994)]
+        hits = sum(kv_db.prepare(text)[1] for text in stream)
+        assert hits >= _lru_hits(stream, CAPACITY)
+
+    def test_a_tie_is_not_admitted(self, kv_db):
+        _fill_memo(kv_db, times=1)
+        held = list(kv_db._prepared)
+        prepared, hit = kv_db.prepare(_text(-1))  # seen once, as the LRU was
+        assert not hit and prepared.ad_hoc
+        assert list(kv_db._prepared) == held
+
+    def test_the_counts_stay_bounded(self, kv_db):
+        most = 0
+        for i in range(100 * CAPACITY):
+            kv_db.prepare(f"select {i} from kv")
+            most = max(most, len(kv_db._stmt_admission._counts))
+        assert most <= 20 * CAPACITY
+
+
+def test_a_text_the_memo_turns_away_is_never_bound(kv_db, monkeypatch):
+    """Through execute, executemany and explain it is checked on every
+    call and keeps no stamp, no plans and no bound slot."""
+    from repro.db import database
+
+    _fill_memo(kv_db, times=4)
+    held = list(kv_db._prepared)
+    checks = _counted(monkeypatch, database, "check")
+    prepared, hit = kv_db.prepare(SUM_SQL)
+    assert not hit and prepared.ad_hoc
+    assert kv_db.execute(prepared, [3]).scalar() == 50
+    assert kv_db.execute(SUM_SQL, [4]).scalar() == 41
+    assert "kv" in kv_db.explain(SUM_SQL)
+    kv_db.executemany("update kv set v = v where k = ?", [[1], [2]])
+    assert prepared.bound is None
+    assert list(kv_db._prepared) == held
+    assert len(checks) == 4  # nothing was kept to skip a check with
 
 
 def test_statement_calling_a_session_local_udf_is_never_bound(kv_db):
@@ -318,3 +408,79 @@ def test_an_insert_that_reads_a_table_keeps_the_full_stamp(kv_db, monkeypatch):
     for k in range(3):
         kv_db.execute(sql, [50 + k])
     assert len(checks) == 3  # each run moved the table the subquery reads
+
+
+def _universe_sample(db) -> list[str]:
+    """One statement of each shape the served workloads replay, over the
+    ids stored in ``db``: single-table REGION functions, two- and
+    three-table joins with a UDF over long fields, scalar filters,
+    aggregates and an ORDER BY."""
+    sid = min(db.execute("select structureId from atlasStructure").column(
+        "structureId"))
+    study, low = db.execute(
+        "select studyId, low from intensityBand "
+        "where encoding = 'hilbert-naive'").rows[0]
+    return [
+        f"select voxelCount(region) from atlasStructure where structureId = {sid}",
+        f"select runCount(region) from intensityBand where studyId = {study} "
+        f"and low = {low} and encoding = 'hilbert-naive'",
+        f"select dataMean(extractVoxels(v.data, s.region)) "
+        f"from warpedVolume v, atlasStructure s "
+        f"where v.studyId = {study} and s.structureId = {sid}",
+        f"select dataVoxels(extractVoxels(v.data, "
+        f"intersection(s.region, b.region))) "
+        f"from warpedVolume v, atlasStructure s, intensityBand b "
+        f"where v.studyId = {study} and s.structureId = {sid} "
+        f"and b.studyId = v.studyId and b.low = {low} "
+        f"and b.encoding = 'hilbert-naive'",
+        "select count(*) from patient where age >= 40",
+        "select name, age from patient where age < 60 and sex = 'M'",
+        "select studyId, depth from rawVolume where modality = 'PET' "
+        "order by studyId",
+        f"select p.name, rv.modality from patient p, rawVolume rv "
+        f"where rv.patientId = p.patientId and rv.studyId = {study}",
+    ]
+
+
+def test_a_turned_away_text_answers_as_every_other_path(demo_system,
+                                                        monkeypatch):
+    from repro.db.admission import FrequencyAdmission
+    from repro.server import QueryServer
+
+    db = demo_system.db
+
+    def fresh_memo(fill: int) -> None:
+        monkeypatch.setattr(db, "_prepared", OrderedDict())
+        monkeypatch.setattr(db, "_stmt_admission",
+                            FrequencyAdmission(CAPACITY))
+        _fill_memo(db, times=fill)
+
+    def answer(result) -> tuple:
+        return result.columns, result.rows
+
+    texts = _universe_sample(db)
+    fresh_memo(fill=0)
+    admitted = [answer(db.execute(sql, [])) for sql in texts]
+    assert all(db.prepare(sql)[0].bound is not None for sql in texts)
+    naive = [answer(db.execute(sql, [], planner="naive")) for sql in texts]
+    fresh_memo(fill=4)
+    turned_away = []
+    for sql in texts:
+        prepared, hit = db.prepare(sql)
+        assert not hit and prepared.ad_hoc
+        turned_away.append(answer(db.execute(prepared, [])))
+        assert prepared.bound is None
+    served = {}
+    for cache in (False, True):
+        fresh_memo(fill=4)
+        with QueryServer(db, workers=1, result_cache=cache) as server:
+            with server.connect() as session:
+                served[cache] = [answer(session.execute(sql))
+                                 for sql in texts for _ in range(2)]
+            if cache:  # the second run of each was a result-cache hit
+                assert server.cache.hits == len(texts)
+        assert not set(texts) & set(db._prepared)
+    assert admitted == naive == turned_away
+    twice = [one for one in admitted for _ in range(2)]
+    assert served[False] == served[True] == twice
+    assert all(rows for _, rows in admitted)
