@@ -9,20 +9,17 @@ proposed spatial indexing as future work; here we measure what it buys
 at 128^3.
 
 Beyond the human-readable text block, the run writes
-``BENCH_ablation_spatial_index.json`` in the shared BENCH schema
-(:func:`repro.bench.runner.validate_bench_json`), so CI can track the
-index-on/index-off page-I/O ratio per commit alongside the Table 3/4
-trajectories.
+``BENCH_ablation_spatial_index.json`` through
+:func:`repro.bench.workloads.write_bench_json`, the writer of the Table 3/4
+documents, so the index-on/index-off page I/Os sit in the same schema.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 from conftest import bench_grid_side, emit
 
-from repro.bench.runner import PAPER_GRID_SIDE, _git_rev, validate_bench_json
+from repro.bench.workloads import write_bench_json
 
 #: measured columns of the ablation document
 ABLATION_COLUMNS = ("page_ios", "exact_tests")
@@ -71,40 +68,17 @@ def test_spatial_index_prefilter(paper_system, results_dir, benchmark):
     )
     emit(results_dir, "ablation_spatial_index", text)
 
-    # machine-readable trajectory point, same schema as the Table 3/4 runs
-    from repro.obs import metrics
-
-    doc = {
-        "schema_version": 1,
-        "workload": "ablation_spatial_index",
-        "generated": {
-            "git_rev": _git_rev(),
-            "grid_side": bench_grid_side(),
-            "paper_grid_side": PAPER_GRID_SIDE,
-            "seed": 1994,
-            "n_pet": 5,
-            "n_mri": 3,
-            "n_probes": N_PROBES,
+    write_bench_json(
+        results_dir / "BENCH_ablation_spatial_index.json", "ablation_spatial_index",
+        paper_system, ABLATION_COLUMNS,
+        {
+            "naive": (("naive plan (every REGION read + tested)",
+                       total["naive"], exact_tests["naive"]), ()),
+            "indexed": (("spatial-index probe (candidates only)",
+                         total["indexed"], exact_tests["indexed"]), ()),
         },
-        "columns": list(ABLATION_COLUMNS),
-        "rows": {
-            "naive": {
-                "label": "naive plan (every REGION read + tested)",
-                "measured": [total["naive"], exact_tests["naive"]],
-                "paper": [],
-            },
-            "indexed": {
-                "label": "spatial-index probe (candidates only)",
-                "measured": [total["indexed"], exact_tests["indexed"]],
-                "paper": [],
-            },
-        },
-        "ratios": {"page_ios": io_ratio},
-        "metrics": metrics.snapshot(),
-    }
-    validate_bench_json(doc)
-    out_path = results_dir / "BENCH_ablation_spatial_index.json"
-    out_path.write_text(json.dumps(doc, indent=2) + "\n")
+        n_probes=N_PROBES,
+    )
 
     assert mismatches == 0, "index changed query answers"
     assert total["indexed"] <= total["naive"]

@@ -11,44 +11,45 @@ from __future__ import annotations
 
 from conftest import bench_grid_side, emit
 
-from repro.bench import PAPER_TABLE4, comparison_table
-from repro.bench.workloads import TABLE4_ENCODINGS, run_table4, table4_measured
+from repro.bench import PAPER_TABLE4
+from repro.bench.workloads import (
+    TABLE4_BAND,
+    TABLE4_COLUMNS,
+    TABLE4_ENCODINGS,
+    run_table4,
+    write_bench_json,
+)
 from repro.core import format_table4
-
-ENCODING_LABELS = TABLE4_ENCODINGS
 
 
 def test_table4(paper_system, results_dir, benchmark):
     study_ids = paper_system.pet_study_ids
     benchmark(
-        paper_system.server.band_consistency_region, study_ids, 128, 159, "hilbert-naive"
+        paper_system.server.band_consistency_region, study_ids, *TABLE4_BAND, "hilbert-naive"
     )
 
-    results = run_table4(paper_system, 128, 159)
-    rows = [row for _, row in results.values()]
-    regions = {encoding: region for encoding, (region, _) in results.items()}
-    measured = {
-        ENCODING_LABELS[encoding]: table4_measured(row)
-        for encoding, (_, row) in results.items()
-    }
-
-    text = (
+    results = run_table4(paper_system)
+    rows = {encoding: row for encoding, (_, row) in results.items()}
+    paper = {encoding: PAPER_TABLE4[label] for encoding, label in TABLE4_ENCODINGS.items()}
+    first = rows["hilbert-naive"]
+    emit(
+        results_dir,
+        "table4_multi_study",
         f"grid side: {bench_grid_side()} (paper: 128); "
-        f"{len(study_ids)} PET studies, band 128-159\n"
-        + comparison_table(("LFM I/Os", "cpu s", "real s"), PAPER_TABLE4, measured)
-        + "\n\n"
-        + format_table4(rows)
-        + f"\nresult: {rows[0].result_runs} runs, {rows[0].result_voxels} voxels"
+        f"{len(study_ids)} PET studies, band 128-159; each row is followed by the paper's\n"
+        + format_table4(list(rows.values()), [paper[e] for e in rows])
+        + f"\nresult: {first.result_runs} runs, {first.result_voxels} voxels",
     )
-    emit(results_dir, "table4_multi_study", text)
+    write_bench_json(results_dir / "BENCH_table4.json", "table4", paper_system,
+                     TABLE4_COLUMNS, {e: (row.as_row(), paper[e]) for e, row in rows.items()})
 
     # All encodings must agree on the answer...
-    masks = [r.to_mask() for r in regions.values()]
+    masks = [region.to_mask() for region, _ in results.values()]
     assert all((m == masks[0]).all() for m in masks[1:])
     # ...and the paper's headline must hold: Hilbert runs are the cheapest
     # encoding in both I/O and elapsed time.  (Between z-runs and octants
     # our measured order can flip: with honest 4-byte packing the octant
     # file is *smaller* than 8-byte z-run pairs; see EXPERIMENTS.md.)
-    h, z, o = (measured[ENCODING_LABELS[e]] for e in ENCODING_LABELS)
-    assert h[0] <= min(z[0], o[0]), "h-runs must need the fewest I/Os"
-    assert h[2] <= min(z[2], o[2]), "h-runs must be fastest end to end"
+    h, z, o = (rows[e].as_row() for e in TABLE4_ENCODINGS)
+    assert h[1] <= min(z[1], o[1]), "h-runs must need the fewest I/Os"
+    assert h[3] <= min(z[3], o[3]), "h-runs must be fastest end to end"

@@ -7,7 +7,9 @@ Building it takes ~1 minute; it is built once per session.
 
 Set ``REPRO_BENCH_GRID=64`` (or 32) to run the benchmarks at reduced scale
 for a quick check; every result is reported alongside the paper's numbers
-so scale changes are visible rather than silent.
+so scale changes are visible rather than silent.  A reduced-grid run
+writes its result files to ``results/grid<N>/``, so the tracked grid-128
+files under ``results/`` stay as they are.
 """
 
 from __future__ import annotations
@@ -40,12 +42,14 @@ def paper_system() -> QbismSystem:
 
 @pytest.fixture(scope="session")
 def results_dir() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+    side = bench_grid_side()
+    path = RESULTS_DIR if side == 128 else RESULTS_DIR / f"grid{side}"
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def emit(results_dir: Path, name: str, text: str) -> None:
-    """Print a result block and persist it under benchmarks/results/."""
+    """Print a result block and persist it in ``results_dir``."""
     banner = f"\n===== {name} =====\n"
     print(banner + text)
     (results_dir / f"{name}.txt").write_text(text + "\n")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.bench.workloads import run_table3
 from repro.core import QbismSystem, QuerySpec, format_table3
 from repro.db.types import SqlType
 
@@ -127,19 +128,8 @@ def cmd_query(args) -> int:
 
 def cmd_table3(args) -> int:
     """Run the six Table 3 queries and print the full table."""
-    system = _build_system(args)
-    sid = system.pet_study_ids[0]
-    side = system.atlas.resolution
-    lo, hi = round(side * 30 / 128), round(side * 101 / 128)
-    timings = [
-        system.query_full_study(sid, label="Q1: entire study").timing,
-        system.query_box(sid, (lo,) * 3, (hi,) * 3, label="Q2: box").timing,
-        system.query_structure(sid, "ntal", label="Q3: ntal").timing,
-        system.query_structure(sid, "ntal1", label="Q4: ntal1").timing,
-        system.query_band(sid, 224, 255, label="Q5: band 224-255").timing,
-        system.query_mixed(sid, "ntal1", 224, 255, label="Q6: band in ntal1").timing,
-    ]
-    print(format_table3(timings))
+    outcomes = run_table3(_build_system(args))
+    print(format_table3([o.timing for o in outcomes.values()]))
     return 0
 
 

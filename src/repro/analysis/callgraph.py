@@ -107,6 +107,8 @@ class CodeIndex:
         self.imports: dict[str, dict[str, tuple[str, str]]] = {}
         #: class -> attr -> possible classes of the stored value
         self.attr_types: dict[str, dict[str, set[str]]] = {}
+        #: (class, field, annotation) of each class-body annotation
+        self._fields: list[tuple[str, str, ast.expr]] = []
 
     # ------------------------------------------------------------------ #
     # construction
@@ -139,14 +141,16 @@ class CodeIndex:
                         info.methods[item.name] = fn.qualname
                     elif isinstance(item, ast.AnnAssign) and \
                             isinstance(item.target, ast.Name):
-                        # Dataclass-style field annotation.
-                        types = self._annotation_types(item.annotation)
-                        if types:
-                            self.attr_types.setdefault(node.name, {}) \
-                                .setdefault(item.target.id, set()).update(types)
+                        # Dataclass-style field: resolved in finalize().
+                        self._fields.append((node.name, item.target.id, item.annotation))
 
     def finalize(self) -> None:
-        """Second pass: infer attribute/local types (needs every class known)."""
+        """Second pass: infer field/attribute/local types (needs every
+        class known, so the result does not depend on module order)."""
+        for cls, attr, annotation in self._fields:
+            types = self._annotation_types(annotation)
+            if types:
+                self.attr_types.setdefault(cls, {}).setdefault(attr, set()).update(types)
         for fn in self.functions.values():
             self._infer_types(fn)
 

@@ -1,4 +1,4 @@
-"""Benchmark support: paper reference values and comparison tables."""
+"""Benchmark support: paper reference values and the Table 3/4 workloads."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.bench.harness import (
     PAPER_TABLE3,
     PAPER_TABLE4,
     PAPER_VOLUME_ORDER_RUN_EXCESS,
-    comparison_table,
     ratio_line,
 )
 
@@ -20,6 +19,5 @@ __all__ = [
     "PAPER_SIZE_RATIOS",
     "PAPER_POWER_LAW_EXPONENT",
     "PAPER_VOLUME_ORDER_RUN_EXCESS",
-    "comparison_table",
     "ratio_line",
 ]

@@ -1,4 +1,4 @@
-"""Reference numbers from the paper and helpers to print paper-vs-measured.
+"""Reference numbers from the paper and the ratio-series printer.
 
 Every benchmark prints the same rows/series the paper reports next to what
 this implementation measures, so the *shape* of each result (who wins, by
@@ -17,7 +17,6 @@ __all__ = [
     "PAPER_TABLE4",
     "PAPER_RUN_RATIOS",
     "PAPER_SIZE_RATIOS",
-    "comparison_table",
     "ratio_line",
 ]
 
@@ -60,27 +59,6 @@ PAPER_VOLUME_ORDER_RUN_EXCESS = 0.27
 PAPER_POWER_LAW_EXPONENT = (1.5, 1.7)
 
 
-def comparison_table(
-    header: Sequence[str],
-    paper_rows: Mapping[str, Sequence],
-    measured_rows: Mapping[str, Sequence],
-) -> str:
-    """Interleave paper and measured rows per key into one aligned table."""
-    rows: list[tuple[str, ...]] = [("", *map(str, header))]
-    for key in measured_rows:
-        paper = paper_rows.get(key)
-        if paper is not None:
-            rows.append((f"{key} (paper)", *[_fmt(v) for v in paper]))
-        rows.append((f"{key} (ours)", *[_fmt(v) for v in measured_rows[key]]))
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = []
-    for r, row in enumerate(rows):
-        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-        if r == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
-
-
 def ratio_line(label: str, values: Sequence[float], names: Sequence[str]) -> str:
     """Format a normalized ratio series like the paper's in-text ratios."""
     base = values[0]
@@ -91,8 +69,3 @@ def ratio_line(label: str, values: Sequence[float], names: Sequence[str]) -> str
     legend = " : ".join(names)
     return f"{label}: ({legend}) = {body}"
 
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.2f}"
-    return str(value)

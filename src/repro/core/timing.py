@@ -96,7 +96,10 @@ _TABLE3_HEADER = (
 _TABLE4_HEADER = ("encoding", "LFM I/Os", "cpu s", "real s")
 
 
-def _format_rows(header: tuple, rows: list[tuple]) -> str:
+def _format_rows(header: tuple, rows: list[tuple], paper) -> str:
+    if paper is not None:  # each measured row, then the paper's values
+        rows = [r for row, ref in zip(rows, paper, strict=True)
+                for r in (row, ("(paper)", *ref))]
     table = [tuple(str(c) for c in header)] + [tuple(str(c) for c in row) for row in rows]
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
     lines = []
@@ -107,11 +110,13 @@ def _format_rows(header: tuple, rows: list[tuple]) -> str:
     return "\n".join(lines)
 
 
-def format_table3(breakdowns: list[TimingBreakdown]) -> str:
-    """Render Table 3 rows as an aligned text table."""
-    return _format_rows(_TABLE3_HEADER, [b.as_row() for b in breakdowns])
+def format_table3(breakdowns: list[TimingBreakdown], paper=None) -> str:
+    """Render Table 3 rows as an aligned text table; ``paper``, one
+    sequence of reference values per row, interleaves the paper's rows."""
+    return _format_rows(_TABLE3_HEADER, [b.as_row() for b in breakdowns], paper)
 
 
-def format_table4(rows: list[Table4Row]) -> str:
-    """Render Table 4 rows as an aligned text table."""
-    return _format_rows(_TABLE4_HEADER, [r.as_row() for r in rows])
+def format_table4(rows: list[Table4Row], paper=None) -> str:
+    """Render Table 4 rows as an aligned text table (``paper`` as for
+    :func:`format_table3`)."""
+    return _format_rows(_TABLE4_HEADER, [r.as_row() for r in rows], paper)

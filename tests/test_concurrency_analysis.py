@@ -369,6 +369,24 @@ class TestTreeSelfCheck:
         assert len(analyzer.guards) == comments
         assert set(analyzer.guards.values()) <= taken
 
+    def test_field_types_do_not_depend_on_module_order(self):
+        """A dataclass field's annotation is resolved once every class is
+        known: ``MedicalLoader.lfm: LongFieldManager`` (``repro.storage``
+        sorts after ``repro.medical``) types ``self.lfm`` in ``_unit``."""
+        from repro.analysis.callgraph import build_index
+
+        files = [(path, ast.parse(path.read_text(encoding="utf-8")))
+                 for path in sorted(SRC_REPRO.rglob("*.py"))]
+        forward, backward = build_index(files), build_index(files[::-1])
+        assert forward.attr_types == backward.attr_types
+        assert forward.attr_types["MedicalLoader"]["lfm"] == {"LongFieldManager"}
+        unit = forward.functions["repro.medical.loader:MedicalLoader._unit"]
+        calls = {node.func.attr: forward.resolve_call(unit, node)
+                 for node in ast.walk(unit.node) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)}
+        assert calls["transaction"] == {"repro.db.database:Database.transaction"}
+        assert calls["on_rollback"] == {"repro.storage.lfm:LongFieldManager.on_rollback"}
+
 
 # --------------------------------------------------------------------- #
 # suppressions

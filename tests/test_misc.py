@@ -11,7 +11,6 @@ from repro.bench import (
     PAPER_SIZE_RATIOS,
     PAPER_TABLE3,
     PAPER_TABLE4,
-    comparison_table,
     ratio_line,
 )
 from repro.core.timing import Table4Row, TimingBreakdown, format_table3, format_table4
@@ -80,18 +79,6 @@ class TestBenchHarness:
         with pytest.raises(ValueError):
             ratio_line("x", [0.0, 1.0], ["a", "b"])
 
-    def test_comparison_table_interleaves(self):
-        text = comparison_table(
-            ("col",),
-            {"Q1": (10,)},
-            {"Q1": (11,), "Q9": (12,)},
-        )
-        lines = text.splitlines()
-        assert any("Q1 (paper)" in line for line in lines)
-        assert any("Q1 (ours)" in line for line in lines)
-        assert any("Q9 (ours)" in line for line in lines)
-        assert not any("Q9 (paper)" in line for line in lines)
-
 
 class TestCounterArithmetic:
     def test_iostats_add_sub(self):
@@ -140,3 +127,13 @@ class TestTimingFormatting:
     def test_format_table4(self):
         row = Table4Row("h-runs", 10, 0.5, 1.5, 100, 1000)
         assert "h-runs" in format_table4([row])
+
+    def test_format_table3_interleaves_paper_rows(self):
+        t = TimingBreakdown("Q1: q", 1, 2, 3, 0.1, 1.0, 4, 2.0, 0.2, 0.5, 10.0, 3.5)
+        u = TimingBreakdown("Q9: u", 5, 6, 7, 0.1, 1.0, 4, 2.0, 0.2, 0.5, 10.0, 3.5)
+        lines = format_table3([t, u], [PAPER_TABLE3["Q1"], PAPER_TABLE3["Q2"]]).splitlines()
+        assert [line.split()[0] for line in lines[2:]] == ["Q1:", "(paper)", "Q9:", "(paper)"]
+        assert lines[3].split()[1:4] == ["1", "2097152", "513"]  # Q1's paper row
+        assert len(set(map(len, lines))) == 1  # aligned
+        with pytest.raises(ValueError):  # one paper row per measured row
+            format_table4([Table4Row("h", 1, 0.1, 0.2, 1, 1)], [])

@@ -1,5 +1,5 @@
 """Tests for the observability layer: metrics, EXPLAIN ANALYZE, and the
-bench runner's JSON output."""
+BENCH JSON the Table 3/4 benches write."""
 
 from __future__ import annotations
 
@@ -134,25 +134,13 @@ class TestEstimates:
     def _table3_data_queries(self, system):
         """The (sql, params) of each Table 3 data query, via the server's
         own generator so the tested SQL is exactly the bench SQL."""
-        from repro.bench.workloads import scaled_box
-        from repro.medical.server import QuerySpec
+        from repro.bench.workloads import table3_specs
 
-        sid = system.pet_study_ids[0]
-        lower, upper = scaled_box(system.atlas.resolution)
-        specs = {
-            "Q1": QuerySpec(study_id=sid),
-            "Q2": QuerySpec(study_id=sid, box=(lower, upper)),
-            "Q3": QuerySpec(study_id=sid, structures=("ntal",)),
-            "Q4": QuerySpec(study_id=sid, structures=("ntal1",)),
-            "Q5": QuerySpec(study_id=sid, intensity_range=(224, 255)),
-            "Q6": QuerySpec(study_id=sid, structures=("ntal1",),
-                            intensity_range=(224, 255)),
-        }
         atlas_id, side = system.db.execute(
             "select atlasId, n from atlas").first()
         return {
             qid: system.server._build_data_query(spec, atlas_id, side)[:2]
-            for qid, spec in specs.items()
+            for qid, (_, spec) in table3_specs(system).items()
         }
 
     def test_plain_explain_estimates_every_operator(self, system):
@@ -246,43 +234,63 @@ class TestEstimates:
 
 
 class TestBenchRunner:
-    def test_run_benches_writes_schema_valid_json(self, tmp_path):
-        from repro.bench.runner import run_benches, validate_bench_json
+    """``write_bench_json``, the one writer of every BENCH document."""
 
-        written = run_benches(
-            grid_side=16, n_pet=2, n_mri=1, seed=7, out_dir=tmp_path
+    @pytest.fixture(scope="class")
+    def bench_system(self):
+        from repro.bench.workloads import TABLE4_ENCODINGS
+
+        return QbismSystem.build_demo(grid_side=16, n_pet=2, n_mri=1, seed=7,
+                                      band_encodings=tuple(TABLE4_ENCODINGS))
+
+    def test_table_runs_write_schema_valid_json(self, bench_system, tmp_path):
+        from repro.bench import PAPER_TABLE3, PAPER_TABLE4
+        from repro.bench.workloads import (
+            TABLE3_COLUMNS, TABLE4_COLUMNS, TABLE4_ENCODINGS, run_table3,
+            run_table4, validate_bench_json, write_bench_json,
         )
-        assert [p.name for p in written] == [
-            "BENCH_table3.json", "BENCH_table4.json",
-        ]
-        for path in written:
-            doc = json.loads(path.read_text())
-            validate_bench_json(doc)
-        table3 = json.loads((tmp_path / "BENCH_table3.json").read_text())
-        assert set(table3["rows"]) == {"Q1", "Q2", "Q3", "Q4", "Q5", "Q6"}
-        assert table3["generated"]["grid_side"] == 16
-        # the metrics snapshot is populated by the run itself
-        assert table3["metrics"]["counters"]["lfm.reads"] > 0
 
-    def test_hung_git_leaves_rev_none(self, tmp_path, monkeypatch):
+        table3 = {k: (o.timing.as_row(), PAPER_TABLE3[k])
+                  for k, o in run_table3(bench_system).items()}
+        table4 = {e: (row.as_row(), PAPER_TABLE4[TABLE4_ENCODINGS[e]])
+                  for e, (_, row) in run_table4(bench_system).items()}
+        write_bench_json(tmp_path / "BENCH_table3.json", "table3", bench_system,
+                         TABLE3_COLUMNS, table3)
+        write_bench_json(tmp_path / "BENCH_table4.json", "table4", bench_system,
+                         TABLE4_COLUMNS, table4)
+        docs = {p.name: json.loads(p.read_text()) for p in tmp_path.iterdir()}
+        assert sorted(docs) == ["BENCH_table3.json", "BENCH_table4.json"]
+        for doc in docs.values():
+            validate_bench_json(doc)
+        doc = docs["BENCH_table3.json"]
+        assert set(doc["rows"]) == {"Q1", "Q2", "Q3", "Q4", "Q5", "Q6"}
+        assert doc["rows"]["Q6"]["label"] == "Q6: band in ntal1"
+        assert doc["generated"]["grid_side"] == 16
+        assert doc["generated"]["seed"] == 7
+        assert set(docs["BENCH_table4.json"]["rows"]) == set(TABLE4_ENCODINGS)
+        # the metrics snapshot is populated by the run itself
+        assert doc["metrics"]["counters"]["lfm.reads"] > 0
+
+    def test_hung_git_leaves_rev_none(self, bench_system, tmp_path, monkeypatch):
         import subprocess
 
-        from repro.bench.runner import run_benches, validate_bench_json
+        from repro.bench.workloads import validate_bench_json, write_bench_json
 
         def hung(cmd, **kwargs):
             raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
 
         monkeypatch.setattr(subprocess, "run", hung)
-        written = run_benches(
-            grid_side=16, n_pet=2, n_mri=0, seed=7, out_dir=tmp_path
-        )
-        for path in written:
-            doc = json.loads(path.read_text())
-            validate_bench_json(doc)
-            assert doc["generated"]["git_rev"] is None
+        path = tmp_path / "BENCH_ablation_spatial_index.json"
+        write_bench_json(path, "ablation_spatial_index", bench_system,
+                         ("page_ios", "exact_tests"), {"naive": (("naive", 3, 4), ())},
+                         n_probes=1)
+        doc = json.loads(path.read_text())
+        validate_bench_json(doc)
+        assert doc["generated"]["git_rev"] is None
+        assert doc["generated"]["n_probes"] == 1
 
-    def test_validator_rejects_malformed_documents(self):
-        from repro.bench.runner import validate_bench_json
+    def test_validator_rejects_malformed_documents(self, bench_system, tmp_path):
+        from repro.bench.workloads import validate_bench_json, write_bench_json
 
         with pytest.raises(ValidationError):
             validate_bench_json({"workload": "table3"})
@@ -296,3 +304,9 @@ class TestBenchRunner:
                 "schema_version": 1, "workload": "concurrency",
                 "generated": {}, "columns": [], "rows": {}, "metrics": {},
             })
+        # the writer validates first: a malformed document is never written
+        path = tmp_path / "BENCH_table4.json"
+        with pytest.raises(ValidationError, match="2 measured values for 1 columns"):
+            write_bench_json(path, "table4", bench_system, ("lfm_page_ios",),
+                             {"x": (("x", 1, 2), ())})
+        assert not path.exists()
