@@ -60,7 +60,7 @@ def main(argv=None) -> int:
         "cpu_ms_per_op": round(values["cpu_ms_per_op"], 4),
         "wait_over_0.1ms_share": round(
             1 - waits.buckets[0] / waits.count if waits.count else 0.0, 3),
-        "wait_ms_mean": round(waits.mean * 1e3, 4),
+        "wait_ms_mean": round(waits.export()["mean"] * 1e3, 4),
     }))
     return 0
 

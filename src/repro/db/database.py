@@ -31,7 +31,7 @@ from repro.db.persist import commit_record
 from repro.db.semantic import analyze as _analyze
 from repro.db.semantic import check
 from repro.db.sql.ast import Explain, Select
-from repro.db.sql.parser import parse
+from repro.db.sql.parser import last_tokens, parse
 from repro.db.sql.prepared import Bound, Prepared
 from repro.errors import UnsupportedStatementError
 from repro.obs import metrics, recorder
@@ -41,15 +41,21 @@ from repro.storage.lfm import FieldTableView, LongFieldManager
 
 __all__ = ["Database", "QueryResult", "ReadView"]
 
+_STATEMENTS = metrics.counter("db.statements")
+_QUERY_SECONDS = metrics.histogram("db.query_seconds")
+
 #: distinct statement texts :meth:`Database.prepare` remembers
 _STMT_MEMO_CAPACITY = 256
 
 
 def _compile(sql: str, ad_hoc: bool = False) -> Prepared:
-    """Statement text to a fresh, unbound :class:`Prepared` (the parse)."""
+    """Statement text to a fresh, unbound :class:`Prepared` (the parse);
+    classified by its tokens when a record will want its shape."""
     was = recorder.enter("db.sql")
     try:
-        return Prepared(sql, parse(sql), ad_hoc)
+        ast = parse(sql)
+        return Prepared(sql, ast, ad_hoc,
+                        None if was is None else last_tokens())
     finally:
         recorder.leave(was)
 
@@ -418,7 +424,7 @@ class Database:
                 return QueryResult(ResultSet(["plan"], rows), WorkCounters(),
                                    None, sql)
             profile = ctx.profile = PlanProfile()
-        metrics.counter("db.statements").inc()
+        _STATEMENTS.inc()
         start = time.perf_counter()
         # Thread-local attribution: the delta is exactly this statement's
         # I/O even while other sessions run concurrently (a global
@@ -434,8 +440,7 @@ class Database:
             result = ResultSet(["plan"], [(line,) for line in lines])
             rec.note(rows=len(lines), io=io_delta, params=params or None)
         else:
-            metrics.histogram("db.query_seconds").observe(
-                time.perf_counter() - start)
+            _QUERY_SECONDS.observe(time.perf_counter() - start)
             # SELECTs report returned rows; writes report rows affected.
             rec.note(rows=len(result.rows) or result.rowcount, io=io_delta,
                      params=params or None)

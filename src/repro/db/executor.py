@@ -51,6 +51,9 @@ from repro.obs import metrics, recorder
 
 __all__ = ["ResultSet", "Executor"]
 
+_STATEMENTS = metrics.counter("executor.statements")
+_ROWS_EMITTED = metrics.counter("executor.rows_emitted")
+
 
 @dataclass
 class ResultSet:
@@ -436,7 +439,7 @@ class Executor:
         The statement has passed semantic analysis: ``ctx.blocks`` is the
         binder's record of it (:func:`repro.db.semantic.check`).
         """
-        metrics.counter("executor.statements").inc()
+        _STATEMENTS.inc()
         was = recorder.enter("db.executor")
         try:
             if isinstance(stmt, Select):
@@ -646,7 +649,7 @@ class Executor:
         if select.limit is not None:
             rows = rows[: select.limit]
         ctx.work.rows_output += len(rows)
-        metrics.counter("executor.rows_emitted").inc(len(rows))
+        _ROWS_EMITTED.inc(len(rows))
         if profile is not None:
             now = time.perf_counter()
             pages = _lfm_pages(ctx)

@@ -33,6 +33,9 @@ __all__ = [
     "signature_from_callable",
 ]
 
+_DECODE_MEMO_HITS = metrics.counter("regions.decode_memo.hits")
+_DECODE_MEMO_MISSES = metrics.counter("regions.decode_memo.misses")
+
 #: query-time REGION decodes, payload bytes -> :class:`Region` (see
 #: :mod:`repro.db.spatial`); a full memo starts over, as ``Region``'s header
 #: table does, and hits read it without the lock.
@@ -50,10 +53,10 @@ def decode_region(payload: bytes) -> Region:
     global _decoded_bytes
     region = _DECODED.get(payload)
     if region is not None:
-        metrics.counter("regions.decode_memo.hits").inc()
+        _DECODE_MEMO_HITS.inc()
         return region
     region = Region.from_bytes(payload)
-    metrics.counter("regions.decode_memo.misses").inc()
+    _DECODE_MEMO_MISSES.inc()
     size = len(payload) + 16 * region.run_count
     if size > _DECODED_MAX:
         return region

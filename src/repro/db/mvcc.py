@@ -45,6 +45,8 @@ from repro.obs import metrics
 
 __all__ = ["DatabaseVersion", "RetireToken", "VersionManager"]
 
+_VERSIONS = metrics.gauge("db.versions")
+
 
 class RetireToken:
     """A cancellable deferred free parked on the version chain.
@@ -153,7 +155,7 @@ class VersionManager:
             self._pending.clear()
             self._chain.append(version)
             self._gc_locked()
-            metrics.gauge("db.versions").set(len(self._chain))
+            _VERSIONS.set(len(self._chain))
         return version
 
     def reinstate(self, catalog) -> None:

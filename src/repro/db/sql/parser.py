@@ -19,6 +19,8 @@ the conveniences the examples want.
 
 from __future__ import annotations
 
+import threading
+
 from repro.db.sql.ast import (
     Analyze,
     BinOp,
@@ -51,7 +53,7 @@ from repro.db.sql.ast import (
 from repro.db.sql.lexer import Token, TokenType, tokenize
 from repro.errors import SqlSyntaxError
 
-__all__ = ["parse", "parse_expression"]
+__all__ = ["last_tokens", "parse", "parse_expression"]
 
 _KEYWORDS = {
     "select", "distinct", "from", "where", "group", "having", "order", "by",
@@ -511,9 +513,20 @@ _STATEMENTS = {
 }
 
 
+#: per thread, the tokens of the statement :func:`parse` last read
+_LAST = threading.local()
+
+
+def last_tokens() -> list[Token]:
+    """The token stream this thread's last :func:`parse` read — what
+    :class:`~repro.db.sql.Prepared` derives a statement's shape from."""
+    return _LAST.tokens
+
+
 def parse(sql: str) -> Statement:
     """Parse one SQL statement."""
     parser = _Parser(sql)
+    _LAST.tokens = parser.tokens
     try:
         return parser.parse_statement()
     except RecursionError:

@@ -66,6 +66,24 @@ class Bound(NamedTuple):
 
 _LEAVES = frozenset({str, int, float, bool, type(None), Span})
 
+# The shape of a statement is an unparse, but it is a function of its
+# token stream with the literals masked: the parser builds the same tree,
+# up to literal values, from streams that differ only in them, and
+# ``shape`` prints every literal (and every ``?``) as ``?``.  So the shape
+# and its digest id are memoized by the masked stream, and an ad hoc
+# statement pays one pass over the tokens the parse already made instead
+# of an unparse and a SHA-256.  LIMIT's count is printed in the shape, so
+# a statement that may have one skips the memo.
+#: masked token stream -> (shape, digest id); bounded, oldest dropped first
+_SHAPES: dict[str, tuple[str, str]] = {}
+_SHAPES_CAPACITY = 1024
+
+
+def _masked(tokens) -> str:
+    """The token texts, every literal and parameter as ``?`` (an
+    identifier's or operator's value *is* its text; no other's is)."""
+    return "\0".join([t.text if t.value is t.text else "?" for t in tokens])
+
 
 def _collect(node, tables: set[str], funcs: set[str],
              nested: set[str]) -> None:
@@ -101,7 +119,8 @@ def _collect(node, tables: set[str], funcs: set[str],
 class Prepared:
     """One statement: its text, its AST, and the facts derived from them."""
 
-    def __init__(self, sql: str, ast: Statement, ad_hoc: bool = False):
+    def __init__(self, sql: str, ast: Statement, ad_hoc: bool = False,
+                 tokens: list | None = None):
         self.sql = sql
         self.ast = ast
         self.is_explain = isinstance(ast, Explain)
@@ -115,16 +134,19 @@ class Prepared:
         #: compiled for one run (bare text, or a text the statement memo
         #: turned away): checked and planned afresh, never bound
         self.ad_hoc = ad_hoc
+        #: ``(shape, digest)``: classified now from the parse's ``tokens``,
+        #: while they are still in the CPU's caches, or on first use
+        self._class = None if tokens is None else self._classify(tokens)
 
     @cached_property
     def canonical(self) -> str:
         """The unparsed tree: one text per AST, whatever the formatting."""
         return self._unparsed(True)
 
-    @cached_property
+    @property
     def shape(self) -> str:
         """The canonical text with every constant printed as ``?``."""
-        return self._unparsed(False)
+        return (self._class or self._classify())[0]
 
     def _unparsed(self, literals: bool) -> str:
         was = recorder.enter("db.sql")
@@ -133,10 +155,26 @@ class Prepared:
         finally:
             recorder.leave(was)
 
-    @cached_property
+    @property
     def digest(self) -> str:
         """The shape's 16-hex fingerprint: the statement-class id."""
-        return fingerprint(self.shape)
+        return (self._class or self._classify())[1]
+
+    def _classify(self, tokens=None) -> tuple[str, str]:
+        """``(shape, digest)``, from the memo when the masked ``tokens``
+        are in it; unparsed otherwise."""
+        key = (None if tokens is None or "limit" in self.sql.lower()
+               else _masked(tokens))
+        found = _SHAPES.get(key)
+        if found is None:
+            shape = self._unparsed(False)
+            found = (shape, fingerprint(shape))
+            if key is not None:
+                if len(_SHAPES) >= _SHAPES_CAPACITY:
+                    _SHAPES.pop(next(iter(_SHAPES)), None)
+                _SHAPES[key] = found
+        self._class = found
+        return found
 
     @cached_property
     def _names(self) -> tuple[frozenset[str], ...]:

@@ -23,6 +23,8 @@ from repro.volumes import BAND_WIDTH, DataRegion
 
 __all__ = ["QuerySpec", "MedicalQueryResult", "MedicalServer"]
 
+_QUERIES = metrics.counter("server.queries")
+
 
 @dataclass(frozen=True)
 class QuerySpec:
@@ -96,7 +98,7 @@ class MedicalServer:
 
     def execute(self, spec: QuerySpec) -> MedicalQueryResult:
         """Run the two-query pattern of §3.4 and package the result."""
-        metrics.counter("server.queries").inc()
+        _QUERIES.inc()
         sqls: list[str] = []
         meta_result = self.db.execute(
             _METADATA_SQL, [spec.study_id, spec.atlas_name]
@@ -247,7 +249,7 @@ class MedicalServer:
         in the given band, via an n-way spatial intersection in the DBMS."""
         if len(study_ids) < 2:
             raise MedicalError("band consistency needs at least two studies")
-        metrics.counter("server.queries").inc()
+        _QUERIES.inc()
         encoding = encoding or self.encoding
         tables = [f"intensityBand b{i}" for i in range(len(study_ids))]
         where: list[str] = []

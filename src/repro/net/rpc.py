@@ -11,12 +11,40 @@ the cost model so counts stay exact and deterministic.
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import NamedTuple
 
 from repro.errors import ValidationError
-from repro.obs import metrics, recorder
+from repro.obs import metrics
 
 __all__ = ["RpcChannel", "TransferRecord"]
+
+#: what every channel sent, ``[calls, messages, bytes]`` since it was
+#: made: the live channels' own totals (``_LIVE``, behind
+#: ``_TRAFFIC_LOCK``), and what collected channels had sent
+#: (``_RETIRED``).  The process-wide ``rpc.*`` counters are their sums,
+#: computed when read, so a send counts its traffic once.
+_TRAFFIC_LOCK = threading.Lock()
+_LIVE: dict[int, list[int]] = {}  # by id() of the list
+_RETIRED = [0, 0, 0]
+
+
+def _retire(traffic: list[int]) -> None:
+    with _TRAFFIC_LOCK:
+        del _LIVE[id(traffic)]
+        for i, amount in enumerate(traffic):
+            _RETIRED[i] += amount
+
+
+def _process_total(i: int):
+    def read() -> int:
+        with _TRAFFIC_LOCK:
+            return _RETIRED[i] + sum(traffic[i] for traffic in _LIVE.values())
+    return read
+
+
+for _i, _name in enumerate(("rpc.calls", "rpc.messages", "rpc.bytes")):
+    metrics.derived(_name, metrics.Counter, _process_total(_i))
 
 
 class TransferRecord(NamedTuple):
@@ -40,40 +68,49 @@ class RpcChannel:
             raise ValidationError("chunk size must be positive")
         self.chunk_size = chunk_size
         self.control_messages_per_call = control_messages_per_call
-        self.total_bytes = 0
-        self.total_messages = 0
-        self.total_calls = 0
         # Sessions served concurrently share one channel; the traffic
-        # counters stay exact under threads.
+        # counts stay exact under threads.
         self._lock = threading.Lock()
+        self._traffic = [0, 0, 0]  # since made; guarded_by: _lock
+        self._zero = (0, 0, 0)  # the traffic at the last reset
+        with _TRAFFIC_LOCK:
+            _LIVE[id(self._traffic)] = self._traffic
+        weakref.finalize(self, _retire, self._traffic)
 
     def send(self, payload: bytes | int) -> TransferRecord:
         """Ship one result payload (bytes, or just its length) to the peer."""
         nbytes = payload if isinstance(payload, int) else len(payload)
         if nbytes < 0:
             raise ValidationError("payload size must be non-negative")
-        was = recorder.enter("net")
-        try:
-            record = TransferRecord(
-                nbytes, -(-nbytes // self.chunk_size), self.control_messages_per_call)
-            messages = record.messages
-            with self._lock:
-                self.total_bytes += nbytes
-                self.total_messages += messages
-                self.total_calls += 1
-            metrics.counter("rpc.calls").inc()
-            metrics.counter("rpc.messages").inc(messages)
-            metrics.counter("rpc.bytes").inc(nbytes)
-            return record
-        finally:
-            recorder.leave(was)
+        record = TransferRecord(
+            nbytes, -(-nbytes // self.chunk_size), self.control_messages_per_call)
+        with self._lock:
+            traffic = self._traffic
+            traffic[0] += 1
+            traffic[1] += record.messages
+            traffic[2] += nbytes
+        return record
+
+    @property
+    def total_calls(self) -> int:
+        """Payloads sent since the last :meth:`reset`."""
+        return self._traffic[0] - self._zero[0]
+
+    @property
+    def total_messages(self) -> int:
+        """Messages exchanged since the last :meth:`reset`."""
+        return self._traffic[1] - self._zero[1]
+
+    @property
+    def total_bytes(self) -> int:
+        """Payload bytes sent since the last :meth:`reset`."""
+        return self._traffic[2] - self._zero[2]
 
     def reset(self) -> None:
-        """Zero the cumulative traffic counters."""
+        """Zero this channel's traffic totals (the process-wide ``rpc.*``
+        counters keep counting)."""
         with self._lock:
-            self.total_bytes = 0
-            self.total_messages = 0
-            self.total_calls = 0
+            self._zero = tuple(self._traffic)
 
     def __repr__(self) -> str:
         return (

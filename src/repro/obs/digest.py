@@ -5,20 +5,16 @@ needs the orthogonal view — "which query **shape** is burning the page-I/O
 budget?".  Every completed :class:`~repro.obs.recorder.QueryRecord` is
 folded into a bounded :class:`DigestTable` keyed by the record's
 ``digest``: the :func:`fingerprint` of its ``shape``, the statement with
-its constants printed as ``?``.  Both arrive on the record — whoever
-parsed the statement derived them from the tree it already held
-(:class:`repro.db.sql.Prepared`), so nothing here parses SQL.  ``SELECT v
-FROM t WHERE s = 'pet1'`` and ``... = 'pet2'`` therefore share one digest
-row carrying calls, errors, rows, page I/O, cache-hit rate, a latency
-histogram, the class's mean time per phase (the record's split of its wall
-time, :data:`repro.obs.recorder.PHASES`).
+its constants printed as ``?``, both noted on the record by whoever parsed
+it (:class:`repro.db.sql.Prepared`).  ``SELECT v FROM t WHERE s = 'pet1'``
+and ``... = 'pet2'`` share one row: calls, errors, rows, page I/O,
+cache-hit rate, a latency histogram and the mean time per phase
+(:data:`repro.obs.recorder.PHASES`).
 
 The table is process-wide and bounded (top-K by calls, cold rows evicted),
-exposed at the admin endpoint's ``/digests`` and embedded in flight-
-recorder incident reports.  A record without a shape — its text never
-parsed — is filed under its whitespace-collapsed text, so syntax errors
-are attributed too (and the record is given that row's digest id, so it
-joins like any other).
+served at the admin endpoint's ``/digests`` and embedded in incident
+reports.  A record without a shape (its text never parsed) is filed, and
+given the digest id of, its whitespace-collapsed text.
 """
 
 from __future__ import annotations
@@ -27,6 +23,7 @@ import hashlib
 import re
 import threading
 import time
+from collections import deque
 
 from repro.concurrency import lockdep
 from repro.obs import metrics
@@ -49,6 +46,9 @@ _WS_RE = re.compile(r"\s+")
 def fingerprint(shape: str) -> str:
     """The short stable digest id of a statement shape."""
     return hashlib.sha256(shape.encode("utf-8")).hexdigest()[:16]
+
+
+_EVICTIONS = metrics.counter("digest.evictions")
 
 
 class DigestEntry:
@@ -97,38 +97,53 @@ class DigestEntry:
 class DigestTable:
     """Bounded map of normalized-statement shapes to aggregate rows.
 
-    When full, observing a *new* shape evicts the coldest row (fewest
-    calls, oldest on ties) — the hot statement classes an operator cares
-    about stay put.
+    When full, a *new* shape evicts the coldest row (fewest calls, oldest
+    on ties).  :meth:`observe` queues a record without a lock, and every
+    :data:`BATCH` records one lock acquisition folds them all; every
+    reader folds what is pending first, so what it reads is exact.
     """
+
+    #: records folded per lock acquisition
+    BATCH = 32
 
     def __init__(self, capacity: int = 128):
         self.capacity = capacity
         self.enabled = True
         self._entries: dict[str, DigestEntry] = {}  # guarded_by: _lock
+        #: observed, not yet folded (only the lock holder pops)
+        self._pending: deque = deque()
+        self._folded = 0  # guarded_by: _lock
         self._lock = lockdep.instrument(threading.Lock(), "obs.digest")
 
     def observe(self, record) -> str | None:
-        """Fold one completed statement record into its digest row.
-
-        ``record`` is a :class:`~repro.obs.recorder.QueryRecord` (or any
-        duck-typed equivalent).  Returns the digest id, or ``None`` while
-        the table is disabled.
-        """
+        """Queue one completed :class:`~repro.obs.recorder.QueryRecord`
+        (or a duck-typed equivalent) for its row; returns its digest id,
+        or ``None`` while the table is disabled."""
         if not self.enabled:
             return None
-        shape = getattr(record, "shape", None)
-        if shape is None:
-            shape = _WS_RE.sub(" ", record.sql).strip()
-            digest = record.digest = fingerprint(shape)
-        else:
-            digest = record.digest
-        with self._lock:
-            entry = self._entries.get(digest)
+        if getattr(record, "shape", None) is None:  # filed under its text
+            record.digest = fingerprint(_WS_RE.sub(" ", record.sql).strip())
+        pending = self._pending
+        pending.append(record)
+        if len(pending) >= self.BATCH:
+            with self._lock:
+                self._fold_locked()
+        return record.digest
+
+    def _fold_locked(self) -> None:
+        """Fold every pending record into its row (lock held by caller)."""
+        pending, entries = self._pending, self._entries
+        now = time.time()
+        while pending:
+            record = pending.popleft()
+            self._folded += 1
+            entry = entries.get(record.digest)
             if entry is None:
-                if len(self._entries) >= self.capacity:
+                if len(entries) >= self.capacity:
                     self._evict_locked()
-                entry = self._entries[digest] = DigestEntry(digest, shape)
+                entry = entries[record.digest] = DigestEntry(
+                    record.digest, getattr(record, "shape", None)
+                    or _WS_RE.sub(" ", record.sql).strip())
             entry.calls += 1
             if not record.ok:
                 entry.errors += 1
@@ -139,14 +154,12 @@ class DigestTable:
             entry.pages_written += record.pages_written # qblint: disable=no-direct-iostats-mutation
             if record.cache_hit:
                 entry.cache_hits += 1
+            phases = entry.phases
             for name, seconds in record.phases.items():
-                entry.phases[name] = entry.phases.get(name, 0.0) + seconds
-            entry.last_seen_unix = time.time()
-        # The latency histogram is a standalone metric object, observed
-        # outside the table lock.
-        entry.latency.observe(record.wall_seconds)
-        metrics.counter("digest.observations").inc()
-        return digest
+                phases[name] = phases.get(name, 0.0) + seconds
+            entry.last_seen_unix = now
+            # The row's histogram is read and written under this lock only.
+            entry.latency.add_locked(record.wall_seconds)
 
     def _evict_locked(self) -> None:
         """Drop the coldest row to make room (lock held by caller)."""
@@ -155,26 +168,38 @@ class DigestTable:
             key=lambda e: (e.calls, e.last_seen_unix),
         )
         del self._entries[coldest.digest]
-        metrics.counter("digest.evictions").inc()
+        _EVICTIONS.inc()
 
     def top(self, n: int = 50) -> list[dict]:
         """The ``n`` busiest rows (by calls, then total time), as dicts."""
         with self._lock:
-            entries = list(self._entries.values())
-        entries.sort(key=lambda e: (-e.calls, -e.latency.total, e.digest))
-        return [e.to_dict() for e in entries[:max(0, n)]]
+            self._fold_locked()
+            entries = sorted(self._entries.values(),
+                             key=lambda e: (-e.calls, -e.latency.total, e.digest))
+            return [e.to_dict() for e in entries[:max(0, n)]]
 
     def __len__(self) -> int:
         with self._lock:
+            self._fold_locked()
             return len(self._entries)
+
+    @property
+    def observed(self) -> int:
+        """Records observed since the table was made (``digest.observations``)."""
+        with self._lock:
+            self._fold_locked()
+            return self._folded
 
     def reset(self) -> None:
         """Forget every row (capacity/enabled untouched)."""
         with self._lock:
+            self._fold_locked()
             self._entries.clear()
 
 
 _TABLE = DigestTable()
+metrics.derived("digest.observations", metrics.Counter,
+                lambda: _TABLE.observed)
 
 
 def get_table() -> DigestTable:

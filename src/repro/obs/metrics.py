@@ -1,21 +1,20 @@
 """A process-wide metrics registry: counters, gauges, and histograms.
 
 Instrumented sites across the tree feed this registry (``lfm.pages_read``,
-``executor.rows_emitted``, ``rpc.messages``...); the bench runner
-snapshots it into every ``BENCH_*.json`` so each trajectory point carries
-the full resource picture, not just the headline columns.
-
-Metrics are plain Python attribute updates on the side of the real
-counters — they never touch :class:`~repro.storage.device.IOStats`, so the
-paper-facing I/O accounting is unaffected by their presence (qblint's
-``no-direct-iostats-mutation`` rule enforces the direction of that data
-flow).  Exporters: :meth:`MetricsRegistry.snapshot` (a JSON-ready dict) and
+``executor.rows_emitted``, ``rpc.messages``...), each through a handle it
+binds once, at import; every ``BENCH_*.json`` carries a snapshot.
+Metrics never touch :class:`~repro.storage.device.IOStats`, so the
+paper-facing I/O accounting is unaffected by them (qblint's
+``no-direct-iostats-mutation`` rule enforces that direction).  Exporters:
+:meth:`MetricsRegistry.snapshot` (a JSON-ready dict) and
 :func:`repro.obs.promtext.render` (Prometheus text).
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
+from threading import get_ident
 
 from repro.errors import ValidationError
 
@@ -28,43 +27,68 @@ __all__ = [
     "counter",
     "gauge",
     "histogram",
+    "derived",
     "snapshot",
     "reset",
 ]
 
 
 class Counter:
-    """A monotonically increasing count (updates are thread-safe)."""
+    """A monotonically increasing count, exact under threads.
 
-    __slots__ = ("name", "value", "_lock")
+    An increment takes no lock: each thread adds to a cell of its own,
+    keyed by its thread id (an ended thread's id, and cell, pass to a
+    later thread), and a read sums the cells.  Bind a counter once
+    (``c = metrics.counter(name)``); one made with ``read`` is computed
+    when read (:func:`derived`).
+    """
+
+    __slots__ = ("name", "_read", "_zero", "_cells")
     kind = "counter"
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, read=None):
         self.name = name
-        self.value = 0
-        self._lock = threading.Lock()
+        self._read = read
+        self._zero = 0  # what ``read`` said at the last reset
+        self._cells: dict[int, list] = {}
 
     def inc(self, amount: int | float = 1) -> None:
         """Add ``amount`` (non-negative) to the count."""
         if amount < 0:
             raise ValidationError(f"counter {self.name!r} cannot decrease")
-        with self._lock:
-            self.value += amount
+        try:
+            self._cells[get_ident()][0] += amount
+        except KeyError:  # this thread's first increment
+            self._cells.setdefault(get_ident(), [0])[0] += amount
 
-    def export(self):
+    @property
+    def value(self) -> int | float:
         """The current count."""
-        return self.value
+        if self._read is not None:
+            return self._read() - self._zero
+        return sum(cell[0] for cell in list(self._cells.values()))
+
+    export = value.fget
+
+    def reset(self) -> None:
+        """Zero the count in place."""
+        if self._read is not None:
+            self._zero = self._read()
+        for cell in list(self._cells.values()):
+            cell[0] = 0
 
 
 class Gauge:
-    """A point-in-time value that may move in either direction."""
+    """A point-in-time value that may move in either direction, or one
+    computed when it is read (``read``, see :func:`derived`)."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "value", "_read")
     kind = "gauge"
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, read=None):
         self.name = name
         self.value = 0.0
+        self._read = read
 
     def set(self, value: float) -> None:
         """Replace the current value (a single atomic store)."""
@@ -72,7 +96,11 @@ class Gauge:
 
     def export(self):
         """The current value."""
-        return self.value
+        return self.value if self._read is None else self._read()
+
+    def reset(self) -> None:
+        """Zero the value in place."""
+        self.value = 0.0
 
 
 #: histogram bucket upper bounds (seconds-flavored; counts land in the
@@ -88,42 +116,40 @@ class Histogram:
 
     def __init__(self, name: str):
         self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min: float | None = None
-        self.max: float | None = None
-        self.buckets = [0] * (len(_BUCKET_BOUNDS) + 1)
         self._lock = threading.Lock()
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every observation, in place."""
+        with self._lock:
+            self.count = 0
+            self.total = 0.0
+            self.min: float | None = None
+            self.max: float | None = None
+            self.buckets = [0] * (len(_BUCKET_BOUNDS) + 1)
 
     def observe(self, value: float) -> None:
         """Record one observation (thread-safe)."""
         with self._lock:
-            self.count += 1
-            self.total += value
-            self.min = value if self.min is None else min(self.min, value)
-            self.max = value if self.max is None else max(self.max, value)
-            for i, bound in enumerate(_BUCKET_BOUNDS):
-                if value <= bound:
-                    self.buckets[i] += 1
-                    return
-            self.buckets[-1] += 1
+            self.add_locked(value)
 
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of the observations (0.0 when empty)."""
-        with self._lock:
-            return self.total / self.count if self.count else 0.0
+    def add_locked(self, value: float) -> None:
+        """:meth:`observe` for an owner that serializes every update and
+        read of this histogram under a lock of its own."""
+        self.count += 1
+        self.total += value
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        # the first bucket whose bound is >= value; past the last, overflow
+        self.buckets[bisect_left(_BUCKET_BOUNDS, value)] += 1
 
     def percentile(self, q: float) -> float:
-        """Estimated ``q``-quantile (``0 < q <= 1``) from the buckets.
-
-        Linear interpolation inside the bucket holding the target rank,
-        clamped by the observed ``min``/``max`` so estimates never leave
-        the data's range.  The overflow bucket interpolates between the
-        last finite bound and ``max`` like any other bucket.  Exact
-        values are impossible from fixed bounds — this is the standard
-        Prometheus-style estimate, good to one bucket's width.
-        """
+        """Estimated ``q``-quantile (``0 < q <= 1``) from the buckets: the
+        Prometheus-style linear interpolation inside the bucket holding
+        the rank, clamped to the observed ``min``/``max`` (the overflow
+        bucket's upper edge), good to one bucket's width."""
         if not 0.0 < q <= 1.0:
             raise ValidationError(f"percentile wants 0 < q <= 1, got {q}")
         with self._lock:
@@ -136,11 +162,6 @@ class Histogram:
         target = q * self.count
         cumulative = 0
         lower = 0.0
-        # The overflow bucket (bound None) is a real bucket too: its
-        # upper edge is the observed max.  Skipping it — the old code fell
-        # through to a bare ``max`` — misreported every quantile whose
-        # rank landed there (e.g. p50 of a distribution entirely above
-        # the last finite bound collapsed to the single largest value).
         for bound, in_bucket in zip(_BUCKET_BOUNDS + (None,), self.buckets):
             if in_bucket and cumulative + in_bucket >= target:
                 lo = max(lower, self.min if self.min is not None else lower)
@@ -156,14 +177,8 @@ class Histogram:
         return self.max if self.max is not None else 0.0
 
     def export(self):
-        """Summary dict: count, sum, mean, min, max, percentiles, buckets.
-
-        Computed from one atomic snapshot under the histogram's lock, so
-        a concurrent ``observe`` can never produce a dict whose mean,
-        percentiles, and bucket counts disagree with ``count`` (an
-        exporter mid-``observe`` used to see ``count`` and ``total`` from
-        different instants).
-        """
+        """Summary dict: count, sum, mean, min, max, percentiles, buckets,
+        all from one state (under the lock)."""
         with self._lock:
             count = self.count
             return {
@@ -198,37 +213,20 @@ class MetricsRegistry:
             if metric is None:
                 metric = self._metrics[name] = cls(name)
             elif not isinstance(metric, cls):
-                raise ValidationError(
-                    f"metric {name!r} is a {metric.kind}, not a {cls.kind}"
-                )
+                raise ValidationError(f"metric {name!r} is a {metric.kind}, not a {cls.kind}")
             return metric
 
-    # A registered name is the common case and takes no lock: a dict read
-    # is atomic, and a registered metric is only ever removed, not replaced.
-
     def counter(self, name: str) -> Counter:
-        """Get or create the counter named ``name``."""
-        metric = self._metrics.get(name)
-        return metric if type(metric) is Counter else self._get(name, Counter)
+        """Get or create the counter named ``name`` (bind it once)."""
+        return self._get(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
         """Get or create the gauge named ``name``."""
-        metric = self._metrics.get(name)
-        return metric if type(metric) is Gauge else self._get(name, Gauge)
+        return self._get(name, Gauge)
 
     def histogram(self, name: str) -> Histogram:
         """Get or create the histogram named ``name``."""
-        metric = self._metrics.get(name)
-        return (metric if type(metric) is Histogram
-                else self._get(name, Histogram))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def names(self) -> list[str]:
-        """All registered metric names, sorted."""
-        with self._lock:
-            return sorted(self._metrics)
+        return self._get(name, Histogram)
 
     def items(self) -> list[tuple[str, "Counter | Gauge | Histogram"]]:
         """``(name, metric)`` pairs, names sorted (for exporters)."""
@@ -238,16 +236,22 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """Every metric's exported value, grouped by kind, names sorted."""
         out: dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
-        for name in self.names():
-            metric = self._metrics.get(name)
-            if metric is not None:
-                out[metric.kind + "s"][name] = metric.export()
+        for name, metric in self.items():
+            out[metric.kind + "s"][name] = metric.export()
         return out
 
-    def reset(self) -> None:
-        """Forget every metric (registrations included)."""
+    def derived(self, name: str, cls, read):
+        """Register ``name`` as a :class:`Counter` or :class:`Gauge` whose
+        value is ``read()``: the count is kept once, by whoever it asks."""
         with self._lock:
-            self._metrics.clear()
+            metric = self._metrics[name] = cls(name, read)
+            return metric
+
+    def reset(self) -> None:
+        """Zero every metric in place: registrations, and the handles
+        callers bound to them, stay."""
+        for _, metric in self.items():
+            metric.reset()
 
 
 _REGISTRY = MetricsRegistry()
@@ -267,6 +271,9 @@ histogram = _REGISTRY.histogram
 def snapshot() -> dict:
     """Snapshot of every metric in the process-wide registry."""
     return _REGISTRY.snapshot()
+
+
+derived = _REGISTRY.derived
 
 
 def reset() -> None:

@@ -2,25 +2,19 @@
 
 :func:`render` turns a :class:`~repro.obs.metrics.MetricsRegistry` (the
 process-wide one by default) into the Prometheus text format (version
-0.0.4) that the admin endpoint serves at ``/metrics``:
-
-* counters and gauges become single samples with a ``# TYPE`` header;
-* histograms become the standard triplet — cumulative ``_bucket{le=...}``
-  series ending in ``+Inf``, ``_sum``, and ``_count`` — plus ``_p50`` /
-  ``_p95`` / ``_p99`` gauge families carrying the registry's interpolated
-  percentile estimates (emitting quantiles as separate gauge families
-  keeps the exposition strictly type-correct).
-
-Metric names are sanitized to the Prometheus charset (dots become
-underscores), so ``server.wait_seconds`` scrapes as
+0.0.4) that the admin endpoint serves at ``/metrics``: counters and
+gauges become single samples with a ``# TYPE`` header; histograms the
+standard cumulative ``_bucket{le=...}`` series ending in ``+Inf``,
+``_sum`` and ``_count``, plus ``_p50`` / ``_p95`` / ``_p99`` gauge
+families (type-correct quantiles).  Names are sanitized to the
+Prometheus charset: ``server.wait_seconds`` scrapes as
 ``server_wait_seconds``.
 
-:func:`parse` is the tiny validating parser the CI smoke job (and the
-tests) run against a scraped body: it checks name/label/value syntax,
-``# TYPE`` declarations, bucket monotonicity, and the
-``+Inf``-bucket-equals-``_count`` invariant, returning the samples by
-family.  It is not a general Prometheus client — just enough to prove the
-endpoint emits something a real scraper would accept.
+:func:`parse` is the small validating parser the CI smoke job and the
+tests run on a scraped body: name/label/value syntax, ``# TYPE``
+declarations, cumulative buckets, and ``+Inf`` bucket equal to
+``_count``.  Not a Prometheus client: just enough to prove a real
+scraper would accept the endpoint's output.
 """
 
 from __future__ import annotations
@@ -70,10 +64,7 @@ def render(registry: "metrics_mod.MetricsRegistry | None" = None) -> str:
             lines.append(f"# TYPE {exposed} {metric.kind}")
             lines.append(f"{exposed} {_format_value(metric.export())}")
             continue
-        # One export() snapshot: mixing it with the live bucket list let a
-        # concurrent observe() push a finite bucket's cumulative count
-        # past _count, which parse() (and any real scraper's sanity check)
-        # rejects as a non-cumulative histogram.
+        # one export() snapshot, so the buckets add up to _count
         exported = metric.export()
         lines.append(f"# TYPE {exposed} histogram")
         cumulative = 0
@@ -90,13 +81,7 @@ def render(registry: "metrics_mod.MetricsRegistry | None" = None) -> str:
 
 
 def _parse_value(text: str) -> float:
-    if text == "+Inf":
-        return math.inf
-    if text == "-Inf":
-        return -math.inf
-    if text == "NaN":
-        return math.nan
-    try:
+    try:  # float() reads the exposition's +Inf, -Inf and NaN as well
         return float(text)
     except ValueError:
         raise ValidationError(f"bad sample value {text!r}") from None

@@ -1,21 +1,14 @@
 """Structured query log: opt-in JSON-lines stream of completed statements.
 
-The flight recorder (:mod:`repro.obs.recorder`) summarizes every finished
-statement into a :class:`~repro.obs.recorder.QueryRecord`; when a query
-log is open, each record is additionally appended to a JSON-lines file —
-one self-describing event per line, the format every log shipper speaks.
-
-Two modes:
-
-* **full** — every statement is logged (`slow_only=False`);
-* **slow-query log** — only statements the flight recorder found slow
-  (its ``slow_threshold_seconds``, the same line that raises a
-  ``query.slow`` incident) or that raised are written, the classic
-  production posture where the log stays quiet until something is worth
-  looking at.
+When a query log is open, every :class:`~repro.obs.recorder.QueryRecord`
+the flight recorder retires is also appended to a JSON-lines file, one
+self-describing event per line.  Two modes: **full** (every statement)
+and **slow-query log** (``slow_only``: only statements the recorder found
+slow — its ``slow_threshold_seconds``, the line that raises a
+``query.slow`` incident — or that raised).
 
 The log is off by default and costs one flag check per statement while
-closed.  Writes are serialized by a mutex and flushed per line so an
+closed.  Writes are serialized by a mutex and flushed per line, so an
 operator can ``tail -f`` the file while the server runs.
 """
 
@@ -37,11 +30,6 @@ class QueryLog:
         self.path: Path | None = None
         self.slow_only = False
         self.events_written = 0
-
-    @property
-    def enabled(self) -> bool:
-        """Is a log file currently open?"""
-        return self._fh is not None
 
     def open(self, path, slow_only: bool = False) -> Path:
         """Start logging to ``path`` (parent directories are created).
@@ -93,7 +81,7 @@ class QueryLog:
                 self._fh = None
 
     def __repr__(self) -> str:
-        state = f"-> {self.path}" if self.enabled else "closed"
+        state = f"-> {self.path}" if self._fh is not None else "closed"
         mode = "slow-only " if self.slow_only else ""
         return f"QueryLog({mode}{state}, {self.events_written} events)"
 

@@ -1,12 +1,12 @@
 """Flight recorder: an always-on ring of recent statements plus incidents.
 
 The paper accounts for every second of a query (Table 3); a production
-service owes itself the same, after the fact.  The :class:`FlightRecorder`
-keeps a bounded ring of completed statements (:class:`QueryRecord`: SQL,
-digest, session, rows, page I/Os, cache hit, pool wait, wall time and
-where that wall time went) and *dumps on trigger*: a slow statement, one
-that raised, or a WAL recovery each produce a self-contained JSON
-**incident report** — the trigger, the ring and a metrics snapshot.
+service owes itself the same.  The :class:`FlightRecorder` keeps a bounded
+ring of completed statements (:class:`QueryRecord`: SQL, digest, session,
+rows, page I/Os, cache hit, pool wait, wall time and where it went) and
+*dumps on trigger*: a slow statement, one that raised, or a WAL recovery
+each produce a JSON **incident report** (the trigger, the ring, a metrics
+snapshot).
 
 Where the time went is a **phase cursor** on the statement scope: the
 scope is always in exactly one of :data:`PHASES` (the benchmark ledger's
@@ -18,17 +18,17 @@ every bracket is the owner's: ``server`` for a served statement,
 ``db.database`` for a direct one.
 
 Recording is on by default and cheap: one thread-local read finds the
-scope, one deque append retires it.  It never touches
+scope, a deque append retires the record, and the digest table folds it
+later, in a batch (:mod:`repro.obs.digest`); ``benchmarks/obs_cost.py``
+measures what it costs.  It never touches
 :class:`~repro.storage.device.IOStats` counters (it copies deltas handed
 to it), so the Table 3/4 page accounting is identical on or off.
 
 Nesting contract: the *outermost* scope on a thread owns the record.  The
-serving layer opens a scope on the thread running the statement (tagging
-session, pool wait, cache hits) and :meth:`Database.execute <repro.db.database.
-Database.execute>` opens one unconditionally — when it finds a scope
-already active on the thread it annotates that record instead of emitting
-a second one, so served and standalone statements both yield exactly one
-record.
+serving layer opens a scope on the thread running the statement (session,
+pool wait, cache hits) and :meth:`Database.execute <repro.db.database.
+Database.execute>` opens one unconditionally — nested, it annotates the
+outer record instead of emitting a second one.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "statement",
     "enter",
     "leave",
-    "annotate",
     "incident",
     "enable",
     "disable",
@@ -74,12 +73,12 @@ def _short_repr(value) -> str:
     return repr(value)[:80]
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryRecord:
     """One completed statement, as the flight recorder remembers it."""
 
     sql: str
-    trace_id: str | None = None
+    trace: int = 0                   #: trace number; 0 = never opened
     session: str | None = None
     kind: str | None = None          #: "read" / "write" / "explain"
     ok: bool = True
@@ -99,6 +98,11 @@ class QueryRecord:
     #: / ``.digest``), noted by whoever parsed; None when nothing did
     shape: str | None = None
     digest: str | None = None
+
+    @property
+    def trace_id(self) -> str | None:
+        """The trace this statement belongs to, as exported."""
+        return f"trace-{self.trace:08d}" if self.trace else None
 
     def to_dict(self) -> dict:
         """The record as a JSON-ready dict (stable key set)."""
@@ -167,9 +171,12 @@ def leave(was: str | None) -> None:
         _ACTIVE.scope.switch(was)
 
 
-#: process-wide trace id source (``next()`` is atomic in CPython; ids
-#: only need to be unique, not dense)
+#: process-wide trace number source (``next()`` is atomic in CPython;
+#: numbers only need to be unique, not dense)
 _TRACE_IDS = itertools.count(1)
+
+_ERRORS = metrics.counter("recorder.errors")
+_INCIDENTS = metrics.counter("recorder.incidents")
 
 
 class _StatementScope:
@@ -180,14 +187,14 @@ class _StatementScope:
 
     active = True
 
-    def __init__(self, recorder: "FlightRecorder", sql: str,
-                 session: str | None, own: bool):
+    def __init__(self, recorder: "FlightRecorder", record: QueryRecord,
+                 own: bool):
         self._recorder = recorder
         self._root = own
         # What no bracket claims is the owner's: the serving layer opens
         # its scopes with ``own``, Database.execute does not.
         self._phase = "server" if own else "db.database"
-        self.record = QueryRecord(sql=sql, session=session)
+        self.record = record
 
     def switch(self, name: str) -> str:
         """Charge the time since the last transition to the phase being
@@ -199,8 +206,6 @@ class _StatementScope:
         return was
 
     def note(self, *, rows: int | None = None, io=None,
-             cache_hit: bool | None = None,
-             pool_wait_seconds: float | None = None,
              kind: str | None = None, params=None,
              shape: str | None = None,
              digest: str | None = None) -> None:
@@ -219,10 +224,6 @@ class _StatementScope:
             record.pages_read = io.pages_read        # qblint: disable=no-direct-iostats-mutation
             record.pages_written = io.pages_written  # qblint: disable=no-direct-iostats-mutation
             record.bytes_read = io.bytes_read        # qblint: disable=no-direct-iostats-mutation
-        if cache_hit is not None:
-            record.cache_hit = cache_hit
-        if pool_wait_seconds is not None:
-            record.pool_wait_seconds = pool_wait_seconds
         if kind is not None:
             record.kind = kind
         if params is not None:
@@ -237,10 +238,10 @@ class _StatementScope:
             _ACTIVE.scope = self
             # A root statement starts a trace; a served statement issued
             # under another (a UDF's) joins its caller's.
-            self.record.trace_id = (
-                f"trace-{next(_TRACE_IDS):08d}" if outer is None
-                else outer.record.trace_id)
-            self.record.started_unix = time.time()
+            record = self.record
+            record.trace = (next(_TRACE_IDS) if outer is None
+                            else outer.record.trace)
+            record.started_unix = time.time()
             self._start = self._mark = time.perf_counter()
         else:
             # Nested under the serving layer's scope, this one owns
@@ -270,6 +271,8 @@ class FlightRecorder:
     def __init__(self, capacity: int = 512, incident_capacity: int = 32):
         self.enabled = True
         self.capacity = capacity
+        # Appended without the lock (a deque append is atomic); the lock
+        # covers reading it whole and replacing it.
         self._ring: deque[QueryRecord] = deque(maxlen=capacity)
         self._incidents: deque[dict] = deque(maxlen=incident_capacity)
         self._lock = threading.Lock()
@@ -279,40 +282,45 @@ class FlightRecorder:
         self.slow_threshold_seconds: float | None = None
         #: when set, every incident is also written here as a JSON file
         self.incident_dir: Path | None = None
-        self.recorded = 0
+        #: records retired, ever (``recorder.records`` reads it)
+        self._retired = metrics.Counter("recorder.records")
+        self._retired_before_reset = 0
 
-    # ------------------------------------------------------------------ #
-    # recording
-    # ------------------------------------------------------------------ #
+    @property
+    def recorded(self) -> int:
+        """Records retired since the last :meth:`reset`."""
+        return self._retired.value - self._retired_before_reset
+
 
     def statement(self, sql: str, *, session: str | None = None,
-                  own: bool = False):
+                  own: bool = False, pool_wait_seconds: float = 0.0,
+                  params=None):
         """A scope covering one statement's execution.
 
-        The outermost scope on a thread owns the resulting record; nested
-        scopes (``Database.execute`` under the serving layer) annotate it
-        via :meth:`_StatementScope.note` instead of emitting their own —
-        unless opened with ``own`` (a served statement is one statement
-        whoever's thread runs it), which emits its own record and puts
-        the enclosing scope back on exit.
+        The outermost scope on a thread owns the record; a nested one
+        (``Database.execute`` under the serving layer) annotates it via
+        :meth:`_StatementScope.note` — unless opened with ``own`` (a
+        served statement), which emits its own record.  An owner passes
+        its ``pool_wait_seconds`` and ``params`` here.
         """
         if not self.enabled:
             return _NOOP_SCOPE
-        return _StatementScope(self, sql, session, own)
+        record = QueryRecord(sql, session=session,
+                             pool_wait_seconds=pool_wait_seconds)
+        if params:
+            record.params = tuple(_short_repr(p) for p in params)
+        return _StatementScope(self, record, own)
 
     def _finish(self, record: QueryRecord) -> None:
-        with self._lock:
-            self._ring.append(record)
-            self.recorded += 1
-        metrics.counter("recorder.records").inc()
-        if not record.ok:
-            metrics.counter("recorder.errors").inc()
+        self._ring.append(record)
+        self._retired.inc()
         # Digest table and query log are sinks of the same record.
         digest_mod.observe(record)
         threshold = self.slow_threshold_seconds
         slow = threshold is not None and record.wall_seconds >= threshold
         qlog.get_query_log().emit(record, slow)
         if not record.ok:
+            _ERRORS.inc()
             self.incident("query.error", trigger=record.to_dict())
         elif slow:
             self.incident("query.slow", trigger=record.to_dict())
@@ -323,9 +331,6 @@ class FlightRecorder:
             items = list(self._ring)
         return list(reversed(items))[:max(0, n)]
 
-    # ------------------------------------------------------------------ #
-    # incidents
-    # ------------------------------------------------------------------ #
 
     def incident(self, reason: str, trigger: dict | None = None) -> dict:
         """Dump the recorder into a self-contained JSON incident report.
@@ -346,7 +351,7 @@ class FlightRecorder:
         }
         with self._lock:
             self._incidents.append(report)
-        metrics.counter("recorder.incidents").inc()
+        _INCIDENTS.inc()
         directory = self.incident_dir
         if directory is not None:
             directory = Path(directory)
@@ -360,9 +365,6 @@ class FlightRecorder:
         with self._lock:
             return list(self._incidents)
 
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
 
     def resize(self, capacity: int) -> None:
         """Change how many records the ring keeps (the newest survive)."""
@@ -375,7 +377,7 @@ class FlightRecorder:
         with self._lock:
             self._ring.clear()
             self._incidents.clear()
-            self.recorded = 0
+        self._retired_before_reset = self._retired.value
 
     def __repr__(self) -> str:
         state = "on" if self.enabled else "off"
@@ -386,6 +388,8 @@ class FlightRecorder:
 
 
 _RECORDER = FlightRecorder()
+metrics.derived("recorder.records", metrics.Counter,
+                lambda: _RECORDER._retired.value)
 
 
 def get_recorder() -> FlightRecorder:
@@ -395,17 +399,6 @@ def get_recorder() -> FlightRecorder:
 
 #: open a statement scope on the process-wide recorder
 statement = _RECORDER.statement
-
-
-def annotate(**fields) -> None:
-    """Annotate this thread's active statement record, if any.
-
-    Lets layers without a scope handle (the result cache's hit path, the
-    RPC channel) contribute fields; a no-op when no statement is open.
-    """
-    scope = _ACTIVE.scope
-    if scope is not None:
-        scope.note(**fields)
 
 
 def incident(reason: str, trigger: dict | None = None) -> dict:

@@ -42,6 +42,8 @@ from repro.obs import digest, metrics, promtext, recorder
 
 __all__ = ["AdminServer"]
 
+_STARTED = metrics.counter("admin.started")
+
 _ROUTES = ["/healthz", "/metrics", "/sessions", "/queries/recent",
            "/incidents", "/digests"]
 
@@ -144,7 +146,7 @@ class AdminServer:
             name=f"repro-admin-{self.port}", daemon=True,
         )
         self._thread.start()
-        metrics.counter("admin.started").inc()
+        _STARTED.inc()
 
     @property
     def url(self) -> str:

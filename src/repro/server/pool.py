@@ -43,6 +43,11 @@ REJECTION_POLICIES = ("block", "reject")
 #: per-thread: how long the statement it is running waited for its slot
 _WAIT = threading.local()
 
+_TASKS = metrics.counter("server.tasks")
+_REJECTED = metrics.counter("server.rejected")
+_QUEUE_DEPTH = metrics.gauge("server.queue_depth")
+_WAIT_SECONDS = metrics.histogram("server.wait_seconds")
+
 
 def current_wait_seconds() -> float:
     """Slot wait of the statement this thread is running (else 0.0)."""
@@ -127,9 +132,9 @@ class WorkerPool:
                 token = object()
                 self._waiting.append(token)
                 depth = len(self._waiting)
-        metrics.counter("server.tasks").inc()
+        _TASKS.inc()
         if token is not None:
-            metrics.gauge("server.queue_depth").set(depth)
+            _QUEUE_DEPTH.set(depth)
         return token, enqueued
 
     def _wait_for_room(self) -> None:
@@ -137,7 +142,7 @@ class WorkerPool:
         if len(self._waiting) < self.queue_depth:
             return
         if self.policy == "reject":
-            metrics.counter("server.rejected").inc()
+            _REJECTED.inc()
             raise ServerBusyError(
                 f"admission queue full ({self.queue_depth} statements "
                 f"pending); retry later"
@@ -149,7 +154,7 @@ class WorkerPool:
         finally:
             self._blocked -= 1
         if self._shutdown:
-            metrics.counter("server.rejected").inc()
+            _REJECTED.inc()
             raise ServerBusyError(
                 "worker pool shut down while waiting for an admission slot"
             )
@@ -173,12 +178,12 @@ class WorkerPool:
                     self._cond.notify_all()
                 self._running += 1
                 depth = len(self._waiting)
-            metrics.gauge("server.queue_depth").set(depth)
+            _QUEUE_DEPTH.set(depth)
             wait = time.perf_counter() - enqueued
         outer = current_wait_seconds()  # a nested statement's caller's
         _WAIT.seconds = wait
         try:
-            metrics.histogram("server.wait_seconds").observe(wait)
+            _WAIT_SECONDS.observe(wait)
             return fn(*args)
         finally:
             _WAIT.seconds = outer

@@ -39,6 +39,23 @@ from repro.obs import metrics
 
 __all__ = ["CachedResult", "ResultCache", "cache_key"]
 
+_HITS = metrics.counter("server.result_cache.hits")
+_MISSES = metrics.counter("server.result_cache.misses")
+_STALE_PUTS = metrics.counter("server.result_cache.stale_puts")
+_REJECTED = metrics.counter("server.result_cache.rejected")
+_INVALIDATIONS = metrics.counter("server.result_cache.invalidations")
+_ENTRIES = metrics.gauge("server.result_cache.entries")
+
+
+def _hit_rate() -> float:
+    """The process-wide share of lookups served, over every cache."""
+    hits = _HITS.value
+    lookups = hits + _MISSES.value
+    return hits / lookups if lookups else 0.0
+
+
+metrics.derived("server.result_cache.hit_rate", metrics.Gauge, _hit_rate)
+
 
 def cache_key(canonical_sql: str, params) -> tuple:
     """The cache key for one statement + bound parameters.
@@ -96,11 +113,7 @@ class ResultCache:
             else:
                 self.hits += 1
                 self._entries.move_to_end(key)
-            rate = self.hits / (self.hits + self.misses)
-        # The registry has locks of its own: fed outside the cache's.
-        metrics.counter("server.result_cache.misses" if entry is None
-                        else "server.result_cache.hits").inc()
-        metrics.gauge("server.result_cache.hit_rate").set(rate)
+        (_MISSES if entry is None else _HITS).inc()
         return entry
 
     def _entry_stale_locked(self, entry: CachedResult) -> bool:
@@ -128,15 +141,15 @@ class ResultCache:
             if self._entry_stale_locked(entry) or (
                     existing is not None and entry.seq < existing.seq):
                 self.stale_puts += 1
-                metrics.counter("server.result_cache.stale_puts").inc()
+                _STALE_PUTS.inc()
                 return
             if existing is None and not self._admission.admit(self._entries, key):
                 self.rejected += 1
-                metrics.counter("server.result_cache.rejected").inc()
+                _REJECTED.inc()
                 return
             self._entries[key] = entry
             self._entries.move_to_end(key)
-            metrics.gauge("server.result_cache.entries").set(len(self._entries))
+            _ENTRIES.set(len(self._entries))
 
     def invalidate(self, tables, seq: int) -> int:
         """Drop every entry that references any of ``tables``.
@@ -158,15 +171,15 @@ class ResultCache:
                 del self._entries[key]
             self.invalidations += len(stale)
             if stale:
-                metrics.counter("server.result_cache.invalidations").inc(len(stale))
-                metrics.gauge("server.result_cache.entries").set(len(self._entries))
+                _INVALIDATIONS.inc(len(stale))
+                _ENTRIES.set(len(self._entries))
         return len(stale)
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
         with self._lock:
             self._entries.clear()
-            metrics.gauge("server.result_cache.entries").set(0)
+            _ENTRIES.set(0)
 
     @property
     def hit_rate(self) -> float:

@@ -56,6 +56,13 @@ from repro.storage.device import IOStats
 
 __all__ = ["QueryServer"]
 
+_SESSIONS_OPENED = metrics.counter("server.sessions_opened")
+_ACTIVE_SESSIONS = metrics.gauge("server.active_sessions")
+_STATEMENTS = metrics.counter("server.statements")
+_MEMO_HITS = metrics.counter("server.stmt_memo.hits")
+_MEMO_MISSES = metrics.counter("server.stmt_memo.misses")
+_MEMO_REJECTED = metrics.counter("server.stmt_memo.rejected")
+
 
 class QueryServer:
     """A multi-session serving layer over one shared :class:`Database`."""
@@ -89,14 +96,14 @@ class QueryServer:
             self._next_session_id += 1
             session = Session(self, session_id, name=name)
             self._sessions[session_id] = session
-            metrics.counter("server.sessions_opened").inc()
-            metrics.gauge("server.active_sessions").set(len(self._sessions))
+            _SESSIONS_OPENED.inc()
+            _ACTIVE_SESSIONS.set(len(self._sessions))
         return session
 
     def _session_closed(self, session: Session) -> None:
         with self._lock:
             self._sessions.pop(session.session_id, None)
-            metrics.gauge("server.active_sessions").set(len(self._sessions))
+            _ACTIVE_SESSIONS.set(len(self._sessions))
 
     @property
     def active_sessions(self) -> int:
@@ -126,30 +133,30 @@ class QueryServer:
     def _run_statement(self, session: Session, sql: str,
                        params: list | None) -> QueryResult:
         """Execution of one admitted statement, in the slot it holds."""
-        metrics.counter("server.statements").inc()
+        _STATEMENTS.inc()
         session._admitted()
-        wait = current_wait_seconds()
         # The statement's own flight-recorder record (a fresh trace id,
         # or its caller's when a UDF issued it), which Database.execute
-        # annotates.
-        with recorder.statement(sql, session=session.name, own=True) as rec:
-            rec.note(pool_wait_seconds=wait, params=params or None)
-            result = self._execute(session, sql, params)
-            rows = len(result.rows)
-            rec.note(rows=rows or result.rowcount)
+        # annotates with everything but a cache hit.
+        with recorder.statement(sql, session=session.name, own=True,
+                                pool_wait_seconds=current_wait_seconds(),
+                                params=params) as rec:
+            result = self._execute(session, sql, params, rec)
             # Ship the result payload through the RPC channel so served
             # traffic lands in the paper's message accounting (a counts
-            # model: 8 bytes a value, chunked).
-            self.rpc.send(rows * max(1, len(result.columns)) * 8)
+            # model: 8 bytes a value, chunked).  The shipping is the
+            # statement's tail: its ``net`` phase runs to the scope's end.
+            if rec.active:
+                rec.switch("net")
+            self.rpc.send(len(result.rows) * max(1, len(result.columns)) * 8)
         return result
 
-    def _execute(self, session: Session, sql: str,
-                 params: list | None) -> QueryResult:
+    def _execute(self, session: Session, sql: str, params: list | None,
+                 rec) -> QueryResult:
         prepared, hit = self.db.prepare(sql)
-        metrics.counter("server.stmt_memo.hits" if hit
-                        else "server.stmt_memo.misses").inc()
+        (_MEMO_HITS if hit else _MEMO_MISSES).inc()
         if prepared.ad_hoc:
-            metrics.counter("server.stmt_memo.rejected").inc()
+            _MEMO_REJECTED.inc()
         registry = session.functions
         if not prepared.is_read:
             return self._execute_write(prepared, session, params)
@@ -168,8 +175,11 @@ class QueryServer:
         if entry is not None:
             # Zero I/O, zero work — and Database.execute never ran, so the
             # statement's record is marked here.
-            recorder.annotate(cache_hit=True, kind="read",
-                              shape=prepared.shape, digest=prepared.digest)
+            if rec.active:  # this scope's own record: no note to route
+                record = rec.record
+                record.rows, record.cache_hit, record.kind = (
+                    len(entry.rows), True, "read")
+                record.shape, record.digest = prepared.shape, prepared.digest
             return QueryResult(
                 result=ResultSet(list(entry.columns), list(entry.rows)),
                 work=WorkCounters(),

@@ -22,6 +22,13 @@ from repro.storage.device import BlockDevice, IOStats
 
 __all__ = ["LongFieldManager", "LongField", "FieldTableView"]
 
+_WRITES = metrics.counter("lfm.writes")
+_PAGES_WRITTEN = metrics.counter("lfm.pages_written")
+_BYTES_WRITTEN = metrics.counter("lfm.bytes_written")
+_READS = metrics.counter("lfm.reads")
+_PAGES_READ = metrics.counter("lfm.pages_read")
+_BYTES_READ = metrics.counter("lfm.bytes_read")
+
 
 @dataclass(frozen=True)
 class LongField:
@@ -111,11 +118,9 @@ class LongFieldManager:
             if not deferred:
                 undo()
             raise
-        metrics.counter("lfm.writes").inc()
-        metrics.counter("lfm.pages_written").inc(
-            self.device.stats.pages_written - before
-        )
-        metrics.counter("lfm.bytes_written").inc(len(data))
+        _WRITES.inc()
+        _PAGES_WRITTEN.inc(self.device.stats.pages_written - before)
+        _BYTES_WRITTEN.inc(len(data))
         return LongField(field_id, len(data))
 
     def delete(self, field: LongField) -> None:
@@ -200,9 +205,9 @@ class LongFieldManager:
             data = self.device.read(base + offset, length)
         finally:
             recorder.leave(was)
-        metrics.counter("lfm.reads").inc()
-        metrics.counter("lfm.pages_read").inc(self.device.stats.pages_read - before)
-        metrics.counter("lfm.bytes_read").inc(len(data))
+        _READS.inc()
+        _PAGES_READ.inc(self.device.stats.pages_read - before)
+        _BYTES_READ.inc(len(data))
         return data
 
     def read_ranges(self, field: LongField, starts: np.ndarray, stops: np.ndarray) -> bytes:
@@ -236,9 +241,9 @@ class LongFieldManager:
             data = self.device.read_ranges(base + starts, base + stops)
         finally:
             recorder.leave(was)
-        metrics.counter("lfm.reads").inc()
-        metrics.counter("lfm.pages_read").inc(self.device.stats.pages_read - before)
-        metrics.counter("lfm.bytes_read").inc(len(data))
+        _READS.inc()
+        _PAGES_READ.inc(self.device.stats.pages_read - before)
+        _BYTES_READ.inc(len(data))
         return data
 
     # ------------------------------------------------------------------ #

@@ -50,6 +50,16 @@ from repro.storage.device import IOStats, _page_span
 
 __all__ = ["WriteAheadLog", "RecoveryReport", "recover_journal", "WAL_VERSION"]
 
+_RECOVERIES = metrics.counter("wal.recoveries")
+_TXNS_REPLAYED = metrics.counter("wal.txns_replayed")
+_TXNS_DISCARDED = metrics.counter("wal.txns_discarded")
+_TRANSACTIONS = metrics.counter("wal.transactions")
+_ROLLBACKS = metrics.counter("wal.rollbacks")
+_COMMITS = metrics.counter("wal.commits")
+_FLUSHES = metrics.counter("wal.flushes")
+_BYTES_JOURNALED = metrics.counter("wal.bytes_journaled")
+_JOURNAL_BYTES = metrics.gauge("wal.journal_bytes")
+
 WAL_VERSION = 3
 
 _TXN_MAGIC = b"QWAL"
@@ -167,9 +177,9 @@ def recover_journal(journal, next_txn_id: int = 1) -> RecoveryReport:
     for txn_id, meta in txns:
         report.replayed_txn_ids.append(txn_id)
         report.metas.append(meta)
-    metrics.counter("wal.recoveries").inc()
-    metrics.counter("wal.txns_replayed").inc(report.replayed)
-    metrics.counter("wal.txns_discarded").inc(report.discarded)
+    _RECOVERIES.inc()
+    _TXNS_REPLAYED.inc(report.replayed)
+    _TXNS_DISCARDED.inc(report.discarded)
     return report
 
 
@@ -303,7 +313,7 @@ class WriteAheadLog:
             elif meta_provider is not None and self._meta_provider is None:
                 self._meta_provider = meta_provider
             self._depth += 1
-            metrics.counter("wal.transactions").inc()
+            _TRANSACTIONS.inc()
             completed = False
             try:
                 yield self
@@ -359,7 +369,7 @@ class WriteAheadLog:
         undo, self._undo = self._undo, []
         for action in reversed(undo):
             action()
-        metrics.counter("wal.rollbacks").inc()
+        _ROLLBACKS.inc()
 
     @guarded_by("txn")
     def _commit(self) -> None:
@@ -429,10 +439,10 @@ class WriteAheadLog:
                 pass
             raise
         self._journal_head = start + len(record)
-        metrics.counter("wal.commits").inc()
-        metrics.counter("wal.flushes").inc()
-        metrics.counter("wal.bytes_journaled").inc(len(record))
-        metrics.gauge("wal.journal_bytes").set(self._journal_head)
+        _COMMITS.inc()
+        _FLUSHES.inc()
+        _BYTES_JOURNALED.inc(len(record))
+        _JOURNAL_BYTES.set(self._journal_head)
 
     def reset_journal(self) -> None:
         """Invalidate the journal (after the catalog checkpointed elsewhere).
@@ -455,7 +465,7 @@ class WriteAheadLog:
             body = _CKPT_MAGIC + struct.pack("<Q", last_id)
             self.journal.write(0, body + _CRC.pack(zlib.crc32(body)))
             self._journal_head = _CKPT.size
-            metrics.gauge("wal.journal_bytes").set(self._journal_head)
+            _JOURNAL_BYTES.set(self._journal_head)
 
     # ------------------------------------------------------------------ #
     # device duck interface

@@ -27,6 +27,10 @@ from repro.volumes import DataRegion
 
 __all__ = ["DXObject", "DataExplorer"]
 
+_CACHE_HITS = metrics.counter("dx.cache_hits")
+_IMPORTS = metrics.counter("dx.imports")
+_RENDERS = metrics.counter("dx.renders")
+
 
 @dataclass
 class DXObject:
@@ -63,14 +67,14 @@ class DataExplorer:
         """
         if cache_key is not None and cache_key in self._cache:
             self.cache_hits += 1
-            metrics.counter("dx.cache_hits").inc()
+            _CACHE_HITS.inc()
             return self._cache[cache_key]
         data = DataRegion.from_bytes(payload)
         size = (data.voxel_count, data.region.run_count)
         obj = DXObject(data, self.cost_model.import_cpu_seconds(*size),
                        self.cost_model.import_real_seconds(*size))
         self.imports += 1
-        metrics.counter("dx.imports").inc()
+        _IMPORTS.inc()
         if cache_key is not None:
             self._cache[cache_key] = obj
         return obj
@@ -108,5 +112,5 @@ class DataExplorer:
         else:
             raise ValidationError(f"unknown render mode {mode!r}")
         seconds = self.cost_model.render_seconds(obj.voxel_count)
-        metrics.counter("dx.renders").inc()
+        _RENDERS.inc()
         return image, seconds

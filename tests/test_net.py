@@ -44,6 +44,24 @@ class TestRpcChannel:
         rpc.reset()
         assert rpc.total_bytes == 0
 
+    def test_process_counters_sum_every_channel_once(self):
+        import gc
+
+        from repro.obs import metrics
+
+        messages = metrics.counter("rpc.messages")
+        before = messages.value
+        kept, dropped = RpcChannel(chunk_size=100), RpcChannel(chunk_size=100)
+        dropped.send(250)  # equal traffic lists: retiring one keeps the other
+        kept.send(250)
+        del dropped
+        gc.collect()
+        kept.send(50)
+        kept.reset()  # a channel's own totals restart; the process's do not
+        control = kept.control_messages_per_call
+        assert messages.value - before == 2 * (3 + control) + (1 + control)
+        assert kept.total_messages == 0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RpcChannel(chunk_size=0)

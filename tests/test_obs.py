@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import re
+import sys
+import threading
 
 import pytest
 
@@ -27,6 +29,46 @@ def system():
     return QbismSystem.build_demo(grid_side=16, n_pet=2, n_mri=1, seed=7)
 
 
+class TestCounterThreads:
+    """A bound counter takes no lock per increment: every thread adds to
+    a cell of its own, and a read sums the cells.  More threads than
+    cores, a short switch interval, and threads that end and are
+    replaced (a later thread may take over an ended one's cell) must
+    lose nothing."""
+
+    THREADS = 8
+    INCREMENTS = 20_000
+
+    def _run(self, target, threads: int) -> None:
+        workers = [threading.Thread(target=target) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+
+    def test_n_threads_m_increments_give_an_exact_total(self):
+        count = metrics.counter("t.threads")
+        amounts = metrics.counter("t.threads_amounts")
+
+        def work():
+            for _ in range(self.INCREMENTS):
+                count.inc()
+                amounts.inc(3)
+
+        self._run(work, self.THREADS)
+        assert count.value == self.THREADS * self.INCREMENTS
+        assert amounts.value == 3 * self.THREADS * self.INCREMENTS
+        # a second generation of threads, on the ids the first one left
+        self._run(work, self.THREADS)
+        assert count.value == 2 * self.THREADS * self.INCREMENTS
+
+
 class TestMetrics:
     def test_counter_gauge_histogram(self):
         metrics.counter("t.count").inc()
@@ -44,6 +86,34 @@ class TestMetrics:
     def test_counter_rejects_decrease(self):
         with pytest.raises(ValidationError):
             metrics.counter("t.count").inc(-1)
+
+    def test_reset_zeroes_in_place_and_bound_handles_still_report(self):
+        count = metrics.counter("t.bound")
+        level = metrics.gauge("t.bound_level")
+        seconds = metrics.histogram("t.bound_seconds")
+        count.inc(3)
+        level.set(0.5)
+        seconds.observe(0.01)
+        metrics.reset()
+        snap = metrics.snapshot()
+        assert snap["counters"]["t.bound"] == 0
+        assert snap["gauges"]["t.bound_level"] == 0.0
+        assert snap["histograms"]["t.bound_seconds"]["count"] == 0
+        count.inc(2)
+        level.set(0.75)
+        seconds.observe(0.02)
+        snap = metrics.snapshot()
+        assert snap["counters"]["t.bound"] == 2
+        assert snap["gauges"]["t.bound_level"] == 0.75
+        assert snap["histograms"]["t.bound_seconds"]["count"] == 1
+        assert metrics.counter("t.bound") is count
+
+    def test_derived_metric_is_read_when_exported(self):
+        source = [4]
+        metrics.derived("t.derived", metrics.Counter, lambda: source[0])
+        source[0] = 9
+        assert metrics.snapshot()["counters"]["t.derived"] == 9
+        assert "t_derived 9" in promtext.render()
 
     def test_kind_mismatch_rejected(self):
         metrics.counter("t.thing")

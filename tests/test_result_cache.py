@@ -112,6 +112,35 @@ class TestRefusedPuts:
         assert key in cache._entries and len(cache) == CAPACITY
 
 
+class TestProcessHitRate:
+    """``server.result_cache.hit_rate`` is the process's: derived, when
+    read, from the process-wide hit and miss counters, whichever cache
+    looked up last."""
+
+    def test_two_servers_one_gauge(self):
+        from repro.obs import metrics
+        from tests.test_concurrent_server import fresh_db
+        from repro.server import QueryServer
+
+        hits = metrics.counter("server.result_cache.hits")
+        misses = metrics.counter("server.result_cache.misses")
+        base = hits.value, misses.value
+        hot, cold = QueryServer(fresh_db()), QueryServer(fresh_db())
+        try:
+            with hot.connect() as a, cold.connect() as b:
+                for _ in range(4):  # one miss, then three hits
+                    a.execute("select v from lookup where k = 1")
+                for k in range(2):  # two misses
+                    b.execute(f"select v from lookup where k = {k}")
+                gauge = metrics.snapshot()["gauges"]["server.result_cache.hit_rate"]
+        finally:
+            hot.close()
+            cold.close()
+        assert (hits.value - base[0], misses.value - base[1]) == (3, 3)
+        assert hot.cache.hit_rate == 0.75 and cold.cache.hit_rate == 0.0
+        assert gauge == hits.value / (hits.value + misses.value)
+
+
 class TestConcurrentAdmission:
     """Both maps count and admit under the lock they already hold: no
     count is lost and no map outgrows its capacity when six threads

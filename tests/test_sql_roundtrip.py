@@ -40,7 +40,9 @@ from repro.db.sql.ast import (
     UnaryOp,
     Update,
 )
-from repro.db.sql.parser import _KEYWORDS
+from repro.db.sql.lexer import TokenType, tokenize
+from repro.db.sql.parser import _KEYWORDS, last_tokens
+from repro.db.sql.prepared import Prepared
 
 _ident = (
     st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=1)
@@ -199,6 +201,26 @@ def test_parse_unparse_parse_fixed_point(stmt):
     reparsed = parse(text)
     assert reparsed == stmt, f"drift through {text!r}"
     assert unparse(reparsed) == text  # the text itself is a fixed point
+
+
+def _with_other_literals(text: str) -> str:
+    """``text`` re-spelled token by token, every literal replaced: the
+    same masked token stream, so the same key in the shape memo."""
+    other = {TokenType.NUMBER: "7", TokenType.STRING: "'z'"}
+    return " ".join(other.get(t.type, t.text) for t in tokenize(text))
+
+
+@given(stmt=_statement)
+@settings(max_examples=300, deadline=None)
+def test_memoized_shape_is_the_unparsed_shape(stmt):
+    # The memo keys the shape by the masked token stream; a statement and
+    # one differing from it only in literals share the key, and each must
+    # still get exactly its own unparsed shape.
+    text = unparse(stmt)
+    for sql in (text, _with_other_literals(text)):
+        ast = parse(sql)
+        prepared = Prepared(sql, ast, tokens=last_tokens())
+        assert prepared.shape == unparse(ast, literals=False), sql
 
 
 @given(expr=_full_expr)
