@@ -109,41 +109,71 @@ _BUCKET_BOUNDS = (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
 
 
 class Histogram:
-    """Distribution summary: count/sum/min/max plus coarse log buckets."""
+    """Distribution summary: count/sum/min/max plus coarse log buckets.
+    :meth:`observe_zero` adds a 0 to a per-thread cell without the lock,
+    as :meth:`Counter.inc` counts; every read folds the new zeros in."""
 
-    __slots__ = ("name", "count", "total", "min", "max", "buckets", "_lock")
+    __slots__ = ("name", "_count", "total", "min", "max", "_buckets", "_zeros", "_folded", "_lock")
     kind = "histogram"
 
     def __init__(self, name: str):
         self.name = name
         self._lock = threading.Lock()
+        self._zeros: dict[int, list] = {}  # thread id -> [zeros observed]
         self.reset()
 
     def reset(self) -> None:
         """Forget every observation, in place."""
         with self._lock:
-            self.count = 0
+            for cell in list(self._zeros.values()):
+                cell[0] = 0
+            self._folded = 0  # how many of the zeros the state holds
+            self._count = 0
             self.total = 0.0
             self.min: float | None = None
             self.max: float | None = None
-            self.buckets = [0] * (len(_BUCKET_BOUNDS) + 1)
+            self._buckets = [0] * (len(_BUCKET_BOUNDS) + 1)
 
     def observe(self, value: float) -> None:
         """Record one observation (thread-safe)."""
         with self._lock:
             self.add_locked(value)
 
+    def observe_zero(self) -> None:
+        """``observe(0.0)``, without the lock."""
+        try:
+            self._zeros[get_ident()][0] += 1
+        except KeyError:  # this thread's first zero
+            self._zeros.setdefault(get_ident(), [0])[0] += 1
+
     def add_locked(self, value: float) -> None:
         """:meth:`observe` for an owner that serializes every update and
         read of this histogram under a lock of its own."""
-        self.count += 1
+        self._count += 1
         self.total += value
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
         # the first bucket whose bound is >= value; past the last, overflow
-        self.buckets[bisect_left(_BUCKET_BOUNDS, value)] += 1
+        self._buckets[bisect_left(_BUCKET_BOUNDS, value)] += 1
+
+    def _fold_locked(self) -> None:
+        """Add the zeros observed since the last fold (lock held)."""
+        zeros = sum(cell[0] for cell in list(self._zeros.values())) - self._folded
+        if zeros:
+            self._folded += zeros
+            self._count += zeros
+            self._buckets[0] += zeros
+            self.min = 0.0 if self.min is None else min(self.min, 0.0)
+            self.max = 0.0 if self.max is None else max(self.max, 0.0)
+
+    @property
+    def count(self) -> int:
+        """Observations so far."""
+        with self._lock:
+            self._fold_locked()
+            return self._count
 
     def percentile(self, q: float) -> float:
         """Estimated ``q``-quantile (``0 < q <= 1``) from the buckets: the
@@ -153,16 +183,17 @@ class Histogram:
         if not 0.0 < q <= 1.0:
             raise ValidationError(f"percentile wants 0 < q <= 1, got {q}")
         with self._lock:
+            self._fold_locked()
             return self._percentile_locked(q)
 
     def _percentile_locked(self, q: float) -> float:
         """Quantile estimate from a consistent state (lock held by caller)."""
-        if not self.count:
+        if not self._count:
             return 0.0
-        target = q * self.count
+        target = q * self._count
         cumulative = 0
         lower = 0.0
-        for bound, in_bucket in zip(_BUCKET_BOUNDS + (None,), self.buckets):
+        for bound, in_bucket in zip(_BUCKET_BOUNDS + (None,), self._buckets):
             if in_bucket and cumulative + in_bucket >= target:
                 lo = max(lower, self.min if self.min is not None else lower)
                 hi = self.max if self.max is not None else lower
@@ -180,7 +211,8 @@ class Histogram:
         """Summary dict: count, sum, mean, min, max, percentiles, buckets,
         all from one state (under the lock)."""
         with self._lock:
-            count = self.count
+            self._fold_locked()
+            count = self._count
             return {
                 "count": count,
                 "sum": self.total,
@@ -191,7 +223,7 @@ class Histogram:
                 "p95": self._percentile_locked(0.95),
                 "p99": self._percentile_locked(0.99),
                 "buckets": dict(
-                    zip([str(b) for b in _BUCKET_BOUNDS] + ["inf"], self.buckets)
+                    zip([str(b) for b in _BUCKET_BOUNDS] + ["inf"], self._buckets)
                 ),
             }
 

@@ -183,7 +183,10 @@ class WorkerPool:
         outer = current_wait_seconds()  # a nested statement's caller's
         _WAIT.seconds = wait
         try:
-            _WAIT_SECONDS.observe(wait)
+            if wait:
+                _WAIT_SECONDS.observe(wait)
+            else:  # a slot was free: no histogram lock
+                _WAIT_SECONDS.observe_zero()
             return fn(*args)
         finally:
             _WAIT.seconds = outer

@@ -7,7 +7,16 @@ one cache across every session.  Entries are keyed on the statement's
 formatting differences (`select  *` vs `SELECT *`) hit the same slot —
 plus the bound parameters.  Every entry remembers the SELECT's
 :attr:`Prepared.tables <repro.db.sql.Prepared.tables>`; any write to one
-of those tables drops the entry.
+of those tables drops the entry, found through a table -> keys index.
+
+A served statement looks for its rows by its *text* first
+(:meth:`ResultCache.peek`, :meth:`ResultCache.hit`): an index from
+``(text, params)`` to the canonical key holds, for each entry, the one
+text that filled it, and drops it with the entry.  So a repeated text is
+answered before it is parsed or looked up in the statement memo; a
+differently formatted one still reaches the entry by its canonical key.
+Each entry carries what answering needs without the statement: the
+functions it calls, its shape and its digest id.
 
 The map evicts in LRU order and admits by frequency
 (:class:`~repro.db.admission.FrequencyAdmission`): every ``get`` counts
@@ -17,7 +26,8 @@ evict.  A refused ``put`` stores nothing (``server.result_cache.rejected``),
 so a stream of distinct keys wider than the map cannot flush what
 repeats.
 
-Thread safety: a single mutex guards the LRU map and its counts.
+Thread safety: a single mutex guards the LRU map, its counts and its
+two indexes; :meth:`ResultCache.peek` alone reads them without it.
 Snapshot reads hold no database lock, which opens a window: a reader
 executing against version N can ``put`` *after* a writer committed N+1
 and invalidated.  Entries therefore carry the snapshot sequence number
@@ -79,6 +89,14 @@ class CachedResult:
     rows: tuple[tuple, ...]
     tables: frozenset[str]
     seq: int
+    #: the functions the statement calls (a session shadowing one of
+    #: them must not be answered from the shared entry)
+    funcs: frozenset[str] = frozenset()
+    #: the statement's shape and digest id, for a hit's flight record
+    shape: str | None = None
+    digest: str | None = None
+    #: the ``cache_key`` of the text that filled it (None: not reachable by text)
+    text: tuple | None = None
 
 
 class ResultCache:
@@ -89,7 +107,11 @@ class ResultCache:
         if capacity < 1:
             raise ValidationError("result cache needs capacity for one entry")
         self.capacity = capacity
-        self._entries: OrderedDict[tuple, CachedResult] = OrderedDict()
+        self._entries: OrderedDict[tuple, CachedResult] = OrderedDict()  # guarded_by: _lock
+        #: ``entry.text`` -> key, for every entry filled with a text
+        self._texts: dict[tuple, tuple] = {}  # guarded_by: _lock
+        #: table -> keys of the entries that depend on it
+        self._keys_of: dict[str, set[tuple]] = {}  # guarded_by: _lock
         #: per-table low-water mark: entries computed from a snapshot
         #: sequence *below* the mark are stale (a write invalidated them
         #: before they arrived).  Bounded by the schema's table count.
@@ -115,6 +137,30 @@ class ResultCache:
                 self._entries.move_to_end(key)
         (_MISSES if entry is None else _HITS).inc()
         return entry
+
+    def peek(self, text: tuple) -> CachedResult | None:
+        """The entry the statement text ``text`` (a :func:`cache_key` of
+        the raw text) filled, or None.  Counts nothing: a found entry
+        becomes a hit only through :meth:`hit`."""
+        # Lock-free: each read is one dict lookup on str-tuple keys, which
+        # no other thread can interleave with.  A probe that misses takes
+        # no lock at all, and what one finds is confirmed by hit().
+        key = self._texts.get(text)
+        return None if key is None else self._entries.get(key)
+
+    def hit(self, text: tuple, entry: CachedResult) -> bool:
+        """Count ``entry``, found by :meth:`peek`, as one hit, as
+        :meth:`get` counts one; False, counting nothing, if an eviction,
+        invalidation or refill replaced it since."""
+        with self._lock:
+            key = self._texts.get(text)
+            if key is None or self._entries.get(key) is not entry:
+                return False
+            self._admission.touch(key)
+            self.hits += 1
+            self._entries.move_to_end(key)
+        _HITS.inc()
+        return True
 
     def _entry_stale_locked(self, entry: CachedResult) -> bool:
         """Was a write with a newer sequence already applied to a table
@@ -143,13 +189,36 @@ class ResultCache:
                 self.stale_puts += 1
                 _STALE_PUTS.inc()
                 return
-            if existing is None and not self._admission.admit(self._entries, key):
-                self.rejected += 1
-                _REJECTED.inc()
-                return
+            if existing is not None:
+                self._forget_locked(key, existing)
+            else:
+                victim = (next(iter(self._entries.items()))
+                          if len(self._entries) >= self.capacity else None)
+                if not self._admission.admit(self._entries, key):
+                    self.rejected += 1
+                    _REJECTED.inc()
+                    return
+                if victim is not None:  # admitted: the LRU entry went
+                    self._forget_locked(*victim)
             self._entries[key] = entry
             self._entries.move_to_end(key)
+            if entry.text is not None:
+                self._texts[entry.text] = key
+            for table in entry.tables:
+                self._keys_of.setdefault(table, set()).add(key)
             _ENTRIES.set(len(self._entries))
+
+    def _forget_locked(self, key: tuple, entry: CachedResult) -> None:
+        """Drop ``entry``'s text and table index rows (the caller drops
+        the entry itself; lock held by caller)."""
+        if self._texts.get(entry.text) == key:
+            del self._texts[entry.text]
+        for table in entry.tables:
+            keys = self._keys_of.get(table)
+            if keys is not None:
+                keys.discard(key)
+                if not keys:
+                    del self._keys_of[table]
 
     def invalidate(self, tables, seq: int) -> int:
         """Drop every entry that references any of ``tables``.
@@ -162,13 +231,13 @@ class ResultCache:
         """
         written = {t.lower() for t in tables}
         with self._lock:
+            stale: set[tuple] = set()
             for table in written:
                 if self._stale_below.get(table, 0) < seq:
                     self._stale_below[table] = seq
-            stale = [key for key, entry in self._entries.items()
-                     if entry.tables & written]
+                stale.update(self._keys_of.pop(table, ()))
             for key in stale:
-                del self._entries[key]
+                self._forget_locked(key, self._entries.pop(key))
             self.invalidations += len(stale)
             if stale:
                 _INVALIDATIONS.inc(len(stale))
@@ -179,6 +248,8 @@ class ResultCache:
         """Drop every entry (counters are kept)."""
         with self._lock:
             self._entries.clear()
+            self._texts.clear()
+            self._keys_of.clear()
             _ENTRIES.set(0)
 
     @property

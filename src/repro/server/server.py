@@ -14,14 +14,20 @@ ARCHITECTURE.md):
   a client occupies on its own thread, plus the bounded FIFO
   (``block``/``reject`` policy) where callers wait their turn when every
   slot is taken;
-* the database's memo of :class:`~repro.db.sql.Prepared` statements per
-  raw text (:meth:`Database.prepare <repro.db.database.Database.prepare>`)
-  — the one parse a served statement costs, and the source of every
-  syntactic fact dispatch, caching and the flight recorder use;
-* a shared :class:`~repro.server.resultcache.ResultCache`, invalidated
-  by any write to a table the cached statement names; fills are fenced
-  by snapshot sequence numbers so a late fill can never resurrect
+* a shared :class:`~repro.server.resultcache.ResultCache`, probed first
+  by the statement's raw text and parameters: a hit is answered from the
+  entry, which carries the statement's functions, shape and digest id,
+  with no parse and no statement-memo lookup.  It is invalidated by any
+  write to a table the cached statement names; fills are fenced by
+  snapshot sequence numbers so a late fill can never resurrect
   invalidated rows;
+* for everything else, the database's memo of
+  :class:`~repro.db.sql.Prepared` statements per raw text
+  (:meth:`Database.prepare <repro.db.database.Database.prepare>`) — the
+  one parse a served statement that misses the cache costs, and the
+  source of every syntactic fact dispatch, caching and the flight
+  recorder use.  Cached statements never reach it, so its slots and its
+  admission counts are spent on what the cache does not hold;
 * per-session state (:class:`~repro.server.session.Session`): local UDF
   registries and variables;
 * the :class:`~repro.net.rpc.RpcChannel` result payloads ship through,
@@ -153,15 +159,24 @@ class QueryServer:
 
     def _execute(self, session: Session, sql: str, params: list | None,
                  rec) -> QueryResult:
+        registry = session.functions
+        cache, text = self.cache, None
+        if cache is not None:
+            text = cache_key(sql, params)
+            # A repeated text is answered from its entry before it is
+            # prepared, unless this session shadows a function it calls.
+            entry = cache.peek(text)
+            if (entry is not None and registry.stamp(entry.funcs) is not None
+                    and cache.hit(text, entry)):
+                return self._answer(entry, sql, rec)
         prepared, hit = self.db.prepare(sql)
         (_MEMO_HITS if hit else _MEMO_MISSES).inc()
         if prepared.ad_hoc:
             _MEMO_REJECTED.inc()
-        registry = session.functions
         if not prepared.is_read:
             return self._execute_write(prepared, session, params)
         cacheable = (
-            self.cache is not None
+            cache is not None
             and not prepared.is_explain
             # A statement calling a session-local UDF must not land in the
             # shared cache: another session may bind the same name to
@@ -171,21 +186,9 @@ class QueryServer:
         if not cacheable:
             return self.db.execute(prepared, params, functions=registry)
         key = cache_key(prepared.canonical, params)
-        entry = self.cache.get(key)
+        entry = cache.get(key)
         if entry is not None:
-            # Zero I/O, zero work — and Database.execute never ran, so the
-            # statement's record is marked here.
-            if rec.active:  # this scope's own record: no note to route
-                record = rec.record
-                record.rows, record.cache_hit, record.kind = (
-                    len(entry.rows), True, "read")
-                record.shape, record.digest = prepared.shape, prepared.digest
-            return QueryResult(
-                result=ResultSet(list(entry.columns), list(entry.rows)),
-                work=WorkCounters(),
-                io=IOStats() if self.db.lfm is not None else None,
-                sql=prepared.sql,
-            )
+            return self._answer(entry, sql, rec)
         with self.db.read_view() as view:
             result = self.db.execute(prepared, params, functions=registry,
                                      view=view)
@@ -195,13 +198,32 @@ class QueryServer:
                 # invalidated these tables in the meantime.  Rows a
                 # write holder read from its own open transaction belong
                 # to no version: not cached.
-                self.cache.put(key, CachedResult(
+                cache.put(key, CachedResult(
                     columns=tuple(result.columns),
                     rows=tuple(result.rows),
                     tables=prepared.tables,
                     seq=view.seq,
+                    funcs=prepared.funcs,
+                    shape=prepared.shape,
+                    digest=prepared.digest,
+                    text=text,
                 ))
             return result
+
+    def _answer(self, entry: CachedResult, sql: str, rec) -> QueryResult:
+        """A cache hit's result: zero I/O, zero work.  Database.execute
+        never ran, so the statement's record is marked here."""
+        if rec.active:  # this scope's own record: no note to route
+            record = rec.record
+            record.rows, record.cache_hit, record.kind = (
+                len(entry.rows), True, "read")
+            record.shape, record.digest = entry.shape, entry.digest
+        return QueryResult(
+            result=ResultSet(list(entry.columns), list(entry.rows)),
+            work=WorkCounters(),
+            io=IOStats() if self.db.lfm is not None else None,
+            sql=sql,
+        )
 
     def _execute_write(self, prepared: Prepared, session: Session,
                        params: list | None) -> QueryResult:

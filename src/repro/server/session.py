@@ -106,9 +106,10 @@ class Session:
 
     def execute(self, sql: str, params: list | None = None):
         """Run one statement through the server; blocks for the result."""
-        with self._state_lock:
-            if self.closed:
-                raise SessionClosedError(f"{self.name} is closed")
+        # A plain read of the flag: a close() may land just after the
+        # check with or without the lock, so taking it would order nothing.
+        if self.closed:
+            raise SessionClosedError(f"{self.name} is closed")
         return self._server.admit(self, sql, params)
 
     def _admitted(self) -> None:

@@ -629,6 +629,123 @@ class TestResultCache:
         assert entry is None or entry.seq >= final_seq
 
 
+class TestTextPathHits:
+    """A served hit is answered from its text: the result cache's text
+    index is probed before ``Database.prepare``."""
+
+    TEXTS = tuple(f"select v from lookup where k = {k}" for k in range(3))
+
+    def test_a_hit_makes_no_prepare_call_and_leaves_the_memo_alone(
+            self, monkeypatch):
+        db = fresh_db()
+        with QueryServer(db, workers=1) as server, server.connect() as s:
+            for sql in self.TEXTS:
+                s.execute(sql)
+            order = list(db._prepared)
+            admission = (dict(db._stmt_admission._counts),
+                         db._stmt_admission._touches)
+            memo = {name: metrics.counter(f"server.stmt_memo.{name}").value
+                    for name in ("hits", "misses", "rejected")}
+            prepared = []
+            real = db.prepare
+            monkeypatch.setattr(
+                db, "prepare", lambda sql: prepared.append(sql) or real(sql))
+            for k in reversed(range(len(self.TEXTS))):
+                assert s.execute(self.TEXTS[k]).rows == [(k * k,)]
+            assert prepared == []
+            assert list(db._prepared) == order
+            assert (dict(db._stmt_admission._counts),
+                    db._stmt_admission._touches) == admission
+            assert memo == {
+                name: metrics.counter(f"server.stmt_memo.{name}").value
+                for name in ("hits", "misses", "rejected")}
+            assert (server.cache.hits, server.cache.misses) == (3, 3)
+
+    def test_a_hit_leaves_the_record_a_canonical_hit_leaves(self):
+        db = fresh_db()
+        recorder.enable()
+        with QueryServer(db, workers=1) as server, server.connect() as s:
+            s.execute("select v from lookup where k = 4")
+            s.execute("SELECT v FROM lookup WHERE k = 4")  # canonical hit
+            s.execute("select v from lookup where k = 4")  # text hit
+            text_hit, canonical_hit, miss = recorder.get_recorder().recent(3)
+        assert text_hit.cache_hit and canonical_hit.cache_hit
+        assert not miss.cache_hit
+        for record in (text_hit, canonical_hit):
+            assert (record.rows, record.kind, record.shape, record.digest) \
+                == (1, "read", miss.shape, miss.digest)
+
+    def test_a_shadowing_session_gets_its_own_answer(self):
+        db = fresh_db()
+        db.register_function("tag", lambda: "shared")
+        sql = "select tag() from lookup where k = 0"
+        with QueryServer(db, workers=2) as server:
+            a = server.connect(name="a")
+            b = server.connect(name="b")
+            assert a.execute(sql).rows == [("shared",)]
+            assert a.execute(sql).rows == [("shared",)]  # from the entry
+            assert server.cache.hits == 1
+            b.register_function("tag", lambda: "B", replace=True)
+            assert b.execute(sql).rows == [("B",)]  # not the shared entry
+            assert b.execute(sql).rows == [("B",)]
+            assert a.execute(sql).rows == [("shared",)]
+            assert server.cache.hits == 2
+            a.close()
+            b.close()
+
+    def test_text_hits_racing_inserts_never_read_behind_an_ack(self):
+        """Readers repeat the same texts, so nearly every read is a text
+        hit, while a writer INSERTs into the table they read.  A read that
+        starts after a write was acknowledged must see it."""
+        db = fresh_db()
+        writes, readers = 150, 3
+        acked = [0]
+        stop = threading.Event()
+        behind: list[tuple] = []
+        texts = ("select count(*) from events",
+                 "select count(*) from events where session = 0",
+                 "select max(seq) + 1 from events")
+
+        def writer(server):
+            with server.connect(name="writer") as s:
+                for i in range(writes):
+                    s.execute("insert into events values (0, ?)", [i])
+                    acked[0] = i + 1
+                    time.sleep(0)
+            stop.set()
+
+        def reader(server, seed):
+            rng = random.Random(seed)
+            try:
+                with server.connect(name=f"reader-{seed}") as s:
+                    while not stop.is_set():
+                        floor = acked[0]
+                        sql = rng.choice(texts)
+                        got = s.execute(sql).scalar() or 0
+                        if got < floor:
+                            behind.append((sql, floor, got))
+            except Exception as exc:  # reported below, after the join
+                behind.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryServer(db, workers=4) as server:
+                threads = [threading.Thread(target=writer, args=(server,))] + [
+                    threading.Thread(target=reader, args=(server, seed))
+                    for seed in range(readers)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                hits = server.cache.hits
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert behind == []
+        assert hits > writes
+
+
 # --------------------------------------------------------------------- #
 # sessions
 # --------------------------------------------------------------------- #

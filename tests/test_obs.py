@@ -68,6 +68,36 @@ class TestCounterThreads:
         self._run(work, self.THREADS)
         assert count.value == 2 * self.THREADS * self.INCREMENTS
 
+    def test_lock_free_zeros_export_what_observe_would(self):
+        """``Histogram.observe_zero`` from threads, mixed with locked
+        observations and with reads folding the zeros in meanwhile, leaves
+        the export ``observe(0.0)`` would have left."""
+        folded = metrics.histogram("t.zero_folded")
+        reference = metrics.histogram("t.zero_reference")
+        exports = []
+
+        def work():
+            for i in range(self.INCREMENTS // 10):
+                folded.observe_zero()
+                if i % 100 == 0:
+                    folded.observe(0.002)
+                    exported = folded.export()
+                    exports.append(
+                        sum(exported["buckets"].values()) == exported["count"])
+
+        self._run(work, self.THREADS)
+        for _ in range(self.THREADS):
+            for i in range(self.INCREMENTS // 10):
+                reference.observe(0.0)
+                if i % 100 == 0:
+                    reference.observe(0.002)
+        assert all(exports)
+        assert folded.count == reference.count
+        assert folded.export() == reference.export()
+        metrics.reset()
+        folded.observe_zero()
+        assert folded.export()["count"] == 1 and folded.export()["max"] == 0.0
+
 
 class TestMetrics:
     def test_counter_gauge_histogram(self):
