@@ -69,12 +69,13 @@ def statements():
     """``(source, make_db, sql, params, scanned)`` for every statement."""
     import test_plan_equivalence as equivalence
     import test_sql_fuzz as fuzz
+    from tests.conftest import executemany
     from repro.db import Database
 
     system = equivalence._demo()
     db = system.db
     db.execute("create table notes (k integer, v text)")
-    db.executemany("insert into notes values (?, ?)", [[1, "a"], [2, "b"]])
+    executemany(db, "insert into notes values (?, ?)", [[1, "a"], [2, "b"]])
     db.register_function("warmfn", lambda age: age + 1)
     values = equivalence.catalog_values.__wrapped__(system)
     rng = random.Random(equivalence._BATCH_SEEDS[0])
@@ -87,8 +88,8 @@ def statements():
     edge = Database()
     edge.execute("create table t (a integer, b integer)")
     edge.execute("create table u (k integer, v integer)")
-    edge.executemany("insert into t values (?, ?)", [[k % 7, k % 4] for k in range(30)])
-    edge.executemany("insert into u values (?, ?)", [[k % 5, k % 3] for k in range(12)])
+    executemany(edge, "insert into t values (?, ?)", [[k % 7, k % 4] for k in range(30)])
+    executemany(edge, "insert into u values (?, ?)", [[k % 5, k % 3] for k in range(12)])
     edge.execute("create index ia on t (a)")
     for sql, params in EDGE:
         yield "edge", lambda: edge, sql, params, True
@@ -97,7 +98,7 @@ def statements():
         fresh = Database()
         fresh.execute("create table t (a integer, b integer, c integer)")
         fresh.execute("create table u (b integer)")
-        fresh.executemany("insert into t values (?, ?, ?)", [[1, 2, None], [2, None, 3]])
+        executemany(fresh, "insert into t values (?, ?, ?)", [[1, 2, None], [2, None, 3]])
         fresh.execute("insert into u values (2)")
         return fresh
     for sql in fuzz._STATEMENTS:
@@ -108,7 +109,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--root", default=str(HERE))
     args = parser.parse_args(argv)
-    sys.path[:0] = [f"{args.root}/src", str(HERE / "tests")]
+    sys.path[:0] = [f"{args.root}/src", str(HERE / "tests"), str(HERE)]
     ordinals: dict[str, int] = {}
     for source, make_db, sql, params, scanned in statements():
         ordinal = ordinals[source] = ordinals.get(source, -1) + 1

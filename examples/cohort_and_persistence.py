@@ -56,7 +56,7 @@ def main() -> None:
     after = system.db.execute(sql)
     print(f"    rows scanned for a study-band join: "
           f"{before.work.rows_scanned} -> {after.work.rows_scanned}")
-    print("    " + system.db.explain(sql).splitlines()[1].strip())
+    print("    " + system.db.execute("EXPLAIN " + sql).rows[1][0].strip())
 
     # -- 3. the spatial index -------------------------------------------- #
     print("\n[3] Which structures does a biopsy probe box intersect?")

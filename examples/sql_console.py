@@ -79,7 +79,8 @@ def main() -> None:
                     print(f"error: {exc}")
             elif command == ".explain":
                 try:
-                    print(db.explain(arg))
+                    for (line,) in db.execute("EXPLAIN " + arg).rows:
+                        print(line)
                 except (ReproError, ValueError) as exc:
                     print(f"error: {exc}")
             else:

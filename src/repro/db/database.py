@@ -28,14 +28,15 @@ from repro.db.functions import (
 )
 from repro.db.mvcc import DatabaseVersion, VersionManager
 from repro.db.persist import commit_record
+from repro.db.planner import Plan, level_label
 from repro.db.semantic import analyze as _analyze
 from repro.db.semantic import check
-from repro.db.sql.ast import Explain, Select
+from repro.db.sql.ast import Select
 from repro.db.sql.parser import last_tokens, parse
 from repro.db.sql.prepared import Bound, Prepared
 from repro.errors import UnsupportedStatementError
+from repro.net.costmodel import CostModel1994
 from repro.obs import metrics, recorder
-from repro.obs.explain import PlanProfile, render_analyzed_plan
 from repro.storage.device import IOStats, attribute_io
 from repro.storage.lfm import FieldTableView, LongFieldManager
 
@@ -68,6 +69,46 @@ def _check(prepared: Prepared, catalog, registry: FunctionRegistry) -> dict:
         return check(prepared.ast, catalog, registry)
     finally:
         recorder.leave(was)
+
+
+_MODEL_1994 = CostModel1994()
+
+
+def _analyzed_plan(plan: Plan, result: ResultSet, io: IOStats | None,
+                   work: WorkCounters) -> list[str]:
+    """EXPLAIN ANALYZE's lines: each join level's estimate beside the rows
+    it examined and matched, the output stage, and a total splitting the
+    statement's time so far by layer, as its flight record does, beside
+    its I/O and the simulated 1994 Starburst time (one row of Table 3).
+
+    Times are printed in hundredths of a millisecond, rounded down, so
+    the printed phases never sum to more than the printed total.
+    """
+    counts = result.level_counts
+    lines = [
+        "  " * level + f"{level_label(plan, level)}  (est rows={round(est)}, "
+        f"rows examined={counts[2 * level]}, matched={counts[2 * level + 1]})"
+        for level, est in enumerate(plan.est_rows)
+    ]
+    rows = len(result.rows)
+    lines.append(f"output: {rows} row(s)  (est rows={round(plan.est_out)}, "
+                 f"rows in={counts[-1]})")
+    phases = recorder.charged()
+    if phases is None:
+        total = f"total: {rows} row(s), no flight record kept (recording is off)"
+    else:
+        parts = {name: int(seconds * 1e5)
+                 for name, seconds in phases.items() if seconds}
+        whole = max(int(sum(phases.values()) * 1e5), sum(parts.values()))
+        split = " + ".join(f"{name} {part / 100:.2f}"
+                           for name, part in parts.items())
+        total = f"total: {rows} row(s) in {whole / 100:.2f} ms ({split})"
+    if io is not None:
+        sim = _MODEL_1994.starburst_real_seconds(work, io)
+        total += (f"; statement I/O: {io.pages_read} pages / {io.bytes_read} "
+                  f"bytes read; simulated 1994 Starburst real time: {sim:.2f} s")
+    lines.append(total)
+    return lines
 
 
 @dataclass
@@ -404,8 +445,8 @@ class Database:
 
         ``catalog`` / ``lfm`` are a :class:`ReadView`'s, or the live
         structures under the write lock.  EXPLAIN ANALYZE is its SELECT
-        run with a :class:`PlanProfile` attached, answered with the
-        rendered plan instead of the rows.
+        run as any other, answered with :func:`_analyzed_plan` instead of
+        the rows.
         """
         stmt, sql, explain = prepared.ast, prepared.sql, prepared.is_explain
         bound, plans = self._bind(prepared, catalog, registry)
@@ -423,20 +464,21 @@ class Database:
                 rec.note(rows=len(rows), params=params or None)
                 return QueryResult(ResultSet(["plan"], rows), WorkCounters(),
                                    None, sql)
-            profile = ctx.profile = PlanProfile()
         _STATEMENTS.inc()
         start = time.perf_counter()
         # Thread-local attribution: the delta is exactly this statement's
         # I/O even while other sessions run concurrently (a global
         # before/after snapshot would absorb their pages).  A snapshot's
         # LFM view shares the live manager's stats.
+        executor = Executor(catalog, registry)
         with (attribute_io(lfm.stats) if lfm is not None
               else nullcontext()) as io_delta:
-            ctx.io_sink = io_delta
-            result = Executor(catalog, registry).execute(stmt, params, ctx)
+            result = executor.execute(stmt, params, ctx)
         self._keep_plans(prepared, bound, plans)
         if explain:
-            lines = render_analyzed_plan(profile, io=io_delta, work=ctx.work)
+            # the outermost block's plan, kept in the plan table it ran from
+            lines = _analyzed_plan(executor.plan(stmt, ctx), result, io_delta,
+                                   ctx.work)
             result = ResultSet(["plan"], [(line,) for line in lines])
             rec.note(rows=len(lines), io=io_delta, params=params or None)
         else:
@@ -445,59 +487,6 @@ class Database:
             rec.note(rows=len(result.rows) or result.rowcount, io=io_delta,
                      params=params or None)
         return QueryResult(result=result, work=ctx.work, io=io_delta, sql=sql)
-
-    def executemany(self, sql: str, param_rows: list[list]) -> int:
-        """Run one parameterized statement repeatedly; returns total rowcount."""
-        with recorder.statement(sql) as rec:
-            prepared, _ = self.prepare(sql)
-            if rec.active:
-                rec.note(kind=prepared.kind, shape=prepared.shape,
-                         digest=prepared.digest)
-            if prepared.is_read:
-                with self.read_view() as view:
-                    total = self._run_many(prepared, param_rows,
-                                           view.catalog, view.lfm)
-            else:
-                with self.transaction():
-                    total = self._run_many(prepared, param_rows,
-                                           self.catalog, self.lfm)
-            rec.note(rows=total)
-        return total
-
-    def _run_many(self, prepared: Prepared, param_rows: list[list], catalog,
-                  lfm) -> int:
-        # One check and one plan table for the batch: its own writes move
-        # the stamp, but a plan stays correct (only its estimates age).
-        bound, plans = self._bind(prepared, catalog, self.functions)
-        executor = Executor(catalog, self.functions)
-        total = 0
-        for params in param_rows:
-            ctx = ExecutionContext(lfm=lfm, blocks=bound.blocks,
-                                   planner_mode=self.planner, plans=plans,
-                                   stored_cells=self._stored_cells)
-            total += executor.execute(prepared.ast, list(params), ctx).rowcount
-        self._keep_plans(prepared, bound, plans)
-        return total
-
-    def explain(self, sql: str) -> str:
-        """The nested-loop plan the engine would run for a SELECT.
-
-        The statement is analyzed first: EXPLAIN on a semantically invalid
-        query reports the diagnostic rather than a plan.
-        """
-        prepared, _ = self.prepare(sql)
-        stmt = prepared.ast
-        if isinstance(stmt, Explain):  # accept an explicit "EXPLAIN ..." too
-            stmt = stmt.statement
-        if not isinstance(stmt, Select):
-            raise UnsupportedStatementError("EXPLAIN supports SELECT statements only")
-        with self.read_view() as view:
-            bound, plans = self._bind(prepared, view.catalog, self.functions)
-            ctx = ExecutionContext(blocks=bound.blocks, planner_mode=self.planner,
-                                   plans=plans)
-            plan = Executor(view.catalog, self.functions).plan(stmt, ctx)
-            self._keep_plans(prepared, bound, plans)
-            return plan.describe()
 
     def analyze(self, sql: str) -> list:
         """Run only the static pass; returns the list of diagnostics."""
@@ -510,9 +499,9 @@ class Database:
         """Scope several statements into one write scope and one storage
         transaction.
 
-        Every write is one (an auto-commit statement or ``executemany``
-        batch opens its own).  The outermost scope commits or fails as a
-        whole: committed, it is published as one version; failed — an
+        Every write is one (an auto-commit statement opens its own; a
+        batch of them shares the caller's).  The outermost scope commits
+        or fails as a whole: committed, it is published as one version; failed — an
         exception leaves it, or its commit raises — the published version
         is reinstated, so nothing its INSERTs, UPDATEs, DELETEs or DDL did
         survives.  Under a write-ahead log the commit syncs the long

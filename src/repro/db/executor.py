@@ -13,8 +13,7 @@ multi-study statistical queries (§6.4) want them.
 from __future__ import annotations
 
 import operator
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.db.catalog import Catalog
 from repro.db.functions import ExecutionContext, FunctionRegistry, decode_region
@@ -63,6 +62,9 @@ class ResultSet:
     rows: list[tuple]
     #: rows affected, for DML statements routed through the same type
     rowcount: int = 0
+    #: a SELECT's rows examined and matched per join level, flat
+    #: (``[examined_0, matched_0, ...]``); EXPLAIN ANALYZE prints them
+    level_counts: list | None = field(default=None, compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.rows)
@@ -601,25 +603,13 @@ class Executor:
         ``scopes`` and ``outer`` are the enclosing blocks' scope chain and
         frame when this SELECT executes as a correlated subquery.
         """
-        # EXPLAIN ANALYZE profiles the outermost SELECT only: take the
-        # profile off the context so subqueries run unprofiled.
-        ctx = run.ctx
-        profile = ctx.profile
-        if profile is not None:
-            ctx.profile = None
-        plan = self.plan(select, ctx, scopes)
+        plan = self.plan(select, run.ctx, scopes)
         program: _Program = plan.program
-        if profile is not None:
-            profile.attach(plan)
-            stmt_start = time.perf_counter()
-            stmt_pages = _lfm_pages(ctx)
         frames: list[list] = []
         tables = [self.catalog.table(level[0]) for level in program.levels]
+        counts = [0] * (2 * len(tables))
         self._join(0, program, tables, program.frame(outer, [None] * len(tables)),
-                   frames, run, profile)
-        if profile is not None:
-            out_start = time.perf_counter()
-            out_pages = _lfm_pages(ctx)
+                   frames, run, counts)
         units = frames
         if program.grouped:
             units = self._groups(program, frames, outer, run)
@@ -648,40 +638,27 @@ class Executor:
             rows = unique
         if select.limit is not None:
             rows = rows[: select.limit]
-        ctx.work.rows_output += len(rows)
+        run.ctx.work.rows_output += len(rows)
         _ROWS_EMITTED.inc(len(rows))
-        if profile is not None:
-            now = time.perf_counter()
-            pages = _lfm_pages(ctx)
-            profile.output.rows_in = len(frames)
-            profile.output.rows_out = len(rows)
-            profile.output.wall_seconds = now - out_start
-            profile.output.page_ios = pages - out_pages
-            profile.rowcount = len(rows)
-            profile.wall_seconds = now - stmt_start
-            profile.page_ios = pages - stmt_pages
-        return ResultSet(list(program.columns), rows)
+        return ResultSet(list(program.columns), rows, level_counts=counts)
 
     def _join(self, level: int, program: _Program, tables: list, frame: list,
-              out: list, run: _Run, profile) -> None:
+              out: list, run: _Run, counts: list) -> None:
         """Nested loops from ``level`` down: append to ``out`` a copy of
-        ``frame`` for every row combination passing all predicates.
+        ``frame`` for every row combination passing all predicates, and
+        add this visit's rows examined and matched to the level's two
+        ``counts``.
 
         A level with an index probe or ``col = constant`` conjuncts reads,
         of a published table, only the bucket their values key (an
         unpublished copy in a write scope scans: the conjuncts stay among
         the level's predicates); probing with NULL matches nothing (SQL
         equality semantics).
-
-        With a ``profile`` (EXPLAIN ANALYZE), each level's
-        :class:`~repro.obs.explain.OperatorStats` accumulates the rows it
-        examined and matched plus the time and page I/Os of its own
-        scan-bind-filter work (child levels account for themselves).
         """
         if level == len(tables):
             out.append(frame[:])
             return
-        ctx, table = run.ctx, tables[level]
+        table = tables[level]
         _, access, column, probe, predicates = program.levels[level]
         rows = None
         if access == "spatial":
@@ -691,31 +668,21 @@ class Executor:
         if rows is None:
             rows = table.scan()
         slot, memo = program.base + level, program.memo
-        stats = profile.levels[level] if profile is not None else None
-        scanned = 0
+        scanned = matched = 0
         for row in rows:
             scanned += 1
-            if stats is not None:
-                start = time.perf_counter()
-                pages = _lfm_pages(ctx)
             frame[slot] = row
             if memo:
                 frame[-1] = {}
             for predicate in predicates:
                 if not predicate(frame, run):
-                    matched = False
                     break
             else:
-                matched = True
-            if stats is not None:
-                stats.wall_seconds += time.perf_counter() - start
-                stats.page_ios += _lfm_pages(ctx) - pages
-                stats.rows_out += matched
-            if matched:
-                self._join(level + 1, program, tables, frame, out, run, profile)
-        ctx.work.rows_scanned += scanned
-        if stats is not None:
-            stats.rows_in += scanned
+                matched += 1
+                self._join(level + 1, program, tables, frame, out, run, counts)
+        run.ctx.work.rows_scanned += scanned
+        counts[2 * level] += scanned
+        counts[2 * level + 1] += matched
 
     def _spatial_candidates(self, table, column: str, probe, frame: list,
                             run: _Run):
@@ -822,18 +789,6 @@ def _bucket_rows(table, positions: tuple, values: tuple, frame: list, run: _Run)
             table.equal_buckets(positions).get(key, ()))
     except (ExecutionError, TypeError):
         return None
-
-
-def _lfm_pages(ctx: ExecutionContext) -> int:
-    """LFM pages this *statement* touched so far (0 when no LFM attached).
-
-    Prefers the statement's thread-local I/O collector: under concurrent
-    sessions the global counters move for everyone, and reading them here
-    would attribute other statements' pages to this plan's operators.
-    """
-    if ctx.io_sink is not None:
-        return ctx.io_sink.total_pages
-    return ctx.lfm.stats.total_pages if ctx.lfm is not None else 0
 
 
 def _hashable(value):

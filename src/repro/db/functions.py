@@ -174,15 +174,6 @@ class ExecutionContext:
     subquery_cache: dict = field(default_factory=dict)
     #: the binder's record of the statement (:func:`repro.db.semantic.check`)
     blocks: dict = field(default_factory=dict)
-    #: a :class:`~repro.obs.explain.PlanProfile` to fill for EXPLAIN
-    #: ANALYZE; the executor claims it for the outermost SELECT only.
-    profile: object | None = None
-    #: the statement's thread-local I/O collector (an
-    #: :class:`~repro.storage.device.IOStats` registered via
-    #: ``attribute_io``); per-operator page attribution reads this instead
-    #: of the process-global counters, so concurrent statements never
-    #: steal each other's I/O.
-    io_sink: object | None = None
     #: planner mode for this statement ("cost" or "naive")
     planner_mode: str = "cost"
     #: this execution's plan table (keys as in

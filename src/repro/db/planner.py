@@ -70,13 +70,13 @@ from repro.db.semantic import AGGREGATES, Block
 from repro.db.types import SqlType
 from repro.errors import CatalogError
 from repro.net.costmodel import CostModel1994
-from repro.obs.explain import level_label
 
 __all__ = [
     "Plan",
     "plan_select",
     "conjuncts_of",
     "columns_in",
+    "level_label",
     "PLANNER_MODES",
 ]
 
@@ -177,6 +177,21 @@ class Plan:
             f"{'  ' * i}{level_label(self, i)} (est rows={_fmt_est(est)})"
             for i, est in enumerate(self.est_rows)
         )
+
+
+def level_label(plan, level: int) -> str:
+    """One level's access path and predicate count (``Plan.describe``
+    prints the same label)."""
+    ref = plan.table_order[level]
+    preds = plan.level_predicates[level]
+    label = f"{ref.name}" + (f" {ref.alias}" if ref.alias else "")
+    if plan.index_probes[level]:
+        access = f"probe {label} via index({plan.index_probes[level][0]})"
+    elif plan.spatial_probes[level]:
+        access = f"probe {label} via spatial({plan.spatial_probes[level][0]})"
+    else:
+        access = f"scan {label}"
+    return access + (f" [{len(preds)} predicate(s)]" if preds else "")
 
 
 def _fmt_est(value: float) -> str:

@@ -284,7 +284,8 @@ class Explain:
 
     Plain EXPLAIN renders the planner's chosen plan without running it;
     with ``analyze`` the statement is executed and the plan tree comes back
-    annotated with per-operator rows, time, and page I/Os.
+    annotated with per-operator rows, and its total with the statement's
+    own phase split and I/O.
     """
 
     statement: "Statement"

@@ -14,9 +14,11 @@ the paper-facing I/O accounting:
 * :mod:`repro.obs.metrics` — the process-wide registry of counters, gauges
   and histograms;
 * :mod:`repro.obs.promtext` — Prometheus text exposition of a registry,
-  and a validating parser for it;
-* :mod:`repro.obs.explain` — the per-operator profile EXPLAIN ANALYZE
-  fills and the renderer that turns it into an annotated plan tree.
+  and a validating parser for it.
+
+EXPLAIN ANALYZE is a sink of the record too: its total line prints the
+owning record's phases, charged up to that moment
+(:func:`repro.obs.recorder.charged`).
 
 This package sits below every instrumented layer (storage imports it), so
 it must stay import-light: nothing here pulls in ``repro.storage`` or
@@ -26,15 +28,5 @@ it must stay import-light: nothing here pulls in ``repro.storage`` or
 from __future__ import annotations
 
 from repro.obs import digest, metrics, promtext, qlog, recorder
-from repro.obs.explain import OperatorStats, PlanProfile, render_analyzed_plan
 
-__all__ = [
-    "digest",
-    "metrics",
-    "promtext",
-    "qlog",
-    "recorder",
-    "OperatorStats",
-    "PlanProfile",
-    "render_analyzed_plan",
-]
+__all__ = ["digest", "metrics", "promtext", "qlog", "recorder"]

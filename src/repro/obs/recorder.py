@@ -52,6 +52,7 @@ __all__ = [
     "statement",
     "enter",
     "leave",
+    "charged",
     "incident",
     "enable",
     "disable",
@@ -169,6 +170,16 @@ def leave(was: str | None) -> None:
     """Move the statement back to the phase :func:`enter` returned."""
     if was is not None:
         _ACTIVE.scope.switch(was)
+
+
+def charged() -> dict | None:
+    """The owning record's phases, charged up to now (a copy), of this
+    thread's open statement; None when no statement is open."""
+    scope = _ACTIVE.scope
+    if scope is None:
+        return None
+    scope.switch(scope._phase)
+    return dict(scope.record.phases)
 
 
 #: process-wide trace number source (``next()`` is atomic in CPython;

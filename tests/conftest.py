@@ -41,6 +41,20 @@ def ball(grid: GridSpec, center: tuple[float, ...], radius: float) -> Region:
     return Region.from_mask(squared <= radius * radius, grid)
 
 
+def explain(db, sql: str) -> str:
+    """The plan ``EXPLAIN <sql>`` answers, one line per join level."""
+    return "\n".join(row[0] for row in db.execute("EXPLAIN " + sql).rows)
+
+
+def executemany(db, sql: str, param_rows) -> int:
+    """Run ``sql``, prepared once, for each parameter row in one write
+    scope; the total rowcount."""
+    prepared, _ = db.prepare(sql)
+    with db.transaction():
+        return sum(db.execute(prepared, list(params)).rowcount
+                   for params in param_rows)
+
+
 def _seed_for(nodeid: str) -> int:
     """A stable per-test seed: a CRC of the pytest node id."""
     return zlib.crc32(nodeid.encode("utf-8")) & 0xFFFFFFFF

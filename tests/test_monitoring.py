@@ -24,6 +24,7 @@ from repro.server import QueryServer
 from repro.storage.device import PAGE_SIZE, BlockDevice, IOStats, attribute_io
 from repro.storage.lfm import LongFieldManager
 from repro.storage.wal import WriteAheadLog
+from tests.conftest import executemany
 
 
 @pytest.fixture(autouse=True)
@@ -101,25 +102,29 @@ class TestAttributeIO:
         assert sink.read_calls == 1
 
 
-_PAGE_IOS = re.compile(r"page I/Os=(\d+)")
+_STATEMENT_IO = re.compile(r"statement I/O: (\d+) pages")
 
 
 class TestConcurrentExplainAnalyze:
-    """The cross-attribution regression: per-operator page I/Os must be
-    exact while other EXPLAIN ANALYZEs run under the shared read lock."""
+    """The cross-attribution regression: each statement's own page I/O,
+    as EXPLAIN ANALYZE prints it and as its flight record keeps it, must
+    be exact while other EXPLAIN ANALYZEs run beside it."""
+
+    @staticmethod
+    def _sql(sid: int) -> str:
+        return (f"explain analyze select voxelCount(region) "
+                f"from atlasStructure where structureId = {sid}")
 
     def _analyze(self, db, sid: int):
-        result = db.execute(
-            f"explain analyze select voxelCount(region) from atlasStructure "
-            f"where structureId = {sid}"
-        )
-        plan = "\n".join(row[0] for row in result.rows)
-        return result.io.pages_read, _PAGE_IOS.findall(plan)
+        result = db.execute(self._sql(sid))
+        printed = _STATEMENT_IO.search(result.rows[-1][0])
+        return result.io.pages_read, int(printed.group(1))
 
     def test_many_sessions_attribute_exactly(self, system, structure_ids):
         db = system.db
         sids = (structure_ids * 4)[:12]
         serial = {sid: self._analyze(db, sid) for sid in set(sids)}
+        recorder.reset()
         barrier = threading.Barrier(len(sids))
         results: list = [None] * len(sids)
 
@@ -134,9 +139,14 @@ class TestConcurrentExplainAnalyze:
         for thread in threads:
             thread.join()
         for sid, got in zip(sids, results):
-            # statement totals AND the per-operator plan annotations match
-            # the serial run exactly — no pages leaked across threads
+            # the statement total and the printed figure match the serial
+            # run exactly: no pages leaked across threads
             assert got == serial[sid]
+        # ... and so does every record's own count
+        pages = {self._sql(sid): serial[sid][0] for sid in sids}
+        records = recorder.get_recorder().recent(len(sids))
+        assert sorted(r.sql for r in records) == sorted(map(self._sql, sids))
+        assert all(r.pages_read == pages[r.sql] for r in records)
 
 
 class TestTracePropagation:
@@ -371,8 +381,9 @@ def _direct_memoized(db):
 
 
 def _executemany(db):
-    db.executemany(_INSERT, [[900 + k, "m", "1970", "f", 50] for k in range(3)])
-    return 1
+    # a batch in one write scope leaves one record per statement
+    executemany(db, _INSERT, [[900 + k, "m", "1970", "f", 50] for k in range(3)])
+    return 3
 
 
 def _served(db, sql, params, repeat=1, **server_kw):

@@ -190,8 +190,7 @@ class TestExplainAnalyze:
         operator_lines = lines[:-2]
         assert len(operator_lines) == 3  # one per FROM table
         for line in operator_lines:
-            assert "rows examined=" in line and "matched=" in line
-            assert "time=" in line and "page I/Os=" in line
+            assert _OPERATOR_RE.search(line), line
         assert lines[-2].startswith("output:")
         assert "simulated 1994 Starburst real time" in lines[-1]
         # the statement really ran: the accounting came back too
@@ -220,6 +219,78 @@ class TestExplainAnalyze:
         analyzed = system.db.execute("EXPLAIN ANALYZE " + sql)
         total_line = analyzed.rows[-1][0]
         assert total_line.startswith(f"total: {len(plain.rows)} row(s)")
+
+
+class TestExplainAnalyzeReadsTheRecord:
+    """EXPLAIN ANALYZE takes its time from the statement's own flight
+    record: the total line is the owning record's phase split so far."""
+
+    SQL = ("EXPLAIN ANALYZE SELECT p.name FROM patient p, rawVolume r "
+           "WHERE r.patientId = p.patientId AND r.modality = 'PET'")
+
+    def test_served_statement_shows_the_server_phase(self, system):
+        from repro.server import QueryServer
+
+        with QueryServer(system.db, workers=1) as server:
+            with server.connect() as session:
+                wall, phases = _total(session.execute(self.SQL).rows[-1][0])
+        assert "server" in phases and "db.executor" in phases
+
+    def test_it_is_never_cached(self, system):
+        from repro.server import QueryServer
+
+        def cache_counters() -> dict:
+            counters = metrics.snapshot()["counters"]
+            return {name: value for name, value in counters.items()
+                    if name.startswith("server.result_cache.")}
+
+        with QueryServer(system.db, workers=1) as server:
+            with server.connect() as session:
+                session.execute(self.SQL)
+                before = cache_counters()
+                again = session.execute(self.SQL)
+                assert cache_counters() == before
+        # it ran again: its levels examined rows, its executor phase took time
+        examined = [int(n) for n in _EXAMINED_RE.findall(again.rows[0][0])]
+        assert examined and examined[0] > 0
+        assert "db.executor" in _total(again.rows[-1][0])[1]
+
+    def test_printed_phases_sum_to_no_more_than_the_wall(self, system):
+        for _ in range(20):
+            res = system.db.execute(self.SQL)
+            wall, phases = _total(res.rows[-1][0])
+            assert phases and sum(phases.values()) <= wall
+
+    def test_without_a_record_it_still_answers(self, system):
+        from repro.obs import recorder
+
+        recorded = system.db.execute(self.SQL).rows
+        recorder.disable()
+        try:
+            unrecorded = system.db.execute(self.SQL).rows
+        finally:
+            recorder.enable()
+        assert unrecorded[:-1] == recorded[:-1]
+        assert "no flight record kept" in unrecorded[-1][0]
+        assert unrecorded[-1][0].startswith("total: ")
+
+
+_TOTAL_RE = re.compile(r"total: \d+ row\(s\) in (\d+\.\d\d) ms \(([^)]*)\)")
+_EXAMINED_RE = re.compile(r"rows examined=(\d+)")
+_OPERATOR_RE = re.compile(
+    r"  \(est rows=\d+, rows examined=\d+, matched=\d+\)$")
+
+
+def _total(line: str) -> tuple[int, dict]:
+    """The wall and the phase split of a total line, in hundredths of a
+    millisecond (as printed)."""
+    found = _TOTAL_RE.match(line)
+    assert found, line
+    phases = {}
+    for part in found.group(2).split(" + "):
+        name, value = part.rsplit(" ", 1)
+        phases[name] = round(float(value) * 100)
+    return round(float(found.group(1)) * 100), phases
 
 
 _EST_RE = re.compile(r"est rows=(\d+(?:\.\d+)?)")

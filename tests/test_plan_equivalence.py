@@ -39,6 +39,7 @@ from hypothesis import strategies as st
 from repro.core.system import QbismSystem
 from repro.curves import GridSpec
 from repro.regions.region import Region
+from tests.conftest import executemany, explain
 
 #: bulk differential coverage: BATCHES x QUERIES_PER_BATCH queries
 BATCHES = 4
@@ -54,8 +55,8 @@ def _demo():
     studies = system.pet_study_ids + system.mri_study_ids
     system.db.execute(
         "create table studyNote (studyId integer, patientId integer, note text)")
-    system.db.executemany(
-        "insert into studyNote values (?, ?, ?)",
+    executemany(
+        system.db, "insert into studyNote values (?, ?, ?)",
         [[studies[0], 1, "a"], [studies[0], None, "b"], [None, 1, "c"],
          [studies[1], 2, "d"], [None, None, "e"], [studies[-1], 2, None]])
     return system
@@ -471,7 +472,7 @@ class TestNaivePlanShape:
         naive = system.db.execute(sql, planner="naive")
         assert cost.rows and sorted(cost.rows) == sorted(naive.rows)
         # the heuristic starts from the one table with its own predicate
-        assert system.db.explain(sql).lstrip().startswith(f"scan patient {names[-1]}")
+        assert explain(system.db, sql).lstrip().startswith(f"scan patient {names[-1]}")
 
 
 class TestConjunctFactsOnce:
@@ -495,7 +496,7 @@ class TestConjunctFactsOnce:
             return original(self, conjunct)
 
         monkeypatch.setattr(planner._PlannerState, "_selectivity", counting)
-        system.db.explain(sql)
+        explain(system.db, sql)
         assert len(seen) == 6
 
     def test_each_column_reference_is_resolved_once_per_statement(
@@ -521,7 +522,7 @@ class TestConjunctFactsOnce:
             return original(self, ref, scope)
 
         monkeypatch.setattr(semantic.SemanticAnalyzer, "_resolve_column", counting)
-        system.db.explain(sql)
+        explain(system.db, sql)
         assert len(resolved) == 13  # the statement's column references
 
 
@@ -564,7 +565,7 @@ class TestPlanInProportion:
                 marks = ", ".join("?" * len(rows[0]))
                 for target in (db.execute, lite.execute):
                     target(f"create table {name} ({columns})")
-                db.executemany(f"insert into {name} values ({marks})", rows)
+                executemany(db, f"insert into {name} values ({marks})", rows)
                 lite.executemany(f"insert into {name} values ({marks})", rows)
             for statement in indexes:
                 db.execute(statement)
@@ -734,7 +735,7 @@ class TestWarmStatements:
     def db(self):
         db = _demo().db
         db.execute("create table notes (k integer, v text)")
-        db.executemany("insert into notes values (?, ?)", [[1, "a"], [2, "b"]])
+        executemany(db, "insert into notes values (?, ?)", [[1, "a"], [2, "b"]])
         db.register_function("warmfn", lambda age: age + 1)
         return db
 
@@ -885,7 +886,7 @@ class TestCompiledPlans:
         db.execute(statements[0][0].replace("?", "null"))  # bare text: ad hoc
         assert len(compilations) >= 1
         del compilations[:]
-        db.executemany("insert into studyNote values (?, ?, upper(?))",
+        executemany(db, "insert into studyNote values (?, ?, upper(?))",
                        [[None, 7, f"n{i}"] for i in range(5)])
         assert len(compilations) == 1, "one compile for the whole batch"
         assert db.execute("select count(*) from studyNote where note = ?",

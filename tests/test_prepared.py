@@ -17,6 +17,7 @@ import pytest
 from repro.db.database import _STMT_MEMO_CAPACITY as CAPACITY
 from repro.db.sql import Prepared, parse
 from tests.test_plan_equivalence import generate_query
+from tests.conftest import executemany, explain
 
 
 def prepared(sql: str) -> Prepared:
@@ -173,7 +174,7 @@ def kv_db():
 
     db = Database()
     db.execute("create table kv (k integer, v integer)")
-    db.executemany("insert into kv values (?, ?)", [[k, k * k] for k in range(6)])
+    executemany(db, "insert into kv values (?, ?)", [[k, k * k] for k in range(6)])
     return db
 
 
@@ -188,7 +189,7 @@ def test_stamp_hit_keeps_the_bound_slot_and_a_write_replaces_it(kv_db):
     bound = stmt.bound
     assert len(bound.plans) == 1
     assert kv_db.execute(SUM_SQL, [5]).scalar() == 25
-    assert kv_db.explain(SUM_SQL)
+    assert explain(kv_db, SUM_SQL)
     assert stmt.bound is bound, "same stamp: nothing re-bound or re-planned"
     kv_db.execute("insert into kv values (6, 36)")
     assert kv_db.execute(SUM_SQL, [5]).scalar() == 61
@@ -311,8 +312,8 @@ class TestMemoAdmission:
 
 
 def test_a_text_the_memo_turns_away_is_never_bound(kv_db, monkeypatch):
-    """Through execute, executemany and explain it is checked on every
-    call and keeps no stamp, no plans and no bound slot."""
+    """Through execute, a batch and EXPLAIN it is checked on every call
+    and keeps no stamp, no plans and no bound slot."""
     from repro.db import database
 
     _fill_memo(kv_db, times=4)
@@ -322,11 +323,11 @@ def test_a_text_the_memo_turns_away_is_never_bound(kv_db, monkeypatch):
     assert not hit and prepared.ad_hoc
     assert kv_db.execute(prepared, [3]).scalar() == 50
     assert kv_db.execute(SUM_SQL, [4]).scalar() == 41
-    assert "kv" in kv_db.explain(SUM_SQL)
-    kv_db.executemany("update kv set v = v where k = ?", [[1], [2]])
+    assert "kv" in explain(kv_db, SUM_SQL)
+    executemany(kv_db, "update kv set v = v where k = ?", [[1], [2]])
     assert prepared.bound is None
     assert list(kv_db._prepared) == held
-    assert len(checks) == 4  # nothing was kept to skip a check with
+    assert len(checks) == 5  # nothing was kept to skip a check with
 
 
 def test_statement_calling_a_session_local_udf_is_never_bound(kv_db):

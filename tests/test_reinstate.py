@@ -2,7 +2,7 @@
 
 The published :class:`~repro.db.mvcc.DatabaseVersion` is the database's
 only committed state.  Every read pins it, and a write scope that fails —
-an auto-commit statement, an ``executemany`` batch, or the outermost
+an auto-commit statement, a batch of executes in one scope, or the outermost
 ``Database.transaction()`` — puts it back, on a write-ahead-logged device
 and on a raw one alike.  Checked here: the three failures that motivated
 the rule, by name, and one property — a seeded DML/DDL sequence that fails
@@ -30,6 +30,7 @@ from repro.regions.region import Region
 from repro.storage import BlockDevice, LongFieldManager, WriteAheadLog
 from tests.test_mvcc import rwlock_acquisitions
 from tests.test_stats_properties import _assert_stats_equal
+from tests.conftest import executemany
 
 GRID = GridSpec((8, 8, 8))
 WHOLE = ((0, 0, 0), (8, 8, 8))
@@ -150,7 +151,7 @@ def run(db, statement, rng: random.Random) -> None:
         return out
 
     if method == "executemany":
-        db.executemany(sql, [bind(row) for row in params])
+        executemany(db, sql, [bind(row) for row in params])
     else:
         db.execute(sql, bind(params))
 

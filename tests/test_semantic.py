@@ -30,7 +30,7 @@ from repro.errors import (
 )
 from repro.storage import BlockDevice, LongFieldManager
 from repro.volumes import Volume
-from tests.conftest import ball
+from tests.conftest import ball, executemany, explain
 
 PROBE_CALLS = {"count": 0}
 
@@ -148,7 +148,7 @@ class TestBadQueryCorpus:
 
     def test_rejected_under_executemany(self, db):
         with pytest.raises(ResolutionError):
-            db.executemany("insert into nosuch values (?)", [[1], [2]])
+            executemany(db, "insert into nosuch values (?)", [[1], [2]])
 
 
 class TestExceptionBridging:
@@ -256,18 +256,18 @@ class TestConservativeness:
 class TestExplain:
     def test_explain_rejects_bad_query_without_planning(self, db):
         with pytest.raises(ResolutionError) as excinfo:
-            db.explain("select nope from patient")
+            explain(db, "select nope from patient")
         assert excinfo.value.code == "QB102"
 
     def test_explain_non_select_raises_dedicated_error(self, db):
         with pytest.raises(UnsupportedStatementError):
-            db.explain("insert into patient values (1, 'b')")
+            explain(db, "insert into patient values (1, 'b')")
         # legacy callers catching ValueError keep working
         with pytest.raises(ValueError):
-            db.explain("delete from patient")
+            explain(db, "delete from patient")
 
     def test_explain_valid_select_still_works(self, db):
-        assert "patient" in db.explain("select name from patient")
+        assert "patient" in explain(db, "select name from patient")
 
 
 class TestRegistryReplace:

@@ -13,6 +13,7 @@ from repro.db import Database
 from repro.errors import CatalogError, ExecutionError, SqlSyntaxError
 from repro.db.sql import parse
 from repro.db.sql.ast import CreateIndex, DropIndex, Exists, InSubquery, Subquery, Update
+from tests.conftest import executemany, explain
 
 
 @pytest.fixture
@@ -20,12 +21,12 @@ def db():
     db = Database()
     db.execute("create table patient (patientId integer, name text, age integer)")
     db.execute("create table study (studyId integer, patientId integer, modality text)")
-    db.executemany(
-        "insert into patient values (?, ?, ?)",
+    executemany(
+        db, "insert into patient values (?, ?, ?)",
         [[1, "alice", 40], [2, "bob", 55], [3, "carol", 40], [4, "dan", 22]],
     )
-    db.executemany(
-        "insert into study values (?, ?, ?)",
+    executemany(
+        db, "insert into study values (?, ?, ?)",
         [[10, 1, "PET"], [11, 1, "MRI"], [12, 2, "PET"]],
     )
     return db
@@ -84,8 +85,8 @@ class TestUpdateExecution:
 class TestIndexes:
     def test_create_and_use(self, db):
         db.execute("create index idx_pid on study (patientId)")
-        plan = db.explain(
-            "select * from patient p, study s where p.patientId = s.patientId"
+        plan = explain(
+            db, "select * from patient p, study s where p.patientId = s.patientId"
         )
         assert "probe study" in plan and "index(patientId)" in plan
 
@@ -108,7 +109,7 @@ class TestIndexes:
 
     def test_index_used_only_for_equality(self, db):
         db.execute("create index idx_age on patient (age)")
-        plan = db.explain("select * from patient where age > 30")
+        plan = explain(db, "select * from patient where age > 30")
         assert "probe" not in plan
 
     def test_insert_maintains_index(self, db):
@@ -140,7 +141,7 @@ class TestIndexes:
     def test_drop_index(self, db):
         db.execute("create index idx_a on patient (age)")
         db.execute("drop index idx_a")
-        assert "probe" not in db.explain("select * from patient where age = 40")
+        assert "probe" not in explain(db, "select * from patient where age = 40")
         with pytest.raises(CatalogError):
             db.execute("drop index idx_a")
 
