@@ -2,9 +2,9 @@
 
 Serving, caching, routing and per-class accounting all ask the same
 questions of a statement — does it only read, which tables and functions
-does it name, what is its canonical text, what is its literal-free shape
-— and every answer is a pure function of the AST.  :class:`Prepared`
-computes each once, on first use, and is the only place that does.
+does it name, what is its literal-free shape — and every answer is a
+pure function of the AST.  :class:`Prepared` computes each once, on
+first use, and is the only place that does.
 
 No syntactic fact may depend on a catalog, a function registry or
 statistics: those change under a statement text that stays the same.
@@ -138,22 +138,11 @@ class Prepared:
         #: while they are still in the CPU's caches, or on first use
         self._class = None if tokens is None else self._classify(tokens)
 
-    @cached_property
-    def canonical(self) -> str:
-        """The unparsed tree: one text per AST, whatever the formatting."""
-        return self._unparsed(True)
-
     @property
     def shape(self) -> str:
-        """The canonical text with every constant printed as ``?``."""
+        """The unparsed tree with every constant printed as ``?``: one
+        text per statement class, whatever the formatting."""
         return (self._class or self._classify())[0]
-
-    def _unparsed(self, literals: bool) -> str:
-        was = recorder.enter("db.sql")
-        try:
-            return unparse(self.ast, literals=literals)
-        finally:
-            recorder.leave(was)
 
     @property
     def digest(self) -> str:
@@ -167,7 +156,11 @@ class Prepared:
                else _masked(tokens))
         found = _SHAPES.get(key)
         if found is None:
-            shape = self._unparsed(False)
+            was = recorder.enter("db.sql")
+            try:
+                shape = unparse(self.ast, literals=False)
+            finally:
+                recorder.leave(was)
             found = (shape, fingerprint(shape))
             if key is not None:
                 if len(_SHAPES) >= _SHAPES_CAPACITY:

@@ -1,20 +1,14 @@
 """A shared, invalidating query-result cache for the serving layer.
 
 The paper pushed result caching up into the DX front end ("DX caches the
-results of previous queries"); a serving layer can do better by sharing
-one cache across every session.  Entries are keyed on the statement's
-:attr:`Prepared.canonical <repro.db.sql.Prepared.canonical>` text — so
-formatting differences (`select  *` vs `SELECT *`) hit the same slot —
-plus the bound parameters.  Every entry remembers the SELECT's
+results of previous queries"), keyed by the query as the user issued it;
+a serving layer can do better by sharing one cache across every session.
+Entries are keyed the same way: the statement's text, as the client sent
+it, plus the bound parameters (:func:`cache_key`), so a repeated text is
+answered before it is parsed; two formattings of one statement are two
+entries.  Every entry remembers the SELECT's
 :attr:`Prepared.tables <repro.db.sql.Prepared.tables>`; any write to one
 of those tables drops the entry, found through a table -> keys index.
-
-A served statement looks for its rows by its *text* first
-(:meth:`ResultCache.peek`, :meth:`ResultCache.hit`): an index from
-``(text, params)`` to the canonical key holds, for each entry, the one
-text that filled it, and drops it with the entry.  So a repeated text is
-answered before it is parsed or looked up in the statement memo; a
-differently formatted one still reaches the entry by its canonical key.
 Each entry carries what answering needs without the statement: the
 functions it calls, its shape and its digest id.
 
@@ -27,7 +21,7 @@ so a stream of distinct keys wider than the map cannot flush what
 repeats.
 
 Thread safety: a single mutex guards the LRU map, its counts and its
-two indexes; :meth:`ResultCache.peek` alone reads them without it.
+table index; :meth:`ResultCache.peek` alone reads the map without it.
 Snapshot reads hold no database lock, which opens a window: a reader
 executing against version N can ``put`` *after* a writer committed N+1
 and invalidated.  Entries therefore carry the snapshot sequence number
@@ -67,14 +61,14 @@ def _hit_rate() -> float:
 metrics.derived("server.result_cache.hit_rate", metrics.Gauge, _hit_rate)
 
 
-def cache_key(canonical_sql: str, params) -> tuple:
-    """The cache key for one statement + bound parameters.
+def cache_key(sql: str, params) -> tuple:
+    """The cache key for one statement text + bound parameters.
 
     Parameters are folded in by ``repr`` so unhashable values (and
     LongField handles, whose repr carries the stable field id) key
     correctly.
     """
-    return (canonical_sql, tuple(repr(p) for p in (params or ())))
+    return (sql, tuple(repr(p) for p in (params or ())))
 
 
 @dataclass(frozen=True)
@@ -95,12 +89,10 @@ class CachedResult:
     #: the statement's shape and digest id, for a hit's flight record
     shape: str | None = None
     digest: str | None = None
-    #: the ``cache_key`` of the text that filled it (None: not reachable by text)
-    text: tuple | None = None
 
 
 class ResultCache:
-    """Canonical SQL -> result rows: LRU eviction, frequency admission,
+    """Statement text -> result rows: LRU eviction, frequency admission,
     invalidated by writes."""
 
     def __init__(self, capacity: int = 256):
@@ -108,8 +100,6 @@ class ResultCache:
             raise ValidationError("result cache needs capacity for one entry")
         self.capacity = capacity
         self._entries: OrderedDict[tuple, CachedResult] = OrderedDict()  # guarded_by: _lock
-        #: ``entry.text`` -> key, for every entry filled with a text
-        self._texts: dict[tuple, tuple] = {}  # guarded_by: _lock
         #: table -> keys of the entries that depend on it
         self._keys_of: dict[str, set[tuple]] = {}  # guarded_by: _lock
         #: per-table low-water mark: entries computed from a snapshot
@@ -138,29 +128,12 @@ class ResultCache:
         (_MISSES if entry is None else _HITS).inc()
         return entry
 
-    def peek(self, text: tuple) -> CachedResult | None:
-        """The entry the statement text ``text`` (a :func:`cache_key` of
-        the raw text) filled, or None.  Counts nothing: a found entry
-        becomes a hit only through :meth:`hit`."""
-        # Lock-free: each read is one dict lookup on str-tuple keys, which
-        # no other thread can interleave with.  A probe that misses takes
-        # no lock at all, and what one finds is confirmed by hit().
-        key = self._texts.get(text)
-        return None if key is None else self._entries.get(key)
-
-    def hit(self, text: tuple, entry: CachedResult) -> bool:
-        """Count ``entry``, found by :meth:`peek`, as one hit, as
-        :meth:`get` counts one; False, counting nothing, if an eviction,
-        invalidation or refill replaced it since."""
-        with self._lock:
-            key = self._texts.get(text)
-            if key is None or self._entries.get(key) is not entry:
-                return False
-            self._admission.touch(key)
-            self.hits += 1
-            self._entries.move_to_end(key)
-        _HITS.inc()
-        return True
+    def peek(self, key: tuple) -> CachedResult | None:
+        """The entry for ``key``, or None.  Counts nothing and moves
+        nothing: a found entry becomes a hit only through :meth:`get`."""
+        # Lock-free: one dict lookup on a str-tuple key, which no other
+        # thread can interleave with.
+        return self._entries.get(key)
 
     def _entry_stale_locked(self, entry: CachedResult) -> bool:
         """Was a write with a newer sequence already applied to a table
@@ -202,17 +175,13 @@ class ResultCache:
                     self._forget_locked(*victim)
             self._entries[key] = entry
             self._entries.move_to_end(key)
-            if entry.text is not None:
-                self._texts[entry.text] = key
             for table in entry.tables:
                 self._keys_of.setdefault(table, set()).add(key)
             _ENTRIES.set(len(self._entries))
 
     def _forget_locked(self, key: tuple, entry: CachedResult) -> None:
-        """Drop ``entry``'s text and table index rows (the caller drops
-        the entry itself; lock held by caller)."""
-        if self._texts.get(entry.text) == key:
-            del self._texts[entry.text]
+        """Drop ``entry``'s table index rows (the caller drops the entry
+        itself; lock held by caller)."""
         for table in entry.tables:
             keys = self._keys_of.get(table)
             if keys is not None:
@@ -248,7 +217,6 @@ class ResultCache:
         """Drop every entry (counters are kept)."""
         with self._lock:
             self._entries.clear()
-            self._texts.clear()
             self._keys_of.clear()
             _ENTRIES.set(0)
 

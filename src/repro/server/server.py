@@ -14,10 +14,11 @@ ARCHITECTURE.md):
   a client occupies on its own thread, plus the bounded FIFO
   (``block``/``reject`` policy) where callers wait their turn when every
   slot is taken;
-* a shared :class:`~repro.server.resultcache.ResultCache`, probed first
-  by the statement's raw text and parameters: a hit is answered from the
-  entry, which carries the statement's functions, shape and digest id,
-  with no parse and no statement-memo lookup.  It is invalidated by any
+* a shared :class:`~repro.server.resultcache.ResultCache`, keyed by the
+  statement's text as sent and its parameters, and probed first: a hit
+  is answered from the entry, which carries the statement's functions,
+  shape and digest id, with no parse and no statement-memo lookup.  It
+  is invalidated by any
   write to a table the cached statement names; fills are fenced by
   snapshot sequence numbers so a late fill can never resurrect
   invalidated rows;
@@ -29,7 +30,7 @@ ARCHITECTURE.md):
   recorder use.  Cached statements never reach it, so its slots and its
   admission counts are spent on what the cache does not hold;
 * per-session state (:class:`~repro.server.session.Session`): local UDF
-  registries and variables;
+  registries;
 * the :class:`~repro.net.rpc.RpcChannel` result payloads ship through,
   so served traffic shows up in the paper's message accounting.
 
@@ -75,13 +76,11 @@ class QueryServer:
 
     def __init__(self, db: Database, workers: int = 4, queue_depth: int = 64,
                  policy: str = "block", result_cache: bool = True,
-                 cache_capacity: int = 256, rpc: RpcChannel | None = None):
+                 rpc: RpcChannel | None = None):
         self.db = db
         self.pool = WorkerPool(workers=workers, queue_depth=queue_depth,
                                policy=policy)
-        self.cache: ResultCache | None = (
-            ResultCache(cache_capacity) if result_cache else None
-        )
+        self.cache: ResultCache | None = ResultCache() if result_cache else None
         self.rpc = rpc if rpc is not None else RpcChannel()
         self._sessions: dict[int, Session] = {}  # guarded_by: _lock
         self._lock = lockdep.instrument(threading.Lock(), "server.sessions")
@@ -160,15 +159,18 @@ class QueryServer:
     def _execute(self, session: Session, sql: str, params: list | None,
                  rec) -> QueryResult:
         registry = session.functions
-        cache, text = self.cache, None
+        cache, counted = self.cache, False
         if cache is not None:
-            text = cache_key(sql, params)
+            key = cache_key(sql, params)
             # A repeated text is answered from its entry before it is
             # prepared, unless this session shadows a function it calls.
-            entry = cache.peek(text)
-            if (entry is not None and registry.stamp(entry.funcs) is not None
-                    and cache.hit(text, entry)):
-                return self._answer(entry, sql, rec)
+            # get() confirms the probe and counts it, hit or miss (an
+            # eviction or invalidation may have come in between).
+            entry = cache.peek(key)
+            if entry is not None and registry.stamp(entry.funcs) is not None:
+                entry, counted = cache.get(key), True
+                if entry is not None:
+                    return self._answer(entry, sql, rec)
         prepared, hit = self.db.prepare(sql)
         (_MEMO_HITS if hit else _MEMO_MISSES).inc()
         if prepared.ad_hoc:
@@ -185,10 +187,10 @@ class QueryServer:
         )
         if not cacheable:
             return self.db.execute(prepared, params, functions=registry)
-        key = cache_key(prepared.canonical, params)
-        entry = cache.get(key)
-        if entry is not None:
-            return self._answer(entry, sql, rec)
+        if not counted:
+            entry = cache.get(key)
+            if entry is not None:
+                return self._answer(entry, sql, rec)
         with self.db.read_view() as view:
             result = self.db.execute(prepared, params, functions=registry,
                                      view=view)
@@ -206,7 +208,6 @@ class QueryServer:
                     funcs=prepared.funcs,
                     shape=prepared.shape,
                     digest=prepared.digest,
-                    text=text,
                 ))
             return result
 

@@ -7,8 +7,6 @@ layer's analogue of a DBMS connection.  Each session carries:
 * a **session-local function registry** chaining to the shared one, so
   ``register_function`` on one session never changes what another
   session's SQL resolves (the Starburst extension hook, scoped);
-* a **variable store** (:meth:`set_var` / :meth:`get_var`) for per-client
-  temp state;
 * its own **statement counter** — every statement's flight-recorder
   record is tagged with the session name.
 
@@ -90,13 +88,12 @@ class Session:
         self.session_id = session_id
         self.name = name or f"session-{session_id}"
         self.functions = SessionFunctions(server.db.functions)
-        #: guards the session's mutable state: variables, the statement
-        #: counter, and the closed flag — all read by other threads
+        #: guards the session's mutable state: the statement counter and
+        #: the closed flag — both read by other threads
         #: (``session_snapshot`` on the admin thread, concurrent callers)
         self._state_lock = lockdep.instrument(
             threading.Lock(), "session.state"
         )
-        self._vars: dict[str, object] = {}  # guarded_by: _state_lock
         self.statements = 0  # guarded_by: _state_lock
         self.closed = False  # guarded_by: _state_lock
 
@@ -124,25 +121,6 @@ class Session:
                           replace: bool = False) -> None:
         """Register a UDF visible to this session only."""
         self.functions.register(name, fn, signature=signature, replace=replace)
-
-    # ------------------------------------------------------------------ #
-    # per-session temp state
-    # ------------------------------------------------------------------ #
-
-    def set_var(self, name: str, value) -> None:
-        """Stash one per-session value (client temp state)."""
-        with self._state_lock:
-            self._vars[name] = value
-
-    def get_var(self, name: str, default=None):
-        """Read a per-session value back."""
-        with self._state_lock:
-            return self._vars.get(name, default)
-
-    def var_names(self) -> list[str]:
-        """Names of every session variable, sorted."""
-        with self._state_lock:
-            return sorted(self._vars)
 
     # ------------------------------------------------------------------ #
     # lifecycle

@@ -3,7 +3,7 @@
 Four layers of checks:
 
 * **unit** — worker-pool backpressure policies, result-cache keying and
-  invalidation, session-local UDF scoping and temp state;
+  invalidation, session-local UDF scoping;
 * **interleaved correctness** — N sessions replay seeded mixed
   read/write scripts concurrently; every read is checked against an
   invariant while in flight (read-your-own-writes, immutable lookups)
@@ -498,14 +498,33 @@ class TestAdmissionSlots:
 
 
 class TestResultCache:
-    def test_canonical_keying_across_formatting(self):
+    def test_formattings_are_separate_entries_with_the_same_rows(self):
         db = fresh_db()
+        texts = ("select v from lookup where k = 3",
+                 "SELECT   v   FROM lookup WHERE k = 3")
         with QueryServer(db, workers=2) as server:
             with server.connect() as s:
-                a = s.execute("select v from lookup where k = 3")
-                b = s.execute("SELECT   v   FROM lookup WHERE k = 3")
-            assert a.rows == b.rows == [(9,)]
-            assert server.cache.hits == 1 and server.cache.misses == 1
+                for _ in range(2):  # two misses, then two hits
+                    assert [s.execute(sql).rows for sql in texts] \
+                        == [[(9,)], [(9,)]]
+            assert len(server.cache) == 2
+            assert server.cache.hits == 2 and server.cache.misses == 2
+
+    def test_a_miss_of_a_new_literal_variant_unparses_nothing(
+            self, monkeypatch):
+        import repro.db.sql.prepared
+
+        db = fresh_db()
+        with QueryServer(db, workers=1) as server, server.connect() as s:
+            s.execute("select v from lookup where k = 1")  # its shape memoized
+            calls = []
+            real = repro.db.sql.prepared.unparse
+            monkeypatch.setattr(
+                repro.db.sql.prepared, "unparse",
+                lambda *args, **kw: calls.append(args) or real(*args, **kw))
+            assert s.execute("select v from lookup where k = 2").rows == [(4,)]
+            assert (server.cache.hits, server.cache.misses) == (0, 2)
+        assert calls == []
 
     def test_params_distinguish_entries(self):
         db = fresh_db()
@@ -631,8 +650,8 @@ class TestResultCache:
 
 
 class TestTextPathHits:
-    """A served hit is answered from its text: the result cache's text
-    index is probed before ``Database.prepare``."""
+    """A served hit is answered from its text: the result cache, keyed
+    by it, is probed before ``Database.prepare``."""
 
     TEXTS = tuple(f"select v from lookup where k = {k}" for k in range(3))
 
@@ -662,19 +681,34 @@ class TestTextPathHits:
                 for name in ("hits", "misses", "rejected")}
             assert (server.cache.hits, server.cache.misses) == (3, 3)
 
-    def test_a_hit_leaves_the_record_a_canonical_hit_leaves(self):
+    def test_a_hit_leaves_the_record_a_miss_leaves(self):
         db = fresh_db()
         recorder.enable()
         with QueryServer(db, workers=1) as server, server.connect() as s:
             s.execute("select v from lookup where k = 4")
-            s.execute("SELECT v FROM lookup WHERE k = 4")  # canonical hit
             s.execute("select v from lookup where k = 4")  # text hit
-            text_hit, canonical_hit, miss = recorder.get_recorder().recent(3)
-        assert text_hit.cache_hit and canonical_hit.cache_hit
-        assert not miss.cache_hit
-        for record in (text_hit, canonical_hit):
-            assert (record.rows, record.kind, record.shape, record.digest) \
-                == (1, "read", miss.shape, miss.digest)
+            hit, miss = recorder.get_recorder().recent(2)
+        assert hit.cache_hit and not miss.cache_hit
+        assert (hit.rows, hit.kind, hit.shape, hit.digest) \
+            == (1, "read", miss.shape, miss.digest)
+
+    def test_an_entry_gone_between_probe_and_get_is_one_miss(
+            self, monkeypatch):
+        db = fresh_db()
+        sql = "select v from lookup where k = 2"
+        with QueryServer(db, workers=1) as server, server.connect() as s:
+            s.execute(sql)
+            cache, probe = server.cache, server.cache.peek
+
+            def probe_then_evict(key):
+                entry = probe(key)
+                cache.clear()
+                return entry
+
+            monkeypatch.setattr(cache, "peek", probe_then_evict)
+            assert s.execute(sql).rows == [(4,)]
+            assert (cache.hits, cache.misses) == (0, 2)
+            assert len(cache) == 1  # filled again
 
     def test_a_shadowing_session_gets_its_own_answer(self):
         db = fresh_db()
@@ -777,18 +811,6 @@ class TestSessions:
             assert a.execute(sql).rows == [("A",)]
             assert b.execute(sql).rows == [("B",)]  # not A's cached answer
             assert len(server.cache) == 0
-            a.close()
-            b.close()
-
-    def test_session_variables_are_private(self):
-        db = fresh_db()
-        with QueryServer(db, workers=2) as server:
-            a = server.connect()
-            b = server.connect()
-            a.set_var("cursor", 42)
-            assert a.get_var("cursor") == 42
-            assert b.get_var("cursor") is None
-            assert a.var_names() == ["cursor"]
             a.close()
             b.close()
 
@@ -1258,7 +1280,9 @@ class TestWarmStatementsUnderWrites:
 
     JOIN = ("select count(*), max(e.seq) from events e, lookup l"
             " where e.session = l.k and l.k >= ?")
-    ROUNDS = 60  # reader rounds the writer keeps committing through
+    #: reader rounds the writer keeps committing through (and until they
+    #: started at more than 10 versions)
+    ROUNDS = 60
 
     def test_every_answer_matches_the_naive_oracle_on_its_snapshot(self):
         from repro.db.sql import Prepared, parse
@@ -1277,7 +1301,8 @@ class TestWarmStatementsUnderWrites:
             # sees rows 0..n, so count(*) = max(seq) + 1 on any snapshot
             deadline = time.monotonic() + 60
             try:
-                while len(rounds) < self.ROUNDS and time.monotonic() < deadline:
+                while (len(rounds) < self.ROUNDS or len(set(rounds)) <= 10) \
+                        and time.monotonic() < deadline:
                     n = len(written) + 1
                     db.execute("insert into events values (?, ?)", [n % 20, n])
                     written.append(n)

@@ -15,7 +15,7 @@ from collections import OrderedDict
 import pytest
 
 from repro.db.database import _STMT_MEMO_CAPACITY as CAPACITY
-from repro.db.sql import Prepared, parse
+from repro.db.sql import Prepared, parse, unparse
 from tests.test_plan_equivalence import generate_query
 from tests.conftest import executemany, explain
 
@@ -24,7 +24,7 @@ def prepared(sql: str) -> Prepared:
     return Prepared(sql, parse(sql))
 
 
-#: (sql, tables, funcs, subquery tables, canonical text)
+#: (sql, tables, funcs, subquery tables, unparsed text)
 CASES = [
     ("select count(*) from patient where patientId in "
      "(select patientId from rawVolume where studyId between 1 and 4)",
@@ -84,14 +84,14 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("sql, tables, funcs, nested, canonical", CASES)
+@pytest.mark.parametrize("sql, tables, funcs, nested, unparsed", CASES)
 def test_facts_of_handwritten_statements(sql, tables, funcs, nested,
-                                         canonical):
+                                         unparsed):
     stmt = prepared(sql)
     assert stmt.tables == tables
     assert stmt.funcs == funcs
     assert stmt.subquery_tables == nested
-    assert stmt.canonical == canonical
+    assert unparse(stmt.ast) == unparsed
 
 
 #: what the plan-equivalence generator's ten query shapes name
@@ -132,11 +132,12 @@ def test_facts_of_generated_statements():
         seen.add((stmt.tables, stmt.funcs))
         assert stmt.subquery_tables == (
             {"rawvolume", "studynote"} if "exists" in sql else set())
-        # canonical is a fixed point of parse . unparse
-        assert parse(stmt.canonical) == stmt.ast
-        assert prepared(stmt.canonical).canonical == stmt.canonical
+        # the unparsed text is a fixed point of parse . unparse
+        unparsed = unparse(stmt.ast)
+        assert parse(unparsed) == stmt.ast
+        assert unparse(prepared(unparsed).ast) == unparsed
         assert stmt.shape == re.sub(
-            r"(?<![\w.])\d+(?![\w.])", "?", stmt.canonical)
+            r"(?<![\w.])\d+(?![\w.])", "?", unparsed)
     assert seen == GENERATED_FACTS
 
 
@@ -158,7 +159,7 @@ def test_kind_and_read_classification(sql, kind):
 def test_formatting_differences_share_canonical_shape_and_digest():
     one = prepared("select  v from T where s='a'  and n = 1")
     two = prepared("SELECT v FROM T WHERE s = 'b' AND n = 2")
-    assert one.canonical != two.canonical
+    assert unparse(one.ast) != unparse(two.ast)
     assert one.shape == two.shape == "SELECT v FROM T WHERE ((s = ?) AND (n = ?))"
     assert one.digest == two.digest
 

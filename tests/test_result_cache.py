@@ -115,30 +115,24 @@ class TestRefusedPuts:
 
 
 def _check_index(cache: ResultCache) -> None:
-    """Every indexed text names a live entry that it filled, no entry has
-    two texts, and the table index lists exactly the live entries."""
-    entries = cache._entries
-    for text, key in cache._texts.items():
-        assert key in entries and entries[key].text == text
-    assert len(set(cache._texts.values())) == len(cache._texts)
+    """The table index lists exactly the live entries."""
     by_table = {}
-    for key, entry in entries.items():
+    for key, entry in cache._entries.items():
         for table in entry.tables:
             by_table.setdefault(table, set()).add(key)
     assert cache._keys_of == by_table
 
 
 class TestTextIndex:
-    """The text -> key and table -> keys indexes follow the entries
-    through fills, refills, evictions, invalidations and ``clear()``."""
+    """The entries, keyed by statement text, and the table -> keys index
+    follow each other through fills, refills, evictions, invalidations
+    and ``clear()``."""
 
     TABLES = ("a", "b", "c")
 
-    def _entry(self, rng, key, seq):
+    def _entry(self, rng, seq):
         tables = frozenset(rng.sample(self.TABLES, rng.randint(1, 2)))
-        # two formattings of each statement: either may fill its entry
-        text = (key[0] + " " * rng.randint(0, 1), ())
-        return CachedResult(("v",), ((seq,),), tables, seq=seq, text=text)
+        return CachedResult(("v",), ((seq,),), tables, seq=seq)
 
     @pytest.mark.parametrize("seed", [3, 1994])
     def test_every_indexed_text_names_a_live_entry(self, seed):
@@ -152,7 +146,7 @@ class TestTextIndex:
             if roll < 0.55:
                 cache.get(key)
             elif roll < 0.9:
-                cache.put(key, self._entry(rng, key, seq))
+                cache.put(key, self._entry(rng, seq))
             elif roll < 0.995:
                 seq += 1
                 written = rng.sample(self.TABLES, rng.randint(1, 2))
@@ -163,38 +157,35 @@ class TestTextIndex:
                                for entry in cache._entries.values())
             else:
                 cache.clear()
-                assert not cache._texts and not cache._keys_of
+                assert not cache._entries and not cache._keys_of
             _check_index(cache)
         assert cache.rejected and cache.invalidations
 
     def test_a_refill_keeps_only_the_filling_text(self):
         cache = ResultCache(CAPACITY)
-        key = ("select v from t", ())
-        first = CachedResult(("v",), ((1,),), frozenset({"t"}), seq=1,
-                             text=("select v from t", ()))
-        second = CachedResult(("v",), ((2,),), frozenset({"t"}), seq=2,
-                              text=("SELECT v FROM t", ()))
+        key, other = ("select v from t", ()), ("SELECT v FROM t", ())
+        first = CachedResult(("v",), ((1,),), frozenset({"t"}), seq=1)
+        second = CachedResult(("v",), ((2,),), frozenset({"t"}), seq=2)
         cache.put(key, first)
-        assert cache.peek(("select v from t", ())) is first
-        cache.put(key, second)
-        assert cache.peek(("select v from t", ())) is None
-        assert cache.peek(("SELECT v FROM t", ())) is second
+        assert cache.peek(key) is first
+        assert cache.peek(other) is None  # another formatting: its own entry
+        cache.put(key, second)  # a refill replaces the entry
+        assert cache.peek(key) is second and len(cache) == 1
         _check_index(cache)
 
     def test_a_hit_on_a_replaced_entry_is_refused_and_uncounted(self):
         cache = ResultCache(CAPACITY)
-        key, text = ("select v from t", ()), ("select v from t", ())
-        cache.put(key, CachedResult(("v",), ((1,),), frozenset({"t"}), seq=1,
-                                    text=text))
-        found = cache.peek(text)
-        cache.invalidate(["t"], seq=2)  # between the probe and the hit
-        assert cache.peek(text) is None
-        assert not cache.hit(text, found)
-        assert (cache.hits, cache.misses) == (0, 0)
-        cache.put(key, CachedResult(("v",), ((2,),), frozenset({"t"}), seq=2,
-                                    text=text))
-        assert not cache.hit(text, found)  # refilled: not the entry found
-        assert cache.hit(text, cache.peek(text)) and cache.hits == 1
+        key = ("select v from t", ())
+        cache.put(key, CachedResult(("v",), ((1,),), frozenset({"t"}), seq=1))
+        found = cache.peek(key)
+        cache.invalidate(["t"], seq=2)  # between the probe and the get
+        assert cache.peek(key) is None
+        assert (cache.hits, cache.misses) == (0, 0)  # a probe counts nothing
+        # the get refuses the invalidated entry: a miss, never a hit
+        assert cache.get(key) is None and (cache.hits, cache.misses) == (0, 1)
+        cache.put(key, CachedResult(("v",), ((2,),), frozenset({"t"}), seq=2))
+        assert cache.get(key) is not found and cache.hits == 1  # refilled
+        _check_index(cache)
 
 
 class TestProcessHitRate:
